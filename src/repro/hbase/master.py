@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..cluster.metrics import MetricsRegistry
 from ..obs.telemetry import component_registry
-from .region import Cell, Region, RegionInfo
+from .region import Cell, Region, RegionInfo, RowFilter
 from .regionserver import RegionServer
 from .zookeeper import Session, ZooKeeper
 
@@ -188,15 +188,21 @@ class HMaster:
 
     def locate_range(self, table: str, start: bytes, end: bytes) -> List[Tuple[RegionInfo, Optional[str]]]:
         """All regions overlapping the scan range ``[start, end)``."""
-        out = []
-        for assignment in self._assignments(table):
-            info = assignment.region.info
-            if end and info.start_key and info.start_key >= end:
-                continue
-            if info.end_key and info.end_key <= start:
-                continue
-            out.append((info, assignment.server))
-        return out
+        return [(a.region.info, a.server) for a in self._overlapping(table, start, end)]
+
+    def _overlapping(self, table: str, start: bytes, end: bytes) -> List[_Assignment]:
+        """Assignments whose region overlaps ``[start, end)``, in key order.
+
+        Regions tile the keyspace in start-key order, so the overlap is
+        one contiguous slice found by bisecting ``_starts``: from the
+        region containing ``start`` up to the first one starting at or
+        after ``end`` (``b""`` end = unbounded).
+        """
+        assignments = self._assignments(table)
+        starts = self._starts[table]
+        first = max(bisect.bisect_right(starts, start) - 1, 0)
+        last = bisect.bisect_left(starts, end) if end else len(starts)
+        return assignments[first:last]
 
     def locate_replicas(self, table: str, row: bytes) -> ReplicaLocation:
         """Replica-aware :meth:`locate`: primary plus follower servers."""
@@ -217,17 +223,25 @@ class HMaster:
             return ()
         return self.replication.follower_servers(region_name)
 
-    def direct_scan(self, table: str, start_row: bytes = b"", end_row: bytes = b"") -> List:
+    def direct_scan(
+        self,
+        table: str,
+        start_row: bytes = b"",
+        end_row: bytes = b"",
+        row_filter: Optional[RowFilter] = None,
+    ) -> List[Cell]:
         """Administrative scan reading region data directly (no RPC timing).
 
         Used by offline components — the TSDB query engine, tests, the
         visualization pipeline — where simulated network timing is not
-        under study.  Returns cells sorted by ``(row, qualifier)``.
+        under study.  Returns cells sorted by ``(row, qualifier)``:
+        regions are disjoint, visited in key order, and each returns
+        sorted cells.  ``row_filter`` is pushed down to every region
+        scan (see :meth:`Region.scan`).
         """
-        cells = []
-        for assignment in self._assignments(table):
-            cells.extend(assignment.region.scan(start_row, end_row))
-        cells.sort(key=lambda c: c.key)
+        cells: List[Cell] = []
+        for assignment in self._overlapping(table, start_row, end_row):
+            cells.extend(assignment.region.scan(start_row, end_row, row_filter))
         return cells
 
     def direct_delete_range(
@@ -244,15 +258,12 @@ class HMaster:
         across primaries.
         """
         masked = 0
-        for assignment in self._assignments(table):
-            info = assignment.region.info
-            if end_row and info.start_key and info.start_key >= end_row:
-                continue
-            if info.end_key and info.end_key <= start_row:
-                continue
+        for assignment in self._overlapping(table, start_row, end_row):
             masked += assignment.region.delete_range(start_row, end_row, ts)
             if self.replication is not None:
-                self.replication.mirror_delete(info.name, start_row, end_row, ts)
+                self.replication.mirror_delete(
+                    assignment.region.info.name, start_row, end_row, ts
+                )
         return masked
 
     def direct_scan_consistent(
@@ -261,7 +272,8 @@ class HMaster:
         start_row: bytes = b"",
         end_row: bytes = b"",
         timeline: bool = False,
-    ) -> Tuple[List, float]:
+        row_filter: Optional[RowFilter] = None,
+    ) -> Tuple[List[Cell], float]:
         """Availability-aware :meth:`direct_scan` with a consistency mode.
 
         ``strong`` (the default) reads primary copies only and raises
@@ -270,16 +282,12 @@ class HMaster:
         most-caught-up live follower for such regions and returns the
         worst staleness bound alongside the cells.  On a healthy
         cluster both modes return exactly what :meth:`direct_scan`
-        returns for the same range, at staleness 0.
+        returns for the same range and ``row_filter``, at staleness 0.
         """
-        cells: List = []
+        cells: List[Cell] = []
         staleness = 0.0
-        for assignment in self._assignments(table):
+        for assignment in self._overlapping(table, start_row, end_row):
             info = assignment.region.info
-            if end_row and info.start_key and info.start_key >= end_row:
-                continue
-            if info.end_key and info.end_key <= start_row:
-                continue
             region = assignment.region
             primary_down = (
                 assignment.server is None or self._servers[assignment.server].crashed
@@ -292,8 +300,7 @@ class HMaster:
                     raise RegionUnavailableError(info.name)
                 region, follower_staleness = fallback
                 staleness = max(staleness, follower_staleness)
-            cells.extend(region.scan(start_row, end_row))
-        cells.sort(key=lambda c: c.key)
+            cells.extend(region.scan(start_row, end_row, row_filter))
         return cells, staleness
 
     # ------------------------------------------------------------------

@@ -7,6 +7,13 @@ threshold it is frozen into an immutable, sorted :class:`StoreFile`.
 Reads merge the memstore with all store files, newest first.  Minor
 compaction merges store files back into one.
 
+Both levels are indexed per *row*, not per cell: the memstore is
+``row -> {qualifier -> Cell}`` beside a sorted list of its rows, a
+store file is a sorted cell run beside its distinct rows and their
+offsets.  A scan bisects to the rows of its range, so it costs what it
+returns, and a row filter (the TSDB's tag push-down) is asked once per
+row and skips a rejected row's cells without touching them.
+
 The data plane is real — cells written here are the cells the TSDB
 query engine later reads — while the *timing* of RPCs is modelled by
 the RegionServer's service loop, not here.
@@ -26,9 +33,28 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from operator import attrgetter
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
-__all__ = ["Cell", "StoreFile", "Region", "RegionInfo"]
+__all__ = ["Cell", "StoreFile", "Region", "RegionInfo", "RowFilter"]
+
+#: Scan push-down: ``row -> keep?``, evaluated once per row.
+RowFilter = Callable[[bytes], bool]
+
+_cell_key = attrgetter("row", "qualifier")
+_cell_row = attrgetter("row")
+_cell_qualifier = attrgetter("qualifier")
+
+
+def _merge_newest(runs: Iterable[Iterable[Cell]]) -> Dict[Tuple[bytes, bytes], Cell]:
+    """One cell per key over runs given oldest first: newer or equal ``ts`` wins."""
+    merged: Dict[Tuple[bytes, bytes], Cell] = {}
+    for run in runs:
+        for cell in run:
+            existing = merged.get(cell.key)
+            if existing is None or cell.ts >= existing.ts:
+                merged[cell.key] = cell
+    return merged
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,31 +99,58 @@ class RegionInfo:
 class StoreFile:
     """Immutable sorted run of cells (an HFile stand-in).
 
-    Cells are stored sorted by ``(row, qualifier)``; point lookups use
-    binary search, scans use slicing.  One entry per key (the flush
-    already deduplicated by newest timestamp).
+    Cells are stored sorted by ``(row, qualifier)`` beside an index of
+    the distinct rows and where each starts; point lookups and scans
+    bisect the row index.  One entry per key (the flush already
+    deduplicated by newest timestamp).
     """
 
     def __init__(self, cells: List[Cell]) -> None:
-        self._cells = sorted(cells, key=lambda c: c.key)
-        self._keys = [c.key for c in self._cells]
+        self._cells = sorted(cells, key=_cell_key)
+        self._rows: List[bytes] = []
+        # Offset of each row's first cell, plus the end sentinel.
+        self._starts: List[int] = []
+        prev_row: Optional[bytes] = None
+        for i, cell in enumerate(self._cells):
+            if cell.row != prev_row:
+                prev_row = cell.row
+                self._rows.append(prev_row)
+                self._starts.append(i)
+        self._starts.append(len(self._cells))
 
     def __len__(self) -> int:
         return len(self._cells)
 
     def get(self, row: bytes, qualifier: bytes) -> Optional[Cell]:
-        i = bisect.bisect_left(self._keys, (row, qualifier))
-        if i < len(self._keys) and self._keys[i] == (row, qualifier):
+        r = bisect.bisect_left(self._rows, row)
+        if r == len(self._rows) or self._rows[r] != row:
+            return None
+        end = self._starts[r + 1]
+        i = bisect.bisect_left(
+            self._cells, qualifier, self._starts[r], end, key=_cell_qualifier
+        )
+        if i < end and self._cells[i].qualifier == qualifier:
             return self._cells[i]
         return None
 
-    def scan(self, start_row: bytes, end_row: bytes) -> Iterator[Cell]:
-        """Cells with ``start_row <= row < end_row`` (``b''`` end = unbounded)."""
-        lo = bisect.bisect_left(self._keys, (start_row, b""))
-        for cell in self._cells[lo:]:
-            if end_row and cell.row >= end_row:
-                break
-            yield cell
+    def scan(
+        self, start_row: bytes, end_row: bytes, row_filter: Optional[RowFilter] = None
+    ) -> List[Cell]:
+        """Cells with ``start_row <= row < end_row`` (``b''`` end = unbounded).
+
+        With a ``row_filter``, only rows it accepts; it is called once
+        per row in range, and a rejected row's cells are not visited.
+        """
+        rows, starts = self._rows, self._starts
+        first = bisect.bisect_left(rows, start_row)
+        last = bisect.bisect_left(rows, end_row, first) if end_row else len(rows)
+        if row_filter is None:
+            return self._cells[starts[first] : starts[last]]
+        out: List[Cell] = []
+        for r in range(first, last):
+            if row_filter(rows[r]):
+                out.extend(self._cells[starts[r] : starts[r + 1]])
+        return out
 
     def cells(self) -> Iterator[Cell]:
         return iter(self._cells)
@@ -127,7 +180,12 @@ class Region:
         self.info = info
         self.flush_threshold = flush_threshold
         self.retain_data = retain_data
-        self._memstore: Dict[Tuple[bytes, bytes], Cell] = {}
+        self._memstore: Dict[bytes, Dict[bytes, Cell]] = {}
+        self._memstore_cells = 0
+        # Sorted row index of the memstore; rows put since the last scan
+        # wait in ``_unindexed`` so the write path does no index work.
+        self._rows: List[bytes] = []
+        self._unindexed: List[bytes] = []
         self._store_files: List[StoreFile] = []
         self._tombstones: List[Tuple[bytes, bytes, float]] = []
         self.writes = 0
@@ -173,21 +231,41 @@ class Region:
             self.writes += len(cells)
             return
         memstore = self._memstore
+        added = 0
+        prev_row = None
         for cell in cells:
-            existing = memstore.get(cell.key)
-            if existing is None or cell.ts >= existing.ts:
-                memstore[cell.key] = cell
+            if cell.row != prev_row:
+                prev_row = cell.row
+                quals = memstore.get(prev_row)
+                if quals is None:
+                    quals = memstore[prev_row] = {}
+                    self._unindexed.append(prev_row)
+            existing = quals.get(cell.qualifier)
+            if existing is None:
+                quals[cell.qualifier] = cell
+                added += 1
+            elif cell.ts >= existing.ts:
+                quals[cell.qualifier] = cell
+        self._memstore_cells += added
         self.writes += len(cells)
-        if len(memstore) >= self.flush_threshold:
+        if self._memstore_cells >= self.flush_threshold:
             self.flush()
 
     def flush(self) -> None:
         """Freeze the memstore into a new store file."""
         if not self._memstore:
             return
-        self._store_files.append(StoreFile(list(self._memstore.values())))
-        self._memstore.clear()
+        self._store_files.append(
+            StoreFile([c for quals in self._memstore.values() for c in quals.values()])
+        )
+        self._set_memstore({})
         self.flushes += 1
+
+    def _set_memstore(self, memstore: Dict[bytes, Dict[bytes, Cell]]) -> None:
+        self._memstore = memstore
+        self._memstore_cells = sum(len(quals) for quals in memstore.values())
+        self._rows = []
+        self._unindexed = list(memstore)
 
     def discard_memstore(self) -> int:
         """Drop unflushed data (crash model).  Returns the number of cells lost.
@@ -196,8 +274,8 @@ class Region:
         storage); the memstore does not.  The master replays the WAL
         after calling this, restoring acknowledged writes.
         """
-        lost = len(self._memstore)
-        self._memstore.clear()
+        lost = self._memstore_cells
+        self._set_memstore({})
         return lost
 
     # ------------------------------------------------------------------
@@ -236,17 +314,15 @@ class Region:
         """
         if len(self._store_files) <= 1 and not self._tombstones:
             return
-        merged: Dict[Tuple[bytes, bytes], Cell] = {}
-        for sf in self._store_files:  # oldest first; later files overwrite
-            for cell in sf.cells():
-                existing = merged.get(cell.key)
-                if existing is None or cell.ts >= existing.ts:
-                    merged[cell.key] = cell
+        merged = _merge_newest(sf.cells() for sf in self._store_files)
         if self._tombstones:
             merged = {k: c for k, c in merged.items() if not self._masked(c)}
-            self._memstore = {
-                k: c for k, c in self._memstore.items() if not self._masked(c)
-            }
+            kept: Dict[bytes, Dict[bytes, Cell]] = {}
+            for row, quals in self._memstore.items():
+                live = {q: c for q, c in quals.items() if not self._masked(c)}
+                if live:
+                    kept[row] = live
+            self._set_memstore(kept)
             self._tombstones.clear()
         self._store_files = [StoreFile(list(merged.values()))] if merged else []
         self.compactions += 1
@@ -256,7 +332,8 @@ class Region:
     # ------------------------------------------------------------------
     def get(self, row: bytes, qualifier: bytes) -> Optional[Cell]:
         """Point lookup, newest version wins; tombstoned cells are invisible."""
-        best = self._memstore.get((row, qualifier))
+        quals = self._memstore.get(row)
+        best = quals.get(qualifier) if quals is not None else None
         for sf in reversed(self._store_files):
             cell = sf.get(row, qualifier)
             if cell is not None and (best is None or cell.ts > best.ts):
@@ -265,39 +342,61 @@ class Region:
             return None
         return best
 
-    def scan(self, start_row: bytes = b"", end_row: bytes = b"") -> List[Cell]:
+    def scan(
+        self,
+        start_row: bytes = b"",
+        end_row: bytes = b"",
+        row_filter: Optional[RowFilter] = None,
+    ) -> List[Cell]:
         """Range scan, sorted by ``(row, qualifier)``, newest version wins.
 
-        Bounds are clamped to the region's own range.
+        Bounds are clamped to the region's own range.  ``row_filter``
+        restricts the scan to the rows it accepts (see
+        :meth:`StoreFile.scan`); it never sees a row outside the range.
         """
         lo = max(start_row, self.info.start_key)
         hi = end_row
         if self.info.end_key:
             hi = self.info.end_key if not hi else min(hi, self.info.end_key)
-        merged: Dict[Tuple[bytes, bytes], Cell] = {}
-        for sf in self._store_files:
-            for cell in sf.scan(lo, hi):
-                existing = merged.get(cell.key)
-                if existing is None or cell.ts >= existing.ts:
-                    merged[cell.key] = cell
-        for key, cell in self._memstore.items():
-            row = key[0]
-            if row < lo or (hi and row >= hi):
-                continue
-            existing = merged.get(key)
-            if existing is None or cell.ts >= existing.ts:
-                merged[key] = cell
-        cells = merged.values()
+        # Each source is sorted and holds one cell per key, so a lone
+        # non-empty source is the answer as it stands.
+        sources = [run for sf in self._store_files if (run := sf.scan(lo, hi, row_filter))]
+        if run := self._scan_memstore(lo, hi, row_filter):
+            sources.append(run)
+        if len(sources) > 1:
+            cells = sorted(_merge_newest(sources).values(), key=_cell_key)
+        else:
+            cells = sources[0] if sources else []
         if self._tombstones:
             cells = [c for c in cells if not self._masked(c)]
-        return sorted(cells, key=lambda c: c.key)
+        return cells
+
+    def _scan_memstore(
+        self, lo: bytes, hi: bytes, row_filter: Optional[RowFilter]
+    ) -> List[Cell]:
+        rows = self._rows
+        if self._unindexed:
+            # Two sorted runs back to back: timsort merges them in O(n).
+            self._unindexed.sort()
+            rows.extend(self._unindexed)
+            rows.sort()
+            self._unindexed = []
+        first = bisect.bisect_left(rows, lo)
+        last = bisect.bisect_left(rows, hi, first) if hi else len(rows)
+        out: List[Cell] = []
+        for r in range(first, last):
+            row = rows[r]
+            if row_filter is None or row_filter(row):
+                quals = self._memstore[row]
+                out.extend([quals[q] for q in sorted(quals)])
+        return out
 
     # ------------------------------------------------------------------
     # split support
     # ------------------------------------------------------------------
     @property
     def memstore_size(self) -> int:
-        return len(self._memstore)
+        return self._memstore_cells
 
     @property
     def store_file_count(self) -> int:
@@ -332,8 +431,10 @@ class Region:
         right_info = RegionInfo(self.info.table, split_key, self.info.end_key, new_region_ids[1])
         left = Region(left_info, self.flush_threshold, self.retain_data)
         right = Region(right_info, self.flush_threshold, self.retain_data)
-        for cell in self.scan():
-            (left if cell.row < split_key else right).put(cell)
+        cells = self.scan()
+        cut = bisect.bisect_left(cells, split_key, key=_cell_row)
+        left.put_block(cells[:cut])
+        right.put_block(cells[cut:])
         # Splitting must not inflate the write counters used for skew metrics.
         left.writes = 0
         right.writes = 0

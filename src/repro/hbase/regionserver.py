@@ -371,10 +371,14 @@ class RegionServer:
     def _serve_scan(self, request: ScanRequest) -> RpcReply:
         if request.region_name is not None:
             return self._serve_targeted_scan(request)
-        cells: List[Cell] = []
-        for region in self.regions.values():
-            cells.extend(region.scan(request.start_row, request.end_row))
-        cells.sort(key=lambda c: c.key)
+        runs = [
+            run
+            for region in self.regions.values()
+            if (run := region.scan(request.start_row, request.end_row))
+        ]
+        cells = [cell for run in runs for cell in run]
+        if len(runs) > 1:  # each run is sorted; hosted regions are not in key order
+            cells.sort(key=lambda c: c.key)
         return RpcReply.success(cells, self.name)
 
     def _serve_targeted_scan(self, request: ScanRequest) -> RpcReply:
@@ -393,9 +397,7 @@ class RegionServer:
             region = replica.region  # type: ignore[attr-defined]
             staleness = replica.staleness(self.sim.now)  # type: ignore[attr-defined]
             self.metrics.counter("regionserver.follower_reads").inc(label=self.name)
-        cells = region.scan(request.start_row, request.end_row)
-        cells.sort(key=lambda c: c.key)
-        reply = RpcReply.success(cells, self.name)
+        reply = RpcReply.success(region.scan(request.start_row, request.end_row), self.name)
         reply.staleness = staleness
         return reply
 

@@ -5,7 +5,9 @@ Answers OpenTSDB-style queries against the simulated HBase tables:
 1. plan row-key scan ranges for the metric and time window (one range
    per salt bucket — the read-side cost of salting);
 2. scan, decode row keys, and expand compacted columns;
-3. filter by tag predicates, group series by tag keys;
+3. filter by tag predicates — pushed into the scan as a row filter, so
+   a series the query rejects costs one look at each of its row keys and
+   none at its cells — and group series by tag keys;
 4. within each group, aggregate / downsample / rate-convert.
 
 Queries read through the master's administrative scan: the
@@ -18,7 +20,7 @@ from __future__ import annotations
 import struct
 from array import array
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -27,7 +29,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 from ..hbase.bytescodec import decode_f64, decode_u32
 from ..hbase.master import HMaster, RegionUnavailableError
-from ..hbase.region import Cell
+from ..hbase.region import Cell, RowFilter
 from .aggregation import AGGREGATORS, Series, aggregate, downsample, rate
 from .blocks import TS_TYPECODE, VAL_TYPECODE, SeriesBlock
 from .compaction import decompact_cell, decompact_columns, is_compacted
@@ -151,6 +153,18 @@ class _BlockScanState:
         else:
             points = cells
         self._ingest_points(points, query)
+
+    def row_filter(self, query: "TsdbQuery") -> Optional[RowFilter]:
+        """The query's tag predicate as a scan push-down (None = keep all).
+
+        OpenTSDB's row-key filter on its HBase scanners: the scan asks
+        it once per row and never collects a rejected series' cells.
+        It answers from :meth:`_resolve_row`'s memo, which the ingest
+        below then hits, so each row is still decoded once.
+        """
+        if not query.tag_filters:
+            return None
+        return lambda row: self._resolve_row(row, query) is not None
 
     def _resolve_row(
         self, row: bytes, query: "TsdbQuery"
@@ -328,6 +342,10 @@ class ConsistentResult:
     staleness: float = 0.0
 
 
+#: Reads one row-key range: ``(lo, hi, row_filter) -> (cells, staleness)``.
+_Scan = Callable[[bytes, bytes, Optional[RowFilter]], Tuple[List[Cell], float]]
+
+
 class QueryEngine:
     """Executes :class:`TsdbQuery` objects against a simulated deployment."""
 
@@ -362,11 +380,7 @@ class QueryEngine:
         been expired); otherwise — and on singleton-plan fallback — it
         scans raw cells exactly as before.
         """
-        if self.lifecycle is not None:
-            routed = self.lifecycle.route(query, self._read_series)
-            if routed is not None:
-                return routed
-        return group_and_aggregate(query, self._read_series(query))
+        return self._execute(query, self._scan_direct)[0]
 
     def route_tier(self, query: TsdbQuery) -> str:
         """The serving source :meth:`run` would use (pure; for cache keys)."""
@@ -389,30 +403,15 @@ class QueryEngine:
         read ends up served.
         """
         try:
-            return self._run_available_mode(query, timeline=False)
+            series, staleness = self._execute(query, self._scan_consistent(timeline=False))
+            return ConsistentResult(series, "strong", staleness)
         except RegionUnavailableError:
-            return self._run_available_mode(query, timeline=True)
-
-    def _run_available_mode(self, query: TsdbQuery, timeline: bool) -> ConsistentResult:
-        worst = [0.0]
-
-        def reader(q: TsdbQuery) -> List[Series]:
-            series, staleness = self._read_series_consistent(q, timeline=timeline)
-            if staleness > worst[0]:
-                worst[0] = staleness
-            return series
-
-        mode = "timeline" if timeline else "strong"
-        if self.lifecycle is not None:
-            routed = self.lifecycle.route(query, reader)
-            if routed is not None:
-                return ConsistentResult(routed, mode, worst[0])
-        raw = reader(query)
-        return ConsistentResult(group_and_aggregate(query, raw), mode, worst[0])
+            series, staleness = self._execute(query, self._scan_consistent(timeline=True))
+            return ConsistentResult(series, "timeline", staleness)
 
     def series_for(self, query: TsdbQuery) -> List[Series]:
         """Raw matching series with no grouping/aggregation (drill-down view)."""
-        return self._read_series(query)
+        return self._read_series(query, self._scan_direct)[0]
 
     def run_pointwise(self, query: TsdbQuery) -> List[Series]:
         """Reference execution through the per-cell scan path.
@@ -425,40 +424,54 @@ class QueryEngine:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _read_series(self, query: TsdbQuery) -> List[Series]:
-        """Columnar scan assembly: the default (block) read path."""
-        try:
-            metric_uid = self.uids.get("metric", query.metric)
-        except UnknownUidError:
-            return []
-        state = _BlockScanState(self.codec, self.uids)
-        for lo, hi in self.codec.scan_ranges(metric_uid, query.start, query.end):
-            cells = self.master.direct_scan(self.table, lo, hi)
-            self.scan_cells += len(cells)
-            state.ingest_scan(cells, query)
-        return state.to_series()
+    def _scan_direct(
+        self, lo: bytes, hi: bytes, row_filter: Optional[RowFilter]
+    ) -> Tuple[List[Cell], float]:
+        return self.master.direct_scan(self.table, lo, hi, row_filter), 0.0
 
-    def _read_series_consistent(
-        self, query: TsdbQuery, timeline: bool
-    ) -> Tuple[List[Series], float]:
-        """Columnar assembly over the availability-aware master scan."""
+    def _scan_consistent(self, timeline: bool) -> _Scan:
+        return lambda lo, hi, row_filter: self.master.direct_scan_consistent(
+            self.table, lo, hi, timeline, row_filter
+        )
+
+    def _execute(self, query: TsdbQuery, scan: _Scan) -> Tuple[List[Series], float]:
+        """Tier-route then group/aggregate; also the worst staleness read."""
+        worst = 0.0
+
+        def reader(q: TsdbQuery) -> List[Series]:
+            nonlocal worst
+            series, staleness = self._read_series(q, scan)
+            worst = max(worst, staleness)
+            return series
+
+        if self.lifecycle is not None:
+            routed = self.lifecycle.route(query, reader)
+            if routed is not None:
+                return routed, worst
+        return group_and_aggregate(query, reader(query)), worst
+
+    def _read_series(self, query: TsdbQuery, scan: _Scan) -> Tuple[List[Series], float]:
+        """Plan → scan → columnar assembly; the one (block) read loop.
+
+        ``scan`` reads one row-key range with the query's tag predicate
+        pushed down and reports the staleness of what it read.
+        """
         try:
             metric_uid = self.uids.get("metric", query.metric)
         except UnknownUidError:
             return [], 0.0
         state = _BlockScanState(self.codec, self.uids)
+        row_filter = state.row_filter(query)
         staleness = 0.0
         for lo, hi in self.codec.scan_ranges(metric_uid, query.start, query.end):
-            cells, range_staleness = self.master.direct_scan_consistent(
-                self.table, lo, hi, timeline=timeline
-            )
+            cells, range_staleness = scan(lo, hi, row_filter)
             self.scan_cells += len(cells)
             staleness = max(staleness, range_staleness)
             state.ingest_scan(cells, query)
         return state.to_series(), staleness
 
     def _read_series_pointwise(self, query: TsdbQuery) -> List[Series]:
-        """Per-cell reference path (one dict op per cell)."""
+        """Per-cell reference path (one dict op per cell, no scan push-down)."""
         try:
             metric_uid = self.uids.get("metric", query.metric)
         except UnknownUidError:

@@ -8,7 +8,9 @@ Three invariant families behind the block redesign:
   never invents or drops samples;
 * the columnar scan assembler and aggregation over block-backed Series
   are *bit-identical* to the legacy per-point path on random workloads
-  and random queries.
+  and random queries — including the tag-filter push-down, which the
+  per-point oracle does not use: it scans unfiltered and matches tags
+  after the fact.
 """
 
 import numpy as np
@@ -16,9 +18,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.tsdb.aggregation import Series
 from repro.tsdb.blocks import BlockBatch, SeriesBlock, blocks_from_points
+from repro.lifecycle import LifecyclePolicy
 from repro.tsdb.ingest import build_cluster
 from repro.tsdb.query import TsdbQuery, group_and_aggregate
-from repro.tsdb.tsd import DataPoint
+from repro.tsdb.tsd import DATA_TABLE, DataPoint
 
 point_strategy = st.tuples(
     st.integers(min_value=0, max_value=2),      # unit
@@ -143,12 +146,27 @@ class TestBlockAlgebra:
                 ]
 
 
+def tag_value(prefix):
+    """Exact (stored), wildcard, or a value no series carries."""
+    return st.sampled_from([f"{prefix}0", f"{prefix}1", f"{prefix}2", "*", f"{prefix}9"])
+
+
+# any subset of the series' tags, optionally with a key no series has
+tag_filter_strategy = st.fixed_dictionaries(
+    {},
+    optional={
+        "unit": tag_value("u"),
+        "sensor": tag_value("s"),
+        "site": st.sampled_from(["*", "x"]),
+    },
+)
+
 query_strategy = st.builds(
-    lambda start, span, unit_filter, group, agg, window, use_rate: TsdbQuery(
+    lambda start, span, tag_filters, group, agg, window, use_rate: TsdbQuery(
         "energy",
         start,
         start + span,
-        tag_filters={"unit": f"u{unit_filter}"} if unit_filter is not None else {},
+        tag_filters=tag_filters,
         group_by=group,
         aggregator=agg,
         downsample_window=window,
@@ -156,11 +174,67 @@ query_strategy = st.builds(
     ),
     start=st.integers(min_value=0, max_value=7000),
     span=st.integers(min_value=100, max_value=8000),
-    unit_filter=st.one_of(st.none(), st.integers(min_value=0, max_value=2)),
+    tag_filters=tag_filter_strategy,
     group=st.sampled_from([(), ("unit",), ("unit", "sensor")]),
     agg=st.sampled_from(["avg", "sum", "max", "min"]),
     window=st.one_of(st.none(), st.sampled_from([60, 300])),
     use_rate=st.booleans(),
+)
+
+
+def assert_bit_identical(got, expected):
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert a.tags == b.tags
+        assert a.timestamps.tobytes() == b.timestamps.tobytes()
+        assert a.values.tobytes() == b.values.tobytes()
+
+
+def reshape_storage(cluster, shape):
+    """Move what is stored into another physical form the scan must cope with."""
+    if shape == "flush":  # memstore -> one more store file per region
+        for server in cluster.servers:
+            for region in server.hosted_regions():
+                region.flush()
+    elif shape == "row_compact":  # point cells -> one blob per row
+        cluster.compactor().run()
+    elif shape == "tombstone":  # mask the metric's second hour
+        metric_uid = cluster.uids.get("metric", "energy")
+        ts = cluster.next_write_ts()
+        for lo, hi in cluster.codec.scan_ranges(metric_uid, 3600, 7200):
+            cluster.master.direct_delete_range(DATA_TABLE, lo, hi, ts)
+
+
+def load_in_two_shapes(cluster, raw, shapes):
+    """Half the points, reshape, the rest (late duplicates included), reshape."""
+    points = make_points(raw)
+    half = len(points) // 2
+    for chunk, shape in zip((points[:half], points[half:]), shapes):
+        cluster.direct_put(chunk)
+        reshape_storage(cluster, shape)
+
+
+# window-aligned (min,min)/(max,max) queries: the ones a rollup tier can serve
+tier_query_strategy = st.builds(
+    lambda start, span, tag_filters, group, agg: TsdbQuery(
+        "energy",
+        60 * start,
+        60 * (start + span),
+        tag_filters=tag_filters,
+        group_by=group,
+        aggregator=agg,
+        downsample_window=60,
+        downsample_aggregator=agg,
+    ),
+    start=st.integers(min_value=0, max_value=100),
+    span=st.integers(min_value=1, max_value=120),
+    tag_filters=tag_filter_strategy,
+    group=st.sampled_from([(), ("unit",), ("unit", "sensor")]),
+    agg=st.sampled_from(["min", "max"]),
+)
+
+storage_shapes = st.tuples(
+    *[st.sampled_from(["memstore", "flush", "row_compact", "tombstone"])] * 2
 )
 
 
@@ -171,13 +245,46 @@ class TestAggregationBitIdentity:
         cluster = build_cluster(n_nodes=2, salt_buckets=4, retain_data=True)
         cluster.direct_put(make_points(raw))
         engine = cluster.query_engine()
-        block_out = engine.run(query)
-        point_out = engine.run_pointwise(query)
-        assert len(block_out) == len(point_out)
-        for a, b in zip(block_out, point_out):
-            assert a.tags == b.tags
-            assert a.timestamps.tobytes() == b.timestamps.tobytes()
-            assert a.values.tobytes() == b.values.tobytes()
+        assert_bit_identical(engine.run(query), engine.run_pointwise(query))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from([0, 4, None]),  # unsalted, 4 buckets, the default 128
+        st.lists(point_strategy, min_size=2, max_size=80),
+        storage_shapes,
+        st.lists(query_strategy, min_size=1, max_size=4),
+    )
+    def test_tag_pushdown_identical_over_every_storage_shape(
+        self, salt_buckets, raw, shapes, queries
+    ):
+        """run (filter inside the scan) == run_pointwise (filter after it)."""
+        cluster = build_cluster(n_nodes=2, salt_buckets=salt_buckets, retain_data=True)
+        load_in_two_shapes(cluster, raw, shapes)
+        engine, gateway = cluster.query_engine(), cluster.gateway()
+        for query in queries:
+            expected = engine.run_pointwise(query)
+            assert_bit_identical(engine.run(query), expected)
+            assert_bit_identical(engine.run_available(query).series, expected)
+            assert_bit_identical(gateway.serve(query).series, expected)
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        st.lists(point_strategy, min_size=2, max_size=80),
+        st.tuples(*[st.sampled_from(["memstore", "flush", "row_compact"])] * 2),
+        st.lists(st.one_of(query_strategy, tier_query_strategy), min_size=1, max_size=4),
+    )
+    def test_tag_pushdown_identical_through_a_lifecycle_routed_engine(
+        self, raw, shapes, queries
+    ):
+        cluster = build_cluster(
+            n_nodes=2, salt_buckets=4, retain_data=True, lifecycle=LifecyclePolicy()
+        )
+        load_in_two_shapes(cluster, raw, shapes)
+        cluster.lifecycle.run_maintenance()
+        engine = cluster.query_engine()
+        assert engine.lifecycle is not None
+        for query in queries:
+            assert_bit_identical(engine.run(query), engine.run_pointwise(query))
 
     @settings(max_examples=25, deadline=None)
     @given(st.lists(point_strategy, min_size=1, max_size=80), query_strategy)

@@ -244,3 +244,184 @@ class TestRegionProperties:
         assert merged == set(rows)
         assert all(c.row < mid for c in left.scan())
         assert all(c.row >= mid for c in right.scan())
+
+
+# ----------------------------------------------------------------------
+# storage model check: one Region against a plain-dict oracle
+# ----------------------------------------------------------------------
+ROWS = [b"b", b"ba", b"c", b"ca", b"d", b"da", b"e", b"ea"]
+BOUNDS = [b"", b"a", *ROWS, b"g"]  # b"a" / b"g" lie outside every row
+QUALS = [b"\x00", b"\x01", b"\x02"]
+
+
+class RegionOracle:
+    """What a Region must behave like: two dicts and a tombstone list.
+
+    ``disk`` is every store file merged (newer-or-equal ``ts`` wins, the
+    later file on a tie), ``mem`` the memstore; the visible version of a
+    key is the memstore's unless the disk one is strictly newer, and a
+    tombstone hides it when it covers the row at or after its ``ts``.
+    """
+
+    def __init__(self, start, end, flush_threshold):
+        self.start, self.end, self.flush_threshold = start, end, flush_threshold
+        self.mem, self.disk, self.tombstones = {}, {}, []
+
+    def contains(self, row):
+        return row >= self.start and (not self.end or row < self.end)
+
+    def put_block(self, cells):
+        for c in cells:
+            held = self.mem.get(c.key)
+            if held is None or c.ts >= held.ts:
+                self.mem[c.key] = c
+        if len(self.mem) >= self.flush_threshold:
+            self.flush()
+
+    def flush(self):
+        for key, c in self.mem.items():
+            held = self.disk.get(key)
+            if held is None or c.ts >= held.ts:
+                self.disk[key] = c
+        self.mem = {}
+
+    def _masked(self, c):
+        return any(
+            c.row >= lo and (not hi or c.row < hi) and c.ts <= ts
+            for lo, hi, ts in self.tombstones
+        )
+
+    def compact(self):
+        self.disk = {k: c for k, c in self.disk.items() if not self._masked(c)}
+        self.mem = {k: c for k, c in self.mem.items() if not self._masked(c)}
+        self.tombstones = []
+
+    def visible(self):
+        newest = dict(self.disk)
+        for key, c in self.mem.items():
+            if key not in newest or c.ts >= newest[key].ts:
+                newest[key] = c
+        return [newest[k] for k in sorted(newest) if not self._masked(newest[k])]
+
+    def scan(self, lo, hi, accepted):
+        return [
+            c
+            for c in self.visible()
+            if c.row >= lo and (not hi or c.row < hi) and (accepted is None or c.row in accepted)
+        ]
+
+    def delete_range(self, lo, hi, ts):
+        doomed = sum(1 for c in self.scan(lo, hi, None) if c.ts <= ts)
+        self.tombstones.append((lo, hi, ts))
+        return doomed
+
+    def midpoint_key(self):
+        rows = sorted({c.row for c in self.visible()})
+        return rows[len(rows) // 2] if len(rows) >= 2 else None
+
+    def daughter(self, start, end):
+        """The oracle of one split daughter: live cells re-put as one block."""
+        child = RegionOracle(start, end, self.flush_threshold)
+        child.put_block([c for c in self.visible() if child.contains(c.row)])
+        return child
+
+
+cell_triples = st.lists(
+    st.tuples(st.sampled_from(ROWS), st.sampled_from(QUALS), st.integers(0, 6)),
+    min_size=1,
+    max_size=8,
+)
+region_ops = st.one_of(
+    st.tuples(st.just("put_block"), cell_triples),
+    st.tuples(st.just("put_block"), cell_triples.map(sorted)),  # in-order runs
+    st.tuples(st.just("flush")),
+    st.tuples(st.just("compact")),
+    st.tuples(st.just("discard_memstore")),
+    st.tuples(
+        st.just("delete_range"),
+        st.sampled_from(BOUNDS),
+        st.sampled_from(BOUNDS),
+        st.integers(0, 6),
+    ),
+    st.tuples(st.just("split"), st.sampled_from(ROWS), st.booleans()),
+)
+scan_probe = st.tuples(
+    st.sampled_from(BOUNDS),
+    st.sampled_from(BOUNDS),
+    st.one_of(st.none(), st.frozensets(st.sampled_from(ROWS))),
+)
+
+
+def assert_region_matches(r, oracle, probe):
+    lo, hi, accepted = probe
+    asked = []
+
+    def row_filter(row):
+        asked.append(row)
+        return row in accepted
+
+    got = r.scan(lo, hi, None if accepted is None else row_filter)
+    assert got == oracle.scan(lo, hi, accepted)
+    # the filter only ever sees rows of the clamped range
+    assert all(row >= lo and (not hi or row < hi) and oracle.contains(row) for row in asked)
+    visible = oracle.visible()
+    assert r.scan() == visible
+    assert r.cell_count() == len(visible)
+    assert r.memstore_size == len(oracle.mem)
+    assert r.midpoint_key() == oracle.midpoint_key()
+    live = {c.key: c for c in visible}
+    for row in ROWS:
+        for qual in QUALS:
+            assert r.get(row, qual) == live.get((row, qual))
+
+
+class TestRegionModel:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from([(b"", b""), (b"b", b"ea"), (b"", b"e"), (b"c", b"")]),
+        st.integers(min_value=2, max_value=9),
+        st.lists(st.tuples(region_ops, scan_probe), max_size=30),
+    )
+    def test_region_equals_dict_oracle(self, bounds, flush_threshold, steps):
+        """Memstore + several store files + tombstones vs the oracle, step by step."""
+        r = region(*bounds, flush=flush_threshold)
+        oracle = RegionOracle(*bounds, flush_threshold)
+        stamp = 0
+        for op, probe in steps:
+            kind = op[0]
+            if kind == "put_block":
+                cells = []
+                for row, qual, ts in op[1]:
+                    if oracle.contains(row):
+                        stamp += 1  # distinct values expose a wrong tie-break
+                        cells.append(Cell(row, qual, b"%d" % stamp, float(ts)))
+                r.put_block(cells)
+                oracle.put_block(cells)
+            elif kind == "flush":
+                r.flush()
+                oracle.flush()
+            elif kind == "compact":
+                r.compact()
+                oracle.compact()
+                assert r.tombstone_count == 0
+            elif kind == "discard_memstore":
+                assert r.discard_memstore() == len(oracle.mem)
+                oracle.mem = {}
+            elif kind == "delete_range":
+                _, lo, hi, ts = op
+                assert r.delete_range(lo, hi, float(ts)) == oracle.delete_range(lo, hi, float(ts))
+            else:
+                _, key, keep_left = op
+                if not oracle.contains(key) or key == oracle.start:
+                    with pytest.raises(ValueError):
+                        r.split(key, (2, 3))
+                else:
+                    left, right = r.split(key, (2, 3))
+                    assert left.writes == 0 and right.writes == 0
+                    assert (left.info.start_key, left.info.end_key) == (oracle.start, key)
+                    assert (right.info.start_key, right.info.end_key) == (key, oracle.end)
+                    halves = (oracle.daughter(oracle.start, key), oracle.daughter(key, oracle.end))
+                    assert_region_matches(left, halves[0], probe)
+                    assert_region_matches(right, halves[1], probe)
+                    r, oracle = (left, halves[0]) if keep_left else (right, halves[1])
+            assert_region_matches(r, oracle, probe)

@@ -1,12 +1,13 @@
 """Tests for RegionServers, the master and crash recovery."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cluster.failures import OverflowCrashPolicy
 from repro.cluster.network import LatencyModel, Network
 from repro.cluster.node import Node
 from repro.cluster.simulation import Simulator
-from repro.hbase.master import HMaster, TableNotFoundError
+from repro.hbase.master import HMaster, RegionUnavailableError, TableNotFoundError
 from repro.hbase.region import Cell
 from repro.hbase.regionserver import (
     GetRequest,
@@ -15,6 +16,7 @@ from repro.hbase.regionserver import (
     ScanRequest,
     ServiceModel,
 )
+from repro.hbase.replication import ReplicationCoordinator
 
 
 def build(n_servers=3, queue_capacity=64, crash_budget=None):
@@ -368,3 +370,135 @@ class TestAutoSplit:
         master.enable_auto_split(10)
         master.disable_auto_split()
         assert master.run_auto_split_pass() == 0
+
+
+# ----------------------------------------------------------------------
+# range routing: the bisected overlap equals a walk over every region
+# ----------------------------------------------------------------------
+KEYS = [bytes([c]) + tail for c in b"bcdefg" for tail in (b"", b"m")]
+RANGE_BOUNDS = [b"", b"a", *KEYS, b"z"]
+
+topology_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("split"), st.integers(0, 20), st.one_of(st.none(), st.sampled_from(KEYS))),
+        st.tuples(st.just("move"), st.integers(0, 20), st.integers(0, 2)),
+    ),
+    max_size=4,
+)
+range_probes = st.lists(
+    st.tuples(
+        st.sampled_from(RANGE_BOUNDS),
+        st.sampled_from(RANGE_BOUNDS),
+        st.one_of(st.none(), st.frozensets(st.sampled_from(KEYS))),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+def overlaps(info, lo, hi):
+    """The linear overlap test every caller used to carry a copy of."""
+    if hi and info.start_key and info.start_key >= hi:
+        return False
+    return not (info.end_key and info.end_key <= lo)
+
+
+class TestRangeRoutingIdentity:
+    def build_table(self, split_keys, rows, ops):
+        sim = Simulator()
+        net = Network(sim, LatencyModel(base=0.0001, jitter=0.0))
+        # A detection delay keeps a crashed primary un-recovered, so the
+        # timeline fallback is what serves its regions.
+        master = HMaster(sim=sim, failure_detection_delay=60.0)
+        servers = []
+        for i in range(3):
+            servers.append(RegionServer(sim, net, Node(sim, f"host{i}"), f"rs{i}"))
+            master.register_server(servers[-1])
+        master.enable_replication(ReplicationCoordinator(sim, net, master, n_followers=1))
+        master.create_table("t", sorted(split_keys))
+        for i, (row, qual) in enumerate(rows):
+            cell = Cell(row, bytes([qual]), b"%d" % i, float(i % 5))
+            info, server = master.locate("t", row)
+            master.server(server).regions[info.name].put(cell)
+            master.replication.mirror(info.name, [cell])
+        for op in ops:
+            names = [a.region.info.name for a in master._tables["t"]]
+            name = names[op[1] % len(names)]
+            if op[0] == "move":
+                master.move_region("t", name, servers[op[2]].name)
+            else:
+                try:
+                    master.split_region("t", name, op[2])
+                except ValueError:
+                    pass  # key outside the region, or too little data to halve
+        return master, servers
+
+    def walk(self, master, lo, hi, accepted, timeline=False):
+        """Scan every region of the table, pruning nothing."""
+        row_filter = None if accepted is None else accepted.__contains__
+        cells, staleness = [], 0.0
+        for a in master._tables["t"]:
+            region = a.region
+            if timeline and master.server(a.server).crashed:
+                region, stale = master.replication.best_follower(region.info.name)
+                staleness = max(staleness, stale)
+            cells.extend(region.scan(lo, hi, row_filter))
+        return sorted(cells, key=lambda c: c.key), staleness
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sets(st.sampled_from(KEYS), max_size=5),
+        st.lists(st.tuples(st.sampled_from(KEYS), st.integers(0, 2)), max_size=30),
+        topology_ops,
+        range_probes,
+        st.integers(0, 2),
+        st.integers(0, 4),
+    )
+    def test_scans_locates_and_deletes_equal_a_full_walk(
+        self, split_keys, rows, ops, probes, victim, delete_ts
+    ):
+        master, servers = self.build_table(split_keys, rows, ops)
+        for lo, hi, accepted in probes:
+            row_filter = None if accepted is None else accepted.__contains__
+            expected, _ = self.walk(master, lo, hi, accepted)
+            assert master.direct_scan("t", lo, hi, row_filter) == expected
+            for timeline in (False, True):
+                assert master.direct_scan_consistent("t", lo, hi, timeline, row_filter) == (
+                    expected, 0.0)
+            assert master.locate_range("t", lo, hi) == [
+                (a.region.info, a.server)
+                for a in master._tables["t"]
+                if overlaps(a.region.info, lo, hi)
+            ]
+
+        servers[victim].crash()
+        for lo, hi, accepted in probes:
+            row_filter = None if accepted is None else accepted.__contains__
+            down = [
+                a.region.info.name
+                for a in master._tables["t"]
+                if overlaps(a.region.info, lo, hi) and a.server == servers[victim].name
+            ]
+            if down:
+                with pytest.raises(RegionUnavailableError):
+                    master.direct_scan_consistent("t", lo, hi, False, row_filter)
+            else:
+                assert master.direct_scan_consistent("t", lo, hi, False, row_filter) == (
+                    self.walk(master, lo, hi, accepted))
+            assert master.direct_scan_consistent("t", lo, hi, True, row_filter) == (
+                self.walk(master, lo, hi, accepted, timeline=True))
+
+        lo, hi, _ = probes[0]
+        before, _ = self.walk(master, b"", b"", None)
+        doomed = [
+            c for c in before
+            if c.row >= lo and (not hi or c.row < hi) and c.ts <= delete_ts
+        ]
+        tombstones = {a.region.info.name: a.region.tombstone_count for a in master._tables["t"]}
+        assert master.direct_delete_range("t", lo, hi, float(delete_ts)) == len(doomed)
+        for a in master._tables["t"]:  # only the regions the range touches are tombstoned
+            added = a.region.tombstone_count - tombstones[a.region.info.name]
+            assert added == (1 if overlaps(a.region.info, lo, hi) else 0)
+        survivors = [c for c in before if c not in doomed]
+        assert master.direct_scan("t") == survivors
+        assert master.direct_scan_consistent("t", timeline=True)[0] == survivors
