@@ -34,7 +34,7 @@ import numpy as np
 
 from ..core.fdr import FDRDetectorConfig
 from ..core.model import UnitModel
-from ..core.pipeline import ANOMALY_METRIC
+from ..core.pipeline import flagged_points
 from ..core.online import OnlineEvaluator
 from ..core.streaming import StreamingTrainer
 from ..obs.telemetry import Telemetry
@@ -266,21 +266,10 @@ class StreamingDetector:
                 continue
             flags, unit_alarm, z = evaluator.evaluate_scored(x)
             self.report.samples_scored += x.size
-            rows, cols = np.nonzero(flags)
-            self.report.naive_alerts += rows.size
-            utag = ("unit", unit_tag(unit_id))
-            for row, sensor in zip(rows.tolist(), cols.tolist()):
-                score = float(z[row, sensor])
-                t = start_time + row
-                events.append(AnomalyEvent(unit_id, sensor, t, score))
-                anomaly_points.append(
-                    DataPoint(
-                        ANOMALY_METRIC,
-                        t,
-                        score,
-                        (("sensor", sensor_tag(sensor)), utag),
-                    )
-                )
+            self.report.naive_alerts += int(np.count_nonzero(flags))
+            for sensor, point in flagged_points(unit_id, start_time, flags, z):
+                events.append(AnomalyEvent(unit_id, sensor, point.timestamp, point.value))
+                anomaly_points.append(point)
             # Train on what the current model considers clean, so an
             # in-progress fault does not drag the baseline toward it.
             clean = ~flags.any(axis=1)

@@ -101,27 +101,7 @@ class OnlineEvaluator:
         streaming alerting path uses for severity scoring without a
         second standardisation pass.
         """
-        x = np.asarray(values, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.model.n_sensors:
-            raise ValueError(f"values must be (T, {self.model.n_sensors})")
-        z_inst = (x - self._mean) * self._inv_std
-        z_win = self._windowed(z_inst)
-
-        flags = np.zeros(z_win.shape, dtype=bool)
-        # Cheap prefilter, exact testing only where it can possibly fire.
-        candidate_rows = np.flatnonzero(
-            np.max(np.abs(z_win), axis=1) >= self._z_prefilter
-        )
-        if candidate_rows.size:
-            pvals = _two_sided_pvalues_fast(z_win[candidate_rows])
-            flags[candidate_rows] = self._flag_pvalues(pvals)
-
-        t2, unit_alarm = self._t2_channel(z_inst)
-
-        self.stats.samples += x.size
-        self.stats.batches += 1
-        self.stats.discoveries += int(flags.sum())
-        self.stats.unit_alarms += int(unit_alarm.sum())
+        flags, _, z_win, _, unit_alarm = self._score(values, full_pvalues=False)
         return flags, unit_alarm, z_win
 
     def report(self, values: np.ndarray) -> AnomalyReport:
@@ -130,25 +110,11 @@ class OnlineEvaluator:
         One-shot semantics: cross-batch window state is reset first, so
         the result matches :meth:`FDRDetector.detect` on the same model
         and window — flags, p-values, z-scores, T² and unit alarm — but
-        through the pre-bound fast path (p-values in one vectorised pass,
-        the BH step-up only on rows that survive the exact prefilter).
-        The fleet evaluation engine calls this per unit.
+        through the pre-bound fast path (p-values in one vectorised
+        pass).  The fleet evaluation engine calls this per unit.
         """
         self._carry = None
-        x = np.asarray(values, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.model.n_sensors:
-            raise ValueError(f"values must be (T, {self.model.n_sensors})")
-        z_inst = x - self._mean
-        z_inst *= self._inv_std
-        z_win = self._windowed(z_inst)
-        pvalues = _two_sided_pvalues_fast(z_win)
-        flags = self._flag_pvalues(pvalues)
-        t2, unit_alarm = self._t2_channel(z_inst)
-
-        self.stats.samples += x.size
-        self.stats.batches += 1
-        self.stats.discoveries += int(flags.sum())
-        self.stats.unit_alarms += int(unit_alarm.sum())
+        flags, pvalues, z_win, t2, unit_alarm = self._score(values, full_pvalues=True)
         return AnomalyReport(
             unit_id=self.model.unit_id,
             flags=flags,
@@ -158,6 +124,46 @@ class OnlineEvaluator:
             t2=t2,
             config=self.config,
         )
+
+    def _score(
+        self, values: np.ndarray, full_pvalues: bool
+    ) -> Tuple[np.ndarray, Optional[np.ndarray], np.ndarray, np.ndarray, np.ndarray]:
+        """The one scoring kernel: standardise → window → p-values →
+        step-up → T²; ``(flags, pvalues, z_win, t2, unit_alarm)``.
+
+        With ``full_pvalues`` the whole p-value matrix is stepped up (a
+        report carries it); without, only rows passing the exact
+        prefilter are tested and ``pvalues`` is ``None``.  Same flags.
+        """
+        x = np.asarray(values, dtype=np.float64)
+        if x.ndim != 2 or x.shape[1] != self.model.n_sensors:
+            raise ValueError(f"values must be (T, {self.model.n_sensors})")
+        z_inst = x - self._mean
+        z_inst *= self._inv_std
+        z_win = self._windowed(z_inst)
+
+        pvalues: Optional[np.ndarray] = None
+        if full_pvalues:
+            pvalues = _two_sided_pvalues_fast(z_win)
+            flags = self._flag_pvalues(pvalues)
+        else:
+            flags = np.zeros(z_win.shape, dtype=bool)
+            # Cheap prefilter, exact testing only where it can possibly fire.
+            candidate_rows = np.flatnonzero(
+                np.max(np.abs(z_win), axis=1) >= self._z_prefilter
+            )
+            if candidate_rows.size:
+                flags[candidate_rows] = self._flag_pvalues(
+                    _two_sided_pvalues_fast(z_win[candidate_rows])
+                )
+
+        t2, unit_alarm = self._t2_channel(z_inst)
+
+        self.stats.samples += x.size
+        self.stats.batches += 1
+        self.stats.discoveries += int(flags.sum())
+        self.stats.unit_alarms += int(unit_alarm.sum())
+        return flags, pvalues, z_win, t2, unit_alarm
 
     def _flag_pvalues(self, pvalues: np.ndarray) -> np.ndarray:
         """Per-row multiple-testing flags via the fastest exact route.

@@ -60,10 +60,31 @@ __all__ = [
     "AnomalyPipeline",
     "PipelineConfig",
     "PipelineResult",
+    "flagged_points",
 ]
 
 ANOMALY_METRIC = "anomaly"
 UNIT_ALARM_METRIC = "anomaly.unit"
+
+
+def flagged_points(
+    unit_id: int, start_time: int, flags: np.ndarray, zscores: np.ndarray
+) -> Iterator[Tuple[int, DataPoint]]:
+    """Each flagged cell as ``(sensor, anomaly point)``, in row-major order.
+
+    The point's value is the standardised test score at the flagged
+    instant; the batch pipeline and the streaming detector both emit
+    their ``anomaly`` series through here.
+    """
+    utag = ("unit", unit_tag(unit_id))
+    rows, cols = np.nonzero(flags)
+    for row, sensor in zip(rows.tolist(), cols.tolist()):
+        yield sensor, DataPoint(
+            ANOMALY_METRIC,
+            start_time + row,
+            float(zscores[row, sensor]),
+            (("sensor", sensor_tag(sensor)), utag),
+        )
 
 
 @dataclass(frozen=True)
@@ -248,9 +269,7 @@ class AnomalyPipeline:
         units are skipped.  Calling with a different ``n_train`` refits.
 
         Both branches return a :class:`TrainingResult` (the local path
-        synthesizes one with no persisted keys).  Iterating the result
-        yields the trained unit ids — the deprecation shim for callers
-        of the old ``List[int]`` local-path return.
+        synthesizes one with no persisted keys).
         """
         units = list(unit_ids) if unit_ids is not None else list(self.generator.units())
         stale = [
@@ -443,15 +462,11 @@ class AnomalyPipeline:
         self, window: UnitData, report: AnomalyReport
     ) -> Iterator[DataPoint]:
         """Flagged per-sensor scores and unit alarms as TSDB points."""
+        for _sensor, point in flagged_points(
+            window.unit_id, window.start_time, report.flags, report.zscores
+        ):
+            yield point
         utag = ("unit", unit_tag(window.unit_id))
-        rows, cols = np.nonzero(report.flags)
-        for row, sensor in zip(rows.tolist(), cols.tolist()):
-            yield DataPoint(
-                ANOMALY_METRIC,
-                window.start_time + row,
-                float(report.zscores[row, sensor]),
-                (("sensor", sensor_tag(sensor)), utag),
-            )
         for row in np.flatnonzero(report.unit_alarm).tolist():
             yield DataPoint(
                 UNIT_ALARM_METRIC,

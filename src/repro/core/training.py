@@ -19,7 +19,7 @@ stand-in).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -39,9 +39,7 @@ class TrainingResult:
 
     ``keys`` lists the block-store keys of persisted model artifacts;
     the pipeline's local (store-less) training path synthesizes a
-    result with no keys.  Iterating yields the trained unit ids — a
-    deprecation shim for callers of the old list-of-units return of
-    ``AnomalyPipeline.train``.
+    result with no keys.
     """
 
     unit_ids: List[int]
@@ -50,12 +48,6 @@ class TrainingResult:
 
     @property
     def n_units(self) -> int:
-        return len(self.unit_ids)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.unit_ids)
-
-    def __len__(self) -> int:
         return len(self.unit_ids)
 
 

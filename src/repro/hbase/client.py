@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import random
 import zlib
-from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -124,31 +123,17 @@ class HTableClient:
         covers).  ``batch_ids`` is trace correlation only: the ingest
         batch ids whose cells this put carries, stamped onto the
         :class:`PutRequest` so RegionServer spans join the batch trace.
-        With ``block=True`` the cells are declared to be sorted
-        per-series runs and each partition is served at the cheaper
-        block-put cost (the retry path keeps the flag).
+        ``block=True`` declares the cells to be sorted per-series runs,
+        so each partition's RPC is *charged* the cheaper block-put cost
+        (the retry path keeps the flag); execution is the same either
+        way.
         """
         if not cells:
             if on_done is not None:
                 on_done(True, 0)
             return
-        groups = self._group_by_server(table, cells)
-        for server_name, group in groups.items():
+        for server_name, group in self.master.group_by_server(table, cells).items():
             self._send_put(table, server_name, group, 0, on_done, batch_ids, block)
-
-    def _group_by_server(self, table: str, cells: List[Cell]) -> Dict[Optional[str], List[Cell]]:
-        # Cells arrive in row runs (coalesced point batches and block
-        # runs alike), so the meta lookup is memoised on row change
-        # rather than paid per cell.
-        groups: Dict[Optional[str], List[Cell]] = defaultdict(list)
-        last_row: Optional[bytes] = None
-        server_name: Optional[str] = None
-        for cell in cells:
-            if cell.row != last_row:
-                last_row = cell.row
-                _, server_name = self.master.locate(table, cell.row)
-            groups[server_name].append(cell)
-        return groups
 
     def _send_put(
         self,
@@ -230,7 +215,7 @@ class HTableClient:
 
         def resend() -> None:
             # Re-locate: assignments may have changed while backing off.
-            for server_name, group in self._group_by_server(table, cells).items():
+            for server_name, group in self.master.group_by_server(table, cells).items():
                 self._send_put(table, server_name, group, attempt + 1, on_done, batch_ids, block)
 
         self.sim.schedule(delay, resend)

@@ -190,6 +190,25 @@ class HMaster:
         """All regions overlapping the scan range ``[start, end)``."""
         return [(a.region.info, a.server) for a in self._overlapping(table, start, end)]
 
+    def group_by_server(
+        self, table: str, cells: List[Cell]
+    ) -> Dict[Optional[str], List[Cell]]:
+        """Partition ``cells`` by the server their row's region is assigned to.
+
+        Cells arrive in row runs (coalesced point batches and block runs
+        alike), so the meta lookup is paid per row change, not per cell.
+        The ``None`` key collects rows whose region is unassigned.
+        """
+        groups: Dict[Optional[str], List[Cell]] = {}
+        last_row: Optional[bytes] = None
+        group: List[Cell] = []
+        for cell in cells:
+            if cell.row != last_row:
+                last_row = cell.row
+                group = groups.setdefault(self.locate(table, cell.row)[1], [])
+            group.append(cell)
+        return groups
+
     def _overlapping(self, table: str, start: bytes, end: bytes) -> List[_Assignment]:
         """Assignments whose region overlaps ``[start, end)``, in key order.
 
@@ -239,10 +258,7 @@ class HMaster:
         sorted cells.  ``row_filter`` is pushed down to every region
         scan (see :meth:`Region.scan`).
         """
-        cells: List[Cell] = []
-        for assignment in self._overlapping(table, start_row, end_row):
-            cells.extend(assignment.region.scan(start_row, end_row, row_filter))
-        return cells
+        return self._scan(table, start_row, end_row, row_filter, None)[0]
 
     def direct_delete_range(
         self, table: str, start_row: bytes, end_row: bytes, ts: float
@@ -284,20 +300,37 @@ class HMaster:
         cluster both modes return exactly what :meth:`direct_scan`
         returns for the same range and ``row_filter``, at staleness 0.
         """
+        return self._scan(
+            table, start_row, end_row, row_filter, "timeline" if timeline else "strong"
+        )
+
+    def _scan(
+        self,
+        table: str,
+        start_row: bytes,
+        end_row: bytes,
+        row_filter: Optional[RowFilter],
+        consistency: Optional[str],
+    ) -> Tuple[List[Cell], float]:
+        """The one region-range read loop: ``(sorted cells, worst staleness)``.
+
+        ``consistency`` is the replica policy for a region whose primary
+        is down: ``None`` (administrative) reads the primary's data
+        anyway, ``"strong"`` refuses, ``"timeline"`` falls back to the
+        most-caught-up live follower.
+        """
         cells: List[Cell] = []
         staleness = 0.0
         for assignment in self._overlapping(table, start_row, end_row):
-            info = assignment.region.info
             region = assignment.region
-            primary_down = (
+            if consistency is not None and (
                 assignment.server is None or self._servers[assignment.server].crashed
-            )
-            if primary_down:
+            ):
                 fallback = None
-                if timeline and self.replication is not None:
-                    fallback = self.replication.best_follower(info.name)
+                if consistency == "timeline" and self.replication is not None:
+                    fallback = self.replication.best_follower(region.info.name)
                 if fallback is None:
-                    raise RegionUnavailableError(info.name)
+                    raise RegionUnavailableError(region.info.name)
                 region, follower_staleness = fallback
                 staleness = max(staleness, follower_staleness)
             cells.extend(region.scan(start_row, end_row, row_filter))

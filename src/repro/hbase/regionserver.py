@@ -89,8 +89,9 @@ class PutRequest:
     table: str
     cells: List[Cell]
     batch_ids: Tuple[int, ...] = ()
-    #: Block-granular put: the cells arrive as sorted per-series runs
-    #: and are served at the cheaper ``put_block_cost``.
+    #: Modelled cost only: the cells arrive as sorted per-series runs,
+    #: so the RPC is charged the cheaper ``put_block_cost``.  Every put
+    #: executes the same way (:meth:`RegionServer.write`).
     block: bool = False
 
 
@@ -292,68 +293,47 @@ class RegionServer:
         span.end(outcome="ok" if reply.ok else reply.error)
         self._reply(reply_to, src_host, reply)
 
-    def _serve_put(self, request: PutRequest) -> RpcReply:
-        if request.block:
-            return self._serve_put_block(request)
-        staged: List[tuple[Region, Cell]] = []
-        for cell in request.cells:
-            region = self._region_for(cell.row)
-            if region is None:
-                return RpcReply.failure("NotServingRegionException", self.name, True)
-            staged.append((region, cell))
-        self.wal.append_batch([c for _, c in staged])
-        self.wal.sync()
-        for region, cell in staged:
-            region.put(cell)
-        if self.replication_ship is not None:
-            shipped: Dict[str, List[Cell]] = {}
-            for region, cell in staged:
-                shipped.setdefault(region.info.name, []).append(cell)
-            for region_name, cells in shipped.items():
-                self.replication_ship(region_name, cells, self.name)
-        if len(self.wal) > self.wal_roll_threshold:
-            # Log roll: flush hosted regions so the old log can be
-            # archived, then truncate (HBase's roll-and-archive cycle).
-            for region in self.regions.values():
-                region.flush()
-            self.wal.truncate()
-        self.cells_written += len(staged)
-        self.metrics.counter("cells.written").inc(len(staged), label=self.name)
-        return RpcReply.success(len(staged), self.name)
+    def write(self, cells: List[Cell], durable: bool) -> Optional[List[Tuple[Region, List[Cell]]]]:
+        """The one writer: group ``cells`` into per-region runs and land them.
 
-    def _serve_put_block(self, request: PutRequest) -> RpcReply:
-        """Block twin of the point put: per-region runs, not per-cell ops.
-
-        Routing resolves once per row *change* (block cells repeat rows
-        for long runs) and regions ingest whole runs via
-        :meth:`Region.put_block`; WAL durability and all failure/crash
-        semantics are identical to the point path.
+        Routing resolves once per row *change* and each hosted region
+        ingests a whole run via :meth:`Region.put_block`.  All or
+        nothing: ``None``, and no write, when some row's region is not
+        hosted here.  ``durable`` logs and syncs the WAL first (put
+        RPCs); bulk loads bypass the log, as HBase's do.  Returns the
+        runs written, for the caller to replicate.
         """
-        runs: List[tuple[Region, List[Cell]]] = []
+        runs: List[Tuple[Region, List[Cell]]] = []
         region: Optional[Region] = None
         run: List[Cell] = []
         prev_row: Optional[bytes] = None
-        for cell in request.cells:
+        for cell in cells:
             if cell.row != prev_row:
                 prev_row = cell.row
                 if region is None or not region.info.contains(cell.row):
-                    target = self._region_for(cell.row)
-                    if target is None:
-                        return RpcReply.failure("NotServingRegionException", self.name, True)
-                    if region is not None and run:
-                        runs.append((region, run))
-                    region, run = target, []
+                    region = self._region_for(cell.row)
+                    if region is None:
+                        return None
+                    run = []
+                    runs.append((region, run))
             run.append(cell)
-        if region is not None and run:
-            runs.append((region, run))
-        self.wal.append_batch(request.cells)
-        self.wal.sync()
-        for target, cells in runs:
-            target.put_block(cells)
+        if durable:
+            self.wal.append_batch(cells)
+            self.wal.sync()
+        for target, batch in runs:
+            target.put_block(batch)
+        return runs
+
+    def _serve_put(self, request: PutRequest) -> RpcReply:
+        runs = self.write(request.cells, durable=True)
+        if runs is None:
+            return RpcReply.failure("NotServingRegionException", self.name, True)
         if self.replication_ship is not None:
-            for target, cells in runs:
-                self.replication_ship(target.info.name, cells, self.name)
+            for region, cells in runs:
+                self.replication_ship(region.info.name, cells, self.name)
         if len(self.wal) > self.wal_roll_threshold:
+            # Log roll: flush hosted regions so the old log can be
+            # archived, then truncate (HBase's roll-and-archive cycle).
             for hosted in self.regions.values():
                 hosted.flush()
             self.wal.truncate()
@@ -369,35 +349,33 @@ class RegionServer:
         return RpcReply.success(region.get(request.row, request.qualifier), self.name)
 
     def _serve_scan(self, request: ScanRequest) -> RpcReply:
-        if request.region_name is not None:
-            return self._serve_targeted_scan(request)
-        runs = [
-            run
-            for region in self.regions.values()
-            if (run := region.scan(request.start_row, request.end_row))
-        ]
-        cells = [cell for run in runs for cell in run]
-        if len(runs) > 1:  # each run is sorted; hosted regions are not in key order
-            cells.sort(key=lambda c: c.key)
-        return RpcReply.success(cells, self.name)
-
-    def _serve_targeted_scan(self, request: ScanRequest) -> RpcReply:
-        """Replica-aware scan of one named region.
+        """Scan the named region, or every primary region hosted here.
 
         A primary copy serves either consistency mode at staleness 0;
         a follower copy serves *timeline* reads only, stamping its
         staleness bound on the reply so the caller can surface it.
         """
-        region = self.regions.get(request.region_name)
         staleness = 0.0
-        if region is None:
-            replica = self.follower_regions.get(request.region_name)
-            if replica is None or request.consistency != "timeline":
-                return RpcReply.failure("NotServingRegionException", self.name, True)
-            region = replica.region  # type: ignore[attr-defined]
-            staleness = replica.staleness(self.sim.now)  # type: ignore[attr-defined]
-            self.metrics.counter("regionserver.follower_reads").inc(label=self.name)
-        reply = RpcReply.success(region.scan(request.start_row, request.end_row), self.name)
+        if request.region_name is None:
+            regions = self.hosted_regions()
+        else:
+            region = self.regions.get(request.region_name)
+            if region is None:
+                replica = self.follower_regions.get(request.region_name)
+                if replica is None or request.consistency != "timeline":
+                    return RpcReply.failure("NotServingRegionException", self.name, True)
+                region = replica.region  # type: ignore[attr-defined]
+                staleness = replica.staleness(self.sim.now)  # type: ignore[attr-defined]
+                self.metrics.counter("regionserver.follower_reads").inc(label=self.name)
+            regions = [region]
+        runs = [
+            run for region in regions if (run := region.scan(request.start_row, request.end_row))
+        ]
+        if len(runs) == 1:
+            cells = runs[0]
+        else:  # each run is sorted; hosted regions are not in key order
+            cells = sorted((cell for run in runs for cell in run), key=lambda c: c.key)
+        reply = RpcReply.success(cells, self.name)
         reply.staleness = staleness
         return reply
 

@@ -33,14 +33,12 @@ from typing import (
     TYPE_CHECKING,
     Callable,
     Dict,
-    Iterator,
     List,
     Optional,
     Set,
-    Tuple,
 )
 
-from ..tsdb.blocks import BlockBatch
+from ..tsdb.blocks import series_spans
 from ..tsdb.query import TsdbQuery
 from .planner import Reader, SingletonFallback, TierPlan, TierRouter
 from .retention import ExpiredSpan, RetentionManager
@@ -92,33 +90,9 @@ class LifecycleManager:
     # ------------------------------------------------------------------
     # write-path hooks
     # ------------------------------------------------------------------
-    @staticmethod
-    def _spans(points) -> Iterator[Tuple[str, int, int, int]]:
-        """Per-series ``(metric, t_min, t_max, n_points)`` of a batch."""
-        if isinstance(points, BlockBatch):
-            for block, (metric, _tags, t_min, t_max) in zip(
-                points.blocks, points.iter_series_spans()
-            ):
-                if len(block):
-                    yield metric, t_min, t_max, len(block)
-            return
-        per_metric: Dict[str, List[int]] = {}
-        for p in points:
-            acc = per_metric.get(p.metric)
-            if acc is None:
-                per_metric[p.metric] = [p.timestamp, p.timestamp, 1]
-            else:
-                if p.timestamp < acc[0]:
-                    acc[0] = p.timestamp
-                if p.timestamp > acc[1]:
-                    acc[1] = p.timestamp
-                acc[2] += 1
-        for metric, (t_min, t_max, n) in per_metric.items():
-            yield metric, t_min, t_max, n
-
     def _on_writes(self, points) -> None:
         """Write listener: idempotent observation only (fires twice)."""
-        for metric, t_min, t_max, _n in self._spans(points):
+        for metric, (t_min, t_max, _n) in series_spans(points, by_tags=False).items():
             if not self.policy.manages(metric):
                 continue
             self.rollup.observe(metric, t_min, t_max)
@@ -128,7 +102,7 @@ class LifecycleManager:
     def _on_ingest(self, points, written: int, failed: int) -> None:
         """Ingest observer: exact-once accounting + hot-window cadence."""
         fresh = 0
-        for metric, _t_min, _t_max, n in self._spans(points):
+        for metric, (_t_min, _t_max, n) in series_spans(points, by_tags=False).items():
             if not self.policy.manages(metric):
                 continue
             self.ingested[metric] = self.ingested.get(metric, 0) + n

@@ -4,7 +4,7 @@
 instead of a raw :class:`~repro.tsdb.query.QueryEngine`.  A request
 flows::
 
-    serve(query, client_id, deadline)
+    serve(query, client_id)
       │ per-client token bucket          -> QueryRejected("rate_limited")
       │ result cache probe
       ├─ fresh  ──────────────▶ serve (ETag match -> NotModified)
@@ -36,17 +36,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, Tuple
 
-from ..cluster.simulation import Simulator
 from ..hbase.master import RegionUnavailableError
-from ..obs.telemetry import component_registry
 from ..tsdb.aggregation import Series
-from ..tsdb.query import QueryEngine, TsdbQuery
-from ..tsdb.uid import UnknownUidError
+from ..tsdb.blocks import series_spans
+from ..tsdb.query import TsdbQuery
 from .admission import AdmissionController, ClientRateLimiter, QueryRejected, Ticket
 from .cache import CanonicalQuery, ResultCache, canonical_key, result_etag
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..cluster.metrics import MetricsRegistry
     from ..tsdb.ingest import TsdbCluster
     from ..tsdb.tsd import DataPoint
 
@@ -143,25 +140,13 @@ class QueryGateway:
     """Serving tier composing result cache, admission control and engine."""
 
     def __init__(
-        self,
-        cluster: Optional["TsdbCluster"] = None,
-        *,
-        engine: Optional[QueryEngine] = None,
-        sim: Optional[Simulator] = None,
-        config: Optional[GatewayConfig] = None,
-        metrics: Optional["MetricsRegistry"] = None,
+        self, cluster: "TsdbCluster", config: Optional[GatewayConfig] = None
     ) -> None:
-        if cluster is not None:
-            engine = engine if engine is not None else cluster.query_engine()
-            sim = sim if sim is not None else cluster.sim
-            metrics = metrics if metrics is not None else cluster.telemetry.registry("serve")
-        if engine is None or sim is None:
-            raise ValueError("need a cluster, or an explicit engine and sim")
         self.cluster = cluster
-        self.engine = engine
-        self.sim = sim
+        self.engine = cluster.query_engine()
+        self.sim = cluster.sim
         self.config = config if config is not None else GatewayConfig()
-        self.metrics = metrics if metrics is not None else component_registry("serve")
+        self.metrics = cluster.telemetry.registry("serve")
         self.cache = ResultCache(self.config.cache_capacity, self.config.ttl)
         self.admission = AdmissionController(self.config.max_concurrent, self.config.max_queue)
         self._limiter: Optional[ClientRateLimiter] = None
@@ -172,10 +157,9 @@ class QueryGateway:
         self._write_epoch = 0
         self._latency = self.metrics.histogram("serve.latency", _LATENCY_BOUNDS)
         self._staleness = self.metrics.histogram("serve.staleness")
-        if cluster is not None:
-            cluster.add_write_listener(self.notify_writes)
-            if cluster.lifecycle is not None:
-                cluster.lifecycle.add_expiry_listener(self.notify_expiry)
+        cluster.add_write_listener(self.notify_writes)
+        if cluster.lifecycle is not None:
+            cluster.lifecycle.add_expiry_listener(self.notify_expiry)
 
     # ------------------------------------------------------------------
     # engine-compatible surface (Dashboard/FleetAnalytics drop-in)
@@ -197,7 +181,6 @@ class QueryGateway:
         self,
         query: TsdbQuery,
         client_id: str = "interactive",
-        deadline: Optional[float] = None,
         if_none_match: Optional[str] = None,
     ) -> ServeResult:
         """Serve one query now (no simulated time passes).
@@ -209,31 +192,17 @@ class QueryGateway:
         backend with nothing cached.
         """
         now = self.sim.now
-        self._rate_check(client_id, now)
-        if not self.config.cache_enabled:
-            return self._execute_sync(query, client_id, now, if_none_match)
-        key = self._cache_key(query)
-        lookup = self.cache.get(key, now)
-        if lookup.state == "fresh":
-            return self._respond_cached("hit", lookup, if_none_match, 0.0)
-        if lookup.state == "stale":
-            if not self.backend_available():
-                return self._respond_cached("stale", lookup, if_none_match, 0.0)
-            if self.admission.in_flight < self.admission.max_concurrent:
-                return self._execute_sync(query, client_id, now, if_none_match, key)
-            if self.config.serve_stale:
-                self._queue_revalidation(query, key, client_id, now)
-                return self._respond_cached("stale", lookup, if_none_match, 0.0)
+        saturated = self.admission.in_flight >= self.admission.max_concurrent
+        key, cached = self._probe(query, client_id, now, if_none_match, 0.0, saturated)
+        if cached is not None:
+            return cached
+        if saturated:
             self._count_shed("queue_full")
             raise QueryRejected("queue_full", self.admission.retry_after(), f"client {client_id}")
-        # Cold miss.
-        if not self.backend_available():
-            self._count_shed("unavailable")
-            raise QueryRejected("unavailable", 1.0, "storage tier down and nothing cached")
-        if self.admission.in_flight < self.admission.max_concurrent:
-            return self._execute_sync(query, client_id, now, if_none_match, key)
-        self._count_shed("queue_full")
-        raise QueryRejected("queue_full", self.admission.retry_after(), f"client {client_id}")
+        ticket = self.admission.admit(client_id, now)  # slot free: grants inline
+        result = self._execute(ticket, query, key, now, if_none_match)
+        assert result is not None  # no on_done: settled inline (a rejection raised)
+        return result
 
     # ------------------------------------------------------------------
     # asynchronous serving (the workload driver's path)
@@ -255,39 +224,20 @@ class QueryGateway:
         FIFO wait; requests still queued past it are shed.
         """
         now = self.sim.now
+        hit_cost = self.config.service_model.hit_cost
         try:
-            self._rate_check(client_id, now)
+            key, cached = self._probe(query, client_id, now, if_none_match, hit_cost, True)
         except QueryRejected as exc:
             self._deliver_reject(exc, on_reject)
             return
-        key: Optional[CanonicalQuery] = None
-        if self.config.cache_enabled:
-            key = self._cache_key(query)
-            lookup = self.cache.get(key, now)
-            if lookup.state == "fresh":
-                self._complete_cached("hit", lookup, if_none_match, on_done)
-                return
-            if lookup.state == "stale":
-                backend_up = self.backend_available()
-                if backend_up and not self.config.serve_stale:
-                    pass  # fall through to a full execution below
-                else:
-                    if backend_up:
-                        self._queue_revalidation(query, key, client_id, now)
-                    self._complete_cached("stale", lookup, if_none_match, on_done)
-                    return
-        if not self.backend_available():
-            self._count_shed("unavailable")
-            self._deliver_reject(
-                QueryRejected("unavailable", 1.0, "storage tier down and nothing cached"),
-                on_reject,
-            )
+        if cached is not None:
+            self.sim.schedule(hit_cost, on_done, cached)
             return
         rel_deadline = deadline if deadline is not None else self.config.default_deadline
         abs_deadline = now + rel_deadline if rel_deadline is not None else None
 
         def granted(ticket: Ticket) -> None:
-            self._start_execution(ticket, query, key, now, if_none_match, on_done, on_reject)
+            self._execute(ticket, query, key, now, if_none_match, on_done, on_reject)
 
         def timed_out(ticket: Ticket) -> None:
             self._count_shed("deadline")
@@ -304,18 +254,56 @@ class QueryGateway:
             return
         self._sync_admission_gauges()
         if ticket.state == "granted":
-            self._start_execution(ticket, query, key, now, if_none_match, on_done, on_reject)
+            granted(ticket)
         elif abs_deadline is not None:
             # Strict comparison in expire_due: fire just past the deadline.
             self.sim.schedule(abs_deadline - now + 1e-9, self._expire_tick)
+
+    def _probe(
+        self,
+        query: TsdbQuery,
+        client_id: str,
+        now: float,
+        if_none_match: Optional[str],
+        latency: float,
+        stale_ok: bool,
+    ) -> Tuple[Optional[CanonicalQuery], Optional[ServeResult]]:
+        """Rate-limit, then answer from the cache if it can.
+
+        Returns ``(cache key, response)``; a ``None`` response means
+        execute.  A stale entry is served when the backend is down, or —
+        revalidating behind — when ``stale_ok`` and config allow it.
+        Raises :class:`QueryRejected` when rate-limited, or when the
+        backend is down with nothing cached.
+        """
+        self._rate_check(client_id, now)
+        key: Optional[CanonicalQuery] = None
+        if self.config.cache_enabled:
+            key = self._cache_key(query)
+            lookup = self.cache.get(key, now)
+            status: Optional[str] = "hit" if lookup.state == "fresh" else None
+            if lookup.state == "stale":
+                backend_up = self.backend_available()
+                if not backend_up or (stale_ok and self.config.serve_stale):
+                    if backend_up:
+                        self._queue_revalidation(query, key, client_id, now)
+                    status = "stale"
+            if status is not None:
+                assert lookup.value is not None and lookup.etag is not None
+                age = lookup.age if status == "stale" else 0.0
+                return key, self._respond(
+                    status, lookup.value, lookup.etag, if_none_match, latency, age
+                )
+        if not self.backend_available():
+            self._count_shed("unavailable")
+            raise QueryRejected("unavailable", 1.0, "storage tier down and nothing cached")
+        return key, None
 
     def _cache_key(self, query: TsdbQuery) -> CanonicalQuery:
         """Tier-aware canonical key: the planner's serving source is part
         of the key, so a raw-served answer is never replayed for a query
         the planner now routes to a rollup tier (or vice versa)."""
-        route_tier = getattr(self.engine, "route_tier", None)
-        tier = route_tier(query) if route_tier is not None else "raw"
-        return canonical_key(query, tier)
+        return canonical_key(query, self.engine.route_tier(query))
 
     # ------------------------------------------------------------------
     # write-through invalidation
@@ -342,32 +330,8 @@ class QueryGateway:
         per ``(metric, tags)`` series into one time-range probe.
         """
         self._write_epoch += 1
-        touched: dict = {}
-        spans = getattr(points, "iter_series_spans", None)
-        if spans is not None:
-            # Columnar fast path: a BlockBatch already knows each
-            # series' time extent — no per-point iteration needed.
-            for metric, tags, t_min, t_max in spans():
-                span = touched.get((metric, tags))
-                if span is None:
-                    touched[(metric, tags)] = [t_min, t_max]
-                else:
-                    if t_min < span[0]:
-                        span[0] = t_min
-                    if t_max > span[1]:
-                        span[1] = t_max
-        else:
-            for p in points:
-                span = touched.get((p.metric, p.tags))
-                if span is None:
-                    touched[(p.metric, p.tags)] = [p.timestamp, p.timestamp]
-                else:
-                    if p.timestamp < span[0]:
-                        span[0] = p.timestamp
-                    if p.timestamp > span[1]:
-                        span[1] = p.timestamp
         evicted = 0
-        for (metric, tags), (t_min, t_max) in touched.items():
+        for (metric, tags), (t_min, t_max, _n) in series_spans(points, by_tags=True).items():
             evicted += self.cache.invalidate(metric, dict(tags), t_min, t_max)
         if evicted:
             self.metrics.counter("serve.invalidations").inc(evicted)
@@ -379,8 +343,6 @@ class QueryGateway:
         gateway's availability model: with every TSD down there is no
         daemon to answer a query and only stale serving remains.
         """
-        if self.cluster is None:
-            return True
         return any(not tsd.crashed for tsd in self.cluster.tsds)
 
     # ------------------------------------------------------------------
@@ -389,16 +351,11 @@ class QueryGateway:
     def _run_engine(self, query: TsdbQuery) -> Tuple[List[Series], bool, float]:
         """Execute through the engine, degrading to follower reads.
 
-        Returns ``(series, degraded, max_staleness)``.  Engines without
-        availability support (bare :class:`QueryEngine` stand-ins) run
-        strong-only.  Raises :class:`RegionUnavailableError` when no
-        replica can answer, or when the answer would be degraded and
-        config forbids serving it.
+        Returns ``(series, degraded, max_staleness)``.  Raises
+        :class:`RegionUnavailableError` when no replica can answer, or
+        when the answer would be degraded and config forbids serving it.
         """
-        run_available = getattr(self.engine, "run_available", None)
-        if run_available is None:
-            return self.engine.run(query), False, 0.0
-        result = run_available(query)
+        result = self.engine.run_available(query)
         degraded = result.mode != "strong"
         if degraded:
             if not self.config.allow_degraded:
@@ -409,103 +366,73 @@ class QueryGateway:
             self.metrics.gauge("serve.degraded_staleness").set(result.staleness)
         return result.series, degraded, result.staleness
 
-    def _execute_sync(
-        self,
-        query: TsdbQuery,
-        client_id: str,
-        now: float,
-        if_none_match: Optional[str],
-        key: Optional[CanonicalQuery] = None,
-    ) -> ServeResult:
-        if self.admission.in_flight >= self.admission.max_concurrent:
-            self._count_shed("queue_full")
-            raise QueryRejected("queue_full", self.admission.retry_after(), f"client {client_id}")
-        ticket = self.admission.admit(client_id, now)  # slot free: grants inline
-        self._sync_admission_gauges()
-        try:
-            series, degraded, staleness = self._run_engine(query)
-        except RegionUnavailableError as exc:
-            self._count_shed("unavailable")
-            raise QueryRejected("unavailable", 1.0, str(exc)) from exc
-        finally:
-            self.admission.release(now, started_at=ticket.granted_at)
-            self._sync_admission_gauges()
-        if key is not None and not degraded:
-            etag = self.cache.put(key, series, now)
-        else:
-            etag = result_etag(series)
-        self.metrics.counter("serve.misses").inc()
-        self._latency.observe(0.0)
-        nm = if_none_match is not None and if_none_match == etag
-        return ServeResult(
-            "miss", None if nm else series, etag, 0.0, 0.0,
-            not_modified=nm, degraded=degraded, max_staleness=staleness,
-        )
-
-    def _start_execution(
+    def _execute(
         self,
         ticket: Ticket,
         query: TsdbQuery,
         key: Optional[CanonicalQuery],
         issued_at: float,
         if_none_match: Optional[str],
-        on_done: Callable[[ServeResult], None],
+        on_done: Optional[Callable[[ServeResult], None]] = None,
         on_reject: Optional[Callable[[QueryRejected], None]] = None,
-    ) -> None:
+    ) -> Optional[ServeResult]:
+        """Run the engine under a granted slot, then settle.
+
+        Without ``on_done`` (the synchronous path) the settle step runs
+        inline and the response is returned; with it, the settle step
+        runs after the modelled execution cost and delivers there.
+        """
         self._sync_admission_gauges()
-        # The result is a snapshot at grant time; the epoch guard keeps
-        # it out of the cache if a write lands before completion.
         try:
             series, degraded, staleness = self._run_engine(query)
         except RegionUnavailableError as exc:
-            self.admission.release(self.sim.now, started_at=ticket.granted_at)
-            self._sync_admission_gauges()
+            self._release(ticket)
             self._count_shed("unavailable")
             self._deliver_reject(QueryRejected("unavailable", 1.0, str(exc)), on_reject)
-            return
+            return None
+        # The result is a snapshot at grant time; the epoch guard keeps
+        # it out of the cache if a write lands before completion.
         epoch = self._write_epoch
-        cost = self._execution_cost(query, series)
-        self.sim.schedule(
-            cost, self._finish_execution, ticket, series, epoch, key, issued_at,
-            if_none_match, on_done, degraded, staleness,
-        )
 
-    def _finish_execution(
+        def complete() -> ServeResult:
+            etag = self._settle(ticket, key, series, epoch, degraded)
+            if etag is None:  # not cached: the answer still needs its etag
+                etag = result_etag(series)
+            result = self._respond(
+                "miss", series, etag, if_none_match, self.sim.now - issued_at,
+                degraded=degraded, staleness=staleness,
+            )
+            if on_done is not None:
+                on_done(result)
+            return result
+
+        if on_done is None:
+            return complete()
+        self.sim.schedule(self._execution_cost(query, series), complete)
+        return None
+
+    def _release(self, ticket: Ticket) -> None:
+        self.admission.release(self.sim.now, started_at=ticket.granted_at)
+        self._sync_admission_gauges()
+
+    def _settle(
         self,
         ticket: Ticket,
+        key: Optional[CanonicalQuery],
         series: List[Series],
         epoch: int,
-        key: Optional[CanonicalQuery],
-        issued_at: float,
-        if_none_match: Optional[str],
-        on_done: Callable[[ServeResult], None],
-        degraded: bool = False,
-        staleness: float = 0.0,
-    ) -> None:
-        now = self.sim.now
-        self.admission.release(now, started_at=ticket.granted_at)
-        self._sync_admission_gauges()
+        degraded: bool,
+    ) -> Optional[str]:
+        """The one completion of an execution: free the slot, then cache
+        the answer unless it is degraded or a write landed since it was
+        computed.  Returns the cached entry's etag, ``None`` if uncached."""
+        self._release(ticket)
         if key is not None and epoch == self._write_epoch and not degraded:
-            etag = self.cache.put(key, series, now)
-        else:
-            etag = result_etag(series)
-        latency = now - issued_at
-        self.metrics.counter("serve.misses").inc()
-        self._latency.observe(latency)
-        nm = if_none_match is not None and if_none_match == etag
-        if nm:
-            self.metrics.counter("serve.not_modified").inc()
-        on_done(ServeResult(
-            "miss", None if nm else series, etag, 0.0, latency,
-            not_modified=nm, degraded=degraded, max_staleness=staleness,
-        ))
+            return self.cache.put(key, series, self.sim.now)
+        return None
 
     def _execution_cost(self, query: TsdbQuery, series: List[Series]) -> float:
-        try:
-            uid = self.engine.uids.get("metric", query.metric)
-            n_ranges = len(self.engine.codec.scan_ranges(uid, query.start, query.end))
-        except UnknownUidError:
-            n_ranges = 0
+        n_ranges = len(self.engine.plan_scan(query)[1])
         n_points = sum(len(s.timestamps) for s in series)
         return self.config.service_model.cost(n_ranges, n_points)
 
@@ -527,13 +454,15 @@ class QueryGateway:
             if degraded:
                 # Never freshen the cache from a follower snapshot; the
                 # stale entry stays and a later probe retries.
-                self.admission.release(self.sim.now, started_at=ticket.granted_at)
-                self._sync_admission_gauges()
+                self._release(ticket)
                 self.cache.abort_refresh(key)
                 return
-            epoch = self._write_epoch
             cost = self._execution_cost(query, series)
-            self.sim.schedule(cost, self._finish_refresh, ticket, key, series, epoch)
+            self.sim.schedule(cost, refreshed, ticket, series, self._write_epoch)
+
+        def refreshed(ticket: Ticket, series: List[Series], epoch: int) -> None:
+            if self._settle(ticket, key, series, epoch, False) is None:
+                self.cache.abort_refresh(key)
 
         def timed_out(ticket: Ticket) -> None:
             self.cache.abort_refresh(key)
@@ -548,52 +477,36 @@ class QueryGateway:
         if ticket.state == "granted":
             granted(ticket)
 
-    def _finish_refresh(
-        self, ticket: Ticket, key: CanonicalQuery, series: List[Series], epoch: int
-    ) -> None:
-        now = self.sim.now
-        self.admission.release(now, started_at=ticket.granted_at)
-        self._sync_admission_gauges()
-        if epoch == self._write_epoch:
-            self.cache.put(key, series, now)
-        else:
-            self.cache.abort_refresh(key)
-
     # ------------------------------------------------------------------
     # internals: responses and accounting
     # ------------------------------------------------------------------
-    def _respond_cached(
+    def _respond(
         self,
         status: str,
-        lookup,  # CacheLookup
+        series: List[Series],
+        etag: str,
         if_none_match: Optional[str],
         latency: float,
+        age: float = 0.0,
+        degraded: bool = False,
+        staleness: float = 0.0,
     ) -> ServeResult:
-        assert lookup.value is not None and lookup.etag is not None
-        age = lookup.age if status == "stale" else 0.0
+        """Count one response by kind and honour the caller's etag."""
         if status == "hit":
             self.metrics.counter("serve.hits").inc()
+        elif status == "miss":
+            self.metrics.counter("serve.misses").inc()
         else:
             self.metrics.counter("serve.stale_serves").inc()
             self._staleness.observe(age)
         self._latency.observe(latency)
-        nm = if_none_match is not None and if_none_match == lookup.etag
+        nm = if_none_match is not None and if_none_match == etag
         if nm:
             self.metrics.counter("serve.not_modified").inc()
         return ServeResult(
-            status, None if nm else lookup.value, lookup.etag, age, latency, not_modified=nm
+            status, None if nm else series, etag, age, latency,
+            not_modified=nm, degraded=degraded, max_staleness=staleness,
         )
-
-    def _complete_cached(
-        self,
-        status: str,
-        lookup,  # CacheLookup
-        if_none_match: Optional[str],
-        on_done: Callable[[ServeResult], None],
-    ) -> None:
-        cost = self.config.service_model.hit_cost
-        result = self._respond_cached(status, lookup, if_none_match, cost)
-        self.sim.schedule(cost, on_done, result)
 
     def _rate_check(self, client_id: str, now: float) -> None:
         if self._limiter is None:

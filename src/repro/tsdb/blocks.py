@@ -27,12 +27,12 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
-from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Sequence, Tuple, Union, overload
+from typing import TYPE_CHECKING, Any, Dict, Iterable, Iterator, List, Sequence, Tuple, Union, overload
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (tsd imports us)
     from .tsd import DataPoint
 
-__all__ = ["SeriesBlock", "BlockBatch", "blocks_from_points"]
+__all__ = ["SeriesBlock", "BlockBatch", "blocks_from_points", "series_spans"]
 
 Tags = Tuple[Tuple[str, str], ...]
 
@@ -379,12 +379,34 @@ class BlockBatch:
                 break
         return BlockBatch(out)
 
-    def iter_series_spans(self) -> Iterator[Tuple[str, Tags, int, int]]:
-        """Per-block ``(metric, tags, t_min, t_max)`` — the write-listener
-        fast path: cache invalidation needs one span per series, not one
-        probe per point."""
-        for block in self.blocks:
-            yield block.metric, block.tags, block.start, block.end
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<BlockBatch blocks={len(self.blocks)} points={self._len}>"
+
+
+def series_spans(
+    payload: Union[BlockBatch, Iterable["DataPoint"]], by_tags: bool
+) -> Dict[Any, List[int]]:
+    """Time extent and size of a write payload, per series or per metric.
+
+    ``{(metric, tags): [t_min, t_max, n_points]}`` with ``by_tags``,
+    else keyed by metric alone — what write listeners act on instead of
+    the points.  A :class:`BlockBatch` contributes one run per block (a
+    block already knows its extent), a point iterable one per point.
+    """
+    if isinstance(payload, BlockBatch):
+        runs = ((b.metric, b.tags, b.start, b.end, len(b)) for b in payload.blocks)
+    else:
+        runs = ((p.metric, p.tags, p.timestamp, p.timestamp, 1) for p in payload)
+    spans: Dict[Any, List[int]] = {}
+    for metric, tags, t_min, t_max, n in runs:
+        key = (metric, tags) if by_tags else metric
+        span = spans.get(key)
+        if span is None:
+            spans[key] = [t_min, t_max, n]
+        else:
+            if t_min < span[0]:
+                span[0] = t_min
+            if t_max > span[1]:
+                span[1] = t_max
+            span[2] += n
+    return spans

@@ -375,89 +375,41 @@ class TsdbCluster:
         ("results from online evaluation are reported back to OpenTSDB")
         and example/bench data loading, where ingestion *timing* is not
         under study.  Accepts an iterable of points, a
-        :class:`SeriesBlock`, or a :class:`BlockBatch` (columnar
-        payloads take the block fast path).  Returns the number of
-        cells written.
+        :class:`SeriesBlock`, or a :class:`BlockBatch`; either shape is
+        encoded to cells and handed to the RegionServers' one writer
+        (:meth:`RegionServer.write`, WAL bypassed).  Returns the number
+        of cells written.
         """
+        tsd = self.tsds[0]
         if isinstance(points, SeriesBlock):
             points = BlockBatch([points])
         if isinstance(points, BlockBatch):
-            return self._direct_put_blocks(points)
-        tsd = self.tsds[0]
-        written = 0
-        notify: List[DataPoint] = []
-        mirrored: Dict[str, List] = {}
-        for point in points:
-            cell = tsd.encode_point(point)
-            _, server_name = self.master.locate(DATA_TABLE, cell.row)
-            if server_name is None:
-                raise RuntimeError("region unassigned; cannot bulk-load")
-            server = self.master.server(server_name)
-            for region in server.hosted_regions():
-                if region.info.contains(cell.row):
-                    region.put(cell)
-                    written += 1
-                    notify.append(point)
-                    if self.replication is not None:
-                        mirrored.setdefault(region.info.name, []).append(cell)
-                    break
-        if self.replication is not None:
-            # Bulk loads bypass the RegionServer RPC path (and hence the
-            # WAL-shipping hook), so followers are synced explicitly.
-            for name, cells in mirrored.items():
-                self.replication.mirror(name, cells)
-        if notify:
-            # Bulk loads land synchronously, so one notification suffices.
-            self._notify_writes(notify)
-            self._notify_ingest(notify, written, 0)
-        return written
-
-    def _direct_put_blocks(self, batch: BlockBatch) -> int:
-        """Bulk-load a columnar batch region-run by region-run."""
-        tsd = self.tsds[0]
-        written = 0
-        for block in batch.blocks:
-            cells = tsd.encode_block(block)
-            run: List = []
-            region = None
-            prev_row: Optional[bytes] = None
-            for cell in cells:
-                if cell.row != prev_row:
-                    prev_row = cell.row
-                    if region is None or not region.info.contains(cell.row):
-                        if region is not None and run:
-                            region.put_block(run)
-                            written += len(run)
-                            if self.replication is not None:
-                                self.replication.mirror(region.info.name, run)
-                        run = []
-                        region = self._region_hosting(cell.row)
-                if region is not None:
-                    run.append(cell)
-            if region is not None and run:
-                region.put_block(run)
-                written += len(run)
-                if self.replication is not None:
-                    self.replication.mirror(region.info.name, run)
-        if len(batch):
-            self._notify_writes(batch)
-            # Rows with no containing region are silently skipped by the
-            # point path; surface them as failures so exact accounting
-            # can taint rather than miscount.
-            self._notify_ingest(batch, written, len(batch) - written)
-        return written
-
-    def _region_hosting(self, row: bytes):
-        """The live region hosting ``row`` (None mirrors the point path's
-        silent skip of rows with no containing region)."""
-        _, server_name = self.master.locate(DATA_TABLE, row)
-        if server_name is None:
+            cells = [cell for block in points.blocks for cell in tsd.encode_block(block)]
+        else:
+            points = list(points)
+            cells = [tsd.encode_point(point) for point in points]
+        groups = self.master.group_by_server(DATA_TABLE, cells)
+        if None in groups:
             raise RuntimeError("region unassigned; cannot bulk-load")
-        server = self.master.server(server_name)
-        for region in server.hosted_regions():
-            if region.info.contains(row):
-                return region
-        return None
+        written = 0
+        for server_name, group in groups.items():
+            # A server that restarted and was not yet re-assigned hosts
+            # nothing: its share is reported as failed, not skipped.
+            runs = self.master.server(server_name).write(group, durable=False)
+            if runs is None:
+                continue
+            written += len(group)
+            if self.replication is not None:
+                # Bulk loads bypass the WAL (and hence the shipping
+                # hook), so followers are synced explicitly.
+                for region, run in runs:
+                    self.replication.mirror(region.info.name, run)
+        if cells:
+            # Bulk loads land synchronously, so one notification suffices;
+            # the shortfall lets exact accounting taint rather than miscount.
+            self._notify_writes(points)
+            self._notify_ingest(points, written, len(cells) - written)
+        return written
 
     def per_server_writes(self) -> Dict[str, int]:
         return {rs.name: rs.cells_written for rs in self.servers}

@@ -450,20 +450,33 @@ class QueryEngine:
                 return routed, worst
         return group_and_aggregate(query, reader(query)), worst
 
+    def plan_scan(
+        self, query: TsdbQuery
+    ) -> Tuple[_BlockScanState, List[Tuple[bytes, bytes]]]:
+        """The read plan: a fresh assembler plus one row-key range per
+        salt bucket (none when the metric was never written).
+
+        Every scanner (direct, availability-aware, RPC) feeds each
+        range's cells to ``state.ingest_scan`` and finishes with
+        ``state.to_series()``.
+        """
+        state = _BlockScanState(self.codec, self.uids)
+        try:
+            metric_uid = self.uids.get("metric", query.metric)
+        except UnknownUidError:
+            return state, []
+        return state, self.codec.scan_ranges(metric_uid, query.start, query.end)
+
     def _read_series(self, query: TsdbQuery, scan: _Scan) -> Tuple[List[Series], float]:
         """Plan → scan → columnar assembly; the one (block) read loop.
 
         ``scan`` reads one row-key range with the query's tag predicate
         pushed down and reports the staleness of what it read.
         """
-        try:
-            metric_uid = self.uids.get("metric", query.metric)
-        except UnknownUidError:
-            return [], 0.0
-        state = _BlockScanState(self.codec, self.uids)
+        state, ranges = self.plan_scan(query)
         row_filter = state.row_filter(query)
         staleness = 0.0
-        for lo, hi in self.codec.scan_ranges(metric_uid, query.start, query.end):
+        for lo, hi in ranges:
             cells, range_staleness = scan(lo, hi, row_filter)
             self.scan_cells += len(cells)
             staleness = max(staleness, range_staleness)

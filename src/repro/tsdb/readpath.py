@@ -22,12 +22,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 from ..cluster.simulation import Simulator
 from ..hbase.client import _DEFAULT_DEADLINE, HTableClient, ScanResult
-from ..hbase.region import Cell
 from .aggregation import Series
-from .query import TsdbQuery, group_and_aggregate
+from .query import QueryEngine, TsdbQuery, group_and_aggregate
 from .rowkey import RowKeyCodec
 from .tsd import DATA_TABLE
-from .uid import UniqueIdRegistry, UnknownUidError
+from .uid import UniqueIdRegistry
 
 __all__ = ["AsyncQueryResult", "AsyncQueryExecutor"]
 
@@ -62,8 +61,11 @@ class AsyncQueryExecutor:
     """Runs :class:`TsdbQuery` objects through the simulated client.
 
     One scan RPC per salt-bucket range (the read amplification salting
-    introduces); responses merge through the same decode/filter/group
-    logic as the offline engine.
+    introduces).  The RPC scanner is the third caller of the offline
+    engine's one pipeline: it takes the engine's plan
+    (:meth:`QueryEngine.plan_scan`), folds each range's reply into the
+    plan's assembler as it arrives, and finishes with
+    :func:`group_and_aggregate`.
     """
 
     def __init__(
@@ -77,9 +79,8 @@ class AsyncQueryExecutor:
     ) -> None:
         self.sim = sim
         self.client = client
-        self.uids = uids
-        self.codec = codec
         self.table = table
+        self._engine = QueryEngine(client.master, uids, codec, table)
         #: Tier router (None = always raw).  The RPC path serves the
         #: single-rewrite plans (pair / non-avg pooled); plans needing
         #: execution-time group checks stay on raw, which is always
@@ -113,28 +114,24 @@ class AsyncQueryExecutor:
                     # rewritten pipeline is bit-identical (pair plans)
                     # or the documented pooled answer.
                     query = rewritten
-        try:
-            metric_uid = self.uids.get("metric", query.metric)
-        except UnknownUidError:
+        state, ranges = self._engine.plan_scan(query)
+        if not ranges:
             on_done(AsyncQueryResult([], started, self.sim.now, 0))
             return
-        ranges = self.codec.scan_ranges(metric_uid, query.start, query.end)
         collected: List[ScanResult] = []
-        remaining = [len(ranges)]
 
         def handle(result: ScanResult) -> None:
             collected.append(result)
-            remaining[0] -= 1
-            if remaining[0] == 0:
-                series = self._assemble(query, [r.cells for r in collected])
+            state.ingest_scan(result.cells, query)
+            if len(collected) == len(ranges):
                 on_done(
                     AsyncQueryResult(
-                        series,
+                        group_and_aggregate(query, state.to_series()),
                         started,
                         self.sim.now,
                         len(ranges),
                         complete=all(r.ok for r in collected),
-                        staleness=max((r.staleness for r in collected), default=0.0),
+                        staleness=max(r.staleness for r in collected),
                         retries=sum(r.retries for r in collected),
                         hedges=sum(r.hedges for r in collected),
                         follower_reads=sum(r.follower_reads for r in collected),
@@ -162,14 +159,3 @@ class AsyncQueryExecutor:
         if not box:  # pragma: no cover - defensive
             raise RuntimeError("query did not resolve")
         return box[0]
-
-    # ------------------------------------------------------------------
-    def _assemble(self, query: TsdbQuery, scans: List[List[Cell]]) -> List[Series]:
-        # Shares the offline engine's columnar scan assembler so the two
-        # read paths cannot drift apart semantically.
-        from .query import _BlockScanState
-
-        state = _BlockScanState(self.codec, self.uids)
-        for cells in scans:
-            state.ingest_scan(cells, query)
-        return group_and_aggregate(query, state.to_series())

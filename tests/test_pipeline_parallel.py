@@ -111,12 +111,11 @@ class TestTrainReturn:
         refit = pipeline.model_for(0)
         assert refit is not first and refit.n_train == 150
 
-    def test_iteration_shim(self, generator):
-        """Old callers iterated the returned unit list; keep that working."""
+    def test_result_lists_the_requested_units(self, generator):
         pipeline = AnomalyPipeline(generator)
         result = pipeline.train(unit_ids=[2, 4], n_train=100)
-        assert list(result) == [2, 4]
-        assert len(result) == 2
+        assert result.unit_ids == [2, 4]
+        assert result.n_units == 2
 
 
 class TestParallelParity:

@@ -502,3 +502,33 @@ class TestRangeRoutingIdentity:
         survivors = [c for c in before if c not in doomed]
         assert master.direct_scan("t") == survivors
         assert master.direct_scan_consistent("t", timeline=True)[0] == survivors
+
+    def rpc_scan(self, master, server, request):
+        replies = []
+        server.rpc(request, replies.append, "cl")
+        master.sim.run()
+        assert replies[0].ok and replies[0].staleness == 0.0
+        return replies[0].result
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sets(st.sampled_from(KEYS), max_size=5),
+        st.lists(st.tuples(st.sampled_from(KEYS), st.integers(0, 2)), max_size=30),
+        topology_ops,
+        range_probes,
+    )
+    def test_untargeted_scan_rpc_equals_targeted_scans_of_the_hosted_regions(
+        self, split_keys, rows, ops, probes
+    ):
+        master, servers = self.build_table(split_keys, rows, ops)
+        for lo, hi, _accepted in probes:
+            for server in servers:
+                untargeted = self.rpc_scan(master, server, ScanRequest("t", lo, hi))
+                targeted = [
+                    cell
+                    for name in list(server.regions)
+                    for cell in self.rpc_scan(
+                        master, server, ScanRequest("t", lo, hi, region_name=name)
+                    )
+                ]
+                assert untargeted == sorted(targeted, key=lambda c: c.key)

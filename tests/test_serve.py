@@ -362,6 +362,14 @@ class TestGatewaySync:
         third = gateway.serve(overview_query(), if_none_match="bogus")
         assert not third.not_modified and third.series is not None
 
+    def test_sync_miss_matching_the_etag_counts_as_not_modified(self):
+        cluster = seeded_cluster()
+        gateway = cluster.gateway(GatewayConfig(cache_enabled=False))
+        first = gateway.serve(overview_query())
+        again = gateway.serve(overview_query(), if_none_match=first.etag)
+        assert again.status == "miss" and again.not_modified and again.series is None
+        assert gateway.metrics.counter("serve.not_modified").get() == 1
+
     def test_write_invalidation_restores_correctness(self):
         cluster = seeded_cluster()
         gateway = cluster.gateway()
@@ -407,9 +415,10 @@ class TestGatewaySync:
         assert_series_equal(stale.series, warm.series)
         assert gateway.metrics.counter("serve.stale_serves").get() == 1
 
-    def test_cold_miss_with_backend_down_is_rejected(self):
+    @pytest.mark.parametrize("cache_enabled", [True, False])
+    def test_cold_miss_with_backend_down_is_rejected(self, cache_enabled):
         cluster = seeded_cluster()
-        gateway = cluster.gateway()
+        gateway = cluster.gateway(GatewayConfig(cache_enabled=cache_enabled))
         for tsd in cluster.tsds:
             tsd.crash()
         with pytest.raises(QueryRejected) as err:
