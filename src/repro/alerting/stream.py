@@ -27,6 +27,7 @@ is the stream's own early history).
 from __future__ import annotations
 
 import time
+from array import array
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -43,7 +44,7 @@ from ..simdata.workload import METRIC, sensor_tag, unit_tag
 from ..sparklet.context import SparkletContext
 from ..sparklet.rdd import RDD
 from ..sparklet.streaming import DStream, StreamingContext
-from ..tsdb.blocks import BlockBatch, SeriesBlock
+from ..tsdb.blocks import TS_TYPECODE, BlockBatch, SeriesBlock
 from ..tsdb.ingest import TsdbCluster
 from ..tsdb.publish import BatchPublisher, PublishReport
 from ..tsdb.tsd import DataPoint
@@ -288,16 +289,20 @@ class StreamingDetector:
     def _collect_blocks(
         self, unit_id: int, start_time: int, x: np.ndarray, out: List[SeriesBlock]
     ) -> None:
-        """Columnarise one record (one block per sensor column)."""
+        """Columnarise one record (one block per sensor column).
+
+        The timestamp column is built once and shared by the record's
+        blocks (blocks never mutate their columns), and the values are
+        transposed once so each sensor's column is contiguous: both
+        then enter :meth:`SeriesBlock.from_columns` as buffers, not
+        element by element.
+        """
         utag = ("unit", unit_tag(unit_id))
-        ts = range(start_time, start_time + x.shape[0])
-        for sensor in range(x.shape[1]):
+        ts = array(TS_TYPECODE, range(start_time, start_time + x.shape[0]))
+        for sensor, column in enumerate(np.ascontiguousarray(x.T)):
             out.append(
                 SeriesBlock.from_columns(
-                    METRIC,
-                    (("sensor", sensor_tag(sensor)), utag),
-                    ts,
-                    x[:, sensor],
+                    METRIC, (("sensor", sensor_tag(sensor)), utag), ts, column
                 )
             )
 

@@ -15,6 +15,7 @@ from .bytescodec import (
     decode_u32,
     decode_u64,
     encode_f64,
+    encode_f64_column,
     encode_u8,
     encode_u16,
     encode_u24,
@@ -77,6 +78,7 @@ __all__ = [
     "decode_u64",
     "decode_u8",
     "encode_f64",
+    "encode_f64_column",
     "encode_u16",
     "encode_u24",
     "encode_u32",

@@ -11,7 +11,8 @@ All functions are pure and operate on :class:`bytes`.
 from __future__ import annotations
 
 import struct
-from typing import Iterable
+from itertools import chain
+from typing import Iterable, Iterator, Sequence
 
 __all__ = [
     "encode_u8",
@@ -25,6 +26,7 @@ __all__ = [
     "decode_u32",
     "decode_u64",
     "encode_f64",
+    "encode_f64_column",
     "decode_f64",
     "concat",
     "increment_key",
@@ -99,6 +101,16 @@ def decode_u64(data: bytes, offset: int = 0) -> int:
 def encode_f64(value: float) -> bytes:
     """Encode an IEEE-754 double, big-endian (TSDB cell values)."""
     return struct.pack(">d", value)
+
+
+def encode_f64_column(values: Sequence[float]) -> Iterator[bytes]:
+    """:func:`encode_f64` of every value of a column, in order.
+
+    One ``struct.pack`` of the whole column, then cut into 8-byte cell
+    values by ``struct.iter_unpack`` — no interpreted step per value.
+    """
+    packed = struct.pack(f">{len(values)}d", *values)
+    return chain.from_iterable(struct.iter_unpack("8s", packed))
 
 
 def decode_f64(data: bytes, offset: int = 0) -> float:

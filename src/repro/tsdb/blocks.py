@@ -27,6 +27,8 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
+from itertools import islice
+from operator import le
 from typing import TYPE_CHECKING, Any, Dict, Iterable, Iterator, List, Sequence, Tuple, Union, overload
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (tsd imports us)
@@ -76,7 +78,8 @@ def _as_val_array(values: object) -> array:
 
 
 def _is_sorted(ts: array) -> bool:
-    return all(ts[i] <= ts[i + 1] for i in range(len(ts) - 1))
+    # Each element against its successor, with no interpreted step per element.
+    return all(map(le, ts, islice(ts, 1, None)))
 
 
 class SeriesBlock:

@@ -133,9 +133,10 @@ class TsdbCluster:
         self.uids = UniqueIdRegistry()
         self.codec = RowKeyCodec(config.resolved_salt_buckets())
         # Logical write clock shared by every writer (TSDs, bulk loads,
-        # the compactor) so newest-write-wins is globally consistent.
-        self._write_clock = itertools.count(1)
-        self.next_write_ts = lambda: float(next(self._write_clock))
+        # the compactor) so newest-write-wins is globally consistent:
+        # 1.0, 2.0, ... from a C-level callable, so a block's worth is
+        # drawn without an interpreted call per cell.
+        self.next_write_ts = itertools.count(1.0).__next__
 
         service_model = config.service_model
         if config.compaction_enabled:

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from ..hbase.bytescodec import (
     decode_u16,
@@ -39,9 +39,18 @@ from ..hbase.bytescodec import (
     encode_u8,
 )
 
-__all__ = ["RowKeyCodec", "DecodedKey", "ROW_SPAN_SECONDS"]
+__all__ = [
+    "RowKeyCodec",
+    "DecodedKey",
+    "ROW_SPAN_SECONDS",
+    "TIMESTAMP_LIMIT",
+    "QUALIFIER_TABLE",
+]
 
 ROW_SPAN_SECONDS = 3600  # one row per series per hour, as in OpenTSDB
+#: Timestamps are ``0 <= t < TIMESTAMP_LIMIT``: the row key holds the
+#: base time as an unsigned 32-bit second count.
+TIMESTAMP_LIMIT = 1 << 32
 _UID_WIDTH = 3
 
 
@@ -70,17 +79,9 @@ def _key_hash(data: bytes) -> int:
     return zlib.crc32(data)
 
 
-# Lazily built table of all 3600 possible qualifiers: on the block
-# path the per-point qualifier becomes one list index instead of a
-# struct pack.
-_QUALIFIER_TABLE: Optional[List[bytes]] = None
-
-
-def _qualifier_table() -> List[bytes]:
-    global _QUALIFIER_TABLE
-    if _QUALIFIER_TABLE is None:
-        _QUALIFIER_TABLE = [encode_u16(offset) for offset in range(ROW_SPAN_SECONDS)]
-    return _QUALIFIER_TABLE
+#: All 3600 possible qualifiers by offset within the row span: a
+#: point's qualifier is one list index instead of a struct pack.
+QUALIFIER_TABLE: List[bytes] = [encode_u16(offset) for offset in range(ROW_SPAN_SECONDS)]
 
 
 class RowKeyCodec:
@@ -133,13 +134,13 @@ class RowKeyCodec:
             tail += tagk
             tail += tagv
         tail_bytes = bytes(tail)
-        qual_table = _qualifier_table()
+        qual_table = QUALIFIER_TABLE
         salted, buckets = self.salted, self.salt_buckets
         rows: List[bytes] = []
         qualifiers: List[bytes] = []
         row_for_base: Dict[int, bytes] = {}
         for timestamp in timestamps:
-            if timestamp < 0 or timestamp >= 1 << 32:
+            if timestamp < 0 or timestamp >= TIMESTAMP_LIMIT:
                 raise ValueError("timestamp must fit in an unsigned 32-bit second count")
             base = timestamp - timestamp % ROW_SPAN_SECONDS
             row = row_for_base.get(base)
@@ -253,7 +254,7 @@ class RowKeyCodec:
         start_base = (start_time // ROW_SPAN_SECONDS) * ROW_SPAN_SECONDS
         end_base = ((end_time - 1) // ROW_SPAN_SECONDS) * ROW_SPAN_SECONDS + ROW_SPAN_SECONDS
         lo_body = metric_uid + encode_u32(start_base)
-        hi_body = metric_uid + encode_u32(min(end_base, (1 << 32) - 1))
+        hi_body = metric_uid + encode_u32(min(end_base, TIMESTAMP_LIMIT - 1))
         if not self.salted:
             return [(lo_body, hi_body)]
         return [

@@ -7,6 +7,15 @@ that — like AsyncHBase — **buffers cells per destination region** so
 RegionServers see full batches even though a single inbound batch
 scatters across salt buckets.
 
+Encoding has one implementation per payload shape —
+:meth:`TSDaemon.encode_point` and :meth:`TSDaemon.encode_block` — and
+both pay a series' set-up once per *series*, not once per sample: the
+``(metric, tags) -> SeriesKey`` memo they share (hosted by the
+:class:`~repro.tsdb.uid.UniqueIdRegistry`, so shared by every TSD of a
+deployment; it interns a series the first time it is asked for it)
+holds the interned UIDs and the row the series last wrote to.  A sample on a known series in a known hour costs a memo hit, a
+qualifier-table index and its :class:`~repro.hbase.region.Cell`.
+
 A put batch is acknowledged only when every one of its cells has been
 acknowledged by a RegionServer (durable ack), which is what gives the
 reverse proxy's in-flight window (:mod:`repro.tsdb.proxy`) its
@@ -15,22 +24,22 @@ backpressure semantics.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from itertools import count, repeat, starmap
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from ..cluster.metrics import MetricsRegistry
 from ..cluster.network import Network
 from ..cluster.node import Node, Server
 from ..cluster.simulation import Simulator
-from ..hbase.bytescodec import encode_f64
+from ..hbase.bytescodec import encode_f64, encode_f64_column
 from ..hbase.client import HTableClient
 from ..hbase.master import HMaster
 from ..hbase.region import Cell
 from ..obs.telemetry import component_registry
 from ..obs.trace import NULL_SPAN, SpanLike, Tracer
 from .blocks import BlockBatch, SeriesBlock
-from .rowkey import RowKeyCodec
+from .rowkey import QUALIFIER_TABLE, ROW_SPAN_SECONDS, TIMESTAMP_LIMIT, RowKeyCodec
 from .uid import UniqueIdRegistry
 
 __all__ = ["DataPoint", "PutAck", "TSDaemon", "TSDServiceModel", "DATA_TABLE"]
@@ -159,10 +168,9 @@ class TSDaemon:
         self.tracer = tracer if tracer is not None else Tracer()
         self.http_server = Server(sim, name, queue_capacity, self.metrics)
         node.add_server(self.http_server)
-        if write_ts is None:
-            counter = itertools.count(1)
-            write_ts = lambda: float(next(counter))  # noqa: E731 - tiny local clock
-        self._next_write_ts = write_ts
+        # Default: a tiny local clock, 1.0, 2.0, ...
+        self._next_write_ts = write_ts if write_ts is not None else count(1.0).__next__
+        self._series = uids.series_memo(codec)
         self.client = HTableClient(
             sim, network, master, node.hostname, metrics=self.metrics, rpc_timeout=2.0
         )
@@ -346,20 +354,19 @@ class TSDaemon:
     def encode_block(self, block: SeriesBlock) -> List[Cell]:
         """UID-intern and row-key-encode one series block into cells.
 
-        The block twin of :meth:`encode_point`: UID interning and tag
-        encoding happen once per block, row keys come from the batch
-        codec (one salt hash per row hour), and write timestamps are
-        drawn from the same logical clock so newest-wins semantics are
-        unchanged.
+        The series is looked up (interned, at first sight) once per
+        block, row keys come from the batch codec (one salt hash per
+        row hour), the value column is packed in one call, and write
+        timestamps are drawn one per cell, in cell order, from the same
+        logical clock as :meth:`encode_point` so newest-wins semantics
+        are unchanged.
         """
-        metric_uid = self.uids.get_or_create("metric", block.metric)
-        tag_pairs = self.uids.encode_tags(dict(block.tags))
-        rows, qualifiers = self.codec.encode_rowkeys(metric_uid, block.timestamps, tag_pairs)
-        next_wts = self._next_write_ts
-        return [
-            Cell(row, qualifier, encode_f64(value), next_wts())
-            for row, qualifier, value in zip(rows, qualifiers, block.values)
-        ]
+        series = self._series[block.metric, block.tags]
+        rows, qualifiers = self.codec.encode_rowkeys(
+            series.metric_uid, block.timestamps, series.tag_pairs
+        )
+        write_ts = starmap(self._next_write_ts, repeat((), len(rows)))
+        return list(map(Cell, rows, qualifiers, encode_f64_column(block.values), write_ts))
 
     def encode_point(self, point: DataPoint) -> Cell:
         """UID-intern and row-key-encode one data point into an HBase cell.
@@ -369,10 +376,17 @@ class TSDaemon:
         newest-write-wins resolution and compaction shadowing are
         well-defined even when old data timestamps are backfilled.
         """
-        metric_uid = self.uids.get_or_create("metric", point.metric)
-        tag_pairs = self.uids.encode_tags(dict(point.tags))
-        row, qualifier = self.codec.encode(metric_uid, point.timestamp, tag_pairs)
-        return Cell(row, qualifier, encode_f64(point.value), self._next_write_ts())
+        series = self._series[point.metric, point.tags]
+        timestamp = point.timestamp
+        offset = timestamp % ROW_SPAN_SECONDS
+        # The range check runs on every point: the last row hour before
+        # 2**32 is partial, and a hit on it must not admit what lies past.
+        if timestamp - offset != series.base or timestamp >= TIMESTAMP_LIMIT:
+            series.row, _ = self.codec.encode(series.metric_uid, timestamp, series.tag_pairs)
+            series.base = timestamp - offset
+        return Cell(
+            series.row, QUALIFIER_TABLE[offset], encode_f64(point.value), self._next_write_ts()
+        )
 
     def _linger_flush(self, bucket: int) -> None:
         self._linger_timers.pop(bucket, None)

@@ -9,15 +9,20 @@ assignment — in process.
 UIDs are assigned densely from 1 (0 is reserved) per *kind*, so a name
 used in two kinds (e.g. a tag value equal to a metric name) gets
 independent IDs, as in OpenTSDB.
+
+The registry also hosts the write front end's *series memo*
+(:meth:`UniqueIdRegistry.series_memo`): a real TSD keeps resolved UIDs
+in memory for the same reason, and the registry is the one object every
+TSD of a deployment already shares.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Tuple
+from typing import Dict, Hashable, Iterator, Tuple
 
 from ..hbase.bytescodec import decode_u24, encode_u24
 
-__all__ = ["UniqueIdRegistry", "UIDKind", "UnknownUidError"]
+__all__ = ["UniqueIdRegistry", "SeriesKey", "UIDKind", "UnknownUidError"]
 
 UIDKind = str  # one of "metric", "tagk", "tagv"
 
@@ -26,6 +31,48 @@ _KINDS = ("metric", "tagk", "tagv")
 
 class UnknownUidError(KeyError):
     """Resolution of a UID or name that was never assigned."""
+
+
+class SeriesKey:
+    """What the write path knows about one series after first sight.
+
+    ``metric_uid`` and ``tag_pairs`` are the series' interned identity
+    and never change (UIDs are never reassigned).  ``base`` and ``row``
+    are the row hour the series last wrote to and that hour's row key:
+    consecutive samples of a series fall in the same hour 3,599 times
+    out of 3,600, so the next one needs only a qualifier.
+    """
+
+    __slots__ = ("metric_uid", "tag_pairs", "base", "row")
+
+    def __init__(
+        self, metric_uid: bytes, tag_pairs: Tuple[Tuple[bytes, bytes], ...]
+    ) -> None:
+        self.metric_uid = metric_uid
+        self.tag_pairs = tag_pairs
+        self.base = -1  # no timestamp has this base: nothing written yet
+        self.row = b""
+
+
+class _SeriesMemo(dict):
+    """``(metric, tags) -> SeriesKey``, interning a series on first lookup.
+
+    A hit is one C-level dict subscript.  A miss interns the names in
+    first-sight order — the metric, then each tag key and value in the
+    order ``tags`` lists them — which is the order the registry saw them
+    in before there was a memo, so which name gets which UID does not
+    depend on it.
+    """
+
+    def __init__(self, uids: "UniqueIdRegistry") -> None:
+        super().__init__()
+        self._uids = uids
+
+    def __missing__(self, series: Tuple[str, Tuple[Tuple[str, str], ...]]) -> SeriesKey:
+        metric, tags = series
+        metric_uid = self._uids.get_or_create("metric", metric)
+        key = self[series] = SeriesKey(metric_uid, self._uids.encode_tags(dict(tags)))
+        return key
 
 
 class UniqueIdRegistry:
@@ -46,6 +93,25 @@ class UniqueIdRegistry:
         self._forward: Dict[UIDKind, Dict[str, int]] = {k: {} for k in _KINDS}
         self._reverse: Dict[UIDKind, Dict[int, str]] = {k: {} for k in _KINDS}
         self._next: Dict[UIDKind, int] = {k: 1 for k in _KINDS}
+        # codec -> its series memo; see series_memo
+        self._series_memos: Dict[Hashable, _SeriesMemo] = {}  # repro-lint: ignore[unbounded-cache] -- one entry per distinct series written, like the UID tables beside it; nothing invalidates it because UIDs are never reassigned
+
+    def series_memo(self, codec: Hashable) -> Dict[Tuple[str, tuple], SeriesKey]:
+        """The ``(metric, tags) -> SeriesKey`` memo of the TSDs encoding with ``codec``.
+
+        Subscript it: a series never seen before is interned on the
+        spot.  A :class:`SeriesKey` remembers a row key, and a row key
+        depends on the codec that salted it as well as on this
+        registry's UIDs, so there is one memo per codec writing through
+        the registry — in a deployment, one: every TSD shares one
+        registry and one codec.  It grows by one entry per distinct
+        series written and is never invalidated, exactly like the UID
+        tables.
+        """
+        memo = self._series_memos.get(codec)
+        if memo is None:
+            memo = self._series_memos[codec] = _SeriesMemo(self)
+        return memo
 
     def _check_kind(self, kind: UIDKind) -> None:
         if kind not in _KINDS:

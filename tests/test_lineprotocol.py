@@ -1,8 +1,11 @@
 """Tests for the OpenTSDB telnet line protocol."""
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.tsdb.blocks import blocks_from_points
 from repro.tsdb.lineprotocol import (
     LineProtocolError,
     format_put_line,
@@ -59,17 +62,28 @@ class TestFormat:
         assert parse_put_line(format_put_line(point)) == point
 
     @given(
-        st.integers(min_value=0, max_value=2**31),
-        st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.floats(allow_nan=False, allow_infinity=False),
         st.integers(min_value=0, max_value=999),
     )
     def test_roundtrip_property(self, ts, value, unit):
         point = DataPoint.make("energy", ts, value, {"unit": f"u{unit}"})
         back = parse_put_line(format_put_line(point))
-        assert back.metric == point.metric
-        assert back.timestamp == point.timestamp
-        assert back.value == pytest.approx(point.value, rel=1e-5)
-        assert back.tags == point.tags
+        assert back == point
+        assert math.copysign(1.0, back.value) == math.copysign(1.0, point.value)
+
+    def test_every_significant_digit_survives(self):
+        """Regression: ``:g`` printed six digits (100.123456789 -> 100.123)."""
+        point = DataPoint.make("energy", 1, 100.123456789, {"unit": "u1"})
+        assert "100.123456789" in format_put_line(point)
+        assert parse_put_line(format_put_line(point)).value == 100.123456789
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_value_has_no_wire_form(self, value):
+        """Regression: ``nan`` used to be emitted, and the parser rejects it."""
+        point = DataPoint.make("energy", 1, value, {"unit": "u1"})
+        with pytest.raises(ValueError):
+            format_put_line(point)
 
 
 class TestParseLines:
@@ -155,3 +169,160 @@ class TestPoisonedBatch:
         from_lines = [(p.metric, p.tags, p.timestamp, p.value) for p in parse_lines(lines)]
         from_block = [(p.metric, p.tags, p.timestamp, p.value) for p in parse_block(lines)]
         assert sorted(from_block) == sorted(from_lines)
+
+
+class TestTimestampTheRowKeyCannotHold:
+    """Regression: ``ts >= 2**32`` used to escape the parser — as a bare
+    ``OverflowError`` from ``array.append`` (no line number, no partial,
+    not skippable) or, below 2**63, as a ``ValueError`` from the row-key
+    codec deep inside the write path."""
+
+    OVERSIZED = ["4294967296", "9223372036854775807", "99999999999999999999"]
+
+    @staticmethod
+    def _lines(ts):
+        return [
+            "put energy 1 1.0 unit=u0",
+            f"put energy {ts} 2.0 unit=u0",  # line 2: a known series, so a memo hit
+            "put energy 3 3.0 unit=u0",
+        ]
+
+    def test_largest_timestamp_still_parses(self):
+        point = parse_put_line(f"put energy {2**32 - 1} 1.0 unit=u0")
+        assert point.timestamp == 2**32 - 1
+        assert [p.timestamp for p in parse_block(self._lines(2**32 - 1))] == [1, 3, 2**32 - 1]
+
+    @pytest.mark.parametrize("ts", OVERSIZED)
+    def test_parse_put_line_rejects(self, ts):
+        with pytest.raises(LineProtocolError, match="32 bits"):
+            parse_put_line(f"put energy {ts} 1.0 unit=u0")
+
+    @pytest.mark.parametrize("ts", OVERSIZED)
+    def test_parse_lines_strict_reports_the_line(self, ts):
+        seen = []
+        with pytest.raises(LineProtocolError) as excinfo:
+            for point in parse_lines(self._lines(ts)):
+                seen.append(point.timestamp)
+        assert excinfo.value.line_number == 2
+        assert seen == [1]
+
+    @pytest.mark.parametrize("ts", OVERSIZED)
+    def test_parse_block_strict_reports_the_line_and_keeps_the_prefix(self, ts):
+        with pytest.raises(LineProtocolError) as excinfo:
+            parse_block(self._lines(ts))
+        assert excinfo.value.line_number == 2
+        assert [p.timestamp for p in excinfo.value.partial] == [1]
+
+    @pytest.mark.parametrize("ts", OVERSIZED)
+    def test_skip_errors_skips_it(self, ts):
+        assert [p.timestamp for p in parse_lines(self._lines(ts), skip_errors=True)] == [1, 3]
+        assert [p.timestamp for p in parse_block(self._lines(ts), skip_errors=True)] == [1, 3]
+
+    def test_whatever_parses_can_be_written(self):
+        """Nothing the parser lets through is refused by ``direct_put``."""
+        from repro.tsdb.ingest import build_cluster
+
+        cluster = build_cluster(n_nodes=1, salt_buckets=2, retain_data=True)
+        batch = parse_block(self._lines(2**32), skip_errors=True)
+        assert cluster.direct_put(batch) == 2
+
+
+# ----------------------------------------------------------------------
+# differential test: parse_block against the per-line parser
+# ----------------------------------------------------------------------
+_SERIES = [
+    ("energy", {"unit": "u0", "sensor": "s0"}),
+    ("energy", {"unit": "u0", "sensor": "s1"}),
+    ("energy", {"unit": "u1", "sensor": "s0", "site": "a/b"}),
+    ("temp.in", {"unit": "u0"}),
+    ("temp.in", {"sensor": "u0"}),  # same value under another key
+]
+_GAPS = [" ", "  ", "\t", " \t "]
+
+
+@st.composite
+def _valid_line(draw, fresh=False):
+    """A well-formed line; the same series comes in many spellings."""
+    if fresh:
+        metric, tags = f"fresh{draw(st.integers(0, 50))}", {"k": f"v{draw(st.integers(0, 3))}"}
+    else:
+        metric, tags = draw(st.sampled_from(_SERIES))
+    pairs = draw(st.permutations([f"{k}={v}" for k, v in tags.items()]))
+    ts = draw(st.one_of(st.integers(0, 7300), st.sampled_from([2**32 - 1, 2**31])))
+    value = draw(st.floats(allow_nan=False, allow_infinity=False, width=32))
+    gap = st.sampled_from(_GAPS)
+    text = draw(st.sampled_from(["", " ", "\t"])) + "put"
+    for field in (metric, str(ts), repr(value), *pairs):
+        text += draw(gap) + field
+    return text + draw(st.sampled_from(["", "\n", "  ", " \r\n"]))
+
+
+_MALFORMED = [
+    "get energy 1 2.0 unit=u0 sensor=s0",            # bad verb
+    "put energy 1 2.0",                               # no tags
+    "put ener!gy 1 2.0 unit=u0 sensor=s0",            # bad metric name
+    "put energy 1 2.0 un!it=u0 sensor=s0",            # bad tag key
+    "put energy 1 2.0 unit=u0 sensor=s!0",            # bad tag value
+    "put energy 1 2.0 unit=u0 sensor",                # tag without '='
+    "put energy 1 2.0 unit=u0 sensor=s0 unit=u1",     # duplicate tag
+    "put energy one 2.0 unit=u0 sensor=s0",           # bad timestamp
+    "put energy -5 2.0 unit=u0 sensor=s0",            # negative timestamp
+    "put energy 4294967296 2.0 unit=u0 sensor=s0",    # does not fit the row key
+    "put energy 99999999999999999999 2.0 unit=u0 sensor=s0",  # nor an int64
+    "put energy 1 lots unit=u0 sensor=s0",            # bad value
+    "put energy 1 nan unit=u0 sensor=s0",             # non-finite value
+    "put energy 1 -inf unit=u0 sensor=s0",
+    "put never.seen one 2.0 k=v",                     # first line of a series is bad
+    "put never.seen 1 2.0 k=v=w!",
+]
+_SKIPPED = ["", "   ", "\n", "# comment", "  # put energy 1 2.0 unit=u0", "#put a 1 1 a=b"]
+
+_line = st.one_of(
+    _valid_line(),
+    _valid_line(),
+    _valid_line(fresh=True),
+    st.sampled_from(_SKIPPED),
+    st.sampled_from(_MALFORMED),
+)
+
+
+def _columns(blocks):
+    return [
+        (b.metric, b.tags, b.timestamps.tolist(), b.values.tobytes()) for b in blocks
+    ]
+
+
+def _per_line_reference(lines, skip_errors=False):
+    """What the per-line parser makes of ``lines``, as blocks."""
+    return _columns(blocks_from_points(parse_lines(lines, skip_errors=skip_errors)))
+
+
+class TestParseBlockAgainstPerLineParser:
+    @given(st.lists(_line, max_size=40))
+    def test_skip_errors_same_blocks(self, lines):
+        assert _columns(parse_block(lines, skip_errors=True).blocks) == _per_line_reference(
+            lines, skip_errors=True
+        )
+
+    @given(st.lists(_line, max_size=40))
+    def test_strict_same_blocks_or_same_failure(self, lines):
+        try:
+            expected = _per_line_reference(lines)
+        except LineProtocolError as exc:
+            want = exc
+        else:
+            assert _columns(parse_block(lines).blocks) == expected
+            return
+        with pytest.raises(LineProtocolError) as excinfo:
+            parse_block(lines)
+        got = excinfo.value
+        assert str(got) == str(want)
+        assert got.line_number == want.line_number
+        # partial == the parse of the prefix, which is clean by construction
+        prefix = lines[: got.line_number - 1]
+        assert _columns(got.partial.blocks) == _per_line_reference(prefix)
+        assert _columns(got.partial.blocks) == _columns(parse_block(prefix).blocks)
+
+    @given(st.lists(st.one_of(_valid_line(), _valid_line(fresh=True)), max_size=30))
+    def test_single_line_parser_agrees_on_every_valid_line(self, lines):
+        assert [parse_put_line(line) for line in lines] == list(parse_lines(lines))

@@ -1,0 +1,174 @@
+"""The two encoders against a reference composed from public pieces.
+
+``TSDaemon.encode_point`` and ``TSDaemon.encode_block`` share one
+per-series memo (DESIGN §18).  Whatever that memo remembers, a cell
+must be bit for bit what a fresh :class:`UniqueIdRegistry` and
+``RowKeyCodec.encode_rowkeys`` make of the same sample: same row,
+qualifier and value bytes, write timestamps in draw order, and the
+same UID for every name.  The sequences walk the memo through what it
+has to survive: hour crossings, late writes that step back an hour and
+forward again, duplicates, the last second a row key can hold, and
+timestamps past it.
+"""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.hbase.bytescodec import encode_f64
+from repro.hbase.region import Cell
+from repro.tsdb import BlockBatch, DataPoint, SeriesBlock, TsdbQuery, build_cluster
+from repro.tsdb.blocks import blocks_from_points
+from repro.tsdb.rowkey import RowKeyCodec
+from repro.tsdb.uid import UniqueIdRegistry
+
+LAST = 2**32 - 1  # the largest timestamp a row key holds
+LAST_BASE = LAST - LAST % 3600  # its row hour is partial: 1,696 seconds
+
+# Names recur across kinds and series on purpose ("u0" is a unit, a
+# sensor and a metric), so a UID handed out in the wrong order shows.
+SERIES = [
+    ("energy", (("sensor", "s0"), ("unit", "u0"))),
+    ("energy", (("sensor", "s1"), ("unit", "u0"))),
+    ("energy", (("sensor", "u0"), ("site", "a"), ("unit", "u1"))),
+    ("u0", (("unit", "energy"),)),
+]
+
+timestamps = st.one_of(
+    st.integers(0, 3 * 3600),
+    st.builds(  # either side of an hour boundary
+        lambda hour, offset: hour * 3600 + offset,
+        st.integers(0, 3), st.sampled_from([0, 1, 3598, 3599]),
+    ),
+    st.sampled_from([LAST, LAST - 1, LAST_BASE, LAST_BASE - 1]),
+)
+values = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def make_points(rows):
+    return [DataPoint(SERIES[s][0], t, v, SERIES[s][1]) for s, t, v in rows]
+
+
+point_lists = st.lists(
+    st.tuples(st.integers(0, len(SERIES) - 1), timestamps, values), min_size=1, max_size=40
+).map(make_points)
+
+
+class Reference:
+    """A registry and a codec nobody else has touched, used point by point."""
+
+    def __init__(self, salt_buckets):
+        self.uids = UniqueIdRegistry()
+        self.codec = RowKeyCodec(salt_buckets)
+        self.write_ts = 0.0
+
+    def cell(self, metric, tags, timestamp, value):
+        metric_uid = self.uids.get_or_create("metric", metric)
+        tag_pairs = self.uids.encode_tags(dict(tags))
+        (row,), (qualifier,) = self.codec.encode_rowkeys(metric_uid, [timestamp], tag_pairs)
+        self.write_ts += 1.0
+        return Cell(row, qualifier, encode_f64(value), self.write_ts)
+
+    def cells(self, points):
+        return [self.cell(p.metric, p.tags, p.timestamp, p.value) for p in points]
+
+
+def same_uids(got, want):
+    return all(
+        list(got.names(kind)) == list(want.names(kind))
+        and all(got.get(kind, name) == want.get(kind, name) for name in want.names(kind))
+        for kind in ("metric", "tagk", "tagv")
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(point_lists, st.sampled_from([0, 4]), st.booleans())
+def test_both_encoders_equal_the_reference_on_one_cluster(points, salt_buckets, blocks_first):
+    """One cluster, one memo, both encoders, in either order."""
+    cluster = build_cluster(n_nodes=2, salt_buckets=salt_buckets)
+    tsd_a, tsd_b = cluster.tsds  # the memo is shared by every TSD of the cluster
+    blocks = blocks_from_points(points)
+    reference = Reference(salt_buckets)
+
+    def by_point():
+        assert [tsd_a.encode_point(p) for p in points] == reference.cells(points)
+
+    def by_block():
+        for block in blocks:
+            assert tsd_b.encode_block(block) == reference.cells(block.iter_points())
+
+    for encode in (by_block, by_point) if blocks_first else (by_point, by_block):
+        encode()
+        assert same_uids(cluster.uids, reference.uids)
+    # Every write timestamp was drawn from the one clock, one per cell.
+    assert cluster.next_write_ts() == 2 * len(points) + 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    point_lists,
+    st.integers(0, len(SERIES) - 1),
+    st.sampled_from([2**32, 2**32 + 1, LAST_BASE + 3599, 2**40, -1, -3600]),
+    st.sampled_from([0, 4]),
+)
+def test_a_timestamp_the_row_key_cannot_hold_raises_and_poisons_nothing(
+    warm_up, series, bad_ts, salt_buckets
+):
+    """``2**32`` shares a row hour with ``2**32 - 1``: a memo hit on that
+    hour must not wave it through."""
+    cluster = build_cluster(n_nodes=1, salt_buckets=salt_buckets)
+    tsd = cluster.tsds[0]
+    reference = Reference(salt_buckets)
+    metric, tags = SERIES[series]
+    # Leave the series' memo entry on the last, partial hour.
+    warm_up = warm_up + [DataPoint(metric, LAST, 1.0, tags)]
+    assert [tsd.encode_point(p) for p in warm_up] == reference.cells(warm_up)
+
+    drawn = cluster.next_write_ts()
+    with pytest.raises(ValueError):
+        tsd.encode_point(DataPoint(metric, bad_ts, 2.0, tags))
+    with pytest.raises(ValueError):
+        tsd.encode_block(SeriesBlock.from_columns(metric, tags, [LAST, bad_ts], [3.0, 4.0]))
+    assert cluster.next_write_ts() == drawn + 1  # the failures drew nothing
+    reference.write_ts += 2.0  # the two draws just above
+
+    after = [DataPoint(metric, LAST, 5.0, tags), DataPoint(metric, 7, 6.0, tags)]
+    assert [tsd.encode_point(p) for p in after] == reference.cells(after)
+    assert same_uids(cluster.uids, reference.uids)
+
+
+read_back_points = st.lists(
+    st.tuples(st.integers(0, 1), st.integers(0, 3 * 3600 - 1), values), min_size=2, max_size=30
+).map(make_points)
+
+
+@settings(max_examples=40, deadline=None)
+@given(read_back_points, st.data())
+def test_point_list_and_block_batch_read_back_the_same_across_a_tsd_restart(points, data):
+    """``direct_put(points)`` and ``direct_put(BlockBatch.from_points(points))``
+    in two halves with the encoding TSD crashed and restarted between
+    them: the memo outlives the daemon, and what it hands back after the
+    restart still lands every point where a reader finds it."""
+    cut = data.draw(st.integers(1, len(points) - 1))
+    answers = []
+    for shape in (list, BlockBatch.from_points):
+        cluster = build_cluster(n_nodes=2, salt_buckets=4, retain_data=True)
+        assert cluster.direct_put(shape(points[:cut])) == cut
+        cluster.tsds[0].crash()
+        cluster.tsds[0].restart()
+        assert cluster.direct_put(shape(points[cut:])) == len(points) - cut
+        series = cluster.query_engine().run(
+            TsdbQuery("energy", 0, 3 * 3600, group_by=("sensor", "unit"))
+        )
+        answers.append(
+            {s.tags: (s.timestamps.tolist(), s.values.tolist()) for s in series}
+        )
+    by_list, by_batch = answers
+    assert by_list == by_batch
+    # Newest write wins, and in both shapes the later arrival is the newer write.
+    oracle = {}
+    for p in points:
+        oracle.setdefault(p.tags, {})[p.timestamp] = p.value
+    assert by_list == {
+        tags: (sorted(cells), [cells[t] for t in sorted(cells)])
+        for tags, cells in oracle.items()
+    }
