@@ -26,6 +26,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..cluster.metrics import MetricsRegistry
+from ..simdata.workload import unit_tag
 from ..tsdb.ingest import TsdbCluster
 from ..tsdb.publish import BatchPublisher, PublishReport
 from ..tsdb.tsd import DataPoint
@@ -41,7 +42,7 @@ def alert_unit_tag(incident: Incident) -> str:
     """The ``unit`` tag value for an incident (fleet scope is literal)."""
     if incident.scope == "fleet":
         return "fleet"
-    return f"unit{incident.unit_id:03d}"
+    return unit_tag(incident.unit_id)
 
 
 class AlertStore:
@@ -56,9 +57,6 @@ class AlertStore:
     batch_size:
         Points per put batch; alerts are low-volume, so the default is
         small to keep persistence latency low.
-    use_proxy_path:
-        Route through the buffering reverse proxy (the default), or
-        ``direct_put`` for storage-less unit tests.
     """
 
     def __init__(
@@ -67,17 +65,13 @@ class AlertStore:
         *,
         metrics: Optional[MetricsRegistry] = None,
         batch_size: int = 25,
-        use_proxy_path: bool = True,
     ) -> None:
-        self.cluster = cluster
         self.publisher = BatchPublisher(
             cluster,
             batch_size=batch_size,
-            use_proxy_path=use_proxy_path,
             metrics=metrics,
             channel="publish.alerts",
         )
-        self.records_written = 0
 
     # ------------------------------------------------------------------
     def record_incident(self, incident: Incident, config: AlertingConfig) -> None:
@@ -85,7 +79,6 @@ class AlertStore:
         self.publisher.publish([self._point(ALERT_INCIDENT_METRIC, incident, config,
                                             incident.opened_at,
                                             incident.severity_score)])
-        self.records_written += 1
 
     def record_resolve(self, incident: Incident, config: AlertingConfig) -> None:
         """Persist a resolve as one ``alert.resolve`` point (value = duration)."""
@@ -93,7 +86,6 @@ class AlertStore:
         self.publisher.publish([self._point(ALERT_RESOLVE_METRIC, incident, config,
                                             incident.resolved_at,
                                             float(incident.duration))])
-        self.records_written += 1
 
     def flush(self) -> PublishReport:
         """Drain pending alert writes; enforces delivery conservation."""

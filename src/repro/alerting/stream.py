@@ -103,6 +103,7 @@ class StreamingDetectionReport:
     incidents: List[Incident] = field(default_factory=list)
     model_swaps: int = 0
     quarantines: int = 0
+    records_rejected: int = 0
     wall_seconds: float = 0.0
     data_publish: Optional[PublishReport] = None
     anomaly_publish: Optional[PublishReport] = None
@@ -255,6 +256,11 @@ class StreamingDetector:
         for unit_id, start_time, values in records:
             x = np.asarray(values, dtype=np.float64)
             if x.ndim != 2 or x.shape[0] == 0:
+                continue
+            if not np.isfinite(x).all():
+                # Dropped whole: not scored, not trained on, not published.
+                self.report.records_rejected += 1
+                self.metrics.counter("alerting.records_rejected").inc()
                 continue
             self.report.samples_streamed += x.size
             self._clock = max(self._clock, start_time + x.shape[0])

@@ -7,9 +7,9 @@ integration layer that makes the reproduction's hot path behave the
 same way:
 
 * one cached :class:`~repro.core.online.OnlineEvaluator` per unit —
-  the pre-bound fast path (reciprocal stds, whitening map, χ² and
-  |z|-prefilter thresholds) is constructed once and reused across
-  runs instead of re-deriving everything through a fresh
+  the pre-bound fast path (reciprocal stds, whitening map, χ²
+  threshold) is constructed once and reused across runs instead of
+  re-deriving everything through a fresh
   :class:`~repro.core.fdr.FDRDetector` per call;
 * per-unit scoring fanned out over
   :class:`~repro.sparklet.context.SparkletContext` executor threads
@@ -20,9 +20,10 @@ same way:
   can overlap publishing one wave with scoring the next.
 
 Scoring through the engine is flag-for-flag identical to the serial
-``FDRDetector.detect`` reference path — the prefilter is exact and the
-windows are deterministic per ``(seed, unit)`` — which the parity tests
-and ``benchmarks/bench_pipeline_parallel.py`` both assert.
+``FDRDetector.detect`` reference path — the sparse step-up rejects
+exactly what the dense one does and the windows are deterministic per
+``(seed, unit)`` — which the parity tests and
+``benchmarks/bench_pipeline_parallel.py`` both assert.
 """
 
 from __future__ import annotations
@@ -117,14 +118,6 @@ class FleetEvaluationEngine:
         self._evaluators[unit_id] = (model, evaluator)
         return evaluator
 
-    def invalidate(self, unit_id: Optional[int] = None) -> None:
-        """Drop cached evaluators (one unit, or all when ``None``)."""
-        with self._lock:
-            if unit_id is None:
-                self._evaluators.clear()
-            else:
-                self._evaluators.pop(unit_id, None)
-
     # ------------------------------------------------------------------
     # scoring
     # ------------------------------------------------------------------
@@ -144,7 +137,6 @@ class FleetEvaluationEngine:
         n_eval: int = 600,
         *,
         parallelism: Optional[int] = None,
-        wave_size: Optional[int] = None,
     ) -> Iterator[List[UnitEvaluation]]:
         """Score the fleet in order, yielding bounded waves of results.
 
@@ -157,9 +149,7 @@ class FleetEvaluationEngine:
         if not units:
             return
         par = self._resolve_parallelism(parallelism)
-        wave = wave_size if wave_size is not None else max(4 * par, 8)
-        if wave < 1:
-            raise ValueError("wave_size must be >= 1")
+        wave = max(4 * par, 8)
         # Warm the evaluator cache up front in the driver thread so the
         # fan-out hits the locked fast path without rebuild contention.
         for unit_id in units:

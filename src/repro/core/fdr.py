@@ -23,6 +23,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from ..sparklet.linalg import eigh_descending
 from .hypothesis import (
     t2_pvalues,
     t2_statistic,
@@ -32,7 +33,7 @@ from .hypothesis import (
 from .model import UnitModel
 from .multiple_testing import apply_procedure
 
-__all__ = ["FDRDetectorConfig", "AnomalyReport", "FDRDetector"]
+__all__ = ["FDRDetectorConfig", "AnomalyReport", "FDRDetector", "build_unit_model"]
 
 
 @dataclass(frozen=True)
@@ -85,18 +86,23 @@ class AnomalyReport:
     """Detection output for one unit window.
 
     ``flags`` is the ``(T, p)`` boolean per-sensor anomaly mask after
-    FDR control; ``pvalues``/``zscores`` the underlying evidence;
+    FDR control; ``zscores`` the windowed evidence it was taken on
+    (``pvalues`` is derived from it on demand, not stored);
     ``unit_alarm`` a ``(T,)`` mask from the T² channel (all False when
     disabled).
     """
 
     unit_id: int
     flags: np.ndarray
-    pvalues: np.ndarray
     zscores: np.ndarray
     unit_alarm: np.ndarray
     t2: np.ndarray
     config: FDRDetectorConfig
+
+    @property
+    def pvalues(self) -> np.ndarray:
+        """Two-sided p-values of :attr:`zscores`, ``(T, p)``."""
+        return two_sided_pvalues(self.zscores)
 
     @property
     def n_discoveries(self) -> int:
@@ -111,6 +117,47 @@ class AnomalyReport:
         any_flag = self.flags.any(axis=1) | self.unit_alarm
         hits = np.flatnonzero(any_flag)
         return int(hits[0]) if hits.size else None
+
+
+def _select_k(eigvals: np.ndarray, config: FDRDetectorConfig) -> int:
+    if config.n_components is not None:
+        if not 1 <= config.n_components <= eigvals.size:
+            raise ValueError("n_components out of range")
+        return config.n_components
+    total = eigvals.sum()
+    if total <= 0:
+        return 1
+    ratio = np.cumsum(eigvals) / total
+    return int(np.searchsorted(ratio, config.variance_target) + 1)
+
+
+def build_unit_model(
+    unit_id: int,
+    mean: np.ndarray,
+    std: np.ndarray,
+    corr: np.ndarray,
+    n_train: int,
+    config: FDRDetectorConfig,
+) -> UnitModel:
+    """The one model builder: eigendecompose → select k → whiten.
+
+    ``corr`` is the symmetrised ``(p, p)`` covariance of the
+    *standardised* training data; the batch, streaming and distributed
+    trainers each estimate ``(mean, std, corr)`` their own way and end
+    here.
+    """
+    eigvals, eigvecs = eigh_descending(corr)
+    k = _select_k(eigvals, config)
+    eigvals, eigvecs = eigvals[:k], eigvecs[:, :k]
+    return UnitModel(
+        unit_id=unit_id,
+        mean=mean,
+        std=std,
+        eigenvalues=eigvals,
+        components=eigvecs,
+        whitening=eigvecs / np.sqrt(np.maximum(eigvals, 1e-12)),
+        n_train=n_train,
+    )
 
 
 class FDRDetector:
@@ -143,34 +190,8 @@ class FDRDetector:
             raise ValueError("every sensor needs non-zero training variance")
         z = (x - mean) / std
         cov = np.cov(z, rowvar=False)
-        cov = np.atleast_2d((cov + cov.T) / 2.0)
-        eigvals, eigvecs = np.linalg.eigh(cov)
-        order = np.argsort(eigvals)[::-1]
-        eigvals = np.clip(eigvals[order], 0.0, None)
-        eigvecs = eigvecs[:, order]
-        k = self._select_k(eigvals)
-        eigvals, eigvecs = eigvals[:k], eigvecs[:, :k]
-        whitening = eigvecs / np.sqrt(np.maximum(eigvals, 1e-12))
-        return UnitModel(
-            unit_id=unit_id,
-            mean=mean,
-            std=std,
-            eigenvalues=eigvals,
-            components=eigvecs,
-            whitening=whitening,
-            n_train=x.shape[0],
-        )
-
-    def _select_k(self, eigvals: np.ndarray) -> int:
-        if self.config.n_components is not None:
-            if not 1 <= self.config.n_components <= eigvals.size:
-                raise ValueError("n_components out of range")
-            return self.config.n_components
-        total = eigvals.sum()
-        if total <= 0:
-            return 1
-        ratio = np.cumsum(eigvals) / total
-        return int(np.searchsorted(ratio, self.config.variance_target) + 1)
+        corr = np.atleast_2d((cov + cov.T) / 2.0)
+        return build_unit_model(unit_id, mean, std, corr, x.shape[0], self.config)
 
     # ------------------------------------------------------------------
     # online evaluation
@@ -203,7 +224,6 @@ class FDRDetector:
         return AnomalyReport(
             unit_id=model.unit_id,
             flags=flags,
-            pvalues=pvalues,
             zscores=z,
             unit_alarm=unit_alarm,
             t2=t2,

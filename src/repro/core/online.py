@@ -5,18 +5,18 @@ matrix multiplication per iteration ... we can evaluate for anomalies
 at a rate of 939,000 sensor samples per second on average."
 
 :class:`OnlineEvaluator` pre-binds everything derivable from the model
-(means, inverse stds, whitening map, χ² threshold, normal-quantile
-thresholds) so the steady-state cost per batch is: one subtraction,
-one multiply by the reciprocal stds, the window-mean update, a
-|z|-threshold comparison, and — only for time steps that survive the
-cheap pre-filter — the exact BH step-up.  The E5 benchmark measures
+(means, inverse stds, whitening map, χ² threshold) so the steady-state
+cost per batch is: one subtraction, one multiply by the reciprocal
+stds, the window-mean update, the p-values in one buffer, the exact
+step-up (which only touches entries with p ≤ q) and the T² multiply.
+Every entry point runs that one kernel.  The E5 benchmark measures
 this path in real wall-clock samples/second.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 from scipy import special, stats
@@ -62,11 +62,6 @@ class OnlineEvaluator:
         self._inv_std = 1.0 / model.std
         self._mean = model.mean
         self._whitening = model.whitening if self.config.use_t2 else None
-        # Exact skip condition: any BH rejection requires p_(k) <= qk/m <= q,
-        # so a row whose max |z| is below the |z| at p = q cannot reject
-        # anything.  (A tighter per-rung prefilter would be unsound: the
-        # step-up can fire at rung k > 1 even when rung 1 fails.)
-        self._z_prefilter = float(stats.norm.isf(self.config.q / 2.0))
         self._t2_threshold = (
             float(stats.chi2.isf(self.config.unit_alarm_alpha, model.n_components))
             if self.config.use_t2 and model.n_components > 0
@@ -101,7 +96,7 @@ class OnlineEvaluator:
         streaming alerting path uses for severity scoring without a
         second standardisation pass.
         """
-        flags, _, z_win, _, unit_alarm = self._score(values, full_pvalues=False)
+        flags, z_win, _, unit_alarm = self._score(values)
         return flags, unit_alarm, z_win
 
     def report(self, values: np.ndarray) -> AnomalyReport:
@@ -109,16 +104,14 @@ class OnlineEvaluator:
 
         One-shot semantics: cross-batch window state is reset first, so
         the result matches :meth:`FDRDetector.detect` on the same model
-        and window — flags, p-values, z-scores, T² and unit alarm — but
-        through the pre-bound fast path (p-values in one vectorised
-        pass).  The fleet evaluation engine calls this per unit.
+        and window — flags, z-scores (hence p-values), T² and unit
+        alarm.  The fleet evaluation engine calls this per unit.
         """
         self._carry = None
-        flags, pvalues, z_win, t2, unit_alarm = self._score(values, full_pvalues=True)
+        flags, z_win, t2, unit_alarm = self._score(values)
         return AnomalyReport(
             unit_id=self.model.unit_id,
             flags=flags,
-            pvalues=pvalues,
             zscores=z_win,
             unit_alarm=unit_alarm,
             t2=t2,
@@ -126,44 +119,31 @@ class OnlineEvaluator:
         )
 
     def _score(
-        self, values: np.ndarray, full_pvalues: bool
-    ) -> Tuple[np.ndarray, Optional[np.ndarray], np.ndarray, np.ndarray, np.ndarray]:
+        self, values: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The one scoring kernel: standardise → window → p-values →
-        step-up → T²; ``(flags, pvalues, z_win, t2, unit_alarm)``.
+        step-up → T²; ``(flags, z_win, t2, unit_alarm)``.
 
-        With ``full_pvalues`` the whole p-value matrix is stepped up (a
-        report carries it); without, only rows passing the exact
-        prefilter are tested and ``pvalues`` is ``None``.  Same flags.
+        Non-finite input is refused here, by name: a NaN would
+        otherwise ride the window carry into the next ``window − 1``
+        rows and surface as a complaint about p-values.
         """
         x = np.asarray(values, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.model.n_sensors:
             raise ValueError(f"values must be (T, {self.model.n_sensors})")
+        if not np.isfinite(x).all():
+            raise ValueError("values must be finite; the batch holds NaN or inf")
         z_inst = x - self._mean
         z_inst *= self._inv_std
         z_win = self._windowed(z_inst)
-
-        pvalues: Optional[np.ndarray] = None
-        if full_pvalues:
-            pvalues = _two_sided_pvalues_fast(z_win)
-            flags = self._flag_pvalues(pvalues)
-        else:
-            flags = np.zeros(z_win.shape, dtype=bool)
-            # Cheap prefilter, exact testing only where it can possibly fire.
-            candidate_rows = np.flatnonzero(
-                np.max(np.abs(z_win), axis=1) >= self._z_prefilter
-            )
-            if candidate_rows.size:
-                flags[candidate_rows] = self._flag_pvalues(
-                    _two_sided_pvalues_fast(z_win[candidate_rows])
-                )
-
+        flags = self._flag_pvalues(_two_sided_pvalues_fast(z_win))
         t2, unit_alarm = self._t2_channel(z_inst)
 
         self.stats.samples += x.size
         self.stats.batches += 1
         self.stats.discoveries += int(flags.sum())
         self.stats.unit_alarms += int(unit_alarm.sum())
-        return flags, pvalues, z_win, t2, unit_alarm
+        return flags, z_win, t2, unit_alarm
 
     def _flag_pvalues(self, pvalues: np.ndarray) -> np.ndarray:
         """Per-row multiple-testing flags via the fastest exact route.
@@ -187,13 +167,6 @@ class OnlineEvaluator:
             return t2, t2 >= self._t2_threshold
         n = z_inst.shape[0]
         return np.zeros(n), np.zeros(n, dtype=bool)
-
-    def evaluate_stream(
-        self, batches: Iterator[np.ndarray]
-    ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-        """Evaluate a stream of batches, yielding per-batch results."""
-        for batch in batches:
-            yield self.evaluate(batch)
 
     # ------------------------------------------------------------------
     def _windowed(self, z: np.ndarray) -> np.ndarray:

@@ -48,7 +48,7 @@ from ..sparklet.storage import BlockStore
 from ..tsdb.ingest import TsdbCluster
 from ..tsdb.publish import BatchPublisher, PublishReport
 from ..tsdb.tsd import DataPoint
-from .engine import FleetEvaluationEngine
+from .engine import FleetEvaluationEngine, UnitEvaluation
 from .fdr import AnomalyReport, FDRDetector, FDRDetectorConfig
 from .metrics import DetectionOutcome
 from .model import UnitModel
@@ -91,10 +91,9 @@ def flagged_points(
 class PipelineConfig:
     """Run-shape knobs for :meth:`AnomalyPipeline.run`.
 
-    Consolidates what used to be keyword sprawl on ``run()`` /
-    ``evaluate_unit()`` into one (immutable) object that can be reused
-    across runs.  All fields are also accepted as keyword-only
-    overrides on ``run()`` itself.
+    One (immutable) object that can be reused across runs, and the one
+    place a run option is declared: ``run()`` accepts every field as a
+    keyword-only override through :meth:`with_overrides`.
 
     Parameters
     ----------
@@ -114,9 +113,6 @@ class PipelineConfig:
         falls back to ``direct_put`` bulk loads (no simulated RPC).
     max_in_flight_batches:
         Driver-side backpressure window for the proxy path.
-    wave_size:
-        Units scored per fan-out wave (bounds peak window memory);
-        ``None`` derives it from the parallelism.
     self_report:
         Periodically flush the run's and the cluster's telemetry back
         into the attached TSDB as ``proxy.*``/``tsd.*``/``engine.*``
@@ -137,7 +133,6 @@ class PipelineConfig:
     publish_batch_size: int = 500
     use_proxy_path: bool = True
     max_in_flight_batches: int = 32
-    wave_size: Optional[int] = None
     self_report: bool = False
     self_report_interval: float = 0.25
     trace: bool = False
@@ -153,13 +148,18 @@ class PipelineConfig:
             raise ValueError("publish_batch_size must be >= 1")
         if self.max_in_flight_batches < 1:
             raise ValueError("max_in_flight_batches must be >= 1")
-        if self.wave_size is not None and self.wave_size < 1:
-            raise ValueError("wave_size must be >= 1")
         if self.self_report_interval <= 0:
             raise ValueError("self_report_interval must be positive")
 
     def with_overrides(self, **overrides: object) -> "PipelineConfig":
-        """A copy with every non-``None`` override applied."""
+        """A copy with every non-``None`` override applied.
+
+        ``None`` means "not set here"; a name that is not a field
+        raises ``TypeError``, as a misspelt keyword argument would.
+        """
+        unknown = overrides.keys() - {f.name for f in dataclasses.fields(self)}
+        if unknown:
+            raise TypeError(f"unknown run option(s): {', '.join(sorted(unknown))}")
         changes = {k: v for k, v in overrides.items() if v is not None}
         return dataclasses.replace(self, **changes) if changes else self
 
@@ -305,15 +305,12 @@ class AnomalyPipeline:
         *,
         n_eval: int = 600,
         publish: bool = True,
-        use_proxy_path: Optional[bool] = None,
     ) -> AnomalyReport:
         """Score one unit's evaluation window; optionally publish results."""
         evaluation = self.engine.evaluate_unit(unit_id, n_eval)
         if publish and self.cluster is not None:
-            cfg = self.pipeline_config.with_overrides(use_proxy_path=use_proxy_path)
-            data_pub, anomaly_pub = self._publishers(cfg, component_registry())
-            data_pub.publish(unit_points(evaluation.window))
-            anomaly_pub.publish(self._anomaly_points(evaluation.window, evaluation.report))
+            data_pub, anomaly_pub = self._publishers(self.pipeline_config, component_registry())
+            self._publish_evaluation(evaluation, data_pub, anomaly_pub)
             data_pub.flush()
             anomaly_pub.flush()
         return evaluation.report
@@ -323,36 +320,20 @@ class AnomalyPipeline:
         unit_ids: Optional[Sequence[int]] = None,
         *,
         config: Optional[PipelineConfig] = None,
-        n_train: Optional[int] = None,
-        n_eval: Optional[int] = None,
-        publish: Optional[bool] = None,
-        parallelism: Optional[int] = None,
-        publish_batch_size: Optional[int] = None,
-        use_proxy_path: Optional[bool] = None,
-        wave_size: Optional[int] = None,
-        self_report: Optional[bool] = None,
-        trace: Optional[bool] = None,
+        **overrides: object,
     ) -> PipelineResult:
         """Full loop over the fleet; returns reports, outcomes, metrics.
 
         ``config`` (or the pipeline's default :class:`PipelineConfig`)
-        supplies the run shape; the remaining keyword-only arguments
-        override individual fields for this call.  Scoring fans out
-        across the evaluation engine in waves; publishing streams each
-        wave through the backpressured proxy path as the next wave is
+        supplies the run shape; any other keyword argument overrides
+        the :class:`PipelineConfig` field of that name for this call
+        (``run(n_eval=300, publish=False)``).  Scoring fans out across
+        the evaluation engine in waves; publishing streams each wave
+        through the backpressured proxy path as the next wave is
         scored.
         """
-        cfg = (config if config is not None else self.pipeline_config).with_overrides(
-            n_train=n_train,
-            n_eval=n_eval,
-            publish=publish,
-            parallelism=parallelism,
-            publish_batch_size=publish_batch_size,
-            use_proxy_path=use_proxy_path,
-            wave_size=wave_size,
-            self_report=self_report,
-            trace=trace,
-        )
+        base = config if config is not None else self.pipeline_config
+        cfg = base.with_overrides(**overrides)
         units = list(unit_ids) if unit_ids is not None else list(self.generator.units())
         # Fresh telemetry per run so counters never bleed across runs.
         # ``registry`` is the catch-all routed view: the publishers'
@@ -393,9 +374,7 @@ class AnomalyPipeline:
         evaluate_seconds = 0.0
         publish_seconds = 0.0
         samples_scored = 0
-        waves = self.engine.evaluate_fleet(
-            units, cfg.n_eval, parallelism=cfg.parallelism, wave_size=cfg.wave_size
-        )
+        waves = self.engine.evaluate_fleet(units, cfg.n_eval, parallelism=cfg.parallelism)
         while True:
             t0 = time.perf_counter()
             wave = next(waves, None)
@@ -408,10 +387,7 @@ class AnomalyPipeline:
                 result.outcomes[evaluation.unit_id] = evaluation.outcome
                 samples_scored += evaluation.window.values.size
                 if publishing:
-                    data_pub.publish(unit_points(evaluation.window))
-                    anomaly_pub.publish(
-                        self._anomaly_points(evaluation.window, evaluation.report)
-                    )
+                    self._publish_evaluation(evaluation, data_pub, anomaly_pub)
             publish_seconds += time.perf_counter() - t0
 
         if publishing:
@@ -457,6 +433,13 @@ class AnomalyPipeline:
             channel=channel,
         )
         return make("publish.data"), make("publish.anomaly")
+
+    def _publish_evaluation(
+        self, evaluation: UnitEvaluation, data_pub: BatchPublisher, anomaly_pub: BatchPublisher
+    ) -> None:
+        """One unit's raw window and its flagged scores, each on its channel."""
+        data_pub.publish(unit_points(evaluation.window))
+        anomaly_pub.publish(self._anomaly_points(evaluation.window, evaluation.report))
 
     def _anomaly_points(
         self, window: UnitData, report: AnomalyReport

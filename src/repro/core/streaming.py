@@ -25,7 +25,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .fdr import FDRDetector, FDRDetectorConfig
+from .fdr import FDRDetectorConfig, build_unit_model
 from .model import UnitModel
 
 __all__ = ["IncrementalMoments", "StreamingTrainer"]
@@ -53,20 +53,26 @@ class IncrementalMoments:
         self._m2 = np.zeros((n_sensors, n_sensors))
 
     def update(self, batch: np.ndarray) -> None:
-        """Fold in a batch of shape ``(n_b, p)``."""
+        """Fold in a batch of shape ``(n_b, p)``.
+
+        Non-finite samples are refused before any state is touched: one
+        NaN would poison the running mean and M2 for good.
+        """
         x = np.asarray(batch, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.n_sensors:
             raise ValueError(f"batch must be (n, {self.n_sensors}); got {x.shape}")
-        n_b = x.shape[0]
-        if n_b == 0:
+        if not np.isfinite(x).all():
+            raise ValueError("batch holds non-finite samples (NaN or inf)")
+        if x.shape[0] == 0:
             return
         mean_b = x.mean(axis=0)
         centred = x - mean_b
-        m2_b = centred.T @ centred
+        self._combine(x.shape[0], mean_b, centred.T @ centred)
+
+    def _combine(self, n_b: int, mean_b: np.ndarray, m2_b: np.ndarray) -> None:
+        """Chan's pairwise merge of ``(n_b, μ_b, M_b)`` into this state."""
         if self.count == 0:
-            self.count = n_b
-            self._mean = mean_b
-            self._m2 = m2_b
+            self.count, self._mean, self._m2 = n_b, mean_b, m2_b
             return
         n = self.count
         total = n + n_b
@@ -96,19 +102,12 @@ class IncrementalMoments:
         """Combine two independent accumulators (tree-reduction support)."""
         if other.n_sensors != self.n_sensors:
             raise ValueError("sensor-count mismatch")
+        if not (np.isfinite(other._mean).all() and np.isfinite(other._m2).all()):
+            raise ValueError("cannot merge non-finite moments")
         out = IncrementalMoments(self.n_sensors)
-        if self.count == 0:
-            out.count, out._mean, out._m2 = other.count, other._mean.copy(), other._m2.copy()
-            return out
-        if other.count == 0:
-            out.count, out._mean, out._m2 = self.count, self._mean.copy(), self._m2.copy()
-            return out
-        n, n_b = self.count, other.count
-        total = n + n_b
-        delta = other._mean - self._mean
-        out.count = total
-        out._mean = self._mean + delta * (n_b / total)
-        out._m2 = self._m2 + other._m2 + np.outer(delta, delta) * (n * n_b / total)
+        for part in (self, other):
+            if part.count:
+                out._combine(part.count, part._mean.copy(), part._m2.copy())
         return out
 
 
@@ -227,21 +226,8 @@ class StreamingTrainer:
         # correlation matrix = D^{-1/2} Σ D^{-1/2}
         inv = 1.0 / std
         corr = cov * np.outer(inv, inv)
-        eigvals, eigvecs = np.linalg.eigh((corr + corr.T) / 2.0)
-        order = np.argsort(eigvals)[::-1]
-        eigvals = np.clip(eigvals[order], 0.0, None)
-        eigvecs = eigvecs[:, order]
-        k = FDRDetector(self.config)._select_k(eigvals)
-        eigvals, eigvecs = eigvals[:k], eigvecs[:, :k]
-        whitening = eigvecs / np.sqrt(np.maximum(eigvals, 1e-12))
-        model = UnitModel(
-            unit_id=unit_id,
-            mean=mean,
-            std=std,
-            eigenvalues=eigvals,
-            components=eigvecs,
-            whitening=whitening,
-            n_train=moments.count,
+        model = build_unit_model(
+            unit_id, mean, std, (corr + corr.T) / 2.0, moments.count, self.config
         )
         state.model = model
         state.refreshes += 1

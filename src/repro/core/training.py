@@ -27,7 +27,7 @@ from ..simdata.generator import FleetGenerator
 from ..sparklet.context import SparkletContext
 from ..sparklet.linalg import RowMatrix
 from ..sparklet.storage import BlockStore
-from .fdr import FDRDetector, FDRDetectorConfig
+from .fdr import FDRDetector, FDRDetectorConfig, build_unit_model
 from .model import UnitModel, load_model, save_model
 
 __all__ = ["TrainingResult", "OfflineTrainer", "train_unit_distributed"]
@@ -79,20 +79,7 @@ def train_unit_distributed(
     std = np.sqrt(var)
     standardized = matrix.blocks.map(lambda b: (b - mean) / std)
     zmat = RowMatrix(standardized, num_cols=x.shape[1])
-    eigvals, eigvecs = zmat.covariance_eigen()
-    detector = FDRDetector(cfg)
-    k = detector._select_k(eigvals)
-    eigvals, eigvecs = eigvals[:k], eigvecs[:, :k]
-    whitening = eigvecs / np.sqrt(np.maximum(eigvals, 1e-12))
-    return UnitModel(
-        unit_id=unit_id,
-        mean=mean,
-        std=std,
-        eigenvalues=eigvals,
-        components=eigvecs,
-        whitening=whitening,
-        n_train=n,
-    )
+    return build_unit_model(unit_id, mean, std, zmat.covariance(), n, cfg)
 
 
 class OfflineTrainer:

@@ -10,8 +10,7 @@ materialising the data on the driver.
 The offline FDR training (§IV-A of the paper: "model estimation ...
 begins by calculating the covariance matrix ... Singular Value
 Decomposition is then performed on each covariance matrix") builds
-directly on :meth:`RowMatrix.covariance` and
-:meth:`RowMatrix.covariance_eigen`.
+directly on :meth:`RowMatrix.covariance` and :func:`eigh_descending`.
 """
 
 from __future__ import annotations
@@ -23,7 +22,20 @@ import numpy as np
 from .context import SparkletContext
 from .rdd import RDD
 
-__all__ = ["RowMatrix"]
+__all__ = ["RowMatrix", "eigh_descending"]
+
+
+def eigh_descending(sym: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of a symmetric PSD matrix, eigenvalues descending.
+
+    For such a matrix the SVD and the eigendecomposition coincide
+    (MLlib's ``computePrincipalComponents`` path); ``eigh`` is the
+    numerically right primitive for symmetric input.  Tiny negative
+    eigenvalues from round-off are clamped to zero.
+    """
+    eigvals, eigvecs = np.linalg.eigh(sym)
+    order = np.argsort(eigvals)[::-1]
+    return np.clip(eigvals[order], 0.0, None), eigvecs[:, order]
 
 
 class RowMatrix:
@@ -111,20 +123,9 @@ class RowMatrix:
         return (cov + cov.T) / 2.0
 
     def covariance_eigen(self, top_k: Optional[int] = None) -> Tuple[np.ndarray, np.ndarray]:
-        """Eigendecomposition of the covariance, eigenvalues descending.
-
-        For a symmetric PSD matrix the SVD and the eigendecomposition
-        coincide (MLlib's ``computePrincipalComponents`` path); ``eigh``
-        is the numerically right primitive for symmetric input.  Tiny
-        negative eigenvalues from round-off are clamped to zero.
-
-        Returns ``(eigenvalues[k], eigenvectors[p, k])``.
-        """
-        cov = self.covariance()
-        eigvals, eigvecs = np.linalg.eigh(cov)
-        order = np.argsort(eigvals)[::-1]
-        eigvals = np.clip(eigvals[order], 0.0, None)
-        eigvecs = eigvecs[:, order]
+        """:func:`eigh_descending` of the covariance, optionally truncated
+        to ``(eigenvalues[k], eigenvectors[p, k])``."""
+        eigvals, eigvecs = eigh_descending(self.covariance())
         if top_k is not None:
             if top_k < 1:
                 raise ValueError("top_k must be >= 1")

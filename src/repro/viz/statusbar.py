@@ -13,6 +13,7 @@ import html
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
+from ..simdata.workload import unit_tag
 from .svg import Svg
 
 __all__ = ["HealthGrade", "UnitStatus", "grade_unit", "render_status_bar"]
@@ -46,7 +47,7 @@ class UnitStatus:
 
     @property
     def label(self) -> str:
-        return f"unit{self.unit_id:03d}"
+        return unit_tag(self.unit_id)
 
 
 def grade_unit(

@@ -296,6 +296,65 @@ class TestStreamingDetector:
         assert report.naive_alerts > report.incidents_opened
         assert report.volume_reduction > 1.0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_records_are_dropped_and_counted(self, bad):
+        """Regression: a NaN sample was scored silently (no flags for
+        about a window), folded into the unit's moments (every later
+        refresh quarantined) and written to storage.  The record is now
+        dropped whole — not scored, trained on or published — and the
+        stream carries on."""
+
+        class Poisoned:
+            """The fleet with one bad cell in unit 0's training window
+            and one in its evaluation window."""
+
+            def __init__(self, fleet):
+                self.fleet = fleet
+                self.units = fleet.units
+
+            def training_window(self, unit_id, n):
+                window = self.fleet.training_window(unit_id, n)
+                if unit_id == 0:
+                    window.values[30, 1] = bad
+                return window
+
+            def evaluation_window(self, unit_id, n, start_time=0):
+                window = self.fleet.evaluation_window(unit_id, n, start_time=start_time)
+                if unit_id == 0:
+                    window.values[40, 2] = bad
+                return window
+
+        fleet = FleetGenerator(
+            FleetConfig(n_units=2, n_sensors=6, seed=11, fault_mix=(0.0, 0.0, 1.0),
+                        magnitude_range=(5.0, 6.0))
+        )
+
+        def run(generator):
+            cluster = build_cluster(n_nodes=2, retain_data=True)
+            detector = StreamingDetector(
+                6, cluster, config=FDRDetectorConfig(q=0.005),
+                alerting=AlertingConfig(open_after=3), min_samples=100, refresh_every=2,
+            )
+            report = detector.run_fleet(generator, n_train=200, n_eval=200, interval=20)
+            rejected = detector.metrics.counter("alerting.records_rejected").get()
+            return report, rejected
+
+        clean, clean_rejected = run(fleet)
+        report, rejected = run(Poisoned(fleet))
+        assert clean.records_rejected == clean_rejected == 0
+        assert report.records_rejected == rejected == 2
+        dropped = 2 * 20 * 6  # two 20-row records of six sensors
+        assert report.samples_streamed == clean.samples_streamed - dropped
+        assert report.data_publish.points_written == report.samples_streamed
+        assert report.intervals == clean.intervals  # the stream did not die
+        assert report.quarantines == 0  # nor was the unit benched
+        assert report.model_swaps >= clean.model_swaps - 1
+        # The untouched unit decides exactly what it decided before.
+        assert [
+            (i.opened_at, i.resolved_at) for i in report.unit_incidents(1)
+        ] == [(i.opened_at, i.resolved_at) for i in clean.unit_incidents(1)]
+        assert report.unit_incidents(0)  # and the poisoned one still detects
+
     def test_detection_latency_omits_missed_units(self):
         report_cls = StreamingDetector(
             2, min_samples=10

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.fdr import FDRDetector, FDRDetectorConfig
+from repro.core.multiple_testing import PROCEDURES
 from repro.core.model import UnitModel, load_model, model_key, save_model
 from repro.core.online import OnlineEvaluator
 from repro.sparklet.storage import BlockStore
@@ -81,15 +82,53 @@ class TestPersistence:
 
 
 class TestOnlineEvaluator:
-    def test_matches_batch_detect(self):
-        detector, model = trained_model()
-        x = np.random.default_rng(3).normal(loc=10.0, scale=2.0, size=(200, 12))
-        x[120:, 4] += 9.0
-        batch_report = detector.detect(model, x)
-        online = OnlineEvaluator(model, detector.config)
-        flags, alarms = online.evaluate(x)
-        assert np.array_equal(flags, batch_report.flags)
-        assert np.array_equal(alarms, batch_report.unit_alarm)
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_batch_detect(self, data):
+        """The one kernel against the untouched reference: ``report``,
+        chunked ``evaluate_scored`` and chunked ``evaluate`` all decide
+        what ``FDRDetector.detect`` decides, for any shape, window,
+        procedure, T² setting, retained rank and chunking."""
+        p = data.draw(st.integers(1, 9), label="p")
+        cfg = FDRDetectorConfig(
+            q=data.draw(st.sampled_from([0.005, 0.05, 0.3]), label="q"),
+            window=data.draw(st.sampled_from([1, 2, 5, 16, 64]), label="window"),
+            procedure=data.draw(st.sampled_from(sorted(PROCEDURES)), label="procedure"),
+            n_components=data.draw(st.integers(1, p), label="k"),
+            use_t2=data.draw(st.booleans(), label="use_t2"),
+        )
+        chunk_sizes = data.draw(
+            st.lists(st.integers(1, 12), min_size=1, max_size=6), label="chunks"
+        )
+        total = sum(chunk_sizes)  # 1 .. 72: below, at and above the window
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
+        detector = FDRDetector(cfg)
+        model = detector.fit(rng.normal(loc=10.0, scale=2.0, size=(40, p)), unit_id=4)
+        x = rng.normal(loc=10.0, scale=2.0, size=(total, p))
+        x[total // 2 :, 0] += 9.0
+        reference = detector.detect(model, x)
+
+        report = OnlineEvaluator(model, cfg).report(x)
+        assert np.array_equal(report.flags, reference.flags)
+        assert np.array_equal(report.unit_alarm, reference.unit_alarm)
+        np.testing.assert_allclose(report.zscores, reference.zscores, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(report.pvalues, reference.pvalues, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(report.t2, reference.t2, rtol=1e-12, atol=1e-12)
+
+        chunks = np.split(x, np.cumsum(chunk_sizes)[:-1])
+        scored, plain = OnlineEvaluator(model, cfg), OnlineEvaluator(model, cfg)
+        flags, alarms, zs = zip(*(scored.evaluate_scored(c) for c in chunks))
+        plain_flags, plain_alarms = zip(*(plain.evaluate(c) for c in chunks))
+        for got_flags, got_alarms in ((flags, alarms), (plain_flags, plain_alarms)):
+            assert np.array_equal(np.vstack(got_flags), reference.flags)
+            assert np.array_equal(np.concatenate(got_alarms), reference.unit_alarm)
+        np.testing.assert_allclose(np.vstack(zs), reference.zscores, rtol=0, atol=1e-12)
+        # Totals do not depend on how the rows were cut.
+        for stats in (scored.stats, plain.stats):
+            assert stats.batches == len(chunk_sizes)
+            assert stats.samples == x.size
+            assert stats.discoveries == reference.n_discoveries
+            assert stats.unit_alarms == int(reference.unit_alarm.sum())
 
     @settings(max_examples=20, deadline=None)
     @given(st.lists(st.integers(min_value=1, max_value=50), min_size=1, max_size=8))
@@ -99,15 +138,46 @@ class TestOnlineEvaluator:
         total = sum(chunk_sizes)
         x = np.random.default_rng(9).normal(loc=10.0, scale=2.0, size=(total, 12))
         x[total // 2 :, 2] += 6.0
-        oneshot, _ = OnlineEvaluator(model, detector.config).evaluate(x)
+        whole = OnlineEvaluator(model, detector.config)
+        oneshot, oneshot_alarms = whole.evaluate(x)
         online = OnlineEvaluator(model, detector.config)
-        chunks = []
-        pos = 0
-        for size in chunk_sizes:
-            f, _ = online.evaluate(x[pos : pos + size])
-            chunks.append(f)
-            pos += size
+        pieces = np.split(x, np.cumsum(chunk_sizes)[:-1])
+        chunks, alarms = zip(*(online.evaluate(piece) for piece in pieces))
         assert np.array_equal(np.vstack(chunks), oneshot)
+        assert np.array_equal(np.concatenate(alarms), oneshot_alarms)
+        assert online.stats.discoveries == whole.stats.discoveries
+        assert online.stats.unit_alarms == whole.stats.unit_alarms
+        assert online.stats.samples == whole.stats.samples
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("entry", ["evaluate", "evaluate_scored", "report"])
+    def test_non_finite_sample_refused_by_name(self, entry, bad):
+        """Regression: one NaN used to make ``evaluate`` silently skip
+        every later row for about a window, while ``report`` blamed the
+        p-values; ``inf`` flagged on one route and raised on the other."""
+        detector, model = trained_model()
+        rng = np.random.default_rng(7)
+        clean = rng.normal(loc=10.0, scale=2.0, size=(40, 12))
+        clean[20:, 3] += 9.0
+        poisoned = rng.normal(loc=10.0, scale=2.0, size=(10, 12))
+        poisoned[4, 5] = bad
+        online = OnlineEvaluator(model, detector.config)
+        online.evaluate(clean[:20])
+        with pytest.raises(ValueError, match="values must be finite"):
+            getattr(online, entry)(poisoned)
+        # The refused batch left no trace: the totals and (on the two
+        # streaming entry points; ``report`` is one-shot and resets it
+        # by contract) the window carry are those of a stream that
+        # never saw it.
+        untouched = OnlineEvaluator(model, detector.config)
+        untouched.evaluate(clean[:20])
+        assert online.stats == untouched.stats
+        if entry == "report":
+            return
+        got, want = online.evaluate_scored(clean[20:]), untouched.evaluate_scored(clean[20:])
+        assert got[0].any()
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
 
     def test_reset_clears_carry(self):
         detector, model = trained_model()
@@ -142,15 +212,6 @@ class TestOnlineEvaluator:
         online = OnlineEvaluator(model, detector.config)
         with pytest.raises(ValueError):
             online.evaluate(np.zeros((5, 3)))
-
-    def test_evaluate_stream(self):
-        detector, model = trained_model()
-        online = OnlineEvaluator(model, detector.config)
-        x = np.random.default_rng(2).normal(10, 2, size=(60, 12))
-        batches = [x[:20], x[20:40], x[40:]]
-        results = list(online.evaluate_stream(iter(batches)))
-        assert len(results) == 3
-        assert sum(f.shape[0] for f, _ in results) == 60
 
     def test_window_one_no_carry(self):
         detector, model = trained_model()

@@ -59,7 +59,7 @@ class TestPipelineConfig:
             {"parallelism": 0},
             {"publish_batch_size": 0},
             {"max_in_flight_batches": 0},
-            {"wave_size": 0},
+            {"self_report_interval": 0},
         ],
     )
     def test_validation(self, kwargs):
@@ -74,6 +74,26 @@ class TestPipelineConfig:
         assert changed.publish is False and changed.parallelism == 3
         assert changed.n_eval == 250  # untouched fields carried over
         assert cfg.publish is True  # original immutable
+
+    def test_with_overrides_rejects_unknown_names(self):
+        with pytest.raises(TypeError, match="no_such_option"):
+            PipelineConfig().with_overrides(no_such_option=None)
+
+    def test_run_accepts_every_field_as_an_override(self, generator):
+        """``run`` declares no option of its own: a field it used not to
+        mirror (``max_in_flight_batches``) is accepted like the rest,
+        and a name that is not a field is a ``TypeError``."""
+        cluster = build_cluster(n_nodes=2, retain_data=True)
+        pipeline = AnomalyPipeline(generator, cluster)
+        result = pipeline.run(
+            [0], n_train=120, n_eval=60, publish_batch_size=64, max_in_flight_batches=1
+        )
+        assert result.data_publish.conservation_ok
+        assert result.data_publish.max_pending == 1  # the window was honoured
+
+    def test_run_rejects_unknown_option(self, generator):
+        with pytest.raises(TypeError, match="no_such_option"):
+            AnomalyPipeline(generator).run(publish=False, no_such_option=3)
 
     def test_run_accepts_config_object(self, generator):
         pipeline = AnomalyPipeline(generator)
@@ -141,19 +161,6 @@ class TestParallelParity:
         for unit_id in serial.outcomes:
             assert serial.outcomes[unit_id] == parallel.outcomes[unit_id]
 
-    def test_wave_size_does_not_change_results(self, generator):
-        cfg = FDRDetectorConfig(window=16)
-        big = AnomalyPipeline(generator, config=cfg).run(
-            publish=False, n_train=150, n_eval=100, wave_size=64
-        )
-        tiny = AnomalyPipeline(generator, config=cfg).run(
-            publish=False, n_train=150, n_eval=100, wave_size=1, parallelism=2
-        )
-        for unit_id in big.reports:
-            assert np.array_equal(
-                big.reports[unit_id].flags, tiny.reports[unit_id].flags
-            )
-
     def test_shared_context_fanout(self, generator):
         with SparkletContext(parallelism=3, executor="threads") as ctx:
             pipeline = AnomalyPipeline(generator, ctx=ctx, store=None)
@@ -175,16 +182,6 @@ class TestEvaluatorCache:
         engine = FleetEvaluationEngine(generator, models={})
         with pytest.raises(KeyError, match="no trained model"):
             engine.evaluator_for(0)
-
-    def test_invalidate(self, generator):
-        pipeline = AnomalyPipeline(generator)
-        pipeline.train(unit_ids=[0, 1], n_train=120)
-        engine = pipeline.engine
-        first = engine.evaluator_for(0)
-        engine.invalidate(0)
-        assert engine.evaluator_for(0) is not first
-        engine.invalidate()
-        assert not engine._evaluators
 
 
 class TestPublishPaths:

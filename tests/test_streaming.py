@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.fdr import FDRDetector, FDRDetectorConfig
 from repro.core.online import OnlineEvaluator
 from repro.core.streaming import IncrementalMoments, StreamingTrainer
+from repro.core.training import train_unit_distributed
 from repro.simdata import FleetConfig, FleetGenerator
 from repro.sparklet import SparkletContext, StreamingContext
 
@@ -291,20 +292,53 @@ class TestIncrementalMoments:
         with pytest.raises(ValueError):
             inc.merge(IncrementalMoments(3))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_refused_before_state_changes(self, bad):
+        inc = IncrementalMoments(3)
+        inc.update(np.random.default_rng(0).normal(size=(20, 3)))
+        count, mean, cov = inc.count, inc.mean, inc.covariance()
+        batch = np.ones((4, 3))
+        batch[2, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            inc.update(batch)
+        assert inc.count == count
+        assert np.array_equal(inc.mean, mean)
+        assert np.array_equal(inc.covariance(), cov)
+        poisoned = IncrementalMoments(3)
+        poisoned.update(np.ones((2, 3)))
+        poisoned._m2[0, 0] = bad  # only overflow can do this from outside
+        with pytest.raises(ValueError, match="non-finite"):
+            inc.merge(poisoned)
+
 
 class TestStreamingTrainer:
-    def test_streaming_model_converges_to_batch(self):
+    @settings(max_examples=15, deadline=None)
+    @given(st.lists(st.integers(1, 120), min_size=1, max_size=8))
+    def test_streaming_model_converges_to_batch(self, chunk_sizes):
+        """The three front halves (batch ``np.cov``, Chan-merged moments
+        under any chunking, distributed Gramian) reach the one builder
+        with the same statistics, so they agree on the model."""
         fleet = FleetGenerator(FleetConfig(n_units=2, n_sensors=20, seed=51))
-        training = fleet.training_window(0, 400)
-        trainer = StreamingTrainer(20, refresh_every=3, min_samples=40)
-        for start in range(0, 400, 40):
-            trainer.ingest(0, training.values[start : start + 40])
+        x = fleet.training_window(0, 400).values
+        trainer = StreamingTrainer(20, refresh_every=1, min_samples=2)
+        pos = 0
+        for size in chunk_sizes:
+            trainer.ingest(0, x[pos : pos + size])
+            pos += size
+        trainer.ingest(0, x[pos:])  # whatever the chunks left over
         streamed = trainer.model_for(0)
-        batch = FDRDetector().fit(training.values, unit_id=0)
-        assert streamed is not None
-        assert np.allclose(streamed.mean, batch.mean)
-        assert np.allclose(streamed.std, batch.std)
-        assert np.allclose(streamed.eigenvalues, batch.eigenvalues, atol=1e-8)
+        batch = FDRDetector().fit(x, unit_id=0)
+        with SparkletContext(parallelism=2, executor="serial") as ctx:
+            distributed = train_unit_distributed(ctx, x, 0)
+        for other in (streamed, distributed):
+            assert other.n_train == batch.n_train == 400
+            assert other.n_components == batch.n_components
+            assert np.allclose(other.mean, batch.mean)
+            assert np.allclose(other.std, batch.std)
+            assert np.allclose(other.eigenvalues, batch.eigenvalues, atol=1e-8)
+            # eigenvectors are defined up to sign; so is each whitening column
+            signs = np.sign(np.sum(other.whitening * batch.whitening, axis=0))
+            assert np.allclose(other.whitening * signs, batch.whitening, atol=1e-6)
 
     def test_refresh_cadence(self):
         rng = np.random.default_rng(3)
@@ -407,14 +441,34 @@ class TestStreamingTrainer:
         trainer.ingest(3, rng.normal(size=(10, 2)))
         good = trainer.model_for(3)
         assert good is not None
-        # Flood with constant data until a (degenerate) refresh is due.
-        # The accumulated moments still carry early variance, so force
-        # the issue with a NaN-poisoned batch instead: non-finite stds
-        # also quarantine rather than propagate.
-        trainer.ingest(3, np.full((4, 2), np.nan))
-        trainer.ingest(3, np.full((4, 2), np.nan))
+        # Variance once accumulated never returns to zero, and NaN is
+        # refused at the door, so the one way left to a degenerate
+        # refresh on a live unit is overflow: finite samples whose
+        # squares are not.  Non-finite stds quarantine, not propagate.
+        huge = np.array([[1e200], [-1e200]] * 2) * np.ones((1, 2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            trainer.ingest(3, huge)
+            trainer.ingest(3, huge)
         assert trainer.model_for(3) is good  # last good model survives
         assert trainer.quarantines(3) == 1
+
+    def test_nan_batch_is_refused_and_the_unit_recovers(self):
+        """Regression: a NaN row used to be folded into the running
+        mean and M2, after which *every* due refresh quarantined — one
+        bad sample benched the unit for the rest of the stream."""
+        rng = np.random.default_rng(12)
+        trainer = StreamingTrainer(3, refresh_every=1, min_samples=10)
+        trainer.ingest(0, rng.normal(size=(10, 3)))
+        seen, refreshes = trainer.samples_seen(0), trainer.refreshes(0)
+        bad = rng.normal(size=(10, 3))
+        bad[4, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            trainer.ingest(0, bad)
+        assert trainer.samples_seen(0) == seen  # moments untouched
+        for _ in range(20):
+            assert trainer.ingest(0, rng.normal(size=(10, 3))) is not None
+        assert trainer.refreshes(0) == refreshes + 20
+        assert trainer.quarantines(0) == 0 and trainer.total_quarantines == 0
 
 
 class TestStreamingEndToEnd:

@@ -5,9 +5,11 @@ import pytest
 
 from repro.core.fdr import FDRDetector, FDRDetectorConfig
 from repro.core.pipeline import ANOMALY_METRIC, UNIT_ALARM_METRIC, AnomalyPipeline
+from repro.core.streaming import IncrementalMoments, StreamingTrainer
 from repro.core.training import OfflineTrainer, train_unit_distributed
 from repro.simdata import FleetConfig, FleetGenerator
 from repro.sparklet import BlockStore, SparkletContext
+from repro.sparklet.linalg import RowMatrix
 from repro.tsdb.ingest import build_cluster
 from repro.tsdb.query import TsdbQuery
 
@@ -21,6 +23,89 @@ def sc():
 @pytest.fixture()
 def generator():
     return FleetGenerator(FleetConfig(n_units=6, n_sensors=15, seed=13))
+
+
+def _pre_change_back_half(corr, cfg):
+    """eigendecompose → sort → clip → select k → whiten, as each of the
+    three trainers spelled it out before they shared one builder."""
+    eigvals, eigvecs = np.linalg.eigh(corr)
+    order = np.argsort(eigvals)[::-1]
+    eigvals = np.clip(eigvals[order], 0.0, None)
+    eigvecs = eigvecs[:, order]
+    if cfg.n_components is not None:
+        k = cfg.n_components
+    else:
+        total = eigvals.sum()
+        ratio = np.cumsum(eigvals) / total
+        k = int(np.searchsorted(ratio, cfg.variance_target) + 1) if total > 0 else 1
+    eigvals, eigvecs = eigvals[:k], eigvecs[:, :k]
+    return eigvals, eigvecs, eigvecs / np.sqrt(np.maximum(eigvals, 1e-12))
+
+
+class TestOneModelBuilder:
+    """``fit``, ``StreamingTrainer._refresh`` and
+    ``train_unit_distributed`` keep their own front halves and share
+    the back half; every array is bit-identical to the old spelling."""
+
+    CONFIGS = [
+        FDRDetectorConfig(),
+        FDRDetectorConfig(n_components=3),
+        FDRDetectorConfig(variance_target=0.5),
+        FDRDetectorConfig(variance_target=1.0),
+    ]
+
+    @staticmethod
+    def _assert_model(model, mean, std, back_half, n_train):
+        eigvals, eigvecs, whitening = back_half
+        assert model.n_train == n_train
+        for got, want in (
+            (model.mean, mean),
+            (model.std, std),
+            (model.eigenvalues, eigvals),
+            (model.components, eigvecs),
+            (model.whitening, whitening),
+        ):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("cfg", CONFIGS)
+    @pytest.mark.parametrize("p", [1, 7])
+    def test_bit_identical_to_the_pre_change_formulas(self, sc, cfg, p):
+        if cfg.n_components is not None and cfg.n_components > p:
+            cfg = FDRDetectorConfig(n_components=p)
+        x = np.random.default_rng(p).normal(loc=30.0, scale=3.0, size=(120, p))
+
+        # batch: np.cov of the standardised data
+        mean, std = x.mean(axis=0), x.std(axis=0, ddof=1)
+        cov = np.cov((x - mean) / std, rowvar=False)
+        corr = np.atleast_2d((cov + cov.T) / 2.0)
+        self._assert_model(
+            FDRDetector(cfg).fit(x, unit_id=2), mean, std,
+            _pre_change_back_half(corr, cfg), 120,
+        )
+
+        # streaming: correlation from the Chan-merged moments
+        trainer = StreamingTrainer(p, config=cfg, refresh_every=1, min_samples=2)
+        moments = IncrementalMoments(p)
+        for start in range(0, 120, 25):
+            trainer.ingest(2, x[start : start + 25])
+            moments.update(x[start : start + 25])
+        cov = moments.covariance()
+        std = np.sqrt(np.diag(cov))
+        corr = cov * np.outer(1.0 / std, 1.0 / std)
+        self._assert_model(
+            trainer.model_for(2), moments.mean, std,
+            _pre_change_back_half((corr + corr.T) / 2.0, cfg), 120,
+        )
+
+        # distributed: Gramian moments, covariance of the standardised blocks
+        matrix = RowMatrix.from_numpy(sc, x)
+        mean = matrix.column_means()
+        std = np.sqrt((np.diag(matrix.gramian()) - 120 * mean**2) / 119)
+        zmat = RowMatrix(matrix.blocks.map(lambda b: (b - mean) / std), num_cols=p)
+        self._assert_model(
+            train_unit_distributed(sc, x, 2, cfg), mean, std,
+            _pre_change_back_half(zmat.covariance(), cfg), 120,
+        )
 
 
 class TestDistributedTraining:
