@@ -60,8 +60,15 @@ class EventHandle:
         self.fired = False
 
     def cancel(self) -> None:
-        """Prevent the event from firing.  Idempotent; a no-op if already fired."""
+        """Prevent the event from firing.  Idempotent; a no-op if already fired.
+
+        The handle stays in the heap until its time comes, so it lets go
+        of its callback here: a cancelled RPC timeout must not pin the
+        request's payload for the length of the timeout.
+        """
         self.cancelled = True
+        if not self.fired:
+            self.callback, self.args = None, ()  # type: ignore[assignment]
 
     @property
     def pending(self) -> bool:

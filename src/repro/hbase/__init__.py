@@ -30,7 +30,7 @@ from .master import (
     ReplicaLocation,
     TableNotFoundError,
 )
-from .region import Cell, Region, RegionInfo, StoreFile
+from .region import EMPTY_BATCH, Cell, CellBatch, Region, RegionInfo, StoreFile, merge_newest
 from .regionserver import (
     GetRequest,
     PutRequest,
@@ -46,6 +46,8 @@ from .zookeeper import NodeExistsError, NoNodeError, Session, ZooKeeper
 __all__ = [
     "CONSISTENCY_MODES",
     "Cell",
+    "CellBatch",
+    "EMPTY_BATCH",
     "FollowerReplica",
     "GetRequest",
     "HMaster",
@@ -85,4 +87,5 @@ __all__ = [
     "encode_u64",
     "encode_u8",
     "increment_key",
+    "merge_newest",
 ]

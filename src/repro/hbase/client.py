@@ -23,14 +23,14 @@ from __future__ import annotations
 import random
 import zlib
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from ..cluster.metrics import MetricsRegistry
 from ..obs.telemetry import component_registry
 from ..cluster.network import Network
 from ..cluster.simulation import Simulator
 from .master import HMaster, ReplicaLocation
-from .region import Cell
+from .region import EMPTY_BATCH, Cell, CellBatch, merge_newest
 from .regionserver import GetRequest, PutRequest, RpcReply, ScanRequest
 
 __all__ = ["CONSISTENCY_MODES", "HTableClient", "ScanResult"]
@@ -52,7 +52,7 @@ class ScanResult:
     contributed; 0.0 when every share came from a primary.
     """
 
-    cells: List[Cell] = field(default_factory=list)
+    cells: CellBatch = field(default_factory=lambda: EMPTY_BATCH)
     ok: bool = True
     staleness: float = 0.0
     retries: int = 0
@@ -109,7 +109,7 @@ class HTableClient:
     def put(
         self,
         table: str,
-        cells: List[Cell],
+        cells: CellBatch,
         on_done: Optional[Callable[[bool, int], None]] = None,
         batch_ids: Tuple[int, ...] = (),
         block: bool = False,
@@ -128,7 +128,7 @@ class HTableClient:
         (the retry path keeps the flag); execution is the same either
         way.
         """
-        if not cells:
+        if not cells.rows:
             if on_done is not None:
                 on_done(True, 0)
             return
@@ -139,7 +139,7 @@ class HTableClient:
         self,
         table: str,
         server_name: Optional[str],
-        cells: List[Cell],
+        cells: CellBatch,
         attempt: int,
         on_done: Optional[Callable[[bool, int], None]],
         batch_ids: Tuple[int, ...] = (),
@@ -201,7 +201,7 @@ class HTableClient:
     def _retry_put(
         self,
         table: str,
-        cells: List[Cell],
+        cells: CellBatch,
         attempt: int,
         on_done: Optional[Callable[[bool, int], None]],
         batch_ids: Tuple[int, ...] = (),
@@ -220,7 +220,7 @@ class HTableClient:
 
         self.sim.schedule(delay, resend)
 
-    def _fail_put(self, cells: List[Cell], on_done: Optional[Callable[[bool, int], None]]) -> None:
+    def _fail_put(self, cells: CellBatch, on_done: Optional[Callable[[bool, int], None]]) -> None:
         self.metrics.counter("client.put_failed").inc(len(cells))
         if on_done is not None:
             on_done(False, len(cells))
@@ -286,7 +286,7 @@ class HTableClient:
         table: str,
         start_row: bytes,
         end_row: bytes,
-        on_done: Callable[[List[Cell]], None],
+        on_done: Callable[[CellBatch], None],
         consistency: str = "strong",
         deadline: object = _DEFAULT_DEADLINE,
         hedge_delay: Optional[float] = None,
@@ -346,17 +346,11 @@ class HTableClient:
             remaining[0] -= 1
             if remaining[0] > 0:
                 return
-            # Deduplicate cells that appear via multiple region scans
-            # (e.g. a range re-located across a concurrent split).
-            seen: Dict[Tuple[bytes, bytes], Cell] = {}
-            for share_result in shares:
-                for cell in share_result.cells:
-                    existing = seen.get(cell.key)
-                    if existing is None or cell.ts >= existing.ts:
-                        seen[cell.key] = cell
+            # Shares settle in any order and a range re-located across a
+            # concurrent split can deliver a cell twice: merge by key.
             on_done(
                 ScanResult(
-                    cells=sorted(seen.values(), key=lambda c: c.key),
+                    cells=merge_newest([s.cells for s in shares]),
                     ok=all(s.ok for s in shares),
                     staleness=max((s.staleness for s in shares), default=0.0),
                     retries=sum(s.retries for s in shares),
@@ -470,7 +464,7 @@ class HTableClient:
                     stats.follower_reads += 1
                     self.metrics.counter("client.follower_reads").inc()
                 settle_share(ScanResult(
-                    cells=list(reply.result or ()),  # type: ignore[arg-type]
+                    cells=reply.result,  # type: ignore[arg-type]
                     ok=True,
                     staleness=reply.staleness,
                     retries=stats.retries,

@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..cluster.metrics import MetricsRegistry
 from ..obs.telemetry import component_registry
-from .region import Cell, Region, RegionInfo, RowFilter
+from .region import CellBatch, Region, RegionInfo, RowFilter
 from .regionserver import RegionServer
 from .zookeeper import Session, ZooKeeper
 
@@ -175,39 +175,35 @@ class HMaster:
     # routing (the meta table)
     # ------------------------------------------------------------------
     def locate(self, table: str, row: bytes) -> Tuple[RegionInfo, Optional[str]]:
-        """Which region serves ``row``, and on which server (binary search)."""
-        assignments = self._assignments(table)
-        starts = self._starts[table]
-        idx = bisect.bisect_right(starts, row) - 1
-        if idx < 0:
-            idx = 0  # pragma: no cover - first region starts at b"" by construction
-        assignment = assignments[idx]
-        if not assignment.region.info.contains(row):  # pragma: no cover - defensive
+        """Which region serves ``row``, and on which server (binary search).
+
+        Asked once per row run of every write, so the table lookup and
+        the range check are written out rather than called.
+        """
+        try:
+            assignments = self._tables[table]
+        except KeyError:
+            raise TableNotFoundError(table) from None
+        # The first region starts at b"", so the index is never negative.
+        assignment = assignments[bisect.bisect_right(self._starts[table], row) - 1]
+        info = assignment.region.info
+        if row < info.start_key or (info.end_key and row >= info.end_key):  # pragma: no cover
             raise RuntimeError(f"no region covers row {row.hex()} in {table!r}")
-        return assignment.region.info, assignment.server
+        return info, assignment.server
 
     def locate_range(self, table: str, start: bytes, end: bytes) -> List[Tuple[RegionInfo, Optional[str]]]:
         """All regions overlapping the scan range ``[start, end)``."""
         return [(a.region.info, a.server) for a in self._overlapping(table, start, end)]
 
-    def group_by_server(
-        self, table: str, cells: List[Cell]
-    ) -> Dict[Optional[str], List[Cell]]:
-        """Partition ``cells`` by the server their row's region is assigned to.
+    def group_by_server(self, table: str, batch: CellBatch) -> Dict[Optional[str], CellBatch]:
+        """Partition a non-empty ``batch`` by the server its rows' regions are assigned to.
 
         Cells arrive in row runs (coalesced point batches and block runs
-        alike), so the meta lookup is paid per row change, not per cell.
-        The ``None`` key collects rows whose region is unassigned.
+        alike), so the meta lookup is paid per row change, not per cell
+        (:meth:`CellBatch.partition`).  The ``None`` key collects rows
+        whose region is unassigned.
         """
-        groups: Dict[Optional[str], List[Cell]] = {}
-        last_row: Optional[bytes] = None
-        group: List[Cell] = []
-        for cell in cells:
-            if cell.row != last_row:
-                last_row = cell.row
-                group = groups.setdefault(self.locate(table, cell.row)[1], [])
-            group.append(cell)
-        return groups
+        return batch.partition(lambda row: self.locate(table, row)[1])
 
     def _overlapping(self, table: str, start: bytes, end: bytes) -> List[_Assignment]:
         """Assignments whose region overlaps ``[start, end)``, in key order.
@@ -248,17 +244,44 @@ class HMaster:
         start_row: bytes = b"",
         end_row: bytes = b"",
         row_filter: Optional[RowFilter] = None,
-    ) -> List[Cell]:
+    ) -> CellBatch:
         """Administrative scan reading region data directly (no RPC timing).
 
         Used by offline components — the TSDB query engine, tests, the
         visualization pipeline — where simulated network timing is not
-        under study.  Returns cells sorted by ``(row, qualifier)``:
+        under study.  Returns a batch sorted by ``(row, qualifier)``:
         regions are disjoint, visited in key order, and each returns
         sorted cells.  ``row_filter`` is pushed down to every region
         scan (see :meth:`Region.scan`).
         """
         return self._scan(table, start_row, end_row, row_filter, None)[0]
+
+    def direct_put(self, table: str, batch: CellBatch) -> int:
+        """Administrative put: bulk-load ``batch`` straight into the regions.
+
+        No simulated RPC and no WAL (HBase bulk loads bypass the log):
+        each server's share goes through its one writer
+        (:meth:`RegionServer.write`) and is mirrored to follower
+        replicas, which would otherwise never see it.  Returns the
+        number of cells written — a server that restarted and was not
+        yet re-assigned hosts nothing, so its share is not.  Raises
+        when a row's region is unassigned, before anything is written.
+        """
+        if not batch.rows:
+            return 0
+        groups = self.group_by_server(table, batch)
+        if None in groups:
+            raise RuntimeError("region unassigned; cannot bulk-load")
+        written = 0
+        for server_name, group in groups.items():
+            shares = self._servers[server_name].write(group, durable=False)
+            if shares is None:
+                continue
+            written += len(group.rows)
+            if self.replication is not None:
+                for region, share in shares.items():
+                    self.replication.mirror(region.info.name, share)
+        return written
 
     def direct_delete_range(
         self, table: str, start_row: bytes, end_row: bytes, ts: float
@@ -289,7 +312,7 @@ class HMaster:
         end_row: bytes = b"",
         timeline: bool = False,
         row_filter: Optional[RowFilter] = None,
-    ) -> Tuple[List[Cell], float]:
+    ) -> Tuple[CellBatch, float]:
         """Availability-aware :meth:`direct_scan` with a consistency mode.
 
         ``strong`` (the default) reads primary copies only and raises
@@ -311,15 +334,19 @@ class HMaster:
         end_row: bytes,
         row_filter: Optional[RowFilter],
         consistency: Optional[str],
-    ) -> Tuple[List[Cell], float]:
-        """The one region-range read loop: ``(sorted cells, worst staleness)``.
+    ) -> Tuple[CellBatch, float]:
+        """The one region-range read loop: ``(sorted batch, worst staleness)``.
+
+        Most regions of a salted range hold nothing of it: their shared
+        empty batch is skipped, and a lone non-empty share is returned
+        as it stands.
 
         ``consistency`` is the replica policy for a region whose primary
         is down: ``None`` (administrative) reads the primary's data
         anyway, ``"strong"`` refuses, ``"timeline"`` falls back to the
         most-caught-up live follower.
         """
-        cells: List[Cell] = []
+        shares: List[CellBatch] = []
         staleness = 0.0
         for assignment in self._overlapping(table, start_row, end_row):
             region = assignment.region
@@ -333,8 +360,10 @@ class HMaster:
                     raise RegionUnavailableError(region.info.name)
                 region, follower_staleness = fallback
                 staleness = max(staleness, follower_staleness)
-            cells.extend(region.scan(start_row, end_row, row_filter))
-        return cells, staleness
+            share = region.scan(start_row, end_row, row_filter)
+            if share.rows:
+                shares.append(share)
+        return CellBatch.concat(shares), staleness
 
     # ------------------------------------------------------------------
     # assignment / balancing
@@ -539,18 +568,22 @@ class HMaster:
                     a.region, a.server = promoted
                     self.failovers += 1
                     self.metrics.counter("master.failovers").inc(label=server.name)
-        # Replay the durable WAL prefix grouped per region through the
-        # block write path; puts are idempotent (newest-wins), so the
+        # Replay the durable WAL prefix, split per victim region, through
+        # the block write path; puts are idempotent (newest-wins), so the
         # replay composes with whatever the promoted follower applied.
-        buckets: List[List[Cell]] = [[] for _ in victims]
-        for cell in wal.replayable():
+        # Rows of regions that left this server before the crash have no
+        # victim and are not replayed.
+        def victim_of(row: bytes) -> Optional[int]:
             for i, a in enumerate(victims):
-                if a.region.info.contains(cell.row):
-                    buckets[i].append(cell)
-                    break
-        for a, cells in zip(victims, buckets):
-            if cells:
-                a.region.put_block(cells)
+                if a.region.info.contains(row):
+                    return i
+            return None
+
+        durable = wal.replayable()
+        replayed = durable.partition(victim_of) if durable.rows else {}
+        replayed.pop(None, None)
+        for i, share in replayed.items():
+            victims[i].region.put_block(share)
         lost = len(wal) - wal.durable_count
         self.cells_lost_unsynced += lost
         if lost:
@@ -570,9 +603,8 @@ class HMaster:
             # cells to surviving followers, which never saw them via
             # WAL shipping (the replay wrote into regions directly).
             self.replication.handle_server_crash(server.name)
-            for a, cells in zip(victims, buckets):
-                if cells:
-                    self.replication.mirror(a.region.info.name, cells)
+            for i, share in replayed.items():
+                self.replication.mirror(victims[i].region.info.name, share)
 
     def _handle_restart(self, server: RegionServer) -> None:
         """Re-admit a restarted server and give it work again."""

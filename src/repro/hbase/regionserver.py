@@ -29,7 +29,7 @@ from ..cluster.node import Node, Server
 from ..cluster.simulation import Simulator
 from ..obs.telemetry import component_registry
 from ..obs.trace import NULL_SPAN, SpanLike, Tracer
-from .region import Cell, Region
+from .region import CellBatch, Region
 from .wal import WriteAheadLog
 
 __all__ = [
@@ -87,7 +87,7 @@ class PutRequest:
     """
 
     table: str
-    cells: List[Cell]
+    cells: CellBatch
     batch_ids: Tuple[int, ...] = ()
     #: Modelled cost only: the cells arrive as sorted per-series runs,
     #: so the RPC is charged the cheaper ``put_block_cost``.  Every put
@@ -167,10 +167,10 @@ class RegionServer:
         # Never written by client RPCs and invisible to legacy scans;
         # only timeline reads targeting the region by name touch them.
         self.follower_regions: Dict[str, object] = {}
-        # Post-WAL-sync replication hook: ``(region_name, cells, server)``
+        # Post-WAL-sync replication hook: ``(region_name, batch, server)``
         # per region touched by the synced batch (set by the deployment
         # when region replication is enabled).
-        self.replication_ship: Optional[Callable[[str, List[Cell], str], None]] = None
+        self.replication_ship: Optional[Callable[[str, CellBatch, str], None]] = None
         self.wal = WriteAheadLog(name)
         self.crash_policy = crash_policy_factory(self) if crash_policy_factory else None
         self.on_crash: Optional[Callable[["RegionServer"], None]] = None
@@ -201,7 +201,8 @@ class RegionServer:
 
     def _region_for(self, row: bytes) -> Optional[Region]:
         for region in self.regions.values():
-            if region.info.contains(row):
+            info = region.info  # RegionInfo.contains, inlined: asked once per row run
+            if row >= info.start_key and (not info.end_key or row < info.end_key):
                 return region
         return None
 
@@ -293,44 +294,36 @@ class RegionServer:
         span.end(outcome="ok" if reply.ok else reply.error)
         self._reply(reply_to, src_host, reply)
 
-    def write(self, cells: List[Cell], durable: bool) -> Optional[List[Tuple[Region, List[Cell]]]]:
-        """The one writer: group ``cells`` into per-region runs and land them.
+    def write(self, batch: CellBatch, durable: bool) -> Optional[Dict[Region, CellBatch]]:
+        """The one writer: split ``batch`` by hosted region and land it.
 
-        Routing resolves once per row *change* and each hosted region
-        ingests a whole run via :meth:`Region.put_block`.  All or
-        nothing: ``None``, and no write, when some row's region is not
-        hosted here.  ``durable`` logs and syncs the WAL first (put
-        RPCs); bulk loads bypass the log, as HBase's do.  Returns the
-        runs written, for the caller to replicate.
+        Routing resolves once per row *change*
+        (:meth:`CellBatch.partition`) and each hosted region ingests its
+        share in one :meth:`Region.put_block`.  All or nothing:
+        ``None``, and no write, when some row's region is not hosted
+        here.  ``durable`` logs and syncs the WAL first (put RPCs); bulk
+        loads bypass the log, as HBase's do.  Returns each region's
+        share, for the caller to replicate.
         """
-        runs: List[Tuple[Region, List[Cell]]] = []
-        region: Optional[Region] = None
-        run: List[Cell] = []
-        prev_row: Optional[bytes] = None
-        for cell in cells:
-            if cell.row != prev_row:
-                prev_row = cell.row
-                if region is None or not region.info.contains(cell.row):
-                    region = self._region_for(cell.row)
-                    if region is None:
-                        return None
-                    run = []
-                    runs.append((region, run))
-            run.append(cell)
+        if not batch.rows:
+            return {}
+        shares = batch.partition(self._region_for)
+        if None in shares:
+            return None
         if durable:
-            self.wal.append_batch(cells)
+            self.wal.append_batch(batch)
             self.wal.sync()
-        for target, batch in runs:
-            target.put_block(batch)
-        return runs
+        for region, share in shares.items():
+            region.put_block(share)
+        return shares  # type: ignore[return-value]
 
     def _serve_put(self, request: PutRequest) -> RpcReply:
-        runs = self.write(request.cells, durable=True)
-        if runs is None:
+        shares = self.write(request.cells, durable=True)
+        if shares is None:
             return RpcReply.failure("NotServingRegionException", self.name, True)
         if self.replication_ship is not None:
-            for region, cells in runs:
-                self.replication_ship(region.info.name, cells, self.name)
+            for region, share in shares.items():
+                self.replication_ship(region.info.name, share, self.name)
         if len(self.wal) > self.wal_roll_threshold:
             # Log roll: flush hosted regions so the old log can be
             # archived, then truncate (HBase's roll-and-archive cycle).
@@ -369,13 +362,14 @@ class RegionServer:
                 self.metrics.counter("regionserver.follower_reads").inc(label=self.name)
             regions = [region]
         runs = [
-            run for region in regions if (run := region.scan(request.start_row, request.end_row))
+            run
+            for region in regions
+            if (run := region.scan(request.start_row, request.end_row)).rows
         ]
-        if len(runs) == 1:
-            cells = runs[0]
-        else:  # each run is sorted; hosted regions are not in key order
-            cells = sorted((cell for run in runs for cell in run), key=lambda c: c.key)
-        reply = RpcReply.success(cells, self.name)
+        # Each run is sorted and regions are disjoint, but hosted regions
+        # are not in key order: order the runs by their first row.
+        runs.sort(key=lambda run: run.rows[0])
+        reply = RpcReply.success(CellBatch.concat(runs), self.name)
         reply.staleness = staleness
         return reply
 

@@ -31,7 +31,7 @@ from ..cluster.metrics import MetricsRegistry
 from ..cluster.network import Network
 from ..cluster.simulation import Simulator
 from ..obs.telemetry import component_registry
-from .region import Cell, Region
+from .region import CellBatch, Region
 
 __all__ = ["FollowerReplica", "ReplicaSet", "ReplicationCoordinator"]
 
@@ -68,8 +68,8 @@ class FollowerReplica:
         self.server_name = server_name
         self.applied_seq = applied_seq
         self.applied_through = applied_through
-        # Shipped-but-unapplied WAL batches: (seq_hi, shipped_at, cells).
-        self.pending: Deque[Tuple[int, float, List[Cell]]] = deque()
+        # Shipped-but-unapplied WAL batches: (seq_hi, shipped_at, batch).
+        self.pending: Deque[Tuple[int, float, CellBatch]] = deque()
         self.in_flight = False
         self.closed = False
 
@@ -176,7 +176,7 @@ class ReplicationCoordinator:
         src = rset.primary_region
         region = Region(src.info, src.flush_threshold, src.retain_data)
         snapshot = src.scan()
-        if snapshot:
+        if snapshot.rows:
             # Bootstrap from the primary's current contents (the
             # snapshot-then-tail pattern); shipped batches from here on
             # are idempotent on top of it (newest-wins).
@@ -225,14 +225,15 @@ class ReplicationCoordinator:
     # ------------------------------------------------------------------
     # WAL shipping (called by the primary RegionServer after wal.sync)
     # ------------------------------------------------------------------
-    def ship(self, region_name: str, cells: List[Cell], source_server: str) -> None:
+    def ship(self, region_name: str, cells: CellBatch, source_server: str) -> None:
         """Enqueue one synced WAL batch for every follower of the region."""
         rset = self._sets.get(region_name)
-        if rset is None or not cells:
+        if rset is None or not cells.rows:
             return
         rset.primary_server = source_server
         rset.shipped_seq += len(cells)
-        entry = (rset.shipped_seq, self.sim.now, list(cells))
+        # A batch is read-only once built, so every follower queues this one.
+        entry = (rset.shipped_seq, self.sim.now, cells)
         self.metrics.counter("replication.shipped").inc(len(cells))
         for follower in rset.followers:
             follower.pending.append(entry)
@@ -332,7 +333,7 @@ class ReplicationCoordinator:
                 self._close_follower(follower)
             self._top_up(rset)
 
-    def mirror(self, region_name: str, cells: List[Cell]) -> None:
+    def mirror(self, region_name: str, cells: CellBatch) -> None:
         """Apply cells to every follower outside the WAL stream.
 
         Used for bulk loads (``direct_put``) and master WAL replay,
@@ -340,7 +341,7 @@ class ReplicationCoordinator:
         otherwise leave followers permanently behind.
         """
         rset = self._sets.get(region_name)
-        if rset is None or not cells:
+        if rset is None:
             return
         for follower in rset.followers:
             follower.region.put_block(cells)

@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import struct
 from array import array
-from typing import Dict, List, Tuple
+from itertools import pairwise, repeat
+from typing import Dict, List, Sequence, Tuple
 
 from ..hbase.bytescodec import decode_f64, decode_u16
 from ..hbase.master import HMaster
-from ..hbase.region import Cell
+from ..hbase.region import CellBatch
 from .blocks import TS_TYPECODE, VAL_TYPECODE, SeriesBlock
 
 __all__ = [
@@ -30,64 +31,72 @@ __all__ = [
     "decompact_cell",
     "decompact_columns",
     "decompact_block",
+    "first_blob",
     "is_compacted",
     "RowCompactor",
 ]
 
 # A real TSDB distinguishes compacted columns by qualifier length; we
 # additionally prefix them so 2-byte single points can never be confused
-# with a compacted blob.
+# with a compacted blob.  The marker sorts after every point qualifier
+# (offsets stay below 0x0E10), so a row's blobs end its sorted run.
 COMPACTED_MARKER = b"\xF0"
 
 
-def is_compacted(cell: Cell) -> bool:
-    """True if the cell holds a compacted row blob."""
-    return cell.qualifier[:1] == COMPACTED_MARKER
+def is_compacted(qualifier: bytes) -> bool:
+    """True if the qualifier names a compacted row blob."""
+    return qualifier[:1] == COMPACTED_MARKER
 
 
-def compact_row_cells(cells: List[Cell]) -> Cell:
-    """Merge one row's point cells into a single compacted cell.
+def first_blob(qualifiers: Sequence[bytes], start: int, stop: int) -> int:
+    """Where the compacted blobs of the sorted row run ``[start, stop)``
+    begin (``stop`` when it has none): they sort after its point cells."""
+    while stop > start and is_compacted(qualifiers[stop - 1]):
+        stop -= 1
+    return stop
 
-    ``cells`` must share a row key and hold 2-byte qualifiers.  Points
-    are ordered by offset; duplicate offsets keep the newest write.
+
+def compact_row_cells(cells: CellBatch) -> CellBatch:
+    """Merge one row's cells into a single compacted cell (a one-cell batch).
+
+    ``cells`` must share a row key and hold 2-byte qualifiers or earlier
+    blobs (re-compaction explodes and merges them).  Points are ordered
+    by offset; duplicate offsets keep the newest write, the later cell
+    on a tie.  The blob carries the newest write timestamp it merged.
     """
-    if not cells:
+    if not cells.rows:
         raise ValueError("cannot compact an empty row")
-    row = cells[0].row
-    by_offset: Dict[int, Cell] = {}
-    for cell in cells:
-        if cell.row != row:
-            raise ValueError("cells from different rows")
-        if is_compacted(cell):
-            # Re-compaction: explode the blob and merge.
-            for offset, value, ts in _iter_compacted(cell):
-                prev = by_offset.get(offset)
-                if prev is None or ts >= prev.ts:
-                    by_offset[offset] = Cell(row, offset.to_bytes(2, "big"), value, ts)
-            continue
-        if len(cell.qualifier) != 2:
-            raise ValueError(f"unexpected qualifier length {len(cell.qualifier)}")
-        offset = decode_u16(cell.qualifier)
-        prev = by_offset.get(offset)
-        if prev is None or cell.ts >= prev.ts:
-            by_offset[offset] = cell
-    ordered = [by_offset[o] for o in sorted(by_offset)]
-    qualifier = COMPACTED_MARKER + b"".join(c.qualifier for c in ordered)
-    value = b"".join(c.value for c in ordered)
-    newest = max(c.ts for c in ordered)
-    return Cell(row, qualifier, value, newest)
+    row = cells.rows[0]
+    if cells.rows.count(row) != len(cells.rows):
+        raise ValueError("cells from different rows")
+    newest: Dict[bytes, Tuple[bytes, float]] = {}  # 2-byte qualifier -> (value, ts)
+    for qualifier, value, ts in zip(cells.qualifiers, cells.values, cells.ts):
+        if is_compacted(qualifier):
+            body = qualifier[1:]
+            points = zip(
+                (body[i : i + 2] for i in range(0, len(body), 2)),
+                (value[i : i + 8] for i in range(0, len(value), 8)),
+                repeat(ts),
+            )
+        elif len(qualifier) != 2:
+            raise ValueError(f"unexpected qualifier length {len(qualifier)}")
+        else:
+            points = ((qualifier, value, ts),)
+        for point_qualifier, point_value, point_ts in points:
+            held = newest.get(point_qualifier)
+            if held is None or point_ts >= held[1]:
+                newest[point_qualifier] = (point_value, point_ts)
+    # Big-endian offsets: byte order is offset order.
+    ordered = sorted(newest)
+    return CellBatch(
+        [row],
+        [COMPACTED_MARKER + b"".join(ordered)],
+        [b"".join(newest[q][0] for q in ordered)],
+        array("d", (max(ts for _, ts in newest.values()),)),
+    )
 
 
-def _iter_compacted(cell: Cell):
-    body = cell.qualifier[1:]
-    n = len(body) // 2
-    for i in range(n):
-        offset = decode_u16(body, 2 * i)
-        value = cell.value[8 * i : 8 * (i + 1)]
-        yield offset, value, cell.ts
-
-
-def decompact_columns(cell: Cell) -> Tuple[Tuple[int, ...], Tuple[float, ...]]:
+def decompact_columns(qualifier: bytes, value: bytes) -> Tuple[Tuple[int, ...], Tuple[float, ...]]:
     """Vectorized decompact: a cell's ``(offsets, values)`` parallel columns.
 
     One ``struct.unpack`` call per column instead of one decode per
@@ -95,27 +104,28 @@ def decompact_columns(cell: Cell) -> Tuple[Tuple[int, ...], Tuple[float, ...]]:
     blobs and single-point cells, so readers can treat every cell
     uniformly.
     """
-    if is_compacted(cell):
-        body = cell.qualifier[1:]
+    if is_compacted(qualifier):
+        body = qualifier[1:]
         n = len(body) // 2
         offsets = struct.unpack(f">{n}H", body)
-        values = struct.unpack(f">{n}d", cell.value[: 8 * n])
+        values = struct.unpack(f">{n}d", value[: 8 * n])
         return offsets, values
-    return (decode_u16(cell.qualifier),), (decode_f64(cell.value),)
+    return (decode_u16(qualifier),), (decode_f64(value),)
 
 
-def decompact_cell(cell: Cell) -> List[Tuple[int, float]]:
+def decompact_cell(qualifier: bytes, value: bytes) -> List[Tuple[int, float]]:
     """Expand a cell into ``[(offset_seconds, value)]`` point tuples.
 
     Point-wise convenience form of :func:`decompact_columns` (which is
     the single implementation).
     """
-    offsets, values = decompact_columns(cell)
+    offsets, values = decompact_columns(qualifier, value)
     return list(zip(offsets, values))
 
 
 def decompact_block(
-    cell: Cell,
+    qualifier: bytes,
+    value: bytes,
     metric: str,
     tags: Tuple[Tuple[str, str], ...],
     base_time: int,
@@ -125,7 +135,7 @@ def decompact_block(
     Compacted blobs store offsets sorted and de-duplicated, so the
     resulting columns are already monotone and adopted without copies.
     """
-    offsets, values = decompact_columns(cell)
+    offsets, values = decompact_columns(qualifier, value)
     ts = array(TS_TYPECODE, [base_time + o for o in offsets])
     vals = array(VAL_TYPECODE, values)
     return SeriesBlock(metric, tags, ts, vals, _trusted=True)
@@ -134,11 +144,12 @@ def decompact_block(
 class RowCompactor:
     """Offline compactor: rewrite completed rows of a TSDB table.
 
-    Walks the table via the master's administrative scan, groups cells
-    by row, and for every row with more than one point cell writes a
-    single compacted cell back through the region (the individual
-    cells become shadowed by the newer compacted write at read time —
-    the query engine prefers the compacted column when present, as
+    Walks the table via the master's administrative scan, whose batch
+    arrives in row runs, and for every row with more than one point
+    cell writes a single compacted cell back through the
+    RegionServers' one writer, followers included (the individual cells
+    become shadowed by the newer compacted write at read time — the
+    query engine prefers the compacted column when present, as
     OpenTSDB's does).
     """
 
@@ -166,38 +177,20 @@ class RowCompactor:
         if self._lifecycle is not None:
             self._lifecycle.on_compaction()
         cells = self.master.direct_scan(self.table)
-        by_row: Dict[bytes, List[Cell]] = {}
-        for cell in cells:
-            by_row.setdefault(cell.row, []).append(cell)
-        for row, row_cells in by_row.items():
-            point_cells = [c for c in row_cells if not is_compacted(c)]
-            blobs = [c for c in row_cells if is_compacted(c)]
-            if not blobs and len(point_cells) < 2:
+        qualifiers, ts = cells.qualifiers, cells.ts
+        blobs = CellBatch()
+        for i, j in pairwise(cells.run_starts()):
+            blobs_at = first_blob(qualifiers, i, j)
+            n_points, n_blobs = blobs_at - i, j - blobs_at
+            if not n_blobs and n_points < 2:
                 continue  # nothing worth merging
-            if blobs:
-                newest_blob = max(b.ts for b in blobs)
-                already_merged = all(c.ts <= newest_blob for c in point_cells)
-                if already_merged and len(blobs) == 1:
-                    continue  # fully compacted; a second run is a no-op
-            compacted = compact_row_cells(row_cells)
-            ts = self._write_ts() if self._write_ts is not None else compacted.ts + 1.0
-            bumped = Cell(compacted.row, compacted.qualifier, compacted.value, ts)
-            self._write_back(bumped)
+            if n_blobs == 1 and (not n_points or max(ts[i:blobs_at]) <= ts[blobs_at]):
+                continue  # fully compacted; a second run is a no-op
+            blob = compact_row_cells(cells.slice(i, j))
+            bumped = self._write_ts() if self._write_ts is not None else blob.ts[0] + 1.0
+            blobs.append(blob.rows[0], blob.qualifiers[0], blob.values[0], bumped)
             self.rows_compacted += 1
-            self.cells_merged += len(point_cells)
-        return self.rows_compacted
-
-    def _write_back(self, cell: Cell) -> None:
-        info, server_name = self.master.locate(self.table, cell.row)
-        del info
-        if server_name is None:
-            raise RuntimeError("row unassigned; cannot compact")
-        server = self.master.server(server_name)
-        region = None
-        for r in server.hosted_regions():
-            if r.info.contains(cell.row):
-                region = r
-                break
-        if region is None:
+            self.cells_merged += n_points
+        if blobs.rows and self.master.direct_put(self.table, blobs) != len(blobs.rows):
             raise RuntimeError("region not hosted where the master believes")
-        region.put(cell)
+        return self.rows_compacted

@@ -20,6 +20,7 @@ from ..cluster.network import LatencyModel, Network
 from ..cluster.node import Node
 from ..cluster.simulation import Simulator
 from ..hbase.master import HMaster
+from ..hbase.region import CellBatch
 from ..hbase.regionserver import RegionServer, ServiceModel
 from ..hbase.replication import ReplicationCoordinator
 from ..hbase.zookeeper import ZooKeeper
@@ -377,39 +378,26 @@ class TsdbCluster:
         and example/bench data loading, where ingestion *timing* is not
         under study.  Accepts an iterable of points, a
         :class:`SeriesBlock`, or a :class:`BlockBatch`; either shape is
-        encoded to cells and handed to the RegionServers' one writer
-        (:meth:`RegionServer.write`, WAL bypassed).  Returns the number
-        of cells written.
+        encoded to one cell batch and bulk-loaded
+        (:meth:`HMaster.direct_put`: the RegionServers' one writer, WAL
+        bypassed, followers mirrored).  Returns the number of cells
+        written.
         """
         tsd = self.tsds[0]
         if isinstance(points, SeriesBlock):
             points = BlockBatch([points])
         if isinstance(points, BlockBatch):
-            cells = [cell for block in points.blocks for cell in tsd.encode_block(block)]
+            cells = CellBatch.concat([tsd.encode_block(block) for block in points.blocks])
         else:
             points = list(points)
-            cells = [tsd.encode_point(point) for point in points]
-        groups = self.master.group_by_server(DATA_TABLE, cells)
-        if None in groups:
-            raise RuntimeError("region unassigned; cannot bulk-load")
-        written = 0
-        for server_name, group in groups.items():
-            # A server that restarted and was not yet re-assigned hosts
-            # nothing: its share is reported as failed, not skipped.
-            runs = self.master.server(server_name).write(group, durable=False)
-            if runs is None:
-                continue
-            written += len(group)
-            if self.replication is not None:
-                # Bulk loads bypass the WAL (and hence the shipping
-                # hook), so followers are synced explicitly.
-                for region, run in runs:
-                    self.replication.mirror(region.info.name, run)
-        if cells:
-            # Bulk loads land synchronously, so one notification suffices;
-            # the shortfall lets exact accounting taint rather than miscount.
-            self._notify_writes(points)
-            self._notify_ingest(points, written, len(cells) - written)
+            cells = tsd.encode_points(points)
+        if not cells.rows:
+            return 0
+        written = self.master.direct_put(DATA_TABLE, cells)
+        # Bulk loads land synchronously, so one notification suffices;
+        # the shortfall lets exact accounting taint rather than miscount.
+        self._notify_writes(points)
+        self._notify_ingest(points, written, len(cells.rows) - written)
         return written
 
     def per_server_writes(self) -> Dict[str, int]:

@@ -12,14 +12,20 @@ Answers OpenTSDB-style queries against the simulated HBase tables:
 
 Queries read through the master's administrative scan: the
 visualization and analysis paths study *data* semantics, not RPC
-timing (which E1/E2/E6/E7 cover on the write path).
+timing (which E1/E2/E6/E7 cover on the write path).  A scan hands back
+a sorted :class:`~repro.hbase.region.CellBatch` — columns, not cells —
+and the assembler (:class:`_BlockScanState`) moves it a row run at a
+time; only the reference path (:meth:`QueryEngine.run_pointwise`)
+iterates it cell by cell.
 """
 
 from __future__ import annotations
 
 import struct
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import pairwise, repeat
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -29,10 +35,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 from ..hbase.bytescodec import decode_f64, decode_u32
 from ..hbase.master import HMaster, RegionUnavailableError
-from ..hbase.region import Cell, RowFilter
+from ..hbase.region import Cell, CellBatch, RowFilter
 from .aggregation import AGGREGATORS, Series, aggregate, downsample, rate
 from .blocks import TS_TYPECODE, VAL_TYPECODE, SeriesBlock
-from .compaction import decompact_cell, decompact_columns, is_compacted
+from .compaction import decompact_cell, decompact_columns, first_blob, is_compacted
 from .rowkey import _UID_WIDTH, RowKeyCodec
 from .tsd import DATA_TABLE
 from .uid import UniqueIdRegistry, UnknownUidError
@@ -101,13 +107,14 @@ _ROW_UNSEEN = object()
 class _BlockScanState:
     """Columnar accumulator shared across salt-bucket scans of one query.
 
-    The vectorized counterpart of :class:`_ScanState`: instead of one
-    dict operation per cell, it appends to per-series parallel
-    ``(timestamp, value, write_ts)`` columns and resolves newest-wins
-    duplicates once at the end with a single stable lexsort.  Row keys
-    are decoded at most once per distinct row (scans return cells
-    row-ordered, so one crc32/tag decode amortises over a whole row's
-    cells) and point-cell values are unpacked a row-run at a time.
+    The vectorized counterpart of :class:`_ScanState`: a scan hands it
+    a sorted :class:`~repro.hbase.region.CellBatch`, and it moves each
+    row run's columns into per-series parallel ``(timestamp, value,
+    write_ts)`` columns — the row key decoded once per run, the
+    qualifiers and values each unpacked by one ``struct`` call, the
+    query window cut out by two bisects — resolving newest-wins
+    duplicates once at the end with a single stable lexsort.  Only a
+    row that holds a compacted blob is walked cell by cell.
 
     Bit-identical to the per-cell reference path: the dict rule "newer
     or equal write-ts wins, later arrival breaks ties" is exactly "last
@@ -123,7 +130,6 @@ class _BlockScanState:
         "wts_cols",
         "tags",
         "filtered",
-        "blob_ts",
         "_row_cache",
     )
 
@@ -136,23 +142,65 @@ class _BlockScanState:
         self.wts_cols: Dict[bytes, array] = {}
         self.tags: Dict[bytes, Dict[str, str]] = {}
         self.filtered: set = set()
-        # (series_id, base_time) -> newest compacted-blob write-ts
-        self.blob_ts: Dict[Tuple[bytes, int], float] = {}
         # row bytes -> (series_id, base_time) | None when filtered out
         self._row_cache: Dict[bytes, object] = {}  # repro-lint: ignore[unbounded-cache] -- per-query scan state; dies with the query
 
     # ------------------------------------------------------------------
     # ingest
     # ------------------------------------------------------------------
-    def ingest_scan(self, cells: List[Cell], query: "TsdbQuery") -> None:
-        """Fold one scan range's cells into the columns (blobs first)."""
-        blobs = [c for c in cells if is_compacted(c)]
-        if blobs:
-            self._ingest_blobs(blobs, query)
-            points = [c for c in cells if not is_compacted(c)]
-        else:
-            points = cells
-        self._ingest_points(points, query)
+    def ingest_scan(self, cells: CellBatch, query: "TsdbQuery") -> None:
+        """Fold one scan range's sorted batch into the columns, run by run."""
+        rows, qualifiers, values, stamps = cells.rows, cells.qualifiers, cells.values, cells.ts
+        start, end = query.start, query.end
+        for i, j in pairwise(cells.run_starts()):
+            resolved = self._resolve_row(rows[i], query)
+            if resolved is None:
+                continue
+            sid, base = resolved
+            ts_col, val_col, wts_col = columns = self._columns(sid)
+            if is_compacted(qualifiers[j - 1]):  # blobs sort last in their row
+                self._ingest_compacted_row(cells, i, j, base, query, columns)
+                continue
+            # Point cells only, sorted by offset: the window is a slice.
+            offsets = struct.unpack(f">{j - i}H", b"".join(qualifiers[i:j]))
+            lo = i + bisect_left(offsets, start - base)
+            hi = i + bisect_left(offsets, end - base)
+            if lo < hi:
+                ts_col.extend(map(base.__add__, offsets[lo - i : hi - i]))
+                val_col.extend(struct.unpack(f">{hi - lo}d", b"".join(values[lo:hi])))
+                wts_col.extend(stamps[lo:hi])
+
+    @staticmethod
+    def _ingest_compacted_row(
+        cells: CellBatch,
+        i: int,
+        j: int,
+        base: int,
+        query: "TsdbQuery",
+        columns: Tuple[array, array, array],
+    ) -> None:
+        """Cells ``[i, j)``, one row that ends in compacted blobs: the
+        blobs first, then the point cells written after the newest of
+        them (the rest were merged into it and stay in its shadow)."""
+        qualifiers, values, stamps = cells.qualifiers, cells.values, cells.ts
+        start, end = query.start, query.end
+        ts_col, val_col, wts_col = columns
+        blobs_at = first_blob(qualifiers, i, j)
+        for k in range(blobs_at, j):
+            # A blob's offsets are sorted: its window is a slice too.
+            offsets, blob_values = decompact_columns(qualifiers[k], values[k])
+            lo, hi = bisect_left(offsets, start - base), bisect_left(offsets, end - base)
+            ts_col.extend(map(base.__add__, offsets[lo:hi]))
+            val_col.extend(blob_values[lo:hi])
+            wts_col.extend(repeat(stamps[k], hi - lo))
+        shadow = max(stamps[blobs_at:j])
+        for k in range(i, blobs_at):
+            if stamps[k] > shadow:
+                t = base + int.from_bytes(qualifiers[k], "big")
+                if start <= t < end:
+                    ts_col.append(t)
+                    val_col.append(decode_f64(values[k]))
+                    wts_col.append(stamps[k])
 
     def row_filter(self, query: "TsdbQuery") -> Optional[RowFilter]:
         """The query's tag predicate as a scan push-down (None = keep all).
@@ -199,54 +247,6 @@ class _BlockScanState:
             self.val_cols[sid] = array(VAL_TYPECODE)
             self.wts_cols[sid] = array("d")
         return ts_col, self.val_cols[sid], self.wts_cols[sid]
-
-    def _ingest_blobs(self, blobs: List[Cell], query: "TsdbQuery") -> None:
-        start, end = query.start, query.end
-        for cell in blobs:
-            resolved = self._resolve_row(cell.row, query)
-            if resolved is None:
-                continue
-            sid, base = resolved
-            key = (sid, base)
-            if cell.ts >= self.blob_ts.get(key, -1.0):
-                self.blob_ts[key] = cell.ts
-            ts_col, val_col, wts_col = self._columns(sid)
-            wts = cell.ts
-            offsets, values = decompact_columns(cell)
-            for offset, value in zip(offsets, values):
-                t = base + offset
-                if start <= t < end:
-                    ts_col.append(t)
-                    val_col.append(value)
-                    wts_col.append(wts)
-
-    def _ingest_points(self, cells: List[Cell], query: "TsdbQuery") -> None:
-        start, end = query.start, query.end
-        i, n = 0, len(cells)
-        while i < n:
-            row = cells[i].row
-            j = i + 1
-            while j < n and cells[j].row == row:
-                j += 1
-            resolved = self._resolve_row(row, query)
-            if resolved is not None:
-                sid, base = resolved
-                shadow = self.blob_ts.get((sid, base), -1.0)
-                ts_col, val_col, wts_col = self._columns(sid)
-                run = cells[i:j]
-                # One struct call decodes the whole row-run's payloads.
-                values = struct.unpack(f">{len(run)}d", b"".join(c.value for c in run))
-                for cell, value in zip(run, values):
-                    # Point cells at or before a compacted blob's write
-                    # time were merged into the blob; skip them.
-                    if cell.ts <= shadow:
-                        continue
-                    t = base + int.from_bytes(cell.qualifier, "big")
-                    if start <= t < end:
-                        ts_col.append(t)
-                        val_col.append(value)
-                        wts_col.append(cell.ts)
-            i = j
 
     # ------------------------------------------------------------------
     # finalize
@@ -342,8 +342,8 @@ class ConsistentResult:
     staleness: float = 0.0
 
 
-#: Reads one row-key range: ``(lo, hi, row_filter) -> (cells, staleness)``.
-_Scan = Callable[[bytes, bytes, Optional[RowFilter]], Tuple[List[Cell], float]]
+#: Reads one row-key range: ``(lo, hi, row_filter) -> (batch, staleness)``.
+_Scan = Callable[[bytes, bytes, Optional[RowFilter]], Tuple[CellBatch, float]]
 
 
 class QueryEngine:
@@ -426,7 +426,7 @@ class QueryEngine:
     # ------------------------------------------------------------------
     def _scan_direct(
         self, lo: bytes, hi: bytes, row_filter: Optional[RowFilter]
-    ) -> Tuple[List[Cell], float]:
+    ) -> Tuple[CellBatch, float]:
         return self.master.direct_scan(self.table, lo, hi, row_filter), 0.0
 
     def _scan_consistent(self, timeline: bool) -> _Scan:
@@ -478,9 +478,10 @@ class QueryEngine:
         staleness = 0.0
         for lo, hi in ranges:
             cells, range_staleness = scan(lo, hi, row_filter)
-            self.scan_cells += len(cells)
             staleness = max(staleness, range_staleness)
-            state.ingest_scan(cells, query)
+            if cells.rows:
+                self.scan_cells += len(cells.rows)
+                state.ingest_scan(cells, query)
         return state.to_series(), staleness
 
     def _read_series_pointwise(self, query: TsdbQuery) -> List[Series]:
@@ -491,14 +492,14 @@ class QueryEngine:
             return []
         state = _ScanState()
         for lo, hi in self.codec.scan_ranges(metric_uid, query.start, query.end):
-            cells = self.master.direct_scan(self.table, lo, hi)
+            cells = list(self.master.direct_scan(self.table, lo, hi))
             self.scan_cells += len(cells)
             # Blobs first so point-cell shadowing is decided in one pass.
             for cell in cells:
-                if is_compacted(cell):
+                if is_compacted(cell.qualifier):
                     self._ingest_cell(cell, query, state, is_blob=True)
             for cell in cells:
-                if not is_compacted(cell):
+                if not is_compacted(cell.qualifier):
                     self._ingest_cell(cell, query, state, is_blob=False)
         return state.to_series()
 
@@ -525,7 +526,7 @@ class QueryEngine:
             key = (sid, base)
             if cell.ts >= state.blob_ts.get(key, -1.0):
                 state.blob_ts[key] = cell.ts
-            for offset, value in decompact_cell(cell):
+            for offset, value in decompact_cell(cell.qualifier, cell.value):
                 t = base + offset
                 if query.start <= t < query.end:
                     prev = ts_map.get(t)

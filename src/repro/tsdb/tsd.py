@@ -13,8 +13,14 @@ both pay a series' set-up once per *series*, not once per sample: the
 ``(metric, tags) -> SeriesKey`` memo they share (hosted by the
 :class:`~repro.tsdb.uid.UniqueIdRegistry`, so shared by every TSD of a
 deployment; it interns a series the first time it is asked for it)
-holds the interned UIDs and the row the series last wrote to.  A sample on a known series in a known hour costs a memo hit, a
-qualifier-table index and its :class:`~repro.hbase.region.Cell`.
+holds the interned UIDs and the row the series last wrote to.  A
+sample on a known series in a known hour costs a memo hit, a
+qualifier-table index and an ``append`` to each of four columns: the
+bulk encoders (:meth:`TSDaemon.encode_block`,
+:meth:`TSDaemon.encode_points`) return a
+:class:`~repro.hbase.region.CellBatch` and allocate nothing per sample;
+only :meth:`TSDaemon.encode_point`, the one-point unit the linger
+buffers are filled from, builds a :class:`~repro.hbase.region.Cell`.
 
 A put batch is acknowledged only when every one of its cells has been
 acknowledged by a RegionServer (durable ack), which is what gives the
@@ -24,9 +30,10 @@ backpressure semantics.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from itertools import count, repeat, starmap
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..cluster.metrics import MetricsRegistry
 from ..cluster.network import Network
@@ -35,7 +42,7 @@ from ..cluster.simulation import Simulator
 from ..hbase.bytescodec import encode_f64, encode_f64_column
 from ..hbase.client import HTableClient
 from ..hbase.master import HMaster
-from ..hbase.region import Cell
+from ..hbase.region import Cell, CellBatch
 from ..obs.telemetry import component_registry
 from ..obs.trace import NULL_SPAN, SpanLike, Tracer
 from .blocks import BlockBatch, SeriesBlock
@@ -323,9 +330,7 @@ class TSDaemon:
             batch_id=batch_id,
             span=span,
         )
-        cells: List[Cell] = []
-        for block in batch.blocks:
-            cells.extend(self.encode_block(block))
+        cells = CellBatch.concat([self.encode_block(block) for block in batch.blocks])
         batch_ids: tuple = ()
         flush_span: SpanLike = NULL_SPAN
         if self.tracer.enabled:
@@ -351,8 +356,8 @@ class TSDaemon:
 
         self.client.put(DATA_TABLE, cells, on_done, batch_ids=batch_ids, block=True)
 
-    def encode_block(self, block: SeriesBlock) -> List[Cell]:
-        """UID-intern and row-key-encode one series block into cells.
+    def encode_block(self, block: SeriesBlock) -> CellBatch:
+        """UID-intern and row-key-encode one series block into a cell batch.
 
         The series is looked up (interned, at first sight) once per
         block, row keys come from the batch codec (one salt hash per
@@ -365,8 +370,20 @@ class TSDaemon:
         rows, qualifiers = self.codec.encode_rowkeys(
             series.metric_uid, block.timestamps, series.tag_pairs
         )
-        write_ts = starmap(self._next_write_ts, repeat((), len(rows)))
-        return list(map(Cell, rows, qualifiers, encode_f64_column(block.values), write_ts))
+        write_ts = array("d", starmap(self._next_write_ts, repeat((), len(rows))))
+        return CellBatch(rows, qualifiers, list(encode_f64_column(block.values)), write_ts)
+
+    def _series_row(self, point: DataPoint) -> Tuple[bytes, bytes]:
+        """``(row, qualifier)`` of one point, its series' row memoised."""
+        series = self._series[point.metric, point.tags]
+        timestamp = point.timestamp
+        offset = timestamp % ROW_SPAN_SECONDS
+        # The range check runs on every point: the last row hour before
+        # 2**32 is partial, and a hit on it must not admit what lies past.
+        if timestamp - offset != series.base or timestamp >= TIMESTAMP_LIMIT:
+            series.row, _ = self.codec.encode(series.metric_uid, timestamp, series.tag_pairs)
+            series.base = timestamp - offset
+        return series.row, QUALIFIER_TABLE[offset]
 
     def encode_point(self, point: DataPoint) -> Cell:
         """UID-intern and row-key-encode one data point into an HBase cell.
@@ -376,17 +393,27 @@ class TSDaemon:
         newest-write-wins resolution and compaction shadowing are
         well-defined even when old data timestamps are backfilled.
         """
-        series = self._series[point.metric, point.tags]
-        timestamp = point.timestamp
-        offset = timestamp % ROW_SPAN_SECONDS
-        # The range check runs on every point: the last row hour before
-        # 2**32 is partial, and a hit on it must not admit what lies past.
-        if timestamp - offset != series.base or timestamp >= TIMESTAMP_LIMIT:
-            series.row, _ = self.codec.encode(series.metric_uid, timestamp, series.tag_pairs)
-            series.base = timestamp - offset
-        return Cell(
-            series.row, QUALIFIER_TABLE[offset], encode_f64(point.value), self._next_write_ts()
-        )
+        row, qualifier = self._series_row(point)
+        return Cell(row, qualifier, encode_f64(point.value), self._next_write_ts())
+
+    def encode_points(self, points: Sequence[DataPoint]) -> CellBatch:
+        """:meth:`encode_point` of every point, as one batch and no cells.
+
+        The bulk form for a point list in arrival order (one point per
+        series per tick, typically): same memo, same clock — one write
+        timestamp per point, in point order — and the value column
+        packed in one call, as :meth:`encode_block` does.
+        """
+        rows: List[bytes] = []
+        qualifiers: List[bytes] = []
+        add_row, add_qualifier, series_row = rows.append, qualifiers.append, self._series_row
+        for point in points:
+            row, qualifier = series_row(point)
+            add_row(row)
+            add_qualifier(qualifier)
+        write_ts = array("d", starmap(self._next_write_ts, repeat((), len(rows))))
+        values = list(encode_f64_column([point.value for point in points]))
+        return CellBatch(rows, qualifiers, values, write_ts)
 
     def _linger_flush(self, bucket: int) -> None:
         self._linger_timers.pop(bucket, None)
@@ -399,7 +426,7 @@ class TSDaemon:
             timer.cancel()  # type: ignore[attr-defined]
         if not entries:
             return
-        cells = [cell for cell, _ in entries]
+        cells = CellBatch.from_cells(cell for cell, _ in entries)
         unresolved = [ctx for _, ctx in entries]
         batch_ids: tuple = ()
         flush_span: SpanLike = NULL_SPAN

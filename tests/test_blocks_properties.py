@@ -30,6 +30,14 @@ point_strategy = st.tuples(
     st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
 )
 
+# two series crowded around an hour boundary: rows that hold many cells
+dense_point_strategy = st.tuples(
+    st.integers(min_value=0, max_value=1),
+    st.just(0),
+    st.integers(min_value=3585, max_value=3615),
+    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+)
+
 # one series' worth of (timestamp, value) samples, unique timestamps
 series_samples = st.lists(
     st.tuples(
@@ -262,6 +270,46 @@ class TestAggregationBitIdentity:
         load_in_two_shapes(cluster, raw, shapes)
         engine, gateway = cluster.query_engine(), cluster.gateway()
         for query in queries:
+            expected = engine.run_pointwise(query)
+            assert_bit_identical(engine.run(query), expected)
+            assert_bit_identical(engine.run_available(query).series, expected)
+            assert_bit_identical(gateway.serve(query).series, expected)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(dense_point_strategy, min_size=2, max_size=60),
+        st.lists(dense_point_strategy, min_size=1, max_size=20),
+        st.booleans(),
+        st.data(),
+    )
+    def test_window_cutting_a_compacted_row_that_has_newer_point_cells(
+        self, raw, newer, compact_again, data
+    ):
+        """A blob and point cells written after it share a row (the
+        shadow loop), and the window takes a slice out of both."""
+        cluster = build_cluster(n_nodes=2, salt_buckets=4, retain_data=True)
+        cluster.direct_put(make_points(raw))
+        cluster.compactor().run()
+        half = len(newer) // 2
+        cluster.direct_put(make_points(newer[:half]))
+        if compact_again:  # a second, newer blob beside the first
+            cluster.compactor().run()
+        cluster.direct_put(make_points(newer[half:]))
+        engine, gateway = cluster.query_engine(), cluster.gateway()
+        # Window edges on, or one second past, a stored sample: each end
+        # cuts a row between two of its cells (the bisected slice).
+        stored = st.sampled_from(sorted({t for _u, _s, t, _v in raw + newer}))
+        edge = st.builds(int.__add__, stored, st.integers(0, 1))
+        for _ in range(3):
+            start, end = sorted(data.draw(st.tuples(edge, edge)))
+            query = TsdbQuery(
+                "energy",
+                start,
+                max(end, start + 1),
+                tag_filters=data.draw(tag_filter_strategy),
+                group_by=data.draw(st.sampled_from([(), ("unit", "sensor")])),
+                aggregator="sum",
+            )
             expected = engine.run_pointwise(query)
             assert_bit_identical(engine.run(query), expected)
             assert_bit_identical(engine.run_available(query).series, expected)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.hbase.region import Cell
+from repro.hbase.region import Cell, CellBatch
 from repro.tsdb.compaction import (
     RowCompactor,
     compact_row_cells,
@@ -42,42 +42,50 @@ class TestCompactCells:
             for offset in range(n)
         ]
 
+    def compact(self, cells):
+        """``compact_row_cells`` of a cell list: the blob as one ``Cell``."""
+        (blob,) = compact_row_cells(CellBatch.from_cells(cells))
+        return blob
+
     def test_compact_roundtrip(self):
         cells = self.make_row_cells(5)
-        blob = compact_row_cells(cells)
-        assert is_compacted(blob)
-        expanded = decompact_cell(blob)
+        blob = self.compact(cells)
+        assert is_compacted(blob.qualifier)
+        assert blob.ts == 4.0  # the newest write it merged
+        expanded = decompact_cell(blob.qualifier, blob.value)
         assert [o for o, _ in expanded] == [0, 1, 2, 3, 4]
 
     def test_single_point_decompact(self):
         cell = self.make_row_cells(1)[0]
-        assert not is_compacted(cell)
-        assert len(decompact_cell(cell)) == 1
+        assert not is_compacted(cell.qualifier)
+        assert len(decompact_cell(cell.qualifier, cell.value)) == 1
 
     def test_duplicate_offsets_newest_wins(self):
         row = b"\x01rk"
         old = Cell(row, (7).to_bytes(2, "big"), b"\x00" * 8, 1.0)
         new = Cell(row, (7).to_bytes(2, "big"), b"\xff" * 8, 2.0)
-        blob = compact_row_cells([old, new])
-        assert decompact_cell(blob)[0][0] == 7
-        assert len(decompact_cell(blob)) == 1
+        for arrival in ([old, new], [new, old]):
+            blob = self.compact(arrival)
+            assert decompact_cell(blob.qualifier, blob.value)[0][0] == 7
+            assert len(decompact_cell(blob.qualifier, blob.value)) == 1
+            assert blob.value == b"\xff" * 8
 
     def test_recompaction_merges_blob_and_points(self):
         cells = self.make_row_cells(3)
-        blob = compact_row_cells(cells)
+        blob = self.compact(cells)
         extra = Cell(cells[0].row, (9).to_bytes(2, "big"), b"\x00" * 8, 9.0)
-        blob2 = compact_row_cells([blob, extra])
-        assert [o for o, _ in decompact_cell(blob2)] == [0, 1, 2, 9]
+        blob2 = self.compact([blob, extra])
+        assert [o for o, _ in decompact_cell(blob2.qualifier, blob2.value)] == [0, 1, 2, 9]
 
     def test_mixed_rows_rejected(self):
         a = Cell(b"\x01r1", b"\x00\x01", b"\x00" * 8, 1.0)
         b = Cell(b"\x01r2", b"\x00\x01", b"\x00" * 8, 1.0)
         with pytest.raises(ValueError):
-            compact_row_cells([a, b])
+            self.compact([a, b])
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            compact_row_cells([])
+            self.compact([])
 
 
 class TestRowCompactor:

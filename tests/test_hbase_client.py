@@ -7,7 +7,7 @@ from repro.cluster.node import Node
 from repro.cluster.simulation import Simulator
 from repro.hbase.client import HTableClient
 from repro.hbase.master import HMaster
-from repro.hbase.region import Cell
+from repro.hbase.region import Cell, CellBatch
 from repro.hbase.regionserver import RegionServer
 
 
@@ -28,7 +28,7 @@ def build(n_servers=2, queue_capacity=64, split_keys=None, max_retries=8):
 
 
 def cells(rows, ts=1.0):
-    return [Cell(row, b"q", b"v-" + row, ts) for row in rows]
+    return CellBatch.from_cells(Cell(row, b"q", b"v-" + row, ts) for row in rows)
 
 
 class TestPut:
@@ -43,7 +43,7 @@ class TestPut:
     def test_empty_put_resolves_immediately(self):
         sim, _, _, client = build()
         results = []
-        client.put("t", [], lambda ok, n: results.append((ok, n)))
+        client.put("t", cells([]), lambda ok, n: results.append((ok, n)))
         assert results == [(True, 0)]
 
     def test_put_groups_by_server(self):
@@ -134,18 +134,18 @@ class TestScan:
         servers[0].crash()
         got = []
         client.scan("t", b"", b"", got.append)
-        assert got == [[]]
+        assert [list(batch) for batch in got] == [[]]
 
     def test_scan_deduplicates_versions(self):
         sim, master, _, client = build()
         client.put("t", cells([b"k"], ts=1.0))
         sim.run()
-        client.put("t", [Cell(b"k", b"q", b"newer", 2.0)])
+        client.put("t", CellBatch.from_cells([Cell(b"k", b"q", b"newer", 2.0)]))
         sim.run()
         got = []
         client.scan("t", b"", b"", got.append)
         sim.run()
-        assert len(got[0]) == 1 and got[0][0].value == b"newer"
+        assert [c.value for c in got[0]] == [b"newer"]
 
 
 class TestValidation:

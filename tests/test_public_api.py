@@ -137,6 +137,22 @@ class TestExports:
         )
         from repro.core import step_up_sparse  # noqa: F401
 
+    def test_storage_boundary_surface_snapshot(self):
+        """What crosses the storage boundary, and the places a single
+        cell survives (DESIGN §20); update deliberately."""
+        import repro.hbase
+        from repro.hbase import region
+
+        assert [name for name in repro.hbase.__all__ if name in region.__all__] == [
+            "Cell",
+            "CellBatch",
+            "EMPTY_BATCH",
+            "Region",
+            "RegionInfo",
+            "StoreFile",
+            "merge_newest",
+        ]
+
     def test_key_entry_points_importable_from_top_level(self):
         from repro import (  # noqa: F401
             AnomalyPipeline,

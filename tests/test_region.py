@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.hbase.region import Cell, Region, RegionInfo, StoreFile
+from repro.hbase.region import Cell, CellBatch, Region, RegionInfo, StoreFile
 
 
 def region(start=b"", end=b"", flush=100_000, retain=True):
@@ -65,7 +65,7 @@ class TestWriteRead:
         r.put(cell(b"r"))
         assert r.writes == 1
         assert r.get(b"r", b"q") is None
-        assert r.scan() == []
+        assert list(r.scan()) == []
 
 
 class TestFlushAndStoreFiles:
@@ -191,12 +191,12 @@ class TestSplit:
 
 class TestStoreFile:
     def test_binary_search_get(self):
-        sf = StoreFile([cell(b"b"), cell(b"a"), cell(b"c")])
-        assert sf.get(b"b", b"q") is not None
+        sf = StoreFile(CellBatch.from_cells([cell(b"a"), cell(b"b"), cell(b"c")]))
+        assert sf.get(b"b", b"q") == cell(b"b")
         assert sf.get(b"zz", b"q") is None
 
     def test_scan_bounds(self):
-        sf = StoreFile([cell(b"a"), cell(b"b"), cell(b"c")])
+        sf = StoreFile(CellBatch.from_cells([cell(b"a"), cell(b"b"), cell(b"c")]))
         assert [c.row for c in sf.scan(b"b", b"")] == [b"b", b"c"]
         assert [c.row for c in sf.scan(b"", b"b")] == [b"a"]
 
@@ -251,7 +251,7 @@ class TestRegionProperties:
 # ----------------------------------------------------------------------
 ROWS = [b"b", b"ba", b"c", b"ca", b"d", b"da", b"e", b"ea"]
 BOUNDS = [b"", b"a", *ROWS, b"g"]  # b"a" / b"g" lie outside every row
-QUALS = [b"\x00", b"\x01", b"\x02"]
+QUALS = [bytes([q]) for q in range(8)]
 
 
 class RegionOracle:
@@ -326,14 +326,31 @@ class RegionOracle:
         return child
 
 
-cell_triples = st.lists(
-    st.tuples(st.sampled_from(ROWS), st.sampled_from(QUALS), st.integers(0, 6)),
+rows_, quals_, stamps_ = st.sampled_from(ROWS), st.sampled_from(QUALS), st.integers(0, 6)
+cell_triples = st.lists(st.tuples(rows_, quals_, stamps_), min_size=1, max_size=8)
+# One row's run in arrival order: qualifiers may repeat inside it.
+row_run = st.tuples(rows_, st.lists(st.tuples(quals_, stamps_), min_size=1, max_size=8)).map(
+    lambda run: [(run[0], qual, ts) for qual, ts in run[1]]
+)
+# Both halves of the key space, one cell per row per tick, as a soak delivers them.
+tick_major = st.lists(
+    st.tuples(st.sampled_from(ROWS[:4]), st.sampled_from(ROWS[4:]), quals_, stamps_),
     min_size=1,
-    max_size=8,
+    max_size=6,
+).map(lambda ticks: [(row, qual, ts) for lo, hi, qual, ts in ticks for row in (lo, hi)])
+put_blocks = st.one_of(
+    cell_triples,
+    cell_triples.map(sorted),  # in-order runs
+    row_run,  # duplicate qualifiers inside one run
+    row_run.map(lambda run: sorted(run, reverse=True)),  # a descending run
+    rows_.map(lambda row: [(row, qual, 3) for qual in QUALS]),  # a long in-order row ...
+    st.lists(st.tuples(rows_, quals_, stamps_), min_size=1, max_size=1),  # ... and a late cell
+    st.tuples(rows_, quals_, stamps_).map(lambda cell: [cell, cell]),  # an equal-ts tie, in one run
+    tick_major,  # single-cell runs interleaving both daughters of a split
+    st.tuples(row_run, row_run).map(lambda runs: runs[0] + runs[1] + runs[0]),  # a row revisited
 )
 region_ops = st.one_of(
-    st.tuples(st.just("put_block"), cell_triples),
-    st.tuples(st.just("put_block"), cell_triples.map(sorted)),  # in-order runs
+    st.tuples(st.just("put_block"), put_blocks),
     st.tuples(st.just("flush")),
     st.tuples(st.just("compact")),
     st.tuples(st.just("discard_memstore")),
@@ -352,6 +369,16 @@ scan_probe = st.tuples(
 )
 
 
+def assert_memstore_columns_sound(r):
+    """Each memstore row: parallel columns, strictly sorted, one per qualifier."""
+    held = 0
+    for row, (qualifiers, values, ts) in r._memstore.items():
+        assert len(qualifiers) == len(values) == len(ts) > 0, row
+        assert all(a < b for a, b in zip(qualifiers, qualifiers[1:])), row
+        held += len(qualifiers)
+    assert held == r.memstore_size
+
+
 def assert_region_matches(r, oracle, probe):
     lo, hi, accepted = probe
     asked = []
@@ -361,13 +388,16 @@ def assert_region_matches(r, oracle, probe):
         return row in accepted
 
     got = r.scan(lo, hi, None if accepted is None else row_filter)
-    assert got == oracle.scan(lo, hi, accepted)
+    expected = oracle.scan(lo, hi, accepted)
+    assert list(got) == expected
+    assert len(got) == len(expected)  # what the benchmark's recorder counts
     # the filter only ever sees rows of the clamped range
     assert all(row >= lo and (not hi or row < hi) and oracle.contains(row) for row in asked)
     visible = oracle.visible()
-    assert r.scan() == visible
+    assert list(r.scan()) == visible
     assert r.cell_count() == len(visible)
     assert r.memstore_size == len(oracle.mem)
+    assert_memstore_columns_sound(r)
     assert r.midpoint_key() == oracle.midpoint_key()
     live = {c.key: c for c in visible}
     for row in ROWS:
@@ -392,11 +422,17 @@ class TestRegionModel:
             if kind == "put_block":
                 cells = []
                 for row, qual, ts in op[1]:
-                    if oracle.contains(row):
-                        stamp += 1  # distinct values expose a wrong tie-break
-                        cells.append(Cell(row, qual, b"%d" % stamp, float(ts)))
-                r.put_block(cells)
-                oracle.put_block(cells)
+                    stamp += 1  # distinct values expose a wrong tie-break
+                    cells.append(Cell(row, qual, b"%d" % stamp, float(ts)))
+                # Route as a RegionServer does: this region's share of the batch.
+                batch = CellBatch.from_cells(cells)
+                shares = batch.partition(oracle.contains)
+                if False in shares:  # all or nothing: a stray row stops the whole batch
+                    with pytest.raises(KeyError):
+                        r.put_block(batch)
+                if True in shares:
+                    r.put_block(shares[True])
+                oracle.put_block([c for c in cells if oracle.contains(c.row)])
             elif kind == "flush":
                 r.flush()
                 oracle.flush()

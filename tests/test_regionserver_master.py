@@ -8,7 +8,7 @@ from repro.cluster.network import LatencyModel, Network
 from repro.cluster.node import Node
 from repro.cluster.simulation import Simulator
 from repro.hbase.master import HMaster, RegionUnavailableError, TableNotFoundError
-from repro.hbase.region import Cell
+from repro.hbase.region import Cell, CellBatch
 from repro.hbase.regionserver import (
     GetRequest,
     PutRequest,
@@ -43,7 +43,7 @@ def build(n_servers=3, queue_capacity=64, crash_budget=None):
 
 
 def put_cells(rows, ts=1.0):
-    return [Cell(row, b"q", b"v", ts) for row in rows]
+    return CellBatch.from_cells(Cell(row, b"q", b"v", ts) for row in rows)
 
 
 class TestTableLifecycle:
@@ -420,7 +420,7 @@ class TestRangeRoutingIdentity:
             cell = Cell(row, bytes([qual]), b"%d" % i, float(i % 5))
             info, server = master.locate("t", row)
             master.server(server).regions[info.name].put(cell)
-            master.replication.mirror(info.name, [cell])
+            master.replication.mirror(info.name, CellBatch.from_cells([cell]))
         for op in ops:
             names = [a.region.info.name for a in master._tables["t"]]
             name = names[op[1] % len(names)]
@@ -443,7 +443,7 @@ class TestRangeRoutingIdentity:
                 region, stale = master.replication.best_follower(region.info.name)
                 staleness = max(staleness, stale)
             cells.extend(region.scan(lo, hi, row_filter))
-        return sorted(cells, key=lambda c: c.key), staleness
+        return CellBatch.from_cells(sorted(cells, key=lambda c: c.key)), staleness
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -499,7 +499,7 @@ class TestRangeRoutingIdentity:
         for a in master._tables["t"]:  # only the regions the range touches are tombstoned
             added = a.region.tombstone_count - tombstones[a.region.info.name]
             assert added == (1 if overlaps(a.region.info, lo, hi) else 0)
-        survivors = [c for c in before if c not in doomed]
+        survivors = CellBatch.from_cells(c for c in before if c not in doomed)
         assert master.direct_scan("t") == survivors
         assert master.direct_scan_consistent("t", timeline=True)[0] == survivors
 
@@ -531,4 +531,4 @@ class TestRangeRoutingIdentity:
                         master, server, ScanRequest("t", lo, hi, region_name=name)
                     )
                 ]
-                assert untargeted == sorted(targeted, key=lambda c: c.key)
+                assert list(untargeted) == sorted(targeted, key=lambda c: c.key)

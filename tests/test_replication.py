@@ -203,3 +203,48 @@ class TestMasterRecoveryAccounting:
         assert counters["master.recoveries"].get() >= 1.0
         assert counters["master.failovers"].get() >= 1.0
         assert cluster.master.cells_lost_unsynced == 0
+
+
+class TestRowCompactionIsReplicated:
+    """Row compaction writes through the RegionServers' one writer and is
+    mirrored like any bulk load (it used to ``region.put`` the blob into
+    the primary alone, so a promoted follower lost every compaction)."""
+
+    def test_followers_hold_the_blobs_and_a_promoted_one_serves_them(self):
+        cluster = make_cluster()
+        points = [
+            DataPoint.make("energy", 100 + t, float(t * 3 + s), {"unit": f"u{s}"})
+            for t in range(10)
+            for s in range(3)
+        ]
+        assert cluster.direct_put(points) == 30
+        assert cluster.compactor().run() == 3
+        held = 0
+        for info, server in cluster.master.table_regions("tsdb"):
+            primary = cluster.master.server(server).regions[info.name]
+            follower, _ = cluster.replication.best_follower(info.name)
+            assert follower.cell_count() == primary.cell_count()
+            assert follower.scan() == primary.scan()
+            held += primary.cell_count()
+        assert held == 33  # 30 points and one blob per series
+
+        query = TsdbQuery("energy", 0, 3600, group_by=("unit",))
+        engine = cluster.query_engine()
+        before = engine.run(query)
+        assert engine.scan_cells == 33
+
+        # Bulk loads bypass the WAL, so after the crash the promoted
+        # follower's copy is all there is of the regions it takes over.
+        row = cluster.master.direct_scan("tsdb").rows[0]
+        _, owner = cluster.master.locate("tsdb", row)
+        cluster.master.server(owner).crash()
+        cluster.sim.run(until=cluster.sim.now + 2.0)
+        assert cluster.master.failovers >= 1
+        engine = cluster.query_engine()
+        after = engine.run(query)
+        assert engine.scan_cells == 33
+        assert len(after) == len(before) == 3
+        for got, want in zip(after, before):
+            assert got.tags == want.tags
+            assert got.timestamps.tobytes() == want.timestamps.tobytes()
+            assert got.values.tobytes() == want.values.tobytes()

@@ -1,5 +1,7 @@
 """Tests for the discrete-event simulation kernel."""
 
+import weakref
+
 import pytest
 
 from repro.cluster.simulation import SimulationError, Simulator
@@ -89,6 +91,23 @@ class TestCancellation:
         handle.cancel()
         sim.run()
         assert handle.cancelled
+
+    def test_cancelled_event_lets_go_of_its_callback_and_arguments(self):
+        """It stays in the heap until its time comes, but pins nothing:
+        a cancelled RPC timeout must not hold the request's payload."""
+
+        class Payload:
+            pass
+
+        sim = Simulator()
+        payload = Payload()
+        alive = weakref.ref(payload)
+        handle = sim.schedule(5.0, lambda p: None, payload)
+        handle.cancel()
+        del payload
+        assert alive() is None and sim.pending_events == 0
+        sim.run()
+        assert handle.cancelled and not handle.fired
 
     def test_pending_transitions(self):
         sim = Simulator()

@@ -1,10 +1,10 @@
-"""The storage boundary takes cells one way (DESIGN §17).
+"""The storage boundary takes cells one way (DESIGN §17, §20).
 
 The same logical points, as a point list and as a :class:`BlockBatch`,
 through the bulk loader and through the RPC put path (``block`` False
 for the list, True for the batch), must leave every region — and, at
-rf = 2, every follower — holding the same cells, and must report the
-same written/failed accounting.  Write timestamps differ between the
+rf = 2, every follower — holding the same cells in sound columns, and
+must report the same written/failed accounting.  Write timestamps differ between the
 shapes (arrival order vs block order), so cells are compared by
 ``(row, qualifier, value)``.
 """
@@ -36,14 +36,22 @@ def make_cluster(rf, split_points=(), **config):
 
 
 def contents(cluster):
-    """Per region (by start key): primary cells, then each follower's."""
+    """Per region (by start key): primary cells, then each follower's.
+
+    Every copy's memstore is checked on the way: a row's columns are
+    parallel, strictly sorted by qualifier and hold each qualifier once.
+    """
     out = {}
-    for info, _server in cluster.master.table_regions(DATA_TABLE):
-        copies = [cluster.master.direct_scan(DATA_TABLE, info.start_key, info.end_key)]
+    for info, server in cluster.master.table_regions(DATA_TABLE):
+        copies = [cluster.master.server(server).regions[info.name]]
         if cluster.replication is not None:
-            copies.append(cluster.replication.best_follower(info.name)[0].scan())
+            copies.append(cluster.replication.best_follower(info.name)[0])
+        for region in copies:
+            for qualifiers, values, ts in region._memstore.values():
+                assert len(qualifiers) == len(values) == len(ts) > 0
+                assert all(a < b for a, b in zip(qualifiers, qualifiers[1:]))
         out[info.start_key] = [
-            [(c.row, c.qualifier, c.value) for c in cells] for cells in copies
+            [(c.row, c.qualifier, c.value) for c in region.scan()] for region in copies
         ]
     return out
 

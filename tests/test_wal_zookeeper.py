@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.hbase.region import Cell
+from repro.hbase.region import Cell, CellBatch
 from repro.hbase.wal import WriteAheadLog
 from repro.hbase.zookeeper import NodeExistsError, NoNodeError, ZooKeeper
 
@@ -22,7 +22,7 @@ class TestWAL:
 
     def test_replayable_only_synced_prefix(self):
         wal = WriteAheadLog("rs1")
-        wal.append_batch([cell(b"a"), cell(b"b")])
+        wal.append_batch(CellBatch.from_cells([cell(b"a"), cell(b"b")]))
         wal.sync()
         wal.append(cell(b"c"))  # torn tail, never synced
         assert [c.row for c in wal.replayable()] == [b"a", b"b"]

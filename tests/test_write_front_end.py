@@ -94,13 +94,18 @@ def test_both_encoders_equal_the_reference_on_one_cluster(points, salt_buckets, 
 
     def by_block():
         for block in blocks:
-            assert tsd_b.encode_block(block) == reference.cells(block.iter_points())
+            assert list(tsd_b.encode_block(block)) == reference.cells(block.iter_points())
 
-    for encode in (by_block, by_point) if blocks_first else (by_point, by_block):
+    def by_point_list():  # the bulk form of by_point: a batch, no Cell built
+        assert list(tsd_b.encode_points(points)) == reference.cells(points)
+
+    for encode in (by_block, by_point_list, by_point) if blocks_first else (
+        by_point, by_point_list, by_block
+    ):
         encode()
         assert same_uids(cluster.uids, reference.uids)
     # Every write timestamp was drawn from the one clock, one per cell.
-    assert cluster.next_write_ts() == 2 * len(points) + 1
+    assert cluster.next_write_ts() == 3 * len(points) + 1
 
 
 @settings(max_examples=100, deadline=None)
@@ -128,6 +133,8 @@ def test_a_timestamp_the_row_key_cannot_hold_raises_and_poisons_nothing(
         tsd.encode_point(DataPoint(metric, bad_ts, 2.0, tags))
     with pytest.raises(ValueError):
         tsd.encode_block(SeriesBlock.from_columns(metric, tags, [LAST, bad_ts], [3.0, 4.0]))
+    with pytest.raises(ValueError):
+        tsd.encode_points([DataPoint(metric, LAST, 3.0, tags), DataPoint(metric, bad_ts, 4.0, tags)])
     assert cluster.next_write_ts() == drawn + 1  # the failures drew nothing
     reference.write_ts += 2.0  # the two draws just above
 

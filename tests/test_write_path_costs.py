@@ -1,18 +1,27 @@
-"""Cost ratchet for the write front end: per-series work is paid per series.
+"""Cost ratchet for the write path: per-series work is paid per series,
+and the store keeps nothing per sample.
 
 No clock is read here.  Each test wraps one piece of per-series work in
 a counter and checks that the count follows the number of *series* (S),
 not the number of *samples* (N): name validation in the parser, UID
-interning in the TSD, row-key materialisation in the codec.  A failure
-means someone made the write path pay per-point costs again — the
-wall-clock benchmark would say so too, but only after ten pairs of
-runs; this says it in tier-1 (DESIGN §18).
+interning in the TSD, row-key materialisation in the codec.  The second
+half counts what the cyclic collector has to track: the objects the
+store retains follow the number of *rows*, and a block ingest hardly
+wakes the collector at all.  A failure means someone made the write
+path pay per-point costs again — the wall-clock benchmark would say so
+too, but only after ten pairs of runs; this says it in tier-1
+(DESIGN §18, §20).
 """
+
+import gc
 
 import pytest
 
-from repro.tsdb import BlockBatch, DataPoint, build_cluster, parse_block
+from repro.hbase.region import Region
+from repro.hbase.wal import WriteAheadLog
+from repro.tsdb import BatchPublisher, BlockBatch, DataPoint, build_cluster, parse_block
 from repro.tsdb import lineprotocol, rowkey
+from repro.tsdb.tsd import DATA_TABLE, TSDaemon
 
 S = 6  # series
 NAMES_PER_SERIES = 5  # a metric, two tag keys, two tag values
@@ -123,3 +132,108 @@ def test_a_late_write_costs_two_rows_not_a_rebuilt_series(counted_cluster):
     assert (len(interned), len(hashed)) == (NAMES_PER_SERIES, 1)
     cluster.direct_put(late + stream)
     assert (len(interned), len(hashed)) == (NAMES_PER_SERIES, 3)
+
+
+# ----------------------------------------------------------------------
+# the store holds columns, not cells (DESIGN §20)
+# ----------------------------------------------------------------------
+N_SERIES, N_TICKS = 100, 300  # N = 30,000 points
+N_POINTS = N_SERIES * N_TICKS
+#: What a memstore row costs the collector: its tuple, two lists, one array.
+TRACKED_PER_ROW = 4
+
+
+def tick_major_fleet(step):
+    """30,000 points, one per series per tick.  ``step=1`` keeps every
+    series inside one row hour (R = 100 rows of 300 cells); ``step=3600``
+    opens a new row with every sample (R = 30,000 single-cell rows)."""
+    return [
+        DataPoint.make("energy", t * step, float(t), {"unit": f"u{s % 10}", "sensor": f"s{s}"})
+        for t in range(N_TICKS)
+        for s in range(N_SERIES)
+    ]
+
+
+def publish_blocks_through_the_proxy(cluster, points):
+    publisher = BatchPublisher(cluster, batch_size=1000, max_in_flight_batches=8)
+    publisher.publish_blocks(BlockBatch.from_points(points))
+    assert publisher.flush().points_written == len(points)
+
+
+def direct_put_blocks(cluster, points):
+    assert cluster.direct_put(BlockBatch.from_points(points)) == len(points)
+
+
+def direct_put_point_list(cluster, points):
+    assert cluster.direct_put(points) == len(points)
+
+
+INGESTS = [publish_blocks_through_the_proxy, direct_put_blocks, direct_put_point_list]
+
+
+def ingest_counting_the_collector(ingest, step):
+    """``(tracked objects the ingest left behind, automatic collections it caused)``."""
+    points = tick_major_fleet(step)
+    cluster = build_cluster(n_nodes=2, salt_buckets=4, retain_data=True)
+    gc.collect()
+    tracked = len(gc.get_objects())
+    collections = sum(generation["collections"] for generation in gc.get_stats())
+    ingest(cluster, points)
+    cluster.sim.run()  # quiesce: acks delivered, timers fired
+    collections = sum(generation["collections"] for generation in gc.get_stats()) - collections
+    gc.collect()
+    return len(gc.get_objects()) - tracked, collections
+
+
+@pytest.mark.parametrize("ingest", INGESTS, ids=lambda ingest: ingest.__name__)
+def test_what_the_store_retains_grows_with_rows_not_with_points(ingest):
+    """Nothing the collector tracks is kept per sample: 30,000 points in
+    100 rows leave a few objects per row (the parent: one ``Cell`` per
+    point, 30,000 and more), and in 30,000 rows a row's worth each."""
+    dense, _ = ingest_counting_the_collector(ingest, step=1)
+    assert dense < 10 * N_SERIES  # measured: 404-544; the series memo is in it too
+    sparse, _ = ingest_counting_the_collector(ingest, step=3600)
+    assert sparse < (TRACKED_PER_ROW + 1) * N_POINTS  # measured: 120,003-120,126
+
+
+def test_a_block_ingest_rarely_wakes_the_collector():
+    """The collector runs when enough tracked objects have been
+    allocated: 30,000 points arriving as blocks allocate almost none
+    (measured: 4 automatic collections; the parent: 46)."""
+    _, collections = ingest_counting_the_collector(publish_blocks_through_the_proxy, step=1)
+    assert collections <= 12
+
+
+def test_the_recorded_boundaries_still_count_cells(monkeypatch):
+    """``benchmarks/perf`` measures four storage boundaries with
+    ``len()``: each must report cells, whatever carries them."""
+    counted = {"encode_block": 0, "append_batch": 0, "put_block": 0, "scan": 0}
+
+    def count_result(cls, name):
+        original = getattr(cls, name)
+
+        def wrapper(*args, **kwargs):
+            result = original(*args, **kwargs)
+            counted[name] += len(result)
+            return result
+
+        monkeypatch.setattr(cls, name, wrapper)
+
+    def count_argument(cls, name):
+        original = getattr(cls, name)
+
+        def wrapper(self, batch):
+            counted[name] += len(batch)
+            return original(self, batch)
+
+        monkeypatch.setattr(cls, name, wrapper)
+
+    count_result(TSDaemon, "encode_block")
+    count_argument(WriteAheadLog, "append_batch")
+    count_argument(Region, "put_block")
+    cluster = build_cluster(n_nodes=2, salt_buckets=4, retain_data=True)
+    points = tick_major_points(n_ticks=50, cadence=60)
+    publish_blocks_through_the_proxy(cluster, points)
+    count_result(Region, "scan")
+    assert len(cluster.master.direct_scan(DATA_TABLE)) == len(points)
+    assert counted == dict.fromkeys(counted, len(points))
