@@ -62,7 +62,7 @@ def main() -> None:
     healthy = engine.run_available(query)
     print(
         f"mode={healthy.mode} staleness={healthy.staleness:.3f}"
-        f" points={sum(len(s.points) for s in healthy.series)}"
+        f" points={sum(len(s) for s in healthy.series)}"
     )
 
     victim = cluster.servers[0]
@@ -77,7 +77,7 @@ def main() -> None:
     probe = probes[0]
     print(
         f"timeline probe: complete={probe.complete}"
-        f" points={sum(len(s.points) for s in probe.series)}"
+        f" points={sum(len(s) for s in probe.series)}"
         f" latency={probe.latency * 1e3:.1f}ms"
         f" follower_reads={probe.follower_reads} hedges={probe.hedges}"
         f" staleness<={probe.staleness:.3f}s"
@@ -93,7 +93,7 @@ def main() -> None:
     recovered = engine.run_available(query)
     print(
         f"mode={recovered.mode}"
-        f" points={sum(len(s.points) for s in recovered.series)}"
+        f" points={sum(len(s) for s in recovered.series)}"
     )
     print(
         f"failovers={cluster.master.failovers}"

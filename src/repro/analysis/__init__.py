@@ -4,89 +4,25 @@ Three layers keep the concurrent hot path trustworthy as the codebase
 grows (the paper's low-false-alarm claim is only as good as the
 invariants the code maintains):
 
-* :mod:`repro.analysis.lint` + :mod:`repro.analysis.rules` —
-  **repro-lint**, an AST linter with rules tuned to this repository
+* **repro-lint**, one analysis run (``python -m repro.analysis
+  [paths]``): :mod:`repro.analysis.lint` parses each file once, runs
+  the per-file rules of :mod:`repro.analysis.rules` on every file
   (seeded RNG, no float equality in detector math, frozen-dataclass
   discipline, no broad excepts, no mutable defaults, ``guarded-by``
-  lock annotations).  CLI: ``python -m repro.analysis <paths>``.
-* :mod:`repro.analysis.project` / :mod:`~repro.analysis.graph` /
-  :mod:`~repro.analysis.dataflow` / :mod:`~repro.analysis.crossrules`
-  — the **whole-program engine**: one indexed parse of the package
-  (symbol tables, import graph, best-effort call graph, dataflow
-  summaries) feeding cross-module rules that verify lock contracts,
-  telemetry-name agreement, ack conservation, and the columnar
-  hot path across file boundaries.  CLI: ``python -m repro.analysis
-  --project src/repro`` with baseline/cache/SARIF support
-  (:mod:`repro.analysis.reporting`).
+  lock annotations, bounded retries, caches and time ranges, …) and
+  the whole-program rules of :mod:`repro.analysis.crossrules` over
+  each package it finds — lock contracts across call chains,
+  telemetry-name agreement and ack conservation, checked on the
+  symbol tables and graphs of :mod:`repro.analysis.project` and
+  :mod:`repro.analysis.graph`.
 * :mod:`repro.analysis.raceaudit` — a runtime lock-order recorder and
   ``assert_holds`` guard, zero-cost when disabled, enabled in tests to
   fail on deadlock-shaped lock cycles and unguarded state access.
 * The mypy configuration in ``pyproject.toml`` — strict typing on
   ``core/``, ``sparklet/`` and ``tsdb/publish.py``, permissive
   elsewhere, enforced by ``tests/test_static_analysis.py``.
+
+Nothing is re-exported here: runtime code imports
+:mod:`repro.analysis.raceaudit` directly, so taking an audited lock
+does not load the linter.
 """
-
-from .crossrules import (
-    CrossRule,
-    ProjectContext,
-    cross_rules,
-    run_cross_rules,
-)
-from .graph import CallGraph, ImportGraph
-from .lint import (
-    Finding,
-    LintReport,
-    Rule,
-    SourceFile,
-    all_rules,
-    lint_paths,
-    lint_source,
-    register,
-)
-from .project import ProjectModel
-from .reporting import (
-    AnalysisCache,
-    Baseline,
-    ProjectReport,
-    fingerprint_findings,
-    run_project,
-)
-from .raceaudit import (
-    AuditedLock,
-    GuardedStateError,
-    LockOrderAuditor,
-    LockOrderViolation,
-    assert_holds,
-    audited_lock,
-    auditing,
-)
-
-__all__ = [
-    "AnalysisCache",
-    "AuditedLock",
-    "Baseline",
-    "CallGraph",
-    "CrossRule",
-    "Finding",
-    "GuardedStateError",
-    "ImportGraph",
-    "LintReport",
-    "LockOrderAuditor",
-    "LockOrderViolation",
-    "ProjectContext",
-    "ProjectModel",
-    "ProjectReport",
-    "Rule",
-    "SourceFile",
-    "all_rules",
-    "assert_holds",
-    "audited_lock",
-    "auditing",
-    "cross_rules",
-    "fingerprint_findings",
-    "lint_paths",
-    "lint_source",
-    "register",
-    "run_cross_rules",
-    "run_project",
-]

@@ -1,151 +1,57 @@
 """CLI entry point: ``python -m repro.analysis [paths ...]``.
 
-Two modes share one executable:
+One run over the given files and directories (default: ``src tests
+benchmarks examples``): every file is parsed once, the per-file rules
+run on every file, and the whole-program rules (guarded-helper-path,
+telemetry-drift, ack-escape) run over each package found among them
+(``src/repro`` by default).
 
-* **per-file** (default) — the original repro-lint pass over loose
-  files/directories.
-* **``--project ROOT``** — whole-program analysis: per-file rules plus
-  the cross-module rules (guarded-helper-path, telemetry-drift,
-  ack-escape, hotpath-copy) over one package tree, with baseline,
-  incremental-cache, and SARIF support.
-
-Exit codes: 0 — clean (no actionable findings); 1 — findings; 2 —
-usage error.  ``--json`` emits the machine-readable report the CI gate
-parses; ``--list-rules`` prints both rule catalogues.
+Exit codes: 0 — clean (no unsuppressed findings); 1 — findings; 2 —
+usage error or no Python files.  ``--json`` emits the machine-readable
+report the tier-1 gate parses; ``--list-rules`` prints the rule
+catalogue.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 from typing import List, Optional
 
-from .crossrules import cross_rules
 from .lint import all_rules, lint_paths
-from .reporting import AnalysisCache, Baseline, run_project
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
-        description="repro-lint: repository-specific AST correctness linter",
+        description="repro-lint: repository-specific per-file and whole-program analysis",
     )
     parser.add_argument(
         "paths",
         nargs="*",
         default=["src", "tests", "benchmarks", "examples"],
-        help="files or directories to lint (default: src tests benchmarks examples)",
+        help="files or directories to analyse (default: src tests benchmarks examples)",
     )
     parser.add_argument("--json", action="store_true", help="emit a JSON report")
     parser.add_argument(
         "--show-suppressed",
         action="store_true",
-        help="also print suppressed/baselined findings in the human report",
+        help="also print suppressed findings in the human report",
     )
     parser.add_argument(
         "--list-rules", action="store_true", help="print the rule catalogue and exit"
     )
-    project = parser.add_argument_group("whole-program mode")
-    project.add_argument(
-        "--project",
-        metavar="ROOT",
-        help="run whole-program analysis over one package tree (e.g. src/repro)",
-    )
-    project.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help="committed baseline of accepted finding fingerprints",
-    )
-    project.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="regenerate --baseline FILE from the current findings and exit 0",
-    )
-    project.add_argument(
-        "--sarif",
-        metavar="FILE",
-        help="also write the report as SARIF 2.1.0 to FILE",
-    )
-    project.add_argument(
-        "--cache",
-        metavar="FILE",
-        help="on-disk incremental cache keyed by file content hashes",
-    )
-    project.add_argument(
-        "--changed-files",
-        nargs="*",
-        metavar="PATH",
-        default=None,
-        help="only these files changed since --cache was written; "
-        "per-file rules replay from cache for everything else",
-    )
-    return parser
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = _build_parser()
     args = parser.parse_args(argv)
 
     if args.list_rules:
         for rule in all_rules():
-            print(f"{rule.id:20s} {rule.summary}")
-        for rule in cross_rules():
-            print(f"{rule.id:20s} [project] {rule.summary}")
+            print(f"{rule.id:24s} {rule.summary}")
         return 0
-
-    if args.project:
-        return _run_project_mode(parser, args)
-
-    for flag in ("baseline", "sarif", "cache"):
-        if getattr(args, flag):
-            parser.error(f"--{flag} requires --project")
-    if args.write_baseline or args.changed_files is not None:
-        parser.error("--write-baseline/--changed-files require --project")
 
     report = lint_paths(args.paths)
     if report.files_checked == 0:
         print(f"repro-lint: no python files under {args.paths!r}", file=sys.stderr)
         return 2
-    if args.json:
-        print(report.render_json())
-    else:
-        print(report.render(show_suppressed=args.show_suppressed))
-    return 0 if report.ok else 1
-
-
-def _run_project_mode(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    root = Path(args.project)
-    if not root.is_dir():
-        parser.error(f"--project root {root} is not a directory")
-    if args.write_baseline and not args.baseline:
-        parser.error("--write-baseline requires --baseline FILE")
-    if args.changed_files is not None and not args.cache:
-        parser.error("--changed-files requires --cache FILE")
-
-    baseline = Baseline.load(args.baseline) if args.baseline else None
-    cache = AnalysisCache.load(args.cache) if args.cache else None
-    report = run_project(
-        root,
-        baseline=None if args.write_baseline else baseline,
-        cache=cache,
-        changed_files=args.changed_files,
-    )
-    if cache is not None and args.cache:
-        cache.save(args.cache)
-
-    if args.write_baseline:
-        Baseline.from_findings(report.findings).write(args.baseline)
-        print(
-            f"repro-analysis: wrote {len(report.actionable)} accepted "
-            f"findings to {args.baseline}"
-        )
-        return 0
-
-    if args.sarif:
-        Path(args.sarif).write_text(
-            report.render_sarif(all_rules(), cross_rules())
-        )
     if args.json:
         print(report.render_json())
     else:

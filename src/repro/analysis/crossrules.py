@@ -3,12 +3,12 @@
 Each rule here needs facts from more than one file at once — exactly
 what the per-file rules in :mod:`repro.analysis.rules` cannot see.
 They run against a :class:`ProjectContext` (symbol tables + import
-graph + call graph + dataflow summaries) and report through the same
+graph + call graph) and report through the same
 :class:`~repro.analysis.lint.Finding` type, so suppression comments,
 JSON output, and the CLI exit-code contract all carry over.
 
-The four shipped rules mirror the subsystem invariants the runtime
-layers enforce dynamically:
+The three rules mirror subsystem invariants the runtime layers enforce
+dynamically:
 
 * ``guarded-helper-path`` — static counterpart of ``raceaudit``:
   every call edge into a helper that declares
@@ -22,103 +22,48 @@ layers enforce dynamically:
   handler and every ``except`` block inside an accounting class must
   reach a conservation sink (an ``on_ack`` call or a
   written/failed/dead-lettered ledger write).
-* ``hotpath-copy`` — dataflow extension of ``pointwise-hotloop``:
-  flags copies materialized from columnar views in ``tsdb/`` block
-  code (``np.array(view)``, ``.tolist()``, ``list(iter_points())``).
 
-Cross rules register in their own catalogue (``cross_rules()``), not
-the per-file ``_REGISTRY`` — the per-file contract (one file in,
-findings out) does not fit them and the per-file tests pin that
-registry's exact contents.
+They register in the one catalogue (:func:`~repro.analysis.lint.register`)
+beside the per-file rules.
 """
 
 from __future__ import annotations
 
 import ast
 import re
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Type
+from dataclasses import dataclass
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
-from .dataflow import FunctionDataflow, analyze_function
 from .graph import CallGraph, ImportGraph
-from .lint import Finding
-from .project import ClassInfo, FunctionInfo, ModuleInfo, ProjectModel, dotted_expr
+from .lint import CrossRule, Finding, dotted_expr, register
+from .project import ClassInfo, FunctionInfo, ModuleInfo, ProjectModel
 
 __all__ = [
     "AckEscapeRule",
-    "CrossRule",
     "GuardedHelperPathRule",
-    "HotPathCopyRule",
     "ProjectContext",
     "TelemetryDriftRule",
-    "cross_rules",
     "run_cross_rules",
 ]
 
 
 @dataclass
 class ProjectContext:
-    """Everything a cross-module rule may query, built once per run."""
+    """Everything a cross-module rule may query, built once per package."""
 
     model: ProjectModel
     imports: ImportGraph
     calls: CallGraph
-    _flows: Dict[str, FunctionDataflow] = field(default_factory=dict)
 
     @classmethod
     def build(cls, model: ProjectModel) -> "ProjectContext":
         return cls(model=model, imports=ImportGraph(model), calls=CallGraph(model))
 
-    def flow_of(self, fn: FunctionInfo) -> FunctionDataflow:
-        found = self._flows.get(fn.qualname)
-        if found is None:
-            found = analyze_function(fn.node)
-            self._flows[fn.qualname] = found
-        return found
 
-
-class CrossRule:
-    """Base class for whole-program rules."""
-
-    id: str = ""
-    summary: str = ""
-
-    def check(self, ctx: ProjectContext) -> Iterator[Finding]:
-        raise NotImplementedError
-
-    # ------------------------------------------------------------------
-    def finding(
-        self, module: ModuleInfo, line: int, col: int, message: str
-    ) -> Finding:
-        return Finding(
-            rule=self.id,
-            path=str(module.path),
-            line=line,
-            col=col,
-            message=message,
-            suppressed=module.source.is_suppressed(self.id, line),
-        )
-
-
-_CROSS_REGISTRY: List[Type[CrossRule]] = []
-
-
-def register_cross(cls: Type[CrossRule]) -> Type[CrossRule]:
-    _CROSS_REGISTRY.append(cls)
-    return cls
-
-
-def cross_rules() -> List[CrossRule]:
-    """Fresh instances of every cross rule, sorted by id."""
-    return sorted((cls() for cls in _CROSS_REGISTRY), key=lambda r: r.id)
-
-
-def run_cross_rules(
-    ctx: ProjectContext, rules: Optional[Iterable[CrossRule]] = None
-) -> List[Finding]:
+def run_cross_rules(ctx: ProjectContext, rules: Iterable[CrossRule]) -> List[Finding]:
     """Run rules over the context; findings sorted (path, line, rule)."""
     out: List[Finding] = []
-    for rule in rules if rules is not None else cross_rules():
+    for rule in rules:
         out.extend(rule.check(ctx))
     out.sort(key=lambda f: (f.path, f.line, f.rule, f.col, f.message))
     return out
@@ -131,7 +76,7 @@ def _lock_tail(dotted: str) -> str:
     return dotted.rpartition(".")[2]
 
 
-@register_cross
+@register
 class GuardedHelperPathRule(CrossRule):
     """Callers of ``assert_holds`` helpers must hold the asserted lock.
 
@@ -205,7 +150,7 @@ class _MetricSite:
     is_histogram: bool
 
 
-@register_cross
+@register
 class TelemetryDriftRule(CrossRule):
     """Emitted and queried metric namespaces must agree.
 
@@ -364,7 +309,7 @@ _FAILURE_NAME_RE = re.compile(r"timeout|deadline|bounce|exhaust|fail")
 _ACK_MODULE_TAILS = frozenset({"proxy", "publish"})
 
 
-@register_cross
+@register
 class AckEscapeRule(CrossRule):
     """No batch may exit the ingest failure path unaccounted.
 
@@ -475,73 +420,3 @@ class AckEscapeRule(CrossRule):
                 if tail == "on_ack" or tail in reaches:
                     return True
         return False
-
-
-# ----------------------------------------------------------------------
-# 4. hotpath-copy
-# ----------------------------------------------------------------------
-_REFERENCE_RE = re.compile(r"reference", re.IGNORECASE)
-
-
-@register_cross
-class HotPathCopyRule(CrossRule):
-    """Columnar block code must not materialize copies of views.
-
-    ``pointwise-hotloop`` catches syntactic per-point loops; this rule
-    follows the dataflow: a local classified as a *view* (``.timestamps``
-    / ``.values`` reads, ``np.asarray`` results, slices of either) that
-    flows into ``np.array(...)``/``list(...)`` is a hidden O(n) copy on
-    the block hot path.  ``.tolist()`` and ``list(iter_points())`` are
-    flagged unconditionally.  Reference-path code (anything with
-    "reference" in its qualified name) is exempt — it exists to be
-    slow and obvious.
-    """
-
-    id = "hotpath-copy"
-    summary = "tsdb block code must not copy columnar views"
-
-    def check(self, ctx: ProjectContext) -> Iterator[Finding]:
-        for fn in ctx.model.iter_functions():
-            if "tsdb" not in fn.module.name.split("."):
-                continue
-            if _REFERENCE_RE.search(fn.qualname):
-                continue
-            flow = ctx.flow_of(fn)
-            for line, text in flow.view_copies:
-                yield self.finding(
-                    fn.module,
-                    line,
-                    0,
-                    f"{fn.qualname} materializes a copy of a columnar view: "
-                    f"{text} — operate on the view or use np.asarray",
-                )
-            yield from self._syntactic(fn)
-
-    def _syntactic(self, fn: FunctionInfo) -> Iterator[Finding]:
-        for node in ast.walk(fn.node):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            if isinstance(func, ast.Attribute) and func.attr == "tolist":
-                yield self.finding(
-                    fn.module,
-                    node.lineno,
-                    node.col_offset,
-                    f"{fn.qualname} calls .tolist() — boxes every element "
-                    "into Python objects on the block hot path",
-                )
-            dotted = dotted_expr(func)
-            if dotted == "list" and node.args:
-                inner = node.args[0]
-                if (
-                    isinstance(inner, ast.Call)
-                    and (dotted_expr(inner.func) or "").rpartition(".")[2]
-                    == "iter_points"
-                ):
-                    yield self.finding(
-                        fn.module,
-                        node.lineno,
-                        node.col_offset,
-                        f"{fn.qualname} materializes list(iter_points()) — "
-                        "boxes the whole block pointwise",
-                    )

@@ -1,17 +1,22 @@
-"""Repro-lint: the AST-walking lint framework.
+"""Repro-lint: the rule framework and the one analysis run.
 
-A deliberately small, dependency-free linter tuned to *this*
+A deliberately small, dependency-free analyser tuned to *this*
 repository's correctness invariants (seeded RNG, exact detector math,
-frozen configs, lock discipline) rather than general style.  The
-pieces:
+frozen configs, lock discipline, telemetry and ack accounting) rather
+than general style.  The pieces:
 
 * :class:`SourceFile` — one parsed module plus the comment-derived
   metadata rules need: per-line ``# repro-lint: ignore[rule, ...]``
   suppressions and ``# guarded-by: <lock>`` annotations.
-* :class:`Rule` — base class; concrete rules live in
-  :mod:`repro.analysis.rules` and self-register via :func:`register`.
-* :func:`lint_source` / :func:`lint_paths` — run every registered rule
-  over a string or a tree of files and collect :class:`Finding`\\ s.
+* :class:`Rule` — a per-file rule (one module in, findings out); the
+  catalogue lives in :mod:`repro.analysis.rules`.
+* :class:`CrossRule` — a whole-program rule, run over a
+  :class:`~repro.analysis.crossrules.ProjectContext`; the catalogue
+  lives in :mod:`repro.analysis.crossrules`.  Both kinds self-register
+  via :func:`register` into one catalogue (:func:`all_rules`).
+* :func:`lint_paths` — the one run: parse each file once, run the
+  per-file rules on every file and the whole-program rules over each
+  package found among them; :func:`lint_source` lints one string.
 * :class:`LintReport` — findings plus human/JSON renderings; the CLI
   (``python -m repro.analysis``) exits non-zero on any unsuppressed
   finding, which is what the tier-1 gate enforces.
@@ -29,19 +34,39 @@ import ast
 import dataclasses
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Type
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Type,
+    TypeVar,
+    Union,
+)
+
+if TYPE_CHECKING:
+    from .crossrules import ProjectContext
+    from .project import ModuleInfo
 
 __all__ = [
+    "CrossRule",
     "Finding",
     "LintReport",
     "Rule",
     "SourceFile",
     "all_rules",
+    "dotted_expr",
     "iter_python_files",
     "lint_paths",
     "lint_source",
+    "package_roots",
     "register",
 ]
 
@@ -54,6 +79,23 @@ ALL_RULES = "*"
 #: Pseudo-rule id attached to files that fail to parse.
 PARSE_ERROR = "parse-error"
 
+#: Package names that are test suites, not programs: ``tests`` carries
+#: an ``__init__.py`` only so its modules import by dotted name, so the
+#: whole-program rules do not run over it.
+TEST_PACKAGES = frozenset({"tests"})
+
+
+def dotted_expr(node: ast.AST) -> Optional[str]:
+    """``a.b.c`` for a Name/Attribute chain, else ``None``."""
+    parts: List[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+        return ".".join(reversed(parts))
+    return None
+
 
 @dataclass(frozen=True)
 class Finding:
@@ -65,18 +107,9 @@ class Finding:
     col: int
     message: str
     suppressed: bool = False
-    #: Content-derived stable ID (set by the project reporter); survives
-    #: line drift so committed baselines stay reviewable.
-    fingerprint: str = ""
-    #: True when a committed baseline entry accepts this finding.
-    baselined: bool = False
 
     def format(self) -> str:
-        tail = ""
-        if self.suppressed:
-            tail = "  [suppressed]"
-        elif self.baselined:
-            tail = "  [baselined]"
+        tail = "  [suppressed]" if self.suppressed else ""
         return f"{self.path}:{self.line}:{self.col}: {self.rule}: {self.message}{tail}"
 
     def to_json(self) -> Dict[str, object]:
@@ -116,7 +149,7 @@ class SourceFile:
 
 
 class Rule:
-    """Base class for repro-lint rules.
+    """Base class for per-file rules.
 
     Subclasses set ``id`` (the suppression token) and ``summary``, may
     narrow ``applies_to``, and implement ``check`` yielding findings
@@ -143,11 +176,35 @@ class Rule:
         )
 
 
-_REGISTRY: Dict[str, Type[Rule]] = {}
+class CrossRule:
+    """Base class for whole-program rules (one package in, findings out)."""
+
+    id: str = ""
+    summary: str = ""
+
+    def check(self, ctx: "ProjectContext") -> Iterator[Finding]:
+        raise NotImplementedError
+
+    def finding(
+        self, module: "ModuleInfo", line: int, col: int, message: str
+    ) -> Finding:
+        return Finding(
+            rule=self.id,
+            path=str(module.path),
+            line=line,
+            col=col,
+            message=message,
+            suppressed=module.source.is_suppressed(self.id, line),
+        )
 
 
-def register(cls: Type[Rule]) -> Type[Rule]:
-    """Class decorator adding a rule to the global registry."""
+AnyRule = Union[Rule, CrossRule]
+_R = TypeVar("_R", Type[Rule], Type[CrossRule])
+_REGISTRY: Dict[str, Union[Type[Rule], Type[CrossRule]]] = {}
+
+
+def register(cls: _R) -> _R:
+    """Class decorator adding a rule (of either kind) to the one catalogue."""
     if not cls.id:
         raise ValueError(f"rule {cls.__name__} has no id")
     if cls.id in _REGISTRY:
@@ -156,9 +213,10 @@ def register(cls: Type[Rule]) -> Type[Rule]:
     return cls
 
 
-def all_rules() -> List[Rule]:
-    """Fresh instances of every registered rule, sorted by id."""
-    # Importing the rules module populates the registry on first use.
+def all_rules() -> List[AnyRule]:
+    """Fresh instances of every registered rule of both kinds, sorted by id."""
+    # Importing the catalogues populates the registry on first use.
+    from . import crossrules as _crossrules  # noqa: F401
     from . import rules as _rules  # noqa: F401
 
     return [_REGISTRY[rule_id]() for rule_id in sorted(_REGISTRY)]
@@ -167,10 +225,10 @@ def all_rules() -> List[Rule]:
 # ----------------------------------------------------------------------
 # runners
 # ----------------------------------------------------------------------
-def _run_rules(source: SourceFile, rules: Sequence[Rule]) -> List[Finding]:
+def _run_rules(source: SourceFile, rules: Iterable[AnyRule]) -> List[Finding]:
     findings: List[Finding] = []
     for rule in rules:
-        if not rule.applies_to(source):
+        if not isinstance(rule, Rule) or not rule.applies_to(source):
             continue
         for found in rule.check(source):
             if source.is_suppressed(rule.id, found.line):
@@ -180,25 +238,29 @@ def _run_rules(source: SourceFile, rules: Sequence[Rule]) -> List[Finding]:
     return findings
 
 
+def _parse(text: str, path: str | Path) -> Union[SourceFile, Finding]:
+    try:
+        return SourceFile(path, text)
+    except SyntaxError as exc:
+        return Finding(
+            rule=PARSE_ERROR,
+            path=str(path),
+            line=exc.lineno or 1,
+            col=exc.offset or 0,
+            message=f"syntax error: {exc.msg}",
+        )
+
+
 def lint_source(
     text: str,
     path: str | Path = "<string>",
-    rules: Optional[Sequence[Rule]] = None,
+    rules: Optional[Sequence[AnyRule]] = None,
 ) -> List[Finding]:
-    """Lint one module given as a string (the test-friendly entry)."""
-    try:
-        source = SourceFile(path, text)
-    except SyntaxError as exc:
-        return [
-            Finding(
-                rule=PARSE_ERROR,
-                path=str(path),
-                line=exc.lineno or 1,
-                col=exc.offset or 0,
-                message=f"syntax error: {exc.msg}",
-            )
-        ]
-    return _run_rules(source, rules if rules is not None else all_rules())
+    """Run the per-file rules over one module given as a string."""
+    parsed = _parse(text, path)
+    if isinstance(parsed, Finding):
+        return [parsed]
+    return _run_rules(parsed, rules if rules is not None else all_rules())
 
 
 def iter_python_files(paths: Iterable[str | Path]) -> Iterator[Path]:
@@ -213,12 +275,28 @@ def iter_python_files(paths: Iterable[str | Path]) -> Iterator[Path]:
             yield path
 
 
+def package_roots(sources: Iterable[SourceFile]) -> List[Path]:
+    """The packages among ``sources`` that the whole-program rules run over.
+
+    A package root is a directory whose ``__init__.py`` is among the
+    sources while its parent's is not (``src`` → ``src/repro``; a
+    subpackage given on its own is its own root).  Test suites
+    (:data:`TEST_PACKAGES`) are not programs.
+    """
+    inits = {s.path.parent for s in sources if s.path.name == "__init__.py"}
+    return sorted(
+        d for d in inits if d.parent not in inits and d.name not in TEST_PACKAGES
+    )
+
+
 @dataclass
 class LintReport:
-    """Everything one lint run produced."""
+    """Everything one analysis run produced."""
 
     findings: List[Finding]
     files_checked: int
+    #: import cycles inside the analysed packages (reported, not failed)
+    import_cycles: List[Tuple[str, ...]] = field(default_factory=list)
 
     @property
     def unsuppressed(self) -> List[Finding]:
@@ -237,6 +315,7 @@ class LintReport:
             "files_checked": self.files_checked,
             "unsuppressed": len(self.unsuppressed),
             "suppressed": len(self.suppressed),
+            "import_cycles": [list(c) for c in self.import_cycles],
             "findings": [f.to_json() for f in self.findings],
         }
 
@@ -244,6 +323,9 @@ class LintReport:
         lines = [f.format() for f in self.unsuppressed]
         if show_suppressed:
             lines.extend(f.format() for f in self.suppressed)
+        lines.extend(
+            f"note: import cycle: {' -> '.join(cycle)}" for cycle in self.import_cycles
+        )
         lines.append(
             f"repro-lint: {self.files_checked} files, "
             f"{len(self.unsuppressed)} findings, "
@@ -256,13 +338,37 @@ class LintReport:
 
 
 def lint_paths(
-    paths: Iterable[str | Path], rules: Optional[Sequence[Rule]] = None
+    paths: Iterable[str | Path], rules: Optional[Sequence[AnyRule]] = None
 ) -> LintReport:
-    """Lint a tree of files; the CLI and the tier-1 gate call this."""
+    """The one analysis run; the CLI and the tier-1 gate call this.
+
+    Each file is parsed once.  Per-file rules run on every file; the
+    whole-program rules run over each package :func:`package_roots`
+    finds, reusing the same parses.  Findings come back sorted by
+    location.
+    """
+    from .crossrules import ProjectContext, run_cross_rules
+    from .project import ProjectModel
+
     active = list(rules) if rules is not None else all_rules()
+    cross = [rule for rule in active if isinstance(rule, CrossRule)]
     findings: List[Finding] = []
+    sources: List[SourceFile] = []
     count = 0
     for path in iter_python_files(paths):
         count += 1
-        findings.extend(lint_source(path.read_text(), path, active))
-    return LintReport(findings=findings, files_checked=count)
+        parsed = _parse(path.read_text(), path)
+        if isinstance(parsed, Finding):
+            findings.append(parsed)
+            continue
+        sources.append(parsed)
+        findings.extend(_run_rules(parsed, active))
+    cycles: List[Tuple[str, ...]] = []
+    for root in package_roots(sources):
+        ctx = ProjectContext.build(
+            ProjectModel.build(root, [s for s in sources if root in s.path.parents])
+        )
+        cycles.extend(ctx.imports.cycles())
+        findings.extend(run_cross_rules(ctx, cross))
+    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule, f.message))
+    return LintReport(findings=findings, files_checked=count, import_cycles=cycles)

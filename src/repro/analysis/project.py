@@ -9,37 +9,35 @@ module parses an entire package **once** into an indexed model that
 cross-module rules (:mod:`repro.analysis.crossrules`) can query:
 
 * :class:`ModuleInfo` — one parsed module: its :class:`SourceFile`
-  (suppressions + guards included), content hash, and resolved import
-  alias table.
+  (suppressions included) and resolved import alias table.
 * :class:`FunctionInfo` — one function/method with a pre-computed
   summary: outgoing :class:`CallSite`\\ s (lexically-held locks at each
-  site, scheduled-callback edges), ``assert_holds`` contracts, guarded
-  ``self.<attr>`` accesses, and the nested defs/lambdas folded in
-  (closures used as callbacks belong to their owner's behaviour).
-* :class:`ClassInfo` — methods, base names, ``# guarded-by:`` table,
-  and the ``self.<attr> -> constructed class`` bindings the call graph
-  uses to resolve calls through instance attributes.
-* :class:`ProjectModel` — the symbol tables plus the
+  site, scheduled-callback edges), ``assert_holds`` contracts, and the
+  nested defs/lambdas folded in (closures used as callbacks belong to
+  their owner's behaviour).
+* :class:`ClassInfo` — methods, base names, and the
+  ``self.<attr> -> constructed class`` bindings the call graph uses to
+  resolve calls through instance attributes.
+* :class:`ProjectModel` — the symbol tables the
   :class:`~repro.analysis.graph.ImportGraph` and
-  :class:`~repro.analysis.graph.CallGraph` built on top, and the
-  per-function :mod:`~repro.analysis.dataflow` summaries, computed
-  lazily and memoised.
+  :class:`~repro.analysis.graph.CallGraph` are built on.
 
-Everything is derived deterministically from file contents — no
-timestamps, no filesystem order (directories are walked sorted) — so
-two builds over the same tree produce byte-identical reports, which is
-what makes the committed baseline reviewable.
+The one analysis run (:func:`~repro.analysis.lint.lint_paths`) hands
+the model the files it already parsed; :meth:`ProjectModel.build`
+parses the tree itself only when called without them.  Everything is
+derived deterministically from file contents — no timestamps, no
+filesystem order (directories are walked sorted) — so two runs over the
+same tree produce byte-identical reports.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from .lint import SourceFile
+from .lint import SourceFile, dotted_expr, iter_python_files
 
 __all__ = [
     "CallSite",
@@ -48,30 +46,11 @@ __all__ = [
     "ModuleInfo",
     "ProjectError",
     "ProjectModel",
-    "dotted_expr",
-    "file_digest",
 ]
 
 
 class ProjectError(ValueError):
     """The project root is not an analyzable package tree."""
-
-
-def file_digest(text: str) -> str:
-    """Stable content hash used by the incremental cache."""
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-def dotted_expr(node: ast.AST) -> Optional[str]:
-    """``a.b.c`` for a Name/Attribute chain, else ``None``."""
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
 
 
 @dataclass(frozen=True)
@@ -94,17 +73,6 @@ class CallSite:
     scheduled: bool = False
 
 
-@dataclass(frozen=True)
-class AttrAccess:
-    """One ``self.<attr>`` read/write inside a method."""
-
-    attr: str
-    line: int
-    col: int
-    held_locks: Tuple[str, ...]
-    is_write: bool
-
-
 class FunctionInfo:
     """A function or method plus the summary cross-rules query."""
 
@@ -125,7 +93,6 @@ class FunctionInfo:
         self.owner_class = owner_class
         self.lineno: int = getattr(node, "lineno", 1)
         self.calls: List[CallSite] = []
-        self.self_accesses: List[AttrAccess] = []
         #: Dotted lock expressions this function declares held via
         #: ``assert_holds(self.<lock>)`` — its caller-side contract.
         self.asserted_locks: Set[str] = set()
@@ -133,7 +100,7 @@ class FunctionInfo:
 
     # ------------------------------------------------------------------
     def _summarize(self) -> None:
-        """One pass over the body collecting calls, locks, accesses.
+        """One pass over the body collecting calls and held locks.
 
         Nested function defs and lambdas are folded into this summary:
         a closure handed to ``schedule``/``network.send`` acts on its
@@ -157,20 +124,6 @@ class FunctionInfo:
             return
         if isinstance(node, ast.Call):
             self._record_call(node, held)
-            for child in ast.iter_child_nodes(node):
-                self._scan(child, held)
-            return
-        if isinstance(node, ast.Attribute):
-            if isinstance(node.value, ast.Name) and node.value.id == "self":
-                self.self_accesses.append(
-                    AttrAccess(
-                        attr=node.attr,
-                        line=node.lineno,
-                        col=node.col_offset,
-                        held_locks=held,
-                        is_write=isinstance(node.ctx, (ast.Store, ast.Del)),
-                    )
-                )
             for child in ast.iter_child_nodes(node):
                 self._scan(child, held)
             return
@@ -218,7 +171,7 @@ class FunctionInfo:
 
 
 class ClassInfo:
-    """One class: methods, guards, bases, and attribute-type bindings."""
+    """One class: methods, bases, and attribute-type bindings."""
 
     def __init__(
         self, qualname: str, name: str, module: "ModuleInfo", node: ast.ClassDef
@@ -229,9 +182,6 @@ class ClassInfo:
         self.node = node
         self.lineno = node.lineno
         self.methods: Dict[str, FunctionInfo] = {}
-        #: guarded attribute name -> lock attribute name (from the
-        #: ``# guarded-by:`` comments on owning assignments).
-        self.guards: Dict[str, str] = {}
         #: base-class names as written (resolution is best-effort).
         self.bases: List[str] = [
             b for b in (dotted_expr(base) for base in node.bases) if b is not None
@@ -239,26 +189,6 @@ class ClassInfo:
         #: ``self.<attr>`` -> dotted constructor name assigned in
         #: ``__init__`` (``self.shuffle_manager = ShuffleManager()``).
         self.attr_constructors: Dict[str, str] = {}
-
-    def collect_guards(self, source: SourceFile) -> None:
-        for node in ast.walk(self.node):
-            lock = source.guards.get(getattr(node, "lineno", -1))
-            if lock is None:
-                continue
-            targets: List[ast.expr] = []
-            if isinstance(node, ast.Assign):
-                targets = node.targets
-            elif isinstance(node, ast.AnnAssign):
-                targets = [node.target]
-            for target in targets:
-                if (
-                    isinstance(target, ast.Attribute)
-                    and isinstance(target.value, ast.Name)
-                    and target.value.id == "self"
-                ):
-                    self.guards[target.attr] = lock
-                elif isinstance(target, ast.Name):
-                    self.guards[target.id] = lock
 
     def collect_attr_constructors(self) -> None:
         """``self.<attr> = SomeClass(...)`` bindings from ``__init__``.
@@ -290,11 +220,10 @@ class ClassInfo:
 class ModuleInfo:
     """One parsed module plus its resolved import alias table."""
 
-    def __init__(self, name: str, path: Path, source: SourceFile, digest: str) -> None:
+    def __init__(self, name: str, path: Path, source: SourceFile) -> None:
         self.name = name
         self.path = path
         self.source = source
-        self.digest = digest
         #: local alias -> absolute dotted target.  ``import numpy as
         #: np`` maps ``np -> numpy``; ``from .tsd import PutAck`` maps
         #: ``PutAck -> repro.tsdb.tsd.PutAck``.
@@ -331,22 +260,24 @@ class ProjectModel:
     # construction
     # ------------------------------------------------------------------
     @classmethod
-    def build(cls, root: Path | str) -> "ProjectModel":
-        """Parse every ``.py`` file under ``root`` into the model.
+    def build(
+        cls, root: Path | str, sources: Optional[Iterable[SourceFile]] = None
+    ) -> "ProjectModel":
+        """Index the ``.py`` files of the package at ``root``.
 
         ``root`` must be a package directory (e.g. ``src/repro``); the
         package's dotted prefix is derived from its ``__init__``
         ancestry so relative imports resolve to absolute names.
+        ``sources`` are the package's files already parsed; without them
+        the tree under ``root`` is parsed here.
         """
         root = Path(root)
         if not root.is_dir():
             raise ProjectError(f"project root {root} is not a directory")
-        package = cls._package_name(root)
-        model = cls(root=root, package=package)
-        for path in sorted(root.rglob("*.py")):
-            if "__pycache__" in path.parts:
-                continue
-            model._add_file(path)
+        model = cls(root=root, package=cls._package_name(root))
+        for source in sources if sources is not None else model._parse_tree():
+            name = model._module_name(source.path)
+            model.modules[name] = ModuleInfo(name, source.path, source)
         for module in model.modules.values():
             model._index_module(module)
         for info in model.classes.values():
@@ -368,15 +299,14 @@ class ProjectModel:
         parts = [p for p in rel.parts if p != "__init__"]
         return ".".join([self.package, *parts]) if parts else self.package
 
-    def _add_file(self, path: Path) -> None:
-        text = path.read_text()
-        name = self._module_name(path)
-        try:
-            source = SourceFile(path, text)
-        except SyntaxError as exc:
-            self.parse_errors[str(path)] = f"line {exc.lineno}: {exc.msg}"
-            return
-        self.modules[name] = ModuleInfo(name, path, source, file_digest(text))
+    def _parse_tree(self) -> List[SourceFile]:
+        parsed: List[SourceFile] = []
+        for path in iter_python_files([self.root]):
+            try:
+                parsed.append(SourceFile(path, path.read_text()))
+            except SyntaxError as exc:
+                self.parse_errors[str(path)] = f"line {exc.lineno}: {exc.msg}"
+        return parsed
 
     # ------------------------------------------------------------------
     # indexing
@@ -395,7 +325,6 @@ class ProjectModel:
     def _index_class(self, module: ModuleInfo, node: ast.ClassDef) -> None:
         qualname = f"{module.name}.{node.name}"
         cls_info = ClassInfo(qualname, node.name, module, node)
-        cls_info.collect_guards(module.source)
         module.classes[node.name] = cls_info
         self.classes[qualname] = cls_info
         for stmt in node.body:
@@ -461,13 +390,6 @@ class ProjectModel:
     # ------------------------------------------------------------------
     # lookups
     # ------------------------------------------------------------------
-    def module_for_path(self, path: Path | str) -> Optional[ModuleInfo]:
-        path = Path(path)
-        for module in self.modules.values():
-            if module.path == path:
-                return module
-        return None
-
     def class_of(self, fn: FunctionInfo) -> Optional[ClassInfo]:
         if fn.owner_class is None:
             return None
@@ -487,20 +409,3 @@ class ProjectModel:
 
     def iter_functions(self) -> List[FunctionInfo]:
         return [self.functions[name] for name in sorted(self.functions)]
-
-    def file_digests(self) -> Dict[str, str]:
-        """Relative path -> content hash, for the incremental cache."""
-        out: Dict[str, str] = {}
-        for module in self.modules.values():
-            out[str(module.path)] = module.digest
-        return dict(sorted(out.items()))
-
-    def tree_digest(self) -> str:
-        """One hash over every file hash — the cross-rule cache key."""
-        acc = hashlib.sha256()
-        for path, digest in self.file_digests().items():
-            acc.update(path.encode())
-            acc.update(b"\x00")
-            acc.update(digest.encode())
-            acc.update(b"\x00")
-        return acc.hexdigest()

@@ -1,6 +1,6 @@
-"""The repro-lint rule catalogue.
+"""The per-file rule catalogue.
 
-Thirteen rules tuned to this repository's correctness invariants:
+Twelve rules tuned to this repository's correctness invariants:
 
 ===================  ===================================================
 ``unseeded-rng``     RNG created or used without an explicit seed
@@ -32,11 +32,6 @@ Thirteen rules tuned to this repository's correctness invariants:
                      eviction bound in its class (the serving tier's
                      memory-safety contract: every cache is LRU/TTL
                      bounded or explicitly cleared)
-``pointwise-hotloop``  a ``for`` loop (or comprehension) over
-                     ``<series>.points`` / ``<series>.iter_points()``
-                     inside ``tsdb/`` (the hot path is columnar:
-                     iterate the block's ``timestamps``/``values``
-                     arrays instead of boxing per-point tuples)
 ``deadline-free-rpc``  an ``HTableClient`` constructed without an
                      explicit ``rpc_timeout`` (or with it disabled):
                      an in-flight RPC to a crashed server never
@@ -59,7 +54,8 @@ Thirteen rules tuned to this repository's correctness invariants:
 ===================  ===================================================
 
 Each rule is registered with :func:`repro.analysis.lint.register` and
-suppressable per line via ``# repro-lint: ignore[<id>]``.
+suppressable per line via ``# repro-lint: ignore[<id>]``.  The
+whole-program rules live in :mod:`repro.analysis.crossrules`.
 """
 
 from __future__ import annotations
@@ -68,7 +64,7 @@ import ast
 import re
 from typing import Dict, Iterator, List, Optional, Set
 
-from .lint import Finding, Rule, SourceFile, register
+from .lint import Finding, Rule, SourceFile, dotted_expr, register
 
 __all__ = [
     "BroadExceptRule",
@@ -77,7 +73,6 @@ __all__ = [
     "FrozenSetattrRule",
     "GuardedByRule",
     "MutableDefaultRule",
-    "PointwiseHotloopRule",
     "RogueRegistryRule",
     "UnboundedCacheRule",
     "UnboundedRetryRule",
@@ -85,18 +80,6 @@ __all__ = [
     "UnseededRngRule",
     "UnsuppressedAlertEmitRule",
 ]
-
-
-def _dotted_name(node: ast.AST) -> Optional[str]:
-    """``a.b.c`` for a Name/Attribute chain, else ``None``."""
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
 
 
 # ----------------------------------------------------------------------
@@ -190,7 +173,7 @@ class UnseededRngRule(Rule):
         for node in ast.walk(source.tree):
             if not isinstance(node, ast.Call):
                 continue
-            dotted = _dotted_name(node.func)
+            dotted = dotted_expr(node.func)
             if dotted is None:
                 continue
             head, _, attr = dotted.rpartition(".")
@@ -560,7 +543,7 @@ class RogueRegistryRule(Rule):
         for node in ast.walk(source.tree):
             if not isinstance(node, ast.Call):
                 continue
-            dotted = _dotted_name(node.func)
+            dotted = dotted_expr(node.func)
             if dotted is not None and dotted.rpartition(".")[2] == "MetricsRegistry":
                 yield self.finding(
                     source, node, f"bare MetricsRegistry() call: {self._ADVICE}"
@@ -568,7 +551,7 @@ class RogueRegistryRule(Rule):
                 continue
             for keyword in node.keywords:
                 value = keyword.value
-                name = _dotted_name(value) if isinstance(value, (ast.Name, ast.Attribute)) else None
+                name = dotted_expr(value) if isinstance(value, (ast.Name, ast.Attribute)) else None
                 if (
                     keyword.arg == "default_factory"
                     and name is not None
@@ -749,7 +732,7 @@ class UnboundedRetryRule(Rule):
     @staticmethod
     def _scheduled_callback(node: ast.Call) -> Optional[str]:
         if len(node.args) >= 2:
-            return _dotted_name(node.args[1])
+            return dotted_expr(node.args[1])
         return None
 
     @staticmethod
@@ -762,75 +745,6 @@ class UnboundedRetryRule(Rule):
             return func.id
         if isinstance(func, ast.Attribute):
             return func.attr
-        return None
-
-
-# ----------------------------------------------------------------------
-@register
-class PointwiseHotloopRule(Rule):
-    """Per-point Python loop over a series in the TSDB hot path.
-
-    The columnar redesign moved ingest and query onto
-    :class:`~repro.tsdb.blocks.SeriesBlock` kernels; a ``for`` loop (or
-    comprehension) over ``<series>.points`` or
-    ``<series>.iter_points()`` inside ``tsdb/`` reintroduces one boxed
-    tuple per sample and undoes the batch win.  Iterate the block's
-    ``timestamps``/``values`` columns (zero-copy numpy views) instead.
-    Compatibility shims and genuinely cold paths may suppress with a
-    justification.
-    """
-
-    id = "pointwise-hotloop"
-    summary = "per-point loop over Series points in the tsdb hot path"
-
-    _ADVICE = (
-        "iterate the block's timestamps/values columns (or use a "
-        "SeriesBlock kernel) instead of boxing per-point tuples"
-    )
-
-    def applies_to(self, source: SourceFile) -> bool:
-        return "tsdb" in source.path.parts
-
-    def check(self, source: SourceFile) -> Iterator[Finding]:
-        for node in ast.walk(source.tree):
-            iterables: List[ast.expr] = []
-            if isinstance(node, (ast.For, ast.AsyncFor)):
-                iterables.append(node.iter)
-            elif isinstance(
-                node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
-            ):
-                iterables.extend(gen.iter for gen in node.generators)
-            for expr in iterables:
-                shape = self._pointwise_shape(expr)
-                if shape is not None:
-                    yield self.finding(
-                        source,
-                        expr,
-                        f"per-point loop over {shape} in tsdb/: {self._ADVICE}",
-                    )
-
-    @staticmethod
-    def _pointwise_shape(expr: ast.expr) -> Optional[str]:
-        # for p in <obj>.points:
-        if isinstance(expr, ast.Attribute) and expr.attr == "points":
-            return f"{_dotted_name(expr) or '<...>.points'}"
-        # for p in <obj>.iter_points():
-        if (
-            isinstance(expr, ast.Call)
-            and isinstance(expr.func, ast.Attribute)
-            and expr.func.attr == "iter_points"
-        ):
-            return f"{_dotted_name(expr.func) or '<...>.iter_points'}()"
-        # for i, p in enumerate(<obj>.points):
-        if (
-            isinstance(expr, ast.Call)
-            and isinstance(expr.func, ast.Name)
-            and expr.func.id in {"enumerate", "zip", "reversed"}
-        ):
-            for arg in expr.args:
-                inner = PointwiseHotloopRule._pointwise_shape(arg)
-                if inner is not None:
-                    return inner
         return None
 
 
@@ -863,7 +777,7 @@ class DeadlineFreeRpcRule(Rule):
         for node in ast.walk(source.tree):
             if not isinstance(node, ast.Call):
                 continue
-            dotted = _dotted_name(node.func)
+            dotted = dotted_expr(node.func)
             if dotted is None or dotted.rpartition(".")[2] not in self._CLIENTS:
                 continue
             timeout = next(
@@ -980,7 +894,7 @@ class UnboundedCacheRule(Rule):
         if isinstance(value, (ast.Dict, ast.List, ast.Set)):
             return not getattr(value, "keys", None) and not getattr(value, "elts", None)
         if isinstance(value, ast.Call) and not value.args and not value.keywords:
-            name = _dotted_name(value.func)
+            name = dotted_expr(value.func)
             return name is not None and name.rpartition(".")[2] in self._EMPTY_FACTORIES
         return False
 
@@ -1060,7 +974,7 @@ class UnsuppressedAlertEmitRule(Rule):
         for node in ast.walk(source.tree):
             if not isinstance(node, ast.Call):
                 continue
-            dotted = _dotted_name(node.func)
+            dotted = dotted_expr(node.func)
             terminal = dotted.rpartition(".")[2] if dotted is not None else None
             if terminal == "Incident":
                 yield self.finding(
@@ -1148,7 +1062,7 @@ class UnboundedTimeRangeRule(Rule):
         for node in ast.walk(source.tree):
             if not isinstance(node, ast.Call):
                 continue
-            dotted = _dotted_name(node.func)
+            dotted = dotted_expr(node.func)
             if dotted is None or dotted.rpartition(".")[2] != "TsdbQuery":
                 continue
             end = self._end_argument(node)

@@ -9,15 +9,14 @@ A :class:`Series` is a thin view over a columnar
 :class:`~repro.tsdb.blocks.SeriesBlock`: the canonical storage is the
 block's contiguous stdlib-``array`` columns, and ``timestamps`` /
 ``values`` are zero-copy NumPy views of that memory (strictly
-increasing ``int64`` seconds / ``float64``).  Point-wise access
-(``Series(points=...)``, ``iter_points``) is a compatibility shim — the
-aggregation kernels below consume the columns directly.
+increasing ``int64`` seconds / ``float64``); the aggregation kernels
+below consume the columns directly.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,12 +28,11 @@ __all__ = ["Series", "AGGREGATORS", "aggregate", "downsample", "rate", "align_un
 class Series:
     """One time series with identifying tags, viewed over a block.
 
-    Accepts the historical positional form ``Series(tags, timestamps,
-    values)`` (any array-likes; coerced to int64/float64), the
-    point-wise shim ``Series(points=...)``, or the zero-copy
-    ``Series.from_block(block)``.  Whatever the construction route, the
-    data lives in one :class:`SeriesBlock` and the NumPy accessors view
-    its buffers without copying.
+    Built from arrays, ``Series(tags, timestamps, values)`` (any
+    array-likes; coerced to int64/float64), or as a zero-copy view,
+    ``Series.from_block(block)``.  Either way the data lives in one
+    :class:`SeriesBlock` and the NumPy accessors view its buffers
+    without copying.
     """
 
     __slots__ = ("_block", "_tags", "_ts_view", "_vals_view")
@@ -44,22 +42,7 @@ class Series:
         tags: Optional[Tuple[Tuple[str, str], ...]] = None,
         timestamps: object = None,
         values: object = None,
-        *,
-        points: Optional[Iterable] = None,
-        block: Optional[SeriesBlock] = None,
     ) -> None:
-        if block is not None:
-            if timestamps is not None or values is not None or points is not None:
-                raise ValueError("block= excludes timestamps/values/points")
-            self._adopt(block, tuple(tags) if tags is not None else block.tags)
-            return
-        if points is not None:
-            if timestamps is not None or values is not None:
-                raise ValueError("points= excludes timestamps/values")
-            blk = SeriesBlock.from_points(points)
-            self._adopt(blk, tuple(tags) if tags is not None else blk.tags)
-            self._validate()
-            return
         ts = np.asarray(timestamps if timestamps is not None else ())
         vs = np.asarray(values if values is not None else ())
         if ts.shape != vs.shape or ts.ndim != 1:
@@ -121,15 +104,6 @@ class Series:
         if self._vals_view is None:
             self._vals_view = np.frombuffer(self._block.values, dtype=np.float64)
         return self._vals_view
-
-    @property
-    def points(self) -> Tuple:
-        """Boxed :class:`DataPoint` view (compatibility shim only)."""
-        return tuple(self._block.iter_points())
-
-    def iter_points(self) -> Iterator:
-        """Iterate boxed points (compatibility shim, not a hot path)."""
-        return self._block.iter_points()
 
     def __len__(self) -> int:
         return len(self._block)

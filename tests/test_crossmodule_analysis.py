@@ -10,8 +10,9 @@ in isolation:
   dispatch, ``from``-imports, scheduled-callback edges;
 * each **cross rule** — one firing case and one clean case per rule,
   so rule regressions localize;
-* the **baseline / suppression / cache** round-trips and the
-  byte-identical determinism property.
+* the **one run** (``lint_paths``) — which packages get the
+  whole-program pass, parse reuse, inline suppression of cross rules,
+  and the byte-identical determinism property.
 
 Rule tests run only the rule under test (``run_cross_rules(ctx,
 [Rule()])``) so the synthetic sources don't have to satisfy the whole
@@ -20,7 +21,6 @@ per-file catalogue at the same time.
 
 from __future__ import annotations
 
-import json
 import tempfile
 from pathlib import Path
 from typing import Dict, List
@@ -31,21 +31,13 @@ from hypothesis import strategies as st
 from repro.analysis.crossrules import (
     AckEscapeRule,
     GuardedHelperPathRule,
-    HotPathCopyRule,
     ProjectContext,
     TelemetryDriftRule,
-    cross_rules,
     run_cross_rules,
 )
 from repro.analysis.graph import CallGraph, ImportGraph
-from repro.analysis.lint import Finding
+from repro.analysis.lint import Finding, SourceFile, lint_paths
 from repro.analysis.project import ProjectModel
-from repro.analysis.reporting import (
-    AnalysisCache,
-    Baseline,
-    fingerprint_findings,
-    run_project,
-)
 
 
 def make_package(root: Path, files: Dict[str, str], name: str = "pkg") -> Path:
@@ -126,13 +118,13 @@ class TestProjectModel:
         assert len(model.parse_errors) == 1
         assert "pkg.bad" not in model.modules
 
-    def test_tree_digest_changes_with_content(self, tmp_path):
+    def test_build_reuses_the_given_parses(self, tmp_path):
         pkg = make_package(tmp_path, {"a.py": "x = 1\n"})
-        before = ProjectModel.build(pkg).tree_digest()
-        (pkg / "a.py").write_text("x = 2\n")
-        after = ProjectModel.build(pkg).tree_digest()
-        assert before != after
-
+        sources = [
+            SourceFile(path, path.read_text()) for path in sorted(pkg.glob("*.py"))
+        ]
+        model = ProjectModel.build(pkg, sources)
+        assert [m.source for m in model.modules.values()] == sources
 
 # ----------------------------------------------------------------------
 # import graph
@@ -417,47 +409,7 @@ class TestAckEscape:
 
 
 # ----------------------------------------------------------------------
-# rule: hotpath-copy
-# ----------------------------------------------------------------------
-_HOTPATH_SRC = (
-    "import numpy as np\n"
-    "\n"
-    "class Block:\n"
-    "    def bad_copy(self):\n"
-    "        ts = self.timestamps\n"
-    "        return np.array(ts)\n"
-    "    def good_view(self):\n"
-    "        ts = self.timestamps\n"
-    "        return np.asarray(ts)\n"
-    "    def bad_boxing(self):\n"
-    "        return self.values.tolist()\n"
-    "    def bad_pointwise(self):\n"
-    "        return list(self.iter_points())\n"
-    "    def reference_scan(self):\n"
-    "        return np.array(self.timestamps)\n"
-    "    def iter_points(self):\n"
-    "        return iter(())\n"
-)
-
-
-class TestHotPathCopy:
-    def test_copies_flagged_views_and_reference_path_exempt(self, tmp_path):
-        ctx = context_for(tmp_path, {"tsdb/blocks.py": _HOTPATH_SRC})
-        found = rule_findings(ctx, HotPathCopyRule())
-        messages = sorted(f.message for f in found)
-        assert len(messages) == 3
-        assert any("bad_copy" in m and "columnar view" in m for m in messages)
-        assert any("bad_boxing" in m and "tolist" in m for m in messages)
-        assert any("bad_pointwise" in m and "iter_points" in m for m in messages)
-        assert not any("good_view" in m or "reference_scan" in m for m in messages)
-
-    def test_non_tsdb_modules_out_of_scope(self, tmp_path):
-        ctx = context_for(tmp_path, {"viz/blocks.py": _HOTPATH_SRC})
-        assert rule_findings(ctx, HotPathCopyRule()) == []
-
-
-# ----------------------------------------------------------------------
-# baseline / suppression round-trips
+# the one run
 # ----------------------------------------------------------------------
 _DRIFT_FILES = {
     "emit.py": (
@@ -470,50 +422,37 @@ _DRIFT_FILES = {
 }
 
 
-class TestBaselineRoundTrip:
-    def _run(self, pkg: Path, baseline: Baseline | None = None):
-        return run_project(
-            pkg,
-            per_file_rules=[],
-            cross=[TelemetryDriftRule()],
-            baseline=baseline,
-        )
+def run_drift(paths):
+    return lint_paths(paths, rules=[TelemetryDriftRule()])
 
-    def test_baseline_accepts_known_findings(self, tmp_path):
-        pkg = make_package(tmp_path, _DRIFT_FILES)
-        first = self._run(pkg)
-        assert len(first.actionable) == 1 and not first.ok
 
-        path = tmp_path / "baseline.json"
-        Baseline.from_findings(first.findings).write(path)
-        second = self._run(pkg, baseline=Baseline.load(path))
-        assert second.ok
-        assert [f.rule for f in second.baselined] == ["telemetry-drift"]
+class TestOneRun:
+    def test_package_found_below_a_given_directory(self, tmp_path):
+        make_package(tmp_path, _DRIFT_FILES)
+        report = run_drift([tmp_path])
+        assert [f.path for f in report.unsuppressed] == [str(tmp_path / "pkg" / "emit.py")]
 
-    def test_baseline_survives_line_drift(self, tmp_path):
-        pkg = make_package(tmp_path, _DRIFT_FILES)
-        path = tmp_path / "baseline.json"
-        Baseline.from_findings(self._run(pkg).findings).write(path)
+    def test_loose_files_and_test_suites_get_no_whole_program_pass(self, tmp_path):
+        loose = tmp_path / "loose"
+        loose.mkdir()
+        for rel, text in _DRIFT_FILES.items():
+            (loose / rel).write_text(text)
+        make_package(tmp_path, _DRIFT_FILES, name="tests")
+        report = run_drift([tmp_path])
+        assert report.files_checked == 5 and report.ok
 
-        # Unrelated edit above the finding shifts every line number.
-        emit = pkg / "emit.py"
-        emit.write_text("# a new leading comment\n" + emit.read_text())
-        report = self._run(pkg, baseline=Baseline.load(path))
-        assert report.ok and len(report.baselined) == 1
+    def test_per_file_and_cross_findings_in_one_report(self, tmp_path):
+        files = dict(_DRIFT_FILES)
+        files["emit.py"] = "import random\nrandom.seed(0)\n" + files["emit.py"]
+        make_package(tmp_path, files)
+        report = lint_paths([tmp_path / "pkg"])
+        assert sorted(f.rule for f in report.unsuppressed) == [
+            "telemetry-drift",
+            "unseeded-rng",
+        ]
 
-    def test_new_finding_is_not_masked_by_baseline(self, tmp_path):
-        pkg = make_package(tmp_path, _DRIFT_FILES)
-        path = tmp_path / "baseline.json"
-        Baseline.from_findings(self._run(pkg).findings).write(path)
 
-        emit = pkg / "emit.py"
-        emit.write_text(
-            emit.read_text() + "        reg.counter('svc.extra').inc()\n"
-        )
-        report = self._run(pkg, baseline=Baseline.load(path))
-        assert not report.ok
-        assert ["svc.extra" in f.message for f in report.actionable] == [True]
-
+class TestCrossRuleSuppression:
     def test_inline_suppression_covers_cross_rules(self, tmp_path):
         files = dict(_DRIFT_FILES)
         files["emit.py"] = files["emit.py"].replace(
@@ -521,69 +460,9 @@ class TestBaselineRoundTrip:
             "reg.counter('svc.lost').inc()  # repro-lint: ignore[telemetry-drift]",
         )
         pkg = make_package(tmp_path, files)
-        report = self._run(pkg)
+        report = run_drift([pkg])
         assert report.ok
         assert [f.rule for f in report.suppressed] == ["telemetry-drift"]
-
-    def test_fingerprints_are_stable_and_unique(self, tmp_path):
-        pkg = make_package(tmp_path, _DRIFT_FILES)
-        first = fingerprint_findings(self._run(pkg).findings)
-        second = fingerprint_findings(self._run(pkg).findings)
-        assert [f.fingerprint for f in first] == [f.fingerprint for f in second]
-        assert len({f.fingerprint for f in first}) == len(first)
-
-
-# ----------------------------------------------------------------------
-# incremental cache
-# ----------------------------------------------------------------------
-class TestIncrementalCache:
-    def _run(self, pkg: Path, cache: AnalysisCache, changed=None):
-        return run_project(
-            pkg,
-            cross=[TelemetryDriftRule()],
-            cache=cache,
-            changed_files=changed,
-        )
-
-    def test_cache_replay_matches_live_run(self, tmp_path):
-        pkg = make_package(tmp_path, _DRIFT_FILES)
-        cache = AnalysisCache()
-        live = self._run(pkg, cache)
-        cache_path = tmp_path / "cache.json"
-        cache.save(cache_path)
-
-        replay = self._run(pkg, AnalysisCache.load(cache_path))
-        assert replay.render_json() == live.render_json()
-
-    def test_content_change_invalidates_file_entry(self, tmp_path):
-        pkg = make_package(tmp_path, _DRIFT_FILES)
-        cache = AnalysisCache()
-        self._run(pkg, cache)
-
-        emit = pkg / "emit.py"
-        emit.write_text(emit.read_text().replace("svc.lost", "svc.misplaced"))
-        report = self._run(pkg, cache)
-        assert ["svc.misplaced" in f.message for f in report.actionable] == [True]
-
-    def test_changed_files_trusts_cache_for_unnamed_files(self, tmp_path):
-        pkg = make_package(tmp_path, _DRIFT_FILES)
-        cache = AnalysisCache()
-        self._run(pkg, cache)
-        # The contract: files not named in --changed-files replay from
-        # cache without a hash check (the caller vouches for them);
-        # named files always re-run.  Cross rules still re-run because
-        # the tree hash changed.
-        report = self._run(
-            pkg, cache, changed=[(pkg / "emit.py").as_posix()]
-        )
-        assert len(report.actionable) == 1
-
-    def test_corrupt_cache_falls_back_to_live_run(self, tmp_path):
-        pkg = make_package(tmp_path, _DRIFT_FILES)
-        cache_path = tmp_path / "cache.json"
-        cache_path.write_text("{not json")
-        report = self._run(pkg, AnalysisCache.load(cache_path))
-        assert len(report.actionable) == 1
 
 
 # ----------------------------------------------------------------------
@@ -611,40 +490,6 @@ class TestDeterminism:
         }
         with tempfile.TemporaryDirectory() as tmp:
             pkg = make_package(Path(tmp), files)
-            runs = [
-                run_project(pkg, cross=[TelemetryDriftRule()]) for _ in range(2)
-            ]
-            first, second = runs
+            first, second = (run_drift([pkg]) for _ in range(2))
             assert first.render_json() == second.render_json()
-            assert first.render_sarif(cross=cross_rules()) == second.render_sarif(
-                cross=cross_rules()
-            )
-            fps = [f.fingerprint for f in first.findings]
-            assert fps == [f.fingerprint for f in second.findings]
-            assert len(set(fps)) == len(fps)
-
-    def test_self_host_runs_are_byte_identical(self):
-        root = Path(__file__).resolve().parent.parent / "src" / "repro"
-        first = run_project(root)
-        second = run_project(root)
-        assert first.render_json() == second.render_json()
-
-
-# ----------------------------------------------------------------------
-# SARIF structure
-# ----------------------------------------------------------------------
-class TestSarif:
-    def test_sarif_document_shape(self, tmp_path):
-        pkg = make_package(tmp_path, _DRIFT_FILES)
-        report = run_project(pkg, cross=[TelemetryDriftRule()])
-        doc = json.loads(report.render_sarif(cross=[TelemetryDriftRule()]))
-        assert doc["version"] == "2.1.0"
-        run = doc["runs"][0]
-        rule_ids = {r["id"] for r in run["tool"]["driver"]["rules"]}
-        assert "telemetry-drift" in rule_ids
-        for result in run["results"]:
-            assert result["ruleId"] in rule_ids | {"parse-error"}
-            loc = result["locations"][0]["physicalLocation"]
-            assert loc["artifactLocation"]["uri"]
-            assert loc["region"]["startLine"] >= 1
-            assert result["partialFingerprints"]["reproAnalysis/v1"]
+            assert first.render() == second.render()

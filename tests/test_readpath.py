@@ -134,7 +134,7 @@ class TestReadDuringCrash:
         (result,) = results
         assert not result.complete
         assert result.retries > 0
-        assert sum(len(s.points) for s in result.series) < 120
+        assert sum(len(s) for s in result.series) < 120
 
     def test_timeline_read_fails_over_inside_window(self):
         cluster = replicated_cluster(replication_factor=2)
@@ -153,7 +153,7 @@ class TestReadDuringCrash:
         assert result.complete
         assert result.follower_reads > 0
         assert result.staleness <= 1.0
-        assert sum(len(s.points) for s in result.series) == 120
+        assert sum(len(s) for s in result.series) == 120
 
     def test_strong_reads_heal_after_detection(self):
         cluster = replicated_cluster(replication_factor=2)
@@ -164,4 +164,4 @@ class TestReadDuringCrash:
         )
         assert result.complete
         assert result.staleness == 0.0
-        assert sum(len(s.points) for s in result.series) == 120
+        assert sum(len(s) for s in result.series) == 120

@@ -46,7 +46,7 @@ def total_points(cluster, n_points, t0=1_000):
     series = cluster.query_engine().run(
         TsdbQuery("energy", 0, t0 + n_points + 1, aggregator="sum")
     )
-    return sum(len(s.points) for s in series)
+    return sum(len(s) for s in series)
 
 
 class TestPlacement:
@@ -173,7 +173,7 @@ class TestPromotion:
             TsdbQuery("energy", 0, 10_000, aggregator="sum")
         )
         assert result.mode == "strong"
-        assert sum(len(s.points) for s in result.series) == 200
+        assert sum(len(s) for s in result.series) == 200
 
 
 class TestMasterRecoveryAccounting:

@@ -28,6 +28,7 @@ def rule_ids(src, path="src/repro/module.py"):
 
 class TestFramework:
     def test_all_rules_registered(self):
+        # One catalogue: the per-file rules plus the whole-program rules.
         assert {r.id for r in all_rules()} == {
             "unseeded-rng",
             "float-equality",
@@ -38,10 +39,12 @@ class TestFramework:
             "unbounded-retry",
             "rogue-registry",
             "unbounded-cache",
-            "pointwise-hotloop",
             "deadline-free-rpc",
             "unsuppressed-alert-emit",
             "unbounded-time-range",
+            "guarded-helper-path",
+            "telemetry-drift",
+            "ack-escape",
         }
 
     def test_parse_error_is_a_finding(self):
@@ -478,69 +481,6 @@ class TestUnboundedCache:
                 self._cache = {}  # repro-lint: ignore[unbounded-cache] -- bounded by caller
         """
         assert not findings(src)
-
-
-class TestPointwiseHotloop:
-    TSDB_PATH = "src/repro/tsdb/query.py"  # rule applies inside tsdb/ only
-
-    def test_for_loop_over_points_fires(self):
-        src = """
-        def scan(series):
-            total = 0.0
-            for p in series.points:
-                total += p.value
-            return total
-        """
-        assert rule_ids(src, self.TSDB_PATH) == {"pointwise-hotloop"}
-
-    def test_iter_points_call_fires(self):
-        src = """
-        def scan(series):
-            for p in series.iter_points():
-                yield p.timestamp
-        """
-        assert rule_ids(src, self.TSDB_PATH) == {"pointwise-hotloop"}
-
-    def test_comprehension_fires(self):
-        src = """
-        def values(series):
-            return [p.value for p in series.points]
-        """
-        assert rule_ids(src, self.TSDB_PATH) == {"pointwise-hotloop"}
-
-    def test_enumerate_wrapper_fires(self):
-        src = """
-        def indexed(series):
-            for i, p in enumerate(series.points):
-                yield i, p
-        """
-        assert rule_ids(src, self.TSDB_PATH) == {"pointwise-hotloop"}
-
-    def test_columnar_loop_clean(self):
-        src = """
-        def scan(series):
-            total = 0.0
-            for v in series.values:
-                total += v
-            return total
-        """
-        assert not findings(src, self.TSDB_PATH)
-
-    def test_outside_tsdb_clean(self):
-        src = """
-        def scan(series):
-            for p in series.points:
-                yield p
-        """
-        assert not findings(src, "src/repro/serve/gateway.py")
-
-    def test_suppression_applies(self):
-        src = """
-        def scan(series):
-            for p in series.points:  # repro-lint: ignore[pointwise-hotloop] -- cold path
-                yield p
-        """
-        assert not findings(src, self.TSDB_PATH)
 
 
 class TestDeadlineFreeRpc:

@@ -4,7 +4,10 @@ Three layers, in decreasing order of availability:
 
 * **repro-lint** (``python -m repro.analysis``) is stdlib-only and
   always runs: the tree must self-host with zero unsuppressed
-  findings.
+  findings.  One run covers the per-file rules over every file and the
+  whole-program rules over ``src/repro``; the session makes it once
+  (the ``self_host`` fixture in ``conftest.py``) and every assertion
+  about the real tree reads that run.
 * **ruff** and **mypy** are optional toolchain extras
   (``pip install -e .[analysis]``); their gates run when the tool is
   importable and skip otherwise, so the tier-1 suite stays runnable in
@@ -16,12 +19,41 @@ import json
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from repro.analysis.lint import SourceFile, iter_python_files, package_roots
+
 REPO_ROOT = Path(__file__).parent.parent
 ANALYSIS_TARGETS = ["src", "tests", "benchmarks", "examples"]
+
+#: The one catalogue: twelve per-file rules and three whole-program rules.
+KEPT_RULES = {
+    "ack-escape",
+    "broad-except",
+    "deadline-free-rpc",
+    "float-equality",
+    "frozen-setattr",
+    "guarded-by",
+    "guarded-helper-path",
+    "mutable-default",
+    "rogue-registry",
+    "telemetry-drift",
+    "unbounded-cache",
+    "unbounded-retry",
+    "unbounded-time-range",
+    "unseeded-rng",
+    "unsuppressed-alert-emit",
+}
+
+#: The tree's justified inline waivers, by rule.
+EXPECTED_SUPPRESSED = {
+    "broad-except": 1,
+    "unbounded-cache": 2,
+    "unbounded-time-range": 2,
+}
 
 
 def _run(cmd, **kwargs):
@@ -51,47 +83,38 @@ def _module_command(module, binary=None):
 
 
 class TestReproLint:
-    def test_self_host_clean(self):
-        """The whole tree lints clean (suppressions must be justified inline)."""
-        proc = _run([sys.executable, "-m", "repro.analysis", *ANALYSIS_TARGETS])
+    def test_self_host_clean(self, self_host):
+        """The whole tree analyses clean (suppressions must be justified inline)."""
+        proc, _ = self_host
         assert proc.returncode == 0, (
             f"repro-lint findings:\n{proc.stdout}\n{proc.stderr}"
         )
 
-    def test_json_report_shape(self):
-        proc = _run(
-            [sys.executable, "-m", "repro.analysis", "--json", *ANALYSIS_TARGETS]
-        )
-        report = json.loads(proc.stdout)
+    def test_json_report_shape(self, self_host):
+        _, report = self_host
         assert report["unsuppressed"] == 0
         assert report["files_checked"] > 100
-        # The deliberate waivers stay visible in the report.
-        assert report["suppressed"] == len(
-            [f for f in report["findings"] if f["suppressed"]]
-        )
+        # The deliberate waivers stay visible in the report, and they
+        # are the only findings.
+        assert report["suppressed"] == len(report["findings"])
+        assert all(f["suppressed"] for f in report["findings"])
+        assert Counter(f["rule"] for f in report["findings"]) == EXPECTED_SUPPRESSED
+
+    def test_whole_program_rules_cover_src_repro(self):
+        """The default run finds one program: the package, not the test suite."""
+        inits = [
+            SourceFile(path, path.read_text())
+            for path in iter_python_files(REPO_ROOT / t for t in ANALYSIS_TARGETS)
+            if path.name == "__init__.py"
+        ]
+        assert package_roots(inits) == [REPO_ROOT / "src" / "repro"]
 
     def test_rule_catalogue_lists_all_eight(self):
+        """The eight original per-file rules, and exactly the other kept ones."""
         proc = _run([sys.executable, "-m", "repro.analysis", "--list-rules"])
         assert proc.returncode == 0
-        listed = {line.split()[0] for line in proc.stdout.splitlines() if line.strip()}
-        assert {
-            "unseeded-rng",
-            "float-equality",
-            "frozen-setattr",
-            "broad-except",
-            "mutable-default",
-            "guarded-by",
-            "unbounded-retry",
-            "rogue-registry",
-        } <= listed
-        # The catalogue also lists the whole-program rules (tagged
-        # [project]; gated in tests/test_static_analysis_gate.py).
-        assert {
-            "guarded-helper-path",
-            "telemetry-drift",
-            "ack-escape",
-            "hotpath-copy",
-        } <= listed
+        listed = [line.split()[0] for line in proc.stdout.splitlines() if line.strip()]
+        assert listed == sorted(KEPT_RULES)
 
     def test_exit_code_on_findings(self, tmp_path):
         bad = tmp_path / "bad.py"
@@ -99,6 +122,26 @@ class TestReproLint:
         proc = _run([sys.executable, "-m", "repro.analysis", str(bad)])
         assert proc.returncode == 1
         assert "unseeded-rng" in proc.stdout
+
+    def test_exit_code_without_python_files(self, tmp_path):
+        proc = _run([sys.executable, "-m", "repro.analysis", str(tmp_path)])
+        assert proc.returncode == 2
+
+    def test_runtime_import_does_not_load_the_linter(self):
+        """Taking an audited lock loads raceaudit, not the analysis engine."""
+        proc = _run(
+            [
+                sys.executable,
+                "-c",
+                "import sys, repro.tsdb.publish; print(sorted(m for m in "
+                "sys.modules if m.startswith('repro.analysis')))",
+            ]
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.replace("'", '"')) == [
+            "repro.analysis",
+            "repro.analysis.raceaudit",
+        ]
 
 
 @pytest.mark.skipif(
