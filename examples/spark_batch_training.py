@@ -3,7 +3,9 @@
 
 Demonstrates the sparklet substrate directly:
 
-1. a word-count-style warm-up showing the RDD API;
+1. a word-count warm-up showing the RDD API: count each partition's
+   words, then fold the counts together — the per-partition reduction
+   ``RowMatrix`` uses for its Gram matrices;
 2. distributed covariance/SVD of one unit via ``RowMatrix`` (the MLlib
    path the paper uses), checked against local NumPy;
 3. fleet-scale training on the executor pool with models cached to the
@@ -12,8 +14,10 @@ Demonstrates the sparklet substrate directly:
 Run:  python examples/spark_batch_training.py
 """
 
+import operator
 import tempfile
 import time
+from collections import Counter
 
 import numpy as np
 
@@ -32,16 +36,10 @@ from repro.core.training import train_unit_distributed
 
 def main() -> None:
     with SparkletContext(parallelism=4) as sc:
-        print("== sparklet warm-up: map/shuffle/action ==")
+        print("== sparklet warm-up: map/fold ==")
         words = "the quick brown fox jumps over the lazy dog the fox".split()
-        counts = (
-            sc.parallelize(words)
-            .map(lambda w: (w, 1))
-            .reduce_by_key(lambda a, b: a + b)
-            .sort_by(lambda kv: -kv[1])
-            .take(3)
-        )
-        print("top words:", counts)
+        counts = sc.parallelize(words).map(lambda w: Counter([w])).fold(Counter(), operator.add)
+        print("top words:", counts.most_common(3))
 
         print("\n== distributed covariance -> SVD for one unit ==")
         fleet = FleetGenerator(FleetConfig(n_units=8, n_sensors=200, seed=47))

@@ -187,7 +187,7 @@ class ClassInfo:
             b for b in (dotted_expr(base) for base in node.bases) if b is not None
         ]
         #: ``self.<attr>`` -> dotted constructor name assigned in
-        #: ``__init__`` (``self.shuffle_manager = ShuffleManager()``).
+        #: ``__init__`` (``self.store = BlockStore(path)``).
         self.attr_constructors: Dict[str, str] = {}
 
     def collect_attr_constructors(self) -> None:

@@ -1,10 +1,10 @@
 """Runtime lock-discipline auditor for the concurrent hot path.
 
 The fleet engine fans units across ``SparkletContext`` thread workers
-while the publisher tracks acks through the reverse proxy; four modules
-now share mutable state behind locks (``sparklet/context.py``,
-``sparklet/shuffle.py``, ``core/engine.py``, ``tsdb/publish.py``).
-This module gives those locks a *recorded* discipline:
+while the publisher tracks acks through the reverse proxy; two modules
+on that path share mutable state behind locks (``core/engine.py``,
+``tsdb/publish.py``).  Sparklet's own tasks share none, so it owns no
+lock.  This module gives those locks a *recorded* discipline:
 
 * :func:`audited_lock` — drop-in lock factory.  With auditing disabled
   (the default) it returns a plain :class:`threading.Lock`/``RLock``,

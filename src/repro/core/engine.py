@@ -200,4 +200,4 @@ class FleetEvaluationEngine:
             return self.ctx, False
         if parallelism <= 1:
             return None, False
-        return SparkletContext(parallelism, executor="threads"), True
+        return SparkletContext(parallelism), True

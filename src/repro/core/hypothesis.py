@@ -17,7 +17,7 @@ axis is the last one.
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
+from scipy.special import chdtrc, ndtr
 
 __all__ = [
     "zscores",
@@ -70,12 +70,12 @@ def window_mean_zscores(
 
 def two_sided_pvalues(z: np.ndarray) -> np.ndarray:
     """Two-sided normal p-values: ``2·Φ(−|z|)``."""
-    return 2.0 * stats.norm.sf(np.abs(z))
+    return 2.0 * ndtr(-np.abs(np.asarray(z, dtype=np.float64)))
 
 
 def one_sided_pvalues(z: np.ndarray) -> np.ndarray:
     """Upper-tail p-values ``Φ(−z)`` (for strictly increasing degradation)."""
-    return stats.norm.sf(z)
+    return ndtr(-np.asarray(z, dtype=np.float64))
 
 
 def t2_statistic(whitened: np.ndarray) -> np.ndarray:
@@ -90,7 +90,12 @@ def t2_statistic(whitened: np.ndarray) -> np.ndarray:
 
 
 def t2_pvalues(t2: np.ndarray, dof: int) -> np.ndarray:
-    """χ² upper-tail p-values for T² statistics."""
+    """χ² upper-tail p-values for T² statistics.
+
+    A negative T² (outside χ²'s support) has p-value 1, as
+    ``scipy.stats.chi2.sf`` gives; ``chdtrc`` alone would return NaN.
+    NaN stays NaN.
+    """
     if dof < 1:
         raise ValueError("dof must be >= 1")
-    return stats.chi2.sf(t2, dof)
+    return chdtrc(dof, np.maximum(np.asarray(t2, dtype=np.float64), 0.0))

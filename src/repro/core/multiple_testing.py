@@ -56,6 +56,17 @@ def _check(pvalues: np.ndarray, level: float) -> np.ndarray:
     return p
 
 
+def _step_up_ladder(q: float, m: int) -> np.ndarray:
+    """The step-up thresholds ``q·k/m`` for ranks ``k = 1..m``.
+
+    Written ``q / (m/k)`` so the first rung is exactly Bonferroni's
+    ``q/m`` and the last exactly ``q`` (Holm's last rung); ``q*k/m``
+    can round ``q*m/m`` below ``q`` and let Holm reject a p-value that
+    BH does not.
+    """
+    return q / (m / np.arange(1, m + 1))
+
+
 def uncorrected(pvalues: np.ndarray, alpha: float = 0.05) -> np.ndarray:
     """Reject every test with p ≤ α.  No multiplicity control."""
     p = _check(pvalues, alpha)
@@ -120,7 +131,7 @@ def _step_up(pvalues: np.ndarray, q: float, dependence_correction: bool) -> np.n
         effective_q = q / np.sum(1.0 / np.arange(1, m + 1))
     order = np.argsort(p, axis=-1)
     sorted_p = np.take_along_axis(p, order, axis=-1)
-    thresholds = effective_q * np.arange(1, m + 1) / m
+    thresholds = _step_up_ladder(effective_q, m)
     passing = sorted_p <= thresholds
     # Largest passing index per family (step-up): k = last True + 1.
     reversed_pass = passing[..., ::-1]
@@ -159,7 +170,7 @@ def step_up_sparse(
         effective_q = q / np.sum(1.0 / np.arange(1, m + 1))
     flat = p.reshape(-1, m)
     n_fam = flat.shape[0]
-    thresholds = effective_q * np.arange(1, m + 1) / m
+    thresholds = _step_up_ladder(effective_q, m)
     flags = np.zeros(flat.shape, dtype=bool)
     rows, cols = np.nonzero(flat <= thresholds[-1])
     if rows.size:
@@ -227,7 +238,7 @@ def bh_threshold(pvalues: np.ndarray, q: float = 0.05) -> float:
     if m == 0:
         return 0.0
     sorted_p = np.sort(p)
-    thresholds = q * np.arange(1, m + 1) / m
+    thresholds = _step_up_ladder(q, m)
     passing = np.flatnonzero(sorted_p <= thresholds)
     if passing.size == 0:
         return 0.0

@@ -22,8 +22,7 @@ from dataclasses import dataclass
 from typing import Protocol
 
 import numpy as np
-
-from scipy import stats
+from scipy import special
 
 from .model import UnitModel
 
@@ -191,5 +190,5 @@ class MewmaChart:
 
     def flags(self, model: UnitModel, values: np.ndarray) -> np.ndarray:
         """Unit-level alarm mask, shape ``(T,)``."""
-        limit = float(stats.chi2.isf(self.alpha, model.n_components))
+        limit = float(special.chdtri(model.n_components, self.alpha))
         return self.statistics(model, values) > limit

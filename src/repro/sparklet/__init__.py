@@ -1,39 +1,28 @@
 """Sparklet: a from-scratch Spark-like batch dataflow engine.
 
-Lazy RDDs, hash-shuffled wide transformations, a stage-splitting DAG
-scheduler over a thread executor pool, distributed row-matrix linear
-algebra, and a checksummed block store — the substrate the paper's
-offline FDR training job runs on.
+The substrate the paper's offline FDR training job runs on, cut to
+what that job needs: lazy RDDs with narrow ``map`` and the ``collect``
+and ``fold`` actions, a thread executor pool that runs one task per
+partition, distributed row-matrix linear algebra, a checksummed block
+store, and micro-batch streams.  The job fits each unit on its own and
+folds per-partition Gram matrices into a covariance, so it needs no
+shuffle, and sparklet has none.
 """
 
-from .context import Accumulator, Broadcast, SparkletContext
+from .context import SparkletContext
 from .linalg import RowMatrix
-from .partitioner import HashPartitioner, Partitioner, RangePartitioner
-from .rdd import RDD, MapPartitionsRDD, ParallelCollectionRDD, ShuffledRDD, UnionRDD
-from .scheduler import DAGScheduler, JobMetrics
-from .shuffle import Aggregator, ShuffleManager
+from .rdd import RDD, MapPartitionsRDD, ParallelCollectionRDD
 from .storage import BlockCorruptionError, BlockStore
 from .streaming import DStream, StreamingContext
 
 __all__ = [
-    "Accumulator",
-    "Aggregator",
     "BlockCorruptionError",
     "BlockStore",
-    "Broadcast",
-    "DAGScheduler",
     "DStream",
-    "HashPartitioner",
-    "JobMetrics",
     "MapPartitionsRDD",
     "ParallelCollectionRDD",
-    "Partitioner",
     "RDD",
-    "RangePartitioner",
     "RowMatrix",
-    "ShuffleManager",
-    "ShuffledRDD",
     "SparkletContext",
     "StreamingContext",
-    "UnionRDD",
 ]

@@ -1,57 +1,24 @@
 """SparkletContext: the entry point to the dataflow engine.
 
-Owns the executor pool, the shuffle manager, the partition cache, and
-broadcast/accumulator bookkeeping.  Thread-based executors give real
-parallelism for NumPy-heavy tasks (BLAS releases the GIL); the
-``serial`` mode is deterministic and is what the test-suite uses.
+Owns the executor pool and runs jobs on it.  Every transformation is
+narrow (:mod:`repro.sparklet.rdd`), so a job has no stages: it is one
+task per partition, submitted to the pool, with the results gathered in
+partition order.  Tasks share no mutable state, so the context holds no
+lock.  Thread-based executors give real parallelism for NumPy-heavy
+tasks (BLAS releases the GIL); a context whose ``parallelism`` is 1 runs
+its tasks inline on the calling thread.
 """
 
 from __future__ import annotations
 
-import itertools
-import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, Dict, Generic, Iterator, List, Optional, Sequence, Tuple, TypeVar
+from typing import Any, Callable, Iterator, List, Optional, Sequence, TypeVar
 
-from ..analysis.raceaudit import assert_holds, audited_lock
 from .rdd import RDD, ParallelCollectionRDD
-from .scheduler import DAGScheduler
-from .shuffle import ShuffleManager
 
 T = TypeVar("T")
 
-__all__ = ["SparkletContext", "Broadcast", "Accumulator"]
-
-
-class Broadcast(Generic[T]):
-    """Read-only value shared with every task.
-
-    In-process this is a thin wrapper, but user code written against it
-    keeps the Spark structure (and the scheduler could later ship it).
-    """
-
-    def __init__(self, value: T) -> None:
-        self._value = value
-
-    @property
-    def value(self) -> T:
-        return self._value
-
-
-class Accumulator:
-    """Add-only shared counter (thread-safe)."""
-
-    def __init__(self, initial: float = 0.0) -> None:
-        self._value = initial
-        self._lock = threading.Lock()
-
-    def add(self, amount: float) -> None:
-        with self._lock:
-            self._value += amount
-
-    @property
-    def value(self) -> float:
-        return self._value
+__all__ = ["SparkletContext"]
 
 
 class SparkletContext:
@@ -61,45 +28,25 @@ class SparkletContext:
     ----------
     parallelism:
         Default number of partitions for ``parallelize`` and the size
-        of the thread executor pool.
-    executor:
-        ``"threads"`` (default) or ``"serial"``.
+        of the thread executor pool; at 1 tasks run on the calling thread.
     """
 
-    def __init__(self, parallelism: int = 4, executor: str = "threads") -> None:
+    def __init__(self, parallelism: int = 4) -> None:
         if parallelism < 1:
             raise ValueError("parallelism must be >= 1")
-        if executor not in ("threads", "serial"):
-            raise ValueError("executor must be 'threads' or 'serial'")
         self.parallelism = parallelism
-        self.shuffle_manager = ShuffleManager()
-        self._rdd_ids = itertools.count()
-        self._shuffle_ids = itertools.count()
-        self._cache: Dict[Tuple[int, int], List[Any]] = {}  # guarded-by: _cache_lock
-        self._cache_lock = audited_lock("sparklet.context.cache")
         self._executor: Optional[ThreadPoolExecutor] = (
             ThreadPoolExecutor(max_workers=parallelism, thread_name_prefix="sparklet")
-            if executor == "threads"
+            if parallelism > 1
             else None
         )
-        self.scheduler = DAGScheduler(self)
         self._stopped = False
 
-    # ------------------------------------------------------------------
-    # data sources
-    # ------------------------------------------------------------------
     def parallelize(self, data: Sequence[T], num_slices: Optional[int] = None) -> RDD[T]:
         """Distribute an in-memory sequence into an RDD."""
         self._check_active()
         n = num_slices if num_slices is not None else self.parallelism
         return ParallelCollectionRDD(self, list(data), n)
-
-    def range(self, start: int, end: Optional[int] = None, step: int = 1,
-              num_slices: Optional[int] = None) -> RDD[int]:
-        """RDD over a Python range."""
-        if end is None:
-            start, end = 0, start
-        return self.parallelize(range(start, end, step), num_slices)
 
     def map_tasks(
         self,
@@ -121,70 +68,29 @@ class SparkletContext:
         n = num_slices if num_slices is not None else min(len(data), self.parallelism * 4)
         return self.parallelize(data, n).map(func).collect()
 
-    def broadcast(self, value: T) -> Broadcast[T]:
-        return Broadcast(value)
+    def run_job(self, rdd: RDD[Any], func: Callable[[Iterator[Any]], T]) -> List[T]:
+        """Run ``func`` over every partition of ``rdd``; results in partition order.
 
-    def accumulator(self, initial: float = 0.0) -> Accumulator:
-        return Accumulator(initial)
-
-    # ------------------------------------------------------------------
-    # execution plumbing (used by RDD/scheduler)
-    # ------------------------------------------------------------------
-    def run_job(
-        self,
-        rdd: RDD,
-        func: Callable[[Iterator], Any],
-        partitions: Optional[Sequence[int]] = None,
-    ) -> List[Any]:
+        The caller waits for the pool here, so this call's own time is
+        the wait on the executors.
+        """
         self._check_active()
-        return self.scheduler.run_job(rdd, func, partitions)
-
-    def _iterator(self, rdd: RDD, split: int) -> Iterator:
-        """Compute (or fetch from cache) one partition of ``rdd``."""
-        if not rdd.is_cached:
-            return rdd.compute(split)
-        key = (rdd.rdd_id, split)
-        with self._cache_lock:
-            hit = self._cache_peek(key)
-        if hit is not None:
-            return iter(hit)
-        data = list(rdd.compute(split))
-        with self._cache_lock:
-            self._cache[key] = data
-        return iter(data)
-
-    def _cache_peek(self, key: Tuple[int, int]) -> Optional[List[Any]]:
-        """Cached partition lookup; caller holds ``_cache_lock``."""
-        assert_holds(self._cache_lock)
-        return self._cache.get(key)
-
-    def _evict_cache(self, rdd_id: int) -> None:
-        with self._cache_lock:
-            for key in [k for k in self._cache if k[0] == rdd_id]:
-                del self._cache[key]
-
-    def _next_rdd_id(self) -> int:
-        return next(self._rdd_ids)
-
-    def _next_shuffle_id(self) -> int:
-        return next(self._shuffle_ids)
+        splits = range(rdd.num_partitions())
+        if self._executor is None or len(splits) <= 1:
+            return [func(rdd.compute(split)) for split in splits]
+        return list(self._executor.map(lambda split: func(rdd.compute(split)), splits))
 
     def _check_active(self) -> None:
         if self._stopped:
             raise RuntimeError("context has been stopped")
 
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
     def stop(self) -> None:
-        """Shut down the executor pool and drop caches/shuffle state."""
+        """Shut down the executor pool."""
         if self._stopped:
             return
         self._stopped = True
         if self._executor is not None:
             self._executor.shutdown(wait=True)
-        with self._cache_lock:
-            self._cache.clear()
 
     def __enter__(self) -> "SparkletContext":
         return self

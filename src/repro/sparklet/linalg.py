@@ -2,8 +2,8 @@
 
 :class:`RowMatrix` wraps an RDD of NumPy *row blocks* (2-D arrays with
 the full column width).  Per-partition Gram matrices are computed with
-one BLAS call each and tree-reduced — the same decomposition MLlib uses
-for ``computeCovariance`` — so the covariance of an ``n × p`` matrix
+one BLAS call each and folded together — the same decomposition MLlib
+uses for ``computeCovariance`` — so the covariance of an ``n × p`` matrix
 costs one pass and ``O(p²)`` reduction traffic per partition, never
 materialising the data on the driver.
 
@@ -15,7 +15,7 @@ directly on :meth:`RowMatrix.covariance` and :func:`eigh_descending`.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -47,10 +47,10 @@ class RowMatrix:
         RDD whose elements are 2-D ``float64`` arrays of shape
         ``(rows_i, p)`` with a common ``p``.
     num_cols:
-        Column count; inferred with a small job when omitted.
+        Column count ``p``.
     """
 
-    def __init__(self, blocks: RDD, num_cols: Optional[int] = None) -> None:
+    def __init__(self, blocks: RDD[np.ndarray], num_cols: int) -> None:
         self.blocks = blocks
         self._num_cols = num_cols
         self._num_rows: Optional[int] = None
@@ -73,9 +73,6 @@ class RowMatrix:
     # shape
     # ------------------------------------------------------------------
     def num_cols(self) -> int:
-        if self._num_cols is None:
-            first = self.blocks.first()
-            self._num_cols = int(first.shape[1])
         return self._num_cols
 
     def num_rows(self) -> int:
@@ -101,7 +98,7 @@ class RowMatrix:
         return self.column_sums() / n
 
     def gramian(self) -> np.ndarray:
-        """``Xᵀ X`` via per-partition BLAS + tree reduction."""
+        """``Xᵀ X`` via per-partition BLAS and a fold."""
         p = self.num_cols()
         return self.blocks.map(lambda b: b.T @ b).fold(
             np.zeros((p, p)), lambda a, b: a + b
@@ -121,33 +118,3 @@ class RowMatrix:
         gram = self.gramian()
         cov = (gram - n * np.outer(mu, mu)) / (n - 1)
         return (cov + cov.T) / 2.0
-
-    def covariance_eigen(self, top_k: Optional[int] = None) -> Tuple[np.ndarray, np.ndarray]:
-        """:func:`eigh_descending` of the covariance, optionally truncated
-        to ``(eigenvalues[k], eigenvectors[p, k])``."""
-        eigvals, eigvecs = eigh_descending(self.covariance())
-        if top_k is not None:
-            if top_k < 1:
-                raise ValueError("top_k must be >= 1")
-            eigvals = eigvals[:top_k]
-            eigvecs = eigvecs[:, :top_k]
-        return eigvals, eigvecs
-
-    # ------------------------------------------------------------------
-    # algebra
-    # ------------------------------------------------------------------
-    def multiply(self, local: np.ndarray) -> "RowMatrix":
-        """Right-multiply every row block by a local ``(p, q)`` matrix."""
-        mat = np.asarray(local, dtype=np.float64)
-        if mat.ndim != 2 or mat.shape[0] != self.num_cols():
-            raise ValueError(
-                f"shape mismatch: matrix is (*, {self.num_cols()}), operand {mat.shape}"
-            )
-        return RowMatrix(self.blocks.map(lambda b: b @ mat), num_cols=mat.shape[1])
-
-    def collect(self) -> np.ndarray:
-        """Materialise the full matrix on the driver (tests/small data only)."""
-        blocks = self.blocks.collect()
-        if not blocks:
-            return np.empty((0, self._num_cols or 0))
-        return np.vstack(blocks)

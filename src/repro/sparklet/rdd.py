@@ -1,405 +1,75 @@
 """Resilient-distributed-dataset API (lazy, partitioned collections).
 
-The subset of the Spark RDD surface the paper's offline training
-pipeline needs, implemented faithfully: transformations are lazy and
-build a DAG; wide transformations introduce shuffle dependencies; the
-scheduler (:mod:`repro.sparklet.scheduler`) splits the DAG into stages
-at shuffle boundaries and runs tasks over an executor pool.
+The paper's Spark job needs no shuffle: it fits every unit on its own
+(``parallelize → map → collect``) and folds per-partition Gram matrices
+into a covariance (``map → fold``, :mod:`repro.sparklet.linalg`).  So
+every transformation here is *narrow* — partition ``i`` of a child is
+computed from partition ``i`` of its parent alone — and an action is
+one job of one task per partition
+(:meth:`~repro.sparklet.context.SparkletContext.run_job`).
 
-Records flow through plain Python iterators; numeric work should use
-``map_partitions`` with NumPy inside (vectorise per partition, not per
-record) — that is how :mod:`repro.sparklet.linalg` gets real speed.
+Records flow through plain Python iterators; numeric work should map
+whole NumPy blocks (vectorise per partition, not per record) — that is
+how :mod:`repro.sparklet.linalg` gets real speed.
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import Any, Callable, Generic, Iterable, Iterator, List, Optional, Tuple, TypeVar
-
-from .partitioner import HashPartitioner, Partitioner, RangePartitioner
-from .shuffle import Aggregator
+import copy
+import functools
+from typing import Any, Callable, Generic, Iterable, Iterator, List, TypeVar
 
 T = TypeVar("T")
 U = TypeVar("U")
-K = TypeVar("K")
-V = TypeVar("V")
 
-__all__ = [
-    "Dependency",
-    "NarrowDependency",
-    "ShuffleDependency",
-    "RDD",
-    "ParallelCollectionRDD",
-    "MapPartitionsRDD",
-    "ShuffledRDD",
-    "UnionRDD",
-]
-
-
-class _ReversedPartitioner(Partitioner):
-    """Mirror a partitioner's indices (used by descending sorts)."""
-
-    def __init__(self, inner: Partitioner) -> None:
-        super().__init__(inner.num_partitions)
-        self.inner = inner
-
-    def partition(self, key) -> int:
-        return self.num_partitions - 1 - self.inner.partition(key)
-
-
-class Dependency:
-    """Edge in the RDD lineage DAG."""
-
-    def __init__(self, parent: "RDD") -> None:
-        self.parent = parent
-
-
-class NarrowDependency(Dependency):
-    """Child partition i depends only on parent partition i."""
-
-
-class ShuffleDependency(Dependency):
-    """Child partitions depend on *all* parent partitions (stage boundary)."""
-
-    def __init__(
-        self,
-        parent: "RDD",
-        partitioner: Partitioner,
-        aggregator: Optional[Aggregator] = None,
-    ) -> None:
-        super().__init__(parent)
-        self.partitioner = partitioner
-        self.aggregator = aggregator
-        self.shuffle_id = parent.ctx._next_shuffle_id()
+__all__ = ["RDD", "ParallelCollectionRDD", "MapPartitionsRDD"]
 
 
 class RDD(Generic[T]):
     """A lazy, partitioned collection."""
 
-    def __init__(self, ctx, deps: List[Dependency]) -> None:
-        self.ctx = ctx
-        self.deps = deps
-        self.rdd_id = ctx._next_rdd_id()
-        self._cached = False
+    def __init__(self, ctx: Any) -> None:
+        self.ctx = ctx  # the owning SparkletContext
 
-    # ------------------------------------------------------------------
-    # to be provided by concrete RDDs
-    # ------------------------------------------------------------------
     def num_partitions(self) -> int:
         raise NotImplementedError
 
     def compute(self, split: int) -> Iterator[T]:
-        """Compute one partition (called by the scheduler)."""
+        """Compute one partition (called by ``run_job``)."""
         raise NotImplementedError
 
-    # ------------------------------------------------------------------
-    # caching
-    # ------------------------------------------------------------------
-    def cache(self) -> "RDD[T]":
-        """Materialise partitions on first computation and reuse them."""
-        self._cached = True
-        return self
-
-    def unpersist(self) -> "RDD[T]":
-        self._cached = False
-        self.ctx._evict_cache(self.rdd_id)
-        return self
-
-    @property
-    def is_cached(self) -> bool:
-        return self._cached
-
-    # ------------------------------------------------------------------
-    # narrow transformations
-    # ------------------------------------------------------------------
     def map(self, f: Callable[[T], U]) -> "RDD[U]":
-        return MapPartitionsRDD(self, lambda _i, it: map(f, it))
+        return MapPartitionsRDD(self, lambda it: map(f, it))
 
-    def flat_map(self, f: Callable[[T], Iterable[U]]) -> "RDD[U]":
-        return MapPartitionsRDD(self, lambda _i, it: (y for x in it for y in f(x)))
-
-    def filter(self, f: Callable[[T], bool]) -> "RDD[T]":
-        return MapPartitionsRDD(self, lambda _i, it: filter(f, it))
-
-    def map_partitions(self, f: Callable[[Iterator[T]], Iterable[U]]) -> "RDD[U]":
-        return MapPartitionsRDD(self, lambda _i, it: f(it))
-
-    def map_partitions_with_index(
-        self, f: Callable[[int, Iterator[T]], Iterable[U]]
-    ) -> "RDD[U]":
-        return MapPartitionsRDD(self, f)
-
-    def glom(self) -> "RDD[List[T]]":
-        """One list per partition."""
-        return MapPartitionsRDD(self, lambda _i, it: iter([list(it)]))
-
-    def key_by(self, f: Callable[[T], K]) -> "RDD[Tuple[K, T]]":
-        return self.map(lambda x: (f(x), x))
-
-    def map_values(self, f: Callable[[V], U]) -> "RDD[Tuple[K, U]]":
-        return self.map(lambda kv: (kv[0], f(kv[1])))
-
-    def flat_map_values(self, f: Callable[[V], Iterable[U]]) -> "RDD[Tuple[K, U]]":
-        return self.flat_map(lambda kv: ((kv[0], u) for u in f(kv[1])))
-
-    def keys(self) -> "RDD[K]":
-        return self.map(lambda kv: kv[0])
-
-    def values(self) -> "RDD[V]":
-        return self.map(lambda kv: kv[1])
-
-    def union(self, other: "RDD[T]") -> "RDD[T]":
-        return UnionRDD(self.ctx, [self, other])
-
-    def zip_with_index(self) -> "RDD[Tuple[T, int]]":
-        """Pair each element with its global index (runs a counting job)."""
-        counts = self.ctx.run_job(self, lambda it: sum(1 for _ in it))
-        offsets = [0]
-        for c in counts[:-1]:
-            offsets.append(offsets[-1] + c)
-
-        def attach(i: int, it: Iterator[T]) -> Iterator[Tuple[T, int]]:
-            base = offsets[i]
-            for j, x in enumerate(it):
-                yield (x, base + j)
-
-        return MapPartitionsRDD(self, attach)
-
-    def sample(self, fraction: float, seed: int = 0) -> "RDD[T]":
-        """Bernoulli sample (deterministic per partition and seed)."""
-        if not 0.0 <= fraction <= 1.0:
-            raise ValueError("fraction must be in [0, 1]")
-
-        def sampler(i: int, it: Iterator[T]) -> Iterator[T]:
-            import numpy as np
-
-            rng = np.random.default_rng((seed, i))
-            return (x for x in it if rng.random() < fraction)
-
-        return MapPartitionsRDD(self, sampler)
-
-    # ------------------------------------------------------------------
-    # wide (shuffle) transformations — pair RDDs
-    # ------------------------------------------------------------------
-    def partition_by(self, partitioner: Partitioner) -> "RDD[Tuple[K, V]]":
-        shuffled = ShuffledRDD(self, partitioner, aggregator=None)
-        # Un-group: shuffle read yields (k, [v...]); restore the pairs.
-        return MapPartitionsRDD(
-            shuffled, lambda _i, it: ((k, v) for k, vs in it for v in vs)
-        )
-
-    def group_by_key(self, num_partitions: Optional[int] = None) -> "RDD[Tuple[K, List[V]]]":
-        return ShuffledRDD(self, self._default_partitioner(num_partitions), aggregator=None)
-
-    def group_by(
-        self, f: Callable[[T], K], num_partitions: Optional[int] = None
-    ) -> "RDD[Tuple[K, List[T]]]":
-        return self.key_by(f).group_by_key(num_partitions)
-
-    def combine_by_key(
-        self,
-        create: Callable[[V], U],
-        merge_value: Callable[[U, V], U],
-        merge_combiners: Callable[[U, U], U],
-        num_partitions: Optional[int] = None,
-    ) -> "RDD[Tuple[K, U]]":
-        agg = Aggregator(create, merge_value, merge_combiners)
-        return ShuffledRDD(self, self._default_partitioner(num_partitions), agg)
-
-    def reduce_by_key(
-        self, f: Callable[[V, V], V], num_partitions: Optional[int] = None
-    ) -> "RDD[Tuple[K, V]]":
-        return self.combine_by_key(lambda v: v, f, f, num_partitions)
-
-    def aggregate_by_key(
-        self,
-        zero: U,
-        seq_op: Callable[[U, V], U],
-        comb_op: Callable[[U, U], U],
-        num_partitions: Optional[int] = None,
-    ) -> "RDD[Tuple[K, U]]":
-        import copy
-
-        return self.combine_by_key(
-            lambda v: seq_op(copy.deepcopy(zero), v), seq_op, comb_op, num_partitions
-        )
-
-    def count_by_key(self) -> dict:
-        return dict(self.map_values(lambda _v: 1).reduce_by_key(lambda a, b: a + b).collect())
-
-    def distinct(self, num_partitions: Optional[int] = None) -> "RDD[T]":
-        return (
-            self.map(lambda x: (x, None))
-            .reduce_by_key(lambda a, _b: a, num_partitions)
-            .keys()
-        )
-
-    def cogroup(
-        self, other: "RDD[Tuple[K, U]]", num_partitions: Optional[int] = None
-    ) -> "RDD[Tuple[K, Tuple[List[V], List[U]]]]":
-        tagged = self.map_values(lambda v: (0, v)).union(
-            other.map_values(lambda v: (1, v))
-        )
-        grouped = tagged.group_by_key(num_partitions)
-
-        def split(kv: Tuple[K, List[Tuple[int, Any]]]) -> Tuple[K, Tuple[List[V], List[U]]]:
-            key, tagged_values = kv
-            left = [v for tag, v in tagged_values if tag == 0]
-            right = [v for tag, v in tagged_values if tag == 1]
-            return (key, (left, right))
-
-        return grouped.map(split)
-
-    def join(
-        self, other: "RDD[Tuple[K, U]]", num_partitions: Optional[int] = None
-    ) -> "RDD[Tuple[K, Tuple[V, U]]]":
-        return self.cogroup(other, num_partitions).flat_map(
-            lambda kv: ((kv[0], (l, r)) for l in kv[1][0] for r in kv[1][1])
-        )
-
-    def left_outer_join(
-        self, other: "RDD[Tuple[K, U]]", num_partitions: Optional[int] = None
-    ) -> "RDD[Tuple[K, Tuple[V, Optional[U]]]]":
-        def emit(
-            kv: Tuple[K, Tuple[List[V], List[U]]]
-        ) -> Iterator[Tuple[K, Tuple[V, Optional[U]]]]:
-            key, (left, right) = kv
-            if not right:
-                return ((key, (l, None)) for l in left)
-            return ((key, (l, r)) for l in left for r in right)
-
-        return self.cogroup(other, num_partitions).flat_map(emit)
-
-    def sort_by(
-        self,
-        key_fn: Callable[[T], Any],
-        ascending: bool = True,
-        num_partitions: Optional[int] = None,
-    ) -> "RDD[T]":
-        """Total ordering via sampled range partitioning + local sort."""
-        n_out = num_partitions if num_partitions is not None else self.num_partitions()
-        keyed = self.key_by(key_fn)
-        if n_out == 1:
-            bounds: List[Any] = []
-        else:
-            sampled = sorted(self.map(key_fn).sample(min(1.0, 20.0 * n_out / max(1, self._approx_size())), seed=17).collect())
-            if not sampled:
-                sampled = sorted(self.map(key_fn).collect())
-            step = max(1, len(sampled) // n_out)
-            bounds = sampled[step::step][: n_out - 1]
-        partitioner: Partitioner = RangePartitioner(bounds)
-        if not ascending:
-            # Reverse the partition indices so partition 0 holds the
-            # largest keys; concatenated partitions then read descending.
-            partitioner = _ReversedPartitioner(partitioner)
-        shuffled = ShuffledRDD(keyed, partitioner, aggregator=None)
-
-        def local_sort(_i: int, it: Iterator[Tuple[Any, List[T]]]) -> Iterator[T]:
-            pairs = sorted(it, key=lambda kv: kv[0], reverse=not ascending)
-            for _k, vs in pairs:
-                yield from vs
-
-        return MapPartitionsRDD(shuffled, local_sort)
-
-    def _approx_size(self) -> int:
-        # Cheap size hint for sampling rates; exact for parallelized data.
-        root = self
-        while root.deps:
-            root = root.deps[0].parent
-        return getattr(root, "_size_hint", 1000)
-
-    def _default_partitioner(self, num_partitions: Optional[int]) -> Partitioner:
-        n = num_partitions if num_partitions is not None else max(1, self.num_partitions())
-        return HashPartitioner(n)
-
-    # ------------------------------------------------------------------
-    # actions
-    # ------------------------------------------------------------------
     def collect(self) -> List[T]:
         chunks = self.ctx.run_job(self, list)
         return [x for chunk in chunks for x in chunk]
 
-    def count(self) -> int:
-        return sum(self.ctx.run_job(self, lambda it: sum(1 for _ in it)))
-
-    def first(self) -> T:
-        taken = self.take(1)
-        if not taken:
-            raise ValueError("RDD is empty")
-        return taken[0]
-
-    def take(self, n: int) -> List[T]:
-        """First ``n`` elements in partition order (computes lazily per partition)."""
-        if n <= 0:
-            return []
-        out: List[T] = []
-        for split in range(self.num_partitions()):
-            chunk = self.ctx.run_job(self, lambda it: list(it), partitions=[split])[0]
-            out.extend(chunk)
-            if len(out) >= n:
-                break
-        return out[:n]
-
-    def reduce(self, f: Callable[[T, T], T]) -> T:
-        def reduce_partition(it: Iterator[T]) -> List[T]:
-            acc = None
-            seen = False
-            for x in it:
-                acc = x if not seen else f(acc, x)
-                seen = True
-            return [acc] if seen else []
-
-        partials = [x for chunk in self.ctx.run_job(self, reduce_partition) for x in chunk]
-        if not partials:
-            raise ValueError("reduce of empty RDD")
-        acc = partials[0]
-        for x in partials[1:]:
-            acc = f(acc, x)
-        return acc
-
     def fold(self, zero: T, f: Callable[[T, T], T]) -> T:
-        import functools
+        """Fold each partition with ``f``, then fold the partial results.
 
-        partials = self.ctx.run_job(self, lambda it: functools.reduce(f, it, zero))
-        return functools.reduce(f, partials, zero)
-
-    def aggregate(self, zero: U, seq_op: Callable[[U, T], U], comb_op: Callable[[U, U], U]) -> U:
-        import copy
-        import functools
-
+        Each partition and the final merge start from their own deep
+        copy of ``zero``, as in Spark, so ``f`` may update its first
+        argument in place.
+        """
         partials = self.ctx.run_job(
-            self, lambda it: functools.reduce(seq_op, it, copy.deepcopy(zero))
+            self, lambda it: functools.reduce(f, it, copy.deepcopy(zero))
         )
-        return functools.reduce(comb_op, partials, zero)
-
-    def sum(self) -> Any:
-        return self.fold(0, lambda a, b: a + b)
-
-    def top(self, n: int, key: Optional[Callable[[T], Any]] = None) -> List[T]:
-        """Largest ``n`` elements (by ``key``), descending."""
-        partials = self.ctx.run_job(self, lambda it: heapq.nlargest(n, it, key=key))
-        merged = heapq.nlargest(n, (x for chunk in partials for x in chunk), key=key)
-        return merged
-
-    def foreach(self, f: Callable[[T], None]) -> None:
-        self.ctx.run_job(self, lambda it: [f(x) for x in it] and None)
-
-    def foreach_partition(self, f: Callable[[Iterator[T]], None]) -> None:
-        self.ctx.run_job(self, lambda it: f(it))
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<{type(self).__name__} id={self.rdd_id} partitions={self.num_partitions()}>"
+        return functools.reduce(f, partials, copy.deepcopy(zero))
 
 
 class ParallelCollectionRDD(RDD[T]):
     """Root RDD over an in-memory sequence, sliced into partitions."""
 
-    def __init__(self, ctx, data: List[T], num_slices: int) -> None:
-        super().__init__(ctx, [])
+    def __init__(self, ctx: Any, data: List[T], num_slices: int) -> None:
+        super().__init__(ctx)
         if num_slices < 1:
             raise ValueError("num_slices must be >= 1")
-        self._slices: List[List[T]] = [list(s) for s in _slice(data, num_slices)]
-        self._size_hint = len(data)
+        n = len(data)
+        self._slices = [
+            data[(i * n) // num_slices : ((i + 1) * n) // num_slices]
+            for i in range(num_slices)
+        ]
 
     def num_partitions(self) -> int:
         return len(self._slices)
@@ -408,21 +78,11 @@ class ParallelCollectionRDD(RDD[T]):
         return iter(self._slices[split])
 
 
-def _slice(data: List[T], num_slices: int) -> List[List[T]]:
-    n = len(data)
-    out = []
-    for i in range(num_slices):
-        start = (i * n) // num_slices
-        end = ((i + 1) * n) // num_slices
-        out.append(data[start:end])
-    return out
-
-
 class MapPartitionsRDD(RDD[U]):
-    """Narrow transformation: apply ``f(split_index, iterator)``."""
+    """Narrow transformation: apply ``f`` to each parent partition's iterator."""
 
-    def __init__(self, parent: RDD, f: Callable[[int, Iterator], Iterable[U]]) -> None:
-        super().__init__(parent.ctx, [NarrowDependency(parent)])
+    def __init__(self, parent: RDD[T], f: Callable[[Iterator[T]], Iterable[U]]) -> None:
+        super().__init__(parent.ctx)
         self.parent = parent
         self.f = f
 
@@ -430,47 +90,4 @@ class MapPartitionsRDD(RDD[U]):
         return self.parent.num_partitions()
 
     def compute(self, split: int) -> Iterator[U]:
-        return iter(self.f(split, self.ctx._iterator(self.parent, split)))
-
-
-class ShuffledRDD(RDD[Tuple[K, Any]]):
-    """Post-shuffle RDD: partition ``i`` reads reduce bucket ``i``.
-
-    Without an aggregator yields ``(key, [values])``; with one yields
-    ``(key, combined)``.
-    """
-
-    def __init__(self, parent: RDD, partitioner: Partitioner, aggregator: Optional[Aggregator]) -> None:
-        dep = ShuffleDependency(parent, partitioner, aggregator)
-        super().__init__(parent.ctx, [dep])
-        self.dep = dep
-
-    def num_partitions(self) -> int:
-        return self.dep.partitioner.num_partitions
-
-    def compute(self, split: int) -> Iterator[Tuple[K, Any]]:
-        return self.ctx.shuffle_manager.read(
-            self.dep.shuffle_id,
-            split,
-            self.dep.parent.num_partitions(),
-            self.dep.aggregator,
-        )
-
-
-class UnionRDD(RDD[T]):
-    """Concatenation of several RDDs' partitions (narrow)."""
-
-    def __init__(self, ctx, parents: List[RDD[T]]) -> None:
-        super().__init__(ctx, [NarrowDependency(p) for p in parents])
-        self.parents = parents
-
-    def num_partitions(self) -> int:
-        return sum(p.num_partitions() for p in self.parents)
-
-    def compute(self, split: int) -> Iterator[T]:
-        for parent in self.parents:
-            n = parent.num_partitions()
-            if split < n:
-                return self.ctx._iterator(parent, split)
-            split -= n
-        raise IndexError("partition index out of range")  # pragma: no cover
+        return iter(self.f(self.parent.compute(split)))

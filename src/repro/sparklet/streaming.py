@@ -2,11 +2,10 @@
 
 The paper's §VI lists "migrating our anomaly detection implementation
 to Spark Streaming for online training" as ongoing work.  This module
-provides the D-Stream model from the Spark Streaming paper (Zaharia et
-al., SOSP'13) at the scale this project needs: a stream is a sequence
-of *micro-batches*, each processed as an ordinary RDD on the batch
-engine, so streaming computations reuse the exact same operators —
-and the same fault-tolerance story — as batch ones.
+keeps the part of the D-Stream model (Zaharia et al., SOSP'13) that
+the streaming detector and trainer use: a stream is a sequence of
+*micro-batches*, each handed to the registered outputs
+(:meth:`DStream.foreach_rdd`) as an ordinary RDD on the batch engine.
 
 Sources are pull-based (``queue_stream`` / ``generator_stream``);
 ``StreamingContext.run`` drives a fixed number of intervals, which
@@ -15,8 +14,7 @@ keeps tests deterministic (no wall-clock coupling).
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any, Callable, Deque, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Iterable, Iterator, List, Optional
 
 from .context import SparkletContext
 from .rdd import RDD
@@ -32,7 +30,7 @@ class StreamingContext:
             raise ValueError("batch_interval must be positive")
         self.sc = sc
         self.batch_interval = batch_interval
-        self._sources: List["_SourceDStream"] = []
+        self._sources: List["DStream"] = []
         self.batches_processed = 0
 
     # ------------------------------------------------------------------
@@ -40,13 +38,11 @@ class StreamingContext:
     # ------------------------------------------------------------------
     def queue_stream(self, batches: Iterable[List[Any]]) -> "DStream":
         """A stream fed from a pre-built sequence of micro-batches."""
-        source = _SourceDStream(self, iter(batches))
-        self._sources.append(source)
-        return source
+        return self.generator_stream(iter(batches))
 
     def generator_stream(self, generator: Iterator[List[Any]]) -> "DStream":
         """A stream fed lazily from a generator of micro-batches."""
-        source = _SourceDStream(self, generator)
+        source = DStream(self, generator)
         self._sources.append(source)
         return source
 
@@ -56,10 +52,9 @@ class StreamingContext:
     def run(self, num_intervals: Optional[int] = None) -> int:
         """Process up to ``num_intervals`` micro-batches (all, if None).
 
-        Each interval pulls one batch from every source, pushes it down
-        the DStream graph, and fires the registered outputs.  Returns
-        the number of intervals actually processed (a source running
-        dry ends the stream).
+        Each interval pulls one batch from every source and fires that
+        source's registered outputs.  Returns the number of intervals
+        actually processed (a source running dry ends the stream).
         """
         if not self._sources:
             raise RuntimeError("no stream sources registered")
@@ -78,136 +73,18 @@ class StreamingContext:
 
 
 class DStream:
-    """A discretised stream: one RDD per micro-batch interval."""
-
-    def __init__(self, ssc: StreamingContext) -> None:
-        self.ssc = ssc
-        self._children: List[Callable[[int, RDD], None]] = []
-
-    # ------------------------------------------------------------------
-    # graph wiring
-    # ------------------------------------------------------------------
-    def _emit(self, time_index: int, rdd: RDD) -> None:
-        for child in self._children:
-            child(time_index, rdd)
-
-    def _derive(self, transform_rdd: Callable[[int, RDD], Optional[RDD]]) -> "DStream":
-        child = DStream(self.ssc)
-
-        def on_batch(time_index: int, rdd: RDD) -> None:
-            out = transform_rdd(time_index, rdd)
-            if out is not None:
-                child._emit(time_index, out)
-
-        self._children.append(on_batch)
-        return child
-
-    # ------------------------------------------------------------------
-    # transformations (each micro-batch independently)
-    # ------------------------------------------------------------------
-    def map(self, f: Callable[[Any], Any]) -> "DStream":
-        return self._derive(lambda _t, rdd: rdd.map(f))
-
-    def flat_map(self, f: Callable[[Any], Iterable[Any]]) -> "DStream":
-        return self._derive(lambda _t, rdd: rdd.flat_map(f))
-
-    def filter(self, f: Callable[[Any], bool]) -> "DStream":
-        return self._derive(lambda _t, rdd: rdd.filter(f))
-
-    def transform(self, f: Callable[[RDD], RDD]) -> "DStream":
-        """Arbitrary RDD-to-RDD transformation per interval."""
-        return self._derive(lambda _t, rdd: f(rdd))
-
-    def reduce_by_key(self, f: Callable[[Any, Any], Any]) -> "DStream":
-        return self._derive(lambda _t, rdd: rdd.reduce_by_key(f))
-
-    def count_by_value(self) -> "DStream":
-        return self._derive(
-            lambda _t, rdd: rdd.map(lambda x: (x, 1)).reduce_by_key(lambda a, b: a + b)
-        )
-
-    # ------------------------------------------------------------------
-    # windowed transformations
-    # ------------------------------------------------------------------
-    def window(self, window_length: int, slide: int = 1) -> "DStream":
-        """Union of the last ``window_length`` micro-batches, every ``slide``.
-
-        Lengths are in intervals (the D-Stream convention divided by the
-        batch interval).
-        """
-        if window_length < 1 or slide < 1:
-            raise ValueError("window_length and slide must be >= 1")
-        buffer: Deque[RDD] = deque(maxlen=window_length)
-
-        def on_batch(_t: int, rdd: RDD) -> Optional[RDD]:
-            buffer.append(rdd)
-            if (_t + 1) % slide != 0:
-                return None
-            union = buffer[0]
-            for nxt in list(buffer)[1:]:
-                union = union.union(nxt)
-            return union
-
-        return self._derive(on_batch)
-
-    def reduce_by_key_and_window(
-        self, f: Callable[[Any, Any], Any], window_length: int, slide: int = 1
-    ) -> "DStream":
-        return self.window(window_length, slide).reduce_by_key(f)
-
-    # ------------------------------------------------------------------
-    # stateful transformation
-    # ------------------------------------------------------------------
-    def update_state_by_key(
-        self, update: Callable[[List[Any], Any], Any]
-    ) -> "DStream":
-        """Running per-key state: ``update(new_values, old_state) -> state``.
-
-        Emits the full state map each interval (as Spark Streaming
-        does).  ``old_state`` is ``None`` for unseen keys; returning
-        ``None`` drops the key.  Emission order is deterministic but
-        sorted on a type-then-repr surrogate, not on the keys
-        themselves — key sets mixing non-comparable types (``int`` and
-        ``str`` unit ids, say) are legal stream keys and must not crash
-        the stateful operator.
-        """
-        state: Dict[Any, Any] = {}
-
-        def stable_key(item: Tuple[Any, Any]) -> Tuple[str, str]:
-            key = item[0]
-            return (type(key).__name__, repr(key))
-
-        def on_batch(_t: int, rdd: RDD) -> RDD:
-            grouped = dict(rdd.group_by_key().collect())
-            for key in set(state) | set(grouped):
-                new_state = update(grouped.get(key, []), state.get(key))
-                if new_state is None:
-                    state.pop(key, None)
-                else:
-                    state[key] = new_state
-            return self.ssc.sc.parallelize(sorted(state.items(), key=stable_key))
-
-        return self._derive(on_batch)
-
-    # ------------------------------------------------------------------
-    # outputs
-    # ------------------------------------------------------------------
-    def foreach_rdd(self, f: Callable[[int, RDD], None]) -> None:
-        """Register an output action run on every interval's RDD."""
-        self._children.append(f)
-
-    def collect_batches(self, sink: List[List[Any]]) -> None:
-        """Convenience output: append each micro-batch's elements to ``sink``."""
-        self.foreach_rdd(lambda _t, rdd: sink.append(rdd.collect()))
-
-
-class _SourceDStream(DStream):
-    """Root stream pulling micro-batches from an iterator."""
+    """A discretised stream: one RDD per micro-batch interval, pulled
+    from an iterator of batches."""
 
     def __init__(self, ssc: StreamingContext, batches: Iterator[List[Any]]) -> None:
-        super().__init__(ssc)
+        self.ssc = ssc
         self._batches = batches
         self._exhausted = False
+        self._outputs: List[Callable[[int, RDD[Any]], None]] = []
+
+    def foreach_rdd(self, f: Callable[[int, RDD[Any]], None]) -> None:
+        """Register an output action run on every interval's RDD."""
+        self._outputs.append(f)
 
     def _advance(self, time_index: int) -> bool:
         if self._exhausted:
@@ -217,5 +94,6 @@ class _SourceDStream(DStream):
             self._exhausted = True
             return False
         rdd = self.ssc.sc.parallelize(list(batch))
-        self._emit(time_index, rdd)
+        for output in self._outputs:
+            output(time_index, rdd)
         return True

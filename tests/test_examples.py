@@ -39,6 +39,7 @@ class TestExamples:
     def test_spark_batch_training(self, capsys):
         run_example("spark_batch_training.py")
         out = capsys.readouterr().out
+        assert "top words: [('the', 3), ('fox', 2)," in out
         assert "eigenvalue agreement vs local NumPy: True" in out
         assert "models cached" in out
 

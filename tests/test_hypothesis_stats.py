@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
+from repro.core.fdr import FDRDetector, FDRDetectorConfig
 from repro.core.hypothesis import (
     one_sided_pvalues,
     t2_pvalues,
@@ -12,6 +13,9 @@ from repro.core.hypothesis import (
     window_mean_zscores,
     zscores,
 )
+from repro.core.online import OnlineEvaluator
+
+EDGES = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e-300, -1e-300, 5e-324, 1e300, -1e300]
 
 
 class TestZScores:
@@ -106,3 +110,33 @@ class TestT2:
     def test_dof_validation(self):
         with pytest.raises(ValueError):
             t2_pvalues(np.array([1.0]), 0)
+
+
+class TestSpecialMatchesStats:
+    """The detector's p-values and χ² limits come from ``scipy.special``;
+    ``scipy.stats`` (the oracle here) gives the same bits, edges included."""
+
+    def test_normal_tails(self):
+        rng = np.random.default_rng(11)
+        grid = [np.linspace(-40.0, 40.0, 160_001), rng.normal(size=60_000) * 6.0, EDGES]
+        for z in (np.concatenate(grid), EDGES):  # EDGES alone: list input
+            want = 2.0 * stats.norm.sf(np.abs(z))
+            assert np.array_equal(two_sided_pvalues(z), want, equal_nan=True)
+            assert np.array_equal(one_sided_pvalues(z), stats.norm.sf(z), equal_nan=True)
+
+    def test_chi2_upper_tail(self):
+        t = np.concatenate([np.linspace(-5.0, 400.0, 4_051), np.logspace(-300, 3, 200), EDGES])
+        for k in range(1, 201):
+            assert np.array_equal(t2_pvalues(t, k), stats.chi2.sf(t, k), equal_nan=True), k
+        assert np.array_equal(t2_pvalues(EDGES, 4), stats.chi2.sf(EDGES, 4), equal_nan=True)
+        assert t2_pvalues(-1.0, 3) == stats.chi2.sf(-1.0, 3) == 1.0
+
+    def test_chi2_limit(self):
+        alpha = np.append(np.logspace(-12, np.log10(0.999), 400), [0.5, 0.05, 0.01, 0.001])
+        for k in range(1, 201):
+            assert np.array_equal(special.chdtri(k, alpha), stats.chi2.isf(alpha, k)), k
+        x = np.random.default_rng(3).normal(size=(200, 6))
+        for k in (1, 3, 6):
+            cfg = FDRDetectorConfig(n_components=k, unit_alarm_alpha=1e-4)
+            evaluator = OnlineEvaluator(FDRDetector(cfg).fit(x), cfg)
+            assert evaluator._t2_threshold == float(stats.chi2.isf(1e-4, k))

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.multiple_testing import (
     PROCEDURES,
@@ -19,12 +19,13 @@ from repro.core.multiple_testing import (
 
 
 def reference_bh(p, q):
-    """Brute-force BH step-up."""
+    """Brute-force BH step-up (rung ``q·i/m`` written ``q/(m/i)``, so the
+    last rung is exactly ``q``)."""
     m = len(p)
     order = np.argsort(p)
     k = 0
     for i, idx in enumerate(order, 1):
-        if p[idx] <= q * i / m:
+        if p[idx] <= q / (m / i):
             k = i
     out = np.zeros(m, dtype=bool)
     out[order[:k]] = True
@@ -255,6 +256,7 @@ class TestProcedureProperties:
         st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40),
         st.floats(0.01, 0.3),
     )
+    @example(pvals=[0.0, 0.0, 0.0990548070565784], q=0.0990548070565784)
     def test_bh_matches_reference(self, pvals, q):
         p = np.array(pvals)
         assert np.array_equal(benjamini_hochberg(p, q), reference_bh(p, q))
@@ -270,6 +272,9 @@ class TestProcedureProperties:
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=30), st.floats(0.01, 0.3))
+    # p equal to the level: (level·3)/3 rounds below level, so a q·k/m
+    # ladder let Holm reject this p-value and BH not.
+    @example(pvals=[0.0, 0.0, 0.0990548070565784], level=0.0990548070565784)
     def test_power_ordering(self, pvals, level):
         """bonferroni ⊆ holm ⊆ bh and by ⊆ bh (rejection-set nesting)."""
         p = np.array(pvals)

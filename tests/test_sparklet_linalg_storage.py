@@ -6,12 +6,13 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.sparklet import BlockStore, RowMatrix, SparkletContext
+from repro.sparklet.linalg import eigh_descending
 from repro.sparklet.storage import BlockCorruptionError
 
 
 @pytest.fixture()
 def sc():
-    ctx = SparkletContext(parallelism=3, executor="serial")
+    ctx = SparkletContext(parallelism=3)
     yield ctx
     ctx.stop()
 
@@ -46,7 +47,7 @@ class TestRowMatrix:
 
     def test_covariance_eigen_descending_nonnegative(self, sc):
         m = RowMatrix.from_numpy(sc, self.random(), 4)
-        eigvals, eigvecs = m.covariance_eigen()
+        eigvals, eigvecs = eigh_descending(m.covariance())
         assert np.all(np.diff(eigvals) <= 1e-12)
         assert np.all(eigvals >= 0)
         assert eigvecs.shape == (7, 7)
@@ -54,31 +55,9 @@ class TestRowMatrix:
     def test_covariance_eigen_reconstructs(self, sc):
         x = self.random(rows=200)
         m = RowMatrix.from_numpy(sc, x, 4)
-        eigvals, eigvecs = m.covariance_eigen()
+        eigvals, eigvecs = eigh_descending(m.covariance())
         recon = eigvecs @ np.diag(eigvals) @ eigvecs.T
         assert np.allclose(recon, m.covariance(), atol=1e-10)
-
-    def test_top_k(self, sc):
-        m = RowMatrix.from_numpy(sc, self.random(), 4)
-        eigvals, eigvecs = m.covariance_eigen(top_k=3)
-        assert eigvals.shape == (3,)
-        assert eigvecs.shape == (7, 3)
-
-    def test_top_k_invalid(self, sc):
-        m = RowMatrix.from_numpy(sc, self.random(), 2)
-        with pytest.raises(ValueError):
-            m.covariance_eigen(top_k=0)
-
-    def test_multiply(self, sc):
-        x = self.random()
-        w = np.random.default_rng(1).normal(size=(7, 3))
-        out = RowMatrix.from_numpy(sc, x, 4).multiply(w).collect()
-        assert np.allclose(out, x @ w)
-
-    def test_multiply_shape_mismatch(self, sc):
-        m = RowMatrix.from_numpy(sc, self.random(), 2)
-        with pytest.raises(ValueError):
-            m.multiply(np.zeros((3, 2)))
 
     def test_covariance_needs_rows(self, sc):
         m = RowMatrix.from_numpy(sc, np.zeros((1, 3)), 1)
@@ -91,7 +70,7 @@ class TestRowMatrix:
 
     def test_collect_roundtrip(self, sc):
         x = self.random()
-        assert np.allclose(RowMatrix.from_numpy(sc, x, 6).collect(), x)
+        assert np.array_equal(np.vstack(RowMatrix.from_numpy(sc, x, 6).blocks.collect()), x)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -103,7 +82,7 @@ class TestRowMatrix:
         st.integers(min_value=1, max_value=5),
     )
     def test_covariance_property(self, x, blocks):
-        with SparkletContext(parallelism=2, executor="serial") as ctx:
+        with SparkletContext(parallelism=2) as ctx:
             m = RowMatrix.from_numpy(ctx, x, blocks)
             assert np.allclose(
                 m.covariance(), np.cov(x, rowvar=False).reshape(x.shape[1], x.shape[1]),

@@ -1,7 +1,9 @@
 """Tests for the sparklet RDD API against plain-Python references."""
 
 import operator
+import threading
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,7 +12,7 @@ from repro.sparklet import SparkletContext
 
 @pytest.fixture()
 def sc():
-    ctx = SparkletContext(parallelism=3, executor="serial")
+    ctx = SparkletContext(parallelism=3)
     yield ctx
     ctx.stop()
 
@@ -19,220 +21,34 @@ class TestBasicTransformations:
     def test_map(self, sc):
         assert sc.parallelize([1, 2, 3]).map(lambda x: x * 2).collect() == [2, 4, 6]
 
-    def test_filter(self, sc):
-        assert sc.range(10).filter(lambda x: x % 2 == 0).collect() == [0, 2, 4, 6, 8]
-
-    def test_flat_map(self, sc):
-        out = sc.parallelize(["a b", "c"]).flat_map(str.split).collect()
-        assert out == ["a", "b", "c"]
-
-    def test_map_partitions(self, sc):
-        out = sc.range(10, num_slices=2).map_partitions(lambda it: [sum(it)]).collect()
-        assert sum(out) == 45 and len(out) == 2
-
-    def test_map_partitions_with_index(self, sc):
-        out = sc.range(4, num_slices=2).map_partitions_with_index(
-            lambda i, it: [(i, x) for x in it]
-        ).collect()
-        assert out == [(0, 0), (0, 1), (1, 2), (1, 3)]
-
-    def test_glom(self, sc):
-        parts = sc.range(6, num_slices=3).glom().collect()
-        assert parts == [[0, 1], [2, 3], [4, 5]]
-
-    def test_union(self, sc):
-        out = sc.parallelize([1, 2]).union(sc.parallelize([3])).collect()
-        assert out == [1, 2, 3]
-
-    def test_zip_with_index(self, sc):
-        out = sc.parallelize("abcd", num_slices=3).zip_with_index().collect()
-        assert out == [("a", 0), ("b", 1), ("c", 2), ("d", 3)]
-
-    def test_key_by_and_values(self, sc):
-        rdd = sc.parallelize([1, 2, 3]).key_by(lambda x: x % 2)
-        assert rdd.keys().collect() == [1, 0, 1]
-        assert rdd.values().collect() == [1, 2, 3]
-
-    def test_sample_deterministic(self, sc):
-        a = sc.range(100).sample(0.3, seed=5).collect()
-        b = sc.range(100).sample(0.3, seed=5).collect()
-        assert a == b
-        assert 10 < len(a) < 60
-
-    def test_sample_bounds(self, sc):
-        with pytest.raises(ValueError):
-            sc.range(10).sample(1.5)
-
     def test_chaining(self, sc):
         out = (
-            sc.range(100)
+            sc.parallelize(range(100))
             .map(lambda x: x + 1)
-            .filter(lambda x: x % 3 == 0)
-            .map(lambda x: x * x)
+            .map(lambda x: (x, x % 3))
+            .map(lambda pair: pair[0] * pair[0] if pair[1] == 0 else 0)
             .collect()
         )
-        assert out == [x * x for x in range(1, 101) if x % 3 == 0]
-
-
-class TestShuffles:
-    def test_reduce_by_key(self, sc):
-        pairs = [("a", 1), ("b", 2), ("a", 3), ("b", 4), ("c", 5)]
-        out = dict(sc.parallelize(pairs).reduce_by_key(operator.add).collect())
-        assert out == {"a": 4, "b": 6, "c": 5}
-
-    def test_group_by_key(self, sc):
-        pairs = [("a", 1), ("b", 2), ("a", 3)]
-        out = dict(sc.parallelize(pairs).group_by_key().collect())
-        assert sorted(out["a"]) == [1, 3]
-        assert out["b"] == [2]
-
-    def test_group_by(self, sc):
-        out = dict(sc.range(10).group_by(lambda x: x % 3).collect())
-        assert sorted(out[0]) == [0, 3, 6, 9]
-
-    def test_combine_by_key_mean(self, sc):
-        pairs = [("a", 1.0), ("a", 3.0), ("b", 10.0)]
-        combined = sc.parallelize(pairs).combine_by_key(
-            create=lambda v: (v, 1),
-            merge_value=lambda acc, v: (acc[0] + v, acc[1] + 1),
-            merge_combiners=lambda x, y: (x[0] + y[0], x[1] + y[1]),
-        )
-        means = {k: s / n for k, (s, n) in combined.collect()}
-        assert means == {"a": 2.0, "b": 10.0}
-
-    def test_aggregate_by_key(self, sc):
-        pairs = [("a", 1), ("a", 2), ("b", 3)]
-        out = dict(
-            sc.parallelize(pairs)
-            .aggregate_by_key([], lambda acc, v: acc + [v], lambda a, b: a + b)
-            .collect()
-        )
-        assert sorted(out["a"]) == [1, 2]
-
-    def test_count_by_key(self, sc):
-        pairs = [("a", 1), ("a", 2), ("b", 3)]
-        assert sc.parallelize(pairs).count_by_key() == {"a": 2, "b": 1}
-
-    def test_distinct(self, sc):
-        assert sorted(sc.parallelize([3, 1, 2, 3, 1]).distinct().collect()) == [1, 2, 3]
-
-    def test_partition_by_preserves_pairs(self, sc):
-        from repro.sparklet import HashPartitioner
-
-        pairs = [(i, i * i) for i in range(20)]
-        out = sc.parallelize(pairs).partition_by(HashPartitioner(4)).collect()
-        assert sorted(out) == pairs
-
-    def test_join(self, sc):
-        left = sc.parallelize([(1, "a"), (2, "b"), (1, "c")])
-        right = sc.parallelize([(1, "x"), (3, "y")])
-        out = sorted(left.join(right).collect())
-        assert out == [(1, ("a", "x")), (1, ("c", "x"))]
-
-    def test_left_outer_join(self, sc):
-        left = sc.parallelize([(1, "a"), (2, "b")])
-        right = sc.parallelize([(1, "x")])
-        out = dict(left.left_outer_join(right).collect())
-        assert out == {1: ("a", "x"), 2: ("b", None)}
-
-    def test_cogroup(self, sc):
-        left = sc.parallelize([(1, "a")])
-        right = sc.parallelize([(1, "x"), (1, "y")])
-        out = dict(left.cogroup(right).collect())
-        assert out[1] == (["a"], ["x", "y"])
-
-    def test_sort_by(self, sc):
-        data = [5, 3, 8, 1, 9, 2, 7]
-        assert sc.parallelize(data).sort_by(lambda x: x).collect() == sorted(data)
-        assert sc.parallelize(data).sort_by(lambda x: x, ascending=False).collect() == sorted(
-            data, reverse=True
-        )
-
-    def test_shuffle_then_narrow_then_shuffle(self, sc):
-        out = (
-            sc.range(20)
-            .key_by(lambda x: x % 4)
-            .reduce_by_key(operator.add)
-            .map(lambda kv: (kv[0] % 2, kv[1]))
-            .reduce_by_key(operator.add)
-            .collect()
-        )
-        assert dict(out) == {0: sum(x for x in range(20) if x % 4 in (0, 2)),
-                             1: sum(x for x in range(20) if x % 4 in (1, 3))}
+        assert out == [x * x if x % 3 == 0 else 0 for x in range(1, 101)]
 
 
 class TestActions:
-    def test_count(self, sc):
-        assert sc.range(17).count() == 17
-
-    def test_first_and_take(self, sc):
-        rdd = sc.range(10, num_slices=4)
-        assert rdd.first() == 0
-        assert rdd.take(3) == [0, 1, 2]
-        assert rdd.take(0) == []
-        assert rdd.take(100) == list(range(10))
-
-    def test_first_empty_raises(self, sc):
-        with pytest.raises(ValueError):
-            sc.parallelize([]).first()
-
-    def test_reduce(self, sc):
-        assert sc.range(1, 11).reduce(operator.add) == 55
-
-    def test_reduce_empty_raises(self, sc):
-        with pytest.raises(ValueError):
-            sc.parallelize([]).reduce(operator.add)
+    def test_fold_and_sum(self, sc):
+        assert sc.parallelize(range(5)).fold(0, operator.add) == 10
 
     def test_reduce_with_empty_partitions(self, sc):
-        assert sc.parallelize([7], num_slices=3).reduce(operator.add) == 7
+        """Partitions with no elements contribute only ``zero`` to the reduction."""
+        assert sc.parallelize([7], num_slices=3).fold(0, operator.add) == 7
+        assert sc.parallelize([], num_slices=3).fold(0, operator.add) == 0
 
-    def test_fold_and_sum(self, sc):
-        assert sc.range(5).fold(0, operator.add) == 10
-        assert sc.range(5).sum() == 10
-
-    def test_aggregate(self, sc):
-        total, count = sc.range(10).aggregate(
-            (0, 0),
-            lambda acc, x: (acc[0] + x, acc[1] + 1),
-            lambda a, b: (a[0] + b[0], a[1] + b[1]),
-        )
-        assert (total, count) == (45, 10)
-
-    def test_top(self, sc):
-        assert sc.parallelize([5, 1, 9, 3]).top(2) == [9, 5]
-        assert sc.parallelize(["aa", "b", "ccc"]).top(1, key=len) == ["ccc"]
-
-    def test_foreach_accumulator(self, sc):
-        acc = sc.accumulator()
-        sc.range(10).foreach(lambda x: acc.add(x))
-        assert acc.value == 45
-
-
-class TestCaching:
-    def test_cache_computes_once(self, sc):
-        calls = []
-
-        def trace(x):
-            calls.append(x)
-            return x
-
-        rdd = sc.range(5).map(trace).cache()
-        rdd.collect()
-        rdd.collect()
-        assert len(calls) == 5
-
-    def test_unpersist_recomputes(self, sc):
-        calls = []
-        rdd = sc.range(3).map(lambda x: calls.append(x) or x).cache()
-        rdd.collect()
-        rdd.unpersist()
-        rdd.collect()
-        assert len(calls) == 6 or len(calls) == 3  # re-cached on second collect
-
-    def test_broadcast(self, sc):
-        table = sc.broadcast({1: "one", 2: "two"})
-        out = sc.parallelize([1, 2, 1]).map(lambda x: table.value[x]).collect()
-        assert out == ["one", "two", "one"]
+    def test_fold_gives_each_partition_its_own_zero(self, sc):
+        """An in-place ``f`` must not see another partition's (or the
+        merge's) accumulator: each starts from its own copy of ``zero``."""
+        zero = np.zeros(2)
+        ones = sc.parallelize([np.ones(2)] * 4, 2)
+        out = ones.fold(zero, lambda a, b: np.add(a, b, out=a))
+        assert np.array_equal(out, [4.0, 4.0])
+        assert np.array_equal(zero, [0.0, 0.0])
 
 
 class TestContextLifecycle:
@@ -244,27 +60,31 @@ class TestContextLifecycle:
 
     def test_context_manager(self):
         with SparkletContext(parallelism=2) as ctx:
-            assert ctx.range(3).count() == 3
+            assert ctx.parallelize(range(3)).collect() == [0, 1, 2]
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             SparkletContext(parallelism=0)
         with pytest.raises(ValueError):
-            SparkletContext(executor="gpu")
+            SparkletContext(parallelism=2).parallelize([1], num_slices=0)
 
     def test_threaded_executor_matches_serial(self):
+        """``parallelism > 1`` runs tasks on pool threads, ``1`` inline on
+        the calling thread; the answers are the same."""
         data = list(range(200))
-        with SparkletContext(parallelism=4, executor="threads") as tctx:
-            threaded = (
-                tctx.parallelize(data, 8).key_by(lambda x: x % 7)
-                .reduce_by_key(operator.add).collect()
-            )
-        with SparkletContext(parallelism=1, executor="serial") as sctx:
-            serial = (
-                sctx.parallelize(data, 8).key_by(lambda x: x % 7)
-                .reduce_by_key(operator.add).collect()
-            )
-        assert sorted(threaded) == sorted(serial)
+        out = {}
+        for parallelism in (4, 1):
+            threads = set()
+
+            def square(x):
+                threads.add(threading.get_ident())
+                return x * x
+
+            with SparkletContext(parallelism=parallelism) as ctx:
+                rdd = ctx.parallelize(data, 8).map(square)
+                out[parallelism] = (rdd.collect(), rdd.fold(0, operator.add))
+            assert (threading.get_ident() in threads) == (parallelism == 1)
+        assert out[4] == out[1] == ([x * x for x in data], sum(x * x for x in data))
 
 
 class TestRDDProperties:
@@ -274,24 +94,5 @@ class TestRDDProperties:
         st.integers(min_value=1, max_value=6),
     )
     def test_collect_preserves_order(self, data, slices):
-        with SparkletContext(parallelism=2, executor="serial") as ctx:
+        with SparkletContext(parallelism=2) as ctx:
             assert ctx.parallelize(data, slices).collect() == data
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        st.lists(st.tuples(st.integers(0, 10), st.integers(-50, 50)), max_size=60),
-        st.integers(min_value=1, max_value=5),
-    )
-    def test_reduce_by_key_matches_reference(self, pairs, slices):
-        ref = {}
-        for k, v in pairs:
-            ref[k] = ref.get(k, 0) + v
-        with SparkletContext(parallelism=2, executor="serial") as ctx:
-            out = dict(ctx.parallelize(pairs, slices).reduce_by_key(operator.add).collect())
-        assert out == ref
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.lists(st.integers(-1000, 1000), min_size=1, max_size=80))
-    def test_sort_by_matches_sorted(self, data):
-        with SparkletContext(parallelism=2, executor="serial") as ctx:
-            assert ctx.parallelize(data, 4).sort_by(lambda x: x).collect() == sorted(data)

@@ -143,6 +143,21 @@ class TestReproLint:
             "repro.analysis.raceaudit",
         ]
 
+    def test_runtime_import_does_not_load_scipy_stats(self):
+        """The detector's statistics come from ``scipy.special``; importing
+        ``scipy.stats`` (and the ``scipy.spatial`` it pulls in) roughly
+        doubled the cost of ``import repro``."""
+        proc = _run(
+            [
+                sys.executable,
+                "-c",
+                "import sys, repro; print(sorted(m for m in "
+                "('scipy.stats', 'scipy.spatial') if m in sys.modules))",
+            ]
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
 
 @pytest.mark.skipif(
     _module_command("ruff", "ruff") is None, reason="ruff is not installed"

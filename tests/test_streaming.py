@@ -14,53 +14,28 @@ from repro.sparklet import SparkletContext, StreamingContext
 
 @pytest.fixture()
 def sc():
-    with SparkletContext(parallelism=2, executor="serial") as ctx:
+    with SparkletContext(parallelism=2) as ctx:
         yield ctx
+
+
+def collect_into(stream, sink):
+    stream.foreach_rdd(lambda _t, rdd: sink.append(rdd.collect()))
 
 
 class TestDStreamBasics:
     def test_queue_stream_map(self, sc):
         ssc = StreamingContext(sc)
         out = []
-        ssc.queue_stream([[1, 2], [3]]).map(lambda x: x * 10).collect_batches(out)
+        ssc.queue_stream([[1, 2], [3]]).foreach_rdd(
+            lambda _t, rdd: out.append(rdd.map(lambda x: x * 10).collect())
+        )
         assert ssc.run() == 2
         assert out == [[10, 20], [30]]
-
-    def test_filter_and_flat_map(self, sc):
-        ssc = StreamingContext(sc)
-        out = []
-        (
-            ssc.queue_stream([["a b", "c"], ["d e"]])
-            .flat_map(str.split)
-            .filter(lambda w: w != "c")
-            .collect_batches(out)
-        )
-        ssc.run()
-        assert out == [["a", "b"], ["d", "e"]]
-
-    def test_reduce_by_key_per_batch(self, sc):
-        ssc = StreamingContext(sc)
-        out = []
-        (
-            ssc.queue_stream([[("a", 1), ("a", 2)], [("a", 5), ("b", 1)]])
-            .reduce_by_key(lambda x, y: x + y)
-            .collect_batches(out)
-        )
-        ssc.run()
-        assert dict(out[0]) == {"a": 3}
-        assert dict(out[1]) == {"a": 5, "b": 1}
-
-    def test_count_by_value(self, sc):
-        ssc = StreamingContext(sc)
-        out = []
-        ssc.queue_stream([["x", "y", "x"]]).count_by_value().collect_batches(out)
-        ssc.run()
-        assert dict(out[0]) == {"x": 2, "y": 1}
 
     def test_run_limit(self, sc):
         ssc = StreamingContext(sc)
         out = []
-        ssc.queue_stream([[1], [2], [3]]).collect_batches(out)
+        collect_into(ssc.queue_stream([[1], [2], [3]]), out)
         assert ssc.run(num_intervals=2) == 2
         assert out == [[1], [2]]
         assert ssc.run() == 1  # resumes where it left off
@@ -68,7 +43,7 @@ class TestDStreamBasics:
 
     def test_exhausted_source_ends_stream(self, sc):
         ssc = StreamingContext(sc)
-        ssc.queue_stream([[1]]).collect_batches([])
+        collect_into(ssc.queue_stream([[1]]), [])
         assert ssc.run() == 1
         assert ssc.run() == 0
 
@@ -79,154 +54,6 @@ class TestDStreamBasics:
     def test_invalid_interval(self, sc):
         with pytest.raises(ValueError):
             StreamingContext(sc, batch_interval=0.0)
-
-    def test_transform_arbitrary(self, sc):
-        ssc = StreamingContext(sc)
-        out = []
-        ssc.queue_stream([[3, 1, 2]]).transform(
-            lambda rdd: rdd.sort_by(lambda x: x)
-        ).collect_batches(out)
-        ssc.run()
-        assert out == [[1, 2, 3]]
-
-
-class TestWindows:
-    def test_window_unions_recent_batches(self, sc):
-        ssc = StreamingContext(sc)
-        out = []
-        ssc.queue_stream([[1], [2], [3], [4]]).window(2).collect_batches(out)
-        ssc.run()
-        assert out == [[1], [1, 2], [2, 3], [3, 4]]
-
-    def test_window_with_slide(self, sc):
-        ssc = StreamingContext(sc)
-        out = []
-        ssc.queue_stream([[1], [2], [3], [4]]).window(2, slide=2).collect_batches(out)
-        ssc.run()
-        assert out == [[1, 2], [3, 4]]
-
-    def test_reduce_by_key_and_window(self, sc):
-        ssc = StreamingContext(sc)
-        out = []
-        batches = [[("a", 1)], [("a", 2)], [("a", 4)]]
-        ssc.queue_stream(batches).reduce_by_key_and_window(
-            lambda x, y: x + y, window_length=2
-        ).collect_batches(out)
-        ssc.run()
-        assert [dict(b)["a"] for b in out] == [1, 3, 6]
-
-    def test_invalid_window(self, sc):
-        ssc = StreamingContext(sc)
-        with pytest.raises(ValueError):
-            ssc.queue_stream([[1]]).window(0)
-
-    def test_slide_alignment_across_source_exhaustion(self, sc):
-        """A source drying up between slide boundaries emits no partial
-        window — the last emission is the last *aligned* one."""
-        ssc = StreamingContext(sc)
-        out = []
-        ssc.queue_stream([[1], [2], [3], [4], [5]]).window(2, slide=2).collect_batches(out)
-        assert ssc.run() == 5
-        # Emissions at t=1 and t=3 only; the tail batch [5] lands after
-        # the last slide boundary and the exhausted source never reaches
-        # the next one.
-        assert out == [[1, 2], [3, 4]]
-
-    def test_slide_alignment_survives_run_resumption(self, sc):
-        """Slide phase is anchored to the global interval index, so a
-        paused-and-resumed run keeps the same emission cadence."""
-        ssc = StreamingContext(sc)
-        out = []
-        ssc.queue_stream([[1], [2], [3], [4]]).window(3, slide=2).collect_batches(out)
-        assert ssc.run(num_intervals=1) == 1
-        assert out == []  # t=0 is not a slide boundary
-        assert ssc.run() == 3
-        # t=1 emits [1, 2]; t=3 emits the last 3 batches (maxlen window).
-        assert out == [[1, 2], [2, 3, 4]]
-
-    def test_reduce_by_key_and_window_slide_under_exhaustion(self, sc):
-        ssc = StreamingContext(sc)
-        out = []
-        batches = [[("a", 1)], [("a", 2)], [("b", 7)], [("a", 4)], [("a", 8)]]
-        ssc.queue_stream(batches).reduce_by_key_and_window(
-            lambda x, y: x + y, window_length=2, slide=2
-        ).collect_batches(out)
-        ssc.run()
-        assert [dict(b) for b in out] == [{"a": 3}, {"a": 4, "b": 7}]
-
-    def test_window_after_exhaustion_emits_nothing_on_rerun(self, sc):
-        ssc = StreamingContext(sc)
-        out = []
-        ssc.queue_stream([[1], [2], [3]]).window(2, slide=2).collect_batches(out)
-        ssc.run()
-        assert out == [[1, 2]]
-        assert ssc.run() == 0  # exhausted source: no ghost emissions
-        assert out == [[1, 2]]
-
-
-class TestState:
-    def test_update_state_by_key_running_sum(self, sc):
-        ssc = StreamingContext(sc)
-        out = []
-        batches = [[("a", 1), ("b", 2)], [("a", 3)], [("b", 1)]]
-        (
-            ssc.queue_stream(batches)
-            .update_state_by_key(lambda new, old: (old or 0) + sum(new))
-            .collect_batches(out)
-        )
-        ssc.run()
-        assert dict(out[0]) == {"a": 1, "b": 2}
-        assert dict(out[1]) == {"a": 4, "b": 2}
-        assert dict(out[2]) == {"a": 4, "b": 3}
-
-    def test_state_key_dropped_on_none(self, sc):
-        ssc = StreamingContext(sc)
-        out = []
-        batches = [[("a", 1)], [("a", -1)]]
-
-        def update(new, old):
-            total = (old or 0) + sum(new)
-            return total if total > 0 else None
-
-        ssc.queue_stream(batches).update_state_by_key(update).collect_batches(out)
-        ssc.run()
-        assert dict(out[0]) == {"a": 1}
-        assert out[1] == []
-
-    def test_mixed_key_types_do_not_crash(self, sc):
-        """Regression: ``sorted(state.items())`` on an int/str key mix
-        raised TypeError and killed the stream; the stateful operator
-        now sorts on a stable type+repr surrogate."""
-        ssc = StreamingContext(sc)
-        out = []
-        batches = [[(1, 10), ("a", 1)], [("a", 2), (1, 5), (2.5, 1)]]
-        (
-            ssc.queue_stream(batches)
-            .update_state_by_key(lambda new, old: (old or 0) + sum(new))
-            .collect_batches(out)
-        )
-        assert ssc.run() == 2
-        assert dict(out[0]) == {1: 10, "a": 1}
-        assert dict(out[1]) == {1: 15, "a": 3, 2.5: 1}
-
-    def test_mixed_key_emission_order_is_deterministic(self, sc):
-        def run_once():
-            with SparkletContext(parallelism=2, executor="serial") as ctx:
-                ssc = StreamingContext(ctx)
-                out = []
-                batches = [[("b", 1), (3, 1), (1, 1), ("a", 1)]]
-                (
-                    ssc.queue_stream(batches)
-                    .update_state_by_key(lambda new, old: (old or 0) + sum(new))
-                    .collect_batches(out)
-                )
-                ssc.run()
-                return [k for k, _ in out[0]]
-
-        first = run_once()
-        assert first == run_once()
-        # ints group together (sorted by repr), strs likewise.
-        assert first == [1, 3, "a", "b"]
 
 
 class TestIncrementalMoments:
@@ -328,7 +155,7 @@ class TestStreamingTrainer:
         trainer.ingest(0, x[pos:])  # whatever the chunks left over
         streamed = trainer.model_for(0)
         batch = FDRDetector().fit(x, unit_id=0)
-        with SparkletContext(parallelism=2, executor="serial") as ctx:
+        with SparkletContext(parallelism=2) as ctx:
             distributed = train_unit_distributed(ctx, x, 0)
         for other in (streamed, distributed):
             assert other.n_train == batch.n_train == 400

@@ -16,7 +16,7 @@ from repro.tsdb.query import TsdbQuery
 
 @pytest.fixture()
 def sc():
-    with SparkletContext(parallelism=2, executor="serial") as ctx:
+    with SparkletContext(parallelism=2) as ctx:
         yield ctx
 
 
@@ -161,10 +161,10 @@ class TestOfflineTrainer:
         assert trainer.load_models([2, 4, 5]).keys() == {2, 4}
 
     def test_threaded_matches_serial(self, generator, tmp_path):
-        with SparkletContext(parallelism=3, executor="threads") as tctx:
+        with SparkletContext(parallelism=3) as tctx:
             t_store = BlockStore(tmp_path / "t")
             OfflineTrainer(tctx, t_store).train_fleet(generator, n_train=100)
-        with SparkletContext(parallelism=1, executor="serial") as sctx:
+        with SparkletContext(parallelism=1) as sctx:
             s_store = BlockStore(tmp_path / "s")
             OfflineTrainer(sctx, s_store).train_fleet(generator, n_train=100)
         for unit in generator.units():
