@@ -46,9 +46,7 @@ def main() -> None:
     query = TsdbQuery(METRIC, 0, 1_000 + N_POINTS + 1, aggregator="sum")
     engine = cluster.query_engine()
     gateway = cluster.gateway()
-    client = HTableClient(
-        sim, cluster.network, cluster.master, "demo-client", rpc_timeout=2.0
-    )
+    client = HTableClient(sim, cluster.network, cluster.master, "demo-client")
     executor = AsyncQueryExecutor(sim, client, cluster.uids, cluster.codec)
 
     stats = cluster.replication.stats()

@@ -69,10 +69,7 @@ def main() -> None:
         UNITS,
         (0, 120),
         WorkloadConfig(
-            n_overview_pollers=12,
-            n_drilldown=8,
             n_stampede=25,
-            drill_interval=0.5,
             duration=8.0,
             stampede_at=4.0,
             deadline=0.5,
@@ -82,7 +79,7 @@ def main() -> None:
     print(report.summary())
     print(
         f"conservation: issued={report.issued} == served={report.served}"
-        f" + shed={report.shed} + rejected={report.rejected}"
+        f" + shed={report.shed}"
     )
 
     print("\n== ETag / NotModified ==")

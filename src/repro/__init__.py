@@ -98,7 +98,7 @@ from .serve import (
     WorkloadConfig,
     WorkloadReport,
 )
-from .viz import Dashboard, DashboardConfig, FleetAnalytics
+from .viz import Dashboard, FleetAnalytics
 
 __version__ = "1.0.0"
 
@@ -116,7 +116,6 @@ __all__ = [
     "ClusterConfig",
     "CusumChart",
     "Dashboard",
-    "DashboardConfig",
     "DataPoint",
     "EwmaChart",
     "FDRDetector",

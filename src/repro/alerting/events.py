@@ -13,18 +13,19 @@ The incident lifecycle is a small explicit state machine::
 
     CLEAR ──anomalous──▶ PENDING ──open_after──▶ OPEN
       ▲                     │                      │
-      └────────clean────────┘        clean × close_after
+      └────────clean────────┘        clean × CLOSE_AFTER
       ▲                                            │
       └──────────────── RESOLVED ◀─────────────────┘
 
-    OPEN/RESOLVED ──rapid re-open × max_flaps──▶ SUPPRESSED
-    SUPPRESSED ──flap_window quiet──▶ CLEAR
+    OPEN/RESOLVED ──rapid re-open × MAX_FLAPS──▶ SUPPRESSED
+    SUPPRESSED ──FLAP_WINDOW quiet──▶ CLEAR
 
 ``PENDING`` is the opening hysteresis (one noisy interval never pages);
-``close_after`` is the closing hysteresis (one quiet interval never
+``CLOSE_AFTER`` is the closing hysteresis (one quiet interval never
 closes a real fault); ``SUPPRESSED`` absorbs flapping units — they keep
 being tracked, but stop emitting operator-facing transitions until they
-hold quiet for a full ``flap_window``.
+hold quiet for a full ``FLAP_WINDOW``.  The upper-case constants live in
+:mod:`repro.alerting.manager`, which runs the machine.
 """
 
 from __future__ import annotations
@@ -40,6 +41,11 @@ __all__ = [
     "IncidentState",
     "severity_for",
 ]
+
+#: Peak |z| at which an incident's severity becomes "warning", and
+#: "critical" (below ``WARNING_Z`` it is "info").
+WARNING_Z = 4.0
+CRITICAL_Z = 8.0
 
 
 class IncidentState(enum.Enum):
@@ -80,51 +86,20 @@ class AlertingConfig:
     open_after:
         Consecutive anomalous intervals before a PENDING scope opens
         (opening hysteresis; 1 disables it).
-    close_after:
-        Consecutive clean intervals before an OPEN scope resolves
-        (closing hysteresis).
-    flap_window:
-        Seconds after a resolve within which a re-open counts as a
-        flap.  Also the quiet period a SUPPRESSED scope must hold
-        before returning to CLEAR.
-    max_flaps:
-        Flaps tolerated before the scope is SUPPRESSED.
-    fleet_threshold:
-        Simultaneously OPEN units that escalate to one fleet-scope
-        incident (the hierarchical roll-up).
-    warning_z / critical_z:
-        Peak |z| thresholds mapping an incident's score to a severity
-        label (below ``warning_z`` is "info").
     """
 
     open_after: int = 2
-    close_after: int = 3
-    flap_window: int = 60
-    max_flaps: int = 3
-    fleet_threshold: int = 3
-    warning_z: float = 4.0
-    critical_z: float = 8.0
 
     def __post_init__(self) -> None:
         if self.open_after < 1:
             raise ValueError("open_after must be >= 1")
-        if self.close_after < 1:
-            raise ValueError("close_after must be >= 1")
-        if self.flap_window < 1:
-            raise ValueError("flap_window must be >= 1")
-        if self.max_flaps < 1:
-            raise ValueError("max_flaps must be >= 1")
-        if self.fleet_threshold < 2:
-            raise ValueError("fleet_threshold must be >= 2")
-        if not 0 < self.warning_z <= self.critical_z:
-            raise ValueError("need 0 < warning_z <= critical_z")
 
 
-def severity_for(score: float, config: AlertingConfig) -> str:
+def severity_for(score: float) -> str:
     """Map a peak |z| score to an operator-facing severity label."""
-    if score >= config.critical_z:
+    if score >= CRITICAL_Z:
         return "critical"
-    if score >= config.warning_z:
+    if score >= WARNING_Z:
         return "warning"
     return "info"
 
@@ -160,8 +135,8 @@ class Incident:
         if score > self.severity_score:
             self.severity_score = score
 
-    def severity(self, config: AlertingConfig) -> str:
-        return severity_for(self.severity_score, config)
+    def severity(self) -> str:
+        return severity_for(self.severity_score)
 
     @property
     def open(self) -> bool:

@@ -15,14 +15,15 @@ Design decisions, in alerting-literature terms:
   distinct sensor set and peak score, so nothing operator-relevant is
   lost by the folding.
 * **Hysteresis** — ``open_after`` consecutive anomalous intervals to
-  open, ``close_after`` consecutive clean intervals to resolve.  The
-  opening gate discards one-interval transients entirely (counted, not
-  paged).
-* **Flap suppression** — a unit that re-opens within ``flap_window``
-  of resolving is flapping; after ``max_flaps`` such cycles the unit is
-  SUPPRESSED: still tracked, still counted, but emitting no operator
-  transitions until it holds quiet for a full ``flap_window``.
-* **Hierarchical roll-up** — when ``fleet_threshold`` units are OPEN
+  open, :data:`CLOSE_AFTER` consecutive clean intervals to resolve.
+  The opening gate discards one-interval transients entirely (counted,
+  not paged).
+* **Flap suppression** — a unit that re-opens within
+  :data:`FLAP_WINDOW` seconds of resolving is flapping; after
+  :data:`MAX_FLAPS` such cycles the unit is SUPPRESSED: still tracked,
+  still counted, but emitting no operator transitions until it holds
+  quiet for a full :data:`FLAP_WINDOW`.
+* **Hierarchical roll-up** — when :data:`FLEET_THRESHOLD` units are OPEN
   simultaneously, one fleet-scope incident replaces the individual
   pages conceptually (unit incidents stay queryable; the fleet incident
   is the operator entry point for a common-cause event).
@@ -41,6 +42,20 @@ from .store import AlertStore
 __all__ = ["AlertManager"]
 
 FLEET_UNIT_ID = -1
+
+#: Consecutive clean intervals before an OPEN scope resolves (the
+#: closing hysteresis).
+CLOSE_AFTER = 3
+
+#: Seconds after a resolve within which a re-open counts as a flap; also
+#: the quiet period a SUPPRESSED scope must hold before it is CLEAR.
+FLAP_WINDOW = 60
+
+#: Flaps tolerated before a scope is SUPPRESSED.
+MAX_FLAPS = 3
+
+#: Simultaneously OPEN units that escalate to one fleet-scope incident.
+FLEET_THRESHOLD = 3
 
 
 @dataclass
@@ -144,7 +159,7 @@ class AlertManager:
                 self.metrics.counter("alerting.suppressed_events").inc(len(events))
             elif (
                 tracker.last_anomalous_at is None
-                or timestamp - tracker.last_anomalous_at >= self.config.flap_window
+                or timestamp - tracker.last_anomalous_at >= FLAP_WINDOW
             ):
                 # Held quiet for a full flap window: forgiven.
                 tracker.state = IncidentState.CLEAR
@@ -155,7 +170,7 @@ class AlertManager:
             if not anomalous:
                 if (
                     tracker.last_resolved_at is not None
-                    and timestamp - tracker.last_resolved_at >= self.config.flap_window
+                    and timestamp - tracker.last_resolved_at >= FLAP_WINDOW
                 ):
                     tracker.flaps = 0  # flap memory decays once stable
                 return None
@@ -196,7 +211,7 @@ class AlertManager:
             self.metrics.counter("alerting.deduped").inc(len(events))
             return None
         tracker.clean_intervals += 1
-        if tracker.clean_intervals >= self.config.close_after:
+        if tracker.clean_intervals >= CLOSE_AFTER:
             self._resolve(incident, timestamp)
             tracker.state = IncidentState.RESOLVED
             tracker.incident = None
@@ -211,12 +226,12 @@ class AlertManager:
         assert first_event_at is not None
         flapping = (
             tracker.last_resolved_at is not None
-            and first_event_at - tracker.last_resolved_at < self.config.flap_window
+            and first_event_at - tracker.last_resolved_at < FLAP_WINDOW
         )
         if flapping:
             tracker.flaps += 1
             self.metrics.counter("alerting.flaps").inc()
-            if tracker.flaps >= self.config.max_flaps:
+            if tracker.flaps >= MAX_FLAPS:
                 # Into the penalty box: no incident, no page.
                 tracker.state = IncidentState.SUPPRESSED
                 self.events_suppressed += len(tracker.pending_events)
@@ -261,7 +276,7 @@ class AlertManager:
         }
         incident = self._fleet_incident
         if incident is None:
-            if len(open_units) < self.config.fleet_threshold:
+            if len(open_units) < FLEET_THRESHOLD:
                 return None
             members = self._member_incidents(open_units)
             incident = Incident(
@@ -278,7 +293,7 @@ class AlertManager:
             self.metrics.counter("alerting.fleet_opened").inc()
             self._record_open(incident, timestamp)
             return incident
-        if len(open_units) >= self.config.fleet_threshold:
+        if len(open_units) >= FLEET_THRESHOLD:
             self._fleet_clean_intervals = 0
             incident.member_units |= open_units
             for member in self._member_incidents(open_units):
@@ -286,7 +301,7 @@ class AlertManager:
                     incident.severity_score = member.severity_score
             return None
         self._fleet_clean_intervals += 1
-        if self._fleet_clean_intervals >= self.config.close_after:
+        if self._fleet_clean_intervals >= CLOSE_AFTER:
             self._resolve(incident, timestamp)
             self.metrics.counter("alerting.fleet_resolved").inc()
             self._fleet_incident = None
@@ -315,13 +330,13 @@ class AlertManager:
             float(timestamp - incident.first_event_at)
         )
         if self.store is not None:
-            self.store.record_incident(incident, self.config)
+            self.store.record_incident(incident)
 
     def _resolve(self, incident: Incident, timestamp: int) -> None:
         incident.resolved_at = timestamp
         self.metrics.counter("alerting.resolved").inc()
         if self.store is not None:
-            self.store.record_resolve(incident, self.config)
+            self.store.record_resolve(incident)
 
     # ------------------------------------------------------------------
     # queries

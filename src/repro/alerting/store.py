@@ -30,12 +30,16 @@ from ..simdata.workload import unit_tag
 from ..tsdb.ingest import TsdbCluster
 from ..tsdb.publish import BatchPublisher, PublishReport
 from ..tsdb.tsd import DataPoint
-from .events import AlertingConfig, Incident
+from .events import Incident
 
 __all__ = ["ALERT_INCIDENT_METRIC", "ALERT_RESOLVE_METRIC", "AlertStore", "alert_unit_tag"]
 
 ALERT_INCIDENT_METRIC = "alert.incident"
 ALERT_RESOLVE_METRIC = "alert.resolve"
+
+#: Points per alert put batch; alerts are low-volume, so it is small to
+#: keep persistence latency low.
+BATCH_SIZE = 25
 
 
 def alert_unit_tag(incident: Incident) -> str:
@@ -54,9 +58,6 @@ class AlertStore:
         The deployment to persist into.
     metrics:
         Registry for the publisher's ``publish.alerts.*`` counters.
-    batch_size:
-        Points per put batch; alerts are low-volume, so the default is
-        small to keep persistence latency low.
     """
 
     def __init__(
@@ -64,26 +65,25 @@ class AlertStore:
         cluster: TsdbCluster,
         *,
         metrics: Optional[MetricsRegistry] = None,
-        batch_size: int = 25,
     ) -> None:
         self.publisher = BatchPublisher(
             cluster,
-            batch_size=batch_size,
+            batch_size=BATCH_SIZE,
             metrics=metrics,
             channel="publish.alerts",
         )
 
     # ------------------------------------------------------------------
-    def record_incident(self, incident: Incident, config: AlertingConfig) -> None:
+    def record_incident(self, incident: Incident) -> None:
         """Persist an incident open as one ``alert.incident`` point."""
-        self.publisher.publish([self._point(ALERT_INCIDENT_METRIC, incident, config,
+        self.publisher.publish([self._point(ALERT_INCIDENT_METRIC, incident,
                                             incident.opened_at,
                                             incident.severity_score)])
 
-    def record_resolve(self, incident: Incident, config: AlertingConfig) -> None:
+    def record_resolve(self, incident: Incident) -> None:
         """Persist a resolve as one ``alert.resolve`` point (value = duration)."""
         assert incident.resolved_at is not None
-        self.publisher.publish([self._point(ALERT_RESOLVE_METRIC, incident, config,
+        self.publisher.publish([self._point(ALERT_RESOLVE_METRIC, incident,
                                             incident.resolved_at,
                                             float(incident.duration))])
 
@@ -96,7 +96,6 @@ class AlertStore:
         self,
         metric: str,
         incident: Incident,
-        config: AlertingConfig,
         timestamp: int,
         value: float,
     ) -> DataPoint:
@@ -106,7 +105,7 @@ class AlertStore:
             value,
             (
                 ("scope", incident.scope),
-                ("severity", incident.severity(config)),
+                ("severity", incident.severity()),
                 ("unit", alert_unit_tag(incident)),
             ),
         )

@@ -57,6 +57,9 @@ __all__ = ["StreamingDetector", "StreamingDetectionReport", "fleet_microbatches"
 #: One stream record: (unit_id, start_time, values (T, p)).
 StreamRecord = Tuple[int, int, np.ndarray]
 
+#: Points per put batch on each of the detector's publisher channels.
+PUBLISH_BATCH_SIZE = 400
+
 
 def fleet_microbatches(
     generator: FleetGenerator,
@@ -160,23 +163,20 @@ class StreamingDetector:
     n_sensors:
         Per-unit sensor count (the fleet schema).
     cluster:
-        Deployment to publish data/anomalies/alerts into (optional —
+        Deployment to publish data/anomalies/alerts into, in put
+        batches of :data:`PUBLISH_BATCH_SIZE` points (optional —
         without it the run is storage-less: detection and alerting
         only).
     config:
         Detector configuration shared by trainer and evaluators.
     alerting:
-        Alerting-layer knobs (hysteresis, suppression, roll-up).
+        Alerting-layer knobs (the opening hysteresis).
     refresh_every / min_samples:
         :class:`StreamingTrainer` cadence.
     telemetry:
         Shared telemetry; counters land under the ``alerting`` tree
         (``alerting.model_swaps``, ``alerting.quarantines``, …) next to
         the manager's own counters.
-    publish:
-        Write data + anomalies + alerts back to the cluster.
-    publish_batch_size:
-        Points per put batch on each publisher channel.
     """
 
     def __init__(
@@ -189,8 +189,6 @@ class StreamingDetector:
         refresh_every: int = 3,
         min_samples: int = 50,
         telemetry: Optional[Telemetry] = None,
-        publish: bool = True,
-        publish_batch_size: int = 400,
     ) -> None:
         self.n_sensors = n_sensors
         self.cluster = cluster
@@ -200,17 +198,17 @@ class StreamingDetector:
         store = None
         self._data_pub: Optional[BatchPublisher] = None
         self._anomaly_pub: Optional[BatchPublisher] = None
-        if cluster is not None and publish:
+        if cluster is not None:
             store = AlertStore(cluster, metrics=self.metrics)
             self._data_pub = BatchPublisher(
                 cluster,
-                batch_size=publish_batch_size,
+                batch_size=PUBLISH_BATCH_SIZE,
                 metrics=self.metrics,
                 channel="publish.data",
             )
             self._anomaly_pub = BatchPublisher(
                 cluster,
-                batch_size=publish_batch_size,
+                batch_size=PUBLISH_BATCH_SIZE,
                 metrics=self.metrics,
                 channel="publish.anomaly",
             )

@@ -1,6 +1,6 @@
 """The per-file rule catalogue.
 
-Twelve rules tuned to this repository's correctness invariants:
+Eleven rules tuned to this repository's correctness invariants:
 
 ===================  ===================================================
 ``unseeded-rng``     RNG created or used without an explicit seed
@@ -32,12 +32,6 @@ Twelve rules tuned to this repository's correctness invariants:
                      eviction bound in its class (the serving tier's
                      memory-safety contract: every cache is LRU/TTL
                      bounded or explicitly cleared)
-``deadline-free-rpc``  an ``HTableClient`` constructed without an
-                     explicit ``rpc_timeout`` (or with it disabled):
-                     an in-flight RPC to a crashed server never
-                     replies, so a deadline-free client hangs forever
-                     where the replicated read path would have failed
-                     over)
 ``unsuppressed-alert-emit``  an alert emission site outside
                      ``repro.alerting`` — ``alert.*`` series writes,
                      ``Incident(...)`` construction, or direct
@@ -68,7 +62,6 @@ from .lint import Finding, Rule, SourceFile, dotted_expr, register
 
 __all__ = [
     "BroadExceptRule",
-    "DeadlineFreeRpcRule",
     "FloatEqualityRule",
     "FrozenSetattrRule",
     "GuardedByRule",
@@ -746,60 +739,6 @@ class UnboundedRetryRule(Rule):
         if isinstance(func, ast.Attribute):
             return func.attr
         return None
-
-
-# ----------------------------------------------------------------------
-@register
-class DeadlineFreeRpcRule(Rule):
-    """RPC client constructed without a per-RPC deadline.
-
-    A crashed RegionServer never answers RPCs that were already in
-    flight when it died — only the deadline timer turns that silence
-    into a retry (and, on the replicated read path, a failover to a
-    follower).  An :class:`~repro.hbase.client.HTableClient` built
-    without an explicit ``rpc_timeout`` therefore hangs for the whole
-    crash-detection window; one built with ``rpc_timeout=None``
-    disables the timer outright.  Every in-package construction site
-    must pass an explicit, non-None ``rpc_timeout=``.  Tests,
-    benchmarks and examples (outside the package tree) are exempt, as
-    are deliberate sites suppressed with a justification.
-    """
-
-    id = "deadline-free-rpc"
-    summary = "HTableClient constructed without an explicit rpc_timeout"
-
-    _CLIENTS = {"HTableClient"}
-
-    def applies_to(self, source: SourceFile) -> bool:
-        return "repro" in source.path.parts
-
-    def check(self, source: SourceFile) -> Iterator[Finding]:
-        for node in ast.walk(source.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            dotted = dotted_expr(node.func)
-            if dotted is None or dotted.rpartition(".")[2] not in self._CLIENTS:
-                continue
-            timeout = next(
-                (kw.value for kw in node.keywords if kw.arg == "rpc_timeout"), None
-            )
-            if timeout is None:
-                yield self.finding(
-                    source,
-                    node,
-                    f"{dotted}(...) without rpc_timeout=: an in-flight RPC "
-                    "to a crashed server never replies, so the client "
-                    "hangs instead of retrying/failing over; pass an "
-                    "explicit per-RPC deadline",
-                )
-            elif isinstance(timeout, ast.Constant) and timeout.value is None:
-                yield self.finding(
-                    source,
-                    node,
-                    f"{dotted}(rpc_timeout=None) disables the per-RPC "
-                    "deadline; bound every RPC so crashes surface as "
-                    "retryable timeouts",
-                )
 
 
 # ----------------------------------------------------------------------

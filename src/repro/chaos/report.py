@@ -78,10 +78,6 @@ class ChaosReport:
             total += max(0.0, now - self._open[component])
         return total
 
-    def total_downtime(self, now: Optional[float] = None) -> float:
-        components = set(self.intervals) | set(self._open)
-        return sum(self.downtime(component, now) for component in components)
-
     def still_down(self) -> Tuple[str, ...]:
         return tuple(sorted(self._open))
 

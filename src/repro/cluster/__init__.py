@@ -14,7 +14,7 @@ from .metrics import (
     TimeSeriesRecorder,
     skew_ratio,
 )
-from .network import LatencyModel, Network
+from .network import Network
 from .node import Node, Server, ServerStopped
 from .simulation import EventHandle, SimulationError, Simulator
 
@@ -23,7 +23,6 @@ __all__ = [
     "EventHandle",
     "Gauge",
     "LatencyHistogram",
-    "LatencyModel",
     "MetricsRegistry",
     "Network",
     "Node",

@@ -4,7 +4,7 @@ The paper reports that RegionServers "frequently crashed due to
 overloaded RPC queues" until a buffering reverse proxy added
 backpressure.  :class:`OverflowCrashPolicy` models exactly that
 mechanism: a component that sheds load too often within a window is
-declared crashed and (optionally) restarts after a recovery delay.
+declared crashed and restarts after a recovery delay.
 :class:`RandomCrashInjector` provides unrelated background failures for
 robustness tests.
 """
@@ -20,22 +20,23 @@ from .simulation import Simulator
 
 __all__ = ["OverflowCrashPolicy", "RandomCrashInjector"]
 
+#: Overflow rejections a component tolerates within ``CRASH_WINDOW``
+#: seconds; one more crashes it, and it restarts ``RESTART_DELAY``
+#: seconds later.
+REJECT_BUDGET = 500
+CRASH_WINDOW = 1.0
+RESTART_DELAY = 5.0
+
 
 class OverflowCrashPolicy:
     """Crash a component when queue-overflow rejections exceed a budget.
 
     A real RegionServer under sustained RPC-queue overflow exhausts
     heap/handlers and aborts.  We model this as: if more than
-    ``reject_budget`` rejections occur within any ``window`` seconds,
-    ``on_crash`` fires; ``on_restart`` fires ``restart_delay`` seconds
-    later (if set).  Rejections while crashed are not counted.
-
-    Parameters
-    ----------
-    sim: owning simulator.
-    reject_budget: rejections tolerated per window before crashing.
-    window: sliding window length in seconds.
-    restart_delay: seconds until automatic restart; ``None`` = stay down.
+    :data:`REJECT_BUDGET` rejections occur within any
+    :data:`CRASH_WINDOW` seconds, ``on_crash`` fires; ``on_restart``
+    (if given) fires :data:`RESTART_DELAY` seconds later.  Rejections
+    while crashed are not counted.
     """
 
     def __init__(
@@ -43,20 +44,10 @@ class OverflowCrashPolicy:
         sim: Simulator,
         on_crash: Callable[[], None],
         on_restart: Optional[Callable[[], None]] = None,
-        reject_budget: int = 100,
-        window: float = 1.0,
-        restart_delay: Optional[float] = 10.0,
     ) -> None:
-        if reject_budget < 1:
-            raise ValueError("reject_budget must be >= 1")
-        if window <= 0:
-            raise ValueError("window must be positive")
         self.sim = sim
         self.on_crash = on_crash
         self.on_restart = on_restart
-        self.reject_budget = reject_budget
-        self.window = window
-        self.restart_delay = restart_delay
         self._reject_times: Deque[float] = deque()
         self.crashed = False
         self.crash_count = 0
@@ -67,10 +58,10 @@ class OverflowCrashPolicy:
             return False
         now = self.sim.now
         self._reject_times.append(now)
-        cutoff = now - self.window
+        cutoff = now - CRASH_WINDOW
         while self._reject_times and self._reject_times[0] < cutoff:
             self._reject_times.popleft()
-        if len(self._reject_times) > self.reject_budget:
+        if len(self._reject_times) > REJECT_BUDGET:
             self._crash()
             return True
         return False
@@ -80,8 +71,7 @@ class OverflowCrashPolicy:
         self.crash_count += 1
         self._reject_times.clear()
         self.on_crash()
-        if self.restart_delay is not None:
-            self.sim.schedule(self.restart_delay, self._restart)
+        self.sim.schedule(RESTART_DELAY, self._restart)
 
     def _restart(self) -> None:
         self.crashed = False

@@ -1,9 +1,9 @@
 """Network latency model for simulated RPC.
 
 RPCs between simulated components are function calls delivered after a
-latency drawn from a simple model: a deterministic base (propagation +
-protocol overhead) plus optional exponential jitter.  Local calls
-(same hostname) use a much smaller base.
+fixed one-way latency: :data:`REMOTE_LATENCY` (propagation + protocol
+overhead) between hosts, the much smaller :data:`LOCAL_LATENCY` for
+same-host calls.
 
 The model is deliberately coarse — the paper's throughput results are
 dominated by server-side service capacity, not by the wire — but
@@ -15,45 +15,15 @@ from __future__ import annotations
 
 from typing import Any, Callable, Optional
 
-import numpy as np
-
 from .simulation import EventHandle, Simulator
 
-__all__ = ["Network", "LatencyModel"]
+__all__ = ["LOCAL_LATENCY", "Network", "REMOTE_LATENCY"]
 
+#: One-way latency (s) of a call between two hosts.
+REMOTE_LATENCY = 0.0005
 
-class LatencyModel:
-    """Base-plus-jitter one-way latency.
-
-    Parameters
-    ----------
-    base:
-        Deterministic one-way latency in seconds for remote calls.
-    jitter:
-        Mean of an exponential jitter term added on top (0 disables).
-    local_base:
-        Latency for same-host calls (loopback).
-    """
-
-    def __init__(
-        self,
-        base: float = 0.0005,
-        jitter: float = 0.0,
-        local_base: float = 0.00005,
-        rng: Optional[np.random.Generator] = None,
-    ) -> None:
-        if base < 0 or jitter < 0 or local_base < 0:
-            raise ValueError("latency parameters must be non-negative")
-        self.base = base
-        self.jitter = jitter
-        self.local_base = local_base
-        self.rng = rng if rng is not None else np.random.default_rng(0)
-
-    def sample(self, src_host: str, dst_host: str) -> float:
-        base = self.local_base if src_host == dst_host else self.base
-        if self.jitter > 0:
-            return base + float(self.rng.exponential(self.jitter))
-        return base
+#: One-way latency (s) of a same-host (loopback) call.
+LOCAL_LATENCY = 0.00005
 
 
 class Network:
@@ -65,9 +35,8 @@ class Network:
     are silently dropped, as on a real network.
     """
 
-    def __init__(self, sim: Simulator, latency: Optional[LatencyModel] = None) -> None:
+    def __init__(self, sim: Simulator) -> None:
         self.sim = sim
-        self.latency = latency if latency is not None else LatencyModel()
         self._partitioned: set[str] = set()
         self._slowdowns: dict[str, float] = {}
         self.messages_sent = 0
@@ -117,7 +86,7 @@ class Network:
             self.messages_dropped += 1
             return None
         self.messages_sent += 1
-        delay = self.latency.sample(src_host, dst_host)
+        delay = LOCAL_LATENCY if src_host == dst_host else REMOTE_LATENCY
         if self._slowdowns:
             delay *= max(self.slowdown(src_host), self.slowdown(dst_host))
         return self.sim.schedule(delay, callback, *args)

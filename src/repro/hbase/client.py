@@ -38,8 +38,14 @@ __all__ = ["CONSISTENCY_MODES", "HTableClient", "ScanResult"]
 #: Explicit read-consistency modes (HBase's Consistency.STRONG/TIMELINE).
 CONSISTENCY_MODES = ("strong", "timeline")
 
-#: Sentinel meaning "use the client's configured rpc_timeout".
-_DEFAULT_DEADLINE = object()
+#: Per-RPC deadline (s): an RPC to a crashed server never replies, and
+#: only this timer turns the silence into a retry or a failover.
+RPC_TIMEOUT = 2.0
+
+#: Retry backoff: retry ``k`` waits ``BACKOFF_BASE * BACKOFF_MULT**k``
+#: seconds (jittered on the read path).
+BACKOFF_BASE = 0.02
+BACKOFF_MULT = 2.0
 
 
 @dataclass
@@ -69,9 +75,6 @@ class HTableClient:
         Hostname the client runs on (for network latency purposes).
     max_retries:
         Attempts per RPC before reporting permanent failure.
-    backoff_base, backoff_mult:
-        Exponential backoff schedule: retry ``k`` waits
-        ``backoff_base * backoff_mult**k`` seconds.
     """
 
     def __init__(
@@ -81,23 +84,15 @@ class HTableClient:
         master: HMaster,
         host: str,
         max_retries: int = 8,
-        backoff_base: float = 0.02,
-        backoff_mult: float = 2.0,
-        rpc_timeout: Optional[float] = 2.0,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         if max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if rpc_timeout is not None and rpc_timeout <= 0:
-            raise ValueError("rpc_timeout must be positive (or None)")
         self.sim = sim
         self.network = network
         self.master = master
         self.host = host
         self.max_retries = max_retries
-        self.backoff_base = backoff_base
-        self.backoff_mult = backoff_mult
-        self.rpc_timeout = rpc_timeout
         self.metrics = metrics if metrics is not None else component_registry("tsd")
         # Deterministic per-host jitter source (seeded, so simulations
         # replay identically; hash() is process-randomised, crc32 is not).
@@ -195,8 +190,7 @@ class HTableClient:
                 self.metrics.counter("client.sends_dropped").inc()
                 self._retry_put(table, cells, attempt, on_done, batch_ids, block)
             return
-        if self.rpc_timeout is not None:
-            timeout_handle[0] = self.sim.schedule(self.rpc_timeout, handle_timeout)
+        timeout_handle[0] = self.sim.schedule(RPC_TIMEOUT, handle_timeout)
 
     def _retry_put(
         self,
@@ -211,7 +205,7 @@ class HTableClient:
             self._fail_put(cells, on_done)
             return
         self.metrics.counter("client.retries").inc()
-        delay = self.backoff_base * (self.backoff_mult ** attempt)
+        delay = BACKOFF_BASE * (BACKOFF_MULT ** attempt)
 
         def resend() -> None:
             # Re-locate: assignments may have changed while backing off.
@@ -251,7 +245,7 @@ class HTableClient:
             if attempt >= self.max_retries:
                 on_done(None)
                 return
-            delay = self.backoff_base * (self.backoff_mult ** attempt)
+            delay = BACKOFF_BASE * (BACKOFF_MULT ** attempt)
             self.sim.schedule(delay, self._send_get, table, row, qualifier, attempt + 1, on_done)
             return
         server = self.master.server(server_name)
@@ -260,7 +254,7 @@ class HTableClient:
             if reply.ok:
                 on_done(reply.result)  # type: ignore[arg-type]
             elif reply.retryable and attempt < self.max_retries:
-                delay = self.backoff_base * (self.backoff_mult ** attempt)
+                delay = BACKOFF_BASE * (BACKOFF_MULT ** attempt)
                 self.sim.schedule(
                     delay, self._send_get, table, row, qualifier, attempt + 1, on_done
                 )
@@ -274,7 +268,7 @@ class HTableClient:
         if sent is None:
             # Partitioned endpoint: retry (bounded) rather than hanging.
             if attempt < self.max_retries:
-                delay = self.backoff_base * (self.backoff_mult ** attempt)
+                delay = BACKOFF_BASE * (BACKOFF_MULT ** attempt)
                 self.sim.schedule(
                     delay, self._send_get, table, row, qualifier, attempt + 1, on_done
                 )
@@ -288,7 +282,7 @@ class HTableClient:
         end_row: bytes,
         on_done: Callable[[CellBatch], None],
         consistency: str = "strong",
-        deadline: object = _DEFAULT_DEADLINE,
+        deadline: Optional[float] = RPC_TIMEOUT,
         hedge_delay: Optional[float] = None,
     ) -> None:
         """Range scan across all overlapping regions; results merged sorted.
@@ -314,15 +308,15 @@ class HTableClient:
         end_row: bytes,
         on_done: Callable[[ScanResult], None],
         consistency: str = "strong",
-        deadline: object = _DEFAULT_DEADLINE,
+        deadline: Optional[float] = RPC_TIMEOUT,
         hedge_delay: Optional[float] = None,
     ) -> None:
         """Replica-aware range scan; delivers a :class:`ScanResult`.
 
         One RPC per overlapping region, each with a per-RPC ``deadline``
-        (defaults to the client's ``rpc_timeout``; pass ``None`` to wait
-        forever).  Failed attempts retry with jittered exponential
-        backoff up to ``max_retries``; ``timeline`` mode rotates retries
+        (:data:`RPC_TIMEOUT` by default; pass ``None`` to wait forever).
+        Failed attempts retry with jittered exponential backoff up to
+        ``max_retries``; ``timeline`` mode rotates retries
         across the primary and its follower replicas.  With
         ``hedge_delay`` set, a duplicate RPC goes to the next replica
         candidate once the first has been outstanding that long —
@@ -330,9 +324,7 @@ class HTableClient:
         """
         if consistency not in CONSISTENCY_MODES:
             raise ValueError(f"consistency must be one of {CONSISTENCY_MODES}")
-        if deadline is _DEFAULT_DEADLINE:
-            deadline = self.rpc_timeout
-        if deadline is not None and deadline <= 0:  # type: ignore[operator]
+        if deadline is not None and deadline <= 0:
             raise ValueError("deadline must be positive (or None)")
         locations = self.master.locate_range_replicas(table, start_row, end_row)
         if not locations:
@@ -439,7 +431,7 @@ class HTableClient:
             self.metrics.counter("client.scan_retries").inc()
             # Jittered exponential backoff: the 0.5-1.5x spread keeps a
             # fleet of clients from re-converging on a recovering server.
-            delay = (self.backoff_base * (self.backoff_mult ** attempt)
+            delay = (BACKOFF_BASE * (BACKOFF_MULT ** attempt)
                      * (0.5 + self._rng.random()))
             self.sim.schedule(
                 delay, self._scan_region, table, start_row, end_row, anchor,

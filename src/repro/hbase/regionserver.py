@@ -41,6 +41,10 @@ __all__ = [
     "RegionServer",
 ]
 
+#: RPC call-queue bound; calls past it are rejected (retryable), and a
+#: burst of rejections is what the overflow crash policy counts.
+QUEUE_CAPACITY = 256
+
 
 @dataclass(frozen=True)
 class ServiceModel:
@@ -147,7 +151,6 @@ class RegionServer:
         network: Network,
         node: Node,
         name: str,
-        queue_capacity: int = 256,
         service_model: Optional[ServiceModel] = None,
         metrics: Optional[MetricsRegistry] = None,
         crash_policy_factory: Optional[Callable[["RegionServer"], OverflowCrashPolicy]] = None,
@@ -160,7 +163,7 @@ class RegionServer:
         self.service_model = service_model if service_model is not None else ServiceModel()
         self.metrics = metrics if metrics is not None else component_registry("regionserver")
         self.tracer = tracer if tracer is not None else Tracer()
-        self.rpc_server = Server(sim, name, queue_capacity, self.metrics)
+        self.rpc_server = Server(sim, name, QUEUE_CAPACITY, self.metrics)
         node.add_server(self.rpc_server)
         self.regions: Dict[str, Region] = {}
         # Read-only follower replicas hosted here, keyed by region name.

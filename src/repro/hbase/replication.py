@@ -35,6 +35,13 @@ from .region import CellBatch, Region
 
 __all__ = ["FollowerReplica", "ReplicaSet", "ReplicationCoordinator"]
 
+#: Baseline batching delay (s) before a shipped WAL batch leaves the
+#: primary; the chaos ``wal_lag`` event multiplies it.
+SHIP_DELAY = 0.002
+
+#: How often (s) a blocked shipping loop re-checks a partitioned link.
+REPUMP_INTERVAL = 0.05
+
 
 class FollowerReplica:
     """One read-only copy of a region, hosted on a follower server.
@@ -111,11 +118,6 @@ class ReplicationCoordinator:
     ----------
     n_followers:
         Follower replicas per region (replication factor minus one).
-    ship_delay:
-        Baseline batching delay before a shipped WAL batch leaves the
-        primary; the chaos ``wal_lag`` event multiplies it.
-    repump_interval:
-        How often a blocked shipping loop re-checks a partitioned link.
     """
 
     def __init__(
@@ -124,8 +126,6 @@ class ReplicationCoordinator:
         network: Network,
         master: "object",
         n_followers: int = 1,
-        ship_delay: float = 0.002,
-        repump_interval: float = 0.05,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         if n_followers < 1:
@@ -134,8 +134,6 @@ class ReplicationCoordinator:
         self.network = network
         self.master = master
         self.n_followers = n_followers
-        self.ship_delay = ship_delay
-        self.repump_interval = repump_interval
         self.metrics = metrics if metrics is not None else component_registry("replication")
         self._sets: Dict[str, ReplicaSet] = {}
         self._stalled: Set[str] = set()
@@ -250,7 +248,7 @@ class ReplicationCoordinator:
         if self.master.server(follower.server_name).crashed:
             return  # recovery rebuilds this follower elsewhere
         follower.in_flight = True
-        delay = self.ship_delay * self._ship_lag.get(rset.primary_server, 1.0)
+        delay = SHIP_DELAY * self._ship_lag.get(rset.primary_server, 1.0)
         self.sim.schedule(delay, self._ship_entry, rset, follower)
 
     def _ship_entry(self, rset: ReplicaSet, follower: FollowerReplica) -> None:
@@ -269,7 +267,7 @@ class ReplicationCoordinator:
             # exactly what the wal_lag panel should show).
             follower.in_flight = False
             self.metrics.counter("replication.ship_blocked").inc()
-            self.sim.schedule(self.repump_interval, self._drain, rset, follower)
+            self.sim.schedule(REPUMP_INTERVAL, self._drain, rset, follower)
             return
         del cells  # applied on delivery
 

@@ -51,6 +51,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = ["LifecycleManager"]
 
+#: Ingest cadence of incremental materialization: rollups advance after
+#: this many managed raw points land, so the hot window trails ingest by
+#: a bounded amount rather than waiting for the next compaction.
+HOT_WINDOW_POINTS = 5000
+
 
 class LifecycleManager:
     """Owns the rollup engine, retention manager and tier router."""
@@ -111,7 +116,7 @@ class LifecycleManager:
             fresh += n
         if fresh:
             self._since_advance += fresh
-            if self._since_advance >= self.policy.hot_window_points:
+            if self._since_advance >= HOT_WINDOW_POINTS:
                 self.hot_advance()
 
     # ------------------------------------------------------------------

@@ -34,16 +34,16 @@ covering tier answers with pooled column math (``avg`` becomes
 ``sum(sum)/sum(count)``, and the grouping aggregator is ignored — the
 pooled reduction *is* the group combination).  Pooled results are the
 documented best-effort answer, not bit-identical — raw no longer exists
-to compare against.  A request no surviving source can satisfy
-(downsample finer than the base resolution, raw expired with no
-qualifying tier, or an undownsampled read over expired raw) increments
-``lifecycle.tier_miss`` and falls through to whatever raw remains.
+to compare against.  A request no surviving source can satisfy (raw
+expired with no qualifying tier, or an undownsampled read over expired
+raw) increments ``lifecycle.tier_miss`` and falls through to whatever
+raw remains.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -165,9 +165,6 @@ class TierRouter:
         if window is None:
             # Undownsampled reads need raw; expired raw is unrecoverable.
             return _RAW_PLAN if raw_live else replace(_RAW_PLAN, miss=True)
-        if window < self.policy.base_resolution:
-            # Finer than the data itself — no source can satisfy it.
-            return replace(_RAW_PLAN, miss=True)
         if raw_live:
             identical = self._plan_identical(query, window)
             return identical if identical is not None else _RAW_PLAN
@@ -246,13 +243,14 @@ class TierRouter:
         Raises :class:`SingletonFallback` when a singleton plan meets a
         multi-series group.
         """
-        if plan.case == "pair":
-            return self._execute_pair(query, plan, reader)
         if plan.case == "singleton":
             return self._execute_singleton(query, plan, reader)
-        if plan.case == "pooled":
-            return self._execute_pooled(query, plan, reader)
-        raise ValueError(f"plan {plan.mode!r}/{plan.case!r} is not tier-served")
+        rewrites = self.rewrites(query, plan)
+        if rewrites is None:
+            raise ValueError(f"plan {plan.mode!r}/{plan.case!r} is not tier-served")
+        return self.combine(
+            query, [group_and_aggregate(q, reader(q)) for q in rewrites]
+        )
 
     def _rewrite(
         self,
@@ -276,34 +274,67 @@ class TierRouter:
             rate=apply_rate,
         )
 
-    def rewrite_single(self, query: TsdbQuery, plan: TierPlan) -> Optional[TsdbQuery]:
-        """A one-query rewrite of a tier-served plan, when one exists.
+    def rewrites(
+        self, query: TsdbQuery, plan: TierPlan
+    ) -> Optional[Tuple[TsdbQuery, ...]]:
+        """The column queries a pair or pooled plan reads instead of raw.
 
-        Pair plans and pooled plans other than ``avg`` are a single
-        rewritten pipeline over one column metric — which lets the RPC
-        read path serve them through its ordinary scan fan-out.
-        Singleton plans (execution-time group check) and pooled ``avg``
-        (two columns) return ``None``.
+        One rewritten pipeline over one column metric, or for a pooled
+        ``avg`` the ``sum`` and ``count`` rewrites whose grouped answers
+        :meth:`combine` divides.  Every read path runs these through its
+        ordinary scan fan-out and :func:`group_and_aggregate`.  Raw and
+        singleton plans (execution-time group check) return ``None``.
         """
         if plan.case == "pair":
             column, agg, ds = _PAIR_COMBOS[
                 (query.aggregator, query.downsample_aggregator)
             ]
-            return self._rewrite(query, plan, column, agg, ds, query.rate)
-        if plan.case == "pooled" and query.downsample_aggregator != "avg":
-            ds = query.downsample_aggregator
-            ds_kernel = ds if ds in ("min", "max") else "sum"
-            return self._rewrite(
-                query, plan, _COLUMNS_FOR[ds][0], _POOLED_AGG[ds], ds_kernel, query.rate
+            return (self._rewrite(query, plan, column, agg, ds, query.rate),)
+        if plan.case != "pooled":
+            return None
+        ds = query.downsample_aggregator
+        if ds == "avg":
+            return (
+                self._rewrite(query, plan, "sum", "sum", "sum", False),
+                self._rewrite(query, plan, "count", "sum", "sum", False),
             )
-        return None
+        ds_kernel = ds if ds in ("min", "max") else "sum"
+        return (
+            self._rewrite(
+                query, plan, _COLUMNS_FOR[ds][0], _POOLED_AGG[ds], ds_kernel, query.rate
+            ),
+        )
 
-    def _execute_pair(
-        self, query: TsdbQuery, plan: TierPlan, reader: Reader
-    ) -> List[Series]:
-        rewritten = self.rewrite_single(query, plan)
-        assert rewritten is not None
-        return group_and_aggregate(rewritten, reader(rewritten))
+    @staticmethod
+    def combine(query: TsdbQuery, answers: Sequence[List[Series]]) -> List[Series]:
+        """``query``'s answer from the grouped answers of its :meth:`rewrites`.
+
+        A single rewrite's answer is the answer; a pooled ``avg``'s is
+        its sum groups divided by its count groups.
+        """
+        if len(answers) == 1:
+            return answers[0]
+        sum_groups, count_answer = answers
+        count_groups = {s.tags: s for s in count_answer}
+        out: List[Series] = []
+        for sums in sum_groups:
+            counts = count_groups.get(sums.tags)
+            if counts is None or not np.array_equal(
+                sums.timestamps, counts.timestamps
+            ):
+                # Column sets diverged (shouldn't happen: both columns
+                # are written atomically per window) — drop the group
+                # rather than serve misaligned math.
+                continue
+            with np.errstate(invalid="ignore", divide="ignore"):
+                vals = np.where(
+                    counts.values > 0, sums.values / counts.values, np.nan
+                )
+            result = Series(sums.tags, sums.timestamps, vals)
+            if query.rate:
+                result = rate(result)
+            out.append(result)
+        return out
 
     def _execute_singleton(
         self, query: TsdbQuery, plan: TierPlan, reader: Reader
@@ -370,33 +401,3 @@ class TierRouter:
             result = rate(result)
         return result
 
-    def _execute_pooled(
-        self, query: TsdbQuery, plan: TierPlan, reader: Reader
-    ) -> List[Series]:
-        if query.downsample_aggregator != "avg":
-            rewritten = self.rewrite_single(query, plan)
-            assert rewritten is not None
-            return group_and_aggregate(rewritten, reader(rewritten))
-        sum_q = self._rewrite(query, plan, "sum", "sum", "sum", False)
-        count_q = self._rewrite(query, plan, "count", "sum", "sum", False)
-        sum_groups = group_and_aggregate(sum_q, reader(sum_q))
-        count_groups = {s.tags: s for s in group_and_aggregate(count_q, reader(count_q))}
-        out: List[Series] = []
-        for sums in sum_groups:
-            counts = count_groups.get(sums.tags)
-            if counts is None or not np.array_equal(
-                sums.timestamps, counts.timestamps
-            ):
-                # Column sets diverged (shouldn't happen: both columns
-                # are written atomically per window) — drop the group
-                # rather than serve misaligned math.
-                continue
-            with np.errstate(invalid="ignore", divide="ignore"):
-                vals = np.where(
-                    counts.values > 0, sums.values / counts.values, np.nan
-                )
-            result = Series(sums.tags, sums.timestamps, vals)
-            if query.rate:
-                result = rate(result)
-            out.append(result)
-        return out

@@ -173,10 +173,6 @@ class RetentionManager:
     # ------------------------------------------------------------------
     # probes and internals
     # ------------------------------------------------------------------
-    def is_expired_row(self, metric: str, base_time: int) -> bool:
-        """Whether a whole storage row-hour sits below the metric's floor."""
-        return base_time + ROW_SPAN_SECONDS <= self.raw_floor(metric)
-
     def live_points(self, metric: str, start: int, end: int) -> int:
         """Deduplicated visible raw points in ``[start, end)`` (scan probe)."""
         return self._visible_points(metric, start, end)

@@ -87,23 +87,12 @@ def _default_tiers() -> Tuple[TierSpec, ...]:
 class LifecyclePolicy:
     """Knobs for the lifecycle tier.
 
-    ``metrics`` restricts management to an explicit set; ``None`` means
-    every written metric outside ``excluded_prefixes`` is managed as it
-    is first seen.  ``base_resolution`` is the native cadence of the
-    raw data in seconds — queries downsampling *finer* than it cannot
-    be satisfied by any tier (or by raw) and are surfaced as
-    ``lifecycle.tier_miss``.  ``hot_window_points`` is the ingest
-    cadence of incremental materialization: rollups advance after that
-    many managed raw points land, so the hot window trails ingest by a
-    bounded amount rather than waiting for the next compaction.
+    Every written metric outside the rollup namespace is managed as it
+    is first seen.
     """
 
     tiers: Tuple[TierSpec, ...] = field(default_factory=_default_tiers)
     raw_ttl: Optional[int] = None
-    base_resolution: int = 1
-    metrics: Optional[Tuple[str, ...]] = None
-    excluded_prefixes: Tuple[str, ...] = (ROLLUP_PREFIX,)
-    hot_window_points: int = 5000
 
     def __post_init__(self) -> None:
         if not self.tiers:
@@ -113,22 +102,12 @@ class LifecyclePolicy:
             raise ValueError("tiers must have unique, ascending resolutions")
         if len({t.label for t in self.tiers}) != len(self.tiers):
             raise ValueError("tier labels must be unique")
-        if self.base_resolution < 1:
-            raise ValueError("base_resolution must be >= 1 second")
         if self.raw_ttl is not None and self.raw_ttl < 1:
             raise ValueError("raw_ttl must be positive")
-        if self.hot_window_points < 1:
-            raise ValueError("hot_window_points must be >= 1")
-        if ROLLUP_PREFIX not in self.excluded_prefixes:
-            raise ValueError("rollup series must stay excluded from management")
 
     def manages(self, metric: str) -> bool:
         """Whether ``metric`` is lifecycle-managed raw data."""
-        if any(metric.startswith(p) for p in self.excluded_prefixes):
-            return False
-        if self.metrics is not None:
-            return metric in self.metrics
-        return True
+        return not metric.startswith(ROLLUP_PREFIX)
 
     def tier(self, label: str) -> TierSpec:
         for spec in self.tiers:

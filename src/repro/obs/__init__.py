@@ -15,7 +15,8 @@ its own store and dashboard:
 """
 
 from .telemetry import (
-    DEFAULT_ROUTES,
+    DEFAULT_COMPONENT,
+    ROUTES,
     MetricSample,
     ScopedRegistry,
     Telemetry,
@@ -25,10 +26,11 @@ from .trace import NULL_SPAN, NullSpan, Span, SpanRecord, Tracer
 from .selfreport import SelfReporter
 
 __all__ = [
-    "DEFAULT_ROUTES",
+    "DEFAULT_COMPONENT",
     "MetricSample",
     "NULL_SPAN",
     "NullSpan",
+    "ROUTES",
     "ScopedRegistry",
     "SelfReporter",
     "Span",

@@ -46,12 +46,15 @@ def _datapoint(name: str, ts: int, value: float, host: str) -> "DataPoint":
 
 
 class SelfReporter:
-    """Periodically flush telemetry snapshots back into the TSDB."""
+    """Periodically flush telemetry snapshots back into the TSDB.
+
+    Snapshots the cluster's own telemetry plus any ``extra`` trees (a
+    pipeline run's, say).
+    """
 
     def __init__(
         self,
         cluster: "TsdbCluster",
-        telemetry: Optional[Telemetry] = None,
         extra: Sequence[Telemetry] = (),
         interval: float = 0.25,
         chaos_report: Optional["ChaosReport"] = None,
@@ -59,8 +62,7 @@ class SelfReporter:
         if interval <= 0:
             raise ValueError("interval must be positive")
         self.cluster = cluster
-        primary = telemetry if telemetry is not None else cluster.telemetry
-        self.telemetries: List[Telemetry] = [primary, *extra]
+        self.telemetries: List[Telemetry] = [cluster.telemetry, *extra]
         self.interval = interval
         self.chaos_report = chaos_report
         self.flushes = 0

@@ -40,17 +40,21 @@ from ..cluster.metrics import (
 )
 
 __all__ = [
-    "DEFAULT_ROUTES",
+    "DEFAULT_COMPONENT",
+    "ROUTES",
     "MetricSample",
     "ScopedRegistry",
     "Telemetry",
     "component_registry",
 ]
 
+#: The catch-all component tree for names no route claims.
+DEFAULT_COMPONENT = "cluster"
+
 #: First dotted-name segment -> owning component tree.  Unlisted
-#: prefixes fall through to the ``cluster`` catch-all tree so routing
-#: is total (and identical from every component's view).
-DEFAULT_ROUTES: Dict[str, str] = {
+#: prefixes fall through to the :data:`DEFAULT_COMPONENT` tree so
+#: routing is total (and identical from every component's view).
+ROUTES: Dict[str, str] = {
     "proxy": "proxy",
     "tsd": "tsd",
     "client": "tsd",  # the AsyncHBase-style client lives inside the TSDs
@@ -87,25 +91,19 @@ class MetricSample:
 class Telemetry:
     """Owns the component registries and routes metric names to them."""
 
-    def __init__(
-        self,
-        routes: Optional[Dict[str, str]] = None,
-        default_component: str = "cluster",
-    ) -> None:
-        self._routes = dict(DEFAULT_ROUTES) if routes is None else dict(routes)
-        self._default = default_component
+    def __init__(self) -> None:
         self._trees: Dict[str, MetricsRegistry] = {}
         self._views: Dict[str, "ScopedRegistry"] = {}
         #: The default component's view — a drop-in registry for code
         #: that wants "the" cluster-wide metrics object.
-        self.root: "ScopedRegistry" = self.registry(default_component)
+        self.root: "ScopedRegistry" = self.registry(DEFAULT_COMPONENT)
 
     # ------------------------------------------------------------------
     # trees and views
     # ------------------------------------------------------------------
     def component_for(self, name: str) -> str:
         """The component tree owning a dotted metric name."""
-        return self._routes.get(name.split(".", 1)[0], self._default)
+        return ROUTES.get(name.split(".", 1)[0], DEFAULT_COMPONENT)
 
     def tree(self, component: str) -> MetricsRegistry:
         """The raw per-component registry (created on first use)."""
@@ -211,7 +209,7 @@ class ScopedRegistry(MetricsRegistry):
         return self._telemetry.histogram(name, bounds)
 
 
-def component_registry(component: str = "cluster") -> ScopedRegistry:
+def component_registry(component: str = DEFAULT_COMPONENT) -> ScopedRegistry:
     """A standalone routed registry backed by its own private telemetry.
 
     The sanctioned default for components constructed without a shared

@@ -2,14 +2,14 @@
 
 ``cache`` — canonical-keyed LRU+TTL result cache with write-through
 invalidation and stale-while-revalidate; ``admission`` — bounded
-execution slots, FIFO wait queue, deadlines, load shedding and
-per-client rate limits; ``gateway`` — the façade composing them in
-front of the :class:`~repro.tsdb.query.QueryEngine`; ``workload`` — a
-seeded multi-client fleet driver producing latency / hit-ratio /
-shed-rate distributions (the E14 benchmark's engine).
+execution slots, FIFO wait queue, deadlines and load shedding;
+``gateway`` — the façade composing them in front of the
+:class:`~repro.tsdb.query.QueryEngine`; ``workload`` — a seeded
+multi-client fleet driver producing latency / hit-ratio / shed-rate
+distributions (the E14 benchmark's engine).
 """
 
-from .admission import AdmissionController, ClientRateLimiter, QueryRejected, Ticket, TokenBucket
+from .admission import AdmissionController, QueryRejected, Ticket
 from .cache import CacheLookup, CanonicalQuery, ResultCache, canonical_key, result_etag
 from .gateway import GatewayConfig, QueryGateway, ServeResult, ServeServiceModel
 from .workload import FleetWorkload, WorkloadConfig, WorkloadReport
@@ -18,7 +18,6 @@ __all__ = [
     "AdmissionController",
     "CacheLookup",
     "CanonicalQuery",
-    "ClientRateLimiter",
     "FleetWorkload",
     "GatewayConfig",
     "QueryGateway",
@@ -27,7 +26,6 @@ __all__ = [
     "ServeResult",
     "ServeServiceModel",
     "Ticket",
-    "TokenBucket",
     "WorkloadConfig",
     "WorkloadReport",
     "canonical_key",

@@ -4,8 +4,7 @@ Bounds the number of queries executing concurrently against the
 storage tier (``max_concurrent`` slots), parks overflow in a FIFO wait
 queue with per-request deadlines, and **sheds load** — raising
 :class:`QueryRejected` with a retry-after hint — once the queue
-saturates.  A per-client token bucket (:class:`ClientRateLimiter`)
-rejects abusive pollers before they reach the queue at all.
+saturates.
 
 The controller is clock-agnostic and callback-driven: callers pass
 ``now`` explicitly and supply ``on_grant`` / ``on_timeout`` callbacks
@@ -17,101 +16,34 @@ simulator deterministically.  State machine for one request::
        │ slots busy, queue has room        └─▶ promotes FIFO head(s)
        ├──▶ queued ──on_grant──▶ executing
        │        └──deadline──▶ expired (on_timeout, "deadline" shed)
-       ├──▶ QueryRejected("queue_full")    # queue saturated
-       └──▶ QueryRejected("rate_limited")  # token bucket empty
+       └──▶ QueryRejected("queue_full")    # queue saturated
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional
+from typing import Callable, Deque, List, Optional
 
-__all__ = [
-    "AdmissionController",
-    "ClientRateLimiter",
-    "QueryRejected",
-    "Ticket",
-    "TokenBucket",
-]
+__all__ = ["AdmissionController", "QueryRejected", "Ticket"]
+
+#: Seed of the EWMA service-time estimate behind retry-after hints.
+SERVICE_ESTIMATE = 0.01
 
 
 class QueryRejected(RuntimeError):
     """A query was shed before execution.
 
-    ``reason`` is one of ``"queue_full"``, ``"rate_limited"``,
-    ``"deadline"`` or ``"unavailable"``; ``retry_after`` is the
-    controller's estimate (seconds) of when a retry could succeed.
+    ``reason`` is one of ``"queue_full"``, ``"deadline"`` or
+    ``"unavailable"``; ``retry_after`` is the controller's estimate
+    (seconds) of when a retry could succeed.
     """
 
-    def __init__(self, reason: str, retry_after: float, detail: str = "") -> None:
+    def __init__(self, reason: str, retry_after: float, detail: str) -> None:
         self.reason = reason
         self.retry_after = retry_after
-        msg = f"query rejected ({reason}); retry after {retry_after:.3f}s"
-        if detail:
-            msg = f"{msg}: {detail}"
-        super().__init__(msg)
-
-
-class TokenBucket:
-    """Deterministic token bucket: ``rate`` tokens/second, ``burst`` cap."""
-
-    __slots__ = ("rate", "burst", "tokens", "updated")
-
-    def __init__(self, rate: float, burst: float) -> None:
-        if rate <= 0 or burst < 1:
-            raise ValueError("rate must be positive and burst >= 1")
-        self.rate = rate
-        self.burst = burst
-        self.tokens = burst
-        self.updated = 0.0
-
-    def _refill(self, now: float) -> None:
-        if now > self.updated:
-            self.tokens = min(self.burst, self.tokens + (now - self.updated) * self.rate)
-            self.updated = now
-
-    def try_take(self, now: float) -> bool:
-        self._refill(now)
-        if self.tokens >= 1.0:
-            self.tokens -= 1.0
-            return True
-        return False
-
-    def retry_after(self, now: float) -> float:
-        """Seconds until one token is available (0.0 if one already is)."""
-        self._refill(now)
-        if self.tokens >= 1.0:
-            return 0.0
-        return (1.0 - self.tokens) / self.rate
-
-
-class ClientRateLimiter:
-    """Per-client token buckets, created lazily on first sight.
-
-    The bucket map is bounded by the (finite) client population of the
-    workload; an LRU sweep evicts idle clients past ``max_clients`` so
-    an adversarial stream of fresh client ids cannot grow it without
-    bound.
-    """
-
-    def __init__(self, rate: float, burst: float, max_clients: int = 4096) -> None:
-        self.rate = rate
-        self.burst = burst
-        self.max_clients = max_clients
-        self._buckets: Dict[str, TokenBucket] = {}
-
-    def check(self, client_id: str, now: float) -> None:
-        """Take one token for ``client_id`` or raise :class:`QueryRejected`."""
-        bucket = self._buckets.get(client_id)
-        if bucket is None:
-            if len(self._buckets) >= self.max_clients:
-                # Evict the stalest bucket (smallest refill timestamp).
-                stalest = min(self._buckets, key=lambda c: self._buckets[c].updated)
-                del self._buckets[stalest]
-            bucket = TokenBucket(self.rate, self.burst)
-            self._buckets[client_id] = bucket
-        if not bucket.try_take(now):
-            raise QueryRejected("rate_limited", bucket.retry_after(now), f"client {client_id}")
+        super().__init__(
+            f"query rejected ({reason}); retry after {retry_after:.3f}s: {detail}"
+        )
 
 
 class Ticket:
@@ -159,12 +91,7 @@ class Ticket:
 class AdmissionController:
     """Bounded execution slots + FIFO wait queue + load shedding."""
 
-    def __init__(
-        self,
-        max_concurrent: int = 4,
-        max_queue: int = 32,
-        service_estimate: float = 0.01,
-    ) -> None:
+    def __init__(self, max_concurrent: int, max_queue: int) -> None:
         if max_concurrent < 1:
             raise ValueError("max_concurrent must be >= 1")
         if max_queue < 0:
@@ -174,7 +101,7 @@ class AdmissionController:
         self.in_flight = 0
         self._queue: Deque[Ticket] = deque()
         # EWMA of observed execution times; feeds retry-after hints.
-        self._service_estimate = service_estimate
+        self._service_estimate = SERVICE_ESTIMATE
         self.granted = 0
         self.queued = 0
         self.shed_queue_full = 0

@@ -23,7 +23,7 @@ to the same key **iff** the engine's ``group_and_aggregate`` (and the
 scan-side window/tag filtering) is bit-identical for them.  This is
 property-tested in ``tests/test_serve_properties.py``.
 
-Eviction is LRU with a hard ``capacity`` bound plus per-entry TTL.
+Eviction is LRU with a hard :data:`CAPACITY` bound plus per-entry TTL.
 Expired entries are *not* dropped eagerly: they remain available for
 **stale-while-revalidate** serving — the gateway may hand an expired
 value to a client (stamped with its age) while a refresh executes, or
@@ -57,6 +57,9 @@ __all__ = [
 
 #: The engine's wildcard filter value ("present with any value").
 WILDCARD = "*"
+
+#: Entries the cache holds before it evicts the least recently used.
+CAPACITY = 512
 
 
 @dataclass(frozen=True)
@@ -179,15 +182,12 @@ class ResultCache:
     simulator clock in a deployment) so behaviour is deterministic.
     """
 
-    def __init__(self, capacity: int = 512, ttl: float = 2.0) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
+    def __init__(self, ttl: float) -> None:
         if ttl <= 0:
             raise ValueError("ttl must be positive")
-        self.capacity = capacity
         self.ttl = ttl
         # Bounded LRU: probes move entries to the MRU end, inserts
-        # evict from the LRU end once past ``capacity``.
+        # evict from the LRU end once past ``CAPACITY``.
         self._cache: "OrderedDict[CanonicalQuery, _Entry]" = OrderedDict()
         #: Keys with a revalidation currently executing (so a stampede
         #: of stale hits triggers exactly one refresh).
@@ -224,7 +224,7 @@ class ResultCache:
         self._cache[key] = _Entry(list(value), etag, now, now + self.ttl)
         self._cache.move_to_end(key)
         self._refreshing.discard(key)
-        while len(self._cache) > self.capacity:
+        while len(self._cache) > CAPACITY:
             self._cache.popitem(last=False)
             self.evictions += 1
         return etag

@@ -5,7 +5,6 @@ instead of a raw :class:`~repro.tsdb.query.QueryEngine`.  A request
 flows::
 
     serve(query, client_id)
-      │ per-client token bucket          -> QueryRejected("rate_limited")
       │ result cache probe
       ├─ fresh  ──────────────▶ serve (ETag match -> NotModified)
       ├─ stale  ─ backend down ▶ serve stale, age-stamped
@@ -40,7 +39,7 @@ from ..hbase.master import RegionUnavailableError
 from ..tsdb.aggregation import Series
 from ..tsdb.blocks import series_spans
 from ..tsdb.query import TsdbQuery
-from .admission import AdmissionController, ClientRateLimiter, QueryRejected, Ticket
+from .admission import AdmissionController, QueryRejected, Ticket
 from .cache import CanonicalQuery, ResultCache, canonical_key, result_etag
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -55,6 +54,10 @@ _LATENCY_BOUNDS = (
     0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01,
     0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0,
 )
+
+#: Seconds a queued request may wait for a slot when its caller names
+#: no deadline of its own.
+DEFAULT_DEADLINE = 5.0
 
 
 @dataclass(frozen=True)
@@ -83,25 +86,11 @@ class ServeServiceModel:
 class GatewayConfig:
     """Knobs for one :class:`QueryGateway`."""
 
-    cache_capacity: int = 512
     ttl: float = 2.0
     cache_enabled: bool = True
-    serve_stale: bool = True
     max_concurrent: int = 4
     max_queue: int = 32
-    default_deadline: Optional[float] = 5.0
-    rate_limit: Optional[float] = None  # tokens/second per client; None = off
-    rate_burst: float = 10.0
-    #: Serve timeline (follower) reads with an advertised staleness
-    #: bound when a region's primary is down; False sheds instead.
-    allow_degraded: bool = True
     service_model: ServeServiceModel = field(default_factory=ServeServiceModel)
-
-    def __post_init__(self) -> None:
-        if self.default_deadline is not None and self.default_deadline <= 0:
-            raise ValueError("default_deadline must be positive (or None)")
-        if self.rate_limit is not None and self.rate_limit <= 0:
-            raise ValueError("rate_limit must be positive (or None)")
 
 
 @dataclass
@@ -147,11 +136,8 @@ class QueryGateway:
         self.sim = cluster.sim
         self.config = config if config is not None else GatewayConfig()
         self.metrics = cluster.telemetry.registry("serve")
-        self.cache = ResultCache(self.config.cache_capacity, self.config.ttl)
+        self.cache = ResultCache(self.config.ttl)
         self.admission = AdmissionController(self.config.max_concurrent, self.config.max_queue)
-        self._limiter: Optional[ClientRateLimiter] = None
-        if self.config.rate_limit is not None:
-            self._limiter = ClientRateLimiter(self.config.rate_limit, self.config.rate_burst)
         # Bumped on every write notification; executions that straddle a
         # bump are served but never cached (coherence under async races).
         self._write_epoch = 0
@@ -188,8 +174,8 @@ class QueryGateway:
         The synchronous path never waits in the FIFO queue: if every
         execution slot is held by in-flight async work it serves stale
         (revalidating behind) or sheds.  Raises :class:`QueryRejected`
-        on rate limit, saturation with nothing cached, or a down
-        backend with nothing cached.
+        on saturation with nothing cached, or a down backend with
+        nothing cached.
         """
         now = self.sim.now
         saturated = self.admission.in_flight >= self.admission.max_concurrent
@@ -220,8 +206,9 @@ class QueryGateway:
         delivered as scheduled events, with queueing and execution cost
         charged on the sim clock.
 
-        ``deadline`` (relative seconds, default from config) bounds the
-        FIFO wait; requests still queued past it are shed.
+        ``deadline`` (relative seconds, :data:`DEFAULT_DEADLINE` when
+        None) bounds the FIFO wait; requests still queued past it are
+        shed.
         """
         now = self.sim.now
         hit_cost = self.config.service_model.hit_cost
@@ -233,8 +220,7 @@ class QueryGateway:
         if cached is not None:
             self.sim.schedule(hit_cost, on_done, cached)
             return
-        rel_deadline = deadline if deadline is not None else self.config.default_deadline
-        abs_deadline = now + rel_deadline if rel_deadline is not None else None
+        abs_deadline = now + (deadline if deadline is not None else DEFAULT_DEADLINE)
 
         def granted(ticket: Ticket) -> None:
             self._execute(ticket, query, key, now, if_none_match, on_done, on_reject)
@@ -255,7 +241,7 @@ class QueryGateway:
         self._sync_admission_gauges()
         if ticket.state == "granted":
             granted(ticket)
-        elif abs_deadline is not None:
+        else:
             # Strict comparison in expire_due: fire just past the deadline.
             self.sim.schedule(abs_deadline - now + 1e-9, self._expire_tick)
 
@@ -268,15 +254,14 @@ class QueryGateway:
         latency: float,
         stale_ok: bool,
     ) -> Tuple[Optional[CanonicalQuery], Optional[ServeResult]]:
-        """Rate-limit, then answer from the cache if it can.
+        """Answer from the cache if it can.
 
         Returns ``(cache key, response)``; a ``None`` response means
         execute.  A stale entry is served when the backend is down, or —
-        revalidating behind — when ``stale_ok`` and config allow it.
-        Raises :class:`QueryRejected` when rate-limited, or when the
-        backend is down with nothing cached.
+        revalidating behind — when ``stale_ok``.  Raises
+        :class:`QueryRejected` when the backend is down with nothing
+        cached.
         """
-        self._rate_check(client_id, now)
         key: Optional[CanonicalQuery] = None
         if self.config.cache_enabled:
             key = self._cache_key(query)
@@ -284,7 +269,7 @@ class QueryGateway:
             status: Optional[str] = "hit" if lookup.state == "fresh" else None
             if lookup.state == "stale":
                 backend_up = self.backend_available()
-                if not backend_up or (stale_ok and self.config.serve_stale):
+                if not backend_up or stale_ok:
                     if backend_up:
                         self._queue_revalidation(query, key, client_id, now)
                     status = "stale"
@@ -352,16 +337,11 @@ class QueryGateway:
         """Execute through the engine, degrading to follower reads.
 
         Returns ``(series, degraded, max_staleness)``.  Raises
-        :class:`RegionUnavailableError` when no replica can answer, or
-        when the answer would be degraded and config forbids serving it.
+        :class:`RegionUnavailableError` when no replica can answer.
         """
         result = self.engine.run_available(query)
         degraded = result.mode != "strong"
         if degraded:
-            if not self.config.allow_degraded:
-                raise RegionUnavailableError(
-                    "degraded (timeline) serving disabled by gateway policy"
-                )
             self.metrics.counter("serve.degraded").inc()
             self.metrics.gauge("serve.degraded_staleness").set(result.staleness)
         return result.series, degraded, result.staleness
@@ -507,15 +487,6 @@ class QueryGateway:
             status, None if nm else series, etag, age, latency,
             not_modified=nm, degraded=degraded, max_staleness=staleness,
         )
-
-    def _rate_check(self, client_id: str, now: float) -> None:
-        if self._limiter is None:
-            return
-        try:
-            self._limiter.check(client_id, now)
-        except QueryRejected:
-            self._count_shed("rate_limited")
-            raise
 
     def _deliver_reject(
         self, exc: QueryRejected, on_reject: Optional[Callable[[QueryRejected], None]]

@@ -19,8 +19,8 @@ deployment's simulator, so latencies are simulated seconds and runs
 are bit-reproducible per seed.  The resulting
 :class:`WorkloadReport` carries the latency distribution, hit/stale/
 shed accounting and the conservation invariant
-``issued == served + shed + rejected`` (every request gets exactly
-one completion or rejection — nothing is silently dropped).
+``issued == served + shed`` (every request gets exactly one completion
+or rejection — nothing is silently dropped).
 """
 
 from __future__ import annotations
@@ -35,27 +35,28 @@ from .gateway import QueryGateway, ServeResult
 
 __all__ = ["FleetWorkload", "WorkloadConfig", "WorkloadReport"]
 
+#: Dashboards polling the fleet overview, and their poll period (s).
+N_OVERVIEW_POLLERS = 16
+POLL_INTERVAL = 1.0
+
+#: Operators browsing machine pages, and their mean think time (s).
+N_DRILLDOWN = 4
+DRILL_INTERVAL = 1.5
+
 
 @dataclass(frozen=True)
 class WorkloadConfig:
     """Shape of the simulated client fleet."""
 
-    n_overview_pollers: int = 16
-    n_drilldown: int = 4
     n_stampede: int = 0
-    poll_interval: float = 1.0
-    drill_interval: float = 1.5
     duration: float = 10.0
     stampede_at: float = 5.0
-    use_etags: bool = True
     deadline: Optional[float] = None  # per-request; None -> gateway default
     seed: int = 7
 
     def __post_init__(self) -> None:
         if self.duration <= 0:
             raise ValueError("duration must be positive")
-        if self.poll_interval <= 0 or self.drill_interval <= 0:
-            raise ValueError("intervals must be positive")
 
 
 @dataclass
@@ -69,7 +70,6 @@ class WorkloadReport:
     stale_serves: int = 0
     not_modified: int = 0
     shed: int = 0
-    rejected: int = 0
     stale_unaccounted: int = 0
     shed_reasons: Dict[str, int] = field(default_factory=dict)
     latencies: List[float] = field(default_factory=list)
@@ -86,7 +86,7 @@ class WorkloadReport:
     def shed_rate(self) -> float:
         if self.issued == 0:
             return 0.0
-        return (self.shed + self.rejected) / self.issued
+        return self.shed / self.issued
 
     def latency_quantile(self, q: float) -> float:
         """Exact empirical quantile over served-response latencies."""
@@ -100,18 +100,17 @@ class WorkloadReport:
 
     def check_conservation(self) -> None:
         """Every issued request resolved exactly once, or raise."""
-        resolved = self.served + self.shed + self.rejected
-        if resolved != self.issued:
+        if self.served + self.shed != self.issued:
             raise AssertionError(
                 f"conservation violated: issued={self.issued} != "
-                f"served={self.served} + shed={self.shed} + rejected={self.rejected}"
+                f"served={self.served} + shed={self.shed}"
             )
 
     def summary(self) -> str:
         return (
             f"issued={self.issued} served={self.served} "
             f"(hits={self.hits} stale={self.stale_serves} nm={self.not_modified} "
-            f"miss={self.misses}) shed={self.shed} rejected={self.rejected} "
+            f"miss={self.misses}) shed={self.shed} "
             f"hit_ratio={self.hit_ratio:.2f} "
             f"p50={self.latency_quantile(0.5) * 1000:.2f}ms "
             f"p99={self.latency_quantile(0.99) * 1000:.2f}ms"
@@ -181,13 +180,13 @@ class FleetWorkload:
         sim = self.gateway.sim
         cfg = self.config
         self._stop_at = sim.now + cfg.duration
-        for i in range(cfg.n_overview_pollers):
+        for i in range(N_OVERVIEW_POLLERS):
             client = f"poller{i:03d}"
-            phase = self._rng.uniform(0.0, cfg.poll_interval)
+            phase = self._rng.uniform(0.0, POLL_INTERVAL)
             sim.schedule(phase, self._poll_tick, client)
-        for i in range(cfg.n_drilldown):
+        for i in range(N_DRILLDOWN):
             client = f"browser{i:03d}"
-            phase = self._rng.uniform(0.0, cfg.drill_interval)
+            phase = self._rng.uniform(0.0, DRILL_INTERVAL)
             sim.schedule(phase, self._drill_tick, client)
         if cfg.n_stampede > 0:
             for i in range(cfg.n_stampede):
@@ -207,7 +206,7 @@ class FleetWorkload:
         if sim.now >= self._stop_at:
             return
         self._issue(client, self.overview_query(), remember_etag=True)
-        sim.schedule(self.config.poll_interval, self._poll_tick, client)
+        sim.schedule(POLL_INTERVAL, self._poll_tick, client)
 
     def _drill_tick(self, client: str) -> None:
         sim = self.gateway.sim
@@ -215,7 +214,7 @@ class FleetWorkload:
             return
         unit = self._rng.choice(self.units)
         self._issue(client, self.drilldown_query(unit), remember_etag=False)
-        think = self.config.drill_interval * self._rng.uniform(0.5, 1.5)
+        think = DRILL_INTERVAL * self._rng.uniform(0.5, 1.5)
         sim.schedule(think, self._drill_tick, client)
 
     def _stampede_shot(self, client: str) -> None:
@@ -227,7 +226,7 @@ class FleetWorkload:
     def _issue(self, client: str, query: TsdbQuery, remember_etag: bool) -> None:
         self.report.issued += 1
         etag: Optional[str] = None
-        if remember_etag and self.config.use_etags:
+        if remember_etag:
             etag = self._etags.get(client, {}).get(query.metric)
 
         def done(result: ServeResult) -> None:
@@ -262,13 +261,10 @@ class FleetWorkload:
             rep.misses += 1
         if result.not_modified:
             rep.not_modified += 1
-        if remember_etag and self.config.use_etags:
+        if remember_etag:
             self._etags.setdefault(client, {})[query.metric] = result.etag
 
     def _on_reject(self, exc: QueryRejected) -> None:
         rep = self.report
-        if exc.reason == "rate_limited":
-            rep.rejected += 1
-        else:
-            rep.shed += 1
+        rep.shed += 1
         rep.shed_reasons[exc.reason] = rep.shed_reasons.get(exc.reason, 0) + 1

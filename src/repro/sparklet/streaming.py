@@ -25,11 +25,8 @@ __all__ = ["DStream", "StreamingContext"]
 class StreamingContext:
     """Drives micro-batch rounds over a batch :class:`SparkletContext`."""
 
-    def __init__(self, sc: SparkletContext, batch_interval: float = 1.0) -> None:
-        if batch_interval <= 0:
-            raise ValueError("batch_interval must be positive")
+    def __init__(self, sc: SparkletContext) -> None:
         self.sc = sc
-        self.batch_interval = batch_interval
         self._sources: List["DStream"] = []
         self.batches_processed = 0
 

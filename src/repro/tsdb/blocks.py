@@ -274,22 +274,6 @@ class SeriesBlock:
             vals.extend(b._vals[j:])
         return SeriesBlock(a.metric, a.tags, ts, vals, _trusted=True)
 
-    def row_spans(self, span_seconds: int) -> Iterator[Tuple[int, int, int]]:
-        """Contiguous ``(base_time, lo, hi)`` runs per storage row span.
-
-        Groups the sorted timestamp column into row-aligned runs
-        (``base_time`` = timestamp floored to ``span_seconds``) with one
-        bisect per distinct row — the unit the row-key encoder and the
-        block write path work in.
-        """
-        n = len(self._ts)
-        lo = 0
-        while lo < n:
-            base = (self._ts[lo] // span_seconds) * span_seconds
-            hi = bisect_left(self._ts, base + span_seconds, lo)
-            yield base, lo, hi
-            lo = hi
-
 
 def blocks_from_points(points: Iterable["DataPoint"]) -> List["SeriesBlock"]:
     """Group a heterogeneous point batch into one block per series.

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional
 
 from ..cluster.failures import OverflowCrashPolicy
 from ..cluster.metrics import TimeSeriesRecorder, skew_ratio
-from ..cluster.network import LatencyModel, Network
+from ..cluster.network import Network
 from ..cluster.node import Node
 from ..cluster.simulation import Simulator
 from ..hbase.master import HMaster
@@ -42,6 +42,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = ["ClusterConfig", "TsdbCluster", "build_cluster", "IngestionDriver", "IngestionReport"]
 
+#: The proxy's in-flight window, in batches per node (see
+#: :meth:`ClusterConfig.resolved_proxy_window`).
+PROXY_WINDOW_PER_NODE = 40
+
+#: Sim-seconds between an ingestion run's committed-sample readings.
+RECORD_INTERVAL = 0.25
+
 
 @dataclass
 class ClusterConfig:
@@ -53,18 +60,11 @@ class ClusterConfig:
     """
 
     n_nodes: int = 30
-    salt_buckets: Optional[int] = None  # None -> multiple of n_nodes, >= 192
+    salt_buckets: Optional[int] = None  # None -> smallest node multiple >= 128, capped at 256
     use_proxy: bool = True
-    proxy_max_in_flight: Optional[int] = None  # None -> 48 * n_nodes
-    rs_queue_capacity: int = 256
-    tsd_queue_capacity: int = 1024
-    rpc_batch_size: int = 50
     retain_data: bool = False
     compaction_enabled: bool = False
     crash_on_overflow: bool = True
-    crash_reject_budget: int = 500
-    crash_window: float = 1.0
-    crash_restart_delay: float = 5.0
     direct_spray: bool = True  # fire-and-forget mode: round-robin vs single TSD
     trace: bool = False  # span tracing across proxy -> TSD -> RegionServer
     replication_factor: int = 1  # 1 = primary only; N>=2 adds N-1 follower replicas
@@ -76,12 +76,15 @@ class ClusterConfig:
     lifecycle: Optional["LifecyclePolicy"] = None
 
     def resolved_salt_buckets(self) -> int:
-        """Default bucket count: a multiple of ``n_nodes`` of at least 128.
+        """Default bucket count: the smallest multiple of ``n_nodes`` that
+        is at least 128, capped at 256.
 
         The paper's one-byte random salt gives ~256 buckets over 29
         RegionServers — many buckets per server, so per-bucket hash
-        imbalance averages out.  Making the count a node multiple keeps
-        the round-robin region assignment exactly even.
+        imbalance averages out.  Up to 256 nodes the count is a node
+        multiple, which keeps the round-robin region assignment exactly
+        even; above 256 nodes the one-byte cap gives 256 buckets, which
+        is not a multiple of ``n_nodes``.
         """
         if self.salt_buckets is None:
             per_node = -(-128 // self.n_nodes)  # ceil
@@ -89,17 +92,16 @@ class ClusterConfig:
         return self.salt_buckets
 
     def resolved_proxy_window(self) -> int:
-        """Default in-flight window: sized to the bandwidth-delay product.
+        """The proxy's in-flight window: sized to the bandwidth-delay product.
 
         Cluster capacity grows with node count while the dominant ack
         latency (the TSD coalescing timer) is constant, so the window
-        must scale with nodes or it becomes the bottleneck.  48 batches
-        per node keeps the pipe full with ~2x headroom while still
-        bounding what can pile onto any RegionServer queue.
+        must scale with nodes or it becomes the bottleneck.
+        :data:`PROXY_WINDOW_PER_NODE` (40) batches per node keeps the
+        pipe full while still bounding what can pile onto any
+        RegionServer queue.
         """
-        if self.proxy_max_in_flight is None:
-            return 40 * self.n_nodes
-        return self.proxy_max_in_flight
+        return PROXY_WINDOW_PER_NODE * self.n_nodes
 
 
 class TsdbCluster:
@@ -123,7 +125,7 @@ class TsdbCluster:
         # Sim-clock tracer shared by the whole ingest path; spans carry
         # sim-seconds so traces line up with the simulated timeline.
         self.tracer = Tracer(enabled=config.trace, clock=lambda: self.sim.now)
-        self.network = Network(self.sim, LatencyModel())
+        self.network = Network(self.sim)
         self.zk = ZooKeeper()
         self.master = HMaster(
             self.zk,
@@ -162,18 +164,12 @@ class TsdbCluster:
                 self.network,
                 node,
                 f"rs{i:02d}",
-                queue_capacity=config.rs_queue_capacity,
                 service_model=service_model,
                 metrics=self.telemetry.registry("regionserver"),
                 tracer=self.tracer,
                 crash_policy_factory=(
                     (lambda srv: OverflowCrashPolicy(
-                        self.sim,
-                        on_crash=srv.crash,
-                        on_restart=srv.restart,
-                        reject_budget=config.crash_reject_budget,
-                        window=config.crash_window,
-                        restart_delay=config.crash_restart_delay,
+                        self.sim, on_crash=srv.crash, on_restart=srv.restart
                     ))
                     if config.crash_on_overflow
                     else None
@@ -210,8 +206,6 @@ class TsdbCluster:
                 self.master,
                 self.uids,
                 self.codec,
-                rpc_batch_size=config.rpc_batch_size,
-                queue_capacity=config.tsd_queue_capacity,
                 service_model=config.tsd_service_model,
                 metrics=self.telemetry.registry("tsd"),
                 write_ts=self.next_write_ts,
@@ -363,9 +357,7 @@ class TsdbCluster:
         from ..hbase.client import HTableClient
         from .readpath import AsyncQueryExecutor
 
-        client = HTableClient(
-            self.sim, self.network, self.master, host, rpc_timeout=2.0
-        )
+        client = HTableClient(self.sim, self.network, self.master, host)
         return AsyncQueryExecutor(
             self.sim, client, self.uids, self.codec, lifecycle=self.lifecycle
         )
@@ -427,12 +419,6 @@ class IngestionReport:
     client_retries: int
     timeline: TimeSeriesRecorder
 
-    def summary_row(self) -> str:
-        return (
-            f"{self.n_nodes:3d} nodes  {self.throughput / 1000.0:7.1f}k samples/s  "
-            f"skew={self.write_skew:5.2f}  crashes={self.crashes}"
-        )
-
 
 class IngestionDriver:
     """Open-loop load generator over a simulated cluster.
@@ -450,7 +436,6 @@ class IngestionDriver:
         workload: Iterator[List[DataPoint]],
         offered_rate: float,
         batch_size: int = 50,
-        record_interval: float = 0.25,
     ) -> None:
         if offered_rate <= 0:
             raise ValueError("offered_rate must be positive")
@@ -460,7 +445,6 @@ class IngestionDriver:
         self.workload = workload
         self.offered_rate = offered_rate
         self.batch_size = batch_size
-        self.record_interval = record_interval
         self.offered = 0
         self.committed = 0
         self.failed = 0
@@ -486,7 +470,7 @@ class IngestionDriver:
         self._stop_at = sim.now + warmup + duration
         interval = self.batch_size / self.offered_rate
         sim.schedule(0.0, self._tick, interval)
-        sim.schedule(self.record_interval, self._record)
+        sim.schedule(RECORD_INTERVAL, self._record)
         sim.schedule(warmup, self._snapshot_warm)
         sim.schedule(warmup + duration, self._snapshot_stop)
         sim.run(until=self._stop_at + drain)
@@ -534,7 +518,7 @@ class IngestionDriver:
         sim = self.cluster.sim
         self.timeline.record(sim.now, self.committed)
         if sim.now < self._stop_at:
-            sim.schedule(self.record_interval, self._record)
+            sim.schedule(RECORD_INTERVAL, self._record)
 
 
 def build_cluster(config: Optional[ClusterConfig] = None, **overrides) -> TsdbCluster:

@@ -11,13 +11,13 @@ failure (the half of §III-B the happy-path reproduction left out):
   the TSD daemons round-robin, skipping daemons whose node is down or
   whose process has crashed.
 * **Circuit breaking** — consecutive failures against one TSD eject it
-  from the rotation (*open*); after ``eject_duration`` a single
+  from the rotation (*open*); after :data:`EJECT_DURATION` a single
   *half-open* probe batch tests it, and a success closes the breaker.
   If every breaker is open the proxy falls back to treating all live
   TSDs as candidates rather than deadlocking (*all-open fallback*).
 * **Bounded retry with backoff** — a bounced, timed-out, or partially
   written batch is retried with exponential backoff and deterministic
-  (seeded) jitter, up to ``max_batch_retries`` attempts; exhausted
+  (seeded) jitter, up to :data:`MAX_BATCH_RETRIES` attempts; exhausted
   batches resolve to a *permanent-failure* ack instead of silently
   recirculating forever.
 * **Partial-batch retry** — a batch acked with ``0 < written <
@@ -52,6 +52,27 @@ AckCallback = Callable[[PutAck], None]
 
 #: Sentinel "tsd" name on a permanent-failure ack synthesized by the proxy.
 PROXY_EXHAUSTED = "proxy-exhausted"
+
+#: Hostnames the two ingress paths send from.
+PROXY_HOST = "proxy"
+DIRECT_HOST = "ingress"
+
+#: Retry backoff: attempt ``k`` waits ``RETRY_DELAY * BACKOFF_MULT**k``
+#: seconds, capped at ``MAX_BACKOFF``, then jittered into [0.5, 1.0) of
+#: that by an RNG seeded with ``JITTER_SEED`` (so runs replay exactly).
+RETRY_DELAY = 0.05
+BACKOFF_MULT = 2.0
+MAX_BACKOFF = 1.0
+JITTER_SEED = 0
+
+#: Retry budget per batch; exhaustion resolves the batch to a
+#: permanent-failure ack instead of recirculating it forever.
+MAX_BATCH_RETRIES = 12
+
+#: Circuit breakers: consecutive failures that open a TSD's breaker,
+#: and how long (s) it stays ejected before a half-open probe.
+FAILURE_THRESHOLD = 3
+EJECT_DURATION = 0.5
 
 
 class TsdBreaker:
@@ -176,23 +197,14 @@ class ReverseProxy:
     ----------
     max_in_flight:
         Outstanding dispatch window (backpressure bound).
-    retry_delay:
-        Base of the exponential retry backoff (attempt ``k`` waits
-        ``retry_delay * backoff_mult**k``, jittered, capped at
-        ``max_backoff``).
-    max_batch_retries:
-        Retry budget per batch; exhaustion resolves the batch to a
-        permanent-failure ack instead of recirculating it forever.
-    failure_threshold / eject_duration:
-        Circuit-breaker tuning: consecutive failures that open a TSD's
-        breaker, and how long it stays ejected before a half-open
-        probe.  ``failure_threshold=None`` disables the breakers.
     ack_timeout:
         Seconds a dispatch may await its ack before being declared lost
         and retried.  ``None`` disables timeouts (a crashed TSD then
         wedges the window — the pre-hardening behaviour).
-    seed:
-        Seeds the jitter RNG so retry schedules are deterministic.
+
+    Setting :attr:`breakers` to ``None`` after construction switches
+    the circuit breakers off (the other half of the pre-hardening
+    ingress E12 ablates).
     """
 
     def __init__(
@@ -200,16 +212,8 @@ class ReverseProxy:
         sim: Simulator,
         network: Network,
         tsds: Sequence[TSDaemon],
-        host: str = "proxy",
         max_in_flight: int = 64,
-        retry_delay: float = 0.05,
-        backoff_mult: float = 2.0,
-        max_backoff: float = 1.0,
-        max_batch_retries: int = 12,
-        failure_threshold: Optional[int] = 3,
-        eject_duration: float = 0.5,
         ack_timeout: Optional[float] = 5.0,
-        seed: int = 0,
         metrics: Optional[MetricsRegistry] = None,
         tracer: Optional[Tracer] = None,
     ) -> None:
@@ -217,29 +221,20 @@ class ReverseProxy:
             raise ValueError("proxy needs at least one TSD")
         if max_in_flight < 1:
             raise ValueError("max_in_flight must be >= 1")
-        if max_batch_retries < 0:
-            raise ValueError("max_batch_retries must be >= 0")
         if ack_timeout is not None and ack_timeout <= 0:
             raise ValueError("ack_timeout must be positive (or None)")
         self.sim = sim
         self.network = network
         self.tsds = list(tsds)
-        self.host = host
         self.max_in_flight = max_in_flight
-        self.retry_delay = retry_delay
-        self.backoff_mult = backoff_mult
-        self.max_backoff = max_backoff
-        self.max_batch_retries = max_batch_retries
         self.ack_timeout = ack_timeout
         self.metrics = metrics if metrics is not None else component_registry("proxy")
         self.tracer = tracer if tracer is not None else Tracer()
         self._batch_seq = itertools.count(1)
-        self._rng = np.random.default_rng(seed)
-        self.breakers: Optional[List[TsdBreaker]] = (
-            [TsdBreaker(failure_threshold, eject_duration) for _ in tsds]
-            if failure_threshold is not None
-            else None
-        )
+        self._rng = np.random.default_rng(JITTER_SEED)
+        self.breakers: Optional[List[TsdBreaker]] = [
+            TsdBreaker(FAILURE_THRESHOLD, EJECT_DURATION) for _ in tsds
+        ]
         self._buffer: Deque[_BatchState] = deque()
         self._in_flight = 0
         self._rr = 0
@@ -349,12 +344,12 @@ class ReverseProxy:
                 self.ack_timeout, self._on_timeout, dispatch
             )
         handle = self.network.send(
-            self.host,
+            PROXY_HOST,
             tsd.node.hostname,
             tsd.put_batch,
             state.remaining,
             lambda ack: self._on_tsd_ack(dispatch, ack),
-            self.host,
+            PROXY_HOST,
             state.batch_id,
         )
         if handle is None:
@@ -426,16 +421,13 @@ class ReverseProxy:
 
     def _retry_later(self, state: _BatchState) -> None:
         """Requeue after jittered exponential backoff, within the budget."""
-        if state.attempts >= self.max_batch_retries:
+        if state.attempts >= MAX_BATCH_RETRIES:
             self.failed_batches += 1
             self.failed_points += len(state.remaining)
             self.metrics.counter("proxy.failed_points").inc(len(state.remaining))
             self._finish(state, ok=False, tsd=PROXY_EXHAUSTED)
             return
-        delay = min(
-            self.max_backoff,
-            self.retry_delay * (self.backoff_mult ** state.attempts),
-        )
+        delay = min(MAX_BACKOFF, RETRY_DELAY * (BACKOFF_MULT ** state.attempts))
         # Deterministic jitter in [0.5, 1.0): decorrelates retry storms
         # while keeping runs reproducible per proxy seed.
         delay *= 0.5 + 0.5 * float(self._rng.random())
@@ -476,7 +468,6 @@ class DirectSubmitter:
         sim: Simulator,
         network: Network,
         tsds: Sequence[TSDaemon],
-        host: str = "ingress",
         spray: bool = True,
     ) -> None:
         if not tsds:
@@ -484,7 +475,6 @@ class DirectSubmitter:
         self.sim = sim
         self.network = network
         self.tsds = list(tsds)
-        self.host = host
         self.spray = spray
         self._rr = 0
         self.dispatched = 0
@@ -503,4 +493,6 @@ class DirectSubmitter:
             if on_ack is not None:
                 on_ack(ack)
 
-        self.network.send(self.host, tsd.node.hostname, tsd.put_batch, points, handle, self.host)
+        self.network.send(
+            DIRECT_HOST, tsd.node.hostname, tsd.put_batch, points, handle, DIRECT_HOST
+        )

@@ -16,7 +16,7 @@ benchmarks exercise — while keeping the *driver* side honest too:
   producing pipeline cannot run ahead of the storage tier.
 * **Ack deadlines + dead-letter ledger** — every submitted batch
   carries a deadline; a batch with no ack by then (a crashed TSD
-  swallowed it) is retransmitted up to ``max_retransmits`` times and
+  swallowed it) is retransmitted up to :data:`MAX_RETRANSMITS` times and
   then *dead-lettered*: its points are recorded on the publisher's
   :attr:`~BatchPublisher.dead_letter` ledger and counted in the
   report, never silently lost.  Retransmission makes delivery
@@ -51,6 +51,10 @@ __all__ = [
     "PublishReport",
     "PublishStalledError",
 ]
+
+#: Deadline-triggered retransmissions per batch before it goes to the
+#: dead-letter ledger.
+MAX_RETRANSMITS = 2
 
 
 class DeliveryAccountingError(RuntimeError):
@@ -167,13 +171,10 @@ class BatchPublisher:
         ``False`` falls back to ``cluster.direct_put()`` bulk loads.
     ack_deadline:
         Sim-seconds a batch may await its durable ack before being
-        retransmitted; after ``max_retransmits`` retransmissions it is
-        dead-lettered.  ``None`` disables deadlines (a swallowed batch
-        then stalls ``flush``, which raises
+        retransmitted; after :data:`MAX_RETRANSMITS` retransmissions it
+        is dead-lettered.  ``None`` disables deadlines (a swallowed
+        batch then stalls ``flush``, which raises
         :class:`PublishStalledError`).
-    max_retransmits:
-        Deadline-triggered retransmissions per batch before it goes to
-        the dead-letter ledger.
     metrics:
         Registry receiving ``<channel>.batches`` / ``.acks`` /
         ``.points_written`` / ``.points_failed`` / ``.retries`` /
@@ -192,7 +193,6 @@ class BatchPublisher:
         max_in_flight_batches: int = 32,
         use_proxy_path: bool = True,
         ack_deadline: Optional[float] = 30.0,
-        max_retransmits: int = 2,
         metrics: Optional[MetricsRegistry] = None,
         channel: str = "publish",
     ) -> None:
@@ -202,14 +202,11 @@ class BatchPublisher:
             raise ValueError("max_in_flight_batches must be >= 1")
         if ack_deadline is not None and ack_deadline <= 0:
             raise ValueError("ack_deadline must be positive (or None)")
-        if max_retransmits < 0:
-            raise ValueError("max_retransmits must be >= 0")
         self.cluster = cluster
         self.batch_size = batch_size
         self.max_in_flight_batches = max_in_flight_batches
         self.use_proxy_path = use_proxy_path
         self.ack_deadline = ack_deadline
-        self.max_retransmits = max_retransmits
         self.metrics = metrics if metrics is not None else component_registry("publisher")
         self.channel = channel
         self.report = PublishReport(mode="proxy" if use_proxy_path else "direct")
@@ -367,7 +364,7 @@ class BatchPublisher:
             entry = self._ledger.get(token)
             if entry is None or entry.resolved:
                 return
-            if entry.attempts < self.max_retransmits:
+            if entry.attempts < MAX_RETRANSMITS:
                 entry.attempts += 1
                 self.report.retransmits += 1
                 self.metrics.counter(f"{self.channel}.retransmits").inc()

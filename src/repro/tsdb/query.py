@@ -313,8 +313,8 @@ class TsdbQuery:
             # Fractional windows used to slip through silently and
             # produce float bucket boundaries downstream; an integer
             # window is the only thing either raw or rollup tiers can
-            # satisfy (sub-base-resolution requests are additionally
-            # surfaced as lifecycle.tier_miss at planning time).
+            # satisfy, and at the 1 s base resolution any window >= 1
+            # is as coarse as the data.
             if isinstance(self.downsample_window, bool) or not isinstance(
                 self.downsample_window, int
             ):
@@ -354,13 +354,11 @@ class QueryEngine:
         master: HMaster,
         uids: UniqueIdRegistry,
         codec: RowKeyCodec,
-        table: str = DATA_TABLE,
         lifecycle: Optional["LifecycleManager"] = None,
     ) -> None:
         self.master = master
         self.uids = uids
         self.codec = codec
-        self.table = table
         #: Tier router (None = always raw).  Injected by the cluster
         #: factory when a lifecycle policy is configured.
         self.lifecycle = lifecycle
@@ -427,11 +425,11 @@ class QueryEngine:
     def _scan_direct(
         self, lo: bytes, hi: bytes, row_filter: Optional[RowFilter]
     ) -> Tuple[CellBatch, float]:
-        return self.master.direct_scan(self.table, lo, hi, row_filter), 0.0
+        return self.master.direct_scan(DATA_TABLE, lo, hi, row_filter), 0.0
 
     def _scan_consistent(self, timeline: bool) -> _Scan:
         return lambda lo, hi, row_filter: self.master.direct_scan_consistent(
-            self.table, lo, hi, timeline, row_filter
+            DATA_TABLE, lo, hi, timeline, row_filter
         )
 
     def _execute(self, query: TsdbQuery, scan: _Scan) -> Tuple[List[Series], float]:
@@ -492,7 +490,7 @@ class QueryEngine:
             return []
         state = _ScanState()
         for lo, hi in self.codec.scan_ranges(metric_uid, query.start, query.end):
-            cells = list(self.master.direct_scan(self.table, lo, hi))
+            cells = list(self.master.direct_scan(DATA_TABLE, lo, hi))
             self.scan_cells += len(cells)
             # Blobs first so point-cell shadowing is decided in one pass.
             for cell in cells:

@@ -9,19 +9,23 @@ too: most importantly the salting trade-off (writes spread across
 buckets, but every read must now fan out to all of them).
 
 Results are bit-identical to the offline engine (asserted in the test
-suite); only the timing differs.
+suite); only the timing differs.  Tier-routed plans take their column
+queries from the same place the engine does
+(:meth:`~repro.lifecycle.planner.TierRouter.rewrites`), except that a
+singleton plan is read from raw here — exact while raw is live, which is
+the only time the planner issues one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, List, Optional
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..lifecycle.manager import LifecycleManager
 
 from ..cluster.simulation import Simulator
-from ..hbase.client import _DEFAULT_DEADLINE, HTableClient, ScanResult
+from ..hbase.client import RPC_TIMEOUT, HTableClient, ScanResult
 from .aggregation import Series
 from .query import QueryEngine, TsdbQuery, group_and_aggregate
 from .rowkey import RowKeyCodec
@@ -74,17 +78,14 @@ class AsyncQueryExecutor:
         client: HTableClient,
         uids: UniqueIdRegistry,
         codec: RowKeyCodec,
-        table: str = DATA_TABLE,
         lifecycle: Optional["LifecycleManager"] = None,
     ) -> None:
         self.sim = sim
         self.client = client
-        self.table = table
-        self._engine = QueryEngine(client.master, uids, codec, table)
-        #: Tier router (None = always raw).  The RPC path serves the
-        #: single-rewrite plans (pair / non-avg pooled); plans needing
-        #: execution-time group checks stay on raw, which is always
-        #: correct — tier routing is an optimization, never a semantic.
+        self._engine = QueryEngine(client.master, uids, codec)
+        #: Tier router (None = always raw).  Pair and pooled plans are
+        #: served from their column rewrites; singleton plans (which
+        #: need execution-time group checks) stay on raw.
         self.lifecycle = lifecycle
 
     # ------------------------------------------------------------------
@@ -93,7 +94,7 @@ class AsyncQueryExecutor:
         query: TsdbQuery,
         on_done: Callable[[AsyncQueryResult], None],
         consistency: str = "strong",
-        deadline: object = _DEFAULT_DEADLINE,
+        deadline: Optional[float] = RPC_TIMEOUT,
         hedge_delay: Optional[float] = None,
     ) -> None:
         """Run the query; ``on_done`` fires when all scans resolve.
@@ -105,50 +106,60 @@ class AsyncQueryExecutor:
         from a complete-but-stale one.
         """
         started = self.sim.now
+        queries: Sequence[TsdbQuery] = (query,)
         if self.lifecycle is not None:
             plan = self.lifecycle.plan(query, record=False)
             if plan.tier_served:
-                rewritten = self.lifecycle.router.rewrite_single(query, plan)
-                if rewritten is not None:
-                    # Scan the rollup column instead of raw cells; the
-                    # rewritten pipeline is bit-identical (pair plans)
-                    # or the documented pooled answer.
-                    query = rewritten
-        state, ranges = self._engine.plan_scan(query)
-        if not ranges:
+                rewrites = self.lifecycle.router.rewrites(query, plan)
+                if rewrites is not None:
+                    # Scan the rollup columns instead of raw cells.
+                    queries = rewrites
+        scans = [(q, *self._engine.plan_scan(q)) for q in queries]
+        total = sum(len(ranges) for _, _, ranges in scans)
+        if not total:
             on_done(AsyncQueryResult([], started, self.sim.now, 0))
             return
         collected: List[ScanResult] = []
 
-        def handle(result: ScanResult) -> None:
-            collected.append(result)
-            state.ingest_scan(result.cells, query)
-            if len(collected) == len(ranges):
-                on_done(
-                    AsyncQueryResult(
-                        group_and_aggregate(query, state.to_series()),
-                        started,
-                        self.sim.now,
-                        len(ranges),
-                        complete=all(r.ok for r in collected),
-                        staleness=max(r.staleness for r in collected),
-                        retries=sum(r.retries for r in collected),
-                        hedges=sum(r.hedges for r in collected),
-                        follower_reads=sum(r.follower_reads for r in collected),
-                    )
+        def finish() -> None:
+            answers = [group_and_aggregate(q, state.to_series()) for q, state, _ in scans]
+            series = answers[0]
+            if len(answers) > 1:
+                assert self.lifecycle is not None
+                series = self.lifecycle.router.combine(query, answers)
+            on_done(
+                AsyncQueryResult(
+                    series,
+                    started,
+                    self.sim.now,
+                    total,
+                    complete=all(r.ok for r in collected),
+                    staleness=max(r.staleness for r in collected),
+                    retries=sum(r.retries for r in collected),
+                    hedges=sum(r.hedges for r in collected),
+                    follower_reads=sum(r.follower_reads for r in collected),
                 )
-
-        for lo, hi in ranges:
-            self.client.scan_replicated(
-                self.table, lo, hi, handle,
-                consistency=consistency, deadline=deadline, hedge_delay=hedge_delay,
             )
+
+        for q, state, ranges in scans:
+
+            def handle(result: ScanResult, q: TsdbQuery = q, state=state) -> None:
+                collected.append(result)
+                state.ingest_scan(result.cells, q)
+                if len(collected) == total:
+                    finish()
+
+            for lo, hi in ranges:
+                self.client.scan_replicated(
+                    DATA_TABLE, lo, hi, handle,
+                    consistency=consistency, deadline=deadline, hedge_delay=hedge_delay,
+                )
 
     def execute_sync(
         self,
         query: TsdbQuery,
         consistency: str = "strong",
-        deadline: object = _DEFAULT_DEADLINE,
+        deadline: Optional[float] = RPC_TIMEOUT,
         hedge_delay: Optional[float] = None,
     ) -> AsyncQueryResult:
         """Convenience: run the simulator until the query resolves."""

@@ -53,6 +53,18 @@ __all__ = ["DataPoint", "PutAck", "TSDaemon", "TSDServiceModel", "DATA_TABLE"]
 
 DATA_TABLE = "tsdb"
 
+#: Cells buffered per destination salt bucket before one HBase put RPC
+#: is flushed (AsyncHBase-style write coalescing).
+RPC_BATCH_SIZE = 50
+
+#: Linger timer (s) that flushes a partly filled bucket buffer, so tail
+#: points are not stranded.
+FLUSH_INTERVAL = 0.15
+
+#: Inbound request queue bound; overflow rejects the batch and the
+#: proxy retries it elsewhere.
+QUEUE_CAPACITY = 1024
+
 
 @dataclass(frozen=True, slots=True)
 class DataPoint:
@@ -130,17 +142,9 @@ class _BatchContext:
 class TSDaemon:
     """One OpenTSDB daemon instance.
 
-    Parameters
-    ----------
-    rpc_batch_size:
-        Cells buffered per destination salt bucket before flushing one
-        HBase put RPC (AsyncHBase-style write coalescing).
-    flush_interval:
-        Timer that flushes partially filled buffers so tail points are
-        not stranded.
-    queue_capacity:
-        Inbound request queue bound; overflow rejects the batch (the
-        proxy retries elsewhere).
+    Writes coalesce per salt bucket (:data:`RPC_BATCH_SIZE` cells, or
+    whatever arrived when :data:`FLUSH_INTERVAL` expires) behind an
+    inbound queue of :data:`QUEUE_CAPACITY` batches.
     """
 
     def __init__(
@@ -152,35 +156,26 @@ class TSDaemon:
         master: HMaster,
         uids: UniqueIdRegistry,
         codec: RowKeyCodec,
-        rpc_batch_size: int = 50,
-        flush_interval: float = 0.15,
-        queue_capacity: int = 1024,
         service_model: Optional[TSDServiceModel] = None,
         metrics: Optional[MetricsRegistry] = None,
         write_ts: Optional[Callable[[], float]] = None,
         tracer: Optional[Tracer] = None,
     ) -> None:
-        if rpc_batch_size < 1:
-            raise ValueError("rpc_batch_size must be >= 1")
         self.sim = sim
         self.network = network
         self.node = node
         self.name = name
         self.uids = uids
         self.codec = codec
-        self.rpc_batch_size = rpc_batch_size
-        self.flush_interval = flush_interval
         self.service_model = service_model if service_model is not None else TSDServiceModel()
         self.metrics = metrics if metrics is not None else component_registry("tsd")
         self.tracer = tracer if tracer is not None else Tracer()
-        self.http_server = Server(sim, name, queue_capacity, self.metrics)
+        self.http_server = Server(sim, name, QUEUE_CAPACITY, self.metrics)
         node.add_server(self.http_server)
         # Default: a tiny local clock, 1.0, 2.0, ...
         self._next_write_ts = write_ts if write_ts is not None else count(1.0).__next__
         self._series = uids.series_memo(codec)
-        self.client = HTableClient(
-            sim, network, master, node.hostname, metrics=self.metrics, rpc_timeout=2.0
-        )
+        self.client = HTableClient(sim, network, master, node.hostname, metrics=self.metrics)
         # Per-salt-bucket write buffers: bucket -> [(cell, batch context)]
         self._buffers: Dict[int, List[Tuple[Cell, _BatchContext]]] = {}
         # Per-bucket linger timers (armed when the first cell arrives).
@@ -298,13 +293,13 @@ class TSDaemon:
             if buf is None:
                 buf = self._buffers[bucket] = []
             buf.append((cell, ctx))
-            if len(buf) >= self.rpc_batch_size:
+            if len(buf) >= RPC_BATCH_SIZE:
                 self._flush_bucket(bucket)
             elif len(buf) == 1:
                 # First cell in an empty buffer: arm this bucket's linger
                 # timer so stragglers are flushed even at low rates.
                 self._linger_timers[bucket] = self.sim.schedule(
-                    self.flush_interval, self._linger_flush, bucket
+                    FLUSH_INTERVAL, self._linger_flush, bucket
                 )
 
     def _process_blocks(

@@ -28,6 +28,10 @@ UIDKind = str  # one of "metric", "tagk", "tagv"
 
 _KINDS = ("metric", "tagk", "tagv")
 
+#: UID width in bytes (OpenTSDB's: ~16.7M names per kind); the u24
+#: codec the registry encodes with is specialised for it.
+UID_WIDTH = 3
+
 
 class UnknownUidError(KeyError):
     """Resolution of a UID or name that was never assigned."""
@@ -76,20 +80,9 @@ class _SeriesMemo(dict):
 
 
 class UniqueIdRegistry:
-    """Interning table for metric/tagk/tagv names.
+    """Interning table for metric/tagk/tagv names, :data:`UID_WIDTH` bytes each."""
 
-    Parameters
-    ----------
-    width:
-        UID width in bytes (OpenTSDB default: 3, ~16.7M names per kind).
-    """
-
-    def __init__(self, width: int = 3) -> None:
-        if width != 3:
-            # encode_u24 is specialised for the OpenTSDB default; other
-            # widths are not needed by this reproduction.
-            raise ValueError("only the OpenTSDB default width of 3 bytes is supported")
-        self.width = width
+    def __init__(self) -> None:
         self._forward: Dict[UIDKind, Dict[str, int]] = {k: {} for k in _KINDS}
         self._reverse: Dict[UIDKind, Dict[int, str]] = {k: {} for k in _KINDS}
         self._next: Dict[UIDKind, int] = {k: 1 for k in _KINDS}
@@ -126,7 +119,7 @@ class UniqueIdRegistry:
         uid = table.get(name)
         if uid is None:
             uid = self._next[kind]
-            if uid >= (1 << (8 * self.width)):
+            if uid >= (1 << (8 * UID_WIDTH)):
                 raise OverflowError(f"UID space exhausted for kind {kind!r}")
             self._next[kind] = uid + 1
             table[name] = uid
@@ -144,8 +137,8 @@ class UniqueIdRegistry:
     def resolve(self, kind: UIDKind, uid: bytes) -> str:
         """Inverse mapping: UID bytes back to the original name."""
         self._check_kind(kind)
-        if len(uid) != self.width:
-            raise ValueError(f"UID must be {self.width} bytes, got {len(uid)}")
+        if len(uid) != UID_WIDTH:
+            raise ValueError(f"UID must be {UID_WIDTH} bytes, got {len(uid)}")
         name = self._reverse[kind].get(decode_u24(uid))
         if name is None:
             raise UnknownUidError(f"{kind}:{uid.hex()}")

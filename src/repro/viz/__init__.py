@@ -6,7 +6,7 @@ self-contained HTML for desktop and mobile browsers.
 """
 
 from .analytics import FleetAnalytics, FleetSummary, SensorActivity
-from .dashboard import Dashboard, DashboardConfig
+from .dashboard import Dashboard
 from .figures import render_stability_figure, render_throughput_figure
 from .sparkline import SparklineStyle, render_detail_chart, render_sparkline
 from .statusbar import (
@@ -20,7 +20,6 @@ from .svg import Svg, path_from_points, polyline_points
 
 __all__ = [
     "Dashboard",
-    "DashboardConfig",
     "FleetAnalytics",
     "FleetSummary",
     "HealthGrade",

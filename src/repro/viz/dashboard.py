@@ -18,7 +18,6 @@ the generator's ground truth.
 from __future__ import annotations
 
 import html
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
@@ -26,10 +25,23 @@ import numpy as np
 
 from ..tsdb.query import QueryEngine, TsdbQuery
 from .analytics import FleetAnalytics, SensorActivity
-from .sparkline import SparklineStyle, render_detail_chart, render_sparkline
+from .sparkline import render_detail_chart, render_sparkline
 from .statusbar import HealthGrade, UnitStatus, grade_counts, render_status_bar
 
-__all__ = ["DashboardConfig", "Dashboard"]
+__all__ = ["Dashboard"]
+
+#: Page title of the control centre.
+TITLE = "Power Asset Monitor"
+
+#: Sensors shown in a machine page's sparkline grid, and drill-down
+#: charts below it.
+MAX_SPARKLINES = 60
+MAX_DETAILS = 4
+
+#: Rows in the overview's platform-health ((metric, host) series) and
+#: incident panels.
+MAX_HEALTH_ROWS = 40
+MAX_INCIDENT_ROWS = 30
 
 #: Metric-name prefixes that identify SelfReporter write-back series
 #: (one per telemetry routing namespace, plus the chaos edge series).
@@ -99,20 +111,6 @@ a:hover { text-decoration: underline; }
 """
 
 
-@dataclass
-class DashboardConfig:
-    """Rendering knobs."""
-
-    title: str = "Power Asset Monitor"
-    max_sparklines: int = 60  # sensors shown in the machine-page grid
-    max_details: int = 4  # drill-down charts per machine page
-    sparkline_style: SparklineStyle = SparklineStyle()
-    show_platform_health: bool = True  # self-telemetry panel on the index
-    max_health_rows: int = 40  # (metric, host) rows in that panel
-    show_incidents: bool = True  # alert-history panel on the index
-    max_incident_rows: int = 30  # incident rows in that panel
-
-
 class Dashboard:
     """Builds the static dashboard from a TSDB query engine.
 
@@ -123,10 +121,9 @@ class Dashboard:
     storage scans.
     """
 
-    def __init__(self, engine: QueryEngine, config: Optional[DashboardConfig] = None) -> None:
+    def __init__(self, engine: QueryEngine) -> None:
         self.engine = engine
         self.analytics = FleetAnalytics(engine)
-        self.config = config if config is not None else DashboardConfig()
 
     # ------------------------------------------------------------------
     # page assembly
@@ -144,7 +141,8 @@ class Dashboard:
     def fleet_overview_html(
         self, unit_ids: Sequence[int], start: int, end: int
     ) -> str:
-        """The index page: KPIs, status bar, unit table.
+        """The index page: KPIs, status bar, unit table, incident and
+        platform-health panels.
 
         Each unit's anomaly series is fetched **once** and shared by the
         status roll-up and the trend sparkline (previously two identical
@@ -192,14 +190,9 @@ class Dashboard:
             "<tr><th>unit</th><th>status</th><th>anomalies</th>"
             "<th>sensors affected</th><th>unit alarms</th><th>trend</th></tr>"
             f"{''.join(rows)}</table></div>"
+            f"{self.incidents_html()}{self.platform_health_html()}"
         )
-        if self.config.show_incidents:
-            body += self.incidents_html()
-        if self.config.show_platform_health:
-            body += self.platform_health_html()
-        return self._page(
-            self.config.title, f"fleet overview · t ∈ [{start}, {end})", body
-        )
+        return self._page(TITLE, f"fleet overview · t ∈ [{start}, {end})", body)
 
     def incidents_html(self, start: int = 0, end: Optional[int] = None) -> str:
         """The incident panel: alert history read back from the TSDB.
@@ -244,7 +237,7 @@ class Dashboard:
         if not events:
             return ""
         events.sort(key=lambda e: (-e[0], e[1]))
-        shown = events[: self.config.max_incident_rows]
+        shown = events[:MAX_INCIDENT_ROWS]
         rows = []
         for t, name, scope, severity, unit, value in shown:
             kind = "resolved" if name == "alert.resolve" else "opened"
@@ -283,7 +276,6 @@ class Dashboard:
             times,
             values,
             np.empty(0, dtype=np.int64),
-            self.config.sparkline_style,
             tooltip=f"unit {unit_id}: sensors flagged over time",
         )
 
@@ -318,14 +310,13 @@ class Dashboard:
                 if not len(series):
                     continue
                 total += 1
-                if len(rows) >= self.config.max_health_rows:
+                if len(rows) >= MAX_HEALTH_ROWS:
                     continue
                 host = series.tag_dict.get("host", "?")
                 spark = render_sparkline(
                     series.timestamps,
                     series.values,
                     no_anomalies,
-                    self.config.sparkline_style,
                     tooltip=f"{name} host={host}",
                 )
                 rows.append(
@@ -349,7 +340,6 @@ class Dashboard:
 
     def machine_page_html(self, unit_id: int, start: int, end: int) -> str:
         """Figure 3: status strip, sparkline grid, drill-down details."""
-        cfg = self.config
         # One anomaly query serves the status strip, the sparkline
         # flags, the top-sensor ranking and every drill-down block.
         status, anomalies = self.analytics.unit_overview(unit_id, start, end)
@@ -363,7 +353,7 @@ class Dashboard:
             n = len(anomaly_times.get(sensor, ()))
             return (-n, sensor)
 
-        data_sorted = sorted(data, key=sort_key)[: cfg.max_sparklines]
+        data_sorted = sorted(data, key=sort_key)[:MAX_SPARKLINES]
         cells = []
         for series in data_sorted:
             sensor = series.tag_dict.get("sensor", "?")
@@ -373,7 +363,6 @@ class Dashboard:
                 series.timestamps,
                 series.values,
                 a_times,
-                cfg.sparkline_style,
                 tooltip=f"{sensor}: {len(a_times)} anomalies",
             )
             cells.append(
@@ -381,7 +370,7 @@ class Dashboard:
                 f"{' · ' + str(len(a_times)) + ' ⚑' if len(a_times) else ''}</div>"
                 f"{spark}</div>"
             )
-        top = self.analytics.top_sensors_from(anomalies, cfg.max_details)
+        top = self.analytics.top_sensors_from(anomalies, MAX_DETAILS)
         details = [
             self._detail_block(activity, data, anomaly_times) for activity in top
         ]
@@ -402,7 +391,7 @@ class Dashboard:
             + "<div class='meta'><a href='index.html'>← fleet overview</a></div>"
         )
         return self._page(
-            f"{self.config.title} — machine {unit_id}",
+            f"{TITLE} — machine {unit_id}",
             f"machine page · t ∈ [{start}, {end})",
             body,
         )

@@ -32,12 +32,11 @@ def _attrs(kwargs: dict) -> str:
 class Svg:
     """An SVG fragment of fixed size, composed of stacked elements."""
 
-    def __init__(self, width: float, height: float, view_box: str | None = None) -> None:
+    def __init__(self, width: float, height: float) -> None:
         if width <= 0 or height <= 0:
             raise ValueError("SVG dimensions must be positive")
         self.width = width
         self.height = height
-        self.view_box = view_box or f"0 0 {_fmt(width)} {_fmt(height)}"
         self._elements: List[str] = []
 
     # ------------------------------------------------------------------
@@ -94,9 +93,10 @@ class Svg:
     def to_string(self, css_class: str | None = None) -> str:
         cls = f' class="{html.escape(css_class, quote=True)}"' if css_class else ""
         body = "".join(self._elements)
+        width, height = _fmt(self.width), _fmt(self.height)
         return (
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(self.width)}" '
-            f'height="{_fmt(self.height)}" viewBox="{self.view_box}"{cls}>{body}</svg>'
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+            f'height="{height}" viewBox="0 0 {width} {height}"{cls}>{body}</svg>'
         )
 
 

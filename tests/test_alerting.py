@@ -26,8 +26,9 @@ from repro import (
     TsdbQuery,
     build_cluster,
 )
+from repro.alerting import manager as alert_manager
 from repro.alerting import severity_for
-from repro.alerting.events import latest_open
+from repro.alerting.events import CRITICAL_Z, WARNING_Z, latest_open
 from repro.alerting.manager import FLEET_UNIT_ID
 from repro.alerting.store import (
     ALERT_INCIDENT_METRIC,
@@ -48,27 +49,15 @@ class TestConfigAndSeverity:
     def test_defaults_valid(self):
         AlertingConfig()
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"open_after": 0},
-            {"close_after": 0},
-            {"flap_window": 0},
-            {"max_flaps": 0},
-            {"fleet_threshold": 1},
-            {"warning_z": 0.0},
-            {"warning_z": 9.0, "critical_z": 8.0},
-        ],
-    )
+    @pytest.mark.parametrize("kwargs", [{"open_after": 0}])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
             AlertingConfig(**kwargs)
 
     def test_severity_mapping(self):
-        config = AlertingConfig(warning_z=4.0, critical_z=8.0)
-        assert severity_for(2.0, config) == "info"
-        assert severity_for(4.0, config) == "warning"
-        assert severity_for(8.5, config) == "critical"
+        assert severity_for(WARNING_Z / 2) == "info"
+        assert severity_for(WARNING_Z) == "warning"
+        assert severity_for(CRITICAL_Z + 0.5) == "critical"
 
 
 class TestIncident:
@@ -94,13 +83,24 @@ class TestIncident:
 
 
 class TestManagerLifecycle:
-    def manager(self, **kwargs):
-        defaults = dict(open_after=2, close_after=2, flap_window=100, max_flaps=2)
-        defaults.update(kwargs)
-        return AlertManager(AlertingConfig(**defaults))
+    @pytest.fixture
+    def manager(self, monkeypatch):
+        """``manager(open_after=2, close_after=2, flap_window=100,
+        max_flaps=2, fleet_threshold=3)``: a manager whose lifecycle
+        constants are patched to the given values for the test."""
 
-    def test_single_interval_transient_never_pages(self):
-        m = self.manager()
+        def make(open_after=2, close_after=2, flap_window=100, max_flaps=2,
+                 fleet_threshold=3):
+            monkeypatch.setattr(alert_manager, "CLOSE_AFTER", close_after)
+            monkeypatch.setattr(alert_manager, "FLAP_WINDOW", flap_window)
+            monkeypatch.setattr(alert_manager, "MAX_FLAPS", max_flaps)
+            monkeypatch.setattr(alert_manager, "FLEET_THRESHOLD", fleet_threshold)
+            return AlertManager(AlertingConfig(open_after=open_after))
+
+        return make
+
+    def test_single_interval_transient_never_pages(self, manager):
+        m = manager()
         assert m.observe(10, [ev(1, 9), ev(1, 9, sensor=3)]) == []
         assert m.state_of(1) is IncidentState.PENDING
         assert m.observe(20, []) == []
@@ -108,8 +108,8 @@ class TestManagerLifecycle:
         assert m.incidents_opened == 0
         assert m.transients_discarded == 2
 
-    def test_opens_after_hysteresis_with_first_evidence_time(self):
-        m = self.manager()
+    def test_opens_after_hysteresis_with_first_evidence_time(self, manager):
+        m = manager()
         m.observe(10, [ev(1, 7), ev(1, 8, sensor=2)])
         opened = m.observe(20, [ev(1, 15, score=9.0, sensor=4)])
         assert len(opened) == 1
@@ -123,16 +123,16 @@ class TestManagerLifecycle:
         # 3 events, 1 page: two were folded away
         assert m.events_deduped == 2
 
-    def test_open_incident_absorbs_instead_of_reopening(self):
-        m = self.manager(open_after=1)
+    def test_open_incident_absorbs_instead_of_reopening(self, manager):
+        m = manager(open_after=1)
         (incident,) = m.observe(10, [ev(1, 10)])
         m.observe(20, [ev(1, 20, sensor=7), ev(1, 20, sensor=8)])
         assert m.incidents_opened == 1
         assert incident.events == 3
         assert incident.sensors == {0, 7, 8}
 
-    def test_resolve_needs_consecutive_clean_intervals(self):
-        m = self.manager(open_after=1, close_after=2)
+    def test_resolve_needs_consecutive_clean_intervals(self, manager):
+        m = manager(open_after=1, close_after=2)
         (incident,) = m.observe(10, [ev(1, 10)])
         m.observe(20, [])
         m.observe(30, [ev(1, 30)])  # relapse resets the closing hysteresis
@@ -143,8 +143,8 @@ class TestManagerLifecycle:
         assert m.state_of(1) is IncidentState.RESOLVED
         assert m.open_incidents() == []
 
-    def test_flapping_unit_lands_in_suppression(self):
-        m = self.manager(open_after=1, close_after=1, max_flaps=2, flap_window=100)
+    def test_flapping_unit_lands_in_suppression(self, manager):
+        m = manager(open_after=1, close_after=1, max_flaps=2, flap_window=100)
         m.observe(10, [ev(1, 10)])
         m.observe(20, [])  # resolve #1
         m.observe(30, [ev(1, 30)])  # flap 1 -> still pages
@@ -156,8 +156,8 @@ class TestManagerLifecycle:
         assert m.incidents_opened == 2
         assert m.events_suppressed >= 2
 
-    def test_suppression_forgiven_after_quiet_window(self):
-        m = self.manager(open_after=1, close_after=1, max_flaps=2, flap_window=100)
+    def test_suppression_forgiven_after_quiet_window(self, manager):
+        m = manager(open_after=1, close_after=1, max_flaps=2, flap_window=100)
         for t, events in [(10, [ev(1, 10)]), (20, []), (30, [ev(1, 30)]),
                           (40, []), (50, [ev(1, 50)])]:
             m.observe(t, events)
@@ -167,8 +167,8 @@ class TestManagerLifecycle:
         opened = m.observe(170, [ev(1, 170)])  # stable again: pages normally
         assert len(opened) == 1 and opened[0].flaps == 0
 
-    def test_fleet_rollup_opens_and_resolves(self):
-        m = self.manager(open_after=1, close_after=2, fleet_threshold=2)
+    def test_fleet_rollup_opens_and_resolves(self, manager):
+        m = manager(open_after=1, close_after=2, fleet_threshold=2)
         opened = m.observe(10, [ev(1, 10, score=4.0), ev(2, 10, score=7.0)])
         scopes = sorted(i.scope for i in opened)
         assert scopes == ["fleet", "unit", "unit"]
@@ -184,8 +184,8 @@ class TestManagerLifecycle:
         m.observe(50, [])
         assert not fleet.open
 
-    def test_volume_reduction_accounting(self):
-        m = self.manager(open_after=1)
+    def test_volume_reduction_accounting(self, manager):
+        m = manager(open_after=1)
         for t in (10, 20, 30):
             m.observe(t, [ev(1, t, sensor=s) for s in range(10)])
         assert m.events_total == 30
@@ -201,12 +201,11 @@ class TestStoreRoundTrip:
         assert alert_unit_tag(unit) == "unit007"
         assert alert_unit_tag(fleet) == "fleet"
 
-    def test_incidents_persist_as_queryable_series(self):
+    def test_incidents_persist_as_queryable_series(self, monkeypatch):
+        monkeypatch.setattr(alert_manager, "CLOSE_AFTER", 1)
         cluster = build_cluster(n_nodes=2, retain_data=True)
         store = AlertStore(cluster)
-        manager = AlertManager(
-            AlertingConfig(open_after=1, close_after=1), store=store
-        )
+        manager = AlertManager(AlertingConfig(open_after=1), store=store)
         manager.observe(5, [ev(3, 5, score=9.0)])
         manager.observe(8, [])  # resolves; duration 3
         report = store.flush()
@@ -386,12 +385,11 @@ class TestTelemetryRouting:
 
 
 class TestDashboardIncidentPanel:
-    def test_panel_renders_persisted_incidents(self):
+    def test_panel_renders_persisted_incidents(self, monkeypatch):
+        monkeypatch.setattr(alert_manager, "CLOSE_AFTER", 1)
         cluster = build_cluster(n_nodes=2, retain_data=True)
         store = AlertStore(cluster)
-        manager = AlertManager(
-            AlertingConfig(open_after=1, close_after=1), store=store
-        )
+        manager = AlertManager(AlertingConfig(open_after=1), store=store)
         manager.observe(5, [ev(3, 5, score=9.0)])
         manager.observe(8, [])
         store.flush()

@@ -6,7 +6,8 @@ from repro.core.pipeline import AnomalyPipeline
 from repro.simdata import FleetConfig, FleetGenerator
 from repro.tsdb.ingest import build_cluster
 from repro.tsdb.tsd import DataPoint
-from repro.viz import Dashboard, DashboardConfig, FleetAnalytics, HealthGrade
+from repro.viz import Dashboard, FleetAnalytics, HealthGrade
+from repro.viz import dashboard as dashboard_module
 
 
 @pytest.fixture()
@@ -65,13 +66,14 @@ class TestSparseData:
         assert status.anomaly_count == 1
         assert status.grade is not HealthGrade.OK
 
-    def test_max_details_cap(self, tmp_path):
+    def test_max_details_cap(self, tmp_path, monkeypatch):
         generator = FleetGenerator(
             FleetConfig(n_units=2, n_sensors=12, seed=5, fault_mix=(0.0, 0.0, 1.0))
         )
         cluster = build_cluster(n_nodes=2, retain_data=True)
         AnomalyPipeline(generator, cluster).run(n_train=150, n_eval=150)
-        dash = Dashboard(cluster.query_engine(), DashboardConfig(max_details=1))
+        monkeypatch.setattr(dashboard_module, "MAX_DETAILS", 1)
+        dash = Dashboard(cluster.query_engine())
         html = dash.machine_page_html(0, 150, 300)
         assert html.count("detail-chart") <= 1
 

@@ -2,28 +2,28 @@
 
 import pytest
 
-from repro.cluster.network import LatencyModel, Network
+from repro.cluster.network import Network
 from repro.cluster.node import Node
 from repro.cluster.simulation import Simulator
+from repro.hbase import regionserver
 from repro.hbase.client import HTableClient
 from repro.hbase.master import HMaster
 from repro.hbase.region import Cell, CellBatch
 from repro.hbase.regionserver import RegionServer
 
 
-def build(n_servers=2, queue_capacity=64, split_keys=None, max_retries=8):
+def build(n_servers=2, split_keys=None, max_retries=8):
     sim = Simulator()
-    net = Network(sim, LatencyModel(base=0.0001, jitter=0.0))
+    net = Network(sim)
     master = HMaster()
     servers = []
     for i in range(n_servers):
         node = Node(sim, f"host{i}")
-        rs = RegionServer(sim, net, node, f"rs{i}", queue_capacity=queue_capacity)
+        rs = RegionServer(sim, net, node, f"rs{i}")
         master.register_server(rs)
         servers.append(rs)
     master.create_table("t", split_keys)
-    client = HTableClient(sim, net, master, "client-host", max_retries=max_retries,
-                          backoff_base=0.001)
+    client = HTableClient(sim, net, master, "client-host", max_retries=max_retries)
     return sim, master, servers, client
 
 
@@ -53,8 +53,9 @@ class TestPut:
         written = {rs.name: rs.cells_written for rs in servers}
         assert sorted(written.values()) == [2, 2]
 
-    def test_retry_on_queue_overflow_succeeds(self):
-        sim, master, servers, client = build(n_servers=1, queue_capacity=0)
+    def test_retry_on_queue_overflow_succeeds(self, monkeypatch):
+        monkeypatch.setattr(regionserver, "QUEUE_CAPACITY", 0)
+        sim, master, servers, client = build(n_servers=1)
         # saturate: first RPC in service, second rejected then retried
         results = []
         client.put("t", cells([b"a"]), lambda ok, n: results.append(ok))

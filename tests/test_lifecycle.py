@@ -7,8 +7,7 @@ Coverage map:
 * rollup materialization — watermarks, column series, idempotency;
 * tier routing — bit-identity vs raw for every identical-mode combo,
   pooled fallback over expired ranges, singleton execution fallback;
-* the downsample-validation satellite — type-checked windows and
-  ``lifecycle.tier_miss`` telemetry for too-fine intervals;
+* downsample validation — type-checked, whole-second windows;
 * retention — TTL floors, too-late drops, expiry-driven cache spans;
 * out-of-order backfill — dirty windows block routing until
   re-materialized, then answers are bit-identical again;
@@ -257,6 +256,58 @@ class TestTierRouting:
         assert_bit_identical(result.series, raw)
 
 
+class TestRpcPathTierRouting:
+    """The RPC read path answers every pair and pooled plan as the engine does.
+
+    Regression: only plans one rewritten query could express were routed,
+    so a pooled ``avg`` (sum and count columns) went to raw data that had
+    expired and came back empty.
+    """
+
+    @pytest.fixture(scope="class")
+    def cluster(self):
+        cluster = build_cluster(
+            n_nodes=2,
+            salt_buckets=4,
+            retain_data=True,
+            lifecycle=LifecyclePolicy(tiers=(TierSpec("1h", 3600),), raw_ttl=3600),
+        )
+        cluster.direct_put(
+            [
+                DataPoint.make(
+                    METRIC, t, float(10 * u + (t % 89)), {"unit": f"u{u}", "sensor": "s0"}
+                )
+                for t in range(0, 4 * 3600 + 1, CADENCE)
+                for u in range(3)
+            ]
+        )
+        cluster.lifecycle.run_maintenance(purge=True)
+        assert cluster.lifecycle.retention.raw_floor(METRIC) == 10800
+        return cluster
+
+    @pytest.mark.parametrize(
+        "agg, ds, start, group_by, case",
+        [
+            ("min", "min", 10800, (), "pair"),
+            ("sum", "sum", 0, (), "pooled"),
+            ("max", "max", 0, ("unit",), "pooled"),
+            ("avg", "avg", 0, (), "pooled"),
+            ("avg", "avg", 0, ("unit",), "pooled"),
+        ],
+    )
+    def test_execute_sync_matches_engine(self, cluster, agg, ds, start, group_by, case):
+        query = TsdbQuery(
+            METRIC, start, start + 3600, group_by=group_by, aggregator=agg,
+            downsample_window=3600, downsample_aggregator=ds,
+        )
+        assert cluster.lifecycle.plan(query, record=False).case == case
+        expected = cluster.query_engine().run(query)
+        assert expected
+        result = cluster.async_query_executor().execute_sync(query)
+        assert result.complete
+        assert_bit_identical(result.series, expected)
+
+
 class TestDownsampleValidation:
     def test_non_integer_window_rejected(self):
         with pytest.raises(TypeError):
@@ -267,18 +318,6 @@ class TestDownsampleValidation:
     def test_sub_second_window_rejected(self):
         with pytest.raises(ValueError):
             TsdbQuery(METRIC, 0, 100, downsample_window=0)
-
-    def test_too_fine_window_surfaces_tier_miss(self):
-        cluster = lifecycle_cluster(span=600, base_resolution=60)
-        lm = cluster.lifecycle
-        before = lm.metrics.counter("lifecycle.tier_miss").get()
-        query = TsdbQuery(
-            METRIC, 0, 600, aggregator="avg",
-            downsample_window=30, downsample_aggregator="avg",
-        )
-        plan = lm.plan(query)
-        assert plan.miss and plan.tier == "raw"
-        assert lm.metrics.counter("lifecycle.tier_miss").get() == before + 1
 
 
 class TestRetention:
@@ -382,7 +421,7 @@ class TestServingIntegration:
         assert canonical_key(query) != canonical_key(query, tier="1h")
 
     def test_invalidate_range_ignores_tag_filters(self):
-        cache = ResultCache(capacity=8, ttl=100.0)
+        cache = ResultCache(ttl=100.0)
         plain = TsdbQuery(METRIC, 0, 100, aggregator="avg")
         filtered = TsdbQuery(METRIC, 0, 100, aggregator="avg", tag_filters={"unit": "u0"})
         cache.put(canonical_key(plain), [], 0.0)

@@ -1,41 +1,36 @@
 """Tests for the network model and failure injection."""
 
-import numpy as np
 import pytest
 
+from repro.cluster import failures
 from repro.cluster.failures import OverflowCrashPolicy, RandomCrashInjector
-from repro.cluster.network import LatencyModel, Network
+from repro.cluster.network import LOCAL_LATENCY, REMOTE_LATENCY, Network
 from repro.cluster.simulation import Simulator
+
+
+def delivery_times(sends):
+    """Delivery time of each ``(src, dst)`` send on a fresh network."""
+    sim = Simulator()
+    net = Network(sim)
+    seen = []
+    for src, dst in sends:
+        net.send(src, dst, lambda: seen.append(sim.now))
+    sim.run()
+    return seen
 
 
 class TestLatencyModel:
     def test_local_faster_than_remote(self):
-        model = LatencyModel(base=0.001, local_base=0.0001)
-        assert model.sample("a", "a") < model.sample("a", "b")
+        assert delivery_times([("a", "a")]) < delivery_times([("a", "b")])
+        assert delivery_times([("a", "a")]) == [LOCAL_LATENCY]
 
     def test_deterministic_without_jitter(self):
-        model = LatencyModel(base=0.002, jitter=0.0)
-        assert model.sample("a", "b") == 0.002
-
-    def test_jitter_adds_positive(self):
-        model = LatencyModel(base=0.001, jitter=0.01, rng=np.random.default_rng(1))
-        samples = [model.sample("a", "b") for _ in range(100)]
-        assert all(s >= 0.001 for s in samples)
-        assert len(set(samples)) > 1
-
-    def test_negative_params_rejected(self):
-        with pytest.raises(ValueError):
-            LatencyModel(base=-1)
+        assert delivery_times([("a", "b"), ("c", "b")]) == [REMOTE_LATENCY] * 2
 
 
 class TestNetwork:
     def test_delivery_after_latency(self):
-        sim = Simulator()
-        net = Network(sim, LatencyModel(base=0.01, jitter=0.0))
-        seen = []
-        net.send("a", "b", lambda: seen.append(sim.now))
-        sim.run()
-        assert seen == [0.01]
+        assert delivery_times([("a", "b")]) == [REMOTE_LATENCY]
 
     def test_messages_counted(self):
         sim = Simulator()
@@ -70,33 +65,33 @@ class TestNetwork:
 class TestNetworkSlowdown:
     def test_slow_host_inflates_latency(self):
         sim = Simulator()
-        net = Network(sim, LatencyModel(base=0.01, jitter=0.0))
+        net = Network(sim)
         net.slow_host("b", 4.0)
         seen = []
         net.send("a", "b", lambda: seen.append(sim.now))
         sim.run()
-        assert seen == [pytest.approx(0.04)]
+        assert seen == [pytest.approx(4 * REMOTE_LATENCY)]
 
     def test_restore_host_resets(self):
         sim = Simulator()
-        net = Network(sim, LatencyModel(base=0.01, jitter=0.0))
+        net = Network(sim)
         net.slow_host("b", 4.0)
         net.restore_host("b")
         assert net.slowdown("b") == 1.0
         seen = []
         net.send("a", "b", lambda: seen.append(sim.now))
         sim.run()
-        assert seen == [pytest.approx(0.01)]
+        assert seen == [pytest.approx(REMOTE_LATENCY)]
 
     def test_worst_endpoint_slowdown_wins(self):
         sim = Simulator()
-        net = Network(sim, LatencyModel(base=0.01, jitter=0.0))
+        net = Network(sim)
         net.slow_host("a", 2.0)
         net.slow_host("b", 8.0)
         seen = []
         net.send("a", "b", lambda: seen.append(sim.now))
         sim.run()
-        assert seen == [pytest.approx(0.08)]
+        assert seen == [pytest.approx(8 * REMOTE_LATENCY)]
 
     def test_factor_below_one_rejected(self):
         net = Network(Simulator())
@@ -105,92 +100,89 @@ class TestNetworkSlowdown:
 
 
 class TestOverflowCrashPolicy:
-    def test_crashes_after_budget_exceeded(self):
+    @pytest.fixture
+    def budget(self, monkeypatch):
+        """Shrink the rejection budget so a few rejections cross it."""
+
+        def set_budget(n):
+            monkeypatch.setattr(failures, "REJECT_BUDGET", n)
+
+        return set_budget
+
+    def test_crashes_after_budget_exceeded(self, budget):
+        budget(3)
         sim = Simulator()
         crashed = []
-        policy = OverflowCrashPolicy(
-            sim, on_crash=lambda: crashed.append(sim.now),
-            reject_budget=3, window=1.0, restart_delay=None,
-        )
+        policy = OverflowCrashPolicy(sim, on_crash=lambda: crashed.append(sim.now))
         for _ in range(3):
             assert policy.record_rejection() is False
         assert policy.record_rejection() is True
         assert policy.crashed
         assert len(crashed) == 1
 
-    def test_old_rejections_expire(self):
+    def test_old_rejections_expire(self, budget):
+        budget(2)
         sim = Simulator()
-        policy = OverflowCrashPolicy(
-            sim, on_crash=lambda: None, reject_budget=2, window=1.0, restart_delay=None
-        )
+        policy = OverflowCrashPolicy(sim, on_crash=lambda: None)
         policy.record_rejection()
         policy.record_rejection()
-        sim.schedule(2.0, lambda: None)
+        sim.schedule(2 * failures.CRASH_WINDOW, lambda: None)
         sim.run()
         # window slid past the earlier rejections; budget refreshed
         assert policy.record_rejection() is False
         assert not policy.crashed
 
-    def test_restart_after_delay(self):
+    def test_restart_after_delay(self, budget):
+        budget(1)
         sim = Simulator()
         events = []
         policy = OverflowCrashPolicy(
             sim,
             on_crash=lambda: events.append(("crash", sim.now)),
             on_restart=lambda: events.append(("restart", sim.now)),
-            reject_budget=1,
-            window=1.0,
-            restart_delay=5.0,
         )
         policy.record_rejection()
         policy.record_rejection()
         sim.run()
-        assert events == [("crash", 0.0), ("restart", 5.0)]
+        assert events == [("crash", 0.0), ("restart", failures.RESTART_DELAY)]
         assert not policy.crashed
         assert policy.crash_count == 1
 
-    def test_rejections_ignored_while_crashed(self):
+    def test_rejections_ignored_while_crashed(self, budget):
+        budget(1)
         sim = Simulator()
-        policy = OverflowCrashPolicy(
-            sim, on_crash=lambda: None, reject_budget=1, window=1.0, restart_delay=None
-        )
+        policy = OverflowCrashPolicy(sim, on_crash=lambda: None)
         policy.record_rejection()
         policy.record_rejection()
         assert policy.crashed
         assert policy.record_rejection() is False
         assert policy.crash_count == 1
 
-    def test_crash_count_accumulates_across_cycles(self):
+    def test_crash_count_accumulates_across_cycles(self, budget, monkeypatch):
         """A component can crash, restart, and crash again; the window
         starts fresh after each crash (rejections cleared)."""
+        budget(1)
+        # A window longer than the restart delay, so the pre-crash
+        # rejections would still be in it after the restart.
+        monkeypatch.setattr(failures, "CRASH_WINDOW", 2 * failures.RESTART_DELAY)
         sim = Simulator()
         events = []
         policy = OverflowCrashPolicy(
             sim,
             on_crash=lambda: events.append(("crash", sim.now)),
             on_restart=lambda: events.append(("restart", sim.now)),
-            reject_budget=1,
-            window=10.0,
-            restart_delay=1.0,
         )
         policy.record_rejection()
         policy.record_rejection()  # first crash at t=0
-        sim.run()  # restart fires at t=1
+        sim.run()  # restart fires after RESTART_DELAY
         assert not policy.crashed
         # The pre-crash rejections were cleared: one rejection alone
-        # must not re-crash even though the 10s window still spans them.
+        # must not re-crash even though the window still spans them.
         assert policy.record_rejection() is False
         assert policy.record_rejection() is True  # second crash
         sim.run()
         assert policy.crash_count == 2
         assert [kind for kind, _ in events] == ["crash", "restart", "crash", "restart"]
-
-    def test_invalid_params(self):
-        sim = Simulator()
-        with pytest.raises(ValueError):
-            OverflowCrashPolicy(sim, lambda: None, reject_budget=0)
-        with pytest.raises(ValueError):
-            OverflowCrashPolicy(sim, lambda: None, window=0.0)
 
 
 class TestRandomCrashInjector:

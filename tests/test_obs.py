@@ -34,7 +34,8 @@ from repro.obs import (
 from repro.simdata import FleetConfig, FleetGenerator, fleet_stream
 from repro.tsdb.ingest import IngestionDriver, build_cluster
 from repro.tsdb.query import TsdbQuery
-from repro.viz.dashboard import Dashboard, DashboardConfig
+from repro.viz import dashboard as dashboard_module
+from repro.viz.dashboard import Dashboard
 
 
 # ----------------------------------------------------------------------
@@ -373,21 +374,15 @@ class TestPlatformHealthPanel:
         dashboard = Dashboard(cluster.query_engine())
         assert dashboard.platform_health_html() == ""
 
-    def test_overview_gates_panel_on_config(self):
+    def test_overview_carries_panel(self):
         cluster = self._reported_cluster()
-        engine = cluster.query_engine()
-        on = Dashboard(engine).fleet_overview_html([0], 0, 100)
-        assert "Platform health" in on
-        off = Dashboard(
-            engine, DashboardConfig(show_platform_health=False)
-        ).fleet_overview_html([0], 0, 100)
-        assert "Platform health" not in off
+        overview = Dashboard(cluster.query_engine()).fleet_overview_html([0], 0, 100)
+        assert "Platform health" in overview
 
-    def test_row_cap_reports_truncation(self):
+    def test_row_cap_reports_truncation(self, monkeypatch):
+        monkeypatch.setattr(dashboard_module, "MAX_HEALTH_ROWS", 3)
         cluster = self._reported_cluster()
-        dashboard = Dashboard(
-            cluster.query_engine(), DashboardConfig(max_health_rows=3)
-        )
+        dashboard = Dashboard(cluster.query_engine())
         panel = dashboard.platform_health_html()
         assert panel.count("<tr>") == 1 + 3  # header + capped rows
         assert "showing 3 of" in panel

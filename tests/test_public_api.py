@@ -75,7 +75,6 @@ class TestExports:
             "ClusterConfig",
             "CusumChart",
             "Dashboard",
-            "DashboardConfig",
             "DataPoint",
             "EwmaChart",
             "FDRDetector",

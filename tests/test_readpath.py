@@ -119,7 +119,7 @@ class TestReadDuringCrash:
         cluster.servers[0].crash()
         client = HTableClient(
             cluster.sim, cluster.network, cluster.master, "probe",
-            max_retries=3, backoff_base=0.02, rpc_timeout=2.0,
+            max_retries=3,
         )
         executor = AsyncQueryExecutor(
             cluster.sim, client, cluster.uids, cluster.codec

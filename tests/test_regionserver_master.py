@@ -3,10 +3,12 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.cluster import failures as overflow_policy
 from repro.cluster.failures import OverflowCrashPolicy
-from repro.cluster.network import LatencyModel, Network
+from repro.cluster.network import Network
 from repro.cluster.node import Node
 from repro.cluster.simulation import Simulator
+from repro.hbase import regionserver
 from repro.hbase.master import HMaster, RegionUnavailableError, TableNotFoundError
 from repro.hbase.region import Cell, CellBatch
 from repro.hbase.regionserver import (
@@ -19,24 +21,18 @@ from repro.hbase.regionserver import (
 from repro.hbase.replication import ReplicationCoordinator
 
 
-def build(n_servers=3, queue_capacity=64, crash_budget=None):
+def build(n_servers=3, crash_policy=False):
     sim = Simulator()
-    net = Network(sim, LatencyModel(base=0.0001, jitter=0.0))
+    net = Network(sim)
     master = HMaster()
     servers = []
     for i in range(n_servers):
         node = Node(sim, f"host{i}")
         factory = None
-        if crash_budget is not None:
-            def factory(srv, budget=crash_budget):
-                return OverflowCrashPolicy(
-                    sim, on_crash=srv.crash, on_restart=srv.restart,
-                    reject_budget=budget, window=1.0, restart_delay=2.0,
-                )
-        rs = RegionServer(
-            sim, net, node, f"rs{i}", queue_capacity=queue_capacity,
-            crash_policy_factory=factory,
-        )
+        if crash_policy:
+            def factory(srv):
+                return OverflowCrashPolicy(sim, on_crash=srv.crash, on_restart=srv.restart)
+        rs = RegionServer(sim, net, node, f"rs{i}", crash_policy_factory=factory)
         master.register_server(rs)
         servers.append(rs)
     return sim, net, master, servers
@@ -155,8 +151,9 @@ class TestRpcPath:
         sim.run()
         assert [c.row for c in replies[1].result] == [b"a", b"b", b"c"]
 
-    def test_queue_overflow_rejects_rpc(self):
-        sim, net, master, servers = build(n_servers=1, queue_capacity=1)
+    def test_queue_overflow_rejects_rpc(self, monkeypatch):
+        monkeypatch.setattr(regionserver, "QUEUE_CAPACITY", 1)
+        sim, net, master, servers = build(n_servers=1)
         master.create_table("t")
         rs = servers[0]
         replies = []
@@ -219,14 +216,16 @@ class TestCrashRecovery:
         owners = {srv for _, srv in master.table_regions("t")}
         assert owners == {servers[0].name, servers[1].name}
 
-    def test_overflow_crash_policy_end_to_end(self):
-        sim, net, master, servers = build(n_servers=1, queue_capacity=0, crash_budget=3)
+    def test_overflow_crash_policy_end_to_end(self, monkeypatch):
+        monkeypatch.setattr(regionserver, "QUEUE_CAPACITY", 0)
+        monkeypatch.setattr(overflow_policy, "REJECT_BUDGET", 3)
+        sim, net, master, servers = build(n_servers=1, crash_policy=True)
         master.create_table("t")
         rs = servers[0]
         for _ in range(8):
             rs.rpc(PutRequest("t", put_cells([b"r"])), lambda r: None, "cl")
         assert rs.crashed
-        sim.run()  # restart_delay elapses
+        sim.run()  # RESTART_DELAY elapses
         assert not rs.crashed
 
     def test_no_live_servers_leaves_unassigned(self):
@@ -406,7 +405,7 @@ def overlaps(info, lo, hi):
 class TestRangeRoutingIdentity:
     def build_table(self, split_keys, rows, ops):
         sim = Simulator()
-        net = Network(sim, LatencyModel(base=0.0001, jitter=0.0))
+        net = Network(sim)
         # A detection delay keeps a crashed primary un-recovered, so the
         # timeline fallback is what serves its regions.
         master = HMaster(sim=sim, failure_detection_delay=60.0)

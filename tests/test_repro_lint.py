@@ -39,7 +39,6 @@ class TestFramework:
             "unbounded-retry",
             "rogue-registry",
             "unbounded-cache",
-            "deadline-free-rpc",
             "unsuppressed-alert-emit",
             "unbounded-time-range",
             "guarded-helper-path",
@@ -483,49 +482,6 @@ class TestUnboundedCache:
         assert not findings(src)
 
 
-class TestDeadlineFreeRpc:
-    def test_missing_rpc_timeout_fires(self):
-        src = """
-        def make_client(sim, network, master):
-            return HTableClient(sim, network, master, "host")
-        """
-        assert rule_ids(src) == {"deadline-free-rpc"}
-
-    def test_none_rpc_timeout_fires(self):
-        src = """
-        def make_client(sim, network, master):
-            return HTableClient(sim, network, master, "host", rpc_timeout=None)
-        """
-        assert rule_ids(src) == {"deadline-free-rpc"}
-
-    def test_explicit_rpc_timeout_clean(self):
-        src = """
-        def make_client(sim, network, master):
-            return HTableClient(sim, network, master, "host", rpc_timeout=2.0)
-        """
-        assert not findings(src)
-
-    def test_attribute_qualified_call_fires(self):
-        src = """
-        def make_client(hbase, sim, network, master):
-            return hbase.HTableClient(sim, network, master, "host")
-        """
-        assert rule_ids(src) == {"deadline-free-rpc"}
-
-    def test_outside_package_clean(self):
-        src = """
-        def make_client(sim, network, master):
-            return HTableClient(sim, network, master, "host")
-        """
-        assert not findings(src, "tests/test_x.py")
-
-    def test_suppression_applies(self):
-        src = """
-        def make_client(sim, network, master):
-            return HTableClient(sim, network, master, "host")  # repro-lint: ignore[deadline-free-rpc] -- latency study
-        """
-        assert not findings(src)
-
 class TestUnsuppressedAlertEmit:
     def test_incident_construction_fires(self):
         src = """
@@ -559,8 +515,8 @@ class TestUnsuppressedAlertEmit:
 
     def test_direct_store_write_fires(self):
         src = """
-        def publish(store, incident, config):
-            store.record_incident(incident, config)
+        def publish(store, incident):
+            store.record_incident(incident)
         """
         assert rule_ids(src) == {"unsuppressed-alert-emit"}
 

@@ -17,18 +17,19 @@ from repro.core.pipeline import ANOMALY_METRIC
 from repro.serve import (
     AdmissionController,
     CacheLookup,
-    ClientRateLimiter,
     FleetWorkload,
     GatewayConfig,
     QueryGateway,
     QueryRejected,
     ResultCache,
     ServeServiceModel,
-    TokenBucket,
     WorkloadConfig,
     canonical_key,
     result_etag,
 )
+from repro.serve import admission
+from repro.serve import cache as cache_module
+from repro.serve import workload as workload_module
 from repro.tsdb import TsdbQuery, build_cluster
 from repro.tsdb.tsd import DataPoint
 from repro.viz import Dashboard
@@ -138,12 +139,10 @@ class TestResultCache:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            ResultCache(capacity=0)
-        with pytest.raises(ValueError):
             ResultCache(ttl=0.0)
 
     def test_miss_then_fresh_then_stale(self):
-        cache = ResultCache(capacity=4, ttl=1.0)
+        cache = ResultCache(ttl=1.0)
         key = canonical_key(overview_query())
         assert cache.get(key, 0.0).state == "miss"
         etag = cache.put(key, [], 0.0)
@@ -154,8 +153,9 @@ class TestResultCache:
         assert stale.state == "stale" and stale.age == pytest.approx(1.5)
         assert cache.stats()["stale_probes"] == 1
 
-    def test_lru_eviction_at_capacity(self):
-        cache = ResultCache(capacity=2, ttl=10.0)
+    def test_lru_eviction_at_capacity(self, monkeypatch):
+        monkeypatch.setattr(cache_module, "CAPACITY", 2)
+        cache = ResultCache(ttl=10.0)
         keys = [canonical_key(TsdbQuery(metric=METRIC, start=0, end=e)) for e in (1, 2, 3)]
         for key in keys:
             cache.put(key, [], 0.0)
@@ -163,8 +163,9 @@ class TestResultCache:
         assert cache.get(keys[0], 0.0).state == "miss"  # the LRU entry went
         assert cache.get(keys[2], 0.0).state == "fresh"
 
-    def test_probe_refreshes_lru_position(self):
-        cache = ResultCache(capacity=2, ttl=10.0)
+    def test_probe_refreshes_lru_position(self, monkeypatch):
+        monkeypatch.setattr(cache_module, "CAPACITY", 2)
+        cache = ResultCache(ttl=10.0)
         k1 = canonical_key(TsdbQuery(metric=METRIC, start=0, end=1))
         k2 = canonical_key(TsdbQuery(metric=METRIC, start=0, end=2))
         k3 = canonical_key(TsdbQuery(metric=METRIC, start=0, end=3))
@@ -176,7 +177,7 @@ class TestResultCache:
         assert cache.get(k2, 0.0).state == "miss"
 
     def test_refresh_claim_is_single_flight(self):
-        cache = ResultCache()
+        cache = ResultCache(ttl=2.0)
         key = canonical_key(overview_query())
         assert cache.begin_refresh(key)
         assert not cache.begin_refresh(key)
@@ -186,21 +187,21 @@ class TestResultCache:
         assert cache.begin_refresh(key)
 
     def test_invalidate_overlapping_entry(self):
-        cache = ResultCache()
+        cache = ResultCache(ttl=2.0)
         key = canonical_key(overview_query(0, 60))
         cache.put(key, [], 0.0)
         assert cache.invalidate(METRIC, {"unit": "u0", "sensor": "s0"}, 10, 10) == 1
         assert cache.get(key, 0.0).state == "miss"
 
     def test_invalidate_other_metric_survives(self):
-        cache = ResultCache()
+        cache = ResultCache(ttl=2.0)
         key = canonical_key(overview_query())
         cache.put(key, [], 0.0)
         assert cache.invalidate("other", {"unit": "u0"}, 10, 10) == 0
         assert cache.get(key, 0.0).state == "fresh"
 
     def test_invalidate_disjoint_window_survives(self):
-        cache = ResultCache()
+        cache = ResultCache(ttl=2.0)
         key = canonical_key(overview_query(0, 60))
         cache.put(key, [], 0.0)
         # The window is half-open: a touch at t=60 cannot be observed.
@@ -208,7 +209,7 @@ class TestResultCache:
         assert cache.get(key, 0.0).state == "fresh"
 
     def test_invalidate_nonmatching_exact_filter_survives(self):
-        cache = ResultCache()
+        cache = ResultCache(ttl=2.0)
         query = TsdbQuery(metric=METRIC, start=0, end=60, tag_filters={"unit": "u0"})
         key = canonical_key(query)
         cache.put(key, [], 0.0)
@@ -216,7 +217,7 @@ class TestResultCache:
         assert cache.invalidate(METRIC, {"unit": "u0", "sensor": "s0"}, 5, 5) == 1
 
     def test_invalidate_filter_key_absent_from_tags_survives(self):
-        cache = ResultCache()
+        cache = ResultCache(ttl=2.0)
         query = TsdbQuery(metric=METRIC, start=0, end=60, tag_filters={"sensor": "*"})
         key = canonical_key(query)
         cache.put(key, [], 0.0)
@@ -226,37 +227,6 @@ class TestResultCache:
     def test_etag_tracks_content(self):
         empty = result_etag([])
         assert empty == result_etag([]) and empty != ""
-
-
-class TestTokenBucket:
-    def test_burst_then_exhaustion_then_refill(self):
-        bucket = TokenBucket(rate=1.0, burst=2.0)
-        assert bucket.try_take(0.0) and bucket.try_take(0.0)
-        assert not bucket.try_take(0.0)
-        assert bucket.retry_after(0.0) == pytest.approx(1.0)
-        assert bucket.try_take(1.0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            TokenBucket(rate=0.0, burst=2.0)
-        with pytest.raises(ValueError):
-            TokenBucket(rate=1.0, burst=0.5)
-
-    def test_limiter_rejects_with_reason_and_retry_after(self):
-        limiter = ClientRateLimiter(rate=1.0, burst=1.0)
-        limiter.check("c1", 0.0)
-        with pytest.raises(QueryRejected) as err:
-            limiter.check("c1", 0.0)
-        assert err.value.reason == "rate_limited"
-        assert err.value.retry_after > 0.0
-        limiter.check("c2", 0.0)  # other clients have their own bucket
-
-    def test_limiter_bucket_map_is_bounded(self):
-        limiter = ClientRateLimiter(rate=1.0, burst=1.0, max_clients=2)
-        for i, now in enumerate((0.0, 1.0, 2.0)):
-            limiter.check(f"c{i}", now)
-        assert len(limiter._buckets) == 2
-        assert "c0" not in limiter._buckets  # the stalest client got swept
 
 
 class TestAdmissionController:
@@ -312,13 +282,14 @@ class TestAdmissionController:
 
     def test_release_without_grant_raises(self):
         with pytest.raises(RuntimeError):
-            AdmissionController().release(0.0)
+            AdmissionController(max_concurrent=1, max_queue=4).release(0.0)
 
     def test_service_estimate_tracks_observations(self):
-        ctl = AdmissionController(max_concurrent=1, service_estimate=0.01)
+        ctl = AdmissionController(max_concurrent=1, max_queue=4)
+        assert ctl.service_estimate == admission.SERVICE_ESTIMATE
         ctl.admit("a", 0.0)
         ctl.release(1.0, started_at=0.0)
-        assert ctl.service_estimate > 0.01
+        assert ctl.service_estimate > admission.SERVICE_ESTIMATE
 
 
 class TestGatewaySync:
@@ -446,16 +417,6 @@ class TestGatewaySync:
             gateway.run(overview_query()), cluster.query_engine().run(overview_query())
         )
         assert gateway.uids.get("metric", METRIC) is not None
-
-    def test_rate_limited_client_rejected(self):
-        cluster = seeded_cluster()
-        gateway = cluster.gateway(GatewayConfig(rate_limit=1.0, rate_burst=2.0))
-        gateway.serve(overview_query(), client_id="hog")
-        gateway.serve(overview_query(), client_id="hog")
-        with pytest.raises(QueryRejected) as err:
-            gateway.serve(overview_query(), client_id="hog")
-        assert err.value.reason == "rate_limited"
-        assert gateway.serve(overview_query(), client_id="calm").status == "hit"
 
 
 class TestGatewayCorrectness:
@@ -606,16 +567,28 @@ class TestGatewayAsync:
         assert gateway.serve(overview_query()).status == "hit"
 
 
+@pytest.fixture
+def fleet_shape(monkeypatch):
+    """``fleet_shape(pollers, browsers, drill_interval=...)``: the client
+    populations of every workload the test runs."""
+
+    def shape(pollers, browsers, drill_interval=workload_module.DRILL_INTERVAL):
+        monkeypatch.setattr(workload_module, "N_OVERVIEW_POLLERS", pollers)
+        monkeypatch.setattr(workload_module, "N_DRILLDOWN", browsers)
+        monkeypatch.setattr(workload_module, "DRILL_INTERVAL", drill_interval)
+
+    return shape
+
+
 class TestWorkload:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             WorkloadConfig(duration=0.0)
         with pytest.raises(ValueError):
-            WorkloadConfig(poll_interval=0.0)
-        with pytest.raises(ValueError):
             FleetWorkload(object(), METRIC, [], (0, 60))
 
-    def test_steady_state_conserves_and_caches(self):
+    def test_steady_state_conserves_and_caches(self, fleet_shape):
+        fleet_shape(8, 2)
         cluster = seeded_cluster()
         gateway = cluster.gateway(GatewayConfig(ttl=2.0))
         workload = FleetWorkload(
@@ -623,7 +596,7 @@ class TestWorkload:
             METRIC,
             UNITS,
             (0, 60),
-            WorkloadConfig(n_overview_pollers=8, n_drilldown=2, duration=6.0, seed=3),
+            WorkloadConfig(duration=6.0, seed=3),
         )
         report = workload.run()
         report.check_conservation()
@@ -634,13 +607,13 @@ class TestWorkload:
         assert report.latency_quantile(0.5) <= report.latency_quantile(0.99)
         assert "hit_ratio" in report.summary()
 
-    def test_workload_is_reproducible_per_seed(self):
+    def test_workload_is_reproducible_per_seed(self, fleet_shape):
+        fleet_shape(4, 2)
+
         def run(seed):
             cluster = seeded_cluster()
             gateway = cluster.gateway()
-            cfg = WorkloadConfig(
-                n_overview_pollers=4, n_drilldown=2, duration=4.0, seed=seed
-            )
+            cfg = WorkloadConfig(duration=4.0, seed=seed)
             return FleetWorkload(gateway, METRIC, UNITS, (0, 60), cfg).run()
 
         a, b, c = run(5), run(5), run(6)
@@ -649,7 +622,8 @@ class TestWorkload:
         )
         assert a.latencies != c.latencies
 
-    def test_stampede_is_shed_not_queued_forever(self):
+    def test_stampede_is_shed_not_queued_forever(self, fleet_shape):
+        fleet_shape(0, 40, drill_interval=0.2)
         cluster = seeded_cluster()
         gateway = cluster.gateway(
             GatewayConfig(
@@ -660,10 +634,7 @@ class TestWorkload:
             )
         )
         cfg = WorkloadConfig(
-            n_overview_pollers=0,
-            n_drilldown=40,
             n_stampede=30,
-            drill_interval=0.2,
             duration=4.0,
             stampede_at=2.0,
             deadline=0.5,
@@ -677,10 +648,10 @@ class TestWorkload:
     def test_conservation_violation_raises(self):
         from repro.serve import WorkloadReport
 
-        report = WorkloadReport(issued=3, served=1, shed=1, rejected=0)
+        report = WorkloadReport(issued=3, served=1, shed=1)
         with pytest.raises(AssertionError):
             report.check_conservation()
-        report.rejected = 1
+        report.shed = 2
         report.check_conservation()
 
     def test_latency_quantile_validates(self):
@@ -693,7 +664,8 @@ class TestWorkload:
 
 
 class TestChaosIntegration:
-    def test_tsd_outage_is_bridged_by_stale_serving(self):
+    def test_tsd_outage_is_bridged_by_stale_serving(self, fleet_shape):
+        fleet_shape(6, 0)
         cluster = seeded_cluster()
         gateway = cluster.gateway(GatewayConfig(ttl=0.5))
         reporter = cluster.self_reporter(interval=0.5)
@@ -707,16 +679,14 @@ class TestChaosIntegration:
         )
         injector = Injector(cluster, plan)
         injector.arm()
-        cfg = WorkloadConfig(
-            n_overview_pollers=6, n_drilldown=0, duration=8.0, seed=2
-        )
+        cfg = WorkloadConfig(duration=8.0, seed=2)
         report = FleetWorkload(gateway, METRIC, UNITS, (0, 60), cfg).run()
         injector.finalize()
         # A periodic reporter would keep the simulator from quiescing
         # during the workload's drain, so flush one snapshot explicitly.
         reporter.flush()
         # Every poll during the blackout was answered — fresh, or stale
-        # with an explicit age stamp.  Nothing was dropped or rejected.
+        # with an explicit age stamp.  Nothing was dropped or shed.
         report.check_conservation()
         assert report.served == report.issued
         assert report.stale_serves > 0 and report.stale_unaccounted == 0
@@ -858,14 +828,6 @@ class TestDegradedServing:
         assert first.status == "miss" and second.status == "miss"
         counters = cluster.telemetry.tree("serve").counters
         assert counters["serve.degraded"].get() == 2.0
-
-    def test_strict_gateway_sheds_instead_of_degrading(self):
-        cluster = self.degraded_cluster()
-        gateway = cluster.gateway(GatewayConfig(allow_degraded=False))
-        cluster.servers[0].crash()
-        with pytest.raises(QueryRejected) as excinfo:
-            gateway.serve(overview_query())
-        assert excinfo.value.reason == "unavailable"
 
     def test_strong_serving_resumes_after_failover(self):
         cluster = self.degraded_cluster(failure_detection_delay=0.3)

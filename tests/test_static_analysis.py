@@ -29,11 +29,10 @@ from repro.analysis.lint import SourceFile, iter_python_files, package_roots
 REPO_ROOT = Path(__file__).parent.parent
 ANALYSIS_TARGETS = ["src", "tests", "benchmarks", "examples"]
 
-#: The one catalogue: twelve per-file rules and three whole-program rules.
+#: The one catalogue: eleven per-file rules and three whole-program rules.
 KEPT_RULES = {
     "ack-escape",
     "broad-except",
-    "deadline-free-rpc",
     "float-equality",
     "frozen-setattr",
     "guarded-by",

@@ -51,10 +51,6 @@ class TestDStreamBasics:
         with pytest.raises(RuntimeError):
             StreamingContext(sc).run()
 
-    def test_invalid_interval(self, sc):
-        with pytest.raises(ValueError):
-            StreamingContext(sc, batch_interval=0.0)
-
 
 class TestIncrementalMoments:
     def test_matches_batch_exactly(self):

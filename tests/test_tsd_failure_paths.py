@@ -4,6 +4,7 @@ import pytest
 
 from repro.cluster.metrics import MetricsRegistry
 from repro.cluster.simulation import Simulator
+from repro.hbase import regionserver
 from repro.tsdb.ingest import build_cluster
 from repro.tsdb.publish import (
     BatchPublisher,
@@ -30,7 +31,6 @@ class TestDurableAckSemantics:
         # shrink client retries so the test is fast
         for tsd in cluster.tsds:
             tsd.client.max_retries = 1
-            tsd.client.backoff_base = 0.001
         acks = []
         cluster.tsds[0].put_batch(points(6), acks.append, "client")
         cluster.sim.run()
@@ -45,7 +45,6 @@ class TestDurableAckSemantics:
         cluster = build_cluster(n_nodes=2, salt_buckets=2)
         for tsd in cluster.tsds:
             tsd.client.max_retries = 1
-            tsd.client.backoff_base = 0.001
         # kill one server permanently: one of the two salt-bucket regions
         # moves to the survivor immediately... so instead kill AFTER
         # locating: crash the survivor too late.  Simpler deterministic
@@ -79,13 +78,14 @@ class TestDurableAckSemantics:
         assert total_written == 40
         assert len(cluster.master.direct_scan("tsdb")) == 40
 
-    def test_ack_counts_are_exact_under_overflow_retries(self):
+    def test_ack_counts_are_exact_under_overflow_retries(self, monkeypatch):
         """Queue-overflow retries must not double-count written points.
 
         Two TSDs flush concurrently into a single server with a
         zero-depth queue, forcing rejections + client retries.
         """
-        cluster = build_cluster(n_nodes=1, salt_buckets=4, rs_queue_capacity=0,
+        monkeypatch.setattr(regionserver, "QUEUE_CAPACITY", 0)
+        cluster = build_cluster(n_nodes=1, salt_buckets=4,
                                 crash_on_overflow=False, retain_data=True)
         acks = []
         # points spread over 4 buckets -> concurrent small flushes race
@@ -201,9 +201,7 @@ class TestPublisherDeliveryAccounting:
 
     def test_deadline_retransmission_recovers_a_swallowed_batch(self):
         cluster = _ScriptedCluster(["swallow", "ok"])
-        pub = BatchPublisher(
-            cluster, batch_size=10, ack_deadline=0.05, max_retransmits=2
-        )
+        pub = BatchPublisher(cluster, batch_size=10, ack_deadline=0.05)
         pub.publish(points(10))
         rep = pub.flush()
         assert len(cluster.submissions) == 2
@@ -213,12 +211,10 @@ class TestPublisherDeliveryAccounting:
 
     def test_dead_letter_after_retransmit_budget(self):
         cluster = _ScriptedCluster(["swallow"])
-        pub = BatchPublisher(
-            cluster, batch_size=10, ack_deadline=0.05, max_retransmits=2
-        )
+        pub = BatchPublisher(cluster, batch_size=10, ack_deadline=0.05)
         pub.publish(points(10))
         rep = pub.flush()
-        # initial transmission + 2 retransmits, all swallowed
+        # initial transmission + MAX_RETRANSMITS (2) retransmits, all swallowed
         assert len(cluster.submissions) == 3
         assert rep.retransmits == 2
         assert rep.batches_dead_lettered == 1
@@ -254,5 +250,3 @@ class TestPublisherDeliveryAccounting:
         cluster = _ScriptedCluster(["ok"])
         with pytest.raises(ValueError):
             BatchPublisher(cluster, ack_deadline=0.0)
-        with pytest.raises(ValueError):
-            BatchPublisher(cluster, max_retransmits=-1)

@@ -4,8 +4,10 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.cluster.network import LatencyModel, Network
+from repro.cluster.network import Network
 from repro.cluster.simulation import Simulator
+from repro.tsdb import proxy as proxy_module
+from repro.tsdb import tsd as tsd_module
 from repro.tsdb.ingest import ClusterConfig, TsdbCluster, build_cluster
 from repro.tsdb.proxy import PROXY_EXHAUSTED, DirectSubmitter, ReverseProxy, TsdBreaker
 from repro.tsdb.tsd import DataPoint, PutAck
@@ -46,7 +48,7 @@ class TestTSDaemon:
     def test_batch_coalescing_by_bucket(self):
         cluster = small_cluster()
         tsd = cluster.tsds[0]
-        # fewer points than rpc_batch_size: flush must come from linger timer
+        # fewer points than RPC_BATCH_SIZE: flush must come from linger timer
         tsd.put_batch(points(5), lambda a: None, "client")
         cluster.sim.run(until=0.01)  # past HTTP service, before the linger fires
         assert tsd._buffers  # buffered, not yet flushed
@@ -54,14 +56,16 @@ class TestTSDaemon:
         assert not tsd._buffers
         assert len(cluster.master.direct_scan("tsdb")) == 5
 
-    def test_full_buffer_flushes_immediately(self):
-        cluster = small_cluster(salt_buckets=1, rpc_batch_size=5)
+    def test_full_buffer_flushes_immediately(self, monkeypatch):
+        monkeypatch.setattr(tsd_module, "RPC_BATCH_SIZE", 5)
+        cluster = small_cluster(salt_buckets=1)
         tsd = cluster.tsds[0]
         tsd.put_batch(points(5), lambda a: None, "client")
         assert not tsd._buffers  # 5 points, one bucket, batch size 5: flushed
 
-    def test_queue_overflow_rejects_batch(self):
-        cluster = small_cluster(tsd_queue_capacity=0)
+    def test_queue_overflow_rejects_batch(self, monkeypatch):
+        monkeypatch.setattr(tsd_module, "QUEUE_CAPACITY", 0)
+        cluster = small_cluster()
         tsd = cluster.tsds[0]
         acks = []
         tsd.put_batch(points(3), acks.append, "client")  # in service
@@ -86,10 +90,6 @@ class TestTSDaemon:
         tsd.flush_all()
         assert not tsd._buffers
 
-    def test_invalid_batch_size(self):
-        with pytest.raises(ValueError):
-            small_cluster(rpc_batch_size=0)
-
 
 class TestReverseProxy:
     def test_round_robin_across_tsds(self):
@@ -101,9 +101,8 @@ class TestReverseProxy:
         assert received == [4, 4]
 
     def test_in_flight_window_buffers_excess(self):
-        cluster = small_cluster(proxy_max_in_flight=1)
-        proxy = cluster.ingress
-        assert isinstance(proxy, ReverseProxy)
+        cluster = small_cluster()
+        proxy = ReverseProxy(cluster.sim, cluster.network, cluster.tsds, max_in_flight=1)
         for i in range(5):
             proxy.submit(points(2, t0=i * 10))
         assert proxy.in_flight == 1
@@ -119,9 +118,10 @@ class TestReverseProxy:
         cluster.sim.run()
         assert len(acks) == 1 and acks[0].ok and acks[0].written == 7
 
-    def test_tsd_rejection_retried_on_other_tsd(self):
-        cluster = small_cluster(tsd_queue_capacity=0, proxy_max_in_flight=4)
-        proxy = cluster.ingress
+    def test_tsd_rejection_retried_on_other_tsd(self, monkeypatch):
+        monkeypatch.setattr(tsd_module, "QUEUE_CAPACITY", 0)
+        cluster = small_cluster()
+        proxy = ReverseProxy(cluster.sim, cluster.network, cluster.tsds, max_in_flight=4)
         acks = []
         for i in range(3):
             proxy.submit(points(2, t0=i * 100), acks.append)
@@ -168,21 +168,29 @@ class _StubTsd:
         reply_to(PutAck(failed == 0, written, failed, self.name))
 
 
-def stub_proxy(behaviours_per_tsd, **overrides):
-    sim = Simulator()
-    network = Network(sim, LatencyModel())
-    tsds = [
-        _StubTsd(f"stub{i:02d}", behaviours, hostname=f"stub-host{i:02d}")
-        for i, behaviours in enumerate(behaviours_per_tsd)
-    ]
-    defaults = dict(retry_delay=0.01, max_backoff=0.05, ack_timeout=0.5)
-    defaults.update(overrides)
-    proxy = ReverseProxy(sim, network, tsds, **defaults)
-    return sim, proxy, tsds
+@pytest.fixture
+def stub_proxy(monkeypatch):
+    """``make(behaviours_per_tsd, ack_timeout=0.5, **constants)``: a proxy
+    over scripted stub TSDs, with the named module constants of
+    :mod:`repro.tsdb.proxy` (lower-case keywords) patched for the test."""
+
+    def make(behaviours_per_tsd, ack_timeout=0.5, **constants):
+        for name, value in {"retry_delay": 0.01, "max_backoff": 0.05, **constants}.items():
+            monkeypatch.setattr(proxy_module, name.upper(), value)
+        sim = Simulator()
+        network = Network(sim)
+        tsds = [
+            _StubTsd(f"stub{i:02d}", behaviours, hostname=f"stub-host{i:02d}")
+            for i, behaviours in enumerate(behaviours_per_tsd)
+        ]
+        proxy = ReverseProxy(sim, network, tsds, ack_timeout=ack_timeout)
+        return sim, proxy, tsds
+
+    return make
 
 
 class TestProxyHardening:
-    def test_partial_ack_resubmits_exactly_the_unwritten_tail(self):
+    def test_partial_ack_resubmits_exactly_the_unwritten_tail(self, stub_proxy):
         pts = points(10)
         sim, proxy, (tsd,) = stub_proxy([[4, "ok"]])
         acks = []
@@ -198,7 +206,7 @@ class TestProxyHardening:
         assert len(acks) == 1
         assert acks[0].ok and acks[0].written == 10 and acks[0].failed == 0
 
-    def test_retry_budget_exhaustion_is_a_permanent_failure_ack(self):
+    def test_retry_budget_exhaustion_is_a_permanent_failure_ack(self, stub_proxy):
         sim, proxy, (tsd,) = stub_proxy([["bounce"]], max_batch_retries=3)
         acks = []
         proxy.submit(points(6), acks.append)
@@ -211,7 +219,7 @@ class TestProxyHardening:
         # initial attempt + 3 budgeted retries
         assert len(tsd.calls) == 4
 
-    def test_ack_timeout_recovers_a_swallowed_batch(self):
+    def test_ack_timeout_recovers_a_swallowed_batch(self, stub_proxy):
         # First dispatch is swallowed (crashed-TSD behaviour); the ack
         # timeout must fire and the retry must land on the second call.
         sim, proxy, (tsd,) = stub_proxy([["swallow", "ok"]], ack_timeout=0.1)
@@ -221,7 +229,7 @@ class TestProxyHardening:
         assert proxy.ack_timeouts == 1
         assert len(acks) == 1 and acks[0].ok and acks[0].written == 5
 
-    def test_breaker_ejects_failing_tsd_and_reroutes(self):
+    def test_breaker_ejects_failing_tsd_and_reroutes(self, stub_proxy):
         # stub00 bounces everything; stub01 is healthy.  After the
         # breaker opens, traffic must flow to stub01 only.
         sim, proxy, (bad, good) = stub_proxy(
@@ -243,7 +251,7 @@ class TestProxyHardening:
         assert len(bad.calls) == 3
         assert all(a.written == 2 for a in acks)
 
-    def test_all_open_fallback_keeps_dispatching(self):
+    def test_all_open_fallback_keeps_dispatching(self, stub_proxy):
         # A single TSD whose breaker is open: the proxy must fall back
         # to it rather than deadlock, and the batch eventually lands.
         sim, proxy, (tsd,) = stub_proxy(
@@ -269,7 +277,7 @@ class TestProxyHardening:
         assert cluster.tsds[0].points_received == 0
         assert cluster.tsds[1].points_received == 8
 
-    def test_downed_node_skipped_in_rotation(self):
+    def test_downed_node_skipped_in_rotation(self, stub_proxy):
         sim, proxy, (up, down) = stub_proxy([["ok"], ["ok"]])
         down.node.up = False
         acks = []
@@ -282,13 +290,7 @@ class TestProxyHardening:
     def test_validation_of_hardening_knobs(self):
         cluster = small_cluster()
         with pytest.raises(ValueError):
-            ReverseProxy(cluster.sim, cluster.network, cluster.tsds, max_batch_retries=-1)
-        with pytest.raises(ValueError):
             ReverseProxy(cluster.sim, cluster.network, cluster.tsds, ack_timeout=0.0)
-        with pytest.raises(ValueError):
-            ReverseProxy(cluster.sim, cluster.network, cluster.tsds, failure_threshold=0)
-        with pytest.raises(ValueError):
-            ReverseProxy(cluster.sim, cluster.network, cluster.tsds, eject_duration=0.0)
 
 
 class TestTsdBreaker:

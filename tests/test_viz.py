@@ -8,7 +8,6 @@ from repro.simdata import FleetConfig, FleetGenerator
 from repro.tsdb.ingest import build_cluster
 from repro.viz import (
     Dashboard,
-    DashboardConfig,
     FleetAnalytics,
     HealthGrade,
     SparklineStyle,
@@ -20,6 +19,7 @@ from repro.viz import (
     render_sparkline,
     render_status_bar,
 )
+from repro.viz import dashboard as dashboard_module
 from repro.viz.svg import path_from_points, polyline_points
 
 
@@ -195,9 +195,10 @@ class TestDashboard:
         assert "machine-000.html" in index
         assert "Global analytics" in index
 
-    def test_machine_page_structure(self, published_cluster, tmp_path):
+    def test_machine_page_structure(self, published_cluster, tmp_path, monkeypatch):
         generator, cluster = published_cluster
-        dash = Dashboard(cluster.query_engine(), DashboardConfig(max_sparklines=5))
+        monkeypatch.setattr(dashboard_module, "MAX_SPARKLINES", 5)
+        dash = Dashboard(cluster.query_engine())
         html = dash.machine_page_html(0, 200, 400)
         assert html.count('class="sparkline"') <= 5
         assert "Unit status" in html
