@@ -15,6 +15,7 @@ Run:  python examples/chaos_demo.py
 from repro import FleetConfig, FleetGenerator, build_cluster
 from repro.chaos import FaultEvent, FaultPlan, Injector
 from repro.core import AnomalyPipeline, PipelineConfig
+from repro.tsdb.query import TsdbQuery
 
 
 def main() -> None:
@@ -51,6 +52,19 @@ def main() -> None:
     chaos = injector.finalize()
 
     print(chaos.summary())
+
+    # The fault windows go into the store beside the self-metrics, as
+    # 0/1 ``chaos.down`` edges at one-second resolution.
+    cluster.self_reporter(chaos_report=chaos).write_chaos_windows()
+    end = int(cluster.sim.now) + 2
+    print("\n== fault windows as stored (chaos.down edges, sim-seconds) ==")
+    for series in cluster.query_engine().run(
+        TsdbQuery("chaos.down", 0, end, group_by=("host",), aggregator="max")
+    ):
+        edges = ", ".join(
+            f"{'down' if v else 'up'}@{t}" for t, v in zip(series.timestamps, series.values)
+        )
+        print(f"  {series.tag_dict['host']:8s} {edges}")
 
     proxy = cluster.ingress
     print("\n== hardening machinery ==")

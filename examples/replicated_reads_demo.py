@@ -18,9 +18,7 @@ Run:  python examples/replicated_reads_demo.py
 """
 
 from repro import build_cluster
-from repro.hbase.client import HTableClient
 from repro.tsdb.query import TsdbQuery
-from repro.tsdb.readpath import AsyncQueryExecutor
 from repro.tsdb.tsd import DataPoint
 
 METRIC = "energy"
@@ -46,8 +44,7 @@ def main() -> None:
     query = TsdbQuery(METRIC, 0, 1_000 + N_POINTS + 1, aggregator="sum")
     engine = cluster.query_engine()
     gateway = cluster.gateway()
-    client = HTableClient(sim, cluster.network, cluster.master, "demo-client")
-    executor = AsyncQueryExecutor(sim, client, cluster.uids, cluster.codec)
+    executor = cluster.async_query_executor("demo-client")
 
     stats = cluster.replication.stats()
     print("== replica placement ==")

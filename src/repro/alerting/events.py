@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import List, Optional, Set
+from typing import Optional, Set
 
 __all__ = [
     "AlertingConfig",
@@ -146,11 +146,3 @@ class Incident:
     def duration(self) -> int:
         """Seconds open (0 while still open)."""
         return 0 if self.resolved_at is None else self.resolved_at - self.opened_at
-
-
-def latest_open(incidents: List[Incident]) -> Optional[Incident]:
-    """The most recent still-open incident in a history list, if any."""
-    for incident in reversed(incidents):
-        if incident.open:
-            return incident
-    return None

@@ -22,7 +22,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "experiments",
         nargs="*",
-        help="experiment ids (E1..E9); default: all",
+        help="experiment ids (see --list); default: all",
     )
     parser.add_argument("--quick", action="store_true", help="shrunken CI-speed workloads")
     parser.add_argument("--list", action="store_true", help="list available experiments")

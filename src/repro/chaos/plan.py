@@ -161,7 +161,3 @@ class FaultPlan:
         """Time of the last event (including recoveries)."""
         expanded = self.expanded()
         return expanded[-1].at if expanded else 0.0
-
-    def with_event(self, event: FaultEvent) -> "FaultPlan":
-        """A copy of the plan with one more event appended."""
-        return FaultPlan(events=self.events + (event,), seed=self.seed, name=self.name)

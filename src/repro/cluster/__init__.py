@@ -15,7 +15,7 @@ from .metrics import (
     skew_ratio,
 )
 from .network import Network
-from .node import Node, Server, ServerStopped
+from .node import Node, Server
 from .simulation import EventHandle, SimulationError, Simulator
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "OverflowCrashPolicy",
     "RandomCrashInjector",
     "Server",
-    "ServerStopped",
     "SimulationError",
     "Simulator",
     "TimeSeriesRecorder",

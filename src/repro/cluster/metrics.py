@@ -75,9 +75,6 @@ class Gauge:
         self._max = value if self._max is None else max(self._max, value)
         self._min = value if self._min is None else min(self._min, value)
 
-    def add(self, delta: float) -> None:
-        self.set(self.value + delta)
-
 
 class TimeSeriesRecorder:
     """Record ``(time, value)`` observations of a quantity over a run.
@@ -202,7 +199,6 @@ class MetricsRegistry:
 
     counters: Dict[str, Counter] = field(default_factory=dict)
     gauges: Dict[str, Gauge] = field(default_factory=dict)
-    series: Dict[str, TimeSeriesRecorder] = field(default_factory=dict)
     histograms: Dict[str, LatencyHistogram] = field(default_factory=dict)
 
     def counter(self, name: str) -> Counter:
@@ -214,11 +210,6 @@ class MetricsRegistry:
         if name not in self.gauges:
             self.gauges[name] = Gauge(name)
         return self.gauges[name]
-
-    def timeseries(self, name: str) -> TimeSeriesRecorder:
-        if name not in self.series:
-            self.series[name] = TimeSeriesRecorder(name)
-        return self.series[name]
 
     def histogram(self, name: str, bounds: Sequence[float] | None = None) -> LatencyHistogram:
         if name not in self.histograms:

@@ -18,43 +18,26 @@ from ..obs.telemetry import component_registry
 from .metrics import MetricsRegistry
 from .simulation import Simulator
 
-__all__ = ["Node", "Server", "ServerStopped"]
-
-
-class ServerStopped(RuntimeError):
-    """Raised when work is submitted to a stopped server."""
+__all__ = ["Node", "Server"]
 
 
 class Node:
     """A machine in the simulated cluster.
 
-    Nodes are mostly bookkeeping: they own a hostname, an up/down flag
-    and the servers running on them.  Capacity lives in the servers.
+    Nodes are bookkeeping: they own a hostname and the servers running
+    on them.  Capacity lives in the servers.
     """
 
     def __init__(self, sim: Simulator, hostname: str) -> None:
         self.sim = sim
         self.hostname = hostname
-        self.up = True
         self.servers: list["Server"] = []
 
     def add_server(self, server: "Server") -> None:
         self.servers.append(server)
 
-    def fail(self) -> None:
-        """Take the node (and every server on it) down."""
-        self.up = False
-        for server in self.servers:
-            server.stop()
-
-    def restart(self) -> None:
-        self.up = True
-        for server in self.servers:
-            server.start()
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = "up" if self.up else "down"
-        return f"<Node {self.hostname} {state} servers={len(self.servers)}>"
+        return f"<Node {self.hostname} servers={len(self.servers)}>"
 
 
 class Server:
@@ -112,10 +95,6 @@ class Server:
 
     def start(self) -> None:
         self._stopped = False
-
-    @property
-    def stopped(self) -> bool:
-        return self._stopped
 
     # ------------------------------------------------------------------
     # queueing

@@ -9,7 +9,6 @@ publishes flagged anomalies back to the TSDB.
 
 from .fdr import AnomalyReport, FDRDetector, FDRDetectorConfig
 from .hypothesis import (
-    one_sided_pvalues,
     t2_pvalues,
     t2_statistic,
     two_sided_pvalues,
@@ -29,7 +28,6 @@ from .multiple_testing import (
     apply_procedure,
     benjamini_hochberg,
     benjamini_yekutieli,
-    bh_threshold,
     bonferroni,
     family_wise_error_probability,
     holm,
@@ -45,7 +43,7 @@ from .pipeline import (
     PipelineConfig,
     PipelineResult,
 )
-from .spc import ControlChart, CusumChart, EwmaChart, MewmaChart, ShewhartChart
+from .spc import CusumChart, EwmaChart, MewmaChart, ShewhartChart
 from .streaming import IncrementalMoments, StreamingTrainer
 from .training import OfflineTrainer, TrainingResult, train_unit_distributed
 
@@ -54,7 +52,6 @@ __all__ = [
     "AggregateMetrics",
     "AnomalyPipeline",
     "AnomalyReport",
-    "ControlChart",
     "CusumChart",
     "DetectionOutcome",
     "EwmaChart",
@@ -79,7 +76,6 @@ __all__ = [
     "apply_procedure",
     "benjamini_hochberg",
     "benjamini_yekutieli",
-    "bh_threshold",
     "bonferroni",
     "detection_delay",
     "evaluate_flags",
@@ -87,7 +83,6 @@ __all__ = [
     "holm",
     "load_model",
     "model_key",
-    "one_sided_pvalues",
     "save_model",
     "step_up_sparse",
     "t2_pvalues",

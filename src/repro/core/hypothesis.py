@@ -23,7 +23,6 @@ __all__ = [
     "zscores",
     "window_mean_zscores",
     "two_sided_pvalues",
-    "one_sided_pvalues",
     "t2_statistic",
     "t2_pvalues",
 ]
@@ -71,11 +70,6 @@ def window_mean_zscores(
 def two_sided_pvalues(z: np.ndarray) -> np.ndarray:
     """Two-sided normal p-values: ``2·Φ(−|z|)``."""
     return 2.0 * ndtr(-np.abs(np.asarray(z, dtype=np.float64)))
-
-
-def one_sided_pvalues(z: np.ndarray) -> np.ndarray:
-    """Upper-tail p-values ``Φ(−z)`` (for strictly increasing degradation)."""
-    return ndtr(-np.asarray(z, dtype=np.float64))
 
 
 def t2_statistic(whitened: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ Conventions
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -130,13 +130,6 @@ class AggregateMetrics:
     mean_false_alarm_rate: float
     mean_delay: float  # over detected faults only (NaN if none)
     detected_fraction: float  # faulted units with >= 1 true detection
-
-    def row(self) -> str:
-        return (
-            f"famFDP={self.mean_family_fdp:6.3f}  power={self.mean_power:6.3f}  "
-            f"nullFam={self.null_family_rate:6.3f}  FAR={self.mean_false_alarm_rate:.5f}  "
-            f"delay={self.mean_delay:7.1f}  detected={self.detected_fraction:5.2f}"
-        )
 
 
 def aggregate_outcomes(outcomes: Sequence[DetectionOutcome]) -> AggregateMetrics:

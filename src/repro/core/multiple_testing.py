@@ -39,7 +39,6 @@ __all__ = [
     "apply_procedure",
     "PROCEDURES",
     "family_wise_error_probability",
-    "bh_threshold",
 ]
 
 
@@ -225,24 +224,6 @@ def adaptive_benjamini_hochberg(pvalues: np.ndarray, q: float = 0.05) -> np.ndar
             level = 1.0 - 1e-12
         out[i] = _step_up(flat_p[i], float(level), dependence_correction=False)
     return out.reshape(p.shape)
-
-
-def bh_threshold(pvalues: np.ndarray, q: float = 0.05) -> float:
-    """The data-dependent BH rejection threshold for a single family.
-
-    Useful diagnostically: every p ≤ the returned value is rejected.
-    Returns 0.0 when nothing is rejected.
-    """
-    p = _check(pvalues, q).ravel()
-    m = p.size
-    if m == 0:
-        return 0.0
-    sorted_p = np.sort(p)
-    thresholds = _step_up_ladder(q, m)
-    passing = np.flatnonzero(sorted_p <= thresholds)
-    if passing.size == 0:
-        return 0.0
-    return float(sorted_p[passing[-1]])
 
 
 PROCEDURES = {

@@ -299,22 +299,6 @@ class AnomalyPipeline:
     # ------------------------------------------------------------------
     # evaluation + publishing
     # ------------------------------------------------------------------
-    def evaluate_unit(
-        self,
-        unit_id: int,
-        *,
-        n_eval: int = 600,
-        publish: bool = True,
-    ) -> AnomalyReport:
-        """Score one unit's evaluation window; optionally publish results."""
-        evaluation = self.engine.evaluate_unit(unit_id, n_eval)
-        if publish and self.cluster is not None:
-            data_pub, anomaly_pub = self._publishers(self.pipeline_config, component_registry())
-            self._publish_evaluation(evaluation, data_pub, anomaly_pub)
-            data_pub.flush()
-            anomaly_pub.flush()
-        return evaluation.report
-
     def run(
         self,
         unit_ids: Optional[Sequence[int]] = None,

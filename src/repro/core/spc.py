@@ -19,22 +19,13 @@ mask.  Recursions run over time with the sensor axis vectorised.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol
 
 import numpy as np
 from scipy import special
 
 from .model import UnitModel
 
-__all__ = ["ControlChart", "ShewhartChart", "CusumChart", "EwmaChart", "MewmaChart"]
-
-
-class ControlChart(Protocol):
-    """Common interface of the SPC baselines."""
-
-    def flags(self, model: UnitModel, values: np.ndarray) -> np.ndarray:
-        """Boolean (T, p) out-of-control mask."""
-        ...  # pragma: no cover
+__all__ = ["ShewhartChart", "CusumChart", "EwmaChart", "MewmaChart"]
 
 
 def _standardise(model: UnitModel, values: np.ndarray) -> np.ndarray:
@@ -90,19 +81,6 @@ class CusumChart:
             upper = np.maximum(0.0, upper + z[t] - self.k)
             lower = np.maximum(0.0, lower - z[t] - self.k)
             out[t] = (upper > self.h) | (lower > self.h)
-        return out
-
-    def statistics(self, model: UnitModel, values: np.ndarray) -> np.ndarray:
-        """The running max(S⁺, S⁻) path, for plotting/drill-down."""
-        z = _standardise(model, values)
-        n_t, n_p = z.shape
-        upper = np.zeros(n_p)
-        lower = np.zeros(n_p)
-        out = np.zeros((n_t, n_p))
-        for t in range(n_t):
-            upper = np.maximum(0.0, upper + z[t] - self.k)
-            lower = np.maximum(0.0, lower - z[t] - self.k)
-            out[t] = np.maximum(upper, lower)
         return out
 
 

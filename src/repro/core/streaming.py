@@ -20,8 +20,8 @@ Two pieces:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -97,18 +97,6 @@ class IncrementalMoments:
 
     def std(self) -> np.ndarray:
         return np.sqrt(np.diag(self.covariance()))
-
-    def merge(self, other: "IncrementalMoments") -> "IncrementalMoments":
-        """Combine two independent accumulators (tree-reduction support)."""
-        if other.n_sensors != self.n_sensors:
-            raise ValueError("sensor-count mismatch")
-        if not (np.isfinite(other._mean).all() and np.isfinite(other._m2).all()):
-            raise ValueError("cannot merge non-finite moments")
-        out = IncrementalMoments(self.n_sensors)
-        for part in (self, other):
-            if part.count:
-                out._combine(part.count, part._mean.copy(), part._m2.copy())
-        return out
 
 
 @dataclass

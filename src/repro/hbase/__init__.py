@@ -6,22 +6,17 @@ discrete-event substrate.
 """
 
 from .bytescodec import (
-    common_prefix_len,
     concat,
     decode_f64,
-    decode_u8,
     decode_u16,
     decode_u24,
     decode_u32,
-    decode_u64,
     encode_f64,
     encode_f64_column,
     encode_u8,
     encode_u16,
     encode_u24,
     encode_u32,
-    encode_u64,
-    increment_key,
 )
 from .client import CONSISTENCY_MODES, HTableClient, ScanResult
 from .master import (
@@ -32,7 +27,6 @@ from .master import (
 )
 from .region import EMPTY_BATCH, Cell, CellBatch, Region, RegionInfo, StoreFile, merge_newest
 from .regionserver import (
-    GetRequest,
     PutRequest,
     RegionServer,
     RpcReply,
@@ -41,7 +35,6 @@ from .regionserver import (
 )
 from .replication import FollowerReplica, ReplicaSet, ReplicationCoordinator
 from .wal import WriteAheadLog
-from .zookeeper import NodeExistsError, NoNodeError, Session, ZooKeeper
 
 __all__ = [
     "CONSISTENCY_MODES",
@@ -49,11 +42,8 @@ __all__ = [
     "CellBatch",
     "EMPTY_BATCH",
     "FollowerReplica",
-    "GetRequest",
     "HMaster",
     "HTableClient",
-    "NoNodeError",
-    "NodeExistsError",
     "PutRequest",
     "Region",
     "RegionInfo",
@@ -66,26 +56,19 @@ __all__ = [
     "ScanRequest",
     "ScanResult",
     "ServiceModel",
-    "Session",
     "StoreFile",
     "TableNotFoundError",
     "WriteAheadLog",
-    "ZooKeeper",
-    "common_prefix_len",
     "concat",
     "decode_f64",
     "decode_u16",
     "decode_u24",
     "decode_u32",
-    "decode_u64",
-    "decode_u8",
     "encode_f64",
     "encode_f64_column",
     "encode_u16",
     "encode_u24",
     "encode_u32",
-    "encode_u64",
     "encode_u8",
-    "increment_key",
     "merge_newest",
 ]

@@ -19,18 +19,13 @@ __all__ = [
     "encode_u16",
     "encode_u24",
     "encode_u32",
-    "encode_u64",
-    "decode_u8",
     "decode_u16",
     "decode_u24",
     "decode_u32",
-    "decode_u64",
     "encode_f64",
     "encode_f64_column",
     "decode_f64",
     "concat",
-    "increment_key",
-    "common_prefix_len",
 ]
 
 
@@ -67,17 +62,6 @@ def encode_u32(value: int) -> bytes:
     return struct.pack(">I", value)
 
 
-def encode_u64(value: int) -> bytes:
-    """Encode an unsigned 64-bit integer, big-endian."""
-    _check_range(value, 64)
-    return struct.pack(">Q", value)
-
-
-def decode_u8(data: bytes, offset: int = 0) -> int:
-    """Decode an unsigned 8-bit integer at ``offset``."""
-    return data[offset]
-
-
 def decode_u16(data: bytes, offset: int = 0) -> int:
     """Decode a big-endian unsigned 16-bit integer at ``offset``."""
     return struct.unpack_from(">H", data, offset)[0]
@@ -91,11 +75,6 @@ def decode_u24(data: bytes, offset: int = 0) -> int:
 def decode_u32(data: bytes, offset: int = 0) -> int:
     """Decode a big-endian unsigned 32-bit integer at ``offset``."""
     return struct.unpack_from(">I", data, offset)[0]
-
-
-def decode_u64(data: bytes, offset: int = 0) -> int:
-    """Decode a big-endian unsigned 64-bit integer at ``offset``."""
-    return struct.unpack_from(">Q", data, offset)[0]
 
 
 def encode_f64(value: float) -> bytes:
@@ -123,27 +102,3 @@ def concat(parts: Iterable[bytes]) -> bytes:
     return b"".join(parts)
 
 
-def increment_key(key: bytes) -> bytes:
-    """Smallest key strictly greater than every key with prefix ``key``.
-
-    Used to form exclusive scan upper bounds: the byte string is
-    incremented like a big-endian integer, dropping trailing 0xFF bytes.
-    An all-0xFF (or empty) key has no successor prefix; we signal that
-    with ``b''`` which scanners treat as "end of table".
-    """
-    ba = bytearray(key)
-    while ba:
-        if ba[-1] != 0xFF:
-            ba[-1] += 1
-            return bytes(ba)
-        ba.pop()
-    return b""
-
-
-def common_prefix_len(a: bytes, b: bytes) -> int:
-    """Length of the longest common prefix of two byte strings."""
-    n = min(len(a), len(b))
-    for i in range(n):
-        if a[i] != b[i]:
-            return i
-    return n

@@ -30,8 +30,8 @@ from ..obs.telemetry import component_registry
 from ..cluster.network import Network
 from ..cluster.simulation import Simulator
 from .master import HMaster, ReplicaLocation
-from .region import EMPTY_BATCH, Cell, CellBatch, merge_newest
-from .regionserver import GetRequest, PutRequest, RpcReply, ScanRequest
+from .region import EMPTY_BATCH, CellBatch, merge_newest
+from .regionserver import PutRequest, RpcReply, ScanRequest
 
 __all__ = ["CONSISTENCY_MODES", "HTableClient", "ScanResult"]
 
@@ -222,59 +222,6 @@ class HTableClient:
     # ------------------------------------------------------------------
     # reads
     # ------------------------------------------------------------------
-    def get(
-        self,
-        table: str,
-        row: bytes,
-        qualifier: bytes,
-        on_done: Callable[[Optional[Cell]], None],
-    ) -> None:
-        """Point read; delivers the cell (or None) to ``on_done``."""
-        self._send_get(table, row, qualifier, 0, on_done)
-
-    def _send_get(
-        self,
-        table: str,
-        row: bytes,
-        qualifier: bytes,
-        attempt: int,
-        on_done: Callable[[Optional[Cell]], None],
-    ) -> None:
-        _, server_name = self.master.locate(table, row)
-        if server_name is None:
-            if attempt >= self.max_retries:
-                on_done(None)
-                return
-            delay = BACKOFF_BASE * (BACKOFF_MULT ** attempt)
-            self.sim.schedule(delay, self._send_get, table, row, qualifier, attempt + 1, on_done)
-            return
-        server = self.master.server(server_name)
-
-        def handle(reply: RpcReply) -> None:
-            if reply.ok:
-                on_done(reply.result)  # type: ignore[arg-type]
-            elif reply.retryable and attempt < self.max_retries:
-                delay = BACKOFF_BASE * (BACKOFF_MULT ** attempt)
-                self.sim.schedule(
-                    delay, self._send_get, table, row, qualifier, attempt + 1, on_done
-                )
-            else:
-                on_done(None)
-
-        sent = self.network.send(
-            self.host, server.node.hostname, server.rpc,
-            GetRequest(table, row, qualifier), handle, self.host,
-        )
-        if sent is None:
-            # Partitioned endpoint: retry (bounded) rather than hanging.
-            if attempt < self.max_retries:
-                delay = BACKOFF_BASE * (BACKOFF_MULT ** attempt)
-                self.sim.schedule(
-                    delay, self._send_get, table, row, qualifier, attempt + 1, on_done
-                )
-            else:
-                on_done(None)
-
     def scan(
         self,
         table: str,

@@ -10,11 +10,13 @@ its operations execute synchronously in simulated time.  It provides:
 * crash recovery — on RegionServer death, memstores are discarded, the
   WAL's durable prefix is replayed, and regions are re-assigned
   round-robin across the survivors;
-* region splitting and a simple count-based balancer.
+* region splitting and moves (manual, as in the paper) and a simple
+  count-based balancer.
 
-Liveness is tracked through ZooKeeper ephemeral znodes, mirroring real
-HBase: each RegionServer holds a session with an ephemeral node under
-``/hbase/rs``; session expiry triggers recovery.
+Liveness is each RegionServer's own ``crashed`` flag, and a crash
+reaches the master through the server's ``on_crash`` callback; with a
+simulator attached, recovery waits out ``failure_detection_delay`` (the
+window a ZooKeeper session timeout opens in real HBase).
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from ..cluster.metrics import MetricsRegistry
 from ..obs.telemetry import component_registry
 from .region import CellBatch, Region, RegionInfo, RowFilter
 from .regionserver import RegionServer
-from .zookeeper import Session, ZooKeeper
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..cluster.simulation import Simulator
@@ -65,20 +66,13 @@ class HMaster:
 
     def __init__(
         self,
-        zk: Optional[ZooKeeper] = None,
         metrics: Optional[MetricsRegistry] = None,
         sim: Optional["Simulator"] = None,
         failure_detection_delay: float = 0.0,
     ) -> None:
         if failure_detection_delay < 0:
             raise ValueError("failure_detection_delay must be >= 0")
-        self.zk = zk if zk is not None else ZooKeeper()
-        if not self.zk.exists("/hbase"):
-            self.zk.create("/hbase")
-        if not self.zk.exists("/hbase/rs"):
-            self.zk.create("/hbase/rs")
         self._servers: Dict[str, RegionServer] = {}
-        self._sessions: Dict[str, Session] = {}
         self._tables: Dict[str, List[_Assignment]] = {}
         # Per-table sorted region start keys, parallel to the assignment
         # list, so ``locate`` is a binary search (clients call it per cell).
@@ -86,7 +80,7 @@ class HMaster:
         self._region_ids = itertools.count(1)
         self._assign_cursor = 0
         self.metrics = metrics if metrics is not None else component_registry("master")
-        #: Simulator + detection delay model ZooKeeper session timeout:
+        #: Simulator + detection delay model a session timeout:
         #: with a simulator attached and a positive delay, recovery runs
         #: that long after the crash (the window failover must bridge).
         #: Without a simulator, recovery stays synchronous as before.
@@ -98,22 +92,15 @@ class HMaster:
         self.recoveries = 0
         self.cells_lost_unsynced = 0
         self.failovers = 0
-        # Size-based auto-splitting (off by default: the paper split
-        # manually; see enable_auto_split).
-        self._auto_split_threshold: Optional[int] = None
-        self.auto_splits = 0
 
     # ------------------------------------------------------------------
     # server membership
     # ------------------------------------------------------------------
     def register_server(self, server: RegionServer) -> None:
-        """Add a RegionServer to the cluster (ephemeral znode + callbacks)."""
+        """Add a RegionServer to the cluster and subscribe to its crashes."""
         if server.name in self._servers:
             raise ValueError(f"duplicate server {server.name}")
         self._servers[server.name] = server
-        session = self.zk.connect()
-        self._sessions[server.name] = session
-        self.zk.create(f"/hbase/rs/{server.name}", ephemeral=True, session=session)
         server.on_crash = self._handle_crash
         server.on_restart = self._handle_restart
 
@@ -411,7 +398,7 @@ class HMaster:
                 continue
             key = split_key if split_key is not None else assignment.region.midpoint_key()
             if key is None:
-                raise ValueError("region has too little data to auto-split")
+                raise ValueError("region has too little data to split at its midpoint")
             left, right = assignment.region.split(
                 key, (next(self._region_ids), next(self._region_ids))
             )
@@ -456,44 +443,6 @@ class HMaster:
         return moves
 
     # ------------------------------------------------------------------
-    # auto-splitting
-    # ------------------------------------------------------------------
-    def enable_auto_split(self, threshold_cells: int) -> None:
-        """Split any region whose live cell count exceeds the threshold.
-
-        The paper pre-split manually; production HBase splits by store
-        size.  Checks run via :meth:`run_auto_split_pass` (call it
-        periodically — e.g. from a simulator timer — like the real
-        split-checker chore).
-        """
-        if threshold_cells < 2:
-            raise ValueError("threshold must be >= 2 cells")
-        self._auto_split_threshold = threshold_cells
-
-    def disable_auto_split(self) -> None:
-        self._auto_split_threshold = None
-
-    def run_auto_split_pass(self) -> int:
-        """One split-checker sweep; returns the number of splits made."""
-        if self._auto_split_threshold is None:
-            return 0
-        splits = 0
-        for table in list(self._tables):
-            # snapshot: splitting mutates the assignment list
-            for assignment in list(self._assignments(table)):
-                region = assignment.region
-                if region.memstore_size == 0 and region.store_file_count == 0:
-                    continue  # empty region: skip the (costlier) exact count
-                if region.cell_count() <= self._auto_split_threshold:
-                    continue
-                if region.midpoint_key() is None:
-                    continue
-                self.split_region(table, region.info.name)
-                splits += 1
-                self.auto_splits += 1
-        return splits
-
-    # ------------------------------------------------------------------
     # replication
     # ------------------------------------------------------------------
     def enable_replication(self, coordinator: "ReplicationCoordinator") -> None:
@@ -516,8 +465,8 @@ class HMaster:
         """Crash detected (or scheduled for detection) — see :meth:`_recover`.
 
         With a simulator attached and ``failure_detection_delay > 0``,
-        recovery runs after the detection window (ZooKeeper session
-        timeout); the crash epoch guards against a crash/restart/crash
+        recovery runs after the detection window (a session timeout in
+        real HBase); the crash epoch guards against a crash/restart/crash
         cycle racing a stale detection.
         """
         epoch = self._crash_epoch.get(server.name, 0) + 1
@@ -549,10 +498,6 @@ class HMaster:
         """
         self.recoveries += 1
         self.metrics.counter("master.recoveries").inc(label=server.name)
-        if server.crashed:
-            session = self._sessions.get(server.name)
-            if session is not None:
-                session.expire()
         victims: List[_Assignment] = []
         for assignments in self._tables.values():
             for a in assignments:
@@ -608,9 +553,4 @@ class HMaster:
 
     def _handle_restart(self, server: RegionServer) -> None:
         """Re-admit a restarted server and give it work again."""
-        session = self.zk.connect()
-        self._sessions[server.name] = session
-        path = f"/hbase/rs/{server.name}"
-        if not self.zk.exists(path):
-            self.zk.create(path, ephemeral=True, session=session)
         self.balance()

@@ -311,9 +311,6 @@ class StoreFile:
         self._starts = batch.run_starts()
         self._rows: List[bytes] = [batch.rows[i] for i in self._starts[:-1]]
 
-    def __len__(self) -> int:
-        return len(self.batch.rows)
-
     def get(self, row: bytes, qualifier: bytes) -> Optional[Cell]:
         r = bisect.bisect_left(self._rows, row)
         if r == len(self._rows) or self._rows[r] != row:

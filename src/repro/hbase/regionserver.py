@@ -1,6 +1,6 @@
 """RegionServers: the RPC-serving shard hosts.
 
-A RegionServer hosts a set of regions and serves put/get/scan RPCs
+A RegionServer hosts a set of regions and serves put and scan RPCs
 through a single bounded-queue service loop (:class:`repro.cluster.Server`).
 Two behaviours from the paper's §III-B are modelled faithfully:
 
@@ -19,7 +19,7 @@ the master replays it during reassignment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..cluster.failures import OverflowCrashPolicy
@@ -35,7 +35,6 @@ from .wal import WriteAheadLog
 __all__ = [
     "ServiceModel",
     "PutRequest",
-    "GetRequest",
     "ScanRequest",
     "RpcReply",
     "RegionServer",
@@ -75,9 +74,6 @@ class ServiceModel:
     def put_block_cost(self, n_cells: int) -> float:
         return self.rpc_overhead + self.per_cell_write_block * n_cells
 
-    def get_cost(self) -> float:
-        return self.rpc_overhead + self.per_cell_read
-
     def scan_cost(self, n_cells: int) -> float:
         return self.rpc_overhead + self.per_cell_read * max(1, n_cells)
 
@@ -100,23 +96,18 @@ class PutRequest:
 
 
 @dataclass
-class GetRequest:
-    table: str
-    row: bytes
-    qualifier: bytes
-
-
-@dataclass
 class ScanRequest:
+    """Scan of ``[start_row, end_row)`` within one named region.
+
+    ``strong`` is served by the primary copy only; ``timeline`` may be
+    served from a follower replica, with the reply carrying the
+    replica's staleness bound.
+    """
+
     table: str
-    start_row: bytes = b""
-    end_row: bytes = b""
-    #: Targeted replica scan: name the region and the consistency mode.
-    #: ``strong`` is served by the primary copy only; ``timeline`` may
-    #: be served from a follower replica, with the reply carrying the
-    #: replica's staleness bound.  ``None`` keeps the legacy semantics
-    #: (scan every primary region this server hosts).
-    region_name: Optional[str] = None
+    start_row: bytes
+    end_row: bytes
+    region_name: str
     consistency: str = "strong"
 
 
@@ -167,8 +158,7 @@ class RegionServer:
         node.add_server(self.rpc_server)
         self.regions: Dict[str, Region] = {}
         # Read-only follower replicas hosted here, keyed by region name.
-        # Never written by client RPCs and invisible to legacy scans;
-        # only timeline reads targeting the region by name touch them.
+        # Never written by client RPCs; only timeline scans read them.
         self.follower_regions: Dict[str, object] = {}
         # Post-WAL-sync replication hook: ``(region_name, batch, server)``
         # per region touched by the synced batch (set by the deployment
@@ -228,8 +218,6 @@ class RegionServer:
                 cost = self.service_model.put_block_cost(len(request.cells))
             else:
                 cost = self.service_model.put_cost(len(request.cells))
-        elif isinstance(request, GetRequest):
-            cost = self.service_model.get_cost()
         elif isinstance(request, ScanRequest):
             cost = self.service_model.scan_cost(self._estimate_scan_cells(request))
         else:
@@ -290,8 +278,6 @@ class RegionServer:
             return  # dying server never replies; client will time out / retry
         if isinstance(request, PutRequest):
             reply = self._serve_put(request)
-        elif isinstance(request, GetRequest):
-            reply = self._serve_get(request)
         else:
             reply = self._serve_scan(request)  # type: ignore[arg-type]
         span.end(outcome="ok" if reply.ok else reply.error)
@@ -338,41 +324,23 @@ class RegionServer:
         self.metrics.counter("cells.written").inc(n, label=self.name)
         return RpcReply.success(n, self.name)
 
-    def _serve_get(self, request: GetRequest) -> RpcReply:
-        region = self._region_for(request.row)
-        if region is None:
-            return RpcReply.failure("NotServingRegionException", self.name, True)
-        return RpcReply.success(region.get(request.row, request.qualifier), self.name)
-
     def _serve_scan(self, request: ScanRequest) -> RpcReply:
-        """Scan the named region, or every primary region hosted here.
+        """Scan the named region.
 
         A primary copy serves either consistency mode at staleness 0;
         a follower copy serves *timeline* reads only, stamping its
         staleness bound on the reply so the caller can surface it.
         """
         staleness = 0.0
-        if request.region_name is None:
-            regions = self.hosted_regions()
-        else:
-            region = self.regions.get(request.region_name)
-            if region is None:
-                replica = self.follower_regions.get(request.region_name)
-                if replica is None or request.consistency != "timeline":
-                    return RpcReply.failure("NotServingRegionException", self.name, True)
-                region = replica.region  # type: ignore[attr-defined]
-                staleness = replica.staleness(self.sim.now)  # type: ignore[attr-defined]
-                self.metrics.counter("regionserver.follower_reads").inc(label=self.name)
-            regions = [region]
-        runs = [
-            run
-            for region in regions
-            if (run := region.scan(request.start_row, request.end_row)).rows
-        ]
-        # Each run is sorted and regions are disjoint, but hosted regions
-        # are not in key order: order the runs by their first row.
-        runs.sort(key=lambda run: run.rows[0])
-        reply = RpcReply.success(CellBatch.concat(runs), self.name)
+        region = self.regions.get(request.region_name)
+        if region is None:
+            replica = self.follower_regions.get(request.region_name)
+            if replica is None or request.consistency != "timeline":
+                return RpcReply.failure("NotServingRegionException", self.name, True)
+            region = replica.region  # type: ignore[attr-defined]
+            staleness = replica.staleness(self.sim.now)  # type: ignore[attr-defined]
+            self.metrics.counter("regionserver.follower_reads").inc(label=self.name)
+        reply = RpcReply.success(region.scan(request.start_row, request.end_row), self.name)
         reply.staleness = staleness
         return reply
 

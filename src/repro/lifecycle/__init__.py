@@ -16,7 +16,7 @@ query engines and gateway automatically.
 """
 
 from .manager import LifecycleManager
-from .planner import SingletonFallback, TierPlan, TierRouter
+from .planner import TierPlan, TierRouter
 from .retention import RetentionManager
 from .rollup import RollupEngine
 from .tiers import (
@@ -24,7 +24,6 @@ from .tiers import (
     ROLLUP_PREFIX,
     LifecyclePolicy,
     TierSpec,
-    parse_rollup_metric,
     rollup_metric,
 )
 
@@ -35,10 +34,8 @@ __all__ = [
     "ROLLUP_PREFIX",
     "RetentionManager",
     "RollupEngine",
-    "SingletonFallback",
     "TierPlan",
     "TierRouter",
     "TierSpec",
-    "parse_rollup_metric",
     "rollup_metric",
 ]

@@ -40,7 +40,7 @@ from typing import (
 
 from ..tsdb.blocks import series_spans
 from ..tsdb.query import TsdbQuery
-from .planner import Reader, SingletonFallback, TierPlan, TierRouter
+from .planner import Reader, TierPlan, TierRouter
 from .retention import ExpiredSpan, RetentionManager
 from .rollup import RollupEngine
 from .tiers import LifecyclePolicy
@@ -188,18 +188,13 @@ class LifecycleManager:
     def route(self, query: TsdbQuery, reader: Reader) -> Optional["List[Series]"]:
         """Serve ``query`` from a tier if an exact (or pooled) plan exists.
 
-        Returns ``None`` when the query should go down the raw path —
-        either because no tier qualifies or because a singleton plan
-        met a multi-series group at execution time.
+        Returns ``None`` when no tier qualifies and the query should go
+        down the raw path.
         """
         plan = self.router.plan(query)
         if not plan.tier_served:
             return None
-        try:
-            return self.router.execute(query, plan, reader)
-        except SingletonFallback:
-            self.metrics.counter("lifecycle.fallback").inc()
-            return None
+        return self.router.execute(query, plan, reader)
 
     # ------------------------------------------------------------------
     # invariants

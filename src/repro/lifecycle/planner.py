@@ -3,30 +3,23 @@
 The router never trades correctness for speed.  A query is served from
 a rollup tier only when the rewritten column pipeline is provably
 **bit-identical** to the raw pipeline — same timestamps, same float64
-bits — which restricts identical-mode routing to combinations where the
-tier columns commute exactly with the shared ``aggregate``/``downsample``
-kernels (``k = downsample_window // tier.resolution``):
+bits — which restricts identical-mode routing to the combinations where
+the tier columns commute exactly with the shared ``aggregate``/
+``downsample`` kernels for any group size:
 
-====================  ==========================  ============================
-group size            (aggregator, downsample)    served as
-====================  ==========================  ============================
-any                   (min, min) / (max, max)     same column; selection is
-                                                  order-free and exact
-any                   (count, sum)                sum of count column; integer
-                                                  float64 sums are exact
-exactly one series    agg in {avg, min, max}:     column passthrough at k == 1
-                      ds in {sum, avg, min, max,  (avg is sum/count, bitwise
-                      count} at k == 1, ds in     equal to nanmean); min/max/
-                      {min, max, count} at k > 1  count re-aggregate exactly
-exactly one series    (sum, sum) at k == 1        nansum passthrough
-====================  ==========================  ============================
+=========================  ===========================================
+(aggregator, downsample)   served as
+=========================  ===========================================
+(min, min) / (max, max)    the same column; selection is order-free
+                           and exact
+(count, sum)               sum of the count column; integer float64
+                           sums are exact
+=========================  ===========================================
 
-Float ``sum``/``avg`` re-aggregation at k > 1 changes summation order
-and is therefore *not* routed in identical mode.  Singleton rows are
-planned optimistically and verified at execution: if the group turns
-out to hold several series, :class:`SingletonFallback` sends the query
-back down the raw path (identical plans are only issued while raw is
-still live, so the fallback always has data).
+Every other combination is served raw while raw is live: float
+``sum``/``avg`` re-aggregation changes summation order, and what would
+be exact for a group of one series cannot be known until the group is
+read.
 
 When raw data under the query range has been expired, identical mode is
 impossible and the router switches to **pooled** mode: the coarsest
@@ -47,7 +40,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tupl
 
 import numpy as np
 
-from ..tsdb.aggregation import Series, downsample, rate
+from ..tsdb.aggregation import Series, rate
 from ..tsdb.query import TsdbQuery, group_and_aggregate
 from .tiers import LifecyclePolicy, TierSpec, rollup_metric
 
@@ -56,7 +49,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .retention import RetentionManager
     from .rollup import RollupEngine
 
-__all__ = ["SingletonFallback", "TierPlan", "TierRouter"]
+__all__ = ["TierPlan", "TierRouter"]
 
 #: A reader takes a (possibly rewritten) query and returns raw series.
 Reader = Callable[[TsdbQuery], List[Series]]
@@ -69,36 +62,15 @@ _PAIR_COMBOS: Dict[Tuple[str, str], Tuple[str, str, str]] = {
     ("count", "sum"): ("count", "sum", "sum"),
 }
 
-#: Downsample aggregators a singleton plan can serve at k == 1.
-_SINGLETON_K1 = frozenset({"sum", "avg", "min", "max", "count"})
-
-#: Downsample aggregators a singleton plan can re-aggregate at k > 1.
-_SINGLETON_KN = frozenset({"min", "max", "count"})
-
-#: Columns to read, per downsample aggregator (singleton and pooled).
-_COLUMNS_FOR: Dict[str, Tuple[str, ...]] = {
-    "sum": ("sum",),
-    "avg": ("sum", "count"),
-    "min": ("min",),
-    "max": ("max",),
-    "count": ("count",),
+#: Pooled-mode (column, group and window reduction) per downsample
+#: aggregator.  A pooled ``avg`` also reads ``count`` and divides.
+_POOLED: Dict[str, Tuple[str, str]] = {
+    "sum": ("sum", "sum"),
+    "avg": ("sum", "sum"),
+    "min": ("min", "min"),
+    "max": ("max", "max"),
+    "count": ("count", "sum"),
 }
-
-#: Per-tier-window reduction used when re-aggregating column points.
-_KN_KERNEL: Dict[str, str] = {"min": "min", "max": "max", "count": "sum"}
-
-#: Pooled-mode group reduction per downsample aggregator.
-_POOLED_AGG: Dict[str, str] = {
-    "sum": "sum",
-    "avg": "sum",
-    "min": "min",
-    "max": "max",
-    "count": "sum",
-}
-
-
-class SingletonFallback(Exception):
-    """A singleton plan met a multi-series group; re-run against raw."""
 
 
 @dataclass(frozen=True)
@@ -117,9 +89,6 @@ class TierPlan:
     mode: str
     tier: str = "raw"
     label: Optional[str] = None
-    case: str = ""  # "pair" | "singleton" | "pooled"
-    k: int = 0
-    columns: Tuple[str, ...] = ()
     miss: bool = False
 
     @property
@@ -191,45 +160,17 @@ class TierRouter:
         return out
 
     def _plan_identical(self, query: TsdbQuery, window: int) -> Optional[TierPlan]:
+        if (query.aggregator, query.downsample_aggregator) not in _PAIR_COMBOS:
+            return None
         for tier in self._covering_tiers(query, window):
-            k = window // tier.resolution
-            agg, ds = query.aggregator, query.downsample_aggregator
-            if (agg, ds) in _PAIR_COMBOS:
-                return TierPlan(
-                    mode="identical",
-                    tier=tier.label,
-                    label=tier.label,
-                    case="pair",
-                    k=k,
-                    columns=(_PAIR_COMBOS[(agg, ds)][0],),
-                )
-            singleton_ok = (
-                agg in ("avg", "min", "max")
-                and ds in (_SINGLETON_K1 if k == 1 else _SINGLETON_KN)
-            ) or (agg == "sum" and ds == "sum" and k == 1)
-            if singleton_ok:
-                return TierPlan(
-                    mode="identical",
-                    tier=tier.label,
-                    label=tier.label,
-                    case="singleton",
-                    k=k,
-                    columns=_COLUMNS_FOR[ds],
-                )
+            return TierPlan(mode="identical", tier=tier.label, label=tier.label)
         return None
 
     def _plan_pooled(self, query: TsdbQuery, window: int) -> Optional[TierPlan]:
-        if query.downsample_aggregator not in _POOLED_AGG:
+        if query.downsample_aggregator not in _POOLED:
             return None
         for tier in self._covering_tiers(query, window):
-            return TierPlan(
-                mode="pooled",
-                tier=f"pooled:{tier.label}",
-                label=tier.label,
-                case="pooled",
-                k=window // tier.resolution,
-                columns=_COLUMNS_FOR[query.downsample_aggregator],
-            )
+            return TierPlan(mode="pooled", tier=f"pooled:{tier.label}", label=tier.label)
         return None
 
     # ------------------------------------------------------------------
@@ -238,16 +179,11 @@ class TierRouter:
     def execute(
         self, query: TsdbQuery, plan: TierPlan, reader: Reader
     ) -> List[Series]:
-        """Serve ``query`` per ``plan``, reading column series via ``reader``.
-
-        Raises :class:`SingletonFallback` when a singleton plan meets a
-        multi-series group.
-        """
-        if plan.case == "singleton":
-            return self._execute_singleton(query, plan, reader)
+        """Serve ``query`` per ``plan``: read and group each of its
+        :meth:`rewrites` via ``reader``, then :meth:`combine` the answers."""
         rewrites = self.rewrites(query, plan)
         if rewrites is None:
-            raise ValueError(f"plan {plan.mode!r}/{plan.case!r} is not tier-served")
+            raise ValueError(f"plan {plan.mode!r} is not tier-served")
         return self.combine(
             query, [group_and_aggregate(q, reader(q)) for q in rewrites]
         )
@@ -277,33 +213,28 @@ class TierRouter:
     def rewrites(
         self, query: TsdbQuery, plan: TierPlan
     ) -> Optional[Tuple[TsdbQuery, ...]]:
-        """The column queries a pair or pooled plan reads instead of raw.
+        """The column queries a tier-served plan reads instead of raw.
 
         One rewritten pipeline over one column metric, or for a pooled
         ``avg`` the ``sum`` and ``count`` rewrites whose grouped answers
         :meth:`combine` divides.  Every read path runs these through its
-        ordinary scan fan-out and :func:`group_and_aggregate`.  Raw and
-        singleton plans (execution-time group check) return ``None``.
+        ordinary scan fan-out and :func:`group_and_aggregate`.  A raw
+        plan returns ``None``.
         """
-        if plan.case == "pair":
+        if plan.mode == "identical":
             column, agg, ds = _PAIR_COMBOS[
                 (query.aggregator, query.downsample_aggregator)
             ]
             return (self._rewrite(query, plan, column, agg, ds, query.rate),)
-        if plan.case != "pooled":
+        if plan.mode != "pooled":
             return None
-        ds = query.downsample_aggregator
-        if ds == "avg":
+        if query.downsample_aggregator == "avg":
             return (
                 self._rewrite(query, plan, "sum", "sum", "sum", False),
                 self._rewrite(query, plan, "count", "sum", "sum", False),
             )
-        ds_kernel = ds if ds in ("min", "max") else "sum"
-        return (
-            self._rewrite(
-                query, plan, _COLUMNS_FOR[ds][0], _POOLED_AGG[ds], ds_kernel, query.rate
-            ),
-        )
+        column, reduction = _POOLED[query.downsample_aggregator]
+        return (self._rewrite(query, plan, column, reduction, reduction, query.rate),)
 
     @staticmethod
     def combine(query: TsdbQuery, answers: Sequence[List[Series]]) -> List[Series]:
@@ -335,69 +266,3 @@ class TierRouter:
                 result = rate(result)
             out.append(result)
         return out
-
-    def _execute_singleton(
-        self, query: TsdbQuery, plan: TierPlan, reader: Reader
-    ) -> List[Series]:
-        assert plan.label is not None
-        ds = query.downsample_aggregator
-        window = query.downsample_window
-        assert window is not None
-        groups: Dict[Tuple[Tuple[str, str], ...], Dict[str, Series]] = {}
-        for column in plan.columns:
-            cq = TsdbQuery(
-                rollup_metric(column, plan.label, query.metric),
-                query.start,
-                query.end,
-                tag_filters=query.tag_filters,
-            )
-            for series in reader(cq):
-                key = tuple(
-                    (k, series.tag_dict.get(k, "")) for k in query.group_by
-                )
-                slot = groups.setdefault(key, {})
-                if column in slot:
-                    raise SingletonFallback(query.metric)
-                slot[column] = series
-        out: List[Series] = []
-        for key in sorted(groups):
-            cols = groups[key]
-            if len(cols) != len(plan.columns):
-                # A column series is missing for this group — the sibling
-                # column must then hold a different series of the same
-                # group, i.e. the group is not a singleton.
-                raise SingletonFallback(query.metric)
-            out.append(self._singleton_series(cols, ds, plan.k, window, query.rate))
-        return out
-
-    def _singleton_series(
-        self,
-        cols: Dict[str, Series],
-        ds: str,
-        k: int,
-        window: int,
-        apply_rate: bool,
-    ) -> Series:
-        anchor = next(iter(cols.values()))
-        tags = tuple(sorted(anchor.tags))
-        if k == 1:
-            if ds == "avg":
-                sums, counts = cols["sum"], cols["count"]
-                if not np.array_equal(sums.timestamps, counts.timestamps):
-                    raise SingletonFallback("rollup column misalignment")
-                with np.errstate(invalid="ignore", divide="ignore"):
-                    vals = np.where(
-                        counts.values > 0, sums.values / counts.values, np.nan
-                    )
-                result = Series(tags, sums.timestamps, vals)
-            else:
-                col = cols[ds]
-                result = Series(tags, col.timestamps, col.values)
-        else:
-            col = cols[ds]
-            base = Series(tags, col.timestamps, col.values)
-            result = downsample(base, window, _KN_KERNEL[ds])
-        if apply_rate:
-            result = rate(result)
-        return result
-

@@ -25,7 +25,6 @@ __all__ = [
     "ROLLUP_PREFIX",
     "LifecyclePolicy",
     "TierSpec",
-    "parse_rollup_metric",
     "rollup_metric",
 ]
 
@@ -41,20 +40,6 @@ def rollup_metric(column: str, label: str, metric: str) -> str:
     if column not in ROLLUP_COLUMNS:
         raise ValueError(f"unknown rollup column {column!r}")
     return f"{ROLLUP_PREFIX}{column}.{label}.{metric}"
-
-
-def parse_rollup_metric(name: str) -> Optional[Tuple[str, str, str]]:
-    """Inverse of :func:`rollup_metric`: ``(column, label, base_metric)``.
-
-    Returns ``None`` for metrics outside the rollup namespace.
-    """
-    if not name.startswith(ROLLUP_PREFIX):
-        return None
-    rest = name[len(ROLLUP_PREFIX):]
-    parts = rest.split(".", 2)
-    if len(parts) != 3 or parts[0] not in ROLLUP_COLUMNS:
-        return None
-    return (parts[0], parts[1], parts[2])
 
 
 @dataclass(frozen=True)
@@ -108,12 +93,6 @@ class LifecyclePolicy:
     def manages(self, metric: str) -> bool:
         """Whether ``metric`` is lifecycle-managed raw data."""
         return not metric.startswith(ROLLUP_PREFIX)
-
-    def tier(self, label: str) -> TierSpec:
-        for spec in self.tiers:
-            if spec.label == label:
-                return spec
-        raise KeyError(f"no tier labelled {label!r}")
 
     def coarsest_first(self) -> Tuple[TierSpec, ...]:
         """Tiers ordered coarse to fine (the routing preference order)."""

@@ -24,7 +24,7 @@ competes with the ingest workload under study.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .telemetry import Telemetry
 
@@ -69,7 +69,6 @@ class SelfReporter:
         self.points_written = 0
         self._running = False
         self._handle: Optional[object] = None
-        self._last_ts = 0
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -98,21 +97,15 @@ class SelfReporter:
     # ------------------------------------------------------------------
     # write-back
     # ------------------------------------------------------------------
-    def _next_ts(self) -> int:
-        """A strictly monotonic integer timestamp on the sim clock.
-
-        TSDB points are keyed at second granularity; flushes inside the
-        same sim-second must not overwrite each other, so the reporter
-        enforces ``ts > last`` even when ``sim.now`` has not advanced a
-        full second.
-        """
-        ts = max(int(self.cluster.sim.now), self._last_ts + 1)
-        self._last_ts = ts
-        return ts
-
     def flush(self) -> int:
-        """Write one snapshot of every telemetry tree; returns points written."""
-        ts = self._next_ts()
+        """Write one snapshot of every telemetry tree; returns points written.
+
+        Stamped at the current sim-second: TSDB points are keyed by the
+        second, so a later flush in the same second replaces the earlier
+        snapshot (newest write wins), which loses nothing because every
+        counter is cumulative.
+        """
+        ts = int(self.cluster.sim.now)
         points: List["DataPoint"] = []
         for telemetry in self.telemetries:
             for sample in telemetry.samples():
@@ -144,18 +137,17 @@ class SelfReporter:
         if report is None:
             return 0
         points: List["DataPoint"] = []
+        last: Dict[str, int] = {}
         for at, component, state in report.edges(now=self.cluster.sim.now):
-            points.append(
-                _datapoint("chaos.down", self._edge_ts(at), float(state), component)
-            )
+            # Each edge lands in its own second; one that shares a second
+            # with the same component's previous edge would overwrite it,
+            # so it moves to the next free second.
+            ts = max(int(at), last.get(component, -1) + 1)
+            last[component] = ts
+            points.append(_datapoint("chaos.down", ts, float(state), component))
         written = self.cluster.direct_put(points) if points else 0
         self.points_written += written
         return written
-
-    def _edge_ts(self, at: float) -> int:
-        ts = max(int(at), self._last_ts + 1)
-        self._last_ts = ts
-        return ts
 
     def series_written(self) -> Tuple[str, ...]:
         """Distinct self-metric names available for querying, sorted."""

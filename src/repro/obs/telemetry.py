@@ -36,7 +36,6 @@ from ..cluster.metrics import (
     Gauge,
     LatencyHistogram,
     MetricsRegistry,
-    TimeSeriesRecorder,
 )
 
 __all__ = [
@@ -133,9 +132,6 @@ class Telemetry:
     def gauge(self, name: str) -> Gauge:
         return self.tree(self.component_for(name)).gauge(name)
 
-    def timeseries(self, name: str) -> TimeSeriesRecorder:
-        return self.tree(self.component_for(name)).timeseries(name)
-
     def histogram(
         self, name: str, bounds: Optional[Sequence[float]] = None
     ) -> LatencyHistogram:
@@ -186,22 +182,11 @@ class ScopedRegistry(MetricsRegistry):
         self._telemetry = telemetry
         self._component = component
 
-    @property
-    def telemetry(self) -> Telemetry:
-        return self._telemetry
-
-    @property
-    def component(self) -> str:
-        return self._component
-
     def counter(self, name: str) -> Counter:
         return self._telemetry.counter(name)
 
     def gauge(self, name: str) -> Gauge:
         return self._telemetry.gauge(name)
-
-    def timeseries(self, name: str) -> TimeSeriesRecorder:
-        return self._telemetry.timeseries(name)
 
     def histogram(
         self, name: str, bounds: Optional[Sequence[float]] = None

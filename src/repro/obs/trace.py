@@ -6,16 +6,12 @@ clock, and an optional **batch-id correlation field** so one ingest
 batch can be followed proxy → TSD → HTable → RegionServer → ack across
 components that never share a call stack.
 
-Two creation styles cover the two call shapes in this codebase:
+Spans are event-driven, the one call shape in this codebase:
+``sp = tracer.begin("proxy.batch", batch_id=7)`` … ``sp.end()``, where
+start and end live in different simulator callbacks.  Parents are
+passed explicitly.
 
-* ``with tracer.span("engine.wave") as sp:`` — lexically scoped work
-  (pipeline stages, RPC service bodies).  Nested ``span()`` calls pick
-  up the enclosing span as their parent via a thread-local stack.
-* ``sp = tracer.begin("proxy.batch", batch_id=7)`` … ``sp.end()`` —
-  event-driven work whose start and end live in different simulator
-  callbacks.  Parents are passed explicitly.
-
-Disabled (the default), ``span()``/``begin()`` return the shared
+Disabled (the default), ``begin()`` returns the shared
 :data:`NULL_SPAN` singleton whose methods are no-ops — the same
 zero-cost-when-off discipline as
 :func:`repro.analysis.raceaudit.audited_lock`: call sites pay one
@@ -27,7 +23,6 @@ path at the noise floor.
 from __future__ import annotations
 
 import json
-import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -76,15 +71,6 @@ class NullSpan:
     #: Mirrors ``Span.span_id`` so parent= wiring type-checks either way.
     span_id: Optional[int] = None
 
-    def __enter__(self) -> "NullSpan":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        return None
-
-    def annotate(self, **fields: object) -> None:
-        return None
-
     def end(self, **fields: object) -> None:
         return None
 
@@ -94,7 +80,7 @@ NULL_SPAN = NullSpan()
 
 
 class Span:
-    """A live (unfinished) span; finish with ``end()`` or ``with``-exit."""
+    """A live (unfinished) span; finish with ``end()``."""
 
     __slots__ = (
         "_tracer",
@@ -128,10 +114,6 @@ class Span:
         self.fields = fields
         self._done = False
 
-    def annotate(self, **fields: object) -> None:
-        """Attach key/value fields to the span (last write wins)."""
-        self.fields.update(fields)
-
     def end(self, **fields: object) -> None:
         """Finish the span; idempotent (late duplicate ends are ignored)."""
         if self._done:
@@ -140,16 +122,6 @@ class Span:
         if fields:
             self.fields.update(fields)
         self._tracer._finish(self)
-
-    def __enter__(self) -> "Span":
-        self._tracer._push(self)
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self._tracer._pop(self)
-        self.end()
-        return None
-
 
 SpanLike = Union[Span, NullSpan]
 
@@ -160,8 +132,8 @@ class Tracer:
     Parameters
     ----------
     enabled:
-        Off by default; ``span()``/``begin()`` then return
-        :data:`NULL_SPAN` and record nothing.
+        Off by default; ``begin()`` then returns
+        :data:`NULL_SPAN` and records nothing.
     clock:
         Zero-argument time source.  Defaults to ``time.perf_counter``
         (wall time); the simulated cluster passes ``lambda: sim.now``
@@ -176,7 +148,6 @@ class Tracer:
         self._finished: List[Span] = []
         self._materialized: List[SpanRecord] = []
         self._next_id = 1
-        self._tls = threading.local()
 
     @property
     def records(self) -> List[SpanRecord]:
@@ -207,37 +178,12 @@ class Tracer:
     def enable(self) -> None:
         self.enabled = True
 
-    def disable(self) -> None:
-        self.enabled = False
-
-    def clear(self) -> None:
-        """Drop recorded spans (between benchmark repetitions)."""
-        self._finished = []
-        self._materialized = []
-
     def __len__(self) -> int:
         return len(self._finished)
 
     # ------------------------------------------------------------------
     # span creation
     # ------------------------------------------------------------------
-    def span(
-        self,
-        name: str,
-        *,
-        parent: Optional[SpanLike] = None,
-        batch_id: Optional[int] = None,
-        **fields: object,
-    ) -> SpanLike:
-        """A span for ``with``-scoped work; parents nest via a TLS stack."""
-        if not self.enabled:
-            return NULL_SPAN
-        if parent is None:
-            stack = self._stack()
-            if stack:
-                parent = stack[-1]
-        return self._make(name, parent, batch_id, fields)
-
     def begin(
         self,
         name: str,
@@ -272,20 +218,6 @@ class Tracer:
     def _finish(self, span: Span) -> None:
         span.end_time = self.clock()
         self._finished.append(span)
-
-    def _stack(self) -> List[Span]:
-        stack = getattr(self._tls, "stack", None)
-        if stack is None:
-            stack = self._tls.stack = []
-        return stack  # type: ignore[no-any-return]
-
-    def _push(self, span: Span) -> None:
-        self._stack().append(span)
-
-    def _pop(self, span: Span) -> None:
-        stack = self._stack()
-        if stack and stack[-1] is span:
-            stack.pop()
 
     # ------------------------------------------------------------------
     # queries / export

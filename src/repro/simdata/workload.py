@@ -23,7 +23,7 @@ Three generators are provided:
 from __future__ import annotations
 
 import math
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional
 
 import numpy as np
 

@@ -78,16 +78,6 @@ class Series:
         return self
 
     @property
-    def block(self) -> SeriesBlock:
-        """The underlying columnar block."""
-        return self._block
-
-    @property
-    def metric(self) -> str:
-        """Metric name, when known (empty for ad-hoc derived series)."""
-        return self._block.metric
-
-    @property
     def tags(self) -> Tuple[Tuple[str, str], ...]:
         return self._tags
 
@@ -107,19 +97,6 @@ class Series:
 
     def __len__(self) -> int:
         return len(self._block)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Series):
-            return NotImplemented
-        return (
-            self._tags == other._tags
-            and self._block.metric == other._block.metric
-            and bytes(self._block.timestamps) == bytes(other._block.timestamps)
-            and bytes(self._block.values) == bytes(other._block.values)
-        )
-
-    def __hash__(self) -> int:
-        return object.__hash__(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Series(tags={self._tags!r}, n={len(self)})"

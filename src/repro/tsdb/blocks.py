@@ -17,19 +17,18 @@ Design rules:
   sorted ``tags``) — per-series invariants (UID interning, row-key
   prefixes) are paid once per block instead of once per point;
 * timestamps are kept sorted (non-decreasing; duplicates allowed, as
-  ingest may legitimately re-write a second) so merges, slices and
-  row-span grouping are ``O(log n)`` + memcpy;
-* point-wise views (``iter_points`` / ``BlockBatch`` indexing) exist as
-  compatibility shims only — hot paths must stay columnar.
+  ingest may legitimately re-write a second) so slices and row-span
+  grouping are ``O(log n)`` + memcpy;
+* point-wise views (``iter_points`` / ``BlockBatch`` iteration) exist
+  as compatibility shims only — hot paths must stay columnar.
 """
 
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left, bisect_right
 from itertools import islice
 from operator import le
-from typing import TYPE_CHECKING, Any, Dict, Iterable, Iterator, List, Sequence, Tuple, Union, overload
+from typing import TYPE_CHECKING, Any, Dict, Iterable, Iterator, List, Sequence, Tuple, Union
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (tsd imports us)
     from .tsd import DataPoint
@@ -176,10 +175,6 @@ class SeriesBlock:
         return self._vals
 
     @property
-    def tag_dict(self) -> Dict[str, str]:
-        return dict(self.tags)
-
-    @property
     def start(self) -> int:
         """First (smallest) timestamp; raises on an empty block."""
         return self._ts[0]
@@ -211,68 +206,14 @@ class SeriesBlock:
         for t, v in zip(self._ts, self._vals):
             yield DataPoint(metric, t, v, tags)
 
-    def point_at(self, i: int) -> "DataPoint":
-        """One boxed point by position (compatibility shim)."""
-        from .tsd import DataPoint
-
-        return DataPoint(self.metric, self._ts[i], self._vals[i], self.tags)
-
     # ------------------------------------------------------------------
     # columnar operations
     # ------------------------------------------------------------------
-    def slice_time(self, start: int, end: int) -> "SeriesBlock":
-        """Points with ``start <= t < end`` (bisect + memcpy, no loop)."""
-        lo = bisect_left(self._ts, start)
-        hi = bisect_left(self._ts, end)
-        return SeriesBlock(self.metric, self.tags, self._ts[lo:hi], self._vals[lo:hi], _trusted=True)
-
     def slice_positional(self, start: int, stop: int) -> "SeriesBlock":
         """Positional slice ``[start:stop)`` as a new block."""
         return SeriesBlock(
             self.metric, self.tags, self._ts[start:stop], self._vals[start:stop], _trusted=True
         )
-
-    def merge(self, other: "SeriesBlock") -> "SeriesBlock":
-        """Merge two blocks of the same series, keeping timestamps sorted.
-
-        Disjoint (or abutting) time ranges concatenate with two memcpys;
-        overlapping ranges fall back to a two-pointer merge.
-        """
-        if (self.metric, self.tags) != (other.metric, other.tags):
-            raise ValueError("cannot merge blocks of different series")
-        if not other:
-            return self
-        if not self:
-            return other
-        a, b = self, other
-        if b.end < a.start:
-            a, b = b, a
-        if a.end <= b.start:
-            ts = array(TS_TYPECODE, a._ts)
-            ts.extend(b._ts)
-            vals = array(VAL_TYPECODE, a._vals)
-            vals.extend(b._vals)
-            return SeriesBlock(a.metric, a.tags, ts, vals, _trusted=True)
-        ts = array(TS_TYPECODE)
-        vals = array(VAL_TYPECODE)
-        i = j = 0
-        na, nb = len(a), len(b)
-        while i < na and j < nb:
-            if a._ts[i] <= b._ts[j]:
-                ts.append(a._ts[i])
-                vals.append(a._vals[i])
-                i += 1
-            else:
-                ts.append(b._ts[j])
-                vals.append(b._vals[j])
-                j += 1
-        if i < na:
-            ts.extend(a._ts[i:])
-            vals.extend(a._vals[i:])
-        if j < nb:
-            ts.extend(b._ts[j:])
-            vals.extend(b._vals[j:])
-        return SeriesBlock(a.metric, a.tags, ts, vals, _trusted=True)
 
 
 def blocks_from_points(points: Iterable["DataPoint"]) -> List["SeriesBlock"]:
@@ -333,23 +274,7 @@ class BlockBatch:
         for block in self.blocks:
             yield from block.iter_points()
 
-    @overload
-    def __getitem__(self, index: int) -> "DataPoint": ...
-
-    @overload
-    def __getitem__(self, index: slice) -> "BlockBatch": ...
-
-    def __getitem__(self, index: Union[int, slice]) -> Union["DataPoint", "BlockBatch"]:
-        if isinstance(index, int):
-            if index < 0:
-                index += self._len
-            if not 0 <= index < self._len:
-                raise IndexError("BlockBatch index out of range")
-            for block in self.blocks:
-                if index < len(block):
-                    return block.point_at(index)
-                index -= len(block)
-            raise IndexError("BlockBatch index out of range")  # pragma: no cover
+    def __getitem__(self, index: slice) -> "BlockBatch":
         start, stop, step = index.indices(self._len)
         if step != 1:
             raise ValueError("BlockBatch slicing must be contiguous (step 1)")

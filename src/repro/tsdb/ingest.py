@@ -23,7 +23,6 @@ from ..hbase.master import HMaster
 from ..hbase.region import CellBatch
 from ..hbase.regionserver import RegionServer, ServiceModel
 from ..hbase.replication import ReplicationCoordinator
-from ..hbase.zookeeper import ZooKeeper
 from ..obs.telemetry import Telemetry
 from ..obs.trace import Tracer
 from .blocks import BlockBatch, SeriesBlock
@@ -126,9 +125,7 @@ class TsdbCluster:
         # sim-seconds so traces line up with the simulated timeline.
         self.tracer = Tracer(enabled=config.trace, clock=lambda: self.sim.now)
         self.network = Network(self.sim)
-        self.zk = ZooKeeper()
         self.master = HMaster(
-            self.zk,
             metrics=self.telemetry.registry("master"),
             sim=self.sim,
             failure_detection_delay=config.failure_detection_delay,
@@ -353,11 +350,16 @@ class TsdbCluster:
         return QueryGateway(self, config=config)
 
     def async_query_executor(self, host: str = "query-client"):
-        """A timing-aware query executor over the simulated RPC path."""
+        """A timing-aware query executor over the simulated RPC path.
+
+        Its client counts into this deployment's telemetry, so its
+        ``client.*`` retries, hedges and follower reads show beside
+        the TSDs' own.
+        """
         from ..hbase.client import HTableClient
         from .readpath import AsyncQueryExecutor
 
-        client = HTableClient(self.sim, self.network, self.master, host)
+        client = HTableClient(self.sim, self.network, self.master, host, metrics=self.metrics)
         return AsyncQueryExecutor(
             self.sim, client, self.uids, self.codec, lifecycle=self.lifecycle
         )

@@ -291,7 +291,7 @@ class ReverseProxy:
             self._dispatch(self._buffer.popleft())
 
     def _alive(self, tsd: TSDaemon) -> bool:
-        return tsd.node.up and not tsd.crashed
+        return not tsd.crashed
 
     def _select_tsd(self) -> Optional[int]:
         """Next healthy TSD index: round-robin over live, breaker-admitted TSDs.

@@ -375,8 +375,7 @@ class QueryEngine:
         With a lifecycle manager attached, the query is transparently
         served from the coarsest rollup tier whose answer is
         bit-identical to the raw path (or pooled tier math once raw has
-        been expired); otherwise — and on singleton-plan fallback — it
-        scans raw cells exactly as before.
+        been expired); otherwise it scans raw cells exactly as before.
         """
         return self._execute(query, self._scan_direct)[0]
 

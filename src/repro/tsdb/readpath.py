@@ -11,9 +11,8 @@ buckets, but every read must now fan out to all of them).
 Results are bit-identical to the offline engine (asserted in the test
 suite); only the timing differs.  Tier-routed plans take their column
 queries from the same place the engine does
-(:meth:`~repro.lifecycle.planner.TierRouter.rewrites`), except that a
-singleton plan is read from raw here — exact while raw is live, which is
-the only time the planner issues one.
+(:meth:`~repro.lifecycle.planner.TierRouter.rewrites`) and are combined
+the same way (:meth:`~repro.lifecycle.planner.TierRouter.combine`).
 """
 
 from __future__ import annotations
@@ -83,9 +82,8 @@ class AsyncQueryExecutor:
         self.sim = sim
         self.client = client
         self._engine = QueryEngine(client.master, uids, codec)
-        #: Tier router (None = always raw).  Pair and pooled plans are
-        #: served from their column rewrites; singleton plans (which
-        #: need execution-time group checks) stay on raw.
+        #: Tier router (None = always raw).  Tier-served plans are read
+        #: from their column rewrites.
         self.lifecycle = lifecycle
 
     # ------------------------------------------------------------------
@@ -108,12 +106,12 @@ class AsyncQueryExecutor:
         started = self.sim.now
         queries: Sequence[TsdbQuery] = (query,)
         if self.lifecycle is not None:
-            plan = self.lifecycle.plan(query, record=False)
-            if plan.tier_served:
-                rewrites = self.lifecycle.router.rewrites(query, plan)
-                if rewrites is not None:
-                    # Scan the rollup columns instead of raw cells.
-                    queries = rewrites
+            rewrites = self.lifecycle.router.rewrites(
+                query, self.lifecycle.plan(query, record=False)
+            )
+            if rewrites is not None:
+                # Scan the rollup columns instead of raw cells.
+                queries = rewrites
         scans = [(q, *self._engine.plan_scan(q)) for q in queries]
         total = sum(len(ranges) for _, _, ranges in scans)
         if not total:

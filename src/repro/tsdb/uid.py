@@ -156,70 +156,6 @@ class UniqueIdRegistry:
         self._check_kind(kind)
         return len(self._forward[kind])
 
-    # ------------------------------------------------------------------
-    # persistence (the tsdb-uid table)
-    # ------------------------------------------------------------------
-    def persist_to(self, master, table: str = "tsdb-uid") -> int:
-        """Write the registry into an HBase table, as OpenTSDB does.
-
-        Layout mirrors the real ``tsdb-uid`` table's two column
-        families: forward rows ``f:<kind>:<name> -> uid`` and reverse
-        rows ``r:<kind>:<uid> -> name``.  The table is created on first
-        use.  Returns the number of cells written.
-        """
-        from ..hbase.region import Cell
-
-        try:
-            master.create_table(table)
-        except ValueError:
-            pass  # already exists
-        written = 0
-        for kind in _KINDS:
-            for name, uid in self._forward[kind].items():
-                uid_bytes = encode_u24(uid)
-                fwd = Cell(
-                    f"f:{kind}:{name}".encode("utf-8"), b"id", uid_bytes, float(uid)
-                )
-                rev = Cell(
-                    b"r:" + kind.encode() + b":" + uid_bytes, b"name",
-                    name.encode("utf-8"), float(uid),
-                )
-                for cell in (fwd, rev):
-                    self._direct_write(master, table, cell)
-                    written += 1
-        return written
-
-    @staticmethod
-    def _direct_write(master, table: str, cell) -> None:
-        _, server_name = master.locate(table, cell.row)
-        if server_name is None:
-            raise RuntimeError("uid table region unassigned")
-        for region in master.server(server_name).hosted_regions():
-            if region.info.table == table and region.info.contains(cell.row):
-                region.put(cell)
-                return
-        raise RuntimeError("uid region not hosted where expected")  # pragma: no cover
-
-    @classmethod
-    def load_from(cls, master, table: str = "tsdb-uid") -> "UniqueIdRegistry":
-        """Rebuild a registry from a persisted ``tsdb-uid`` table.
-
-        UID assignments (including the next-id watermarks) round-trip
-        exactly, so a reloaded registry keeps producing keys compatible
-        with data already stored.
-        """
-        registry = cls()
-        for cell in master.direct_scan(table):
-            if not cell.row.startswith(b"f:"):
-                continue
-            kind, _, name = cell.row[2:].decode("utf-8").partition(":")
-            registry._check_kind(kind)
-            uid = decode_u24(cell.value)
-            registry._forward[kind][name] = uid
-            registry._reverse[kind][uid] = name
-            registry._next[kind] = max(registry._next[kind], uid + 1)
-        return registry
-
     def encode_tags(self, tags: Dict[str, str]) -> Tuple[Tuple[bytes, bytes], ...]:
         """Intern a tag map into UID pairs, sorted by tag-key UID.
 

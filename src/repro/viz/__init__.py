@@ -16,7 +16,7 @@ from .statusbar import (
     grade_unit,
     render_status_bar,
 )
-from .svg import Svg, path_from_points, polyline_points
+from .svg import Svg, path_from_points
 
 __all__ = [
     "Dashboard",
@@ -30,7 +30,6 @@ __all__ = [
     "grade_counts",
     "grade_unit",
     "path_from_points",
-    "polyline_points",
     "render_detail_chart",
     "render_sparkline",
     "render_stability_figure",

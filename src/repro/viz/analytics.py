@@ -12,7 +12,7 @@ consumer, as in the paper's architecture.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -115,10 +115,6 @@ class FleetAnalytics:
             unit_alarms=int(len(alarms)),
         )
 
-    def unit_status(self, unit_id: int, start: int, end: int) -> UnitStatus:
-        status, _ = self.unit_overview(unit_id, start, end)
-        return status
-
     def unit_overview(
         self, unit_id: int, start: int, end: int
     ) -> Tuple[UnitStatus, List[Series]]:
@@ -126,11 +122,6 @@ class FleetAnalytics:
         anomalies = self.anomaly_series(unit_id, start, end)
         alarms = self.unit_alarm_times(unit_id, start, end)
         return self.unit_status_from(unit_id, anomalies, alarms), anomalies
-
-    def fleet_statuses(
-        self, unit_ids: Sequence[int], start: int, end: int
-    ) -> List[UnitStatus]:
-        return [status for status, _ in self.fleet_overview(unit_ids, start, end)]
 
     def fleet_overview(
         self, unit_ids: Sequence[int], start: int, end: int
@@ -150,17 +141,12 @@ class FleetAnalytics:
         )
 
     # ------------------------------------------------------------------
-    def top_sensors(
-        self, unit_id: int, start: int, end: int, k: int = 8
-    ) -> List[SensorActivity]:
-        """The unit's most anomalous sensors, by flag count then severity."""
-        return self.top_sensors_from(self.anomaly_series(unit_id, start, end), k)
-
     @staticmethod
     def top_sensors_from(
         anomalies: Sequence[Series], k: int = 8
     ) -> List[SensorActivity]:
-        """Rank sensors from an already-fetched anomaly result set."""
+        """The most anomalous sensors of an already-fetched anomaly result
+        set, by flag count then severity."""
         activities: List[SensorActivity] = []
         for series in anomalies:
             if not len(series):

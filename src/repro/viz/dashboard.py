@@ -26,7 +26,7 @@ import numpy as np
 from ..tsdb.query import QueryEngine, TsdbQuery
 from .analytics import FleetAnalytics, SensorActivity
 from .sparkline import render_detail_chart, render_sparkline
-from .statusbar import HealthGrade, UnitStatus, grade_counts, render_status_bar
+from .statusbar import HealthGrade, grade_counts, render_status_bar
 
 __all__ = ["Dashboard"]
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import html
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 from ..simdata.workload import unit_tag
 from .svg import Svg

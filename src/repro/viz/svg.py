@@ -10,9 +10,9 @@ with numeric attributes rounded to keep files compact.
 from __future__ import annotations
 
 import html
-from typing import Iterable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-__all__ = ["Svg", "polyline_points", "path_from_points"]
+__all__ = ["Svg", "path_from_points"]
 
 
 def _fmt(value) -> str:
@@ -62,12 +62,6 @@ class Svg:
         )
         return self
 
-    def polyline(self, points: Sequence[Tuple[float, float]], **kwargs) -> "Svg":
-        self._elements.append(
-            f'<polyline points="{polyline_points(points)}" {_attrs(kwargs)}/>'
-        )
-        return self
-
     def path(self, d: str, **kwargs) -> "Svg":
         self._elements.append(f'<path d="{html.escape(d, quote=True)}" {_attrs(kwargs)}/>')
         return self
@@ -98,11 +92,6 @@ class Svg:
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
             f'height="{height}" viewBox="0 0 {width} {height}"{cls}>{body}</svg>'
         )
-
-
-def polyline_points(points: Iterable[Tuple[float, float]]) -> str:
-    """Format an (x, y) sequence for a ``points`` attribute."""
-    return " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in points)
 
 
 def path_from_points(points: Sequence[Tuple[float, float]]) -> str:

@@ -28,7 +28,7 @@ from repro import (
 )
 from repro.alerting import manager as alert_manager
 from repro.alerting import severity_for
-from repro.alerting.events import CRITICAL_Z, WARNING_Z, latest_open
+from repro.alerting.events import CRITICAL_Z, WARNING_Z
 from repro.alerting.manager import FLEET_UNIT_ID
 from repro.alerting.store import (
     ALERT_INCIDENT_METRIC,
@@ -74,12 +74,6 @@ class TestIncident:
         assert incident.open and incident.duration == 0
         incident.resolved_at = 25
         assert not incident.open and incident.duration == 15
-
-    def test_latest_open(self):
-        a = Incident(1, "unit", 0, opened_at=1, first_event_at=1, resolved_at=5)
-        b = Incident(2, "unit", 0, opened_at=8, first_event_at=7)
-        assert latest_open([a, b]) is b
-        assert latest_open([a]) is None
 
 
 class TestManagerLifecycle:

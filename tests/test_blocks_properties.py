@@ -4,8 +4,7 @@ Three invariant families behind the block redesign:
 
 * point <-> block round trips are lossless (the compatibility shims
   really are shims — no data reshaping hides in them);
-* block algebra (merge, slice) preserves timestamp monotonicity and
-  never invents or drops samples;
+* batch slicing selects exactly the points a point-list slice would;
 * the columnar scan assembler and aggregation over block-backed Series
   are *bit-identical* to the legacy per-point path on random workloads
   and random queries — including the tag-filter push-down, which the
@@ -13,7 +12,6 @@ Three invariant families behind the block redesign:
   after the fact.
 """
 
-import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.tsdb.aggregation import Series
@@ -108,40 +106,6 @@ class TestRoundTrip:
 
 
 class TestBlockAlgebra:
-    @settings(max_examples=50, deadline=None)
-    @given(series_samples, series_samples)
-    def test_merge_is_monotone_and_lossless(self, a_samples, b_samples):
-        a = SeriesBlock.from_points(
-            [DataPoint.make("m", t, v, {"k": "a"}) for t, v in a_samples]
-        )
-        b = SeriesBlock.from_points(
-            [DataPoint.make("m", t, v, {"k": "a"}) for t, v in b_samples]
-        )
-        merged = a.merge(b)
-        ts = merged.timestamps
-        assert len(merged) == len(a) + len(b)
-        assert bool(np.all(ts[1:] >= ts[:-1]))
-        assert sorted(ts.tolist()) == sorted(
-            a.timestamps.tolist() + b.timestamps.tolist()
-        )
-
-    @settings(max_examples=50, deadline=None)
-    @given(
-        series_samples,
-        st.integers(min_value=0, max_value=10_000),
-        st.integers(min_value=0, max_value=10_000),
-    )
-    def test_slice_time_is_exactly_the_window(self, samples, lo, hi):
-        start, end = min(lo, hi), max(lo, hi)
-        block = SeriesBlock.from_points(
-            [DataPoint.make("m", t, v, {"k": "a"}) for t, v in samples]
-        )
-        window = block.slice_time(start, end)
-        ts = window.timestamps
-        assert bool(np.all(ts[1:] >= ts[:-1]))
-        expected = sorted(t for t, _ in samples if start <= t < end)
-        assert ts.tolist() == expected
-
     @settings(max_examples=50, deadline=None)
     @given(st.lists(point_strategy, min_size=1, max_size=60))
     def test_batch_slicing_matches_point_list_slicing(self, raw):

@@ -10,11 +10,9 @@ class TestFixedWidth:
     @pytest.mark.parametrize(
         "enc,dec,bits",
         [
-            (bc.encode_u8, bc.decode_u8, 8),
             (bc.encode_u16, bc.decode_u16, 16),
             (bc.encode_u24, bc.decode_u24, 24),
             (bc.encode_u32, bc.decode_u32, 32),
-            (bc.encode_u64, bc.decode_u64, 64),
         ],
     )
     def test_roundtrip_boundaries(self, enc, dec, bits):
@@ -28,7 +26,6 @@ class TestFixedWidth:
             (bc.encode_u16, 16),
             (bc.encode_u24, 24),
             (bc.encode_u32, 32),
-            (bc.encode_u64, 64),
         ],
     )
     def test_out_of_range_rejected(self, enc, bits):
@@ -42,7 +39,6 @@ class TestFixedWidth:
         assert len(bc.encode_u16(0)) == 2
         assert len(bc.encode_u24(0)) == 3
         assert len(bc.encode_u32(0)) == 4
-        assert len(bc.encode_u64(0)) == 8
 
     def test_big_endian_ordering_matches_numeric(self):
         # The whole point: byte-lexicographic order == numeric order.
@@ -63,22 +59,6 @@ class TestHelpers:
     def test_concat(self):
         assert bc.concat([b"ab", b"", b"c"]) == b"abc"
 
-    def test_increment_key_simple(self):
-        assert bc.increment_key(b"\x00") == b"\x01"
-        assert bc.increment_key(b"ab") == b"ac"
-
-    def test_increment_key_carries(self):
-        assert bc.increment_key(b"a\xff") == b"b"
-        assert bc.increment_key(b"\xff\xff") == b""
-
-    def test_increment_key_empty(self):
-        assert bc.increment_key(b"") == b""
-
-    def test_common_prefix_len(self):
-        assert bc.common_prefix_len(b"abcd", b"abxy") == 2
-        assert bc.common_prefix_len(b"", b"x") == 0
-        assert bc.common_prefix_len(b"same", b"same") == 4
-
 
 class TestProperties:
     @given(st.integers(min_value=0, max_value=(1 << 32) - 1))
@@ -91,21 +71,6 @@ class TestProperties:
     )
     def test_u24_order_preserving(self, a, b):
         assert (a <= b) == (bc.encode_u24(a) <= bc.encode_u24(b))
-
-    @given(st.binary(max_size=12))
-    def test_increment_key_is_strictly_greater(self, key):
-        nxt = bc.increment_key(key)
-        if nxt:  # b"" means "no successor" (all 0xFF)
-            assert nxt > key
-            # and nothing with the original prefix reaches it
-            assert key + b"\xff" * 4 < nxt
-
-    @given(st.binary(max_size=16), st.binary(max_size=16))
-    def test_common_prefix_is_a_prefix(self, a, b):
-        n = bc.common_prefix_len(a, b)
-        assert a[:n] == b[:n]
-        if n < min(len(a), len(b)):
-            assert a[n] != b[n]
 
     @given(st.floats(allow_nan=False))
     def test_f64_roundtrip_prop(self, value):

@@ -73,12 +73,6 @@ class TestFaultPlan:
         with pytest.raises(ValueError):
             FaultEvent(**kwargs)
 
-    def test_with_event_appends_immutably(self):
-        plan = FaultPlan(name="p")
-        grown = plan.with_event(FaultEvent(at=0.0, action="heal", target="node00"))
-        assert len(plan) == 0 and len(grown) == 1
-        assert grown.name == "p"
-
 
 class TestChaosReport:
     def test_downtime_accumulates_closed_intervals(self):

@@ -52,12 +52,6 @@ class TestGauge:
         assert g.max_value == 8.0
         assert g.min_value == 2.0
 
-    def test_add(self):
-        g = Gauge("g")
-        g.add(3.0)
-        g.add(-1.0)
-        assert g.value == 2.0
-
     def test_untouched_watermarks_are_zero_not_inf(self):
         # Regression: a never-set gauge used to report max=-inf/min=+inf.
         g = Gauge("g")
@@ -192,7 +186,6 @@ class TestRegistry:
         reg = MetricsRegistry()
         assert reg.counter("x") is reg.counter("x")
         assert reg.gauge("g") is reg.gauge("g")
-        assert reg.timeseries("t") is reg.timeseries("t")
         assert reg.histogram("h") is reg.histogram("h")
 
 

@@ -18,7 +18,7 @@ def empty_cluster():
 class TestEmptyStore:
     def test_statuses_all_ok(self, empty_cluster):
         analytics = FleetAnalytics(empty_cluster.query_engine())
-        statuses = analytics.fleet_statuses([0, 1, 2], 0, 100)
+        statuses = [s for s, _ in analytics.fleet_overview([0, 1, 2], 0, 100)]
         assert all(s.grade is HealthGrade.OK for s in statuses)
         assert all(s.anomaly_count == 0 for s in statuses)
 
@@ -42,7 +42,7 @@ class TestEmptyStore:
 
     def test_top_sensors_empty(self, empty_cluster):
         analytics = FleetAnalytics(empty_cluster.query_engine())
-        assert analytics.top_sensors(0, 0, 100) == []
+        assert analytics.top_sensors_from(analytics.anomaly_series(0, 0, 100)) == []
 
 
 class TestSparseData:
@@ -62,7 +62,7 @@ class TestSparseData:
             [DataPoint.make("anomaly", 5, 4.2, {"unit": "unit000", "sensor": "s0000"})]
         )
         analytics = FleetAnalytics(empty_cluster.query_engine())
-        status = analytics.unit_status(0, 0, 100)
+        status, _ = analytics.unit_overview(0, 0, 100)
         assert status.anomaly_count == 1
         assert status.grade is not HealthGrade.OK
 

@@ -136,8 +136,6 @@ class TestAggregation:
         assert agg.mean_delay == 2.0
         assert agg.detected_fraction == 0.5
         assert 0 <= agg.mean_family_fdp <= 1
-        row = agg.row()
-        assert "power" in row and "famFDP" in row
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

@@ -85,32 +85,6 @@ class TestPut:
         assert results == [True]
 
 
-class TestGet:
-    def test_get_roundtrip(self):
-        sim, _, _, client = build()
-        client.put("t", cells([b"k"]))
-        sim.run()
-        got = []
-        client.get("t", b"k", b"q", got.append)
-        sim.run()
-        assert got[0].value == b"v-k"
-
-    def test_get_missing_row_returns_none(self):
-        sim, _, _, client = build()
-        got = []
-        client.get("t", b"ghost", b"q", got.append)
-        sim.run()
-        assert got == [None]
-
-    def test_get_with_dead_cluster_returns_none(self):
-        sim, master, servers, client = build(n_servers=1, max_retries=1)
-        servers[0].crash()
-        got = []
-        client.get("t", b"k", b"q", got.append)
-        sim.run()
-        assert got == [None]
-
-
 class TestScan:
     def test_scan_merges_across_regions(self):
         sim, master, _, client = build(n_servers=2, split_keys=[b"m"])

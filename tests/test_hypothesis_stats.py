@@ -6,7 +6,6 @@ from scipy import special, stats
 
 from repro.core.fdr import FDRDetector, FDRDetectorConfig
 from repro.core.hypothesis import (
-    one_sided_pvalues,
     t2_pvalues,
     t2_statistic,
     two_sided_pvalues,
@@ -82,11 +81,6 @@ class TestPValues:
     def test_two_sided_known_value(self):
         assert two_sided_pvalues(np.array([1.959964]))[0] == pytest.approx(0.05, abs=1e-4)
 
-    def test_one_sided_direction(self):
-        p = one_sided_pvalues(np.array([-1.0, 0.0, 3.0]))
-        assert p[0] > 0.5 > p[2]
-        assert p[1] == pytest.approx(0.5)
-
     def test_pvalues_uniform_under_null(self):
         rng = np.random.default_rng(7)
         p = two_sided_pvalues(rng.normal(size=50_000))
@@ -122,7 +116,6 @@ class TestSpecialMatchesStats:
         for z in (np.concatenate(grid), EDGES):  # EDGES alone: list input
             want = 2.0 * stats.norm.sf(np.abs(z))
             assert np.array_equal(two_sided_pvalues(z), want, equal_nan=True)
-            assert np.array_equal(one_sided_pvalues(z), stats.norm.sf(z), equal_nan=True)
 
     def test_chi2_upper_tail(self):
         t = np.concatenate([np.linspace(-5.0, 400.0, 4_051), np.logspace(-300, 3, 200), EDGES])

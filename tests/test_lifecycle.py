@@ -6,7 +6,8 @@ Coverage map:
   (mask + count, newest-write resurrection, physical purge at compact);
 * rollup materialization — watermarks, column series, idempotency;
 * tier routing — bit-identity vs raw for every identical-mode combo,
-  pooled fallback over expired ranges, singleton execution fallback;
+  raw service for every other combination, pooled fallback over
+  expired ranges;
 * downsample validation — type-checked, whole-second windows;
 * retention — TTL floors, too-late drops, expiry-driven cache spans;
 * out-of-order backfill — dirty windows block routing until
@@ -173,58 +174,26 @@ class TestTierRouting:
         routed, raw = run_both(cluster, query)
         assert_bit_identical(routed, raw)
 
-    @pytest.mark.parametrize("ds", ["avg", "sum", "min", "max", "count"])
-    def test_singleton_k1_bit_identical(self, cluster, ds):
-        query = TsdbQuery(
-            METRIC, 0, 7200, aggregator="avg",
-            tag_filters={"unit": "u1", "sensor": "s0"},
-            downsample_window=3600, downsample_aggregator=ds,
-        )
-        plan = cluster.lifecycle.plan(query, record=False)
-        assert plan.case == "singleton" and plan.k == 1
-        routed, raw = run_both(cluster, query)
-        assert_bit_identical(routed, raw)
-
-    def test_singleton_multi_window_bit_identical(self, cluster):
-        query = TsdbQuery(
-            METRIC, 0, 7200, aggregator="min",
-            tag_filters={"unit": "u2", "sensor": "s0"},
-            downsample_window=120, downsample_aggregator="count",
-        )
-        plan = cluster.lifecycle.plan(query, record=False)
-        assert plan.case == "singleton" and plan.tier == "1m" and plan.k == 2
-        routed, raw = run_both(cluster, query)
-        assert_bit_identical(routed, raw)
-
     def test_group_by_singleton_bit_identical(self, cluster):
+        # every group holds one series, yet avg/avg is not a pair combo:
+        # served raw, never from a tier
         query = TsdbQuery(
             METRIC, 0, 7200, aggregator="avg", group_by=("unit",),
             downsample_window=3600, downsample_aggregator="avg",
         )
+        assert cluster.lifecycle.plan(query, record=False).mode == "raw"
         routed, raw = run_both(cluster, query)
         assert len(routed) == 3
         assert_bit_identical(routed, raw)
 
     def test_float_sum_across_windows_not_routed(self, cluster):
-        # float sums cannot be reordered bit-identically: at k > 1 no
-        # singleton kernel applies and (sum, sum) is not a pair combo
+        # float sums cannot be reordered bit-identically: (sum, sum) is
+        # not a pair combo
         query = TsdbQuery(
             METRIC, 0, 7200, aggregator="sum",
             downsample_window=7200, downsample_aggregator="sum",
         )
         assert cluster.lifecycle.plan(query, record=False).tier == "raw"
-
-    def test_singleton_fallback_on_multiseries_group(self, cluster):
-        lm = cluster.lifecycle
-        before = lm.metrics.counter("lifecycle.fallback").get()
-        # planned as singleton (avg/avg), but the one group holds 3 series
-        query = TsdbQuery(
-            METRIC, 0, 7200, aggregator="avg",
-            downsample_window=3600, downsample_aggregator="avg",
-        )
-        routed, raw = run_both(cluster, query)
-        assert_bit_identical(routed, raw)
-        assert lm.metrics.counter("lifecycle.fallback").get() == before + 1
 
     def test_unaligned_range_goes_raw(self, cluster):
         query = TsdbQuery(
@@ -286,21 +255,21 @@ class TestRpcPathTierRouting:
         return cluster
 
     @pytest.mark.parametrize(
-        "agg, ds, start, group_by, case",
+        "agg, ds, start, group_by, mode",
         [
-            ("min", "min", 10800, (), "pair"),
+            ("min", "min", 10800, (), "identical"),
             ("sum", "sum", 0, (), "pooled"),
             ("max", "max", 0, ("unit",), "pooled"),
             ("avg", "avg", 0, (), "pooled"),
             ("avg", "avg", 0, ("unit",), "pooled"),
         ],
     )
-    def test_execute_sync_matches_engine(self, cluster, agg, ds, start, group_by, case):
+    def test_execute_sync_matches_engine(self, cluster, agg, ds, start, group_by, mode):
         query = TsdbQuery(
             METRIC, start, start + 3600, group_by=group_by, aggregator=agg,
             downsample_window=3600, downsample_aggregator=ds,
         )
-        assert cluster.lifecycle.plan(query, record=False).case == case
+        assert cluster.lifecycle.plan(query, record=False).mode == mode
         expected = cluster.query_engine().run(query)
         assert expected
         result = cluster.async_query_executor().execute_sync(query)

@@ -1,6 +1,6 @@
 """Property tests for the lifecycle tier's core invariants.
 
-Four invariant families, on randomized workloads:
+Five invariant families, on randomized workloads:
 
 * **re-aggregation closure** — materialized count/sum/min/max columns
   are bitwise equal to the downsample kernels applied to raw, so
@@ -12,7 +12,10 @@ Four invariant families, on randomized workloads:
   floor, and the floor never overtakes a tier watermark;
 * **tier-routing bit-identity** — whenever the planner picks an
   identical-mode plan, the routed answer equals the raw answer bit for
-  bit (pooled mode is a documented deviation and is excluded).
+  bit (pooled mode is a documented deviation and is excluded);
+* **one way to serve a tier plan** — every tier-served plan is a set of
+  column rewrites, and the RPC read path answers it exactly as the
+  engine does.
 """
 
 import numpy as np
@@ -155,26 +158,43 @@ class TestExpirySafety:
         assert report["ok"] is True
 
 
+# a routed query: (per-series samples, aggregator, downsample
+# aggregator, window, filter to one unit?)
+routing_cases = (
+    st.lists(samples, min_size=1, max_size=3),
+    st.sampled_from(["avg", "sum", "min", "max", "count"]),
+    st.sampled_from(["avg", "sum", "min", "max", "count"]),
+    st.sampled_from([60, 120, 3600, 7200]),
+    st.booleans(),
+)
+
+
+def routed_query(agg, ds, window, filt):
+    return TsdbQuery(
+        METRIC,
+        0,
+        7200,
+        aggregator=agg,
+        tag_filters={"unit": "u0"} if filt else {},
+        downsample_window=window,
+        downsample_aggregator=ds,
+    )
+
+
+def assert_same_series(got, expected):
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert a.tags == b.tags
+        assert np.array_equal(a.timestamps, b.timestamps)
+        assert np.array_equal(a.values, b.values, equal_nan=True)
+
+
 class TestRoutingBitIdentity:
     @settings(max_examples=25, deadline=None)
-    @given(
-        st.lists(samples, min_size=1, max_size=3),
-        st.sampled_from(["avg", "sum", "min", "max", "count"]),
-        st.sampled_from(["avg", "sum", "min", "max", "count"]),
-        st.sampled_from([60, 120, 3600, 7200]),
-        st.booleans(),
-    )
+    @given(*routing_cases)
     def test_identical_plans_are_bit_identical(self, per_series, agg, ds, window, filt):
         cluster = make_cluster(per_series)
-        query = TsdbQuery(
-            METRIC,
-            0,
-            7200,
-            aggregator=agg,
-            tag_filters={"unit": "u0"} if filt else {},
-            downsample_window=window,
-            downsample_aggregator=ds,
-        )
+        query = routed_query(agg, ds, window, filt)
         plan = cluster.lifecycle.plan(query, record=False)
         routed_engine = cluster.query_engine()
         raw_engine = cluster.query_engine()
@@ -184,8 +204,21 @@ class TestRoutingBitIdentity:
         if plan.mode == "pooled":
             return  # documented deviation, not bit-identical by contract
         # identical-mode plans (and raw fallbacks) must agree exactly
-        assert len(routed) == len(raw)
-        for a, b in zip(routed, raw):
-            assert a.tags == b.tags
-            assert np.array_equal(a.timestamps, b.timestamps)
-            assert np.array_equal(a.values, b.values, equal_nan=True)
+        assert_same_series(routed, raw)
+
+
+class TestOneWayToServeATierPlan:
+    @settings(max_examples=25, deadline=None)
+    @given(*routing_cases)
+    def test_rpc_path_serves_every_plan_as_the_engine_does(
+        self, per_series, agg, ds, window, filt
+    ):
+        cluster = make_cluster(per_series)
+        query = routed_query(agg, ds, window, filt)
+        plan = cluster.lifecycle.plan(query, record=False)
+        if plan.tier_served:
+            assert cluster.lifecycle.router.rewrites(query, plan) is not None
+        expected = cluster.query_engine().run(query)
+        result = cluster.async_query_executor().execute_sync(query)
+        assert result.complete
+        assert_same_series(result.series, expected)

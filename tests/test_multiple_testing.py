@@ -9,7 +9,6 @@ from repro.core.multiple_testing import (
     apply_procedure,
     benjamini_hochberg,
     benjamini_yekutieli,
-    bh_threshold,
     bonferroni,
     family_wise_error_probability,
     holm,
@@ -122,21 +121,6 @@ class TestBatching:
         P = rng.random((4, 5, 8))
         out = benjamini_hochberg(P, 0.05)
         assert out.shape == P.shape
-
-
-class TestBhThreshold:
-    def test_threshold_matches_rejections(self):
-        rng = np.random.default_rng(3)
-        p = rng.random(40) ** 3
-        thr = bh_threshold(p, 0.05)
-        rejected = benjamini_hochberg(p, 0.05)
-        if thr == 0.0:
-            assert not rejected.any()
-        else:
-            assert np.array_equal(rejected, p <= thr)
-
-    def test_empty(self):
-        assert bh_threshold(np.empty(0)) == 0.0
 
 
 class TestFWERFormula:

@@ -109,17 +109,6 @@ class TestStopStart:
         sim.run()
         assert done == ["x"]
 
-    def test_node_fail_stops_all_servers(self):
-        sim = Simulator()
-        node = Node(sim, "h")
-        s1, s2 = Server(sim, "s1"), Server(sim, "s2")
-        node.add_server(s1)
-        node.add_server(s2)
-        node.fail()
-        assert s1.stopped and s2.stopped and not node.up
-        node.restart()
-        assert not s1.stopped and not s2.stopped and node.up
-
 
 class TestUtilization:
     def test_utilization_fraction(self):

@@ -110,22 +110,9 @@ class TestTelemetryRouting:
 class TestTracer:
     def test_disabled_returns_the_null_span_singleton(self):
         tracer = Tracer()
-        assert tracer.span("a") is NULL_SPAN
         assert tracer.begin("b", batch_id=1) is NULL_SPAN
-        with tracer.span("c") as sp:
-            sp.annotate(x=1)
-            sp.end()
+        tracer.begin("c").end(x=1)
         assert len(tracer) == 0
-
-    def test_with_spans_nest_via_tls(self):
-        tracer = Tracer(enabled=True)
-        with tracer.span("outer") as outer:
-            with tracer.span("inner"):
-                pass
-        by_name = {r.name: r for r in tracer.records}
-        assert by_name["inner"].parent_id == outer.span_id
-        assert by_name["outer"].parent_id is None
-        assert by_name["inner"].start >= by_name["outer"].start
 
     def test_begin_takes_explicit_parent_and_inherits_batch(self):
         tracer = Tracer(enabled=True)
@@ -275,6 +262,42 @@ class TestSelfReporter:
                                       tag_filters={"host": "tsd00"}))
         assert len(series) == 1
         assert series[0].values.tolist() == [1.0, 0.0]
+
+    def test_stamps_follow_the_sim_clock(self):
+        # Regression: each flush was forced one second past the last, so
+        # half-second flushes ran ahead of the clock (30 s of them were
+        # stamped 1..60), and fault windows written afterwards landed
+        # after the run instead of over the dips they caused.
+        cluster = build_cluster(n_nodes=1, retain_data=True)
+        run_telemetry = Telemetry()
+        run_telemetry.counter("engine.units_scored").inc(3)
+        report = ChaosReport()
+        report.mark_down("tsd00", 1.0)
+        report.mark_down("rs00", 1.2)
+        report.mark_up("rs00", 1.7)
+        report.mark_up("tsd00", 3.0)
+        reporter = SelfReporter(
+            cluster, extra=(run_telemetry,), interval=0.5, chaos_report=report
+        )
+        reporter.start()
+        cluster.sim.run(until=30.0)
+        reporter.stop()
+        assert reporter.flushes >= 59
+        engine = cluster.query_engine()
+        (scored,) = engine.run(TsdbQuery("engine.units_scored", 0, 100))
+        assert scored.timestamps.max() <= int(cluster.sim.now)
+        assert scored.values.tolist() == [3.0] * len(scored)
+
+        assert reporter.write_chaos_windows() == 4
+        stored = {
+            s.tag_dict["host"]: (s.timestamps.tolist(), s.values.tolist())
+            for s in engine.run(
+                TsdbQuery("chaos.down", 0, 100, group_by=("host",), aggregator="max")
+            )
+        }
+        # [1.0, 3.0) -> 1..3; [1.2, 1.7) shares second 1, so its up edge
+        # moves to the next second rather than overwrite the down edge
+        assert stored == {"tsd00": ([1, 3], [1.0, 0.0]), "rs00": ([1, 2], [1.0, 0.0])}
 
     def test_interval_must_be_positive(self):
         cluster = build_cluster(n_nodes=1)

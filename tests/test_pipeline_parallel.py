@@ -375,11 +375,3 @@ class TestRunInstrumentation:
         )  # publish=True but no cluster attached
         assert result.data_publish is None and result.anomaly_publish is None
         assert result.publish_acks == 0 and result.publish_retries == 0
-
-    def test_evaluate_unit_keyword_api(self, generator):
-        pipeline = AnomalyPipeline(generator)
-        pipeline.train(unit_ids=[0], n_train=120)
-        report = pipeline.evaluate_unit(0, n_eval=90, publish=False)
-        assert report.pvalues.shape == (90, 12)
-        with pytest.raises(TypeError):
-            pipeline.evaluate_unit(0, 90)  # n_eval is keyword-only now

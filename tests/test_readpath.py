@@ -165,3 +165,26 @@ class TestReadDuringCrash:
         assert result.complete
         assert result.staleness == 0.0
         assert sum(len(s) for s in result.series) == 120
+
+    def test_factory_client_counts_into_the_deployment_telemetry(self):
+        # Regression: the factory's client counted into a private
+        # registry, so the deployment never saw its retries, hedges or
+        # follower reads.
+        cluster = replicated_cluster(replication_factor=2)
+        cluster.servers[0].crash()
+        result = cluster.async_query_executor().execute_sync(
+            TsdbQuery("energy", 0, 200, aggregator="sum"),
+            consistency="timeline",
+            deadline=0.05,
+            hedge_delay=0.02,
+        )
+        assert result.complete and result.follower_reads > 0
+        counters = {
+            name: cluster.metrics.counter(f"client.{name}").get()
+            for name in ("follower_reads", "hedges", "scan_retries")
+        }
+        assert counters == {
+            "follower_reads": result.follower_reads,
+            "hedges": result.hedges,
+            "scan_retries": result.retries,
+        }

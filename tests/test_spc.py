@@ -67,12 +67,6 @@ class TestCusum:
         flags = CusumChart().flags(model, x)
         assert flags[150:, 1].any()
 
-    def test_statistics_nonnegative_and_spike(self, model):
-        x = shifted_data(n=300, shift_sigma=2.0)
-        stats = CusumChart().statistics(model, x)
-        assert np.all(stats >= 0)
-        assert stats[150:, 2].max() > stats[:100, 2].max()
-
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             CusumChart(k=-0.1)

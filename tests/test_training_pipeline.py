@@ -208,7 +208,7 @@ class TestPipeline:
     def test_model_reuse_between_calls(self, generator):
         pipeline = AnomalyPipeline(generator)
         pipeline.train(unit_ids=[3], n_train=120)
-        report = pipeline.evaluate_unit(3, n_eval=80, publish=False)
+        report = pipeline.engine.evaluate_unit(3, 80).report
         assert report.unit_id == 3
 
     def test_missing_model_raises(self, generator):

@@ -149,7 +149,7 @@ class _StubTsd:
 
     def __init__(self, name, behaviours, hostname="stub-host"):
         self.name = name
-        self.node = SimpleNamespace(hostname=hostname, up=True)
+        self.node = SimpleNamespace(hostname=hostname)
         self.crashed = False
         self.behaviours = list(behaviours)
         self.calls = []
@@ -276,16 +276,6 @@ class TestProxyHardening:
         assert sum(a.written for a in acks) == 8
         assert cluster.tsds[0].points_received == 0
         assert cluster.tsds[1].points_received == 8
-
-    def test_downed_node_skipped_in_rotation(self, stub_proxy):
-        sim, proxy, (up, down) = stub_proxy([["ok"], ["ok"]])
-        down.node.up = False
-        acks = []
-        for i in range(4):
-            proxy.submit(points(2, t0=100 * i), acks.append)
-        sim.run()
-        assert sum(a.written for a in acks) == 8
-        assert not down.calls and len(up.calls) == 4
 
     def test_validation_of_hardening_knobs(self):
         cluster = small_cluster()

@@ -83,68 +83,6 @@ class TestUidRegistry:
         assert reg.known("metric", "m")
 
 
-class TestUidPersistence:
-    def build_master(self):
-        from repro.cluster.network import Network
-        from repro.cluster.node import Node
-        from repro.cluster.simulation import Simulator
-        from repro.hbase.master import HMaster
-        from repro.hbase.regionserver import RegionServer
-
-        sim = Simulator()
-        net = Network(sim)
-        master = HMaster()
-        node = Node(sim, "h0")
-        master.register_server(RegionServer(sim, net, node, "rs0"))
-        return master
-
-    def populated_registry(self):
-        reg = UniqueIdRegistry()
-        reg.get_or_create("metric", "energy")
-        reg.get_or_create("metric", "anomaly")
-        for i in range(5):
-            reg.get_or_create("tagk", f"k{i}")
-            reg.get_or_create("tagv", f"v{i}")
-        return reg
-
-    def test_roundtrip(self):
-        master = self.build_master()
-        reg = self.populated_registry()
-        written = reg.persist_to(master)
-        assert written == 2 * (2 + 5 + 5)  # forward + reverse per name
-        loaded = UniqueIdRegistry.load_from(master)
-        for kind in ("metric", "tagk", "tagv"):
-            for name in reg.names(kind):
-                assert loaded.get(kind, name) == reg.get(kind, name)
-
-    def test_reloaded_registry_continues_assignment(self):
-        master = self.build_master()
-        reg = self.populated_registry()
-        reg.persist_to(master)
-        loaded = UniqueIdRegistry.load_from(master)
-        fresh = loaded.get_or_create("metric", "brand-new")
-        # must not collide with any persisted uid
-        assert fresh != reg.get("metric", "energy")
-        assert fresh != reg.get("metric", "anomaly")
-
-    def test_persist_idempotent(self):
-        master = self.build_master()
-        reg = self.populated_registry()
-        reg.persist_to(master)
-        reg.persist_to(master)  # overwrite same cells
-        loaded = UniqueIdRegistry.load_from(master)
-        assert loaded.count("metric") == 2
-
-    def test_reverse_rows_present(self):
-        master = self.build_master()
-        reg = self.populated_registry()
-        reg.persist_to(master)
-        reverse_rows = [
-            c for c in master.direct_scan("tsdb-uid") if c.row.startswith(b"r:")
-        ]
-        assert len(reverse_rows) == 12
-
-
 def make_key_inputs(reg: UniqueIdRegistry, metric="energy", unit="u1", sensor="s1"):
     metric_uid = reg.get_or_create("metric", metric)
     tag_pairs = reg.encode_tags({"unit": unit, "sensor": sensor})

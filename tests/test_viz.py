@@ -20,7 +20,7 @@ from repro.viz import (
     render_status_bar,
 )
 from repro.viz import dashboard as dashboard_module
-from repro.viz.svg import path_from_points, polyline_points
+from repro.viz.svg import path_from_points
 
 
 class TestSvg:
@@ -48,7 +48,6 @@ class TestSvg:
 
     def test_polyline_and_path_helpers(self):
         pts = [(0.0, 1.0), (2.5, 3.25)]
-        assert polyline_points(pts) == "0,1 2.5,3.25"
         assert path_from_points(pts).startswith("M 0 1 L 2.5")
         assert path_from_points([(0, 0)]) == ""
 
@@ -151,7 +150,7 @@ class TestAnalytics:
     def test_unit_statuses(self, published_cluster):
         generator, cluster = published_cluster
         analytics = FleetAnalytics(cluster.query_engine())
-        statuses = analytics.fleet_statuses(list(generator.units()), 200, 400)
+        statuses = [s for s, _ in analytics.fleet_overview(list(generator.units()), 200, 400)]
         assert len(statuses) == 4
         faulted = [u for u in generator.units() if generator.fault_for(u, 200)]
         for status in statuses:
@@ -161,7 +160,7 @@ class TestAnalytics:
     def test_summary(self, published_cluster):
         generator, cluster = published_cluster
         analytics = FleetAnalytics(cluster.query_engine())
-        statuses = analytics.fleet_statuses(list(generator.units()), 200, 400)
+        statuses = [s for s, _ in analytics.fleet_overview(list(generator.units()), 200, 400)]
         summary = analytics.summary(statuses)
         assert summary.n_units == 4
         assert summary.total_anomalies == sum(s.anomaly_count for s in statuses)
@@ -172,7 +171,7 @@ class TestAnalytics:
         generator, cluster = published_cluster
         analytics = FleetAnalytics(cluster.query_engine())
         faulted = [u for u in generator.units() if generator.fault_for(u, 200)]
-        top = analytics.top_sensors(faulted[0], 200, 400, k=5)
+        top = analytics.top_sensors_from(analytics.anomaly_series(faulted[0], 200, 400), k=5)
         counts = [a.anomaly_count for a in top]
         assert counts == sorted(counts, reverse=True)
 
