@@ -1,4 +1,4 @@
-"""Benchmark harness: experiment registry and paper-comparison tables."""
+"""Benchmark harness: the E1–E18 experiment registry, their claims and records."""
 
 from .experiments import (
     PAPER_FIG2_LEFT,
@@ -11,7 +11,6 @@ from .harness import (
     ExperimentResult,
     Table,
     format_rate,
-    write_json_result,
 )
 
 __all__ = [
@@ -23,5 +22,4 @@ __all__ = [
     "Table",
     "format_rate",
     "run_ingestion",
-    "write_json_result",
 ]

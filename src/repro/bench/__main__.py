@@ -1,8 +1,11 @@
-"""CLI: ``python -m repro.bench [E1 ...] [--quick]``.
+"""CLI: ``python -m repro.bench [E1 ...] [--quick] [--list]``.
 
-Runs the named experiments (all of them by default) and prints the
-paper-comparison tables.  ``--quick`` shrinks every workload for a fast
-sanity pass; full-scale runs are what EXPERIMENTS.md records.
+Runs the named experiments (all of them by default), prints the
+paper-comparison tables and every claim.  A full-size run also runs
+the quick form and writes one record per experiment to
+``benchmarks/records/<id>.json`` (the Fig. 2 SVGs land beside them);
+``--quick`` runs only the quick form and writes nothing.  The exit
+status is 1 when any claim is false.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ import argparse
 import sys
 import time
 
+from . import harness
 from .experiments import REGISTRY
 
 
@@ -24,46 +28,47 @@ def main(argv: list[str] | None = None) -> int:
         nargs="*",
         help="experiment ids (see --list); default: all",
     )
-    parser.add_argument("--quick", action="store_true", help="shrunken CI-speed workloads")
-    parser.add_argument("--list", action="store_true", help="list available experiments")
     parser.add_argument(
-        "--markdown",
-        metavar="FILE",
-        help="also write the results as a markdown report to FILE",
+        "--quick", action="store_true", help="only the CI-sized form; writes no record"
     )
+    parser.add_argument("--list", action="store_true", help="list available experiments")
     args = parser.parse_args(argv)
 
     available = REGISTRY.available()
+    in_order = sorted(available, key=lambda exp_id: int(exp_id[1:]))
     if args.list:
-        for exp_id, description in sorted(available.items()):
-            print(f"{exp_id.upper():4s} {description}")
+        for exp_id in in_order:
+            print(f"{exp_id.upper():4s} {available[exp_id]}")
         return 0
 
-    targets = [e.lower() for e in args.experiments] or sorted(available)
+    targets = [e.lower() for e in args.experiments] or in_order
     unknown = [t for t in targets if t not in available]
     if unknown:
         print(f"unknown experiments: {', '.join(unknown)}", file=sys.stderr)
-        print(f"available: {', '.join(sorted(available))}", file=sys.stderr)
+        print(f"available: {', '.join(in_order)}", file=sys.stderr)
         return 2
 
-    results = []
+    failed = []
     for target in targets:
         started = time.perf_counter()
         result = REGISTRY.run(target, quick=args.quick)
-        elapsed = time.perf_counter() - started
-        results.append((result, elapsed))
         print(result.render())
-        print(f"\n[{target.upper()} completed in {elapsed:.1f}s]\n")
+        forms = [("quick" if args.quick else "full", result)]
+        if not args.quick:
+            quick = REGISTRY.run(target, quick=True)
+            forms.append(("quick", quick))
+            path = harness.write_record(result, quick, harness.RECORDS_DIR)
+            print(f"\nrecord written to {path}")
+        failed += [
+            f"{target.upper()} ({form}): {name}"
+            for form, run in forms
+            for name in run.failed_claims()
+        ]
+        print(f"\n[{target.upper()} completed in {time.perf_counter() - started:.1f}s]\n")
 
-    if args.markdown:
-        with open(args.markdown, "w") as fh:
-            fh.write("# Benchmark report\n\n")
-            if args.quick:
-                fh.write("> quick mode — shrunken workloads, not paper scale\n\n")
-            for result, elapsed in results:
-                fh.write(result.to_markdown())
-                fh.write(f"\n\n*completed in {elapsed:.1f}s*\n\n---\n\n")
-        print(f"markdown report written to {args.markdown}")
+    if failed:
+        print("false claims:\n  " + "\n  ".join(failed), file=sys.stderr)
+        return 1
     return 0
 
 

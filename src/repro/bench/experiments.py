@@ -3,22 +3,28 @@
 Each experiment regenerates one paper artifact — a figure, a table, or
 a key quantitative claim — and returns an
 :class:`~repro.bench.harness.ExperimentResult` whose rows sit next to
-the published values.  ``quick=True`` shrinks workloads for CI; the
-default parameters are the paper-comparison scale.
+the published values, with every shape it asserts as a named claim.
+Each takes only ``quick``: the full size is held as constants inside
+the experiment, and ``quick=True`` is the CI-sized form the tier-1
+replay test reruns against the experiment's record.  No experiment
+writes a file; figures come back as SVG text.
 """
 
 from __future__ import annotations
 
 import gc
+import hashlib
+import tempfile
 import time
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..chaos import FaultEvent, FaultPlan, Injector
 from ..hbase.client import HTableClient
-from ..core.fdr import FDRDetector, FDRDetectorConfig
+from ..core.fdr import AnomalyReport, FDRDetector, FDRDetectorConfig
 from ..core.metrics import aggregate_outcomes, evaluate_flags
+from ..core.model import UnitModel
 from ..core.multiple_testing import family_wise_error_probability, uncorrected
 from ..core.online import OnlineEvaluator
 from ..core.pipeline import AnomalyPipeline
@@ -124,17 +130,18 @@ def _procedure_sweep(
 # ----------------------------------------------------------------------
 # E1 — Figure 2 (left): throughput vs cluster size
 # ----------------------------------------------------------------------
+def _paper_throughput(n_nodes: int) -> float:
+    """The paper's Fig. 2 value at ``n_nodes``, or its 30-node per-node rate scaled."""
+    return PAPER_FIG2_LEFT.get(n_nodes, PAPER_FIG2_LEFT[30] * n_nodes / 30)
+
+
 @REGISTRY.register("E1", "Fig. 2 left — ingestion throughput vs cluster size")
-def e1_ingestion_scaling(
-    nodes: Sequence[int] = (10, 15, 20, 25, 30),
-    duration: float = 1.5,
-    warmup: float = 0.75,
-    offered_rate: float = 600_000.0,
-    quick: bool = False,
-    figure_path: Optional[str] = None,
-) -> ExperimentResult:
+def e1_ingestion_scaling(quick: bool = False) -> ExperimentResult:
+    nodes: Sequence[int]
     if quick:
-        nodes, duration, warmup, offered_rate = (4, 8), 0.75, 0.5, 200_000.0
+        nodes, duration, warmup, offered_rate = (2, 4), 0.25, 0.25, 70_000.0
+    else:
+        nodes, duration, warmup, offered_rate = (10, 15, 20, 25, 30), 0.75, 0.4, 600_000.0
     table = Table(
         "Ingestion throughput vs cluster size (salted keys, proxy on)",
         ["nodes", "measured", "paper", "per-node", "skew", "crashes"],
@@ -161,7 +168,10 @@ def e1_ingestion_scaling(
     r2 = (
         float(np.corrcoef(ns, ts)[0, 1] ** 2) if len(ns) > 1 else float("nan")
     )
-    result = ExperimentResult(
+    from ..viz.figures import render_throughput_figure
+
+    largest, top = throughputs[-1]
+    return ExperimentResult(
         "E1",
         "Figure 2 (left): linear ingestion scale-up",
         [table],
@@ -172,30 +182,31 @@ def e1_ingestion_scaling(
         ],
         numbers={"slope": slope, "r2": r2,
                  **{f"throughput_{n}": t for n, t in throughputs}},
+        claims={
+            "throughput_rises_with_every_node_count": all(
+                a < b for (_, a), (_, b) in zip(throughputs, throughputs[1:])
+            ),
+            "linear_fit_r2_at_least_0.98": r2 >= 0.98,
+            "slope_within_2x_of_paper_11k_per_node": 5_500 <= slope <= 22_000,
+            "largest_cluster_within_2x_of_paper": (
+                abs(top - _paper_throughput(largest)) <= _paper_throughput(largest)
+            ),
+        },
+        figures={"fig2_left.svg": render_throughput_figure(reports, PAPER_FIG2_LEFT)},
     )
-    if figure_path is not None:
-        from ..viz.figures import render_throughput_figure
-
-        with open(figure_path, "w") as fh:
-            fh.write(render_throughput_figure(reports, PAPER_FIG2_LEFT))
-        result.notes.append(f"figure written to {figure_path}")
-    return result
 
 
 # ----------------------------------------------------------------------
 # E2 — Figure 2 (right): ingestion stability over time
 # ----------------------------------------------------------------------
 @REGISTRY.register("E2", "Fig. 2 right — cumulative samples vs time (stability)")
-def e2_ingestion_stability(
-    nodes: Sequence[int] = (10, 20, 30),
-    duration: float = 2.0,
-    offered_rate: float = 600_000.0,
-    step: float = 0.5,
-    quick: bool = False,
-    figure_path: Optional[str] = None,
-) -> ExperimentResult:
+def e2_ingestion_stability(quick: bool = False) -> ExperimentResult:
+    nodes: Sequence[int]
     if quick:
-        nodes, duration, offered_rate, step = (4,), 1.0, 200_000.0, 0.25
+        nodes, duration, offered_rate = (2,), 0.75, 50_000.0
+    else:
+        nodes, duration, offered_rate = (10, 20, 30), 1.5, 600_000.0
+    step = 0.25
     table = Table(
         "Cumulative samples ingested vs time",
         ["nodes"] + [f"t={step * (i + 1):.2f}s" for i in range(int(duration / step))]
@@ -220,36 +231,33 @@ def e2_ingestion_stability(
             *[f"{v / 1e6:.2f}M" for v in cum],
             f"{cv:.3f}",
         )
-    result = ExperimentResult(
+    from ..viz.figures import render_stability_figure
+
+    return ExperimentResult(
         "E2",
         "Figure 2 (right): stable per-configuration ingestion rate",
         [table],
         notes=["low rate CV (steady slope) reproduces the constant-rate lines"],
         numbers={f"cv_{n}": cv for n, cv in cvs.items()},
+        claims={"rate_cv_below_0.25_at_every_size": all(cv < 0.25 for cv in cvs.values())},
+        figures={"fig2_right.svg": render_stability_figure(reports, step)},
     )
-    if figure_path is not None:
-        from ..viz.figures import render_stability_figure
-
-        with open(figure_path, "w") as fh:
-            fh.write(render_stability_figure(reports, step))
-        result.notes.append(f"figure written to {figure_path}")
-    return result
 
 
 # ----------------------------------------------------------------------
 # E3 — §IV: family-wise false-alarm growth
 # ----------------------------------------------------------------------
 @REGISTRY.register("E3", "§IV — false-alarm probability vs sensor count")
-def e3_fwer_growth(
-    alpha: float = 0.05,
-    sensor_counts: Sequence[int] = (1, 5, 10, 50, 100, 500, 1000),
-    n_trials: int = 2000,
-    quick: bool = False,
-    seed: int = 123,
-) -> ExperimentResult:
+def e3_fwer_growth(quick: bool = False) -> ExperimentResult:
+    # ``tolerance``: how far the Monte-Carlo estimate may sit from the
+    # analytic value at this trial count.
+    sensor_counts: Sequence[int]
     if quick:
-        sensor_counts, n_trials = (1, 10, 100), 400
-    rng = np.random.default_rng(seed)
+        sensor_counts, n_trials, tolerance = (1, 10, 100), 400, 0.05
+    else:
+        sensor_counts, n_trials, tolerance = (1, 5, 10, 50, 100, 500, 1000), 4000, 0.03
+    alpha = 0.05
+    rng = np.random.default_rng(123)
     table = Table(
         f"P(at least one false alarm), per-test alpha = {alpha}",
         ["m sensors", "analytic 1-(1-a)^m", "Monte-Carlo", "paper"],
@@ -274,6 +282,15 @@ def e3_fwer_growth(
         [table],
         notes=["the paper's worked example: 5% at m=1 grows to 40% at m=10"],
         numbers=numbers,
+        claims={
+            "monte_carlo_within_tolerance_of_analytic": all(
+                abs(numbers[f"empirical_{m}"] - numbers[f"analytic_{m}"]) <= tolerance
+                for m in sensor_counts
+            ),
+            "five_percent_at_one_sensor": abs(numbers["analytic_1"] - 0.05) <= 0.05e-6,
+            "forty_percent_at_ten_sensors": abs(numbers["analytic_10"] - 0.4013) <= 1e-3,
+            "near_certain_at_the_largest_count": numbers[f"analytic_{sensor_counts[-1]}"] > 0.99,
+        },
     )
 
 
@@ -281,20 +298,14 @@ def e3_fwer_growth(
 # E4 — §IV: FDR vs Bonferroni vs uncorrected (+ SPC baselines)
 # ----------------------------------------------------------------------
 @REGISTRY.register("E4", "§IV — FDR reduces false alarms while keeping power")
-def e4_fdr_false_alarms(
-    n_units: int = 40,
-    n_sensors: int = 200,
-    n_train: int = 500,
-    n_eval: int = 500,
-    q: float = 0.05,
-    window: int = 32,
-    seed: int = 29,
-    quick: bool = False,
-) -> ExperimentResult:
+def e4_fdr_false_alarms(quick: bool = False) -> ExperimentResult:
     if quick:
         n_units, n_sensors, n_train, n_eval = 10, 60, 250, 250
+    else:
+        n_units, n_sensors, n_train, n_eval = 40, 200, 500, 500
+    q, window = 0.05, 32
     generator = FleetGenerator(
-        FleetConfig(n_units=n_units, n_sensors=n_sensors, seed=seed)
+        FleetConfig(n_units=n_units, n_sensors=n_sensors, seed=29)
     )
     q_levels = (0.01, 0.05, 0.1, 0.2)
     sweep = _procedure_sweep(
@@ -366,6 +377,7 @@ def e4_fdr_false_alarms(
         numbers[f"q{q_level}_fdp"] = agg.mean_family_fdp
         numbers[f"q{q_level}_power"] = agg.mean_power
 
+    n = numbers
     return ExperimentResult(
         "E4",
         "FDR (BH) controls the false-discovery proportion with more power than FWER control",
@@ -375,6 +387,19 @@ def e4_fdr_false_alarms(
             "with power above bonferroni/holm/by",
         ],
         numbers=numbers,
+        claims={
+            "uncorrected_alarms_on_most_null_steps": n["none_null_rate"] > 0.8,
+            "bh_null_rate_below_0.2": n["bh_null_rate"] < 0.2,
+            "bh_family_fdp_below_0.12": n["bh_family_fdp"] < 0.12,
+            "bh_null_rate_under_quarter_of_uncorrected": (
+                n["bh_null_rate"] < n["none_null_rate"] / 4
+            ),
+            "power_uncorrected_ge_bh_ge_bonferroni": (
+                n["none_power"] >= n["bh_power"] >= n["bonferroni_power"]
+            ),
+            "bh_power_ge_by": n["bh_power"] >= n["by_power"],
+            "bh_keeps_80pct_of_uncorrected_power": n["bh_power"] > 0.8 * n["none_power"],
+        },
     )
 
 
@@ -382,19 +407,11 @@ def e4_fdr_false_alarms(
 # E5 — §IV-A: online evaluation throughput
 # ----------------------------------------------------------------------
 @REGISTRY.register("E5", "§IV-A — online evaluation throughput (wall-clock)")
-def e5_online_throughput(
-    n_sensors: int = 1000,
-    n_train: int = 600,
-    n_eval: int = 4000,
-    batch: int = 250,
-    window: int = 32,
-    quick: bool = False,
-    seed: int = 31,
-) -> ExperimentResult:
-    if quick:
-        n_sensors, n_eval = 200, 1000
+def e5_online_throughput(quick: bool = False) -> ExperimentResult:
+    n_sensors, n_eval = (200, 1000) if quick else (1000, 2000)
+    n_train, batch, window, latency_calls = 600, 250, 32, 200
     generator = FleetGenerator(
-        FleetConfig(n_units=1, n_sensors=n_sensors, seed=seed, fault_mix=(1.0, 0.0, 0.0))
+        FleetConfig(n_units=1, n_sensors=n_sensors, seed=31, fault_mix=(1.0, 0.0, 0.0))
     )
     detector = FDRDetector(FDRDetectorConfig(window=window))
     model = detector.fit(generator.training_window(0, n_train).values)
@@ -403,30 +420,44 @@ def e5_online_throughput(
     # warm-up pass (allocations, BLAS thread spin-up)
     evaluator.evaluate(values[:batch])
     evaluator.reset()
+    flags = 0
     t0 = time.perf_counter()
     for i in range(0, n_eval, batch):
-        evaluator.evaluate(values[i : i + batch])
+        flags += int(evaluator.evaluate(values[i : i + batch])[0].sum())
     elapsed = time.perf_counter() - t0
     throughput = evaluator.throughput_samples_per_second(elapsed)
+    samples = evaluator.stats.samples
+    # Per-iteration latency of the "single matrix multiplication" path:
+    # one full-width row at a time.
+    t0 = time.perf_counter()
+    for _ in range(latency_calls):
+        evaluator.evaluate(values[:1])
+    row_latency = (time.perf_counter() - t0) / latency_calls
     table = Table(
         "Online evaluation throughput (real wall-clock)",
-        ["config", "measured", "paper"],
+        ["config", "measured", "paper", "one row"],
     )
     table.add_row(
         f"{n_sensors} sensors, window {window}, batch {batch}",
         format_rate(throughput),
         format_rate(PAPER_ONLINE_THROUGHPUT),
+        f"{row_latency * 1e3:.3f} ms",
     )
     return ExperimentResult(
         "E5",
         "online scoring is a single matrix pass per batch",
         [table],
         notes=[
-            f"evaluated {evaluator.stats.samples:,} sensor samples in {elapsed:.3f}s",
+            f"evaluated {samples:,} sensor samples in {elapsed:.3f}s",
             "paper: 939k samples/s on their cluster; same order or better expected "
             "single-node with vectorised NumPy",
         ],
-        numbers={"throughput": throughput},
+        numbers={"samples": float(samples), "flags": float(flags)},
+        wall={"throughput": throughput, "row_latency_s": row_latency},
+        claims={
+            "throughput_above_a_third_of_paper": throughput > PAPER_ONLINE_THROUGHPUT / 3,
+            "one_row_scores_under_5ms": row_latency < 5e-3,
+        },
     )
 
 
@@ -434,15 +465,11 @@ def e5_online_throughput(
 # E6 — §III-B: row-key salting ablation
 # ----------------------------------------------------------------------
 @REGISTRY.register("E6", "§III-B — salting spreads writes across RegionServers")
-def e6_salting_ablation(
-    n_nodes: int = 20,
-    duration: float = 1.5,
-    warmup: float = 0.75,
-    offered_rate: float = 500_000.0,
-    quick: bool = False,
-) -> ExperimentResult:
+def e6_salting_ablation(quick: bool = False) -> ExperimentResult:
     if quick:
-        n_nodes, duration, warmup, offered_rate = 6, 0.75, 0.5, 150_000.0
+        n_nodes, duration, warmup, offered_rate = 3, 0.25, 0.25, 60_000.0
+    else:
+        n_nodes, duration, warmup, offered_rate = 20, 1.0, 0.5, 500_000.0
     table = Table(
         f"Row-key salting ablation ({n_nodes} nodes)",
         ["configuration", "throughput", "write skew (max/mean)", "crashes"],
@@ -459,6 +486,8 @@ def e6_salting_ablation(
         key = "salted" if salt is None else "unsalted"
         numbers[f"{key}_throughput"] = report.throughput
         numbers[f"{key}_skew"] = report.write_skew
+        numbers[f"{key}_crashes"] = float(report.crashes)
+    n = numbers
     return ExperimentResult(
         "E6",
         "salting turns one hot RegionServer into a balanced cluster",
@@ -469,6 +498,15 @@ def e6_salting_ablation(
             "'dramatic increase to the ingestion rate'",
         ],
         numbers=numbers,
+        claims={
+            # 4x at the paper's 20 nodes: salted grows with n, unsalted does not.
+            "salted_beats_unsalted_by_n_over_5": (
+                n["salted_throughput"] > n_nodes / 5 * n["unsalted_throughput"]
+            ),
+            "unsalted_skew_above_0.7n": n["unsalted_skew"] > 0.7 * n_nodes,
+            "salted_skew_below_1.5": n["salted_skew"] < 1.5,
+            "unsalted_caps_near_one_server": n["unsalted_throughput"] < 30_000,
+        },
     )
 
 
@@ -476,15 +514,12 @@ def e6_salting_ablation(
 # E7 — §III-B: backpressure-proxy ablation
 # ----------------------------------------------------------------------
 @REGISTRY.register("E7", "§III-B — reverse proxy prevents RegionServer crashes")
-def e7_backpressure_ablation(
-    n_nodes: int = 10,
-    duration: float = 1.5,
-    warmup: float = 0.5,
-    offered_rate: float = 400_000.0,
-    quick: bool = False,
-) -> ExperimentResult:
+def e7_backpressure_ablation(quick: bool = False) -> ExperimentResult:
     if quick:
-        n_nodes, duration, offered_rate = 5, 1.0, 200_000.0
+        n_nodes, duration, offered_rate = 2, 0.25, 80_000.0
+    else:
+        n_nodes, duration, offered_rate = 10, 1.25, 400_000.0
+    warmup = 0.5
     table = Table(
         f"Backpressure ablation ({n_nodes} nodes, offered ≈ "
         f"{format_rate(offered_rate)} > capacity)",
@@ -492,12 +527,13 @@ def e7_backpressure_ablation(
     )
     numbers = {}
     configs = [
-        ("proxy (buffered, round-robin)", dict(use_proxy=True)),
-        ("direct fire-and-forget", dict(use_proxy=False)),
-        ("direct, single TSD", dict(use_proxy=False, direct_spray=False)),
-        ("proxy + compaction enabled", dict(use_proxy=True, compaction_enabled=True)),
+        ("proxy (buffered, round-robin)", "proxy", dict(use_proxy=True)),
+        ("direct fire-and-forget", "direct", dict(use_proxy=False)),
+        ("direct, single TSD", "direct_single", dict(use_proxy=False, direct_spray=False)),
+        ("proxy + compaction enabled", "proxy_compact",
+         dict(use_proxy=True, compaction_enabled=True)),
     ]
-    for label, overrides in configs:
+    for label, slug, overrides in configs:
         cluster = build_cluster(ClusterConfig(n_nodes=n_nodes, **overrides))
         workload = ingest_stream(n_units=100, n_sensors=100, batch_size=50)
         driver = IngestionDriver(cluster, workload, offered_rate=offered_rate, batch_size=50)
@@ -510,11 +546,10 @@ def e7_backpressure_ablation(
             rejects,
             report.client_retries,
         )
-        slug = label.split(" ")[0] + ("_compact" if "compaction" in label else "") + (
-            "_single" if "single" in label else ""
-        )
         numbers[f"{slug}_goodput"] = report.throughput
         numbers[f"{slug}_crashes"] = float(report.crashes)
+        numbers[f"{slug}_rejects"] = float(rejects)
+    n = numbers
     return ExperimentResult(
         "E7",
         "bounded in-flight window + buffering eliminates overflow crashes",
@@ -525,6 +560,12 @@ def e7_backpressure_ablation(
             "compaction-on costs throughput (why the paper disabled it)",
         ],
         numbers=numbers,
+        claims={
+            "proxy_never_crashes": n["proxy_crashes"] == 0,
+            "fire_and_forget_crashes_regionservers": n["direct_crashes"] > 0,
+            "crashes_cost_goodput": n["proxy_goodput"] > n["direct_goodput"],
+            "compaction_costs_throughput": n["proxy_compact_goodput"] < n["proxy_goodput"],
+        },
     )
 
 
@@ -532,30 +573,28 @@ def e7_backpressure_ablation(
 # E8 — Figure 3: the machine-page dashboard
 # ----------------------------------------------------------------------
 @REGISTRY.register("E8", "Fig. 3 — machine page with status bar, sparklines, drill-down")
-def e8_dashboard(
-    out_dir: str = "dashboard_out",
-    n_units: int = 12,
-    n_sensors: int = 40,
-    n_train: int = 300,
-    n_eval: int = 300,
-    machine: Optional[int] = None,
-    quick: bool = False,
-    seed: int = 80,
-) -> ExperimentResult:
+def e8_dashboard(quick: bool = False) -> ExperimentResult:
     if quick:
         n_units, n_sensors, n_train, n_eval = 6, 20, 200, 200
-    generator = FleetGenerator(FleetConfig(n_units=n_units, n_sensors=n_sensors, seed=seed))
+    else:
+        n_units, n_sensors, n_train, n_eval = 12, 40, 300, 300
+    generator = FleetGenerator(FleetConfig(n_units=n_units, n_sensors=n_sensors, seed=80))
     cluster = build_cluster(n_nodes=4, retain_data=True)
     pipeline = AnomalyPipeline(generator, cluster)
     result = pipeline.run(n_train=n_train, n_eval=n_eval)
     dash = Dashboard(cluster.query_engine())
-    pages = [machine] if machine is not None else list(generator.units())
-    paths = dash.write(
-        out_dir, list(generator.units()), start=n_eval, end=2 * n_eval, machine_pages=pages
-    )
+    units = list(generator.units())
+    with tempfile.TemporaryDirectory() as out_dir:
+        paths = dash.write(out_dir, units, start=n_eval, end=2 * n_eval)
+        html = {path.name: path.read_text() for path in paths}
+        sizes = {path.name: path.stat().st_size for path in paths}
     table = Table("Dashboard artifacts", ["file", "size (bytes)"])
-    for path in paths:
-        table.add_row(path.name, path.stat().st_size)
+    for name, size in sizes.items():
+        table.add_row(name, size)
+    index = html["index.html"]
+    machine_pages = [text for name, text in html.items() if name.startswith("machine-")]
+    flagged = [text for text in machine_pages if "cell flagged" in text]
+    sample = flagged[0] if flagged else ""
     return ExperimentResult(
         "E8",
         "static web dashboard generated from TSDB queries",
@@ -563,9 +602,23 @@ def e8_dashboard(
         notes=[
             f"{result.total_discoveries()} anomalies flagged, "
             f"{result.anomalies_published} published to the TSDB",
-            f"open {paths[0]} in a browser for the Figure 3 layout",
         ],
-        numbers={"pages": float(len(paths)), "anomalies": float(result.anomalies_published)},
+        numbers={
+            "pages": float(len(paths)),
+            "anomalies": float(result.anomalies_published),
+            "index_bytes": float(sizes["index.html"]),
+            "machine_page_bytes": float(sum(sizes.values()) - sizes["index.html"]),
+        },
+        claims={
+            "index_has_fleet_status_bar": "Fleet status" in index and "status-bar" in index,
+            "one_machine_page_per_unit": len(machine_pages) == n_units,
+            "some_machine_page_shows_flags": bool(flagged),
+            "flagged_page_has_status_strip_sparklines_and_drill_down": all(
+                part in sample for part in ("Unit status", "sparkline", "Drill-down")
+            ),
+            "anomalies_flagged_in_red": "#d62728" in sample,
+            "anomalies_published": result.anomalies_published > 0,
+        },
     )
 
 
@@ -573,20 +626,14 @@ def e8_dashboard(
 # E10 — detector design ablations (DESIGN.md §5)
 # ----------------------------------------------------------------------
 @REGISTRY.register("E10", "ablation — test window length and the whitened T² channel")
-def e10_detector_ablations(
-    n_units: int = 24,
-    n_sensors: int = 120,
-    n_train: int = 500,
-    n_eval: int = 500,
-    q: float = 0.05,
-    windows: Sequence[int] = (1, 8, 32, 128),
-    seed: int = 53,
-    quick: bool = False,
-) -> ExperimentResult:
+def e10_detector_ablations(quick: bool = False) -> ExperimentResult:
     if quick:
-        n_units, n_sensors, n_train, n_eval, windows = 8, 40, 250, 250, (1, 32)
+        n_units, n_sensors, n_train, n_eval = 8, 40, 250, 250
+    else:
+        n_units, n_sensors, n_train, n_eval = 24, 120, 500, 500
+    q, windows = 0.05, (1, 8, 32, 128)
     generator = FleetGenerator(
-        FleetConfig(n_units=n_units, n_sensors=n_sensors, seed=seed)
+        FleetConfig(n_units=n_units, n_sensors=n_sensors, seed=53)
     )
     window_table = Table(
         f"Window-length ablation (BH, q = {q})",
@@ -671,53 +718,227 @@ def e10_detector_ablations(
             "units by an order of magnitude",
         ],
         numbers=numbers,
+        claims={
+            "power_grows_with_window_up_to_32": (
+                numbers["w1_power"] < numbers["w8_power"] < numbers["w32_power"]
+            ),
+            "delay_rises_again_past_32": numbers["w128_delay"] > numbers["w32_delay"],
+            "t2_separates_faulted_from_healthy_by_5x": (
+                numbers["t2_on_faulted_steps"] > 5 * max(numbers["t2_on_healthy_steps"], 0.5)
+            ),
+            "t2_off_never_alarms": numbers["t2_off_faulted_steps"] == 0.0,
+        },
     )
 
 
 # ----------------------------------------------------------------------
 # E9 — §IV-A: offline training scaling on sparklet
 # ----------------------------------------------------------------------
-@REGISTRY.register("E9", "§IV-A — offline training scales across executors")
-def e9_training_scaling(
-    executor_counts: Sequence[int] = (1, 2, 4),
-    n_units: int = 24,
-    n_sensors: int = 150,
-    n_train: int = 400,
-    quick: bool = False,
-    seed: int = 47,
-    store_dir: Optional[str] = None,
-) -> ExperimentResult:
-    import tempfile
+def _models_digest(models: Dict[int, UnitModel]) -> str:
+    """One hash over every array of every trained model, in unit order."""
+    digest = hashlib.sha256()
+    for unit_id in sorted(models):
+        m = models[unit_id]
+        for array in (m.mean, m.std, m.eigenvalues, m.components, m.whitening):
+            digest.update(array.tobytes())
+    return digest.hexdigest()
 
+
+@REGISTRY.register("E9", "§IV-A — offline training scales across executors")
+def e9_training_scaling(quick: bool = False) -> ExperimentResult:
+    """Wall-clock of one fleet training job at several executor counts.
+
+    The seconds are recorded, not claimed: on a host with fewer cores
+    than executors the BLAS threads each fit starts oversubscribe the
+    CPUs (EXPERIMENTS.md E9).  What is claimed is that the width of the
+    pool changes nothing about the models it trains.
+    """
+    executor_counts: Sequence[int]
     if quick:
         executor_counts, n_units, n_sensors, n_train = (1, 2), 8, 60, 200
-    generator = FleetGenerator(FleetConfig(n_units=n_units, n_sensors=n_sensors, seed=seed))
+    else:
+        executor_counts, n_units, n_sensors, n_train = (1, 2, 4), 32, 250, 600
+    generator = FleetGenerator(FleetConfig(n_units=n_units, n_sensors=n_sensors, seed=47))
     table = Table(
         f"Offline training wall-clock ({n_units} units x {n_sensors} sensors)",
         ["executors", "seconds", "units/s", "speedup"],
     )
-    numbers = {}
+    wall: Dict[str, float] = {}
+    numbers: Dict[str, float] = {}
+    digests = set()
     base = None
     for workers in executor_counts:
-        with tempfile.TemporaryDirectory(dir=store_dir) as tmp:
-            store = BlockStore(tmp)
+        with tempfile.TemporaryDirectory() as tmp:
             with SparkletContext(parallelism=workers) as ctx:
-                trainer = OfflineTrainer(ctx, store)
+                trainer = OfflineTrainer(ctx, BlockStore(tmp))
                 t0 = time.perf_counter()
-                trainer.train_fleet(generator, n_train=n_train)
+                trained = trainer.train_fleet(generator, n_train=n_train)
                 elapsed = time.perf_counter() - t0
+                models = trainer.load_models(trained.unit_ids)
+        digests.add(_models_digest(models))
         if base is None:
             base = elapsed
         table.add_row(
             workers, f"{elapsed:.2f}", f"{n_units / elapsed:.1f}", f"{base / elapsed:.2f}x"
         )
-        numbers[f"seconds_{workers}"] = elapsed
+        wall[f"seconds_{workers}"] = elapsed
+        numbers[f"models_{workers}"] = float(len(models))
     return ExperimentResult(
         "E9",
         "per-unit model fits parallelise across the executor pool",
         [table],
-        notes=["BLAS releases the GIL, so thread executors give real speedup"],
+        notes=[
+            "seconds are recorded, not claimed: each fit's BLAS call starts its own "
+            "threads, so more executors than cores oversubscribe the CPUs",
+        ],
         numbers=numbers,
+        wall=wall,
+        claims={
+            "every_unit_trained_at_every_width": all(
+                v == n_units for v in numbers.values()
+            ),
+            "same_models_at_every_width": len(digests) == 1,
+        },
+    )
+
+
+# ----------------------------------------------------------------------
+# E11 — §IV-A at fleet scale: the evaluation engine and proxy publishing
+# ----------------------------------------------------------------------
+def _legacy_serial_run(
+    generator: FleetGenerator, config: FDRDetectorConfig, n_train: int, n_eval: int
+) -> Dict[int, AnomalyReport]:
+    """The pre-engine ``run(publish=False)`` body: refit + fresh detector per unit."""
+    detector = FDRDetector(config)
+    reports = {}
+    for unit_id in generator.units():
+        training = generator.training_window(unit_id, n_train)
+        model = FDRDetector(config).fit(training.values, unit_id=unit_id)
+        window = generator.evaluation_window(unit_id, n_eval)
+        reports[unit_id] = detector.detect(model, window.values)
+        evaluate_flags(reports[unit_id].flags, window.truth, unit_id)
+    return reports
+
+
+def _best_of(n: int, fn):
+    """Fastest of ``n`` calls: ``(seconds, result)``."""
+    best, result = float("inf"), None
+    for _ in range(n):
+        t0 = time.perf_counter()
+        out = fn()
+        elapsed = time.perf_counter() - t0
+        if elapsed < best:
+            best, result = elapsed, out
+    return best, result
+
+
+@REGISTRY.register("E11", "engine — fleet evaluation vs the serial loop, proxy-path publish")
+def e11_pipeline_parallel(quick: bool = False) -> ExperimentResult:
+    """The fleet evaluation engine and end-to-end publishing through the proxy.
+
+    The engine keeps one cached evaluator per unit and skips retraining
+    units whose model already matches, so a warm ``pipeline.run()`` must
+    score flag-for-flag what the legacy serial loop (refit + fresh
+    detector per unit) does.  Its speed-up over that loop is recorded,
+    not claimed (EXPERIMENTS.md E11).  A second fleet then runs with
+    publishing through the reverse proxy: every batch acknowledged,
+    nothing failed, the in-flight window never exceeded.
+    """
+    # Scoring fleet (units, sensors, samples per window), then the publishing one.
+    if quick:
+        (n_units, n_sensors, n_samples), (pub_units, pub_sensors, pub_samples) = (
+            (6, 60, 200), (4, 30, 100)
+        )
+    else:
+        (n_units, n_sensors, n_samples), (pub_units, pub_sensors, pub_samples) = (
+            (20, 200, 600), (8, 100, 300)
+        )
+    config = FDRDetectorConfig(window=32)
+    fleet = FleetGenerator(FleetConfig(n_units=n_units, n_sensors=n_sensors, seed=47))
+    serial_s, legacy = _best_of(
+        3, lambda: _legacy_serial_run(fleet, config, n_samples, n_samples)
+    )
+    pipeline = AnomalyPipeline(fleet, config=config)
+    run = lambda: pipeline.run(publish=False, n_train=n_samples, n_eval=n_samples)  # noqa: E731
+    cold_s, cold = _best_of(1, run)
+    warm_s, warm = _best_of(3, run)
+    parity = all(
+        np.array_equal(result.reports[unit_id].flags, ref.flags)
+        and np.array_equal(result.reports[unit_id].unit_alarm, ref.unit_alarm)
+        for unit_id, ref in legacy.items()
+        for result in (cold, warm)
+    )
+
+    generator = FleetGenerator(FleetConfig(n_units=pub_units, n_sensors=pub_sensors, seed=53))
+    cluster = build_cluster(n_nodes=3, retain_data=True)
+    t0 = time.perf_counter()
+    published = AnomalyPipeline(generator, cluster).run(
+        n_train=pub_samples, n_eval=pub_samples, publish_batch_size=500
+    )
+    publish_s = time.perf_counter() - t0
+    data, anomaly = published.data_publish, published.anomaly_publish
+    assert data is not None and anomaly is not None
+
+    samples = n_units * n_sensors * n_samples
+    table = Table(
+        f"Fleet evaluation: legacy serial run vs evaluation engine "
+        f"({n_units} units x {n_sensors} sensors)",
+        ["path", "seconds", "samples/s"],
+    )
+    for label, seconds in [
+        ("legacy serial loop (refit + fresh detector)", serial_s),
+        ("engine run, cold (first call)", cold_s),
+        ("engine run, warm (cached models + evaluators)", warm_s),
+    ]:
+        table.add_row(label, f"{seconds:.3f}", format_rate(samples / seconds))
+    table.add_row("speedup (warm vs legacy)", f"{serial_s / warm_s:.2f}x", "")
+    publish_table = Table(
+        f"End-to-end pipeline with proxy publishing ({pub_units} units x "
+        f"{pub_sensors} sensors, 3 nodes)",
+        ["metric", "value"],
+    )
+    for label, value in [
+        ("wall seconds", f"{publish_s:.2f}"),
+        ("data points written", data.points_written),
+        ("anomaly points written", anomaly.points_written),
+        ("publish acks", published.publish_acks),
+        ("publish retries", published.publish_retries),
+        ("max in-flight batches", data.max_pending),
+    ]:
+        publish_table.add_row(label, value)
+    return ExperimentResult(
+        "E11",
+        "cached per-unit evaluators score what the serial loop does; publishing is acked",
+        [table, publish_table],
+        numbers={
+            "discoveries": float(warm.total_discoveries()),
+            "data_points_written": float(data.points_written),
+            "anomaly_points_written": float(anomaly.points_written),
+            "acks": float(published.publish_acks),
+            "retries": float(published.publish_retries),
+            "max_pending": float(data.max_pending),
+        },
+        wall={
+            "serial_seconds": serial_s,
+            "cold_seconds": cold_s,
+            "warm_seconds": warm_s,
+            "speedup": serial_s / warm_s,
+            "samples_per_second": samples / warm_s,
+            "publish_wall_seconds": publish_s,
+        },
+        claims={
+            "engine_flags_equal_the_serial_loop_cold_and_warm": parity,
+            "published_through_the_proxy": data.mode == "proxy",
+            "both_channels_complete": data.complete and anomaly.complete,
+            "every_data_point_written": (
+                data.points_written == pub_units * pub_sensors * pub_samples
+                and data.points_failed == 0
+            ),
+            "in_flight_window_respected": data.max_pending <= 32,
+            "acks_are_both_channels_batches": (
+                published.publish_acks == data.batches_acked + anomaly.batches_acked
+            ),
+        },
     )
 
 
@@ -780,12 +1001,7 @@ def _chaos_publish_run(
 
 
 @REGISTRY.register("E12", "chaos — hardened ingest: fault-free overhead, crash survival")
-def e12_chaos_ingest(
-    n_points: int = 10_000,
-    batch_size: int = 100,
-    quick: bool = False,
-    seed: int = 29,
-) -> ExperimentResult:
+def e12_chaos_ingest(quick: bool = False) -> ExperimentResult:
     """Cost and payoff of the fault-tolerant ingest path.
 
     Fault-free, the hardening machinery (circuit breakers, ack
@@ -794,8 +1010,7 @@ def e12_chaos_ingest(
     delivery-conservation invariant — every point written, failed, or
     dead-lettered — at a measurable throughput/latency cost.
     """
-    if quick:
-        n_points = 2_500
+    n_points, batch_size, seed = (2_500 if quick else 10_000), 100, 29
     crash_plan = FaultPlan(
         name="e12-tsd-crash",
         events=(FaultEvent(at=0.05, action="tsd_crash", target="tsd00", duration=0.4),),
@@ -811,6 +1026,7 @@ def e12_chaos_ingest(
          "ack timeouts", "dead-lettered", "unaccounted"],
     )
     numbers: Dict[str, float] = {}
+    wall: Dict[str, float] = {}
     for label, hardened, plan in scenarios:
         stats = _chaos_publish_run(n_points, batch_size, hardened, plan, seed)
         table.add_row(
@@ -829,10 +1045,11 @@ def e12_chaos_ingest(
             "hardened, TSD crash mid-publish": "crash",
         }[label]
         for key, value in stats.items():
-            numbers[f"{slug}_{key}"] = value
+            (wall if key == "wall_s" else numbers)[f"{slug}_{key}"] = value
     numbers["overhead_frac"] = (
         numbers["baseline_goodput"] - numbers["hardened_goodput"]
     ) / numbers["baseline_goodput"]
+    n = numbers
     return ExperimentResult(
         "E12",
         "hardening is ~free fault-free and keeps conservation through a crash",
@@ -843,6 +1060,20 @@ def e12_chaos_ingest(
             "latency) yet ends with zero unaccounted points",
         ],
         numbers=numbers,
+        wall=wall,
+        claims={
+            "hardening_costs_under_5pct_fault_free": n["overhead_frac"] < 0.05,
+            "crash_engages_ack_timeouts_and_retries": (
+                n["crash_ack_timeouts"] >= 1 and n["crash_retries"] >= 1
+            ),
+            "crash_costs_goodput_and_ack_latency": (
+                n["crash_goodput"] < n["hardened_goodput"]
+                and n["crash_ack_p99_ms"] > n["hardened_ack_p99_ms"]
+            ),
+            "every_point_accounted_in_every_run": all(
+                n[f"{slug}_unaccounted"] == 0 for slug in ("hardened", "baseline", "crash")
+            ),
+        },
     )
 
 
@@ -904,27 +1135,23 @@ def _obs_publish_run(
 
 
 @REGISTRY.register("E13", "observability — tracing and self-telemetry overhead")
-def e13_obs_overhead(
-    n_points: int = 10_000,
-    batch_size: int = 100,
-    repeats: int = 5,
-    quick: bool = False,
-    seed: int = 31,
-) -> ExperimentResult:
+def e13_obs_overhead(quick: bool = False) -> ExperimentResult:
     """Cost of the observability layer on the ingest hot path.
 
     With tracing off the path must be zero-cost: no span records exist
     and the disabled ``Tracer.begin`` is a few-nanosecond guard.  With
     tracing on (and additionally the ``SelfReporter`` flushing ``tsd.*``
-    /``proxy.*`` series back into the store) wall-clock overhead over
-    the untraced run must stay under 5%.  Repeats are interleaved
-    round-robin across the configurations (so clock/cache drift hits
-    all of them equally) after one unmeasured warmup run, and each
-    configuration keeps its fastest run — the standard noise filters
-    for wall-clock microcomparisons.
+    /``proxy.*`` series back into the store) the wall-clock overhead
+    over the untraced run is recorded against a 5% budget, not claimed:
+    on a shared host its run-to-run spread is as wide as the budget
+    (EXPERIMENTS.md E13).  Repeats are interleaved round-robin across
+    the configurations (so clock/cache drift hits all of them equally)
+    after one unmeasured warmup run, and each configuration keeps its
+    fastest run — the standard noise filters for wall-clock
+    microcomparisons.
     """
-    if quick:
-        n_points, repeats = 2_500, 3
+    n_points, repeats = (2_500, 1) if quick else (10_000, 5)
+    batch_size, seed = 100, 31
     scenarios = [
         ("observability off", "off", False, False),
         ("tracing on", "traced", True, False),
@@ -936,6 +1163,7 @@ def e13_obs_overhead(
         ["configuration", "wall", "goodput", "spans", "traced batches", "self series"],
     )
     numbers: Dict[str, float] = {}
+    wall: Dict[str, float] = {}
     _obs_publish_run(n_points, batch_size, True, True, seed)  # warmup, unmeasured
     bests: Dict[str, Dict[str, float]] = {}
     for _ in range(repeats):
@@ -955,14 +1183,11 @@ def e13_obs_overhead(
             int(best["self_series"]),
         )
         for key, value in best.items():
-            numbers[f"{slug}_{key}"] = value
-    numbers["traced_overhead_frac"] = (
-        numbers["traced_wall_s"] - numbers["off_wall_s"]
-    ) / numbers["off_wall_s"]
-    numbers["selfreport_overhead_frac"] = (
-        numbers["selfreport_wall_s"] - numbers["off_wall_s"]
-    ) / numbers["off_wall_s"]
-    numbers["untraced_span_records"] = numbers["off_span_records"]
+            (wall if key == "wall_s" else numbers)[f"{slug}_{key}"] = value
+    for slug in ("traced", "selfreport"):
+        wall[f"{slug}_overhead_frac"] = (
+            wall[f"{slug}_wall_s"] - wall["off_wall_s"]
+        ) / wall["off_wall_s"]
     # Disabled-path micro-measure: per-call cost of Tracer.begin when
     # tracing is off (returns the shared NULL_SPAN, no allocation).
     tracer = Tracer()
@@ -970,18 +1195,31 @@ def e13_obs_overhead(
     t0 = time.perf_counter()
     for _ in range(calls):
         tracer.begin("bench.noop")
-    numbers["disabled_span_ns"] = (time.perf_counter() - t0) / calls * 1e9
+    wall["disabled_span_ns"] = (time.perf_counter() - t0) / calls * 1e9
+    n = numbers
     return ExperimentResult(
         "E13",
-        "tracing is zero-cost off and <5% wall overhead on",
+        "tracing is zero-cost off and its wall overhead on is recorded against 5%",
         [table],
         notes=[
             "expected shape: the untraced run records zero spans and its goodput "
             "matches the traced runs exactly (observability consumes no simulated "
-            "time); min-wall overhead stays under 5% with tracing on, and the "
-            "disabled Tracer.begin guard costs nanoseconds per call",
+            "time); min-wall overhead sits near the 5% budget with tracing on, and "
+            "the disabled Tracer.begin guard costs nanoseconds per call",
         ],
         numbers=numbers,
+        wall=wall,
+        claims={
+            "untraced_run_records_no_spans": n["off_span_records"] == 0,
+            "disabled_begin_under_2us": wall["disabled_span_ns"] < 2_000,
+            "traced_run_traces_batches": (
+                n["traced_span_records"] > 0 and n["traced_batches_traced"] >= 1
+            ),
+            "self_report_writes_series": n["selfreport_self_series"] > 0,
+            "tracing_consumes_no_simulated_time": (
+                n["traced_goodput"] == n["off_goodput"] == n["selfreport_goodput"]
+            ),
+        },
     )
 
 
@@ -1056,12 +1294,7 @@ def _serve_workload(
 
 
 @REGISTRY.register("E14", "serving gateway — hit ratio, tail latency, stampede shedding")
-def e14_serve_gateway(
-    duration: float = 10.0,
-    stampede: int = 60,
-    quick: bool = False,
-    seed: int = 29,
-) -> ExperimentResult:
+def e14_serve_gateway(quick: bool = False) -> ExperimentResult:
     """The query-serving tier under a simulated dashboard fleet.
 
     Three runs share one seeded workload shape: the gateway with its
@@ -1074,8 +1307,8 @@ def e14_serve_gateway(
     stale responses; with the cache ablated the stampede overwhelms the
     execution slots and admission control demonstrably sheds.
     """
-    if quick:
-        duration, stampede = 5.0, 30
+    duration, stampede = (5.0, 30) if quick else (10.0, 60)
+    seed = 29
     scenarios = [
         ("cache on", "on", True, 0, None),
         ("cache off", "off", False, 0, None),
@@ -1111,6 +1344,8 @@ def e14_serve_gateway(
         numbers[f"{slug}_not_modified"] = float(report.not_modified)
         numbers[f"{slug}_cache_size"] = float(len(gateway.cache))
     numbers["p99_speedup"] = numbers["off_p99"] / max(numbers["on_p99"], 1e-12)
+    n = numbers
+    slugs = [slug for _, slug, _, _, _ in scenarios]
     return ExperimentResult(
         "E14",
         "the result cache + admission tier keeps dashboard p99 bounded",
@@ -1123,6 +1358,20 @@ def e14_serve_gateway(
             "instead of letting the queue grow without bound",
         ],
         numbers=numbers,
+        claims={
+            "warm_hit_ratio_at_least_0.8": n["on_hit_ratio"] >= 0.8,
+            "cache_cuts_p99_at_least_5x": n["p99_speedup"] >= 5.0,
+            "cache_off_really_ablates": n["off_hit_ratio"] == 0.0,
+            "every_scenario_conserves_requests": all(
+                n[f"{s}_issued"] == n[f"{s}_served"] + n[f"{s}_shed"] for s in slugs
+            ),
+            "every_stale_serve_carries_its_age": all(
+                n[f"{s}_stale_unaccounted"] == 0 for s in slugs
+            ),
+            "stampede_through_the_cache_stays_bounded": n["stampede_on_p99"] <= n["off_p99"],
+            "ablated_stampede_is_shed": n["stampede_off_shed"] > 0,
+            "unchanged_polls_ride_not_modified": n["on_not_modified"] > 0,
+        },
     )
 
 
@@ -1265,26 +1514,17 @@ E12_BASELINE_GOODPUT = 22_500.0
 
 
 @REGISTRY.register("E15", "columnar blocks — ingest goodput and read-kernel parity")
-def e15_block_hotpath(
-    n_points: int = 10_000,
-    batch_size: int = 100,
-    n_units: int = 8,
-    n_sensors: int = 5,
-    n_queries: int = 12,
-    quick: bool = False,
-    seed: int = 29,
-) -> ExperimentResult:
+def e15_block_hotpath(quick: bool = False) -> ExperimentResult:
     """The block redesign's headline claim: the hot path is columnar.
 
     Publishes one series-major workload through the point-wise and the
     block ingest paths (same batch size, same cluster), runs the
     columnar vs per-cell read ablation on identical data, and times the
     batch parse kernel.  Simulated goodput is deterministic per seed;
-    wall-clock rows are reported for the kernel story but gated only
-    loosely.
+    wall-clock rows are recorded for the kernel story, not claimed.
     """
-    if quick:
-        n_points, n_queries = 2_500, 6
+    n_points, n_queries = (2_500, 6) if quick else (10_000, 12)
+    batch_size, n_units, n_sensors, seed = 100, 8, 5, 29
     points = _series_major_points(n_points, n_units, n_sensors, seed)
     point_run = _block_publish_run(points, batch_size, use_blocks=False)
     block_run = _block_publish_run(points, batch_size, use_blocks=True)
@@ -1329,11 +1569,12 @@ def e15_block_hotpath(
     )
 
     numbers: Dict[str, float] = {}
+    wall: Dict[str, float] = {}
     for slug, run in [("point", point_run), ("block", block_run)]:
         for key, value in run.items():
-            numbers[f"{slug}_{key}"] = value
-    numbers.update(reads)
-    numbers.update(kernels)
+            (wall if key == "wall_s" else numbers)[f"{slug}_{key}"] = value
+    for key, value in {**reads, **kernels}.items():
+        (numbers if key in ("read_identical", "parse_blocks") else wall)[key] = value
     numbers["e12_baseline_goodput"] = E12_BASELINE_GOODPUT
     numbers["speedup_vs_e12_baseline"] = numbers["block_goodput"] / E12_BASELINE_GOODPUT
     numbers["speedup_vs_pointwise"] = numbers["block_goodput"] / max(
@@ -1350,6 +1591,18 @@ def e15_block_hotpath(
             "every random query",
         ],
         numbers=numbers,
+        wall=wall,
+        claims={
+            "block_goodput_at_least_5x_e12_baseline": numbers["speedup_vs_e12_baseline"] >= 5.0,
+            "block_path_beats_the_point_path": (
+                numbers["block_goodput"] > numbers["point_goodput"]
+            ),
+            "no_point_lost_on_either_path": (
+                numbers["point_failed"] == numbers["block_failed"] == 0
+                and numbers["point_written"] == numbers["block_written"]
+            ),
+            "columnar_reads_bit_identical": numbers["read_identical"] == 1.0,
+        },
     )
 
 
@@ -1546,12 +1799,7 @@ def _e16_probe_run(
 
 
 @REGISTRY.register("E16", "replicated reads — availability through RegionServer crashes")
-def e16_replicated_reads(
-    n_points: int = 4_000,
-    n_probes: int = 48,
-    quick: bool = False,
-    seed: int = 29,
-) -> ExperimentResult:
+def e16_replicated_reads(quick: bool = False) -> ExperimentResult:
     """Read-path fault tolerance: region replicas + failover reads.
 
     Loads one WAL-synced workload, then crashes RegionServers under a
@@ -1564,9 +1812,8 @@ def e16_replicated_reads(
     publish goodput, and strong-mode gateway responses must remain
     bit-identical to the direct engine.
     """
-    if quick:
-        n_points, n_probes = 1_500, 24
-    points = _e16_points(n_points, seed)
+    n_points, n_probes = (1_500, 24) if quick else (4_000, 48)
+    points = _e16_points(n_points, 29)
     query = _e16_query(n_points)
 
     # Fault-free: replication overhead + strong-mode bit-identity.
@@ -1627,6 +1874,31 @@ def e16_replicated_reads(
             "bit-identical to the direct engine",
         ],
         numbers=numbers,
+        claims={
+            "replicated_in_window_availability_at_least_99pct": (
+                numbers["replicated_availability"] >= 0.99
+            ),
+            "unreplicated_in_window_availability_at_most_20pct": (
+                numbers["unreplicated_availability"] <= 0.20
+            ),
+            "availability_rests_on_4_in_window_probes_each": all(
+                numbers[f"{slug}_probes_in_window"] >= 4
+                for slug in ("replicated", "unreplicated")
+            ),
+            "timeline_staleness_within_bound": (
+                numbers["replicated_max_staleness"] <= E16_STALENESS_BOUND
+            ),
+            "failover_promotes_followers": numbers["replicated_failovers"] > 0,
+            "no_synced_cell_lost_with_or_without_replicas": all(
+                numbers[f"{slug}_synced_cells_lost"] == 0
+                and numbers[f"{slug}_post_crash_strong_points"] == numbers["points_expected"]
+                for slug in ("replicated", "unreplicated")
+            ),
+            "replication_overhead_within_budget": (
+                numbers["overhead_frac"] <= E16_OVERHEAD_BUDGET
+            ),
+            "strong_gateway_reads_bit_identical": numbers["strong_identical"] == 1.0,
+        },
     )
 
 
@@ -1669,15 +1941,7 @@ def _e17_onsets(generator: FleetGenerator, n_train: int, n_eval: int) -> Dict[in
 
 
 @REGISTRY.register("E17", "streaming — continuous detection + alert dedup/suppression")
-def e17_streaming_alerting(
-    n_units: int = 8,
-    n_sensors: int = 12,
-    n_train: int = 300,
-    n_eval: int = 300,
-    interval: int = 25,
-    quick: bool = False,
-    seed: int = 11,
-) -> ExperimentResult:
+def e17_streaming_alerting(quick: bool = False) -> ExperimentResult:
     """The closed loop: micro-batch stream → detection → incidents.
 
     One seeded correlated-fault fleet is streamed end to end through
@@ -1690,11 +1954,12 @@ def e17_streaming_alerting(
     stream→incident ingest rate.  Detection is deterministic per seed;
     only the wall-clock rows vary run to run.
     """
-    del quick  # the paper-scale run is already CI-sized (and gated)
+    del quick  # the paper-scale run is already CI-sized: both forms are one run
     from ..alerting import AlertingConfig, StreamingDetector
     from ..alerting.store import ALERT_INCIDENT_METRIC
 
-    generator = _e17_generator(n_units, n_sensors, seed)
+    n_units, n_sensors, n_train, n_eval, interval = 8, 12, 300, 300, 25
+    generator = _e17_generator(n_units, n_sensors, 11)
     cluster = build_cluster(ClusterConfig(n_nodes=2, salt_buckets=4, retain_data=True))
     detector = StreamingDetector(
         n_sensors,
@@ -1792,8 +2057,6 @@ def e17_streaming_alerting(
         "intervals": float(report.intervals),
         "samples_streamed": float(report.samples_streamed),
         "samples_scored": float(report.samples_scored),
-        "samples_per_second": report.samples_per_second,
-        "wall_s": report.wall_seconds,
         "model_swaps": float(report.model_swaps),
         "quarantines": float(report.quarantines),
         "stored_alert_incidents": float(stored_incidents),
@@ -1811,6 +2074,31 @@ def e17_streaming_alerting(
             "detection numbers are deterministic per seed; only wall-clock varies",
         ],
         numbers=numbers,
+        wall={"samples_per_second": report.samples_per_second, "wall_s": report.wall_seconds},
+        claims={
+            "volume_reduction_meets_floor": report.volume_reduction >= E17_REDUCTION_FLOOR,
+            "reduction_rests_on_real_firings": (
+                report.naive_alerts >= 100 and report.incidents_opened >= 1
+            ),
+            "every_injected_fault_detected": (
+                len(onsets) >= 3 and not missed and len(latencies) == len(onsets)
+            ),
+            "no_spurious_unit_incidents": spurious == 0,
+            "incidents_open_while_the_window_streams": (
+                0 < numbers["latency_mean"] <= numbers["latency_max"] <= n_eval
+            ),
+            "every_unit_hot_swaps_a_model": report.model_swaps >= n_units,
+            "every_publish_channel_conserves": (
+                all(
+                    channel_numbers.get(f"{c}_unaccounted") == 0
+                    for c in ("data", "anomaly", "alert")
+                )
+                and channel_numbers["data_submitted"] == report.samples_streamed
+            ),
+            "incidents_round_trip_through_the_tsdb": (
+                stored_incidents == report.incidents_opened
+            ),
+        },
     )
 
 
@@ -1856,24 +2144,15 @@ def _e18_short(horizon: int) -> TsdbQuery:
 @REGISTRY.register(
     "E18", "lifecycle — rollup tiers keep long-horizon dashboards flat under soak"
 )
-def e18_lifecycle_soak(
-    start_units: int = 100,
-    end_units: int = 10_000,
-    duration: int = 6 * 3600,
-    cadence: int = 60,
-    raw_ttl: int = 3 * 3600,
-    maintenance_every: int = 1800,
-    query_reps: int = 5,
-    quick: bool = False,
-    seed: int = 0,
-) -> ExperimentResult:
+def e18_lifecycle_soak(quick: bool = False) -> ExperimentResult:
     """The lifecycle soak: a geometrically growing fleet vs a fixed dashboard.
 
     :func:`~repro.simdata.workload.soak_stream` grows the fleet from
-    ``start_units`` to ``end_units`` (diurnal values, periodic ingest
-    bursts, sensor churn) while the lifecycle tier materializes 1 h
-    rollups and expires raw cells past ``raw_ttl``.  At three
-    checkpoints the same two dashboard queries are replayed:
+    100 to 10,000 units over 6 h (10 to 120 over 4 h in the quick form;
+    diurnal values, periodic ingest bursts, sensor churn) while the
+    lifecycle tier materializes 1 h rollups and expires raw cells past
+    the raw TTL.  At three checkpoints the same two dashboard queries
+    are replayed:
 
     * **long horizon** — fleet-wide min at 1 h resolution over the whole
       soak history, tier-routed (and pooled once raw expires);
@@ -1881,7 +2160,7 @@ def e18_lifecycle_soak(
       the cost an operator already accepts for a live view.
 
     The cost proxy is cells scanned (deterministic per seed; wall-clock
-    rows are recorded but not gated).  The gates: the raw-only ablation
+    rows are recorded but not claimed).  The claims: the raw-only ablation
     of the long query grows super-linearly in time as the fleet grows,
     while the tier-routed plan stays within ``E18_FLAT_FACTOR`` of the
     short-horizon baseline; tier answers over unexpired raw are
@@ -1891,9 +2170,10 @@ def e18_lifecycle_soak(
     from ..lifecycle import LifecyclePolicy, TierSpec
 
     if quick:
-        start_units, end_units = 10, 120
-        duration, raw_ttl = 4 * 3600, 2 * 3600
-        query_reps = 3
+        start_units, end_units, duration, raw_ttl, query_reps = 10, 120, 4 * 3600, 2 * 3600, 3
+    else:
+        start_units, end_units, duration, raw_ttl, query_reps = 100, 10_000, 6 * 3600, 3 * 3600, 5
+    cadence, maintenance_every, seed = 60, 1800, 0
 
     cluster = build_cluster(
         ClusterConfig(
@@ -2047,38 +2327,38 @@ def e18_lifecycle_soak(
             int(row["short_cells"]),
         )
 
-    gate_table = Table("Lifecycle gates (deterministic per seed)", ["gate", "measured", "bound"])
-    gate_table.add_row(
+    claim_table = Table("Lifecycle claims (deterministic per seed)", ["claim", "measured", "bound"])
+    claim_table.add_row(
         "long-horizon cost vs short baseline",
         f"{flat_ratio:.3f}x",
         f"<= {E18_FLAT_FACTOR:.1f}x",
     )
-    gate_table.add_row(
+    claim_table.add_row(
         "raw ablation growth T1 -> T2",
         f"{raw_growth:.2f}x cells in {time_growth:.2f}x time",
         f"> {E18_SUPERLINEAR_MARGIN:.2f}x time",
     )
-    gate_table.add_row(
+    claim_table.add_row(
         "tier scan reduction at T3",
         f"{raw_reduction:.1f}x",
         f">= {E18_RAW_REDUCTION_FLOOR:.1f}x",
     )
-    gate_table.add_row(
+    claim_table.add_row(
         "bit-identity vs raw (unexpired)",
         f"{probes - mismatches}/{probes} probes exact",
         "0 mismatches",
     )
-    gate_table.add_row(
+    claim_table.add_row(
         "conservation through expiry",
         "ok" if conservation["ok"] else "VIOLATED",
         f"ok ({conservation['expired_raw']} raw cells expired)",
     )
-    gate_table.add_row(
+    claim_table.add_row(
         "late-write backfill", f"{backfill_windows} windows re-materialized", ">= 1"
     )
 
     wall_table = Table(
-        "Soak ingest and query wall-clock (recorded, not gated)",
+        "Soak ingest and query wall-clock (recorded, not claimed)",
         [
             "points",
             "ingest wall",
@@ -2127,15 +2407,12 @@ def e18_lifecycle_soak(
         "too_late": float(conservation["too_late"]),
         "late_writes": float(late_writes),
         "backfill_windows": float(backfill_windows),
-        "ingest_wall_s": ingest_wall,
-        "ingest_rate": points / ingest_wall,
-        "long_p99_ms": final["long_p99_ms"],
-        "short_p99_ms": final["short_p99_ms"],
     }
+    n = numbers
     return ExperimentResult(
         "E18",
         "rollup tiers hold long-horizon query cost flat while raw scans grow with the fleet",
-        [growth_table, gate_table, wall_table],
+        [growth_table, claim_table, wall_table],
         notes=[
             "expected shape: the raw-only ablation's full-history scan grows "
             "super-linearly in time (the fleet grows geometrically) while the "
@@ -2147,4 +2424,33 @@ def e18_lifecycle_soak(
             "wall-clock rows vary run to run",
         ],
         numbers=numbers,
+        wall={
+            "ingest_wall_s": ingest_wall,
+            "ingest_rate": points / ingest_wall,
+            "long_p99_ms": final["long_p99_ms"],
+            "short_p99_ms": final["short_p99_ms"],
+        },
+        claims={
+            "long_horizon_cost_stays_flat": flat_ratio <= E18_FLAT_FACTOR,
+            "raw_ablation_grows_superlinearly": (
+                time_growth > 1.0 and raw_growth > E18_SUPERLINEAR_MARGIN * time_growth
+            ),
+            "tier_routing_cuts_scanned_cells_5x": raw_reduction >= E18_RAW_REDUCTION_FLOOR,
+            "claims_rest_on_a_real_soak": (
+                points >= 10_000
+                and n["final_units"] >= 100
+                and n["routed_cells_final"] >= 1
+                and n["short_cells_final"] >= 1
+            ),
+            "tier_answers_bit_identical_on_all_3_probes": (
+                probes == identical_probes == 3 and mismatches == 0
+            ),
+            "conservation_holds_through_expiry": (
+                bool(conservation["ok"])
+                and n["expired_raw"] > 0
+                and n["too_late"] == 0
+                and n["ingested"] == n["live_raw"] + n["expired_raw"] + n["too_late"]
+            ),
+            "late_writes_backfilled": late_writes == 3 and backfill_windows >= 1,
+        },
     )

@@ -22,8 +22,8 @@ same way:
 Scoring through the engine is flag-for-flag identical to the serial
 ``FDRDetector.detect`` reference path — the sparse step-up rejects
 exactly what the dense one does and the windows are deterministic per
-``(seed, unit)`` — which the parity tests and
-``benchmarks/bench_pipeline_parallel.py`` both assert.
+``(seed, unit)`` — which the parity tests and experiment E11's
+``engine_flags_equal_the_serial_loop_cold_and_warm`` claim both assert.
 """
 
 from __future__ import annotations

@@ -15,9 +15,9 @@ Disabled (the default), ``begin()`` returns the shared
 :data:`NULL_SPAN` singleton whose methods are no-ops — the same
 zero-cost-when-off discipline as
 :func:`repro.analysis.raceaudit.audited_lock`: call sites pay one
-attribute check and nothing else.  ``benchmarks/bench_obs_overhead.py``
-holds the enabled path under 5% of ingest wall time and the disabled
-path at the noise floor.
+attribute check and nothing else.  Experiment E13 claims the disabled
+path costs nanoseconds per call and records the enabled path's share of
+ingest wall time against a 5% budget.
 """
 
 from __future__ import annotations

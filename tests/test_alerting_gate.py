@@ -15,8 +15,7 @@ import pytest
 from repro.bench import REGISTRY
 from repro.bench.experiments import E17_REDUCTION_FLOOR
 
-REPO_ROOT = Path(__file__).parent.parent
-BENCH_JSON = REPO_ROOT / "BENCH_e17.json"
+RECORD = Path(__file__).parent.parent / "benchmarks" / "records" / "e17.json"
 
 
 @pytest.fixture(scope="module")
@@ -65,14 +64,12 @@ class TestAlertingGate:
 
 class TestBenchJsonRecord:
     def test_recorded_bench_json_is_consistent(self):
-        """The committed BENCH_e17.json must carry the gated claims."""
-        if not BENCH_JSON.exists():
-            pytest.skip("BENCH_e17.json not generated yet (run the benchmark)")
-        record = json.loads(BENCH_JSON.read_text())
+        """The committed E17 record must carry the gated claims."""
+        record = json.loads(RECORD.read_text())
         assert record["experiment_id"] == "E17"
-        numbers = record["numbers"]
+        numbers = record["full"]["numbers"]
         assert numbers["volume_reduction"] >= E17_REDUCTION_FLOOR
         assert numbers["missed_units"] == 0
         assert numbers["spurious_unit_incidents"] == 0
         assert numbers["alert_unaccounted"] == 0
-        assert numbers["samples_per_second"] > 0
+        assert record["full"]["wall"]["samples_per_second"] > 0

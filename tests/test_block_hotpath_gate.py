@@ -13,11 +13,10 @@ import pytest
 
 from repro.bench import REGISTRY
 
-REPO_ROOT = Path(__file__).parent.parent
-BENCH_JSON = REPO_ROOT / "BENCH_e15.json"
+RECORD = Path(__file__).parent.parent / "benchmarks" / "records" / "e15.json"
 
-# Recorded quick-mode floor: the seed run measures ~125k pts/s
-# (2,480 points, batches of 100, 2 nodes).  The floor leaves ~20%
+# Recorded quick-mode floor: the quick run measures ~125k pts/s
+# (2,500 points, batches of 100, 2 nodes).  The floor leaves ~20%
 # headroom for intentional cost-model tweaks; the 5x-vs-E12 criterion
 # is asserted exactly.
 QUICK_GOODPUT_FLOOR = 100_000.0
@@ -49,12 +48,10 @@ class TestBlockHotpathGate:
 
 class TestBenchJsonRecord:
     def test_recorded_bench_json_is_consistent(self):
-        """The committed BENCH_e15.json must carry the gated claims."""
-        if not BENCH_JSON.exists():
-            pytest.skip("BENCH_e15.json not generated yet (run the benchmark)")
-        record = json.loads(BENCH_JSON.read_text())
+        """The committed E15 record must carry the gated claims."""
+        record = json.loads(RECORD.read_text())
         assert record["experiment_id"] == "E15"
-        numbers = record["numbers"]
+        numbers = record["full"]["numbers"]
         assert numbers["speedup_vs_e12_baseline"] >= 5.0
         assert numbers["read_identical"] == 1.0
         assert numbers["block_failed"] == 0

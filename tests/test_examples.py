@@ -96,8 +96,8 @@ class TestExamples:
         assert "synced cells lost=0" in out
 
     # fleet_dashboard.py and ingestion_scaling.py run multi-minute
-    # simulations; they are exercised by benchmarks/bench_dashboard.py
-    # and the E1/E6/E7 benches respectively rather than here.
+    # simulations; experiments E8 and E1/E6/E7 exercise the same paths
+    # (their quick forms replay in tests/test_bench_harness.py).
 
     def test_all_examples_have_docstrings_and_main(self):
         for path in sorted(EXAMPLES.glob("*.py")):

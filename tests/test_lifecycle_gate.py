@@ -20,8 +20,7 @@ from repro.bench.experiments import (
     E18_SUPERLINEAR_MARGIN,
 )
 
-REPO_ROOT = Path(__file__).parent.parent
-BENCH_JSON = REPO_ROOT / "BENCH_e18.json"
+RECORD = Path(__file__).parent.parent / "benchmarks" / "records" / "e18.json"
 
 
 @pytest.fixture(scope="module")
@@ -73,12 +72,10 @@ class TestLifecycleGate:
 
 class TestBenchJsonRecord:
     def test_recorded_bench_json_is_consistent(self):
-        """The committed BENCH_e18.json must carry the gated claims."""
-        if not BENCH_JSON.exists():
-            pytest.skip("BENCH_e18.json not generated yet (run the benchmark)")
-        record = json.loads(BENCH_JSON.read_text())
+        """The committed E18 record must carry the gated claims."""
+        record = json.loads(RECORD.read_text())
         assert record["experiment_id"] == "E18"
-        numbers = record["numbers"]
+        numbers = record["full"]["numbers"]
         assert numbers["end_units"] == 10_000
         assert numbers["flat_ratio"] <= E18_FLAT_FACTOR
         assert numbers["raw_growth"] > E18_SUPERLINEAR_MARGIN * numbers["time_growth"]
@@ -87,4 +84,4 @@ class TestBenchJsonRecord:
         assert numbers["conservation_ok"] == 1.0
         assert numbers["expired_raw"] > 0
         assert numbers["backfill_windows"] >= 1
-        assert numbers["ingest_rate"] > 0
+        assert record["full"]["wall"]["ingest_rate"] > 0

@@ -14,8 +14,7 @@ import pytest
 from repro.bench import REGISTRY
 from repro.bench.experiments import E16_OVERHEAD_BUDGET, E16_STALENESS_BOUND
 
-REPO_ROOT = Path(__file__).parent.parent
-BENCH_JSON = REPO_ROOT / "BENCH_e16.json"
+RECORD = Path(__file__).parent.parent / "benchmarks" / "records" / "e16.json"
 
 
 @pytest.fixture(scope="module")
@@ -65,12 +64,10 @@ class TestReplicatedReadsGate:
 
 class TestBenchJsonRecord:
     def test_recorded_bench_json_is_consistent(self):
-        """The committed BENCH_e16.json must carry the gated claims."""
-        if not BENCH_JSON.exists():
-            pytest.skip("BENCH_e16.json not generated yet (run the benchmark)")
-        record = json.loads(BENCH_JSON.read_text())
+        """The committed E16 record must carry the gated claims."""
+        record = json.loads(RECORD.read_text())
         assert record["experiment_id"] == "E16"
-        numbers = record["numbers"]
+        numbers = record["full"]["numbers"]
         assert numbers["replicated_availability"] >= 0.99
         assert numbers["unreplicated_availability"] <= 0.20
         assert numbers["replicated_synced_cells_lost"] == 0
