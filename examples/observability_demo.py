@@ -9,7 +9,7 @@ deployment with both observability features on:
   one batch's flame summary is printed and the whole trace is exported
   as JSON;
 * **self-telemetry** — the :class:`SelfReporter` periodically flushes
-  the telemetry registries back into the same TSDB as ``proxy.*`` /
+  the cluster's and the run's metrics back into the same TSDB as ``proxy.*`` /
   ``tsd.*`` / ``engine.*`` series, which are then read back through the
   ordinary :class:`QueryEngine` — the platform monitoring itself
   through its own query path — and rendered into the dashboard's

@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set
 
 from ..cluster.metrics import MetricsRegistry
-from ..obs.telemetry import component_registry
 from .events import AlertingConfig, AnomalyEvent, Incident, IncidentState
 from .store import AlertStore
 
@@ -91,7 +90,7 @@ class AlertManager:
         store: Optional[AlertStore] = None,
     ) -> None:
         self.config = config if config is not None else AlertingConfig()
-        self.metrics = metrics if metrics is not None else component_registry("alerting")
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.store = store
         #: Full incident history, unit and fleet scopes interleaved in
         #: open order (the alert-history ledger; resolved stay listed).

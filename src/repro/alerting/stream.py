@@ -33,12 +33,12 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..cluster.metrics import MetricsRegistry
 from ..core.fdr import FDRDetectorConfig
 from ..core.model import UnitModel
 from ..core.pipeline import flagged_points
 from ..core.online import OnlineEvaluator
 from ..core.streaming import StreamingTrainer
-from ..obs.telemetry import Telemetry
 from ..simdata.generator import FleetGenerator
 from ..simdata.workload import METRIC, sensor_tag, unit_tag
 from ..sparklet.context import SparkletContext
@@ -173,10 +173,10 @@ class StreamingDetector:
         Alerting-layer knobs (the opening hysteresis).
     refresh_every / min_samples:
         :class:`StreamingTrainer` cadence.
-    telemetry:
-        Shared telemetry; counters land under the ``alerting`` tree
-        (``alerting.model_swaps``, ``alerting.quarantines``, …) next to
-        the manager's own counters.
+    metrics:
+        Shared registry (a fresh one by default); the detector's
+        ``alerting.model_swaps``, ``alerting.quarantines``, … land next
+        to the manager's, publishers' and store's counters.
     """
 
     def __init__(
@@ -188,13 +188,12 @@ class StreamingDetector:
         alerting: Optional[AlertingConfig] = None,
         refresh_every: int = 3,
         min_samples: int = 50,
-        telemetry: Optional[Telemetry] = None,
+        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self.n_sensors = n_sensors
         self.cluster = cluster
         self.config = config if config is not None else FDRDetectorConfig()
-        self.telemetry = telemetry if telemetry is not None else Telemetry()
-        self.metrics = self.telemetry.registry("alerting")
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
         store = None
         self._data_pub: Optional[BatchPublisher] = None
         self._anomaly_pub: Optional[BatchPublisher] = None

@@ -15,7 +15,7 @@ dynamically:
   ``assert_holds(self.<lock>)`` must lexically hold that lock (or
   re-assert it, propagating the obligation to its own callers).
   Scheduled-callback edges hold nothing by construction.
-* ``telemetry-drift`` — the emit side (``Telemetry`` registries,
+* ``telemetry-drift`` — the emit side (registry factory calls,
   ``SelfReporter`` datapoints) and the query side (``.get()`` readers,
   dashboard prefix tuples) of the metric namespace must agree.
 * ``ack-escape`` — in the proxy/publisher ingest path, every failure

@@ -1,6 +1,6 @@
 """The per-file rule catalogue.
 
-Eleven rules tuned to this repository's correctness invariants:
+Ten rules tuned to this repository's correctness invariants:
 
 ===================  ===================================================
 ``unseeded-rng``     RNG created or used without an explicit seed
@@ -23,11 +23,6 @@ Eleven rules tuned to this repository's correctness invariants:
                      attempt bound or budget in sight (every retry in
                      the ingest path must be bounded — see DESIGN.md
                      "Failure model and delivery guarantees")
-``rogue-registry``   ``MetricsRegistry()`` constructed outside
-                     ``repro.obs`` (metric identity must flow through
-                     the :class:`~repro.obs.Telemetry` routing; use
-                     ``component_registry(...)`` for standalone
-                     defaults)
 ``unbounded-cache``  a dict/list attribute named like a cache with no
                      eviction bound in its class (the serving tier's
                      memory-safety contract: every cache is LRU/TTL
@@ -66,7 +61,6 @@ __all__ = [
     "FrozenSetattrRule",
     "GuardedByRule",
     "MutableDefaultRule",
-    "RogueRegistryRule",
     "UnboundedCacheRule",
     "UnboundedRetryRule",
     "UnboundedTimeRangeRule",
@@ -503,58 +497,6 @@ class GuardedByRule(Rule):
             return
         for child in ast.iter_child_nodes(node):
             yield from self._scan(child, guards, held, source)
-
-
-# ----------------------------------------------------------------------
-@register
-class RogueRegistryRule(Rule):
-    """Bare ``MetricsRegistry()`` construction outside ``repro.obs``.
-
-    A registry constructed ad hoc is an island: its counters never
-    appear in the deployment's telemetry trees, so self-reporting and
-    the platform-health dashboard silently miss them.  All registry
-    construction lives in :mod:`repro.obs.telemetry`; everything else
-    takes a ``metrics=`` argument or calls
-    :func:`~repro.obs.telemetry.component_registry`.  Flags both direct
-    calls and ``default_factory=MetricsRegistry`` dataclass fields.
-    Tests, benchmarks, and examples (outside the package) are exempt.
-    """
-
-    id = "rogue-registry"
-    summary = "MetricsRegistry() constructed outside repro.obs"
-
-    _ADVICE = (
-        "construct registries through repro.obs (component_registry(...) "
-        "or Telemetry().registry(...)) so the metrics join a telemetry tree"
-    )
-
-    def applies_to(self, source: SourceFile) -> bool:
-        parts = source.path.parts
-        return "repro" in parts and "obs" not in parts
-
-    def check(self, source: SourceFile) -> Iterator[Finding]:
-        for node in ast.walk(source.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            dotted = dotted_expr(node.func)
-            if dotted is not None and dotted.rpartition(".")[2] == "MetricsRegistry":
-                yield self.finding(
-                    source, node, f"bare MetricsRegistry() call: {self._ADVICE}"
-                )
-                continue
-            for keyword in node.keywords:
-                value = keyword.value
-                name = dotted_expr(value) if isinstance(value, (ast.Name, ast.Attribute)) else None
-                if (
-                    keyword.arg == "default_factory"
-                    and name is not None
-                    and name.rpartition(".")[2] == "MetricsRegistry"
-                ):
-                    yield self.finding(
-                        source,
-                        value,
-                        f"default_factory=MetricsRegistry: {self._ADVICE}",
-                    )
 
 
 # ----------------------------------------------------------------------

@@ -195,7 +195,7 @@ class LatencyHistogram:
 
 @dataclass
 class MetricsRegistry:
-    """Namespace of metrics owned by one simulated component tree."""
+    """The metrics of one deployment (or of one standalone component)."""
 
     counters: Dict[str, Counter] = field(default_factory=dict)
     gauges: Dict[str, Gauge] = field(default_factory=dict)

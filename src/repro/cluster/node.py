@@ -14,7 +14,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Callable, Deque, Optional, Tuple
 
-from ..obs.telemetry import component_registry
 from .metrics import MetricsRegistry
 from .simulation import Simulator
 
@@ -76,7 +75,7 @@ class Server:
         self.sim = sim
         self.name = name
         self.queue_capacity = queue_capacity
-        self.metrics = metrics if metrics is not None else component_registry()
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._queue: Deque[Tuple[Any, float, Optional[Callable[[Any], None]]]] = deque()
         self._busy = False
         self._stopped = False

@@ -35,7 +35,6 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..analysis.raceaudit import assert_holds, audited_lock
 from ..cluster.metrics import MetricsRegistry
-from ..obs.telemetry import component_registry
 from ..simdata.generator import FleetGenerator, UnitData
 from ..sparklet.context import SparkletContext
 from .fdr import AnomalyReport, FDRDetectorConfig
@@ -89,7 +88,7 @@ class FleetEvaluationEngine:
         self.models = models
         self.config = config if config is not None else FDRDetectorConfig()
         self.ctx = ctx
-        self.metrics = metrics if metrics is not None else component_registry("engine")
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._evaluators: Dict[int, Tuple[UnitModel, OnlineEvaluator]] = {}  # guarded-by: _lock
         self._lock = audited_lock("core.engine.evaluators")
 

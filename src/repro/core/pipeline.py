@@ -39,7 +39,6 @@ import numpy as np
 
 from ..cluster.metrics import MetricsRegistry
 from ..obs.selfreport import SelfReporter
-from ..obs.telemetry import Telemetry, component_registry
 from ..obs.trace import Tracer
 from ..simdata.generator import FleetGenerator, UnitData
 from ..simdata.workload import sensor_tag, unit_points, unit_tag
@@ -114,7 +113,7 @@ class PipelineConfig:
     max_in_flight_batches:
         Driver-side backpressure window for the proxy path.
     self_report:
-        Periodically flush the run's and the cluster's telemetry back
+        Periodically flush the run's and the cluster's metrics back
         into the attached TSDB as ``proxy.*``/``tsd.*``/``engine.*``
         series (queryable platform self-telemetry).  Ignored without a
         cluster.
@@ -181,7 +180,7 @@ class PipelineResult:
     outcomes: Dict[int, DetectionOutcome] = field(default_factory=dict)
     points_published: int = 0
     anomalies_published: int = 0
-    metrics: MetricsRegistry = field(default_factory=component_registry)
+    metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
     stage_seconds: Dict[str, float] = field(default_factory=dict)
     samples_per_second: float = 0.0
     data_publish: Optional[PublishReport] = None
@@ -319,87 +318,93 @@ class AnomalyPipeline:
         base = config if config is not None else self.pipeline_config
         cfg = base.with_overrides(**overrides)
         units = list(unit_ids) if unit_ids is not None else list(self.generator.units())
-        # Fresh telemetry per run so counters never bleed across runs.
-        # ``registry`` is the catch-all routed view: the publishers'
-        # ``publish.*`` land in the publisher tree, the ``pipeline.*``
-        # gauges below in the engine tree, all discoverable through
-        # ``result.metrics`` exactly as before.
-        telemetry = Telemetry()
-        registry = telemetry.root
+        # Fresh registry per run so counters never bleed across runs:
+        # the engine's ``engine.*``, the publishers' ``publish.*`` and
+        # the ``pipeline.*`` gauges below all land in ``result.metrics``.
+        registry = MetricsRegistry()
         result = PipelineResult(metrics=registry)
-        self.engine.metrics = telemetry.registry("engine")
+        self.engine.metrics = registry
 
-        if cfg.trace and self.cluster is not None:
+        traced = cfg.trace and self.cluster is not None
+        if traced:
+            was_tracing = self.cluster.tracer.enabled
             self.cluster.tracer.enable()
             result.trace = self.cluster.tracer
 
         reporter = None
         if cfg.self_report and self.cluster is not None:
-            # Flush cluster-side *and* run-side telemetry back into the
+            # Flush cluster-side *and* run-side metrics back into the
             # TSDB itself, so platform health is queryable like any
             # other series (tsd.*, proxy.*, engine.*, publish.*).
             reporter = SelfReporter(
                 self.cluster,
-                extra=(telemetry,),
+                extra=(registry,),
                 interval=cfg.self_report_interval,
             )
             reporter.start()
             result.self_reporter = reporter
 
-        t0 = time.perf_counter()
-        self.train(units, n_train=cfg.n_train)
-        train_seconds = time.perf_counter() - t0
-
-        publishing = cfg.publish and self.cluster is not None
-        data_pub = anomaly_pub = None
-        if publishing:
-            data_pub, anomaly_pub = self._publishers(cfg, registry)
-
-        evaluate_seconds = 0.0
-        publish_seconds = 0.0
-        samples_scored = 0
-        waves = self.engine.evaluate_fleet(units, cfg.n_eval, parallelism=cfg.parallelism)
-        while True:
+        try:
             t0 = time.perf_counter()
-            wave = next(waves, None)
-            evaluate_seconds += time.perf_counter() - t0
-            if wave is None:
-                break
-            t0 = time.perf_counter()
-            for evaluation in wave:
-                result.reports[evaluation.unit_id] = evaluation.report
-                result.outcomes[evaluation.unit_id] = evaluation.outcome
-                samples_scored += evaluation.window.values.size
-                if publishing:
-                    self._publish_evaluation(evaluation, data_pub, anomaly_pub)
-            publish_seconds += time.perf_counter() - t0
+            self.train(units, n_train=cfg.n_train)
+            train_seconds = time.perf_counter() - t0
 
-        if publishing:
-            t0 = time.perf_counter()
-            result.data_publish = data_pub.flush()
-            result.anomaly_publish = anomaly_pub.flush()
-            publish_seconds += time.perf_counter() - t0
-            result.points_published = result.data_publish.points_written
-            result.anomalies_published = result.anomaly_publish.points_written
+            publishing = cfg.publish and self.cluster is not None
+            data_pub = anomaly_pub = None
+            if publishing:
+                data_pub, anomaly_pub = self._publishers(cfg, registry)
 
-        result.stage_seconds = {
-            "train": train_seconds,
-            "evaluate": evaluate_seconds,
-            "publish": publish_seconds,
-        }
-        if evaluate_seconds > 0:
-            result.samples_per_second = samples_scored / evaluate_seconds
-        registry.gauge("pipeline.train_seconds").set(train_seconds)
-        registry.gauge("pipeline.evaluate_seconds").set(evaluate_seconds)
-        registry.gauge("pipeline.publish_seconds").set(publish_seconds)
-        registry.gauge("pipeline.samples_per_second").set(result.samples_per_second)
-        registry.counter("pipeline.units").inc(len(units))
-        registry.counter("pipeline.samples_scored").inc(samples_scored)
-        if reporter is not None:
-            # Final flush after the stage gauges above, so the last
-            # self-metric snapshot includes the completed run's totals.
-            reporter.stop()
-            reporter.flush()
+            evaluate_seconds = 0.0
+            publish_seconds = 0.0
+            samples_scored = 0
+            waves = self.engine.evaluate_fleet(units, cfg.n_eval, parallelism=cfg.parallelism)
+            while True:
+                t0 = time.perf_counter()
+                wave = next(waves, None)
+                evaluate_seconds += time.perf_counter() - t0
+                if wave is None:
+                    break
+                t0 = time.perf_counter()
+                for evaluation in wave:
+                    result.reports[evaluation.unit_id] = evaluation.report
+                    result.outcomes[evaluation.unit_id] = evaluation.outcome
+                    samples_scored += evaluation.window.values.size
+                    if publishing:
+                        self._publish_evaluation(evaluation, data_pub, anomaly_pub)
+                publish_seconds += time.perf_counter() - t0
+
+            if publishing:
+                t0 = time.perf_counter()
+                result.data_publish = data_pub.flush()
+                result.anomaly_publish = anomaly_pub.flush()
+                publish_seconds += time.perf_counter() - t0
+                result.points_published = result.data_publish.points_written
+                result.anomalies_published = result.anomaly_publish.points_written
+
+            result.stage_seconds = {
+                "train": train_seconds,
+                "evaluate": evaluate_seconds,
+                "publish": publish_seconds,
+            }
+            if evaluate_seconds > 0:
+                result.samples_per_second = samples_scored / evaluate_seconds
+            registry.gauge("pipeline.train_seconds").set(train_seconds)
+            registry.gauge("pipeline.evaluate_seconds").set(evaluate_seconds)
+            registry.gauge("pipeline.publish_seconds").set(publish_seconds)
+            registry.gauge("pipeline.samples_per_second").set(result.samples_per_second)
+            registry.counter("pipeline.units").inc(len(units))
+            registry.counter("pipeline.samples_scored").inc(samples_scored)
+            if reporter is not None:
+                # Final flush after the stage gauges above, so the last
+                # self-metric snapshot includes the completed run's totals.
+                reporter.flush()
+        finally:
+            # The run leaves the cluster's tracer as it found it and no
+            # reporter ticking on its simulator, even when it fails.
+            if reporter is not None:
+                reporter.stop()
+            if traced:
+                self.cluster.tracer.enabled = was_tracing
         return result
 
     # ------------------------------------------------------------------

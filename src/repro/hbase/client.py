@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
 from ..cluster.metrics import MetricsRegistry
-from ..obs.telemetry import component_registry
 from ..cluster.network import Network
 from ..cluster.simulation import Simulator
 from .master import HMaster, ReplicaLocation
@@ -93,7 +92,7 @@ class HTableClient:
         self.master = master
         self.host = host
         self.max_retries = max_retries
-        self.metrics = metrics if metrics is not None else component_registry("tsd")
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
         # Deterministic per-host jitter source (seeded, so simulations
         # replay identically; hash() is process-randomised, crc32 is not).
         self._rng = random.Random(zlib.crc32(host.encode("utf-8", "replace")))

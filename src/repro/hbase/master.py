@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..cluster.metrics import MetricsRegistry
-from ..obs.telemetry import component_registry
 from .region import CellBatch, Region, RegionInfo, RowFilter
 from .regionserver import RegionServer
 
@@ -79,7 +78,7 @@ class HMaster:
         self._starts: Dict[str, List[bytes]] = {}
         self._region_ids = itertools.count(1)
         self._assign_cursor = 0
-        self.metrics = metrics if metrics is not None else component_registry("master")
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
         #: Simulator + detection delay model a session timeout:
         #: with a simulator attached and a positive delay, recovery runs
         #: that long after the crash (the window failover must bridge).

@@ -27,7 +27,6 @@ from ..cluster.metrics import MetricsRegistry
 from ..cluster.network import Network
 from ..cluster.node import Node, Server
 from ..cluster.simulation import Simulator
-from ..obs.telemetry import component_registry
 from ..obs.trace import NULL_SPAN, SpanLike, Tracer
 from .region import CellBatch, Region
 from .wal import WriteAheadLog
@@ -152,7 +151,7 @@ class RegionServer:
         self.node = node
         self.name = name
         self.service_model = service_model if service_model is not None else ServiceModel()
-        self.metrics = metrics if metrics is not None else component_registry("regionserver")
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tracer = tracer if tracer is not None else Tracer()
         self.rpc_server = Server(sim, name, QUEUE_CAPACITY, self.metrics)
         node.add_server(self.rpc_server)

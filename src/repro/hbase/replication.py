@@ -30,7 +30,6 @@ from typing import Deque, Dict, List, Optional, Set, Tuple
 from ..cluster.metrics import MetricsRegistry
 from ..cluster.network import Network
 from ..cluster.simulation import Simulator
-from ..obs.telemetry import component_registry
 from .region import CellBatch, Region
 
 __all__ = ["FollowerReplica", "ReplicaSet", "ReplicationCoordinator"]
@@ -134,7 +133,7 @@ class ReplicationCoordinator:
         self.network = network
         self.master = master
         self.n_followers = n_followers
-        self.metrics = metrics if metrics is not None else component_registry("replication")
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._sets: Dict[str, ReplicaSet] = {}
         self._stalled: Set[str] = set()
         self._ship_lag: Dict[str, float] = {}

@@ -65,7 +65,7 @@ class LifecycleManager:
     ) -> None:
         self.cluster = cluster
         self.policy = policy if policy is not None else LifecyclePolicy()
-        self.metrics = cluster.telemetry.registry("lifecycle")
+        self.metrics = cluster.metrics
         # rollup <-> retention reference each other's floors/watermarks;
         # the lambdas resolve late, after both halves exist.
         self.rollup = RollupEngine(

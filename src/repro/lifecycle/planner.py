@@ -45,7 +45,7 @@ from ..tsdb.query import TsdbQuery, group_and_aggregate
 from .tiers import LifecyclePolicy, TierSpec, rollup_metric
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..obs.telemetry import ScopedRegistry
+    from ..cluster.metrics import MetricsRegistry
     from .retention import RetentionManager
     from .rollup import RollupEngine
 
@@ -107,7 +107,7 @@ class TierRouter:
         policy: LifecyclePolicy,
         rollup: "RollupEngine",
         retention: "RetentionManager",
-        metrics: "ScopedRegistry",
+        metrics: "MetricsRegistry",
     ) -> None:
         self.policy = policy
         self.rollup = rollup

@@ -33,7 +33,7 @@ from ..tsdb.uid import UnknownUidError
 from .tiers import ROLLUP_COLUMNS, LifecyclePolicy, rollup_metric
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..obs.telemetry import ScopedRegistry
+    from ..cluster.metrics import MetricsRegistry
     from ..tsdb.ingest import TsdbCluster
 
 __all__ = ["RetentionManager"]
@@ -53,7 +53,7 @@ class RetentionManager:
         self,
         cluster: "TsdbCluster",
         policy: LifecyclePolicy,
-        metrics: "ScopedRegistry",
+        metrics: "MetricsRegistry",
         min_watermark: Callable[[str], int],
         high_water: Callable[[str], int],
     ) -> None:

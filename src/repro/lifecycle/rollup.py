@@ -32,7 +32,7 @@ from ..tsdb.query import QueryEngine, TsdbQuery
 from .tiers import ROLLUP_COLUMNS, LifecyclePolicy, TierSpec, rollup_metric
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..obs.telemetry import ScopedRegistry
+    from ..cluster.metrics import MetricsRegistry
     from ..tsdb.ingest import TsdbCluster
 
 __all__ = ["RollupEngine"]
@@ -45,7 +45,7 @@ class RollupEngine:
         self,
         cluster: "TsdbCluster",
         policy: LifecyclePolicy,
-        metrics: "ScopedRegistry",
+        metrics: "MetricsRegistry",
         raw_floor: Callable[[str], int],
     ) -> None:
         self.cluster = cluster

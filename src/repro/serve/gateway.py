@@ -135,7 +135,7 @@ class QueryGateway:
         self.engine = cluster.query_engine()
         self.sim = cluster.sim
         self.config = config if config is not None else GatewayConfig()
-        self.metrics = cluster.telemetry.registry("serve")
+        self.metrics = cluster.metrics
         self.cache = ResultCache(self.config.ttl)
         self.admission = AdmissionController(self.config.max_concurrent, self.config.max_queue)
         # Bumped on every write notification; executions that straddle a

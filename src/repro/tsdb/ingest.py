@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional
 
 from ..cluster.failures import OverflowCrashPolicy
-from ..cluster.metrics import TimeSeriesRecorder, skew_ratio
+from ..cluster.metrics import MetricsRegistry, TimeSeriesRecorder, skew_ratio
 from ..cluster.network import Network
 from ..cluster.node import Node
 from ..cluster.simulation import Simulator
@@ -23,7 +23,6 @@ from ..hbase.master import HMaster
 from ..hbase.region import CellBatch
 from ..hbase.regionserver import RegionServer, ServiceModel
 from ..hbase.replication import ReplicationCoordinator
-from ..obs.telemetry import Telemetry
 from ..obs.trace import Tracer
 from .blocks import BlockBatch, SeriesBlock
 from .proxy import DirectSubmitter, ReverseProxy
@@ -115,18 +114,15 @@ class TsdbCluster:
             raise ValueError("failure_detection_delay must be non-negative")
         self.config = config
         self.sim = Simulator()
-        # One telemetry tree set per deployment: every component records
-        # through a routed view of the same Telemetry, so e.g.
-        # ``proxy.retries`` is one counter cluster-wide.  ``metrics`` is
-        # the catch-all view, drop-in compatible with the old registry.
-        self.telemetry = Telemetry()
-        self.metrics = self.telemetry.root
+        # One registry per deployment, handed to every component it
+        # builds, so e.g. ``proxy.retries`` is one counter cluster-wide.
+        self.metrics = MetricsRegistry()
         # Sim-clock tracer shared by the whole ingest path; spans carry
         # sim-seconds so traces line up with the simulated timeline.
         self.tracer = Tracer(enabled=config.trace, clock=lambda: self.sim.now)
         self.network = Network(self.sim)
         self.master = HMaster(
-            metrics=self.telemetry.registry("master"),
+            metrics=self.metrics,
             sim=self.sim,
             failure_detection_delay=config.failure_detection_delay,
         )
@@ -162,7 +158,7 @@ class TsdbCluster:
                 node,
                 f"rs{i:02d}",
                 service_model=service_model,
-                metrics=self.telemetry.registry("regionserver"),
+                metrics=self.metrics,
                 tracer=self.tracer,
                 crash_policy_factory=(
                     (lambda srv: OverflowCrashPolicy(
@@ -189,7 +185,7 @@ class TsdbCluster:
                 self.network,
                 self.master,
                 n_followers=config.replication_factor - 1,
-                metrics=self.telemetry.registry("replication"),
+                metrics=self.metrics,
             )
             self.master.enable_replication(self.replication)
             for rs in self.servers:
@@ -204,7 +200,7 @@ class TsdbCluster:
                 self.uids,
                 self.codec,
                 service_model=config.tsd_service_model,
-                metrics=self.telemetry.registry("tsd"),
+                metrics=self.metrics,
                 write_ts=self.next_write_ts,
                 tracer=self.tracer,
             )
@@ -227,7 +223,7 @@ class TsdbCluster:
                 self.network,
                 self.tsds,
                 max_in_flight=config.resolved_proxy_window(),
-                metrics=self.telemetry.registry("proxy"),
+                metrics=self.metrics,
                 tracer=self.tracer,
             )
         else:
@@ -321,7 +317,7 @@ class TsdbCluster:
 
     def self_reporter(self, interval: float = 0.25, chaos_report=None) -> "SelfReporter":
         """A :class:`~repro.obs.SelfReporter` flushing this deployment's
-        telemetry back into its own TSDB as ``tsd.*``/``proxy.*`` series."""
+        metrics back into its own TSDB as ``tsd.*``/``proxy.*`` series."""
         from ..obs.selfreport import SelfReporter
 
         return SelfReporter(self, interval=interval, chaos_report=chaos_report)
@@ -342,8 +338,9 @@ class TsdbCluster:
     def gateway(self, config: Optional["GatewayConfig"] = None) -> "QueryGateway":
         """A serving gateway over this deployment's read path.
 
-        Wires the ``serve.*`` telemetry tree and subscribes the
-        gateway's cache invalidation to this cluster's write paths.
+        The gateway counts its ``serve.*`` metrics into this
+        deployment's registry and subscribes its cache invalidation to
+        this cluster's write paths.
         """
         from ..serve.gateway import QueryGateway
 
@@ -352,7 +349,7 @@ class TsdbCluster:
     def async_query_executor(self, host: str = "query-client"):
         """A timing-aware query executor over the simulated RPC path.
 
-        Its client counts into this deployment's telemetry, so its
+        Its client counts into this deployment's registry, so its
         ``client.*`` retries, hedges and follower reads show beside
         the TSDs' own.
         """

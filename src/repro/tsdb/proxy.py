@@ -42,7 +42,6 @@ import numpy as np
 from ..cluster.metrics import MetricsRegistry
 from ..cluster.network import Network
 from ..cluster.simulation import EventHandle, Simulator
-from ..obs.telemetry import component_registry
 from ..obs.trace import NULL_SPAN, SpanLike, Tracer
 from .tsd import DataPoint, PutAck, TSDaemon
 
@@ -228,7 +227,7 @@ class ReverseProxy:
         self.tsds = list(tsds)
         self.max_in_flight = max_in_flight
         self.ack_timeout = ack_timeout
-        self.metrics = metrics if metrics is not None else component_registry("proxy")
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tracer = tracer if tracer is not None else Tracer()
         self._batch_seq = itertools.count(1)
         self._rng = np.random.default_rng(JITTER_SEED)

@@ -40,7 +40,6 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from ..analysis.raceaudit import assert_holds, audited_lock
 from ..cluster.metrics import MetricsRegistry
 from ..cluster.simulation import EventHandle
-from ..obs.telemetry import component_registry
 from .blocks import BlockBatch, SeriesBlock
 from .ingest import TsdbCluster
 from .tsd import DataPoint, PutAck
@@ -207,7 +206,7 @@ class BatchPublisher:
         self.max_in_flight_batches = max_in_flight_batches
         self.use_proxy_path = use_proxy_path
         self.ack_deadline = ack_deadline
-        self.metrics = metrics if metrics is not None else component_registry("publisher")
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.channel = channel
         self.report = PublishReport(mode="proxy" if use_proxy_path else "direct")
         #: Dead-letter ledger: batches whose acks never arrived in budget.

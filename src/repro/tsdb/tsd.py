@@ -43,7 +43,6 @@ from ..hbase.bytescodec import encode_f64, encode_f64_column
 from ..hbase.client import HTableClient
 from ..hbase.master import HMaster
 from ..hbase.region import Cell, CellBatch
-from ..obs.telemetry import component_registry
 from ..obs.trace import NULL_SPAN, SpanLike, Tracer
 from .blocks import BlockBatch, SeriesBlock
 from .rowkey import QUALIFIER_TABLE, ROW_SPAN_SECONDS, TIMESTAMP_LIMIT, RowKeyCodec
@@ -168,7 +167,7 @@ class TSDaemon:
         self.uids = uids
         self.codec = codec
         self.service_model = service_model if service_model is not None else TSDServiceModel()
-        self.metrics = metrics if metrics is not None else component_registry("tsd")
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tracer = tracer if tracer is not None else Tracer()
         self.http_server = Server(sim, name, QUEUE_CAPACITY, self.metrics)
         node.add_server(self.http_server)

@@ -44,7 +44,7 @@ MAX_HEALTH_ROWS = 40
 MAX_INCIDENT_ROWS = 30
 
 #: Metric-name prefixes that identify SelfReporter write-back series
-#: (one per telemetry routing namespace, plus the chaos edge series).
+#: (one per self-metric namespace, plus the chaos edge series).
 _SELF_METRIC_PREFIXES = (
     "proxy.",
     "tsd.",
@@ -59,7 +59,7 @@ _SELF_METRIC_PREFIXES = (
     "serve.",
     "master.",
     "replication.",
-    # Server-level load metrics land in the unrouted "cluster" tree but
+    # Server-level load metrics report under the "cluster" host but
     # are written back by SelfReporter like every other namespace; the
     # platform panel silently dropped them until telemetry-drift
     # (repro.analysis cross rule) flagged the missing prefix.

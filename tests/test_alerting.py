@@ -4,7 +4,7 @@ Covers the :mod:`repro.alerting` subsystem end to end — the
 ``AlertManager`` state machine (hysteresis, dedup, flap suppression,
 fleet roll-up), the ``alert.*`` series round-trip through the TSDB,
 the continuous ``StreamingDetector`` path, the dashboard incident
-panel, telemetry routing, and the streaming run under injected chaos
+panel, self-metric attribution, and the streaming run under injected chaos
 (PR 3's fault harness) with the delivery-conservation invariant.
 """
 
@@ -37,7 +37,8 @@ from repro.alerting.store import (
 )
 from repro.alerting.stream import fleet_microbatches
 from repro.chaos import FaultEvent, FaultPlan, Injector
-from repro.obs.telemetry import Telemetry
+from repro.cluster.metrics import MetricsRegistry
+from repro.obs import samples
 from repro.viz.dashboard import Dashboard
 
 
@@ -363,19 +364,22 @@ class TestStreamingDetector:
 
 class TestTelemetryRouting:
     def test_alerting_metrics_route_to_their_own_tree(self):
-        telemetry = Telemetry()
-        assert telemetry.component_for("alerting.opened") == "alerting"
-        telemetry.counter("alerting.opened").inc()
-        assert "alerting" in telemetry.components()
+        registry = MetricsRegistry()
+        registry.counter("alerting.opened").inc()
+        assert [(s.name, s.host) for s in samples(registry)] == [
+            ("alerting.opened", "alerting")
+        ]
 
     def test_detector_counters_land_under_alerting(self):
-        telemetry = Telemetry()
+        registry = MetricsRegistry()
         generator = FleetGenerator(FleetConfig(n_units=1, n_sensors=3, seed=2))
-        detector = StreamingDetector(3, telemetry=telemetry, min_samples=50)
+        detector = StreamingDetector(3, metrics=registry, min_samples=50)
         detector.run_fleet(generator, n_train=100, n_eval=50, interval=25)
-        tree = telemetry.tree("alerting")
-        assert tree.counter("alerting.intervals").get() == 6
-        assert tree.counter("alerting.model_swaps").get() >= 1
+        assert detector.metrics is registry
+        assert registry.counter("alerting.intervals").get() == 6
+        assert registry.counter("alerting.model_swaps").get() >= 1
+        hosts = {s.name: s.host for s in samples(registry)}
+        assert hosts["alerting.intervals"] == hosts["alerting.model_swaps"] == "alerting"
 
 
 class TestDashboardIncidentPanel:

@@ -350,9 +350,7 @@ class TestReplicationFaultInjection:
         assert chaos.events_fired("wal_lag") == 1
         assert chaos.events_fired("wal_lag_clear") == 1
         assert chaos.downtime("rs00") == 0.0  # degraded, never down
-        wal_lag_events = cluster.telemetry.tree("replication").counters[
-            "replication.wal_lag_events"
-        ]
+        wal_lag_events = cluster.metrics.counters["replication.wal_lag_events"]
         assert wal_lag_events.get() == 1.0
         assert cluster.replication.max_staleness() == 0.0  # drained
 

@@ -1,14 +1,14 @@
-"""The observability layer: telemetry routing, tracing, self-telemetry.
+"""The observability layer: one registry, tracing, self-telemetry.
 
 Covers the three tentpole pieces end to end:
 
-* :class:`repro.obs.Telemetry` — one registry per component tree with
-  name-based routing, so a metric is the same object no matter which
-  component's view touches it;
+* one :class:`~repro.cluster.metrics.MetricsRegistry` per deployment,
+  shared by every component the cluster builds, with each metric's
+  reporting component read from its name (:data:`repro.obs.ROUTES`);
 * :class:`repro.obs.Tracer` — span tracing with batch-id correlation
   across the simulated ingest path (proxy → TSD → HBase client →
   RegionServer) and a zero-cost disabled path;
-* :class:`repro.obs.SelfReporter` — telemetry snapshots written back
+* :class:`repro.obs.SelfReporter` — metric snapshots written back
   into the simulated TSDB and queryable through the ordinary
   :class:`~repro.tsdb.query.QueryEngine`, including chaos fault
   windows.
@@ -18,19 +18,12 @@ import json
 
 import pytest
 
-from repro.analysis.lint import lint_source
-from repro.analysis.rules import RogueRegistryRule
+from repro.alerting import AlertManager, StreamingDetector
 from repro.chaos.report import ChaosReport
 from repro.cluster.metrics import MetricsRegistry
 from repro.core.pipeline import AnomalyPipeline, PipelineConfig
-from repro.obs import (
-    NULL_SPAN,
-    ScopedRegistry,
-    SelfReporter,
-    Telemetry,
-    Tracer,
-    component_registry,
-)
+from repro.lifecycle import LifecyclePolicy
+from repro.obs import NULL_SPAN, ROUTES, SelfReporter, Tracer, samples
 from repro.simdata import FleetConfig, FleetGenerator, fleet_stream
 from repro.tsdb.ingest import IngestionDriver, build_cluster
 from repro.tsdb.query import TsdbQuery
@@ -39,69 +32,100 @@ from repro.viz.dashboard import Dashboard
 
 
 # ----------------------------------------------------------------------
-# telemetry routing
+# one registry per deployment; components read from metric names
 # ----------------------------------------------------------------------
 class TestTelemetryRouting:
     def test_same_metric_identity_from_every_view(self):
-        telemetry = Telemetry()
-        from_proxy = telemetry.registry("proxy").counter("proxy.retries")
-        from_tsd = telemetry.registry("tsd").counter("proxy.retries")
-        from_root = telemetry.root.counter("proxy.retries")
+        cluster = build_cluster(n_nodes=2)
+        from_proxy = cluster.ingress.metrics.counter("proxy.retries")
+        from_tsd = cluster.tsds[1].metrics.counter("proxy.retries")
+        from_root = cluster.metrics.counter("proxy.retries")
         assert from_proxy is from_tsd is from_root
 
+    def test_every_component_shares_the_cluster_registry(self):
+        cluster = build_cluster(
+            n_nodes=3, replication_factor=2, lifecycle=LifecyclePolicy()
+        )
+        lifecycle = cluster.lifecycle
+        holders = [
+            cluster.master,
+            *cluster.servers,
+            *(rs.rpc_server for rs in cluster.servers),
+            *cluster.tsds,
+            *(tsd.http_server for tsd in cluster.tsds),
+            *(tsd.client for tsd in cluster.tsds),
+            cluster.ingress,
+            cluster.replication,
+            lifecycle,
+            lifecycle.rollup,
+            lifecycle.retention,
+            lifecycle.router,
+            cluster.gateway(),
+            cluster.async_query_executor().client,
+        ]
+        assert all(holder.metrics is cluster.metrics for holder in holders)
+
     def test_routes_by_first_segment(self):
-        telemetry = Telemetry()
-        assert telemetry.component_for("proxy.ack_latency") == "proxy"
-        assert telemetry.component_for("tsd.batches_rejected") == "tsd"
-        assert telemetry.component_for("client.retries") == "tsd"
-        assert telemetry.component_for("rpc.rejected") == "regionserver"
-        assert telemetry.component_for("cells.written") == "regionserver"
-        assert telemetry.component_for("pipeline.units") == "engine"
-        assert telemetry.component_for("publish.data.acks") == "publisher"
-        assert telemetry.component_for("something.else") == "cluster"
-
-    def test_storage_lives_in_trees_not_views(self):
-        telemetry = Telemetry()
-        view = telemetry.registry("proxy")
-        view.counter("proxy.retries").inc(3)
-        view.gauge("tsd.queue").set(1.0)
-        # The view is a drop-in MetricsRegistry but holds nothing itself.
-        assert isinstance(view, MetricsRegistry)
-        assert not view.counters and not view.gauges
-        assert telemetry.tree("proxy").counter("proxy.retries").get() == 3
-        assert "tsd.queue" in telemetry.tree("tsd").gauges
-
-    def test_components_lists_created_trees(self):
-        telemetry = Telemetry()
-        telemetry.counter("proxy.x")
-        telemetry.counter("engine.y")
-        assert set(telemetry.components()) >= {"cluster", "proxy", "engine"}
+        registry = MetricsRegistry()
+        for head in ROUTES:
+            registry.counter(f"{head}.x").inc()
+        for head in ("server", "lifecycle", "something"):
+            registry.counter(f"{head}.x").inc()
+        hosts = {s.name: s.host for s in samples(registry)}
+        assert hosts == {
+            **{f"{head}.x": component for head, component in ROUTES.items()},
+            "server.x": "cluster",
+            "lifecycle.x": "cluster",
+            "something.x": "cluster",
+        }
+        assert hosts["client.x"] == "tsd"
+        assert hosts["rpc.x"] == hosts["cells.x"] == "regionserver"
+        assert hosts["pipeline.x"] == "engine"
+        assert hosts["publish.x"] == "publisher"
 
     def test_component_registry_is_standalone(self):
-        a = component_registry()
-        b = component_registry("tsd")
-        assert isinstance(a, ScopedRegistry)
-        a.counter("proxy.retries").inc()
-        assert b.counter("proxy.retries").get() == 0  # private telemetries
+        manager = AlertManager()
+        detector = StreamingDetector(3)
+        assert isinstance(manager.metrics, MetricsRegistry)
+        assert manager.metrics is not detector.metrics
+        manager.metrics.counter("alerting.opened").inc()
+        assert detector.metrics.counter("alerting.opened").get() == 0
 
     def test_samples_flatten_counters_gauges_histograms(self):
-        telemetry = Telemetry()
-        telemetry.counter("tsd.batches_rejected").inc(2, label="tsd00")
-        telemetry.gauge("proxy.buffered").set(7.0)
-        hist = telemetry.histogram("proxy.ack_latency")
+        registry = MetricsRegistry()
+        registry.counter("tsd.batches_rejected").inc(2, label="tsd00")
+        registry.gauge("proxy.buffered").set(7.0)
+        hist = registry.histogram("proxy.ack_latency")
         hist.observe(0.01)
         hist.observe(0.02)
-        rows = {(s.name, s.host): s.value for s in telemetry.samples()}
+        rows = {(s.name, s.host): s.value for s in samples(registry)}
         assert rows[("tsd.batches_rejected", "tsd")] == 2.0
         assert rows[("tsd.batches_rejected", "tsd00")] == 2.0
         assert rows[("proxy.buffered", "proxy")] == 7.0
         assert ("proxy.ack_latency.p99", "proxy") in rows
         assert rows[("proxy.ack_latency.count", "proxy")] == 2.0
 
+    def test_rows_sorted_by_component_then_kind_then_name(self):
+        registry = MetricsRegistry()
+        registry.histogram("proxy.ack_latency").observe(0.01)
+        registry.gauge("proxy.buffered").set(1.0)
+        registry.counter("proxy.retries").inc(label="tsd00")
+        registry.counter("proxy.late_acks").inc()
+        registry.counter("engine.units_scored").inc()
+        assert [(s.name, s.host) for s in samples(registry)] == [
+            ("engine.units_scored", "engine"),
+            ("proxy.late_acks", "proxy"),
+            ("proxy.retries", "proxy"),
+            ("proxy.retries", "tsd00"),
+            ("proxy.buffered", "proxy"),
+            *((f"proxy.ack_latency.{suffix}", "proxy")
+              for suffix in ("p50", "p95", "p99", "mean", "count")),
+        ]
+
     def test_empty_histograms_are_skipped(self):
-        telemetry = Telemetry()
-        telemetry.histogram("proxy.ack_latency")
-        assert telemetry.samples() == []
+        registry = MetricsRegistry()
+        registry.histogram("proxy.ack_latency")
+        assert samples(registry) == []
 
 
 # ----------------------------------------------------------------------
@@ -239,9 +263,9 @@ class TestSelfReporter:
 
     def test_extra_telemetries_are_flushed_too(self):
         cluster = self._active_cluster()
-        run_telemetry = Telemetry()
-        run_telemetry.counter("engine.units_scored").inc(7)
-        reporter = SelfReporter(cluster, extra=(run_telemetry,))
+        run_registry = MetricsRegistry()
+        run_registry.counter("engine.units_scored").inc(7)
+        reporter = SelfReporter(cluster, extra=(run_registry,))
         reporter.flush()
         engine = cluster.query_engine()
         end = int(cluster.sim.now) + 10
@@ -269,15 +293,15 @@ class TestSelfReporter:
         # stamped 1..60), and fault windows written afterwards landed
         # after the run instead of over the dips they caused.
         cluster = build_cluster(n_nodes=1, retain_data=True)
-        run_telemetry = Telemetry()
-        run_telemetry.counter("engine.units_scored").inc(3)
+        run_registry = MetricsRegistry()
+        run_registry.counter("engine.units_scored").inc(3)
         report = ChaosReport()
         report.mark_down("tsd00", 1.0)
         report.mark_down("rs00", 1.2)
         report.mark_up("rs00", 1.7)
         report.mark_up("tsd00", 3.0)
         reporter = SelfReporter(
-            cluster, extra=(run_telemetry,), interval=0.5, chaos_report=report
+            cluster, extra=(run_registry,), interval=0.5, chaos_report=report
         )
         reporter.start()
         cluster.sim.run(until=30.0)
@@ -330,9 +354,9 @@ class TestPipelineObservability:
         exported = result.trace.export_json(tmp_path / "pipeline_trace.json")
         assert json.loads(exported.read_text())
 
-        # Self-metric series from cluster AND run telemetry query back:
-        # proxy.* / tsd.* from the cluster telemetry, engine.* and
-        # publish.* from the run telemetry flushed alongside it.
+        # Self-metric series from the cluster AND run registries query
+        # back: proxy.* / tsd.* from the cluster's, engine.* and
+        # publish.* from the run's registry flushed alongside it.
         engine = cluster.query_engine()
         end = int(cluster.sim.now) + 10
         for name in ("proxy.ack_latency.count", "tsd.batches_accepted",
@@ -340,6 +364,22 @@ class TestPipelineObservability:
                      "publish.data.batches"):
             series = engine.run(TsdbQuery(name, 0, end))
             assert series, f"no self-metric series for {name}"
+
+    def test_traced_run_restores_the_tracer(self):
+        # Regression: a traced run switched the cluster's tracer on for
+        # good, so every later untraced run kept recording spans.
+        generator = FleetGenerator(FleetConfig(n_units=2, n_sensors=4, seed=13))
+        cluster = build_cluster(n_nodes=2, retain_data=True)
+        pipeline = AnomalyPipeline(generator, cluster)
+        traced = pipeline.run(n_train=80, n_eval=80, trace=True, self_report=True)
+        spans = len(cluster.tracer)
+        assert spans > 0 and not cluster.tracer.enabled
+        pipeline.run(n_train=80, n_eval=80)
+        assert len(cluster.tracer) == spans
+        # the reporter stopped with the run: the clock runs on unflushed
+        flushes = traced.self_reporter.flushes
+        cluster.sim.run(until=cluster.sim.now + 5.0)
+        assert traced.self_reporter.flushes == flushes
 
     def test_self_report_off_writes_nothing(self):
         generator = FleetGenerator(FleetConfig(n_units=2, n_sensors=4, seed=13))
@@ -409,45 +449,3 @@ class TestPlatformHealthPanel:
         panel = dashboard.platform_health_html()
         assert panel.count("<tr>") == 1 + 3  # header + capped rows
         assert "showing 3 of" in panel
-
-
-# ----------------------------------------------------------------------
-# the rogue-registry lint rule
-# ----------------------------------------------------------------------
-class TestRogueRegistryRule:
-    RULE = [RogueRegistryRule()]
-
-    def test_flags_bare_construction_in_repro(self):
-        findings = lint_source(
-            "from repro.cluster.metrics import MetricsRegistry\n"
-            "metrics = MetricsRegistry()\n",
-            path="src/repro/tsdb/example.py",
-            rules=self.RULE,
-        )
-        assert [f.rule for f in findings] == ["rogue-registry"]
-
-    def test_flags_default_factory(self):
-        findings = lint_source(
-            "from dataclasses import dataclass, field\n"
-            "from repro.cluster.metrics import MetricsRegistry\n"
-            "@dataclass\n"
-            "class R:\n"
-            "    metrics: MetricsRegistry = field(default_factory=MetricsRegistry)\n",
-            path="src/repro/core/example.py",
-            rules=self.RULE,
-        )
-        assert [f.rule for f in findings] == ["rogue-registry"]
-
-    def test_obs_and_out_of_package_files_exempt(self):
-        text = "from repro.cluster.metrics import MetricsRegistry\nm = MetricsRegistry()\n"
-        assert not lint_source(text, path="src/repro/obs/telemetry.py", rules=self.RULE)
-        assert not lint_source(text, path="tests/test_something.py", rules=self.RULE)
-
-    def test_component_registry_is_sanctioned(self):
-        findings = lint_source(
-            "from repro.obs.telemetry import component_registry\n"
-            "metrics = component_registry('tsd')\n",
-            path="src/repro/hbase/example.py",
-            rules=self.RULE,
-        )
-        assert findings == []

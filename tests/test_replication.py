@@ -104,9 +104,7 @@ class TestWalShipping:
         publish(cluster, 50)
         victim = cluster.servers[0].name
         cluster.replication.set_ship_lag(victim, 25.0)
-        counter = cluster.telemetry.tree("replication").counters[
-            "replication.wal_lag_events"
-        ]
+        counter = cluster.metrics.counters["replication.wal_lag_events"]
         assert counter.get() == 1.0
         publish(cluster, 50, t0=5_000)
         cluster.replication.clear_ship_lag(victim)
@@ -178,14 +176,14 @@ class TestPromotion:
 
 class TestMasterRecoveryAccounting:
     """Satellite regression: crash replay lands via ``put_block`` and
-    the recovery counters flow through the shared Telemetry."""
+    the recovery counters flow through the cluster's one registry."""
 
     def test_unreplicated_crash_replays_wal_via_telemetry_counters(self):
         cluster = make_cluster(replication_factor=1)
         publish(cluster, 250)
         cluster.servers[0].crash()
         cluster.sim.run(until=cluster.sim.now + 2.0)
-        counters = cluster.telemetry.tree("master").counters
+        counters = cluster.metrics.counters
         assert counters["master.recoveries"].get() >= 1.0
         # every cell was WAL-synced before the crash: nothing lost
         assert "master.cells_lost_unsynced" not in counters or (
@@ -199,7 +197,7 @@ class TestMasterRecoveryAccounting:
         publish(cluster, 250)
         cluster.servers[0].crash()
         cluster.sim.run(until=cluster.sim.now + 2.0)
-        counters = cluster.telemetry.tree("master").counters
+        counters = cluster.metrics.counters
         assert counters["master.recoveries"].get() >= 1.0
         assert counters["master.failovers"].get() >= 1.0
         assert cluster.master.cells_lost_unsynced == 0

@@ -37,7 +37,6 @@ class TestFramework:
             "mutable-default",
             "guarded-by",
             "unbounded-retry",
-            "rogue-registry",
             "unbounded-cache",
             "unsuppressed-alert-emit",
             "unbounded-time-range",

@@ -14,6 +14,7 @@ import pytest
 
 from repro.chaos import FaultEvent, FaultPlan, Injector
 from repro.core.pipeline import ANOMALY_METRIC
+from repro.obs import samples
 from repro.serve import (
     AdmissionController,
     CacheLookup,
@@ -702,9 +703,9 @@ class TestChaosIntegration:
         gateway = cluster.gateway()
         gateway.serve(overview_query())
         gateway.serve(overview_query())
-        names = {s.name for s in cluster.telemetry.samples()}
-        assert {"serve.hits", "serve.misses", "serve.cache_size"} <= names
-        assert "serve" in cluster.telemetry.components()
+        hosts = {s.name: s.host for s in samples(cluster.metrics)}
+        for name in ("serve.hits", "serve.misses", "serve.cache_size"):
+            assert hosts[name] == "serve"
 
 
 class TestQueryValidation:
@@ -815,7 +816,7 @@ class TestDegradedServing:
         consistent = cluster.query_engine().run_available(overview_query())
         assert consistent.mode == "timeline"
         assert_series_equal(result.series, consistent.series)
-        counters = cluster.telemetry.tree("serve").counters
+        counters = cluster.metrics.counters
         assert counters["serve.degraded"].get() == 1.0
 
     def test_degraded_answers_are_never_cached(self):
@@ -826,7 +827,7 @@ class TestDegradedServing:
         second = gateway.serve(overview_query())
         assert first.degraded and second.degraded
         assert first.status == "miss" and second.status == "miss"
-        counters = cluster.telemetry.tree("serve").counters
+        counters = cluster.metrics.counters
         assert counters["serve.degraded"].get() == 2.0
 
     def test_strong_serving_resumes_after_failover(self):

@@ -38,7 +38,6 @@ KEPT_RULES = {
     "guarded-by",
     "guarded-helper-path",
     "mutable-default",
-    "rogue-registry",
     "telemetry-drift",
     "unbounded-cache",
     "unbounded-retry",
