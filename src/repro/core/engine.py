@@ -179,7 +179,7 @@ class FleetEvaluationEngine:
         hist = self.metrics.histogram("engine.unit_eval_seconds")
         for ev in wave:
             hist.observe(ev.seconds)
-            self.metrics.counter("engine.samples_scored").inc(ev.window.values.shape[0])
+            self.metrics.counter("engine.samples_scored").inc(ev.window.values.size)
 
     # ------------------------------------------------------------------
     def _resolve_parallelism(self, parallelism: Optional[int]) -> int:

@@ -70,15 +70,17 @@ def evaluate_flags(
     t = np.asarray(truth, dtype=bool)
     if f.shape != t.shape:
         raise ValueError(f"shape mismatch: flags {f.shape} vs truth {t.shape}")
-    tp = int(np.sum(f & t))
-    fp = int(np.sum(f & ~t))
-    fn = int(np.sum(~f & t))
-    tn = int(np.sum(~f & ~t))
     # Per-time-step (per-family) quantities: BH controls E[FDP] within
     # each family, so the honest realised-FDR readout averages FDP over
-    # time steps rather than pooling the whole window.
-    fp_t = np.sum(f & ~t, axis=1)
-    disc_t = np.sum(f, axis=1)
+    # time steps rather than pooling the whole window.  The four
+    # confusion counts follow from three: f, t and f & t.
+    tp_t = np.count_nonzero(f & t, axis=1)
+    disc_t = np.count_nonzero(f, axis=1)
+    fp_t = disc_t - tp_t
+    tp = int(tp_t.sum())
+    fp = int(fp_t.sum())
+    fn = int(np.count_nonzero(t)) - tp
+    tn = f.size - tp - fp - fn
     with np.errstate(invalid="ignore", divide="ignore"):
         fdp_t = np.where(disc_t > 0, fp_t / np.maximum(disc_t, 1), 0.0)
     family_fdp = float(np.mean(fdp_t)) if fdp_t.size else 0.0

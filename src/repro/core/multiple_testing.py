@@ -151,14 +151,15 @@ def step_up_sparse(
     :func:`benjamini_yekutieli` (same rejection sets, same float
     comparisons against the same threshold ladder) but built for the
     online scoring hot path: every rejected p-value must satisfy
-    ``p ≤ q·k/m ≤ q_eff``, so only entries at or below the top rung
-    participate.  Those are bucketed into the smallest rank whose
-    threshold they meet (one ``searchsorted`` against the ladder), the
+    ``p ≤ q·k/m ≤ q_eff``, so only entries at or below the top rung are
+    candidates.  A family with ``c`` candidates has ``k ≤ c``, so of
+    those only the ones at or below its ``c``-th rung take part.  Each
+    is bucketed into the smallest rank whose threshold it meets
+    (``⌈p·m/q_eff⌉``, corrected by one against the ladder itself), the
     per-family pass counts come from a histogram instead of a sort, and
     the step-up index ``k`` is read off the counts' running sum —
-    truncated at the largest per-family candidate count, since ``k``
-    can never exceed it.  No ``O(T·m·log m)`` argsort, no dense
-    rank scatter.
+    truncated at the largest per-family candidate count.  No
+    ``O(T·m·log m)`` argsort, no dense rank scatter.
     """
     p = _check(pvalues, q)
     m = p.shape[-1]
@@ -169,26 +170,33 @@ def step_up_sparse(
         effective_q = q / np.sum(1.0 / np.arange(1, m + 1))
     flat = p.reshape(-1, m)
     n_fam = flat.shape[0]
-    thresholds = _step_up_ladder(effective_q, m)
-    flags = np.zeros(flat.shape, dtype=bool)
-    rows, cols = np.nonzero(flat <= thresholds[-1])
-    if rows.size:
-        vals = flat[rows, cols]
-        # k per family is bounded by its candidate count; the histogram
-        # only needs that many rungs.
-        top = int(np.bincount(rows, minlength=n_fam).max())
-        # Smallest 1-based rank whose threshold this p-value meets.
-        bucket = np.searchsorted(thresholds, vals, side="left") + 1
-        keep = bucket <= top
+    # rungs[k] is the k-th threshold; rung 0 rejects nothing.
+    rungs = np.concatenate(([-1.0], _step_up_ladder(effective_q, m)))
+    flags = np.zeros(flat.size, dtype=bool)
+    idx = np.flatnonzero(flat <= rungs[-1])
+    if idx.size:
+        rows = idx // m
+        vals = flat.ravel()[idx]
+        # k per family is bounded by its candidate count c, so only
+        # values at or below rung c can be rejected or move k.
+        cand = np.bincount(rows, minlength=n_fam)
+        top = int(cand.max())
+        part = vals <= rungs[cand[rows]]
+        idx, rows, vals = idx[part], rows[part], vals[part]
+        # Smallest rank whose rung this p-value meets; the estimate is
+        # off by at most one rung either way, so one step against the
+        # ladder itself makes it exact.
+        bucket = np.clip(np.ceil(vals * (m / effective_q)), 1, m).astype(np.intp)
+        bucket += vals > rungs[bucket]
+        bucket -= vals <= rungs[bucket - 1]
         counts = np.bincount(
-            rows[keep] * (top + 1) + bucket[keep], minlength=n_fam * (top + 1)
+            rows * (top + 1) + bucket, minlength=n_fam * (top + 1)
         ).reshape(n_fam, top + 1)
         passed = np.cumsum(counts, axis=1)[:, 1:] >= np.arange(1, top + 1)
         k = np.where(passed.any(axis=1), top - passed[:, ::-1].argmax(axis=1), 0)
         # Everything at or below the k-th rung's threshold is rejected
         # (p_(k) ≤ q·k/m, and no non-rejected value can sit between).
-        family_cut = np.where(k > 0, thresholds[np.maximum(k, 1) - 1], -1.0)
-        flags[rows, cols] = vals <= family_cut[rows]
+        flags[idx] = vals <= rungs[k][rows]
     return flags.reshape(p.shape)
 
 

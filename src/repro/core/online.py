@@ -7,8 +7,9 @@ at a rate of 939,000 sensor samples per second on average."
 :class:`OnlineEvaluator` pre-binds everything derivable from the model
 (means, inverse stds, whitening map, χ² threshold) so the steady-state
 cost per batch is: one subtraction, one multiply by the reciprocal
-stds, the window-mean update, the p-values in one buffer, the exact
-step-up (which only touches entries with p ≤ q) and the T² multiply.
+stds, the window-mean update, p-values for the entries whose |z|
+reaches the level's z-space floor (every other p is above every
+rung), the exact step-up over that buffer and the T² multiply.
 Every entry point runs that one kernel.  The E5 benchmark measures
 this path in real wall-clock samples/second.
 """
@@ -33,7 +34,8 @@ def _two_sided_pvalues_fast(z: np.ndarray) -> np.ndarray:
 
     Bit-identical to :func:`~repro.core.hypothesis.two_sided_pvalues`,
     which calls the same ``ndtr``, but reuses one buffer for the whole
-    chain, so the hot path allocates a single array.  The reference
+    chain, so the hot path allocates a single array.  Elementwise, so
+    it gives the same bits on a gathered subset.  The reference
     keeps its own spelling so the kernel differential stays two paths.
     """
     buf = np.abs(z)
@@ -66,6 +68,15 @@ class OnlineEvaluator:
             float(special.chdtri(model.n_components, self.config.unit_alarm_alpha))
             if self.config.use_t2 and model.n_components > 0
             else np.inf
+        )
+        # BH/BY reject only p ≤ q (BY's effective level is lower still),
+        # and p ≤ q ⇔ |z| ≥ −Φ⁻¹(q/2).  Lowered by a relative 1e-9 so
+        # that rounding in ``ndtri`` can never drop a candidate; an entry
+        # below it has p > q by a margin far above ``ndtr``'s rounding.
+        self._z_floor = (
+            float(-special.ndtri(self.config.q / 2.0)) * (1.0 - 1e-9)
+            if self.config.procedure in ("bh", "by")
+            else None
         )
         self._carry: Optional[np.ndarray] = None  # window tail across batches
         self.stats = StreamStats()
@@ -136,7 +147,7 @@ class OnlineEvaluator:
         z_inst = x - self._mean
         z_inst *= self._inv_std
         z_win = self._windowed(z_inst)
-        flags = self._flag_pvalues(_two_sided_pvalues_fast(z_win))
+        flags = self._flag(z_win)
         t2, unit_alarm = self._t2_channel(z_inst)
 
         self.stats.samples += x.size
@@ -145,19 +156,25 @@ class OnlineEvaluator:
         self.stats.unit_alarms += int(unit_alarm.sum())
         return flags, z_win, t2, unit_alarm
 
-    def _flag_pvalues(self, pvalues: np.ndarray) -> np.ndarray:
+    def _flag(self, z_win: np.ndarray) -> np.ndarray:
         """Per-row multiple-testing flags via the fastest exact route.
 
-        BH/BY go through :func:`step_up_sparse` (rejection sets are
-        identical to the dense reference step-up); other procedures use
-        the dense dispatch.
+        BH/BY pay ``ndtr`` only where ``|z|`` reaches the floor: every
+        other entry has p > q, above every rung, so it stays at 1.0 in
+        the p-value buffer and :func:`step_up_sparse` rejects exactly
+        what it would on the full p-values (which are bit-identical to
+        the dense reference's where computed).  Other procedures get
+        every p-value and the dense dispatch.
         """
         cfg = self.config
-        if cfg.procedure == "bh":
-            return step_up_sparse(pvalues, cfg.q, dependence_correction=False)
-        if cfg.procedure == "by":
-            return step_up_sparse(pvalues, cfg.q, dependence_correction=True)
-        return apply_procedure(cfg.procedure, pvalues, cfg.q)
+        if self._z_floor is None:
+            return apply_procedure(cfg.procedure, _two_sided_pvalues_fast(z_win), cfg.q)
+        pvalues = np.ones(z_win.size)
+        idx = np.flatnonzero(np.abs(z_win) >= self._z_floor)
+        pvalues[idx] = _two_sided_pvalues_fast(np.take(z_win, idx))
+        return step_up_sparse(
+            pvalues.reshape(z_win.shape), cfg.q, dependence_correction=cfg.procedure == "by"
+        )
 
     def _t2_channel(self, z_inst: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Whitened T² statistic and threshold alarm for one batch."""

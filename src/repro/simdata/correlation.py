@@ -102,8 +102,13 @@ class _Realized:
     def simulate(self, n_samples: int, rng: np.random.Generator) -> np.ndarray:
         """Draw ``(n_samples, p)`` of correlated unit-variance noise."""
         factors = rng.standard_normal((n_samples, self.n_factors))
-        eps = rng.standard_normal((n_samples, self.n_sensors)) * np.sqrt(self.psi)
-        return factors @ self.loadings.T + eps
+        # Scaled and shifted in the drawn buffer: same draws, same
+        # products and sums (IEEE + and × commute), two fewer
+        # full-size temporaries.
+        noise = rng.standard_normal((n_samples, self.n_sensors))
+        noise *= np.sqrt(self.psi)
+        noise += factors @ self.loadings.T
+        return noise
 
     def factor_group(self, factor: int) -> np.ndarray:
         """Sensor indices loading on ``factor`` (a correlated group)."""

@@ -172,8 +172,9 @@ class FleetGenerator:
             raise ValueError("n_samples must be >= 1")
         means, stds, corr, _kind = self.unit_profile(unit_id)
         rng = self._unit_rng(unit_id, stream)
-        noise = corr.simulate(n_samples, rng)  # unit-variance correlated noise
-        values = means + noise * stds
+        values = corr.simulate(n_samples, rng)  # unit-variance correlated noise
+        values *= stds
+        values += means
         truth = np.zeros((n_samples, self.config.n_sensors), dtype=bool)
         faults: List[FaultSpec] = []
         if with_faults:

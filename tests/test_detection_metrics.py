@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.metrics import (
+    DetectionOutcome,
     aggregate_outcomes,
     detection_delay,
     evaluate_flags,
@@ -78,6 +80,40 @@ class TestEvaluateFlags:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             evaluate_flags(np.zeros((2, 2), bool), np.zeros((3, 2), bool))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(0, 30), st.integers(1, 12), st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+        st.integers(0, 2**16),
+    )
+    def test_matches_the_four_mask_formula(self, T, p, f_rate, t_rate, seed):
+        """The three-count derivation is the direct four-mask count, bit
+        for bit, in every field (family FDP and null rate included)."""
+        rng = np.random.default_rng(seed)
+        flags = rng.random((T, p)) < f_rate
+        truth = rng.random((T, p)) < t_rate
+        assert evaluate_flags(flags, truth, 3) == _four_mask_outcome(flags, truth, 3)
+
+
+def _four_mask_outcome(f, t, unit_id):
+    """``evaluate_flags`` spelled with one full-size mask per cell class."""
+    fp_t = np.sum(f & ~t, axis=1)
+    disc_t = np.sum(f, axis=1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        fdp_t = np.where(disc_t > 0, fp_t / np.maximum(disc_t, 1), 0.0)
+    null_steps = ~t.any(axis=1)
+    fp = int(np.sum(f & ~t))
+    return DetectionOutcome(
+        unit_id=unit_id,
+        true_positives=int(np.sum(f & t)),
+        false_positives=fp,
+        false_negatives=int(np.sum(~f & t)),
+        true_negatives=int(np.sum(~f & ~t)),
+        any_false_alarm=fp > 0,
+        delay=detection_delay(f, t),
+        family_fdp=float(np.mean(fdp_t)) if fdp_t.size else 0.0,
+        null_family_rate=float(np.mean(f[null_steps].any(axis=1))) if null_steps.any() else 0.0,
+    )
 
 
 class TestDetectionDelay:

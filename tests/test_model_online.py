@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import special
 
 from repro.core.fdr import FDRDetector, FDRDetectorConfig
-from repro.core.multiple_testing import PROCEDURES
+from repro.core.hypothesis import two_sided_pvalues
+from repro.core.multiple_testing import PROCEDURES, benjamini_hochberg, benjamini_yekutieli
 from repro.core.model import UnitModel, load_model, model_key, save_model
 from repro.core.online import OnlineEvaluator
 from repro.sparklet.storage import BlockStore
@@ -15,6 +17,28 @@ def trained_model(n=500, p=12, seed=0, **cfg):
     rng = np.random.default_rng(seed)
     detector = FDRDetector(**cfg) if cfg else FDRDetector()
     return detector, detector.fit(rng.normal(loc=10.0, scale=2.0, size=(n, p)), unit_id=4)
+
+
+def _nudge(x, ulps):
+    """``x`` moved ``ulps[i]`` representable doubles up (or down, < 0)."""
+    out = np.array(x, dtype=np.float64)
+    for step in range(int(np.abs(ulps).max(initial=0))):
+        move = np.abs(ulps) > step
+        out[move] = np.nextafter(out[move], np.where(ulps[move] > 0, np.inf, -np.inf))
+    return out
+
+
+def _inputs_for_windowed(target, window):
+    """Rows ``x`` whose trailing-window z (``Σ`` of the last ``window``
+    rows over ``√count``) is ``target``, exactly for window 1 and within
+    ~10 ulps (median 1) for window 32."""
+    if window == 1:
+        return target.copy()
+    counts = np.minimum(np.arange(1, len(target) + 1), window)
+    csum = target * np.sqrt(counts)[:, None]
+    for t in range(window, len(target)):
+        csum[t] += csum[t - window]
+    return np.diff(csum, axis=0, prepend=0.0)
 
 
 class TestUnitModel:
@@ -129,6 +153,63 @@ class TestOnlineEvaluator:
             assert stats.samples == x.size
             assert stats.discoveries == reference.n_discoveries
             assert stats.unit_alarms == int(reference.unit_alarm.sum())
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_boundary_flags_match_the_dense_step_up(self, data):
+        """The kernel's z-space floor and row-tightened step-up, where
+        they cut: z planted on the floor and on every rung's cut
+        ``−Φ⁻¹(q_eff·k/(2m))``, 0–4 ulps either side, in rows with no
+        candidate and rows where every sensor is one.  On the z the
+        kernel returns, its flags are the dense step-up's over all
+        p-values, for any chunking across the window carry."""
+        m = data.draw(st.sampled_from([1, 2, 48, 300]), label="m")
+        q = data.draw(st.sampled_from([0.005, 0.05, 0.3]), label="q")
+        procedure = data.draw(st.sampled_from(["bh", "by"]), label="procedure")
+        window = data.draw(st.sampled_from([1, 32]), label="window")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
+        q_eff = q / np.sum(1.0 / np.arange(1, m + 1)) if procedure == "by" else q
+        cuts = np.append(
+            -special.ndtri(q_eff / (m / np.arange(1, m + 1)) / 2.0),
+            -special.ndtri(q / 2.0) * (1.0 - 1e-9),  # the kernel's floor
+        )
+        kinds = data.draw(st.lists(
+            st.sampled_from(["none", "every", "top_rung", "mixed"]),
+            min_size=1, max_size=40), label="rows")
+        rows = []
+        for kind in kinds:
+            if kind == "none":  # every |z| below the floor: no candidate
+                row = rng.uniform(-0.99, 0.99, m) * cuts[-1]
+            elif kind == "every":  # every sensor on some cut
+                row = cuts[rng.integers(0, m + 1, m)]
+            elif kind == "top_rung":  # k = m or nothing: the floor's own edge
+                row = np.full(m, cuts[m - 1])
+            else:
+                row = np.where(rng.random(m) < 0.3, cuts[rng.integers(0, m + 1, m)],
+                               rng.standard_normal(m))
+            row = _nudge(row, rng.integers(-4, 5, m))
+            rows.append(row * rng.choice([-1.0, 1.0], m))
+        target = np.array(rows)
+        chunk_sizes = data.draw(
+            st.lists(st.integers(1, 16), min_size=1, max_size=5), label="chunks")
+
+        cfg = FDRDetectorConfig(q=q, window=window, procedure=procedure, use_t2=False)
+        ident = np.eye(m)[:, :1]
+        model = UnitModel(0, np.zeros(m), np.ones(m), np.ones(1), ident, ident, 10)
+        # Mean 0 and std 1 make the standardised z the input itself; the
+        # window mean over x lands each planted target within a few ulps.
+        x = _inputs_for_windowed(target, window)
+        dense = benjamini_yekutieli if procedure == "by" else benjamini_hochberg
+
+        report = OnlineEvaluator(model, cfg).report(x)
+        if window == 1:
+            assert np.array_equal(report.zscores, target)
+        assert np.array_equal(report.flags, dense(two_sided_pvalues(report.zscores), q))
+        online = OnlineEvaluator(model, cfg)
+        cut_at = [c for c in np.cumsum(chunk_sizes) if c < len(x)]
+        for chunk in np.split(x, cut_at):
+            flags, _, z_win = online.evaluate_scored(chunk)
+            assert np.array_equal(flags, dense(two_sided_pvalues(z_win), q))
 
     @settings(max_examples=20, deadline=None)
     @given(st.lists(st.integers(min_value=1, max_value=50), min_size=1, max_size=8))

@@ -31,6 +31,15 @@ def reference_bh(p, q):
     return out
 
 
+def _nudge(x, ulps):
+    """``x`` moved ``ulps[i]`` representable doubles up (or down, < 0)."""
+    out = np.array(x, dtype=np.float64)
+    for step in range(int(np.abs(ulps).max(initial=0))):
+        move = np.abs(ulps) > step
+        out[move] = np.nextafter(out[move], np.where(ulps[move] > 0, np.inf, -np.inf))
+    return out
+
+
 def reference_holm(p, alpha):
     m = len(p)
     order = np.argsort(p)
@@ -311,6 +320,40 @@ class TestSparseStepUp:
                 )
                 got = step_up_sparse(p, q, dependence_correction=dep)
                 assert np.array_equal(got, dense), (i, dep, q)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_dense_at_the_edges(self, data):
+        """Families built to land on what the tightened step-up cuts by:
+        every p ≤ q_eff (c = m), p exactly on rungs, ties, 0–4 ulps either
+        side of a rung, p = 0 and p = 1, m = 1; BH and BY.  Each family
+        also matches the brute-force loop."""
+        m = data.draw(st.sampled_from([1, 2, 3, 7, 48]), label="m")
+        q = data.draw(st.sampled_from([0.005, 0.05, 0.3]), label="q")
+        dep = data.draw(st.booleans(), label="by")
+        q_eff = q / np.sum(1.0 / np.arange(1, m + 1)) if dep else q
+        ladder = q_eff / (m / np.arange(1, m + 1))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
+        kinds = data.draw(st.lists(
+            st.sampled_from(["all_candidates", "on_rungs", "extremes", "mixed"]),
+            min_size=1, max_size=8), label="families")
+        families = []
+        for kind in kinds:
+            if kind == "all_candidates":
+                row = rng.uniform(0.0, q_eff, m)
+            elif kind == "on_rungs":
+                row = _nudge(ladder[rng.integers(0, m, m)], rng.integers(-4, 5, m))
+            elif kind == "extremes":
+                row = rng.choice([0.0, 1.0, ladder[0], ladder[-1]], m)
+            else:
+                row = np.where(rng.random(m) < 0.5, rng.random(m) * q_eff, rng.random(m))
+            families.append(np.clip(row, 0.0, 1.0))
+        p = np.array(families)
+        dense = benjamini_yekutieli(p, q) if dep else benjamini_hochberg(p, q)
+        got = step_up_sparse(p, q, dependence_correction=dep)
+        assert np.array_equal(got, dense)
+        for row, flags in zip(p, got):
+            assert np.array_equal(flags, reference_bh(row, q_eff))
 
     def test_3d_shape_preserved(self):
         rng = np.random.default_rng(11)

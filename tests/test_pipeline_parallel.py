@@ -369,6 +369,18 @@ class TestRunInstrumentation:
         assert result.metrics.counter("pipeline.samples_scored").get() == 2 * 100 * 12
         assert result.metrics.counter("publish.data.acks").get() > 0
 
+    def test_engine_and_pipeline_count_the_same_sensor_samples(self, generator):
+        """Regression: ``engine.samples_scored`` added one per window row,
+        so for a p-sensor unit it read p times below
+        ``pipeline.samples_scored``, which counts sensor samples."""
+        result = AnomalyPipeline(generator).run(
+            unit_ids=[0, 1, 2], publish=False, n_train=150, n_eval=100, parallelism=2
+        )
+        samples = sum(r.flags.size for r in result.reports.values())
+        assert samples == 3 * 100 * 12
+        assert result.metrics.counter("engine.samples_scored").get() == samples
+        assert result.metrics.counter("pipeline.samples_scored").get() == samples
+
     def test_no_publish_reports_when_storage_less(self, generator):
         result = AnomalyPipeline(generator).run(
             unit_ids=[0], n_train=120, n_eval=80

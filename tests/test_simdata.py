@@ -1,5 +1,7 @@
 """Tests for the synthetic fleet dataset (§II-A)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -126,6 +128,26 @@ class TestFleetGenerator:
         b = self.gen().evaluation_window(3, 100)
         assert np.array_equal(a.values, b.values)
         assert np.array_equal(a.truth, b.truth)
+
+    @pytest.mark.parametrize("seed, unit, values_sha, truth_sha", [
+        (7, 5,  # drift
+         "afe10202a4b7eff7c0083a9aa953e1993bbcd9a88a2cb1294dcf3f1f8cdc412f",
+         "76eea5dd0362c65643faa29f48d8202af530a26df2f0faffae4b657bfd6cc80e"),
+        (23, 1,  # shift
+         "b83839c0510d4db9c792967dcc40db068c0a1ef6ab2edb7237f818783872a0d5",
+         "5af8fc25344847b9ae5d1ec81b6c09b7af9e91fe026a69f37235e9c2d716f3d2"),
+    ])
+    def test_window_bits_are_pinned(self, seed, unit, values_sha, truth_sha):
+        """Every record and bit-identity test downstream rests on these
+        exact bits: the draws, their order and each product and sum of
+        the noise arithmetic.  (Each factor-model row has one nonzero
+        loading, so the matmul is exact and the pin holds on any BLAS.)"""
+        window = FleetGenerator(
+            FleetConfig(n_units=6, n_sensors=40, seed=seed)
+        ).evaluation_window(unit, 300)
+        assert window.faults
+        assert hashlib.sha256(window.values.tobytes()).hexdigest() == values_sha
+        assert hashlib.sha256(window.truth.tobytes()).hexdigest() == truth_sha
 
     def test_training_and_eval_windows_differ(self):
         g = self.gen()
