@@ -154,9 +154,9 @@ def step_up_sparse(
     ``p ≤ q·k/m ≤ q_eff``, so only entries at or below the top rung are
     candidates.  A family with ``c`` candidates has ``k ≤ c``, so of
     those only the ones at or below its ``c``-th rung take part.  Each
-    is bucketed into the smallest rank whose threshold it meets
-    (``⌈p·m/q_eff⌉``, corrected by one against the ladder itself), the
-    per-family pass counts come from a histogram instead of a sort, and
+    is bucketed into the smallest rank whose threshold it meets (one
+    ``searchsorted`` against the ladder), the per-family pass counts
+    come from a histogram instead of a sort, and
     the step-up index ``k`` is read off the counts' running sum —
     truncated at the largest per-family candidate count.  No
     ``O(T·m·log m)`` argsort, no dense rank scatter.
@@ -183,12 +183,9 @@ def step_up_sparse(
         top = int(cand.max())
         part = vals <= rungs[cand[rows]]
         idx, rows, vals = idx[part], rows[part], vals[part]
-        # Smallest rank whose rung this p-value meets; the estimate is
-        # off by at most one rung either way, so one step against the
-        # ladder itself makes it exact.
-        bucket = np.clip(np.ceil(vals * (m / effective_q)), 1, m).astype(np.intp)
-        bucket += vals > rungs[bucket]
-        bucket -= vals <= rungs[bucket - 1]
+        # Smallest 1-based rank whose threshold this p-value meets; at
+        # most c ≤ top, since the value is at or below rung c.
+        bucket = np.searchsorted(rungs[1:], vals, side="left") + 1
         counts = np.bincount(
             rows * (top + 1) + bucket, minlength=n_fam * (top + 1)
         ).reshape(n_fam, top + 1)

@@ -165,12 +165,16 @@ class OnlineEvaluator:
         what it would on the full p-values (which are bit-identical to
         the dense reference's where computed).  Other procedures get
         every p-value and the dense dispatch.
+
+        A NaN z (finite input can overflow the window: ``inf − inf``)
+        fails ``|z| < floor``, so it is gathered, its p-value is NaN and
+        the step-up refuses the batch, as the dense reference does.
         """
         cfg = self.config
         if self._z_floor is None:
             return apply_procedure(cfg.procedure, _two_sided_pvalues_fast(z_win), cfg.q)
         pvalues = np.ones(z_win.size)
-        idx = np.flatnonzero(np.abs(z_win) >= self._z_floor)
+        idx = np.flatnonzero(~(np.abs(z_win) < self._z_floor))
         pvalues[idx] = _two_sided_pvalues_fast(np.take(z_win, idx))
         return step_up_sparse(
             pvalues.reshape(z_win.shape), cfg.q, dependence_correction=cfg.procedure == "by"

@@ -12,20 +12,13 @@ from repro.core.model import UnitModel, load_model, model_key, save_model
 from repro.core.online import OnlineEvaluator
 from repro.sparklet.storage import BlockStore
 
+from .ulps import nudge
+
 
 def trained_model(n=500, p=12, seed=0, **cfg):
     rng = np.random.default_rng(seed)
     detector = FDRDetector(**cfg) if cfg else FDRDetector()
     return detector, detector.fit(rng.normal(loc=10.0, scale=2.0, size=(n, p)), unit_id=4)
-
-
-def _nudge(x, ulps):
-    """``x`` moved ``ulps[i]`` representable doubles up (or down, < 0)."""
-    out = np.array(x, dtype=np.float64)
-    for step in range(int(np.abs(ulps).max(initial=0))):
-        move = np.abs(ulps) > step
-        out[move] = np.nextafter(out[move], np.where(ulps[move] > 0, np.inf, -np.inf))
-    return out
 
 
 def _inputs_for_windowed(target, window):
@@ -187,7 +180,7 @@ class TestOnlineEvaluator:
             else:
                 row = np.where(rng.random(m) < 0.3, cuts[rng.integers(0, m + 1, m)],
                                rng.standard_normal(m))
-            row = _nudge(row, rng.integers(-4, 5, m))
+            row = nudge(row, rng.integers(-4, 5, m))
             rows.append(row * rng.choice([-1.0, 1.0], m))
         target = np.array(rows)
         chunk_sizes = data.draw(
@@ -259,6 +252,24 @@ class TestOnlineEvaluator:
         assert got[0].any()
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("procedure", ["bh", "by"])
+    @pytest.mark.parametrize("entry", ["evaluate", "evaluate_scored", "report"])
+    def test_overflowing_window_refused_like_detect(self, entry, procedure):
+        """Regression: finite samples can still overflow the window sum,
+        and ``inf − inf`` in its lagged difference is a NaN z.  The
+        z-space floor let that NaN through as p = 1, flagging nothing;
+        the batch must be refused, as ``detect`` refuses it."""
+        detector, model = trained_model(procedure=procedure)
+        x = np.random.default_rng(3).normal(loc=10.0, scale=2.0, size=(60, 12))
+        x[5:45, 2] = 1e308
+        online = OnlineEvaluator(model, detector.config)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="p-values"):
+                detector.detect(model, x)
+            with pytest.raises(ValueError, match="p-values"):
+                getattr(online, entry)(x)
+        assert online.stats.batches == 0
 
     def test_reset_clears_carry(self):
         detector, model = trained_model()

@@ -16,6 +16,8 @@ from repro.core.multiple_testing import (
     uncorrected,
 )
 
+from .ulps import nudge
+
 
 def reference_bh(p, q):
     """Brute-force BH step-up (rung ``q·i/m`` written ``q/(m/i)``, so the
@@ -28,15 +30,6 @@ def reference_bh(p, q):
             k = i
     out = np.zeros(m, dtype=bool)
     out[order[:k]] = True
-    return out
-
-
-def _nudge(x, ulps):
-    """``x`` moved ``ulps[i]`` representable doubles up (or down, < 0)."""
-    out = np.array(x, dtype=np.float64)
-    for step in range(int(np.abs(ulps).max(initial=0))):
-        move = np.abs(ulps) > step
-        out[move] = np.nextafter(out[move], np.where(ulps[move] > 0, np.inf, -np.inf))
     return out
 
 
@@ -342,7 +335,7 @@ class TestSparseStepUp:
             if kind == "all_candidates":
                 row = rng.uniform(0.0, q_eff, m)
             elif kind == "on_rungs":
-                row = _nudge(ladder[rng.integers(0, m, m)], rng.integers(-4, 5, m))
+                row = nudge(ladder[rng.integers(0, m, m)], rng.integers(-4, 5, m))
             elif kind == "extremes":
                 row = rng.choice([0.0, 1.0, ladder[0], ladder[-1]], m)
             else:
