@@ -170,15 +170,18 @@ def align_union(series: Sequence[Series]) -> Tuple[np.ndarray, np.ndarray]:
     value at ``times[j]`` or NaN where the series has no sample (the
     OpenTSDB interpolation policy simplified to "missing = absent",
     which is correct for the 1 Hz aligned sensor data this system
-    ingests).
+    ingests).  The columns are joined once and the stack is filled by
+    one scatter, whatever the number of series.
     """
     if not series:
         return np.empty(0, dtype=np.int64), np.empty((0, 0))
-    times = np.unique(np.concatenate([s.timestamps for s in series]))
+    blocks = [s._block for s in series]
+    ts = np.frombuffer(b"".join([b.timestamps for b in blocks]), dtype=np.int64)
+    values = np.frombuffer(b"".join([b.values for b in blocks]), dtype=np.float64)
+    times = np.unique(ts)
     stack = np.full((len(series), len(times)), np.nan)
-    for i, s in enumerate(series):
-        idx = np.searchsorted(times, s.timestamps)
-        stack[i, idx] = s.values
+    owner = np.repeat(np.arange(len(series)), [len(b) for b in blocks])
+    stack[owner, np.searchsorted(times, ts)] = values
     return times, stack
 
 
@@ -198,9 +201,7 @@ def aggregate(series: Sequence[Series], aggregator: str) -> Series:
     # schema does not depend on how many series matched.
     times, stack = align_union(series)
     values = AGGREGATORS[aggregator](stack)
-    common = set(series[0].tags)
-    for s in series[1:]:
-        common &= set(s.tags)
+    common = set(series[0].tags).intersection(*[s.tags for s in series[1:]])
     return Series(tuple(sorted(common)), times, values)
 
 

@@ -14,18 +14,21 @@ Queries read through the master's administrative scan: the
 visualization and analysis paths study *data* semantics, not RPC
 timing (which E1/E2/E6/E7 cover on the write path).  A scan hands back
 a sorted :class:`~repro.hbase.region.CellBatch` — columns, not cells —
-and the assembler (:class:`_BlockScanState`) moves it a row run at a
-time; only the reference path (:meth:`QueryEngine.run_pointwise`)
-iterates it cell by cell.
+and the assembler (:class:`_BlockScanState`) gathers a whole batch at
+once into columns shared by every series the query reads, resolves
+newest-wins for all of them with one sort, and cuts one
+:class:`~repro.tsdb.aggregation.Series` per series from the result.
+Outside a row that holds a compacted blob nothing is interpreted per
+cell; per row key the assembler does one memo lookup, per series one
+tag-memo lookup and one ``Series``.  Only the reference path
+(:meth:`QueryEngine.run_pointwise`) iterates a batch cell by cell.
 """
 
 from __future__ import annotations
 
-import struct
 from array import array
-from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import pairwise, repeat
+from itertools import compress, pairwise
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -57,9 +60,13 @@ def group_and_aggregate(query: "TsdbQuery", raw: List[Series]) -> List[Series]:
     if not raw:
         return []
     groups: Dict[Tuple[Tuple[str, str], ...], List[Series]] = {}
-    for series in raw:
-        key = tuple((k, series.tag_dict.get(k, "")) for k in query.group_by)
-        groups.setdefault(key, []).append(series)
+    if not query.group_by:
+        groups[()] = raw
+    else:
+        for series in raw:
+            tags = series.tag_dict
+            key = tuple((k, tags.get(k, "")) for k in query.group_by)
+            groups.setdefault(key, []).append(series)
     out: List[Series] = []
     for key in sorted(groups):
         combined = aggregate(groups[key], query.aggregator)
@@ -100,184 +107,211 @@ class _ScanState:
         return out
 
 
-#: Sentinel distinguishing "row not yet seen" from "row's series filtered".
-_ROW_UNSEEN = object()
-
-
 class _BlockScanState:
-    """Columnar accumulator shared across salt-bucket scans of one query.
+    """Columnar accumulator shared across the salt-bucket scans of one query.
 
-    The vectorized counterpart of :class:`_ScanState`: a scan hands it
-    a sorted :class:`~repro.hbase.region.CellBatch`, and it moves each
-    row run's columns into per-series parallel ``(timestamp, value,
-    write_ts)`` columns — the row key decoded once per run, the
-    qualifiers and values each unpacked by one ``struct`` call, the
-    query window cut out by two bisects — resolving newest-wins
-    duplicates once at the end with a single stable lexsort.  Only a
-    row that holds a compacted blob is walked cell by cell.
+    The vectorized counterpart of :class:`_ScanState`, and the one
+    assembler behind every executor.  A scan hands it a sorted
+    :class:`~repro.hbase.region.CellBatch`, and it gathers the whole
+    batch's point cells at once: one unpack of the joined 2-byte
+    qualifiers and one of the joined values, each cell's row-hour base
+    and series slot spread over its row run by ``repeat``, and the query
+    window cut by one mask.  Only a row that holds a compacted blob is
+    walked on its own.  Each batch lands as one chunk of four parallel
+    columns ``(slot, timestamp, value, write_ts)``; :meth:`to_series`
+    resolves newest-wins duplicates for every series at once with one
+    stable lexsort and slices the result per series.
+
+    A row key is decoded once per query (``_row_cache``) and a series'
+    tags once per deployment (:meth:`UniqueIdRegistry.series_tags`);
+    only the tag-filter decision is made per query.
 
     Bit-identical to the per-cell reference path: the dict rule "newer
     or equal write-ts wins, later arrival breaks ties" is exactly "last
-    element of each timestamp run after a stable sort by (ts, write_ts,
-    arrival)".
+    element of each (series, timestamp) run after a stable sort by
+    (series, timestamp, write_ts, arrival)".
     """
 
-    __slots__ = (
-        "codec",
-        "uids",
-        "ts_cols",
-        "val_cols",
-        "wts_cols",
-        "tags",
-        "filtered",
-        "_row_cache",
-    )
+    __slots__ = ("codec", "uids", "query", "tags", "_base_at", "_slots", "_row_cache", "_chunks")
 
-    def __init__(self, codec: RowKeyCodec, uids: UniqueIdRegistry) -> None:
+    def __init__(self, codec: RowKeyCodec, uids: UniqueIdRegistry, query: "TsdbQuery") -> None:
         self.codec = codec
         self.uids = uids
-        # series_id -> parallel append-only columns
-        self.ts_cols: Dict[bytes, array] = {}
-        self.val_cols: Dict[bytes, array] = {}
-        self.wts_cols: Dict[bytes, array] = {}
-        self.tags: Dict[bytes, Dict[str, str]] = {}
-        self.filtered: set = set()
-        # row bytes -> (series_id, base_time) | None when filtered out
-        self._row_cache: Dict[bytes, object] = {}  # repro-lint: ignore[unbounded-cache] -- per-query scan state; dies with the query
+        self.query = query
+        #: slot -> sorted tag tuple of each series the query matched
+        self.tags: List[Tuple[Tuple[str, str], ...]] = []
+        # where a row key's 4-byte base time starts: after salt and metric
+        self._base_at = (1 if codec.salted else 0) + _UID_WIDTH
+        # series_id -> slot, or -1 when the query's tag filter rejects it
+        self._slots: Dict[bytes, int] = {}
+        # row bytes -> (slot, base_time); slot -1 when filtered out
+        self._row_cache: Dict[bytes, Tuple[int, int]] = {}  # repro-lint: ignore[unbounded-cache] -- per-query scan state; dies with the query
+        # (slot, ts, value, write_ts) columns, one group per ingested piece
+        self._chunks: List[Tuple[np.ndarray, ...]] = []
 
     # ------------------------------------------------------------------
     # ingest
     # ------------------------------------------------------------------
-    def ingest_scan(self, cells: CellBatch, query: "TsdbQuery") -> None:
-        """Fold one scan range's sorted batch into the columns, run by run."""
-        rows, qualifiers, values, stamps = cells.rows, cells.qualifiers, cells.values, cells.ts
-        start, end = query.start, query.end
-        for i, j in pairwise(cells.run_starts()):
-            resolved = self._resolve_row(rows[i], query)
-            if resolved is None:
-                continue
-            sid, base = resolved
-            ts_col, val_col, wts_col = columns = self._columns(sid)
-            if is_compacted(qualifiers[j - 1]):  # blobs sort last in their row
-                self._ingest_compacted_row(cells, i, j, base, query, columns)
-                continue
-            # Point cells only, sorted by offset: the window is a slice.
-            offsets = struct.unpack(f">{j - i}H", b"".join(qualifiers[i:j]))
-            lo = i + bisect_left(offsets, start - base)
-            hi = i + bisect_left(offsets, end - base)
-            if lo < hi:
-                ts_col.extend(map(base.__add__, offsets[lo - i : hi - i]))
-                val_col.extend(struct.unpack(f">{hi - lo}d", b"".join(values[lo:hi])))
-                wts_col.extend(stamps[lo:hi])
+    def ingest_scan(self, cells: CellBatch) -> None:
+        """Fold one scan range's sorted batch into the columns, whole."""
+        rows, qualifiers, values = cells.rows, cells.qualifiers, cells.values
+        if not rows:
+            return
+        starts = cells.run_starts()
+        get, resolve = self._row_cache.get, self._resolve_row
+        runs = np.array(
+            [get(row) or resolve(row) for row in map(rows.__getitem__, starts[:-1])],
+            dtype=np.int64,
+        ).reshape(-1, 2)
+        slot, base = runs[:, 0], runs[:, 1]
+        kept = slot >= 0
+        # Blobs sort last in their row: a run holds one iff it ends in one.
+        blobbed = np.fromiter(
+            map(is_compacted, map(qualifiers.__getitem__, [j - 1 for j in starts[1:]])),
+            dtype=bool,
+            count=len(slot),
+        )
+        walked = np.flatnonzero(kept & blobbed).tolist()
+        if walked:
+            self._ingest_compacted_rows(cells, starts, walked, slot, base)
+        points = kept & ~blobbed
+        if not points.any():
+            return
+        lengths = np.diff(starts)
+        stamps = np.array(cells.ts, dtype=np.float64)
+        if not points.all():
+            in_runs = np.repeat(points, lengths)
+            keep = in_runs.tolist()
+            qualifiers = list(compress(qualifiers, keep))
+            values = list(compress(values, keep))
+            stamps = stamps[in_runs]
+            slot, base, lengths = slot[points], base[points], lengths[points]
+        self._add_window(
+            np.repeat(slot, lengths),
+            np.repeat(base, lengths) + np.frombuffer(b"".join(qualifiers), dtype=">u2"),
+            np.frombuffer(b"".join(values), dtype=">f8").astype(np.float64),
+            stamps,
+        )
 
-    @staticmethod
-    def _ingest_compacted_row(
+    def _ingest_compacted_rows(
+        self,
         cells: CellBatch,
-        i: int,
-        j: int,
-        base: int,
-        query: "TsdbQuery",
-        columns: Tuple[array, array, array],
+        starts: List[int],
+        runs: List[int],
+        slot: np.ndarray,
+        base: np.ndarray,
     ) -> None:
-        """Cells ``[i, j)``, one row that ends in compacted blobs: the
-        blobs first, then the point cells written after the newest of
-        them (the rest were merged into it and stay in its shadow)."""
+        """The row runs ``runs`` of ``cells``, each ending in compacted
+        blobs, walked a row at a time: the blobs first, then the point
+        cells written after the newest of them (the rest were merged
+        into it and stay in its shadow).  They land as one chunk."""
         qualifiers, values, stamps = cells.qualifiers, cells.values, cells.ts
-        start, end = query.start, query.end
-        ts_col, val_col, wts_col = columns
-        blobs_at = first_blob(qualifiers, i, j)
-        for k in range(blobs_at, j):
-            # A blob's offsets are sorted: its window is a slice too.
-            offsets, blob_values = decompact_columns(qualifiers[k], values[k])
-            lo, hi = bisect_left(offsets, start - base), bisect_left(offsets, end - base)
-            ts_col.extend(map(base.__add__, offsets[lo:hi]))
-            val_col.extend(blob_values[lo:hi])
-            wts_col.extend(repeat(stamps[k], hi - lo))
-        shadow = max(stamps[blobs_at:j])
-        for k in range(i, blobs_at):
-            if stamps[k] > shadow:
-                t = base + int.from_bytes(qualifiers[k], "big")
-                if start <= t < end:
-                    ts_col.append(t)
-                    val_col.append(decode_f64(values[k]))
-                    wts_col.append(stamps[k])
+        offsets, vals = array(TS_TYPECODE), array(VAL_TYPECODE)
+        # one entry per blob or surviving point: its run, size, write ts
+        piece_run: List[int] = []
+        piece_len: List[int] = []
+        piece_wts = array("d")
+        for k in runs:
+            i, j = starts[k], starts[k + 1]
+            blobs_at = first_blob(qualifiers, i, j)
+            for b in range(blobs_at, j):
+                blob_offsets, blob_values = decompact_columns(qualifiers[b], values[b])
+                offsets.extend(blob_offsets)
+                vals.extend(blob_values)
+                piece_run.append(k)
+                piece_len.append(len(blob_offsets))
+                piece_wts.append(stamps[b])
+            if blobs_at > i:
+                shadow = max(stamps[blobs_at:j])
+                for p in range(i, blobs_at):
+                    if stamps[p] > shadow:
+                        offsets.append(int.from_bytes(qualifiers[p], "big"))
+                        vals.append(decode_f64(values[p]))
+                        piece_run.append(k)
+                        piece_len.append(1)
+                        piece_wts.append(stamps[p])
+        owner = np.repeat(np.array(piece_run, dtype=np.intp), piece_len)
+        self._add_window(
+            slot[owner],
+            base[owner] + np.frombuffer(offsets, dtype=np.int64),
+            np.frombuffer(vals, dtype=np.float64),
+            np.repeat(np.frombuffer(piece_wts, dtype=np.float64), piece_len),
+        )
 
-    def row_filter(self, query: "TsdbQuery") -> Optional[RowFilter]:
+    def _add_window(
+        self, slots: np.ndarray, ts: np.ndarray, vals: np.ndarray, stamps: np.ndarray
+    ) -> None:
+        """Keep the cells inside the query window as one more chunk."""
+        window = (ts >= self.query.start) & (ts < self.query.end)
+        if not window.all():
+            slots, ts, vals, stamps = slots[window], ts[window], vals[window], stamps[window]
+        if len(ts):
+            self._chunks.append((slots, ts, vals, stamps))
+
+    def row_filter(self) -> Optional[RowFilter]:
         """The query's tag predicate as a scan push-down (None = keep all).
 
         OpenTSDB's row-key filter on its HBase scanners: the scan asks
         it once per row and never collects a rejected series' cells.
         It answers from :meth:`_resolve_row`'s memo, which the ingest
-        below then hits, so each row is still decoded once.
+        above then hits, so each row is still decoded once.
         """
-        if not query.tag_filters:
+        if not self.query.tag_filters:
             return None
-        return lambda row: self._resolve_row(row, query) is not None
+        get, resolve = self._row_cache.get, self._resolve_row
+        return lambda row: (get(row) or resolve(row))[0] >= 0
 
-    def _resolve_row(
-        self, row: bytes, query: "TsdbQuery"
-    ) -> Optional[Tuple[bytes, int]]:
-        entry = self._row_cache.get(row, _ROW_UNSEEN)
-        if entry is not _ROW_UNSEEN:
-            return entry  # type: ignore[return-value]
+    def _resolve_row(self, row: bytes) -> Tuple[int, int]:
+        """``(slot, base_time)`` of a row not yet seen by this query."""
         sid = self.codec.series_id(row)
-        pos = 1 if self.codec.salted else 0
-        base = decode_u32(row, pos + _UID_WIDTH)
-        resolved: Optional[Tuple[bytes, int]]
-        if sid in self.filtered:
-            resolved = None
-        elif sid in self.tags:
-            resolved = (sid, base)
-        else:
-            decoded = self.codec.decode(row, b"\x00\x00")
-            tags = self.uids.decode_tags(decoded.tag_pairs)
-            if QueryEngine._match_tags(tags, query.tag_filters):
-                self.tags[sid] = tags
-                resolved = (sid, base)
+        slot = self._slots.get(sid)
+        if slot is None:
+            tags = self.uids.series_tags(sid)
+            filters = self.query.tag_filters
+            if not filters or QueryEngine._match_tags(dict(tags), filters):
+                slot = len(self.tags)
+                self.tags.append(tags)
             else:
-                self.filtered.add(sid)
-                resolved = None
-        self._row_cache[row] = resolved
+                slot = -1
+            self._slots[sid] = slot
+        resolved = self._row_cache[row] = (slot, decode_u32(row, self._base_at))
         return resolved
-
-    def _columns(self, sid: bytes) -> Tuple[array, array, array]:
-        ts_col = self.ts_cols.get(sid)
-        if ts_col is None:
-            ts_col = self.ts_cols[sid] = array(TS_TYPECODE)
-            self.val_cols[sid] = array(VAL_TYPECODE)
-            self.wts_cols[sid] = array("d")
-        return ts_col, self.val_cols[sid], self.wts_cols[sid]
 
     # ------------------------------------------------------------------
     # finalize
     # ------------------------------------------------------------------
     def to_series(self, metric: str = "") -> List[Series]:
-        """Resolve duplicates and materialise one Series per matched sid."""
+        """Resolve duplicates and materialise one Series per matched
+        series that kept a point, sorted by tags."""
+        if not self._chunks:
+            return []
+        slots, ts, vals, wts = (
+            cols[0] if len(cols) == 1 else np.concatenate(cols) for cols in zip(*self._chunks)
+        )
+        # Slots renumbered in tag order, so the one sort also orders the output.
+        by_tags = sorted(range(len(self.tags)), key=self.tags.__getitem__)
+        rank = np.empty(len(by_tags), dtype=np.int64)
+        rank[by_tags] = np.arange(len(by_tags))
+        series = rank[slots]
+        # Stable sort by (series, ts, write_ts): the last element of each
+        # (series, timestamp) run is the newest write, arrival order
+        # breaking write-ts ties, matching the reference dict semantics.
+        order = np.lexsort((wts, ts, series))
+        series, ts = series[order], ts[order]
+        keep = np.empty(len(ts), dtype=bool)
+        keep[:-1] = (ts[1:] != ts[:-1]) | (series[1:] != series[:-1])
+        keep[-1] = True
+        series, ts, vals = series[keep], ts[keep], vals[order[keep]]
+        bounds = [0, *(np.flatnonzero(series[1:] != series[:-1]) + 1).tolist(), len(ts)]
+        ts_col = array(TS_TYPECODE)
+        ts_col.frombytes(ts.tobytes())
+        val_col = array(VAL_TYPECODE)
+        val_col.frombytes(vals.tobytes())
         out: List[Series] = []
-        for sid, ts_col in self.ts_cols.items():
-            if not len(ts_col):
-                continue
-            ts = np.frombuffer(ts_col, dtype=np.int64)
-            vals = np.frombuffer(self.val_cols[sid], dtype=np.float64)
-            wts = np.frombuffer(self.wts_cols[sid], dtype=np.float64)
-            # Stable sort by (ts, write_ts); the last element of each
-            # timestamp run is the newest write (arrival order breaking
-            # write-ts ties), matching the reference dict semantics.
-            order = np.lexsort((wts, ts))
-            ts_sorted = ts[order]
-            keep = np.empty(len(ts_sorted), dtype=bool)
-            keep[:-1] = ts_sorted[1:] != ts_sorted[:-1]
-            keep[-1] = True
-            final_ts = np.ascontiguousarray(ts_sorted[keep])
-            final_vals = np.ascontiguousarray(vals[order][keep])
-            ts_arr = array(TS_TYPECODE)
-            ts_arr.frombytes(final_ts.tobytes())
-            val_arr = array(VAL_TYPECODE)
-            val_arr.frombytes(final_vals.tobytes())
-            tags = tuple(sorted(self.tags[sid].items()))
-            block = SeriesBlock(metric, tags, ts_arr, val_arr, _trusted=True)
+        for first, (a, b) in zip(series[bounds[:-1]].tolist(), pairwise(bounds)):
+            tags = self.tags[by_tags[first]]
+            block = SeriesBlock(metric, tags, ts_col[a:b], val_col[a:b], _trusted=True)
             out.append(Series.from_block(block, validate=False))
-        out.sort(key=lambda s: s.tags)
         return out
 
 
@@ -457,7 +491,7 @@ class QueryEngine:
         range's cells to ``state.ingest_scan`` and finishes with
         ``state.to_series()``.
         """
-        state = _BlockScanState(self.codec, self.uids)
+        state = _BlockScanState(self.codec, self.uids, query)
         try:
             metric_uid = self.uids.get("metric", query.metric)
         except UnknownUidError:
@@ -471,14 +505,14 @@ class QueryEngine:
         pushed down and reports the staleness of what it read.
         """
         state, ranges = self.plan_scan(query)
-        row_filter = state.row_filter(query)
+        row_filter = state.row_filter()
         staleness = 0.0
         for lo, hi in ranges:
             cells, range_staleness = scan(lo, hi, row_filter)
             staleness = max(staleness, range_staleness)
             if cells.rows:
                 self.scan_cells += len(cells.rows)
-                state.ingest_scan(cells, query)
+                state.ingest_scan(cells)
         return state.to_series(), staleness
 
     def _read_series_pointwise(self, query: TsdbQuery) -> List[Series]:

@@ -139,11 +139,11 @@ class AsyncQueryExecutor:
                 )
             )
 
-        for q, state, ranges in scans:
+        for _, state, ranges in scans:
 
-            def handle(result: ScanResult, q: TsdbQuery = q, state=state) -> None:
+            def handle(result: ScanResult, state=state) -> None:
                 collected.append(result)
-                state.ingest_scan(result.cells, q)
+                state.ingest_scan(result.cells)
                 if len(collected) == total:
                     finish()
 

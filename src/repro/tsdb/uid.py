@@ -13,7 +13,10 @@ independent IDs, as in OpenTSDB.
 The registry also hosts the write front end's *series memo*
 (:meth:`UniqueIdRegistry.series_memo`): a real TSD keeps resolved UIDs
 in memory for the same reason, and the registry is the one object every
-TSD of a deployment already shares.
+TSD of a deployment already shares.  The read side's counterpart is the
+*tag memo* (:meth:`UniqueIdRegistry.series_tags`): a series' decoded
+tags, looked up by the series id a row key carries, so every query of a
+deployment decodes a series' UIDs once between them.
 """
 
 from __future__ import annotations
@@ -88,6 +91,8 @@ class UniqueIdRegistry:
         self._next: Dict[UIDKind, int] = {k: 1 for k in _KINDS}
         # codec -> its series memo; see series_memo
         self._series_memos: Dict[Hashable, _SeriesMemo] = {}  # repro-lint: ignore[unbounded-cache] -- one entry per distinct series written, like the UID tables beside it; nothing invalidates it because UIDs are never reassigned
+        # series id -> sorted tag tuple; see series_tags
+        self._tag_memo: Dict[bytes, Tuple[Tuple[str, str], ...]] = {}  # repro-lint: ignore[unbounded-cache] -- one entry per distinct series read, at most one per series written; nothing invalidates it because UIDs are never reassigned
 
     def series_memo(self, codec: Hashable) -> Dict[Tuple[str, tuple], SeriesKey]:
         """The ``(metric, tags) -> SeriesKey`` memo of the TSDs encoding with ``codec``.
@@ -105,6 +110,26 @@ class UniqueIdRegistry:
         if memo is None:
             memo = self._series_memos[codec] = _SeriesMemo(self)
         return memo
+
+    def series_tags(self, sid: bytes) -> Tuple[Tuple[str, str], ...]:
+        """A series' tags, sorted by name, from its series id.
+
+        ``sid`` is what :meth:`~repro.tsdb.rowkey.RowKeyCodec.series_id`
+        cuts from a row key: the metric UID, then the tag-key/tag-value
+        UID pairs.  The first lookup of a series decodes its UIDs; every
+        later one, from any query of the deployment, is a dict hit.  The
+        memo holds one entry per distinct series read and is never
+        invalidated, exactly like the UID tables.
+        """
+        tags = self._tag_memo.get(sid)
+        if tags is None:
+            pair = 2 * UID_WIDTH
+            pairs = tuple(
+                (sid[i : i + UID_WIDTH], sid[i + UID_WIDTH : i + pair])
+                for i in range(UID_WIDTH, len(sid), pair)
+            )
+            tags = self._tag_memo[sid] = tuple(sorted(self.decode_tags(pairs).items()))
+        return tags
 
     def _check_kind(self, kind: UIDKind) -> None:
         if kind not in _KINDS:

@@ -52,6 +52,37 @@ class TestAlignUnion:
         times, stack = align_union([])
         assert times.size == 0
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                # offset 0 for all: overlapping; far apart: disjoint
+                st.sampled_from([0, 0, 1_000, 2_000]),
+                # empty, single-point and multi-point series
+                st.lists(st.integers(0, 40), unique=True, max_size=12),
+                st.lists(st.floats(allow_nan=True, width=64), min_size=12, max_size=12),
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    def test_one_scatter_matches_a_per_series_loop(self, specs):
+        """The stack is filled exactly as a per-series loop fills it:
+        same times, same values, NaN in the same places, bit for bit."""
+        inputs = [
+            series(sorted(offset + t for t in ts), values[: len(ts)])
+            for offset, ts, values in specs
+        ]
+        expected_times = np.unique(np.concatenate([s.timestamps for s in inputs]))
+        expected = np.full((len(inputs), len(expected_times)), np.nan)
+        for i, s in enumerate(inputs):
+            expected[i, np.searchsorted(expected_times, s.timestamps)] = s.values
+        times, stack = align_union(inputs)
+        assert times.dtype == expected_times.dtype
+        assert times.tobytes() == expected_times.tobytes()
+        assert stack.shape == expected.shape
+        assert stack.tobytes() == expected.tobytes()
+
 
 class TestAggregate:
     def test_sum_ignores_missing(self):

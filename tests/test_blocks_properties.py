@@ -12,10 +12,14 @@ Three invariant families behind the block redesign:
   after the fact.
 """
 
+from array import array
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.tsdb.aggregation import Series
 from repro.tsdb.blocks import BlockBatch, SeriesBlock, blocks_from_points
+from repro.hbase.region import CellBatch
 from repro.lifecycle import LifecyclePolicy
 from repro.tsdb.ingest import build_cluster
 from repro.tsdb.query import TsdbQuery, group_and_aggregate
@@ -119,6 +123,36 @@ class TestBlockAlgebra:
                     (p.timestamp, p.value) for p in flat[lo:hi]
                 ]
 
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=120))
+    def test_slicing_many_small_blocks_on_and_beside_block_edges(self, sizes):
+        blocks = [
+            SeriesBlock.from_columns(
+                "energy", {"unit": f"u{k}"}, range(n), [float(k)] * n
+            )
+            for k, n in enumerate(sizes)
+        ]
+        batch = BlockBatch(blocks)
+        flat = [(p.tags, p.timestamp, p.value) for p in batch]
+        edges = [0]
+        for n in sizes:
+            edges.append(edges[-1] + n)
+        bounds = sorted({b for e in edges for b in (e - 1, e, e + 1) if 0 <= b <= len(flat)})
+        for lo in bounds:
+            for hi in bounds:
+                sub = batch[lo:hi]
+                assert len(sub) == len(flat[lo:hi])
+                assert [(p.tags, p.timestamp, p.value) for p in sub] == flat[lo:hi]
+                # blocks wholly inside the slice are kept, not copied;
+                # only the two edge blocks may be cut
+                whole = [
+                    blocks[k]
+                    for k in range(len(blocks))
+                    if lo <= edges[k] and edges[k + 1] <= hi
+                ]
+                kept = {id(b) for b in sub.blocks}
+                assert all(id(b) in kept for b in whole)
+                assert len(sub.blocks) <= len(whole) + 2
 
 def tag_value(prefix):
     """Exact (stored), wildcard, or a value no series carries."""
@@ -328,3 +362,49 @@ class TestAggregationBitIdentity:
             assert a.tags == b.tags
             assert a.timestamps.tobytes() == b.timestamps.tobytes()
             assert a.values.tobytes() == b.values.tobytes()
+
+
+class TestNewestWinsAcrossSeries:
+    """Where two series meet in the assembler's (series, timestamp)-sorted
+    columns on an equal ``(timestamp, write_ts)`` pair, each keeps its own
+    last point: the newest-wins cut breaks on a series change as well as
+    on a timestamp change."""
+
+    A = {"unit": "u0", "sensor": "s0"}
+    B = {"unit": "u0", "sensor": "s1"}
+
+    @staticmethod
+    def put_stamped(cluster, samples, stamp):
+        """Bulk-load samples as cells that all carry write ts ``stamp``."""
+        cells = cluster.tsds[0].encode_points(
+            [DataPoint.make("energy", t, v, tags) for tags, t, v in samples]
+        )
+        stamps = array("d", [stamp] * len(cells))
+        cluster.master.direct_put(
+            DATA_TABLE, CellBatch(cells.rows, cells.qualifiers, cells.values, stamps)
+        )
+
+    @pytest.mark.parametrize("compact", [False, True])
+    def test_each_series_keeps_its_own_point_where_their_columns_meet(self, compact):
+        cluster = build_cluster(n_nodes=2, salt_buckets=4, retain_data=True)
+        # A's last sample and B's first are both (t=200, write ts 10.0):
+        # adjacent in the sorted columns, equal in both sort keys.
+        self.put_stamped(
+            cluster,
+            [(self.A, 100, 1.0), (self.A, 200, 2.0), (self.B, 200, 3.0), (self.B, 300, 4.0)],
+            10.0,
+        )
+        if compact:  # the same cells as one blob per row, still at 10.0
+            cluster.compactor().run()
+        engine, gateway = cluster.query_engine(), cluster.gateway()
+        per_series = TsdbQuery("energy", 0, 3600, group_by=("unit", "sensor"))
+        got = [(s.tag_dict["sensor"], s.timestamps.tolist(), s.values.tolist())
+               for s in engine.run(per_series)]
+        assert got == [("s0", [100, 200], [1.0, 2.0]), ("s1", [200, 300], [3.0, 4.0])]
+        counted = TsdbQuery("energy", 0, 3600, tag_filters={"unit": "u0"}, aggregator="count")
+        assert engine.run(counted)[0].values.tolist() == [1.0, 2.0, 1.0]
+        for query in (per_series, counted):
+            expected = engine.run_pointwise(query)
+            assert_bit_identical(engine.run(query), expected)
+            assert_bit_identical(engine.run_available(query).series, expected)
+            assert_bit_identical(gateway.serve(query).series, expected)

@@ -188,3 +188,72 @@ class TestReadDuringCrash:
             "hedges": result.hedges,
             "scan_retries": result.retries,
         }
+
+
+class TestDeploymentTagTable:
+    """A series' tags are decoded once per deployment
+    (:meth:`UniqueIdRegistry.series_tags`), not once per query; whether a
+    query's tag filter keeps the series is still decided per query."""
+
+    @staticmethod
+    def count_decodes(cluster, monkeypatch):
+        calls = []
+        decode = cluster.uids.decode_tags
+
+        def counting(pairs):
+            calls.append(pairs)
+            return decode(pairs)
+
+        monkeypatch.setattr(cluster.uids, "decode_tags", counting)
+        return calls
+
+    def test_a_series_filtered_out_by_one_query_is_returned_by_the_next(self, loaded):
+        engine = loaded.query_engine()
+        for unit in ("u0", "u1", "u0"):
+            query = TsdbQuery("energy", 0, 100, tag_filters={"unit": unit},
+                              group_by=("unit", "sensor"))
+            assert [s.tags for s in engine.run(query)] == [
+                (("sensor", f"s{k}"), ("unit", unit)) for k in range(3)
+            ]
+
+    def test_a_series_first_written_after_the_table_is_warm_is_resolved(self, loaded):
+        engine = loaded.query_engine()
+        query = TsdbQuery("energy", 0, 100, group_by=("unit", "sensor"))
+        assert len(engine.run(query)) == 6
+        loaded.direct_put([DataPoint.make("energy", 5, 1.5, {"unit": "u2", "sensor": "s0"})])
+        got = engine.run(query)
+        assert len(got) == 7
+        assert got[-1].tags == (("sensor", "s0"), ("unit", "u2"))
+        assert got[-1].values.tolist() == [1.5]
+
+    def test_two_engines_and_the_rpc_executor_share_one_table(self, loaded, monkeypatch):
+        query = TsdbQuery("energy", 0, 100, tag_filters={"sensor": "*"},
+                          group_by=("unit", "sensor"))
+        first = loaded.query_engine()
+        warm = first.series_for(query)
+        decodes = self.count_decodes(loaded, monkeypatch)
+        second = loaded.query_engine()
+        again = second.series_for(query)
+        assert [a.tags for a in again] == [w.tags for w in warm]
+        # the very tag tuples the first engine's query decoded
+        assert all(a.tags is w.tags for a, w in zip(again, warm))
+        offline = second.run(query)
+        online = loaded.async_query_executor().execute_sync(query).series
+        assert [s.tags for s in online] == [s.tags for s in offline]
+        assert decodes == []
+
+    def test_size_is_the_number_of_distinct_series_after_many_queries(self, loaded):
+        engine, gateway = loaded.query_engine(), loaded.gateway()
+        executor = loaded.async_query_executor()
+        queries = [
+            TsdbQuery("energy", start, start + span, tag_filters=filters, group_by=group)
+            for start, span in ((0, 30), (10, 90), (59, 1))
+            for filters in ({}, {"unit": "u1"}, {"sensor": "s2"}, {"unit": "u9"})
+            for group in ((), ("unit",), ("unit", "sensor"))
+        ]
+        for query in queries:
+            engine.run(query)
+            engine.run_available(query)
+            gateway.serve(query)
+            executor.execute_sync(query)
+        assert len(loaded.uids._tag_memo) == 6
