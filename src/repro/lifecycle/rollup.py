@@ -3,10 +3,12 @@
 Each managed metric/tier pair carries a *watermark*: the exclusive end
 of the time range whose tier windows have been materialized.  Windows
 are materialized by recomputation — the engine re-reads the raw cells
-of the whole window and downsamples them with the same kernels the
-query path uses — so materialization is idempotent: re-running a
-window simply overwrites the four column points with newer write
-timestamps (the storage layer's newest-wins rule does the rest).
+of a span of whole windows and reduces them with the window kernel the
+query path's ``downsample`` is built on, one call for all four columns
+of every series in the span — so materialization is idempotent:
+re-running a window simply overwrites the four column points with
+newer write timestamps (the storage layer's newest-wins rule does the
+rest).
 
 Out-of-order writes that land *behind* a watermark mark their windows
 dirty; the next :meth:`RollupEngine.advance` re-materializes exactly
@@ -24,10 +26,14 @@ over the same range (checked by the property suite and the E18 gate).
 
 from __future__ import annotations
 
+from array import array
+from itertools import pairwise
 from typing import TYPE_CHECKING, Callable, Dict, List, Set, Tuple
 
-from ..tsdb.aggregation import downsample
-from ..tsdb.blocks import BlockBatch, SeriesBlock
+import numpy as np
+
+from ..tsdb.aggregation import join_series, reduce_windows
+from ..tsdb.blocks import TS_TYPECODE, VAL_TYPECODE, BlockBatch, SeriesBlock
 from ..tsdb.query import QueryEngine, TsdbQuery
 from .tiers import ROLLUP_COLUMNS, LifecyclePolicy, TierSpec, rollup_metric
 
@@ -180,25 +186,24 @@ class RollupEngine:
         sees the new rollup points like any other write.
         """
         series_list = self._engine.series_for(TsdbQuery(metric, start, end))
+        if not series_list:
+            return 0
+        owner, ts, values = join_series(series_list)
+        first, starts, columns = reduce_windows(
+            owner, ts, values, tier.resolution, ROLLUP_COLUMNS
+        )
+        # Every series read has a point, hence a window: cut per series.
+        bounds = np.searchsorted(owner[first], np.arange(len(series_list) + 1)).tolist()
+        ts_col = array(TS_TYPECODE, starts.tobytes())
+        val_cols = [array(VAL_TYPECODE, column.tobytes()) for column in columns]
+        names = [rollup_metric(column, tier.label, metric) for column in ROLLUP_COLUMNS]
         blocks: List[SeriesBlock] = []
-        covered = 0
-        for series in series_list:
-            covered += len(series)
-            for column in ROLLUP_COLUMNS:
-                ds = downsample(series, tier.resolution, column)
-                if not len(ds):
-                    continue
-                blocks.append(
-                    SeriesBlock.from_columns(
-                        rollup_metric(column, tier.label, metric),
-                        series.tags,
-                        ds.timestamps,
-                        ds.values,
-                    )
-                )
-        if blocks:
-            self.cluster.direct_put(BlockBatch(blocks))
-        return covered
+        for series, (a, b) in zip(series_list, pairwise(bounds)):
+            times = ts_col[a:b]
+            for name, col in zip(names, val_cols):
+                blocks.append(SeriesBlock(name, series.tags, times, col[a:b], _trusted=True))
+        self.cluster.direct_put(BlockBatch(blocks))
+        return len(ts)
 
     def materialized_points(self, metric: str, label: str, start: int, end: int) -> int:
         """Raw-point coverage of a tier range: the count-column sum.

@@ -2,8 +2,15 @@
 
 Vectorised (NumPy) implementations of the OpenTSDB aggregation
 semantics the query engine needs: combining multiple series into one
-(``sum``/``avg``/``min``/``max``/``count``/``dev``), downsampling a
-single series onto fixed windows, and rate conversion.
+(``sum``/``avg``/``min``/``max``/``count``/``dev``), downsampling onto
+fixed windows, and rate conversion.
+
+Windows are reduced in one place, :func:`reduce_windows`: a segmented
+kernel over ``(key, timestamp, value)`` columns that reduces every
+window of every key with whole-array calls, bitwise equal to one
+``np.nan*`` call per window.  :func:`downsample` is that kernel with
+one key; rollup materialization calls it once for every series of a
+span (``repro.lifecycle.rollup``).
 
 A :class:`Series` is a thin view over a columnar
 :class:`~repro.tsdb.blocks.SeriesBlock`: the canonical storage is the
@@ -16,13 +23,23 @@ below consume the columns directly.
 from __future__ import annotations
 
 from array import array
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from itertools import pairwise
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .blocks import SeriesBlock, TS_TYPECODE, VAL_TYPECODE
 
-__all__ = ["Series", "AGGREGATORS", "aggregate", "downsample", "rate", "align_union"]
+__all__ = [
+    "Series",
+    "AGGREGATORS",
+    "aggregate",
+    "downsample",
+    "rate",
+    "align_union",
+    "join_series",
+    "reduce_windows",
+]
 
 
 class Series:
@@ -141,26 +158,18 @@ AGGREGATORS: Dict[str, Callable[[np.ndarray], np.ndarray]] = {
 }
 
 
-def _nan_scalar(fn: Callable[[np.ndarray], float]) -> Callable[[np.ndarray], float]:
-    """Scalar nan-reduction with the same all-NaN silence guarantee."""
+def join_series(series: Sequence[Series]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One ``(owner, timestamps, values)`` column triple over many series.
 
-    def agg(group: np.ndarray) -> float:
-        if np.all(np.isnan(group)):
-            return float("nan")
-        return float(fn(group))
-
-    return agg
-
-
-# Scalar reductions over one window (used by downsampling).
-_SCALAR_AGGREGATORS: Dict[str, Callable[[np.ndarray], float]] = {
-    "sum": lambda g: float(np.nansum(g)),
-    "avg": _nan_scalar(np.nanmean),
-    "min": _nan_scalar(np.nanmin),
-    "max": _nan_scalar(np.nanmax),
-    "count": lambda g: float(np.sum(~np.isnan(g))),
-    "dev": _nan_scalar(np.nanstd),
-}
+    The series' block buffers are joined once; ``owner`` is each
+    sample's position in ``series``, so series sorted by their tags and
+    each by time give columns sorted by ``(owner, timestamp)``.
+    """
+    blocks = [s._block for s in series]
+    ts = np.frombuffer(b"".join([b.timestamps for b in blocks]), dtype=np.int64)
+    values = np.frombuffer(b"".join([b.values for b in blocks]), dtype=np.float64)
+    owner = np.repeat(np.arange(len(blocks)), [len(b) for b in blocks])
+    return owner, ts, values
 
 
 def align_union(series: Sequence[Series]) -> Tuple[np.ndarray, np.ndarray]:
@@ -175,12 +184,9 @@ def align_union(series: Sequence[Series]) -> Tuple[np.ndarray, np.ndarray]:
     """
     if not series:
         return np.empty(0, dtype=np.int64), np.empty((0, 0))
-    blocks = [s._block for s in series]
-    ts = np.frombuffer(b"".join([b.timestamps for b in blocks]), dtype=np.int64)
-    values = np.frombuffer(b"".join([b.values for b in blocks]), dtype=np.float64)
+    owner, ts, values = join_series(series)
     times = np.unique(ts)
     stack = np.full((len(series), len(times)), np.nan)
-    owner = np.repeat(np.arange(len(series)), [len(b) for b in blocks])
     stack[owner, np.searchsorted(times, ts)] = values
     return times, stack
 
@@ -205,26 +211,101 @@ def aggregate(series: Sequence[Series], aggregator: str) -> Series:
     return Series(tuple(sorted(common)), times, values)
 
 
+def reduce_windows(
+    keys: Optional[np.ndarray],
+    timestamps: np.ndarray,
+    values: np.ndarray,
+    window: int,
+    aggregators: Sequence[str],
+) -> Tuple[np.ndarray, np.ndarray, List[np.ndarray]]:
+    """Reduce every fixed window of every key with whole-array calls.
+
+    The one window reducer.  ``(keys, timestamps, values)`` are columns
+    sorted by key, then by strictly increasing timestamp (``keys`` is
+    ``None`` for a single key); a window starts wherever the key or the
+    bucket ``ts // window * window`` changes.  Returns ``(first,
+    starts, columns)``: each window's first row, its start time, and
+    one column per aggregator name.
+
+    Each window's value is bitwise the matching ``np.nan*`` reduction
+    of that window alone.  ``min``/``max`` are ``fmin``/``fmax``
+    ``reduceat`` (what ``nanmin``/``nanmax`` reduce with); ``count`` is
+    exact.  ``sum``/``avg``/``dev`` go through :func:`_window_sums`,
+    which gives each window the very pairwise summation ``np.sum``
+    would.  An all-NaN window is written as ``np.nan`` (``0/0`` may set
+    the sign bit), except ``sum``, which stays ``nansum``'s 0.0.
+    """
+    n = len(timestamps)
+    buckets = (timestamps // window) * window
+    new = np.empty(n, dtype=bool)
+    new[:1] = True
+    np.not_equal(buckets[1:], buckets[:-1], out=new[1:])
+    if keys is not None:
+        new[1:] |= keys[1:] != keys[:-1]
+    first = np.flatnonzero(new)
+    lengths = np.diff(first, append=n)
+    missing = np.isnan(values)
+    counts = np.add.reduceat(~missing, first, dtype=np.intp)
+    empty = counts == 0
+    sums: Optional[np.ndarray] = None
+    columns: List[np.ndarray] = []
+    for name in aggregators:
+        if name == "count":
+            columns.append(counts.astype(np.float64))
+            continue
+        if name == "min" or name == "max":
+            column = (np.fmin if name == "min" else np.fmax).reduceat(values, first)
+        else:
+            if sums is None:
+                sums = _window_sums(np.where(missing, 0.0, values), first, lengths)
+            if name == "sum":
+                columns.append(sums)
+                continue
+            with np.errstate(invalid="ignore", divide="ignore"):
+                column = sums / counts
+                if name == "dev":
+                    spread = np.where(missing, 0.0, values - np.repeat(column, lengths))
+                    column = np.sqrt(_window_sums(spread * spread, first, lengths) / counts)
+        column[empty] = np.nan
+        columns.append(column)
+    return first, buckets[first], columns
+
+
+def _window_sums(x: np.ndarray, first: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Per-window ``np.sum``, bit for bit, in one call per window length.
+
+    ``np.add.reduceat`` adds a window left to right, which is not what
+    ``np.sum`` does (pairwise, in blocks of 8 and 128).  Windows of one
+    length are gathered into a C-ordered ``(k, L)`` array instead, and
+    ``sum(axis=1)`` runs the same pairwise loop over each row that
+    ``np.sum`` runs over a lone window of ``L`` elements.
+    """
+    out = np.empty(len(first))
+    order = np.argsort(lengths, kind="stable")
+    ranked = lengths[order]
+    cuts = [0, *(np.flatnonzero(ranked[1:] != ranked[:-1]) + 1).tolist(), len(order)]
+    for a, b in pairwise(cuts):
+        sel = order[a:b]
+        out[sel] = x[first[sel, np.newaxis] + np.arange(ranked[a])].sum(axis=1)
+    return out
+
+
 def downsample(series: Series, window: int, aggregator: str = "avg") -> Series:
     """Downsample onto fixed windows of ``window`` seconds.
 
     Each output point sits at the window start (OpenTSDB convention);
-    empty windows produce no point.
+    empty windows produce no point.  :func:`reduce_windows` with one key.
     """
     if window < 1:
         raise ValueError("window must be >= 1 second")
-    if aggregator not in _SCALAR_AGGREGATORS:
+    if aggregator not in AGGREGATORS:
         raise ValueError(f"unknown aggregator {aggregator!r}")
     if len(series) == 0:
         return series
-    buckets = (series.timestamps // window) * window
-    # Group contiguous runs of equal bucket (timestamps are sorted).
-    boundaries = np.flatnonzero(np.diff(buckets)) + 1
-    groups = np.split(series.values, boundaries)
-    out_times = buckets[np.concatenate(([0], boundaries))] if len(boundaries) else buckets[:1]
-    agg = _SCALAR_AGGREGATORS[aggregator]
-    out_values = np.array([agg(g) for g in groups])
-    return Series(series.tags, out_times, out_values)
+    _, starts, (values,) = reduce_windows(
+        None, series.timestamps, series.values, window, (aggregator,)
+    )
+    return Series(series.tags, starts, values)
 
 
 def rate(series: Series, counter: bool = False, max_value: float | None = None) -> Series:

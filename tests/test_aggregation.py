@@ -13,6 +13,7 @@ from repro.tsdb.aggregation import (
     align_union,
     downsample,
     rate,
+    reduce_windows,
 )
 
 
@@ -224,6 +225,107 @@ class TestDownsample:
     def test_count_aggregator(self):
         s = series([0, 1, 2], [5.0, 5.0, 5.0])
         assert downsample(s, 10, "count").values[0] == 3.0
+
+
+#: Per-window references, each applied to one window on its own.
+NAN_REDUCERS = {
+    "sum": np.nansum,
+    "avg": np.nanmean,
+    "min": np.nanmin,
+    "max": np.nanmax,
+    "count": lambda g: np.sum(~np.isnan(g)),
+    "dev": np.nanstd,
+}
+
+
+def reference_downsample(ts, vs, window, aggregator):
+    """One ``np.nan*`` call per window; an all-NaN window is ``np.nan``
+    (``sum``: ``nansum``'s 0.0, ``count``: 0)."""
+    buckets = ts // window * window
+    starts = np.unique(buckets)
+    out = []
+    for b in starts:
+        g = vs[buckets == b]
+        if np.all(np.isnan(g)) and aggregator not in ("sum", "count"):
+            out.append(np.nan)
+        else:
+            out.append(float(NAN_REDUCERS[aggregator](g)))
+    return starts, np.array(out, dtype=np.float64)
+
+
+@st.composite
+def windowed_series(draw):
+    """A series cut into windows whose lengths cross NumPy's pairwise
+    summation blocks (8 and 128), with NaN, all-NaN windows and ±0.0."""
+    lengths = draw(
+        st.lists(
+            st.sampled_from([1, 2, 7, 8, 9, 16, 127, 128, 129, 256, 300]) | st.integers(1, 300),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    window = max(lengths) + draw(st.integers(0, 40))
+    pool = np.array(
+        draw(
+            st.lists(
+                st.floats(-1e12, 1e12) | st.sampled_from([np.nan, 0.0, -0.0]),
+                min_size=1,
+                max_size=12,
+            )
+        )
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bucket = draw(st.integers(-5, 5))
+    ts, vs = [], []
+    for length in lengths:
+        bucket += draw(st.integers(1, 3))  # a skipped window is empty
+        offsets = np.sort(rng.choice(window, size=length, replace=False))
+        ts.append(bucket * window + offsets)
+        kind = draw(st.sampled_from(["mixed", "pool", "all_nan"]))
+        if kind == "all_nan":
+            vs.append(np.full(length, np.nan))
+        else:
+            values = rng.choice(pool, size=length)
+            if kind == "mixed":
+                noise = rng.normal(0.0, 10.0 ** rng.integers(-3, 9), size=length)
+                values = np.where(rng.random(length) < 0.5, noise, values)
+            vs.append(values)
+    return np.concatenate(ts).astype(np.int64), np.concatenate(vs), window
+
+
+class TestWindowKernel:
+    """``downsample`` (the segmented kernel with one key) against one
+    ``np.nan*`` call per window, byte for byte."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(windowed_series())
+    def test_downsample_matches_per_window_reference_bytes(self, case):
+        ts, vs, window = case
+        s = Series((("unit", "u0"),), ts, vs)
+        for aggregator in NAN_REDUCERS:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                out = downsample(s, window, aggregator)
+            starts, expected = reference_downsample(ts, vs, window, aggregator)
+            assert out.tags == s.tags
+            assert out.timestamps.tobytes() == starts.tobytes()
+            assert out.values.tobytes() == expected.tobytes(), aggregator
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(windowed_series(), min_size=2, max_size=4), st.integers(1, 400))
+    def test_many_keys_in_one_pass_equal_downsample_per_key(self, cases, window):
+        """One call over several keys cuts at every key change, even
+        where the next key starts in the same bucket."""
+        keys = np.repeat(np.arange(len(cases)), [len(ts) for ts, _, _ in cases])
+        ts = np.concatenate([ts for ts, _, _ in cases])
+        vs = np.concatenate([vs for _, vs, _ in cases])
+        first, starts, columns = reduce_windows(keys, ts, vs, window, list(NAN_REDUCERS))
+        for key, (kts, kvs, _) in enumerate(cases):
+            mine = keys[first] == key
+            for aggregator, column in zip(NAN_REDUCERS, columns):
+                expected = downsample(Series((), kts, kvs), window, aggregator)
+                assert starts[mine].tobytes() == expected.timestamps.tobytes()
+                assert column[mine].tobytes() == expected.values.tobytes(), aggregator
 
 
 class TestRate:

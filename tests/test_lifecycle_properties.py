@@ -4,7 +4,9 @@ Five invariant families, on randomized workloads:
 
 * **re-aggregation closure** — materialized count/sum/min/max columns
   are bitwise equal to the downsample kernels applied to raw, so
-  re-aggregating from a tier never drifts from the raw answer;
+  re-aggregating from a tier never drifts from the raw answer — for one
+  series, and for several series with NaN values, late writes and
+  compacted rows materialized in one pass;
 * **watermark monotonicity** — no write pattern (in-order, late,
   duplicate) ever moves a watermark backwards, and watermarks only
   cover complete windows;
@@ -83,6 +85,102 @@ class TestReaggregationClosure:
                 assert len(got) == 1
                 assert np.array_equal(got[0].timestamps, expected.timestamps)
                 assert np.array_equal(got[0].values, expected.values, equal_nan=True)
+
+
+# several series' samples, NaN values included
+nan_samples = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=7199),
+        st.floats(min_value=-1e9, max_value=1e9) | st.just(float("nan")),
+    ),
+    min_size=1,
+    max_size=40,
+    unique_by=lambda tv: tv[0],
+)
+# late writes behind the watermark: (series index, timestamp, value)
+late_writes = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=5),
+        st.integers(min_value=0, max_value=7199),
+        st.floats(min_value=-1e9, max_value=1e9) | st.just(float("nan")),
+    ),
+    min_size=1,
+    max_size=12,
+)
+TIERS = (("1m", 60), ("1h", 3600))
+
+
+class TestMultiSeriesClosure:
+    """The rollup reduces every series of a span in one kernel pass; each
+    series' columns must still be exactly that series' own downsample."""
+
+    @staticmethod
+    def put(cluster, truth, writes):
+        cluster.direct_put(
+            [DataPoint.make(METRIC, t, v, {"unit": f"u{u}", "sensor": "s0"}) for u, t, v in writes]
+        )
+        for u, t, v in writes:
+            truth.setdefault(u, {})[t] = v
+
+    @staticmethod
+    def covered(truth, windows):
+        """Raw points inside the given (tier resolution, window start)s."""
+        return sum(
+            1
+            for res, w in windows
+            for by_t in truth.values()
+            for t in by_t
+            if w <= t < w + res
+        )
+
+    @staticmethod
+    def dirty(writes):
+        """Every tier window between a late put's ends is re-materialized."""
+        lo, hi = min(t for _, t, _ in writes), max(t for _, t, _ in writes)
+        return {(res, w) for _, res in TIERS for w in range(lo // res * res, hi + 1, res)}
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.lists(nan_samples, min_size=2, max_size=6), late_writes, late_writes)
+    def test_every_column_is_its_series_downsample(self, per_series, before, after):
+        cluster = build_cluster(
+            n_nodes=2, salt_buckets=2, retain_data=True, lifecycle=LifecyclePolicy()
+        )
+        points = cluster.metrics.counter("lifecycle.rollup.points")
+        truth = {}
+        # a closing sample at 7200 completes every window below it
+        first = [(u, t, v) for u, tvs in enumerate(per_series) for t, v in tvs] + [(0, 7200, 0.0)]
+        self.put(cluster, truth, first)
+        n = len(per_series)
+        cluster.lifecycle.run_maintenance()
+        # first pass: each tier covers every raw point below the closing sample
+        assert points.value == self.covered(
+            truth, {(res, w) for _, res in TIERS for w in range(0, 7200, res)}
+        )
+        # late writes behind the watermark, then a compaction pass (which
+        # runs maintenance first), then late writes onto compacted rows
+        steps = ((before, cluster.compactor().run), (after, cluster.lifecycle.run_maintenance))
+        for late, step in steps:
+            late = [(u % n, t, v) for u, t, v in late]
+            self.put(cluster, truth, late)
+            mark = points.value
+            step()
+            assert points.value - mark == self.covered(truth, self.dirty(late))
+        engine = cluster.query_engine()
+        engine.lifecycle = None
+        for u, by_t in truth.items():
+            ts = np.array(sorted(t for t in by_t if t < 7200), dtype=np.int64)
+            if not len(ts):
+                continue
+            raw = Series((("sensor", "s0"), ("unit", f"u{u}")), ts, [by_t[t] for t in ts])
+            for label, res in TIERS:
+                for column in ("count", "sum", "min", "max"):
+                    expected = downsample(raw, res, column)
+                    query = TsdbQuery(
+                        rollup_metric(column, label, METRIC), 0, 7200, tag_filters={"unit": f"u{u}"}
+                    )
+                    (got,) = engine.series_for(query)
+                    assert got.timestamps.tobytes() == expected.timestamps.tobytes()
+                    assert got.values.tobytes() == expected.values.tobytes(), (label, column)
 
 
 class TestWatermarkMonotonicity:
