@@ -2,9 +2,8 @@
 
 One run over the given files and directories (default: ``src tests
 benchmarks examples``): every file is parsed once, the per-file rules
-run on every file, and the whole-program rules (guarded-helper-path,
-telemetry-drift, ack-escape) run over each package found among them
-(``src/repro`` by default).
+run on every file, and the whole-program rule (telemetry-drift) runs
+over each package found among them (``src/repro`` by default).
 
 Exit codes: 0 — clean (no unsuppressed findings); 1 — findings; 2 —
 usage error or no Python files.  ``--json`` emits the machine-readable

@@ -1,40 +1,19 @@
-"""Module/import graph and best-effort call graph over a ProjectModel.
+"""The project-internal import graph over a ProjectModel.
 
-Two graph layers sit between the raw symbol tables and the cross-module
-rules:
-
-* :class:`ImportGraph` — project-internal module dependencies, with
-  Tarjan SCC cycle detection and a deterministic topological order
-  (cycles collapse to one component; members stay sorted).  Rules use
-  it for "who can see whom" questions and the CLI reports cycles so
-  the lazy-import workarounds in the codebase stay deliberate.
-* :class:`CallGraph` — function-level edges resolved best-effort from
-  each :class:`~repro.analysis.project.FunctionInfo` summary:
-
-  - ``self.m(...)`` → method ``m`` of the enclosing class (walking
-    project-resolvable base classes);
-  - ``self.<attr>.m(...)`` → method ``m`` of the class ``__init__``
-    assigned to ``self.<attr>`` (the attr-constructor binding);
-  - ``name(...)`` → same-module function, or a ``from``-imported one;
-  - ``mod.f(...)`` → function ``f`` of the imported module ``mod``;
-  - scheduled-callback references (``sim.schedule(d, self._tick)``)
-    become edges too, marked ``scheduled`` (no locks held when they
-    run).
-
-  Unresolvable calls (stdlib, numpy, dynamic dispatch) produce no
-  edge — the graph under-approximates, which is the right polarity
-  for the rules built on it: a missing edge can only make a rule
-  *miss* a violation, never invent one.
+:class:`ImportGraph` holds the package's module dependencies, with
+Tarjan SCC cycle detection and a deterministic topological order
+(cycles collapse to one component; members stay sorted).  The one
+analysis run reports its cycles as notes, so the lazy-import
+workarounds in the codebase stay deliberate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Set, Tuple
 
-from .project import CallSite, ClassInfo, FunctionInfo, ModuleInfo, ProjectModel
+from .project import ProjectModel
 
-__all__ = ["CallEdge", "CallGraph", "ImportGraph"]
+__all__ = ["ImportGraph"]
 
 
 class ImportGraph:
@@ -125,143 +104,3 @@ class ImportGraph:
     def topo_order(self) -> List[str]:
         """Modules in dependency-first order (cycle members adjacent)."""
         return [name for scc in self.sccs() for name in scc]
-
-
-@dataclass(frozen=True)
-class CallEdge:
-    """One resolved call edge."""
-
-    caller: str
-    callee: str
-    site: CallSite
-
-
-class CallGraph:
-    """Best-effort function-level call graph."""
-
-    def __init__(self, model: ProjectModel) -> None:
-        self.model = model
-        self._callees: Dict[str, List[CallEdge]] = {}
-        self._callers: Dict[str, List[CallEdge]] = {}
-        for fn in model.iter_functions():
-            for site in fn.calls:
-                target = self.resolve(fn, site)
-                if target is None:
-                    continue
-                edge = CallEdge(fn.qualname, target.qualname, site)
-                self._callees.setdefault(fn.qualname, []).append(edge)
-                self._callers.setdefault(target.qualname, []).append(edge)
-
-    # ------------------------------------------------------------------
-    # resolution
-    # ------------------------------------------------------------------
-    def resolve(self, fn: FunctionInfo, site: CallSite) -> Optional[FunctionInfo]:
-        parts = site.callee.split(".")
-        if parts[0] == "self":
-            return self._resolve_self(fn, parts)
-        if len(parts) == 1:
-            return self._resolve_plain(fn.module, parts[0])
-        return self._resolve_dotted(fn.module, parts)
-
-    def _resolve_self(
-        self, fn: FunctionInfo, parts: List[str]
-    ) -> Optional[FunctionInfo]:
-        cls = self.model.class_of(fn)
-        if cls is None:
-            return None
-        if len(parts) == 2:
-            # self.m() — own method or inherited project method.
-            return self._method_on(cls, parts[1])
-        if len(parts) == 3:
-            # self.attr.m() — through the attr-constructor binding.
-            ctor = cls.attr_constructors.get(parts[1])
-            if ctor is None:
-                return None
-            target_cls = self.model.resolve_class(cls.module, ctor)
-            if target_cls is None:
-                return None
-            return self._method_on(target_cls, parts[2])
-        return None
-
-    def _method_on(self, cls: ClassInfo, method: str) -> Optional[FunctionInfo]:
-        seen: Set[str] = set()
-        queue: List[ClassInfo] = [cls]
-        while queue:
-            current = queue.pop(0)
-            if current.qualname in seen:
-                continue
-            seen.add(current.qualname)
-            found = current.methods.get(method)
-            if found is not None:
-                return found
-            for base in current.bases:
-                base_cls = self.model.resolve_class(current.module, base)
-                if base_cls is not None:
-                    queue.append(base_cls)
-        return None
-
-    def _resolve_plain(
-        self, module: ModuleInfo, name: str
-    ) -> Optional[FunctionInfo]:
-        local = module.functions.get(name)
-        if local is not None:
-            return local
-        target = module.aliases.get(name)
-        if target is not None:
-            return self.model.functions.get(target)
-        return None
-
-    def _resolve_dotted(
-        self, module: ModuleInfo, parts: List[str]
-    ) -> Optional[FunctionInfo]:
-        resolved = module.resolve_name(".".join(parts))
-        found = self.model.functions.get(resolved)
-        if found is not None:
-            return found
-        # ``alias.Class.method`` / ``Class.method`` in the same module.
-        if len(parts) == 2:
-            cls = module.classes.get(parts[0])
-            if cls is not None:
-                return self._method_on(cls, parts[1])
-        return None
-
-    # ------------------------------------------------------------------
-    # queries
-    # ------------------------------------------------------------------
-    def callees(self, qualname: str) -> Tuple[CallEdge, ...]:
-        return tuple(self._callees.get(qualname, ()))
-
-    def callers(self, qualname: str) -> Tuple[CallEdge, ...]:
-        return tuple(self._callers.get(qualname, ()))
-
-    def reachable_from(self, qualname: str) -> Set[str]:
-        """Transitive closure of callees (including ``qualname``)."""
-        seen: Set[str] = set()
-        queue = [qualname]
-        while queue:
-            current = queue.pop()
-            if current in seen:
-                continue
-            seen.add(current)
-            for edge in self._callees.get(current, ()):
-                if edge.callee not in seen:
-                    queue.append(edge.callee)
-        return seen
-
-    def can_reach(self, source: str, targets: Set[str]) -> bool:
-        """Can ``source`` reach any of ``targets`` through call edges?"""
-        if source in targets:
-            return True
-        seen: Set[str] = set()
-        queue = [source]
-        while queue:
-            current = queue.pop()
-            if current in seen:
-                continue
-            seen.add(current)
-            for edge in self._callees.get(current, ()):
-                if edge.callee in targets:
-                    return True
-                if edge.callee not in seen:
-                    queue.append(edge.callee)
-        return False

@@ -2,8 +2,8 @@
 
 A deliberately small, dependency-free analyser tuned to *this*
 repository's correctness invariants (seeded RNG, exact detector math,
-frozen configs, lock discipline, telemetry and ack accounting) rather
-than general style.  The pieces:
+lock discipline, bounded retries, caches and time ranges, telemetry
+accounting) rather than general style.  The pieces:
 
 * :class:`SourceFile` — one parsed module plus the comment-derived
   metadata rules need: per-line ``# repro-lint: ignore[rule, ...]``

@@ -1,6 +1,6 @@
 """The per-file rule catalogue.
 
-Ten rules tuned to this repository's correctness invariants:
+Eight rules tuned to this repository's correctness invariants:
 
 ===================  ===================================================
 ``unseeded-rng``     RNG created or used without an explicit seed
@@ -10,12 +10,8 @@ Ten rules tuned to this repository's correctness invariants:
                      ``core/`` detector math (bit-identity is asserted
                      with tolerances or exact integer flags, never
                      float equality)
-``frozen-setattr``   ``object.__setattr__`` outside ``__post_init__``
-                     (the only sanctioned frozen-dataclass escape
-                     hatch)
 ``broad-except``     bare ``except:``, ``except BaseException:``, or an
                      ``except Exception:`` that silently swallows
-``mutable-default``  mutable default argument values
 ``guarded-by``       access to a ``# guarded-by: <lock>`` attribute
                      outside a ``with self.<lock>:`` block (or a
                      function asserting ``assert_holds(self.<lock>)``)
@@ -44,7 +40,7 @@ Ten rules tuned to this repository's correctness invariants:
 
 Each rule is registered with :func:`repro.analysis.lint.register` and
 suppressable per line via ``# repro-lint: ignore[<id>]``.  The
-whole-program rules live in :mod:`repro.analysis.crossrules`.
+whole-program rule lives in :mod:`repro.analysis.crossrules`.
 """
 
 from __future__ import annotations
@@ -58,9 +54,7 @@ from .lint import Finding, Rule, SourceFile, dotted_expr, register
 __all__ = [
     "BroadExceptRule",
     "FloatEqualityRule",
-    "FrozenSetattrRule",
     "GuardedByRule",
-    "MutableDefaultRule",
     "UnboundedCacheRule",
     "UnboundedRetryRule",
     "UnboundedTimeRangeRule",
@@ -252,50 +246,6 @@ class FloatEqualityRule(Rule):
 
 # ----------------------------------------------------------------------
 @register
-class FrozenSetattrRule(Rule):
-    """``object.__setattr__`` outside ``__post_init__``.
-
-    Frozen dataclasses are this codebase's immutability contract
-    (configs, series, row keys); ``object.__setattr__`` is sanctioned
-    only inside ``__post_init__`` for normalising fields at
-    construction time.  Anywhere else it silently breaks the contract.
-    """
-
-    id = "frozen-setattr"
-    summary = "object.__setattr__ outside __post_init__"
-
-    def check(self, source: SourceFile) -> Iterator[Finding]:
-        yield from self._scan(source.tree.body, source, context=None)
-
-    def _scan(
-        self, body: List[ast.stmt], source: SourceFile, context: Optional[str]
-    ) -> Iterator[Finding]:
-        for stmt in body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield from self._scan(stmt.body, source, context=stmt.name)
-                continue
-            if isinstance(stmt, ast.ClassDef):
-                yield from self._scan(stmt.body, source, context=context)
-                continue
-            for node in ast.walk(stmt):
-                if (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "__setattr__"
-                    and isinstance(node.func.value, ast.Name)
-                    and node.func.value.id == "object"
-                    and context != "__post_init__"
-                ):
-                    yield self.finding(
-                        source,
-                        node,
-                        "object.__setattr__ outside __post_init__ breaks "
-                        "the frozen-dataclass immutability contract",
-                    )
-
-
-# ----------------------------------------------------------------------
-@register
 class BroadExceptRule(Rule):
     """Bare / over-broad exception handlers.
 
@@ -331,42 +281,6 @@ class BroadExceptRule(Rule):
                     source, node, "except Exception: pass silently swallows "
                     "every error; handle or narrow it"
                 )
-
-
-# ----------------------------------------------------------------------
-@register
-class MutableDefaultRule(Rule):
-    """Mutable default argument values (shared across calls)."""
-
-    id = "mutable-default"
-    summary = "mutable default argument value"
-
-    _MUTABLE_CALLS = {"list", "dict", "set", "bytearray"}
-
-    def check(self, source: SourceFile) -> Iterator[Finding]:
-        for node in ast.walk(source.tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                continue
-            defaults = list(node.args.defaults) + [
-                d for d in node.args.kw_defaults if d is not None
-            ]
-            for default in defaults:
-                if self._is_mutable(default):
-                    yield self.finding(
-                        source,
-                        default,
-                        "mutable default argument is shared across calls; "
-                        "default to None and create inside the function",
-                    )
-
-    def _is_mutable(self, node: ast.expr) -> bool:
-        if isinstance(node, (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)):
-            return True
-        return (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id in self._MUTABLE_CALLS
-        )
 
 
 # ----------------------------------------------------------------------

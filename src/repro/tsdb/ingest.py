@@ -11,7 +11,7 @@ measurements Figure 2 and the E6/E7 ablations report.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional
 
 from ..cluster.failures import OverflowCrashPolicy
@@ -28,7 +28,7 @@ from .blocks import BlockBatch, SeriesBlock
 from .proxy import DirectSubmitter, ReverseProxy
 from .query import QueryEngine
 from .rowkey import RowKeyCodec
-from .tsd import DATA_TABLE, DataPoint, PutAck, TSDaemon, TSDServiceModel
+from .tsd import DATA_TABLE, DataPoint, PutAck, TSDaemon
 from .uid import UniqueIdRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -67,8 +67,6 @@ class ClusterConfig:
     trace: bool = False  # span tracing across proxy -> TSD -> RegionServer
     replication_factor: int = 1  # 1 = primary only; N>=2 adds N-1 follower replicas
     failure_detection_delay: float = 0.0  # master's crash-detection lag (sim-seconds)
-    service_model: ServiceModel = field(default_factory=ServiceModel)
-    tsd_service_model: TSDServiceModel = field(default_factory=TSDServiceModel)
     # None = no lifecycle tier; a LifecyclePolicy wires a LifecycleManager
     # (rollups, TTL retention, tier-routed queries) into the deployment.
     lifecycle: Optional["LifecyclePolicy"] = None
@@ -134,16 +132,17 @@ class TsdbCluster:
         # drawn without an interpreted call per cell.
         self.next_write_ts = itertools.count(1.0).__next__
 
-        service_model = config.service_model
+        service_model = ServiceModel()
         if config.compaction_enabled:
             # OpenTSDB compaction re-reads and rewrites finished rows,
             # adding RPC traffic to the RegionServers.  Modelled as a
-            # 50% surcharge on the per-cell write cost — the reason the
-            # paper disabled compaction during ingestion runs.
-            service_model = ServiceModel(
-                rpc_overhead=service_model.rpc_overhead,
+            # 50% surcharge on both per-cell write costs, point and
+            # block — the reason the paper disabled compaction during
+            # ingestion runs.
+            service_model = replace(
+                service_model,
                 per_cell_write=service_model.per_cell_write * 1.5,
-                per_cell_read=service_model.per_cell_read,
+                per_cell_write_block=service_model.per_cell_write_block * 1.5,
             )
 
         self.nodes: List[Node] = []
@@ -199,7 +198,6 @@ class TsdbCluster:
                 self.master,
                 self.uids,
                 self.codec,
-                service_model=config.tsd_service_model,
                 metrics=self.metrics,
                 write_ts=self.next_write_ts,
                 tracer=self.tracer,

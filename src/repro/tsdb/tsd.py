@@ -155,7 +155,6 @@ class TSDaemon:
         master: HMaster,
         uids: UniqueIdRegistry,
         codec: RowKeyCodec,
-        service_model: Optional[TSDServiceModel] = None,
         metrics: Optional[MetricsRegistry] = None,
         write_ts: Optional[Callable[[], float]] = None,
         tracer: Optional[Tracer] = None,
@@ -166,7 +165,7 @@ class TSDaemon:
         self.name = name
         self.uids = uids
         self.codec = codec
-        self.service_model = service_model if service_model is not None else TSDServiceModel()
+        self.service_model = TSDServiceModel()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tracer = tracer if tracer is not None else Tracer()
         self.http_server = Server(sim, name, QUEUE_CAPACITY, self.metrics)

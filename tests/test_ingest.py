@@ -70,6 +70,16 @@ class TestBuildCluster:
             > off.servers[0].service_model.per_cell_write
         )
 
+    def test_compaction_surcharges_block_puts_like_point_puts(self):
+        # Block puts (and replication's ship, which prices a shipped
+        # batch as one) pay the same 50% per-cell surcharge as points.
+        on = build_cluster(n_nodes=1, compaction_enabled=True).servers[0].service_model
+        off = build_cluster(n_nodes=1, compaction_enabled=False).servers[0].service_model
+        for cost in ("put_cost", "put_block_cost"):
+            surcharged = getattr(on, cost)(100) - on.rpc_overhead
+            base = getattr(off, cost)(100) - off.rpc_overhead
+            assert surcharged == pytest.approx(1.5 * base)
+
     def test_crash_policy_optional(self):
         with_policy = build_cluster(n_nodes=1, crash_on_overflow=True)
         without = build_cluster(n_nodes=1, crash_on_overflow=False)

@@ -15,6 +15,8 @@ from repro.analysis.lint import (
     lint_source,
 )
 
+from .test_static_analysis import KEPT_RULES
+
 CORE_PATH = "src/repro/core/detector.py"  # float-equality applies to core/ only
 
 
@@ -29,21 +31,7 @@ def rule_ids(src, path="src/repro/module.py"):
 class TestFramework:
     def test_all_rules_registered(self):
         # One catalogue: the per-file rules plus the whole-program rules.
-        assert {r.id for r in all_rules()} == {
-            "unseeded-rng",
-            "float-equality",
-            "frozen-setattr",
-            "broad-except",
-            "mutable-default",
-            "guarded-by",
-            "unbounded-retry",
-            "unbounded-cache",
-            "unsuppressed-alert-emit",
-            "unbounded-time-range",
-            "guarded-helper-path",
-            "telemetry-drift",
-            "ack-escape",
-        }
+        assert {r.id for r in all_rules()} == set(KEPT_RULES)
 
     def test_parse_error_is_a_finding(self):
         found = lint_source("def broken(:\n")
@@ -177,27 +165,6 @@ class TestFloatEquality:
         assert not findings("def f(x):\n    return x >= 1.0\n", CORE_PATH)
 
 
-class TestFrozenSetattr:
-    def test_fires_outside_post_init(self):
-        src = """
-        class C:
-            def thaw(self, v):
-                object.__setattr__(self, "x", v)
-        """
-        assert rule_ids(src) == {"frozen-setattr"}
-
-    def test_post_init_clean(self):
-        src = """
-        class C:
-            def __post_init__(self):
-                object.__setattr__(self, "x", 1)
-        """
-        assert not findings(src)
-
-    def test_module_level_fires(self):
-        assert rule_ids("object.__setattr__(cfg, 'x', 1)\n") == {"frozen-setattr"}
-
-
 class TestBroadExcept:
     def test_bare_except(self):
         assert rule_ids("try:\n    f()\nexcept:\n    pass\n") == {"broad-except"}
@@ -219,20 +186,6 @@ class TestBroadExcept:
 
     def test_narrow_except_clean(self):
         assert not findings("try:\n    f()\nexcept ValueError:\n    pass\n")
-
-
-class TestMutableDefault:
-    def test_list_literal(self):
-        assert rule_ids("def f(x=[]):\n    return x\n") == {"mutable-default"}
-
-    def test_dict_call(self):
-        assert rule_ids("def f(x=dict()):\n    return x\n") == {"mutable-default"}
-
-    def test_kwonly_default(self):
-        assert rule_ids("def f(*, x={}):\n    return x\n") == {"mutable-default"}
-
-    def test_immutable_defaults_clean(self):
-        assert not findings("def f(x=(), y=None, z=1, w='s'):\n    return x\n")
 
 
 class TestGuardedBy:

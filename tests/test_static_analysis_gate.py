@@ -4,10 +4,9 @@ Complements ``tests/test_static_analysis.py`` with the whole-program
 half of the one analysis run:
 
 * the run's whole-program rules report no unsuppressed finding over
-  ``src/repro`` — any cross-module finding (lock-contract break,
-  telemetry drift, ack escape) that is not waived inline fails the
-  suite;
-* the three whole-program rules must actually be registered and listed
+  ``src/repro`` — any cross-module finding (telemetry drift) that is
+  not waived inline fails the suite;
+* the kept whole-program rules must actually be registered and listed
   (an engine that silently loads zero rules would "pass" vacuously).
 
 Both read the session's one full-tree run (``self_host`` in
@@ -21,11 +20,11 @@ from pathlib import Path
 
 from repro.analysis.lint import CrossRule, all_rules
 
+from .test_static_analysis import KEPT_RULES
+
 REPO_ROOT = Path(__file__).parent.parent
 EXPECTED_CROSS_RULES = {
-    "ack-escape",
-    "guarded-helper-path",
-    "telemetry-drift",
+    rule for rule, kind in KEPT_RULES.items() if kind == "whole-program"
 }
 
 
