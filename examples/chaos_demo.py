@@ -70,7 +70,6 @@ def main() -> None:
     print("\n== hardening machinery ==")
     print(f"  proxy retries            {proxy.retried}")
     print(f"  ack timeouts             {proxy.ack_timeouts}")
-    print(f"  partial-batch retries    {proxy.partial_retries}")
     print(f"  breaker ejections        {proxy.breaker_ejections()}")
 
     print("\n== delivery accounting ==")

@@ -5,14 +5,12 @@ grows (the paper's low-false-alarm claim is only as good as the
 invariants the code maintains):
 
 * **repro-lint**, one analysis run (``python -m repro.analysis
-  [paths]``): :mod:`repro.analysis.lint` parses each file once, runs
-  the per-file rules of :mod:`repro.analysis.rules` on every file
-  (seeded RNG, no float equality in detector math, no broad excepts,
-  ``guarded-by`` lock annotations, bounded retries, caches and time
-  ranges, alerts through the dedup layer) and the whole-program rule
-  of :mod:`repro.analysis.crossrules` over each package it finds —
-  telemetry-name agreement, checked on the modules and import graph
-  of :mod:`repro.analysis.project` and :mod:`repro.analysis.graph`.
+  [paths]``): :mod:`repro.analysis.lint` parses each file once and runs
+  the rules of :mod:`repro.analysis.rules` — per file (seeded RNG, no
+  broad excepts, ``guarded-by`` lock annotations, bounded retries,
+  caches and time ranges, alerts through the dedup layer) and, for
+  telemetry-name agreement, over the parsed files of each package it
+  finds.
 * :mod:`repro.analysis.raceaudit` — a runtime lock-order recorder and
   ``assert_holds`` guard, zero-cost when disabled, enabled in tests to
   fail on deadlock-shaped lock cycles and unguarded state access.

@@ -2,8 +2,8 @@
 
 One run over the given files and directories (default: ``src tests
 benchmarks examples``): every file is parsed once, the per-file rules
-run on every file, and the whole-program rule (telemetry-drift) runs
-over each package found among them (``src/repro`` by default).
+run on every file, and telemetry-drift reads the parsed files of each
+package found among them (``src/repro`` by default).
 
 Exit codes: 0 — clean (no unsuppressed findings); 1 — findings; 2 —
 usage error or no Python files.  ``--json`` emits the machine-readable
@@ -23,7 +23,7 @@ from .lint import all_rules, lint_paths
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
-        description="repro-lint: repository-specific per-file and whole-program analysis",
+        description="repro-lint: repository-specific rules over each file and package",
     )
     parser.add_argument(
         "paths",

@@ -1,22 +1,21 @@
 """Repro-lint: the rule framework and the one analysis run.
 
 A deliberately small, dependency-free analyser tuned to *this*
-repository's correctness invariants (seeded RNG, exact detector math,
-lock discipline, bounded retries, caches and time ranges, telemetry
+repository's correctness invariants (seeded RNG, lock discipline,
+bounded retries, caches and time ranges, alert routing, telemetry
 accounting) rather than general style.  The pieces:
 
 * :class:`SourceFile` — one parsed module plus the comment-derived
   metadata rules need: per-line ``# repro-lint: ignore[rule, ...]``
   suppressions and ``# guarded-by: <lock>`` annotations.
-* :class:`Rule` — a per-file rule (one module in, findings out); the
-  catalogue lives in :mod:`repro.analysis.rules`.
-* :class:`CrossRule` — a whole-program rule, run over a
-  :class:`~repro.analysis.crossrules.ProjectContext`; the catalogue
-  lives in :mod:`repro.analysis.crossrules`.  Both kinds self-register
-  via :func:`register` into one catalogue (:func:`all_rules`).
-* :func:`lint_paths` — the one run: parse each file once, run the
-  per-file rules on every file and the whole-program rules over each
-  package found among them; :func:`lint_source` lints one string.
+* :class:`Rule` — one rule: ``check`` reads one module,
+  ``check_package`` reads every module of one package; the catalogue
+  lives in :mod:`repro.analysis.rules`, each rule self-registered via
+  :func:`register` (:func:`all_rules`).
+* :func:`lint_paths` — the one run: parse each file once, run
+  ``check`` on every file and ``check_package`` over the parsed files
+  of each package found among them; :func:`lint_source` lints one
+  string.
 * :class:`LintReport` — findings plus human/JSON renderings; the CLI
   (``python -m repro.analysis``) exits non-zero on any unsuppressed
   finding, which is what the tier-1 gate enforces.
@@ -34,10 +33,9 @@ import ast
 import dataclasses
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import (
-    TYPE_CHECKING,
     Dict,
     Iterable,
     Iterator,
@@ -45,18 +43,12 @@ from typing import (
     Optional,
     Sequence,
     Set,
-    Tuple,
     Type,
     TypeVar,
     Union,
 )
 
-if TYPE_CHECKING:
-    from .crossrules import ProjectContext
-    from .project import ModuleInfo
-
 __all__ = [
-    "CrossRule",
     "Finding",
     "LintReport",
     "Rule",
@@ -81,7 +73,7 @@ PARSE_ERROR = "parse-error"
 
 #: Package names that are test suites, not programs: ``tests`` carries
 #: an ``__init__.py`` only so its modules import by dotted name, so the
-#: whole-program rules do not run over it.
+#: package rules do not run over it.
 TEST_PACKAGES = frozenset({"tests"})
 
 
@@ -149,11 +141,13 @@ class SourceFile:
 
 
 class Rule:
-    """Base class for per-file rules.
+    """Base class for rules.
 
-    Subclasses set ``id`` (the suppression token) and ``summary``, may
-    narrow ``applies_to``, and implement ``check`` yielding findings
-    (the runner fills in suppression state afterwards).
+    Subclasses set ``id`` (the suppression token) and ``summary`` and
+    implement ``check`` (one module in, findings out; ``applies_to``
+    may narrow which modules) or ``check_package`` (every parsed module
+    of one package in).  The runner fills in suppression state
+    afterwards.
     """
 
     id: str = ""
@@ -163,7 +157,10 @@ class Rule:
         return True
 
     def check(self, source: SourceFile) -> Iterator[Finding]:
-        raise NotImplementedError
+        return iter(())
+
+    def check_package(self, sources: Sequence[SourceFile]) -> Iterator[Finding]:
+        return iter(())
 
     # Convenience for subclasses.
     def finding(self, source: SourceFile, node: ast.AST, message: str) -> Finding:
@@ -176,35 +173,12 @@ class Rule:
         )
 
 
-class CrossRule:
-    """Base class for whole-program rules (one package in, findings out)."""
-
-    id: str = ""
-    summary: str = ""
-
-    def check(self, ctx: "ProjectContext") -> Iterator[Finding]:
-        raise NotImplementedError
-
-    def finding(
-        self, module: "ModuleInfo", line: int, col: int, message: str
-    ) -> Finding:
-        return Finding(
-            rule=self.id,
-            path=str(module.path),
-            line=line,
-            col=col,
-            message=message,
-            suppressed=module.source.is_suppressed(self.id, line),
-        )
-
-
-AnyRule = Union[Rule, CrossRule]
-_R = TypeVar("_R", Type[Rule], Type[CrossRule])
-_REGISTRY: Dict[str, Union[Type[Rule], Type[CrossRule]]] = {}
+_R = TypeVar("_R", bound=Type[Rule])
+_REGISTRY: Dict[str, Type[Rule]] = {}
 
 
 def register(cls: _R) -> _R:
-    """Class decorator adding a rule (of either kind) to the one catalogue."""
+    """Class decorator adding a rule to the one catalogue."""
     if not cls.id:
         raise ValueError(f"rule {cls.__name__} has no id")
     if cls.id in _REGISTRY:
@@ -213,10 +187,9 @@ def register(cls: _R) -> _R:
     return cls
 
 
-def all_rules() -> List[AnyRule]:
-    """Fresh instances of every registered rule of both kinds, sorted by id."""
-    # Importing the catalogues populates the registry on first use.
-    from . import crossrules as _crossrules  # noqa: F401
+def all_rules() -> List[Rule]:
+    """Fresh instances of every registered rule, sorted by id."""
+    # Importing the catalogue populates the registry on first use.
     from . import rules as _rules  # noqa: F401
 
     return [_REGISTRY[rule_id]() for rule_id in sorted(_REGISTRY)]
@@ -225,15 +198,19 @@ def all_rules() -> List[AnyRule]:
 # ----------------------------------------------------------------------
 # runners
 # ----------------------------------------------------------------------
-def _run_rules(source: SourceFile, rules: Iterable[AnyRule]) -> List[Finding]:
-    findings: List[Finding] = []
-    for rule in rules:
-        if not isinstance(rule, Rule) or not rule.applies_to(source):
-            continue
-        for found in rule.check(source):
-            if source.is_suppressed(rule.id, found.line):
-                found = dataclasses.replace(found, suppressed=True)
-            findings.append(found)
+def _mark(found: Finding, source: SourceFile) -> Finding:
+    if source.is_suppressed(found.rule, found.line):
+        return dataclasses.replace(found, suppressed=True)
+    return found
+
+
+def _run_rules(source: SourceFile, rules: Iterable[Rule]) -> List[Finding]:
+    findings = [
+        _mark(found, source)
+        for rule in rules
+        if rule.applies_to(source)
+        for found in rule.check(source)
+    ]
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return findings
 
@@ -254,7 +231,7 @@ def _parse(text: str, path: str | Path) -> Union[SourceFile, Finding]:
 def lint_source(
     text: str,
     path: str | Path = "<string>",
-    rules: Optional[Sequence[AnyRule]] = None,
+    rules: Optional[Sequence[Rule]] = None,
 ) -> List[Finding]:
     """Run the per-file rules over one module given as a string."""
     parsed = _parse(text, path)
@@ -276,7 +253,7 @@ def iter_python_files(paths: Iterable[str | Path]) -> Iterator[Path]:
 
 
 def package_roots(sources: Iterable[SourceFile]) -> List[Path]:
-    """The packages among ``sources`` that the whole-program rules run over.
+    """The packages among ``sources`` that ``check_package`` runs over.
 
     A package root is a directory whose ``__init__.py`` is among the
     sources while its parent's is not (``src`` → ``src/repro``; a
@@ -295,8 +272,6 @@ class LintReport:
 
     findings: List[Finding]
     files_checked: int
-    #: import cycles inside the analysed packages (reported, not failed)
-    import_cycles: List[Tuple[str, ...]] = field(default_factory=list)
 
     @property
     def unsuppressed(self) -> List[Finding]:
@@ -315,7 +290,6 @@ class LintReport:
             "files_checked": self.files_checked,
             "unsuppressed": len(self.unsuppressed),
             "suppressed": len(self.suppressed),
-            "import_cycles": [list(c) for c in self.import_cycles],
             "findings": [f.to_json() for f in self.findings],
         }
 
@@ -323,9 +297,6 @@ class LintReport:
         lines = [f.format() for f in self.unsuppressed]
         if show_suppressed:
             lines.extend(f.format() for f in self.suppressed)
-        lines.extend(
-            f"note: import cycle: {' -> '.join(cycle)}" for cycle in self.import_cycles
-        )
         lines.append(
             f"repro-lint: {self.files_checked} files, "
             f"{len(self.unsuppressed)} findings, "
@@ -338,20 +309,15 @@ class LintReport:
 
 
 def lint_paths(
-    paths: Iterable[str | Path], rules: Optional[Sequence[AnyRule]] = None
+    paths: Iterable[str | Path], rules: Optional[Sequence[Rule]] = None
 ) -> LintReport:
     """The one analysis run; the CLI and the tier-1 gate call this.
 
-    Each file is parsed once.  Per-file rules run on every file; the
-    whole-program rules run over each package :func:`package_roots`
-    finds, reusing the same parses.  Findings come back sorted by
-    location.
+    Each file is parsed once.  ``check`` runs on every file and
+    ``check_package`` over the parsed files of each package
+    :func:`package_roots` finds.  Findings come back sorted by location.
     """
-    from .crossrules import ProjectContext, run_cross_rules
-    from .project import ProjectModel
-
     active = list(rules) if rules is not None else all_rules()
-    cross = [rule for rule in active if isinstance(rule, CrossRule)]
     findings: List[Finding] = []
     sources: List[SourceFile] = []
     count = 0
@@ -363,12 +329,12 @@ def lint_paths(
             continue
         sources.append(parsed)
         findings.extend(_run_rules(parsed, active))
-    cycles: List[Tuple[str, ...]] = []
     for root in package_roots(sources):
-        ctx = ProjectContext.build(
-            ProjectModel.build(root, [s for s in sources if root in s.path.parents])
-        )
-        cycles.extend(ctx.imports.cycles())
-        findings.extend(run_cross_rules(ctx, cross))
+        package = [s for s in sources if root in s.path.parents]
+        by_path = {str(s.path): s for s in package}
+        for rule in active:
+            findings.extend(
+                _mark(found, by_path[found.path]) for found in rule.check_package(package)
+            )
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule, f.message))
-    return LintReport(findings=findings, files_checked=count, import_cycles=cycles)
+    return LintReport(findings=findings, files_checked=count)

@@ -1,15 +1,13 @@
-"""The per-file rule catalogue.
+"""The rule catalogue.
 
-Eight rules tuned to this repository's correctness invariants:
+Eight rules tuned to this repository's correctness invariants: seven
+read one module at a time and one, ``telemetry-drift``, reads every
+module of a package:
 
 ===================  ===================================================
 ``unseeded-rng``     RNG created or used without an explicit seed
                      (reproducibility: every window must be
                      deterministic per ``(seed, unit)``)
-``float-equality``   ``==`` / ``!=`` against float literals in the
-                     ``core/`` detector math (bit-identity is asserted
-                     with tolerances or exact integer flags, never
-                     float equality)
 ``broad-except``     bare ``except:``, ``except BaseException:``, or an
                      ``except Exception:`` that silently swallows
 ``guarded-by``       access to a ``# guarded-by: <lock>`` attribute
@@ -36,25 +34,29 @@ Eight rules tuned to this repository's correctness invariants:
                      lifecycle tier's rollup routing and retention
                      floors (bound the range, or suppress with a
                      justification where open-ended is the point)
+``telemetry-drift``  a metric name emitted but never queried, or
+                     queried but never emitted, anywhere in the
+                     package (emit and query sides of the metric
+                     namespace must agree across modules)
 ===================  ===================================================
 
 Each rule is registered with :func:`repro.analysis.lint.register` and
-suppressable per line via ``# repro-lint: ignore[<id>]``.  The
-whole-program rule lives in :mod:`repro.analysis.crossrules`.
+suppressable per line via ``# repro-lint: ignore[<id>]``.
 """
 
 from __future__ import annotations
 
 import ast
 import re
-from typing import Dict, Iterator, List, Optional, Set
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .lint import Finding, Rule, SourceFile, dotted_expr, register
 
 __all__ = [
     "BroadExceptRule",
-    "FloatEqualityRule",
     "GuardedByRule",
+    "TelemetryDriftRule",
     "UnboundedCacheRule",
     "UnboundedRetryRule",
     "UnboundedTimeRangeRule",
@@ -205,43 +207,6 @@ class UnseededRngRule(Rule):
                     f"stdlib global RNG call {dotted}(): use a seeded "
                     "random.Random(...) (or numpy Generator) instance",
                 )
-
-# ----------------------------------------------------------------------
-@register
-class FloatEqualityRule(Rule):
-    """Float-literal ``==`` / ``!=`` in the detector math (``core/``).
-
-    The detector's parity contracts are either *bit-identical* integer
-    flags or tolerance comparisons (``np.isclose``); a float-literal
-    equality in ``core/`` is almost always a drifting threshold test.
-    Only applies to files with a ``core`` path component so tests and
-    benchmarks can compare exact sentinel values freely.
-    """
-
-    id = "float-equality"
-    summary = "float literal compared with == / != in core/ detector math"
-
-    def applies_to(self, source: SourceFile) -> bool:
-        return "core" in source.path.parts
-
-    def check(self, source: SourceFile) -> Iterator[Finding]:
-        for node in ast.walk(source.tree):
-            if not isinstance(node, ast.Compare):
-                continue
-            operands = [node.left, *node.comparators]
-            for op, (lhs, rhs) in zip(node.ops, zip(operands, operands[1:])):
-                if not isinstance(op, (ast.Eq, ast.NotEq)):
-                    continue
-                for side in (lhs, rhs):
-                    if isinstance(side, ast.Constant) and isinstance(side.value, float):
-                        yield self.finding(
-                            source,
-                            node,
-                            f"float literal {side.value!r} compared with "
-                            "==/!=: use math.isclose/np.isclose or an "
-                            "explicit tolerance",
-                        )
-                        break
 
 
 # ----------------------------------------------------------------------
@@ -947,3 +912,176 @@ class UnboundedTimeRangeRule(Rule):
                 return left // right
             return None
         return None
+
+
+# ----------------------------------------------------------------------
+#: trailing attributes that mark a registry handle as written to
+_EMIT_ATTRS = frozenset({"inc", "add", "observe", "record", "set", "mark", "update"})
+#: trailing attributes that mark a registry handle as read
+_QUERY_ATTRS = frozenset(
+    {"get", "snapshot", "quantile", "percentile", "rate", "value"}
+)
+#: registry factory methods whose first argument names the series
+_METRIC_FACTORIES = frozenset({"counter", "gauge", "histogram", "meter"})
+#: derived series appended by the histogram exporter
+_HISTOGRAM_SUFFIXES = (".p50", ".p95", ".p99", ".mean", ".count")
+
+
+@dataclass(frozen=True)
+class _MetricSite:
+    name: str
+    source: SourceFile
+    node: ast.Call
+    is_histogram: bool
+
+
+def _module_key(source: SourceFile) -> str:
+    """Sort key in dotted-module-name order (``pkg/__init__.py`` is ``pkg``)."""
+    return ".".join(p for p in source.path.with_suffix("").parts if p != "__init__")
+
+
+@register
+class TelemetryDriftRule(Rule):
+    """Emitted and queried metric namespaces must agree across a package.
+
+    Emit sites are registry-factory calls whose handle is written
+    (``...counter("proxy.retries").inc()``) plus ``SelfReporter``
+    ``_datapoint`` writes; query sites are handles that are read
+    (``....get()``) and dashboard prefix tuples (module-level tuples
+    of dot-terminated string literals).  A bare handle (assigned and
+    used later) is counted on both sides — flow-insensitively it both
+    creates and may read the series.  Dynamic (f-string) names are
+    skipped: they emit unknown names, so only exact-name queries are
+    checked against the emitted set, never prefixes.
+    """
+
+    id = "telemetry-drift"
+    summary = "metric names must be both emitted and queried somewhere"
+
+    def check_package(self, sources: Sequence[SourceFile]) -> Iterator[Finding]:
+        emits: List[_MetricSite] = []
+        queries: List[_MetricSite] = []
+        prefixes: Set[str] = set()
+        for source in sorted(sources, key=_module_key):
+            self._collect_sites(source, emits, queries)
+            prefixes |= self._collect_prefixes(source)
+
+        emitted_names: Set[str] = set()
+        for site in emits:
+            emitted_names.add(site.name)
+            if site.is_histogram:
+                emitted_names.update(
+                    site.name + suffix for suffix in _HISTOGRAM_SUFFIXES
+                )
+        queried_names = {site.name for site in queries}
+        emitted_heads = {name.split(".", 1)[0] for name in emitted_names}
+
+        def covered(name: str) -> bool:
+            if name in queried_names:
+                return True
+            return any(name.startswith(prefix) for prefix in prefixes)
+
+        seen: Set[Tuple[str, str]] = set()
+        for site in emits:
+            variants = [site.name]
+            if site.is_histogram:
+                variants += [site.name + s for s in _HISTOGRAM_SUFFIXES]
+            if any(covered(v) for v in variants):
+                continue
+            key = ("emit", site.name)
+            if key in seen:
+                continue
+            seen.add(key)
+            yield self.finding(
+                site.source,
+                site.node,
+                f"metric '{site.name}' is emitted but never queried — no "
+                "reader calls .get() on it and no dashboard prefix tuple "
+                "covers it; wire it into a panel or drop the emission",
+            )
+        for site in queries:
+            if site.name in emitted_names:
+                continue
+            if site.name.split(".", 1)[0] not in emitted_heads:
+                # Data-series namespaces (sensor names etc.) are out of
+                # scope; only self-telemetry families are checked.
+                continue
+            key = ("query", site.name)
+            if key in seen:
+                continue
+            seen.add(key)
+            yield self.finding(
+                site.source,
+                site.node,
+                f"metric '{site.name}' is queried but never emitted — the "
+                "reader will only ever see zeros; fix the name or add the "
+                "emitting site",
+            )
+
+    # ------------------------------------------------------------------
+    def _collect_sites(
+        self,
+        source: SourceFile,
+        emits: List[_MetricSite],
+        queries: List[_MetricSite],
+    ) -> None:
+        parents: Dict[ast.AST, ast.AST] = {}
+        for node in ast.walk(source.tree):
+            for child in ast.iter_child_nodes(node):
+                parents[child] = node
+        for node in ast.walk(source.tree):
+            if not (isinstance(node, ast.Call) and node.args):
+                continue
+            func = node.func
+            if not isinstance(func, ast.Attribute):
+                continue
+            first = node.args[0]
+            if not (isinstance(first, ast.Constant) and isinstance(first.value, str)):
+                continue
+            name = first.value
+            if "." not in name or " " in name:
+                continue
+            site = _MetricSite(
+                name=name,
+                source=source,
+                node=node,
+                is_histogram=func.attr == "histogram",
+            )
+            if func.attr == "_datapoint":
+                emits.append(site)
+                continue
+            if func.attr not in _METRIC_FACTORIES:
+                continue
+            trailing = parents.get(node)
+            if isinstance(trailing, ast.Attribute):
+                if trailing.attr in _EMIT_ATTRS:
+                    emits.append(site)
+                    continue
+                if trailing.attr in _QUERY_ATTRS:
+                    queries.append(site)
+                    continue
+            # Bare handle: registered and possibly read elsewhere.
+            emits.append(site)
+            queries.append(site)
+
+    @staticmethod
+    def _collect_prefixes(source: SourceFile) -> Set[str]:
+        out: Set[str] = set()
+        for stmt in source.tree.body:
+            value: Optional[ast.expr] = None
+            if isinstance(stmt, ast.Assign):
+                value = stmt.value
+            elif isinstance(stmt, ast.AnnAssign):
+                value = stmt.value
+            if not isinstance(value, (ast.Tuple, ast.List)) or len(value.elts) < 2:
+                continue
+            literals = [
+                e.value
+                for e in value.elts
+                if isinstance(e, ast.Constant) and isinstance(e.value, str)
+            ]
+            if len(literals) == len(value.elts) and all(
+                lit.endswith(".") for lit in literals
+            ):
+                out.update(literals)
+        return out

@@ -21,8 +21,10 @@ failure (the half of §III-B the happy-path reproduction left out):
   batches resolve to a *permanent-failure* ack instead of silently
   recirculating forever.
 * **Partial-batch retry** — a batch acked with ``0 < written <
-  len(points)`` resubmits only its unwritten tail, so durably written
-  points are neither dropped (the old behaviour) nor re-sent.
+  len(points)`` is resubmitted whole.  The TSD counts the points of
+  whichever RegionServer writes succeeded, so ``written`` says how many
+  landed, not which; rewriting the ones that did is idempotent
+  (newest-wins cells).
 * **Ack timeouts** — a dispatch with no ack after ``ack_timeout``
   (crashed TSD swallowed it, partition dropped it) is treated as a
   failure and retried; a late ack for a timed-out dispatch is ignored.
@@ -143,14 +145,11 @@ class TsdBreaker:
 class _BatchState:
     """One submitted batch's delivery lifecycle across retries.
 
-    ``remaining`` is the unwritten tail still owed to storage;
-    ``written`` accumulates durably acknowledged points across partial
-    acks.  Per-batch conservation: at final ack time,
-    ``written + failed == len(original points)``.
+    ``remaining`` is the batch still owed to storage: every retry
+    resends all of it, so the final ack writes or fails it whole.
     """
 
-    __slots__ = ("remaining", "on_ack", "attempts", "written", "submitted_at",
-                 "batch_id", "span")
+    __slots__ = ("remaining", "on_ack", "attempts", "submitted_at", "batch_id", "span")
 
     def __init__(
         self,
@@ -162,12 +161,10 @@ class _BatchState:
     ) -> None:
         # ``points`` is any point-sequence payload — a DataPoint list or
         # a columnar BlockBatch.  The delivery machinery only takes
-        # ``len()`` and point-granular tail slices, so partial-ack
-        # retries work identically for both shapes.
+        # ``len()`` and forwards it, so both shapes retry identically.
         self.remaining = points
         self.on_ack = on_ack
         self.attempts = 0
-        self.written = 0
         self.submitted_at = submitted_at
         self.batch_id = batch_id
         self.span = span
@@ -240,7 +237,6 @@ class ReverseProxy:
         self.buffer_high_water = 0
         self.dispatched = 0
         self.retried = 0
-        self.partial_retries = 0
         self.ack_timeouts = 0
         self.failed_batches = 0
         self.failed_points = 0
@@ -253,8 +249,8 @@ class ReverseProxy:
 
         ``points`` may be a :class:`DataPoint` list or a columnar
         :class:`~repro.tsdb.blocks.BlockBatch` — the proxy is
-        payload-shape-agnostic (length, tail slicing, and forwarding
-        are all it ever does), so block batches inherit the breakers,
+        payload-shape-agnostic (length and forwarding are all it
+        ever does), so block batches inherit the breakers,
         bounded retries, and ack-timeout machinery unchanged.
         """
         batch_id = next(self._batch_seq)
@@ -379,20 +375,10 @@ class ReverseProxy:
             # Fully written: the batch is done.
             if self.breakers is not None:
                 self.breakers[dispatch.tsd_index].record_success()
-            state.written += ack.written
             self._finish(state, ok=True, tsd=ack.tsd)
-        elif ack.written > 0:
-            # Partial write: keep the durable prefix, resubmit only the
-            # unwritten tail (the old proxy silently dropped it).
-            if self.breakers is not None:
-                self.breakers[dispatch.tsd_index].record_success()
-            state.written += ack.written
-            state.remaining = state.remaining[ack.written:]
-            self.partial_retries += 1
-            self.metrics.counter("proxy.partial_retries").inc()
-            self._retry_later(state)
         else:
-            # Whole batch bounced (TSD queue full / stopped).
+            # Bounced (TSD queue full / stopped) or partly written: which
+            # points landed is unknown, so the whole batch goes again.
             if self.breakers is not None:
                 self.breakers[dispatch.tsd_index].record_failure(self.sim.now)
             self._retry_later(state)
@@ -442,15 +428,15 @@ class ReverseProxy:
         self.metrics.histogram("proxy.ack_latency").observe(
             self.sim.now - state.submitted_at
         )
-        failed = 0 if ok else len(state.remaining)
+        written, failed = (len(state.remaining), 0) if ok else (0, len(state.remaining))
         state.span.end(
             outcome="ok" if ok else "failed",
-            written=state.written,
+            written=written,
             failed=failed,
             tsd=tsd,
         )
         if state.on_ack is not None:
-            state.on_ack(PutAck(ok and failed == 0, state.written, failed, tsd))
+            state.on_ack(PutAck(ok, written, failed, tsd))
 
 
 class DirectSubmitter:

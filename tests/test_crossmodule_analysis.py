@@ -1,19 +1,15 @@
-"""Whole-program analysis engine: project model + cross-module rules.
+"""The package pass of the one analysis run: ``telemetry-drift``.
 
-Synthetic mini-packages (built under ``tmp_path``) exercise each layer
-in isolation:
+Synthetic mini-packages (built under ``tmp_path``) exercise:
 
-* the **project model** — module indexing, relative-import resolution;
-* the **import graph** — cycle detection, topological order;
-* the **cross rule** (``telemetry-drift``) — firing and clean cases,
-  so rule regressions localize;
-* the **one run** (``lint_paths``) — which packages get the
-  whole-program pass, parse reuse, inline suppression of cross rules,
-  and the byte-identical determinism property.
+* the **rule** — firing and clean cases, so rule regressions localize;
+* the **one run** (``lint_paths``) — which packages get the package
+  pass, per-file and package findings in one report, inline
+  suppression, and the byte-identical determinism property.
 
-Rule tests run only the rule under test (``run_cross_rules(ctx,
-[Rule()])``) so the synthetic sources don't have to satisfy the whole
-per-file catalogue at the same time.
+Rule tests run only the rule under test (``lint_paths(...,
+rules=[TelemetryDriftRule()])``) so the synthetic sources don't have to
+satisfy the whole per-file catalogue at the same time.
 """
 
 from __future__ import annotations
@@ -25,10 +21,8 @@ from typing import Dict, List
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.crossrules import ProjectContext, TelemetryDriftRule, run_cross_rules
-from repro.analysis.graph import ImportGraph
-from repro.analysis.lint import Finding, SourceFile, lint_paths
-from repro.analysis.project import ProjectModel
+from repro.analysis.lint import Finding, lint_paths
+from repro.analysis.rules import TelemetryDriftRule
 
 
 def make_package(root: Path, files: Dict[str, str], name: str = "pkg") -> Path:
@@ -45,102 +39,20 @@ def make_package(root: Path, files: Dict[str, str], name: str = "pkg") -> Path:
     return pkg
 
 
-def context_for(root: Path, files: Dict[str, str]) -> ProjectContext:
-    return ProjectContext.build(ProjectModel.build(make_package(root, files)))
+def drift_findings(root: Path, files: Dict[str, str]) -> List[Finding]:
+    """Unsuppressed telemetry-drift findings over a fresh mini-package."""
+    return run_drift([make_package(root, files)]).unsuppressed
 
 
-def rule_findings(ctx: ProjectContext, rule) -> List[Finding]:
-    return [f for f in run_cross_rules(ctx, [rule]) if not f.suppressed]
-
-
-# ----------------------------------------------------------------------
-# project model
-# ----------------------------------------------------------------------
-class TestProjectModel:
-    def test_indexes_modules_classes_functions(self, tmp_path):
-        pkg = make_package(
-            tmp_path,
-            {
-                "mod.py": "class A:\n    def m(self):\n        pass\n\n"
-                "def top():\n    pass\n",
-            },
-        )
-        model = ProjectModel.build(pkg)
-        assert sorted(model.modules) == ["pkg", "pkg.mod"]
-        tree = model.modules["pkg.mod"].source.tree
-        assert [type(stmt).__name__ for stmt in tree.body] == ["ClassDef", "FunctionDef"]
-        assert model.parse_errors == {}
-
-    def test_relative_imports_resolve_to_absolute_names(self, tmp_path):
-        pkg = make_package(
-            tmp_path,
-            {
-                "helper.py": "class Worker:\n    def run(self):\n        pass\n",
-                "main.py": "from .helper import Worker\n",
-            },
-        )
-        model = ProjectModel.build(pkg)
-        assert model.modules["pkg.main"].imports == {"pkg.helper"}
-
-    def test_parse_errors_are_collected_not_raised(self, tmp_path):
-        pkg = make_package(tmp_path, {"bad.py": "def broken(:\n"})
-        model = ProjectModel.build(pkg)
-        assert len(model.parse_errors) == 1
-        assert "pkg.bad" not in model.modules
-
-    def test_build_reuses_the_given_parses(self, tmp_path):
-        pkg = make_package(tmp_path, {"a.py": "x = 1\n"})
-        sources = [
-            SourceFile(path, path.read_text()) for path in sorted(pkg.glob("*.py"))
-        ]
-        model = ProjectModel.build(pkg, sources)
-        assert [m.source for m in model.modules.values()] == sources
-
-# ----------------------------------------------------------------------
-# import graph
-# ----------------------------------------------------------------------
-class TestImportGraph:
-    def test_detects_two_module_cycle(self, tmp_path):
-        pkg = make_package(
-            tmp_path,
-            {
-                "a.py": "from . import b\n",
-                "b.py": "from . import a\n",
-            },
-        )
-        graph = ImportGraph(ProjectModel.build(pkg))
-        assert graph.cycles() == [("pkg.a", "pkg.b")]
-
-    def test_acyclic_tree_has_no_cycles_and_topo_order(self, tmp_path):
-        pkg = make_package(
-            tmp_path,
-            {
-                "base.py": "x = 1\n",
-                "mid.py": "from .base import x\n",
-                "top.py": "from .mid import x\n",
-            },
-        )
-        graph = ImportGraph(ProjectModel.build(pkg))
-        assert graph.cycles() == []
-        order = graph.topo_order()
-        assert order.index("pkg.base") < order.index("pkg.mid")
-        assert order.index("pkg.mid") < order.index("pkg.top")
-
-    def test_importers_of_is_reverse_of_imports_of(self, tmp_path):
-        pkg = make_package(
-            tmp_path,
-            {"base.py": "x = 1\n", "top.py": "from .base import x\n"},
-        )
-        graph = ImportGraph(ProjectModel.build(pkg))
-        assert graph.imports_of("pkg.top") == ("pkg.base",)
-        assert graph.importers_of("pkg.base") == ("pkg.top",)
+def run_drift(paths):
+    return lint_paths(paths, rules=[TelemetryDriftRule()])
 
 
 # ----------------------------------------------------------------------
 # rule: telemetry-drift
 # ----------------------------------------------------------------------
 class TestTelemetryDrift:
-    def _ctx(self, tmp_path, read_src: str) -> ProjectContext:
+    def _findings(self, tmp_path, read_src: str) -> List[Finding]:
         emit = (
             "class M:\n"
             "    def work(self, reg):\n"
@@ -148,19 +60,18 @@ class TestTelemetryDrift:
             "        reg.counter('svc.lost').inc()\n"
             "        reg.counter(f'{self.channel}.dyn').inc()\n"
         )
-        return context_for(tmp_path, {"emit.py": emit, "read.py": read_src})
+        return drift_findings(tmp_path, {"emit.py": emit, "read.py": read_src})
 
     def test_emitted_but_never_queried_flagged(self, tmp_path):
-        ctx = self._ctx(
+        found = self._findings(
             tmp_path,
             "def read(reg):\n    return reg.counter('svc.done').get()\n",
         )
-        found = rule_findings(ctx, TelemetryDriftRule())
         assert ["svc.lost" in f.message for f in found] == [True]
         assert "never queried" in found[0].message
 
     def test_queried_but_never_emitted_flagged_same_family_only(self, tmp_path):
-        ctx = self._ctx(
+        found = self._findings(
             tmp_path,
             "def read(reg):\n"
             "    a = reg.counter('svc.done').get()\n"
@@ -169,7 +80,6 @@ class TestTelemetryDrift:
             "    d = reg.counter('other.thing').get()\n"
             "    return a + b + c + d\n",
         )
-        found = rule_findings(ctx, TelemetryDriftRule())
         # svc.gone: queried, never emitted, family 'svc' exists -> flag.
         # other.thing: foreign family (data series) -> ignored.
         assert len(found) == 1
@@ -177,11 +87,11 @@ class TestTelemetryDrift:
         assert "never emitted" in found[0].message
 
     def test_prefix_tuple_counts_as_query_coverage(self, tmp_path):
-        ctx = self._ctx(
+        found = self._findings(
             tmp_path,
             "_PANEL_PREFIXES = (\n    'svc.',\n    'aux.',\n)\n",
         )
-        assert rule_findings(ctx, TelemetryDriftRule()) == []
+        assert found == []
 
     def test_histogram_derived_series_count_as_emitted(self, tmp_path):
         files = {
@@ -195,10 +105,16 @@ class TestTelemetryDrift:
                 "    return reg.counter('svc.latency.p99').get()\n"
             ),
         }
-        ctx = context_for(tmp_path, files)
         # The p99 query is satisfied by the exporter-derived series and
         # in turn covers the base emission.
-        assert rule_findings(ctx, TelemetryDriftRule()) == []
+        assert drift_findings(tmp_path, files) == []
+
+    def test_name_emitted_twice_reported_in_the_first_module(self, tmp_path):
+        emit = "def work(reg):\n    reg.counter('svc.lost').inc()\n"
+        # Path order puts Z.py before __init__.py ('Z' < '_'); dotted
+        # module order puts the package (``pkg``) first.
+        found = drift_findings(tmp_path, {"__init__.py": emit, "Z.py": emit})
+        assert [Path(f.path).name for f in found] == ["__init__.py"]
 
 
 # ----------------------------------------------------------------------
@@ -213,10 +129,6 @@ _DRIFT_FILES = {
     ),
     "read.py": "def read(reg):\n    return reg.counter('svc.done').get()\n",
 }
-
-
-def run_drift(paths):
-    return lint_paths(paths, rules=[TelemetryDriftRule()])
 
 
 class TestOneRun:
@@ -236,12 +148,12 @@ class TestOneRun:
 
     def test_per_file_and_cross_findings_in_one_report(self, tmp_path):
         files = dict(_DRIFT_FILES)
-        files["emit.py"] = "import random\nrandom.seed(0)\n" + files["emit.py"]
+        files["emit.py"] = "try:\n    pass\nexcept:\n    pass\n" + files["emit.py"]
         make_package(tmp_path, files)
         report = lint_paths([tmp_path / "pkg"])
         assert sorted(f.rule for f in report.unsuppressed) == [
+            "broad-except",
             "telemetry-drift",
-            "unseeded-rng",
         ]
 
 

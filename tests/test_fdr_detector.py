@@ -25,6 +25,7 @@ class TestConfig:
             dict(variance_target=0.0),
             dict(variance_target=1.5),
             dict(unit_alarm_alpha=0.0),
+            dict(unit_alarm_alpha=1.0),
         ],
     )
     def test_invalid_configs(self, kwargs):

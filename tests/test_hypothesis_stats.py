@@ -32,6 +32,10 @@ class TestZScores:
         with pytest.raises(ValueError):
             zscores(np.zeros(3), 0.0, 0.0)
 
+    def test_negative_std_rejected(self):
+        with pytest.raises(ValueError):
+            zscores(np.zeros(2), 0.0, np.array([1.0, -1.0]))
+
 
 class TestWindowMeans:
     def test_window_one_is_identity(self):

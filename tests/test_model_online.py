@@ -41,9 +41,10 @@ class TestUnitModel:
                       np.zeros((3, 1)), 10)
 
     def test_validation_std_positive(self):
-        with pytest.raises(ValueError):
-            UnitModel(0, np.zeros(2), np.array([1.0, 0.0]), np.ones(1),
-                      np.zeros((2, 1)), np.zeros((2, 1)), 10)
+        for bad in (0.0, -1.0):
+            with pytest.raises(ValueError):
+                UnitModel(0, np.zeros(2), np.array([1.0, bad]), np.ones(1),
+                          np.zeros((2, 1)), np.zeros((2, 1)), 10)
 
     def test_validation_eig_sorted(self):
         with pytest.raises(ValueError):
@@ -298,6 +299,8 @@ class TestOnlineEvaluator:
         assert online.throughput_samples_per_second(1.0) == 120
         with pytest.raises(ValueError):
             online.throughput_samples_per_second(0.0)
+        with pytest.raises(ValueError):
+            online.throughput_samples_per_second(-1.0)
 
     def test_shape_validation(self):
         detector, model = trained_model()

@@ -190,6 +190,14 @@ class TestAdaptiveBH:
         p = np.full(20, 0.8)
         assert not adaptive_benjamini_hochberg(p, 0.05).any()
 
+    def test_stage_two_level_above_one_is_clamped(self):
+        from repro.core.multiple_testing import adaptive_benjamini_hochberg
+
+        # Stage 1 at q' = 1/3 rejects 7 of 10, so m0 = 3 and stage 2's
+        # level q'·m/m0 = 10/9 > 1: it is clamped below 1, not refused.
+        p = np.array([1e-6] * 7 + [0.9, 0.95, 0.99])
+        assert adaptive_benjamini_hochberg(p, 0.5).all()
+
     def test_2d_batching(self):
         from repro.core.multiple_testing import adaptive_benjamini_hochberg
 

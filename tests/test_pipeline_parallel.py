@@ -60,6 +60,7 @@ class TestPipelineConfig:
             {"publish_batch_size": 0},
             {"max_in_flight_batches": 0},
             {"self_report_interval": 0},
+            {"self_report_interval": -0.25},
         ],
     )
     def test_validation(self, kwargs):

@@ -41,6 +41,8 @@ class TestShewhart:
     def test_invalid_limit(self):
         with pytest.raises(ValueError):
             ShewhartChart(limit=0.0)
+        with pytest.raises(ValueError):
+            ShewhartChart(limit=-3.0)  # would flag every sample
 
     def test_shape_mismatch(self, model):
         with pytest.raises(ValueError):
@@ -72,6 +74,8 @@ class TestCusum:
             CusumChart(k=-0.1)
         with pytest.raises(ValueError):
             CusumChart(h=0.0)
+        with pytest.raises(ValueError):
+            CusumChart(h=-5.0)  # would flag every sample
 
 
 class TestEwma:
@@ -169,4 +173,8 @@ class TestMewma:
         with pytest.raises(ValueError):
             MewmaChart(lam=0.0)
         with pytest.raises(ValueError):
+            MewmaChart(lam=1.5)
+        with pytest.raises(ValueError):
             MewmaChart(alpha=0.0)
+        with pytest.raises(ValueError):
+            MewmaChart(alpha=1.0)

@@ -1,13 +1,13 @@
-"""Tier-1 gate: the whole-program rules must self-host clean.
+"""Tier-1 gate: the package rules must self-host clean.
 
-Complements ``tests/test_static_analysis.py`` with the whole-program
-half of the one analysis run:
+Complements ``tests/test_static_analysis.py`` with the package half of
+the one analysis run:
 
-* the run's whole-program rules report no unsuppressed finding over
+* the run's package rules report no unsuppressed finding over
   ``src/repro`` — any cross-module finding (telemetry drift) that is
   not waived inline fails the suite;
-* the kept whole-program rules must actually be registered and listed
-  (an engine that silently loads zero rules would "pass" vacuously).
+* the kept package rules must actually be registered and listed (an
+  engine that silently loads zero rules would "pass" vacuously).
 
 Both read the session's one full-tree run (``self_host`` in
 ``conftest.py``) or the rule catalogue; neither analyses the tree again.
@@ -18,14 +18,12 @@ import subprocess
 import sys
 from pathlib import Path
 
-from repro.analysis.lint import CrossRule, all_rules
+from repro.analysis.lint import Rule, all_rules
 
 from .test_static_analysis import KEPT_RULES
 
 REPO_ROOT = Path(__file__).parent.parent
-EXPECTED_CROSS_RULES = {
-    rule for rule, kind in KEPT_RULES.items() if kind == "whole-program"
-}
+EXPECTED_CROSS_RULES = {rule for rule, kind in KEPT_RULES.items() if kind == "package"}
 
 
 class TestProjectSelfHost:
@@ -42,7 +40,9 @@ class TestProjectSelfHost:
         assert report["files_checked"] > 50  # the real tree, not a stub
 
     def test_rule_catalogue_lists_cross_rules(self):
-        registered = {r.id for r in all_rules() if isinstance(r, CrossRule)}
+        registered = {
+            r.id for r in all_rules() if type(r).check_package is not Rule.check_package
+        }
         assert registered == EXPECTED_CROSS_RULES
         proc = subprocess.run(
             [sys.executable, "-m", "repro.analysis", "--list-rules"],

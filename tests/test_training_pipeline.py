@@ -141,6 +141,11 @@ class TestDistributedTraining:
         bad = np.zeros((10, 2))
         with pytest.raises(ValueError):
             train_unit_distributed(sc, bad, 0)  # zero variance
+        # A constant 0.7 column: the Gram-matrix variance cancels to a
+        # tiny negative number, which must be refused, not square-rooted.
+        constant = np.column_stack([np.arange(100.0), np.full(100, 0.7)])
+        with pytest.raises(ValueError):
+            train_unit_distributed(sc, constant, 0)
 
 
 class TestOfflineTrainer:

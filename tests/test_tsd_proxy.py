@@ -10,6 +10,7 @@ from repro.tsdb import proxy as proxy_module
 from repro.tsdb import tsd as tsd_module
 from repro.tsdb.ingest import ClusterConfig, TsdbCluster, build_cluster
 from repro.tsdb.proxy import PROXY_EXHAUSTED, DirectSubmitter, ReverseProxy, TsdBreaker
+from repro.tsdb.publish import BatchPublisher
 from repro.tsdb.tsd import DataPoint, PutAck
 
 
@@ -190,21 +191,23 @@ def stub_proxy(monkeypatch):
 
 
 class TestProxyHardening:
-    def test_partial_ack_resubmits_exactly_the_unwritten_tail(self, stub_proxy):
-        pts = points(10)
-        sim, proxy, (tsd,) = stub_proxy([[4, "ok"]])
-        acks = []
-        proxy.submit(pts, acks.append)
-        sim.run()
-        # First dispatch carried the whole batch; the retry carried only
-        # the tail the TSD did not durably write.
-        assert tsd.calls[0] == pts
-        assert tsd.calls[1] == pts[4:]
-        assert len(tsd.calls) == 2
-        assert proxy.partial_retries == 1
-        # The submitter still sees one aggregate, fully-written ack.
-        assert len(acks) == 1
-        assert acks[0].ok and acks[0].written == 10 and acks[0].failed == 0
+    def test_mixed_ack_rewrites_the_whole_batch(self):
+        """A TSD ack's ``written`` counts whichever server partitions
+        succeeded, not a prefix: after a mixed ack every point must still
+        land.  The ack timeout is off (E12's pre-hardening arm), so the
+        TSD's own retry budget runs out first and the mixed ack reaches
+        the proxy."""
+        cluster = small_cluster(salt_buckets=2)
+        cluster.ingress.ack_timeout = None
+        host = cluster.servers[0].node.hostname
+        cluster.network.partition(host)
+        cluster.sim.schedule(8.0, cluster.network.heal, host)
+        pts = points(60)
+        pub = BatchPublisher(cluster, batch_size=60)
+        pub.publish(pts)
+        report = pub.flush()
+        assert report.points_written == 60 and report.points_failed == 0
+        assert len(cluster.master.direct_scan("tsdb")) == 60
 
     def test_retry_budget_exhaustion_is_a_permanent_failure_ack(self, stub_proxy):
         sim, proxy, (tsd,) = stub_proxy([["bounce"]], max_batch_retries=3)
