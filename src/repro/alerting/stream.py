@@ -44,7 +44,7 @@ from ..simdata.workload import METRIC, sensor_tag, unit_tag
 from ..sparklet.context import SparkletContext
 from ..sparklet.rdd import RDD
 from ..sparklet.streaming import DStream, StreamingContext
-from ..tsdb.blocks import TS_TYPECODE, BlockBatch, SeriesBlock
+from ..tsdb.blocks import TS_TYPECODE, VAL_TYPECODE, BlockBatch, SeriesBlock
 from ..tsdb.ingest import TsdbCluster
 from ..tsdb.publish import BatchPublisher, PublishReport
 from ..tsdb.tsd import DataPoint
@@ -294,20 +294,19 @@ class StreamingDetector:
     ) -> None:
         """Columnarise one record (one block per sensor column).
 
-        The timestamp column is built once and shared by the record's
-        blocks (blocks never mutate their columns), and the values are
-        transposed once so each sensor's column is contiguous: both
-        then enter :meth:`SeriesBlock.from_columns` as buffers, not
-        element by element.
+        The values are transposed once into one buffer, so each sensor's
+        column is a contiguous slice of it, and the record's blocks share
+        one timestamp column (blocks never mutate their columns).  Both
+        are sorted and typed by construction, so the blocks adopt them
+        unvalidated.
         """
         utag = ("unit", unit_tag(unit_id))
-        ts = array(TS_TYPECODE, range(start_time, start_time + x.shape[0]))
-        for sensor, column in enumerate(np.ascontiguousarray(x.T)):
-            out.append(
-                SeriesBlock.from_columns(
-                    METRIC, (("sensor", sensor_tag(sensor)), utag), ts, column
-                )
-            )
+        n = x.shape[0]
+        ts = array(TS_TYPECODE, range(start_time, start_time + n))
+        columns = array(VAL_TYPECODE, np.ascontiguousarray(x.T).tobytes())
+        for sensor, lo in enumerate(range(0, len(columns), n)):
+            tags = (("sensor", sensor_tag(sensor)), utag)
+            out.append(SeriesBlock(METRIC, tags, ts, columns[lo : lo + n], _trusted=True))
 
     # ------------------------------------------------------------------
     # driving

@@ -23,23 +23,13 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Any, Callable, List, Optional, Tuple
 
 __all__ = ["EventHandle", "Simulator", "SimulationError"]
 
 
 class SimulationError(RuntimeError):
     """Raised for invalid simulator operations (e.g. scheduling in the past)."""
-
-
-@dataclass(order=True)
-class _Entry:
-    """Internal heap entry; ordering is by (time, seq) only."""
-
-    time: float
-    seq: int
-    handle: "EventHandle" = field(compare=False)
 
 
 class EventHandle:
@@ -98,7 +88,8 @@ class Simulator:
     """
 
     def __init__(self) -> None:
-        self._heap: list[_Entry] = []
+        # (time, seq, handle): seq is unique, so a handle is never compared
+        self._heap: List[Tuple[float, int, EventHandle]] = []
         self._seq = itertools.count()
         self._now = 0.0
         self._running = False
@@ -132,7 +123,7 @@ class Simulator:
                 f"cannot schedule at t={time!r}, before current time t={self._now!r}"
             )
         handle = EventHandle(time, callback, args)
-        heapq.heappush(self._heap, _Entry(time, next(self._seq), handle))
+        heapq.heappush(self._heap, (time, next(self._seq), handle))
         return handle
 
     # ------------------------------------------------------------------
@@ -141,11 +132,10 @@ class Simulator:
     def step(self) -> bool:
         """Fire the next pending event.  Returns False if the heap is empty."""
         while self._heap:
-            entry = heapq.heappop(self._heap)
-            handle = entry.handle
+            time, _, handle = heapq.heappop(self._heap)
             if handle.cancelled:
                 continue
-            self._now = entry.time
+            self._now = time
             handle.fired = True
             handle.callback(*handle.args)
             self.events_processed += 1
@@ -182,17 +172,17 @@ class Simulator:
     def _peek_time(self) -> Optional[float]:
         """Time of the next non-cancelled event, discarding cancelled heads."""
         while self._heap:
-            head = self._heap[0]
-            if head.handle.cancelled:
+            time, _, handle = self._heap[0]
+            if handle.cancelled:
                 heapq.heappop(self._heap)
                 continue
-            return head.time
+            return time
         return None
 
     @property
     def pending_events(self) -> int:
         """Number of scheduled, non-cancelled events."""
-        return sum(1 for e in self._heap if not e.handle.cancelled)
+        return sum(1 for _, _, handle in self._heap if not handle.cancelled)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Simulator t={self._now:.6f} pending={self.pending_events}>"

@@ -11,6 +11,8 @@ All functions are pure and operate on :class:`bytes`.
 from __future__ import annotations
 
 import struct
+import sys
+from array import array
 from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
@@ -27,6 +29,8 @@ __all__ = [
     "decode_f64",
     "concat",
 ]
+
+_LITTLE_ENDIAN = sys.byteorder == "little"
 
 
 def _check_range(value: int, bits: int) -> None:
@@ -85,11 +89,15 @@ def encode_f64(value: float) -> bytes:
 def encode_f64_column(values: Sequence[float]) -> Iterator[bytes]:
     """:func:`encode_f64` of every value of a column, in order.
 
-    One ``struct.pack`` of the whole column, then cut into 8-byte cell
-    values by ``struct.iter_unpack`` — no interpreted step per value.
+    The column is copied into one ``array('d')``, byte-swapped to big
+    endian in place, and cut into 8-byte cell values by
+    ``struct.iter_unpack`` — no interpreted step and no float boxed per
+    value.
     """
-    packed = struct.pack(f">{len(values)}d", *values)
-    return chain.from_iterable(struct.iter_unpack("8s", packed))
+    column = array("d", values)
+    if _LITTLE_ENDIAN:
+        column.byteswap()
+    return chain.from_iterable(struct.iter_unpack("8s", column.tobytes()))
 
 
 def decode_f64(data: bytes, offset: int = 0) -> float:

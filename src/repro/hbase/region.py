@@ -238,10 +238,18 @@ class CellBatch:
             for i, owner in enumerate(owners):
                 members.setdefault(owner, []).append(i)
             return {owner: self.take(indices) for owner, indices in members.items()}
-        shares: Dict[Owner, List[CellBatch]] = {}
+        # Long runs: each owner's columns are its runs' slices, chained.
+        cuts: Dict[Owner, List[slice]] = {}
         for owner, i, j in zip(owners, starts, islice(starts, 1, None)):
-            shares.setdefault(owner, []).append(self.slice(i, j))
-        return {owner: CellBatch.concat(runs) for owner, runs in shares.items()}
+            cuts.setdefault(owner, []).append(slice(i, j))
+        columns = (self.rows, self.qualifiers, self.values)
+        return {
+            owner: CellBatch(
+                *[list(chain.from_iterable(map(col.__getitem__, runs))) for col in columns],
+                array("d", chain.from_iterable(map(self.ts.__getitem__, runs))),
+            )
+            for owner, runs in cuts.items()
+        }
 
 
 #: What a scan that found nothing returns: one shared batch, immutable

@@ -20,7 +20,6 @@ from ..cluster.network import Network
 from ..cluster.node import Node
 from ..cluster.simulation import Simulator
 from ..hbase.master import HMaster
-from ..hbase.region import CellBatch
 from ..hbase.regionserver import RegionServer, ServiceModel
 from ..hbase.replication import ReplicationCoordinator
 from ..obs.trace import Tracer
@@ -367,7 +366,9 @@ class TsdbCluster:
         and example/bench data loading, where ingestion *timing* is not
         under study.  Accepts an iterable of points, a
         :class:`SeriesBlock`, or a :class:`BlockBatch`; either shape is
-        encoded to one cell batch and bulk-loaded
+        encoded to one cell batch by one encoder call
+        (:meth:`TSDaemon.encode_points` or :meth:`TSDaemon.encode_block`)
+        and bulk-loaded
         (:meth:`HMaster.direct_put`: the RegionServers' one writer, WAL
         bypassed, followers mirrored).  Returns the number of cells
         written.
@@ -376,7 +377,7 @@ class TsdbCluster:
         if isinstance(points, SeriesBlock):
             points = BlockBatch([points])
         if isinstance(points, BlockBatch):
-            cells = CellBatch.concat([tsd.encode_block(block) for block in points.blocks])
+            cells = tsd.encode_block(points)
         else:
             points = list(points)
             cells = tsd.encode_points(points)

@@ -13,14 +13,18 @@ both pay a series' set-up once per *series*, not once per sample: the
 ``(metric, tags) -> SeriesKey`` memo they share (hosted by the
 :class:`~repro.tsdb.uid.UniqueIdRegistry`, so shared by every TSD of a
 deployment; it interns a series the first time it is asked for it)
-holds the interned UIDs and the row the series last wrote to.  A
-sample on a known series in a known hour costs a memo hit, a
-qualifier-table index and an ``append`` to each of four columns: the
-bulk encoders (:meth:`TSDaemon.encode_block`,
-:meth:`TSDaemon.encode_points`) return a
-:class:`~repro.hbase.region.CellBatch` and allocate nothing per sample;
-only :meth:`TSDaemon.encode_point`, the one-point unit the linger
-buffers are filled from, builds a :class:`~repro.hbase.region.Cell`.
+holds the interned UIDs and the row the series last wrote to, so a row
+key is materialised once per row hour a series writes, whichever
+encoder wrote it.  A sample on a known series in a known hour costs a
+memo hit (per block, for a block), a qualifier-table index and its
+share of an ``extend`` of each of four columns: the bulk encoders
+(:meth:`TSDaemon.encode_block`, which takes a whole
+:class:`~repro.tsdb.blocks.BlockBatch` in one pass, and
+:meth:`TSDaemon.encode_points`) return one
+:class:`~repro.hbase.region.CellBatch` per payload and allocate nothing
+per sample; only :meth:`TSDaemon.encode_point`, the one-point unit the
+linger buffers are filled from, builds a
+:class:`~repro.hbase.region.Cell`.
 
 A put batch is acknowledged only when every one of its cells has been
 acknowledged by a RegionServer (durable ack), which is what gives the
@@ -31,6 +35,7 @@ backpressure semantics.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import count, repeat, starmap
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -311,9 +316,10 @@ class TSDaemon:
         """Block twin of :meth:`_process`: no per-point boxing, no linger.
 
         A block batch is already coalesced upstream into per-series
-        runs, so it skips the per-bucket linger buffers and goes to the
-        HBase client as one block-granular put (the client partitions
-        by server with one meta lookup per row change).
+        runs, so it skips the per-bucket linger buffers: one
+        :meth:`encode_block` of the whole batch, then one
+        block-granular put to the HBase client (which partitions by
+        server with one meta lookup per row change).
         """
         n_points = len(batch)
         self.points_received += n_points
@@ -323,7 +329,7 @@ class TSDaemon:
             batch_id=batch_id,
             span=span,
         )
-        cells = CellBatch.concat([self.encode_block(block) for block in batch.blocks])
+        cells = self.encode_block(batch)
         batch_ids: tuple = ()
         flush_span: SpanLike = NULL_SPAN
         if self.tracer.enabled:
@@ -349,22 +355,49 @@ class TSDaemon:
 
         self.client.put(DATA_TABLE, cells, on_done, batch_ids=batch_ids, block=True)
 
-    def encode_block(self, block: SeriesBlock) -> CellBatch:
-        """UID-intern and row-key-encode one series block into a cell batch.
+    def encode_block(self, payload: Union[SeriesBlock, BlockBatch]) -> CellBatch:
+        """UID-intern and row-key-encode a block, or a whole batch of them.
 
-        The series is looked up (interned, at first sight) once per
-        block, row keys come from the batch codec (one salt hash per
-        row hour), the value column is packed in one call, and write
-        timestamps are drawn one per cell, in cell order, from the same
-        logical clock as :meth:`encode_point` so newest-wins semantics
-        are unchanged.
+        One pass over the payload makes one cell batch, blocks in batch
+        order.  Every block's ends are range-checked before anything is
+        drawn or memoised (a block's column is sorted, so its ends bound
+        every timestamp in it): a payload that raises leaves the clock
+        and the series memo as they were.  A block then costs one memo
+        hit, and each of its row-hour runs one qualifier-table lookup
+        per cell: the run reuses the row its series last wrote to, as
+        :meth:`encode_point` does, and a row key is materialised (one
+        salt hash) only when a run's hour differs from the memo's.  The
+        value column is packed in one call, and write timestamps are
+        drawn one per cell, in cell order, from the same logical clock
+        as :meth:`encode_point`, so newest-wins semantics are unchanged.
         """
-        series = self._series[block.metric, block.tags]
-        rows, qualifiers = self.codec.encode_rowkeys(
-            series.metric_uid, block.timestamps, series.tag_pairs
-        )
+        blocks = payload.blocks if isinstance(payload, BlockBatch) else (payload,)
+        for block in blocks:
+            ts = block.timestamps
+            if ts and (ts[0] < 0 or ts[-1] >= TIMESTAMP_LIMIT):
+                raise ValueError("timestamp must fit in an unsigned 32-bit second count")
+        rows: List[bytes] = []
+        qualifiers: List[bytes] = []
+        values = array("d")
+        add_rows, add_qualifiers = rows.extend, qualifiers.extend
+        memo, encode, table = self._series, self.codec.encode, QUALIFIER_TABLE
+        for block in blocks:
+            series = memo[block.metric, block.tags]
+            ts = block.timestamps
+            values.extend(block.values)
+            start = 0
+            while start < len(ts):
+                first = ts[start]
+                base = first - first % ROW_SPAN_SECONDS
+                stop = bisect_left(ts, base + ROW_SPAN_SECONDS, start)
+                if base != series.base:
+                    series.row, _ = encode(series.metric_uid, first, series.tag_pairs)
+                    series.base = base
+                add_rows(repeat(series.row, stop - start))
+                add_qualifiers([table[t - base] for t in ts[start:stop]])
+                start = stop
         write_ts = array("d", starmap(self._next_write_ts, repeat((), len(rows))))
-        return CellBatch(rows, qualifiers, list(encode_f64_column(block.values)), write_ts)
+        return CellBatch(rows, qualifiers, list(encode_f64_column(values)), write_ts)
 
     def _series_row(self, point: DataPoint) -> Tuple[bytes, bytes]:
         """``(row, qualifier)`` of one point, its series' row memoised."""

@@ -349,6 +349,35 @@ class TestStreamingDetector:
         ] == [(i.opened_at, i.resolved_at) for i in clean.unit_incidents(1)]
         assert report.unit_incidents(0)  # and the poisoned one still detects
 
+    def test_stored_data_is_the_streamed_columns_bit_for_bit(self):
+        """Every sample the stream wrote back reads back as the very
+        bits it was streamed with, at its own second, in its own series."""
+        generator = FleetGenerator(FleetConfig(n_units=3, n_sensors=5, seed=3))
+        cluster = build_cluster(n_nodes=2, salt_buckets=4, retain_data=True)
+        detector = StreamingDetector(5, cluster, min_samples=50)
+        n_train, n_eval = 80, 70
+        report = detector.run_fleet(generator, n_train=n_train, n_eval=n_eval, interval=25)
+        assert report.data_publish.points_written == report.samples_streamed == 3 * 5 * 150
+        stored = cluster.query_engine().run(
+            TsdbQuery("energy", 0, n_train + n_eval, group_by=("unit", "sensor"))
+        )
+        assert len(stored) == 3 * 5
+        for unit in generator.units():
+            streamed = np.vstack([
+                generator.training_window(unit, n_train).values,
+                generator.evaluation_window(unit, n_eval, start_time=n_train).values,
+            ])
+            for sensor in range(5):
+                (series,) = [
+                    s for s in stored
+                    if s.tags == (("sensor", f"s{sensor:04d}"), ("unit", f"unit{unit:03d}"))
+                ]
+                assert series.timestamps.tolist() == list(range(n_train + n_eval))
+                np.testing.assert_array_equal(
+                    np.asarray(series.values).view(np.int64),
+                    np.ascontiguousarray(streamed[:, sensor]).view(np.int64),
+                )
+
     def test_detection_latency_omits_missed_units(self):
         report_cls = StreamingDetector(
             2, min_samples=10

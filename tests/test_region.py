@@ -201,6 +201,44 @@ class TestStoreFile:
         assert [c.row for c in sf.scan(b"", b"b")] == [b"a"]
 
 
+PARTITION_ROWS = [b"r0", b"r1", b"r2", b"r3", b"r4"]
+
+# Runs of one row: long ones (a series block's row hour), single cells
+# (a tick-major point batch), or both in one batch.
+run_lists = st.one_of(
+    st.lists(st.tuples(st.sampled_from(PARTITION_ROWS), st.integers(2, 12)), min_size=1, max_size=10),
+    st.lists(st.tuples(st.sampled_from(PARTITION_ROWS), st.just(1)), min_size=1, max_size=30),
+    st.lists(st.tuples(st.sampled_from(PARTITION_ROWS), st.integers(1, 6)), min_size=1, max_size=20),
+)
+owner_maps = st.fixed_dictionaries(
+    {row: st.sampled_from(["rs0", "rs1", "rs2", None]) for row in PARTITION_ROWS}
+)
+
+
+class TestCellBatchPartition:
+    @settings(max_examples=200, deadline=None)
+    @given(run_lists, owner_maps)
+    def test_each_share_is_its_owners_cells_in_batch_order(self, runs, owner_of_row):
+        rows = [row for row, n in runs for _ in range(n)]
+        cells = [Cell(row, bytes([k]), b"%d" % k, float(k)) for k, row in enumerate(rows)]
+        batch = CellBatch.from_cells(cells)
+        asked = []
+
+        def owner_of(row):
+            asked.append(row)
+            return owner_of_row[row]
+
+        shares = batch.partition(owner_of)
+        assert len(asked) == len(batch.run_starts()) - 1  # once per run
+        owners = {owner_of_row[row] for row in rows}
+        assert set(shares) == owners
+        for owner, share in shares.items():
+            assert list(share) == [c for c in cells if owner_of_row[c.row] == owner]
+            assert share.ts.typecode == "d"
+        if len(owners) == 1:
+            assert shares[owners.pop()] is batch  # returned as it stands
+
+
 class TestRegionProperties:
     @settings(max_examples=50, deadline=None)
     @given(

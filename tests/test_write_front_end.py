@@ -12,7 +12,7 @@ timestamps past it.
 """
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.hbase.bytescodec import encode_f64
 from repro.hbase.region import Cell
@@ -140,6 +140,93 @@ def test_a_timestamp_the_row_key_cannot_hold_raises_and_poisons_nothing(
 
     after = [DataPoint(metric, LAST, 5.0, tags), DataPoint(metric, 7, 6.0, tags)]
     assert [tsd.encode_point(p) for p in after] == reference.cells(after)
+    assert same_uids(cluster.uids, reference.uids)
+
+
+def make_block(spec):
+    series, samples = spec
+    metric, tags = SERIES[series]
+    return SeriesBlock.from_columns(metric, tags, [t for t, _ in samples], [v for _, v in samples])
+
+
+# Up to eight samples a block: across hours, with duplicates (the
+# timestamp strategy repeats itself), and on the last, partial hour.
+block_lists = st.lists(
+    st.tuples(
+        st.integers(0, len(SERIES) - 1),
+        st.lists(st.tuples(timestamps, values), min_size=1, max_size=8),
+    ),
+    max_size=8,
+).map(lambda specs: [make_block(spec) for spec in specs])
+
+STEPS_BACK = [  # one series: across two hours, back an hour, duplicates, the last hour
+    make_block((0, [(3599, 1.0), (3600, 2.0), (7200, 3.0)])),
+    make_block((0, [(5, 4.0), (5, 5.0), (3600, 6.0)])),
+    make_block((0, [(LAST_BASE, 7.0), (LAST, 8.0), (LAST, 9.0)])),
+    make_block((0, [(3601, 10.0)])),
+]
+
+
+def block_cells(reference, blocks):
+    return [cell for block in blocks for cell in reference.cells(block.iter_points())]
+
+
+@settings(max_examples=150, deadline=None)
+@given(block_lists, st.sampled_from([0, 4]), st.integers(0, 8))
+@example(STEPS_BACK, 4, 2)
+def test_a_block_batch_encodes_to_every_blocks_reference_cells_in_order(blocks, salt_buckets, cut):
+    """One ``encode_block`` of a whole batch is the blocks' cells back to
+    back; split into two batches, the second finds the series' rows where
+    the first left them."""
+    cluster = build_cluster(n_nodes=1, salt_buckets=salt_buckets)
+    tsd = cluster.tsds[0]
+    reference = Reference(salt_buckets)
+    for batch in (blocks[:cut], blocks[cut:]):
+        assert list(tsd.encode_block(BlockBatch(batch))) == block_cells(reference, batch)
+    assert same_uids(cluster.uids, reference.uids)
+    assert cluster.next_write_ts() == sum(map(len, blocks)) + 1
+
+
+BAD_SERIES = SERIES + [("fresh", (("unit", "never-seen"),))]
+
+
+def memo_state(cluster):
+    memo = cluster.uids.series_memo(cluster.codec)
+    rows = {series: (key.base, key.row) for series, key in memo.items()}
+    names = {kind: list(cluster.uids.names(kind)) for kind in ("metric", "tagk", "tagv")}
+    return rows, names
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    block_lists,
+    block_lists,
+    st.integers(0, 8),
+    st.integers(0, len(BAD_SERIES) - 1),
+    st.sampled_from([2**32, 2**32 + 1, LAST_BASE + 3599, 2**40, -1, -3600]),
+    st.sampled_from([0, 4]),
+)
+def test_a_batch_with_one_bad_block_anywhere_raises_and_touches_nothing(
+    warm_up, blocks, where, bad_series, bad_ts, salt_buckets
+):
+    """The range check covers the whole batch before the first cell: no
+    write timestamp is drawn and no series is interned or moved to
+    another row, whichever block is bad."""
+    cluster = build_cluster(n_nodes=1, salt_buckets=salt_buckets)
+    tsd = cluster.tsds[0]
+    reference = Reference(salt_buckets)
+    assert list(tsd.encode_block(BlockBatch(warm_up))) == block_cells(reference, warm_up)
+    before, drawn = memo_state(cluster), cluster.next_write_ts()
+
+    metric, tags = BAD_SERIES[bad_series]
+    bad = SeriesBlock.from_columns(metric, tags, [LAST, bad_ts], [1.0, 2.0])
+    with pytest.raises(ValueError):
+        tsd.encode_block(BlockBatch(blocks[:where] + [bad] + blocks[where:]))
+    assert cluster.next_write_ts() == drawn + 1  # the failure drew nothing
+    assert memo_state(cluster) == before
+    reference.write_ts += 2.0  # the two draws just above
+
+    assert list(tsd.encode_block(BlockBatch(blocks))) == block_cells(reference, blocks)
     assert same_uids(cluster.uids, reference.uids)
 
 

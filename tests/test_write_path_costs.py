@@ -115,10 +115,10 @@ def test_direct_put_interns_a_series_once_and_materialises_a_row_once_per_hour(
     def hours(batch):
         return len({p.timestamp // 3600 for p in batch})
 
-    # A run is a series' consecutive samples within one row hour.  The
-    # point path's runs carry on across batches; a block's end with it.
-    runs = hours(points) if shape is list else sum(hours(batch) for batch in batches)
-    assert len(hashed) == S * runs  # the parent, point path: one per *point*
+    # A run is a series' consecutive samples within one row hour, and it
+    # carries on across batches in either shape: the series memo keeps
+    # the row a block's run ended on, as it keeps a point's.
+    assert len(hashed) == S * hours(points)  # the parent, point path: one per *point*
 
 
 def test_a_late_write_costs_two_rows_not_a_rebuilt_series(counted_cluster):
