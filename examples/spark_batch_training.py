@@ -4,10 +4,11 @@
 Demonstrates the sparklet substrate directly:
 
 1. a word-count warm-up showing the RDD API: count each partition's
-   words, then fold the counts together — the per-partition reduction
-   ``RowMatrix`` uses for its Gram matrices;
-2. distributed covariance/SVD of one unit via ``RowMatrix`` (the MLlib
-   path the paper uses), checked against local NumPy;
+   words, then fold the counts together — the same per-partition
+   reduction the distributed trainer runs over moment accumulators;
+2. distributed covariance/SVD of one unit: each row block's
+   ``IncrementalMoments`` on an executor, merged by ``RDD.fold`` (Chan's
+   pairwise merge), checked against the local fit's one update;
 3. fleet-scale training on the executor pool with models cached to the
    block store, then reloaded for online scoring.
 
@@ -26,9 +27,9 @@ from repro import (
     FDRDetector,
     FleetConfig,
     FleetGenerator,
+    IncrementalMoments,
     OfflineTrainer,
     OnlineEvaluator,
-    RowMatrix,
     SparkletContext,
 )
 from repro.core.training import train_unit_distributed
@@ -41,7 +42,7 @@ def main() -> None:
         counts = sc.parallelize(words).map(lambda w: Counter([w])).fold(Counter(), operator.add)
         print("top words:", counts.most_common(3))
 
-        print("\n== distributed covariance -> SVD for one unit ==")
+        print("\n== distributed moments -> SVD for one unit ==")
         fleet = FleetGenerator(FleetConfig(n_units=8, n_sensors=200, seed=47))
         unit0 = fleet.training_window(0, 600)
         model = train_unit_distributed(sc, unit0.values, unit_id=0)
@@ -52,9 +53,17 @@ def main() -> None:
             np.allclose(model.eigenvalues, local.eigenvalues),
         )
 
-        matrix = RowMatrix.from_numpy(sc, unit0.values)
-        print(f"RowMatrix: {matrix.num_rows()} x {matrix.num_cols()}, "
-              f"covariance via per-partition Gram reduction")
+        folded = (
+            sc.parallelize(np.array_split(unit0.values, 8))
+            .map(IncrementalMoments.of)
+            .fold(IncrementalMoments(unit0.values.shape[1]), IncrementalMoments.merge)
+        )
+        whole = IncrementalMoments.of(unit0.values)
+        print(
+            f"moments of {folded.count} rows x {folded.n_sensors} sensors folded from "
+            f"8 row blocks; covariance agreement vs one update:",
+            np.allclose(folded.covariance(), whole.covariance()),
+        )
 
         print("\n== fleet training on the executor pool ==")
         with tempfile.TemporaryDirectory() as tmp:

@@ -72,7 +72,7 @@ from .core import (
     family_wise_error_probability,
 )
 from .simdata import FaultKind, FaultSpec, FleetConfig, FleetGenerator
-from .sparklet import BlockStore, RowMatrix, SparkletContext, StreamingContext
+from .sparklet import BlockStore, SparkletContext, StreamingContext
 from .tsdb import (
     AsyncQueryExecutor,
     BatchPublisher,
@@ -141,7 +141,6 @@ __all__ = [
     "QueryGateway",
     "QueryRejected",
     "ReverseProxy",
-    "RowMatrix",
     "SeriesBlock",
     "ShewhartChart",
     "SparkletContext",

@@ -22,7 +22,7 @@ from .metrics import (
     detection_delay,
     evaluate_flags,
 )
-from .model import UnitModel, load_model, model_key, save_model
+from .model import IncrementalMoments, UnitModel, load_model, model_key, save_model
 from .multiple_testing import (
     PROCEDURES,
     apply_procedure,
@@ -44,7 +44,7 @@ from .pipeline import (
     PipelineResult,
 )
 from .spc import CusumChart, EwmaChart, MewmaChart, ShewhartChart
-from .streaming import IncrementalMoments, StreamingTrainer
+from .streaming import StreamingTrainer
 from .training import OfflineTrainer, TrainingResult, train_unit_distributed
 
 __all__ = [

@@ -19,21 +19,26 @@ test fires.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
-from ..sparklet.linalg import eigh_descending
 from .hypothesis import (
     t2_pvalues,
     t2_statistic,
     two_sided_pvalues,
     window_mean_zscores,
 )
-from .model import UnitModel
+from .model import IncrementalMoments, UnitModel
 from .multiple_testing import apply_procedure
 
-__all__ = ["FDRDetectorConfig", "AnomalyReport", "FDRDetector", "build_unit_model"]
+__all__ = [
+    "FDRDetectorConfig",
+    "AnomalyReport",
+    "FDRDetector",
+    "build_unit_model",
+    "eigh_descending",
+]
 
 
 @dataclass(frozen=True)
@@ -131,32 +136,50 @@ def _select_k(eigvals: np.ndarray, config: FDRDetectorConfig) -> int:
     return int(np.searchsorted(ratio, config.variance_target) + 1)
 
 
-def build_unit_model(
-    unit_id: int,
-    mean: np.ndarray,
-    std: np.ndarray,
-    corr: np.ndarray,
-    n_train: int,
-    config: FDRDetectorConfig,
-) -> UnitModel:
-    """The one model builder: eigendecompose → select k → whiten.
+def eigh_descending(sym: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of a symmetric PSD matrix, eigenvalues descending.
 
-    ``corr`` is the symmetrised ``(p, p)`` covariance of the
-    *standardised* training data; the batch, streaming and distributed
-    trainers each estimate ``(mean, std, corr)`` their own way and end
-    here.
+    For such a matrix the SVD and the eigendecomposition coincide
+    (MLlib's ``computePrincipalComponents`` path); ``eigh`` is the
+    numerically right primitive for symmetric input.  Tiny negative
+    eigenvalues from round-off are clamped to zero.
     """
-    eigvals, eigvecs = eigh_descending(corr)
+    eigvals, eigvecs = np.linalg.eigh(sym)
+    order = np.argsort(eigvals)[::-1]
+    return np.clip(eigvals[order], 0.0, None), eigvecs[:, order]
+
+
+def build_unit_model(
+    unit_id: int, moments: IncrementalMoments, config: FDRDetectorConfig
+) -> UnitModel:
+    """The one model builder: moments → correlation → eigh → select k → whiten.
+
+    The batch, streaming and distributed trainers all estimate a unit's
+    moments with :class:`~repro.core.model.IncrementalMoments` and end
+    here, so ``n_train`` is ``moments.count`` on every path.  The
+    covariance is taken of the *standardised* data (the correlation
+    matrix), so the eigenstructure reflects cross-sensor coupling
+    rather than raw scale differences.  A degenerate sensor (see
+    :meth:`~repro.core.model.IncrementalMoments.degenerate`) is refused.
+    """
+    if moments.degenerate().any():
+        raise ValueError("every sensor needs non-zero training variance")
+    cov = moments.covariance()
+    std = np.sqrt(np.diag(cov))
+    # correlation matrix = D^{-1/2} Σ D^{-1/2}
+    inv = 1.0 / std
+    corr = cov * np.outer(inv, inv)
+    eigvals, eigvecs = eigh_descending((corr + corr.T) / 2.0)
     k = _select_k(eigvals, config)
     eigvals, eigvecs = eigvals[:k], eigvecs[:, :k]
     return UnitModel(
         unit_id=unit_id,
-        mean=mean,
+        mean=moments.mean,
         std=std,
         eigenvalues=eigvals,
         components=eigvecs,
         whitening=eigvecs / np.sqrt(np.maximum(eigvals, 1e-12)),
-        n_train=n_train,
+        n_train=moments.count,
     )
 
 
@@ -176,22 +199,13 @@ class FDRDetector:
     def fit(self, training_values: np.ndarray, unit_id: int = 0) -> UnitModel:
         """Estimate a :class:`UnitModel` from fault-free training data.
 
-        ``training_values`` is ``(n, p)``.  The covariance is computed
-        on standardised data (the correlation matrix), so the
-        eigenstructure reflects cross-sensor coupling rather than raw
-        scale differences.
+        ``training_values`` is ``(n, p)``: one moment update, then the
+        shared builder.
         """
         x = np.asarray(training_values, dtype=np.float64)
         if x.ndim != 2 or x.shape[0] < 2:
             raise ValueError("training data must be (n >= 2, p)")
-        mean = x.mean(axis=0)
-        std = x.std(axis=0, ddof=1)
-        if np.any(std <= 0):
-            raise ValueError("every sensor needs non-zero training variance")
-        z = (x - mean) / std
-        cov = np.cov(z, rowvar=False)
-        corr = np.atleast_2d((cov + cov.T) / 2.0)
-        return build_unit_model(unit_id, mean, std, corr, x.shape[0], self.config)
+        return build_unit_model(unit_id, IncrementalMoments.of(x), self.config)
 
     # ------------------------------------------------------------------
     # online evaluation

@@ -1,11 +1,14 @@
-"""Trained model artifacts and their persistence.
+"""Training moments, trained model artifacts and their persistence.
 
-The offline trainer (§IV-A: covariance → SVD, results "cached to
-HDFS") produces one :class:`UnitModel` per unit.  The artifact holds
-everything the online evaluator needs — sensor means/stds and the
-top-k eigenpairs of the sensor covariance with the derived whitening
-map — and round-trips losslessly through the
-:class:`~repro.sparklet.storage.BlockStore`.
+Every trainer — the batch fit, the distributed fold and the stream
+refresh — estimates a unit's moments with one
+:class:`IncrementalMoments` and hands them to the one model builder
+(:func:`repro.core.fdr.build_unit_model`).  The offline trainer
+(§IV-A: covariance → SVD, results "cached to HDFS") produces one
+:class:`UnitModel` per unit.  The artifact holds everything the online
+evaluator needs — sensor means/stds and the top-k eigenpairs of the
+sensor covariance with the derived whitening map — and round-trips
+losslessly through the :class:`~repro.sparklet.storage.BlockStore`.
 """
 
 from __future__ import annotations
@@ -17,7 +20,121 @@ import numpy as np
 
 from ..sparklet.storage import BlockStore
 
-__all__ = ["UnitModel", "save_model", "load_model", "model_key"]
+__all__ = ["IncrementalMoments", "UnitModel", "save_model", "load_model", "model_key"]
+
+
+class IncrementalMoments:
+    """Exact mean/covariance over batches of rows, mergeable.
+
+    State after ``update`` calls with batches ``X₁..X_k`` — or after
+    merging accumulators that saw them — equals the batch statistics of
+    ``vstack(X₁..X_k)`` to round-off.  Uses Chan et al.'s numerically
+    stable pairwise merge::
+
+        δ = μ_b − μ
+        M ← M + M_b + δδᵀ · n·n_b/(n+n_b)
+
+    where ``M`` is the centred sum-of-squares matrix.  One ``update`` is
+    the batch fit, a run of updates is the stream, and a fold of
+    ``merge`` over per-partition accumulators is the distributed job.
+    Each sensor's min and max ride along, so :meth:`degenerate` decides
+    exactly whether a sensor never moved.
+    """
+
+    def __init__(self, n_sensors: int) -> None:
+        if n_sensors < 1:
+            raise ValueError("n_sensors must be >= 1")
+        self.n_sensors = n_sensors
+        self.count = 0
+        self._mean = np.zeros(n_sensors)
+        self._m2 = np.zeros((n_sensors, n_sensors))
+        self._min = np.full(n_sensors, np.inf)
+        self._max = np.full(n_sensors, -np.inf)
+
+    @classmethod
+    def of(cls, batch: np.ndarray) -> "IncrementalMoments":
+        """The moments of one ``(n, p)`` batch: a fresh accumulator, one update."""
+        moments = cls(np.shape(batch)[-1])
+        moments.update(batch)
+        return moments
+
+    def update(self, batch: np.ndarray) -> None:
+        """Fold in a batch of shape ``(n_b, p)``.
+
+        Non-finite samples are refused before any state is touched: one
+        NaN would poison the running mean and M2 for good.
+        """
+        x = np.asarray(batch, dtype=np.float64)
+        if x.ndim != 2 or x.shape[1] != self.n_sensors:
+            raise ValueError(f"batch must be (n, {self.n_sensors}); got {x.shape}")
+        if not np.isfinite(x).all():
+            raise ValueError("batch holds non-finite samples (NaN or inf)")
+        if x.shape[0] == 0:
+            return
+        mean_b = x.mean(axis=0)
+        centred = x - mean_b
+        self._combine(
+            x.shape[0], mean_b, centred.T @ centred, x.min(axis=0), x.max(axis=0)
+        )
+
+    def merge(self, other: "IncrementalMoments") -> "IncrementalMoments":
+        """Fold another accumulator's state into this one; returns self."""
+        if other.count:
+            self._combine(other.count, other._mean, other._m2, other._min, other._max)
+        return self
+
+    def _combine(
+        self,
+        n_b: int,
+        mean_b: np.ndarray,
+        m2_b: np.ndarray,
+        min_b: np.ndarray,
+        max_b: np.ndarray,
+    ) -> None:
+        """Chan's pairwise merge of ``(n_b, μ_b, M_b, min_b, max_b)``.
+
+        Never writes into an array it was handed, so adopting ``other``'s
+        arrays in :meth:`merge` aliases nothing that later changes.
+        """
+        if self.count == 0:
+            self.count, self._mean, self._m2 = n_b, mean_b, m2_b
+            self._min, self._max = min_b, max_b
+            return
+        n = self.count
+        total = n + n_b
+        delta = mean_b - self._mean
+        self._mean = self._mean + delta * (n_b / total)
+        self._m2 = self._m2 + m2_b + np.outer(delta, delta) * (n * n_b / total)
+        self._min = np.minimum(self._min, min_b)
+        self._max = np.maximum(self._max, max_b)
+        self.count = total
+
+    # ------------------------------------------------------------------
+    @property
+    def mean(self) -> np.ndarray:
+        if self.count == 0:
+            raise ValueError("no data seen yet")
+        return self._mean.copy()
+
+    def covariance(self) -> np.ndarray:
+        """Sample covariance (ddof=1), symmetrised."""
+        if self.count < 2:
+            raise ValueError("covariance requires at least 2 samples")
+        cov = self._m2 / (self.count - 1)
+        return (cov + cov.T) / 2.0
+
+    def std(self) -> np.ndarray:
+        return np.sqrt(np.diag(self.covariance()))
+
+    def degenerate(self) -> np.ndarray:
+        """Per-sensor mask: no model can standardise this sensor.
+
+        A sensor is degenerate when every sample it gave was the same
+        value (a stuck sensor, a constant feed) — decided on the exact
+        min and max, not on a variance that round-off leaves at ±1e-15 —
+        or when its variance overflowed to a non-finite value.
+        """
+        return (self._max == self._min) | ~np.isfinite(np.diag(self._m2))
 
 
 @dataclass

@@ -9,11 +9,13 @@ is then performed on each covariance matrix ... Results from the
 decomposition are cached to HDFS."
 
 The job parallelises *across units* (each unit's model is independent)
-and, inside a unit, computes the covariance via the distributed
-:class:`~repro.sparklet.linalg.RowMatrix` pathway — the same two-level
-decomposition the paper's Spark/MLlib job uses.  Models are persisted
-to the :class:`~repro.sparklet.storage.BlockStore` (the HDFS cache
-stand-in).
+and, inside a unit, can fold the moments of row blocks computed on the
+executors (:func:`train_unit_distributed`) — the same two-level
+decomposition the paper's Spark/MLlib job uses.  Both levels estimate
+with :class:`~repro.core.model.IncrementalMoments` and build with
+:func:`~repro.core.fdr.build_unit_model`, like the batch fit and the
+stream.  Models are persisted to the
+:class:`~repro.sparklet.storage.BlockStore` (the HDFS cache stand-in).
 """
 
 from __future__ import annotations
@@ -25,10 +27,9 @@ import numpy as np
 
 from ..simdata.generator import FleetGenerator
 from ..sparklet.context import SparkletContext
-from ..sparklet.linalg import RowMatrix
 from ..sparklet.storage import BlockStore
 from .fdr import FDRDetector, FDRDetectorConfig, build_unit_model
-from .model import UnitModel, load_model, save_model
+from .model import IncrementalMoments, UnitModel, load_model, save_model
 
 __all__ = ["TrainingResult", "OfflineTrainer", "train_unit_distributed"]
 
@@ -57,29 +58,24 @@ def train_unit_distributed(
     unit_id: int,
     config: Optional[FDRDetectorConfig] = None,
 ) -> UnitModel:
-    """Train one unit with the covariance computed distributively.
+    """Train one unit with its moments computed distributively.
 
-    Functionally identical to :meth:`FDRDetector.fit` but the Gram
-    matrix is assembled from per-partition BLAS calls on the sparklet
-    executors — the path that scales to sensor counts and training
-    windows that exceed one task's memory.
+    :meth:`FDRDetector.fit` as a sparklet job: one row block per
+    partition, each block's moments on an executor, and Chan's merge
+    folding them together — the tree-reduce that lets training windows
+    exceed one task's memory.  On a one-partition context the model is
+    bit-identical to ``fit``'s.
     """
     cfg = config if config is not None else FDRDetectorConfig()
     x = np.asarray(values, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 2:
         raise ValueError("training data must be (n >= 2, p)")
-    matrix = RowMatrix.from_numpy(ctx, x)
-    mean = matrix.column_means()
-    n = matrix.num_rows()
-    # Standardise via the distributed pass' own moments.
-    gram_diag = np.diag(matrix.gramian())
-    var = (gram_diag - n * mean**2) / (n - 1)
-    if np.any(var <= 0):
-        raise ValueError("every sensor needs non-zero training variance")
-    std = np.sqrt(var)
-    standardized = matrix.blocks.map(lambda b: (b - mean) / std)
-    zmat = RowMatrix(standardized, num_cols=x.shape[1])
-    return build_unit_model(unit_id, mean, std, zmat.covariance(), n, cfg)
+    moments = (
+        ctx.parallelize(np.array_split(x, ctx.parallelism))
+        .map(IncrementalMoments.of)
+        .fold(IncrementalMoments(x.shape[1]), IncrementalMoments.merge)
+    )
+    return build_unit_model(unit_id, moments, cfg)
 
 
 class OfflineTrainer:

@@ -3,14 +3,12 @@
 The substrate the paper's offline FDR training job runs on, cut to
 what that job needs: lazy RDDs with narrow ``map`` and the ``collect``
 and ``fold`` actions, a thread executor pool that runs one task per
-partition, distributed row-matrix linear algebra, a checksummed block
-store, and micro-batch streams.  The job fits each unit on its own and
-folds per-partition Gram matrices into a covariance, so it needs no
-shuffle, and sparklet has none.
+partition, a checksummed block store, and micro-batch streams.  The
+job fits each unit on its own and folds per-partition moment
+accumulators into one, so it needs no shuffle, and sparklet has none.
 """
 
 from .context import SparkletContext
-from .linalg import RowMatrix
 from .rdd import RDD, MapPartitionsRDD, ParallelCollectionRDD
 from .storage import BlockCorruptionError, BlockStore
 from .streaming import DStream, StreamingContext
@@ -22,7 +20,6 @@ __all__ = [
     "MapPartitionsRDD",
     "ParallelCollectionRDD",
     "RDD",
-    "RowMatrix",
     "SparkletContext",
     "StreamingContext",
 ]

@@ -1,16 +1,17 @@
 """Resilient-distributed-dataset API (lazy, partitioned collections).
 
 The paper's Spark job needs no shuffle: it fits every unit on its own
-(``parallelize → map → collect``) and folds per-partition Gram matrices
-into a covariance (``map → fold``, :mod:`repro.sparklet.linalg`).  So
+(``parallelize → map → collect``) and folds per-partition moment
+accumulators into one (``map → fold``,
+:func:`repro.core.training.train_unit_distributed`).  So
 every transformation here is *narrow* — partition ``i`` of a child is
 computed from partition ``i`` of its parent alone — and an action is
 one job of one task per partition
 (:meth:`~repro.sparklet.context.SparkletContext.run_job`).
 
 Records flow through plain Python iterators; numeric work should map
-whole NumPy blocks (vectorise per partition, not per record) — that is
-how :mod:`repro.sparklet.linalg` gets real speed.
+whole NumPy blocks (vectorise per partition, not per record) — the
+distributed trainer maps one row block per partition.
 """
 
 from __future__ import annotations

@@ -92,15 +92,6 @@ class BlockStore:
     def exists(self, key: str) -> bool:
         return self._paths(key)[0].exists()
 
-    def delete(self, key: str) -> bool:
-        """Remove a block; returns whether it existed."""
-        data_path, sum_path = self._paths(key)
-        existed = data_path.exists()
-        for path in (data_path, sum_path):
-            if path.exists():
-                path.unlink()
-        return existed
-
     def keys(self) -> List[str]:
         return sorted(p.stem for p in self.root.glob("*.npz"))
 

@@ -30,7 +30,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 AUDITED = (
     "alerting", "chaos", "cluster", "core", "hbase", "lifecycle",
-    "obs", "serve", "simdata", "tsdb", "viz",
+    "obs", "serve", "simdata", "sparklet", "tsdb", "viz",
 )
 
 #: Defined in an audited package, read only by tests: name -> (rule, user).

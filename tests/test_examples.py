@@ -41,6 +41,7 @@ class TestExamples:
         out = capsys.readouterr().out
         assert "top words: [('the', 3), ('fox', 2)," in out
         assert "eigenvalue agreement vs local NumPy: True" in out
+        assert "covariance agreement vs one update: True" in out
         assert "models cached" in out
 
     def test_streaming_training(self, capsys):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.fdr import AnomalyReport, FDRDetector, FDRDetectorConfig
+from repro.core.fdr import AnomalyReport, FDRDetector, FDRDetectorConfig, eigh_descending
 from repro.core.model import UnitModel
 from repro.simdata import FaultKind, FleetConfig, FleetGenerator
 
@@ -89,6 +89,25 @@ class TestFit:
         assert np.allclose(np.diag(cov_w), 1.0, atol=0.1)
         off = cov_w - np.diag(np.diag(cov_w))
         assert np.abs(off).max() < 0.1
+
+
+class TestEighDescending:
+    @staticmethod
+    def covariance(rows=80, cols=7, seed=0):
+        x = np.random.default_rng(seed).normal(size=(rows, cols))
+        return np.cov(x, rowvar=False)
+
+    def test_covariance_eigen_descending_nonnegative(self):
+        eigvals, eigvecs = eigh_descending(self.covariance())
+        assert np.all(np.diff(eigvals) <= 1e-12)
+        assert np.all(eigvals >= 0)
+        assert eigvecs.shape == (7, 7)
+
+    def test_covariance_eigen_reconstructs(self):
+        cov = self.covariance(rows=200)
+        eigvals, eigvecs = eigh_descending(cov)
+        recon = eigvecs @ np.diag(eigvals) @ eigvecs.T
+        assert np.allclose(recon, cov, atol=1e-10)
 
 
 class TestDetect:

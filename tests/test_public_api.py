@@ -100,7 +100,6 @@ class TestExports:
             "QueryGateway",
             "QueryRejected",
             "ReverseProxy",
-            "RowMatrix",
             "SeriesBlock",
             "ShewhartChart",
             "SparkletContext",

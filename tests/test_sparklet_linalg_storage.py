@@ -1,12 +1,12 @@
-"""Tests for distributed linear algebra and the block store."""
+"""Tests for the distributed moment fold and the block store."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.sparklet import BlockStore, RowMatrix, SparkletContext
-from repro.sparklet.linalg import eigh_descending
+from repro.core.model import IncrementalMoments
+from repro.sparklet import BlockStore, SparkletContext
 from repro.sparklet.storage import BlockCorruptionError
 
 
@@ -17,60 +17,50 @@ def sc():
     ctx.stop()
 
 
+def fold_rows(sc, x, partitions):
+    """The distributed trainer's reduction of a row matrix: one row block
+    per partition, each block's moments on an executor, folded by merge."""
+    return (
+        sc.parallelize(np.array_split(x, partitions), partitions)
+        .map(IncrementalMoments.of)
+        .fold(IncrementalMoments(x.shape[1]), IncrementalMoments.merge)
+    )
+
+
 class TestRowMatrix:
+    """A row matrix is an RDD of row blocks, and ``RDD.fold`` with
+    ``IncrementalMoments.merge`` is the distributed trainer's whole
+    reduction of it, so it must be one ``update`` over the concatenated
+    rows, however the rows are split."""
+
     def random(self, rows=80, cols=7, seed=0):
         return np.random.default_rng(seed).normal(size=(rows, cols))
 
     def test_shape(self, sc):
-        m = RowMatrix.from_numpy(sc, self.random(), 4)
-        assert m.num_rows() == 80
-        assert m.num_cols() == 7
+        moments = fold_rows(sc, self.random(), 4)
+        assert moments.count == 80
+        assert moments.n_sensors == 7
 
     def test_column_means_match_numpy(self, sc):
         x = self.random()
-        m = RowMatrix.from_numpy(sc, x, 5)
-        assert np.allclose(m.column_means(), x.mean(axis=0))
-
-    def test_gramian_matches_numpy(self, sc):
-        x = self.random()
-        m = RowMatrix.from_numpy(sc, x, 5)
-        assert np.allclose(m.gramian(), x.T @ x)
+        assert np.allclose(fold_rows(sc, x, 5).mean, x.mean(axis=0))
 
     def test_covariance_matches_numpy(self, sc):
         x = self.random()
-        m = RowMatrix.from_numpy(sc, x, 5)
-        assert np.allclose(m.covariance(), np.cov(x, rowvar=False))
+        assert np.allclose(fold_rows(sc, x, 5).covariance(), np.cov(x, rowvar=False))
 
     def test_covariance_symmetric(self, sc):
-        cov = RowMatrix.from_numpy(sc, self.random(), 3).covariance()
+        cov = fold_rows(sc, self.random(), 3).covariance()
         assert np.array_equal(cov, cov.T)
 
-    def test_covariance_eigen_descending_nonnegative(self, sc):
-        m = RowMatrix.from_numpy(sc, self.random(), 4)
-        eigvals, eigvecs = eigh_descending(m.covariance())
-        assert np.all(np.diff(eigvals) <= 1e-12)
-        assert np.all(eigvals >= 0)
-        assert eigvecs.shape == (7, 7)
-
-    def test_covariance_eigen_reconstructs(self, sc):
-        x = self.random(rows=200)
-        m = RowMatrix.from_numpy(sc, x, 4)
-        eigvals, eigvecs = eigh_descending(m.covariance())
-        recon = eigvecs @ np.diag(eigvals) @ eigvecs.T
-        assert np.allclose(recon, m.covariance(), atol=1e-10)
-
     def test_covariance_needs_rows(self, sc):
-        m = RowMatrix.from_numpy(sc, np.zeros((1, 3)), 1)
+        moments = fold_rows(sc, np.zeros((1, 3)), 1)
         with pytest.raises(ValueError):
-            m.covariance()
+            moments.covariance()
 
     def test_from_numpy_requires_2d(self, sc):
         with pytest.raises(ValueError):
-            RowMatrix.from_numpy(sc, np.zeros(5))
-
-    def test_collect_roundtrip(self, sc):
-        x = self.random()
-        assert np.array_equal(np.vstack(RowMatrix.from_numpy(sc, x, 6).blocks.collect()), x)
+            sc.parallelize([np.zeros(5)], 1).map(IncrementalMoments.of).collect()
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -79,15 +69,37 @@ class TestRowMatrix:
             st.tuples(st.integers(2, 30), st.integers(1, 6)),
             elements=st.floats(-1e3, 1e3),
         ),
-        st.integers(min_value=1, max_value=5),
+        st.lists(st.integers(0, 30), max_size=6),
+        st.integers(min_value=1, max_value=4),
     )
-    def test_covariance_property(self, x, blocks):
+    def test_covariance_property(self, x, cuts, partitions):
+        blocks = np.split(x, sorted(c % (x.shape[0] + 1) for c in cuts))
         with SparkletContext(parallelism=2) as ctx:
-            m = RowMatrix.from_numpy(ctx, x, blocks)
-            assert np.allclose(
-                m.covariance(), np.cov(x, rowvar=False).reshape(x.shape[1], x.shape[1]),
-                atol=1e-6,
+            folded = (
+                ctx.parallelize(blocks, partitions)
+                .map(IncrementalMoments.of)
+                .fold(IncrementalMoments(x.shape[1]), IncrementalMoments.merge)
             )
+        whole = IncrementalMoments.of(x)
+        assert folded.count == whole.count == x.shape[0]
+        assert np.allclose(folded.mean, whole.mean)
+        cov = folded.covariance()
+        assert np.array_equal(cov, cov.T)
+        assert np.allclose(cov, whole.covariance(), atol=1e-6)
+        assert np.allclose(cov, np.cov(x, rowvar=False).reshape(cov.shape), atol=1e-6)
+        assert np.array_equal(folded.degenerate(), whole.degenerate())
+
+    def test_merge_with_empty(self):
+        x = np.random.default_rng(0).normal(size=(40, 5))
+        whole = IncrementalMoments.of(x)
+        for merged in (
+            IncrementalMoments(5).merge(IncrementalMoments.of(x)),
+            IncrementalMoments.of(x).merge(IncrementalMoments(5)),
+        ):
+            assert merged.count == 40
+            assert np.array_equal(merged.mean, whole.mean)
+            assert np.array_equal(merged.covariance(), whole.covariance())
+            assert np.array_equal(merged.degenerate(), whole.degenerate())
 
 
 class TestBlockStore:
@@ -115,13 +127,6 @@ class TestBlockStore:
         store.put("k", {"v": np.zeros(2)})
         store.put("k", {"v": np.ones(2)})
         assert np.array_equal(store.get("k")["v"], np.ones(2))
-
-    def test_delete(self, tmp_path):
-        store = BlockStore(tmp_path)
-        store.put("k", {"v": np.zeros(1)})
-        assert store.delete("k") is True
-        assert store.delete("k") is False
-        assert not store.exists("k")
 
     def test_keys_sorted(self, tmp_path):
         store = BlockStore(tmp_path)

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.fdr import FDRDetector, FDRDetectorConfig
 from repro.core.online import OnlineEvaluator
-from repro.core.streaming import IncrementalMoments, StreamingTrainer
+from repro.core.model import IncrementalMoments
+from repro.core.streaming import StreamingTrainer
 from repro.core.training import train_unit_distributed
 from repro.simdata import FleetConfig, FleetGenerator
 from repro.sparklet import SparkletContext, StreamingContext
@@ -89,9 +90,14 @@ class TestIncrementalMoments:
         with pytest.raises(ValueError):
             inc.update(np.zeros((3, 5)))
         with pytest.raises(ValueError):
+            inc.update(np.zeros(2))
+        with pytest.raises(ValueError):
             inc.mean
         with pytest.raises(ValueError):
             inc.covariance()
+        inc.update(np.zeros((1, 2)))
+        with pytest.raises(ValueError):
+            inc.covariance()  # one row has no sample covariance
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_input_refused_before_state_changes(self, bad):
@@ -111,9 +117,9 @@ class TestStreamingTrainer:
     @settings(max_examples=15, deadline=None)
     @given(st.lists(st.integers(1, 120), min_size=1, max_size=8))
     def test_streaming_model_converges_to_batch(self, chunk_sizes):
-        """The three front halves (batch ``np.cov``, Chan-merged moments
-        under any chunking, distributed Gramian) reach the one builder
-        with the same statistics, so they agree on the model."""
+        """The stream under any chunking, the batch fit (one update) and
+        the distributed fold over two partitions merge the same moments
+        in different orders, so they agree on the model to round-off."""
         fleet = FleetGenerator(FleetConfig(n_units=2, n_sensors=20, seed=51))
         x = fleet.training_window(0, 400).values
         trainer = StreamingTrainer(20, refresh_every=1, min_samples=2)

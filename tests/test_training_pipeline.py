@@ -5,11 +5,11 @@ import pytest
 
 from repro.core.fdr import FDRDetector, FDRDetectorConfig
 from repro.core.pipeline import ANOMALY_METRIC, UNIT_ALARM_METRIC, AnomalyPipeline
-from repro.core.streaming import IncrementalMoments, StreamingTrainer
+from repro.core.model import IncrementalMoments
+from repro.core.streaming import StreamingTrainer
 from repro.core.training import OfflineTrainer, train_unit_distributed
 from repro.simdata import FleetConfig, FleetGenerator
 from repro.sparklet import BlockStore, SparkletContext
-from repro.sparklet.linalg import RowMatrix
 from repro.tsdb.ingest import build_cluster
 from repro.tsdb.query import TsdbQuery
 
@@ -42,10 +42,23 @@ def _pre_change_back_half(corr, cfg):
     return eigvals, eigvecs, eigvecs / np.sqrt(np.maximum(eigvals, 1e-12))
 
 
+def _pre_change_one_update(x):
+    """``(mean, std, corr)`` from one Chan update of ``x``, as the stream's
+    refresh spelled it out before every trainer shared one estimator."""
+    mean = x.mean(axis=0)
+    centred = x - mean
+    cov = centred.T @ centred / (x.shape[0] - 1)
+    cov = (cov + cov.T) / 2.0
+    std = np.sqrt(np.diag(cov))
+    corr = cov * np.outer(1.0 / std, 1.0 / std)
+    return mean, std, (corr + corr.T) / 2.0
+
+
 class TestOneModelBuilder:
-    """``fit``, ``StreamingTrainer._refresh`` and
-    ``train_unit_distributed`` keep their own front halves and share
-    the back half; every array is bit-identical to the old spelling."""
+    """``fit``, a stream that ingests the window as one batch, and the
+    distributed fold on a one-partition context all run one
+    ``IncrementalMoments.update`` and the one builder, so each gives the
+    same arrays, bit for bit, as the pre-change one-update formulas."""
 
     CONFIGS = [
         FDRDetectorConfig(),
@@ -54,58 +67,76 @@ class TestOneModelBuilder:
         FDRDetectorConfig(variance_target=1.0),
     ]
 
-    @staticmethod
-    def _assert_model(model, mean, std, back_half, n_train):
-        eigvals, eigvecs, whitening = back_half
-        assert model.n_train == n_train
-        for got, want in (
-            (model.mean, mean),
-            (model.std, std),
-            (model.eigenvalues, eigvals),
-            (model.components, eigvecs),
-            (model.whitening, whitening),
-        ):
-            assert np.array_equal(got, want)
-
     @pytest.mark.parametrize("cfg", CONFIGS)
     @pytest.mark.parametrize("p", [1, 7])
-    def test_bit_identical_to_the_pre_change_formulas(self, sc, cfg, p):
+    def test_bit_identical_to_the_pre_change_formulas(self, cfg, p):
         if cfg.n_components is not None and cfg.n_components > p:
             cfg = FDRDetectorConfig(n_components=p)
         x = np.random.default_rng(p).normal(loc=30.0, scale=3.0, size=(120, p))
+        mean, std, corr = _pre_change_one_update(x)
+        eigvals, eigvecs, whitening = _pre_change_back_half(corr, cfg)
 
-        # batch: np.cov of the standardised data
-        mean, std = x.mean(axis=0), x.std(axis=0, ddof=1)
-        cov = np.cov((x - mean) / std, rowvar=False)
-        corr = np.atleast_2d((cov + cov.T) / 2.0)
-        self._assert_model(
-            FDRDetector(cfg).fit(x, unit_id=2), mean, std,
-            _pre_change_back_half(corr, cfg), 120,
-        )
+        trainer = StreamingTrainer(p, config=cfg, min_samples=2)
+        trainer.ingest(2, x)
+        with SparkletContext(parallelism=1) as one_partition:
+            distributed = train_unit_distributed(one_partition, x, 2, cfg)
+        for model in (FDRDetector(cfg).fit(x, unit_id=2), trainer.model_for(2), distributed):
+            assert model.unit_id == 2
+            assert model.n_train == 120
+            for got, want in (
+                (model.mean, mean),
+                (model.std, std),
+                (model.eigenvalues, eigvals),
+                (model.components, eigvecs),
+                (model.whitening, whitening),
+            ):
+                assert np.array_equal(got, want)
 
-        # streaming: correlation from the Chan-merged moments
-        trainer = StreamingTrainer(p, config=cfg, refresh_every=1, min_samples=2)
-        moments = IncrementalMoments(p)
-        for start in range(0, 120, 25):
-            trainer.ingest(2, x[start : start + 25])
-            moments.update(x[start : start + 25])
-        cov = moments.covariance()
-        std = np.sqrt(np.diag(cov))
-        corr = cov * np.outer(1.0 / std, 1.0 / std)
-        self._assert_model(
-            trainer.model_for(2), moments.mean, std,
-            _pre_change_back_half((corr + corr.T) / 2.0, cfg), 120,
-        )
 
-        # distributed: Gramian moments, covariance of the standardised blocks
-        matrix = RowMatrix.from_numpy(sc, x)
-        mean = matrix.column_means()
-        std = np.sqrt((np.diag(matrix.gramian()) - 120 * mean**2) / 119)
-        zmat = RowMatrix(matrix.blocks.map(lambda b: (b - mean) / std), num_cols=p)
-        self._assert_model(
-            train_unit_distributed(sc, x, 2, cfg), mean, std,
-            _pre_change_back_half(zmat.covariance(), cfg), 120,
+class TestStuckSensor:
+    """A constant column is degenerate on exact min == max, whichever way
+    the rows arrive; its variance is round-off of either sign (0.7 gives
+    +1.3e-15 from one update), so no variance threshold decides it."""
+
+    CONSTANTS = [0.7, 0.1, 101.7, 1000.3]
+
+    @staticmethod
+    def window(constant):
+        x = np.random.default_rng(3).normal(loc=30.0, scale=3.0, size=(84, 3))
+        x[:, 1] = constant
+        return x
+
+    @pytest.mark.parametrize("constant", CONSTANTS)
+    def test_moments_flag_it_however_fed(self, sc, constant):
+        x = self.window(constant)
+        chunked = IncrementalMoments(3)
+        for start in range(0, len(x), 7):
+            chunked.update(x[start : start + 7])
+        folded = (
+            sc.parallelize(np.array_split(x, 5))
+            .map(IncrementalMoments.of)
+            .fold(IncrementalMoments(3), IncrementalMoments.merge)
         )
+        for moments in (IncrementalMoments.of(x), chunked, folded):
+            assert moments.degenerate().tolist() == [False, True, False]
+
+    @pytest.mark.parametrize("constant", CONSTANTS)
+    def test_fit_and_distributed_refuse_it(self, sc, constant):
+        x = self.window(constant)
+        with pytest.raises(ValueError, match="non-zero training variance"):
+            FDRDetector().fit(x)
+        with pytest.raises(ValueError, match="non-zero training variance"):
+            train_unit_distributed(sc, x, 0)
+
+    @pytest.mark.parametrize("constant", CONSTANTS)
+    @pytest.mark.parametrize("chunk", [84, 7])
+    def test_stream_quarantines_it(self, constant, chunk):
+        trainer = StreamingTrainer(3, refresh_every=1, min_samples=2)
+        x = self.window(constant)
+        for start in range(0, len(x), chunk):
+            assert trainer.ingest(0, x[start : start + chunk]) is None
+        assert trainer.model_for(0) is None
+        assert trainer.quarantines(0) == len(x) // chunk
 
 
 class TestDistributedTraining:
@@ -141,8 +172,8 @@ class TestDistributedTraining:
         bad = np.zeros((10, 2))
         with pytest.raises(ValueError):
             train_unit_distributed(sc, bad, 0)  # zero variance
-        # A constant 0.7 column: the Gram-matrix variance cancels to a
-        # tiny negative number, which must be refused, not square-rooted.
+        # A constant 0.7 column: its merged variance is round-off, so it
+        # is refused on its exact min == max, not on the variance's sign.
         constant = np.column_stack([np.arange(100.0), np.full(100, 0.7)])
         with pytest.raises(ValueError):
             train_unit_distributed(sc, constant, 0)
