@@ -24,7 +24,7 @@ from __future__ import annotations
 import bisect
 import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..cluster.metrics import MetricsRegistry
 from .region import CellBatch, Region, RegionInfo, RowFilter
@@ -240,7 +240,7 @@ class HMaster:
         sorted cells.  ``row_filter`` is pushed down to every region
         scan (see :meth:`Region.scan`).
         """
-        return self._scan(table, start_row, end_row, row_filter, None)[0]
+        return self._scan(table, ((start_row, end_row),), row_filter, None)[0]
 
     def direct_put(self, table: str, batch: CellBatch) -> int:
         """Administrative put: bulk-load ``batch`` straight into the regions.
@@ -310,45 +310,53 @@ class HMaster:
         returns for the same range and ``row_filter``, at staleness 0.
         """
         return self._scan(
-            table, start_row, end_row, row_filter, "timeline" if timeline else "strong"
+            table, ((start_row, end_row),), row_filter, "timeline" if timeline else "strong"
         )
 
     def _scan(
         self,
         table: str,
-        start_row: bytes,
-        end_row: bytes,
+        ranges: Sequence[Tuple[bytes, bytes]],
         row_filter: Optional[RowFilter],
         consistency: Optional[str],
     ) -> Tuple[CellBatch, float]:
         """The one region-range read loop: ``(sorted batch, worst staleness)``.
 
-        Most regions of a salted range hold nothing of it: their shared
-        empty batch is skipped, and a lone non-empty share is returned
-        as it stands.
+        Reads every ``[start, end)`` of ``ranges`` — a query's whole
+        plan, one range per salt bucket, or a single range for
+        :meth:`direct_scan` and :meth:`direct_scan_consistent`.  Each
+        range's overlap is bisected here as in :meth:`_overlapping`.
+        Ranges given in key order yield a sorted batch.  Most regions
+        of a salted range hold nothing of it: their shared empty batch
+        is skipped, and a lone non-empty share is returned as it stands.
 
         ``consistency`` is the replica policy for a region whose primary
         is down: ``None`` (administrative) reads the primary's data
         anyway, ``"strong"`` refuses, ``"timeline"`` falls back to the
         most-caught-up live follower.
         """
+        assignments = self._assignments(table)
+        starts = self._starts[table]
         shares: List[CellBatch] = []
         staleness = 0.0
-        for assignment in self._overlapping(table, start_row, end_row):
-            region = assignment.region
-            if consistency is not None and (
-                assignment.server is None or self._servers[assignment.server].crashed
-            ):
-                fallback = None
-                if consistency == "timeline" and self.replication is not None:
-                    fallback = self.replication.best_follower(region.info.name)
-                if fallback is None:
-                    raise RegionUnavailableError(region.info.name)
-                region, follower_staleness = fallback
-                staleness = max(staleness, follower_staleness)
-            share = region.scan(start_row, end_row, row_filter)
-            if share.rows:
-                shares.append(share)
+        for start_row, end_row in ranges:
+            first = max(bisect.bisect_right(starts, start_row) - 1, 0)
+            last = bisect.bisect_left(starts, end_row) if end_row else len(starts)
+            for assignment in assignments[first:last]:
+                region = assignment.region
+                if consistency is not None and (
+                    assignment.server is None or self._servers[assignment.server].crashed
+                ):
+                    fallback = None
+                    if consistency == "timeline" and self.replication is not None:
+                        fallback = self.replication.best_follower(region.info.name)
+                    if fallback is None:
+                        raise RegionUnavailableError(region.info.name)
+                    region, follower_staleness = fallback
+                    staleness = max(staleness, follower_staleness)
+                share = region.scan(start_row, end_row, row_filter)
+                if share.rows:
+                    shares.append(share)
         return CellBatch.concat(shares), staleness
 
     # ------------------------------------------------------------------

@@ -647,8 +647,12 @@ class Region:
         Bounds are clamped to the region's own range.  ``row_filter``
         restricts the scan to the rows it accepts (see
         :meth:`StoreFile.scan`); it never sees a row outside the range.
-        A scan that finds nothing returns :data:`EMPTY_BATCH`.
+        A scan that finds nothing returns :data:`EMPTY_BATCH`, and a
+        region holding nothing returns it before any bound is computed:
+        most regions a salted query fans out to are empty.
         """
+        if not self._memstore and not self._store_files:
+            return EMPTY_BATCH
         lo = max(start_row, self.info.start_key)
         hi = end_row
         if self.info.end_key:

@@ -412,7 +412,12 @@ class QueryGateway:
         return None
 
     def _execution_cost(self, query: TsdbQuery, series: List[Series]) -> float:
-        n_ranges = len(self.engine.plan_scan(query)[1])
+        # The plan's range count, read off the codec rather than planned
+        # twice: one per salt bucket (one unsalted), none for a metric
+        # never written.
+        n_ranges = 0
+        if self.engine.uids.known("metric", query.metric):
+            n_ranges = self.engine.codec.salt_buckets or 1
         n_points = sum(len(s.timestamps) for s in series)
         return self.config.service_model.cost(n_ranges, n_points)
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 from itertools import compress, pairwise
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -153,7 +153,8 @@ class _BlockScanState:
     # ingest
     # ------------------------------------------------------------------
     def ingest_scan(self, cells: CellBatch) -> None:
-        """Fold one scan range's sorted batch into the columns, whole."""
+        """Fold a sorted batch — a whole plan's, or one range's reply on
+        the RPC path — into the columns, whole."""
         rows, qualifiers, values = cells.rows, cells.qualifiers, cells.values
         if not rows:
             return
@@ -376,10 +377,6 @@ class ConsistentResult:
     staleness: float = 0.0
 
 
-#: Reads one row-key range: ``(lo, hi, row_filter) -> (batch, staleness)``.
-_Scan = Callable[[bytes, bytes, Optional[RowFilter]], Tuple[CellBatch, float]]
-
-
 class QueryEngine:
     """Executes :class:`TsdbQuery` objects against a simulated deployment."""
 
@@ -411,7 +408,7 @@ class QueryEngine:
         bit-identical to the raw path (or pooled tier math once raw has
         been expired); otherwise it scans raw cells exactly as before.
         """
-        return self._execute(query, self._scan_direct)[0]
+        return self._execute(query, None)[0]
 
     def route_tier(self, query: TsdbQuery) -> str:
         """The serving source :meth:`run` would use (pure; for cache keys)."""
@@ -434,15 +431,15 @@ class QueryEngine:
         read ends up served.
         """
         try:
-            series, staleness = self._execute(query, self._scan_consistent(timeline=False))
+            series, staleness = self._execute(query, "strong")
             return ConsistentResult(series, "strong", staleness)
         except RegionUnavailableError:
-            series, staleness = self._execute(query, self._scan_consistent(timeline=True))
+            series, staleness = self._execute(query, "timeline")
             return ConsistentResult(series, "timeline", staleness)
 
     def series_for(self, query: TsdbQuery) -> List[Series]:
         """Raw matching series with no grouping/aggregation (drill-down view)."""
-        return self._read_series(query, self._scan_direct)[0]
+        return self._read_series(query, None)[0]
 
     def run_pointwise(self, query: TsdbQuery) -> List[Series]:
         """Reference execution through the per-cell scan path.
@@ -455,23 +452,15 @@ class QueryEngine:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _scan_direct(
-        self, lo: bytes, hi: bytes, row_filter: Optional[RowFilter]
-    ) -> Tuple[CellBatch, float]:
-        return self.master.direct_scan(DATA_TABLE, lo, hi, row_filter), 0.0
-
-    def _scan_consistent(self, timeline: bool) -> _Scan:
-        return lambda lo, hi, row_filter: self.master.direct_scan_consistent(
-            DATA_TABLE, lo, hi, timeline, row_filter
-        )
-
-    def _execute(self, query: TsdbQuery, scan: _Scan) -> Tuple[List[Series], float]:
+    def _execute(
+        self, query: TsdbQuery, consistency: Optional[str]
+    ) -> Tuple[List[Series], float]:
         """Tier-route then group/aggregate; also the worst staleness read."""
         worst = 0.0
 
         def reader(q: TsdbQuery) -> List[Series]:
             nonlocal worst
-            series, staleness = self._read_series(q, scan)
+            series, staleness = self._read_series(q, consistency)
             worst = max(worst, staleness)
             return series
 
@@ -487,8 +476,9 @@ class QueryEngine:
         """The read plan: a fresh assembler plus one row-key range per
         salt bucket (none when the metric was never written).
 
-        Every scanner (direct, availability-aware, RPC) feeds each
-        range's cells to ``state.ingest_scan`` and finishes with
+        The offline scanners read every range in one master pass and
+        feed the batch to ``state.ingest_scan`` once; the RPC scanner
+        feeds each range's reply as it lands.  All finish with
         ``state.to_series()``.
         """
         state = _BlockScanState(self.codec, self.uids, query)
@@ -498,21 +488,23 @@ class QueryEngine:
             return state, []
         return state, self.codec.scan_ranges(metric_uid, query.start, query.end)
 
-    def _read_series(self, query: TsdbQuery, scan: _Scan) -> Tuple[List[Series], float]:
-        """Plan → scan → columnar assembly; the one (block) read loop.
+    def _read_series(
+        self, query: TsdbQuery, consistency: Optional[str]
+    ) -> Tuple[List[Series], float]:
+        """Plan → scan → columnar assembly, each once per query.
 
-        ``scan`` reads one row-key range with the query's tag predicate
-        pushed down and reports the staleness of what it read.
+        One master read covers all the plan's row-key ranges, with the
+        query's tag predicate pushed down and ``consistency`` as the
+        replica policy (:meth:`HMaster._scan`: ``None`` reads
+        administratively, ``"strong"`` or ``"timeline"`` as
+        :meth:`run_available` asks), and reports the worst staleness of
+        what it read.  The buckets are visited in key order, so the one
+        batch is already sorted.
         """
         state, ranges = self.plan_scan(query)
-        row_filter = state.row_filter()
-        staleness = 0.0
-        for lo, hi in ranges:
-            cells, range_staleness = scan(lo, hi, row_filter)
-            staleness = max(staleness, range_staleness)
-            if cells.rows:
-                self.scan_cells += len(cells.rows)
-                state.ingest_scan(cells)
+        cells, staleness = self.master._scan(DATA_TABLE, ranges, state.row_filter(), consistency)
+        self.scan_cells += len(cells.rows)
+        state.ingest_scan(cells)
         return state.to_series(), staleness
 
     def _read_series_pointwise(self, query: TsdbQuery) -> List[Series]:

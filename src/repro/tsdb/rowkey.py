@@ -52,6 +52,9 @@ ROW_SPAN_SECONDS = 3600  # one row per series per hour, as in OpenTSDB
 #: base time as an unsigned 32-bit second count.
 TIMESTAMP_LIMIT = 1 << 32
 _UID_WIDTH = 3
+#: The one-byte salt prefix of every bucket, built once: a salted query
+#: plans a range per bucket, and a prefix costs an index, not an encode.
+_SALT_PREFIXES = tuple(bytes((bucket,)) for bucket in range(256))
 
 
 @dataclass(frozen=True)
@@ -258,8 +261,8 @@ class RowKeyCodec:
         if not self.salted:
             return [(lo_body, hi_body)]
         return [
-            (encode_u8(bucket) + lo_body, encode_u8(bucket) + hi_body)
-            for bucket in range(self.salt_buckets)
+            (prefix + lo_body, prefix + hi_body)
+            for prefix in _SALT_PREFIXES[: self.salt_buckets]
         ]
 
     def split_keys(self) -> List[bytes]:
@@ -271,4 +274,4 @@ class RowKeyCodec:
         """
         if not self.salted:
             return []
-        return [encode_u8(bucket) for bucket in range(1, self.salt_buckets)]
+        return list(_SALT_PREFIXES[1 : self.salt_buckets])

@@ -18,6 +18,9 @@ from repro.hbase.regionserver import (
     ServiceModel,
 )
 from repro.hbase.replication import ReplicationCoordinator
+from repro.tsdb.ingest import ClusterConfig, build_cluster
+from repro.tsdb.query import TsdbQuery, group_and_aggregate
+from repro.tsdb.tsd import DATA_TABLE, DataPoint
 
 
 def build(n_servers=3, crash_policy=False):
@@ -425,3 +428,141 @@ class TestRangeRoutingIdentity:
         survivors = CellBatch.from_cells(c for c in before if c not in doomed)
         assert master.direct_scan("t") == survivors
         assert master.direct_scan_consistent("t", timeline=True)[0] == survivors
+
+
+# ----------------------------------------------------------------------
+# one-pass reads: a query's whole plan in one master read equals a
+# master read and an assembler feed per salt-bucket range
+# ----------------------------------------------------------------------
+def per_range_read(engine, query, timeline=None):
+    """The reference read loop: one master scan and one ``ingest_scan``
+    per planned range.  ``timeline=None`` reads administratively (as
+    ``run`` does), else availability-aware in that mode.  Returns the
+    raw series, the worst staleness and the cells handed over."""
+    state, ranges = engine.plan_scan(query)
+    row_filter = state.row_filter()
+    staleness, cells = 0.0, 0
+    for lo, hi in ranges:
+        if timeline is None:
+            batch, stale = engine.master.direct_scan(DATA_TABLE, lo, hi, row_filter), 0.0
+        else:
+            batch, stale = engine.master.direct_scan_consistent(
+                DATA_TABLE, lo, hi, timeline, row_filter)
+        staleness = max(staleness, stale)
+        if batch.rows:
+            cells += len(batch.rows)
+            state.ingest_scan(batch)
+    return state.to_series(), staleness, cells
+
+
+def frozen(series):
+    """Series as comparable bytes: bit-identity, not float equality."""
+    return [(s.tags, s.timestamps.tobytes(), s.values.tobytes()) for s in series]
+
+
+class TestOnePassRead:
+    UNITS, SENSORS, HOURS, PER_HOUR = 4, 4, 3, 40
+
+    def points(self, hour, value):
+        return [
+            DataPoint.make("energy", hour * 3600 + 7 * i, value + i,
+                           {"unit": f"u{u}", "sensor": f"s{s}"})
+            for u in range(self.UNITS)
+            for s in range(self.SENSORS)
+            for i in range(self.PER_HOUR)
+        ]
+
+    def build(self, salt_buckets):
+        """rf = 2 with a slow failure detector, so a crashed primary's
+        regions stay on it and only followers can serve them."""
+        cluster = build_cluster(ClusterConfig(
+            n_nodes=3, salt_buckets=salt_buckets, retain_data=True,
+            crash_on_overflow=False, replication_factor=2, failure_detection_delay=600.0,
+        ))
+        for hour in range(self.HOURS):
+            cluster.direct_put(self.points(hour, float(hour)))
+        cluster.compactor().run()  # blobs: rows the assembler walks one by one
+        # Late rewrites after the blobs, and a second metric in the same buckets.
+        cluster.direct_put(self.points(1, 100.0)[::5])
+        cluster.direct_put([DataPoint.make("other", 3600 + i, 1.0, {"unit": "u0"})
+                            for i in range(30)])
+        master = cluster.master
+        regions = master.table_regions(DATA_TABLE)
+        fullest = max(regions, key=lambda r: len(set(master.direct_scan(
+            DATA_TABLE, r[0].start_key, r[0].end_key).rows)))[0].name
+        left, right = master.split_region(DATA_TABLE, fullest)  # a split inside a bucket
+        owner = {info.name: server for info, server in master.table_regions(DATA_TABLE)}
+        dest = next(s.name for s in cluster.servers if s.name != owner[left])
+        master.move_region(DATA_TABLE, left, dest)
+        # Retention tombstones over the first hour, as expiry writes them.
+        uid = cluster.uids.get("metric", "energy")
+        expire_ts = cluster.next_write_ts()
+        for lo, hi in cluster.codec.scan_ranges(uid, 0, 3600):
+            master.direct_delete_range(DATA_TABLE, lo, hi, expire_ts)
+        cluster.direct_put(self.points(2, 50.0)[::7])  # memstore rows beside store files
+        cluster.sim.run(until=cluster.sim.now + 1.0)
+        # The victim is primary for half the fullest bucket's rows.
+        return cluster, master.server(owner[right])
+
+    def queries(self):
+        end = self.HOURS * 3600
+        return [
+            TsdbQuery("energy", 0, end, group_by=("unit",)),
+            TsdbQuery("energy", 1800, end - 900, tag_filters={"unit": "u1"},
+                      group_by=("sensor",), aggregator="max"),
+            TsdbQuery("energy", 3600, 3600 + 200,
+                      tag_filters={"unit": "u2", "sensor": "s0"}),
+            TsdbQuery("energy", 0, 3600, tag_filters={"unit": "*"}),  # expired hour
+            TsdbQuery("never_written", 0, end),
+        ]
+
+    @pytest.mark.parametrize("salt_buckets", [0, 4, 128])
+    def test_one_pass_equals_a_read_per_range(self, salt_buckets):
+        cluster, victim = self.build(salt_buckets)
+        assert len(cluster.master.table_regions(DATA_TABLE)) == max(salt_buckets, 1) + 1
+        engine = cluster.query_engine()
+        assert engine.lifecycle is None  # run == group_and_aggregate over the raw read
+        for query in self.queries():
+            raw, _, cells = per_range_read(engine, query)
+            answer = frozen(group_and_aggregate(query, raw))
+            before = engine.scan_cells
+            assert frozen(engine.series_for(query)) == frozen(raw)
+            assert engine.scan_cells - before == cells
+            assert frozen(engine.run(query)) == answer
+            assert engine.scan_cells - before == 2 * cells
+            result = engine.run_available(query)
+            assert (result.mode, result.staleness) == ("strong", 0.0)
+            assert frozen(result.series) == answer
+            assert engine.scan_cells - before == 3 * cells
+
+        # Followers stop applying the WAL stream, a write lands through
+        # it, and the victim dies before the slow detector fails it over.
+        for server in cluster.servers:
+            cluster.replication.stall_followers(server.name)
+        cluster.submit(self.points(2, 70.0)[::3])
+        cluster.sim.run(until=cluster.sim.now + 2.0)
+        victim.crash()
+        cluster.sim.run(until=cluster.sim.now + 2.0)
+        refused, stale = 0, 0.0
+        for query in self.queries():
+            try:
+                per_range_read(engine, query, timeline=False)
+            except RegionUnavailableError as exc:
+                refused += 1
+                with pytest.raises(RegionUnavailableError) as one_pass:
+                    engine._execute(query, "strong")
+                assert one_pass.value.args == exc.args
+            else:
+                result = engine.run_available(query)
+                assert result.mode == "strong"
+            raw, staleness, cells = per_range_read(engine, query, timeline=True)
+            before = engine.scan_cells
+            series, worst = engine._execute(query, "timeline")
+            assert worst == staleness
+            stale = max(stale, staleness)
+            assert frozen(series) == frozen(group_and_aggregate(query, raw))
+            assert engine.scan_cells - before == cells
+            result = engine.run_available(query)
+            assert frozen(result.series) == frozen(series)
+            assert result.staleness == (staleness if result.mode == "timeline" else 0.0)
+        assert refused and stale > 0.0

@@ -5,6 +5,8 @@ default (128 salt buckets, one region each) cluster:
 
 * a query makes one ``Region.scan`` per salt bucket: the master prunes
   every range to the region it falls in;
+* a query is planned once and read in one master pass over all its
+  bucket ranges, not one master call per bucket;
 * an exact single-series query is handed exactly the cells of the
   points it returns: the tag filter is applied inside the scan;
 * the rows a scan looks at do not grow with data it does not ask for:
@@ -16,9 +18,11 @@ proportion to the store instead of the answer.
 
 import pytest
 
+from repro.hbase.master import HMaster
 from repro.hbase.region import Region
 from repro.tsdb.ingest import build_cluster
 from repro.tsdb.query import TsdbQuery
+from repro.tsdb.rowkey import RowKeyCodec
 from repro.tsdb.tsd import DATA_TABLE, DataPoint
 
 UNITS, SENSORS, POINTS = 4, 5, 60
@@ -63,6 +67,23 @@ def region_scans(monkeypatch):
     return calls
 
 
+@pytest.fixture()
+def read_passes(monkeypatch):
+    """Calls of the master's one range-read loop and of the range planner."""
+    calls = {"master_reads": 0, "plans": 0}
+
+    def counted(key, method):
+        def wrapper(self, *args, **kwargs):
+            calls[key] += 1
+            return method(self, *args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(HMaster, "_scan", counted("master_reads", HMaster._scan))
+    monkeypatch.setattr(RowKeyCodec, "scan_ranges", counted("plans", RowKeyCodec.scan_ranges))
+    return calls
+
+
 class TestScanCostGate:
     def test_one_region_scan_per_salt_bucket(self, cluster, region_scans):
         bulk(cluster)
@@ -75,6 +96,16 @@ class TestScanCostGate:
         del region_scans[:]
         assert engine.run_available(query).series
         assert len(region_scans) == cluster.codec.salt_buckets
+
+    def test_one_plan_and_one_master_read_per_query(self, cluster, read_passes):
+        bulk(cluster)
+        cluster.direct_put(points("energy", T0))
+        engine = cluster.query_engine()
+        query = TsdbQuery("energy", T0, T0 + POINTS, group_by=("unit",))
+        for execute in (engine.run, engine.run_available):
+            read_passes.update(master_reads=0, plans=0)
+            assert execute(query)
+            assert read_passes == {"master_reads": 1, "plans": 1}
 
     def test_single_series_query_is_handed_only_its_own_cells(self, cluster):
         bulk(cluster)

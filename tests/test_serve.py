@@ -32,6 +32,7 @@ from repro.serve import admission
 from repro.serve import cache as cache_module
 from repro.serve import workload as workload_module
 from repro.tsdb import TsdbQuery, build_cluster
+from repro.tsdb.query import QueryEngine
 from repro.tsdb.tsd import DataPoint
 from repro.viz import Dashboard
 
@@ -493,6 +494,23 @@ class TestGatewayAsync:
         assert len(done) == 1 and done[0].status == "miss"
         assert done[0].latency > 0.0
         assert_series_equal(done[0].series, cluster.query_engine().run(overview_query()))
+
+    def test_async_miss_plans_its_scan_once(self, monkeypatch):
+        cluster = seeded_cluster()
+        gateway = cluster.gateway()
+        plans = []
+        plan_scan = QueryEngine.plan_scan
+
+        def counting_plan_scan(self, query):
+            plans.append(query)
+            return plan_scan(self, query)
+
+        monkeypatch.setattr(QueryEngine, "plan_scan", counting_plan_scan)
+        done = []
+        gateway.serve_async(overview_query(), "c0", on_done=done.append)
+        cluster.sim.run()
+        assert [r.status for r in done] == ["miss"]
+        assert len(plans) == 1
 
     def test_async_hit_is_cheaper_than_miss(self):
         cluster = seeded_cluster()
