@@ -24,10 +24,11 @@ from __future__ import annotations
 import bisect
 import itertools
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..cluster.metrics import MetricsRegistry
-from .region import CellBatch, Region, RegionInfo, RowFilter
+from .region import CellBatch, Region, RegionInfo, RouteTable, RowFilter
 from .regionserver import RegionServer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -54,10 +55,13 @@ class ReplicaLocation:
     followers: Tuple[str, ...]
 
 
-@dataclass
+@dataclass(eq=False)  # hashed by identity: a route table's owner
 class _Assignment:
     region: Region
     server: Optional[str]  # None while unassigned (no live servers)
+
+
+_SERVER = attrgetter("server")
 
 
 class HMaster:
@@ -73,9 +77,10 @@ class HMaster:
             raise ValueError("failure_detection_delay must be >= 0")
         self._servers: Dict[str, RegionServer] = {}
         self._tables: Dict[str, List[_Assignment]] = {}
-        # Per-table sorted region start keys, parallel to the assignment
-        # list, so ``locate`` is a binary search (clients call it per cell).
-        self._starts: Dict[str, List[bytes]] = {}
+        # Per-table route table over the assignments, rebuilt when the
+        # table's layout changes (create, split); its start keys,
+        # parallel to the assignment list, serve range lookups.
+        self._routes: Dict[str, RouteTable[_Assignment]] = {}
         self._region_ids = itertools.count(1)
         self._assign_cursor = 0
         self.metrics = metrics if metrics is not None else MetricsRegistry()
@@ -140,7 +145,7 @@ class HMaster:
             info = RegionInfo(table, start, end, next(self._region_ids))
             assignments.append(_Assignment(Region(info, retain_data=retain_data), None))
         self._tables[table] = assignments
-        self._starts[table] = [a.region.info.start_key for a in assignments]
+        self._reroute(table)
         for assignment in assignments:
             self._assign(table, assignment)
         if self.replication is not None:
@@ -157,25 +162,30 @@ class HMaster:
         except KeyError:
             raise TableNotFoundError(table) from None
 
+    def _route_table(self, table: str) -> RouteTable[_Assignment]:
+        try:
+            return self._routes[table]
+        except KeyError:
+            raise TableNotFoundError(table) from None
+
+    def _reroute(self, table: str) -> None:
+        self._routes[table] = RouteTable((a.region.info, a) for a in self._tables[table])
+
     # ------------------------------------------------------------------
     # routing (the meta table)
     # ------------------------------------------------------------------
     def locate(self, table: str, row: bytes) -> Tuple[RegionInfo, Optional[str]]:
         """Which region serves ``row``, and on which server (binary search).
 
-        Asked once per row run of every write, so the table lookup and
-        the range check are written out rather than called.
+        The one-row lookup (clients' replica routing, tools, tests).
+        Writes never ask it: they route a whole batch at once through
+        the table's :class:`RouteTable` (:meth:`group_by_server`,
+        :meth:`direct_put`).
         """
-        try:
-            assignments = self._tables[table]
-        except KeyError:
-            raise TableNotFoundError(table) from None
-        # The first region starts at b"", so the index is never negative.
-        assignment = assignments[bisect.bisect_right(self._starts[table], row) - 1]
-        info = assignment.region.info
-        if row < info.start_key or (info.end_key and row >= info.end_key):  # pragma: no cover
+        assignment = self._route_table(table).locate(row)
+        if assignment is None:  # pragma: no cover - regions tile the keyspace
             raise RuntimeError(f"no region covers row {row.hex()} in {table!r}")
-        return info, assignment.server
+        return assignment.region.info, assignment.server
 
     def locate_range(self, table: str, start: bytes, end: bytes) -> List[Tuple[RegionInfo, Optional[str]]]:
         """All regions overlapping the scan range ``[start, end)``."""
@@ -184,23 +194,25 @@ class HMaster:
     def group_by_server(self, table: str, batch: CellBatch) -> Dict[Optional[str], CellBatch]:
         """Partition a non-empty ``batch`` by the server its rows' regions are assigned to.
 
-        Cells arrive in row runs (coalesced point batches and block runs
-        alike), so the meta lookup is paid per row change, not per cell
-        (:meth:`CellBatch.partition`).  The ``None`` key collects rows
-        whose region is unassigned.
+        One :meth:`CellBatch.partition` over the table's route table:
+        a run's region is one index by its row's first byte (a bisect
+        only inside a byte a split cut), and its server is read off the
+        assignment, so a move needs no rebuild.  The ``None`` key
+        collects rows whose region is unassigned.
         """
-        return batch.partition(lambda row: self.locate(table, row)[1])
+        routes = self._route_table(table)
+        return batch.partition(lambda rows: list(map(_SERVER, routes.owners(rows))))
 
     def _overlapping(self, table: str, start: bytes, end: bytes) -> List[_Assignment]:
         """Assignments whose region overlaps ``[start, end)``, in key order.
 
         Regions tile the keyspace in start-key order, so the overlap is
-        one contiguous slice found by bisecting ``_starts``: from the
-        region containing ``start`` up to the first one starting at or
-        after ``end`` (``b""`` end = unbounded).
+        one contiguous slice found by bisecting the route table's start
+        keys: from the region containing ``start`` up to the first one
+        starting at or after ``end`` (``b""`` end = unbounded).
         """
         assignments = self._assignments(table)
-        starts = self._starts[table]
+        starts = self._routes[table].starts
         first = max(bisect.bisect_right(starts, start) - 1, 0)
         last = bisect.bisect_left(starts, end) if end else len(starts)
         return assignments[first:last]
@@ -245,25 +257,28 @@ class HMaster:
     def direct_put(self, table: str, batch: CellBatch) -> int:
         """Administrative put: bulk-load ``batch`` straight into the regions.
 
-        No simulated RPC and no WAL (HBase bulk loads bypass the log):
-        each server's share goes through its one writer
-        (:meth:`RegionServer.write`) and is mirrored to follower
-        replicas, which would otherwise never see it.  Returns the
-        number of cells written — a server that restarted and was not
-        yet re-assigned hosts nothing, so its share is not.  Raises
-        when a row's region is unassigned, before anything is written.
+        No simulated RPC and no WAL (HBase bulk loads bypass the log).
+        The batch is split by region once, through the table's route
+        table; each server is handed its regions' shares for its one
+        writer (:meth:`RegionServer.write`), and each share is mirrored
+        to follower replicas, which would otherwise never see it.
+        Returns the number of cells written — a server that restarted
+        and was not yet re-assigned hosts nothing, so its shares are
+        not.  Raises when a row's region is unassigned, before anything
+        is written.
         """
         if not batch.rows:
             return 0
-        groups = self.group_by_server(table, batch)
-        if None in groups:
-            raise RuntimeError("region unassigned; cannot bulk-load")
+        by_server: Dict[str, Dict[Region, CellBatch]] = {}
+        for assignment, share in batch.partition(self._route_table(table).owners).items():
+            if assignment.server is None:
+                raise RuntimeError("region unassigned; cannot bulk-load")
+            by_server.setdefault(assignment.server, {})[assignment.region] = share
         written = 0
-        for server_name, group in groups.items():
-            shares = self._servers[server_name].write(group, durable=False)
-            if shares is None:
+        for server_name, shares in by_server.items():
+            if not self._servers[server_name].write(shares, durable=False):
                 continue
-            written += len(group.rows)
+            written += sum(map(len, shares.values()))
             if self.replication is not None:
                 for region, share in shares.items():
                     self.replication.mirror(region.info.name, share)
@@ -336,7 +351,7 @@ class HMaster:
         most-caught-up live follower.
         """
         assignments = self._assignments(table)
-        starts = self._starts[table]
+        starts = self._routes[table].starts
         shares: List[CellBatch] = []
         staleness = 0.0
         for start_row, end_row in ranges:
@@ -413,7 +428,7 @@ class HMaster:
                 self._servers[assignment.server].close_region(region_name)
             la, ra = _Assignment(left, None), _Assignment(right, None)
             assignments[i : i + 1] = [la, ra]
-            self._starts[table] = [a.region.info.start_key for a in assignments]
+            self._reroute(table)
             self._assign(table, la)
             self._assign(table, ra)
             if self.replication is not None:
@@ -520,22 +535,22 @@ class HMaster:
                     a.region, a.server = promoted
                     self.failovers += 1
                     self.metrics.counter("master.failovers").inc(label=server.name)
-        # Replay the durable WAL prefix, split per victim region, through
-        # the block write path; puts are idempotent (newest-wins), so the
-        # replay composes with whatever the promoted follower applied.
-        # Rows of regions that left this server before the crash have no
-        # victim and are not replayed.
-        def victim_of(row: bytes) -> Optional[int]:
-            for i, a in enumerate(victims):
-                if a.region.info.contains(row):
-                    return i
-            return None
-
+        # Replay the durable WAL prefix, split by region through each
+        # victim table's route table, through the block write path; puts
+        # are idempotent (newest-wins), so the replay composes with
+        # whatever the promoted follower applied.  Rows of regions that
+        # left this server before the crash have no victim and are not
+        # replayed.
         durable = wal.replayable()
-        replayed = durable.partition(victim_of) if durable.rows else {}
-        replayed.pop(None, None)
-        for i, share in replayed.items():
-            victims[i].region.put_block(share)
+        replayed: Dict[_Assignment, CellBatch] = {}
+        if durable.rows:
+            doomed = set(victims)
+            for table in dict.fromkeys(a.region.info.table for a in victims):
+                for a, share in durable.partition(self._routes[table].owners).items():
+                    if a in doomed:
+                        replayed[a] = share
+        for a, share in replayed.items():
+            a.region.put_block(share)
         lost = len(wal) - wal.durable_count
         self.cells_lost_unsynced += lost
         if lost:
@@ -555,8 +570,8 @@ class HMaster:
             # cells to surviving followers, which never saw them via
             # WAL shipping (the replay wrote into regions directly).
             self.replication.handle_server_crash(server.name)
-            for i, share in replayed.items():
-                self.replication.mirror(victims[i].region.info.name, share)
+            for a, share in replayed.items():
+                self.replication.mirror(a.region.info.name, share)
 
     def _handle_restart(self, server: RegionServer) -> None:
         """Re-admit a restarted server and give it work again."""

@@ -44,8 +44,8 @@ from array import array
 from dataclasses import dataclass
 from itertools import chain, compress, count, islice, pairwise, repeat
 from operator import itemgetter, lt, ne
-from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence
-from typing import Tuple, TypeVar
+from typing import Callable, Dict, Generic, Hashable, Iterable, Iterator, List, Optional
+from typing import Sequence, Tuple, TypeVar
 
 __all__ = [
     "Cell",
@@ -54,6 +54,7 @@ __all__ = [
     "StoreFile",
     "Region",
     "RegionInfo",
+    "RouteTable",
     "RowFilter",
     "merge_newest",
 ]
@@ -220,16 +221,20 @@ class CellBatch:
             starts.append(len(rows))
         return starts
 
-    def partition(self, owner_of: Callable[[bytes], Owner]) -> Dict[Owner, "CellBatch"]:
+    def partition(
+        self, owners_of: Callable[[Sequence[bytes]], List[Owner]]
+    ) -> Dict[Owner, "CellBatch"]:
         """Split a non-empty batch by owner, cell order kept within each.
 
-        The one routing loop: ``owner_of`` is asked once per run (row
-        change), each owner's cells are gathered once, and a batch with
-        a single owner is returned as it stands.
+        The one routing loop: ``owners_of`` is asked once, with the row
+        of every run (row change), and answers one owner each — a
+        :meth:`RouteTable.owners`, typically.  Each owner's cells are
+        gathered once, owners come out in first-appearance order, and a
+        batch with a single owner is returned as it stands.
         """
         rows = self.rows
         starts = self.run_starts()
-        owners = [owner_of(rows[i]) for i in starts[:-1]]
+        owners = owners_of(rows if len(starts) > len(rows) else [rows[i] for i in starts[:-1]])
         if owners.count(owners[0]) == len(owners):
             return {owners[0]: self}
         if len(owners) == len(rows):
@@ -302,6 +307,57 @@ class RegionInfo:
         if self.end_key and row >= self.end_key:
             return False
         return True
+
+
+class RouteTable(Generic[Owner]):
+    """Row -> owner over disjoint regions, by a row's first byte.
+
+    Built from ``(RegionInfo, owner)`` pairs wherever a layout changes
+    (a table created or split, a region opened on or closed by a
+    server).  Entry ``b`` of its 256 is the owner of the one region
+    covering every row whose first byte is ``b`` — all of ``[b, b+1)``
+    — or ``None`` where no single region does: a split inside that
+    byte, or no region of the set touching it.  Such rows, and the
+    empty row, are bisected (:meth:`locate`).  Regions that start on
+    first-byte boundaries — a salted table's buckets — never need it.
+    """
+
+    __slots__ = ("starts", "_regions", "_entries")
+
+    def __init__(self, regions: Iterable[Tuple[RegionInfo, Owner]]) -> None:
+        self._regions = sorted(regions, key=lambda pair: pair[0].start_key)
+        #: Region start keys, ascending.
+        self.starts: List[bytes] = [info.start_key for info, _ in self._regions]
+        entries: List[Optional[Owner]] = [None] * 256
+        for info, owner in self._regions:
+            start, end = info.start_key, info.end_key
+            # First byte whose every row is >= start, first byte past end.
+            lo = start[0] + (len(start) > 1) if start else 0
+            hi = end[0] if end else 256
+            if lo < hi:
+                entries[lo:hi] = [owner] * (hi - lo)
+        self._entries = entries
+
+    def locate(self, row: bytes) -> Optional[Owner]:
+        """Owner of the region containing ``row``; ``None`` if none does."""
+        i = bisect.bisect_right(self.starts, row) - 1
+        if i >= 0:
+            info, owner = self._regions[i]
+            if info.contains(row):
+                return owner
+        return None
+
+    def owners(self, rows: Sequence[bytes]) -> List[Optional[Owner]]:
+        """:meth:`locate` of every row: one table index per row, and a
+        bisect only for rows the table leaves open."""
+        entries = self._entries
+        owners = [entries[row[0]] if row else None for row in rows]
+        if None in owners:
+            locate = self.locate
+            owners = [
+                locate(row) if owner is None else owner for row, owner in zip(rows, owners)
+            ]
+        return owners
 
 
 class StoreFile:

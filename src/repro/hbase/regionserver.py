@@ -28,7 +28,7 @@ from ..cluster.network import Network
 from ..cluster.node import Node, Server
 from ..cluster.simulation import Simulator
 from ..obs.trace import NULL_SPAN, SpanLike, Tracer
-from .region import CellBatch, Region
+from .region import CellBatch, Region, RouteTable
 from .wal import WriteAheadLog
 
 __all__ = [
@@ -156,6 +156,9 @@ class RegionServer:
         self.rpc_server = Server(sim, name, QUEUE_CAPACITY, self.metrics)
         node.add_server(self.rpc_server)
         self.regions: Dict[str, Region] = {}
+        # Per-table route table over the hosted regions, rebuilt when
+        # one opens or closes here.
+        self._routes: Dict[str, RouteTable[Region]] = {}
         # Read-only follower replicas hosted here, keyed by region name.
         # Never written by client RPCs; only timeline scans read them.
         self.follower_regions: Dict[str, object] = {}
@@ -177,9 +180,18 @@ class RegionServer:
     # ------------------------------------------------------------------
     def open_region(self, region: Region) -> None:
         self.regions[region.info.name] = region
+        self._reroute(region.info.table)
 
     def close_region(self, region_name: str) -> Optional[Region]:
-        return self.regions.pop(region_name, None)
+        region = self.regions.pop(region_name, None)
+        if region is not None:
+            self._reroute(region.info.table)
+        return region
+
+    def _reroute(self, table: str) -> None:
+        self._routes[table] = RouteTable(
+            (region.info, region) for region in self.regions.values() if region.info.table == table
+        )
 
     def open_follower(self, replica: object) -> None:
         """Host a read-only follower replica (timeline reads only)."""
@@ -190,13 +202,6 @@ class RegionServer:
 
     def hosted_regions(self) -> List[Region]:
         return list(self.regions.values())
-
-    def _region_for(self, row: bytes) -> Optional[Region]:
-        for region in self.regions.values():
-            info = region.info  # RegionInfo.contains, inlined: asked once per row run
-            if row >= info.start_key and (not info.end_key or row < info.end_key):
-                return region
-        return None
 
     # ------------------------------------------------------------------
     # RPC entry point
@@ -282,32 +287,47 @@ class RegionServer:
         span.end(outcome="ok" if reply.ok else reply.error)
         self._reply(reply_to, src_host, reply)
 
-    def write(self, batch: CellBatch, durable: bool) -> Optional[Dict[Region, CellBatch]]:
-        """The one writer: split ``batch`` by hosted region and land it.
+    def route(self, table: str, batch: CellBatch) -> Optional[Dict[Region, CellBatch]]:
+        """Split ``batch`` by the hosted region of ``table`` each row is in.
 
-        Routing resolves once per row *change*
-        (:meth:`CellBatch.partition`) and each hosted region ingests its
-        share in one :meth:`Region.put_block`.  All or nothing:
-        ``None``, and no write, when some row's region is not hosted
-        here.  ``durable`` logs and syncs the WAL first (put RPCs); bulk
-        loads bypass the log, as HBase's do.  Returns each region's
-        share, for the caller to replicate.
+        ``None`` when some row's region is not hosted here.  One
+        :meth:`CellBatch.partition` over this server's route table, so
+        a salted table's rows cost a table index each.
         """
         if not batch.rows:
             return {}
-        shares = batch.partition(self._region_for)
-        if None in shares:
+        routes = self._routes.get(table)
+        if routes is None:
             return None
+        shares = batch.partition(routes.owners)
+        return None if None in shares else shares  # type: ignore[return-value]
+
+    def write(self, shares: Dict[Region, CellBatch], durable: bool) -> bool:
+        """The one writer: land each region's share of a routed batch.
+
+        Put RPCs route here (:meth:`route`); bulk loads arrive routed by
+        the master (:meth:`HMaster.direct_put`).  Hosting is checked
+        once per region, by name, and each hosted region ingests its
+        share in one :meth:`Region.put_block`.  All or nothing:
+        ``False``, and no write, when some region is not hosted here
+        (moved, split or dropped by a restart since it was routed).
+        ``durable`` logs and syncs the WAL first (put RPCs); bulk loads
+        bypass the log, as HBase's do.
+        """
+        hosted = [self.regions.get(region.info.name) for region in shares]
+        if None in hosted:
+            return False
         if durable:
-            self.wal.append_batch(batch)
+            for share in shares.values():
+                self.wal.append_batch(share)
             self.wal.sync()
-        for region, share in shares.items():
-            region.put_block(share)
-        return shares  # type: ignore[return-value]
+        for region, share in zip(hosted, shares.values()):
+            region.put_block(share)  # type: ignore[union-attr]
+        return True
 
     def _serve_put(self, request: PutRequest) -> RpcReply:
-        shares = self.write(request.cells, durable=True)
-        if shares is None:
+        shares = self.route(request.table, request.cells)
+        if shares is None or not self.write(shares, durable=True):
             return RpcReply.failure("NotServingRegionException", self.name, True)
         if self.replication_ship is not None:
             for region, share in shares.items():
@@ -365,6 +385,7 @@ class RegionServer:
             return
         self.crashed = False
         self.regions.clear()
+        self._routes.clear()
         self.follower_regions.clear()
         self.wal = WriteAheadLog(self.name)
         self.rpc_server.start()

@@ -38,7 +38,7 @@ from typing import (
     Set,
 )
 
-from ..tsdb.blocks import series_spans
+from ..tsdb.blocks import WriteSpans
 from ..tsdb.query import TsdbQuery
 from .planner import Reader, TierPlan, TierRouter
 from .retention import ExpiredSpan, RetentionManager
@@ -95,19 +95,19 @@ class LifecycleManager:
     # ------------------------------------------------------------------
     # write-path hooks
     # ------------------------------------------------------------------
-    def _on_writes(self, points) -> None:
+    def _on_writes(self, writes: WriteSpans) -> None:
         """Write listener: idempotent observation only (fires twice)."""
-        for metric, (t_min, t_max, _n) in series_spans(points, by_tags=False).items():
+        for metric, (t_min, t_max, _n) in writes.by_metric().items():
             if not self.policy.manages(metric):
                 continue
             self.rollup.observe(metric, t_min, t_max)
             if t_min < self.retention.raw_floor(metric):
                 self.retention.drop_too_late(metric)
 
-    def _on_ingest(self, points, written: int, failed: int) -> None:
+    def _on_ingest(self, writes: WriteSpans, written: int, failed: int) -> None:
         """Ingest observer: exact-once accounting + hot-window cadence."""
         fresh = 0
-        for metric, (_t_min, _t_max, n) in series_spans(points, by_tags=False).items():
+        for metric, (_t_min, _t_max, n) in writes.by_metric().items():
             if not self.policy.manages(metric):
                 continue
             self.ingested[metric] = self.ingested.get(metric, 0) + n

@@ -33,18 +33,17 @@ E14 queueing/stampede dynamics real and deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
 from ..hbase.master import RegionUnavailableError
 from ..tsdb.aggregation import Series
-from ..tsdb.blocks import series_spans
+from ..tsdb.blocks import WriteSpans
 from ..tsdb.query import TsdbQuery
 from .admission import AdmissionController, QueryRejected, Ticket
 from .cache import CanonicalQuery, ResultCache, canonical_key, result_etag
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..tsdb.ingest import TsdbCluster
-    from ..tsdb.tsd import DataPoint
 
 __all__ = ["GatewayConfig", "QueryGateway", "ServeResult", "ServeServiceModel"]
 
@@ -308,15 +307,17 @@ class QueryGateway:
         if evicted:
             self.metrics.counter("serve.invalidations").inc(evicted)
 
-    def notify_writes(self, points: Iterable["DataPoint"]) -> None:
+    def notify_writes(self, writes: WriteSpans) -> None:
         """Evict cache entries overlapping freshly written points.
 
         Wired to the cluster's write listeners; touches are coalesced
-        per ``(metric, tags)`` series into one time-range probe.
+        per ``(metric, tags)`` series into one time-range probe — the
+        batch's by-series spans, walked once for both of a submitted
+        batch's notifications.
         """
         self._write_epoch += 1
         evicted = 0
-        for (metric, tags), (t_min, t_max, _n) in series_spans(points, by_tags=True).items():
+        for (metric, tags), (t_min, t_max, _n) in writes.by_series().items():
             evicted += self.cache.invalidate(metric, dict(tags), t_min, t_max)
         if evicted:
             self.metrics.counter("serve.invalidations").inc(evicted)

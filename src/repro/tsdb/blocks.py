@@ -28,13 +28,13 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left, bisect_right
 from itertools import accumulate, islice
-from operator import le
+from operator import attrgetter, le
 from typing import TYPE_CHECKING, Any, Dict, Iterable, Iterator, List, Sequence, Tuple, Union
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (tsd imports us)
     from .tsd import DataPoint
 
-__all__ = ["SeriesBlock", "BlockBatch", "blocks_from_points", "series_spans"]
+__all__ = ["SeriesBlock", "BlockBatch", "WriteSpans", "blocks_from_points", "series_spans"]
 
 Tags = Tuple[Tuple[str, str], ...]
 
@@ -307,6 +307,10 @@ class BlockBatch:
         return f"<BlockBatch blocks={len(self.blocks)} points={self._len}>"
 
 
+_METRIC = attrgetter("metric")
+_TIMESTAMP = attrgetter("timestamp")
+
+
 def series_spans(
     payload: Union[BlockBatch, Iterable["DataPoint"]], by_tags: bool
 ) -> Dict[Any, List[int]]:
@@ -315,12 +319,22 @@ def series_spans(
     ``{(metric, tags): [t_min, t_max, n_points]}`` with ``by_tags``,
     else keyed by metric alone — what write listeners act on instead of
     the points.  A :class:`BlockBatch` contributes one run per block (a
-    block already knows its extent), a point iterable one per point.
+    block already knows its extent), a point iterable one per point —
+    except that a point list of one metric, keyed by metric, is the
+    min and max of its one timestamp column, taken in C.
     """
     if isinstance(payload, BlockBatch):
-        runs = ((b.metric, b.tags, b.start, b.end, len(b)) for b in payload.blocks)
+        runs: Iterable[Tuple[str, Tags, int, int, int]] = (
+            (b.metric, b.tags, b.start, b.end, len(b)) for b in payload.blocks
+        )
     else:
-        runs = ((p.metric, p.tags, p.timestamp, p.timestamp, 1) for p in payload)
+        points = payload if isinstance(payload, list) else list(payload)
+        if not by_tags and points:
+            metrics = set(map(_METRIC, points))
+            if len(metrics) == 1:
+                stamps = list(map(_TIMESTAMP, points))
+                return {metrics.pop(): [min(stamps), max(stamps), len(stamps)]}
+        runs = ((p.metric, p.tags, p.timestamp, p.timestamp, 1) for p in points)
     spans: Dict[Any, List[int]] = {}
     for metric, tags, t_min, t_max, n in runs:
         key = (metric, tags) if by_tags else metric
@@ -334,3 +348,35 @@ def series_spans(
                 span[1] = t_max
             span[2] += n
     return spans
+
+
+class WriteSpans:
+    """One write payload as its listeners see it: extents, walked once.
+
+    The cluster wraps each payload it writes in one of these and hands
+    that one object to every write listener and ingest observer — at
+    submit and again at ack — so :func:`series_spans` walks the points
+    at most once per granularity, however many listeners ask: by series
+    for the serving cache, by metric for the lifecycle tier.  The
+    answers are shared; listeners read them and never change them.
+    """
+
+    __slots__ = ("_payload", "_spans")
+
+    def __init__(self, payload: Union[BlockBatch, Sequence["DataPoint"]]) -> None:
+        self._payload = payload
+        self._spans: Dict[bool, Dict[Any, List[int]]] = {}
+
+    def by_series(self) -> Dict[Tuple[str, Tags], List[int]]:
+        """``{(metric, tags): [t_min, t_max, n_points]}``."""
+        return self._walk(True)
+
+    def by_metric(self) -> Dict[str, List[int]]:
+        """``{metric: [t_min, t_max, n_points]}``."""
+        return self._walk(False)
+
+    def _walk(self, by_tags: bool) -> Dict[Any, List[int]]:
+        spans = self._spans.get(by_tags)
+        if spans is None:
+            spans = self._spans[by_tags] = series_spans(self._payload, by_tags)
+        return spans

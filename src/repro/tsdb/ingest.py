@@ -23,7 +23,7 @@ from ..hbase.master import HMaster
 from ..hbase.regionserver import RegionServer, ServiceModel
 from ..hbase.replication import ReplicationCoordinator
 from ..obs.trace import Tracer
-from .blocks import BlockBatch, SeriesBlock
+from .blocks import BlockBatch, SeriesBlock, WriteSpans
 from .proxy import DirectSubmitter, ReverseProxy
 from .query import QueryEngine
 from .rowkey import RowKeyCodec
@@ -204,13 +204,13 @@ class TsdbCluster:
             self.tsds.append(tsd)
 
         #: Write listeners (the serving gateway's cache invalidation
-        #: hook): called with every submitted/bulk-loaded point batch.
-        #: NOTE: fired twice per submitted batch (optimistic + at ack),
-        #: so listeners must be idempotent.
-        self._write_listeners: List[Callable[[List[DataPoint]], None]] = []
+        #: hook): called with the :class:`WriteSpans` of every
+        #: submitted/bulk-loaded batch.  NOTE: fired twice per submitted
+        #: batch (optimistic + at ack), so listeners must be idempotent.
+        self._write_listeners: List[Callable[[WriteSpans], None]] = []
         #: Ingest observers: called exactly once per batch — at ack for
         #: submitted batches, at completion for bulk loads — with
-        #: ``(points, written, failed)``.  The exact-once counterpart of
+        #: ``(writes, written, failed)``.  The exact-once counterpart of
         #: the write listeners, for accounting that must not double.
         self._ingest_observers: List[Callable] = []
 
@@ -252,13 +252,16 @@ class TsdbCluster:
             # before the batch is even durable — conservative and cheap)
             # and again when its ack lands, because a query executed
             # *between* the two would otherwise cache a result missing
-            # these points.  Observers fire exactly once, at ack.
-            self._notify_writes(points)
+            # these points.  Observers fire exactly once, at ack.  All
+            # of them share one WriteSpans, so the points are walked at
+            # most once per granularity across both notifications.
+            writes = WriteSpans(points)
+            self._notify_writes(writes)
             inner = on_ack
 
             def acked(ack: PutAck) -> None:
-                self._notify_writes(points)
-                self._notify_ingest(points, ack.written, ack.failed)
+                self._notify_writes(writes)
+                self._notify_ingest(writes, ack.written, ack.failed)
                 if inner is not None:
                     inner(ack)
 
@@ -282,30 +285,36 @@ class TsdbCluster:
             blocks = BlockBatch(list(blocks))
         self.submit(blocks, on_ack)
 
-    def add_write_listener(self, listener: Callable[[List[DataPoint]], None]) -> None:
-        """Subscribe to write notifications (cache invalidation feed)."""
+    def add_write_listener(self, listener: Callable[[WriteSpans], None]) -> None:
+        """Subscribe to write notifications (cache invalidation feed).
+
+        ``listener(writes)`` gets each written batch's
+        :class:`~repro.tsdb.blocks.WriteSpans`: its extents by series
+        or by metric.
+        """
         self._write_listeners.append(listener)
 
-    def remove_write_listener(self, listener: Callable[[List[DataPoint]], None]) -> None:
+    def remove_write_listener(self, listener: Callable[[WriteSpans], None]) -> None:
         self._write_listeners.remove(listener)
 
-    def _notify_writes(self, points: List[DataPoint]) -> None:
+    def _notify_writes(self, writes: WriteSpans) -> None:
         for listener in self._write_listeners:
-            listener(points)
+            listener(writes)
 
     def add_ingest_observer(self, observer: Callable) -> None:
         """Subscribe to exact-once batch notifications.
 
-        ``observer(points, written, failed)`` is called once per batch:
-        at ack time for :meth:`submit`, synchronously for bulk loads.
+        ``observer(writes, written, failed)`` is called once per batch,
+        with the batch's :class:`~repro.tsdb.blocks.WriteSpans`: at ack
+        time for :meth:`submit`, synchronously for bulk loads.
         Unlike write listeners it never double-fires, so it can carry
         counting that must balance (the lifecycle conservation ledger).
         """
         self._ingest_observers.append(observer)
 
-    def _notify_ingest(self, points, written: int, failed: int) -> None:
+    def _notify_ingest(self, writes: WriteSpans, written: int, failed: int) -> None:
         for observer in self._ingest_observers:
-            observer(points, written, failed)
+            observer(writes, written, failed)
 
     def query_engine(self) -> QueryEngine:
         return QueryEngine(
@@ -386,8 +395,9 @@ class TsdbCluster:
         written = self.master.direct_put(DATA_TABLE, cells)
         # Bulk loads land synchronously, so one notification suffices;
         # the shortfall lets exact accounting taint rather than miscount.
-        self._notify_writes(points)
-        self._notify_ingest(points, written, len(cells.rows) - written)
+        writes = WriteSpans(points)
+        self._notify_writes(writes)
+        self._notify_ingest(writes, written, len(cells.rows) - written)
         return written
 
     def per_server_writes(self) -> Dict[str, int]:

@@ -8,7 +8,8 @@ RegionServers see full batches even though a single inbound batch
 scatters across salt buckets.
 
 Encoding has one implementation per payload shape —
-:meth:`TSDaemon.encode_point` and :meth:`TSDaemon.encode_block` — and
+:meth:`TSDaemon.encode_points` (whose one-point form is
+:meth:`TSDaemon.encode_point`) and :meth:`TSDaemon.encode_block` — and
 both pay a series' set-up once per *series*, not once per sample: the
 ``(metric, tags) -> SeriesKey`` memo they share (hosted by the
 :class:`~repro.tsdb.uid.UniqueIdRegistry`, so shared by every TSD of a
@@ -22,9 +23,10 @@ share of an ``extend`` of each of four columns: the bulk encoders
 :class:`~repro.tsdb.blocks.BlockBatch` in one pass, and
 :meth:`TSDaemon.encode_points`) return one
 :class:`~repro.hbase.region.CellBatch` per payload and allocate nothing
-per sample; only :meth:`TSDaemon.encode_point`, the one-point unit the
-linger buffers are filled from, builds a
-:class:`~repro.hbase.region.Cell`.
+per sample.  A :class:`~repro.hbase.region.Cell` is built only where
+one is the unit: the per-bucket linger buffers hold one per point,
+iterated off the batch :meth:`TSDaemon.encode_points` makes of the
+inbound point list, and :meth:`TSDaemon.encode_point` returns one.
 
 A put batch is acknowledged only when every one of its cells has been
 acknowledged by a RegionServer (durable ack), which is what gives the
@@ -44,7 +46,7 @@ from ..cluster.metrics import MetricsRegistry
 from ..cluster.network import Network
 from ..cluster.node import Node, Server
 from ..cluster.simulation import Simulator
-from ..hbase.bytescodec import encode_f64, encode_f64_column
+from ..hbase.bytescodec import encode_f64_column
 from ..hbase.client import HTableClient
 from ..hbase.master import HMaster
 from ..hbase.region import Cell, CellBatch
@@ -289,8 +291,7 @@ class TSDaemon:
             batch_id=batch_id,
             span=span,
         )
-        for point in points:
-            cell = self.encode_point(point)
+        for cell in self.encode_points(points):
             bucket = cell.row[0] if self.codec.salted else 0
             buf = self._buffers.get(bucket)
             if buf is None:
@@ -365,11 +366,11 @@ class TSDaemon:
         and the series memo as they were.  A block then costs one memo
         hit, and each of its row-hour runs one qualifier-table lookup
         per cell: the run reuses the row its series last wrote to, as
-        :meth:`encode_point` does, and a row key is materialised (one
+        :meth:`encode_points` does, and a row key is materialised (one
         salt hash) only when a run's hour differs from the memo's.  The
         value column is packed in one call, and write timestamps are
         drawn one per cell, in cell order, from the same logical clock
-        as :meth:`encode_point`, so newest-wins semantics are unchanged.
+        as :meth:`encode_points`, so newest-wins semantics are unchanged.
         """
         blocks = payload.blocks if isinstance(payload, BlockBatch) else (payload,)
         for block in blocks:
@@ -399,18 +400,6 @@ class TSDaemon:
         write_ts = array("d", starmap(self._next_write_ts, repeat((), len(rows))))
         return CellBatch(rows, qualifiers, list(encode_f64_column(values)), write_ts)
 
-    def _series_row(self, point: DataPoint) -> Tuple[bytes, bytes]:
-        """``(row, qualifier)`` of one point, its series' row memoised."""
-        series = self._series[point.metric, point.tags]
-        timestamp = point.timestamp
-        offset = timestamp % ROW_SPAN_SECONDS
-        # The range check runs on every point: the last row hour before
-        # 2**32 is partial, and a hit on it must not admit what lies past.
-        if timestamp - offset != series.base or timestamp >= TIMESTAMP_LIMIT:
-            series.row, _ = self.codec.encode(series.metric_uid, timestamp, series.tag_pairs)
-            series.base = timestamp - offset
-        return series.row, QUALIFIER_TABLE[offset]
-
     def encode_point(self, point: DataPoint) -> Cell:
         """UID-intern and row-key-encode one data point into an HBase cell.
 
@@ -418,25 +407,37 @@ class TSDaemon:
         logical clock (wall-clock write time in real HBase), so
         newest-write-wins resolution and compaction shadowing are
         well-defined even when old data timestamps are backfilled.
+        The one-point form of :meth:`encode_points`.
         """
-        row, qualifier = self._series_row(point)
-        return Cell(row, qualifier, encode_f64(point.value), self._next_write_ts())
+        cells = self.encode_points((point,))
+        return Cell(cells.rows[0], cells.qualifiers[0], cells.values[0], cells.ts[0])
 
     def encode_points(self, points: Sequence[DataPoint]) -> CellBatch:
-        """:meth:`encode_point` of every point, as one batch and no cells.
+        """UID-intern and row-key-encode a point list, as one batch and no cells.
 
         The bulk form for a point list in arrival order (one point per
-        series per tick, typically): same memo, same clock — one write
-        timestamp per point, in point order — and the value column
-        packed in one call, as :meth:`encode_block` does.
+        series per tick, typically), and the one home of the per-point
+        row-hour memo: a point whose series last wrote to its row hour
+        reuses that row, and a row key is materialised (one salt hash)
+        only when the hour differs.  The range check runs on every
+        point — the last row hour before 2**32 is partial, and a memo
+        hit on it must not admit what lies past.  One write timestamp
+        is drawn per point, in point order, and the value column packed
+        in one call, as :meth:`encode_block` does.
         """
         rows: List[bytes] = []
         qualifiers: List[bytes] = []
-        add_row, add_qualifier, series_row = rows.append, qualifiers.append, self._series_row
+        add_row, add_qualifier = rows.append, qualifiers.append
+        memo, encode, table = self._series, self.codec.encode, QUALIFIER_TABLE
         for point in points:
-            row, qualifier = series_row(point)
-            add_row(row)
-            add_qualifier(qualifier)
+            series = memo[point.metric, point.tags]
+            timestamp = point.timestamp
+            offset = timestamp % ROW_SPAN_SECONDS
+            if timestamp - offset != series.base or timestamp >= TIMESTAMP_LIMIT:
+                series.row, _ = encode(series.metric_uid, timestamp, series.tag_pairs)
+                series.base = timestamp - offset
+            add_row(series.row)
+            add_qualifier(table[offset])
         write_ts = array("d", starmap(self._next_write_ts, repeat((), len(rows))))
         values = list(encode_f64_column([point.value for point in points]))
         return CellBatch(rows, qualifiers, values, write_ts)

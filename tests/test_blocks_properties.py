@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.tsdb.aggregation import Series
-from repro.tsdb.blocks import BlockBatch, SeriesBlock, blocks_from_points
+from repro.tsdb.blocks import BlockBatch, SeriesBlock, WriteSpans, blocks_from_points, series_spans
 from repro.hbase.region import CellBatch
 from repro.lifecycle import LifecyclePolicy
 from repro.tsdb.ingest import build_cluster
@@ -408,3 +408,55 @@ class TestNewestWinsAcrossSeries:
             assert_bit_identical(engine.run(query), expected)
             assert_bit_identical(engine.run_available(query).series, expected)
             assert_bit_identical(gateway.serve(query).series, expected)
+
+
+def walked_spans(points, by_tags):
+    """The general walk, one point at a time: what every fast path of
+    ``series_spans`` must equal."""
+    spans = {}
+    for p in points:
+        key = (p.metric, p.tags) if by_tags else p.metric
+        t_min, t_max, n = spans.get(key, (p.timestamp, p.timestamp, 0))
+        spans[key] = [min(t_min, p.timestamp), max(t_max, p.timestamp), n + 1]
+    return spans
+
+
+def metric_points(raw, metrics):
+    """``make_points`` with the metric drawn from ``metrics`` by unit."""
+    return [
+        DataPoint.make(metrics[u % len(metrics)], ts, v, {"unit": f"u{u}", "sensor": f"s{s}"})
+        for u, s, ts, v in raw
+    ]
+
+
+class TestSeriesSpans:
+    """``series_spans`` — the one-metric fast path included — equals the
+    general walk over every payload shape a write listener is handed."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(point_strategy, max_size=40),
+        st.sampled_from([("energy",), ("energy", "power"), ("a", "b", "c")]),
+        st.booleans(),
+    )
+    def test_every_shape_equals_the_general_walk(self, raw, metrics, by_tags):
+        points = metric_points(raw, metrics)  # in draw order: out of time order
+        expected = walked_spans(points, by_tags)
+        assert series_spans(points, by_tags) == expected
+        assert series_spans(iter(points), by_tags) == expected  # a generator
+        assert series_spans(tuple(points), by_tags) == expected
+        batch = BlockBatch.from_points(points)
+        assert series_spans(batch, by_tags) == walked_spans(batch, by_tags)
+        writes = WriteSpans(points)
+        assert (writes.by_series(), writes.by_metric()) == (
+            walked_spans(points, True), walked_spans(points, False)
+        )
+
+    def test_edge_payloads(self):
+        late = [DataPoint("m", t, 1.0, ()) for t in (50, 10, 90, 10)]
+        assert series_spans(late, by_tags=False) == {"m": [10, 90, 4]}
+        assert series_spans([], by_tags=False) == {}
+        assert series_spans(iter([]), by_tags=True) == {}
+        assert series_spans(BlockBatch(()), by_tags=False) == {}
+        mixed = late + [DataPoint("n", 70, 1.0, ())]
+        assert series_spans((p for p in mixed), by_tags=False) == {"m": [10, 90, 4], "n": [70, 70, 1]}

@@ -38,6 +38,7 @@ KEPT_FOR_TESTS = {
     "split_region": (2, "TestRangeRoutingIdentity draws it as a topology operation"),
     "execute_sync": (2, "TestOneWayToServeATierPlan drives the RPC read path with it"),
     "parse_put_line": (2, "the reference of the block parser's differential test"),
+    "encode_f64": (2, "the value codec of the encoders' reference in test_write_front_end"),
     "table_regions": (3, "region layout after create/split/move/crash"),
     "tombstone_count": (3, "range deletes touch only overlapping regions"),
     "cell_count": (3, "TestRegionModel's live-cell count against the oracle"),

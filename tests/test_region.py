@@ -224,12 +224,13 @@ class TestCellBatchPartition:
         batch = CellBatch.from_cells(cells)
         asked = []
 
-        def owner_of(row):
-            asked.append(row)
-            return owner_of_row[row]
+        def owners_of(run_rows):
+            asked.append(list(run_rows))
+            return [owner_of_row[row] for row in run_rows]
 
-        shares = batch.partition(owner_of)
-        assert len(asked) == len(batch.run_starts()) - 1  # once per run
+        shares = batch.partition(owners_of)
+        # Asked once, with each run's row: once per run, not per cell.
+        assert asked == [[rows[i] for i in batch.run_starts()[:-1]]]
         owners = {owner_of_row[row] for row in rows}
         assert set(shares) == owners
         for owner, share in shares.items():
@@ -464,7 +465,7 @@ class TestRegionModel:
                     cells.append(Cell(row, qual, b"%d" % stamp, float(ts)))
                 # Route as a RegionServer does: this region's share of the batch.
                 batch = CellBatch.from_cells(cells)
-                shares = batch.partition(oracle.contains)
+                shares = batch.partition(lambda rows: list(map(oracle.contains, rows)))
                 if False in shares:  # all or nothing: a stray row stops the whole batch
                     with pytest.raises(KeyError):
                         r.put_block(batch)

@@ -10,7 +10,7 @@ from repro.cluster.node import Node
 from repro.cluster.simulation import Simulator
 from repro.hbase import regionserver
 from repro.hbase.master import HMaster, RegionUnavailableError, TableNotFoundError
-from repro.hbase.region import Cell, CellBatch
+from repro.hbase.region import Cell, CellBatch, RouteTable
 from repro.hbase.regionserver import (
     PutRequest,
     RegionServer,
@@ -20,6 +20,7 @@ from repro.hbase.regionserver import (
 from repro.hbase.replication import ReplicationCoordinator
 from repro.tsdb.ingest import ClusterConfig, build_cluster
 from repro.tsdb.query import TsdbQuery, group_and_aggregate
+from repro.tsdb.rowkey import RowKeyCodec
 from repro.tsdb.tsd import DATA_TABLE, DataPoint
 
 
@@ -566,3 +567,152 @@ class TestOnePassRead:
             assert frozen(result.series) == frozen(series)
             assert result.staleness == (staleness if result.mode == "timeline" else 0.0)
         assert refused and stale > 0.0
+
+
+# ----------------------------------------------------------------------
+# write routing: the first-byte route table equals a per-row oracle
+# ----------------------------------------------------------------------
+#: First bytes around the salt boundaries of 4 and 128 buckets, plus
+#: the 0xff bucket, which has no next byte to end at.
+FIRST_BYTES = [0x00, 0x01, 0x02, 0x03, 0x04, 0x7E, 0x7F, 0x80, 0xFE, 0xFF]
+route_rows = st.one_of(
+    st.just(b""),
+    st.builds(
+        lambda first, tail: bytes([first]) + tail,
+        st.sampled_from(FIRST_BYTES),
+        st.binary(max_size=3),
+    ),
+)
+#: A one-byte key splits on a byte boundary; a longer one inside a byte.
+route_splits = st.builds(
+    lambda first, tail: bytes([first]) + tail,
+    st.sampled_from(FIRST_BYTES),
+    st.one_of(st.just(b""), st.binary(min_size=1, max_size=2)),
+)
+route_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("split"), route_splits),
+        st.tuples(st.just("move"), st.integers(0, 300), st.integers(0, 2)),
+        st.tuples(st.just("crash"), st.integers(0, 2), st.booleans()),
+    ),
+    max_size=5,
+)
+
+
+def numbered_cells(rows):
+    """One cell per row, in row order; distinct qualifiers make a share's
+    cell order observable."""
+    return CellBatch.from_cells(
+        Cell(row, b"%03d" % i, b"v%d" % i, float(i)) for i, row in enumerate(rows)
+    )
+
+
+def oracle_partition(batch, owner_of):
+    """``{owner: [cells]}`` in first-appearance order, one row at a time."""
+    shares = {}
+    for cell in batch:
+        shares.setdefault(owner_of(cell.row), []).append(cell)
+    return shares
+
+
+def as_cells(shares):
+    return {owner: list(share) for owner, share in shares.items()}
+
+
+class TestRouteTable:
+    """Partitioning through a route table equals asking every row its
+    region (``RegionInfo.contains`` over every region), whatever the
+    layout: salted or not, split inside a byte, regions moved, servers
+    failed over and restarted."""
+
+    def build(self, salt_buckets, replicate=True):
+        sim = Simulator()
+        net = Network(sim)
+        master = HMaster()
+        servers = []
+        for i in range(3):
+            servers.append(RegionServer(sim, net, Node(sim, f"host{i}"), f"rs{i}"))
+            master.register_server(servers[-1])
+        if replicate:
+            master.enable_replication(ReplicationCoordinator(sim, net, master, n_followers=1))
+        master.create_table("t", RowKeyCodec(salt_buckets).split_keys())
+        return master, servers
+
+    def apply(self, master, servers, op):
+        names = [a.region.info.name for a in master._tables["t"]]
+        if op[0] == "split":  # the region holding the key, at the key
+            info, _ = master.locate("t", op[1])
+            if op[1] != info.start_key:
+                master.split_region("t", info.name, op[1])
+        elif op[0] == "move":
+            if not servers[op[2]].crashed:
+                master.move_region("t", names[op[1] % len(names)], servers[op[2]].name)
+        else:
+            servers[op[1]].crash()  # fails over to followers, or reassigns
+            if op[2]:
+                servers[op[1]].restart()  # rejoins empty; the balancer moves regions back
+
+    def check(self, master, servers, batch):
+        regions = [a.region for a in master._tables["t"]]
+
+        def region_of(row):
+            [region] = [r for r in regions if r.info.contains(row)]
+            return region
+
+        server_of = {a.region.info.name: a.server for a in master._tables["t"]}
+        by_server = oracle_partition(batch, lambda row: server_of[region_of(row).info.name])
+        got = master.group_by_server("t", batch)
+        assert as_cells(got) == by_server
+        assert list(got) == list(by_server)  # first-appearance order
+        routes = master._routes["t"]
+        assert [a.region for a in routes.owners(batch.rows)] == [region_of(r) for r in batch.rows]
+        for srv in servers:
+
+            def hosted(row):
+                region = region_of(row)
+                return srv.regions.get(region.info.name)
+
+            expected = oracle_partition(batch, hosted)
+            routed = srv.route("t", batch)
+            if None in expected:
+                assert routed is None
+            else:
+                assert as_cells(routed) == expected
+                assert list(routed) == list(expected)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from([0, 4, 128]), route_ops, st.lists(route_rows, min_size=1, max_size=40))
+    def test_partitions_equal_a_per_row_oracle(self, salt_buckets, ops, rows):
+        master, servers = self.build(salt_buckets)
+        batch = numbered_cells(rows)
+        self.check(master, servers, batch)
+        for op in ops:
+            self.apply(master, servers, op)
+            self.check(master, servers, batch)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from([0, 4, 128]),
+        st.lists(route_splits, max_size=3),
+        st.lists(route_rows, min_size=1, max_size=40),
+        st.integers(0, 2),
+        st.booleans(),
+    )
+    def test_failover_replays_every_synced_cell_into_its_region(
+        self, salt_buckets, splits, rows, victim, replicate
+    ):
+        """Recovery splits the dead server's WAL through the same route
+        tables.  The cells below are logged but never shipped to a
+        follower, so only a replay into the right region brings them
+        back (a row replayed into the wrong one raises)."""
+        master, servers = self.build(salt_buckets, replicate)
+        for key in splits:
+            self.apply(master, servers, ("split", key))
+        batch = numbered_cells(rows)
+        for name, share in master.group_by_server("t", batch).items():
+            srv = master.server(name)
+            assert srv.write(srv.route("t", share), durable=True)
+        servers[victim].crash()
+        assert master.direct_scan("t") == CellBatch.from_cells(
+            sorted(batch, key=lambda cell: cell.key)
+        )

@@ -14,12 +14,17 @@ too, but only after ten pairs of runs; this says it in tier-1
 """
 
 import gc
+from array import array
 
 import pytest
 
-from repro.hbase.region import Region
+from repro.hbase.master import HMaster
+from repro.hbase.region import CellBatch, Region, RouteTable
 from repro.hbase.wal import WriteAheadLog
-from repro.tsdb import BatchPublisher, BlockBatch, DataPoint, build_cluster, parse_block
+from repro.lifecycle import LifecyclePolicy, TierSpec
+from repro.serve import gateway as serve_gateway
+from repro.lifecycle import manager as lifecycle_manager
+from repro.tsdb import BatchPublisher, BlockBatch, DataPoint, blocks, build_cluster, parse_block
 from repro.tsdb import lineprotocol, rowkey
 from repro.tsdb.tsd import DATA_TABLE, TSDaemon
 
@@ -237,3 +242,91 @@ def test_the_recorded_boundaries_still_count_cells(monkeypatch):
     count_result(Region, "scan")
     assert len(cluster.master.direct_scan(DATA_TABLE)) == len(points)
     assert counted == dict.fromkeys(counted, len(points))
+
+
+# ----------------------------------------------------------------------
+# a write is routed and announced per batch (DESIGN §20.3)
+# ----------------------------------------------------------------------
+def listened_cluster(salt_buckets, gateways):
+    """A cluster with a lifecycle tier (two by-metric listeners: its
+    write listener and its ingest observer) and ``gateways`` serving
+    gateways (one by-series listener each)."""
+    cluster = build_cluster(
+        n_nodes=2, salt_buckets=salt_buckets, retain_data=True,
+        lifecycle=LifecyclePolicy(tiers=(TierSpec("1h", 3600),), raw_ttl=3600),
+    )
+    for _ in range(gateways):
+        cluster.gateway()
+    return cluster
+
+
+@pytest.fixture
+def routing_lookups(monkeypatch):
+    """Every per-row region lookup of the write path, counted: the
+    master's one-row ``locate`` and a route table's bisect fallback."""
+    asked = []
+    monkeypatch.setattr(HMaster, "locate", counting(HMaster.locate, asked))
+    monkeypatch.setattr(RouteTable, "locate", counting(RouteTable.locate, asked))
+    return asked
+
+
+@pytest.fixture
+def span_walks(monkeypatch):
+    """Every ``series_spans`` walk, by granularity, wherever it is called from."""
+    walks = {True: 0, False: 0}
+
+    def counted(payload, by_tags):
+        walks[by_tags] += 1
+        return original(payload, by_tags)
+
+    original = blocks.series_spans
+    for module in (blocks, serve_gateway, lifecycle_manager):
+        monkeypatch.setattr(module, "series_spans", counted, raising=False)
+    return walks
+
+
+@pytest.mark.parametrize("salt_buckets", [4, 128, 256])
+@pytest.mark.parametrize("n_series", [10, 200])
+def test_a_tick_major_bulk_load_asks_no_row_its_region(routing_lookups, salt_buckets, n_series):
+    """``direct_put`` of N series, one point each, with every salt bucket
+    (the 0xff one too, for 256) in play: no per-row lookup anywhere — the
+    parent asked ``HMaster.locate`` once per cell and walked the server's
+    regions once more per cell."""
+    cluster = listened_cluster(salt_buckets, gateways=1)
+    points = [
+        DataPoint.make("energy", 60, float(s), {"unit": f"u{s % 7}", "sensor": f"s{s}"})
+        for s in range(n_series)
+    ]
+    assert cluster.direct_put(points) == n_series
+    assert routing_lookups == []
+    # Every first byte, 0xff included, is one table index.
+    every_byte = CellBatch([bytes([b, 0]) for b in range(256)], [b"q"] * 256, [b"v"] * 256,
+                           array("d", range(256)))
+    assert sum(map(len, cluster.master.group_by_server(DATA_TABLE, every_byte).values())) == 256
+    assert routing_lookups == []
+
+
+@pytest.mark.parametrize("gateways", [0, 1, 3])
+@pytest.mark.parametrize("shape", [list, BlockBatch.from_points], ids=["points", "blocks"])
+def test_a_write_is_walked_once_per_granularity(span_walks, gateways, shape):
+    """However many listeners: one by-metric walk (the lifecycle's
+    listener and observer share it) and, with any gateway, one
+    by-series walk.  The parent walked by metric twice per bulk load
+    and by series once per gateway."""
+    cluster = listened_cluster(4, gateways)
+    points = tick_major_points(n_ticks=3, cadence=60)
+    assert cluster.direct_put(shape(points)) == len(points)
+    assert span_walks == {False: 1, True: 1 if gateways else 0}
+
+
+@pytest.mark.parametrize("gateways", [1, 3])
+def test_a_submitted_write_is_walked_once_for_both_notifications(span_walks, gateways):
+    """A submitted batch notifies twice (at submit and at ack) and
+    observes once: the ack reuses the spans walked at submit (the
+    parent walked by series twice per gateway, by metric three times)."""
+    cluster = listened_cluster(4, gateways)
+    acks = []
+    cluster.submit(tick_major_points(n_ticks=3, cadence=60), acks.append)
+    cluster.sim.run()
+    assert [ack.ok for ack in acks] == [True]
+    assert span_walks == {False: 1, True: 1}
