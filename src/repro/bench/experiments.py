@@ -1376,7 +1376,7 @@ def e14_serve_gateway(quick: bool = False) -> ExperimentResult:
 
 
 # ----------------------------------------------------------------------
-# E15 — columnar block hot path: ingest goodput and read-kernel parity
+# E15 — columnar block hot path: ingest goodput and the parse kernel
 # ----------------------------------------------------------------------
 def _series_major_points(
     n_points: int, n_units: int, n_sensors: int, seed: int
@@ -1436,56 +1436,6 @@ def _block_publish_run(
     }
 
 
-def _read_ablation_run(
-    points: List[DataPoint], n_queries: int, seed: int
-) -> Dict[str, float]:
-    """Columnar vs per-cell scan assembly: wall-clock and bit-identity."""
-    from ..tsdb.query import TsdbQuery
-
-    rng = np.random.default_rng(seed)
-    cluster = build_cluster(ClusterConfig(n_nodes=2, salt_buckets=4, retain_data=True))
-    cluster.direct_put(points)
-    engine = cluster.query_engine()
-    t_lo = min(p.timestamp for p in points)
-    t_hi = max(p.timestamp for p in points) + 1
-    queries = [
-        TsdbQuery(
-            "energy",
-            int(rng.integers(t_lo, max(t_hi - 1, t_lo + 1))),
-            t_hi,
-            tag_filters={"unit": f"u{int(rng.integers(0, 8))}"},
-            group_by=("sensor",),
-        )
-        for _ in range(n_queries)
-    ]
-    identical = True
-    wall_block = 0.0
-    wall_point = 0.0
-    for query in queries:
-        w0 = time.perf_counter()
-        block_out = engine.run(query)
-        wall_block += time.perf_counter() - w0
-        w0 = time.perf_counter()
-        point_out = engine.run_pointwise(query)
-        wall_point += time.perf_counter() - w0
-        if len(block_out) != len(point_out):
-            identical = False
-            continue
-        for a, b in zip(block_out, point_out):
-            if (
-                a.tags != b.tags
-                or a.timestamps.tobytes() != b.timestamps.tobytes()
-                or a.values.tobytes() != b.values.tobytes()
-            ):
-                identical = False
-    return {
-        "read_wall_block_s": wall_block,
-        "read_wall_pointwise_s": wall_point,
-        "read_speedup": wall_point / max(wall_block, 1e-12),
-        "read_identical": 1.0 if identical else 0.0,
-    }
-
-
 def _kernel_microbench(n_points: int, seed: int) -> Dict[str, float]:
     """Wall-clock of the batch parse kernel vs the per-line path."""
     from ..tsdb.lineprotocol import format_put_line, parse_block, parse_lines
@@ -1513,22 +1463,20 @@ def _kernel_microbench(n_points: int, seed: int) -> Dict[str, float]:
 E12_BASELINE_GOODPUT = 22_500.0
 
 
-@REGISTRY.register("E15", "columnar blocks — ingest goodput and read-kernel parity")
+@REGISTRY.register("E15", "columnar blocks — ingest goodput and the parse kernel")
 def e15_block_hotpath(quick: bool = False) -> ExperimentResult:
     """The block redesign's headline claim: the hot path is columnar.
 
     Publishes one series-major workload through the point-wise and the
-    block ingest paths (same batch size, same cluster), runs the
-    columnar vs per-cell read ablation on identical data, and times the
+    block ingest paths (same batch size, same cluster), and times the
     batch parse kernel.  Simulated goodput is deterministic per seed;
     wall-clock rows are recorded for the kernel story, not claimed.
     """
-    n_points, n_queries = (2_500, 6) if quick else (10_000, 12)
+    n_points = 2_500 if quick else 10_000
     batch_size, n_units, n_sensors, seed = 100, 8, 5, 29
     points = _series_major_points(n_points, n_units, n_sensors, seed)
     point_run = _block_publish_run(points, batch_size, use_blocks=False)
     block_run = _block_publish_run(points, batch_size, use_blocks=True)
-    reads = _read_ablation_run(points, n_queries, seed)
     kernels = _kernel_microbench(min(n_points, 5_000), seed)
 
     ingest = Table(
@@ -1544,17 +1492,6 @@ def e15_block_hotpath(quick: bool = False) -> ExperimentResult:
             f"{run['sim_s'] * 1e3:.1f} ms",
             f"{run['wall_s'] * 1e3:.1f} ms",
         )
-    reads_table = Table(
-        f"Read-path ablation ({n_queries} random grouped queries)",
-        ["assembler", "wall total", "identical results"],
-    )
-    reads_table.add_row(
-        "columnar (default)", f"{reads['read_wall_block_s'] * 1e3:.1f} ms",
-        "yes" if reads["read_identical"] == 1.0 else "NO",
-    )
-    reads_table.add_row(
-        "per-cell reference", f"{reads['read_wall_pointwise_s'] * 1e3:.1f} ms", "—"
-    )
     kernel_table = Table(
         "Batch parse kernel (wall-clock)",
         ["kernel", "wall", "speedup"],
@@ -1573,8 +1510,8 @@ def e15_block_hotpath(quick: bool = False) -> ExperimentResult:
     for slug, run in [("point", point_run), ("block", block_run)]:
         for key, value in run.items():
             (wall if key == "wall_s" else numbers)[f"{slug}_{key}"] = value
-    for key, value in {**reads, **kernels}.items():
-        (numbers if key in ("read_identical", "parse_blocks") else wall)[key] = value
+    for key, value in kernels.items():
+        (numbers if key == "parse_blocks" else wall)[key] = value
     numbers["e12_baseline_goodput"] = E12_BASELINE_GOODPUT
     numbers["speedup_vs_e12_baseline"] = numbers["block_goodput"] / E12_BASELINE_GOODPUT
     numbers["speedup_vs_pointwise"] = numbers["block_goodput"] / max(
@@ -1583,12 +1520,10 @@ def e15_block_hotpath(quick: bool = False) -> ExperimentResult:
     return ExperimentResult(
         "E15",
         "the columnar block path multiplies simulated ingest goodput",
-        [ingest, reads_table, kernel_table],
+        [ingest, kernel_table],
         notes=[
             "expected shape: block-path goodput >= 5x the E12 22.5k pts/s fault-free "
-            "baseline (and well above the same-workload point path), with the "
-            "columnar read assembler bit-identical to the per-cell reference on "
-            "every random query",
+            "baseline, and well above the same-workload point path",
         ],
         numbers=numbers,
         wall=wall,
@@ -1601,7 +1536,6 @@ def e15_block_hotpath(quick: bool = False) -> ExperimentResult:
                 numbers["point_failed"] == numbers["block_failed"] == 0
                 and numbers["point_written"] == numbers["block_written"]
             ),
-            "columnar_reads_bit_identical": numbers["read_identical"] == 1.0,
         },
     )
 

@@ -13,7 +13,6 @@ from .compaction import (
     RowCompactor,
     compact_row_cells,
     decompact_block,
-    decompact_cell,
     decompact_columns,
     is_compacted,
 )
@@ -76,7 +75,6 @@ __all__ = [
     "build_cluster",
     "compact_row_cells",
     "decompact_block",
-    "decompact_cell",
     "decompact_columns",
     "downsample",
     "format_put_line",

@@ -18,7 +18,7 @@ from __future__ import annotations
 import struct
 from array import array
 from itertools import pairwise, repeat
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from ..hbase.bytescodec import decode_f64, decode_u16
 from ..hbase.master import HMaster
@@ -28,7 +28,6 @@ from .blocks import TS_TYPECODE, VAL_TYPECODE, SeriesBlock
 __all__ = [
     "COMPACTED_MARKER",
     "compact_row_cells",
-    "decompact_cell",
     "decompact_columns",
     "decompact_block",
     "first_blob",
@@ -111,16 +110,6 @@ def decompact_columns(qualifier: bytes, value: bytes) -> Tuple[Tuple[int, ...], 
         values = struct.unpack(f">{n}d", value[: 8 * n])
         return offsets, values
     return (decode_u16(qualifier),), (decode_f64(value),)
-
-
-def decompact_cell(qualifier: bytes, value: bytes) -> List[Tuple[int, float]]:
-    """Expand a cell into ``[(offset_seconds, value)]`` point tuples.
-
-    Point-wise convenience form of :func:`decompact_columns` (which is
-    the single implementation).
-    """
-    offsets, values = decompact_columns(qualifier, value)
-    return list(zip(offsets, values))
 
 
 def decompact_block(

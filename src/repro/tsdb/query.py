@@ -20,8 +20,7 @@ newest-wins for all of them with one sort, and cuts one
 :class:`~repro.tsdb.aggregation.Series` per series from the result.
 Outside a row that holds a compacted blob nothing is interpreted per
 cell; per row key the assembler does one memo lookup, per series one
-tag-memo lookup and one ``Series``.  Only the reference path
-(:meth:`QueryEngine.run_pointwise`) iterates a batch cell by cell.
+tag-memo lookup and one ``Series``.
 """
 
 from __future__ import annotations
@@ -38,10 +37,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 from ..hbase.bytescodec import decode_f64, decode_u32
 from ..hbase.master import HMaster, RegionUnavailableError
-from ..hbase.region import Cell, CellBatch, RowFilter
+from ..hbase.region import CellBatch, RowFilter
 from .aggregation import AGGREGATORS, Series, aggregate, downsample, rate
 from .blocks import TS_TYPECODE, VAL_TYPECODE, SeriesBlock
-from .compaction import decompact_cell, decompact_columns, first_blob, is_compacted
+from .compaction import decompact_columns, first_blob, is_compacted
 from .rowkey import _UID_WIDTH, RowKeyCodec
 from .tsd import DATA_TABLE
 from .uid import UniqueIdRegistry, UnknownUidError
@@ -80,38 +79,10 @@ def group_and_aggregate(query: "TsdbQuery", raw: List[Series]) -> List[Series]:
     return out
 
 
-class _ScanState:
-    """Accumulator shared across salt-bucket scans of one query."""
-
-    __slots__ = ("points", "tags", "filtered", "blob_ts")
-
-    def __init__(self) -> None:
-        # series_id -> {timestamp: (value, write_ts)}
-        self.points: Dict[bytes, Dict[int, Tuple[float, float]]] = {}
-        self.tags: Dict[bytes, Dict[str, str]] = {}
-        self.filtered: set = set()
-        # (series_id, base_time) -> newest compacted-blob write-ts
-        self.blob_ts: Dict[Tuple[bytes, int], float] = {}
-
-    def to_series(self) -> List[Series]:
-        """Materialise the accumulated points into sorted Series."""
-        out: List[Series] = []
-        for sid, ts_map in self.points.items():
-            if not ts_map:
-                continue
-            tags = self.tags[sid]
-            times = np.array(sorted(ts_map), dtype=np.int64)
-            values = np.array([ts_map[int(t)][0] for t in times])
-            out.append(Series(tuple(sorted(tags.items())), times, values))
-        out.sort(key=lambda s: s.tags)
-        return out
-
-
 class _BlockScanState:
     """Columnar accumulator shared across the salt-bucket scans of one query.
 
-    The vectorized counterpart of :class:`_ScanState`, and the one
-    assembler behind every executor.  A scan hands it a sorted
+    The one assembler behind every executor.  A scan hands it a sorted
     :class:`~repro.hbase.region.CellBatch`, and it gathers the whole
     batch's point cells at once: one unpack of the joined 2-byte
     qualifiers and one of the joined values, each cell's row-hour base
@@ -126,10 +97,10 @@ class _BlockScanState:
     tags once per deployment (:meth:`UniqueIdRegistry.series_tags`);
     only the tag-filter decision is made per query.
 
-    Bit-identical to the per-cell reference path: the dict rule "newer
-    or equal write-ts wins, later arrival breaks ties" is exactly "last
-    element of each (series, timestamp) run after a stable sort by
-    (series, timestamp, write_ts, arrival)".
+    Newest-wins is the per-cell dict rule "newer or equal write-ts
+    wins, later arrival breaks ties", which is exactly "last element of
+    each (series, timestamp) run after a stable sort by (series,
+    timestamp, write_ts, arrival)".
     """
 
     __slots__ = ("codec", "uids", "query", "tags", "_base_at", "_slots", "_row_cache", "_chunks")
@@ -441,14 +412,6 @@ class QueryEngine:
         """Raw matching series with no grouping/aggregation (drill-down view)."""
         return self._read_series(query, None)[0]
 
-    def run_pointwise(self, query: TsdbQuery) -> List[Series]:
-        """Reference execution through the per-cell scan path.
-
-        Kept for equivalence testing and read-path ablations; production
-        callers should use :meth:`run`, which is bit-identical.
-        """
-        return group_and_aggregate(query, self._read_series_pointwise(query))
-
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
@@ -506,66 +469,6 @@ class QueryEngine:
         self.scan_cells += len(cells.rows)
         state.ingest_scan(cells)
         return state.to_series(), staleness
-
-    def _read_series_pointwise(self, query: TsdbQuery) -> List[Series]:
-        """Per-cell reference path (one dict op per cell, no scan push-down)."""
-        try:
-            metric_uid = self.uids.get("metric", query.metric)
-        except UnknownUidError:
-            return []
-        state = _ScanState()
-        for lo, hi in self.codec.scan_ranges(metric_uid, query.start, query.end):
-            cells = list(self.master.direct_scan(DATA_TABLE, lo, hi))
-            self.scan_cells += len(cells)
-            # Blobs first so point-cell shadowing is decided in one pass.
-            for cell in cells:
-                if is_compacted(cell.qualifier):
-                    self._ingest_cell(cell, query, state, is_blob=True)
-            for cell in cells:
-                if not is_compacted(cell.qualifier):
-                    self._ingest_cell(cell, query, state, is_blob=False)
-        return state.to_series()
-
-    def _ingest_cell(
-        self,
-        cell: Cell,
-        query: TsdbQuery,
-        state: "_ScanState",
-        is_blob: bool,
-    ) -> None:
-        sid = self.codec.series_id(cell.row)
-        if sid in state.filtered:
-            return
-        if sid not in state.tags:
-            decoded = self.codec.decode(cell.row, b"\x00\x00")
-            tags = self.uids.decode_tags(decoded.tag_pairs)
-            if not self._match_tags(tags, query.tag_filters):
-                state.filtered.add(sid)
-                return
-            state.tags[sid] = tags
-        base = self.codec.decode(cell.row, b"\x00\x00").base_time
-        ts_map = state.points.setdefault(sid, {})
-        if is_blob:
-            key = (sid, base)
-            if cell.ts >= state.blob_ts.get(key, -1.0):
-                state.blob_ts[key] = cell.ts
-            for offset, value in decompact_cell(cell.qualifier, cell.value):
-                t = base + offset
-                if query.start <= t < query.end:
-                    prev = ts_map.get(t)
-                    if prev is None or cell.ts >= prev[1]:
-                        ts_map[t] = (value, cell.ts)
-        else:
-            t = base + int.from_bytes(cell.qualifier, "big")
-            if not (query.start <= t < query.end):
-                return
-            # Point cells at or before a compacted blob's write time were
-            # merged into the blob; the blob is authoritative for them.
-            if cell.ts <= state.blob_ts.get((sid, base), -1.0):
-                return
-            prev = ts_map.get(t)
-            if prev is None or cell.ts >= prev[1]:
-                ts_map[t] = (decode_f64(cell.value), cell.ts)
 
     @staticmethod
     def _match_tags(tags: Dict[str, str], filters: Dict[str, str]) -> bool:

@@ -23,10 +23,10 @@ share of an ``extend`` of each of four columns: the bulk encoders
 :class:`~repro.tsdb.blocks.BlockBatch` in one pass, and
 :meth:`TSDaemon.encode_points`) return one
 :class:`~repro.hbase.region.CellBatch` per payload and allocate nothing
-per sample.  A :class:`~repro.hbase.region.Cell` is built only where
-one is the unit: the per-bucket linger buffers hold one per point,
-iterated off the batch :meth:`TSDaemon.encode_points` makes of the
-inbound point list, and :meth:`TSDaemon.encode_point` returns one.
+per sample.  No :class:`~repro.hbase.region.Cell` is built on the
+write path: a point list's cells are dealt off its batch into the
+per-bucket linger buffers, each a batch under construction, and only
+:meth:`TSDaemon.encode_point` returns one.
 
 A put batch is acknowledged only when every one of its cells has been
 acknowledged by a RegionServer (durable ack), which is what gives the
@@ -181,8 +181,9 @@ class TSDaemon:
         self._next_write_ts = write_ts if write_ts is not None else count(1.0).__next__
         self._series = uids.series_memo(codec)
         self.client = HTableClient(sim, network, master, node.hostname, metrics=self.metrics)
-        # Per-salt-bucket write buffers: bucket -> [(cell, batch context)]
-        self._buffers: Dict[int, List[Tuple[Cell, _BatchContext]]] = {}
+        # Per-salt-bucket write buffers: bucket -> (cells under
+        # construction, credit runs [batch context, n cells] in cell order)
+        self._buffers: Dict[int, Tuple[CellBatch, List[list]]] = {}
         # Per-bucket linger timers (armed when the first cell arrives).
         self._linger_timers: Dict[int, object] = {}
         self.points_received = 0
@@ -252,14 +253,12 @@ class TSDaemon:
         )
         if isinstance(points, BlockBatch):
             cost = self.service_model.block_cost(points.n_blocks, len(points))
-            handler = self._process_blocks
         else:
             cost = self.service_model.batch_cost(len(points))
-            handler = self._process
         accepted = self.http_server.submit(
             points,
             cost,
-            on_done=lambda pts: handler(pts, reply_to, src_host, batch_id, span),
+            on_done=lambda pts: self._process(pts, reply_to, src_host, batch_id, span),
             on_reject=lambda pts: self._reject(pts, reply_to, src_host, span),
         )
         if accepted:
@@ -278,25 +277,44 @@ class TSDaemon:
 
     def _process(
         self,
-        points: List[DataPoint],
+        payload: "Union[List[DataPoint], BlockBatch]",
         reply_to: Callable[[PutAck], None],
         src_host: str,
         batch_id: Optional[int] = None,
         span: SpanLike = NULL_SPAN,
     ) -> None:
-        self.points_received += len(points)
+        """Encode a payload once and write it under one batch context.
+
+        The linger decision is keyed on payload shape.  A block batch
+        arrives coalesced per series upstream, so its one batch is one
+        put.  A point list's cells are dealt, in order, into the
+        per-salt-bucket linger buffers; a bucket is put when it holds
+        :data:`RPC_BATCH_SIZE` cells or its linger timer fires.
+        """
+        n_points = len(payload)
+        self.points_received += n_points
         ctx = _BatchContext(
-            len(points),
+            n_points,
             lambda ack: self._send_ack(reply_to, src_host, ack),
             batch_id=batch_id,
             span=span,
         )
-        for cell in self.encode_points(points):
-            bucket = cell.row[0] if self.codec.salted else 0
-            buf = self._buffers.get(bucket)
-            if buf is None:
-                buf = self._buffers[bucket] = []
-            buf.append((cell, ctx))
+        if isinstance(payload, BlockBatch):
+            self._put(self.encode_block(payload), [[ctx, n_points]], block=True)
+            return
+        cells = self.encode_points(payload)
+        salted = self.codec.salted
+        for row, qualifier, value, ts in zip(cells.rows, cells.qualifiers, cells.values, cells.ts):
+            bucket = row[0] if salted else 0
+            entry = self._buffers.get(bucket)
+            if entry is None:
+                entry = self._buffers[bucket] = (CellBatch(), [])
+            buf, credits = entry
+            buf.append(row, qualifier, value, ts)
+            if credits and credits[-1][0] is ctx:
+                credits[-1][1] += 1
+            else:
+                credits.append([ctx, 1])
             if len(buf) >= RPC_BATCH_SIZE:
                 self._flush_bucket(bucket)
             elif len(buf) == 1:
@@ -306,55 +324,60 @@ class TSDaemon:
                     FLUSH_INTERVAL, self._linger_flush, bucket
                 )
 
-    def _process_blocks(
-        self,
-        batch: BlockBatch,
-        reply_to: Callable[[PutAck], None],
-        src_host: str,
-        batch_id: Optional[int] = None,
-        span: SpanLike = NULL_SPAN,
-    ) -> None:
-        """Block twin of :meth:`_process`: no per-point boxing, no linger.
+    def _put(self, cells: CellBatch, credits: List[list], block: bool) -> None:
+        """Send ``cells`` as one put, covered in order by the credit runs
+        ``[batch context, n cells]``; ``block`` charges the block-put cost.
 
-        A block batch is already coalesced upstream into per-series
-        runs, so it skips the per-bucket linger buffers: one
-        :meth:`encode_block` of the whole batch, then one
-        block-granular put to the HBase client (which partitions by
-        server with one meta lookup per row change).
+        The client resolves the put in parts (one per server partition;
+        retries can regroup), each covering ``count`` cells.  A
+        resolution is charged to the runs from the last back — any
+        ``count`` cells are a valid charge, since each is one unit of
+        one context — and a context acks its inbound batch when its last
+        cell resolves.
         """
-        n_points = len(batch)
-        self.points_received += n_points
-        ctx = _BatchContext(
-            n_points,
-            lambda ack: self._send_ack(reply_to, src_host, ack),
-            batch_id=batch_id,
-            span=span,
-        )
-        cells = self.encode_block(batch)
         batch_ids: tuple = ()
         flush_span: SpanLike = NULL_SPAN
         if self.tracer.enabled:
-            batch_ids = (batch_id,) if batch_id is not None else ()
+            # One flush coalesces cells from several inbound batches;
+            # the span lists every one so each batch trace includes it.
+            batch_ids = tuple(
+                sorted({c.batch_id for c, _ in credits if c.batch_id is not None})
+            )
             flush_span = self.tracer.begin(
-                "hbase.put_block", tsd=self.name, cells=len(cells), batch_ids=batch_ids
+                "hbase.put_block" if block else "hbase.put",
+                tsd=self.name,
+                cells=len(cells),
+                batch_ids=batch_ids,
             )
 
         def on_done(ok: bool, count: int) -> None:
-            # Every cell belongs to this one batch context; each
-            # per-partition resolution covers ``count`` of its points.
-            ctx.pending -= count
             if ok:
-                ctx.written += count
                 self.points_written += count
             else:
-                ctx.failed += count
                 self.points_failed += count
-            if ctx.pending <= 0:
-                flush_span.end(ok=ctx.failed == 0)
-                ctx.span.end(written=ctx.written, failed=ctx.failed)
-                ctx.reply(PutAck(ctx.failed == 0, ctx.written, ctx.failed, self.name))
+            while credits:
+                run = credits[-1]
+                ctx, charge = run
+                if count < charge:
+                    run[1] -= count
+                    charge = count
+                else:
+                    credits.pop()
+                count -= charge
+                ctx.pending -= charge
+                if ok:
+                    ctx.written += charge
+                else:
+                    ctx.failed += charge
+                if not ctx.pending:
+                    ctx.span.end(written=ctx.written, failed=ctx.failed)
+                    ctx.reply(PutAck(ctx.failed == 0, ctx.written, ctx.failed, self.name))
+                if not count:
+                    break
+            if not credits:
+                flush_span.end(ok=ok)
 
-        self.client.put(DATA_TABLE, cells, on_done, batch_ids=batch_ids, block=True)
+        self.client.put(DATA_TABLE, cells, on_done, batch_ids=batch_ids, block=block)
 
     def encode_block(self, payload: Union[SeriesBlock, BlockBatch]) -> CellBatch:
         """UID-intern and row-key-encode a block, or a whole batch of them.
@@ -447,49 +470,12 @@ class TSDaemon:
         self._flush_bucket(bucket)
 
     def _flush_bucket(self, bucket: int) -> None:
-        entries = self._buffers.pop(bucket, None)
+        entry = self._buffers.pop(bucket, None)
         timer = self._linger_timers.pop(bucket, None)
         if timer is not None:
             timer.cancel()  # type: ignore[attr-defined]
-        if not entries:
-            return
-        cells = CellBatch.from_cells(cell for cell, _ in entries)
-        unresolved = [ctx for _, ctx in entries]
-        batch_ids: tuple = ()
-        flush_span: SpanLike = NULL_SPAN
-        if self.tracer.enabled:
-            # One flush coalesces cells from several inbound batches;
-            # the span lists every one so each batch trace includes it.
-            batch_ids = tuple(
-                sorted({c.batch_id for c in unresolved if c.batch_id is not None})
-            )
-            flush_span = self.tracer.begin(
-                "hbase.put", tsd=self.name, cells=len(cells), batch_ids=batch_ids
-            )
-
-        def on_done(ok: bool, count: int) -> None:
-            # The client may resolve the batch in parts (retries can
-            # regroup across servers); each resolution covers ``count``
-            # cells.  Any ``count`` of the remaining contexts is valid
-            # to decrement — every cell entry is exactly one unit.
-            for _ in range(min(count, len(unresolved))):
-                c = unresolved.pop()
-                c.pending -= 1
-                if ok:
-                    c.written += 1
-                else:
-                    c.failed += 1
-                if c.pending == 0:
-                    c.span.end(written=c.written, failed=c.failed)
-                    c.reply(PutAck(c.failed == 0, c.written, c.failed, self.name))
-            if not unresolved:
-                flush_span.end(ok=ok)
-            if ok:
-                self.points_written += count
-            else:
-                self.points_failed += count
-
-        self.client.put(DATA_TABLE, cells, on_done, batch_ids=batch_ids)
+        if entry is not None:
+            self._put(*entry, block=False)
 
     def flush_all(self) -> None:
         """Flush every buffered bucket immediately (shutdown/drain hook)."""

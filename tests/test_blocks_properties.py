@@ -6,24 +6,28 @@ Three invariant families behind the block redesign:
   really are shims — no data reshaping hides in them);
 * batch slicing selects exactly the points a point-list slice would;
 * the columnar scan assembler and aggregation over block-backed Series
-  are *bit-identical* to the legacy per-point path on random workloads
-  and random queries — including the tag-filter push-down, which the
-  per-point oracle does not use: it scans unfiltered and matches tags
-  after the fact.
+  are *bit-identical* to :func:`run_pointwise`, a per-cell read oracle,
+  on random workloads and random queries — including the tag-filter
+  push-down, which the oracle does not use: it scans unfiltered and
+  matches tags after the fact.
 """
 
 from array import array
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.tsdb.aggregation import Series
 from repro.tsdb.blocks import BlockBatch, SeriesBlock, WriteSpans, blocks_from_points, series_spans
+from repro.hbase.bytescodec import decode_f64
 from repro.hbase.region import CellBatch
 from repro.lifecycle import LifecyclePolicy
+from repro.tsdb.compaction import decompact_columns, is_compacted
 from repro.tsdb.ingest import build_cluster
 from repro.tsdb.query import TsdbQuery, group_and_aggregate
 from repro.tsdb.tsd import DATA_TABLE, DataPoint
+from repro.tsdb.uid import UnknownUidError
 
 point_strategy = st.tuples(
     st.integers(min_value=0, max_value=2),      # unit
@@ -198,6 +202,61 @@ def assert_bit_identical(got, expected):
         assert a.values.tobytes() == b.values.tobytes()
 
 
+def run_pointwise(engine, query):
+    """The per-cell read oracle: what every read path must answer, bit for bit.
+
+    Each salt bucket's range is scanned unfiltered and every cell is
+    decided on its own, into a dict per series of ``timestamp ->
+    (value, write ts)`` where a newer-or-equal write ts wins.  A row's
+    blobs are read before its point cells, and a point cell no newer
+    than the row's newest blob was merged into that blob, so the blob
+    shadows it.  Tags are matched after the scan.
+    """
+    try:
+        metric_uid = engine.uids.get("metric", query.metric)
+    except UnknownUidError:
+        return []
+    codec = engine.codec
+    points = {}  # tag pairs -> {timestamp: (value, write ts)}
+    newest_blob = {}  # (tag pairs, row base time) -> newest blob write ts
+
+    def keep(tag_pairs, timestamp, value, write_ts):
+        if query.start <= timestamp < query.end:
+            series = points.setdefault(tag_pairs, {})
+            if timestamp not in series or write_ts >= series[timestamp][1]:
+                series[timestamp] = (value, write_ts)
+
+    for lo, hi in codec.scan_ranges(metric_uid, query.start, query.end):
+        cells = list(engine.master.direct_scan(DATA_TABLE, lo, hi))
+        for cell in [c for c in cells if is_compacted(c.qualifier)]:
+            key = codec.decode(cell.row, b"\x00\x00")
+            row = (key.tag_pairs, key.base_time)
+            newest_blob[row] = max(cell.ts, newest_blob.get(row, -1.0))
+            for offset, value in zip(*decompact_columns(cell.qualifier, cell.value)):
+                keep(key.tag_pairs, key.base_time + offset, value, cell.ts)
+        for cell in [c for c in cells if not is_compacted(c.qualifier)]:
+            key = codec.decode(cell.row, cell.qualifier)
+            if cell.ts > newest_blob.get((key.tag_pairs, key.base_time), -1.0):
+                keep(key.tag_pairs, key.timestamp, decode_f64(cell.value), cell.ts)
+    raw = []
+    for tag_pairs, series in points.items():
+        tags = engine.uids.decode_tags(tag_pairs)
+        if all(
+            key in tags and expected in ("*", tags[key])
+            for key, expected in query.tag_filters.items()
+        ):
+            times = sorted(series)
+            raw.append(
+                Series(
+                    tuple(sorted(tags.items())),
+                    np.array(times, dtype=np.int64),
+                    np.array([series[t][0] for t in times]),
+                )
+            )
+    raw.sort(key=lambda s: s.tags)
+    return group_and_aggregate(query, raw)
+
+
 def reshape_storage(cluster, shape):
     """Move what is stored into another physical form the scan must cope with."""
     if shape == "flush":  # memstore -> one more store file per region
@@ -253,7 +312,7 @@ class TestAggregationBitIdentity:
         cluster = build_cluster(n_nodes=2, salt_buckets=4, retain_data=True)
         cluster.direct_put(make_points(raw))
         engine = cluster.query_engine()
-        assert_bit_identical(engine.run(query), engine.run_pointwise(query))
+        assert_bit_identical(engine.run(query), run_pointwise(engine, query))
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -265,12 +324,12 @@ class TestAggregationBitIdentity:
     def test_tag_pushdown_identical_over_every_storage_shape(
         self, salt_buckets, raw, shapes, queries
     ):
-        """run (filter inside the scan) == run_pointwise (filter after it)."""
+        """run (filter inside the scan) == the oracle (filter after it)."""
         cluster = build_cluster(n_nodes=2, salt_buckets=salt_buckets, retain_data=True)
         load_in_two_shapes(cluster, raw, shapes)
         engine, gateway = cluster.query_engine(), cluster.gateway()
         for query in queries:
-            expected = engine.run_pointwise(query)
+            expected = run_pointwise(engine, query)
             assert_bit_identical(engine.run(query), expected)
             assert_bit_identical(engine.run_available(query).series, expected)
             assert_bit_identical(gateway.serve(query).series, expected)
@@ -310,7 +369,7 @@ class TestAggregationBitIdentity:
                 group_by=data.draw(st.sampled_from([(), ("unit", "sensor")])),
                 aggregator="sum",
             )
-            expected = engine.run_pointwise(query)
+            expected = run_pointwise(engine, query)
             assert_bit_identical(engine.run(query), expected)
             assert_bit_identical(engine.run_available(query).series, expected)
             assert_bit_identical(gateway.serve(query).series, expected)
@@ -332,7 +391,7 @@ class TestAggregationBitIdentity:
         engine = cluster.query_engine()
         assert engine.lifecycle is not None
         for query in queries:
-            assert_bit_identical(engine.run(query), engine.run_pointwise(query))
+            assert_bit_identical(engine.run(query), run_pointwise(engine, query))
 
     @settings(max_examples=25, deadline=None)
     @given(st.lists(point_strategy, min_size=1, max_size=80), query_strategy)
@@ -404,7 +463,7 @@ class TestNewestWinsAcrossSeries:
         counted = TsdbQuery("energy", 0, 3600, tag_filters={"unit": "u0"}, aggregator="count")
         assert engine.run(counted)[0].values.tolist() == [1.0, 2.0, 1.0]
         for query in (per_series, counted):
-            expected = engine.run_pointwise(query)
+            expected = run_pointwise(engine, query)
             assert_bit_identical(engine.run(query), expected)
             assert_bit_identical(engine.run_available(query).series, expected)
             assert_bit_identical(gateway.serve(query).series, expected)

@@ -7,7 +7,7 @@ from repro.hbase.region import Cell, CellBatch
 from repro.tsdb.compaction import (
     RowCompactor,
     compact_row_cells,
-    decompact_cell,
+    decompact_columns,
     is_compacted,
 )
 from repro.tsdb.ingest import build_cluster
@@ -52,13 +52,13 @@ class TestCompactCells:
         blob = self.compact(cells)
         assert is_compacted(blob.qualifier)
         assert blob.ts == 4.0  # the newest write it merged
-        expanded = decompact_cell(blob.qualifier, blob.value)
-        assert [o for o, _ in expanded] == [0, 1, 2, 3, 4]
+        offsets, _ = decompact_columns(blob.qualifier, blob.value)
+        assert list(offsets) == [0, 1, 2, 3, 4]
 
     def test_single_point_decompact(self):
         cell = self.make_row_cells(1)[0]
         assert not is_compacted(cell.qualifier)
-        assert len(decompact_cell(cell.qualifier, cell.value)) == 1
+        assert len(decompact_columns(cell.qualifier, cell.value)[0]) == 1
 
     def test_duplicate_offsets_newest_wins(self):
         row = b"\x01rk"
@@ -66,8 +66,8 @@ class TestCompactCells:
         new = Cell(row, (7).to_bytes(2, "big"), b"\xff" * 8, 2.0)
         for arrival in ([old, new], [new, old]):
             blob = self.compact(arrival)
-            assert decompact_cell(blob.qualifier, blob.value)[0][0] == 7
-            assert len(decompact_cell(blob.qualifier, blob.value)) == 1
+            offsets, _ = decompact_columns(blob.qualifier, blob.value)
+            assert list(offsets) == [7]
             assert blob.value == b"\xff" * 8
 
     def test_recompaction_merges_blob_and_points(self):
@@ -75,7 +75,8 @@ class TestCompactCells:
         blob = self.compact(cells)
         extra = Cell(cells[0].row, (9).to_bytes(2, "big"), b"\x00" * 8, 9.0)
         blob2 = self.compact([blob, extra])
-        assert [o for o, _ in decompact_cell(blob2.qualifier, blob2.value)] == [0, 1, 2, 9]
+        offsets, _ = decompact_columns(blob2.qualifier, blob2.value)
+        assert list(offsets) == [0, 1, 2, 9]
 
     def test_mixed_rows_rejected(self):
         a = Cell(b"\x01r1", b"\x00\x01", b"\x00" * 8, 1.0)

@@ -1,10 +1,12 @@
 """TSD failure-path semantics: partial failures, retry exhaustion, accounting."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cluster.metrics import MetricsRegistry
 from repro.cluster.simulation import Simulator
 from repro.hbase import regionserver
+from repro.tsdb.blocks import BlockBatch
 from repro.tsdb.ingest import build_cluster
 from repro.tsdb.publish import (
     BatchPublisher,
@@ -12,7 +14,7 @@ from repro.tsdb.publish import (
     PublishReport,
     PublishStalledError,
 )
-from repro.tsdb.tsd import DataPoint, PutAck
+from repro.tsdb.tsd import RPC_BATCH_SIZE, DataPoint, PutAck
 
 
 def points(n, t0=0):
@@ -95,6 +97,82 @@ class TestDurableAckSemantics:
         assert sum(a.written for a in acks) == 20
         assert len(cluster.master.direct_scan("tsdb")) == 20
         assert cluster.metrics.counter("client.retries").get() >= 1
+
+
+# Batch sizes on and around a linger buffer's capacity, and anything up to three of them.
+batch_sizes = st.one_of(
+    st.sampled_from([1, RPC_BATCH_SIZE - 1, RPC_BATCH_SIZE, RPC_BATCH_SIZE + 1]),
+    st.integers(min_value=1, max_value=3 * RPC_BATCH_SIZE),
+)
+
+
+class TestMixedPayloadsUnderFaults:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.booleans(), batch_sizes, st.floats(min_value=0.0, max_value=0.3)),
+            min_size=1,
+            max_size=8,
+        ),
+        st.sampled_from(["unservable", "crash"]),
+        st.integers(min_value=1, max_value=4),
+    )
+    def test_each_batch_is_acked_once_and_every_written_point_is_stored(
+        self, payloads, fault, crash_on_put
+    ):
+        """Point lists and block batches interleave on one TSD, sharing
+        its linger buffers and puts, while a RegionServer is lost.
+        Either its buckets are unservable (it is down from the start and
+        the master has not yet detected it), or it crashes mid-run, on
+        taking its ``crash_on_put``-th put, and the master recovers its
+        regions at once, so the puts it had queued time out and are
+        retried.  Every inbound batch gets exactly one ack that accounts
+        for each of its points, and the points acked as written are
+        exactly the points stored."""
+        cluster = build_cluster(
+            n_nodes=2,
+            salt_buckets=4,
+            retain_data=True,
+            crash_on_overflow=False,
+            failure_detection_delay=30.0 if fault == "unservable" else 0.0,
+        )
+        tsd = cluster.tsds[0]
+        tsd.client.max_retries = 1
+        victim = cluster.servers[0]
+        if fault == "unservable":
+            victim.crash()
+        else:
+            serve = victim.rpc
+            puts = []
+
+            def rpc(request, reply_to, src_host):
+                serve(request, reply_to, src_host)
+                puts.append(request)
+                if len(puts) == crash_on_put:
+                    victim.crash()
+
+            victim.rpc = rpc
+        batches, acks, start = [], [], 0
+        for as_blocks, size, arrival in payloads:
+            # Distinct (series, timestamp) keys throughout, over two row hours.
+            batch = [
+                DataPoint.make("energy", 11 * k, float(k), {"unit": "u1", "sensor": f"s{k % 7}"})
+                for k in range(start, start + size)
+            ]
+            start += size
+            batches.append(batch)
+            acks.append([])
+            payload = BlockBatch.from_points(batch) if as_blocks else batch
+            cluster.sim.schedule(arrival, tsd.put_batch, payload, acks[-1].append, "client")
+        cluster.sim.run()
+        for batch, got in zip(batches, acks):
+            assert len(got) == 1
+            (ack,) = got
+            assert ack.written + ack.failed == len(batch)
+            assert ack.ok == (ack.failed == 0)
+        written = sum(ack.written for (ack,) in acks)
+        assert written == tsd.points_written
+        assert len(cluster.master.direct_scan("tsdb")) == written
 
 
 class TestTsdCrashLifecycle:

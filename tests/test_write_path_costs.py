@@ -244,6 +244,32 @@ def test_the_recorded_boundaries_still_count_cells(monkeypatch):
     assert counted == dict.fromkeys(counted, len(points))
 
 
+def test_a_point_list_reaches_the_store_without_a_cell(monkeypatch):
+    """The TSD deals a point list's cells off its encoded batch into the
+    linger buffers, and puts each buffer as the batch it already is: no
+    step iterates a batch into ``Cell``s or rebuilds one from them
+    (DESIGN §11.2, §20.5)."""
+    cluster = build_cluster(n_nodes=2, salt_buckets=4, retain_data=True)
+    tsd = cluster.tsds[0]
+    points = tick_major_points(n_ticks=60, cadence=60)  # some buckets fill, some linger
+    acks = []
+
+    def boxed(*args):
+        raise AssertionError("a Cell was built on the TSD write path")
+
+    monkeypatch.setattr(CellBatch, "__iter__", boxed)
+    monkeypatch.setattr(CellBatch, "from_cells", boxed)
+    tsd.put_batch(points, acks.append, "client")
+    cluster.sim.run(until=0.01)  # serviced, before any linger timer fires
+    assert tsd._buffers
+    tsd.flush_all()
+    cluster.sim.run()
+    assert not tsd._buffers
+    assert [(ack.ok, ack.written, ack.failed) for ack in acks] == [(True, len(points), 0)]
+    monkeypatch.undo()
+    assert len(cluster.master.direct_scan(DATA_TABLE)) == len(points)
+
+
 # ----------------------------------------------------------------------
 # a write is routed and announced per batch (DESIGN §20.3)
 # ----------------------------------------------------------------------
