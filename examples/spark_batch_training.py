@@ -32,6 +32,7 @@ from repro import (
     OnlineEvaluator,
     SparkletContext,
 )
+from repro.core.model import load_model
 from repro.core.training import train_unit_distributed
 
 
@@ -79,8 +80,7 @@ def main() -> None:
             )
 
             print("\n== reload a cached model and score online ==")
-            models = trainer.load_models([3])
-            evaluator = OnlineEvaluator(models[3])
+            evaluator = OnlineEvaluator(load_model(store, 3))
             window = fleet.evaluation_window(3, 300)
             t0 = time.perf_counter()
             flags, alarms = evaluator.evaluate(window.values)

@@ -774,7 +774,7 @@ def e9_training_scaling(quick: bool = False) -> ExperimentResult:
                 t0 = time.perf_counter()
                 trained = trainer.train_fleet(generator, n_train=n_train)
                 elapsed = time.perf_counter() - t0
-                models = trainer.load_models(trained.unit_ids)
+        models = trained.models
         digests.add(_models_digest(models))
         if base is None:
             base = elapsed

@@ -11,10 +11,10 @@ same way:
   threshold) is constructed once and reused across runs instead of
   re-deriving everything through a fresh
   :class:`~repro.core.fdr.FDRDetector` per call;
-* per-unit scoring fanned out over
+* per-unit scoring fanned out over the run's
   :class:`~repro.sparklet.context.SparkletContext` executor threads
-  (NumPy/SciPy release the GIL in the kernels that dominate), using a
-  caller-supplied context or a transient one;
+  (NumPy/SciPy release the GIL in the kernels that dominate), the pool
+  the pipeline's training used;
 * results delivered in bounded *waves*, so a 100×1000-sensor fleet
   never needs every evaluation window in memory at once and the caller
   can overlap publishing one wave with scoring the next.
@@ -28,7 +28,6 @@ exactly what the dense one does and the windows are deterministic per
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -70,10 +69,6 @@ class FleetEvaluationEngine:
         evaluation, and the cached evaluator for it is rebuilt.
     config:
         Detector configuration the evaluators are bound to.
-    ctx:
-        Optional sparklet context supplying the executor pool.  Without
-        one, the engine spins up a transient thread-backed context when
-        a run asks for ``parallelism > 1``.
     """
 
     def __init__(
@@ -81,13 +76,11 @@ class FleetEvaluationEngine:
         generator: FleetGenerator,
         models: Dict[int, UnitModel],
         config: Optional[FDRDetectorConfig] = None,
-        ctx: Optional[SparkletContext] = None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self.generator = generator
         self.models = models
         self.config = config if config is not None else FDRDetectorConfig()
-        self.ctx = ctx
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._evaluators: Dict[int, Tuple[UnitModel, OnlineEvaluator]] = {}  # guarded-by: _lock
         self._lock = audited_lock("core.engine.evaluators")
@@ -133,45 +126,36 @@ class FleetEvaluationEngine:
     def evaluate_fleet(
         self,
         unit_ids: Sequence[int],
-        n_eval: int = 600,
-        *,
-        parallelism: Optional[int] = None,
+        n_eval: int,
+        ctx: Optional[SparkletContext],
     ) -> Iterator[List[UnitEvaluation]]:
         """Score the fleet in order, yielding bounded waves of results.
 
-        ``parallelism=None`` uses the attached context's pool (or the
-        CPU count when the engine owns its pool); ``parallelism=1``
-        forces the inline serial path.  Results arrive wave by wave in
-        ``unit_ids`` order regardless of executor interleaving.
+        Units fan out over ``ctx``'s executor pool, or run inline on
+        the calling thread when ``ctx`` is ``None``.  Results arrive
+        wave by wave in ``unit_ids`` order regardless of executor
+        interleaving.
         """
         units = list(unit_ids)
         if not units:
             return
-        par = self._resolve_parallelism(parallelism)
-        wave = max(4 * par, 8)
+        wave = max(4 * (ctx.parallelism if ctx is not None else 1), 8)
         # Warm the evaluator cache up front in the driver thread so the
         # fan-out hits the locked fast path without rebuild contention.
         for unit_id in units:
             self.evaluator_for(unit_id)
 
-        ctx, transient = self._executor_ctx(par)
-        try:
-            for lo in range(0, len(units), wave):
-                chunk = units[lo : lo + wave]
-                if ctx is None:
-                    results = [self.evaluate_unit(u, n_eval) for u in chunk]
-                else:
-                    results = ctx.map_tasks(
-                        lambda u: self.evaluate_unit(u, n_eval), chunk
-                    )
-                # Fold metrics in the driver thread only: Counter.inc is
-                # not atomic, and workers already carry their timings on
-                # the evaluation records.
-                self._note_wave(results)
-                yield results
-        finally:
-            if transient and ctx is not None:
-                ctx.stop()
+        for lo in range(0, len(units), wave):
+            chunk = units[lo : lo + wave]
+            if ctx is None:
+                results = [self.evaluate_unit(u, n_eval) for u in chunk]
+            else:
+                results = ctx.map_tasks(lambda u: self.evaluate_unit(u, n_eval), chunk)
+            # Fold metrics in the driver thread only: Counter.inc is
+            # not atomic, and workers already carry their timings on
+            # the evaluation records.
+            self._note_wave(results)
+            yield results
 
     # ------------------------------------------------------------------
     def _note_wave(self, wave: List[UnitEvaluation]) -> None:
@@ -180,23 +164,3 @@ class FleetEvaluationEngine:
         for ev in wave:
             hist.observe(ev.seconds)
             self.metrics.counter("engine.samples_scored").inc(ev.window.values.size)
-
-    # ------------------------------------------------------------------
-    def _resolve_parallelism(self, parallelism: Optional[int]) -> int:
-        if parallelism is not None:
-            if parallelism < 1:
-                raise ValueError("parallelism must be >= 1")
-            return parallelism
-        if self.ctx is not None:
-            return self.ctx.parallelism
-        return os.cpu_count() or 1
-
-    def _executor_ctx(
-        self, parallelism: int
-    ) -> Tuple[Optional[SparkletContext], bool]:
-        """The context to fan out on: attached, transient, or None (inline)."""
-        if self.ctx is not None:
-            return self.ctx, False
-        if parallelism <= 1:
-            return None, False
-        return SparkletContext(parallelism), True

@@ -163,7 +163,7 @@ def build_unit_model(
     :meth:`~repro.core.model.IncrementalMoments.degenerate`) is refused.
     """
     if moments.degenerate().any():
-        raise ValueError("every sensor needs non-zero training variance")
+        raise ValueError(f"unit {unit_id}: every sensor needs non-zero training variance")
     cov = moments.covariance()
     std = np.sqrt(np.diag(cov))
     # correlation matrix = D^{-1/2} Σ D^{-1/2}

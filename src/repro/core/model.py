@@ -13,7 +13,7 @@ losslessly through the :class:`~repro.sparklet.storage.BlockStore`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -193,6 +193,18 @@ class UnitModel:
     @property
     def n_components(self) -> int:
         return self.eigenvalues.shape[0]
+
+    def copy(self) -> "UnitModel":
+        """The same model over fresh copies of its arrays, layouts kept.
+
+        The copies are allocated by the calling thread, and
+        ``components`` stops pinning the full eigenvector matrix it is
+        a view of (DESIGN §5c).
+        """
+        return replace(self, **{
+            name: getattr(self, name).copy(order="K")
+            for name in ("mean", "std", "eigenvalues", "components", "whitening")
+        })
 
     def explained_variance_ratio(self) -> np.ndarray:
         """Fraction of (standardised) variance captured per component."""

@@ -3,13 +3,14 @@
 The integration layer gluing the three systems together, mirroring
 Figure 1: sensor data and *flagged anomalies* both live in OpenTSDB
 ("Results from online evaluation are reported back to OpenTSDB for use
-by the integrated visualization tool"), the trainer runs as a sparklet
-batch job, and the visualization reads everything back through the
-query engine.
+by the integrated visualization tool"), and the visualization reads
+everything back through the query engine.
 
-Evaluation is driven by the
+Training (:class:`~repro.core.training.OfflineTrainer`, one unit per
+task, models installed by the driver) and scoring share one executor
+pool per call.  Evaluation is driven by the
 :class:`~repro.core.engine.FleetEvaluationEngine`: per-unit scoring
-fans out across sparklet executor threads through cached
+runs through cached
 :class:`~repro.core.online.OnlineEvaluator` fast paths, and results
 are published through the cluster's real ingress
 (:meth:`~repro.tsdb.ingest.TsdbCluster.submit` → the buffering reverse
@@ -31,7 +32,9 @@ can show severity.  Unit-level T² alarms are stored under
 from __future__ import annotations
 
 import dataclasses
+import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -48,7 +51,7 @@ from ..tsdb.ingest import TsdbCluster
 from ..tsdb.publish import BatchPublisher, PublishReport
 from ..tsdb.tsd import DataPoint
 from .engine import FleetEvaluationEngine, UnitEvaluation
-from .fdr import AnomalyReport, FDRDetector, FDRDetectorConfig
+from .fdr import AnomalyReport, FDRDetectorConfig
 from .metrics import DetectionOutcome
 from .model import UnitModel
 from .training import OfflineTrainer, TrainingResult
@@ -101,9 +104,10 @@ class PipelineConfig:
     publish:
         Whether to write data + anomalies back to the attached cluster.
     parallelism:
-        Worker count for fleet scoring.  ``None`` follows the attached
-        sparklet context (or the CPU count); ``1`` forces the inline
-        serial path.
+        Worker count for training and scoring.  ``None`` follows the
+        attached sparklet context (or the CPU count); ``1`` runs both
+        stages inline on the calling thread; any other value fans out
+        on the attached context's pool, if there is one.
     publish_batch_size:
         Points per put batch submitted to the cluster ingress.
     use_proxy_path:
@@ -225,8 +229,8 @@ class AnomalyPipeline:
     config:
         Detector configuration.
     ctx:
-        Sparklet context shared by the batch trainer and the fleet
-        evaluation engine's fan-out.
+        Sparklet context whose pool training and scoring fan out on;
+        without one, each call makes a transient pool.
     pipeline_config:
         Default :class:`PipelineConfig` for runs (overridable per
         call).
@@ -250,9 +254,7 @@ class AnomalyPipeline:
             pipeline_config if pipeline_config is not None else PipelineConfig()
         )
         self._models: Dict[int, UnitModel] = {}
-        self.engine = FleetEvaluationEngine(
-            generator, self._models, self.config, ctx=ctx
-        )
+        self.engine = FleetEvaluationEngine(generator, self._models, self.config)
 
     # ------------------------------------------------------------------
     # training
@@ -260,34 +262,48 @@ class AnomalyPipeline:
     def train(
         self, unit_ids: Optional[Sequence[int]] = None, *, n_train: int = 600
     ) -> TrainingResult:
-        """Train models for the units (sparklet job when ctx+store given).
+        """Fit the units' models on an executor pool; the driver keeps them.
 
         Training is idempotent per ``(unit, n_train)``: the generator's
         training windows are deterministic, so refitting an
         already-trained unit would recompute the identical model — such
         units are skipped.  Calling with a different ``n_train`` refits.
-
-        Both branches return a :class:`TrainingResult` (the local path
-        synthesizes one with no persisted keys).
+        The stale units go to :meth:`OfflineTrainer.train_fleet` on the
+        attached context's pool (or a transient one as wide as the
+        host), and are installed on the calling thread once all have
+        fitted: a unit that fails raises ``ValueError`` naming it and
+        leaves the pipeline's models as they were.
         """
+        with self._pool(None) as ctx:
+            return self._train(unit_ids, n_train, ctx)
+
+    def _train(
+        self, unit_ids: Optional[Sequence[int]], n_train: int, ctx: Optional[SparkletContext]
+    ) -> TrainingResult:
         units = list(unit_ids) if unit_ids is not None else list(self.generator.units())
-        stale = [
-            u
-            for u in units
-            if u not in self._models or self._models[u].n_train != n_train
-        ]
-        if self.ctx is not None and self.store is not None:
-            keys: List[str] = []
-            if stale:
-                trainer = OfflineTrainer(self.ctx, self.store, self.config)
-                keys = trainer.train_fleet(self.generator, stale, n_train).keys
-                self._models.update(trainer.load_models(stale))
-            return TrainingResult(unit_ids=units, keys=keys, n_train=n_train)
-        detector = FDRDetector(self.config)
-        for unit_id in stale:
-            window = self.generator.training_window(unit_id, n_train)
-            self._models[unit_id] = detector.fit(window.values, unit_id=unit_id)
-        return TrainingResult(unit_ids=units, keys=[], n_train=n_train)
+        models = self._models
+        stale = [u for u in units if u not in models or models[u].n_train != n_train]
+        trained = OfflineTrainer(ctx, self.store, self.config).train_fleet(
+            self.generator, stale, n_train
+        )
+        models.update(trained.models)
+        return dataclasses.replace(trained, unit_ids=units)
+
+    @contextmanager
+    def _pool(self, parallelism: Optional[int]) -> Iterator[Optional[SparkletContext]]:
+        """The executor pool one call fans out on; ``None`` runs inline.
+
+        Width 1 runs on the calling thread.  Otherwise the attached
+        context supplies the pool, or a transient one as wide as
+        ``parallelism`` (the CPU count when ``None``) lives for the call.
+        """
+        if parallelism is None:
+            parallelism = self.ctx.parallelism if self.ctx is not None else os.cpu_count() or 1
+        if parallelism > 1 and self.ctx is None:
+            with SparkletContext(parallelism) as ctx:
+                yield ctx
+        else:
+            yield self.ctx if parallelism > 1 else None
 
     def model_for(self, unit_id: int) -> UnitModel:
         try:
@@ -310,8 +326,9 @@ class AnomalyPipeline:
         ``config`` (or the pipeline's default :class:`PipelineConfig`)
         supplies the run shape; any other keyword argument overrides
         the :class:`PipelineConfig` field of that name for this call
-        (``run(n_eval=300, publish=False)``).  Scoring fans out across
-        the evaluation engine in waves; publishing streams each wave
+        (``run(n_eval=300, publish=False)``).  Training and scoring
+        share one executor pool; scoring fans out across the
+        evaluation engine in waves, and publishing streams each wave
         through the backpressured proxy path as the next wave is
         scored.
         """
@@ -345,33 +362,34 @@ class AnomalyPipeline:
             result.self_reporter = reporter
 
         try:
-            t0 = time.perf_counter()
-            self.train(units, n_train=cfg.n_train)
-            train_seconds = time.perf_counter() - t0
-
-            publishing = cfg.publish and self.cluster is not None
-            data_pub = anomaly_pub = None
-            if publishing:
-                data_pub, anomaly_pub = self._publishers(cfg, registry)
-
-            evaluate_seconds = 0.0
-            publish_seconds = 0.0
-            samples_scored = 0
-            waves = self.engine.evaluate_fleet(units, cfg.n_eval, parallelism=cfg.parallelism)
-            while True:
+            with self._pool(cfg.parallelism) as ctx:
                 t0 = time.perf_counter()
-                wave = next(waves, None)
-                evaluate_seconds += time.perf_counter() - t0
-                if wave is None:
-                    break
-                t0 = time.perf_counter()
-                for evaluation in wave:
-                    result.reports[evaluation.unit_id] = evaluation.report
-                    result.outcomes[evaluation.unit_id] = evaluation.outcome
-                    samples_scored += evaluation.window.values.size
-                    if publishing:
-                        self._publish_evaluation(evaluation, data_pub, anomaly_pub)
-                publish_seconds += time.perf_counter() - t0
+                self._train(units, cfg.n_train, ctx)
+                train_seconds = time.perf_counter() - t0
+
+                publishing = cfg.publish and self.cluster is not None
+                data_pub = anomaly_pub = None
+                if publishing:
+                    data_pub, anomaly_pub = self._publishers(cfg, registry)
+
+                evaluate_seconds = 0.0
+                publish_seconds = 0.0
+                samples_scored = 0
+                waves = self.engine.evaluate_fleet(units, cfg.n_eval, ctx)
+                while True:
+                    t0 = time.perf_counter()
+                    wave = next(waves, None)
+                    evaluate_seconds += time.perf_counter() - t0
+                    if wave is None:
+                        break
+                    t0 = time.perf_counter()
+                    for evaluation in wave:
+                        result.reports[evaluation.unit_id] = evaluation.report
+                        result.outcomes[evaluation.unit_id] = evaluation.outcome
+                        samples_scored += evaluation.window.values.size
+                        if publishing:
+                            self._publish_evaluation(evaluation, data_pub, anomaly_pub)
+                    publish_seconds += time.perf_counter() - t0
 
             if publishing:
                 t0 = time.perf_counter()

@@ -14,8 +14,10 @@ executors (:func:`train_unit_distributed`) — the same two-level
 decomposition the paper's Spark/MLlib job uses.  Both levels estimate
 with :class:`~repro.core.model.IncrementalMoments` and build with
 :func:`~repro.core.fdr.build_unit_model`, like the batch fit and the
-stream.  Models are persisted to the
-:class:`~repro.sparklet.storage.BlockStore` (the HDFS cache stand-in).
+stream.  :meth:`OfflineTrainer.train_fleet` is the one fleet trainer
+(the pipeline's ``train`` runs it on the run's executor pool); with a
+:class:`~repro.sparklet.storage.BlockStore` (the HDFS cache stand-in)
+it also persists each model.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from ..simdata.generator import FleetGenerator
 from ..sparklet.context import SparkletContext
 from ..sparklet.storage import BlockStore
 from .fdr import FDRDetector, FDRDetectorConfig, build_unit_model
-from .model import IncrementalMoments, UnitModel, load_model, save_model
+from .model import IncrementalMoments, UnitModel, model_key, save_model
 
 __all__ = ["TrainingResult", "OfflineTrainer", "train_unit_distributed"]
 
@@ -38,14 +40,15 @@ __all__ = ["TrainingResult", "OfflineTrainer", "train_unit_distributed"]
 class TrainingResult:
     """Summary of one training job.
 
-    ``keys`` lists the block-store keys of persisted model artifacts;
-    the pipeline's local (store-less) training path synthesizes a
-    result with no keys.
+    ``models`` maps each unit the job fitted to its model; ``keys``
+    lists the block-store keys they were persisted under (empty when
+    the trainer has no store).
     """
 
     unit_ids: List[int]
     keys: List[str]
     n_train: int
+    models: Dict[int, UnitModel]
 
     @property
     def n_units(self) -> int:
@@ -79,22 +82,24 @@ def train_unit_distributed(
 
 
 class OfflineTrainer:
-    """Fleet-scale batch trainer.
+    """Fleet-scale batch trainer: one task per unit on an executor pool.
 
     Parameters
     ----------
     ctx:
-        Sparklet context supplying the executor pool.
+        Sparklet context supplying the executor pool; ``None`` fits
+        every unit inline on the calling thread.
     store:
-        Block store for trained model artifacts.
+        Block store the trained models are persisted to; ``None``
+        keeps them in memory only.
     config:
         Detector configuration (component selection etc.).
     """
 
     def __init__(
         self,
-        ctx: SparkletContext,
-        store: BlockStore,
+        ctx: Optional[SparkletContext],
+        store: Optional[BlockStore] = None,
         config: Optional[FDRDetectorConfig] = None,
     ) -> None:
         self.ctx = ctx
@@ -107,33 +112,24 @@ class OfflineTrainer:
         unit_ids: Optional[Sequence[int]] = None,
         n_train: int = 600,
     ) -> TrainingResult:
-        """Train and persist models for the given units (all by default).
+        """Train (and persist) models for the given units (all by default).
 
         One task per unit: generate the fault-free training window, fit,
-        save.  Unit tasks run concurrently on the executor pool; each
-        task is itself vectorised NumPy, so threads give real speedup.
+        and save when the trainer has a store.  The driver copies each
+        model's arrays as it collects them, so no model keeps an
+        executor's allocation alive (DESIGN §5c).  A unit that cannot be
+        fitted raises ``ValueError`` naming it.
         """
         units = list(unit_ids) if unit_ids is not None else list(generator.units())
-        config = self.config
-        store = self.store
 
-        def fit_and_save(unit_id: int) -> str:
+        def fit(unit_id: int) -> UnitModel:
             window = generator.training_window(unit_id, n_train)
-            model = FDRDetector(config).fit(window.values, unit_id=unit_id)
-            return save_model(store, model)
+            model = FDRDetector(self.config).fit(window.values, unit_id=unit_id)
+            if self.store is not None:
+                save_model(self.store, model)
+            return model
 
-        keys = (
-            self.ctx.parallelize(units, min(len(units), self.ctx.parallelism * 4))
-            .map(fit_and_save)
-            .collect()
-        )
-        return TrainingResult(unit_ids=units, keys=keys, n_train=n_train)
-
-    def load_models(self, unit_ids: Sequence[int]) -> Dict[int, UnitModel]:
-        """Fetch persisted models (missing units are silently skipped)."""
-        out: Dict[int, UnitModel] = {}
-        for unit_id in unit_ids:
-            model = load_model(self.store, unit_id)
-            if model is not None:
-                out[unit_id] = model
-        return out
+        fitted = [fit(u) for u in units] if self.ctx is None else self.ctx.map_tasks(fit, units)
+        keys = [model_key(u) for u in units] if self.store is not None else []
+        models = {model.unit_id: model.copy() for model in fitted}
+        return TrainingResult(unit_ids=units, keys=keys, n_train=n_train, models=models)

@@ -1,10 +1,13 @@
-"""Parallel fleet evaluation engine, PipelineConfig, and publish paths.
+"""Parallel fleet evaluation engine, training fan-out, PipelineConfig, publish paths.
 
-Parity contracts for the PR that introduced the engine: parallel
-``run()`` must be flag-for-flag identical to serial (and to the legacy
-per-unit ``FDRDetector.detect`` loop), and proxy-path publishing must
-land exactly the same points as ``direct_put``.
+Parity contracts: parallel ``run()`` must be flag-for-flag identical to
+serial (and to the legacy per-unit ``FDRDetector.detect`` loop), the
+models ``train()`` fans out must be bit-identical to a serial ``fit``
+and installed by the calling thread only, and proxy-path publishing
+must land exactly the same points as ``direct_put``.
 """
+
+import threading
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ from repro.core import (
     PipelineConfig,
     TrainingResult,
 )
+from repro.core.model import load_model
 from repro.simdata import FleetConfig, FleetGenerator
 from repro.simdata.workload import unit_points
 from repro.sparklet import BlockStore, SparkletContext
@@ -167,6 +171,127 @@ class TestParallelParity:
             pipeline = AnomalyPipeline(generator, ctx=ctx, store=None)
             result = pipeline.run(publish=False, n_train=150, n_eval=100)
         assert set(result.reports) == set(generator.units())
+
+
+MODEL_ARRAYS = ("mean", "std", "eigenvalues", "components", "whitening")
+
+
+class _RecordingModels(dict):
+    """A model dict that notes the thread behind every write."""
+
+    def __init__(self):
+        super().__init__()
+        self.writers = []
+
+    def __setitem__(self, key, value):
+        self.writers.append(threading.get_ident())
+        super().__setitem__(key, value)
+
+    def update(self, *args, **kwargs):
+        self.writers.append(threading.get_ident())
+        super().update(*args, **kwargs)
+
+
+class _FrozenSensorFleet(FleetGenerator):
+    """Unit 3's sensor 5 reads one constant in every training window."""
+
+    def training_window(self, unit_id, n_samples=600):
+        window = super().training_window(unit_id, n_samples)
+        if unit_id == 3:
+            window.values[:, 5] = 7.0
+        return window
+
+
+class TestTrainingFanOut:
+    """``train`` fans stale units out over the pool; the driver keeps the models."""
+
+    N_TRAIN = 150
+
+    @pytest.mark.parametrize("parallelism", [1, 2, 4])
+    @pytest.mark.parametrize("with_store", [False, True], ids=["no-store", "store"])
+    def test_models_bit_identical_to_fit(self, tmp_path, parallelism, with_store):
+        generator = FleetGenerator(FleetConfig(n_units=5, n_sensors=64, seed=31))
+        config = FDRDetectorConfig()
+        store = BlockStore(tmp_path) if with_store else None
+        with SparkletContext(parallelism) as ctx:
+            pipeline = AnomalyPipeline(generator, store=store, config=config, ctx=ctx)
+            result = pipeline.train(n_train=self.N_TRAIN)
+        assert len(result.keys) == (5 if with_store else 0)
+        for unit in generator.units():
+            reference = FDRDetector(config).fit(
+                generator.training_window(unit, self.N_TRAIN).values, unit_id=unit
+            )
+            kept = [pipeline.model_for(unit), result.models[unit]]
+            if with_store:
+                kept.append(load_model(store, unit))
+            for model in kept:
+                for name in MODEL_ARRAYS:
+                    assert np.array_equal(getattr(model, name), getattr(reference, name)), name
+                assert model.n_train == reference.n_train
+
+    def test_kept_models_own_their_arrays(self, generator):
+        """The driver's copy frees the p - k columns ``components`` was a view of."""
+        with SparkletContext(2) as ctx:
+            pipeline = AnomalyPipeline(generator, ctx=ctx)
+            pipeline.train(n_train=self.N_TRAIN)
+        for unit in generator.units():
+            model = pipeline.model_for(unit)
+            for name in MODEL_ARRAYS:
+                assert getattr(model, name).base is None, name
+
+    @pytest.fixture()
+    def fit_threads(self, monkeypatch):
+        """The thread behind every ``FDRDetector.fit`` call, in call order."""
+        threads = []
+        fit = FDRDetector.fit
+
+        def recording_fit(detector, values, unit_id=0):
+            threads.append(threading.get_ident())
+            return fit(detector, values, unit_id=unit_id)
+
+        monkeypatch.setattr(FDRDetector, "fit", recording_fit)
+        return threads
+
+    def test_models_are_installed_by_the_calling_thread_only(self, generator, fit_threads):
+        caller = threading.get_ident()
+        with raceaudit.auditing() as auditor, SparkletContext(4) as ctx:
+            pipeline = AnomalyPipeline(generator, ctx=ctx)
+            models = _RecordingModels()
+            pipeline._models = pipeline.engine.models = models
+            pipeline.run(publish=False, n_train=self.N_TRAIN, n_eval=60)
+            pipeline.train(unit_ids=[1, 4], n_train=self.N_TRAIN + 10)
+            auditor.assert_no_cycles()
+        assert len(fit_threads) == 6 + 2
+        assert caller not in fit_threads  # every fit ran on the pool
+        assert models.writers and set(models.writers) == {caller}
+        assert set(models) == set(generator.units())
+
+    @pytest.mark.parametrize("parallelism", [1, 4])
+    def test_failed_unit_is_named_and_nothing_is_installed(self, parallelism):
+        generator = _FrozenSensorFleet(FleetConfig(n_units=6, n_sensors=12, seed=29))
+        with SparkletContext(parallelism) as ctx:
+            pipeline = AnomalyPipeline(generator, ctx=ctx)
+            pipeline.train(unit_ids=[0, 1, 2], n_train=self.N_TRAIN)
+            before = {u: pipeline.model_for(u) for u in (0, 1, 2)}
+            with pytest.raises(ValueError, match=r"^unit 3: "):
+                pipeline.train(n_train=self.N_TRAIN + 10)
+            with pytest.raises(ValueError, match=r"^unit 3: "):
+                pipeline.run(publish=False, n_train=self.N_TRAIN, n_eval=60)
+        assert all(pipeline.model_for(u) is before[u] for u in before)
+        for unit in (3, 4, 5):
+            with pytest.raises(KeyError):
+                pipeline.model_for(unit)
+
+    def test_run_at_parallelism_1_trains_inline(self, generator, fit_threads, monkeypatch):
+        def no_context(*args, **kwargs):
+            raise AssertionError("run(parallelism=1) constructed a SparkletContext")
+
+        monkeypatch.setattr(SparkletContext, "__init__", no_context)
+        result = AnomalyPipeline(generator).run(
+            publish=False, n_train=self.N_TRAIN, n_eval=60, parallelism=1
+        )
+        assert set(result.reports) == set(generator.units())
+        assert fit_threads == [threading.get_ident()] * 6
 
 
 class TestEvaluatorCache:

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.fdr import FDRDetector, FDRDetectorConfig
 from repro.core.pipeline import ANOMALY_METRIC, UNIT_ALARM_METRIC, AnomalyPipeline
-from repro.core.model import IncrementalMoments
+from repro.core.model import IncrementalMoments, load_model
 from repro.core.streaming import StreamingTrainer
 from repro.core.training import OfflineTrainer, train_unit_distributed
 from repro.simdata import FleetConfig, FleetGenerator
@@ -186,15 +186,18 @@ class TestOfflineTrainer:
         result = trainer.train_fleet(generator, n_train=120)
         assert result.n_units == 6
         assert len(store) == 6
-        models = trainer.load_models(list(generator.units()))
-        assert set(models) == set(generator.units())
-        assert models[0].n_train == 120
+        assert set(result.models) == set(generator.units())
+        for unit, model in result.models.items():
+            stored = load_model(store, unit)
+            assert stored.n_train == model.n_train == 120
+            assert np.array_equal(stored.whitening, model.whitening)
 
     def test_subset_training(self, sc, generator, tmp_path):
         trainer = OfflineTrainer(sc, BlockStore(tmp_path))
         result = trainer.train_fleet(generator, unit_ids=[2, 4], n_train=100)
         assert result.unit_ids == [2, 4]
-        assert trainer.load_models([2, 4, 5]).keys() == {2, 4}
+        assert result.models.keys() == {2, 4}
+        assert [load_model(trainer.store, u) is not None for u in (2, 4, 5)] == [True, True, False]
 
     def test_threaded_matches_serial(self, generator, tmp_path):
         with SparkletContext(parallelism=3) as tctx:
@@ -206,8 +209,8 @@ class TestOfflineTrainer:
         for unit in generator.units():
             t = t_store.get(f"unit-model-{unit:05d}")
             s = s_store.get(f"unit-model-{unit:05d}")
-            assert np.allclose(t["mean"], s["mean"])
-            assert np.allclose(t["eigenvalues"], s["eigenvalues"])
+            for name in ("mean", "std", "eigenvalues", "components", "whitening"):
+                assert np.array_equal(t[name], s[name]), name
 
 
 class TestPipeline:
