@@ -103,11 +103,11 @@ def _procedure_sweep(
     """Evaluate many (procedure, level) combinations sharing one fit per unit.
 
     Models and window p-values depend only on the data, so each unit is
-    fitted and scored once; procedures then differ only in how the
-    p-value families are thresholded.  Keys of the result: procedure
-    name for the primary ``q``, ``(name, level)`` for extras.
+    fitted and scored once, by the detector's kernel; procedures then
+    differ only in how the p-value families are thresholded.  Keys of
+    the result: procedure name for the primary ``q``, ``(name, level)``
+    for extras.
     """
-    from ..core.hypothesis import two_sided_pvalues, window_mean_zscores
     from ..core.multiple_testing import apply_procedure
 
     combos: List[Tuple[object, str, float]] = [(proc, proc, q) for proc in procedures]
@@ -119,8 +119,7 @@ def _procedure_sweep(
             generator.training_window(unit_id, n_train).values, unit_id=unit_id
         )
         data = generator.evaluation_window(unit_id, n_eval)
-        z = window_mean_zscores(data.values, model.mean, model.std, window)
-        pvalues = two_sided_pvalues(z)
+        pvalues = detector.detect(model, data.values).pvalues
         for key, name, level in combos:
             flags = apply_procedure(name, pvalues, level)
             outcomes[key].append(evaluate_flags(flags, data.truth, unit_id))
@@ -662,6 +661,11 @@ def e10_detector_ablations(quick: bool = False) -> ExperimentResult:
         )
         numbers[f"w{window}_power"] = agg.mean_power
         numbers[f"w{window}_delay"] = agg.mean_delay
+        numbers[f"w{window}_family_fdp"] = agg.mean_family_fdp
+        # A unit (its own training window) is the independent sample.
+        numbers[f"w{window}_family_fdp_se"] = float(
+            np.std([o.family_fdp for o in outcomes], ddof=1) / np.sqrt(len(outcomes))
+        )
 
     # Whitened T² channel: unit-level detection of correlated faults.
     # Alarm *step counts* per unit are the honest readout: the per-step
@@ -719,6 +723,10 @@ def e10_detector_ablations(quick: bool = False) -> ExperimentResult:
         ],
         numbers=numbers,
         claims={
+            "family_fdp_within_q_at_every_window": all(
+                numbers[f"w{w}_family_fdp"] <= q + 3.0 * numbers[f"w{w}_family_fdp_se"]
+                for w in windows
+            ),
             "power_grows_with_window_up_to_32": (
                 numbers["w1_power"] < numbers["w8_power"] < numbers["w32_power"]
             ),

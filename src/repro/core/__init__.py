@@ -8,13 +8,7 @@ publishes flagged anomalies back to the TSDB.
 """
 
 from .fdr import AnomalyReport, FDRDetector, FDRDetectorConfig
-from .hypothesis import (
-    t2_pvalues,
-    t2_statistic,
-    two_sided_pvalues,
-    window_mean_zscores,
-    zscores,
-)
+from .hypothesis import two_sided_pvalues
 from .metrics import (
     AggregateMetrics,
     DetectionOutcome,
@@ -85,11 +79,7 @@ __all__ = [
     "model_key",
     "save_model",
     "step_up_sparse",
-    "t2_pvalues",
-    "t2_statistic",
     "train_unit_distributed",
     "two_sided_pvalues",
     "uncorrected",
-    "window_mean_zscores",
-    "zscores",
 ]

@@ -19,11 +19,13 @@ same way:
   never needs every evaluation window in memory at once and the caller
   can overlap publishing one wave with scoring the next.
 
-Scoring through the engine is flag-for-flag identical to the serial
-``FDRDetector.detect`` reference path — the sparse step-up rejects
-exactly what the dense one does and the windows are deterministic per
-``(seed, unit)`` — which the parity tests and experiment E11's
-``engine_flags_equal_the_serial_loop_cold_and_warm`` claim both assert.
+Every unit is scored by the one kernel,
+:meth:`~repro.core.online.OnlineEvaluator.report`, which
+``FDRDetector.detect`` also calls; the windows are deterministic per
+``(seed, unit)``.  So cached models, waves and threads change no flag:
+experiment E11's ``engine_flags_equal_the_serial_loop_cold_and_warm``
+claim holds the engine to a refit-per-unit loop, and the tests hold
+the fleet path to the dense oracle in ``tests/oracle.py``.
 """
 
 from __future__ import annotations

@@ -3,12 +3,13 @@
 Training (§IV-A): per unit, estimate sensor means/stds, compute the
 covariance of the standardised training data, take its SVD (for a
 symmetric PSD matrix, the eigendecomposition), and keep the top-k
-eigenpairs plus the whitening map.  Evaluation: standardise incoming
-samples, form per-sensor window-mean test statistics, convert to
-p-values, and apply the Benjamini–Hochberg procedure *across sensors at
-each time step* so the expected proportion of false alarms among the
-flagged sensors stays below q — regardless of how many thousand sensors
-the unit carries.
+eigenpairs plus the whitening map.  Evaluation
+(:class:`~repro.core.online.OnlineEvaluator`, the one scorer):
+standardise incoming samples, form per-sensor window t-statistics
+(:mod:`~repro.core.hypothesis`), and apply the Benjamini–Hochberg
+procedure *across sensors at each time step* so the expected proportion
+of false alarms among the flagged sensors stays below q — regardless of
+how many thousand sensors the unit carries.
 
 The whitened T² channel (optional, on by default) adds a unit-level
 multivariate alarm: correlated faults that are small per sensor but
@@ -23,14 +24,9 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .hypothesis import (
-    t2_pvalues,
-    t2_statistic,
-    two_sided_pvalues,
-    window_mean_zscores,
-)
+from .hypothesis import two_sided_pvalues
 from .model import IncrementalMoments, UnitModel
-from .multiple_testing import apply_procedure
+from .multiple_testing import PROCEDURES
 
 __all__ = [
     "FDRDetectorConfig",
@@ -53,8 +49,10 @@ class FDRDetectorConfig:
         Trailing window (samples) for the mean-shift statistic; 1 tests
         individual samples (fastest reaction, least power for drifts).
     procedure:
-        Multiple-testing procedure across sensors per time step
-        (``"bh"``, ``"by"``, ``"holm"``, ``"bonferroni"``, ``"none"``).
+        Multiple-testing procedure across sensors per time step, a key
+        of :data:`~repro.core.multiple_testing.PROCEDURES` (``"bh"``,
+        ``"by"``, ``"holm"``, ``"bonferroni"``, ``"adaptive-bh"``,
+        ``"none"``).
     n_components:
         Eigenpairs retained at training time; ``None`` keeps enough to
         explain ``variance_target`` of the variance.
@@ -80,6 +78,10 @@ class FDRDetectorConfig:
             raise ValueError("q must be in (0, 1)")
         if self.window < 1:
             raise ValueError("window must be >= 1")
+        if self.procedure not in PROCEDURES:
+            raise ValueError(
+                f"unknown procedure {self.procedure!r}; choose from {sorted(PROCEDURES)}"
+            )
         if not 0.0 < self.variance_target <= 1.0:
             raise ValueError("variance_target must be in (0, 1]")
         if not 0.0 < self.unit_alarm_alpha < 1.0:
@@ -91,10 +93,10 @@ class AnomalyReport:
     """Detection output for one unit window.
 
     ``flags`` is the ``(T, p)`` boolean per-sensor anomaly mask after
-    FDR control; ``zscores`` the windowed evidence it was taken on
-    (``pvalues`` is derived from it on demand, not stored);
-    ``unit_alarm`` a ``(T,)`` mask from the T² channel (all False when
-    disabled).
+    FDR control; ``zscores`` the window t-statistics it was taken on
+    (``pvalues`` is derived from them and the model's ``n_train`` on
+    demand, not stored); ``unit_alarm`` a ``(T,)`` mask from the T²
+    channel (all False when disabled).
     """
 
     unit_id: int
@@ -103,11 +105,13 @@ class AnomalyReport:
     unit_alarm: np.ndarray
     t2: np.ndarray
     config: FDRDetectorConfig
+    n_train: int
 
     @property
     def pvalues(self) -> np.ndarray:
-        """Two-sided p-values of :attr:`zscores`, ``(T, p)``."""
-        return two_sided_pvalues(self.zscores)
+        """Two-sided Student-t p-values of :attr:`zscores` with
+        ``n_train − 1`` degrees of freedom, ``(T, p)``."""
+        return two_sided_pvalues(self.zscores, self.n_train - 1)
 
     @property
     def n_discoveries(self) -> int:
@@ -214,32 +218,10 @@ class FDRDetector:
         """Flag anomalies in an evaluation window ``(T, p)``.
 
         Per time step, the p-values of all p sensors form one family and
-        the configured procedure controls its false discoveries.
+        the configured procedure controls its false discoveries.  One
+        call into the scoring kernel,
+        :meth:`~repro.core.online.OnlineEvaluator.report`.
         """
-        x = np.asarray(values, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != model.n_sensors:
-            raise ValueError(
-                f"values must be (T, {model.n_sensors}); got {x.shape}"
-            )
-        cfg = self.config
-        z = window_mean_zscores(x, model.mean, model.std, cfg.window)
-        pvalues = two_sided_pvalues(z)
-        flags = apply_procedure(cfg.procedure, pvalues, cfg.q)
-        if cfg.use_t2 and model.n_components > 0:
-            # Whiten the *instantaneous* standardised samples; T² reacts
-            # within one step to coherent multivariate excursions.
-            zs = (x - model.mean) / model.std
-            whitened = zs @ model.whitening
-            t2 = t2_statistic(whitened)
-            unit_alarm = t2_pvalues(t2, model.n_components) <= cfg.unit_alarm_alpha
-        else:
-            t2 = np.zeros(x.shape[0])
-            unit_alarm = np.zeros(x.shape[0], dtype=bool)
-        return AnomalyReport(
-            unit_id=model.unit_id,
-            flags=flags,
-            zscores=z,
-            unit_alarm=unit_alarm,
-            t2=t2,
-            config=cfg,
-        )
+        from .online import OnlineEvaluator  # online imports this module
+
+        return OnlineEvaluator(model, self.config).report(values)

@@ -35,6 +35,7 @@ __all__ = [
     "benjamini_hochberg",
     "benjamini_yekutieli",
     "step_up_sparse",
+    "step_up_ladder",
     "adaptive_benjamini_hochberg",
     "apply_procedure",
     "PROCEDURES",
@@ -55,14 +56,17 @@ def _check(pvalues: np.ndarray, level: float) -> np.ndarray:
     return p
 
 
-def _step_up_ladder(q: float, m: int) -> np.ndarray:
-    """The step-up thresholds ``q·k/m`` for ranks ``k = 1..m``.
+def step_up_ladder(q: float, m: int, dependence_correction: bool = False) -> np.ndarray:
+    """The step-up thresholds ``q_eff·k/m`` for ranks ``k = 1..m``.
 
-    Written ``q / (m/k)`` so the first rung is exactly Bonferroni's
-    ``q/m`` and the last exactly ``q`` (Holm's last rung); ``q*k/m``
-    can round ``q*m/m`` below ``q`` and let Holm reject a p-value that
-    BH does not.
+    ``q_eff`` is ``q``, or with the dependence correction (BY) ``q``
+    over the harmonic sum ``Σ 1/i``.  Written ``q / (m/k)`` so the
+    first rung is exactly Bonferroni's ``q/m`` and the last exactly
+    ``q`` (Holm's last rung); ``q*k/m`` can round ``q*m/m`` below ``q``
+    and let Holm reject a p-value that BH does not.
     """
+    if dependence_correction:
+        q = q / np.sum(1.0 / np.arange(1, m + 1))
     return q / (m / np.arange(1, m + 1))
 
 
@@ -125,12 +129,9 @@ def _step_up(pvalues: np.ndarray, q: float, dependence_correction: bool) -> np.n
     m = p.shape[-1]
     if m == 0:
         return np.zeros_like(p, dtype=bool)
-    effective_q = q
-    if dependence_correction:
-        effective_q = q / np.sum(1.0 / np.arange(1, m + 1))
     order = np.argsort(p, axis=-1)
     sorted_p = np.take_along_axis(p, order, axis=-1)
-    thresholds = _step_up_ladder(effective_q, m)
+    thresholds = step_up_ladder(q, m, dependence_correction)
     passing = sorted_p <= thresholds
     # Largest passing index per family (step-up): k = last True + 1.
     reversed_pass = passing[..., ::-1]
@@ -165,13 +166,10 @@ def step_up_sparse(
     m = p.shape[-1]
     if m == 0:
         return np.zeros_like(p, dtype=bool)
-    effective_q = q
-    if dependence_correction:
-        effective_q = q / np.sum(1.0 / np.arange(1, m + 1))
     flat = p.reshape(-1, m)
     n_fam = flat.shape[0]
     # rungs[k] is the k-th threshold; rung 0 rejects nothing.
-    rungs = np.concatenate(([-1.0], _step_up_ladder(effective_q, m)))
+    rungs = np.concatenate(([-1.0], step_up_ladder(q, m, dependence_correction)))
     flags = np.zeros(flat.size, dtype=bool)
     idx = np.flatnonzero(flat <= rungs[-1])
     if idx.size:

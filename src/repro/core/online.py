@@ -1,48 +1,65 @@
-"""Online evaluation: the high-throughput scoring path.
+"""Online evaluation: the one scoring path.
 
 §IV-A: "Evaluation is thereby relatively fast requiring a single
 matrix multiplication per iteration ... we can evaluate for anomalies
 at a rate of 939,000 sensor samples per second on average."
 
 :class:`OnlineEvaluator` pre-binds everything derivable from the model
-(means, inverse stds, whitening map, χ² threshold) so the steady-state
-cost per batch is: one subtraction, one multiply by the reciprocal
-stds, the window-mean update, p-values for the entries whose |z|
-reaches the level's z-space floor (every other p is above every
-rung), the exact step-up over that buffer and the T² multiply.
-Every entry point runs that one kernel.  The E5 benchmark measures
-this path in real wall-clock samples/second.
+(means, inverse stds, the step-up ladder as |t| thresholds, whitening
+map, χ² threshold) so the steady-state cost per batch is: one
+subtraction, one multiply by the reciprocal stds, the window update
+(scaled to Student t with ``n_train − 1`` degrees of freedom, see
+:mod:`~repro.core.hypothesis`), a ladder lookup for the entries whose
+|t| reaches the last rung (every other p is above every rung), the
+exact step-up over that buffer and the T² multiply.  Every entry point
+runs that one kernel, and :meth:`~repro.core.fdr.FDRDetector.detect` is
+one call into it.  The E5 benchmark measures this path in real
+wall-clock samples/second.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Tuple
 
 import numpy as np
 from scipy import special
 
 from .fdr import AnomalyReport, FDRDetectorConfig
+from .hypothesis import two_sided_pvalues
 from .model import UnitModel
-from .multiple_testing import apply_procedure, step_up_sparse
+from .multiple_testing import apply_procedure, step_up_ladder, step_up_sparse
 
 __all__ = ["OnlineEvaluator", "StreamStats"]
 
+#: Relative band around each |t| threshold inside which a statistic
+#: pays an exact p-value.  ``stdtrit`` and ``stdtr`` round-trip to
+#: ~1e-14 relative, while a 1e-9 relative step in |t| moves p by at
+#: least ~1e-11 relative at every rung of a level q ≤ 0.99, so outside the
+#: band the comparison in |t| decides what the comparison in p would.
+_NEAR = 1e-9
 
-def _two_sided_pvalues_fast(z: np.ndarray) -> np.ndarray:
-    """``2·Φ(−|z|)`` via ``scipy.special.ndtr`` directly.
 
-    Bit-identical to :func:`~repro.core.hypothesis.two_sided_pvalues`,
-    which calls the same ``ndtr``, but reuses one buffer for the whole
-    chain, so the hot path allocates a single array.  Elementwise, so
-    it gives the same bits on a gathered subset.  The reference
-    keeps its own spelling so the kernel differential stays two paths.
+@lru_cache(maxsize=64)
+def _statistic_ladder(
+    dof: int, m: int, q: float, dependence_correction: bool
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """BH/BY's step-up ladder mapped to |t| thresholds.
+
+    A two-sided p-value meets rung ``r`` (``p ≤ r``) exactly when
+    ``|t| ≥ −F⁻¹_dof(r/2)``.  Returns ``(lo, hi, rungs)``, ascending in
+    |t|: each rung's threshold lowered and raised by :data:`_NEAR`, and
+    the rungs themselves in the same order (largest first).  Every
+    unit of a fleet shares one key, so the ``stdtrit`` calls are paid
+    once per process, not per evaluator.
     """
-    buf = np.abs(z)
-    np.negative(buf, out=buf)
-    special.ndtr(buf, out=buf)
-    buf *= 2.0
-    return buf
+    rungs = step_up_ladder(q, m, dependence_correction)[::-1].copy()
+    cut = -special.stdtrit(dof, rungs / 2.0)
+    lo, hi = cut * (1.0 - _NEAR), cut * (1.0 + _NEAR)
+    for array in (lo, hi, rungs):
+        array.setflags(write=False)
+    return lo, hi, rungs
 
 
 @dataclass
@@ -69,12 +86,11 @@ class OnlineEvaluator:
             if self.config.use_t2 and model.n_components > 0
             else np.inf
         )
-        # BH/BY reject only p ≤ q (BY's effective level is lower still),
-        # and p ≤ q ⇔ |z| ≥ −Φ⁻¹(q/2).  Lowered by a relative 1e-9 so
-        # that rounding in ``ndtri`` can never drop a candidate; an entry
-        # below it has p > q by a margin far above ``ndtr``'s rounding.
-        self._z_floor = (
-            float(-special.ndtri(self.config.q / 2.0)) * (1.0 - 1e-9)
+        self._dof = model.n_train - 1
+        self._ladder = (
+            _statistic_ladder(
+                self._dof, model.n_sensors, self.config.q, self.config.procedure == "by"
+            )
             if self.config.procedure in ("bh", "by")
             else None
         )
@@ -100,10 +116,10 @@ class OnlineEvaluator:
     def evaluate_scored(
         self, values: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """:meth:`evaluate` plus the windowed z-scores it flagged on.
+        """:meth:`evaluate` plus the window statistics it flagged on.
 
         Identical state/carry semantics and identical flags; the third
-        element is the ``(T, p)`` windowed z-score matrix, which the
+        element is the ``(T, p)`` window t-statistic matrix, which the
         streaming alerting path uses for severity scoring without a
         second standardisation pass.
         """
@@ -113,10 +129,9 @@ class OnlineEvaluator:
     def report(self, values: np.ndarray) -> AnomalyReport:
         """Score one full window into an :class:`AnomalyReport`.
 
-        One-shot semantics: cross-batch window state is reset first, so
-        the result matches :meth:`FDRDetector.detect` on the same model
-        and window — flags, z-scores (hence p-values), T² and unit
-        alarm.  The fleet evaluation engine calls this per unit.
+        One-shot semantics: cross-batch window state is reset first.
+        :meth:`FDRDetector.detect` and the fleet evaluation engine are
+        this call.
         """
         self._carry = None
         flags, z_win, t2, unit_alarm = self._score(values)
@@ -127,12 +142,13 @@ class OnlineEvaluator:
             unit_alarm=unit_alarm,
             t2=t2,
             config=self.config,
+            n_train=self.model.n_train,
         )
 
     def _score(
         self, values: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The one scoring kernel: standardise → window → p-values →
+        """The one scoring kernel: standardise → window statistic →
         step-up → T²; ``(flags, z_win, t2, unit_alarm)``.
 
         Non-finite input is refused here, by name: a NaN would
@@ -157,25 +173,47 @@ class OnlineEvaluator:
         return flags, z_win, t2, unit_alarm
 
     def _flag(self, z_win: np.ndarray) -> np.ndarray:
-        """Per-row multiple-testing flags via the fastest exact route.
+        """Per-row multiple-testing flags, decided in statistic space.
 
-        BH/BY pay ``ndtr`` only where ``|z|`` reaches the floor: every
-        other entry has p > q, above every rung, so it stays at 1.0 in
-        the p-value buffer and :func:`step_up_sparse` rejects exactly
-        what it would on the full p-values (which are bit-identical to
-        the dense reference's where computed).  Other procedures get
-        every p-value and the dense dispatch.
+        BH/BY's decisions depend on a p-value only through the lowest
+        rung it meets.  An entry below the last rung's |t| band has
+        p > q_eff, above every rung, so it stays at 1.0 in the p-value
+        buffer, as does one below rung c of a row with c candidates
+        (k ≤ c).  Every other entry finds its rung by one
+        ``searchsorted`` against the memoised |t| ladder and stands in
+        the buffer as that rung's own value, which meets the same rungs
+        its p-value would; only an entry inside a threshold's
+        :data:`_NEAR` band pays an exact ``stdtr``.  So
+        :func:`step_up_sparse` rejects exactly what the dense step-up
+        rejects on every p-value.  Other procedures get every p-value
+        and the dense dispatch.
 
-        A NaN z (finite input can overflow the window: ``inf − inf``)
-        fails ``|z| < floor``, so it is gathered, its p-value is NaN and
-        the step-up refuses the batch, as the dense reference does.
+        A NaN statistic (finite input can overflow the window:
+        ``inf − inf``) fails ``|t| < floor`` and ``|t| > band``, so it
+        pays the exact route, its p-value is NaN and the step-up refuses
+        the batch.
         """
         cfg = self.config
-        if self._z_floor is None:
-            return apply_procedure(cfg.procedure, _two_sided_pvalues_fast(z_win), cfg.q)
+        if self._ladder is None:
+            return apply_procedure(cfg.procedure, two_sided_pvalues(z_win, self._dof), cfg.q)
+        lo, hi, rungs = self._ladder
+        m = z_win.shape[1]
         pvalues = np.ones(z_win.size)
-        idx = np.flatnonzero(~(np.abs(z_win) < self._z_floor))
-        pvalues[idx] = _two_sided_pvalues_fast(np.take(z_win, idx))
+        mag = np.abs(z_win).ravel()
+        idx = np.flatnonzero(~(mag < lo[0]))
+        mag = mag[idx]
+        # A row with c candidates rejects at most c of them, so an entry
+        # below rung c's threshold is neither rejected nor moves k; it
+        # stays at 1.0 (and a NaN is kept).
+        rows = idx // m
+        keep = ~(mag < lo[m - np.bincount(rows)[rows]])
+        idx, mag = idx[keep], mag[keep]
+        below = np.searchsorted(lo, mag, side="right") - 1
+        vals = rungs[below]
+        near = ~(mag > hi[below])
+        if near.any():
+            vals[near] = two_sided_pvalues(mag[near], self._dof)
+        pvalues[idx] = vals
         return step_up_sparse(
             pvalues.reshape(z_win.shape), cfg.q, dependence_correction=cfg.procedure == "by"
         )
@@ -191,10 +229,16 @@ class OnlineEvaluator:
 
     # ------------------------------------------------------------------
     def _windowed(self, z: np.ndarray) -> np.ndarray:
-        """Trailing-window mean z-scores with cross-batch carry."""
+        """Window t-statistics with cross-batch carry.
+
+        Each row's window sum over its ``c`` standardised rows, divided
+        by ``√(c·(1 + c/n_train))``: its null std, σ̂ and the shared
+        training error included (:mod:`~repro.core.hypothesis`).
+        """
         w = self.config.window
+        n_train = float(self.model.n_train)
         if w == 1:
-            return z
+            return z / np.sqrt(1.0 + 1.0 / n_train)
         carry = self._carry
         n_carry = 0 if carry is None else carry.shape[0]
         stacked = z if carry is None else np.vstack([carry, z])
@@ -204,7 +248,7 @@ class OnlineEvaluator:
         win = np.empty_like(csum)
         win[:w] = csum[:w]
         np.subtract(csum[w:], csum[:-w], out=win[w:])
-        win /= np.sqrt(counts)[:, None]
+        win /= np.sqrt(counts * (1.0 + counts / n_train))[:, None]
         # Keep the last (w-1) standardised rows for the next batch.
         tail = stacked[-(w - 1):] if stacked.shape[0] >= w - 1 else stacked
         self._carry = tail.copy()

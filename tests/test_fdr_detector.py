@@ -5,7 +5,10 @@ import pytest
 
 from repro.core.fdr import AnomalyReport, FDRDetector, FDRDetectorConfig, eigh_descending
 from repro.core.model import UnitModel
+from repro.core.multiple_testing import benjamini_hochberg
 from repro.simdata import FaultKind, FleetConfig, FleetGenerator
+
+from . import oracle
 
 
 def healthy_data(n=400, p=20, seed=0):
@@ -35,6 +38,14 @@ class TestConfig:
     def test_config_or_overrides(self):
         with pytest.raises(ValueError):
             FDRDetector(FDRDetectorConfig(), q=0.1)
+
+    def test_unknown_procedure_rejected_at_construction(self):
+        """Regression: a misspelt procedure used to be accepted here and
+        fail only at the first score, which can be mid-stream."""
+        with pytest.raises(ValueError, match="unknown procedure 'bhh'"):
+            FDRDetectorConfig(procedure="bhh")
+        with pytest.raises(ValueError, match="unknown procedure"):
+            FDRDetector(procedure="BH")
 
 
 class TestFit:
@@ -120,6 +131,25 @@ class TestDetect:
         assert report.flags.shape == (50, 20)
         assert report.pvalues.shape == (50, 20)
         assert report.unit_alarm.shape == (50,)
+
+    @pytest.mark.parametrize("n_train", [5, 60, 600])
+    def test_pvalues_are_the_oracles(self, n_train):
+        """The report carries its model's ``n_train``, and its p-values
+        read the same t(n_train − 1) reference the flags were decided
+        on: the oracle's bits on the report's statistics, the oracle's
+        own p-values to 1e-12, and BH over them gives the flags."""
+        detector = FDRDetector(window=8)
+        model = detector.fit(healthy_data(n=n_train, p=7))
+        values = healthy_data(n=120, p=7, seed=1)
+        values[60:, 2] += 6.0
+        report = detector.detect(model, values)
+        assert report.n_train == n_train
+        assert np.array_equal(
+            report.pvalues, oracle.two_sided_pvalues(report.zscores, n_train - 1))
+        reference = oracle.detect(model, values, detector.config)
+        np.testing.assert_allclose(report.pvalues, reference.pvalues, rtol=0, atol=1e-12)
+        assert np.array_equal(benjamini_hochberg(report.pvalues, 0.05), report.flags)
+        assert report.flags.any()
 
     def test_shape_mismatch_rejected(self):
         detector = FDRDetector()

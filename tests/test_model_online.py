@@ -6,12 +6,17 @@ from hypothesis import given, settings, strategies as st
 from scipy import special
 
 from repro.core.fdr import FDRDetector, FDRDetectorConfig
-from repro.core.hypothesis import two_sided_pvalues
-from repro.core.multiple_testing import PROCEDURES, benjamini_hochberg, benjamini_yekutieli
+from repro.core.multiple_testing import (
+    PROCEDURES,
+    benjamini_hochberg,
+    benjamini_yekutieli,
+    step_up_ladder,
+)
 from repro.core.model import UnitModel, load_model, model_key, save_model
 from repro.core.online import OnlineEvaluator
 from repro.sparklet.storage import BlockStore
 
+from . import oracle
 from .ulps import nudge
 
 
@@ -21,14 +26,14 @@ def trained_model(n=500, p=12, seed=0, **cfg):
     return detector, detector.fit(rng.normal(loc=10.0, scale=2.0, size=(n, p)), unit_id=4)
 
 
-def _inputs_for_windowed(target, window):
-    """Rows ``x`` whose trailing-window z (``Σ`` of the last ``window``
-    rows over ``√count``) is ``target``, exactly for window 1 and within
-    ~10 ulps (median 1) for window 32."""
+def _inputs_for_windowed(target, window, n_train):
+    """Rows ``x`` whose window statistic (``Σ`` of the last ``window``
+    rows over ``√(c·(1 + c/n_train))``) is ``target``, within a few
+    ulps."""
+    counts = np.minimum(np.arange(1, len(target) + 1), window).astype(np.float64)
+    csum = target * np.sqrt(counts * (1.0 + counts / n_train))[:, None]
     if window == 1:
-        return target.copy()
-    counts = np.minimum(np.arange(1, len(target) + 1), window)
-    csum = target * np.sqrt(counts)[:, None]
+        return csum
     for t in range(window, len(target)):
         csum[t] += csum[t - window]
     return np.diff(csum, axis=0, prepend=0.0)
@@ -103,10 +108,11 @@ class TestOnlineEvaluator:
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_matches_batch_detect(self, data):
-        """The one kernel against the untouched reference: ``report``,
-        chunked ``evaluate_scored`` and chunked ``evaluate`` all decide
-        what ``FDRDetector.detect`` decides, for any shape, window,
-        procedure, T² setting, retained rank and chunking."""
+        """The one kernel against the dense oracle (``tests/oracle.py``):
+        ``detect``, ``report``, chunked ``evaluate_scored`` and chunked
+        ``evaluate`` all decide what the oracle decides, for any shape,
+        window, procedure, T² setting, retained rank, training size and
+        chunking."""
         p = data.draw(st.integers(1, 9), label="p")
         cfg = FDRDetectorConfig(
             q=data.draw(st.sampled_from([0.005, 0.05, 0.3]), label="q"),
@@ -120,18 +126,19 @@ class TestOnlineEvaluator:
         )
         total = sum(chunk_sizes)  # 1 .. 72: below, at and above the window
         rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
+        n_train = data.draw(st.sampled_from([3, 40, 600]), label="n_train")
         detector = FDRDetector(cfg)
-        model = detector.fit(rng.normal(loc=10.0, scale=2.0, size=(40, p)), unit_id=4)
+        model = detector.fit(rng.normal(loc=10.0, scale=2.0, size=(n_train, p)), unit_id=4)
         x = rng.normal(loc=10.0, scale=2.0, size=(total, p))
         x[total // 2 :, 0] += 9.0
-        reference = detector.detect(model, x)
+        reference = oracle.detect(model, x, cfg)
 
-        report = OnlineEvaluator(model, cfg).report(x)
-        assert np.array_equal(report.flags, reference.flags)
-        assert np.array_equal(report.unit_alarm, reference.unit_alarm)
-        np.testing.assert_allclose(report.zscores, reference.zscores, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(report.pvalues, reference.pvalues, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(report.t2, reference.t2, rtol=1e-12, atol=1e-12)
+        for report in (OnlineEvaluator(model, cfg).report(x), detector.detect(model, x)):
+            assert np.array_equal(report.flags, reference.flags)
+            assert np.array_equal(report.unit_alarm, reference.unit_alarm)
+            np.testing.assert_allclose(report.zscores, reference.zscores, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(report.pvalues, reference.pvalues, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(report.t2, reference.t2, rtol=1e-12, atol=1e-12)
 
         chunks = np.split(x, np.cumsum(chunk_sizes)[:-1])
         scored, plain = OnlineEvaluator(model, cfg), OnlineEvaluator(model, cfg)
@@ -151,35 +158,41 @@ class TestOnlineEvaluator:
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_boundary_flags_match_the_dense_step_up(self, data):
-        """The kernel's z-space floor and row-tightened step-up, where
-        they cut: z planted on the floor and on every rung's cut
-        ``−Φ⁻¹(q_eff·k/(2m))``, 0–4 ulps either side, in rows with no
-        candidate and rows where every sensor is one.  On the z the
-        kernel returns, its flags are the dense step-up's over all
-        p-values, for any chunking across the window carry."""
+        """The kernel's statistic-space step-up, where it cuts: |t|
+        planted on every rung's threshold ``−F⁻¹_dof(q_eff·k/(2m))`` and
+        on both edges of its exact-settlement band (a relative 1e-9), 0–4
+        ulps either side, in rows with no candidate, rows where every
+        sensor is one, and staircase rows (sensor i on rung i's
+        threshold, so every bucket moves k).  On the statistics the
+        kernel returns, its flags
+        are the dense step-up's over every oracle p-value, for any
+        training size (1, 9 and 599 degrees of freedom) and any chunking
+        across the window carry."""
         m = data.draw(st.sampled_from([1, 2, 48, 300]), label="m")
         q = data.draw(st.sampled_from([0.005, 0.05, 0.3]), label="q")
         procedure = data.draw(st.sampled_from(["bh", "by"]), label="procedure")
         window = data.draw(st.sampled_from([1, 32]), label="window")
+        n_train = data.draw(st.sampled_from([2, 10, 600]), label="n_train")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
-        q_eff = q / np.sum(1.0 / np.arange(1, m + 1)) if procedure == "by" else q
-        cuts = np.append(
-            -special.ndtri(q_eff / (m / np.arange(1, m + 1)) / 2.0),
-            -special.ndtri(q / 2.0) * (1.0 - 1e-9),  # the kernel's floor
-        )
+        dof = n_train - 1
+        thresholds = -special.stdtrit(dof, step_up_ladder(q, m, procedure == "by") / 2.0)
+        cuts = np.concatenate([thresholds, thresholds * (1.0 - 1e-9), thresholds * (1.0 + 1e-9)])
+        floor = thresholds[-1] * (1.0 - 1e-9)
         kinds = data.draw(st.lists(
-            st.sampled_from(["none", "every", "top_rung", "mixed"]),
+            st.sampled_from(["none", "every", "top_rung", "staircase", "mixed"]),
             min_size=1, max_size=40), label="rows")
         rows = []
         for kind in kinds:
-            if kind == "none":  # every |z| below the floor: no candidate
-                row = rng.uniform(-0.99, 0.99, m) * cuts[-1]
+            if kind == "none":  # every |t| below the floor: no candidate
+                row = rng.uniform(-0.99, 0.99, m) * floor
             elif kind == "every":  # every sensor on some cut
-                row = cuts[rng.integers(0, m + 1, m)]
+                row = cuts[rng.integers(0, cuts.size, m)]
             elif kind == "top_rung":  # k = m or nothing: the floor's own edge
-                row = np.full(m, cuts[m - 1])
+                row = np.full(m, thresholds[m - 1])
+            elif kind == "staircase":
+                row = thresholds[rng.permutation(m)]
             else:
-                row = np.where(rng.random(m) < 0.3, cuts[rng.integers(0, m + 1, m)],
+                row = np.where(rng.random(m) < 0.3, cuts[rng.integers(0, cuts.size, m)],
                                rng.standard_normal(m))
             row = nudge(row, rng.integers(-4, 5, m))
             rows.append(row * rng.choice([-1.0, 1.0], m))
@@ -189,21 +202,23 @@ class TestOnlineEvaluator:
 
         cfg = FDRDetectorConfig(q=q, window=window, procedure=procedure, use_t2=False)
         ident = np.eye(m)[:, :1]
-        model = UnitModel(0, np.zeros(m), np.ones(m), np.ones(1), ident, ident, 10)
+        model = UnitModel(0, np.zeros(m), np.ones(m), np.ones(1), ident, ident, n_train)
         # Mean 0 and std 1 make the standardised z the input itself; the
-        # window mean over x lands each planted target within a few ulps.
-        x = _inputs_for_windowed(target, window)
+        # window statistic over x lands each planted target within a
+        # few ulps.
+        x = _inputs_for_windowed(target, window, n_train)
         dense = benjamini_yekutieli if procedure == "by" else benjamini_hochberg
 
         report = OnlineEvaluator(model, cfg).report(x)
         if window == 1:
-            assert np.array_equal(report.zscores, target)
-        assert np.array_equal(report.flags, dense(two_sided_pvalues(report.zscores), q))
+            np.testing.assert_allclose(report.zscores, target, rtol=1e-15, atol=0)
+        assert np.array_equal(
+            report.flags, dense(oracle.two_sided_pvalues(report.zscores, dof), q))
         online = OnlineEvaluator(model, cfg)
         cut_at = [c for c in np.cumsum(chunk_sizes) if c < len(x)]
         for chunk in np.split(x, cut_at):
             flags, _, z_win = online.evaluate_scored(chunk)
-            assert np.array_equal(flags, dense(two_sided_pvalues(z_win), q))
+            assert np.array_equal(flags, dense(oracle.two_sided_pvalues(z_win, dof), q))
 
     @settings(max_examples=20, deadline=None)
     @given(st.lists(st.integers(min_value=1, max_value=50), min_size=1, max_size=8))
@@ -260,14 +275,14 @@ class TestOnlineEvaluator:
         """Regression: finite samples can still overflow the window sum,
         and ``inf − inf`` in its lagged difference is a NaN z.  The
         z-space floor let that NaN through as p = 1, flagging nothing;
-        the batch must be refused, as ``detect`` refuses it."""
+        the batch must be refused, as the dense oracle refuses it."""
         detector, model = trained_model(procedure=procedure)
         x = np.random.default_rng(3).normal(loc=10.0, scale=2.0, size=(60, 12))
         x[5:45, 2] = 1e308
         online = OnlineEvaluator(model, detector.config)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValueError, match="p-values"):
-                detector.detect(model, x)
+                oracle.detect(model, x, detector.config)
             with pytest.raises(ValueError, match="p-values"):
                 getattr(online, entry)(x)
         assert online.stats.batches == 0

@@ -1,7 +1,7 @@
 """Parallel fleet evaluation engine, training fan-out, PipelineConfig, publish paths.
 
 Parity contracts: parallel ``run()`` must be flag-for-flag identical to
-serial (and to the legacy per-unit ``FDRDetector.detect`` loop), the
+serial (and to the dense oracle, unit by unit), the
 models ``train()`` fans out must be bit-identical to a serial ``fit``
 and installed by the calling thread only, and proxy-path publishing
 must land exactly the same points as ``direct_put``.
@@ -28,6 +28,8 @@ from repro.sparklet import BlockStore, SparkletContext
 from repro.tsdb import BatchPublisher, build_cluster
 from repro.tsdb.query import TsdbQuery
 
+from . import oracle
+
 
 @pytest.fixture()
 def generator():
@@ -35,15 +37,16 @@ def generator():
 
 
 def _legacy_serial_reports(generator, detector_config, n_train, n_eval):
-    """The pre-engine reference loop: fresh FDRDetector per unit."""
+    """The pre-engine reference loop: a fresh fit per unit, scored by
+    the dense oracle."""
     detector = FDRDetector(detector_config)
     reports = {}
     for unit_id in generator.units():
         model = detector.fit(
             generator.training_window(unit_id, n_train).values, unit_id=unit_id
         )
-        reports[unit_id] = detector.detect(
-            model, generator.evaluation_window(unit_id, n_eval).values
+        reports[unit_id] = oracle.detect(
+            model, generator.evaluation_window(unit_id, n_eval).values, detector_config
         )
     return reports
 
@@ -165,6 +168,29 @@ class TestParallelParity:
                 assert np.allclose(got.t2, ref.t2)
         for unit_id in serial.outcomes:
             assert serial.outcomes[unit_id] == parallel.outcomes[unit_id]
+
+    @pytest.mark.parametrize("seed", [101, 102])
+    def test_fleet_path_matches_the_oracle_at_batch_scores_shape(self, seed):
+        """The fleet path — four-unit training and scoring chunks, engine
+        waves, executor threads, cached models — flags what the dense
+        oracle flags on every unit, at ``batch_score``'s quick shape
+        (10 units × 30 sensors × 200 rows, default config)."""
+        generator = FleetGenerator(FleetConfig(n_units=10, n_sensors=30, seed=seed))
+        pipeline = AnomalyPipeline(generator)
+        units = list(generator.units())
+        chunks = [units[i: i + 4] for i in range(0, len(units), 4)]
+        for chunk in chunks:
+            pipeline.train(chunk, n_train=200)
+        reports = {}
+        for chunk in chunks:
+            reports.update(pipeline.run(chunk, n_train=200, n_eval=200, publish=False).reports)
+        assert sorted(reports) == units
+        for unit in units:
+            window = generator.evaluation_window(unit, 200).values
+            reference = oracle.detect(pipeline.model_for(unit), window, pipeline.config)
+            assert np.array_equal(reports[unit].flags, reference.flags), unit
+            assert np.array_equal(reports[unit].unit_alarm, reference.unit_alarm), unit
+        assert sum(r.n_discoveries for r in reports.values()) > 0
 
     def test_shared_context_fanout(self, generator):
         with SparkletContext(parallelism=3) as ctx:

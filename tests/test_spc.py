@@ -140,7 +140,7 @@ class TestMewma:
         assert flags[:200].mean() < 0.05
 
     def test_more_sensitive_than_instant_t2_for_small_shifts(self, correlated_model):
-        from repro.core.hypothesis import t2_pvalues, t2_statistic
+        from .oracle import t2_pvalues, t2_statistic
 
         model, base, rng = correlated_model
         test = base[:600] + 0.4 * rng.normal(size=(600, 8))
@@ -160,7 +160,7 @@ class TestMewma:
         assert stats_path.shape == (50,)
 
     def test_lam_one_equals_instant_t2(self, correlated_model):
-        from repro.core.hypothesis import t2_statistic
+        from .oracle import t2_statistic
 
         model, base, rng = correlated_model
         test = base[:100] + 0.4 * rng.normal(size=(100, 8))
