@@ -1,19 +1,21 @@
 """The continuous path: micro-batch stream → detection → incidents.
 
 This is the closed loop the paper's §VI names as ongoing work, built
-from pieces that already exist separately:
+on the batch run's evaluation path:
 
 * a :class:`~repro.sparklet.streaming.DStream` of ``(unit_id,
   start_time, values)`` micro-batch records drives the intervals;
+* each record is scored and turned into write-back by the same
+  :class:`~repro.core.engine.FleetEvaluationEngine` and
+  :func:`~repro.core.engine.write_back` the batch run uses, continuing
+  the unit's window across records: raw samples as columnar
+  :class:`~repro.tsdb.blocks.SeriesBlock` batches, flagged cells as
+  ``anomaly`` points and T² alarms as ``anomaly.unit`` points, through
+  ack-tracked :class:`~repro.tsdb.publish.BatchPublisher` channels;
 * :class:`~repro.core.streaming.StreamingTrainer` folds each batch
   into per-unit moments and periodically refreshes models, which are
-  **hot-swapped** into per-unit
-  :class:`~repro.core.online.OnlineEvaluator` fast paths via
-  ``on_model`` — scoring never pauses for training;
-* raw samples are published as columnar
-  :class:`~repro.tsdb.blocks.SeriesBlock` batches and flagged
-  anomalies as ``anomaly`` points, both through ack-tracked
-  :class:`~repro.tsdb.publish.BatchPublisher` channels;
+  **hot-swapped** into the engine's models via ``on_model`` — scoring
+  never pauses for training, and the window survives the swap;
 * flagged cells become :class:`~repro.alerting.events.AnomalyEvent`
   feeding the :class:`~repro.alerting.manager.AlertManager`, whose
   incidents land back in the TSDB as ``alert.*`` series.
@@ -27,24 +29,22 @@ is the stream's own early history).
 from __future__ import annotations
 
 import time
-from array import array
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..cluster.metrics import MetricsRegistry
+from ..core.engine import FleetEvaluationEngine, data_blocks, write_back
 from ..core.fdr import FDRDetectorConfig
 from ..core.model import UnitModel
-from ..core.pipeline import flagged_points
-from ..core.online import OnlineEvaluator
 from ..core.streaming import StreamingTrainer
 from ..simdata.generator import FleetGenerator
-from ..simdata.workload import METRIC, sensor_tag, unit_tag
 from ..sparklet.context import SparkletContext
 from ..sparklet.rdd import RDD
 from ..sparklet.streaming import DStream, StreamingContext
-from ..tsdb.blocks import TS_TYPECODE, VAL_TYPECODE, BlockBatch, SeriesBlock
+from ..tsdb.blocks import BlockBatch, SeriesBlock
 from ..tsdb.ingest import TsdbCluster
 from ..tsdb.publish import BatchPublisher, PublishReport
 from ..tsdb.tsd import DataPoint
@@ -168,7 +168,7 @@ class StreamingDetector:
         without it the run is storage-less: detection and alerting
         only).
     config:
-        Detector configuration shared by trainer and evaluators.
+        Detector configuration shared by trainer and scoring engine.
     alerting:
         Alerting-layer knobs (the opening hysteresis).
     refresh_every / min_samples:
@@ -199,17 +199,11 @@ class StreamingDetector:
         self._anomaly_pub: Optional[BatchPublisher] = None
         if cluster is not None:
             store = AlertStore(cluster, metrics=self.metrics)
-            self._data_pub = BatchPublisher(
-                cluster,
-                batch_size=PUBLISH_BATCH_SIZE,
-                metrics=self.metrics,
-                channel="publish.data",
-            )
-            self._anomaly_pub = BatchPublisher(
-                cluster,
-                batch_size=PUBLISH_BATCH_SIZE,
-                metrics=self.metrics,
-                channel="publish.anomaly",
+            self._data_pub, self._anomaly_pub = (
+                BatchPublisher(
+                    cluster, batch_size=PUBLISH_BATCH_SIZE, metrics=self.metrics, channel=channel
+                )
+                for channel in ("publish.data", "publish.anomaly")
             )
         self.manager = AlertManager(alerting, metrics=self.metrics, store=store)
         self.trainer = StreamingTrainer(
@@ -220,7 +214,7 @@ class StreamingDetector:
             on_model=self._swap_model,
             on_quarantine=self._on_quarantine,
         )
-        self._evaluators: Dict[int, OnlineEvaluator] = {}
+        self.engine = FleetEvaluationEngine(config=self.config)
         self.report = StreamingDetectionReport()
         self._clock = 0  # stream time at the end of the last interval
         self._finalized = False
@@ -229,7 +223,7 @@ class StreamingDetector:
     # model hot-swap (StreamingTrainer.on_model)
     # ------------------------------------------------------------------
     def _swap_model(self, model: UnitModel) -> None:
-        self._evaluators[model.unit_id] = OnlineEvaluator(model, self.config)
+        self.engine.models[model.unit_id] = model
         self.report.model_swaps += 1
         self.metrics.counter("alerting.model_swaps").inc()
 
@@ -247,6 +241,7 @@ class StreamingDetector:
     def _on_interval(self, _time_index: int, rdd: RDD) -> None:
         t0 = time.perf_counter()
         records: List[StreamRecord] = rdd.collect()
+        publishing = self._data_pub is not None
         events: List[AnomalyEvent] = []
         blocks: List[SeriesBlock] = []
         anomaly_points: List[DataPoint] = []
@@ -261,26 +256,32 @@ class StreamingDetector:
                 continue
             self.report.samples_streamed += x.size
             self._clock = max(self._clock, start_time + x.shape[0])
-            if self._data_pub is not None:
-                self._collect_blocks(unit_id, start_time, x, blocks)
-            evaluator = self._evaluators.get(unit_id)
-            if evaluator is None:
+            if unit_id not in self.engine.models:
                 # Cold start: everything trains until the first model.
+                if publishing:
+                    blocks += data_blocks(unit_id, start_time, x)
                 self.trainer.ingest(unit_id, x)
                 continue
-            flags, unit_alarm, z = evaluator.evaluate_scored(x)
+            evaluation = self.engine.evaluate_unit(unit_id, start_time, x)
+            flags, z = evaluation.report.flags, evaluation.report.zscores
             self.report.samples_scored += x.size
             self.report.naive_alerts += int(np.count_nonzero(flags))
-            for sensor, point in flagged_points(unit_id, start_time, flags, z):
-                events.append(AnomalyEvent(unit_id, sensor, point.timestamp, point.value))
-                anomaly_points.append(point)
+            rows, sensors = np.nonzero(flags)
+            events += [
+                AnomalyEvent(unit_id, sensor, start_time + row, float(z[row, sensor]))
+                for row, sensor in zip(rows.tolist(), sensors.tolist())
+            ]
+            if publishing:
+                data, anomalies = write_back(evaluation)
+                blocks += data
+                anomaly_points += anomalies
             # Train on what the current model considers clean, so an
             # in-progress fault does not drag the baseline toward it.
             clean = ~flags.any(axis=1)
             self.trainer.ingest(unit_id, x[clean] if not clean.all() else x)
-        if self._data_pub is not None and blocks:
+        if blocks:
             self._data_pub.publish_blocks(BlockBatch(blocks))
-        if self._anomaly_pub is not None and anomaly_points:
+        if anomaly_points:
             self._anomaly_pub.publish(anomaly_points)
         self.manager.observe(self._clock, events)
         self.report.intervals += 1
@@ -288,25 +289,6 @@ class StreamingDetector:
         self.metrics.histogram("alerting.interval_seconds").observe(
             time.perf_counter() - t0
         )
-
-    def _collect_blocks(
-        self, unit_id: int, start_time: int, x: np.ndarray, out: List[SeriesBlock]
-    ) -> None:
-        """Columnarise one record (one block per sensor column).
-
-        The values are transposed once into one buffer, so each sensor's
-        column is a contiguous slice of it, and the record's blocks share
-        one timestamp column (blocks never mutate their columns).  Both
-        are sorted and typed by construction, so the blocks adopt them
-        unvalidated.
-        """
-        utag = ("unit", unit_tag(unit_id))
-        n = x.shape[0]
-        ts = array(TS_TYPECODE, range(start_time, start_time + n))
-        columns = array(VAL_TYPECODE, np.ascontiguousarray(x.T).tobytes())
-        for sensor, lo in enumerate(range(0, len(columns), n)):
-            tags = (("sensor", sensor_tag(sensor)), utag)
-            out.append(SeriesBlock(METRIC, tags, ts, columns[lo : lo + n], _trusted=True))
 
     # ------------------------------------------------------------------
     # driving
@@ -325,19 +307,21 @@ class StreamingDetector:
 
         Convenience wrapper: builds the micro-batch source with
         :func:`fleet_microbatches`, attaches this detector, runs the
-        stream to exhaustion, and returns the finalized report.
+        stream to exhaustion, and returns the finalized report.  Without
+        ``ctx`` the stream runs on a context of its own, stopped when
+        the stream ends.
         """
-        sc = ctx if ctx is not None else SparkletContext(parallelism=2)
-        ssc = StreamingContext(sc)
-        stream = ssc.generator_stream(
-            fleet_microbatches(
-                generator, unit_ids, n_train=n_train, n_eval=n_eval, interval=interval
+        with nullcontext(ctx) if ctx is not None else SparkletContext(parallelism=2) as sc:
+            ssc = StreamingContext(sc)
+            stream = ssc.generator_stream(
+                fleet_microbatches(
+                    generator, unit_ids, n_train=n_train, n_eval=n_eval, interval=interval
+                )
             )
-        )
-        self.attach(stream)
-        t0 = time.perf_counter()
-        ssc.run()
-        self.report.wall_seconds = time.perf_counter() - t0
+            self.attach(stream)
+            t0 = time.perf_counter()
+            ssc.run()
+            self.report.wall_seconds = time.perf_counter() - t0
         return self.finalize()
 
     def finalize(self) -> StreamingDetectionReport:

@@ -1,90 +1,137 @@
-"""Parallel fleet evaluation engine: §IV-A scoring at fleet scale.
+"""Fleet evaluation engine: where a record is scored and written back.
 
-The paper's online evaluation is embarrassingly parallel across units
-("the system can deal with one machine at a time") and its 939k
-samples/s headline number is a *fleet* throughput.  This engine is the
-integration layer that makes the reproduction's hot path behave the
-same way:
+"Results from online evaluation are reported back to OpenTSDB for use
+by the integrated visualization tool" (Fig. 1).  A *record* is
+``(unit_id, start_time, values)``, and the batch run and the stream
+both go through here:
 
-* one cached :class:`~repro.core.online.OnlineEvaluator` per unit —
-  the pre-bound fast path (reciprocal stds, whitening map, χ²
-  threshold) is constructed once and reused across runs instead of
-  re-deriving everything through a fresh
-  :class:`~repro.core.fdr.FDRDetector` per call;
-* per-unit scoring fanned out over the run's
-  :class:`~repro.sparklet.context.SparkletContext` executor threads
-  (NumPy/SciPy release the GIL in the kernels that dominate), the pool
-  the pipeline's training used;
-* results delivered in bounded *waves*, so a 100×1000-sensor fleet
-  never needs every evaluation window in memory at once and the caller
-  can overlap publishing one wave with scoring the next.
+* :meth:`FleetEvaluationEngine.evaluate_unit` scores a record against
+  the unit's current model through one cached
+  :class:`~repro.core.online.OnlineEvaluator` per unit, rebuilt when
+  ``models[unit]`` changes; the rebuilt one continues the old window;
+* :func:`write_back` turns a scored record into data blocks,
+  ``anomaly`` points and ``anomaly.unit`` points.
 
-Every unit is scored by the one kernel,
+A batch run resets its units' windows, then :meth:`evaluate_fleet`
+fans the units out over the run's sparklet executor threads (each task
+generates its window; NumPy/SciPy release the GIL in the kernels that
+dominate) and yields bounded *waves*.  The stream scores each record
+as it arrives, continuing the unit's window.  Every record is scored by
 :meth:`~repro.core.online.OnlineEvaluator.report`, which
-``FDRDetector.detect`` also calls; the windows are deterministic per
-``(seed, unit)``.  So cached models, waves and threads change no flag:
-experiment E11's ``engine_flags_equal_the_serial_loop_cold_and_warm``
-claim holds the engine to a refit-per-unit loop, and the tests hold
-the fleet path to the dense oracle in ``tests/oracle.py``.
+``FDRDetector.detect`` also calls, so cached models, waves and threads
+change no flag: E11 holds the engine to a refit-per-unit loop, and the
+tests hold the fleet path to the dense oracle in ``tests/oracle.py``.
 """
 
 from __future__ import annotations
 
 import time
+from array import array
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..analysis.raceaudit import assert_holds, audited_lock
 from ..cluster.metrics import MetricsRegistry
-from ..simdata.generator import FleetGenerator, UnitData
+from ..simdata.generator import FleetGenerator
+from ..simdata.workload import METRIC, sensor_tag, unit_tag
 from ..sparklet.context import SparkletContext
+from ..tsdb.blocks import TS_TYPECODE, VAL_TYPECODE, SeriesBlock
+from ..tsdb.tsd import DataPoint
 from .fdr import AnomalyReport, FDRDetectorConfig
 from .metrics import DetectionOutcome, evaluate_flags
 from .model import UnitModel
 from .online import OnlineEvaluator
 
-__all__ = ["FleetEvaluationEngine", "UnitEvaluation"]
+__all__ = [
+    "ANOMALY_METRIC",
+    "UNIT_ALARM_METRIC",
+    "FleetEvaluationEngine",
+    "UnitEvaluation",
+    "data_blocks",
+    "write_back",
+]
+
+ANOMALY_METRIC = "anomaly"
+UNIT_ALARM_METRIC = "anomaly.unit"
 
 
 @dataclass
 class UnitEvaluation:
-    """One unit's scored evaluation window (engine fan-out result)."""
+    """One scored record: a unit's rows from ``start_time``, and their report."""
 
     unit_id: int
-    window: UnitData
+    start_time: int
+    values: np.ndarray
     report: AnomalyReport
-    outcome: DetectionOutcome
+    outcome: Optional[DetectionOutcome] = None  # batch windows: flags vs injected truth
     seconds: float = 0.0  # wall-clock scoring time (observability)
 
 
-class FleetEvaluationEngine:
-    """Fan-out scorer over cached per-unit online evaluators.
+def data_blocks(unit_id: int, start_time: int, values: np.ndarray) -> List[SeriesBlock]:
+    """One record's rows as column blocks, one block per sensor.
 
-    Parameters
-    ----------
-    generator:
-        The fleet dataset (deterministic per ``(seed, unit)``, so
-        worker tasks regenerate their own windows race-free).
-    models:
-        Live mapping of trained unit models.  Shared by reference with
-        the owning pipeline: retraining a unit is picked up on the next
-        evaluation, and the cached evaluator for it is rebuilt.
-    config:
-        Detector configuration the evaluators are bound to.
+    The values are transposed once into one buffer, so each sensor's
+    column is a contiguous slice of it, and the record's blocks share
+    one timestamp column (blocks never mutate their columns).  Both
+    are sorted and typed by construction, so the blocks adopt them
+    unvalidated.
+    """
+    utag = ("unit", unit_tag(unit_id))
+    n = values.shape[0]
+    ts = array(TS_TYPECODE, range(start_time, start_time + n))
+    cols = array(VAL_TYPECODE, np.ascontiguousarray(values.T, dtype=np.float64).tobytes())
+    return [
+        SeriesBlock(METRIC, (("sensor", sensor_tag(s)), utag), ts, cols[lo : lo + n], _trusted=True)
+        for s, lo in enumerate(range(0, len(cols), n))
+    ]
+
+
+def write_back(evaluation: UnitEvaluation) -> Tuple[List[SeriesBlock], List[DataPoint]]:
+    """A scored record's data blocks, and its ``anomaly`` then
+    ``anomaly.unit`` points in one list (they share a channel).
+
+    An ``anomaly`` point is a flagged cell, tagged like its data and
+    valued at its window statistic (drill-down views show severity); an
+    ``anomaly.unit`` point is a T² alarm, tagged with the unit only.
+    """
+    unit_id, start, report = evaluation.unit_id, evaluation.start_time, evaluation.report
+    utag = ("unit", unit_tag(unit_id))
+    rows, sensors = np.nonzero(report.flags)
+    points = [
+        DataPoint(
+            ANOMALY_METRIC, start + row, float(report.zscores[row, sensor]),
+            (("sensor", sensor_tag(sensor)), utag),
+        )
+        for row, sensor in zip(rows.tolist(), sensors.tolist())
+    ]
+    points.extend(
+        DataPoint(UNIT_ALARM_METRIC, start + row, float(report.t2[row]), (utag,))
+        for row in np.flatnonzero(report.unit_alarm).tolist()
+    )
+    return data_blocks(unit_id, start, evaluation.values), points
+
+
+class FleetEvaluationEngine:
+    """Scorer over cached per-unit online evaluators.
+
+    ``models`` is the owner's live mapping of unit models (the
+    pipeline's trained ones, or the stream's latest refreshes; a fresh
+    dict by default): a model installed there is picked up on the
+    unit's next record.  ``config`` binds the evaluators.
     """
 
     def __init__(
         self,
-        generator: FleetGenerator,
-        models: Dict[int, UnitModel],
+        models: Optional[Dict[int, UnitModel]] = None,
         config: Optional[FDRDetectorConfig] = None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
-        self.generator = generator
-        self.models = models
+        self.models = models if models is not None else {}
         self.config = config if config is not None else FDRDetectorConfig()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self._evaluators: Dict[int, Tuple[UnitModel, OnlineEvaluator]] = {}  # guarded-by: _lock
+        self._evaluators: Dict[int, OnlineEvaluator] = {}  # guarded-by: _lock
         self._lock = audited_lock("core.engine.evaluators")
 
     # ------------------------------------------------------------------
@@ -92,67 +139,72 @@ class FleetEvaluationEngine:
     # ------------------------------------------------------------------
     def evaluator_for(self, unit_id: int) -> OnlineEvaluator:
         """The unit's cached evaluator (rebuilt if its model changed)."""
-        try:
-            model = self.models[unit_id]
-        except KeyError:
-            raise KeyError(
-                f"unit {unit_id} has no trained model; train it first"
-            ) from None
+        model = self.models.get(unit_id)
+        if model is None:
+            raise KeyError(f"unit {unit_id} has no trained model; train it first")
         with self._lock:
             return self._evaluator_locked(unit_id, model)
 
     def _evaluator_locked(self, unit_id: int, model: UnitModel) -> OnlineEvaluator:
         """Cache lookup/rebuild; caller holds ``_lock`` (worker threads
-        hit the read path concurrently during fan-out)."""
+        hit the read path concurrently during fan-out).  A rebuild
+        continues the old evaluator's window."""
         assert_holds(self._lock)
         cached = self._evaluators.get(unit_id)
-        if cached is not None and cached[0] is model:
-            return cached[1]
+        if cached is not None and cached.model is model:
+            return cached
         evaluator = OnlineEvaluator(model, self.config)
-        self._evaluators[unit_id] = (model, evaluator)
+        if cached is not None:
+            evaluator.continue_window(cached)
+        self._evaluators[unit_id] = evaluator
         return evaluator
 
     # ------------------------------------------------------------------
     # scoring
     # ------------------------------------------------------------------
-    def evaluate_unit(self, unit_id: int, n_eval: int = 600) -> UnitEvaluation:
-        """Score one unit's evaluation window through the cached fast path."""
+    def evaluate_unit(self, unit_id: int, start_time: int, values: np.ndarray) -> UnitEvaluation:
+        """Score one record against the unit's current model, continuing
+        the unit's window from its previous record."""
         t0 = time.perf_counter()
-        window = self.generator.evaluation_window(unit_id, n_eval)
-        report = self.evaluator_for(unit_id).report(window.values)
-        outcome = evaluate_flags(report.flags, window.truth, unit_id)
+        report = self.evaluator_for(unit_id).report(values)
         return UnitEvaluation(
-            unit_id, window, report, outcome, seconds=time.perf_counter() - t0
+            unit_id, start_time, values, report, seconds=time.perf_counter() - t0
         )
 
     def evaluate_fleet(
         self,
+        generator: FleetGenerator,
         unit_ids: Sequence[int],
         n_eval: int,
         ctx: Optional[SparkletContext],
     ) -> Iterator[List[UnitEvaluation]]:
-        """Score the fleet in order, yielding bounded waves of results.
+        """Score each unit's evaluation window from an empty window.
 
-        Units fan out over ``ctx``'s executor pool, or run inline on
-        the calling thread when ``ctx`` is ``None``.  Results arrive
-        wave by wave in ``unit_ids`` order regardless of executor
-        interleaving.
+        Units fan out over ``ctx``'s executor pool, or run inline when
+        ``ctx`` is ``None``; each task generates its own window.  Waves
+        arrive in ``unit_ids`` order, each record with its outcome
+        against the injected truth.  A repeated unit is scored once: two
+        tasks on one evaluator would share its window.
         """
-        units = list(unit_ids)
+        units = list(dict.fromkeys(unit_ids))
         if not units:
             return
         wave = max(4 * (ctx.parallelism if ctx is not None else 1), 8)
-        # Warm the evaluator cache up front in the driver thread so the
-        # fan-out hits the locked fast path without rebuild contention.
+        # Reset the units' windows in the driver thread; this also warms
+        # the evaluator cache, so the fan-out hits the locked fast path
+        # without rebuild contention.
         for unit_id in units:
-            self.evaluator_for(unit_id)
+            self.evaluator_for(unit_id).reset()
+
+        def score(unit_id: int) -> UnitEvaluation:
+            window = generator.evaluation_window(unit_id, n_eval)
+            evaluation = self.evaluate_unit(unit_id, window.start_time, window.values)
+            evaluation.outcome = evaluate_flags(evaluation.report.flags, window.truth, unit_id)
+            return evaluation
 
         for lo in range(0, len(units), wave):
             chunk = units[lo : lo + wave]
-            if ctx is None:
-                results = [self.evaluate_unit(u, n_eval) for u in chunk]
-            else:
-                results = ctx.map_tasks(lambda u: self.evaluate_unit(u, n_eval), chunk)
+            results = [score(u) for u in chunk] if ctx is None else ctx.map_tasks(score, chunk)
             # Fold metrics in the driver thread only: Counter.inc is
             # not atomic, and workers already carry their timings on
             # the evaluation records.
@@ -165,4 +217,4 @@ class FleetEvaluationEngine:
         hist = self.metrics.histogram("engine.unit_eval_seconds")
         for ev in wave:
             hist.observe(ev.seconds)
-            self.metrics.counter("engine.samples_scored").inc(ev.window.values.size)
+            self.metrics.counter("engine.samples_scored").inc(ev.values.size)

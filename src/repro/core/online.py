@@ -103,6 +103,15 @@ class OnlineEvaluator:
         self._carry = None
         self.stats = StreamStats()
 
+    def continue_window(self, previous: "OnlineEvaluator") -> None:
+        """Continue ``previous``'s window under this model: each carried
+        row re-standardised, ``(z·σ_old + μ_old − μ_new) / σ_new``, so a
+        model swap does not restart the window."""
+        carry = previous._carry
+        if carry is not None:
+            raw = carry * previous.model.std + previous._mean
+            self._carry = (raw - self._mean) * self._inv_std
+
     def evaluate(self, values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Score one batch ``(T, p)``.
 
@@ -127,13 +136,13 @@ class OnlineEvaluator:
         return flags, unit_alarm, z_win
 
     def report(self, values: np.ndarray) -> AnomalyReport:
-        """Score one full window into an :class:`AnomalyReport`.
+        """Score one batch into an :class:`AnomalyReport`.
 
-        One-shot semantics: cross-batch window state is reset first.
+        The window carries across calls as in :meth:`evaluate`; a fresh
+        evaluator (or :meth:`reset`) starts from an empty window.
         :meth:`FDRDetector.detect` and the fleet evaluation engine are
         this call.
         """
-        self._carry = None
         flags, z_win, t2, unit_alarm = self._score(values)
         return AnomalyReport(
             unit_id=self.model.unit_id,

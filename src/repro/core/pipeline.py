@@ -8,11 +8,13 @@ everything back through the query engine.
 
 Training (:class:`~repro.core.training.OfflineTrainer`, one unit per
 task, models installed by the driver) and scoring share one executor
-pool per call.  Evaluation is driven by the
-:class:`~repro.core.engine.FleetEvaluationEngine`: per-unit scoring
-runs through cached
-:class:`~repro.core.online.OnlineEvaluator` fast paths, and results
-are published through the cluster's real ingress
+pool per call.  Scoring is
+:meth:`~repro.core.engine.FleetEvaluationEngine.evaluate_fleet`, the
+engine the streaming detector scores through too, and each unit's
+scored window is turned into its payloads by
+:func:`~repro.core.engine.write_back`: data as column blocks, flagged
+cells as ``anomaly`` points and T² alarms as ``anomaly.unit`` points.
+They are published once per unit through the cluster's real ingress
 (:meth:`~repro.tsdb.ingest.TsdbCluster.submit` → the buffering reverse
 proxy) with bounded in-flight batches and durable-ack tracking — the
 §III backpressure discipline, applied to the analysis write-back path
@@ -21,12 +23,6 @@ run is instrumented with a
 :class:`~repro.cluster.metrics.MetricsRegistry` (per-stage timings,
 scored samples/s, publish acks and retries) surfaced on
 :class:`PipelineResult`.
-
-Anomalies are stored under metric ``anomaly`` with the same
-``unit``/``sensor`` tags as the data; the stored value is the
-standardised test score at the flagged instant, so drill-down views
-can show severity.  Unit-level T² alarms are stored under
-``anomaly.unit`` with a ``unit`` tag only.
 """
 
 from __future__ import annotations
@@ -36,21 +32,18 @@ import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 from ..cluster.metrics import MetricsRegistry
 from ..obs.selfreport import SelfReporter
 from ..obs.trace import Tracer
-from ..simdata.generator import FleetGenerator, UnitData
-from ..simdata.workload import sensor_tag, unit_points, unit_tag
+from ..simdata.generator import FleetGenerator
 from ..sparklet.context import SparkletContext
 from ..sparklet.storage import BlockStore
+from ..tsdb.blocks import BlockBatch
 from ..tsdb.ingest import TsdbCluster
 from ..tsdb.publish import BatchPublisher, PublishReport
-from ..tsdb.tsd import DataPoint
-from .engine import FleetEvaluationEngine, UnitEvaluation
+from .engine import ANOMALY_METRIC, UNIT_ALARM_METRIC, FleetEvaluationEngine, write_back
 from .fdr import AnomalyReport, FDRDetectorConfig
 from .metrics import DetectionOutcome
 from .model import UnitModel
@@ -62,32 +55,7 @@ __all__ = [
     "AnomalyPipeline",
     "PipelineConfig",
     "PipelineResult",
-    "flagged_points",
 ]
-
-ANOMALY_METRIC = "anomaly"
-UNIT_ALARM_METRIC = "anomaly.unit"
-
-
-def flagged_points(
-    unit_id: int, start_time: int, flags: np.ndarray, zscores: np.ndarray
-) -> Iterator[Tuple[int, DataPoint]]:
-    """Each flagged cell as ``(sensor, anomaly point)``, in row-major order.
-
-    The point's value is the standardised test score at the flagged
-    instant; the batch pipeline and the streaming detector both emit
-    their ``anomaly`` series through here.
-    """
-    utag = ("unit", unit_tag(unit_id))
-    rows, cols = np.nonzero(flags)
-    for row, sensor in zip(rows.tolist(), cols.tolist()):
-        yield sensor, DataPoint(
-            ANOMALY_METRIC,
-            start_time + row,
-            float(zscores[row, sensor]),
-            (("sensor", sensor_tag(sensor)), utag),
-        )
-
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -254,7 +222,7 @@ class AnomalyPipeline:
             pipeline_config if pipeline_config is not None else PipelineConfig()
         )
         self._models: Dict[int, UnitModel] = {}
-        self.engine = FleetEvaluationEngine(generator, self._models, self.config)
+        self.engine = FleetEvaluationEngine(self._models, self.config)
 
     # ------------------------------------------------------------------
     # training
@@ -375,7 +343,7 @@ class AnomalyPipeline:
                 evaluate_seconds = 0.0
                 publish_seconds = 0.0
                 samples_scored = 0
-                waves = self.engine.evaluate_fleet(units, cfg.n_eval, ctx)
+                waves = self.engine.evaluate_fleet(self.generator, units, cfg.n_eval, ctx)
                 while True:
                     t0 = time.perf_counter()
                     wave = next(waves, None)
@@ -386,9 +354,11 @@ class AnomalyPipeline:
                     for evaluation in wave:
                         result.reports[evaluation.unit_id] = evaluation.report
                         result.outcomes[evaluation.unit_id] = evaluation.outcome
-                        samples_scored += evaluation.window.values.size
+                        samples_scored += evaluation.values.size
                         if publishing:
-                            self._publish_evaluation(evaluation, data_pub, anomaly_pub)
+                            data, anomalies = write_back(evaluation)
+                            data_pub.publish_blocks(BlockBatch(data))
+                            anomaly_pub.publish(anomalies)
                     publish_seconds += time.perf_counter() - t0
 
             if publishing:
@@ -440,27 +410,3 @@ class AnomalyPipeline:
             channel=channel,
         )
         return make("publish.data"), make("publish.anomaly")
-
-    def _publish_evaluation(
-        self, evaluation: UnitEvaluation, data_pub: BatchPublisher, anomaly_pub: BatchPublisher
-    ) -> None:
-        """One unit's raw window and its flagged scores, each on its channel."""
-        data_pub.publish(unit_points(evaluation.window))
-        anomaly_pub.publish(self._anomaly_points(evaluation.window, evaluation.report))
-
-    def _anomaly_points(
-        self, window: UnitData, report: AnomalyReport
-    ) -> Iterator[DataPoint]:
-        """Flagged per-sensor scores and unit alarms as TSDB points."""
-        for _sensor, point in flagged_points(
-            window.unit_id, window.start_time, report.flags, report.zscores
-        ):
-            yield point
-        utag = ("unit", unit_tag(window.unit_id))
-        for row in np.flatnonzero(report.unit_alarm).tolist():
-            yield DataPoint(
-                UNIT_ALARM_METRIC,
-                window.start_time + row,
-                float(report.t2[row]),
-                (utag,),
-            )

@@ -8,6 +8,8 @@ panel, self-metric attribution, and the streaming run under injected chaos
 (PR 3's fault harness) with the delivery-conservation invariant.
 """
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,9 @@ from repro import (
     AlertManager,
     AlertStore,
     AnomalyEvent,
+    AnomalyPipeline,
     ClusterConfig,
+    FDRDetector,
     FDRDetectorConfig,
     FleetConfig,
     FleetGenerator,
@@ -38,8 +42,12 @@ from repro.alerting.store import (
 from repro.alerting.stream import fleet_microbatches
 from repro.chaos import FaultEvent, FaultPlan, Injector
 from repro.cluster.metrics import MetricsRegistry
+from repro.core.engine import ANOMALY_METRIC, UNIT_ALARM_METRIC
 from repro.obs import samples
+from repro.sparklet import SparkletContext, StreamingContext
 from repro.viz.dashboard import Dashboard
+
+from . import oracle
 
 
 def ev(unit, t, score=5.0, sensor=0):
@@ -389,6 +397,83 @@ class TestStreamingDetector:
         assert report.detection_latencies({0: 40, 1: 40}) == {0: 10}
         # an incident that predates the onset does not count as detection
         assert report.detection_latencies({0: 60}) == {}
+
+
+class TestOneEvaluationPath:
+    """The stream scores and writes back through the batch run's engine."""
+
+    def test_window_survives_a_hot_swap(self):
+        """Rows scored after a swap test full windows: the carried rows
+        are re-standardised under the new model, so every window t
+        value is the oracle's statistic on the raw rows under it."""
+        generator = FleetGenerator(FleetConfig(n_units=1, n_sensors=6, seed=5))
+        config = FDRDetectorConfig()
+        fdr = FDRDetector(config)
+        train = generator.training_window(0, 400).values
+        old, new = fdr.fit(train[:200], unit_id=0), fdr.fit(train[150:], unit_id=0)
+        rows = generator.evaluation_window(0, 120).values
+        detector = StreamingDetector(6, config=config)
+        detector.trainer.on_model(old)
+        swap_at, chunk = 50, 10
+        scored = {}
+        for lo in range(0, len(rows), chunk):
+            if lo == swap_at:
+                detector.trainer.on_model(new)
+            evaluation = detector.engine.evaluate_unit(0, lo, rows[lo : lo + chunk])
+            scored[lo] = evaluation.report.zscores
+        after = np.vstack([scored[lo] for lo in range(swap_at, len(rows), chunk)])
+        want = oracle.window_statistic(rows, new.mean, new.std, config.window, new.n_train)
+        np.testing.assert_allclose(after, want[swap_at:], rtol=1e-12)
+        assert detector.report.model_swaps == 2
+
+    def test_batch_and_stream_store_the_same_series(self):
+        """One unit, one fixed model: the batch run over its evaluation
+        window and that window as one stream record store identical
+        data, ``anomaly`` and ``anomaly.unit`` series."""
+        generator = FleetGenerator(
+            FleetConfig(n_units=2, n_sensors=8, seed=11, fault_mix=(0.0, 0.0, 1.0),
+                        magnitude_range=(5.0, 6.0))
+        )
+        unit, n_train, n_eval = 1, 300, 300
+        batch_cluster = build_cluster(n_nodes=2, salt_buckets=4, retain_data=True)
+        pipeline = AnomalyPipeline(generator, batch_cluster)
+        pipeline.run([unit], n_train=n_train, n_eval=n_eval)
+
+        stream_cluster = build_cluster(n_nodes=2, salt_buckets=4, retain_data=True)
+        detector = StreamingDetector(8, stream_cluster, config=pipeline.config)
+        detector.trainer.on_model(pipeline.model_for(unit))
+        window = generator.evaluation_window(unit, n_eval)
+        with SparkletContext(parallelism=1) as sc:
+            ssc = StreamingContext(sc)
+            record = (unit, window.start_time, window.values)
+            detector.attach(ssc.generator_stream(iter([[record]])))
+            ssc.run()
+        detector.finalize()
+
+        def stored(cluster, metric, group_by):
+            return [
+                (s.tags, list(s.timestamps), np.asarray(s.values).tobytes())
+                for s in cluster.query_engine().run(
+                    TsdbQuery(metric, 0, 2 * n_eval, group_by=group_by)
+                )
+            ]
+
+        for metric, group_by in (("energy", ("unit", "sensor")),
+                                 (ANOMALY_METRIC, ("unit", "sensor")),
+                                 (UNIT_ALARM_METRIC, ("unit",))):
+            batch = stored(batch_cluster, metric, group_by)
+            stream = stored(stream_cluster, metric, group_by)
+            assert batch, metric
+            assert batch == stream, metric
+
+    def test_run_fleet_stops_the_context_it_makes(self):
+        generator = FleetGenerator(FleetConfig(n_units=2, n_sensors=4, seed=1))
+        baseline = threading.active_count()
+        for _ in range(2):
+            StreamingDetector(4, min_samples=20).run_fleet(
+                generator, n_train=40, n_eval=40, interval=20
+            )
+        assert threading.active_count() == baseline
 
 
 class TestTelemetryRouting:

@@ -235,11 +235,14 @@ class TestPipelineUnderChaos:
         cluster = small_cluster()
         # One TSD crashes mid-publish and restarts; one RegionServer
         # host drops off the network and heals.  Both land inside the
-        # publish drain (sim time only advances while flushing).
+        # publish drain (sim time only advances while flushing).  The
+        # data goes as column blocks, which a TSD drains fast: a crash
+        # at 0.05 s finds two batches left for it, one short of its
+        # breaker's threshold, so it crashes at 0.01 s.
         plan = FaultPlan(
             name="tsd-crash-plus-partition",
             events=(
-                FaultEvent(at=0.05, action="tsd_crash", target="tsd00", duration=0.4),
+                FaultEvent(at=0.01, action="tsd_crash", target="tsd00", duration=0.4),
                 FaultEvent(at=0.10, action="partition", target="node01", duration=0.5),
             ),
         )

@@ -255,15 +255,11 @@ class TestOnlineEvaluator:
         online.evaluate(clean[:20])
         with pytest.raises(ValueError, match="values must be finite"):
             getattr(online, entry)(poisoned)
-        # The refused batch left no trace: the totals and (on the two
-        # streaming entry points; ``report`` is one-shot and resets it
-        # by contract) the window carry are those of a stream that
-        # never saw it.
+        # The refused batch left no trace: the totals and the window
+        # carry are those of a stream that never saw it.
         untouched = OnlineEvaluator(model, detector.config)
         untouched.evaluate(clean[:20])
         assert online.stats == untouched.stats
-        if entry == "report":
-            return
         got, want = online.evaluate_scored(clean[20:]), untouched.evaluate_scored(clean[20:])
         assert got[0].any()
         for a, b in zip(got, want):

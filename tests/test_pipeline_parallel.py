@@ -12,6 +12,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro.alerting import StreamingDetector
 from repro.analysis import raceaudit
 from repro.core import (
     AnomalyPipeline,
@@ -330,8 +331,22 @@ class TestEvaluatorCache:
         pipeline.train(unit_ids=[0], n_train=140)  # new model object
         assert engine.evaluator_for(0) is not first
 
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_each_run_scores_from_an_empty_window(self, generator, parallelism):
+        """Cached evaluators carry their window between records, so a
+        batch run must see neither the previous run's rows nor, for a
+        repeated unit, its own."""
+        pipeline = AnomalyPipeline(generator)
+        run = dict(publish=False, n_train=150, n_eval=100, parallelism=parallelism)
+        results = [pipeline.run([0, 1], **run), pipeline.run([0, 0, 1], **run)]
+        for unit in (0, 1):
+            window = generator.evaluation_window(unit, 100).values
+            want = oracle.detect(pipeline.model_for(unit), window, pipeline.config)
+            for result in results:
+                assert np.array_equal(result.reports[unit].flags, want.flags)
+
     def test_untrained_unit_raises(self, generator):
-        engine = FleetEvaluationEngine(generator, models={})
+        engine = FleetEvaluationEngine(models={})
         with pytest.raises(KeyError, match="no trained model"):
             engine.evaluator_for(0)
 
@@ -490,6 +505,24 @@ class TestRaceAuditedRun:
             counts = auditor.acquire_counts()
             # The audited locks were genuinely exercised by the run.
             assert counts.get("core.engine.evaluators", 0) >= 4
+            assert counts.get("tsdb.publish.state", 0) > 0
+
+    def test_streaming_run_clean_lock_discipline(self, generator):
+        """The stream is the engine's second caller: every record it
+        scores takes the evaluator cache's lock, and the locks it adds
+        (the alert store's publisher) keep the graph acyclic."""
+        with raceaudit.auditing() as auditor:
+            cluster = build_cluster(n_nodes=2, retain_data=True)
+            detector = StreamingDetector(12, cluster, min_samples=50)
+            report = detector.run_fleet(
+                generator, unit_ids=[0, 1, 2, 3], n_train=100, n_eval=100, interval=25
+            )
+            assert report.data_publish.complete
+            auditor.assert_no_cycles()
+            counts = auditor.acquire_counts()
+            records_scored = report.samples_scored // (25 * 12)
+            assert records_scored >= 4
+            assert counts.get("core.engine.evaluators", 0) == records_scored
             assert counts.get("tsdb.publish.state", 0) > 0
 
     def test_audited_parity_with_unaudited_run(self, generator):

@@ -247,7 +247,8 @@ class TestPipeline:
     def test_model_reuse_between_calls(self, generator):
         pipeline = AnomalyPipeline(generator)
         pipeline.train(unit_ids=[3], n_train=120)
-        report = pipeline.engine.evaluate_unit(3, 80).report
+        window = generator.evaluation_window(3, 80)
+        report = pipeline.engine.evaluate_unit(3, window.start_time, window.values).report
         assert report.unit_id == 3
 
     def test_missing_model_raises(self, generator):
