@@ -14,7 +14,7 @@ Run:  python examples/chaos_demo.py
 
 from repro import FleetConfig, FleetGenerator, build_cluster
 from repro.chaos import FaultEvent, FaultPlan, Injector
-from repro.core import AnomalyPipeline, PipelineConfig
+from repro.core import AnomalyPipeline
 from repro.tsdb.query import TsdbQuery
 
 
@@ -26,9 +26,10 @@ def main() -> None:
         name="demo",
         seed=5,
         events=(
-            # Crash one TSD 50ms into the publish drain; it swallows
-            # in-flight batches silently until its restart 400ms later.
-            FaultEvent(at=0.05, action="tsd_crash", target="tsd00", duration=0.4),
+            # Crash one TSD as the publish drain starts: it silently
+            # swallows the batches already in flight to it, their acks
+            # time out, its breaker ejects it, and it restarts 400ms later.
+            FaultEvent(at=0.0, action="tsd_crash", target="tsd00", duration=0.4),
             # Cut a RegionServer host off the network for 500ms.
             FaultEvent(at=0.10, action="partition", target="node01", duration=0.5),
             # And run the surviving host's links 4x slower for a while.
@@ -39,16 +40,9 @@ def main() -> None:
     injector = Injector(cluster, plan)
     injector.arm()
 
-    pipeline = AnomalyPipeline(
-        fleet,
-        cluster=cluster,
-        pipeline_config=PipelineConfig(
-            n_train=80, n_eval=120, publish_batch_size=100,
-            max_in_flight_batches=8, parallelism=1,
-        ),
-    )
+    pipeline = AnomalyPipeline(fleet, cluster=cluster)
     print("== publishing a 3-unit fleet while the fault plan replays ==\n")
-    result = pipeline.run()
+    result = pipeline.run(n_train=80, n_eval=120)
     chaos = injector.finalize()
 
     print(chaos.summary())

@@ -4,12 +4,14 @@
 Runs the full anomaly pipeline against a small simulated OpenTSDB
 deployment with both observability features on:
 
-* **tracing** — every ingest batch is followed proxy → TSD → HBase
-  client → RegionServer → ack as a span tree with sim-time durations;
+* **tracing** — the cluster's own tracer (``build_cluster(trace=True)``)
+  follows every ingest batch proxy → TSD → HBase client →
+  RegionServer → ack as a span tree with sim-time durations;
   one batch's flame summary is printed and the whole trace is exported
   as JSON;
-* **self-telemetry** — the :class:`SelfReporter` periodically flushes
-  the cluster's and the run's metrics back into the same TSDB as ``proxy.*`` /
+* **self-telemetry** — ``run(self_report=True)`` starts a
+  :class:`SelfReporter` that periodically flushes the cluster's and
+  the run's metrics back into the same TSDB as ``proxy.*`` /
   ``tsd.*`` / ``engine.*`` series, which are then read back through the
   ordinary :class:`QueryEngine` — the platform monitoring itself
   through its own query path — and rendered into the dashboard's
@@ -22,31 +24,23 @@ import tempfile
 from pathlib import Path
 
 from repro import FleetConfig, FleetGenerator, build_cluster
-from repro.core import AnomalyPipeline, PipelineConfig
+from repro.core import AnomalyPipeline
 from repro.tsdb.query import TsdbQuery
 from repro.viz.dashboard import Dashboard
 
 
 def main() -> None:
     fleet = FleetGenerator(FleetConfig(n_units=3, n_sensors=6, seed=23))
-    cluster = build_cluster(n_nodes=2, salt_buckets=4, retain_data=True)
+    cluster = build_cluster(n_nodes=2, salt_buckets=4, retain_data=True, trace=True)
 
-    pipeline = AnomalyPipeline(
-        fleet,
-        cluster=cluster,
-        pipeline_config=PipelineConfig(
-            n_train=120, n_eval=120, publish_batch_size=100,
-            self_report=True, trace=True,
-        ),
-    )
+    pipeline = AnomalyPipeline(fleet, cluster=cluster)
     print("== running the pipeline with tracing + self-telemetry on ==\n")
-    result = pipeline.run()
+    result = pipeline.run(n_train=120, n_eval=120, self_report=True)
     print(f"published {result.points_published} points, "
           f"{result.total_discoveries()} anomalies flagged\n")
 
     # -- one batch, followed across every component ---------------------
-    tracer = result.trace
-    assert tracer is not None
+    tracer = cluster.tracer
     batch = tracer.batch_ids()[0]
     print(f"== flame summary for ingest batch {batch} "
           f"(components: {', '.join(tracer.components(batch))}) ==")

@@ -58,7 +58,6 @@ from .core import (
     IncrementalMoments,
     OfflineTrainer,
     OnlineEvaluator,
-    PipelineConfig,
     PipelineResult,
     ShewhartChart,
     StreamingTrainer,
@@ -134,7 +133,6 @@ __all__ = [
     "IngestionDriver",
     "OfflineTrainer",
     "OnlineEvaluator",
-    "PipelineConfig",
     "PipelineResult",
     "PublishReport",
     "QueryEngine",

@@ -36,7 +36,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..cluster.metrics import MetricsRegistry
-from ..core.engine import FleetEvaluationEngine, data_blocks, write_back
+from ..core.engine import FleetEvaluationEngine, data_blocks, flagged_cells, write_back
 from ..core.fdr import FDRDetectorConfig
 from ..core.model import UnitModel
 from ..core.streaming import StreamingTrainer
@@ -263,21 +263,19 @@ class StreamingDetector:
                 self.trainer.ingest(unit_id, x)
                 continue
             evaluation = self.engine.evaluate_unit(unit_id, start_time, x)
-            flags, z = evaluation.report.flags, evaluation.report.zscores
+            cells = flagged_cells(evaluation.report)
             self.report.samples_scored += x.size
-            self.report.naive_alerts += int(np.count_nonzero(flags))
-            rows, sensors = np.nonzero(flags)
+            self.report.naive_alerts += len(cells)
             events += [
-                AnomalyEvent(unit_id, sensor, start_time + row, float(z[row, sensor]))
-                for row, sensor in zip(rows.tolist(), sensors.tolist())
+                AnomalyEvent(unit_id, sensor, start_time + row, z) for row, sensor, z in cells
             ]
             if publishing:
-                data, anomalies = write_back(evaluation)
+                data, anomalies = write_back(evaluation, cells)
                 blocks += data
                 anomaly_points += anomalies
             # Train on what the current model considers clean, so an
             # in-progress fault does not drag the baseline toward it.
-            clean = ~flags.any(axis=1)
+            clean = ~evaluation.report.flags.any(axis=1)
             self.trainer.ingest(unit_id, x[clean] if not clean.all() else x)
         if blocks:
             self._data_pub.publish_blocks(BlockBatch(blocks))

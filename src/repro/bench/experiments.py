@@ -704,7 +704,7 @@ def e10_detector_ablations(quick: bool = False) -> ExperimentResult:
     unit_channel_row("T² on (whitened scores)", "t2_on", t2_alarms)
     unit_channel_row(
         "MEWMA (lam=0.1, whitened)", "mewma",
-        lambda model, values: MewmaChart(lam=0.1, alpha=0.001).flags(model, values),
+        lambda model, values: MewmaChart().flags(model, values),
     )
     unit_channel_row(
         "T² off", "t2_off", lambda model, values: np.zeros(values.shape[0], dtype=bool)
@@ -880,9 +880,7 @@ def e11_pipeline_parallel(quick: bool = False) -> ExperimentResult:
     generator = FleetGenerator(FleetConfig(n_units=pub_units, n_sensors=pub_sensors, seed=53))
     cluster = build_cluster(n_nodes=3, retain_data=True)
     t0 = time.perf_counter()
-    published = AnomalyPipeline(generator, cluster).run(
-        n_train=pub_samples, n_eval=pub_samples, publish_batch_size=500
-    )
+    published = AnomalyPipeline(generator, cluster).run(n_train=pub_samples, n_eval=pub_samples)
     publish_s = time.perf_counter() - t0
     data, anomaly = published.data_publish, published.anomaly_publish
     assert data is not None and anomaly is not None
@@ -1109,7 +1107,7 @@ def _obs_publish_run(
         for i, v in enumerate(rng.normal(size=n_points))
     ]
     cluster = build_cluster(ClusterConfig(n_nodes=2, salt_buckets=4, trace=trace))
-    reporter = cluster.self_reporter(interval=0.25) if self_report else None
+    reporter = cluster.self_reporter() if self_report else None
     if reporter is not None:
         reporter.start()
     publisher = BatchPublisher(cluster, batch_size=batch_size, max_in_flight_batches=8)

@@ -34,7 +34,6 @@ from .pipeline import (
     ANOMALY_METRIC,
     UNIT_ALARM_METRIC,
     AnomalyPipeline,
-    PipelineConfig,
     PipelineResult,
 )
 from .spc import CusumChart, EwmaChart, MewmaChart, ShewhartChart
@@ -57,7 +56,6 @@ __all__ = [
     "OfflineTrainer",
     "OnlineEvaluator",
     "PROCEDURES",
-    "PipelineConfig",
     "PipelineResult",
     "ShewhartChart",
     "StreamStats",

@@ -9,8 +9,9 @@ both go through here:
   the unit's current model through one cached
   :class:`~repro.core.online.OnlineEvaluator` per unit, rebuilt when
   ``models[unit]`` changes; the rebuilt one continues the old window;
-* :func:`write_back` turns a scored record into data blocks,
-  ``anomaly`` points and ``anomaly.unit`` points.
+* :func:`flagged_cells` enumerates a scored record's flagged cells
+  once, and :func:`write_back` turns the record and those cells into
+  data blocks, ``anomaly`` points and ``anomaly.unit`` points.
 
 A batch run resets its units' windows, then :meth:`evaluate_fleet`
 fans the units out over the run's sparklet executor threads (each task
@@ -50,6 +51,7 @@ __all__ = [
     "FleetEvaluationEngine",
     "UnitEvaluation",
     "data_blocks",
+    "flagged_cells",
     "write_back",
 ]
 
@@ -88,23 +90,32 @@ def data_blocks(unit_id: int, start_time: int, values: np.ndarray) -> List[Serie
     ]
 
 
-def write_back(evaluation: UnitEvaluation) -> Tuple[List[SeriesBlock], List[DataPoint]]:
+def flagged_cells(report: AnomalyReport) -> List[Tuple[int, int, float]]:
+    """A report's flagged cells as ``(row, sensor, z)``, row-major.
+
+    The one pass over a record's flags: the stream's alert events and
+    :func:`write_back`'s ``anomaly`` points are both built from it.
+    """
+    rows, sensors = np.nonzero(report.flags)
+    return list(zip(rows.tolist(), sensors.tolist(), report.zscores[rows, sensors].tolist()))
+
+
+def write_back(
+    evaluation: UnitEvaluation, cells: List[Tuple[int, int, float]]
+) -> Tuple[List[SeriesBlock], List[DataPoint]]:
     """A scored record's data blocks, and its ``anomaly`` then
     ``anomaly.unit`` points in one list (they share a channel).
 
-    An ``anomaly`` point is a flagged cell, tagged like its data and
-    valued at its window statistic (drill-down views show severity); an
+    ``cells`` is the record's :func:`flagged_cells`.  An ``anomaly``
+    point is a flagged cell, tagged like its data and valued at its
+    window statistic (drill-down views show severity); an
     ``anomaly.unit`` point is a T² alarm, tagged with the unit only.
     """
     unit_id, start, report = evaluation.unit_id, evaluation.start_time, evaluation.report
     utag = ("unit", unit_tag(unit_id))
-    rows, sensors = np.nonzero(report.flags)
     points = [
-        DataPoint(
-            ANOMALY_METRIC, start + row, float(report.zscores[row, sensor]),
-            (("sensor", sensor_tag(sensor)), utag),
-        )
-        for row, sensor in zip(rows.tolist(), sensors.tolist())
+        DataPoint(ANOMALY_METRIC, start + row, z, (("sensor", sensor_tag(sensor)), utag))
+        for row, sensor, z in cells
     ]
     points.extend(
         DataPoint(UNIT_ALARM_METRIC, start + row, float(report.t2[row]), (utag,))
@@ -183,10 +194,11 @@ class FleetEvaluationEngine:
         Units fan out over ``ctx``'s executor pool, or run inline when
         ``ctx`` is ``None``; each task generates its own window.  Waves
         arrive in ``unit_ids`` order, each record with its outcome
-        against the injected truth.  A repeated unit is scored once: two
-        tasks on one evaluator would share its window.
+        against the injected truth.  Each unit is listed once (the
+        pipeline dedupes): two tasks on one evaluator would share its
+        window.
         """
-        units = list(dict.fromkeys(unit_ids))
+        units = list(unit_ids)
         if not units:
             return
         wave = max(4 * (ctx.parallelism if ctx is not None else 1), 8)

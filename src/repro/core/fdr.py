@@ -190,12 +190,8 @@ def build_unit_model(
 class FDRDetector:
     """Offline-trained, online-evaluated FDR anomaly detector."""
 
-    def __init__(self, config: Optional[FDRDetectorConfig] = None, **overrides: object) -> None:
-        if config is None:
-            config = FDRDetectorConfig(**overrides)
-        elif overrides:
-            raise ValueError("pass either a config object or keyword overrides, not both")
-        self.config = config
+    def __init__(self, config: Optional[FDRDetectorConfig] = None) -> None:
+        self.config = config if config is not None else FDRDetectorConfig()
 
     # ------------------------------------------------------------------
     # offline training

@@ -18,8 +18,8 @@ They are published once per unit through the cluster's real ingress
 (:meth:`~repro.tsdb.ingest.TsdbCluster.submit` → the buffering reverse
 proxy) with bounded in-flight batches and durable-ack tracking — the
 §III backpressure discipline, applied to the analysis write-back path
-too.  A :class:`PipelineConfig` consolidates the run knobs, and every
-run is instrumented with a
+too.  :meth:`AnomalyPipeline.run`'s keywords are the run options, and
+every run is instrumented with a
 :class:`~repro.cluster.metrics.MetricsRegistry` (per-stage timings,
 scored samples/s, publish acks and retries) surfaced on
 :class:`PipelineResult`.
@@ -32,18 +32,23 @@ import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..cluster.metrics import MetricsRegistry
 from ..obs.selfreport import SelfReporter
-from ..obs.trace import Tracer
 from ..simdata.generator import FleetGenerator
 from ..sparklet.context import SparkletContext
 from ..sparklet.storage import BlockStore
 from ..tsdb.blocks import BlockBatch
 from ..tsdb.ingest import TsdbCluster
 from ..tsdb.publish import BatchPublisher, PublishReport
-from .engine import ANOMALY_METRIC, UNIT_ALARM_METRIC, FleetEvaluationEngine, write_back
+from .engine import (
+    ANOMALY_METRIC,
+    UNIT_ALARM_METRIC,
+    FleetEvaluationEngine,
+    flagged_cells,
+    write_back,
+)
 from .fdr import AnomalyReport, FDRDetectorConfig
 from .metrics import DetectionOutcome
 from .model import UnitModel
@@ -53,86 +58,13 @@ __all__ = [
     "ANOMALY_METRIC",
     "UNIT_ALARM_METRIC",
     "AnomalyPipeline",
-    "PipelineConfig",
     "PipelineResult",
 ]
 
-@dataclass(frozen=True)
-class PipelineConfig:
-    """Run-shape knobs for :meth:`AnomalyPipeline.run`.
-
-    One (immutable) object that can be reused across runs, and the one
-    place a run option is declared: ``run()`` accepts every field as a
-    keyword-only override through :meth:`with_overrides`.
-
-    Parameters
-    ----------
-    n_train / n_eval:
-        Training and evaluation window lengths in samples.
-    publish:
-        Whether to write data + anomalies back to the attached cluster.
-    parallelism:
-        Worker count for training and scoring.  ``None`` follows the
-        attached sparklet context (or the CPU count); ``1`` runs both
-        stages inline on the calling thread; any other value fans out
-        on the attached context's pool, if there is one.
-    publish_batch_size:
-        Points per put batch submitted to the cluster ingress.
-    use_proxy_path:
-        ``True`` (default) publishes through ``TsdbCluster.submit()``
-        — the buffering reverse proxy with durable acks.  ``False``
-        falls back to ``direct_put`` bulk loads (no simulated RPC).
-    max_in_flight_batches:
-        Driver-side backpressure window for the proxy path.
-    self_report:
-        Periodically flush the run's and the cluster's metrics back
-        into the attached TSDB as ``proxy.*``/``tsd.*``/``engine.*``
-        series (queryable platform self-telemetry).  Ignored without a
-        cluster.
-    self_report_interval:
-        Sim-seconds between self-telemetry flushes.
-    trace:
-        Enable span tracing on the attached cluster for this run; the
-        resulting :class:`~repro.obs.Tracer` is surfaced on
-        ``PipelineResult.trace``.
-    """
-
-    n_train: int = 600
-    n_eval: int = 600
-    publish: bool = True
-    parallelism: Optional[int] = None
-    publish_batch_size: int = 500
-    use_proxy_path: bool = True
-    max_in_flight_batches: int = 32
-    self_report: bool = False
-    self_report_interval: float = 0.25
-    trace: bool = False
-
-    def __post_init__(self) -> None:
-        if self.n_train < 2:
-            raise ValueError("n_train must be >= 2")
-        if self.n_eval < 1:
-            raise ValueError("n_eval must be >= 1")
-        if self.parallelism is not None and self.parallelism < 1:
-            raise ValueError("parallelism must be >= 1")
-        if self.publish_batch_size < 1:
-            raise ValueError("publish_batch_size must be >= 1")
-        if self.max_in_flight_batches < 1:
-            raise ValueError("max_in_flight_batches must be >= 1")
-        if self.self_report_interval <= 0:
-            raise ValueError("self_report_interval must be positive")
-
-    def with_overrides(self, **overrides: object) -> "PipelineConfig":
-        """A copy with every non-``None`` override applied.
-
-        ``None`` means "not set here"; a name that is not a field
-        raises ``TypeError``, as a misspelt keyword argument would.
-        """
-        unknown = overrides.keys() - {f.name for f in dataclasses.fields(self)}
-        if unknown:
-            raise TypeError(f"unknown run option(s): {', '.join(sorted(unknown))}")
-        changes = {k: v for k, v in overrides.items() if v is not None}
-        return dataclasses.replace(self, **changes) if changes else self
+#: Points per put batch the run submits to the cluster ingress.
+PUBLISH_BATCH_SIZE = 500
+#: Put batches each of the run's publishers keeps in flight before it waits on acks.
+MAX_IN_FLIGHT_BATCHES = 32
 
 
 @dataclass
@@ -157,7 +89,6 @@ class PipelineResult:
     samples_per_second: float = 0.0
     data_publish: Optional[PublishReport] = None
     anomaly_publish: Optional[PublishReport] = None
-    trace: Optional[Tracer] = None
     self_reporter: Optional[SelfReporter] = None
 
     def total_discoveries(self) -> int:
@@ -198,10 +129,9 @@ class AnomalyPipeline:
         Detector configuration.
     ctx:
         Sparklet context whose pool training and scoring fan out on;
-        without one, each call makes a transient pool.
-    pipeline_config:
-        Default :class:`PipelineConfig` for runs (overridable per
-        call).
+        without one, each call makes a transient pool as wide as the
+        host.  A one-wide context runs both stages inline on the
+        calling thread.
     """
 
     def __init__(
@@ -211,16 +141,12 @@ class AnomalyPipeline:
         store: Optional[BlockStore] = None,
         config: Optional[FDRDetectorConfig] = None,
         ctx: Optional[SparkletContext] = None,
-        pipeline_config: Optional[PipelineConfig] = None,
     ) -> None:
         self.generator = generator
         self.cluster = cluster
         self.config = config if config is not None else FDRDetectorConfig()
         self.ctx = ctx
         self.store = store
-        self.pipeline_config = (
-            pipeline_config if pipeline_config is not None else PipelineConfig()
-        )
         self._models: Dict[int, UnitModel] = {}
         self.engine = FleetEvaluationEngine(self._models, self.config)
 
@@ -242,13 +168,16 @@ class AnomalyPipeline:
         fitted: a unit that fails raises ``ValueError`` naming it and
         leaves the pipeline's models as they were.
         """
-        with self._pool(None) as ctx:
-            return self._train(unit_ids, n_train, ctx)
+        with self._pool() as ctx:
+            return self._train(self._units(unit_ids), n_train, ctx)
+
+    def _units(self, unit_ids: Optional[Sequence[int]]) -> List[int]:
+        """The units a call works on, each once, in the order given."""
+        return list(dict.fromkeys(unit_ids if unit_ids is not None else self.generator.units()))
 
     def _train(
-        self, unit_ids: Optional[Sequence[int]], n_train: int, ctx: Optional[SparkletContext]
+        self, units: List[int], n_train: int, ctx: Optional[SparkletContext]
     ) -> TrainingResult:
-        units = list(unit_ids) if unit_ids is not None else list(self.generator.units())
         models = self._models
         stale = [u for u in units if u not in models or models[u].n_train != n_train]
         trained = OfflineTrainer(ctx, self.store, self.config).train_fleet(
@@ -258,20 +187,19 @@ class AnomalyPipeline:
         return dataclasses.replace(trained, unit_ids=units)
 
     @contextmanager
-    def _pool(self, parallelism: Optional[int]) -> Iterator[Optional[SparkletContext]]:
+    def _pool(self) -> Iterator[Optional[SparkletContext]]:
         """The executor pool one call fans out on; ``None`` runs inline.
 
-        Width 1 runs on the calling thread.  Otherwise the attached
-        context supplies the pool, or a transient one as wide as
-        ``parallelism`` (the CPU count when ``None``) lives for the call.
+        The attached context supplies the pool, or a transient one as
+        wide as the host lives for the call.  Width 1 runs on the
+        calling thread.
         """
-        if parallelism is None:
-            parallelism = self.ctx.parallelism if self.ctx is not None else os.cpu_count() or 1
-        if parallelism > 1 and self.ctx is None:
-            with SparkletContext(parallelism) as ctx:
+        width = self.ctx.parallelism if self.ctx is not None else os.cpu_count() or 1
+        if width > 1 and self.ctx is None:
+            with SparkletContext(width) as ctx:
                 yield ctx
         else:
-            yield self.ctx if parallelism > 1 else None
+            yield self.ctx if width > 1 else None
 
     def model_for(self, unit_id: int) -> UnitModel:
         try:
@@ -286,23 +214,39 @@ class AnomalyPipeline:
         self,
         unit_ids: Optional[Sequence[int]] = None,
         *,
-        config: Optional[PipelineConfig] = None,
-        **overrides: object,
+        n_train: int = 600,
+        n_eval: int = 600,
+        publish: bool = True,
+        use_proxy_path: bool = True,
+        self_report: bool = False,
     ) -> PipelineResult:
         """Full loop over the fleet; returns reports, outcomes, metrics.
 
-        ``config`` (or the pipeline's default :class:`PipelineConfig`)
-        supplies the run shape; any other keyword argument overrides
-        the :class:`PipelineConfig` field of that name for this call
-        (``run(n_eval=300, publish=False)``).  Training and scoring
-        share one executor pool; scoring fans out across the
-        evaluation engine in waves, and publishing streams each wave
-        through the backpressured proxy path as the next wave is
-        scored.
+        The keywords are the run options, and the only ones:
+
+        * ``n_train`` / ``n_eval`` — training and evaluation window
+          lengths in samples;
+        * ``publish`` — write data and anomalies back to the attached
+          cluster;
+        * ``use_proxy_path`` — publish through ``TsdbCluster.submit()``,
+          the buffering reverse proxy with durable acks; ``False`` bulk
+          loads through ``direct_put`` (no simulated RPC);
+        * ``self_report`` — flush the run's and the cluster's metrics
+          into the attached TSDB every :data:`~repro.obs.selfreport.INTERVAL`
+          sim-seconds while the run goes (ignored without a cluster).
+
+        Each unit is trained and scored once, however often it is
+        listed.  Training and scoring share one executor pool (see
+        :meth:`_pool`); scoring fans out across the evaluation engine
+        in waves, and publishing streams each wave through the
+        backpressured proxy path as the next wave is scored.  Span
+        tracing is the cluster's own (``cluster.tracer``).
         """
-        base = config if config is not None else self.pipeline_config
-        cfg = base.with_overrides(**overrides)
-        units = list(unit_ids) if unit_ids is not None else list(self.generator.units())
+        if n_train < 2:
+            raise ValueError("n_train must be >= 2")
+        if n_eval < 1:
+            raise ValueError("n_eval must be >= 1")
+        units = self._units(unit_ids)
         # Fresh registry per run so counters never bleed across runs:
         # the engine's ``engine.*``, the publishers' ``publish.*`` and
         # the ``pipeline.*`` gauges below all land in ``result.metrics``.
@@ -310,40 +254,30 @@ class AnomalyPipeline:
         result = PipelineResult(metrics=registry)
         self.engine.metrics = registry
 
-        traced = cfg.trace and self.cluster is not None
-        if traced:
-            was_tracing = self.cluster.tracer.enabled
-            self.cluster.tracer.enable()
-            result.trace = self.cluster.tracer
-
         reporter = None
-        if cfg.self_report and self.cluster is not None:
+        if self_report and self.cluster is not None:
             # Flush cluster-side *and* run-side metrics back into the
             # TSDB itself, so platform health is queryable like any
             # other series (tsd.*, proxy.*, engine.*, publish.*).
-            reporter = SelfReporter(
-                self.cluster,
-                extra=(registry,),
-                interval=cfg.self_report_interval,
-            )
+            reporter = SelfReporter(self.cluster, extra=(registry,))
             reporter.start()
             result.self_reporter = reporter
 
         try:
-            with self._pool(cfg.parallelism) as ctx:
+            with self._pool() as ctx:
                 t0 = time.perf_counter()
-                self._train(units, cfg.n_train, ctx)
+                self._train(units, n_train, ctx)
                 train_seconds = time.perf_counter() - t0
 
-                publishing = cfg.publish and self.cluster is not None
+                publishing = publish and self.cluster is not None
                 data_pub = anomaly_pub = None
                 if publishing:
-                    data_pub, anomaly_pub = self._publishers(cfg, registry)
+                    data_pub, anomaly_pub = self._publishers(use_proxy_path, registry)
 
                 evaluate_seconds = 0.0
                 publish_seconds = 0.0
                 samples_scored = 0
-                waves = self.engine.evaluate_fleet(self.generator, units, cfg.n_eval, ctx)
+                waves = self.engine.evaluate_fleet(self.generator, units, n_eval, ctx)
                 while True:
                     t0 = time.perf_counter()
                     wave = next(waves, None)
@@ -356,7 +290,9 @@ class AnomalyPipeline:
                         result.outcomes[evaluation.unit_id] = evaluation.outcome
                         samples_scored += evaluation.values.size
                         if publishing:
-                            data, anomalies = write_back(evaluation)
+                            data, anomalies = write_back(
+                                evaluation, flagged_cells(evaluation.report)
+                            )
                             data_pub.publish_blocks(BlockBatch(data))
                             anomaly_pub.publish(anomalies)
                     publish_seconds += time.perf_counter() - t0
@@ -387,25 +323,23 @@ class AnomalyPipeline:
                 # self-metric snapshot includes the completed run's totals.
                 reporter.flush()
         finally:
-            # The run leaves the cluster's tracer as it found it and no
-            # reporter ticking on its simulator, even when it fails.
+            # The run leaves no reporter ticking on the cluster's
+            # simulator, even when it fails.
             if reporter is not None:
                 reporter.stop()
-            if traced:
-                self.cluster.tracer.enabled = was_tracing
         return result
 
     # ------------------------------------------------------------------
     def _publishers(
-        self, cfg: PipelineConfig, registry: MetricsRegistry
+        self, use_proxy_path: bool, registry: MetricsRegistry
     ) -> Tuple[BatchPublisher, BatchPublisher]:
         """Separate data / anomaly publishers so ack counts stay attributable."""
         assert self.cluster is not None
         make = lambda channel: BatchPublisher(  # noqa: E731
             self.cluster,
-            batch_size=cfg.publish_batch_size,
-            max_in_flight_batches=cfg.max_in_flight_batches,
-            use_proxy_path=cfg.use_proxy_path,
+            batch_size=PUBLISH_BATCH_SIZE,
+            max_in_flight_batches=MAX_IN_FLIGHT_BATCHES,
+            use_proxy_path=use_proxy_path,
             metrics=registry,
             channel=channel,
         )

@@ -13,12 +13,12 @@ comparison points for the FDR detector in E4:
   variance-corrected limits.
 
 Each chart's ``flags(model, values)`` returns a ``(T, p)`` boolean
-mask.  Recursions run over time with the sensor axis vectorised.
+mask.  Recursions run over time with the sensor axis vectorised.  Each
+chart runs at its textbook tuning, the module constants below (E4 and
+E10 compare the detector against exactly these).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
@@ -26,6 +26,18 @@ from scipy import special
 from .model import UnitModel
 
 __all__ = ["ShewhartChart", "CusumChart", "EwmaChart", "MewmaChart"]
+
+#: Shewhart control limit L, in σ.
+SHEWHART_LIMIT = 3.0
+#: CUSUM reference value k and decision interval h, in σ.
+CUSUM_K = 0.5
+CUSUM_H = 5.0
+#: EWMA smoothing λ and control limit L (in σ_E).
+EWMA_LAMBDA = 0.2
+EWMA_LIMIT = 2.7
+#: MEWMA smoothing λ and the χ² tail probability of its limit.
+MEWMA_LAMBDA = 0.1
+MEWMA_ALPHA = 0.001
 
 
 def _standardise(model: UnitModel, values: np.ndarray) -> np.ndarray:
@@ -35,7 +47,6 @@ def _standardise(model: UnitModel, values: np.ndarray) -> np.ndarray:
     return (x - model.mean) / model.std
 
 
-@dataclass(frozen=True)
 class ShewhartChart:
     """Individuals chart: flag |z| > L (classically L = 3).
 
@@ -44,47 +55,33 @@ class ShewhartChart:
     the exact multiplicity pathology of §IV.
     """
 
-    limit: float = 3.0
-
-    def __post_init__(self) -> None:
-        if self.limit <= 0:
-            raise ValueError("limit must be positive")
-
     def flags(self, model: UnitModel, values: np.ndarray) -> np.ndarray:
         z = _standardise(model, values)
-        return np.abs(z) > self.limit
+        return np.abs(z) > SHEWHART_LIMIT
 
 
-@dataclass(frozen=True)
 class CusumChart:
     """Two-sided tabular CUSUM on standardised data.
 
     ``S⁺_t = max(0, S⁺_{t−1} + z_t − k)``, flag when ``S⁺ > h`` (and
-    symmetrically for the lower side).  Defaults (k = 0.5, h = 5) are
-    the textbook tuning for detecting 1σ mean shifts.
+    symmetrically for the lower side).  k = 0.5, h = 5 is the textbook
+    tuning for detecting 1σ mean shifts.
     """
-
-    k: float = 0.5
-    h: float = 5.0
-
-    def __post_init__(self) -> None:
-        if self.k < 0 or self.h <= 0:
-            raise ValueError("k must be >= 0 and h > 0")
 
     def flags(self, model: UnitModel, values: np.ndarray) -> np.ndarray:
         z = _standardise(model, values)
         n_t, n_p = z.shape
+        k, h = CUSUM_K, CUSUM_H
         upper = np.zeros(n_p)
         lower = np.zeros(n_p)
         out = np.zeros((n_t, n_p), dtype=bool)
         for t in range(n_t):
-            upper = np.maximum(0.0, upper + z[t] - self.k)
-            lower = np.maximum(0.0, lower - z[t] - self.k)
-            out[t] = (upper > self.h) | (lower > self.h)
+            upper = np.maximum(0.0, upper + z[t] - k)
+            lower = np.maximum(0.0, lower - z[t] - k)
+            out[t] = (upper > h) | (lower > h)
         return out
 
 
-@dataclass(frozen=True)
 class EwmaChart:
     """EWMA chart: ``E_t = λ z_t + (1−λ) E_{t−1}``.
 
@@ -93,21 +90,12 @@ class EwmaChart:
     chart is properly calibrated from the first sample.
     """
 
-    lam: float = 0.2
-    limit: float = 2.7
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.lam <= 1.0:
-            raise ValueError("lam must be in (0, 1]")
-        if self.limit <= 0:
-            raise ValueError("limit must be positive")
-
     def flags(self, model: UnitModel, values: np.ndarray) -> np.ndarray:
         z = _standardise(model, values)
         n_t, n_p = z.shape
         ewma = np.zeros(n_p)
         out = np.zeros((n_t, n_p), dtype=bool)
-        lam = self.lam
+        lam, limit = EWMA_LAMBDA, EWMA_LIMIT
         base_var = lam / (2.0 - lam)
         decay = (1.0 - lam) ** 2
         var_factor = 1.0
@@ -115,11 +103,10 @@ class EwmaChart:
             ewma = lam * z[t] + (1.0 - lam) * ewma
             var_factor *= decay
             sigma = np.sqrt(base_var * (1.0 - var_factor))
-            out[t] = np.abs(ewma) > self.limit * sigma
+            out[t] = np.abs(ewma) > limit * sigma
         return out
 
 
-@dataclass(frozen=True)
 class MewmaChart:
     """Multivariate EWMA (Lowry et al. 1992) over whitened scores.
 
@@ -137,15 +124,6 @@ class MewmaChart:
     even instantaneous T²) lack power.
     """
 
-    lam: float = 0.1
-    alpha: float = 0.001
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.lam <= 1.0:
-            raise ValueError("lam must be in (0, 1]")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must be in (0, 1)")
-
     def statistics(self, model: UnitModel, values: np.ndarray) -> np.ndarray:
         """The ``Q_t`` path, shape ``(T,)``."""
         if model.n_components < 1:
@@ -153,7 +131,7 @@ class MewmaChart:
         z = _standardise(model, values)
         w = z @ model.whitening  # (T, k), N(0, I_k) under H0
         n_t, k = w.shape
-        lam = self.lam
+        lam = MEWMA_LAMBDA
         base_var = lam / (2.0 - lam)
         decay = (1.0 - lam) ** 2
         smoothed = np.zeros(k)
@@ -168,5 +146,5 @@ class MewmaChart:
 
     def flags(self, model: UnitModel, values: np.ndarray) -> np.ndarray:
         """Unit-level alarm mask, shape ``(T,)``."""
-        limit = float(special.chdtri(model.n_components, self.alpha))
+        limit = float(special.chdtri(model.n_components, MEWMA_ALPHA))
         return self.statistics(model, values) > limit

@@ -35,7 +35,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..tsdb.ingest import TsdbCluster
     from ..tsdb.tsd import DataPoint
 
-__all__ = ["ROUTES", "MetricSample", "SelfReporter", "samples"]
+__all__ = ["INTERVAL", "ROUTES", "MetricSample", "SelfReporter", "samples"]
+
+#: Sim-seconds between a started reporter's flushes.
+INTERVAL = 0.25
 
 #: First dotted-name segment -> the component a metric's total is
 #: reported under (its ``host`` tag).  Unlisted prefixes report under
@@ -125,21 +128,18 @@ class SelfReporter:
     """Periodically flush metric snapshots back into the TSDB.
 
     Snapshots the cluster's own registry plus any ``extra`` registries
-    (a pipeline run's, say).
+    (a pipeline run's, say), every :data:`INTERVAL` sim-seconds once
+    started.
     """
 
     def __init__(
         self,
         cluster: "TsdbCluster",
         extra: Sequence[MetricsRegistry] = (),
-        interval: float = 0.25,
         chaos_report: Optional["ChaosReport"] = None,
     ) -> None:
-        if interval <= 0:
-            raise ValueError("interval must be positive")
         self.cluster = cluster
         self.registries: List[MetricsRegistry] = [cluster.metrics, *extra]
-        self.interval = interval
         self.chaos_report = chaos_report
         self.flushes = 0
         self.points_written = 0
@@ -154,7 +154,7 @@ class SelfReporter:
         if self._running:
             return
         self._running = True
-        self._handle = self.cluster.sim.schedule(self.interval, self._tick)
+        self._handle = self.cluster.sim.schedule(INTERVAL, self._tick)
 
     def stop(self) -> None:
         """Stop the periodic flush (a final explicit flush is still fine)."""
@@ -168,7 +168,7 @@ class SelfReporter:
         if not self._running:
             return
         self.flush()
-        self._handle = self.cluster.sim.schedule(self.interval, self._tick)
+        self._handle = self.cluster.sim.schedule(INTERVAL, self._tick)
 
     # ------------------------------------------------------------------
     # write-back

@@ -25,6 +25,15 @@ from .faults import FaultKind, FaultSpec, fault_signal
 
 __all__ = ["FleetConfig", "UnitData", "FleetGenerator"]
 
+#: Sensor statistics: each sensor's mean is drawn U[MEAN_RANGE], its
+#: noise std U[STD_RANGE].
+MEAN_RANGE: Tuple[float, float] = (20.0, 480.0)
+STD_RANGE: Tuple[float, float] = (0.5, 5.0)
+#: Correlation structure: latent factors per unit (at most one per
+#: sensor) and the share of each sensor's variance they drive.
+N_FACTORS = 10
+FACTOR_STRENGTH = 0.5
+
 
 @dataclass(frozen=True)
 class FleetConfig:
@@ -37,12 +46,6 @@ class FleetConfig:
     n_units: int = 100
     n_sensors: int = 1000
     seed: int = 7
-    # sensor statistics: per-sensor mean drawn U[lo, hi], std U[lo, hi]
-    mean_range: Tuple[float, float] = (20.0, 480.0)
-    std_range: Tuple[float, float] = (0.5, 5.0)
-    # correlation structure
-    n_factors: int = 10
-    factor_strength: float = 0.5
     # fault mix over units: P(none), P(drift), P(shift)
     fault_mix: Tuple[float, float, float] = (0.4, 0.3, 0.3)
     # fault severity in noise-std units
@@ -56,10 +59,6 @@ class FleetConfig:
             raise ValueError("fault_mix must sum to 1")
         if any(p < 0 for p in self.fault_mix):
             raise ValueError("fault_mix probabilities must be non-negative")
-        if self.mean_range[0] > self.mean_range[1] or self.std_range[0] > self.std_range[1]:
-            raise ValueError("ranges must be (lo, hi) with lo <= hi")
-        if self.std_range[0] <= 0:
-            raise ValueError("sensor stds must be positive")
 
 
 @dataclass
@@ -92,12 +91,8 @@ class UnitData:
 class FleetGenerator:
     """Deterministic generator for the simulated fleet."""
 
-    def __init__(self, config: Optional[FleetConfig] = None, **overrides) -> None:
-        if config is None:
-            config = FleetConfig(**overrides)
-        elif overrides:
-            raise ValueError("pass either a config object or keyword overrides, not both")
-        self.config = config
+    def __init__(self, config: Optional[FleetConfig] = None) -> None:
+        self.config = config if config is not None else FleetConfig()
 
     # ------------------------------------------------------------------
     # per-unit deterministic state
@@ -115,10 +110,10 @@ class FleetGenerator:
         if not 0 <= unit_id < cfg.n_units:
             raise ValueError(f"unit_id must be in [0, {cfg.n_units})")
         rng = self._unit_rng(unit_id, "profile")
-        means = rng.uniform(*cfg.mean_range, size=cfg.n_sensors)
-        stds = rng.uniform(*cfg.std_range, size=cfg.n_sensors)
+        means = rng.uniform(*MEAN_RANGE, size=cfg.n_sensors)
+        stds = rng.uniform(*STD_RANGE, size=cfg.n_sensors)
         corr = CorrelationModel(
-            cfg.n_sensors, min(cfg.n_factors, cfg.n_sensors), cfg.factor_strength
+            cfg.n_sensors, min(N_FACTORS, cfg.n_sensors), FACTOR_STRENGTH
         ).build(rng)
         kind = rng.choice(
             [FaultKind.NONE, FaultKind.DRIFT, FaultKind.SHIFT], p=list(cfg.fault_mix)

@@ -321,12 +321,12 @@ class TsdbCluster:
             self.master, self.uids, self.codec, lifecycle=self.lifecycle
         )
 
-    def self_reporter(self, interval: float = 0.25, chaos_report=None) -> "SelfReporter":
+    def self_reporter(self, chaos_report=None) -> "SelfReporter":
         """A :class:`~repro.obs.SelfReporter` flushing this deployment's
         metrics back into its own TSDB as ``tsd.*``/``proxy.*`` series."""
         from ..obs.selfreport import SelfReporter
 
-        return SelfReporter(self, interval=interval, chaos_report=chaos_report)
+        return SelfReporter(self, chaos_report=chaos_report)
 
     def compactor(self) -> "RowCompactor":
         """A row compactor wired to this deployment's write clock (and,

@@ -11,8 +11,10 @@ timeouts, bounded retries) demonstrably engaged.
 import pytest
 
 from repro.chaos import ChaosReport, FaultEvent, FaultPlan, Injector
-from repro.core import AnomalyPipeline, PipelineConfig
+from repro.core import AnomalyPipeline
+from repro.core import pipeline as pipeline_module
 from repro.simdata import FleetConfig, FleetGenerator
+from repro.sparklet import SparkletContext
 from repro.tsdb import build_cluster
 from repro.tsdb.tsd import DataPoint
 
@@ -21,6 +23,13 @@ def small_cluster(**overrides):
     defaults = dict(n_nodes=2, salt_buckets=4, retain_data=True)
     defaults.update(overrides)
     return build_cluster(**defaults)
+
+
+@pytest.fixture()
+def chaos_publish(monkeypatch):
+    """The chaos runs publish in small batches through a narrow window."""
+    monkeypatch.setattr(pipeline_module, "PUBLISH_BATCH_SIZE", 100)
+    monkeypatch.setattr(pipeline_module, "MAX_IN_FLIGHT_BATCHES", 8)
 
 
 def points(n, t0=0):
@@ -230,34 +239,32 @@ class TestInjector:
 class TestPipelineUnderChaos:
     """The tier-1 end-to-end criterion: chaos with zero unaccounted points."""
 
-    def test_pipeline_survives_tsd_crash_and_partition(self):
+    def test_pipeline_survives_tsd_crash_and_partition(self, chaos_publish):
         generator = FleetGenerator(FleetConfig(n_units=3, n_sensors=6, seed=11))
         cluster = small_cluster()
-        # One TSD crashes mid-publish and restarts; one RegionServer
-        # host drops off the network and heals.  Both land inside the
-        # publish drain (sim time only advances while flushing).  The
-        # data goes as column blocks, which a TSD drains fast: a crash
-        # at 0.05 s finds two batches left for it, one short of its
-        # breaker's threshold, so it crashes at 0.01 s.
+        # One TSD crashes at sim time 0 and restarts mid-publish; one
+        # RegionServer host drops off the network and heals.  Sim time
+        # only advances while the publisher waits on its in-flight
+        # window, so the crash is the first event to fire: the first
+        # window (8 batches, round-robin over two TSDs) has been
+        # dispatched and none of it delivered.  tsd00 swallows its 4,
+        # their acks time out, and 4 >= the breaker's threshold of 3
+        # ejects it.  (A TSD already down at dispatch is routed round,
+        # and never times out.)
         plan = FaultPlan(
             name="tsd-crash-plus-partition",
             events=(
-                FaultEvent(at=0.01, action="tsd_crash", target="tsd00", duration=0.4),
+                FaultEvent(at=0.0, action="tsd_crash", target="tsd00", duration=0.4),
                 FaultEvent(at=0.10, action="partition", target="node01", duration=0.5),
             ),
         )
         injector = Injector(cluster, plan)
         injector.arm()
 
-        pipeline = AnomalyPipeline(
-            generator,
-            cluster=cluster,
-            pipeline_config=PipelineConfig(
-                n_train=80, n_eval=120, publish_batch_size=100,
-                max_in_flight_batches=8, parallelism=1,
-            ),
-        )
-        result = pipeline.run()
+        with SparkletContext(1) as ctx:
+            result = AnomalyPipeline(generator, cluster=cluster, ctx=ctx).run(
+                n_train=80, n_eval=120
+            )
         chaos = injector.finalize()
 
         # The injected faults genuinely fired...
@@ -378,7 +385,7 @@ class TestPipelineReadUnderCrash:
     on a replicated cluster — conservation holds and the data stays
     readable (strong) once the master has failed over."""
 
-    def test_pipeline_conserves_and_reads_recover(self):
+    def test_pipeline_conserves_and_reads_recover(self, chaos_publish):
         from repro.tsdb.query import TsdbQuery
 
         generator = FleetGenerator(FleetConfig(n_units=3, n_sensors=6, seed=11))
@@ -396,15 +403,10 @@ class TestPipelineReadUnderCrash:
         ))
         injector.arm()
 
-        pipeline = AnomalyPipeline(
-            generator,
-            cluster=cluster,
-            pipeline_config=PipelineConfig(
-                n_train=80, n_eval=120, publish_batch_size=100,
-                max_in_flight_batches=8, parallelism=1,
-            ),
-        )
-        result = pipeline.run()
+        with SparkletContext(1) as ctx:
+            result = AnomalyPipeline(generator, cluster=cluster, ctx=ctx).run(
+                n_train=80, n_eval=120
+            )
         chaos = injector.finalize()
         cluster.sim.run(until=cluster.sim.now + 2.0)
 

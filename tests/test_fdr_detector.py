@@ -35,17 +35,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             FDRDetectorConfig(**kwargs)
 
-    def test_config_or_overrides(self):
-        with pytest.raises(ValueError):
-            FDRDetector(FDRDetectorConfig(), q=0.1)
-
     def test_unknown_procedure_rejected_at_construction(self):
         """Regression: a misspelt procedure used to be accepted here and
         fail only at the first score, which can be mid-stream."""
         with pytest.raises(ValueError, match="unknown procedure 'bhh'"):
             FDRDetectorConfig(procedure="bhh")
         with pytest.raises(ValueError, match="unknown procedure"):
-            FDRDetector(procedure="BH")
+            FDRDetector(FDRDetectorConfig(procedure="BH"))
 
 
 class TestFit:
@@ -65,17 +61,17 @@ class TestFit:
         assert np.allclose(model.std, x.std(axis=0, ddof=1))
 
     def test_variance_target_selects_k(self):
-        full = FDRDetector(variance_target=1.0).fit(healthy_data())
-        small = FDRDetector(variance_target=0.5).fit(healthy_data())
+        full = FDRDetector(FDRDetectorConfig(variance_target=1.0)).fit(healthy_data())
+        small = FDRDetector(FDRDetectorConfig(variance_target=0.5)).fit(healthy_data())
         assert small.n_components < full.n_components
 
     def test_explicit_n_components(self):
-        model = FDRDetector(n_components=5).fit(healthy_data())
+        model = FDRDetector(FDRDetectorConfig(n_components=5)).fit(healthy_data())
         assert model.n_components == 5
 
     def test_n_components_out_of_range(self):
         with pytest.raises(ValueError):
-            FDRDetector(n_components=21).fit(healthy_data())
+            FDRDetector(FDRDetectorConfig(n_components=21)).fit(healthy_data())
 
     def test_constant_sensor_rejected(self):
         x = healthy_data()
@@ -93,7 +89,7 @@ class TestFit:
         base = rng.normal(size=(5000, 1))
         x = np.hstack([base + 0.1 * rng.normal(size=(5000, 1)) for _ in range(4)])
         x += rng.normal(size=x.shape) * 0.01
-        model = FDRDetector(variance_target=1.0).fit(x)
+        model = FDRDetector(FDRDetectorConfig(variance_target=1.0)).fit(x)
         z = (x - model.mean) / model.std
         w = z @ model.whitening
         cov_w = np.cov(w, rowvar=False)
@@ -123,7 +119,7 @@ class TestEighDescending:
 
 class TestDetect:
     def test_report_shapes(self):
-        detector = FDRDetector(window=4)
+        detector = FDRDetector(FDRDetectorConfig(window=4))
         model = detector.fit(healthy_data())
         values = healthy_data(n=50, seed=1)
         report = detector.detect(model, values)
@@ -138,7 +134,7 @@ class TestDetect:
         read the same t(n_train − 1) reference the flags were decided
         on: the oracle's bits on the report's statistics, the oracle's
         own p-values to 1e-12, and BH over them gives the flags."""
-        detector = FDRDetector(window=8)
+        detector = FDRDetector(FDRDetectorConfig(window=8))
         model = detector.fit(healthy_data(n=n_train, p=7))
         values = healthy_data(n=120, p=7, seed=1)
         values[60:, 2] += 6.0
@@ -158,13 +154,13 @@ class TestDetect:
             detector.detect(model, np.zeros((10, 3)))
 
     def test_healthy_data_mostly_clean(self):
-        detector = FDRDetector(q=0.01, window=16)
+        detector = FDRDetector(FDRDetectorConfig(q=0.01, window=16))
         model = detector.fit(healthy_data(n=2000))
         report = detector.detect(model, healthy_data(n=500, seed=2))
         assert report.n_discoveries < 500 * 20 * 0.01
 
     def test_detects_large_shift(self):
-        detector = FDRDetector(q=0.05, window=8)
+        detector = FDRDetector(FDRDetectorConfig(q=0.05, window=8))
         model = detector.fit(healthy_data(n=1000))
         values = healthy_data(n=200, seed=3)
         values[100:, 5] += 8.0  # 4 sigma shift on sensor 5
@@ -184,9 +180,9 @@ class TestDetect:
         rng = np.random.default_rng(8)
         base = rng.normal(size=(3000, 1))
         x = base + 0.3 * rng.normal(size=(3000, 10))
-        detector = FDRDetector(
+        detector = FDRDetector(FDRDetectorConfig(
             q=0.05, window=1, unit_alarm_alpha=0.001, variance_target=1.0
-        )
+        ))
         model = detector.fit(x)
         test = base[:200] + 0.3 * rng.normal(size=(200, 10))
         pattern = np.array([1.0] * 5 + [-1.0] * 5) * 0.8
@@ -196,14 +192,14 @@ class TestDetect:
         assert report.unit_alarm[:100].mean() < 0.05
 
     def test_t2_disabled(self):
-        detector = FDRDetector(use_t2=False)
+        detector = FDRDetector(FDRDetectorConfig(use_t2=False))
         model = detector.fit(healthy_data())
         report = detector.detect(model, healthy_data(n=30, seed=4))
         assert not report.unit_alarm.any()
         assert np.all(report.t2 == 0)
 
     def test_first_detection_none_when_clean(self):
-        detector = FDRDetector(q=0.0001, window=8, use_t2=False)
+        detector = FDRDetector(FDRDetectorConfig(q=0.0001, window=8, use_t2=False))
         model = detector.fit(healthy_data(n=3000))
         report = detector.detect(model, healthy_data(n=50, seed=6))
         if report.n_discoveries == 0:
@@ -216,7 +212,7 @@ class TestOnFleetData:
         return FleetGenerator(FleetConfig(n_units=12, n_sensors=40, seed=21))
 
     def test_detects_every_shift_fault(self, generator):
-        detector = FDRDetector(q=0.05, window=32)
+        detector = FDRDetector(FDRDetectorConfig(q=0.05, window=32))
         for unit in generator.units():
             window = generator.evaluation_window(unit, 400)
             if not window.faults or window.faults[0].kind is not FaultKind.SHIFT:
@@ -229,7 +225,7 @@ class TestOnFleetData:
             assert flagged & strong, f"unit {unit}: no strong faulted sensor flagged"
 
     def test_drift_faults_eventually_flagged(self, generator):
-        detector = FDRDetector(q=0.05, window=64, use_t2=False)
+        detector = FDRDetector(FDRDetectorConfig(q=0.05, window=64, use_t2=False))
         checked = 0
         for unit in generator.units():
             window = generator.evaluation_window(unit, 500)
@@ -254,8 +250,8 @@ class TestOnFleetData:
         unit = healthy_units[0]
         train = generator.training_window(unit, 400).values
         ev = generator.evaluation_window(unit, 400).values
-        none_det = FDRDetector(q=0.05, window=16, procedure="none", use_t2=False)
-        bh_det = FDRDetector(q=0.05, window=16, procedure="bh", use_t2=False)
+        none_det = FDRDetector(FDRDetectorConfig(q=0.05, window=16, procedure="none", use_t2=False))
+        bh_det = FDRDetector(FDRDetectorConfig(q=0.05, window=16, procedure="bh", use_t2=False))
         none_flags = none_det.detect(none_det.fit(train), ev).n_discoveries
         bh_flags = bh_det.detect(bh_det.fit(train), ev).n_discoveries
         assert bh_flags < none_flags / 3

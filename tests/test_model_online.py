@@ -22,7 +22,7 @@ from .ulps import nudge
 
 def trained_model(n=500, p=12, seed=0, **cfg):
     rng = np.random.default_rng(seed)
-    detector = FDRDetector(**cfg) if cfg else FDRDetector()
+    detector = FDRDetector(FDRDetectorConfig(**cfg))
     return detector, detector.fit(rng.normal(loc=10.0, scale=2.0, size=(n, p)), unit_id=4)
 
 

@@ -21,9 +21,11 @@ import pytest
 from repro.alerting import AlertManager, StreamingDetector
 from repro.chaos.report import ChaosReport
 from repro.cluster.metrics import MetricsRegistry
-from repro.core.pipeline import AnomalyPipeline, PipelineConfig
+from repro.core import pipeline as pipeline_module
+from repro.core.pipeline import AnomalyPipeline
 from repro.lifecycle import LifecyclePolicy
 from repro.obs import NULL_SPAN, ROUTES, SelfReporter, Tracer, samples
+from repro.obs import selfreport
 from repro.simdata import FleetConfig, FleetGenerator, fleet_stream
 from repro.tsdb.ingest import IngestionDriver, build_cluster
 from repro.tsdb.query import TsdbQuery
@@ -248,9 +250,10 @@ class TestSelfReporter:
         total = cluster.metrics.counter("tsd.batches_accepted").get()
         assert series[0].values[-1] == total
 
-    def test_periodic_flushing_builds_a_time_series(self):
+    def test_periodic_flushing_builds_a_time_series(self, monkeypatch):
+        monkeypatch.setattr(selfreport, "INTERVAL", 0.5)
         cluster = self._active_cluster()
-        reporter = cluster.self_reporter(interval=0.5)
+        reporter = cluster.self_reporter()
         reporter.start()
         cluster.sim.run(until=cluster.sim.now + 3.0)
         reporter.stop()
@@ -287,7 +290,7 @@ class TestSelfReporter:
         assert len(series) == 1
         assert series[0].values.tolist() == [1.0, 0.0]
 
-    def test_stamps_follow_the_sim_clock(self):
+    def test_stamps_follow_the_sim_clock(self, monkeypatch):
         # Regression: each flush was forced one second past the last, so
         # half-second flushes ran ahead of the clock (30 s of them were
         # stamped 1..60), and fault windows written afterwards landed
@@ -300,9 +303,8 @@ class TestSelfReporter:
         report.mark_down("rs00", 1.2)
         report.mark_up("rs00", 1.7)
         report.mark_up("tsd00", 3.0)
-        reporter = SelfReporter(
-            cluster, extra=(run_registry,), interval=0.5, chaos_report=report
-        )
+        monkeypatch.setattr(selfreport, "INTERVAL", 0.5)
+        reporter = SelfReporter(cluster, extra=(run_registry,), chaos_report=report)
         reporter.start()
         cluster.sim.run(until=30.0)
         reporter.stop()
@@ -323,35 +325,25 @@ class TestSelfReporter:
         # moves to the next second rather than overwrite the down edge
         assert stored == {"tsd00": ([1, 3], [1.0, 0.0]), "rs00": ([1, 2], [1.0, 0.0])}
 
-    def test_interval_must_be_positive(self):
-        cluster = build_cluster(n_nodes=1)
-        with pytest.raises(ValueError):
-            cluster.self_reporter(interval=0.0)
-
 
 # ----------------------------------------------------------------------
 # pipeline integration (the ISSUE acceptance scenario)
 # ----------------------------------------------------------------------
 class TestPipelineObservability:
-    def test_run_with_self_report_and_trace(self, tmp_path):
+    def test_run_with_self_report_and_trace(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(pipeline_module, "PUBLISH_BATCH_SIZE", 100)
         generator = FleetGenerator(FleetConfig(n_units=3, n_sensors=6, seed=13))
-        cluster = build_cluster(n_nodes=2, retain_data=True)
-        pipeline = AnomalyPipeline(
-            generator,
-            cluster,
-            pipeline_config=PipelineConfig(
-                n_train=120, n_eval=120, publish_batch_size=100,
-                self_report=True, trace=True,
-            ),
-        )
-        result = pipeline.run()
+        cluster = build_cluster(n_nodes=2, retain_data=True, trace=True)
+        pipeline = AnomalyPipeline(generator, cluster)
+        result = pipeline.run(n_train=120, n_eval=120, self_report=True)
         assert result.points_published > 0
 
-        # ≥1 end-to-end batch trace, exportable as JSON.
-        assert result.trace is not None and len(result.trace) > 0
-        batch = result.trace.batch_ids()[0]
-        assert {"proxy", "tsd"} <= set(result.trace.components(batch))
-        exported = result.trace.export_json(tmp_path / "pipeline_trace.json")
+        # ≥1 end-to-end batch trace on the cluster's tracer, exportable as JSON.
+        trace = cluster.tracer
+        assert len(trace) > 0
+        batch = trace.batch_ids()[0]
+        assert {"proxy", "tsd"} <= set(trace.components(batch))
+        exported = trace.export_json(tmp_path / "pipeline_trace.json")
         assert json.loads(exported.read_text())
 
         # Self-metric series from the cluster AND run registries query
@@ -367,13 +359,16 @@ class TestPipelineObservability:
 
     def test_traced_run_restores_the_tracer(self):
         # Regression: a traced run switched the cluster's tracer on for
-        # good, so every later untraced run kept recording spans.
+        # good, so every later untraced run kept recording spans.  A run
+        # leaves the tracer to its owner: on while enabled, off after.
         generator = FleetGenerator(FleetConfig(n_units=2, n_sensors=4, seed=13))
         cluster = build_cluster(n_nodes=2, retain_data=True)
         pipeline = AnomalyPipeline(generator, cluster)
-        traced = pipeline.run(n_train=80, n_eval=80, trace=True, self_report=True)
+        cluster.tracer.enable()
+        traced = pipeline.run(n_train=80, n_eval=80, self_report=True)
         spans = len(cluster.tracer)
-        assert spans > 0 and not cluster.tracer.enabled
+        assert spans > 0 and cluster.tracer.enabled
+        cluster.tracer.enabled = False
         pipeline.run(n_train=80, n_eval=80)
         assert len(cluster.tracer) == spans
         # the reporter stopped with the run: the clock runs on unflushed
@@ -386,7 +381,7 @@ class TestPipelineObservability:
         cluster = build_cluster(n_nodes=2, retain_data=True)
         pipeline = AnomalyPipeline(generator, cluster)
         result = pipeline.run(n_train=80, n_eval=80)
-        assert result.self_reporter is None and result.trace is None
+        assert result.self_reporter is None and len(cluster.tracer) == 0
         engine = cluster.query_engine()
         assert engine.run(TsdbQuery("anomaly", 0, 10_000)) is not None
         assert not engine.run(TsdbQuery("pipeline.units", 0, 10_000))

@@ -1,4 +1,4 @@
-"""Parallel fleet evaluation engine, training fan-out, PipelineConfig, publish paths.
+"""Parallel fleet evaluation engine, training fan-out, run options, publish paths.
 
 Parity contracts: parallel ``run()`` must be flag-for-flag identical to
 serial (and to the dense oracle, unit by unit), the
@@ -7,6 +7,7 @@ and installed by the calling thread only, and proxy-path publishing
 must land exactly the same points as ``direct_put``.
 """
 
+import inspect
 import threading
 
 import numpy as np
@@ -19,9 +20,9 @@ from repro.core import (
     FDRDetector,
     FDRDetectorConfig,
     FleetEvaluationEngine,
-    PipelineConfig,
     TrainingResult,
 )
+from repro.core import pipeline as pipeline_module
 from repro.core.model import load_model
 from repro.simdata import FleetConfig, FleetGenerator
 from repro.simdata.workload import unit_points
@@ -53,62 +54,40 @@ def _legacy_serial_reports(generator, detector_config, n_train, n_eval):
 
 
 class TestPipelineConfig:
+    """``run``'s keywords are the run options: the one place one is declared."""
+
     def test_defaults(self):
-        cfg = PipelineConfig()
-        assert cfg.n_train == 600 and cfg.n_eval == 600
-        assert cfg.publish and cfg.use_proxy_path
-        assert cfg.parallelism is None
+        params = inspect.signature(AnomalyPipeline.run).parameters
+        options = {
+            name: p.default for name, p in params.items() if p.kind is p.KEYWORD_ONLY
+        }
+        assert options == {
+            "n_train": 600,
+            "n_eval": 600,
+            "publish": True,
+            "use_proxy_path": True,
+            "self_report": False,
+        }
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"n_train": 1},
-            {"n_eval": 0},
-            {"parallelism": 0},
-            {"publish_batch_size": 0},
-            {"max_in_flight_batches": 0},
-            {"self_report_interval": 0},
-            {"self_report_interval": -0.25},
-        ],
-    )
-    def test_validation(self, kwargs):
+    @pytest.mark.parametrize("kwargs", [{"n_train": 1}, {"n_eval": 0}])
+    def test_validation(self, generator, kwargs):
         with pytest.raises(ValueError):
-            PipelineConfig(**kwargs)
+            AnomalyPipeline(generator).run(publish=False, **kwargs)
 
-    def test_with_overrides_skips_none(self):
-        cfg = PipelineConfig(n_eval=250)
-        same = cfg.with_overrides(n_train=None, publish=None)
-        assert same is cfg
-        changed = cfg.with_overrides(publish=False, parallelism=3)
-        assert changed.publish is False and changed.parallelism == 3
-        assert changed.n_eval == 250  # untouched fields carried over
-        assert cfg.publish is True  # original immutable
-
-    def test_with_overrides_rejects_unknown_names(self):
-        with pytest.raises(TypeError, match="no_such_option"):
-            PipelineConfig().with_overrides(no_such_option=None)
-
-    def test_run_accepts_every_field_as_an_override(self, generator):
-        """``run`` declares no option of its own: a field it used not to
-        mirror (``max_in_flight_batches``) is accepted like the rest,
-        and a name that is not a field is a ``TypeError``."""
+    def test_run_accepts_every_field_as_an_override(self, generator, monkeypatch):
+        """The publishers' backpressure window is the module constant,
+        read at each run: patched to 1, the run honours it."""
+        monkeypatch.setattr(pipeline_module, "PUBLISH_BATCH_SIZE", 64)
+        monkeypatch.setattr(pipeline_module, "MAX_IN_FLIGHT_BATCHES", 1)
         cluster = build_cluster(n_nodes=2, retain_data=True)
         pipeline = AnomalyPipeline(generator, cluster)
-        result = pipeline.run(
-            [0], n_train=120, n_eval=60, publish_batch_size=64, max_in_flight_batches=1
-        )
+        result = pipeline.run([0], n_train=120, n_eval=60)
         assert result.data_publish.conservation_ok
         assert result.data_publish.max_pending == 1  # the window was honoured
 
     def test_run_rejects_unknown_option(self, generator):
         with pytest.raises(TypeError, match="no_such_option"):
             AnomalyPipeline(generator).run(publish=False, no_such_option=3)
-
-    def test_run_accepts_config_object(self, generator):
-        pipeline = AnomalyPipeline(generator)
-        cfg = PipelineConfig(n_train=120, n_eval=80, publish=False)
-        result = pipeline.run(config=cfg)
-        assert all(r.pvalues.shape == (80, 12) for r in result.reports.values())
 
 
 class TestTrainReturn:
@@ -146,18 +125,39 @@ class TestTrainReturn:
         assert result.unit_ids == [2, 4]
         assert result.n_units == 2
 
+    def test_a_repeated_unit_is_trained_and_counted_once(self, generator, monkeypatch):
+        fitted = []
+        fit = FDRDetector.fit
+
+        def counting_fit(detector, values, unit_id=0):
+            fitted.append(unit_id)
+            return fit(detector, values, unit_id=unit_id)
+
+        monkeypatch.setattr(FDRDetector, "fit", counting_fit)
+        with SparkletContext(1) as ctx:
+            trained = AnomalyPipeline(generator, ctx=ctx).train([0, 0], n_train=100)
+            assert trained.unit_ids == [0] and fitted == [0]
+            fitted.clear()
+            result = AnomalyPipeline(generator, ctx=ctx).run(
+                [0, 0, 1], n_train=100, n_eval=60, publish=False
+            )
+        assert sorted(fitted) == [0, 1]
+        assert result.metrics.counter("pipeline.units").get() == 2
+        assert result.metrics.counter("engine.units_scored").get() == 2
+
 
 class TestParallelParity:
     N_TRAIN, N_EVAL = 200, 150
 
     def test_parallel_matches_serial_and_legacy(self, generator):
         cfg = FDRDetectorConfig(window=16)
-        serial = AnomalyPipeline(generator, config=cfg).run(
-            publish=False, n_train=self.N_TRAIN, n_eval=self.N_EVAL, parallelism=1
-        )
-        parallel = AnomalyPipeline(generator, config=cfg).run(
-            publish=False, n_train=self.N_TRAIN, n_eval=self.N_EVAL, parallelism=4
-        )
+        runs = []
+        for width in (1, 4):
+            with SparkletContext(width) as ctx:
+                runs.append(AnomalyPipeline(generator, config=cfg, ctx=ctx).run(
+                    publish=False, n_train=self.N_TRAIN, n_eval=self.N_EVAL
+                ))
+        serial, parallel = runs
         legacy = _legacy_serial_reports(generator, cfg, self.N_TRAIN, self.N_EVAL)
         assert set(serial.reports) == set(parallel.reports) == set(legacy)
         for unit_id, ref in legacy.items():
@@ -310,12 +310,14 @@ class TestTrainingFanOut:
                 pipeline.model_for(unit)
 
     def test_run_at_parallelism_1_trains_inline(self, generator, fit_threads, monkeypatch):
+        ctx = SparkletContext(1)
+
         def no_context(*args, **kwargs):
-            raise AssertionError("run(parallelism=1) constructed a SparkletContext")
+            raise AssertionError("a run on a one-wide context constructed a SparkletContext")
 
         monkeypatch.setattr(SparkletContext, "__init__", no_context)
-        result = AnomalyPipeline(generator).run(
-            publish=False, n_train=self.N_TRAIN, n_eval=60, parallelism=1
+        result = AnomalyPipeline(generator, ctx=ctx).run(
+            publish=False, n_train=self.N_TRAIN, n_eval=60
         )
         assert set(result.reports) == set(generator.units())
         assert fit_threads == [threading.get_ident()] * 6
@@ -336,9 +338,10 @@ class TestEvaluatorCache:
         """Cached evaluators carry their window between records, so a
         batch run must see neither the previous run's rows nor, for a
         repeated unit, its own."""
-        pipeline = AnomalyPipeline(generator)
-        run = dict(publish=False, n_train=150, n_eval=100, parallelism=parallelism)
-        results = [pipeline.run([0, 1], **run), pipeline.run([0, 0, 1], **run)]
+        run = dict(publish=False, n_train=150, n_eval=100)
+        with SparkletContext(parallelism) as ctx:
+            pipeline = AnomalyPipeline(generator, ctx=ctx)
+            results = [pipeline.run([0, 1], **run), pipeline.run([0, 0, 1], **run)]
         for unit in (0, 1):
             window = generator.evaluation_window(unit, 100).values
             want = oracle.detect(pipeline.model_for(unit), window, pipeline.config)
@@ -352,16 +355,14 @@ class TestEvaluatorCache:
 
 
 class TestPublishPaths:
-    def _run(self, generator, use_proxy_path):
+    @pytest.fixture(autouse=True)
+    def _batch_size(self, monkeypatch):
+        monkeypatch.setattr(pipeline_module, "PUBLISH_BATCH_SIZE", 128)
+
+    def _run(self, generator, **options):
         cluster = build_cluster(n_nodes=2, retain_data=True)
         pipeline = AnomalyPipeline(generator, cluster)
-        result = pipeline.run(
-            unit_ids=[0, 1, 2],
-            n_train=150,
-            n_eval=100,
-            use_proxy_path=use_proxy_path,
-            publish_batch_size=128,
-        )
+        result = pipeline.run(unit_ids=[0, 1, 2], n_train=150, n_eval=100, **options)
         return cluster, result
 
     def _raw_point_count(self, cluster, metric):
@@ -382,7 +383,7 @@ class TestPublishPaths:
         assert direct.data_publish.mode == "direct"
 
     def test_proxy_path_is_default_and_acked(self, generator):
-        cluster, result = self._run(generator, use_proxy_path=None)
+        cluster, result = self._run(generator)
         rep = result.data_publish
         assert rep.mode == "proxy"
         assert rep.complete and rep.pending_unresolved == 0
@@ -488,17 +489,13 @@ class TestRaceAuditedRun:
     potential anywhere on the path).
     """
 
-    def test_full_parallel_run_clean_lock_discipline(self, generator):
-        with raceaudit.auditing() as auditor:
+    def test_full_parallel_run_clean_lock_discipline(self, generator, monkeypatch):
+        monkeypatch.setattr(pipeline_module, "PUBLISH_BATCH_SIZE", 128)
+        with raceaudit.auditing() as auditor, SparkletContext(4) as ctx:
             cluster = build_cluster(n_nodes=2, retain_data=True)
-            pipeline = AnomalyPipeline(generator, cluster)
+            pipeline = AnomalyPipeline(generator, cluster, ctx=ctx)
             result = pipeline.run(
-                unit_ids=[0, 1, 2, 3],
-                n_train=150,
-                n_eval=100,
-                use_proxy_path=True,
-                parallelism=4,
-                publish_batch_size=128,
+                unit_ids=[0, 1, 2, 3], n_train=150, n_eval=100, use_proxy_path=True
             )
             assert result.data_publish.complete
             auditor.assert_no_cycles()
@@ -527,13 +524,11 @@ class TestRaceAuditedRun:
 
     def test_audited_parity_with_unaudited_run(self, generator):
         """Auditing must observe, never perturb, the detector output."""
-        plain = AnomalyPipeline(generator).run(
-            unit_ids=[0, 1], publish=False, n_train=150, n_eval=100, parallelism=2
-        )
-        with raceaudit.auditing() as auditor:
-            audited = AnomalyPipeline(generator).run(
-                unit_ids=[0, 1], publish=False, n_train=150, n_eval=100, parallelism=2
-            )
+        run = dict(unit_ids=[0, 1], publish=False, n_train=150, n_eval=100)
+        with SparkletContext(2) as ctx:
+            plain = AnomalyPipeline(generator, ctx=ctx).run(**run)
+        with raceaudit.auditing() as auditor, SparkletContext(2) as ctx:
+            audited = AnomalyPipeline(generator, ctx=ctx).run(**run)
             auditor.assert_no_cycles()
         for unit_id in plain.reports:
             assert np.array_equal(
@@ -558,9 +553,10 @@ class TestRunInstrumentation:
         """Regression: ``engine.samples_scored`` added one per window row,
         so for a p-sensor unit it read p times below
         ``pipeline.samples_scored``, which counts sensor samples."""
-        result = AnomalyPipeline(generator).run(
-            unit_ids=[0, 1, 2], publish=False, n_train=150, n_eval=100, parallelism=2
-        )
+        with SparkletContext(2) as ctx:
+            result = AnomalyPipeline(generator, ctx=ctx).run(
+                unit_ids=[0, 1, 2], publish=False, n_train=150, n_eval=100
+            )
         samples = sum(r.flags.size for r in result.reports.values())
         assert samples == 3 * 100 * 12
         assert result.metrics.counter("engine.samples_scored").get() == samples

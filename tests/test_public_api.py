@@ -93,7 +93,6 @@ class TestExports:
             "IngestionDriver",
             "OfflineTrainer",
             "OnlineEvaluator",
-            "PipelineConfig",
             "PipelineResult",
             "PublishReport",
             "QueryEngine",
@@ -129,7 +128,6 @@ class TestExports:
         from repro import (  # noqa: F401
             BatchPublisher,
             FleetEvaluationEngine,
-            PipelineConfig,
             PublishReport,
             UnitEvaluation,
         )

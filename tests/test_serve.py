@@ -687,7 +687,7 @@ class TestChaosIntegration:
         fleet_shape(6, 0)
         cluster = seeded_cluster()
         gateway = cluster.gateway(GatewayConfig(ttl=0.5))
-        reporter = cluster.self_reporter(interval=0.5)
+        reporter = cluster.self_reporter()
         gateway.serve(overview_query())  # warm the overview entry
         plan = FaultPlan(
             name="tsd-blackout",

@@ -204,18 +204,10 @@ class TestFleetGenerator:
             FleetConfig(n_units=0)
         with pytest.raises(ValueError):
             FleetConfig(fault_mix=(0.5, 0.5, 0.5))
-        with pytest.raises(ValueError):
-            FleetConfig(std_range=(0.0, 1.0))
-        with pytest.raises(ValueError):
-            FleetConfig(mean_range=(10.0, 0.0))
 
     def test_window_sample_validation(self):
         with pytest.raises(ValueError):
             self.gen().training_window(0, 0)
-
-    def test_config_or_overrides(self):
-        with pytest.raises(ValueError):
-            FleetGenerator(FleetConfig(), n_units=3)
 
 
 class TestWorkloadAdapters:

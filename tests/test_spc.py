@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.fdr import FDRDetector
+from repro.core import spc
+from repro.core.fdr import FDRDetector, FDRDetectorConfig
 from repro.core.spc import CusumChart, EwmaChart, MewmaChart, ShewhartChart
 
 
@@ -25,24 +26,21 @@ def shifted_data(n=300, shift_sigma=2.0, seed=2, sensor=2, onset=100):
 
 class TestShewhart:
     def test_null_false_alarm_rate_matches_3sigma(self, model):
-        flags = ShewhartChart(limit=3.0).flags(model, null_data())
+        assert spc.SHEWHART_LIMIT == 3.0
+        flags = ShewhartChart().flags(model, null_data())
         assert flags.mean() == pytest.approx(0.0027, abs=0.002)
 
     def test_detects_large_shift(self, model):
         flags = ShewhartChart().flags(model, shifted_data(shift_sigma=4.0))
         assert flags[110:, 2].mean() > 0.7
 
-    def test_limit_monotone(self, model):
+    def test_limit_monotone(self, model, monkeypatch):
         x = null_data()
-        loose = ShewhartChart(limit=2.0).flags(model, x).sum()
-        tight = ShewhartChart(limit=4.0).flags(model, x).sum()
+        monkeypatch.setattr(spc, "SHEWHART_LIMIT", 2.0)
+        loose = ShewhartChart().flags(model, x).sum()
+        monkeypatch.setattr(spc, "SHEWHART_LIMIT", 4.0)
+        tight = ShewhartChart().flags(model, x).sum()
         assert tight < loose
-
-    def test_invalid_limit(self):
-        with pytest.raises(ValueError):
-            ShewhartChart(limit=0.0)
-        with pytest.raises(ValueError):
-            ShewhartChart(limit=-3.0)  # would flag every sample
 
     def test_shape_mismatch(self, model):
         with pytest.raises(ValueError):
@@ -69,14 +67,6 @@ class TestCusum:
         flags = CusumChart().flags(model, x)
         assert flags[150:, 1].any()
 
-    def test_invalid_params(self):
-        with pytest.raises(ValueError):
-            CusumChart(k=-0.1)
-        with pytest.raises(ValueError):
-            CusumChart(h=0.0)
-        with pytest.raises(ValueError):
-            CusumChart(h=-5.0)  # would flag every sample
-
 
 class TestEwma:
     def test_null_alarm_rate_small(self, model):
@@ -97,19 +87,13 @@ class TestEwma:
             trials += flags.size
         assert alarms / trials < 0.02
 
-    def test_lambda_one_reduces_to_shewhart_like(self, model):
+    def test_lambda_one_reduces_to_shewhart_like(self, model, monkeypatch):
         x = null_data(500)
-        ewma = EwmaChart(lam=1.0, limit=3.0).flags(model, x)
-        shewhart = ShewhartChart(limit=3.0).flags(model, x)
+        monkeypatch.setattr(spc, "EWMA_LAMBDA", 1.0)
+        monkeypatch.setattr(spc, "EWMA_LIMIT", 3.0)
+        ewma = EwmaChart().flags(model, x)
+        shewhart = ShewhartChart().flags(model, x)
         assert np.array_equal(ewma, shewhart)
-
-    def test_invalid_params(self):
-        with pytest.raises(ValueError):
-            EwmaChart(lam=0.0)
-        with pytest.raises(ValueError):
-            EwmaChart(lam=1.5)
-        with pytest.raises(ValueError):
-            EwmaChart(limit=-1.0)
 
 
 class TestMewma:
@@ -118,13 +102,14 @@ class TestMewma:
         rng = np.random.default_rng(3)
         base = rng.normal(size=(4000, 1))
         x = base + 0.4 * rng.normal(size=(4000, 8))
-        detector = FDRDetector(variance_target=1.0)
+        detector = FDRDetector(FDRDetectorConfig(variance_target=1.0))
         return detector.fit(x), base, rng
 
-    def test_null_alarm_rate_near_alpha(self, correlated_model):
+    def test_null_alarm_rate_near_alpha(self, correlated_model, monkeypatch):
         model, base, rng = correlated_model
         test = base[:2000] + 0.4 * rng.normal(size=(2000, 8))
-        flags = MewmaChart(alpha=0.005).flags(model, test)
+        monkeypatch.setattr(spc, "MEWMA_ALPHA", 0.005)
+        flags = MewmaChart().flags(model, test)
         # EWMA smoothing correlates consecutive statistics, so alarms
         # cluster; the rate should still be the right order of magnitude
         assert flags.mean() < 0.05
@@ -134,8 +119,7 @@ class TestMewma:
         test = base[:400] + 0.4 * rng.normal(size=(400, 8))
         pattern = np.array([1.0, -1.0] * 4) * 0.35  # small, correlation-breaking
         test[200:] += pattern
-        chart = MewmaChart(lam=0.1, alpha=0.001)
-        flags = chart.flags(model, test)
+        flags = MewmaChart().flags(model, test)
         assert flags[250:].mean() > 0.8
         assert flags[:200].mean() < 0.05
 
@@ -146,7 +130,7 @@ class TestMewma:
         test = base[:600] + 0.4 * rng.normal(size=(600, 8))
         pattern = np.array([1.0, -1.0] * 4) * 0.3
         test[300:] += pattern
-        mewma_hits = MewmaChart(lam=0.1, alpha=0.001).flags(model, test)[350:].mean()
+        mewma_hits = MewmaChart().flags(model, test)[350:].mean()
         z = (test - model.mean) / model.std
         t2 = t2_statistic(z @ model.whitening)
         t2_hits = (t2_pvalues(t2, model.n_components) <= 0.001)[350:].mean()
@@ -159,22 +143,13 @@ class TestMewma:
         assert np.all(stats_path >= 0)
         assert stats_path.shape == (50,)
 
-    def test_lam_one_equals_instant_t2(self, correlated_model):
+    def test_lam_one_equals_instant_t2(self, correlated_model, monkeypatch):
         from .oracle import t2_statistic
 
         model, base, rng = correlated_model
         test = base[:100] + 0.4 * rng.normal(size=(100, 8))
-        q = MewmaChart(lam=1.0).statistics(model, test)
+        monkeypatch.setattr(spc, "MEWMA_LAMBDA", 1.0)
+        q = MewmaChart().statistics(model, test)
         z = (test - model.mean) / model.std
         t2 = t2_statistic(z @ model.whitening)
         assert np.allclose(q, t2)
-
-    def test_invalid_params(self):
-        with pytest.raises(ValueError):
-            MewmaChart(lam=0.0)
-        with pytest.raises(ValueError):
-            MewmaChart(lam=1.5)
-        with pytest.raises(ValueError):
-            MewmaChart(alpha=0.0)
-        with pytest.raises(ValueError):
-            MewmaChart(alpha=1.0)
