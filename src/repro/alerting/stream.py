@@ -247,10 +247,11 @@ class StreamingDetector:
         anomaly_points: List[DataPoint] = []
         for unit_id, start_time, values in records:
             x = np.asarray(values, dtype=np.float64)
-            if x.ndim != 2 or x.shape[0] == 0:
+            if x.size == 0:
                 continue
-            if not np.isfinite(x).all():
-                # Dropped whole: not scored, not trained on, not published.
+            if x.ndim != 2 or x.shape[1] != self.n_sensors or not np.isfinite(x).all():
+                # Malformed or non-finite, dropped whole: not scored,
+                # not trained on, not published.
                 self.report.records_rejected += 1
                 self.metrics.counter("alerting.records_rejected").inc()
                 continue

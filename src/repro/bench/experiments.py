@@ -52,7 +52,7 @@ from ..simdata.workload import (
 from ..sparklet.context import SparkletContext
 from ..sparklet.storage import BlockStore
 from ..tsdb.ingest import ClusterConfig, IngestionDriver, IngestionReport, TsdbCluster, build_cluster
-from ..tsdb.publish import BatchPublisher
+from ..tsdb.publish import BatchPublisher, PublishReport
 from ..tsdb.query import TsdbQuery
 from ..tsdb.readpath import AsyncQueryExecutor
 from ..tsdb.tsd import DataPoint
@@ -951,6 +951,38 @@ def e11_pipeline_parallel(quick: bool = False) -> ExperimentResult:
 # ----------------------------------------------------------------------
 # E12 — chaos: hardened ingest overhead and crash survival
 # ----------------------------------------------------------------------
+def _synthetic_points(n_points: int, seed: int) -> List[DataPoint]:
+    """E12's and E13's stream: ``n_points`` normal draws, one a second,
+    dealt over 8 units and 25 sensors."""
+    rng = np.random.default_rng(seed)
+    return [
+        DataPoint.make(
+            "energy", 1_000 + i, float(v), {"unit": f"u{i % 8}", "sensor": f"s{i % 25}"}
+        )
+        for i, v in enumerate(rng.normal(size=n_points))
+    ]
+
+
+def _timed_publish(publisher: BatchPublisher, publish) -> Tuple[PublishReport, float]:
+    """``publish()`` then ``publisher.flush()``: the report and its wall seconds.
+
+    Benchmark hygiene: the garbage from previous runs is collected up
+    front and the collector kept out of the measured window, so a GC
+    pause cannot land on one configuration and masquerade as overhead.
+    """
+    gc.collect()
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        wall0 = time.perf_counter()
+        publish()
+        report = publisher.flush()
+        return report, time.perf_counter() - wall0
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+
+
 def _chaos_publish_run(
     n_points: int,
     batch_size: int,
@@ -963,13 +995,7 @@ def _chaos_publish_run(
     Returns sim-time goodput, end-to-end ack latency, the hardening
     counters, and the delivery-accounting residual (always zero).
     """
-    rng = np.random.default_rng(seed)
-    points = [
-        DataPoint.make(
-            "energy", 1_000 + i, float(v), {"unit": f"u{i % 8}", "sensor": f"s{i % 25}"}
-        )
-        for i, v in enumerate(rng.normal(size=n_points))
-    ]
+    points = _synthetic_points(n_points, seed)
     cluster = build_cluster(ClusterConfig(n_nodes=2, salt_buckets=4))
     injector = Injector(cluster, plan) if plan is not None else None
     if injector is not None:
@@ -1099,32 +1125,13 @@ def _obs_publish_run(
     cost only shows up in wall-clock; goodput is reported to prove the
     simulated behaviour is unchanged.
     """
-    rng = np.random.default_rng(seed)
-    points = [
-        DataPoint.make(
-            "energy", 1_000 + i, float(v), {"unit": f"u{i % 8}", "sensor": f"s{i % 25}"}
-        )
-        for i, v in enumerate(rng.normal(size=n_points))
-    ]
+    points = _synthetic_points(n_points, seed)
     cluster = build_cluster(ClusterConfig(n_nodes=2, salt_buckets=4, trace=trace))
     reporter = cluster.self_reporter() if self_report else None
     if reporter is not None:
         reporter.start()
     publisher = BatchPublisher(cluster, batch_size=batch_size, max_in_flight_batches=8)
-    # Benchmark hygiene: collect the garbage from previous runs up front
-    # and keep the collector out of the measured window, so a GC pause
-    # cannot land on one configuration and masquerade as overhead.
-    gc.collect()
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        wall0 = time.perf_counter()
-        publisher.publish(points)
-        report = publisher.flush()
-        wall = time.perf_counter() - wall0
-    finally:
-        if gc_was_enabled:
-            gc.enable()
+    report, wall = _timed_publish(publisher, lambda: publisher.publish(points))
     self_series = 0
     if reporter is not None:
         reporter.stop()
@@ -1418,20 +1425,12 @@ def _block_publish_run(
 
     cluster = build_cluster(ClusterConfig(n_nodes=2, salt_buckets=4))
     publisher = BatchPublisher(cluster, batch_size=batch_size, max_in_flight_batches=8)
-    gc.collect()
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        wall0 = time.perf_counter()
-        if use_blocks:
-            publisher.publish_blocks(BlockBatch.from_points(points))
-        else:
-            publisher.publish(points)
-        report = publisher.flush()
-        wall = time.perf_counter() - wall0
-    finally:
-        if gc_was_enabled:
-            gc.enable()
+    if use_blocks:
+        report, wall = _timed_publish(
+            publisher, lambda: publisher.publish_blocks(BlockBatch.from_points(points))
+        )
+    else:
+        report, wall = _timed_publish(publisher, lambda: publisher.publish(points))
     sim_elapsed = max(cluster.sim.now, 1e-9)
     return {
         "goodput": report.points_written / sim_elapsed,

@@ -104,16 +104,16 @@ class HTableClient:
         self,
         table: str,
         cells: CellBatch,
-        on_done: Optional[Callable[[bool, int], None]] = None,
+        on_done: Optional[Callable[[bool, CellBatch], None]] = None,
         batch_ids: Tuple[int, ...] = (),
         block: bool = False,
     ) -> None:
-        """Write a batch of cells; ``on_done(ok, n_cells)`` when resolved.
+        """Write a batch of cells; ``on_done(ok, cells)`` when resolved.
 
         The batch is partitioned by destination server; each partition
         succeeds or fails independently and ``on_done`` fires once per
-        partition with that partition's cell count (on failure too, so
-        callers can reconcile exactly how many cells each resolution
+        partition with that partition's cells (on failure too, so
+        callers can reconcile exactly which cells each resolution
         covers).  ``batch_ids`` is trace correlation only: the ingest
         batch ids whose cells this put carries, stamped onto the
         :class:`PutRequest` so RegionServer spans join the batch trace.
@@ -124,7 +124,7 @@ class HTableClient:
         """
         if not cells.rows:
             if on_done is not None:
-                on_done(True, 0)
+                on_done(True, cells)
             return
         for server_name, group in self.master.group_by_server(table, cells).items():
             self._send_put(table, server_name, group, 0, on_done, batch_ids, block)
@@ -135,7 +135,7 @@ class HTableClient:
         server_name: Optional[str],
         cells: CellBatch,
         attempt: int,
-        on_done: Optional[Callable[[bool, int], None]],
+        on_done: Optional[Callable[[bool, CellBatch], None]],
         batch_ids: Tuple[int, ...] = (),
         block: bool = False,
     ) -> None:
@@ -166,7 +166,7 @@ class HTableClient:
             if reply.ok:
                 self.metrics.counter("client.put_ok").inc(len(cells))
                 if on_done is not None:
-                    on_done(True, len(cells))
+                    on_done(True, cells)
             elif reply.retryable:
                 self._retry_put(table, cells, attempt, on_done, batch_ids, block)
             else:
@@ -196,7 +196,7 @@ class HTableClient:
         table: str,
         cells: CellBatch,
         attempt: int,
-        on_done: Optional[Callable[[bool, int], None]],
+        on_done: Optional[Callable[[bool, CellBatch], None]],
         batch_ids: Tuple[int, ...] = (),
         block: bool = False,
     ) -> None:
@@ -213,10 +213,12 @@ class HTableClient:
 
         self.sim.schedule(delay, resend)
 
-    def _fail_put(self, cells: CellBatch, on_done: Optional[Callable[[bool, int], None]]) -> None:
+    def _fail_put(
+        self, cells: CellBatch, on_done: Optional[Callable[[bool, CellBatch], None]]
+    ) -> None:
         self.metrics.counter("client.put_failed").inc(len(cells))
         if on_done is not None:
-            on_done(False, len(cells))
+            on_done(False, cells)
 
     # ------------------------------------------------------------------
     # reads

@@ -424,6 +424,12 @@ class HMaster:
             left, right = assignment.region.split(
                 key, (next(self._region_ids), next(self._region_ids))
             )
+            # The daughters' cells are in no server's WAL, so they are
+            # flushed before the daughters open (HBase daughters start
+            # from the parent's store files): a crash of a daughter's
+            # new host must not lose them.
+            left.flush()
+            right.flush()
             if assignment.server is not None:
                 self._servers[assignment.server].close_region(region_name)
             la, ra = _Assignment(left, None), _Assignment(right, None)
@@ -574,5 +580,16 @@ class HMaster:
                 self.replication.mirror(a.region.info.name, share)
 
     def _handle_restart(self, server: RegionServer) -> None:
-        """Re-admit a restarted server and give it work again."""
+        """Re-admit a restarted server and give it work again.
+
+        Regions left unassigned while no server was live (their data
+        replayed and flushed by recovery) are assigned first, with
+        their followers placed, then the load is balanced.
+        """
+        for table, assignments in self._tables.items():
+            for a in assignments:
+                if a.server is None:
+                    self._assign(table, a)
+                    if self.replication is not None:
+                        self.replication.ensure_replicas(a.region, a.server)
         self.balance()

@@ -429,6 +429,7 @@ class ReverseProxy:
             self.sim.now - state.submitted_at
         )
         written, failed = (len(state.remaining), 0) if ok else (0, len(state.remaining))
+        ok = not failed  # an empty batch has no point to fail, delivered or not
         state.span.end(
             outcome="ok" if ok else "failed",
             written=written,

@@ -35,12 +35,12 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..lifecycle.manager import LifecycleManager
 
-from ..hbase.bytescodec import decode_f64, decode_u32
+from ..hbase.bytescodec import decode_u32
 from ..hbase.master import HMaster, RegionUnavailableError
 from ..hbase.region import CellBatch, RowFilter
 from .aggregation import AGGREGATORS, Series, aggregate, downsample, rate
 from .blocks import TS_TYPECODE, VAL_TYPECODE, SeriesBlock
-from .compaction import decompact_columns, first_blob, is_compacted
+from .compaction import COMPACTED_MARKER, decompact_columns, first_blob, is_compacted
 from .rowkey import _UID_WIDTH, RowKeyCodec
 from .tsd import DATA_TABLE
 from .uid import UniqueIdRegistry, UnknownUidError
@@ -136,72 +136,78 @@ class _BlockScanState:
             dtype=np.int64,
         ).reshape(-1, 2)
         slot, base = runs[:, 0], runs[:, 1]
-        kept = slot >= 0
-        # Blobs sort last in their row: a run holds one iff it ends in one.
+        lengths = np.diff(starts)
+        # Point cells per run, ahead of any blobs (they sort last in
+        # their row: a run holds one iff it ends in one).
+        points = np.where(slot >= 0, lengths, 0)
         blobbed = np.fromiter(
             map(is_compacted, map(qualifiers.__getitem__, [j - 1 for j in starts[1:]])),
             dtype=bool,
             count=len(slot),
         )
-        walked = np.flatnonzero(kept & blobbed).tolist()
+        walked = np.flatnonzero(points.astype(bool) & blobbed).tolist()
         if walked:
-            self._ingest_compacted_rows(cells, starts, walked, slot, base)
-        points = kept & ~blobbed
+            points[walked] = self._ingest_blobs(cells, starts, walked, slot, base)
         if not points.any():
             return
-        lengths = np.diff(starts)
         stamps = np.array(cells.ts, dtype=np.float64)
-        if not points.all():
-            in_runs = np.repeat(points, lengths)
+        if not np.array_equal(points, lengths):
+            first = np.repeat(np.asarray(starts[:-1]), lengths)
+            in_runs = np.arange(len(rows)) - first < np.repeat(points, lengths)
             keep = in_runs.tolist()
             qualifiers = list(compress(qualifiers, keep))
             values = list(compress(values, keep))
             stamps = stamps[in_runs]
-            slot, base, lengths = slot[points], base[points], lengths[points]
         self._add_window(
-            np.repeat(slot, lengths),
-            np.repeat(base, lengths) + np.frombuffer(b"".join(qualifiers), dtype=">u2"),
+            np.repeat(slot, points),
+            np.repeat(base, points) + np.frombuffer(b"".join(qualifiers), dtype=">u2"),
             np.frombuffer(b"".join(values), dtype=">f8").astype(np.float64),
             stamps,
         )
 
-    def _ingest_compacted_rows(
+    def _ingest_blobs(
         self,
         cells: CellBatch,
         starts: List[int],
         runs: List[int],
         slot: np.ndarray,
         base: np.ndarray,
-    ) -> None:
-        """The row runs ``runs`` of ``cells``, each ending in compacted
-        blobs, walked a row at a time: the blobs first, then the point
-        cells written after the newest of them (the rest were merged
-        into it and stay in its shadow).  They land as one chunk."""
+    ) -> List[int]:
+        """The compacted blobs ending the row runs ``runs`` of
+        ``cells``, as one chunk; returns each run's count of point
+        cells ahead of its blobs, which :meth:`ingest_scan` reads.
+
+        A blob never shadows a point cell: compaction leaves the cells
+        it merged in place, so a blob holds only values its row's
+        points also hold, and a point encoded before the compaction but
+        landed after it is newer than what the blob merged, whatever
+        the blob's write ts says.  So blob values rank below every
+        point (``-1 / (1 + ts)`` < 0 ≤ a point's write ts) and, among
+        blobs, by write ts; they surface only where no point is left.
+        A blob whose offsets are exactly its row's point cells' (the
+        row as the compactor left it) is not decoded at all.
+        """
         qualifiers, values, stamps = cells.qualifiers, cells.values, cells.ts
         offsets, vals = array(TS_TYPECODE), array(VAL_TYPECODE)
-        # one entry per blob or surviving point: its run, size, write ts
+        # one entry per blob: its run, size, rank
         piece_run: List[int] = []
         piece_len: List[int] = []
         piece_wts = array("d")
+        n_points: List[int] = []
         for k in runs:
             i, j = starts[k], starts[k + 1]
             blobs_at = first_blob(qualifiers, i, j)
+            n_points.append(blobs_at - i)
+            merged = COMPACTED_MARKER + b"".join(qualifiers[i:blobs_at])
             for b in range(blobs_at, j):
+                if qualifiers[b] == merged:
+                    continue
                 blob_offsets, blob_values = decompact_columns(qualifiers[b], values[b])
                 offsets.extend(blob_offsets)
                 vals.extend(blob_values)
                 piece_run.append(k)
                 piece_len.append(len(blob_offsets))
-                piece_wts.append(stamps[b])
-            if blobs_at > i:
-                shadow = max(stamps[blobs_at:j])
-                for p in range(i, blobs_at):
-                    if stamps[p] > shadow:
-                        offsets.append(int.from_bytes(qualifiers[p], "big"))
-                        vals.append(decode_f64(values[p]))
-                        piece_run.append(k)
-                        piece_len.append(1)
-                        piece_wts.append(stamps[p])
+                piece_wts.append(-1.0 / (1.0 + stamps[b]))
         owner = np.repeat(np.array(piece_run, dtype=np.intp), piece_len)
         self._add_window(
             slot[owner],
@@ -209,6 +215,7 @@ class _BlockScanState:
             np.frombuffer(vals, dtype=np.float64),
             np.repeat(np.frombuffer(piece_wts, dtype=np.float64), piece_len),
         )
+        return n_points
 
     def _add_window(
         self, slots: np.ndarray, ts: np.ndarray, vals: np.ndarray, stamps: np.ndarray

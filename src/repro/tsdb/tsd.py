@@ -38,9 +38,10 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
-from itertools import count, repeat, starmap
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from itertools import chain, count, repeat, starmap
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..cluster.metrics import MetricsRegistry
 from ..cluster.network import Network
@@ -289,7 +290,9 @@ class TSDaemon:
         arrives coalesced per series upstream, so its one batch is one
         put.  A point list's cells are dealt, in order, into the
         per-salt-bucket linger buffers; a bucket is put when it holds
-        :data:`RPC_BATCH_SIZE` cells or its linger timer fires.
+        :data:`RPC_BATCH_SIZE` cells or its linger timer fires.  An
+        empty payload of either shape has no cell to resolve its
+        context, so it is put as one empty batch, which acks at once.
         """
         n_points = len(payload)
         self.points_received += n_points
@@ -299,6 +302,9 @@ class TSDaemon:
             batch_id=batch_id,
             span=span,
         )
+        if not n_points:
+            self._put(CellBatch(), [[ctx, 0]], block=False)
+            return
         if isinstance(payload, BlockBatch):
             self._put(self.encode_block(payload), [[ctx, n_points]], block=True)
             return
@@ -329,11 +335,11 @@ class TSDaemon:
         ``[batch context, n cells]``; ``block`` charges the block-put cost.
 
         The client resolves the put in parts (one per server partition;
-        retries can regroup), each covering ``count`` cells.  A
-        resolution is charged to the runs from the last back — any
-        ``count`` cells are a valid charge, since each is one unit of
-        one context — and a context acks its inbound batch when its last
-        cell resolves.
+        retries can regroup), each handing back the cells it resolved.
+        A part is charged to the contexts that own its cells: all of
+        them when the put resolves whole or has one context, else cell
+        by cell through the write ts, which is unique per cell.  A
+        context acks its inbound batch when its last cell resolves.
         """
         batch_ids: tuple = ()
         flush_span: SpanLike = NULL_SPAN
@@ -349,21 +355,24 @@ class TSDaemon:
                 cells=len(cells),
                 batch_ids=batch_ids,
             )
+        unresolved = len(cells)
 
-        def on_done(ok: bool, count: int) -> None:
+        def on_done(ok: bool, part: CellBatch) -> None:
+            nonlocal unresolved
+            count = len(part)
             if ok:
                 self.points_written += count
             else:
                 self.points_failed += count
-            while credits:
-                run = credits[-1]
-                ctx, charge = run
-                if count < charge:
-                    run[1] -= count
-                    charge = count
-                else:
-                    credits.pop()
-                count -= charge
+            if len(credits) == 1:
+                charges: Iterable = ((credits[0][0], count),)
+            elif count == unresolved == len(cells):
+                charges = credits
+            else:
+                owner = dict(zip(cells.ts, chain.from_iterable(starmap(repeat, credits))))
+                charges = Counter(map(owner.__getitem__, part.ts)).items()
+            unresolved -= count
+            for ctx, charge in charges:
                 ctx.pending -= charge
                 if ok:
                     ctx.written += charge
@@ -372,9 +381,7 @@ class TSDaemon:
                 if not ctx.pending:
                     ctx.span.end(written=ctx.written, failed=ctx.failed)
                     ctx.reply(PutAck(ctx.failed == 0, ctx.written, ctx.failed, self.name))
-                if not count:
-                    break
-            if not credits:
+            if not unresolved:
                 flush_span.end(ok=ok)
 
         self.client.put(DATA_TABLE, cells, on_done, batch_ids=batch_ids, block=block)

@@ -9,6 +9,7 @@ panel, self-metric attribution, and the streaming run under injected chaos
 """
 
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -356,6 +357,21 @@ class TestStreamingDetector:
             (i.opened_at, i.resolved_at) for i in report.unit_incidents(1)
         ] == [(i.opened_at, i.resolved_at) for i in clean.unit_incidents(1)]
         assert report.unit_incidents(0)  # and the poisoned one still detects
+
+    def test_malformed_records_are_rejected_not_raised(self):
+        """Regression: a record of the wrong sensor count raised out of the
+        interval, and a 1-D one was skipped uncounted.  Each is rejected like
+        a non-finite one, at cold start and with a model; an empty one idles."""
+        detector = StreamingDetector(5, min_samples=20, refresh_every=1)
+        rng = np.random.default_rng(0)
+        malformed = (np.ones((25, 6)), np.ones((25, 4)), np.ones(5))
+        good = (rng.standard_normal((40, 5)), rng.standard_normal((40, 5)))
+        for values in malformed + good + malformed + (np.zeros((0, 5)), np.zeros(0)):
+            detector._on_interval(0, SimpleNamespace(collect=lambda: [(0, 0, values)]))
+        assert 0 in detector.engine.models
+        rejected = detector.metrics.counter("alerting.records_rejected").get()
+        assert detector.report.records_rejected == rejected == 6
+        assert detector.report.samples_streamed == 80 * 5
 
     def test_stored_data_is_the_streamed_columns_bit_for_bit(self):
         """Every sample the stream wrote back reads back as the very

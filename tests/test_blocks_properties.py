@@ -207,37 +207,33 @@ def run_pointwise(engine, query):
 
     Each salt bucket's range is scanned unfiltered and every cell is
     decided on its own, into a dict per series of ``timestamp ->
-    (value, write ts)`` where a newer-or-equal write ts wins.  A row's
-    blobs are read before its point cells, and a point cell no newer
-    than the row's newest blob was merged into that blob, so the blob
-    shadows it.  Tags are matched after the scan.
+    (value, rank)`` where a newer-or-equal rank wins.  A blob never
+    shadows a point cell: compaction leaves the cells it merged in
+    place, so blob values rank below every point cell and, among blobs,
+    by write ts.  Tags are matched after the scan.
     """
     try:
         metric_uid = engine.uids.get("metric", query.metric)
     except UnknownUidError:
         return []
     codec = engine.codec
-    points = {}  # tag pairs -> {timestamp: (value, write ts)}
-    newest_blob = {}  # (tag pairs, row base time) -> newest blob write ts
+    points = {}  # tag pairs -> {timestamp: (value, (is a point, write ts))}
 
-    def keep(tag_pairs, timestamp, value, write_ts):
+    def keep(tag_pairs, timestamp, value, rank):
         if query.start <= timestamp < query.end:
             series = points.setdefault(tag_pairs, {})
-            if timestamp not in series or write_ts >= series[timestamp][1]:
-                series[timestamp] = (value, write_ts)
+            if timestamp not in series or rank >= series[timestamp][1]:
+                series[timestamp] = (value, rank)
 
     for lo, hi in codec.scan_ranges(metric_uid, query.start, query.end):
         cells = list(engine.master.direct_scan(DATA_TABLE, lo, hi))
         for cell in [c for c in cells if is_compacted(c.qualifier)]:
             key = codec.decode(cell.row, b"\x00\x00")
-            row = (key.tag_pairs, key.base_time)
-            newest_blob[row] = max(cell.ts, newest_blob.get(row, -1.0))
             for offset, value in zip(*decompact_columns(cell.qualifier, cell.value)):
-                keep(key.tag_pairs, key.base_time + offset, value, cell.ts)
+                keep(key.tag_pairs, key.base_time + offset, value, (False, cell.ts))
         for cell in [c for c in cells if not is_compacted(c.qualifier)]:
             key = codec.decode(cell.row, cell.qualifier)
-            if cell.ts > newest_blob.get((key.tag_pairs, key.base_time), -1.0):
-                keep(key.tag_pairs, key.timestamp, decode_f64(cell.value), cell.ts)
+            keep(key.tag_pairs, key.timestamp, decode_f64(cell.value), (True, cell.ts))
     raw = []
     for tag_pairs, series in points.items():
         tags = engine.uids.decode_tags(tag_pairs)
@@ -345,7 +341,7 @@ class TestAggregationBitIdentity:
         self, raw, newer, compact_again, data
     ):
         """A blob and point cells written after it share a row (the
-        shadow loop), and the window takes a slice out of both."""
+        point loop), and the window takes a slice out of both."""
         cluster = build_cluster(n_nodes=2, salt_buckets=4, retain_data=True)
         cluster.direct_put(make_points(raw))
         cluster.compactor().run()

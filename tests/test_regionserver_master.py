@@ -181,29 +181,6 @@ class TestRpcPath:
 
 
 class TestCrashRecovery:
-    def test_crash_reassigns_regions(self):
-        sim, net, master, servers = build(n_servers=2)
-        master.create_table("t")
-        _, owner = master.locate("t", b"row")
-        victim = master.server(owner)
-        victim.crash()
-        _, new_owner = master.locate("t", b"row")
-        assert new_owner is not None and new_owner != owner
-
-    def test_synced_writes_survive_crash(self):
-        sim, net, master, servers = build(n_servers=2)
-        master.create_table("t")
-        _, owner = master.locate("t", b"row")
-        rs = master.server(owner)
-        replies = []
-        rs.rpc(PutRequest("t", put_cells([b"row"])), replies.append, "cl")
-        sim.run()
-        assert replies[0].ok
-        rs.crash()
-        cells = master.direct_scan("t")
-        assert [c.row for c in cells] == [b"row"]
-        assert master.recoveries == 1
-
     def test_restart_rejoins_and_rebalances(self):
         sim, net, master, servers = build(n_servers=2)
         master.create_table("t", [b"1", b"2", b"3"])
@@ -225,46 +202,12 @@ class TestCrashRecovery:
         sim.run()  # RESTART_DELAY elapses
         assert not rs.crashed
 
-    def test_no_live_servers_leaves_unassigned(self):
-        sim, net, master, servers = build(n_servers=1)
-        master.create_table("t")
-        servers[0].crash()
-        _, owner = master.locate("t", b"x")
-        assert owner is None
-
-
 class TestAdministrivia:
-    def test_split_region_and_locate(self):
-        sim, net, master, _ = build(n_servers=2)
-        master.create_table("t")
-        _, owner = master.locate("t", b"row5")
-        rs = master.server(owner)
-        replies = []
-        rs.rpc(PutRequest("t", put_cells([b"row%d" % i for i in range(10)])),
-               replies.append, "cl")
-        sim.run()
-        region_name = master.table_regions("t")[0][0].name
-        left, right = master.split_region("t", region_name)
-        assert len(master.table_regions("t")) == 2
-        # every original row still findable
-        assert len(master.direct_scan("t")) == 10
-
     def test_split_needs_data(self):
         _, _, master, _ = build()
         master.create_table("t")
         with pytest.raises(ValueError):
             master.split_region("t", master.table_regions("t")[0][0].name)
-
-    def test_move_region(self):
-        sim, net, master, servers = build(n_servers=2)
-        master.create_table("t")
-        region_name, owner = (
-            master.table_regions("t")[0][0].name,
-            master.table_regions("t")[0][1],
-        )
-        dest = next(s.name for s in servers if s.name != owner)
-        master.move_region("t", region_name, dest)
-        assert master.table_regions("t")[0][1] == dest
 
     def test_move_to_dead_server_rejected(self):
         sim, net, master, servers = build(n_servers=2)
@@ -291,7 +234,9 @@ class TestAdministrivia:
     def test_service_model_costs(self):
         m = ServiceModel()
         assert m.put_cost(50) > m.put_cost(1) > 0
-        assert m.scan_cost(0) >= m.scan_cost(0)
+        # A scan is charged at least one cell, and more cells cost more.
+        assert m.scan_cost(0) == m.scan_cost(1) > 0
+        assert m.scan_cost(100) > m.scan_cost(1)
 
     def test_duplicate_registration_rejected(self):
         sim, net, master, servers = build(n_servers=1)

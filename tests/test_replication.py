@@ -2,9 +2,9 @@
 
 Covers the :class:`~repro.hbase.replication.ReplicationCoordinator`
 (follower placement on distinct servers, the bounded-lag apply loop,
-stall/lag fault hooks, most-caught-up promotion) and the master's
-WAL-replay recovery accounting (``master.recoveries``,
-``master.cells_lost_unsynced``).
+stall/lag fault hooks, most-caught-up promotion).  Crash recovery and
+its accounting are the storage state machine's
+(``tests/test_storage_machine.py``).
 """
 
 import pytest
@@ -40,13 +40,6 @@ def publish(cluster, n_points, t0=1_000):
     # let the asynchronous shipping loops drain
     cluster.sim.run(until=cluster.sim.now + 1.0)
     return points
-
-
-def total_points(cluster, n_points, t0=1_000):
-    series = cluster.query_engine().run(
-        TsdbQuery("energy", 0, t0 + n_points + 1, aggregator="sum")
-    )
-    return sum(len(s) for s in series)
 
 
 class TestPlacement:
@@ -118,25 +111,6 @@ class TestWalShipping:
 
 
 class TestPromotion:
-    def test_crash_promotes_followers_without_synced_loss(self):
-        cluster = make_cluster()
-        publish(cluster, 300)
-        victim = cluster.servers[0]
-        had_primaries = sum(
-            1 for _, server in cluster.master.table_regions("tsdb")
-            if server == victim.name
-        )
-        assert had_primaries > 0
-        victim.crash()
-        cluster.sim.run(until=cluster.sim.now + 2.0)
-        assert cluster.master.failovers >= had_primaries
-        assert cluster.master.cells_lost_unsynced == 0
-        assert cluster.replication.promotions == cluster.master.failovers
-        # no region is left assigned to the dead server
-        for _, server in cluster.master.table_regions("tsdb"):
-            assert server != victim.name
-        assert total_points(cluster, 300) == 300
-
     def test_promotion_prefers_most_caught_up_follower(self):
         # rf=3: each region has followers on both other servers.  Stall
         # one follower server mid-stream; promotion after the primary
@@ -161,46 +135,6 @@ class TestPromotion:
         }
         for name in victim_regions:
             assert owners[name] != stalled
-
-    def test_strong_reads_recover_after_promotion(self):
-        cluster = make_cluster()
-        publish(cluster, 200)
-        cluster.servers[1].crash()
-        cluster.sim.run(until=cluster.sim.now + 2.0)
-        result = cluster.query_engine().run_available(
-            TsdbQuery("energy", 0, 10_000, aggregator="sum")
-        )
-        assert result.mode == "strong"
-        assert sum(len(s) for s in result.series) == 200
-
-
-class TestMasterRecoveryAccounting:
-    """Satellite regression: crash replay lands via ``put_block`` and
-    the recovery counters flow through the cluster's one registry."""
-
-    def test_unreplicated_crash_replays_wal_via_telemetry_counters(self):
-        cluster = make_cluster(replication_factor=1)
-        publish(cluster, 250)
-        cluster.servers[0].crash()
-        cluster.sim.run(until=cluster.sim.now + 2.0)
-        counters = cluster.metrics.counters
-        assert counters["master.recoveries"].get() >= 1.0
-        # every cell was WAL-synced before the crash: nothing lost
-        assert "master.cells_lost_unsynced" not in counters or (
-            counters["master.cells_lost_unsynced"].get() == 0.0
-        )
-        assert cluster.master.cells_lost_unsynced == 0
-        assert total_points(cluster, 250) == 250
-
-    def test_replicated_crash_counts_recovery_and_failover(self):
-        cluster = make_cluster()
-        publish(cluster, 250)
-        cluster.servers[0].crash()
-        cluster.sim.run(until=cluster.sim.now + 2.0)
-        counters = cluster.metrics.counters
-        assert counters["master.recoveries"].get() >= 1.0
-        assert counters["master.failovers"].get() >= 1.0
-        assert cluster.master.cells_lost_unsynced == 0
 
 
 class TestRowCompactionIsReplicated:

@@ -1,0 +1,209 @@
+"""What the proxy acks is stored: one state machine over a three-node
+cluster and a dict oracle (DESIGN.md §26: rules, invariants, replay)."""
+
+import random
+
+import pytest
+from hypothesis import note, settings, strategies as st
+from hypothesis.control import currently_in_test_context
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
+
+from repro.chaos import FaultEvent, FaultPlan, Injector
+from repro.tsdb.blocks import BlockBatch
+from repro.tsdb.ingest import build_cluster
+from repro.tsdb.query import TsdbQuery
+from repro.tsdb.tsd import DATA_TABLE, DataPoint
+
+HOUR, T0 = 3600, 1_000 * 3600  # in-order keys start at T0; late keys may fall below
+UNITS = ("u0", "u1", "u2")
+QUERY = TsdbQuery("energy", T0 - 4 * HOUR, T0 + 1_000 * HOUR, group_by=("unit",))
+DETECTION_DELAY = 0.5  # sim-seconds from a RegionServer crash to its recovery
+SETTLE_BOUND = 150.0  # sim-seconds: past the proxy's whole retry budget
+picks = st.integers(0, 99)
+
+
+class StorageMachine(RuleBasedStateMachine):
+    @initialize(rf=st.sampled_from([1, 2]))
+    def setup(self, rf):
+        self.cluster = build_cluster(
+            n_nodes=3, salt_buckets=4, retain_data=True, crash_on_overflow=False,
+            replication_factor=rf, failure_detection_delay=DETECTION_DELAY,
+        )
+        self.master, self.sim = self.cluster.master, self.cluster.sim
+        self.proxy = self.cluster.ingress
+        self.ack_timeout, self.faults = self.proxy.ack_timeout, []
+        self.batches, self.exempt = [], set()  # (keys, acks); batches the ack timeout may miss
+        self.writes, self.ordered = {}, {}  # key -> [(batch, value)]; each write after an ok ack
+        self.cursor = dict.fromkeys(UNITS, T0)
+
+    def ok(self, b):
+        return bool(self.batches[b][1]) and self.batches[b][1][0].ok
+
+    def live(self):
+        return [rs for rs in self.cluster.servers if not rs.crashed]
+
+    def regions(self):
+        return [region for rs in self.live() for region in rs.hosted_regions()]
+
+    @rule(size=st.integers(0, 60), shape=st.sampled_from(["points", "blocks"]),
+          kind=st.sampled_from(["in_order", "late", "duplicate"]), seed=st.integers(0, 2**16))
+    def ingest(self, size, shape="points", kind="in_order", seed=0):
+        rng, b, keys = random.Random(seed), len(self.batches), {}
+        for _ in range(size):
+            unit = rng.choice(UNITS)
+            if kind == "duplicate" and self.writes:
+                key = rng.choice(sorted(self.writes))
+            elif kind == "late":
+                key = (unit, rng.randrange(T0 - 3 * HOUR, self.cursor[unit] // HOUR * HOUR))
+            else:
+                self.cursor[unit] += rng.randint(1, 900)
+                key = (unit, self.cursor[unit])
+            keys[key] = float(b * 1_000 + len(keys))  # unique per write
+        for key, value in keys.items():
+            old = self.writes.setdefault(key, [])
+            self.ordered[key] = not old or (self.ordered[key] and self.ok(old[-1][0]))
+            old.append((b, value))
+        self.batches.append((list(keys), []))
+        if self.proxy.ack_timeout is None:
+            self.exempt.add(b)
+        points = [DataPoint.make("energy", t, v, {"unit": u}) for (u, t), v in keys.items()]
+        if shape == "points":
+            self.cluster.submit(points, self.batches[b][1].append)
+        else:
+            self.cluster.submit_blocks(BlockBatch.from_points(points), self.batches[b][1].append)
+
+    @rule(pick=picks)
+    def flush(self, pick):
+        for tsd in self.cluster.tsds:
+            tsd.flush_all()
+        if regions := self.regions():
+            regions[pick % len(regions)].flush()
+
+    @precondition(lambda self: all(  # a bulk load needs each region on the host the master names
+        s and i.name in self.master.server(s).regions
+        for i, s in self.master.table_regions(DATA_TABLE)
+    ))
+    @rule()
+    def compact(self):
+        self.cluster.compactor().run()
+
+    @rule(pick=picks)
+    def split(self, pick):
+        if held := [r for r in self.regions() if r.midpoint_key() is not None]:
+            daughters = self.master.split_region(DATA_TABLE, held[pick % len(held)].info.name)
+            assert set(daughters) <= {i.name for i, _ in self.layout()}
+
+    @rule(pick=picks, dest=picks)
+    def move(self, pick, dest):
+        if regions := self.regions():
+            name, live = regions[pick % len(regions)].info.name, self.live()
+            dest = live[dest % len(live)].name
+            self.master.move_region(DATA_TABLE, name, dest)
+            assert dict((i.name, s) for i, s in self.layout())[name] == dest
+            assert name in self.master.server(dest).regions
+
+    @rule(action=st.sampled_from(["rs_crash", "rs_restart", "partition", "heal"]),
+          host=st.integers(0, 2), delay=st.sampled_from([0.0, 0.002, 0.2]))
+    def fault(self, action, host, delay):
+        name = ("rs%02d" if action.startswith("rs") else "node%02d") % host
+        self.faults.append(FaultEvent(self.sim.now + delay, action, name))
+        Injector(self.cluster, FaultPlan((self.faults[-1],))).arm()
+        if currently_in_test_context():  # a replay outside Hypothesis has its steps
+            note(f"faults so far: {FaultPlan(tuple(self.faults))!r}")
+
+    @rule(on=st.booleans())
+    def set_ack_timeout(self, on):
+        if not on:
+            self.exempt.update(b for b, (_, acks) in enumerate(self.batches) if not acks)
+        self.proxy.ack_timeout = self.ack_timeout if on else None
+
+    @rule(seconds=st.sampled_from([0.001, 0.01, 0.2]))
+    def run(self, seconds):
+        self.sim.run(until=self.sim.now + seconds)
+
+    @rule()
+    def settle(self):
+        bound = self.sim.now + SETTLE_BOUND
+        self.sim.run(until=self.sim.now + DETECTION_DELAY + 1.0)
+        pending = lambda: [
+            b for b, (_, acks) in enumerate(self.batches) if not acks and b not in self.exempt
+        ]
+        while pending() and self.sim.now < bound:
+            self.sim.run(until=self.sim.now + 1.0)
+        assert not pending(), "batches left unacked by a settle with the ack timeout on"
+        assert self.faults or all(map(self.ok, range(len(self.batches)))), "failed with no fault"
+        live = {rs.name for rs in self.live()}
+        for info, server in self.layout():
+            assert server in live if live else server is None, f"{info.name} on {server}"
+        read = self.read(self.cluster.query_engine().run(QUERY))
+        for key, writes in self.writes.items():
+            if any(self.ok(b) for b, _ in writes):
+                assert key in read, f"acked key {key} lost"
+            if key in read:  # a failed ack is no proof that nothing landed
+                assert read[key] in [v for _, v in writes], f"{key} reads {read[key]}"
+            if self.ordered[key] and self.ok(writes[-1][0]):
+                assert read[key] == writes[-1][1], f"{key} reads {read[key]}, not its last write"
+        assert read.keys() <= self.writes.keys()
+        if live:  # every region is on a live primary, so reads are strong
+            available = self.cluster.query_engine().run_available(QUERY)
+            assert available.mode == "strong" and self.read(available.series) == read
+
+    def layout(self):
+        return self.master.table_regions(DATA_TABLE)
+
+    @staticmethod
+    def read(series):
+        return {
+            (s.tag_dict["unit"], int(t)): float(v)
+            for s in series for t, v in zip(s.timestamps, s.values)
+        }
+
+    @invariant()
+    def acks_and_counters_balance(self):
+        for keys, acks in self.batches:
+            assert len(acks) <= 1
+            assert all(a.written + a.failed == len(keys) and a.ok == (not a.failed) for a in acks)
+        counter, replication = self.cluster.metrics.counter, self.cluster.replication
+        assert counter("master.recoveries").get() == self.master.recoveries
+        assert counter("master.failovers").get() == self.master.failovers
+        assert (replication.promotions if replication else 0) == self.master.failovers
+        assert counter("master.cells_lost_unsynced").get() == self.master.cells_lost_unsynced == 0
+
+
+StorageMachine.TestCase.settings = settings(
+    max_examples=50, stateful_step_count=50, deadline=None, derandomize=True
+)
+TestStorageMachine = StorageMachine.TestCase
+
+#: Shrunk failures the machine found, each fixed in ``src/``, replayed at rf 1.  The first:
+#: the TSD never acked an empty point list (13 ack timeouts, then ``proxy-exhausted``).
+FOUND = {
+    "an-empty-batch-is-acked-ok-at-once": lambda s: (
+        s.ingest(0), s.ingest(0, "blocks"), s.settle()),
+    "compaction-hides-an-in-flight-write": lambda s: (
+        s.ingest(2), s.settle(), s.ingest(1), s.run(0.001), s.compact(), s.settle()),
+    "compaction-reverts-an-in-flight-duplicate": lambda s: (
+        s.ingest(2), s.settle(), s.ingest(1, kind="duplicate"), s.run(0.001), s.compact(),
+        s.settle()),
+    "split-daughters-die-with-their-new-host": lambda s: (
+        s.ingest(12), s.settle(), s.split(0), s.fault("rs_crash", 1, 0.0), s.settle()),
+    "a-put-resolved-in-parts-acks-the-wrong-batch": lambda s: (
+        s.fault("partition", 0, 0.0), s.fault("rs_crash", 0, 0.0), s.run(0.001),
+        s.ingest(15, kind="late", seed=671), s.ingest(38, kind="duplicate", seed=11990),
+        s.run(0.001), s.fault("partition", 1, 0.0), s.ingest(19, kind="late"), s.flush(0),
+        s.run(0.001), s.split(0), s.settle()),
+    "an-undeliverable-empty-batch-acks-failed": lambda s: (
+        *(s.fault("partition", h, 0.0) for h in range(3)), s.ingest(0), s.settle()),
+    "a-restart-after-a-total-outage-assigns-nothing": lambda s: (
+        *(s.fault("rs_crash", h, 0.0) for h in (1, 0, 2)), s.settle(),
+        s.fault("rs_restart", 0, 0.0), s.settle()),
+}
+
+
+@pytest.mark.parametrize("replay", FOUND.values(), ids=list(FOUND))
+def test_found_failure_replays_clean(replay):
+    state = StorageMachine()
+    state.setup(rf=1)
+    replay(state)
+    state.acks_and_counters_balance()
+    assert state.proxy.ack_timeouts == 0 or state.faults

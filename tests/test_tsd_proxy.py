@@ -112,13 +112,6 @@ class TestReverseProxy:
         cluster.sim.run()
         assert proxy.in_flight == 0 and proxy.buffered == 0
 
-    def test_acks_propagate_through_proxy(self):
-        cluster = small_cluster()
-        acks = []
-        cluster.submit(points(7), acks.append)
-        cluster.sim.run()
-        assert len(acks) == 1 and acks[0].ok and acks[0].written == 7
-
     def test_tsd_rejection_retried_on_other_tsd(self, monkeypatch):
         monkeypatch.setattr(tsd_module, "QUEUE_CAPACITY", 0)
         cluster = small_cluster()
