@@ -2,9 +2,11 @@
 
 Covers the :class:`~repro.hbase.replication.ReplicationCoordinator`
 (follower placement on distinct servers, the bounded-lag apply loop,
-stall/lag fault hooks, most-caught-up promotion).  Crash recovery and
-its accounting are the storage state machine's
-(``tests/test_storage_machine.py``).
+stall/lag fault hooks, most-caught-up promotion) and the master's
+WAL-replay recovery accounting (``master.recoveries``,
+``master.cells_lost_unsynced``).  The storage state machine
+(``tests/test_storage_machine.py``) drives crash recovery under random
+fault schedules.
 """
 
 import pytest
@@ -40,6 +42,13 @@ def publish(cluster, n_points, t0=1_000):
     # let the asynchronous shipping loops drain
     cluster.sim.run(until=cluster.sim.now + 1.0)
     return points
+
+
+def total_points(cluster, n_points, t0=1_000):
+    series = cluster.query_engine().run(
+        TsdbQuery("energy", 0, t0 + n_points + 1, aggregator="sum")
+    )
+    return sum(len(s) for s in series)
 
 
 class TestPlacement:
@@ -135,6 +144,35 @@ class TestPromotion:
         }
         for name in victim_regions:
             assert owners[name] != stalled
+
+
+class TestMasterRecoveryAccounting:
+    """Crash replay lands via ``put_block`` and the recovery counters
+    flow through the cluster's one registry."""
+
+    def test_unreplicated_crash_replays_wal_via_telemetry_counters(self):
+        cluster = make_cluster(replication_factor=1)
+        publish(cluster, 250)
+        cluster.servers[0].crash()
+        cluster.sim.run(until=cluster.sim.now + 2.0)
+        counters = cluster.metrics.counters
+        assert counters["master.recoveries"].get() >= 1.0
+        # every cell was WAL-synced before the crash: nothing lost
+        assert "master.cells_lost_unsynced" not in counters or (
+            counters["master.cells_lost_unsynced"].get() == 0.0
+        )
+        assert cluster.master.cells_lost_unsynced == 0
+        assert total_points(cluster, 250) == 250
+
+    def test_replicated_crash_counts_recovery_and_failover(self):
+        cluster = make_cluster()
+        publish(cluster, 250)
+        cluster.servers[0].crash()
+        cluster.sim.run(until=cluster.sim.now + 2.0)
+        counters = cluster.metrics.counters
+        assert counters["master.recoveries"].get() >= 1.0
+        assert counters["master.failovers"].get() >= 1.0
+        assert cluster.master.cells_lost_unsynced == 0
 
 
 class TestRowCompactionIsReplicated:
