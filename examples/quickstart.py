@@ -33,8 +33,8 @@ def main() -> None:
     model = detector.fit(training.values, unit_id=unit_id)
     print(
         f"unit {unit_id}: {model.n_sensors} sensors, "
-        f"{model.n_components} principal components retained "
-        f"({model.explained_variance_ratio().sum():.0%} of variance)"
+        f"T² on {model.n_components} principal directions, "
+        f"calibrated on {model.n_b} of {model.n_train} training rows"
     )
 
     print("\n== evaluation ==")

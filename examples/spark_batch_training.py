@@ -48,10 +48,13 @@ def main() -> None:
         unit0 = fleet.training_window(0, 600)
         model = train_unit_distributed(sc, unit0.values, unit_id=0)
         local = FDRDetector().fit(unit0.values, unit_id=0)
-        print(f"components kept: {model.n_components} (local fit: {local.n_components})")
+        print(f"T² rank k: {model.n_components} (local fit: {local.n_components})")
+        fresh = fleet.evaluation_window(0, 200).values
         print(
-            "eigenvalue agreement vs local NumPy:",
-            np.allclose(model.eigenvalues, local.eigenvalues),
+            "T² agreement vs local NumPy on fresh rows:",
+            np.allclose(
+                OnlineEvaluator(model).report(fresh).t2, OnlineEvaluator(local).report(fresh).t2
+            ),
         )
 
         folded = (

@@ -7,7 +7,7 @@ detection implementation to Spark Streaming for online training."
 This example runs that design: sensor micro-batches flow through a
 D-Stream; a :class:`StreamingTrainer` folds each batch into exact
 incremental moments and periodically refreshes the unit models
-(eigendecomposition + whitening); the online evaluator hot-swaps to the
+(eigendecomposition + the folded T² map); the online evaluator hot-swaps to the
 newest model and keeps scoring.
 
 Run:  python examples/streaming_training.py

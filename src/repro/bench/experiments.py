@@ -747,7 +747,7 @@ def _models_digest(models: Dict[int, UnitModel]) -> str:
     digest = hashlib.sha256()
     for unit_id in sorted(models):
         m = models[unit_id]
-        for array in (m.mean, m.std, m.eigenvalues, m.components, m.whitening):
+        for array in (m.mean, m.std, m.projection, m.offset):
             digest.update(array.tobytes())
     return digest.hexdigest()
 

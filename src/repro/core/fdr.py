@@ -2,25 +2,26 @@
 
 Training (§IV-A): per unit, estimate sensor means/stds, compute the
 covariance of the standardised training data, take its SVD (for a
-symmetric PSD matrix, the eigendecomposition), and keep the top-k
-eigenpairs plus the whitening map.  Evaluation
-(:class:`~repro.core.online.OnlineEvaluator`, the one scorer):
-standardise incoming samples, form per-sensor window t-statistics
-(:mod:`~repro.core.hypothesis`), and apply the Benjamini–Hochberg
-procedure *across sensors at each time step* so the expected proportion
-of false alarms among the flagged sensors stays below q — regardless of
-how many thousand sensors the unit carries.
+symmetric PSD matrix, the eigendecomposition) and keep the top-k
+directions.  Evaluation (:class:`~repro.core.online.OnlineEvaluator`,
+the one scorer): standardise incoming samples, form per-sensor window
+t-statistics (:mod:`~repro.core.hypothesis`), and apply the
+Benjamini–Hochberg procedure *across sensors at each time step* so the
+expected proportion of false alarms among the flagged sensors stays
+below q — regardless of how many thousand sensors the unit carries.
 
-The whitened T² channel (optional, on by default) adds a unit-level
+The T² channel (optional, on by default) adds a unit-level
 multivariate alarm: correlated faults that are small per sensor but
 coherent across a factor group light up T² long before any marginal
-test fires.
+test fires.  One half of the training rows picks its directions and
+the other calibrates them, so its F threshold holds the alarm rate at
+``unit_alarm_alpha`` exactly for Gaussian rows (DESIGN §27).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -33,7 +34,6 @@ __all__ = [
     "AnomalyReport",
     "FDRDetector",
     "build_unit_model",
-    "eigh_descending",
 ]
 
 
@@ -53,12 +53,9 @@ class FDRDetectorConfig:
         of :data:`~repro.core.multiple_testing.PROCEDURES` (``"bh"``,
         ``"by"``, ``"holm"``, ``"bonferroni"``, ``"adaptive-bh"``,
         ``"none"``).
-    n_components:
-        Eigenpairs retained at training time; ``None`` keeps enough to
-        explain ``variance_target`` of the variance.
     variance_target:
-        Fraction of standardised variance the retained components must
-        explain when ``n_components`` is None.
+        Fraction of standardised variance the T² directions must
+        explain (k is then capped at a tenth of training half B's rows).
     unit_alarm_alpha:
         Significance level of the unit-level T² alarm.
     use_t2:
@@ -68,7 +65,6 @@ class FDRDetectorConfig:
     q: float = 0.05
     window: int = 32
     procedure: str = "bh"
-    n_components: Optional[int] = None
     variance_target: float = 0.95
     unit_alarm_alpha: float = 0.01
     use_t2: bool = True
@@ -128,63 +124,43 @@ class AnomalyReport:
         return int(hits[0]) if hits.size else None
 
 
-def _select_k(eigvals: np.ndarray, config: FDRDetectorConfig) -> int:
-    if config.n_components is not None:
-        if not 1 <= config.n_components <= eigvals.size:
-            raise ValueError("n_components out of range")
-        return config.n_components
-    total = eigvals.sum()
-    if total <= 0:
-        return 1
-    ratio = np.cumsum(eigvals) / total
-    return int(np.searchsorted(ratio, config.variance_target) + 1)
-
-
-def eigh_descending(sym: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of a symmetric PSD matrix, eigenvalues descending.
-
-    For such a matrix the SVD and the eigendecomposition coincide
-    (MLlib's ``computePrincipalComponents`` path); ``eigh`` is the
-    numerically right primitive for symmetric input.  Tiny negative
-    eigenvalues from round-off are clamped to zero.
-    """
-    eigvals, eigvecs = np.linalg.eigh(sym)
-    order = np.argsort(eigvals)[::-1]
-    return np.clip(eigvals[order], 0.0, None), eigvecs[:, order]
-
-
 def build_unit_model(
     unit_id: int, moments: IncrementalMoments, config: FDRDetectorConfig
 ) -> UnitModel:
-    """The one model builder: moments → correlation → eigh → select k → whiten.
+    """The one model builder: moments → split-sample T² map → :class:`UnitModel`.
 
     The batch, streaming and distributed trainers all estimate a unit's
     moments with :class:`~repro.core.model.IncrementalMoments` and end
-    here, so ``n_train`` is ``moments.count`` on every path.  The
-    covariance is taken of the *standardised* data (the correlation
-    matrix), so the eigenstructure reflects cross-sensor coupling
-    rather than raw scale differences.  A degenerate sensor (see
-    :meth:`~repro.core.model.IncrementalMoments.degenerate`) is refused.
+    here, so ``n_train`` is ``moments.count`` on every path.  Half A's
+    correlation gives the T² directions ``W_A`` and k (the variance
+    target, capped at ``n_B // 10``); half B the mean and covariance
+    ``S_B = L Lᵀ`` of the scores ``W′ᵀ(x − μ_A)``, ``W′ = diag(1/σ_A) W_A``;
+    they fold into ``projection = diag(σ) W′ L⁻ᵀ`` and
+    ``offset = L⁻¹ W′ᵀ(μ − μ_B)`` (DESIGN §27).  A degenerate sensor is
+    refused; one constant within a half leaves k at 0.
     """
     if moments.degenerate().any():
         raise ValueError(f"unit {unit_id}: every sensor needs non-zero training variance")
-    cov = moments.covariance()
-    std = np.sqrt(np.diag(cov))
-    # correlation matrix = D^{-1/2} Σ D^{-1/2}
-    inv = 1.0 / std
-    corr = cov * np.outer(inv, inv)
-    eigvals, eigvecs = eigh_descending((corr + corr.T) / 2.0)
-    k = _select_k(eigvals, config)
-    eigvals, eigvecs = eigvals[:k], eigvecs[:, :k]
-    return UnitModel(
-        unit_id=unit_id,
-        mean=moments.mean,
-        std=std,
-        eigenvalues=eigvals,
-        components=eigvecs,
-        whitening=eigvecs / np.sqrt(np.maximum(eigvals, 1e-12)),
-        n_train=moments.count,
-    )
+    mean, std = moments.mean, moments.std()
+    counts, means, m2, constant = moments.halves()
+    n_a, n_b = int(counts[0]), int(counts[1])
+    p = moments.n_sensors
+    cap = 0 if constant.any() else n_b // 10
+    if cap == 0:
+        return UnitModel(unit_id, mean, std, np.zeros((p, 0)), np.zeros(0), moments.count, n_b)
+    # Half A's correlation (the scale cancels), eigenpairs descending; a direction
+    # with no variance in A (collinear sensors) would leave S_B singular.
+    inv_root = 1.0 / np.sqrt(np.diag(m2[0]))
+    eigvals, eigvecs = np.linalg.eigh(m2[0] * np.outer(inv_root, inv_root))
+    lam = np.clip(eigvals[::-1], 0.0, None)
+    explained = np.cumsum(lam) / lam.sum()
+    rank = np.count_nonzero(lam > 1e-10 * lam[0])
+    k = min(int(np.searchsorted(explained, config.variance_target)) + 1, rank, cap)
+    scores = eigvecs[:, ::-1][:, :k] * (inv_root * np.sqrt(n_a - 1.0))[:, None]  # W′
+    s_b = scores.T @ (m2[1] @ scores) / (n_b - 1.0)
+    rhs = np.column_stack(((scores * std[:, None]).T, (mean - means[1]) @ scores))
+    folded = np.linalg.solve(np.linalg.cholesky((s_b + s_b.T) / 2.0), rhs)
+    return UnitModel(unit_id, mean, std, folded[:, :p].T, folded[:, p], moments.count, n_b)
 
 
 class FDRDetector:

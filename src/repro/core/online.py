@@ -5,13 +5,13 @@ matrix multiplication per iteration ... we can evaluate for anomalies
 at a rate of 939,000 sensor samples per second on average."
 
 :class:`OnlineEvaluator` pre-binds everything derivable from the model
-(means, inverse stds, the step-up ladder as |t| thresholds, whitening
-map, χ² threshold) so the steady-state cost per batch is: one
+(means, inverse stds, the step-up ladder as |t| thresholds, the folded
+T² map and its F threshold) so the steady-state cost per batch is: one
 subtraction, one multiply by the reciprocal stds, the window update
 (scaled to Student t with ``n_train − 1`` degrees of freedom, see
 :mod:`~repro.core.hypothesis`), a ladder lookup for the entries whose
 |t| reaches the last rung (every other p is above every rung), the
-exact step-up over that buffer and the T² multiply.  Every entry point
+exact step-up over that buffer and the T² multiply-add.  Every entry point
 runs that one kernel, and :meth:`~repro.core.fdr.FDRDetector.detect` is
 one call into it.  The E5 benchmark measures this path in real
 wall-clock samples/second.
@@ -80,12 +80,8 @@ class OnlineEvaluator:
         self.config = config if config is not None else FDRDetectorConfig()
         self._inv_std = 1.0 / model.std
         self._mean = model.mean
-        self._whitening = model.whitening if self.config.use_t2 else None
-        self._t2_threshold = (
-            float(special.chdtri(model.n_components, self.config.unit_alarm_alpha))
-            if self.config.use_t2 and model.n_components > 0
-            else np.inf
-        )
+        self._t2_on = self.config.use_t2 and model.n_components > 0
+        self._t2_threshold = model.t2_limit(self.config.unit_alarm_alpha) if self._t2_on else np.inf
         self._dof = model.n_train - 1
         self._ladder = (
             _statistic_ladder(
@@ -228,10 +224,11 @@ class OnlineEvaluator:
         )
 
     def _t2_channel(self, z_inst: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Whitened T² statistic and threshold alarm for one batch."""
-        if self._whitening is not None and self.model.n_components > 0:
-            whitened = z_inst @ self._whitening
-            t2 = np.einsum("ij,ij->i", whitened, whitened)
+        """Split-sample T² statistic ``‖z·P + o‖²`` and its alarm for one batch."""
+        if self._t2_on:
+            scores = z_inst @ self.model.projection
+            scores += self.model.offset
+            t2 = np.einsum("ij,ij->i", scores, scores)
             return t2, t2 >= self._t2_threshold
         n = z_inst.shape[0]
         return np.zeros(n), np.zeros(n, dtype=bool)

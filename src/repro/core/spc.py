@@ -21,7 +21,6 @@ E10 compare the detector against exactly these).
 from __future__ import annotations
 
 import numpy as np
-from scipy import special
 
 from .model import UnitModel
 
@@ -35,7 +34,7 @@ CUSUM_H = 5.0
 #: EWMA smoothing λ and control limit L (in σ_E).
 EWMA_LAMBDA = 0.2
 EWMA_LIMIT = 2.7
-#: MEWMA smoothing λ and the χ² tail probability of its limit.
+#: MEWMA smoothing λ and the tail probability of its limit (T²'s F limit).
 MEWMA_LAMBDA = 0.1
 MEWMA_ALPHA = 0.001
 
@@ -108,15 +107,16 @@ class EwmaChart:
 
 
 class MewmaChart:
-    """Multivariate EWMA (Lowry et al. 1992) over whitened scores.
+    """Multivariate EWMA (Lowry et al. 1992) over the T² score vectors.
 
-    The classical multivariate companion to T²: smooth the whitened
-    observation vector, ``Z_t = λ w_t + (1−λ) Z_{t−1}``, and alarm on
-    the quadratic form ``Q_t = Z_tᵀ Σ_Z(t)⁻¹ Z_t``.  Because the
-    model's whitening map makes ``w_t ~ N(0, I_k)`` under H₀,
-    ``Σ_Z(t) = (λ/(2−λ))(1 − (1−λ)^{2t}) · I_k`` exactly, so ``Q_t`` is
-    χ²(k)-calibrated from the very first sample and the control limit
-    is ``χ²_k(α)``.
+    The classical multivariate companion to T²: smooth the scores
+    ``w_t = z_t·projection + offset``, ``Z_t = λ w_t + (1−λ) Z_{t−1}``,
+    and alarm on ``Q_t = Z_tᵀ Σ_Z(t)⁻¹ Z_t`` with
+    ``Σ_Z(t) = (λ/(2−λ))(1 − (1−λ)^{2t}) · I_k``, as if ``w_t`` were
+    ``N(0, I_k)`` under H₀.  The limit is only approximate: it is T²'s
+    F limit at :data:`MEWMA_ALPHA`, exact at λ = 1 where ``Q_t`` is T²,
+    but for λ < 1 smoothing shrinks the rows' noise and not half B's
+    estimation error in the scores (DESIGN §27).
 
     Unlike the per-sensor charts this is a *unit-level* detector: it
     returns one alarm per time step, sensitive to small shifts that are
@@ -129,7 +129,7 @@ class MewmaChart:
         if model.n_components < 1:
             raise ValueError("model retains no components; cannot run MEWMA")
         z = _standardise(model, values)
-        w = z @ model.whitening  # (T, k), N(0, I_k) under H0
+        w = z @ model.projection + model.offset  # (T, k), ≈ N(0, I_k) under H0
         n_t, k = w.shape
         lam = MEWMA_LAMBDA
         base_var = lam / (2.0 - lam)
@@ -146,5 +146,4 @@ class MewmaChart:
 
     def flags(self, model: UnitModel, values: np.ndarray) -> np.ndarray:
         """Unit-level alarm mask, shape ``(T,)``."""
-        limit = float(special.chdtri(model.n_components, MEWMA_ALPHA))
-        return self.statistics(model, values) > limit
+        return self.statistics(model, values) > model.t2_limit(MEWMA_ALPHA)

@@ -10,8 +10,8 @@ folds each into the unit's :class:`~repro.core.model.IncrementalMoments`
 :class:`~repro.core.model.UnitModel` through the shared builder every
 ``refresh_every`` batches, so the online evaluator always scores
 against a recent model without paying the SVD per batch.  After any
-chunking the moments equal the batch computation over the concatenated
-data, to floating-point round-off.
+chunking both halves of the moments equal the batch computation over
+the concatenated data, to floating-point round-off.
 """
 
 from __future__ import annotations

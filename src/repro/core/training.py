@@ -66,8 +66,9 @@ def train_unit_distributed(
     :meth:`FDRDetector.fit` as a sparklet job: one row block per
     partition, each block's moments on an executor, and Chan's merge
     folding them together — the tree-reduce that lets training windows
-    exceed one task's memory.  On a one-partition context the model is
-    bit-identical to ``fit``'s.
+    exceed one task's memory.  The fold keeps partition order, so every
+    row lands in the half its place in the window names.  On a
+    one-partition context the model is bit-identical to ``fit``'s.
     """
     cfg = config if config is not None else FDRDetectorConfig()
     x = np.asarray(values, dtype=np.float64)

@@ -156,7 +156,8 @@ class RowCompactor:
         self.cells_merged = 0
 
     def run(self) -> int:
-        """Compact every eligible row; returns the number of rows rewritten.
+        """Compact every eligible row its host can take; returns the rows
+        rewritten so far.
 
         With a lifecycle tier attached, a full maintenance pass runs
         first — rollups advance, TTL-expired row-hours are tombstoned
@@ -167,7 +168,7 @@ class RowCompactor:
             self._lifecycle.on_compaction()
         cells = self.master.direct_scan(self.table)
         qualifiers, ts = cells.qualifiers, cells.ts
-        blobs = CellBatch()
+        blobs, merged = CellBatch(), {}
         for i, j in pairwise(cells.run_starts()):
             blobs_at = first_blob(qualifiers, i, j)
             n_points, n_blobs = blobs_at - i, j - blobs_at
@@ -178,8 +179,12 @@ class RowCompactor:
             blob = compact_row_cells(cells.slice(i, j))
             bumped = self._write_ts() if self._write_ts is not None else blob.ts[0] + 1.0
             blobs.append(blob.rows[0], blob.qualifiers[0], blob.values[0], bumped)
-            self.rows_compacted += 1
-            self.cells_merged += n_points
-        if blobs.rows and self.master.direct_put(self.table, blobs) != len(blobs.rows):
-            raise RuntimeError("region not hosted where the master believes")
+            merged[blob.rows[0]] = n_points
+        if not blobs.rows:
+            return self.rows_compacted
+        # Rows of an unassigned region, or of a restarted server that hosts nothing yet, wait.
+        for server, share in self.master.group_by_server(self.table, blobs).items():
+            if server is not None and self.master.direct_put(self.table, share):
+                self.rows_compacted += len(share.rows)
+                self.cells_merged += sum(merged[row] for row in share.rows)
         return self.rows_compacted

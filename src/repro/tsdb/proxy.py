@@ -146,10 +146,11 @@ class _BatchState:
     """One submitted batch's delivery lifecycle across retries.
 
     ``remaining`` is the batch still owed to storage: every retry
-    resends all of it, so the final ack writes or fails it whole.
+    resends all of it.  ``written``, the most points any attempt's TSD
+    acked, is what a failed final ack reports as landed.
     """
 
-    __slots__ = ("remaining", "on_ack", "attempts", "submitted_at", "batch_id", "span")
+    __slots__ = ("remaining", "on_ack", "attempts", "submitted_at", "batch_id", "span", "written")
 
     def __init__(
         self,
@@ -168,6 +169,7 @@ class _BatchState:
         self.submitted_at = submitted_at
         self.batch_id = batch_id
         self.span = span
+        self.written = 0
 
 
 class _Dispatch:
@@ -361,6 +363,8 @@ class ReverseProxy:
     # ack / failure handling
     # ------------------------------------------------------------------
     def _on_tsd_ack(self, dispatch: _Dispatch, ack: PutAck) -> None:
+        state = dispatch.state
+        state.written = max(state.written, ack.written)  # a late ack's points landed too
         if dispatch.resolved:
             self.metrics.counter("proxy.late_acks").inc()
             return
@@ -370,7 +374,6 @@ class ReverseProxy:
             ("partial" if ack.written > 0 else "bounce"),
             written=ack.written,
         )
-        state = dispatch.state
         if ack.written >= dispatch.sent:
             # Fully written: the batch is done.
             if self.breakers is not None:
@@ -407,9 +410,10 @@ class ReverseProxy:
     def _retry_later(self, state: _BatchState) -> None:
         """Requeue after jittered exponential backoff, within the budget."""
         if state.attempts >= MAX_BATCH_RETRIES:
+            failed = len(state.remaining) - state.written
             self.failed_batches += 1
-            self.failed_points += len(state.remaining)
-            self.metrics.counter("proxy.failed_points").inc(len(state.remaining))
+            self.failed_points += failed
+            self.metrics.counter("proxy.failed_points").inc(failed)
             self._finish(state, ok=False, tsd=PROXY_EXHAUSTED)
             return
         delay = min(MAX_BACKOFF, RETRY_DELAY * (BACKOFF_MULT ** state.attempts))
@@ -428,7 +432,8 @@ class ReverseProxy:
         self.metrics.histogram("proxy.ack_latency").observe(
             self.sim.now - state.submitted_at
         )
-        written, failed = (len(state.remaining), 0) if ok else (0, len(state.remaining))
+        written = len(state.remaining) if ok else state.written
+        failed = len(state.remaining) - written
         ok = not failed  # an empty batch has no point to fail, delivered or not
         state.span.end(
             outcome="ok" if ok else "failed",

@@ -6,13 +6,14 @@ Written for reading, not speed, and sharing no arithmetic with
 cumulative sum, scale each row's window sum by
 ``√(c·(1 + c/n_train))``, read two-sided p-values from
 ``scipy.stats.t`` with ``n_train − 1`` degrees of freedom, step every
-p-value up through the dense procedure, and alarm on a χ² p-value of
-the whitened T².
+p-value up through the dense procedure, and alarm on the F p-value of
+the split-sample T² (``n_b/(n_b + 1) · T²`` is Hotelling's T²(k, n_b − 1)
+under H₀).
 """
 
 import numpy as np
 from scipy import stats
-from scipy.special import chdtrc
+from scipy.special import fdtrc
 
 from repro.core.fdr import AnomalyReport, FDRDetectorConfig
 from repro.core.model import UnitModel
@@ -50,17 +51,20 @@ def two_sided_pvalues(z, dof):
     return 2.0 * stats.t.sf(np.abs(np.asarray(z, dtype=np.float64)), dof)
 
 
-def t2_statistic(whitened):
+def t2_statistic(scores):
     """Hotelling-style T²: the sum of squares over the last axis."""
-    w = np.asarray(whitened, dtype=np.float64)
+    w = np.asarray(scores, dtype=np.float64)
     return np.sum(w * w, axis=-1)
 
 
-def t2_pvalues(t2, dof):
-    """χ² upper-tail p-values; a negative T² has p-value 1."""
-    if dof < 1:
-        raise ValueError("dof must be >= 1")
-    return chdtrc(dof, np.maximum(np.asarray(t2, dtype=np.float64), 0.0))
+def t2_pvalues(t2, k, n_b):
+    """Upper-tail p-values of a split-sample T² with ``k`` directions
+    calibrated on ``n_b`` rows: ``T² · n_b(n_b − k)/(k(n_b − 1)(n_b + 1))``
+    read against F(k, n_b − k); a negative T² has p-value 1."""
+    if not 1 <= k < n_b:
+        raise ValueError("need 1 <= k < n_b")
+    scale = n_b * (n_b - k) / (k * (n_b - 1) * (n_b + 1))
+    return fdtrc(k, n_b - k, np.maximum(np.asarray(t2, dtype=np.float64), 0.0) * scale)
 
 
 def detect(model: UnitModel, values, config: FDRDetectorConfig) -> AnomalyReport:
@@ -73,8 +77,10 @@ def detect(model: UnitModel, values, config: FDRDetectorConfig) -> AnomalyReport
         config.procedure, two_sided_pvalues(z, model.n_train - 1), config.q
     )
     if config.use_t2 and model.n_components > 0:
-        t2 = t2_statistic(zscores(x, model.mean, model.std) @ model.whitening)
-        unit_alarm = t2_pvalues(t2, model.n_components) <= config.unit_alarm_alpha
+        t2 = t2_statistic(zscores(x, model.mean, model.std) @ model.projection + model.offset)
+        unit_alarm = (
+            t2_pvalues(t2, model.n_components, model.n_b) <= config.unit_alarm_alpha
+        )
     else:
         t2 = np.zeros(x.shape[0])
         unit_alarm = np.zeros(x.shape[0], dtype=bool)

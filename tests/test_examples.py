@@ -40,7 +40,7 @@ class TestExamples:
         run_example("spark_batch_training.py")
         out = capsys.readouterr().out
         assert "top words: [('the', 3), ('fox', 2)," in out
-        assert "eigenvalue agreement vs local NumPy: True" in out
+        assert "T² agreement vs local NumPy on fresh rows: True" in out
         assert "covariance agreement vs one update: True" in out
         assert "models cached" in out
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.fdr import AnomalyReport, FDRDetector, FDRDetectorConfig, eigh_descending
+from repro.core.fdr import AnomalyReport, FDRDetector, FDRDetectorConfig
 from repro.core.model import UnitModel
 from repro.core.multiple_testing import benjamini_hochberg
 from repro.simdata import FaultKind, FleetConfig, FleetGenerator
@@ -50,9 +50,9 @@ class TestFit:
         assert model.unit_id == 3
         assert model.mean.shape == (20,)
         assert model.std.shape == (20,)
-        assert model.components.shape[0] == 20
-        assert model.whitening.shape == model.components.shape
-        assert model.n_train == 400
+        assert model.projection.shape[0] == 20
+        assert model.offset.shape == (model.projection.shape[1],)
+        assert (model.n_train, model.n_b) == (400, 200)
 
     def test_moments_match_numpy(self):
         x = healthy_data()
@@ -65,19 +65,21 @@ class TestFit:
         small = FDRDetector(FDRDetectorConfig(variance_target=0.5)).fit(healthy_data())
         assert small.n_components < full.n_components
 
-    def test_explicit_n_components(self):
-        model = FDRDetector(FDRDetectorConfig(n_components=5)).fit(healthy_data())
-        assert model.n_components == 5
-
-    def test_n_components_out_of_range(self):
-        with pytest.raises(ValueError):
-            FDRDetector(FDRDetectorConfig(n_components=21)).fit(healthy_data())
-
     def test_constant_sensor_rejected(self):
         x = healthy_data()
         x[:, 0] = 7.0
         with pytest.raises(ValueError):
             FDRDetector().fit(x)
+
+    def test_collinear_sensors_leave_their_null_direction_out(self):
+        """Sensor 1 is an affine copy of sensor 0: the direction with no
+        variance is not a T² direction, even when the variance target
+        asks for all of it."""
+        x = np.random.default_rng(0).normal(size=(400, 5))
+        x[:, 1] = 2.0 * x[:, 0] + 1.0
+        model = FDRDetector(FDRDetectorConfig(variance_target=1.0)).fit(x)
+        assert model.n_components == 4
+        assert np.isfinite(model.projection).all() and np.isfinite(model.offset).all()
 
     def test_too_few_rows(self):
         with pytest.raises(ValueError):
@@ -91,30 +93,11 @@ class TestFit:
         x += rng.normal(size=x.shape) * 0.01
         model = FDRDetector(FDRDetectorConfig(variance_target=1.0)).fit(x)
         z = (x - model.mean) / model.std
-        w = z @ model.whitening
+        w = z @ model.projection + model.offset
         cov_w = np.cov(w, rowvar=False)
         assert np.allclose(np.diag(cov_w), 1.0, atol=0.1)
         off = cov_w - np.diag(np.diag(cov_w))
         assert np.abs(off).max() < 0.1
-
-
-class TestEighDescending:
-    @staticmethod
-    def covariance(rows=80, cols=7, seed=0):
-        x = np.random.default_rng(seed).normal(size=(rows, cols))
-        return np.cov(x, rowvar=False)
-
-    def test_covariance_eigen_descending_nonnegative(self):
-        eigvals, eigvecs = eigh_descending(self.covariance())
-        assert np.all(np.diff(eigvals) <= 1e-12)
-        assert np.all(eigvals >= 0)
-        assert eigvecs.shape == (7, 7)
-
-    def test_covariance_eigen_reconstructs(self):
-        cov = self.covariance(rows=200)
-        eigvals, eigvecs = eigh_descending(cov)
-        recon = eigvecs @ np.diag(eigvals) @ eigvecs.T
-        assert np.allclose(recon, cov, atol=1e-10)
 
 
 class TestDetect:

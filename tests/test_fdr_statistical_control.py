@@ -39,6 +39,28 @@ class TestNullCalibration:
         rates = np.array(rates)
         assert rates.mean() <= q + 3.0 * rates.std(ddof=1) / np.sqrt(seeds)
 
+    @pytest.mark.parametrize("n_train", [200, 600])
+    @pytest.mark.parametrize("sensors", [50, 200])
+    def test_global_null_unit_alarm_holds_alpha(self, sensors, n_train):
+        """iid N(0, 1) sensors: the share of rows the T² unit alarm
+        raises is α within three standard errors, on either side.
+
+        The split-sample F threshold is exact for Gaussian rows whatever
+        k is (DESIGN §27).  A seed's rows share its model, so a seed is
+        the independent sample.  Reading T² against χ²_k, with k and the
+        whitening chosen on the same rows, gave 0.013–0.124 here.
+        """
+        alpha, n_eval, seeds = 0.01, 2000, 20
+        detector = FDRDetector(FDRDetectorConfig(window=1, unit_alarm_alpha=alpha))
+        rates = []
+        for seed in range(seeds):
+            rng = np.random.default_rng(seed)
+            model = detector.fit(rng.standard_normal((n_train, sensors)))
+            alarms = detector.detect(model, rng.standard_normal((n_eval, sensors))).unit_alarm
+            rates.append(alarms.mean())
+        rates = np.array(rates)
+        assert abs(rates.mean() - alpha) <= 3.0 * rates.std(ddof=1) / np.sqrt(seeds)
+
     def test_bh_null_family_rate_tracks_q(self):
         """Fraction of time steps with >= 1 false flag stays near q.
 

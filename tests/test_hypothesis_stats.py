@@ -117,19 +117,37 @@ class TestT2:
         assert list(t2_statistic(w)) == [5.0, 9.0]
 
     def test_t2_chi2_calibration(self):
+        """As half B grows the F law tends to χ²_k: scores that are
+        N(0, I_k) exactly are calibrated at n_b = 10⁹."""
         rng = np.random.default_rng(9)
         k = 5
         w = rng.normal(size=(50_000, k))
-        p = t2_pvalues(t2_statistic(w), k)
+        p = t2_pvalues(t2_statistic(w), k, 10**9)
         assert np.mean(p <= 0.05) == pytest.approx(0.05, abs=0.01)
 
+    def test_t2_f_calibration(self):
+        """The split-sample law: scores of a new row against the mean and
+        covariance of ``n_b`` other rows give uniform F p-values, however
+        close k is to n_b."""
+        rng = np.random.default_rng(10)
+        for k, n_b in ((3, 8), (5, 40)):
+            reps = 20_000
+            b = rng.normal(size=(reps, n_b, k))
+            new = rng.normal(size=(reps, k)) - b.mean(axis=1)
+            centred = b - b.mean(axis=1, keepdims=True)
+            s_b = np.einsum("rni,rnj->rij", centred, centred) / (n_b - 1)
+            t2 = np.einsum("ri,ri->r", new, np.linalg.solve(s_b, new[..., None])[..., 0])
+            p = t2_pvalues(t2, k, n_b)
+            assert np.mean(p <= 0.05) == pytest.approx(0.05, abs=0.006), (k, n_b)
+
     def test_dof_validation(self):
-        with pytest.raises(ValueError):
-            t2_pvalues(np.array([1.0]), 0)
+        for k, n_b in ((0, 10), (3, 3)):
+            with pytest.raises(ValueError):
+                t2_pvalues(np.array([1.0]), k, n_b)
 
 
 class TestSpecialMatchesStats:
-    """The detector's p-values, |t| ladder and χ² limits come from
+    """The detector's p-values, |t| ladder and T² F limit come from
     ``scipy.special``; ``scipy.stats`` (the oracle here) gives the same
     bits, edges included."""
 
@@ -141,22 +159,31 @@ class TestSpecialMatchesStats:
                 want = 2.0 * stats.t.sf(np.abs(z), dof)
                 assert np.array_equal(two_sided_pvalues(z, dof), want, equal_nan=True), dof
 
-    def test_chi2_upper_tail(self):
+    def test_f_upper_tail(self):
+        """The oracle's T² p-value is ``scipy.stats.f.sf`` of the scaled
+        T², bit for bit, across k and half B's rows."""
         t = np.concatenate([np.linspace(-5.0, 400.0, 4_051), np.logspace(-300, 3, 200), EDGES])
-        for k in range(1, 201):
-            assert np.array_equal(t2_pvalues(t, k), stats.chi2.sf(t, k), equal_nan=True), k
-        assert np.array_equal(t2_pvalues(EDGES, 4), stats.chi2.sf(EDGES, 4), equal_nan=True)
-        assert t2_pvalues(-1.0, 3) == stats.chi2.sf(-1.0, 3) == 1.0
+        for k, n_b in ((1, 2), (1, 30), (5, 6), (12, 250), (30, 300), (199, 200)):
+            scale = n_b * (n_b - k) / (k * (n_b - 1) * (n_b + 1))
+            want = stats.f.sf(np.maximum(t, 0.0) * scale, k, n_b - k)
+            assert np.array_equal(t2_pvalues(t, k, n_b), want, equal_nan=True), (k, n_b)
+        assert t2_pvalues(-1.0, 3, 10) == 1.0
 
-    def test_chi2_limit(self):
+    def test_f_limit(self):
+        """The kernel's T² threshold is the scaled ``scipy.stats.f.isf``:
+        ``special.fdtri`` gives its bits for every k, half-B size and α."""
         alpha = np.append(np.logspace(-12, np.log10(0.999), 400), [0.5, 0.05, 0.01, 0.001])
-        for k in range(1, 201):
-            assert np.array_equal(special.chdtri(k, alpha), stats.chi2.isf(alpha, k)), k
+        for k, n_b in ((1, 2), (1, 30), (5, 6), (12, 250), (30, 300), (150, 300)):
+            got = special.fdtri(k, n_b - k, 1.0 - alpha)
+            assert np.array_equal(got, stats.f.isf(alpha, k, n_b - k)), (k, n_b)
         x = np.random.default_rng(3).normal(size=(200, 6))
-        for k in (1, 3, 6):
-            cfg = FDRDetectorConfig(n_components=k, unit_alarm_alpha=1e-4)
-            evaluator = OnlineEvaluator(FDRDetector(cfg).fit(x), cfg)
-            assert evaluator._t2_threshold == float(stats.chi2.isf(1e-4, k))
+        for target in (0.3, 0.8, 1.0):
+            cfg = FDRDetectorConfig(variance_target=target, unit_alarm_alpha=1e-4)
+            model = FDRDetector(cfg).fit(x)
+            k, n_b = model.n_components, model.n_b
+            scale = k * (n_b - 1) * (n_b + 1) / (n_b * (n_b - k))
+            evaluator = OnlineEvaluator(model, cfg)
+            assert evaluator._t2_threshold == scale * float(stats.f.isf(1e-4, k, n_b - k))
 
     def test_student_t_ladder(self):
         """The kernel's |t| ladder is ``scipy.stats.t.isf`` of each

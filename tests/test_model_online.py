@@ -42,37 +42,36 @@ def _inputs_for_windowed(target, window, n_train):
 class TestUnitModel:
     def test_validation_shapes(self):
         with pytest.raises(ValueError):
-            UnitModel(0, np.zeros(3), np.ones(2), np.ones(1), np.zeros((3, 1)),
-                      np.zeros((3, 1)), 10)
+            UnitModel(0, np.zeros(3), np.ones(2), np.zeros((3, 1)), np.zeros(1), 10, 5)
 
     def test_validation_std_positive(self):
         for bad in (0.0, -1.0):
             with pytest.raises(ValueError):
-                UnitModel(0, np.zeros(2), np.array([1.0, bad]), np.ones(1),
-                          np.zeros((2, 1)), np.zeros((2, 1)), 10)
+                UnitModel(0, np.zeros(2), np.array([1.0, bad]), np.zeros((2, 1)),
+                          np.zeros(1), 10, 5)
 
-    def test_validation_eig_sorted(self):
-        with pytest.raises(ValueError):
-            UnitModel(0, np.zeros(2), np.ones(2), np.array([1.0, 2.0]),
-                      np.zeros((2, 2)), np.zeros((2, 2)), 10)
+    def test_validation_offset_matches_rank(self):
+        with pytest.raises(ValueError, match="offset"):
+            UnitModel(0, np.zeros(2), np.ones(2), np.zeros((2, 1)), np.zeros(2), 10, 5)
 
-    def test_validation_negative_eig(self):
-        with pytest.raises(ValueError):
-            UnitModel(0, np.zeros(2), np.ones(2), np.array([1.0, -0.1]),
-                      np.zeros((2, 2)), np.zeros((2, 2)), 10)
+    def test_validation_rank_below_n_b(self):
+        """The F threshold needs ``n_b − k ≥ 1`` rows of half B."""
+        for n_b in (1, 11):
+            with pytest.raises(ValueError, match="n_b"):
+                UnitModel(0, np.zeros(2), np.ones(2), np.zeros((2, 1)), np.zeros(1), 10, n_b)
+        UnitModel(0, np.zeros(2), np.ones(2), np.zeros((2, 0)), np.zeros(0), 10, 1)
 
     def test_validation_n_train(self):
         with pytest.raises(ValueError):
-            UnitModel(0, np.zeros(2), np.ones(2), np.ones(1),
-                      np.zeros((2, 1)), np.zeros((2, 1)), 1)
+            UnitModel(0, np.zeros(2), np.ones(2), np.zeros((2, 0)), np.zeros(0), 1, 0)
 
     def test_properties(self):
         _, model = trained_model()
         assert model.n_sensors == 12
+        assert model.n_b == 250
         assert 1 <= model.n_components <= 12
-        ratios = model.explained_variance_ratio()
-        assert np.all(ratios >= 0)
-        assert ratios.sum() <= 1.0 + 1e-9
+        assert model.projection.shape == (12, model.n_components)
+        assert model.offset.shape == (model.n_components,)
 
 
 class TestPersistence:
@@ -86,8 +85,9 @@ class TestPersistence:
         assert loaded.unit_id == 4
         assert np.array_equal(loaded.mean, model.mean)
         assert np.array_equal(loaded.std, model.std)
-        assert np.array_equal(loaded.whitening, model.whitening)
-        assert loaded.n_train == model.n_train
+        assert np.array_equal(loaded.projection, model.projection)
+        assert np.array_equal(loaded.offset, model.offset)
+        assert (loaded.n_train, loaded.n_b) == (model.n_train, model.n_b)
 
     def test_load_missing_returns_none(self, tmp_path):
         assert load_model(BlockStore(tmp_path), 99) is None
@@ -111,14 +111,14 @@ class TestOnlineEvaluator:
         """The one kernel against the dense oracle (``tests/oracle.py``):
         ``detect``, ``report``, chunked ``evaluate_scored`` and chunked
         ``evaluate`` all decide what the oracle decides, for any shape,
-        window, procedure, T² setting, retained rank, training size and
+        window, procedure, T² setting, variance target, training size and
         chunking."""
         p = data.draw(st.integers(1, 9), label="p")
         cfg = FDRDetectorConfig(
             q=data.draw(st.sampled_from([0.005, 0.05, 0.3]), label="q"),
             window=data.draw(st.sampled_from([1, 2, 5, 16, 64]), label="window"),
             procedure=data.draw(st.sampled_from(sorted(PROCEDURES)), label="procedure"),
-            n_components=data.draw(st.integers(1, p), label="k"),
+            variance_target=data.draw(st.sampled_from([0.3, 0.95, 1.0]), label="target"),
             use_t2=data.draw(st.booleans(), label="use_t2"),
         )
         chunk_sizes = data.draw(
@@ -201,8 +201,9 @@ class TestOnlineEvaluator:
             st.lists(st.integers(1, 16), min_size=1, max_size=5), label="chunks")
 
         cfg = FDRDetectorConfig(q=q, window=window, procedure=procedure, use_t2=False)
-        ident = np.eye(m)[:, :1]
-        model = UnitModel(0, np.zeros(m), np.ones(m), np.ones(1), ident, ident, n_train)
+        model = UnitModel(
+            0, np.zeros(m), np.ones(m), np.zeros((m, 0)), np.zeros(0), n_train, n_train // 2
+        )
         # Mean 0 and std 1 make the standardised z the input itself; the
         # window statistic over x lands each planted target within a
         # few ulps.

@@ -27,7 +27,7 @@ RECORDED = {
     "alerting": 38,
     "chaos": 16,
     "cluster": 17,
-    "core": 64,
+    "core": 63,
     "hbase": 63,
     "lifecycle": 10,
     "obs": 10,

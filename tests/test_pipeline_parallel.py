@@ -200,7 +200,7 @@ class TestParallelParity:
         assert set(result.reports) == set(generator.units())
 
 
-MODEL_ARRAYS = ("mean", "std", "eigenvalues", "components", "whitening")
+MODEL_ARRAYS = ("mean", "std", "projection", "offset")
 
 
 class _RecordingModels(dict):
@@ -254,10 +254,11 @@ class TestTrainingFanOut:
             for model in kept:
                 for name in MODEL_ARRAYS:
                     assert np.array_equal(getattr(model, name), getattr(reference, name)), name
-                assert model.n_train == reference.n_train
+                assert (model.n_train, model.n_b) == (reference.n_train, reference.n_b)
 
     def test_kept_models_own_their_arrays(self, generator):
-        """The driver's copy frees the p - k columns ``components`` was a view of."""
+        """Copying each model as ``train_fleet`` collects it frees the solve
+        output that ``projection`` and ``offset`` were views of."""
         with SparkletContext(2) as ctx:
             pipeline = AnomalyPipeline(generator, ctx=ctx)
             pipeline.train(n_train=self.N_TRAIN)

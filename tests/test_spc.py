@@ -132,8 +132,8 @@ class TestMewma:
         test[300:] += pattern
         mewma_hits = MewmaChart().flags(model, test)[350:].mean()
         z = (test - model.mean) / model.std
-        t2 = t2_statistic(z @ model.whitening)
-        t2_hits = (t2_pvalues(t2, model.n_components) <= 0.001)[350:].mean()
+        t2 = t2_statistic(z @ model.projection + model.offset)
+        t2_hits = (t2_pvalues(t2, model.n_components, model.n_b) <= 0.001)[350:].mean()
         assert mewma_hits > t2_hits
 
     def test_statistics_nonnegative(self, correlated_model):
@@ -151,5 +151,5 @@ class TestMewma:
         monkeypatch.setattr(spc, "MEWMA_LAMBDA", 1.0)
         q = MewmaChart().statistics(model, test)
         z = (test - model.mean) / model.std
-        t2 = t2_statistic(z @ model.whitening)
+        t2 = t2_statistic(z @ model.projection + model.offset)
         assert np.allclose(q, t2)

@@ -118,8 +118,9 @@ class TestStreamingTrainer:
     @given(st.lists(st.integers(1, 120), min_size=1, max_size=8))
     def test_streaming_model_converges_to_batch(self, chunk_sizes):
         """The stream under any chunking, the batch fit (one update) and
-        the distributed fold over two partitions merge the same moments
-        in different orders, so they agree on the model to round-off."""
+        the distributed fold over two partitions deal the same rows to
+        the same halves and merge them in different orders, so they agree
+        on the model, and on T² of fresh rows, to round-off."""
         fleet = FleetGenerator(FleetConfig(n_units=2, n_sensors=20, seed=51))
         x = fleet.training_window(0, 400).values
         trainer = StreamingTrainer(20, refresh_every=1, min_samples=2)
@@ -132,15 +133,19 @@ class TestStreamingTrainer:
         batch = FDRDetector().fit(x, unit_id=0)
         with SparkletContext(parallelism=2) as ctx:
             distributed = train_unit_distributed(ctx, x, 0)
+        fresh = fleet.evaluation_window(1, 100).values
+
+        def t2(model):
+            scores = (fresh - model.mean) / model.std @ model.projection + model.offset
+            return np.einsum("ij,ij->i", scores, scores)
+
         for other in (streamed, distributed):
             assert other.n_train == batch.n_train == 400
-            assert other.n_components == batch.n_components
+            assert (other.n_components, other.n_b) == (batch.n_components, batch.n_b)
             assert np.allclose(other.mean, batch.mean)
             assert np.allclose(other.std, batch.std)
-            assert np.allclose(other.eigenvalues, batch.eigenvalues, atol=1e-8)
-            # eigenvectors are defined up to sign; so is each whitening column
-            signs = np.sign(np.sum(other.whitening * batch.whitening, axis=0))
-            assert np.allclose(other.whitening * signs, batch.whitening, atol=1e-6)
+            # the map's basis is defined up to eigenvector signs; T² is not
+            assert np.allclose(t2(other), t2(batch), atol=1e-6)
 
     def test_refresh_cadence(self):
         rng = np.random.default_rng(3)

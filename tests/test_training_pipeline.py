@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from repro.core.fdr import FDRDetector, FDRDetectorConfig
 from repro.core.pipeline import ANOMALY_METRIC, UNIT_ALARM_METRIC, AnomalyPipeline
@@ -25,72 +26,69 @@ def generator():
     return FleetGenerator(FleetConfig(n_units=6, n_sensors=15, seed=13))
 
 
-def _pre_change_back_half(corr, cfg):
-    """eigendecompose → sort → clip → select k → whiten, as each of the
-    three trainers spelled it out before they shared one builder."""
+def _textbook_split_hotelling(x, cfg, fresh):
+    """T² of ``fresh`` rows, and its threshold at ``unit_alarm_alpha``,
+    the textbook way from the raw rows: the even rows (half A) choose
+    the directions and k, the odd rows (half B) give the scores' mean
+    and covariance, and T² solves against that covariance."""
+    a, b = x[0::2], x[1::2]
+    corr = np.atleast_2d(np.corrcoef(a, rowvar=False))
     eigvals, eigvecs = np.linalg.eigh(corr)
-    order = np.argsort(eigvals)[::-1]
-    eigvals = np.clip(eigvals[order], 0.0, None)
-    eigvecs = eigvecs[:, order]
-    if cfg.n_components is not None:
-        k = cfg.n_components
-    else:
-        total = eigvals.sum()
-        ratio = np.cumsum(eigvals) / total
-        k = int(np.searchsorted(ratio, cfg.variance_target) + 1) if total > 0 else 1
-    eigvals, eigvecs = eigvals[:k], eigvecs[:, :k]
-    return eigvals, eigvecs, eigvecs / np.sqrt(np.maximum(eigvals, 1e-12))
+    eigvals, eigvecs = eigvals[::-1], eigvecs[:, ::-1]
+    ratio = np.cumsum(eigvals) / eigvals.sum()
+    n_b = len(b)
+    k = min(int(np.searchsorted(ratio, cfg.variance_target) + 1), len(eigvals), n_b // 10)
+    w = eigvecs[:, :k] / a.std(axis=0, ddof=1)[:, None]
+    y_b = (b - a.mean(axis=0)) @ w
+    s_b = np.atleast_2d(np.cov(y_b, rowvar=False))
+    y = (fresh - a.mean(axis=0)) @ w - y_b.mean(axis=0)
+    t2 = np.einsum("ij,ij->i", y, np.linalg.solve(s_b, y.T).T)
+    scale = k * (n_b - 1) * (n_b + 1) / (n_b * (n_b - k))
+    return k, n_b, t2, scale * stats.f.isf(cfg.unit_alarm_alpha, k, n_b - k)
 
 
-def _pre_change_one_update(x):
-    """``(mean, std, corr)`` from one Chan update of ``x``, as the stream's
-    refresh spelled it out before every trainer shared one estimator."""
-    mean = x.mean(axis=0)
-    centred = x - mean
-    cov = centred.T @ centred / (x.shape[0] - 1)
-    cov = (cov + cov.T) / 2.0
-    std = np.sqrt(np.diag(cov))
-    corr = cov * np.outer(1.0 / std, 1.0 / std)
-    return mean, std, (corr + corr.T) / 2.0
+def _t2(model, rows):
+    """``‖z·P + o‖²`` of raw rows under ``model``."""
+    scores = (rows - model.mean) / model.std @ model.projection + model.offset
+    return np.einsum("ij,ij->i", scores, scores)
 
 
 class TestOneModelBuilder:
     """``fit``, a stream that ingests the window as one batch, and the
     distributed fold on a one-partition context all run one
     ``IncrementalMoments.update`` and the one builder, so each gives the
-    same arrays, bit for bit, as the pre-change one-update formulas."""
+    same arrays, bit for bit; and those arrays are the textbook
+    split-sample Hotelling form over the raw even and odd rows."""
 
     CONFIGS = [
         FDRDetectorConfig(),
-        FDRDetectorConfig(n_components=3),
         FDRDetectorConfig(variance_target=0.5),
         FDRDetectorConfig(variance_target=1.0),
     ]
 
     @pytest.mark.parametrize("cfg", CONFIGS)
     @pytest.mark.parametrize("p", [1, 7])
-    def test_bit_identical_to_the_pre_change_formulas(self, cfg, p):
-        if cfg.n_components is not None and cfg.n_components > p:
-            cfg = FDRDetectorConfig(n_components=p)
-        x = np.random.default_rng(p).normal(loc=30.0, scale=3.0, size=(120, p))
-        mean, std, corr = _pre_change_one_update(x)
-        eigvals, eigvecs, whitening = _pre_change_back_half(corr, cfg)
+    def test_matches_the_textbook_split_hotelling_form(self, cfg, p):
+        rng = np.random.default_rng(p)
+        x = rng.normal(loc=30.0, scale=3.0, size=(120, p))
+        fresh = rng.normal(loc=30.0, scale=3.0, size=(50, p))
+        k, n_b, t2, threshold = _textbook_split_hotelling(x, cfg, fresh)
 
         trainer = StreamingTrainer(p, config=cfg, min_samples=2)
         trainer.ingest(2, x)
         with SparkletContext(parallelism=1) as one_partition:
             distributed = train_unit_distributed(one_partition, x, 2, cfg)
-        for model in (FDRDetector(cfg).fit(x, unit_id=2), trainer.model_for(2), distributed):
+        fitted = FDRDetector(cfg).fit(x, unit_id=2)
+        for model in (fitted, trainer.model_for(2), distributed):
             assert model.unit_id == 2
             assert model.n_train == 120
-            for got, want in (
-                (model.mean, mean),
-                (model.std, std),
-                (model.eigenvalues, eigvals),
-                (model.components, eigvecs),
-                (model.whitening, whitening),
-            ):
-                assert np.array_equal(got, want)
+            for name in ("mean", "std", "projection", "offset"):
+                assert np.array_equal(getattr(model, name), getattr(fitted, name)), name
+        np.testing.assert_allclose(fitted.mean, x.mean(axis=0), rtol=1e-13)
+        np.testing.assert_allclose(fitted.std, x.std(axis=0, ddof=1), rtol=1e-12)
+        assert (fitted.n_components, fitted.n_b) == (k, n_b)
+        np.testing.assert_allclose(_t2(fitted, fresh), t2, rtol=1e-9)
+        assert fitted.t2_limit(cfg.unit_alarm_alpha) == pytest.approx(threshold, rel=1e-12)
 
 
 class TestStuckSensor:
@@ -147,12 +145,10 @@ class TestDistributedTraining:
         distributed = train_unit_distributed(sc, x, unit_id=1)
         assert np.allclose(distributed.mean, local.mean)
         assert np.allclose(distributed.std, local.std)
-        assert np.allclose(distributed.eigenvalues, local.eigenvalues)
-        assert distributed.n_components == local.n_components
-        # eigenvectors may differ by sign; compare projections
-        assert np.allclose(
-            np.abs(np.diag(distributed.components.T @ local.components)), 1.0
-        )
+        assert (distributed.n_components, distributed.n_b) == (local.n_components, local.n_b)
+        # the map's basis may differ (eigenvector signs); T² does not
+        fresh = rng.normal(loc=30.0, scale=3.0, size=(100, 10))
+        assert np.allclose(_t2(distributed, fresh), _t2(local, fresh))
 
     def test_scoring_agrees_with_local_model(self, sc):
         rng = np.random.default_rng(1)
@@ -190,7 +186,9 @@ class TestOfflineTrainer:
         for unit, model in result.models.items():
             stored = load_model(store, unit)
             assert stored.n_train == model.n_train == 120
-            assert np.array_equal(stored.whitening, model.whitening)
+            assert np.array_equal(stored.projection, model.projection)
+            assert np.array_equal(stored.offset, model.offset)
+            assert stored.n_b == model.n_b
 
     def test_subset_training(self, sc, generator, tmp_path):
         trainer = OfflineTrainer(sc, BlockStore(tmp_path))
@@ -209,7 +207,7 @@ class TestOfflineTrainer:
         for unit in generator.units():
             t = t_store.get(f"unit-model-{unit:05d}")
             s = s_store.get(f"unit-model-{unit:05d}")
-            for name in ("mean", "std", "eigenvalues", "components", "whitening"):
+            for name in ("mean", "std", "projection", "offset", "n_b"):
                 assert np.array_equal(t[name], s[name]), name
 
 
