@@ -1560,9 +1560,9 @@ E16_STALENESS_BOUND = 1.0
 #: recovery is an outage, not availability.
 E16_PROBE_BUDGET = 0.25
 #: Crash window length and the master's detection delay.  Detection is
-#: deliberately slower than the outage (the server restarts before the
-#: master notices), so an unreplicated cluster cannot serve the crashed
-#: regions at any point inside the window.
+#: deliberately slower than the outage: each server restarts before the
+#: master notices, and the restart recovers its crash, so without replicas
+#: only a probe whose retries outlast the window reads the crashed regions.
 E16_CRASH_WINDOW = 1.0
 E16_DETECTION_DELAY = 1.2
 
@@ -1654,8 +1654,8 @@ def _e16_probe_run(
     hedge_delay = healthy_latency
     probe_budget = max(E16_PROBE_BUDGET, 5.0 * deadline)
 
-    # Two crash windows, each fully recovered (detection + failover or
-    # reassignment) before the next begins.
+    # Two crash windows, each recovered (at the server's restart, inside
+    # the detection delay) before the next begins.
     windows: List[Tuple[float, float]] = []
     events: List[FaultEvent] = []
     start = sim.now + 0.3
@@ -1667,10 +1667,10 @@ def _e16_probe_run(
         start += E16_DETECTION_DELAY + 0.6
     horizon = windows[-1][0] + E16_DETECTION_DELAY + 0.6
     # After the probe windows, one outage *longer* than the detection
-    # delay exercises detection-time recovery: the master promotes the
-    # most-caught-up follower (rf>=2) or replays the durable WAL onto
-    # the survivors (rf=1).  Probes in flight then are out-of-window
-    # and do not count toward availability.
+    # delay exercises detection-time recovery: the regions fail over to
+    # their most-caught-up followers (rf>=2) or move to the survivors
+    # (rf=1).  Probes in flight then are out-of-window and do not count
+    # toward availability.
     failover_at = horizon + 0.2
     failover_outage = E16_DETECTION_DELAY + 1.0
     events.append(
@@ -2377,7 +2377,7 @@ def e18_lifecycle_soak(quick: bool = False) -> ExperimentResult:
             "tier_routing_cuts_scanned_cells_5x": raw_reduction >= E18_RAW_REDUCTION_FLOOR,
             "claims_rest_on_a_real_soak": (
                 points >= 10_000
-                and n["final_units"] >= 100
+                and n["final_units"] >= max(100, 0.95 * end_units)
                 and n["routed_cells_final"] >= 1
                 and n["short_cells_final"] >= 1
             ),

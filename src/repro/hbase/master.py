@@ -7,16 +7,17 @@ its operations execute synchronously in simulated time.  It provides:
   pre-split regions so "each region handled an equal proportion of the
   writes");
 * ``locate`` — the meta-table lookup clients use to route by row key;
-* crash recovery — on RegionServer death, memstores are discarded, the
-  WAL's durable prefix is replayed, and regions are re-assigned
-  round-robin across the survivors;
+* crash recovery — once per crash, each region the dead server hosted
+  is rebuilt in place from everything durable and reopened on a
+  follower's server or round-robin across the survivors;
 * region splitting and moves (manual, as in the paper) and a simple
   count-based balancer.
 
 Liveness is each RegionServer's own ``crashed`` flag, and a crash
 reaches the master through the server's ``on_crash`` callback; with a
 simulator attached, recovery waits out ``failure_detection_delay`` (the
-window a ZooKeeper session timeout opens in real HBase).
+window a ZooKeeper session timeout opens in real HBase), or runs when
+the server restarts, if that comes first.
 """
 
 from __future__ import annotations
@@ -30,9 +31,10 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 from ..cluster.metrics import MetricsRegistry
 from .region import CellBatch, Region, RegionInfo, RouteTable, RowFilter
 from .regionserver import RegionServer
+from .wal import WriteAheadLog
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..cluster.simulation import Simulator
+    from ..cluster.simulation import EventHandle, Simulator
     from .replication import ReplicationCoordinator
 
 __all__ = ["HMaster", "RegionUnavailableError", "ReplicaLocation", "TableNotFoundError"]
@@ -92,7 +94,8 @@ class HMaster:
         self.failure_detection_delay = failure_detection_delay
         #: Region replication coordinator (see :meth:`enable_replication`).
         self.replication: Optional["ReplicationCoordinator"] = None
-        self._crash_epoch: Dict[str, int] = {}
+        #: Per crashed server, its pending detection and the WAL it crashed with.
+        self._detections: Dict[str, Tuple[EventHandle, WriteAheadLog]] = {}
         self.recoveries = 0
         self.cells_lost_unsynced = 0
         self.failovers = 0
@@ -262,10 +265,8 @@ class HMaster:
         table; each server is handed its regions' shares for its one
         writer (:meth:`RegionServer.write`), and each share is mirrored
         to follower replicas, which would otherwise never see it.
-        Returns the number of cells written — a server that restarted
-        and was not yet re-assigned hosts nothing, so its shares are
-        not.  Raises when a row's region is unassigned, before anything
-        is written.
+        Returns the number of cells written, all of them.  Raises when
+        a row's region is unassigned, before anything is written.
         """
         if not batch.rows:
             return 0
@@ -274,15 +275,13 @@ class HMaster:
             if assignment.server is None:
                 raise RuntimeError("region unassigned; cannot bulk-load")
             by_server.setdefault(assignment.server, {})[assignment.region] = share
-        written = 0
         for server_name, shares in by_server.items():
             if not self._servers[server_name].write(shares, durable=False):
-                continue
-            written += sum(map(len, shares.values()))
+                raise RuntimeError(f"{server_name} does not host the regions assigned to it")
             if self.replication is not None:
                 for region, share in shares.items():
                     self.replication.mirror(region.info.name, share)
-        return written
+        return len(batch)
 
     def direct_delete_range(
         self, table: str, start_row: bytes, end_row: bytes, ts: float
@@ -382,8 +381,11 @@ class HMaster:
         if not live:
             assignment.server = None
             return
-        name = live[self._assign_cursor % len(live)]
+        self._open(assignment, live[self._assign_cursor % len(live)])
         self._assign_cursor += 1
+
+    def _open(self, assignment: _Assignment, name: str) -> None:
+        """Open the assignment's region on server ``name``; its followers follow."""
         assignment.server = name
         self._servers[name].open_region(assignment.region)
         if self.replication is not None:
@@ -401,10 +403,7 @@ class HMaster:
                     # region's unflushed data once it moves away.
                     assignment.region.flush()
                     self._servers[assignment.server].close_region(region_name)
-                assignment.server = dest
-                self._servers[dest].open_region(assignment.region)
-                if self.replication is not None:
-                    self.replication.primary_moved(region_name, dest)
+                self._open(assignment, dest)
                 return
         raise KeyError(f"region {region_name!r} not in table {table!r}")
 
@@ -490,39 +489,35 @@ class HMaster:
     # crash recovery
     # ------------------------------------------------------------------
     def _handle_crash(self, server: RegionServer) -> None:
-        """Crash detected (or scheduled for detection) — see :meth:`_recover`.
+        """A crash is recovered once, from the WAL the server crashed with.
 
         With a simulator attached and ``failure_detection_delay > 0``,
         recovery runs after the detection window (a session timeout in
-        real HBase); the crash epoch guards against a crash/restart/crash
-        cycle racing a stale detection.
+        real HBase), or at the server's restart if that comes first
+        (:meth:`_handle_restart`); otherwise at once.
         """
-        epoch = self._crash_epoch.get(server.name, 0) + 1
-        self._crash_epoch[server.name] = epoch
-        wal = server.wal  # restart replaces the WAL; recover from this one
         if self.sim is not None and self.failure_detection_delay > 0:
-            self.sim.schedule(
-                self.failure_detection_delay, self._detect_crash, server, wal, epoch
-            )
+            handle = self.sim.schedule(self.failure_detection_delay, self._detect_crash, server)
+            self._detections[server.name] = (handle, server.wal)
         else:
-            self._recover(server, wal)
+            self._recover(server, server.wal)
 
-    def _detect_crash(self, server: RegionServer, wal, epoch: int) -> None:
-        if self._crash_epoch.get(server.name) != epoch:
-            return  # superseded by a newer crash cycle
+    def _detect_crash(self, server: RegionServer) -> None:
+        _, wal = self._detections.pop(server.name)
         self._recover(server, wal)
 
-    def _recover(self, server: RegionServer, wal) -> None:
-        """WAL-based recovery: promote followers (or discard-and-replay).
+    def _recover(self, server: RegionServer, wal: WriteAheadLog) -> None:
+        """Rebuild every region the dead server hosted from everything durable.
 
-        For each region whose primary lived on the dead server the
-        most-caught-up live follower is promoted to primary; the dead
-        server's durable WAL prefix is then replayed on top (grouped
-        per region through the block write path, idempotent by
-        newest-wins), so every WAL-synced cell survives even when the
-        promoted follower was lagging.  Without replication — or with
-        no live follower — recovery falls back to discard-and-replay
-        plus round-robin reassignment, exactly as before.
+        The same steps at every rf, on the region itself, so its store
+        files stay: discard the memstore; merge the best live
+        follower's copy, if any (bulk loads bypass the WAL, so only that
+        copy may hold them); replay the crash's durable WAL prefix;
+        flush, so the region no longer needs that WAL; reopen it.  While
+        the server is down the follower retires and the region reopens
+        on its server (a failover); after a restart
+        (:meth:`_handle_restart`), or with no follower, it is placed
+        round-robin.  Merge and replay are newest-wins upserts.
         """
         self.recoveries += 1
         self.metrics.counter("master.recoveries").inc(label=server.name)
@@ -531,22 +526,9 @@ class HMaster:
             for a in assignments:
                 if a.server == server.name:
                     victims.append(a)
-        for a in victims:
-            a.region.discard_memstore()
-            server.close_region(a.region.info.name)
-            a.server = None
-            if self.replication is not None and server.crashed:
-                promoted = self.replication.promote(a.region.info.name)
-                if promoted is not None:
-                    a.region, a.server = promoted
-                    self.failovers += 1
-                    self.metrics.counter("master.failovers").inc(label=server.name)
-        # Replay the durable WAL prefix, split by region through each
-        # victim table's route table, through the block write path; puts
-        # are idempotent (newest-wins), so the replay composes with
-        # whatever the promoted follower applied.  Rows of regions that
-        # left this server before the crash have no victim and are not
-        # replayed.
+        # The durable WAL prefix, split by region through each victim
+        # table's route table.  Rows of regions that left this server
+        # before the crash have no victim and are not replayed.
         durable = wal.replayable()
         replayed: Dict[_Assignment, CellBatch] = {}
         if durable.rows:
@@ -555,37 +537,50 @@ class HMaster:
                 for a, share in durable.partition(self._routes[table].owners).items():
                     if a in doomed:
                         replayed[a] = share
-        for a, share in replayed.items():
-            a.region.put_block(share)
         lost = len(wal) - wal.durable_count
         self.cells_lost_unsynced += lost
         if lost:
             self.metrics.counter("master.cells_lost_unsynced").inc(lost, label=server.name)
         for a in victims:
-            # Flush after recovery replay (as real HBase does): the
-            # recovered edits become store files, so they no longer
-            # depend on the dead server's WAL — which the restart will
-            # discard.  Without this, a second crash of whichever server
-            # inherits the region would lose the recovered data.
-            a.region.flush()
-            if a.server is None:
-                self._assign(a.region.info.table, a)
+            region = a.region
+            region.discard_memstore()
+            server.close_region(region.info.name)
+            a.server = None
+            best = None if self.replication is None else self.replication.best_follower(region.info.name)
+            if best is not None:
+                region.put_block(best[0].scan())
+            if a in replayed:
+                region.put_block(replayed[a])
+            region.flush()
+            if best is not None and server.crashed:
+                self._open(a, self.replication.promote(region.info.name))
+                self.failovers += 1
+                self.metrics.counter("master.failovers").inc(label=server.name)
+            else:
+                self._assign(region.info.table, a)
         if self.replication is not None:
             # Re-place followers lost with the dead server (bootstrapped
-            # from the post-replay primaries), then push the replayed
-            # cells to surviving followers, which never saw them via
-            # WAL shipping (the replay wrote into regions directly).
+            # from the recovered regions), then push the replayed cells
+            # to surviving followers, which never saw them via WAL
+            # shipping (the replay wrote into regions directly).
             self.replication.handle_server_crash(server.name)
             for a, share in replayed.items():
                 self.replication.mirror(a.region.info.name, share)
 
     def _handle_restart(self, server: RegionServer) -> None:
-        """Re-admit a restarted server and give it work again.
+        """Recover the server's undetected crash, then give it work again.
 
-        Regions left unassigned while no server was live (their data
-        replayed and flushed by recovery) are assigned first, with
-        their followers placed, then the load is balanced.
+        A server that restarts inside its detection window re-registers
+        as a new instance (HBase's new start code), so its crash is
+        recovered now, from the WAL it crashed with.  Regions left
+        unassigned while no server was live are then assigned, with
+        their followers placed, and the load is balanced.
         """
+        detection = self._detections.pop(server.name, None)
+        if detection is not None:
+            handle, wal = detection
+            handle.cancel()
+            self._recover(server, wal)
         for table, assignments in self._tables.items():
             for a in assignments:
                 if a.server is None:

@@ -380,7 +380,8 @@ class RegionServer:
             self.on_crash(self)
 
     def restart(self) -> None:
-        """Come back up empty; the master re-assigns regions."""
+        """Come back up empty, with a new WAL; the master recovers the
+        crash first if it has not yet, then re-assigns regions."""
         if not self.crashed:
             return
         self.crashed = False

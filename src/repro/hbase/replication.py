@@ -9,11 +9,12 @@ serial, bounded-lag apply loop — exactly HBase's async region-replica
 replication, so followers trail the primary by a measurable, reported
 staleness rather than participating in a synchronous quorum.
 
-On primary crash the master *promotes* the most-caught-up live
-follower to primary (and replays the dead server's durable WAL on top,
-newest-wins, so no synced cell is lost), replacing discard-and-replay
-as the only recovery path.  Timeline-consistency reads may be served
-from any follower; the staleness bound travels with every reply.
+On primary crash the master merges the most-caught-up live follower's
+copy into the region it recovers (beside the region's store files and
+the dead server's durable WAL, all newest-wins).  While that server is
+still down the follower is also *promoted*: it retires, and the region
+reopens on its server.  Timeline-consistency reads may be served from
+any follower; the staleness bound travels with every reply.
 
 The coordinator is control-plane state owned alongside the master;
 only the *shipping* of cells and their *application* consume simulated
@@ -152,7 +153,6 @@ class ReplicationCoordinator:
             rset = ReplicaSet(name, region, primary_server)
             self._sets[name] = rset
         else:
-            rset.primary_region = region
             rset.primary_server = primary_server
         self._top_up(rset)
 
@@ -295,32 +295,18 @@ class ReplicationCoordinator:
     # ------------------------------------------------------------------
     # failover
     # ------------------------------------------------------------------
-    def promote(self, region_name: str) -> Optional[Tuple[Region, str]]:
-        """Promote the most-caught-up live follower to primary.
+    def promote(self, region_name: str) -> str:
+        """Retire the most-caught-up live follower; return its server.
 
-        Returns ``(region, server_name)`` of the new primary, or
-        ``None`` when no live follower exists (the caller falls back to
-        plain WAL-replay recovery).  The promoted copy may trail the
-        dead primary; the master replays the dead server's durable WAL
-        on top of it (idempotent, newest-wins), so every WAL-synced
-        cell survives the failover.
+        The master has merged that follower's copy (:meth:`best_follower`)
+        into the region it recovered, and reopens the region there.
         """
-        rset = self._sets.get(region_name)
-        if rset is None:
-            return None
-        live = [f for f in rset.followers if not self.master.server(f.server_name).crashed]
-        if not live:
-            return None
-        best = max(live, key=lambda f: f.applied_seq)
-        rset.followers.remove(best)
+        best = self._best(region_name)
+        best.rset.followers.remove(best)
         self._close_follower(best)
-        server = self.master.server(best.server_name)
-        server.open_region(best.region)
-        rset.primary_server = best.server_name
-        rset.primary_region = best.region
         self.promotions += 1
         self.metrics.counter("replication.promotions").inc()
-        return best.region, best.server_name
+        return best.server_name
 
     def handle_server_crash(self, server_name: str) -> None:
         """Drop followers hosted on the dead server and re-place them."""
@@ -359,15 +345,19 @@ class ReplicationCoordinator:
             follower.region.delete_range(start_row, end_row, ts)
 
     def best_follower(self, region_name: str) -> Optional[Tuple[Region, float]]:
-        """Most-caught-up live follower and its staleness bound, if any."""
-        rset = self._sets.get(region_name)
-        if rset is None:
+        """Most-caught-up live follower's copy and its staleness bound, if any."""
+        best = self._best(region_name)
+        if best is None:
             return None
-        live = [f for f in rset.followers if not self.master.server(f.server_name).crashed]
-        if not live:
-            return None
-        best = max(live, key=lambda f: f.applied_seq)
         return best.region, best.staleness(self.sim.now)
+
+    def _best(self, region_name: str) -> Optional[FollowerReplica]:
+        rset = self._sets.get(region_name)
+        live = [
+            f for f in (rset.followers if rset is not None else ())
+            if not self.master.server(f.server_name).crashed
+        ]
+        return max(live, key=lambda f: f.applied_seq, default=None)
 
     # ------------------------------------------------------------------
     # chaos hooks

@@ -156,8 +156,8 @@ class RowCompactor:
         self.cells_merged = 0
 
     def run(self) -> int:
-        """Compact every eligible row its host can take; returns the rows
-        rewritten so far.
+        """Compact every eligible row of an assigned region; returns the
+        rows rewritten so far.
 
         With a lifecycle tier attached, a full maintenance pass runs
         first — rollups advance, TTL-expired row-hours are tombstoned
@@ -182,9 +182,10 @@ class RowCompactor:
             merged[blob.rows[0]] = n_points
         if not blobs.rows:
             return self.rows_compacted
-        # Rows of an unassigned region, or of a restarted server that hosts nothing yet, wait.
+        # Rows of an unassigned region wait for the next pass.
         for server, share in self.master.group_by_server(self.table, blobs).items():
-            if server is not None and self.master.direct_put(self.table, share):
+            if server is not None:
+                self.master.direct_put(self.table, share)
                 self.rows_compacted += len(share.rows)
                 self.cells_merged += sum(merged[row] for row in share.rows)
         return self.rows_compacted

