@@ -258,15 +258,15 @@ class HMaster:
         return self._scan(table, ((start_row, end_row),), row_filter, None)[0]
 
     def direct_put(self, table: str, batch: CellBatch) -> int:
-        """Administrative put: bulk-load ``batch`` straight into the regions.
+        """Administrative put: bulk-load ``batch`` into the regions, no RPC.
 
-        No simulated RPC and no WAL (HBase bulk loads bypass the log).
         The batch is split by region once, through the table's route
-        table; each server is handed its regions' shares for its one
-        writer (:meth:`RegionServer.write`), and each share is mirrored
-        to follower replicas, which would otherwise never see it.
-        Returns the number of cells written, all of them.  Raises when
-        a row's region is unassigned, before anything is written.
+        table; each server's one writer (:meth:`RegionServer.write`)
+        logs and lands its regions' shares, as for a put RPC, and each
+        share is mirrored to follower replicas, which would otherwise
+        never see it.  Returns the number of cells written, all of
+        them.  Raises when a row's region is unassigned, before
+        anything is written.
         """
         if not batch.rows:
             return 0
@@ -276,7 +276,7 @@ class HMaster:
                 raise RuntimeError("region unassigned; cannot bulk-load")
             by_server.setdefault(assignment.server, {})[assignment.region] = share
         for server_name, shares in by_server.items():
-            if not self._servers[server_name].write(shares, durable=False):
+            if not self._servers[server_name].write(shares):
                 raise RuntimeError(f"{server_name} does not host the regions assigned to it")
             if self.replication is not None:
                 for region, share in shares.items():
@@ -290,11 +290,10 @@ class HMaster:
 
         The retention manager's expiry path.  Applies a range tombstone
         (at logical write time ``ts``) to every overlapping region and
-        mirrors it to follower replicas — deletes bypass the WAL stream
-        like :meth:`~repro.tsdb.ingest.TsdbCluster.direct_put` bulk
-        loads do, so followers can never resurface expired cells on a
-        timeline read.  Returns the number of visible cells masked
-        across primaries.
+        mirrors it to follower replicas: a delete ships no WAL batch
+        (tombstones are durable region metadata), so followers can
+        never resurface expired cells on a timeline read.  Returns the
+        number of visible cells masked across primaries.
         """
         masked = 0
         for assignment in self._overlapping(table, start_row, end_row):
@@ -507,25 +506,20 @@ class HMaster:
         self._recover(server, wal)
 
     def _recover(self, server: RegionServer, wal: WriteAheadLog) -> None:
-        """Rebuild every region the dead server hosted from everything durable.
+        """Rebuild every region the dead server hosted from its store files and WAL.
 
         The same steps at every rf, on the region itself, so its store
-        files stay: discard the memstore; merge the best live
-        follower's copy, if any (bulk loads bypass the WAL, so only that
-        copy may hold them); replay the crash's durable WAL prefix;
-        flush, so the region no longer needs that WAL; reopen it.  While
-        the server is down the follower retires and the region reopens
-        on its server (a failover); after a restart
-        (:meth:`_handle_restart`), or with no follower, it is placed
-        round-robin.  Merge and replay are newest-wins upserts.
+        files stay: discard the memstore; replay the crash's durable
+        WAL prefix, which holds every write the server took; flush, so
+        the region no longer needs that WAL; reopen it.  While the
+        server is down the best live follower retires and the region
+        reopens on its server (a failover); after a restart
+        (:meth:`_handle_restart`), or with no live follower, it is
+        placed round-robin.  Replay is a newest-wins upsert.
         """
         self.recoveries += 1
         self.metrics.counter("master.recoveries").inc(label=server.name)
-        victims: List[_Assignment] = []
-        for assignments in self._tables.values():
-            for a in assignments:
-                if a.server == server.name:
-                    victims.append(a)
+        victims = [a for table in self._tables.values() for a in table if a.server == server.name]
         # The durable WAL prefix, split by region through each victim
         # table's route table.  Rows of regions that left this server
         # before the crash have no victim and are not replayed.
@@ -541,19 +535,18 @@ class HMaster:
         self.cells_lost_unsynced += lost
         if lost:
             self.metrics.counter("master.cells_lost_unsynced").inc(lost, label=server.name)
+        failover = self.replication is not None and server.crashed
         for a in victims:
             region = a.region
             region.discard_memstore()
             server.close_region(region.info.name)
             a.server = None
-            best = None if self.replication is None else self.replication.best_follower(region.info.name)
-            if best is not None:
-                region.put_block(best[0].scan())
             if a in replayed:
                 region.put_block(replayed[a])
             region.flush()
-            if best is not None and server.crashed:
-                self._open(a, self.replication.promote(region.info.name))
+            target = self.replication.promote(region.info.name) if failover else None
+            if target is not None:
+                self._open(a, target)
                 self.failovers += 1
                 self.metrics.counter("master.failovers").inc(label=server.name)
             else:

@@ -247,9 +247,12 @@ class RegionServer:
             self.metrics.gauge("rpc.queue_depth").set(self.rpc_server.queue_depth)
 
     def _estimate_scan_cells(self, request: ScanRequest) -> int:
-        # Cost estimation uses a cheap proxy (live memstore sizes) rather
-        # than materialising the scan twice.
-        return sum(r.memstore_size + r.store_file_count * 1000 for r in self.regions.values())
+        # A cheap proxy for the size of the copy scanned (the primary if
+        # hosted here, else a follower) rather than the scan run twice.
+        copy = self.regions.get(request.region_name)
+        if copy is None and request.region_name in self.follower_regions:
+            copy = self.follower_regions[request.region_name].region  # type: ignore[attr-defined]
+        return 0 if copy is None else copy.memstore_size + copy.store_file_count * 1000
 
     def _rejected(
         self,
@@ -302,42 +305,40 @@ class RegionServer:
         shares = batch.partition(routes.owners)
         return None if None in shares else shares  # type: ignore[return-value]
 
-    def write(self, shares: Dict[Region, CellBatch], durable: bool) -> bool:
-        """The one writer: land each region's share of a routed batch.
+    def write(self, shares: Dict[Region, CellBatch]) -> bool:
+        """The one writer: log, sync and land each region's share of a routed batch.
 
         Put RPCs route here (:meth:`route`); bulk loads arrive routed by
         the master (:meth:`HMaster.direct_put`).  Hosting is checked
-        once per region, by name, and each hosted region ingests its
-        share in one :meth:`Region.put_block`.  All or nothing:
-        ``False``, and no write, when some region is not hosted here
-        (moved, split or dropped by a restart since it was routed).
-        ``durable`` logs and syncs the WAL first (put RPCs); bulk loads
-        bypass the log, as HBase's do.
+        once per region, by name; the shares are logged and synced,
+        then each region ingests its share in one :meth:`Region.put_block`.
+        All or nothing: ``False``, and no write, when some region is not
+        hosted here (moved, split or dropped by a restart since it was
+        routed).  Past ``wal_roll_threshold`` cells the log rolls: every
+        hosted region flushes, then it is truncated (HBase's
+        roll-and-archive cycle).
         """
         hosted = [self.regions.get(region.info.name) for region in shares]
         if None in hosted:
             return False
-        if durable:
-            for share in shares.values():
-                self.wal.append_batch(share)
-            self.wal.sync()
+        for share in shares.values():
+            self.wal.append_batch(share)
+        self.wal.sync()
         for region, share in zip(hosted, shares.values()):
             region.put_block(share)  # type: ignore[union-attr]
+        if len(self.wal) > self.wal_roll_threshold:
+            for region in self.regions.values():
+                region.flush()
+            self.wal.truncate()
         return True
 
     def _serve_put(self, request: PutRequest) -> RpcReply:
         shares = self.route(request.table, request.cells)
-        if shares is None or not self.write(shares, durable=True):
+        if shares is None or not self.write(shares):
             return RpcReply.failure("NotServingRegionException", self.name, True)
         if self.replication_ship is not None:
             for region, share in shares.items():
                 self.replication_ship(region.info.name, share, self.name)
-        if len(self.wal) > self.wal_roll_threshold:
-            # Log roll: flush hosted regions so the old log can be
-            # archived, then truncate (HBase's roll-and-archive cycle).
-            for hosted in self.regions.values():
-                hosted.flush()
-            self.wal.truncate()
         n = len(request.cells)
         self.cells_written += n
         self.metrics.counter("cells.written").inc(n, label=self.name)

@@ -9,12 +9,12 @@ serial, bounded-lag apply loop — exactly HBase's async region-replica
 replication, so followers trail the primary by a measurable, reported
 staleness rather than participating in a synchronous quorum.
 
-On primary crash the master merges the most-caught-up live follower's
-copy into the region it recovers (beside the region's store files and
-the dead server's durable WAL, all newest-wins).  While that server is
-still down the follower is also *promoted*: it retires, and the region
-reopens on its server.  Timeline-consistency reads may be served from
-any follower; the staleness bound travels with every reply.
+On primary crash the master rebuilds the region from its store files
+and the dead server's WAL, which logged every write (no follower's
+data is read).  While that server is still down the most-caught-up
+live follower is *promoted*: it retires, and the region reopens on its
+server.  Timeline-consistency reads may be served from any follower;
+the staleness bound travels with every reply.
 
 The coordinator is control-plane state owned alongside the master;
 only the *shipping* of cells and their *application* consume simulated
@@ -295,13 +295,15 @@ class ReplicationCoordinator:
     # ------------------------------------------------------------------
     # failover
     # ------------------------------------------------------------------
-    def promote(self, region_name: str) -> str:
+    def promote(self, region_name: str) -> Optional[str]:
         """Retire the most-caught-up live follower; return its server.
 
-        The master has merged that follower's copy (:meth:`best_follower`)
-        into the region it recovered, and reopens the region there.
+        The master reopens the region it rebuilt there (a failover).
+        ``None`` when no follower is live.
         """
         best = self._best(region_name)
+        if best is None:
+            return None
         best.rset.followers.remove(best)
         self._close_follower(best)
         self.promotions += 1
@@ -320,8 +322,8 @@ class ReplicationCoordinator:
         """Apply cells to every follower outside the WAL stream.
 
         Used for bulk loads (``direct_put``) and master WAL replay,
-        which write into the primary region directly and would
-        otherwise leave followers permanently behind.
+        neither of which ships a WAL batch, so followers would
+        otherwise stay permanently behind.
         """
         rset = self._sets.get(region_name)
         if rset is None:

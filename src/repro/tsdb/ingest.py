@@ -379,8 +379,8 @@ class TsdbCluster:
         (:meth:`TSDaemon.encode_points` or :meth:`TSDaemon.encode_block`)
         and bulk-loaded
         (:meth:`HMaster.direct_put`: the RegionServers' one writer, WAL
-        bypassed, followers mirrored).  Returns the number of cells
-        written.
+        logged and synced, followers mirrored).  Returns the number of
+        cells written.
         """
         tsd = self.tsds[0]
         if isinstance(points, SeriesBlock):

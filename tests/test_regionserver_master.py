@@ -167,6 +167,25 @@ class TestRpcPath:
         failures = [r for r in replies if not r.ok]
         assert failures and all("CallQueueTooBig" in r.error for r in failures)
 
+    def test_a_flushed_region_does_not_slow_a_scan_of_another(self):
+        """A scan is charged for the copy it reads: flushing another
+        region on the same server leaves its reply time unchanged."""
+        sim, net, master, servers = build(n_servers=1)
+        master.create_table("t", [b"m"])
+        (left, _), (right, _) = master.table_regions("t")
+        master.direct_put("t", put_cells([b"a", b"b", b"x"]))
+
+        def scan_time():
+            replies, start = [], sim.now
+            servers[0].rpc(ScanRequest("t", b"m", b"", right.name), replies.append, "cl")
+            sim.run()
+            assert [c.row for c in replies[0].result] == [b"x"]
+            return sim.now - start
+
+        before = scan_time()
+        servers[0].regions[left.name].flush()
+        assert scan_time() == pytest.approx(before)
+
     def test_wal_roll_truncates(self):
         sim, net, master, servers = build(n_servers=1)
         master.create_table("t")
@@ -656,7 +675,7 @@ class TestRouteTable:
         batch = numbered_cells(rows)
         for name, share in master.group_by_server("t", batch).items():
             srv = master.server(name)
-            assert srv.write(srv.route("t", share), durable=True)
+            assert srv.write(srv.route("t", share))
         servers[victim].crash()
         assert master.direct_scan("t") == CellBatch.from_cells(
             sorted(batch, key=lambda cell: cell.key)

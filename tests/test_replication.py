@@ -218,15 +218,18 @@ class TestRowCompactionIsReplicated:
             assert got.values.tobytes() == want.values.tobytes()
 
     def test_followers_hold_the_blobs_and_a_promoted_one_serves_them(self):
-        # Bulk loads bypass the WAL, so of what the crash lost from the
-        # primary's memstore only the follower's merged copy holds them.
+        # The points and blobs are bulk loads, logged like a put: the
+        # failover rebuilds them from the crashed primary's WAL and
+        # reopens the region on the promoted follower's server.
         cluster, owner, before = self.compacted()
         owner.crash()
         cluster.sim.run(until=cluster.sim.now + 2.0)
         assert cluster.master.failovers >= 1
         self.assert_reads(cluster, before)
 
-    def test_a_restart_before_detection_merges_the_follower_copy_too(self):
+    def test_a_restart_in_the_window_replays_the_wal(self):
+        # The restart recovers the crash at once, from the WAL it crashed
+        # with: no failover, and every bulk-loaded cell reads back.
         cluster, owner, before = self.compacted()
         owner.crash()
         cluster.sim.run(until=cluster.sim.now + 0.1)

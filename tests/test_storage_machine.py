@@ -12,7 +12,7 @@ from repro.chaos import FaultEvent, FaultPlan, Injector
 from repro.tsdb.blocks import BlockBatch
 from repro.tsdb.ingest import build_cluster
 from repro.tsdb.query import TsdbQuery
-from repro.tsdb.tsd import DATA_TABLE, DataPoint
+from repro.tsdb.tsd import DATA_TABLE, DataPoint, PutAck
 
 HOUR, T0 = 3600, 1_000 * 3600  # in-order keys start at T0; late keys may fall below
 UNITS = ("u0", "u1", "u2")
@@ -49,9 +49,11 @@ class StorageMachine(RuleBasedStateMachine):
     def regions(self):
         return [region for rs in self.live() for region in rs.hosted_regions()]
 
-    @rule(size=st.integers(0, 60), shape=st.sampled_from(["points", "blocks"]),
+    @rule(size=st.integers(0, 60), shape=st.sampled_from(["points", "blocks", "bulk"]),
           kind=st.sampled_from(["in_order", "late", "duplicate"]), seed=st.integers(0, 2**16))
     def ingest(self, size, shape="points", kind="in_order", seed=0):
+        if shape == "bulk" and None in dict(self.layout()).values():
+            return  # direct_put raises on an unassigned region, before writing anything
         rng, b, keys = random.Random(seed), len(self.batches), {}
         for _ in range(size):
             unit = rng.choice(UNITS)
@@ -71,7 +73,9 @@ class StorageMachine(RuleBasedStateMachine):
         if self.proxy.ack_timeout is None:
             self.exempt.add(b)
         points = [DataPoint.make("energy", t, v, {"unit": u}) for (u, t), v in keys.items()]
-        if shape == "points":
+        if shape == "bulk":  # acked ok when the bulk load returns
+            self.batches[b][1].append(PutAck(True, self.cluster.direct_put(points), 0, "bulk"))
+        elif shape == "points":
             self.cluster.submit(points, self.batches[b][1].append)
         else:
             self.cluster.submit_blocks(BlockBatch.from_points(points), self.batches[b][1].append)
@@ -210,6 +214,8 @@ FOUND = {
         s.fault("rs_crash", 0, 0.0), s.settle(), s.ingest(2, "blocks", "late", seed=247),
         s.fault("rs_crash", 2, 0.002), s.fault("rs_crash", 2, 0.2),
         s.fault("rs_restart", 2, 0.002), s.settle())),
+    "a-crash-loses-unflushed-bulk-loads": (1, lambda s: (
+        s.ingest(30, "bulk"), s.fault("rs_crash", 0, 0.0), s.settle())),
 }
 
 
@@ -220,6 +226,21 @@ def test_found_failure_replays_clean(rf, replay):
     replay(state)
     state.acks_and_counters_balance()
     assert state.proxy.ack_timeouts == 0 or state.faults
+
+
+@pytest.mark.parametrize("rf", [1, 2])
+def test_a_bulk_load_into_an_undetected_crash_reads_back(rf):
+    """rs00 is down but not yet detected, so the master still names it:
+    the load lands in its regions and in the WAL recovery replays."""
+    state = StorageMachine()
+    state.setup(rf=rf)
+    state.fault("rs_crash", 0, 0.0)
+    state.run(0.001)
+    assert state.master.recoveries == 0
+    assert any(server == "rs00" for _, server in state.layout())
+    state.ingest(30, "bulk")
+    state.settle()
+    assert state.master.recoveries == 1
 
 
 def test_an_exhausted_batch_reports_what_its_attempts_landed():
