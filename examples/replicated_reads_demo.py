@@ -11,8 +11,8 @@ detector, then walks the read path through a crash:
   replicas and still returns the full answer, with the staleness bound
   surfaced; the gateway serves the same query flagged ``degraded``;
 * **after detection**: the master promotes the most-caught-up follower
-  and replays the durable WAL — strong reads work again and no
-  WAL-synced cell was lost.
+  and replays each region's log — strong reads work again and every
+  acked point reads back.
 
 Run:  python examples/replicated_reads_demo.py
 """
@@ -34,7 +34,7 @@ def main() -> None:
         replication_factor=2,
         failure_detection_delay=DETECTION_DELAY,
     )
-    cluster.direct_put(
+    acked = cluster.direct_put(
         [
             DataPoint.make(METRIC, 1_000 + i, float(i % 23), {"unit": f"u{i % 5}"})
             for i in range(N_POINTS)
@@ -84,15 +84,15 @@ def main() -> None:
     )
 
     sim.run(until=sim.now + DETECTION_DELAY + 0.5)
-    print("\n== after detection: followers promoted, WAL replayed ==")
+    print("\n== after detection: followers promoted, region logs replayed ==")
     recovered = engine.run_available(query)
     print(
         f"mode={recovered.mode}"
         f" points={sum(len(s) for s in recovered.series)}"
     )
     print(
-        f"failovers={cluster.master.failovers}"
-        f" synced cells lost={cluster.master.cells_lost_unsynced}"
+        f"failovers={int(cluster.metrics.counter('master.failovers').get())}"
+        f" acked points read back={sum(len(s) for s in recovered.series)}/{acked}"
     )
 
 

@@ -8,8 +8,8 @@ its operations execute synchronously in simulated time.  It provides:
   writes");
 * ``locate`` — the meta-table lookup clients use to route by row key;
 * crash recovery — once per crash, each region the dead server hosted
-  is rebuilt in place from everything durable and reopened on a
-  follower's server or round-robin across the survivors;
+  is rebuilt in place from its store files and its own log and
+  reopened on a follower's server or round-robin across the survivors;
 * region splitting and moves (manual, as in the paper) and a simple
   count-based balancer.
 
@@ -31,7 +31,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 from ..cluster.metrics import MetricsRegistry
 from .region import CellBatch, Region, RegionInfo, RouteTable, RowFilter
 from .regionserver import RegionServer
-from .wal import WriteAheadLog
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..cluster.simulation import EventHandle, Simulator
@@ -94,11 +93,8 @@ class HMaster:
         self.failure_detection_delay = failure_detection_delay
         #: Region replication coordinator (see :meth:`enable_replication`).
         self.replication: Optional["ReplicationCoordinator"] = None
-        #: Per crashed server, its pending detection and the WAL it crashed with.
-        self._detections: Dict[str, Tuple[EventHandle, WriteAheadLog]] = {}
-        self.recoveries = 0
-        self.cells_lost_unsynced = 0
-        self.failovers = 0
+        #: Per crashed server, its pending detection.
+        self._detections: Dict[str, EventHandle] = {}
 
     # ------------------------------------------------------------------
     # server membership
@@ -397,9 +393,7 @@ class HMaster:
         for assignment in self._assignments(table):
             if assignment.region.info.name == region_name:
                 if assignment.server is not None:
-                    # Close flushes the memstore (HBase close semantics):
-                    # the old host's WAL stops being responsible for the
-                    # region's unflushed data once it moves away.
+                    # Close flushes the memstore (HBase close semantics).
                     assignment.region.flush()
                     self._servers[assignment.server].close_region(region_name)
                 self._open(assignment, dest)
@@ -422,8 +416,8 @@ class HMaster:
             left, right = assignment.region.split(
                 key, (next(self._region_ids), next(self._region_ids))
             )
-            # The daughters' cells are in no server's WAL, so they are
-            # flushed before the daughters open (HBase daughters start
+            # The daughters' cells are in neither daughter's log, so they
+            # are flushed before the daughters open (HBase daughters start
             # from the parent's store files): a crash of a daughter's
             # new host must not lose them.
             left.flush()
@@ -488,7 +482,7 @@ class HMaster:
     # crash recovery
     # ------------------------------------------------------------------
     def _handle_crash(self, server: RegionServer) -> None:
-        """A crash is recovered once, from the WAL the server crashed with.
+        """A crash is recovered once, from its regions' logs.
 
         With a simulator attached and ``failure_detection_delay > 0``,
         recovery runs after the detection window (a session timeout in
@@ -496,58 +490,42 @@ class HMaster:
         (:meth:`_handle_restart`); otherwise at once.
         """
         if self.sim is not None and self.failure_detection_delay > 0:
-            handle = self.sim.schedule(self.failure_detection_delay, self._detect_crash, server)
-            self._detections[server.name] = (handle, server.wal)
+            self._detections[server.name] = self.sim.schedule(
+                self.failure_detection_delay, self._detect_crash, server
+            )
         else:
-            self._recover(server, server.wal)
+            self._recover(server)
 
     def _detect_crash(self, server: RegionServer) -> None:
-        _, wal = self._detections.pop(server.name)
-        self._recover(server, wal)
+        del self._detections[server.name]
+        self._recover(server)
 
-    def _recover(self, server: RegionServer, wal: WriteAheadLog) -> None:
-        """Rebuild every region the dead server hosted from its store files and WAL.
+    def _recover(self, server: RegionServer) -> None:
+        """Rebuild every region the dead server hosted from its store files and log.
 
         The same steps at every rf, on the region itself, so its store
-        files stay: discard the memstore; replay the crash's durable
-        WAL prefix, which holds every write the server took; flush, so
-        the region no longer needs that WAL; reopen it.  While the
-        server is down the best live follower retires and the region
-        reopens on its server (a failover); after a restart
-        (:meth:`_handle_restart`), or with no live follower, it is
-        placed round-robin.  Replay is a newest-wins upsert.
+        files stay: discard the memstore; replay the region's log,
+        which holds every write it took since its last flush; flush,
+        which empties the log; reopen it.  While the server is down the
+        best live follower retires and the region reopens on its server
+        (a failover); after a restart (:meth:`_handle_restart`), or
+        with no live follower, it is placed round-robin.  Replay is a
+        newest-wins upsert.
         """
-        self.recoveries += 1
         self.metrics.counter("master.recoveries").inc(label=server.name)
         victims = [a for table in self._tables.values() for a in table if a.server == server.name]
-        # The durable WAL prefix, split by region through each victim
-        # table's route table.  Rows of regions that left this server
-        # before the crash have no victim and are not replayed.
-        durable = wal.replayable()
-        replayed: Dict[_Assignment, CellBatch] = {}
-        if durable.rows:
-            doomed = set(victims)
-            for table in dict.fromkeys(a.region.info.table for a in victims):
-                for a, share in durable.partition(self._routes[table].owners).items():
-                    if a in doomed:
-                        replayed[a] = share
-        lost = len(wal) - wal.durable_count
-        self.cells_lost_unsynced += lost
-        if lost:
-            self.metrics.counter("master.cells_lost_unsynced").inc(lost, label=server.name)
+        replayed = {a.region.info.name: a.region.wal.entries for a in victims}
         failover = self.replication is not None and server.crashed
         for a in victims:
             region = a.region
             region.discard_memstore()
             server.close_region(region.info.name)
             a.server = None
-            if a in replayed:
-                region.put_block(replayed[a])
+            region.put_block(replayed[region.info.name])
             region.flush()
             target = self.replication.promote(region.info.name) if failover else None
             if target is not None:
                 self._open(a, target)
-                self.failovers += 1
                 self.metrics.counter("master.failovers").inc(label=server.name)
             else:
                 self._assign(region.info.table, a)
@@ -557,23 +535,22 @@ class HMaster:
             # to surviving followers, which never saw them via WAL
             # shipping (the replay wrote into regions directly).
             self.replication.handle_server_crash(server.name)
-            for a, share in replayed.items():
-                self.replication.mirror(a.region.info.name, share)
+            for name, log in replayed.items():
+                self.replication.mirror(name, log)
 
     def _handle_restart(self, server: RegionServer) -> None:
         """Recover the server's undetected crash, then give it work again.
 
         A server that restarts inside its detection window re-registers
         as a new instance (HBase's new start code), so its crash is
-        recovered now, from the WAL it crashed with.  Regions left
-        unassigned while no server was live are then assigned, with
-        their followers placed, and the load is balanced.
+        recovered now, from its regions' logs.  Regions left unassigned
+        while no server was live are then assigned, with their
+        followers placed, and the load is balanced.
         """
         detection = self._detections.pop(server.name, None)
         if detection is not None:
-            handle, wal = detection
-            handle.cancel()
-            self._recover(server, wal)
+            detection.cancel()
+            self._recover(server)
         for table, assignments in self._tables.items():
             for a in assignments:
                 if a.server is None:

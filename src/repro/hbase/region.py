@@ -47,6 +47,8 @@ from operator import itemgetter, lt, ne
 from typing import Callable, Dict, Generic, Hashable, Iterable, Iterator, List, Optional
 from typing import Sequence, Tuple, TypeVar
 
+from .wal import WriteAheadLog
+
 __all__ = [
     "Cell",
     "CellBatch",
@@ -457,6 +459,10 @@ class Region:
         Number of memstore entries that triggers an automatic flush.
         Real HBase flushes on bytes; entries keep the model simple and
         deterministic.
+
+    ``wal`` is the region's own log of the cells written to it since
+    its last flush: its RegionServer appends there before a share
+    lands, and a crash is recovered by replaying it.
     """
 
     def __init__(
@@ -478,6 +484,7 @@ class Region:
         self._unindexed: List[bytes] = []
         self._store_files: List[StoreFile] = []
         self._tombstones: List[Tuple[bytes, bytes, float]] = []
+        self.wal = WriteAheadLog(info.name)
         self.writes = 0
         self.flushes = 0
         self.compactions = 0
@@ -572,7 +579,8 @@ class Region:
             self.flush()
 
     def flush(self) -> None:
-        """Freeze the memstore into a new store file."""
+        """Freeze the memstore into a new store file; the log empties."""
+        self.wal.truncate()
         if not self._memstore:
             return
         self._store_files.append(StoreFile(self._scan_memstore(b"", b"", None)))
@@ -589,8 +597,8 @@ class Region:
         """Drop unflushed data (crash model).  Returns the number of cells lost.
 
         Store files survive a RegionServer crash (they live on shared
-        storage); the memstore does not.  The master replays the WAL
-        after calling this, restoring acknowledged writes.
+        storage); the memstore does not.  The master replays the
+        region's log after calling this, restoring acknowledged writes.
         """
         lost = self._memstore_cells
         self._set_memstore({})

@@ -13,7 +13,7 @@ Two behaviours from the paper's §III-B are modelled faithfully:
   number of servers *provided writes are spread across them* (the
   row-key salting finding, E6).
 
-On crash the memstores are lost, the WAL's durable prefix survives, and
+On crash the memstores are lost, each hosted region's log survives, and
 the master replays it during reassignment.
 """
 
@@ -29,7 +29,6 @@ from ..cluster.node import Node, Server
 from ..cluster.simulation import Simulator
 from ..obs.trace import NULL_SPAN, SpanLike, Tracer
 from .region import CellBatch, Region, RouteTable
-from .wal import WriteAheadLog
 
 __all__ = [
     "ServiceModel",
@@ -133,7 +132,7 @@ class RpcReply:
 
 
 class RegionServer:
-    """One RegionServer process: RPC queue + hosted regions + WAL."""
+    """One RegionServer process: RPC queue + hosted regions (each with its log)."""
 
     def __init__(
         self,
@@ -166,7 +165,6 @@ class RegionServer:
         # per region touched by the synced batch (set by the deployment
         # when region replication is enabled).
         self.replication_ship: Optional[Callable[[str, CellBatch, str], None]] = None
-        self.wal = WriteAheadLog(name)
         self.crash_policy = crash_policy_factory(self) if crash_policy_factory else None
         self.on_crash: Optional[Callable[["RegionServer"], None]] = None
         self.on_restart: Optional[Callable[["RegionServer"], None]] = None
@@ -174,6 +172,7 @@ class RegionServer:
         self.cells_written = 0
         self.rpcs_rejected = 0
         self.wal_roll_threshold = 200_000
+        self._logged = 0  # cells logged since the last roll
 
     # ------------------------------------------------------------------
     # region hosting (control plane, driven by the master)
@@ -310,26 +309,27 @@ class RegionServer:
 
         Put RPCs route here (:meth:`route`); bulk loads arrive routed by
         the master (:meth:`HMaster.direct_put`).  Hosting is checked
-        once per region, by name; the shares are logged and synced,
-        then each region ingests its share in one :meth:`Region.put_block`.
-        All or nothing: ``False``, and no write, when some region is not
-        hosted here (moved, split or dropped by a restart since it was
-        routed).  Past ``wal_roll_threshold`` cells the log rolls: every
-        hosted region flushes, then it is truncated (HBase's
-        roll-and-archive cycle).
+        once per region, by name; each share is appended to its
+        region's log and synced, then ingested in one
+        :meth:`Region.put_block`.  All or nothing: ``False``, and no
+        write, when some region is not hosted here (moved, split or
+        dropped by a restart since it was routed).  Past
+        ``wal_roll_threshold`` cells logged since the last roll, the
+        log rolls: every hosted region flushes, which empties its log
+        (HBase's roll-and-archive cycle).
         """
         hosted = [self.regions.get(region.info.name) for region in shares]
         if None in hosted:
             return False
-        for share in shares.values():
-            self.wal.append_batch(share)
-        self.wal.sync()
         for region, share in zip(hosted, shares.values()):
+            region.wal.append_batch(share)  # type: ignore[union-attr]
+            region.wal.sync()  # type: ignore[union-attr]
             region.put_block(share)  # type: ignore[union-attr]
-        if len(self.wal) > self.wal_roll_threshold:
+            self._logged += len(share)
+        if self._logged > self.wal_roll_threshold:
             for region in self.regions.values():
                 region.flush()
-            self.wal.truncate()
+            self._logged = 0
         return True
 
     def _serve_put(self, request: PutRequest) -> RpcReply:
@@ -371,7 +371,7 @@ class RegionServer:
     # crash / restart
     # ------------------------------------------------------------------
     def crash(self) -> None:
-        """Abort: stop serving, lose memstores (WAL durable prefix survives)."""
+        """Abort: stop serving, lose memstores (each region's log survives)."""
         if self.crashed:
             return
         self.crashed = True
@@ -381,15 +381,15 @@ class RegionServer:
             self.on_crash(self)
 
     def restart(self) -> None:
-        """Come back up empty, with a new WAL; the master recovers the
-        crash first if it has not yet, then re-assigns regions."""
+        """Come back up empty; the master recovers the crash first if it
+        has not yet, then re-assigns regions."""
         if not self.crashed:
             return
         self.crashed = False
         self.regions.clear()
         self._routes.clear()
         self.follower_regions.clear()
-        self.wal = WriteAheadLog(self.name)
+        self._logged = 0
         self.rpc_server.start()
         if self.on_restart is not None:
             self.on_restart(self)

@@ -10,8 +10,8 @@ replication, so followers trail the primary by a measurable, reported
 staleness rather than participating in a synchronous quorum.
 
 On primary crash the master rebuilds the region from its store files
-and the dead server's WAL, which logged every write (no follower's
-data is read).  While that server is still down the most-caught-up
+and its own log, which holds every write since its last flush (no
+follower's data is read).  While that server is still down the most-caught-up
 live follower is *promoted*: it retires, and the region reopens on its
 server.  Timeline-consistency reads may be served from any follower;
 the staleness bound travels with every reply.

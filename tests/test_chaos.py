@@ -422,4 +422,3 @@ class TestPipelineReadUnderCrash:
             TsdbQuery("energy", 0, 10_000, aggregator="sum")
         )
         assert available.mode == "strong"
-        assert cluster.master.cells_lost_unsynced == 0

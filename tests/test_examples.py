@@ -94,7 +94,7 @@ class TestExamples:
         assert "mode=strong staleness=0.000 points=600" in out
         assert "timeline probe: complete=True points=600" in out
         assert "degraded=True" in out
-        assert "synced cells lost=0" in out
+        assert "acked points read back=600/600" in out
 
     # fleet_dashboard.py and ingestion_scaling.py run multi-minute
     # simulations; experiments E8 and E1/E6/E7 exercise the same paths

@@ -1,4 +1,4 @@
-"""Tests for the RegionServer write-ahead log."""
+"""Tests for a region's write-ahead log."""
 
 from repro.hbase.region import Cell, CellBatch
 from repro.hbase.wal import WriteAheadLog
@@ -10,30 +10,24 @@ def cell(row, ts=1.0):
 
 class TestWAL:
     def test_append_and_sync(self):
-        wal = WriteAheadLog("rs1")
+        wal = WriteAheadLog("r1")
         wal.append(cell(b"a"))
-        wal.append(cell(b"b"))
-        assert wal.durable_count == 0
+        wal.append_batch(CellBatch.from_cells([cell(b"b"), cell(b"c")]))
         wal.sync()
-        assert wal.durable_count == 2
-
-    def test_replayable_only_synced_prefix(self):
-        wal = WriteAheadLog("rs1")
-        wal.append_batch(CellBatch.from_cells([cell(b"a"), cell(b"b")]))
-        wal.sync()
-        wal.append(cell(b"c"))  # torn tail, never synced
-        assert [c.row for c in wal.replayable()] == [b"a", b"b"]
+        assert [c.row for c in wal.entries] == [b"a", b"b", b"c"]
+        assert wal.syncs == 1
 
     def test_truncate(self):
-        wal = WriteAheadLog("rs1")
+        wal = WriteAheadLog("r1")
         wal.append(cell(b"a"))
-        wal.sync()
+        entries = wal.entries
         wal.truncate()
         assert len(wal) == 0
-        assert list(wal.replayable()) == []
+        assert list(wal.entries) == []
+        assert [c.row for c in entries] == [b"a"]  # a replay's copy outlives the truncate
 
     def test_sync_counter(self):
-        wal = WriteAheadLog("rs1")
+        wal = WriteAheadLog("r1")
         wal.sync()
         wal.sync()
         assert wal.syncs == 2
