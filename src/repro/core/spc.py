@@ -34,7 +34,7 @@ CUSUM_H = 5.0
 #: EWMA smoothing λ and control limit L (in σ_E).
 EWMA_LAMBDA = 0.2
 EWMA_LIMIT = 2.7
-#: MEWMA smoothing λ and the tail probability of its limit (T²'s F limit).
+#: MEWMA smoothing λ and its per-step false-alarm probability.
 MEWMA_LAMBDA = 0.1
 MEWMA_ALPHA = 0.001
 
@@ -111,12 +111,14 @@ class MewmaChart:
 
     The classical multivariate companion to T²: smooth the scores
     ``w_t = z_t·projection + offset``, ``Z_t = λ w_t + (1−λ) Z_{t−1}``,
-    and alarm on ``Q_t = Z_tᵀ Σ_Z(t)⁻¹ Z_t`` with
-    ``Σ_Z(t) = (λ/(2−λ))(1 − (1−λ)^{2t}) · I_k``, as if ``w_t`` were
-    ``N(0, I_k)`` under H₀.  The limit is only approximate: it is T²'s
-    F limit at :data:`MEWMA_ALPHA`, exact at λ = 1 where ``Q_t`` is T²,
-    but for λ < 1 smoothing shrinks the rows' noise and not half B's
-    estimation error in the scores (DESIGN §27).
+    and alarm on ``Q_t = (1 + 1/n_B) ‖Z_t‖² / (c_t + d_t²/n_B)`` with
+    ``c_t = (λ/(2−λ))(1 − (1−λ)^{2t})`` and ``d_t = 1 − (1−λ)^t``.
+    The smoothed rows carry ``c_t`` of the rows' noise and ``d_t`` of
+    the B-half mean's error, so ``‖Z_t‖² / (c_t + d_t²/n_B)`` is
+    Hotelling's T²(k, n_B − 1) at every t, and ``Q_t`` is read against
+    T²'s own limit at :data:`MEWMA_ALPHA`: each step alarms with
+    probability α under H₀ for Gaussian rows (DESIGN §27).  At λ = 1,
+    ``Q_t`` is T².
 
     Unlike the per-sensor charts this is a *unit-level* detector: it
     returns one alarm per time step, sensitive to small shifts that are
@@ -129,19 +131,21 @@ class MewmaChart:
         if model.n_components < 1:
             raise ValueError("model retains no components; cannot run MEWMA")
         z = _standardise(model, values)
-        w = z @ model.projection + model.offset  # (T, k), ≈ N(0, I_k) under H0
+        w = z @ model.projection + model.offset  # (T, k)
         n_t, k = w.shape
-        lam = MEWMA_LAMBDA
+        lam, n_b = MEWMA_LAMBDA, model.n_b
         base_var = lam / (2.0 - lam)
         decay = (1.0 - lam) ** 2
         smoothed = np.zeros(k)
-        var_factor = 1.0
+        var_factor = mean_factor = 1.0
         out = np.zeros(n_t)
         for t in range(n_t):
             smoothed = lam * w[t] + (1.0 - lam) * smoothed
             var_factor *= decay
-            sigma2 = base_var * (1.0 - var_factor)
-            out[t] = float(smoothed @ smoothed) / sigma2
+            mean_factor *= 1.0 - lam
+            c_t = base_var * (1.0 - var_factor)
+            d_t = 1.0 - mean_factor
+            out[t] = float(smoothed @ smoothed) * (1.0 + 1.0 / n_b) / (c_t + d_t * d_t / n_b)
         return out
 
     def flags(self, model: UnitModel, values: np.ndarray) -> np.ndarray:
