@@ -106,7 +106,6 @@ class HTableClient:
         cells: CellBatch,
         on_done: Optional[Callable[[bool, CellBatch], None]] = None,
         batch_ids: Tuple[int, ...] = (),
-        block: bool = False,
     ) -> None:
         """Write a batch of cells; ``on_done(ok, cells)`` when resolved.
 
@@ -117,17 +116,16 @@ class HTableClient:
         covers).  ``batch_ids`` is trace correlation only: the ingest
         batch ids whose cells this put carries, stamped onto the
         :class:`PutRequest` so RegionServer spans join the batch trace.
-        ``block=True`` declares the cells to be sorted per-series runs,
-        so each partition's RPC is *charged* the cheaper block-put cost
-        (the retry path keeps the flag); execution is the same either
-        way.
+        Each RegionServer prices its partition by the row runs it
+        carries (:meth:`ServiceModel.put_cost`), so the caller declares
+        nothing about the batch's shape.
         """
         if not cells.rows:
             if on_done is not None:
                 on_done(True, cells)
             return
         for server_name, group in self.master.group_by_server(table, cells).items():
-            self._send_put(table, server_name, group, 0, on_done, batch_ids, block)
+            self._send_put(table, server_name, group, 0, on_done, batch_ids)
 
     def _send_put(
         self,
@@ -137,14 +135,13 @@ class HTableClient:
         attempt: int,
         on_done: Optional[Callable[[bool, CellBatch], None]],
         batch_ids: Tuple[int, ...] = (),
-        block: bool = False,
     ) -> None:
         if server_name is None:
             # Region currently unassigned (recovery in flight): back off and re-route.
-            self._retry_put(table, cells, attempt, on_done, batch_ids, block)
+            self._retry_put(table, cells, attempt, on_done, batch_ids)
             return
         server = self.master.server(server_name)
-        request = PutRequest(table, cells, batch_ids, block)
+        request = PutRequest(table, cells, batch_ids)
         # One attempt resolves exactly once: first of {reply, timeout,
         # dropped send} wins; a late reply after a timeout is ignored
         # (the retry chain owns the cells from then on).
@@ -168,7 +165,7 @@ class HTableClient:
                 if on_done is not None:
                     on_done(True, cells)
             elif reply.retryable:
-                self._retry_put(table, cells, attempt, on_done, batch_ids, block)
+                self._retry_put(table, cells, attempt, on_done, batch_ids)
             else:
                 self._fail_put(cells, on_done)
 
@@ -177,7 +174,7 @@ class HTableClient:
             if not settle():
                 return
             self.metrics.counter("client.rpc_timeouts").inc()
-            self._retry_put(table, cells, attempt, on_done, batch_ids, block)
+            self._retry_put(table, cells, attempt, on_done, batch_ids)
 
         sent = self.network.send(
             self.host, server.node.hostname, server.rpc, request, handle_reply, self.host
@@ -187,7 +184,7 @@ class HTableClient:
             # fast into the retry path instead of hanging forever.
             if settle():
                 self.metrics.counter("client.sends_dropped").inc()
-                self._retry_put(table, cells, attempt, on_done, batch_ids, block)
+                self._retry_put(table, cells, attempt, on_done, batch_ids)
             return
         timeout_handle[0] = self.sim.schedule(RPC_TIMEOUT, handle_timeout)
 
@@ -198,7 +195,6 @@ class HTableClient:
         attempt: int,
         on_done: Optional[Callable[[bool, CellBatch], None]],
         batch_ids: Tuple[int, ...] = (),
-        block: bool = False,
     ) -> None:
         if attempt >= self.max_retries:
             self._fail_put(cells, on_done)
@@ -209,7 +205,7 @@ class HTableClient:
         def resend() -> None:
             # Re-locate: assignments may have changed while backing off.
             for server_name, group in self.master.group_by_server(table, cells).items():
-                self._send_put(table, server_name, group, attempt + 1, on_done, batch_ids, block)
+                self._send_put(table, server_name, group, attempt + 1, on_done, batch_ids)
 
         self.sim.schedule(delay, resend)
 

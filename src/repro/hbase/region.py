@@ -110,7 +110,7 @@ class CellBatch:
     hot path.
     """
 
-    __slots__ = ("rows", "qualifiers", "values", "ts")
+    __slots__ = ("rows", "qualifiers", "values", "ts", "_starts")
 
     def __init__(
         self,
@@ -123,6 +123,7 @@ class CellBatch:
         self.qualifiers = [] if qualifiers is None else qualifiers
         self.values = [] if values is None else values
         self.ts = array("d") if ts is None else ts
+        self._starts: Optional[List[int]] = None
 
     @classmethod
     def from_cells(cls, cells: Iterable[Cell]) -> "CellBatch":
@@ -171,12 +172,14 @@ class CellBatch:
 
     # -- construction --------------------------------------------------
     def append(self, row: bytes, qualifier: bytes, value: bytes, ts: float) -> None:
+        self._starts = None
         self.rows.append(row)
         self.qualifiers.append(qualifier)
         self.values.append(value)
         self.ts.append(ts)
 
     def extend(self, other: "CellBatch") -> None:
+        self._starts = None
         self.rows.extend(other.rows)
         self.qualifiers.extend(other.qualifiers)
         self.values.extend(other.values)
@@ -215,12 +218,16 @@ class CellBatch:
 
     def run_starts(self) -> List[int]:
         """Where each run of equal row starts, then ``len()`` as the end
-        sentinel — so ``pairwise`` of it walks the runs.  Found in C."""
-        rows = self.rows
-        starts = [0]
-        if rows:
-            starts.extend(compress(count(1), map(ne, rows, islice(rows, 1, None))))
-            starts.append(len(rows))
+        sentinel — so ``pairwise`` of it walks the runs.  Found in C and
+        kept until the batch grows (read-only to callers)."""
+        starts = self._starts
+        if starts is None:
+            rows = self.rows
+            starts = [0]
+            if rows:
+                starts.extend(compress(count(1), map(ne, rows, islice(rows, 1, None))))
+                starts.append(len(rows))
+            self._starts = starts
         return starts
 
     def partition(

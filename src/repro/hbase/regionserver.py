@@ -7,11 +7,11 @@ Two behaviours from the paper's §III-B are modelled faithfully:
 * **Bounded RPC queue** — HBase RegionServers have a fixed call-queue;
   sustained overflow crashes the server.  Overflow here rejects the RPC
   and feeds an :class:`~repro.cluster.failures.OverflowCrashPolicy`.
-* **Service capacity** — each RPC costs ``rpc_overhead +
-  per_cell * batch_size`` seconds of server time, so a single server
-  saturates at a fixed cell rate and cluster throughput scales with the
-  number of servers *provided writes are spread across them* (the
-  row-key salting finding, E6).
+* **Service capacity** — each RPC costs server time
+  (:class:`ServiceModel`), so a single server saturates at a fixed cell
+  rate and cluster throughput scales with the number of servers
+  *provided writes are spread across them* (the row-key salting
+  finding, E6).
 
 On crash the memstores are lost, each hosted region's log survives, and
 the master replays it during reassignment.
@@ -47,30 +47,26 @@ QUEUE_CAPACITY = 256
 class ServiceModel:
     """Server-side cost model for RPC service times (seconds).
 
-    Calibrated end-to-end so a deployed server saturates at ≈13-15k
-    cell-writes/s at the coalesced batch sizes the TSD write path
-    actually produces, putting a 30-server cluster in the ≈400k
-    samples/s regime — the paper's headline point.  The cost is
-    deliberately per-cell dominated (as in real HBase multi-puts), so
-    partially filled flushes degrade throughput only mildly rather
-    than multiplying RPC count into a server-killing overhead.
+    A put costs ``rpc_overhead + per_run_write × runs + per_cell_write
+    × cells``, a run (:meth:`CellBatch.run_starts`) paying its region
+    lookup and framing once.  Calibrated end-to-end on tick-major
+    point puts (one-cell runs, 50 µs a cell) so a deployed server
+    saturates at ≈13-15k cell-writes/s, putting a 30-server cluster in
+    the ≈400k samples/s regime — the paper's headline point.  The cost
+    is per-cell dominated (as in real HBase multi-puts), so partially
+    filled flushes degrade throughput only mildly.
     """
 
     rpc_overhead: float = 0.00025
-    per_cell_write: float = 0.00005
+    per_run_write: float = 0.00004
+    per_cell_write: float = 0.00001
     per_cell_read: float = 0.00002
-    #: Marginal cost of a cell arriving in a *block* put.  Block RPCs
-    #: deliver pre-sorted per-series runs, so the server skips the
-    #: per-cell region lookup and framing that dominate point puts and
-    #: appends whole runs — modelled as per_cell_write / 5, matching
-    #: the measured kernel-level speedup of the columnar path.
-    per_cell_write_block: float = 0.00001
 
-    def put_cost(self, n_cells: int) -> float:
-        return self.rpc_overhead + self.per_cell_write * n_cells
-
-    def put_block_cost(self, n_cells: int) -> float:
-        return self.rpc_overhead + self.per_cell_write_block * n_cells
+    def put_cost(self, cells: CellBatch) -> float:
+        # A run's first cell pays both rates, so a batch of one-cell runs
+        # costs one product: bit for bit the calibrated point price.
+        runs, first = len(cells.run_starts()) - 1, self.per_run_write + self.per_cell_write
+        return self.rpc_overhead + first * runs + self.per_cell_write * (len(cells) - runs)
 
     def scan_cost(self, n_cells: int) -> float:
         return self.rpc_overhead + self.per_cell_read * max(1, n_cells)
@@ -87,10 +83,6 @@ class PutRequest:
     table: str
     cells: CellBatch
     batch_ids: Tuple[int, ...] = ()
-    #: Modelled cost only: the cells arrive as sorted per-series runs,
-    #: so the RPC is charged the cheaper ``put_block_cost``.  Every put
-    #: executes the same way (:meth:`RegionServer.write`).
-    block: bool = False
 
 
 @dataclass
@@ -172,7 +164,7 @@ class RegionServer:
         self.cells_written = 0
         self.rpcs_rejected = 0
         self.wal_roll_threshold = 200_000
-        self._logged = 0  # cells logged since the last roll
+        self._logged = 0  # cells written since the last roll
 
     # ------------------------------------------------------------------
     # region hosting (control plane, driven by the master)
@@ -217,10 +209,8 @@ class RegionServer:
         retryable failure) and is reported to the crash policy.
         """
         if isinstance(request, PutRequest):
-            if request.block:
-                cost = self.service_model.put_block_cost(len(request.cells))
-            else:
-                cost = self.service_model.put_cost(len(request.cells))
+            # The run starts found here are the ones _serve_put routes by.
+            cost = self.service_model.put_cost(request.cells)
         elif isinstance(request, ScanRequest):
             cost = self.service_model.scan_cost(self._estimate_scan_cells(request))
         else:
@@ -311,19 +301,21 @@ class RegionServer:
         the master (:meth:`HMaster.direct_put`).  Hosting is checked
         once per region, by name; each share is appended to its
         region's log and synced, then ingested in one
-        :meth:`Region.put_block`.  All or nothing: ``False``, and no
-        write, when some region is not hosted here (moved, split or
-        dropped by a restart since it was routed).  Past
-        ``wal_roll_threshold`` cells logged since the last roll, the
-        log rolls: every hosted region flushes, which empties its log
-        (HBase's roll-and-archive cycle).
+        :meth:`Region.put_block` — a counting-only region logs nothing
+        it discards.  All or nothing: ``False``, and no write, when
+        some region is not hosted here (moved, split or dropped by a
+        restart since it was routed).  Past ``wal_roll_threshold``
+        cells written since the last roll, the log rolls: every hosted
+        region flushes, which empties its log (HBase's roll-and-archive
+        cycle).
         """
         hosted = [self.regions.get(region.info.name) for region in shares]
         if None in hosted:
             return False
         for region, share in zip(hosted, shares.values()):
-            region.wal.append_batch(share)  # type: ignore[union-attr]
-            region.wal.sync()  # type: ignore[union-attr]
+            if region.retain_data:  # type: ignore[union-attr]
+                region.wal.append_batch(share)  # type: ignore[union-attr]
+                region.wal.sync()  # type: ignore[union-attr]
             region.put_block(share)  # type: ignore[union-attr]
             self._logged += len(share)
         if self._logged > self.wal_roll_threshold:

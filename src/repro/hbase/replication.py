@@ -285,7 +285,7 @@ class ReplicationCoordinator:
         self._pending_cells -= len(cells)
         self.metrics.counter("replication.applied").inc(len(cells))
         self.metrics.gauge("replication.lag_cells").set(self._pending_cells)
-        cost = server.service_model.put_block_cost(len(cells))
+        cost = server.service_model.put_cost(cells)
         self.sim.schedule(cost, self._entry_applied, rset, follower)
 
     def _entry_applied(self, rset: ReplicaSet, follower: FollowerReplica) -> None:

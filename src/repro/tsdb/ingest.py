@@ -135,13 +135,12 @@ class TsdbCluster:
         if config.compaction_enabled:
             # OpenTSDB compaction re-reads and rewrites finished rows,
             # adding RPC traffic to the RegionServers.  Modelled as a
-            # 50% surcharge on both per-cell write costs, point and
-            # block — the reason the paper disabled compaction during
-            # ingestion runs.
+            # 50% surcharge on the put price's two write rates — the
+            # reason the paper disabled compaction during ingestion runs.
             service_model = replace(
                 service_model,
+                per_run_write=service_model.per_run_write * 1.5,
                 per_cell_write=service_model.per_cell_write * 1.5,
-                per_cell_write_block=service_model.per_cell_write_block * 1.5,
             )
 
         self.nodes: List[Node] = []
@@ -276,8 +275,9 @@ class TsdbCluster:
         """Submit columnar blocks through the ingress (the hot path).
 
         Accepts a :class:`BlockBatch`, a single :class:`SeriesBlock`,
-        or an iterable of blocks; the batch is serviced end to end at
-        block-granular cost.
+        or an iterable of blocks; each server prices the batch by what it
+        carries, which for blocks is one series lookup per block and
+        long row runs.
         """
         if isinstance(blocks, SeriesBlock):
             blocks = BlockBatch([blocks])

@@ -101,29 +101,23 @@ class PutAck:
 class TSDServiceModel:
     """TSD-side CPU cost of handling a put batch (seconds).
 
-    ``overhead + per_point × n``: parsing, UID lookups, key encoding.
-    Defaults give ≈41k points/s per TSD — comfortably above a single
-    RegionServer's ≈13.3k cells/s, so the storage tier stays the
-    bottleneck (as in the paper), while a *single* TSD still caps well
-    below full-cluster capacity, which is why the proxy's round-robin
-    fan-out matters (E7 ablation).
+    ``overhead + per_series × series + per_point × points``, a series
+    being one series-memo hit: one per point of a point list, one per
+    block of a block batch.  A point list costs 20 µs a point, ≈41k
+    points/s per TSD — above a single RegionServer's ≈13.3k cells/s, so
+    the storage tier stays the bottleneck (as in the paper), while a
+    *single* TSD still caps well below full-cluster capacity, which is
+    why the proxy's round-robin fan-out matters (E7 ablation).
     """
 
     overhead: float = 0.0002
-    per_point: float = 0.00002
-    #: Block-batch costs: per-series setup (UID interning, row prefix,
-    #: one salt hash per row hour) is paid once per *block*, and the
-    #: residual per-point work is one table-lookup qualifier + column
-    #: append — calibrated at per_point / 10 to match the measured
-    #: wall-clock ratio of the columnar parse/encode kernels.
-    per_block: float = 0.00005
-    per_point_block: float = 0.000002
+    per_series: float = 0.000018
+    per_point: float = 0.000002
 
-    def batch_cost(self, n_points: int) -> float:
-        return self.overhead + self.per_point * n_points
-
-    def block_cost(self, n_blocks: int, n_points: int) -> float:
-        return self.overhead + self.per_block * n_blocks + self.per_point_block * n_points
+    def cost(self, n_series: int, n_points: int) -> float:
+        # Grouped as ServiceModel.put_cost is: a point list costs one product.
+        first = self.per_series + self.per_point
+        return self.overhead + first * n_series + self.per_point * (n_points - n_series)
 
 
 class _BatchContext:
@@ -234,11 +228,11 @@ class TSDaemon:
     ) -> None:
         """Accept a batch of points (async); ack routed back over the network.
 
-        The payload may be a plain point list or a :class:`BlockBatch`;
-        a block batch is serviced at the cheaper columnar cost and
-        written block-granularly (the delivery/ack contract — one
+        The payload may be a plain point list or a :class:`BlockBatch`,
+        priced by the series lookups and points it carries
+        (:class:`TSDServiceModel`); the delivery/ack contract — one
         :class:`PutAck` covering every point — is identical, so the
-        proxy and publisher need no forked logic).  ``batch_id`` is
+        proxy and publisher need no forked logic.  ``batch_id`` is
         trace correlation only (stamped by the proxy) — it ties this
         daemon's ingest span to the proxy's batch trace.
         """
@@ -252,10 +246,8 @@ class TSDaemon:
         span = self.tracer.begin(
             "tsd.ingest", batch_id=batch_id, tsd=self.name, points=len(points)
         )
-        if isinstance(points, BlockBatch):
-            cost = self.service_model.block_cost(points.n_blocks, len(points))
-        else:
-            cost = self.service_model.batch_cost(len(points))
+        n_series = points.n_blocks if isinstance(points, BlockBatch) else len(points)
+        cost = self.service_model.cost(n_series, len(points))
         accepted = self.http_server.submit(
             points,
             cost,
@@ -303,10 +295,10 @@ class TSDaemon:
             span=span,
         )
         if not n_points:
-            self._put(CellBatch(), [[ctx, 0]], block=False)
+            self._put(CellBatch(), [[ctx, 0]])
             return
         if isinstance(payload, BlockBatch):
-            self._put(self.encode_block(payload), [[ctx, n_points]], block=True)
+            self._put(self.encode_block(payload), [[ctx, n_points]])
             return
         cells = self.encode_points(payload)
         salted = self.codec.salted
@@ -330,9 +322,9 @@ class TSDaemon:
                     FLUSH_INTERVAL, self._linger_flush, bucket
                 )
 
-    def _put(self, cells: CellBatch, credits: List[list], block: bool) -> None:
+    def _put(self, cells: CellBatch, credits: List[list]) -> None:
         """Send ``cells`` as one put, covered in order by the credit runs
-        ``[batch context, n cells]``; ``block`` charges the block-put cost.
+        ``[batch context, n cells]``.
 
         The client resolves the put in parts (one per server partition;
         retries can regroup), each handing back the cells it resolved.
@@ -350,7 +342,7 @@ class TSDaemon:
                 sorted({c.batch_id for c, _ in credits if c.batch_id is not None})
             )
             flush_span = self.tracer.begin(
-                "hbase.put_block" if block else "hbase.put",
+                "hbase.put",
                 tsd=self.name,
                 cells=len(cells),
                 batch_ids=batch_ids,
@@ -384,7 +376,7 @@ class TSDaemon:
             if not unresolved:
                 flush_span.end(ok=ok)
 
-        self.client.put(DATA_TABLE, cells, on_done, batch_ids=batch_ids, block=block)
+        self.client.put(DATA_TABLE, cells, on_done, batch_ids=batch_ids)
 
     def encode_block(self, payload: Union[SeriesBlock, BlockBatch]) -> CellBatch:
         """UID-intern and row-key-encode a block, or a whole batch of them.
@@ -482,7 +474,7 @@ class TSDaemon:
         if timer is not None:
             timer.cancel()  # type: ignore[attr-defined]
         if entry is not None:
-            self._put(*entry, block=False)
+            self._put(*entry)
 
     def flush_all(self) -> None:
         """Flush every buffered bucket immediately (shutdown/drain hook)."""

@@ -1,7 +1,10 @@
 """Tests for cluster assembly and the ingestion driver."""
 
+from array import array
+
 import pytest
 
+from repro.hbase.region import CellBatch
 from repro.simdata.workload import ingest_stream
 from repro.tsdb.ingest import ClusterConfig, IngestionDriver, TsdbCluster, build_cluster
 from repro.tsdb.proxy import DirectSubmitter, ReverseProxy
@@ -70,14 +73,16 @@ class TestBuildCluster:
             > off.servers[0].service_model.per_cell_write
         )
 
-    def test_compaction_surcharges_block_puts_like_point_puts(self):
-        # Block puts (and replication's ship, which prices a shipped
-        # batch as one) pay the same 50% per-cell surcharge as points.
+    def test_compaction_surcharges_the_one_put_price(self):
+        # Whatever runs a put carries — and replication's ship, priced
+        # the same way — its write price rises by half.
         on = build_cluster(n_nodes=1, compaction_enabled=True).servers[0].service_model
         off = build_cluster(n_nodes=1, compaction_enabled=False).servers[0].service_model
-        for cost in ("put_cost", "put_block_cost"):
-            surcharged = getattr(on, cost)(100) - on.rpc_overhead
-            base = getattr(off, cost)(100) - off.rpc_overhead
+        rows = ([b"r%d" % i for i in range(100)], [b"r%d" % (i // 25) for i in range(100)])
+        for row_column in rows:
+            cells = CellBatch(row_column, [b"q"] * 100, [b"v"] * 100, array("d", range(100)))
+            surcharged = on.put_cost(cells) - on.rpc_overhead
+            base = off.put_cost(cells) - off.rpc_overhead
             assert surcharged == pytest.approx(1.5 * base)
 
     def test_crash_policy_optional(self):

@@ -28,13 +28,13 @@ RECORDED = {
     "chaos": 16,
     "cluster": 17,
     "core": 63,
-    "hbase": 63,
+    "hbase": 61,
     "lifecycle": 10,
     "obs": 10,
     "serve": 42,
     "simdata": 38,
     "sparklet": 4,
-    "tsdb": 87,
+    "tsdb": 86,
     "viz": 31,
 }
 

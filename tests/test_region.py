@@ -202,6 +202,23 @@ class TestCellBatchPartition:
         if len(owners) == 1:
             assert shares[owners.pop()] is batch  # returned as it stands
 
+    @settings(max_examples=100, deadline=None)
+    @given(run_lists, run_lists)
+    def test_runs_read_before_a_batch_grows_are_found_again(self, head, tail):
+        """A batch keeps its run starts once read (the put price and the
+        routing share them); growing it must not leave them stale."""
+        def cells(runs):
+            return [Cell(row, b"q", b"v", 0.0) for row, n in runs for _ in range(n)]
+
+        batch = CellBatch.from_cells(cells(head))
+        assert batch.run_starts() is batch.run_starts()
+        batch.extend(CellBatch.from_cells(cells(tail)))
+        grown = CellBatch.from_cells(cells(head) + cells(tail))
+        assert batch.run_starts() == grown.run_starts()
+        batch.append(b"zz", b"q", b"v", 0.0)
+        grown = CellBatch.from_cells(cells(head) + cells(tail) + cells([(b"zz", 1)]))
+        assert batch.run_starts() == grown.run_starts()
+
 
 class TestRegionProperties:
     @settings(max_examples=50, deadline=None)

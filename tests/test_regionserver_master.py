@@ -198,6 +198,36 @@ class TestRpcPath:
         sim.run()
         assert sum(len(region.wal) for region in rs.hosted_regions()) == 5
 
+    def test_a_counting_only_region_logs_nothing_it_discards(self):
+        """A bulk load into the default (counting-only) cluster logs no
+        cell: 100k points once sat in the regions' logs, beside memstores
+        holding none of them, until the server's roll."""
+        cluster = build_cluster(n_nodes=2)
+        points = [
+            DataPoint.make("energy", t, 1.0, {"unit": "u0", "sensor": f"s{s}"})
+            for t in range(1000)
+            for s in range(100)
+        ]
+        assert cluster.direct_put(points) == 100_000
+        regions = [region for rs in cluster.servers for region in rs.hosted_regions()]
+        assert sum(region.writes for region in regions) == 100_000
+        assert sum(len(region.wal) for region in regions) == 0
+        assert sum(region.memstore_size for region in regions) == 0
+
+    def test_counting_only_writes_still_roll_the_log(self):
+        """The roll counts every cell written, logged or not, so the
+        flush schedule does not depend on which regions keep data."""
+        sim, net, master, servers = build(n_servers=1)
+        master.create_table("kept")
+        master.create_table("counted", retain_data=False)
+        rs = servers[0]
+        rs.wal_roll_threshold = 10
+        master.direct_put("kept", put_cells([b"a", b"b"]))
+        (kept,) = [r for r in rs.hosted_regions() if r.info.table == "kept"]
+        assert (len(kept.wal), kept.store_file_count) == (2, 0)
+        master.direct_put("counted", put_cells([b"r%d" % i for i in range(10)]))
+        assert (len(kept.wal), kept.store_file_count) == (0, 1)
+
 
 class TestCrashRecovery:
     def test_restart_rejoins_and_rebalances(self):
@@ -252,7 +282,13 @@ class TestAdministrivia:
 
     def test_service_model_costs(self):
         m = ServiceModel()
-        assert m.put_cost(50) > m.put_cost(1) > 0
+
+        def cells(rows):
+            return CellBatch(rows, [b"q"] * len(rows), [b"v"] * len(rows), [0.0] * len(rows))
+
+        assert m.put_cost(cells([b"a%d" % i for i in range(50)])) > m.put_cost(cells([b"a"])) > 0
+        # Fewer runs over the same cells cost less.
+        assert m.put_cost(cells([b"a"] * 50)) < m.put_cost(cells([b"a%d" % i for i in range(50)]))
         # A scan is charged at least one cell, and more cells cost more.
         assert m.scan_cost(0) == m.scan_cost(1) > 0
         assert m.scan_cost(100) > m.scan_cost(1)

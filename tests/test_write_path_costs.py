@@ -17,16 +17,18 @@ import gc
 from array import array
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.hbase.master import HMaster
 from repro.hbase.region import CellBatch, Region, RouteTable
+from repro.hbase.regionserver import PutRequest
 from repro.hbase.wal import WriteAheadLog
 from repro.lifecycle import LifecyclePolicy, TierSpec
 from repro.serve import gateway as serve_gateway
 from repro.lifecycle import manager as lifecycle_manager
 from repro.tsdb import BatchPublisher, BlockBatch, DataPoint, blocks, build_cluster, parse_block
 from repro.tsdb import lineprotocol, rowkey
-from repro.tsdb.tsd import DATA_TABLE, TSDaemon
+from repro.tsdb.tsd import DATA_TABLE, RPC_BATCH_SIZE, TSDaemon
 
 S = 6  # series
 NAMES_PER_SERIES = 5  # a metric, two tag keys, two tag values
@@ -137,6 +139,96 @@ def test_a_late_write_costs_two_rows_not_a_rebuilt_series(counted_cluster):
     assert (len(interned), len(hashed)) == (NAMES_PER_SERIES, 1)
     cluster.direct_put(late + stream)
     assert (len(interned), len(hashed)) == (NAMES_PER_SERIES, 3)
+
+
+# ----------------------------------------------------------------------
+# a put is priced by what it carries (DESIGN §17.2)
+# ----------------------------------------------------------------------
+def recorded_prices(servers):
+    """``[(request, price)]`` of every request the servers' queues are
+    handed, in arrival order."""
+    seen = []
+    for server in servers:
+        queue = server.http_server if isinstance(server, TSDaemon) else server.rpc_server
+
+        def submit(request, cost, *args, _submit=queue.submit, **kwargs):
+            seen.append((request, cost))
+            return _submit(request, cost, *args, **kwargs)
+
+        queue.submit = submit
+    return seen
+
+
+def submitted(cluster, payload):
+    acks = []
+    cluster.submit(payload, acks.append)
+    cluster.sim.run()
+    assert [(ack.ok, ack.written) for ack in acks] == [(True, len(payload))]
+
+
+def test_a_tick_major_point_put_costs_the_calibrated_point_price():
+    """A tick-major point list whose buckets each mix several series
+    (E1, E6 and E7's stream) is put as batches of one-cell runs: the
+    RegionServer charges each 250 µs plus 50 µs a cell and the TSD
+    200 µs plus 20 µs a point, bit for bit the prices those records
+    were calibrated at."""
+    cluster = build_cluster(n_nodes=2, salt_buckets=4)
+    puts = recorded_prices(cluster.servers)
+    batches = recorded_prices(cluster.tsds)
+    points = [
+        DataPoint.make("energy", t, float(s), {"unit": f"u{s % 4}", "sensor": f"s{s}"})
+        for t in range(30)
+        for s in range(40)
+    ]
+    submitted(cluster, points)
+    assert puts and batches
+    for request, price in puts:
+        assert isinstance(request, PutRequest)
+        assert len(request.cells.run_starts()) - 1 == len(request.cells)
+        assert price == 0.00025 + 0.00005 * len(request.cells)
+    for payload, price in batches:
+        assert price == 0.0002 + 0.00002 * len(payload)
+
+
+@st.composite
+def series_points(draw):
+    """Under one put's worth of points, series-major, each series'
+    timestamps sorted and spread over a few row hours."""
+    n_series = draw(st.integers(1, 4))
+    points = []
+    for s in range(n_series):
+        stamps = draw(st.lists(st.integers(0, 4 * 3600), min_size=1, max_size=12, unique=True))
+        tags = {"unit": "u0", "sensor": f"s{s}"}
+        points += [DataPoint.make("energy", t, float(t), tags) for t in sorted(stamps)]
+    assert len(points) < RPC_BATCH_SIZE
+    return points
+
+
+@settings(max_examples=40, deadline=None)
+@given(points=series_points(), shuffle=st.randoms(use_true_random=False), shuffled=st.booleans())
+def test_a_point_list_and_a_block_batch_cost_the_same_put_when_their_runs_match(
+    points, shuffle, shuffled
+):
+    """The same points submitted as a point list and as a
+    :class:`BlockBatch` reach the RegionServer as one put each (one
+    region, fewer points than a linger buffer holds).  Series-major,
+    their cells are in the same order and cost the same; shuffled, the
+    point list's puts cost the same exactly when their runs match.  The
+    parent charged the block put a fifth of the point put per cell."""
+    listed = list(points)
+    if shuffled:
+        shuffle.shuffle(listed)
+    prices = []
+    for payload in (listed, BlockBatch.from_points(points)):
+        cluster = build_cluster(n_nodes=1, salt_buckets=0)
+        puts = recorded_prices(cluster.servers)
+        submitted(cluster, payload)
+        ((request, price),) = puts
+        prices.append((len(request.cells.run_starts()), price))
+    (list_runs, list_price), (block_runs, block_price) = prices
+    assert (list_price == block_price) == (list_runs == block_runs)
+    if not shuffled:
+        assert list_runs == block_runs
 
 
 # ----------------------------------------------------------------------
