@@ -12,23 +12,19 @@ window of every key with whole-array calls, bitwise equal to one
 one key; rollup materialization calls it once for every series of a
 span (``repro.lifecycle.rollup``).
 
-A :class:`Series` is a thin view over a columnar
-:class:`~repro.tsdb.blocks.SeriesBlock`: the canonical storage is the
-block's contiguous stdlib-``array`` columns, and ``timestamps`` /
-``values`` are zero-copy NumPy views of that memory (strictly
-increasing ``int64`` seconds / ``float64``); the aggregation kernels
-below consume the columns directly.
+A :class:`Series` is a read result: tags plus two NumPy columns it
+owns and marks read-only, ``timestamps`` (strictly increasing
+``int64`` seconds) and ``values`` (``float64``).  The kernels below
+read those columns directly and hand the arrays they build to the
+series they return without a second copy.
 """
 
 from __future__ import annotations
 
-from array import array
 from itertools import pairwise
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-
-from .blocks import SeriesBlock, TS_TYPECODE, VAL_TYPECODE
 
 __all__ = [
     "Series",
@@ -43,16 +39,18 @@ __all__ = [
 
 
 class Series:
-    """One time series with identifying tags, viewed over a block.
+    """One time series: its tags and two read-only NumPy columns.
 
-    Built from arrays, ``Series(tags, timestamps, values)`` (any
-    array-likes; coerced to int64/float64), or as a zero-copy view,
-    ``Series.from_block(block)``.  Either way the data lives in one
-    :class:`SeriesBlock` and the NumPy accessors view its buffers
-    without copying.
+    ``timestamps`` (int64 seconds, strictly increasing) and ``values``
+    (float64) are arrays the series owns and marks non-writeable, so a
+    result the gateway caches and serves again cannot be edited in
+    place by one of its readers.  ``Series(tags, timestamps, values)``
+    copies any array-likes once and validates them; the read path and
+    the kernels below hand over columns they have just built through
+    :meth:`_adopt`, which neither copies nor checks.
     """
 
-    __slots__ = ("_block", "_tags", "_ts_view", "_vals_view")
+    __slots__ = ("_tags", "_timestamps", "_values")
 
     def __init__(
         self,
@@ -60,39 +58,29 @@ class Series:
         timestamps: object = None,
         values: object = None,
     ) -> None:
-        ts = np.asarray(timestamps if timestamps is not None else ())
-        vs = np.asarray(values if values is not None else ())
+        ts = np.array(timestamps if timestamps is not None else (), dtype=np.int64)
+        vs = np.array(values if values is not None else (), dtype=np.float64)
         if ts.shape != vs.shape or ts.ndim != 1:
             raise ValueError("timestamps and values must be 1-D and equal length")
-        col_ts = array(TS_TYPECODE)
-        col_ts.frombytes(np.ascontiguousarray(ts, dtype=np.int64).tobytes())
-        col_vals = array(VAL_TYPECODE)
-        col_vals.frombytes(np.ascontiguousarray(vs, dtype=np.float64).tobytes())
-        blk = SeriesBlock("", tuple(tags or ()), col_ts, col_vals, _trusted=True)
-        self._adopt(blk, tuple(tags or ()))
-        self._validate()
-
-    def _adopt(self, block: SeriesBlock, tags: Tuple[Tuple[str, str], ...]) -> None:
-        # Tag order is preserved exactly as given: group-by output sorts
-        # tags, but pass-through transforms (downsample/rate) must not.
-        self._block = block
-        self._tags = tags
-        self._ts_view: Optional[np.ndarray] = None
-        self._vals_view: Optional[np.ndarray] = None
-
-    def _validate(self) -> None:
-        ts = self.timestamps
         if len(ts) > 1 and not np.all(np.diff(ts) > 0):
             raise ValueError("timestamps must be strictly increasing")
+        self._set(tuple(tags or ()), ts, vs)
 
     @classmethod
-    def from_block(cls, block: SeriesBlock, validate: bool = True) -> "Series":
-        """Zero-copy view over an existing block (the hot read path)."""
+    def _adopt(
+        cls, tags: Tuple[Tuple[str, str], ...], timestamps: np.ndarray, values: np.ndarray
+    ) -> "Series":
+        """A series over int64/float64 columns the caller built and
+        hands over: neither copied nor checked, only made read-only."""
         self = cls.__new__(cls)
-        self._adopt(block, block.tags)
-        if validate:
-            self._validate()
+        self._set(tags, timestamps, values)
         return self
+
+    def _set(self, tags: Tuple[Tuple[str, str], ...], ts: np.ndarray, vals: np.ndarray) -> None:
+        # Tag order is kept as given: group-by output sorts tags, but
+        # pass-through transforms (downsample/rate) must not.
+        ts.flags.writeable = vals.flags.writeable = False
+        self._tags, self._timestamps, self._values = tags, ts, vals
 
     @property
     def tags(self) -> Tuple[Tuple[str, str], ...]:
@@ -100,20 +88,16 @@ class Series:
 
     @property
     def timestamps(self) -> np.ndarray:
-        """int64 seconds, strictly increasing — zero-copy block view."""
-        if self._ts_view is None:
-            self._ts_view = np.frombuffer(self._block.timestamps, dtype=np.int64)
-        return self._ts_view
+        """int64 seconds, strictly increasing; read-only."""
+        return self._timestamps
 
     @property
     def values(self) -> np.ndarray:
-        """float64 samples — zero-copy block view."""
-        if self._vals_view is None:
-            self._vals_view = np.frombuffer(self._block.values, dtype=np.float64)
-        return self._vals_view
+        """float64 samples; read-only."""
+        return self._values
 
     def __len__(self) -> int:
-        return len(self._block)
+        return len(self._timestamps)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Series(tags={self._tags!r}, n={len(self)})"
@@ -161,14 +145,13 @@ AGGREGATORS: Dict[str, Callable[[np.ndarray], np.ndarray]] = {
 def join_series(series: Sequence[Series]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One ``(owner, timestamps, values)`` column triple over many series.
 
-    The series' block buffers are joined once; ``owner`` is each
-    sample's position in ``series``, so series sorted by their tags and
-    each by time give columns sorted by ``(owner, timestamp)``.
+    Each column is one ``np.concatenate`` of the series' own; ``owner``
+    is each sample's position in ``series``, so series sorted by their
+    tags and each by time give columns sorted by ``(owner, timestamp)``.
     """
-    blocks = [s._block for s in series]
-    ts = np.frombuffer(b"".join([b.timestamps for b in blocks]), dtype=np.int64)
-    values = np.frombuffer(b"".join([b.values for b in blocks]), dtype=np.float64)
-    owner = np.repeat(np.arange(len(blocks)), [len(b) for b in blocks])
+    ts = np.concatenate([s.timestamps for s in series])
+    values = np.concatenate([s.values for s in series])
+    owner = np.repeat(np.arange(len(series)), [len(s) for s in series])
     return owner, ts, values
 
 
@@ -208,7 +191,7 @@ def aggregate(series: Sequence[Series], aggregator: str) -> Series:
     times, stack = align_union(series)
     values = AGGREGATORS[aggregator](stack)
     common = set(series[0].tags).intersection(*[s.tags for s in series[1:]])
-    return Series(tuple(sorted(common)), times, values)
+    return Series._adopt(tuple(sorted(common)), times, values)
 
 
 def reduce_windows(
@@ -305,7 +288,7 @@ def downsample(series: Series, window: int, aggregator: str = "avg") -> Series:
     _, starts, (values,) = reduce_windows(
         None, series.timestamps, series.values, window, (aggregator,)
     )
-    return Series(series.tags, starts, values)
+    return Series._adopt(series.tags, starts, values)
 
 
 def rate(series: Series, counter: bool = False, max_value: float | None = None) -> Series:
@@ -315,11 +298,11 @@ def rate(series: Series, counter: bool = False, max_value: float | None = None) 
     at ``max_value`` (default: 2**64).
     """
     if len(series) < 2:
-        return Series(series.tags, series.timestamps[:0], series.values[:0])
+        return Series._adopt(series.tags, series.timestamps[:0], series.values[:0])
     dt = np.diff(series.timestamps).astype(np.float64)
     dv = np.diff(series.values)
     if counter:
         wrap = max_value if max_value is not None else float(2**64)
         negative = dv < 0
         dv = np.where(negative, dv + wrap, dv)
-    return Series(series.tags, series.timestamps[1:], dv / dt)
+    return Series._adopt(series.tags, series.timestamps[1:], dv / dt)

@@ -1,15 +1,17 @@
-"""Columnar series blocks: the hot path's unit of data movement.
+"""Columnar series blocks: the write path's unit of data movement.
 
-The per-point ingest/query path moved one Python ``DataPoint`` object
-at a time through parse → rowkey → region → scan → aggregate, which
-caps simulated goodput far below the paper's near-linear Figure 2
-regime.  This module introduces :class:`SeriesBlock` — one series'
-worth of contiguous, parallel ``timestamp``/``value`` columns backed by
-stdlib ``array`` buffers (no numpy dependency; numpy consumers view the
-same memory zero-copy via the buffer protocol) — and
-:class:`BlockBatch`, an ordered collection of blocks that still quacks
-like the flat point sequence the proxy/publisher retry machinery
-slices, so every delivery-accounting invariant carries over unchanged.
+The per-point ingest path moved one Python ``DataPoint`` object at a
+time through parse → rowkey → region, which caps simulated goodput far
+below the paper's near-linear Figure 2 regime.  This module introduces
+:class:`SeriesBlock` — one series' worth of contiguous, parallel
+``timestamp``/``value`` columns backed by stdlib ``array`` buffers (no
+numpy dependency) — and :class:`BlockBatch`, an ordered collection of
+blocks that still quacks like the flat point sequence the
+proxy/publisher retry machinery slices, so every delivery-accounting
+invariant carries over unchanged.  A block is a write payload: ingest,
+rollup materialization and detector write-back build blocks to write.
+The read path returns :class:`~repro.tsdb.aggregation.Series`, which
+own their NumPy columns and hold no block.
 
 Design rules:
 
@@ -85,10 +87,9 @@ def _is_sorted(ts: array) -> bool:
 class SeriesBlock:
     """One series' contiguous ``(timestamps, values)`` columns.
 
-    The canonical in-flight representation on the ingest and query hot
-    paths: parsing fills blocks, row-key encoding consumes a block's
-    timestamp column in one call, region writes land a block's cells as
-    one append, and the aggregation kernels view the columns zero-copy.
+    The canonical in-flight representation on the write path: parsing
+    fills blocks, row-key encoding consumes a block's timestamp column
+    in one call, and region writes land a block's cells as one append.
 
     Construct via :meth:`from_points` / :meth:`from_columns`; the raw
     constructor adopts pre-validated arrays without copying.

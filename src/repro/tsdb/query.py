@@ -17,7 +17,8 @@ a sorted :class:`~repro.hbase.region.CellBatch` — columns, not cells —
 and the assembler (:class:`_BlockScanState`) gathers a whole batch at
 once into columns shared by every series the query reads, resolves
 newest-wins for all of them with one sort, and cuts one
-:class:`~repro.tsdb.aggregation.Series` per series from the result.
+:class:`~repro.tsdb.aggregation.Series` per series from the result: a
+read-only slice of each deduplicated column, with no copy.
 Outside a row that holds a compacted blob nothing is interpreted per
 cell; per row key the assembler does one memo lookup, per series one
 tag-memo lookup and one ``Series``.
@@ -39,7 +40,7 @@ from ..hbase.bytescodec import decode_u32
 from ..hbase.master import HMaster, RegionUnavailableError
 from ..hbase.region import CellBatch, RowFilter
 from .aggregation import AGGREGATORS, Series, aggregate, downsample, rate
-from .blocks import TS_TYPECODE, VAL_TYPECODE, SeriesBlock
+from .blocks import TS_TYPECODE, VAL_TYPECODE
 from .compaction import COMPACTED_MARKER, decompact_columns, first_blob, is_compacted
 from .rowkey import _UID_WIDTH, RowKeyCodec
 from .tsd import DATA_TABLE
@@ -259,9 +260,10 @@ class _BlockScanState:
     # ------------------------------------------------------------------
     # finalize
     # ------------------------------------------------------------------
-    def to_series(self, metric: str = "") -> List[Series]:
-        """Resolve duplicates and materialise one Series per matched
-        series that kept a point, sorted by tags."""
+    def to_series(self) -> List[Series]:
+        """Resolve duplicates and cut one Series per matched series that
+        kept a point, sorted by tags: each a read-only slice of the two
+        deduplicated columns."""
         if not self._chunks:
             return []
         slots, ts, vals, wts = (
@@ -281,17 +283,13 @@ class _BlockScanState:
         keep[:-1] = (ts[1:] != ts[:-1]) | (series[1:] != series[:-1])
         keep[-1] = True
         series, ts, vals = series[keep], ts[keep], vals[order[keep]]
+        # Read-only at the base too, so no slice can be made writeable again.
+        ts.flags.writeable = vals.flags.writeable = False
         bounds = [0, *(np.flatnonzero(series[1:] != series[:-1]) + 1).tolist(), len(ts)]
-        ts_col = array(TS_TYPECODE)
-        ts_col.frombytes(ts.tobytes())
-        val_col = array(VAL_TYPECODE)
-        val_col.frombytes(vals.tobytes())
-        out: List[Series] = []
-        for first, (a, b) in zip(series[bounds[:-1]].tolist(), pairwise(bounds)):
-            tags = self.tags[by_tags[first]]
-            block = SeriesBlock(metric, tags, ts_col[a:b], val_col[a:b], _trusted=True)
-            out.append(Series.from_block(block, validate=False))
-        return out
+        return [
+            Series._adopt(self.tags[by_tags[first]], ts[a:b], vals[a:b])
+            for first, (a, b) in zip(series[bounds[:-1]].tolist(), pairwise(bounds))
+        ]
 
 
 @dataclass

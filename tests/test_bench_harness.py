@@ -4,7 +4,9 @@ A full-size ``python -m repro.bench <id>`` leaves one record,
 ``benchmarks/records/<id>.json``.  The replay test reruns every
 experiment's quick form and requires its deterministic numbers to
 equal the record's exactly and every claim to hold: the quick run's,
-the recorded quick run's and the recorded full run's.
+the recorded quick run's and the recorded full run's.  The full forms
+that take a second or two are replayed the same way, so a record
+cannot drift from its code unseen.
 """
 
 import inspect
@@ -41,21 +43,22 @@ def check_schema(record: dict, experiment_id: str, directory: Path) -> None:
         assert (directory / name).read_text().startswith("<svg")
 
 
-def replay(experiment_id: str, directory: Path) -> None:
-    """Rerun the quick form against ``directory``'s record of it."""
+def replay(experiment_id: str, directory: Path, form: str = "quick") -> None:
+    """Rerun one form (``"quick"`` or ``"full"``) against ``directory``'s
+    record of it."""
     record = json.loads((directory / f"{experiment_id}.json").read_text())
     check_schema(record, experiment_id, directory)
-    result = REGISTRY.run(experiment_id, quick=True)
-    recorded = record["quick"]["numbers"]
+    result = REGISTRY.run(experiment_id, quick=form == "quick")
+    recorded = record[form]["numbers"]
     changed = {
         key: (recorded.get(key), result.numbers.get(key))
         for key in set(recorded) | set(result.numbers)
         if recorded.get(key) != result.numbers.get(key)
     }
-    assert not changed, f"quick numbers differ from the record (recorded, now): {changed}"
-    assert set(result.claims) == set(record["quick"]["claims"])
+    assert not changed, f"{form} numbers differ from the record (recorded, now): {changed}"
+    assert set(result.claims) == set(record[form]["claims"])
     false = {
-        "quick run": result.failed_claims(),
+        f"{form} run": result.failed_claims(),
         "recorded quick run": [k for k, v in record["quick"]["claims"].items() if not v],
         "recorded full run": [k for k, v in record["full"]["claims"].items() if not v],
     }
@@ -66,6 +69,25 @@ def replay(experiment_id: str, directory: Path) -> None:
 def test_quick_form_replays_its_record(experiment_id, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     replay(experiment_id, RECORDS)
+    assert not any(tmp_path.iterdir()), "an experiment wrote into the working directory"
+
+
+#: Experiments whose full form runs in under 2 s (timed in the docstring below).
+CHEAP_FULL_FORMS = ["e3", "e5", "e8", "e10", "e12", "e14", "e15", "e16", "e17"]
+
+
+@pytest.mark.parametrize("experiment_id", CHEAP_FULL_FORMS)
+def test_cheap_full_form_replays_its_record(experiment_id, tmp_path, monkeypatch):
+    """The full forms that run in under 2 s replay their records exactly.
+
+    Full-form wall time, the slowest of up to three runs on an idle
+    2-CPU host: E3 0.07 s, E5 0.32 s, E8 1.07 s, E10 1.50 s, E12
+    0.46 s, E14 0.64 s, E15 0.31 s, E16 0.41 s, E17 0.26 s.  Left out,
+    as slower: E13 2.1 s, E11 2.9 s, E9 3.8 s, E4 4.6 s, E6 14 s, E7
+    26 s, E18 32 s, E2 49 s, E1 60 s.
+    """
+    monkeypatch.chdir(tmp_path)
+    replay(experiment_id, RECORDS, form="full")
     assert not any(tmp_path.iterdir()), "an experiment wrote into the working directory"
 
 

@@ -90,14 +90,15 @@ class TestRoundTrip:
         points = [
             DataPoint.make("energy", t, v, {"unit": "u0"}) for t, v in samples
         ]
-        legacy = Series.from_block(SeriesBlock.from_points(points))
+        block = SeriesBlock.from_points(points)
+        blocked = Series(block.tags, block.timestamps, block.values)
         ordered = sorted(samples)
         columnar = Series(
-            legacy.tags, [t for t, _ in ordered], [v for _, v in ordered]
+            blocked.tags, [t for t, _ in ordered], [v for _, v in ordered]
         )
-        assert legacy.tags == (("unit", "u0"),)
-        assert legacy.timestamps.tobytes() == columnar.timestamps.tobytes()
-        assert legacy.values.tobytes() == columnar.values.tobytes()
+        assert blocked.tags == (("unit", "u0"),)
+        assert blocked.timestamps.tobytes() == columnar.timestamps.tobytes()
+        assert blocked.values.tobytes() == columnar.values.tobytes()
 
     @settings(max_examples=50, deadline=None)
     @given(series_samples)
@@ -394,18 +395,19 @@ class TestAggregationBitIdentity:
     def test_group_and_aggregate_identical_over_block_backed_series(
         self, raw, query
     ):
-        """Legacy-constructed and block-backed Series aggregate identically."""
+        """A Series cut from a block's columns aggregates as one rebuilt from its points."""
         # Series (either construction) rejects duplicate timestamps —
         # deduplication is the store's job; keep last-write-wins here.
         deduped = {(u, s, t): (u, s, t, v) for u, s, t, v in raw}
         points = make_points(deduped.values())
         blocks = blocks_from_points(points)
-        columnar = sorted(
-            (Series.from_block(b) for b in blocks), key=lambda s: s.tags
-        )
+        def from_columns(block):
+            return Series(block.tags, block.timestamps, block.values)
+
+        columnar = sorted(map(from_columns, blocks), key=lambda s: s.tags)
         legacy = sorted(
             (
-                Series.from_block(SeriesBlock.from_points(list(b.iter_points())))
+                from_columns(SeriesBlock.from_points(list(b.iter_points())))
                 for b in blocks
             ),
             key=lambda s: s.tags,

@@ -34,7 +34,7 @@ RECORDED = {
     "serve": 42,
     "simdata": 38,
     "sparklet": 4,
-    "tsdb": 86,
+    "tsdb": 85,
     "viz": 31,
 }
 

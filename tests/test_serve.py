@@ -307,6 +307,21 @@ class TestGatewaySync:
         assert_series_equal(hit.series, direct)
         assert hit.etag == miss.etag == result_etag(direct)
 
+    def test_a_reader_cannot_edit_the_cached_answer(self):
+        cluster = seeded_cluster()
+        gateway = cluster.gateway()
+        miss = gateway.serve(overview_query())
+        with pytest.raises(ValueError):
+            miss.series[0].values[0] = 999.0
+        with pytest.raises(ValueError):
+            miss.series[0].timestamps[0] = 999
+        hit = gateway.serve(overview_query())
+        assert hit.status == "hit" and hit.etag == miss.etag
+        fresh = cluster.query_engine().run(overview_query())
+        assert [(s.tags, s.timestamps.tobytes(), s.values.tobytes()) for s in hit.series] == [
+            (s.tags, s.timestamps.tobytes(), s.values.tobytes()) for s in fresh
+        ]
+
     def test_canonically_equal_query_shares_the_entry(self):
         cluster = seeded_cluster()
         gateway = cluster.gateway()

@@ -142,7 +142,8 @@ class StorageMachine(RuleBasedStateMachine):
         live = {rs.name for rs in self.live()}
         for info, server in self.layout():
             assert server in live if live else server is None, f"{info.name} on {server}"
-        read = self.read(self.cluster.query_engine().run(QUERY))
+        direct = self.cluster.query_engine().run(QUERY)
+        read = self.read(direct)
         for key, writes in self.writes.items():
             if any(self.ok(b) for b, _ in writes):
                 assert key in read, f"acked key {key} lost"
@@ -154,6 +155,24 @@ class StorageMachine(RuleBasedStateMachine):
         if live:  # every region is on a live primary, so reads are strong
             available = self.cluster.query_engine().run_available(QUERY)
             assert available.mode == "strong" and self.read(available.series) == read
+            if any(not tsd.crashed for tsd in self.cluster.tsds):
+                self.serve_twice(direct)
+
+    def serve_twice(self, direct):
+        """A fresh gateway answers ``QUERY`` as the engine does, missing
+        then hitting (a degraded answer is never cached, so it misses twice)."""
+        gateway = self.cluster.gateway()
+        try:
+            first = gateway.serve(QUERY)
+            second = gateway.serve(QUERY)
+        finally:
+            self.cluster.remove_write_listener(gateway.notify_writes)
+        assert (first.status, second.status) == ("miss", "miss" if first.degraded else "hit")
+        columns = [(s.tags, s.timestamps.tobytes(), s.values.tobytes()) for s in direct]
+        for served in (first, second):
+            assert [
+                (s.tags, s.timestamps.tobytes(), s.values.tobytes()) for s in served.series
+            ] == columns
 
     def layout(self):
         return self.master.table_regions(DATA_TABLE)
