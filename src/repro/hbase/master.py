@@ -258,11 +258,9 @@ class HMaster:
 
         The batch is split by region once, through the table's route
         table; each server's one writer (:meth:`RegionServer.write`)
-        logs and lands its regions' shares, as for a put RPC, and each
-        share is mirrored to follower replicas, which would otherwise
-        never see it.  Returns the number of cells written, all of
-        them.  Raises when a row's region is unassigned, before
-        anything is written.
+        logs, lands and ships its regions' shares, as for a put RPC.
+        Returns the number of cells written, all of them.  Raises when
+        a row's region is unassigned, before anything is written.
         """
         if not batch.rows:
             return 0
@@ -274,9 +272,6 @@ class HMaster:
         for server_name, shares in by_server.items():
             if not self._servers[server_name].write(shares):
                 raise RuntimeError(f"{server_name} does not host the regions assigned to it")
-            if self.replication is not None:
-                for region, share in shares.items():
-                    self.replication.mirror(region.info.name, share)
         return len(batch)
 
     def direct_delete_range(
@@ -286,10 +281,10 @@ class HMaster:
 
         The retention manager's expiry path.  Applies a range tombstone
         (at logical write time ``ts``) to every overlapping region and
-        mirrors it to follower replicas: a delete ships no WAL batch
-        (tombstones are durable region metadata), so followers can
-        never resurface expired cells on a timeline read.  Returns the
-        number of visible cells masked across primaries.
+        mirrors it to follower replicas: a tombstone is not logged, so
+        it is not shipped (tombstones are durable region metadata), and
+        followers never resurface expired cells on a timeline read.
+        Returns the number of visible cells masked across primaries.
         """
         masked = 0
         for assignment in self._overlapping(table, start_row, end_row):
@@ -468,12 +463,16 @@ class HMaster:
     def enable_replication(self, coordinator: "ReplicationCoordinator") -> None:
         """Attach a replication coordinator and replicate existing tables.
 
-        From here on the master keeps follower sets placed through
-        every assignment change (create/move/split/crash), promotes the
+        Every registered server's writer ships to the coordinator
+        (``RegionServer.replication_ship`` is set here only).  From
+        here on the master keeps follower sets placed through every
+        assignment change (create/move/split/crash), promotes the
         best follower on primary death, and serves timeline fallbacks
         via :meth:`direct_scan_consistent`.
         """
         self.replication = coordinator
+        for server in self._servers.values():
+            server.replication_ship = coordinator.ship
         for assignments in self._tables.values():
             for a in assignments:
                 coordinator.ensure_replicas(a.region, a.server)
@@ -514,14 +513,13 @@ class HMaster:
         """
         self.metrics.counter("master.recoveries").inc(label=server.name)
         victims = [a for table in self._tables.values() for a in table if a.server == server.name]
-        replayed = {a.region.info.name: a.region.wal.entries for a in victims}
         failover = self.replication is not None and server.crashed
         for a in victims:
             region = a.region
             region.discard_memstore()
             server.close_region(region.info.name)
             a.server = None
-            region.put_block(replayed[region.info.name])
+            region.put_block(region.wal.entries)
             region.flush()
             target = self.replication.promote(region.info.name) if failover else None
             if target is not None:
@@ -530,13 +528,11 @@ class HMaster:
             else:
                 self._assign(region.info.table, a)
         if self.replication is not None:
-            # Re-place followers lost with the dead server (bootstrapped
-            # from the recovered regions), then push the replayed cells
-            # to surviving followers, which never saw them via WAL
-            # shipping (the replay wrote into regions directly).
+            # Re-place followers lost with the dead server, bootstrapped
+            # from the recovered regions.  Surviving followers need no
+            # replay: the stream shipped them each cell when it was
+            # written, and their queues outlive the dead primary.
             self.replication.handle_server_crash(server.name)
-            for name, log in replayed.items():
-                self.replication.mirror(name, log)
 
     def _handle_restart(self, server: RegionServer) -> None:
         """Recover the server's undetected crash, then give it work again.

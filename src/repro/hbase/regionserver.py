@@ -153,9 +153,9 @@ class RegionServer:
         # Read-only follower replicas hosted here, keyed by region name.
         # Never written by client RPCs; only timeline scans read them.
         self.follower_regions: Dict[str, object] = {}
-        # Post-WAL-sync replication hook: ``(region_name, batch, server)``
-        # per region touched by the synced batch (set by the deployment
-        # when region replication is enabled).
+        # Replication hook: ``(region_name, share, server)``, called by
+        # :meth:`write` per region share it logs and lands (set by
+        # :meth:`HMaster.enable_replication`).
         self.replication_ship: Optional[Callable[[str, CellBatch, str], None]] = None
         self.crash_policy = crash_policy_factory(self) if crash_policy_factory else None
         self.on_crash: Optional[Callable[["RegionServer"], None]] = None
@@ -295,14 +295,15 @@ class RegionServer:
         return None if None in shares else shares  # type: ignore[return-value]
 
     def write(self, shares: Dict[Region, CellBatch]) -> bool:
-        """The one writer: log, sync and land each region's share of a routed batch.
+        """The one writer: log, sync, land and ship each region's share of a routed batch.
 
         Put RPCs route here (:meth:`route`); bulk loads arrive routed by
         the master (:meth:`HMaster.direct_put`).  Hosting is checked
         once per region, by name; each share is appended to its
         region's log and synced, then ingested in one
         :meth:`Region.put_block` — a counting-only region logs nothing
-        it discards.  All or nothing: ``False``, and no write, when
+        it discards — then handed to ``replication_ship``, if set, for
+        the region's followers.  All or nothing: ``False``, and no write, when
         some region is not hosted here (moved, split or dropped by a
         restart since it was routed).  Past ``wal_roll_threshold``
         cells written since the last roll, the log rolls: every hosted
@@ -312,12 +313,15 @@ class RegionServer:
         hosted = [self.regions.get(region.info.name) for region in shares]
         if None in hosted:
             return False
+        ship = self.replication_ship
         for region, share in zip(hosted, shares.values()):
             if region.retain_data:  # type: ignore[union-attr]
                 region.wal.append_batch(share)  # type: ignore[union-attr]
                 region.wal.sync()  # type: ignore[union-attr]
             region.put_block(share)  # type: ignore[union-attr]
             self._logged += len(share)
+            if ship is not None:
+                ship(region.info.name, share, self.name)  # type: ignore[union-attr]
         if self._logged > self.wal_roll_threshold:
             for region in self.regions.values():
                 region.flush()
@@ -328,9 +332,6 @@ class RegionServer:
         shares = self.route(request.table, request.cells)
         if shares is None or not self.write(shares):
             return RpcReply.failure("NotServingRegionException", self.name, True)
-        if self.replication_ship is not None:
-            for region, share in shares.items():
-                self.replication_ship(region.info.name, share, self.name)
         n = len(request.cells)
         self.cells_written += n
         self.metrics.counter("cells.written").inc(n, label=self.name)

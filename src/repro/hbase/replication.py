@@ -3,11 +3,14 @@
 Read-path fault tolerance for the simulated HBase deployment.  Each
 region gets a *primary* (the writable copy the master assigns today)
 plus ``n_followers`` read-only follower replicas placed on distinct
-RegionServers.  After every WAL sync on the primary, the synced cells
-are *shipped* to each follower over the network and applied by a
-serial, bounded-lag apply loop — exactly HBase's async region-replica
-replication, so followers trail the primary by a measurable, reported
-staleness rather than participating in a synchronous quorum.
+RegionServers.  The primary's one writer, put RPC or bulk load alike,
+logs and lands each region's share and then *ships* it to each
+follower over the network, where a serial, bounded-lag apply loop
+applies it — exactly HBase's async region-replica replication, so
+followers trail the primary by a measurable, reported staleness rather
+than participating in a synchronous quorum.  The queues outlive a
+crashed primary, as a WAL on shared storage would.  Range tombstones
+are not logged, so they are mirrored instead (:meth:`mirror_delete`).
 
 On primary crash the master rebuilds the region from its store files
 and its own log, which holds every write since its last flush (no
@@ -220,10 +223,10 @@ class ReplicationCoordinator:
         self.master.server(follower.server_name).close_follower(follower.region.info.name)
 
     # ------------------------------------------------------------------
-    # WAL shipping (called by the primary RegionServer after wal.sync)
+    # WAL shipping (RegionServer.write, after it logs and lands a share)
     # ------------------------------------------------------------------
     def ship(self, region_name: str, cells: CellBatch, source_server: str) -> None:
-        """Enqueue one synced WAL batch for every follower of the region."""
+        """Enqueue one logged share for every follower of the region."""
         rset = self._sets.get(region_name)
         if rset is None or not cells.rows:
             return
@@ -318,27 +321,14 @@ class ReplicationCoordinator:
                 self._close_follower(follower)
             self._top_up(rset)
 
-    def mirror(self, region_name: str, cells: CellBatch) -> None:
-        """Apply cells to every follower outside the WAL stream.
-
-        Used for bulk loads (``direct_put``) and master WAL replay,
-        neither of which ships a WAL batch, so followers would
-        otherwise stay permanently behind.
-        """
-        rset = self._sets.get(region_name)
-        if rset is None:
-            return
-        for follower in rset.followers:
-            follower.region.put_block(cells)
-
     def mirror_delete(
         self, region_name: str, start_row: bytes, end_row: bytes, ts: float
     ) -> None:
         """Apply a range tombstone to every follower outside the WAL stream.
 
-        The delete-side counterpart of :meth:`mirror`: retention expiry
-        writes into primaries directly, so followers must be tombstoned
-        explicitly or timeline reads would resurface expired cells.
+        Retention expiry tombstones primaries directly and logs nothing,
+        so no share of it is shipped: followers must be tombstoned here
+        or timeline reads would resurface expired cells.
         """
         rset = self._sets.get(region_name)
         if rset is None:

@@ -15,14 +15,17 @@ flows::
                       └▶ QueryEngine.run ─▶ fill cache ─▶ respond
 
 Responses are **bit-identical** to a direct ``QueryEngine.run`` in
-every cache state: the cache key only merges queries the engine must
-answer identically (see :mod:`repro.serve.cache`), and write-through
+every cache state *while every landing is followed by its batch's
+ack*: the cache key only merges queries the engine must answer
+identically (see :mod:`repro.serve.cache`), and write-through
 invalidation is driven from the cluster's write paths.  Invalidation
 fires twice per batch — optimistically at submit time and again when
 the batch's ack lands — because a result computed *between* the two
 would otherwise be cached without the in-flight points.  A write-epoch
 guard closes the remaining async window: results computed before a
-write landed are served but never cached.
+write landed are served but never cached.  Cells that land after their
+batch's final ack, or from a batch never acked, invalidate nothing: a
+result cached before them is then a stale fresh hit (DESIGN.md §10.1).
 
 Execution latency is simulated: the engine's offline read is free, so
 the gateway charges a :class:`ServeServiceModel` cost (per scan range

@@ -174,7 +174,8 @@ class TsdbCluster:
         )
         #: Region replication (None when replication_factor == 1): each
         #: region gets ``rf - 1`` follower replicas on distinct servers,
-        #: fed asynchronously from the primary's WAL-synced writes.
+        #: fed asynchronously by the shares the primary's one writer
+        #: logs (:meth:`HMaster.enable_replication` wires every server).
         self.replication: Optional[ReplicationCoordinator] = None
         if config.replication_factor > 1:
             self.replication = ReplicationCoordinator(
@@ -185,8 +186,6 @@ class TsdbCluster:
                 metrics=self.metrics,
             )
             self.master.enable_replication(self.replication)
-            for rs in self.servers:
-                rs.replication_ship = self.replication.ship
         for i, node in enumerate(self.nodes):
             tsd = TSDaemon(
                 self.sim,
@@ -377,10 +376,9 @@ class TsdbCluster:
         :class:`SeriesBlock`, or a :class:`BlockBatch`; either shape is
         encoded to one cell batch by one encoder call
         (:meth:`TSDaemon.encode_points` or :meth:`TSDaemon.encode_block`)
-        and bulk-loaded
-        (:meth:`HMaster.direct_put`: the RegionServers' one writer, WAL
-        logged and synced, followers mirrored).  Returns the number of
-        cells written.
+        and bulk-loaded (:meth:`HMaster.direct_put`: the RegionServers'
+        one writer, WAL logged and synced, shipped to followers
+        asynchronously).  Returns the number of cells written.
         """
         tsd = self.tsds[0]
         if isinstance(points, SeriesBlock):

@@ -11,6 +11,14 @@ fault schedules.
 
 import pytest
 
+from repro.cluster.network import Network
+from repro.cluster.node import Node
+from repro.cluster.simulation import Simulator
+from repro.hbase.client import HTableClient
+from repro.hbase.master import HMaster
+from repro.hbase.region import Cell, CellBatch
+from repro.hbase.regionserver import RegionServer
+from repro.hbase.replication import ReplicationCoordinator
 from repro.tsdb.ingest import ClusterConfig, build_cluster
 from repro.tsdb.publish import BatchPublisher
 from repro.tsdb.query import TsdbQuery
@@ -119,6 +127,64 @@ class TestWalShipping:
         assert cluster.replication._ship_lag[cluster.servers[0].name] == 1.0
 
 
+class TestEveryWriteIsShipped:
+    """The one writer ships what it logs, put RPC and bulk load alike,
+    so a follower that reads staleness 0 holds what its primary holds."""
+
+    @staticmethod
+    def followers(cluster):
+        """(primary, follower, staleness) per region of the data table."""
+        replication = cluster.replication
+        return [
+            (cluster.master.server(server).regions[info.name],
+             *replication.best_follower(info.name))
+            for info, server in cluster.master.table_regions("tsdb")
+        ]
+
+    def test_a_put_rpc_on_a_bare_master_reaches_the_follower(self):
+        # No TsdbCluster wires the servers: enabling replication does.
+        sim = Simulator()
+        net = Network(sim)
+        master = HMaster()
+        for i in range(3):
+            master.register_server(RegionServer(sim, net, Node(sim, f"host{i}"), f"rs{i}"))
+        master.create_table("t")
+        replication = ReplicationCoordinator(sim, net, master, n_followers=1)
+        master.enable_replication(replication)
+        cells = CellBatch.from_cells([Cell(b"row", b"q", b"v", 1.0)])
+        done = []
+        HTableClient(sim, net, master, "host0").put("t", cells, lambda ok, _: done.append(ok))
+        sim.run()
+        assert done == [True]
+        ((info, server),) = master.table_regions("t")
+        follower, staleness = replication.best_follower(info.name)
+        assert master.server(server).regions[info.name].scan() == cells
+        assert (follower.scan(), staleness) == (cells, 0.0)
+
+    def test_a_stall_holds_a_bulk_load_until_resumed(self):
+        cluster = make_cluster()
+        names = [server.name for server in cluster.servers]
+        for name in names:
+            cluster.replication.stall_followers(name)
+        points = [
+            DataPoint.make("energy", 1_000 + i, float(i), {"unit": f"u{i % 5}"})
+            for i in range(60)
+        ]
+        assert cluster.direct_put(points) == 60
+        cluster.sim.run(until=cluster.sim.now + 1.0)
+        held = self.followers(cluster)
+        assert sum(primary.cell_count() for primary, _, _ in held) == 60
+        for primary, follower, staleness in held:
+            assert follower.cell_count() == 0
+            assert staleness > 0.0 or not primary.cell_count()
+        for name in names:
+            cluster.replication.resume_followers(name)
+        cluster.sim.run()
+        assert cluster.metrics.counters["replication.shipped"].get() == 60
+        for primary, follower, staleness in self.followers(cluster):
+            assert (follower.scan(), staleness) == (primary.scan(), 0.0)
+
+
 class TestPromotion:
     def test_promotion_prefers_most_caught_up_follower(self):
         # rf=3: each region has followers on both other servers.  Stall
@@ -199,8 +265,9 @@ class TestMasterRecoveryAccounting:
 
 class TestRowCompactionIsReplicated:
     """Row compaction writes through the RegionServers' one writer and is
-    mirrored like any bulk load (it used to ``region.put`` the blob into
-    the primary alone, so a promoted follower lost every compaction)."""
+    shipped to followers like any write (it used to ``region.put`` the
+    blob into the primary alone, so a promoted follower lost every
+    compaction)."""
 
     QUERY = TsdbQuery("energy", 0, 3600, group_by=("unit",))
 
@@ -215,6 +282,7 @@ class TestRowCompactionIsReplicated:
         ]
         assert cluster.direct_put(points) == 30
         assert cluster.compactor().run() == 3
+        cluster.sim.run()  # followers apply the shipped shares asynchronously
         held = 0
         for info, server in cluster.master.table_regions("tsdb"):
             primary = cluster.master.server(server).regions[info.name]

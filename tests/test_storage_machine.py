@@ -152,11 +152,22 @@ class StorageMachine(RuleBasedStateMachine):
             if self.ordered[key] and self.ok(writes[-1][0]):
                 assert read[key] == writes[-1][1], f"{key} reads {read[key]}, not its last write"
         assert read.keys() <= self.writes.keys()
+        self.caught_up_followers_equal_primaries()
         if live:  # every region is on a live primary, so reads are strong
             available = self.cluster.query_engine().run_available(QUERY)
             assert available.mode == "strong" and self.read(available.series) == read
             if any(not tsd.crashed for tsd in self.cluster.tsds):
                 self.serve_twice(direct)
+
+    def caught_up_followers_equal_primaries(self):
+        """The staleness contract (DESIGN.md §13.3): a follower that reads
+        staleness 0 scans exactly what its primary scans."""
+        owners = {info.name: server for info, server in self.layout()}
+        for rs in self.live():
+            for name, follower in rs.follower_regions.items():
+                if follower.staleness(self.sim.now) == 0.0:
+                    primary = self.master.server(owners[name]).regions[name]
+                    assert follower.region.scan() == primary.scan(), f"{name} on {rs.name}"
 
     def serve_twice(self, direct):
         """A fresh gateway answers ``QUERY`` as the engine does, missing
@@ -168,14 +179,15 @@ class StorageMachine(RuleBasedStateMachine):
         finally:
             self.cluster.remove_write_listener(gateway.notify_writes)
         assert (first.status, second.status) == ("miss", "miss" if first.degraded else "hit")
-        columns = [(s.tags, s.timestamps.tobytes(), s.values.tobytes()) for s in direct]
         for served in (first, second):
-            assert [
-                (s.tags, s.timestamps.tobytes(), s.values.tobytes()) for s in served.series
-            ] == columns
+            assert self.columns(served.series) == self.columns(direct)
 
     def layout(self):
         return self.master.table_regions(DATA_TABLE)
+
+    @staticmethod
+    def columns(series):
+        return [(s.tags, s.timestamps.tobytes(), s.values.tobytes()) for s in series]
 
     @staticmethod
     def read(series):
@@ -285,3 +297,45 @@ def test_an_exhausted_batch_reports_what_its_attempts_landed():
     read = state.read(state.cluster.query_engine().run(QUERY))
     assert not ack.ok and ack.written + ack.failed == len(keys) == 7
     assert ack.written == sum(key in read for key in keys) == 1
+
+
+class GatewayAcrossSettles(StorageMachine):
+    """The machine with one gateway that lives across its steps, serving
+    ``QUERY`` after each settle as the engine answers it."""
+
+    def setup(self, rf):
+        super().setup(rf)
+        self.gateway = self.cluster.gateway()
+
+    def settle(self):
+        super().settle()
+        if self.live():
+            served = self.gateway.serve(QUERY)
+            assert self.columns(served.series) == self.columns(
+                self.cluster.query_engine().run(QUERY)
+            ), f"a {served.status} at t={self.sim.now} is not what the engine reads"
+
+
+#: Invalidation is keyed to a batch's submit and its ack, so it cannot
+#: see a landing that no ack follows; a gateway that caches a result
+#: before such a landing serves it fresh afterwards (DESIGN.md §10.1).
+GATEWAY_GAPS = {
+    "a-landing-after-the-ack-timeout-went-off": lambda s: (
+        s.ingest(9, kind="late"), s.compact(), s.run(0.001), s.flush(0),
+        s.set_ack_timeout(False), s.fault("partition", 1, 0.0), s.settle(), s.split(0),
+        s.ingest(6, kind="late"), s.settle(), s.split(0), s.settle()),
+    "a-client-put-landing-after-its-batch-acked-failed": lambda s: (
+        s.compact(), s.compact(), s.fault("rs_crash", 0, 0.0), s.fault("rs_restart", 0, 0.2),
+        s.fault("partition", 0, 0.0), s.ingest(36), s.settle(), s.fault("rs_crash", 1, 0.0),
+        s.fault("tsd_crash", 2, 0.0), s.ingest(22, kind="late"),
+        s.ingest(44, kind="duplicate"), s.settle(), s.move(0, 67), s.settle()),
+}
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="a landing no ack follows is never invalidated")
+@pytest.mark.parametrize("replay", GATEWAY_GAPS.values(), ids=list(GATEWAY_GAPS))
+def test_a_gateway_across_settles_serves_what_the_engine_reads(replay):
+    state = GatewayAcrossSettles()
+    state.setup(rf=1)
+    replay(state)
