@@ -29,6 +29,7 @@ from __future__ import annotations
 import time
 from array import array
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -38,7 +39,7 @@ from ..cluster.metrics import MetricsRegistry
 from ..simdata.generator import FleetGenerator
 from ..simdata.workload import METRIC, sensor_tag, unit_tag
 from ..sparklet.context import SparkletContext
-from ..tsdb.blocks import TS_TYPECODE, VAL_TYPECODE, SeriesBlock
+from ..tsdb.blocks import TS_TYPECODE, VAL_TYPECODE, SeriesBlock, Tags
 from ..tsdb.tsd import DataPoint
 from .fdr import AnomalyReport, FDRDetectorConfig
 from .metrics import DetectionOutcome, evaluate_flags
@@ -71,22 +72,29 @@ class UnitEvaluation:
     seconds: float = 0.0  # wall-clock scoring time (observability)
 
 
+@lru_cache(maxsize=1024)
+def _record_tags(unit_id: int, n_sensors: int) -> Tuple[Tags, ...]:
+    """Each sensor's series tags for a unit's records, built once per
+    (unit, width) and shared by every block and ``anomaly`` point."""
+    utag = ("unit", unit_tag(unit_id))
+    return tuple((("sensor", sensor_tag(s)), utag) for s in range(n_sensors))
+
+
 def data_blocks(unit_id: int, start_time: int, values: np.ndarray) -> List[SeriesBlock]:
     """One record's rows as column blocks, one block per sensor.
 
     The values are transposed once into one buffer, so each sensor's
     column is a contiguous slice of it, and the record's blocks share
-    one timestamp column (blocks never mutate their columns).  Both
-    are sorted and typed by construction, so the blocks adopt them
-    unvalidated.
+    one timestamp column (blocks never mutate their columns) and the
+    unit's :func:`_record_tags`.  Both columns are sorted and typed by
+    construction, so the blocks adopt them unvalidated.
     """
-    utag = ("unit", unit_tag(unit_id))
     n = values.shape[0]
     ts = array(TS_TYPECODE, range(start_time, start_time + n))
     cols = array(VAL_TYPECODE, np.ascontiguousarray(values.T, dtype=np.float64).tobytes())
     return [
-        SeriesBlock(METRIC, (("sensor", sensor_tag(s)), utag), ts, cols[lo : lo + n], _trusted=True)
-        for s, lo in enumerate(range(0, len(cols), n))
+        SeriesBlock(METRIC, tags, ts, cols[lo : lo + n], _trusted=True)
+        for tags, lo in zip(_record_tags(unit_id, values.shape[1]), range(0, len(cols), n))
     ]
 
 
@@ -112,13 +120,11 @@ def write_back(
     ``anomaly.unit`` point is a T² alarm, tagged with the unit only.
     """
     unit_id, start, report = evaluation.unit_id, evaluation.start_time, evaluation.report
-    utag = ("unit", unit_tag(unit_id))
-    points = [
-        DataPoint(ANOMALY_METRIC, start + row, z, (("sensor", sensor_tag(sensor)), utag))
-        for row, sensor, z in cells
-    ]
+    tags = _record_tags(unit_id, evaluation.values.shape[1])
+    points = [DataPoint(ANOMALY_METRIC, start + row, z, tags[sensor]) for row, sensor, z in cells]
+    utag = (("unit", unit_tag(unit_id)),)
     points.extend(
-        DataPoint(UNIT_ALARM_METRIC, start + row, float(report.t2[row]), (utag,))
+        DataPoint(UNIT_ALARM_METRIC, start + row, float(report.t2[row]), utag)
         for row in np.flatnonzero(report.unit_alarm).tolist()
     )
     return data_blocks(unit_id, start, evaluation.values), points

@@ -1,10 +1,10 @@
 """HBase client: row-key routing, retries, deadlines and hedged reads.
 
 The client looks up region locations from the master (the meta-table
-stand-in), groups batched puts per destination RegionServer, and retries
-retryable failures — queue overflow, regions in motion after a crash —
-with exponential backoff, exactly the behaviour the TSD daemons layer
-on top of.
+stand-in), routes a batched put into region shares, sent as one request
+per destination RegionServer, and retries retryable failures — queue
+overflow, regions in motion after a crash — with exponential backoff,
+exactly the behaviour the TSD daemons layer on top of.
 
 The read path is replica-aware: scans fan out one RPC per region with
 a per-RPC deadline, bounded *jittered* retries, an optional hedged
@@ -23,13 +23,13 @@ from __future__ import annotations
 import random
 import zlib
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..cluster.metrics import MetricsRegistry
 from ..cluster.network import Network
 from ..cluster.simulation import Simulator
 from .master import HMaster, ReplicaLocation
-from .region import EMPTY_BATCH, CellBatch, merge_newest
+from .region import EMPTY_BATCH, CellBatch, Region, merge_newest
 from .regionserver import PutRequest, RpcReply, ScanRequest
 
 __all__ = ["CONSISTENCY_MODES", "HTableClient", "ScanResult"]
@@ -109,39 +109,53 @@ class HTableClient:
     ) -> None:
         """Write a batch of cells; ``on_done(ok, cells)`` when resolved.
 
-        The batch is partitioned by destination server; each partition
-        succeeds or fails independently and ``on_done`` fires once per
-        partition with that partition's cells (on failure too, so
+        The batch is routed once (:meth:`HMaster.route`) into region
+        shares, and each server's shares travel as one
+        :class:`PutRequest`.  Each request succeeds or fails
+        independently; ``on_done`` fires once per region share with
+        that share's cells when its request succeeds, and once per
+        server's cells (its shares joined) when they fail for good, so
         callers can reconcile exactly which cells each resolution
-        covers).  ``batch_ids`` is trace correlation only: the ingest
+        covers.  A retry joins the server's shares and routes them
+        again.  ``batch_ids`` is trace correlation only: the ingest
         batch ids whose cells this put carries, stamped onto the
         :class:`PutRequest` so RegionServer spans join the batch trace.
-        Each RegionServer prices its partition by the row runs it
-        carries (:meth:`ServiceModel.put_cost`), so the caller declares
-        nothing about the batch's shape.
+        Each RegionServer prices its request by the row runs it carries
+        (:meth:`ServiceModel.put_cost`), so the caller declares nothing
+        about the batch's shape.
         """
         if not cells.rows:
             if on_done is not None:
                 on_done(True, cells)
             return
-        for server_name, group in self.master.group_by_server(table, cells).items():
-            self._send_put(table, server_name, group, 0, on_done, batch_ids)
+        self._route_put(table, cells, 0, on_done, batch_ids)
+
+    def _route_put(
+        self,
+        table: str,
+        cells: CellBatch,
+        attempt: int,
+        on_done: Optional[Callable[[bool, CellBatch], None]],
+        batch_ids: Tuple[int, ...],
+    ) -> None:
+        for server_name, shares in self.master.route(table, cells).items():
+            self._send_put(table, server_name, shares, attempt, on_done, batch_ids)
 
     def _send_put(
         self,
         table: str,
         server_name: Optional[str],
-        cells: CellBatch,
+        shares: Dict[Region, CellBatch],
         attempt: int,
         on_done: Optional[Callable[[bool, CellBatch], None]],
         batch_ids: Tuple[int, ...] = (),
     ) -> None:
         if server_name is None:
             # Region currently unassigned (recovery in flight): back off and re-route.
-            self._retry_put(table, cells, attempt, on_done, batch_ids)
+            self._retry_put(table, CellBatch.concat(shares.values()), attempt, on_done, batch_ids)
             return
         server = self.master.server(server_name)
-        request = PutRequest(table, cells, batch_ids)
+        request = PutRequest(table, shares, batch_ids)
         # One attempt resolves exactly once: first of {reply, timeout,
         # dropped send} wins; a late reply after a timeout is ignored
         # (the retry chain owns the cells from then on).
@@ -157,24 +171,28 @@ class HTableClient:
                 handle.cancel()  # type: ignore[attr-defined]
             return True
 
+        def retry() -> None:
+            self._retry_put(table, CellBatch.concat(shares.values()), attempt, on_done, batch_ids)
+
         def handle_reply(reply: RpcReply) -> None:
             if not settle():
                 return
             if reply.ok:
-                self.metrics.counter("client.put_ok").inc(len(cells))
+                self.metrics.counter("client.put_ok").inc(request.n_cells)
                 if on_done is not None:
-                    on_done(True, cells)
+                    for share in shares.values():
+                        on_done(True, share)
             elif reply.retryable:
-                self._retry_put(table, cells, attempt, on_done, batch_ids)
+                retry()
             else:
-                self._fail_put(cells, on_done)
+                self._fail_put(CellBatch.concat(shares.values()), on_done)
 
         def handle_timeout() -> None:
             # Crashed server never replied / partition ate the reply.
             if not settle():
                 return
             self.metrics.counter("client.rpc_timeouts").inc()
-            self._retry_put(table, cells, attempt, on_done, batch_ids)
+            retry()
 
         sent = self.network.send(
             self.host, server.node.hostname, server.rpc, request, handle_reply, self.host
@@ -184,7 +202,7 @@ class HTableClient:
             # fast into the retry path instead of hanging forever.
             if settle():
                 self.metrics.counter("client.sends_dropped").inc()
-                self._retry_put(table, cells, attempt, on_done, batch_ids)
+                retry()
             return
         timeout_handle[0] = self.sim.schedule(RPC_TIMEOUT, handle_timeout)
 
@@ -201,13 +219,8 @@ class HTableClient:
             return
         self.metrics.counter("client.retries").inc()
         delay = BACKOFF_BASE * (BACKOFF_MULT ** attempt)
-
-        def resend() -> None:
-            # Re-locate: assignments may have changed while backing off.
-            for server_name, group in self.master.group_by_server(table, cells).items():
-                self._send_put(table, server_name, group, attempt + 1, on_done, batch_ids)
-
-        self.sim.schedule(delay, resend)
+        # Re-route on resend: assignments may have changed while backing off.
+        self.sim.schedule(delay, self._route_put, table, cells, attempt + 1, on_done, batch_ids)
 
     def _fail_put(
         self, cells: CellBatch, on_done: Optional[Callable[[bool, CellBatch], None]]

@@ -6,7 +6,8 @@ its operations execute synchronously in simulated time.  It provides:
 * ``create_table`` with optional pre-split keys (the paper manually
   pre-split regions so "each region handled an equal proportion of the
   writes");
-* ``locate`` — the meta-table lookup clients use to route by row key;
+* ``route`` — the meta-table lookup every write is split by, once, into
+  region shares grouped per server (``locate`` is its one-row form);
 * crash recovery — once per crash, each region the dead server hosted
   is rebuilt in place from its store files and its own log and
   reopened on a follower's server or round-robin across the survivors;
@@ -25,7 +26,6 @@ from __future__ import annotations
 import bisect
 import itertools
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..cluster.metrics import MetricsRegistry
@@ -60,9 +60,6 @@ class ReplicaLocation:
 class _Assignment:
     region: Region
     server: Optional[str]  # None while unassigned (no live servers)
-
-
-_SERVER = attrgetter("server")
 
 
 class HMaster:
@@ -100,12 +97,18 @@ class HMaster:
     # server membership
     # ------------------------------------------------------------------
     def register_server(self, server: RegionServer) -> None:
-        """Add a RegionServer to the cluster and subscribe to its crashes."""
+        """Add a RegionServer to the cluster and subscribe to its crashes.
+
+        With replication enabled, its writer ships to the coordinator
+        from the start, as every server registered before does.
+        """
         if server.name in self._servers:
             raise ValueError(f"duplicate server {server.name}")
         self._servers[server.name] = server
         server.on_crash = self._handle_crash
         server.on_restart = self._handle_restart
+        if self.replication is not None:
+            server.replication_ship = self.replication.ship
 
     def live_servers(self) -> List[str]:
         return sorted(
@@ -178,8 +181,7 @@ class HMaster:
 
         The one-row lookup (clients' replica routing, tools, tests).
         Writes never ask it: they route a whole batch at once through
-        the table's :class:`RouteTable` (:meth:`group_by_server`,
-        :meth:`direct_put`).
+        the table's :class:`RouteTable` (:meth:`route`).
         """
         assignment = self._route_table(table).locate(row)
         if assignment is None:  # pragma: no cover - regions tile the keyspace
@@ -190,17 +192,24 @@ class HMaster:
         """All regions overlapping the scan range ``[start, end)``."""
         return [(a.region.info, a.server) for a in self._overlapping(table, start, end)]
 
-    def group_by_server(self, table: str, batch: CellBatch) -> Dict[Optional[str], CellBatch]:
-        """Partition a non-empty ``batch`` by the server its rows' regions are assigned to.
+    def route(
+        self, table: str, batch: CellBatch
+    ) -> Dict[Optional[str], Dict[Region, CellBatch]]:
+        """Split a non-empty ``batch`` by region, grouped by the server each is assigned to.
 
-        One :meth:`CellBatch.partition` over the table's route table:
-        a run's region is one index by its row's first byte (a bisect
-        only inside a byte a split cut), and its server is read off the
-        assignment, so a move needs no rebuild.  The ``None`` key
-        collects rows whose region is unassigned.
+        The one write router: one :meth:`CellBatch.partition` over the
+        table's route table, a run's region one index by its row's first
+        byte (a bisect only inside a byte a split cut).  Returns
+        ``{server: {region: share}}``; the ``None`` server collects the
+        regions that are unassigned.  Servers and each server's regions
+        come out in first-appearance order, and every share keeps its
+        cells in batch order.  A move or failover changes an assignment's
+        server, not the route table, so routing needs no rebuild.
         """
-        routes = self._route_table(table)
-        return batch.partition(lambda rows: list(map(_SERVER, routes.owners(rows))))
+        routed: Dict[Optional[str], Dict[Region, CellBatch]] = {}
+        for assignment, share in batch.partition(self._route_table(table).owners).items():
+            routed.setdefault(assignment.server, {})[assignment.region] = share
+        return routed
 
     def _overlapping(self, table: str, start: bytes, end: bytes) -> List[_Assignment]:
         """Assignments whose region overlaps ``[start, end)``, in key order.
@@ -256,23 +265,31 @@ class HMaster:
     def direct_put(self, table: str, batch: CellBatch) -> int:
         """Administrative put: bulk-load ``batch`` into the regions, no RPC.
 
-        The batch is split by region once, through the table's route
-        table; each server's one writer (:meth:`RegionServer.write`)
-        logs, lands and ships its regions' shares, as for a put RPC.
-        Returns the number of cells written, all of them.  Raises when
-        a row's region is unassigned, before anything is written.
+        The batch is split by region once (:meth:`route`) and each
+        server's shares go to its one writer (:meth:`write`), as for a
+        put RPC.  Returns the number of cells written, all of them.
+        Raises when a row's region is unassigned, before anything is
+        written.
         """
         if not batch.rows:
             return 0
-        by_server: Dict[str, Dict[Region, CellBatch]] = {}
-        for assignment, share in batch.partition(self._route_table(table).owners).items():
-            if assignment.server is None:
-                raise RuntimeError("region unassigned; cannot bulk-load")
-            by_server.setdefault(assignment.server, {})[assignment.region] = share
-        for server_name, shares in by_server.items():
+        routed = self.route(table, batch)
+        if None in routed:
+            raise RuntimeError("region unassigned; cannot bulk-load")
+        self.write(routed)  # type: ignore[arg-type]
+        return len(batch)
+
+    def write(self, routed: Dict[str, Dict[Region, CellBatch]]) -> None:
+        """Hand each server's routed shares to its :meth:`RegionServer.write`.
+
+        The bulk side of the one writer: each server logs, lands and
+        ships its regions' shares.  The master's assignments and the
+        servers' hosted regions change together, so a refusal means the
+        two disagree, and raises.
+        """
+        for server_name, shares in routed.items():
             if not self._servers[server_name].write(shares):
                 raise RuntimeError(f"{server_name} does not host the regions assigned to it")
-        return len(batch)
 
     def direct_delete_range(
         self, table: str, start_row: bytes, end_row: bytes, ts: float
@@ -464,7 +481,8 @@ class HMaster:
         """Attach a replication coordinator and replicate existing tables.
 
         Every registered server's writer ships to the coordinator
-        (``RegionServer.replication_ship`` is set here only).  From
+        (``RegionServer.replication_ship`` is set here, and by
+        :meth:`register_server` for a server added later).  From
         here on the master keeps follower sets placed through every
         assignment change (create/move/split/crash), promotes the
         best follower on primary death, and serves timeline fallbacks

@@ -28,7 +28,7 @@ from ..cluster.network import Network
 from ..cluster.node import Node, Server
 from ..cluster.simulation import Simulator
 from ..obs.trace import NULL_SPAN, SpanLike, Tracer
-from .region import CellBatch, Region, RouteTable
+from .region import CellBatch, Region
 
 __all__ = [
     "ServiceModel",
@@ -48,9 +48,9 @@ class ServiceModel:
     """Server-side cost model for RPC service times (seconds).
 
     A put costs ``rpc_overhead + per_run_write × runs + per_cell_write
-    × cells``, a run (:meth:`CellBatch.run_starts`) paying its region
-    lookup and framing once.  Calibrated end-to-end on tick-major
-    point puts (one-cell runs, 50 µs a cell) so a deployed server
+    × cells`` over all the region shares it carries, a run
+    (:meth:`CellBatch.run_starts`) paying its region lookup and framing
+    once.  Calibrated end-to-end on tick-major point puts (one-cell runs, 50 µs a cell) so a deployed server
     saturates at ≈13-15k cell-writes/s, putting a 30-server cluster in
     the ≈400k samples/s regime — the paper's headline point.  The cost
     is per-cell dominated (as in real HBase multi-puts), so partially
@@ -62,11 +62,14 @@ class ServiceModel:
     per_cell_write: float = 0.00001
     per_cell_read: float = 0.00002
 
-    def put_cost(self, cells: CellBatch) -> float:
+    def put_cost(self, *shares: CellBatch) -> float:
         # A run's first cell pays both rates, so a batch of one-cell runs
         # costs one product: bit for bit the calibrated point price.
-        runs, first = len(cells.run_starts()) - 1, self.per_run_write + self.per_cell_write
-        return self.rpc_overhead + first * runs + self.per_cell_write * (len(cells) - runs)
+        runs = sum(len(share.run_starts()) - 1 for share in shares)
+        first = self.per_run_write + self.per_cell_write
+        return self.rpc_overhead + first * runs + self.per_cell_write * (
+            sum(map(len, shares)) - runs
+        )
 
     def scan_cost(self, n_cells: int) -> float:
         return self.rpc_overhead + self.per_cell_read * max(1, n_cells)
@@ -74,15 +77,22 @@ class ServiceModel:
 
 @dataclass
 class PutRequest:
-    """Batched write RPC: cells for one table, possibly many regions.
+    """Batched write RPC: one server's region shares of a routed put.
 
-    ``batch_ids`` carries trace correlation only — the inbound ingest
-    batch ids whose coalesced cells this RPC delivers.
+    ``shares`` maps each region the client routed cells to (through
+    :meth:`HMaster.route`) to its cells, as an HBase MultiAction holds
+    per-region actions; the server writes them as they are and routes
+    nothing.  ``batch_ids`` carries trace correlation only — the
+    inbound ingest batch ids whose coalesced cells this RPC delivers.
     """
 
     table: str
-    cells: CellBatch
+    shares: Dict[Region, CellBatch]
     batch_ids: Tuple[int, ...] = ()
+
+    @property
+    def n_cells(self) -> int:
+        return sum(map(len, self.shares.values()))
 
 
 @dataclass
@@ -147,9 +157,6 @@ class RegionServer:
         self.rpc_server = Server(sim, name, QUEUE_CAPACITY, self.metrics)
         node.add_server(self.rpc_server)
         self.regions: Dict[str, Region] = {}
-        # Per-table route table over the hosted regions, rebuilt when
-        # one opens or closes here.
-        self._routes: Dict[str, RouteTable[Region]] = {}
         # Read-only follower replicas hosted here, keyed by region name.
         # Never written by client RPCs; only timeline scans read them.
         self.follower_regions: Dict[str, object] = {}
@@ -171,18 +178,9 @@ class RegionServer:
     # ------------------------------------------------------------------
     def open_region(self, region: Region) -> None:
         self.regions[region.info.name] = region
-        self._reroute(region.info.table)
 
     def close_region(self, region_name: str) -> Optional[Region]:
-        region = self.regions.pop(region_name, None)
-        if region is not None:
-            self._reroute(region.info.table)
-        return region
-
-    def _reroute(self, table: str) -> None:
-        self._routes[table] = RouteTable(
-            (region.info, region) for region in self.regions.values() if region.info.table == table
-        )
+        return self.regions.pop(region_name, None)
 
     def open_follower(self, replica: object) -> None:
         """Host a read-only follower replica (timeline reads only)."""
@@ -209,8 +207,8 @@ class RegionServer:
         retryable failure) and is reported to the crash policy.
         """
         if isinstance(request, PutRequest):
-            # The run starts found here are the ones _serve_put routes by.
-            cost = self.service_model.put_cost(request.cells)
+            # The run starts found here are the ones Region.put_block reads.
+            cost = self.service_model.put_cost(*request.shares.values())
         elif isinstance(request, ScanRequest):
             cost = self.service_model.scan_cost(self._estimate_scan_cells(request))
         else:
@@ -223,7 +221,7 @@ class RegionServer:
             span = self.tracer.begin(
                 "regionserver.put",
                 server=self.name,
-                cells=len(request.cells),
+                cells=request.n_cells,
                 batch_ids=request.batch_ids,
             )
         accepted = self.rpc_server.submit(
@@ -279,33 +277,21 @@ class RegionServer:
         span.end(outcome="ok" if reply.ok else reply.error)
         self._reply(reply_to, src_host, reply)
 
-    def route(self, table: str, batch: CellBatch) -> Optional[Dict[Region, CellBatch]]:
-        """Split ``batch`` by the hosted region of ``table`` each row is in.
-
-        ``None`` when some row's region is not hosted here.  One
-        :meth:`CellBatch.partition` over this server's route table, so
-        a salted table's rows cost a table index each.
-        """
-        if not batch.rows:
-            return {}
-        routes = self._routes.get(table)
-        if routes is None:
-            return None
-        shares = batch.partition(routes.owners)
-        return None if None in shares else shares  # type: ignore[return-value]
-
     def write(self, shares: Dict[Region, CellBatch]) -> bool:
         """The one writer: log, sync, land and ship each region's share of a routed batch.
 
-        Put RPCs route here (:meth:`route`); bulk loads arrive routed by
-        the master (:meth:`HMaster.direct_put`).  Hosting is checked
-        once per region, by name; each share is appended to its
-        region's log and synced, then ingested in one
-        :meth:`Region.put_block` — a counting-only region logs nothing
-        it discards — then handed to ``replication_ship``, if set, for
-        the region's followers.  All or nothing: ``False``, and no write, when
-        some region is not hosted here (moved, split or dropped by a
-        restart since it was routed).  Past ``wal_roll_threshold``
+        Every write is routed once, by :meth:`HMaster.route`: a put
+        RPC's shares arrive as the client routed them
+        (:class:`PutRequest`), bulk loads and compaction blobs through
+        :meth:`HMaster.write`.  Hosting is checked once per region, by
+        name; each share is appended to its region's log and synced,
+        then ingested in one :meth:`Region.put_block` — a counting-only
+        region logs nothing it discards — then handed to
+        ``replication_ship``, if set, for the region's followers.  All
+        or nothing: ``False``, and no write, when some region is not
+        hosted here (moved, split or dropped by a restart since it was
+        routed), which a put RPC answers with a retryable
+        ``NotServingRegionException``.  Past ``wal_roll_threshold``
         cells written since the last roll, the log rolls: every hosted
         region flushes, which empties its log (HBase's roll-and-archive
         cycle).
@@ -329,10 +315,9 @@ class RegionServer:
         return True
 
     def _serve_put(self, request: PutRequest) -> RpcReply:
-        shares = self.route(request.table, request.cells)
-        if shares is None or not self.write(shares):
+        if not self.write(request.shares):
             return RpcReply.failure("NotServingRegionException", self.name, True)
-        n = len(request.cells)
+        n = request.n_cells
         self.cells_written += n
         self.metrics.counter("cells.written").inc(n, label=self.name)
         return RpcReply.success(n, self.name)
@@ -380,7 +365,6 @@ class RegionServer:
             return
         self.crashed = False
         self.regions.clear()
-        self._routes.clear()
         self.follower_regions.clear()
         self._logged = 0
         self.rpc_server.start()

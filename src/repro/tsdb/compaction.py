@@ -182,10 +182,11 @@ class RowCompactor:
             merged[blob.rows[0]] = n_points
         if not blobs.rows:
             return self.rows_compacted
-        # Rows of an unassigned region wait for the next pass.
-        for server, share in self.master.group_by_server(self.table, blobs).items():
-            if server is not None:
-                self.master.direct_put(self.table, share)
+        routed = self.master.route(self.table, blobs)
+        routed.pop(None, None)  # rows of an unassigned region wait for the next pass
+        self.master.write(routed)  # type: ignore[arg-type]
+        for shares in routed.values():
+            for share in shares.values():
                 self.rows_compacted += len(share.rows)
                 self.cells_merged += sum(merged[row] for row in share.rows)
         return self.rows_compacted

@@ -140,7 +140,7 @@ class PublishReport:
 class _PendingBatch:
     """Ledger entry for one submitted-but-unacked batch."""
 
-    __slots__ = ("points", "attempts", "resolved", "deadline_handle")
+    __slots__ = ("points", "attempts", "deadline_handle")
 
     def __init__(self, points) -> None:
         # ``points`` is any point-sequence payload (list of DataPoints
@@ -148,7 +148,6 @@ class _PendingBatch:
         # hands it back to ``cluster.submit``.
         self.points = points
         self.attempts = 0
-        self.resolved = False
         self.deadline_handle: Optional[EventHandle] = None
 
 
@@ -216,6 +215,8 @@ class BatchPublisher:
         # steps as well as by the submitting driver code.
         self._state_lock = audited_lock("tsdb.publish.state")
         self._pending = 0  # guarded-by: _state_lock
+        # Unresolved batches only: an ack or a dead letter removes its
+        # entry, so a delivered payload is not kept for the publisher's life.
         self._ledger: Dict[int, _PendingBatch] = {}  # guarded-by: _state_lock
         self._next_token = 0
         self._closed = False
@@ -294,11 +295,7 @@ class BatchPublisher:
         self._closed = True
         rep = self.report
         with self._state_lock:
-            stalled = [
-                (len(entry.points), entry.attempts)
-                for entry in self._ledger.values()
-                if not entry.resolved
-            ]
+            stalled = [(len(entry.points), entry.attempts) for entry in self._ledger.values()]
         rep.pending_unresolved = len(stalled)
         rep.retries = int(
             self.cluster.metrics.counter("proxy.retries").get() - self._retries_at_start
@@ -349,19 +346,19 @@ class BatchPublisher:
     def _on_ack(self, token: int, ack: PutAck) -> None:
         with self._state_lock:
             entry = self._ledger.get(token)
-            if entry is None or entry.resolved:
+            if entry is None:
                 # Ack for a batch already retransmitted-and-resolved or
                 # dead-lettered: count it once only (at-least-once
                 # delivery; storage dedupes duplicate cells).
                 self.metrics.counter(f"{self.channel}.late_acks").inc()
                 return
-            self._resolve(entry)
+            self._resolve(token, entry)
             self._record_ack(ack)
 
     def _on_deadline(self, token: int) -> None:
         with self._state_lock:
             entry = self._ledger.get(token)
-            if entry is None or entry.resolved:
+            if entry is None:
                 return
             if entry.attempts < MAX_RETRANSMITS:
                 entry.attempts += 1
@@ -371,7 +368,7 @@ class BatchPublisher:
             else:
                 # Budget exhausted: to the dead-letter ledger, with the
                 # points preserved for later replay/inspection.
-                self._resolve(entry)
+                self._resolve(token, entry)
                 self.report.batches_dead_lettered += 1
                 self.report.points_dead_lettered += len(entry.points)
                 self.dead_letter.append(entry.points)
@@ -383,10 +380,11 @@ class BatchPublisher:
         if retransmit:
             self._transmit(token, entry)
 
-    def _resolve(self, entry: _PendingBatch) -> None:
-        """Mark a ledger entry settled; caller holds ``_state_lock``."""
+    def _resolve(self, token: int, entry: _PendingBatch) -> None:
+        """Settle a ledger entry: it leaves the ledger and its deadline
+        is cancelled.  Caller holds ``_state_lock``."""
         assert_holds(self._state_lock)
-        entry.resolved = True
+        del self._ledger[token]
         if entry.deadline_handle is not None:
             entry.deadline_handle.cancel()
             entry.deadline_handle = None

@@ -120,6 +120,20 @@ class TSDServiceModel:
         return self.overhead + first * n_series + self.per_point * (n_points - n_series)
 
 
+def _row_runs(ts: Sequence[int]) -> List[Tuple[int, int, int, List[bytes]]]:
+    """A sorted timestamp column's row-hour runs, in order, as
+    ``(hour base, first timestamp, length, qualifiers)``."""
+    runs = []
+    start, table = 0, QUALIFIER_TABLE
+    while start < len(ts):
+        first = ts[start]
+        base = first - first % ROW_SPAN_SECONDS
+        stop = bisect_left(ts, base + ROW_SPAN_SECONDS, start)
+        runs.append((base, first, stop - start, [table[t - base] for t in ts[start:stop]]))
+        start = stop
+    return runs
+
+
 class _BatchContext:
     """Refcount tracker tying buffered cells back to their inbound batch."""
 
@@ -326,8 +340,9 @@ class TSDaemon:
         """Send ``cells`` as one put, covered in order by the credit runs
         ``[batch context, n cells]``.
 
-        The client resolves the put in parts (one per server partition;
-        retries can regroup), each handing back the cells it resolved.
+        The client resolves the put in parts (one per region share, or
+        one per server's shares when they fail for good; retries can
+        regroup), each handing back the cells it resolved.
         A part is charged to the contexts that own its cells: all of
         them when the put resolves whole or has one context, else cell
         by cell through the write ts, which is unique per cell.  A
@@ -386,11 +401,13 @@ class TSDaemon:
         drawn or memoised (a block's column is sorted, so its ends bound
         every timestamp in it): a payload that raises leaves the clock
         and the series memo as they were.  A block then costs one memo
-        hit, and each of its row-hour runs one qualifier-table lookup
-        per cell: the run reuses the row its series last wrote to, as
-        :meth:`encode_points` does, and a row key is materialised (one
-        salt hash) only when a run's hour differs from the memo's.  The
-        value column is packed in one call, and write timestamps are
+        hit, and its row-hour runs one qualifier-table lookup per cell
+        — found once for a stretch of blocks whose timestamp columns are
+        equal (a record's sensors share one), and reused by each block
+        after the first.  Each run reuses the row its series last wrote
+        to, as :meth:`encode_points` does, and a row key is materialised
+        (one salt hash) only when a run's hour differs from the memo's.
+        The value column is packed in one call, and write timestamps are
         drawn one per cell, in cell order, from the same logical clock
         as :meth:`encode_points`, so newest-wins semantics are unchanged.
         """
@@ -403,22 +420,20 @@ class TSDaemon:
         qualifiers: List[bytes] = []
         values = array("d")
         add_rows, add_qualifiers = rows.extend, qualifiers.extend
-        memo, encode, table = self._series, self.codec.encode, QUALIFIER_TABLE
+        memo, encode = self._series, self.codec.encode
+        column, runs = None, ()
         for block in blocks:
             series = memo[block.metric, block.tags]
             ts = block.timestamps
             values.extend(block.values)
-            start = 0
-            while start < len(ts):
-                first = ts[start]
-                base = first - first % ROW_SPAN_SECONDS
-                stop = bisect_left(ts, base + ROW_SPAN_SECONDS, start)
+            if ts != column:
+                column, runs = ts, _row_runs(ts)
+            for base, first, n, run_qualifiers in runs:
                 if base != series.base:
                     series.row, _ = encode(series.metric_uid, first, series.tag_pairs)
                     series.base = base
-                add_rows(repeat(series.row, stop - start))
-                add_qualifiers([table[t - base] for t in ts[start:stop]])
-                start = stop
+                add_rows(repeat(series.row, n))
+                add_qualifiers(run_qualifiers)
         write_ts = array("d", starmap(self._next_write_ts, repeat((), len(rows))))
         return CellBatch(rows, qualifiers, list(encode_f64_column(values)), write_ts)
 

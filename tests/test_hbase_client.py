@@ -85,6 +85,28 @@ class TestPut:
         assert results == [True]
 
 
+    @pytest.mark.parametrize("change", ["split", "move"])
+    def test_a_region_that_changes_in_flight_lands_every_cell_after_one_retry(self, change):
+        """A put is routed by region at the client.  When the region
+        splits or moves before the server serves the put, the server
+        answers NotServingRegion, and one re-routed retry lands every
+        cell."""
+        sim, master, servers, client = build(n_servers=2)
+        rows = [b"a", b"h", b"p", b"x"]
+        results = []
+        client.put("t", cells(rows), lambda ok, part: results.append((ok, [c.row for c in part])))
+        ((info, owner),) = master.table_regions("t")
+        if change == "split":
+            master.split_region("t", info.name, b"m")
+        else:
+            master.move_region("t", info.name, next(s.name for s in servers if s.name != owner))
+        sim.run()
+        assert all(ok for ok, _ in results)
+        assert sorted(row for _, part in results for row in part) == rows
+        assert client.metrics.counter("client.retries").get() == 1
+        assert [c.row for c in master.direct_scan("t")] == rows
+
+
 class TestScan:
     def test_scan_merges_across_regions(self):
         sim, master, _, client = build(n_servers=2, split_keys=[b"m"])

@@ -9,6 +9,7 @@ from repro.cluster.network import Network
 from repro.cluster.node import Node
 from repro.cluster.simulation import Simulator
 from repro.hbase import regionserver
+from repro.hbase.client import HTableClient
 from repro.hbase.master import HMaster, RegionUnavailableError, TableNotFoundError
 from repro.hbase.region import Cell, CellBatch, RouteTable
 from repro.hbase.regionserver import (
@@ -43,6 +44,15 @@ def build(n_servers=3, crash_policy=False):
 
 def put_cells(rows, ts=1.0):
     return CellBatch.from_cells(Cell(row, b"q", b"v", ts) for row in rows)
+
+
+def put_request(master, table, cells):
+    """A put RPC carrying ``cells`` as the client routes them
+    (:meth:`HMaster.route`), every server's region shares in one request."""
+    shares = {}
+    for by_region in master.route(table, cells).values():
+        shares.update(by_region)
+    return PutRequest(table, shares)
 
 
 class TestTableLifecycle:
@@ -121,7 +131,7 @@ class TestRpcPath:
         _, server_name = master.locate("t", b"row")
         rs = master.server(server_name)
         replies = []
-        rs.rpc(PutRequest("t", put_cells([b"row"])), replies.append, "client")
+        rs.rpc(put_request(master, "t", put_cells([b"row"])), replies.append, "client")
         sim.run()
         assert replies[0].ok and replies[0].result == 1
         info, _ = master.locate("t", b"row")
@@ -137,7 +147,7 @@ class TestRpcPath:
         hosted_ranges = [r.info for r in target.hosted_regions()]
         row = b"a" if not any(i.contains(b"a") for i in hosted_ranges) else b"z"
         replies = []
-        target.rpc(PutRequest("t", put_cells([row])), replies.append, "client")
+        target.rpc(put_request(master, "t", put_cells([row])), replies.append, "client")
         sim.run()
         assert not replies[0].ok
         assert "NotServing" in replies[0].error
@@ -149,7 +159,7 @@ class TestRpcPath:
         info, name = master.locate("t", b"x")
         rs = master.server(name)
         replies = []
-        rs.rpc(PutRequest("t", put_cells([b"c", b"a", b"b"])), replies.append, "cl")
+        rs.rpc(put_request(master, "t", put_cells([b"c", b"a", b"b"])), replies.append, "cl")
         sim.run()
         rs.rpc(ScanRequest("t", b"", b"", info.name), replies.append, "cl")
         sim.run()
@@ -162,7 +172,7 @@ class TestRpcPath:
         rs = servers[0]
         replies = []
         for _ in range(5):
-            rs.rpc(PutRequest("t", put_cells([b"r"])), replies.append, "cl")
+            rs.rpc(put_request(master, "t", put_cells([b"r"])), replies.append, "cl")
         sim.run()
         failures = [r for r in replies if not r.ok]
         assert failures and all("CallQueueTooBig" in r.error for r in failures)
@@ -194,7 +204,7 @@ class TestRpcPath:
         replies = []
         for i in range(4):
             rows = [b"r%d%d" % (i, j) for j in range(5)]
-            rs.rpc(PutRequest("t", put_cells(rows)), replies.append, "cl")
+            rs.rpc(put_request(master, "t", put_cells(rows)), replies.append, "cl")
         sim.run()
         assert sum(len(region.wal) for region in rs.hosted_regions()) == 5
 
@@ -246,7 +256,7 @@ class TestCrashRecovery:
         master.create_table("t")
         rs = servers[0]
         for _ in range(8):
-            rs.rpc(PutRequest("t", put_cells([b"r"])), lambda r: None, "cl")
+            rs.rpc(put_request(master, "t", put_cells([b"r"])), lambda r: None, "cl")
         assert rs.crashed
         sim.run()  # RESTART_DELAY elapses
         assert not rs.crashed
@@ -663,24 +673,18 @@ class TestRouteTable:
 
         server_of = {a.region.info.name: a.server for a in master._tables["t"]}
         by_server = oracle_partition(batch, lambda row: server_of[region_of(row).info.name])
-        got = master.group_by_server("t", batch)
-        assert as_cells(got) == by_server
+        got = master.route("t", batch)
         assert list(got) == list(by_server)  # first-appearance order
+        for server, shares in got.items():
+            # Each server's cells by region, in first-appearance order.
+            by_region = oracle_partition(CellBatch.from_cells(by_server[server]), region_of)
+            assert as_cells(shares) == by_region
+            assert list(shares) == list(by_region)
+            if server is not None:
+                # Its server hosts every region routed to it.
+                assert all(r.info.name in master.server(server).regions for r in shares)
         routes = master._routes["t"]
         assert [a.region for a in routes.owners(batch.rows)] == [region_of(r) for r in batch.rows]
-        for srv in servers:
-
-            def hosted(row):
-                region = region_of(row)
-                return srv.regions.get(region.info.name)
-
-            expected = oracle_partition(batch, hosted)
-            routed = srv.route("t", batch)
-            if None in expected:
-                assert routed is None
-            else:
-                assert as_cells(routed) == expected
-                assert list(routed) == list(expected)
 
     @settings(max_examples=80, deadline=None)
     @given(st.sampled_from([0, 4, 128]), route_ops, st.lists(route_rows, min_size=1, max_size=40))
@@ -704,17 +708,94 @@ class TestRouteTable:
         self, salt_buckets, splits, rows, victim, replicate
     ):
         """Each region replays its own log, through splits and route
-        tables.  The cells below are logged but never shipped to a
-        follower, so only a replay into the right region brings them
-        back (a row replayed into the wrong one raises)."""
+        tables.  The cells below are logged and shipped, but no
+        follower applies them before the crash (the simulator never
+        runs), so only a replay into the right region brings them back
+        (a row replayed into the wrong one raises)."""
         master, servers = self.build(salt_buckets, replicate)
         for key in splits:
             self.apply(master, servers, ("split", key))
         batch = numbered_cells(rows)
-        for name, share in master.group_by_server("t", batch).items():
-            srv = master.server(name)
-            assert srv.write(srv.route("t", share))
+        for name, shares in master.route("t", batch).items():
+            assert master.server(name).write(shares)
         servers[victim].crash()
         assert master.direct_scan("t") == CellBatch.from_cells(
             sorted(batch, key=lambda cell: cell.key)
         )
+
+
+class TestOneRoutingPass:
+    """Every write is split by region once (:meth:`HMaster.route`): one
+    :meth:`CellBatch.partition` per client put, per retry, per bulk load
+    and per compactor pass.  A put RPC was once split twice, by server
+    at the client and by region at the server, and a compactor pass
+    twice, by server and again inside each server's bulk load."""
+
+    @pytest.fixture
+    def partitions(self, monkeypatch):
+        calls = []
+        original = CellBatch.partition
+
+        def counted(batch, owners_of):
+            calls.append(len(batch))
+            return original(batch, owners_of)
+
+        monkeypatch.setattr(CellBatch, "partition", counted)
+        return calls
+
+    @staticmethod
+    def loaded_cluster():
+        cluster = build_cluster(n_nodes=3, salt_buckets=4, retain_data=True)
+        points = [
+            DataPoint.make("energy", 60 * t, float(t), {"unit": f"u{s % 3}", "sensor": f"s{s}"})
+            for t in range(20)
+            for s in range(12)
+        ]
+        return cluster, points
+
+    def test_one_per_client_put_and_per_retry(self, partitions):
+        sim, net, master, servers = build()
+        master.create_table("t", [b"m"])
+        client = HTableClient(sim, net, master, "cl")
+        client.put("t", put_cells([b"a", b"b", b"x"]))
+        sim.run()
+        assert len(partitions) == 1
+        # A region moved while the put is in flight: one retry.
+        client.put("t", put_cells([b"a", b"b", b"x"], ts=2.0))
+        info, owner = master.locate("t", b"a")
+        master.move_region("t", info.name, next(s.name for s in servers if s.name != owner))
+        sim.run()
+        assert client.metrics.counter("client.retries").get() == 1
+        assert len(partitions) == 3
+
+    def test_one_per_tsd_put_and_per_retry(self, partitions, monkeypatch):
+        cluster, points = self.loaded_cluster()
+        puts = []
+        for tsd in cluster.tsds:
+            monkeypatch.setattr(tsd.client, "put", counting_put(tsd.client.put, puts))
+        acks = []
+        cluster.submit(points, acks.append)
+        cluster.sim.run()
+        assert all(ack.ok for ack in acks)
+        retries = cluster.metrics.counter("client.retries").get()
+        assert puts and len(partitions) == len(puts) + retries
+
+    def test_one_per_bulk_load_and_per_compactor_pass(self, partitions):
+        cluster, points = self.loaded_cluster()
+        assert cluster.direct_put(points) == len(points)
+        assert len(partitions) == 1
+        compactor = cluster.compactor()
+        assert compactor.run() > 0
+        assert len(partitions) == 2
+        cluster.direct_put(points[:12])  # newer cells: the next pass rewrites their rows
+        compactor.run()
+        assert len(partitions) == 4
+
+
+def counting_put(put, calls):
+    def counted(table, cells, *args, **kwargs):
+        if cells.rows:
+            calls.append(len(cells))
+        return put(table, cells, *args, **kwargs)
+
+    return counted

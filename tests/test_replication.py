@@ -161,6 +161,28 @@ class TestEveryWriteIsShipped:
         assert master.server(server).regions[info.name].scan() == cells
         assert (follower.scan(), staleness) == (cells, 0.0)
 
+    def test_a_server_registered_after_enabling_replication_ships(self):
+        sim = Simulator()
+        net = Network(sim)
+        master = HMaster()
+        for i in range(2):
+            master.register_server(RegionServer(sim, net, Node(sim, f"host{i}"), f"rs{i}"))
+        master.create_table("t")
+        replication = ReplicationCoordinator(sim, net, master, n_followers=1)
+        master.enable_replication(replication)
+        late = RegionServer(sim, net, Node(sim, "host2"), "rs2")
+        master.register_server(late)
+        ((info, _),) = master.table_regions("t")
+        master.move_region("t", info.name, late.name)
+        cells = CellBatch.from_cells([Cell(b"row", b"q", b"v", 1.0)])
+        done = []
+        HTableClient(sim, net, master, "host0").put("t", cells, lambda ok, _: done.append(ok))
+        sim.run()
+        assert done == [True]
+        follower, staleness = replication.best_follower(info.name)
+        assert late.regions[info.name].scan() == cells
+        assert (follower.scan(), staleness) == (cells, 0.0)
+
     def test_a_stall_holds_a_bulk_load_until_resumed(self):
         cluster = make_cluster()
         names = [server.name for server in cluster.servers]

@@ -1,12 +1,16 @@
 """TSD failure-path semantics: partial failures, retry exhaustion, accounting."""
 
+import gc
+import weakref
+from array import array
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster.metrics import MetricsRegistry
 from repro.cluster.simulation import Simulator
 from repro.hbase import regionserver
-from repro.tsdb.blocks import BlockBatch
+from repro.tsdb.blocks import BlockBatch, SeriesBlock
 from repro.tsdb.ingest import build_cluster
 from repro.tsdb.publish import (
     BatchPublisher,
@@ -314,6 +318,23 @@ class TestPublisherDeliveryAccounting:
         assert rep.batches_acked == 1
         assert pub.metrics.counter("publish.late_acks").get() == 1
         assert rep.conservation_ok
+
+    def test_an_acked_batch_is_released(self):
+        """An ack removes the batch from the ledger, so the publisher
+        keeps no delivered payload: a stream's publisher once held every
+        batch it had published for its whole life."""
+        cluster = build_cluster(n_nodes=1, salt_buckets=2)
+        pub = BatchPublisher(cluster, batch_size=100)
+        values = array("d", [1.0, 2.0, 3.0])
+        column = weakref.ref(values)
+        pub.publish_blocks(
+            BlockBatch([SeriesBlock("energy", (("unit", "u1"),), array("q", [1, 2, 3]), values)])
+        )
+        del values
+        cluster.sim.run()
+        assert pub.pending_batches == 0 and pub.report.points_written == 3
+        gc.collect()
+        assert column() is None
 
     def test_conservation_violation_raises(self):
         rep = PublishReport(mode="proxy", points_submitted=10, points_written=7)

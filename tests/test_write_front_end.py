@@ -11,11 +11,13 @@ forward again, duplicates, the last second a row key can hold, and
 timestamps past it.
 """
 
+from array import array
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.hbase.bytescodec import encode_f64
-from repro.hbase.region import Cell
+from repro.hbase.region import Cell, CellBatch
 from repro.tsdb import BlockBatch, DataPoint, SeriesBlock, TsdbQuery, build_cluster
 from repro.tsdb.blocks import blocks_from_points
 from repro.tsdb.rowkey import RowKeyCodec
@@ -195,6 +197,52 @@ def memo_state(cluster):
     rows = {series: (key.base, key.row) for series, key in memo.items()}
     names = {kind: list(cluster.uids.names(kind)) for kind in ("metric", "tagk", "tagv")}
     return rows, names
+
+
+# Groups of blocks, each group's blocks on one timestamp column (sorted,
+# duplicates allowed), the way a record's sensors share one.
+column_groups = st.lists(
+    st.tuples(
+        st.lists(timestamps, min_size=1, max_size=8).map(sorted),
+        st.lists(st.tuples(st.integers(0, len(SERIES) - 1), values), min_size=1, max_size=4),
+    ),
+    min_size=1,
+    max_size=5,
+)
+
+
+def column_blocks(groups, shared):
+    """Each group's blocks on its one column (``shared``) or on copies of it."""
+    blocks = []
+    for stamps, members in groups:
+        column = array("q", stamps)
+        for series, value in members:
+            metric, tags = SERIES[series]
+            ts = column if shared else array("q", column)
+            blocks.append(SeriesBlock(metric, tags, ts, array("d", [value] * len(ts))))
+    return blocks
+
+
+@settings(max_examples=100, deadline=None)
+@given(column_groups, st.sampled_from([0, 4]), st.integers(0, 20))
+def test_blocks_sharing_a_timestamp_column_encode_as_blocks_holding_copies(
+    groups, salt_buckets, cut
+):
+    """``encode_block`` finds a column's row-hour runs once for the
+    blocks after it that share it; the cells, write timestamps included,
+    and the series memo come out as when every block holds its own copy,
+    and as when each block is encoded alone."""
+    outcomes = []
+    for shared, alone in ((True, False), (False, False), (False, True)):
+        cluster = build_cluster(n_nodes=1, salt_buckets=salt_buckets)
+        tsd = cluster.tsds[0]
+        blocks = column_blocks(groups, shared)
+        if alone:
+            parts = [tsd.encode_block(block) for block in blocks]
+        else:
+            parts = [tsd.encode_block(BlockBatch(part)) for part in (blocks[:cut], blocks[cut:])]
+        outcomes.append((CellBatch.concat(parts), memo_state(cluster), cluster.next_write_ts()))
+    assert outcomes[0] == outcomes[1] == outcomes[2]
 
 
 @settings(max_examples=100, deadline=None)

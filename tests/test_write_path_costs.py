@@ -159,6 +159,11 @@ def recorded_prices(servers):
     return seen
 
 
+def runs(request):
+    """The row runs a put RPC carries, over all its region shares."""
+    return sum(len(share.run_starts()) - 1 for share in request.shares.values())
+
+
 def submitted(cluster, payload):
     acks = []
     cluster.submit(payload, acks.append)
@@ -184,8 +189,8 @@ def test_a_tick_major_point_put_costs_the_calibrated_point_price():
     assert puts and batches
     for request, price in puts:
         assert isinstance(request, PutRequest)
-        assert len(request.cells.run_starts()) - 1 == len(request.cells)
-        assert price == 0.00025 + 0.00005 * len(request.cells)
+        assert runs(request) == request.n_cells
+        assert price == 0.00025 + 0.00005 * request.n_cells
     for payload, price in batches:
         assert price == 0.0002 + 0.00002 * len(payload)
 
@@ -224,7 +229,7 @@ def test_a_point_list_and_a_block_batch_cost_the_same_put_when_their_runs_match(
         puts = recorded_prices(cluster.servers)
         submitted(cluster, payload)
         ((request, price),) = puts
-        prices.append((len(request.cells.run_starts()), price))
+        prices.append((runs(request), price))
     (list_runs, list_price), (block_runs, block_price) = prices
     assert (list_price == block_price) == (list_runs == block_runs)
     if not shuffled:
@@ -420,7 +425,8 @@ def test_a_tick_major_bulk_load_asks_no_row_its_region(routing_lookups, salt_buc
     # Every first byte, 0xff included, is one table index.
     every_byte = CellBatch([bytes([b, 0]) for b in range(256)], [b"q"] * 256, [b"v"] * 256,
                            array("d", range(256)))
-    assert sum(map(len, cluster.master.group_by_server(DATA_TABLE, every_byte).values())) == 256
+    routed = cluster.master.route(DATA_TABLE, every_byte).values()
+    assert sum(len(share) for shares in routed for share in shares.values()) == 256
     assert routing_lookups == []
 
 
