@@ -8,8 +8,9 @@ on the batch run's evaluation path:
 * each record is scored and turned into write-back by the same
   :class:`~repro.core.engine.FleetEvaluationEngine` and
   :func:`~repro.core.engine.write_back` the batch run uses, continuing
-  the unit's window across records: raw samples as columnar
-  :class:`~repro.tsdb.blocks.SeriesBlock` batches, flagged cells as
+  the unit's window across records: raw samples as one columnar
+  :class:`~repro.tsdb.blocks.SeriesBlock` per record (all its sensors),
+  an interval's records published as one batch, flagged cells as
   ``anomaly`` points and T² alarms as ``anomaly.unit`` points, through
   ack-tracked :class:`~repro.tsdb.publish.BatchPublisher` channels;
 * :class:`~repro.core.streaming.StreamingTrainer` folds each batch
@@ -260,7 +261,7 @@ class StreamingDetector:
             if unit_id not in self.engine.models:
                 # Cold start: everything trains until the first model.
                 if publishing:
-                    blocks += data_blocks(unit_id, start_time, x)
+                    blocks.append(data_blocks(unit_id, start_time, x))
                 self.trainer.ingest(unit_id, x)
                 continue
             evaluation = self.engine.evaluate_unit(unit_id, start_time, x)
@@ -272,7 +273,7 @@ class StreamingDetector:
             ]
             if publishing:
                 data, anomalies = write_back(evaluation, cells)
-                blocks += data
+                blocks.append(data)
                 anomaly_points += anomalies
             # Train on what the current model considers clean, so an
             # in-progress fault does not drag the baseline toward it.

@@ -1458,7 +1458,7 @@ def _kernel_microbench(n_points: int, seed: int) -> Dict[str, float]:
         "parse_wall_lines_s": wall_lines,
         "parse_wall_block_s": wall_block,
         "parse_speedup": wall_lines / max(wall_block, 1e-12),
-        "parse_blocks": float(batch.n_blocks),
+        "parse_blocks": float(len(batch.blocks)),
     }
 
 

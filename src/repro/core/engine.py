@@ -11,7 +11,7 @@ both go through here:
   ``models[unit]`` changes; the rebuilt one continues the old window;
 * :func:`flagged_cells` enumerates a scored record's flagged cells
   once, and :func:`write_back` turns the record and those cells into
-  data blocks, ``anomaly`` points and ``anomaly.unit`` points.
+  one data block, ``anomaly`` points and ``anomaly.unit`` points.
 
 A batch run resets its units' windows, then :meth:`evaluate_fleet`
 fans the units out over the run's sparklet executor threads (each task
@@ -75,27 +75,23 @@ class UnitEvaluation:
 @lru_cache(maxsize=1024)
 def _record_tags(unit_id: int, n_sensors: int) -> Tuple[Tags, ...]:
     """Each sensor's series tags for a unit's records, built once per
-    (unit, width) and shared by every block and ``anomaly`` point."""
+    (unit, width) and shared by every record block and ``anomaly`` point."""
     utag = ("unit", unit_tag(unit_id))
     return tuple((("sensor", sensor_tag(s)), utag) for s in range(n_sensors))
 
 
-def data_blocks(unit_id: int, start_time: int, values: np.ndarray) -> List[SeriesBlock]:
-    """One record's rows as column blocks, one block per sensor.
+def data_blocks(unit_id: int, start_time: int, values: np.ndarray) -> SeriesBlock:
+    """One record's rows as one block of all its sensors' series.
 
-    The values are transposed once into one buffer, so each sensor's
-    column is a contiguous slice of it, and the record's blocks share
-    one timestamp column (blocks never mutate their columns) and the
-    unit's :func:`_record_tags`.  Both columns are sorted and typed by
-    construction, so the blocks adopt them unvalidated.
+    The values are transposed once into the block's value column, so
+    it is series-major (each sensor's rows back to back); the sensors
+    share the record's one timestamp column and carry the unit's
+    :func:`_record_tags`.  Nothing is allocated per sensor.
     """
     n = values.shape[0]
     ts = array(TS_TYPECODE, range(start_time, start_time + n))
     cols = array(VAL_TYPECODE, np.ascontiguousarray(values.T, dtype=np.float64).tobytes())
-    return [
-        SeriesBlock(METRIC, tags, ts, cols[lo : lo + n], _trusted=True)
-        for tags, lo in zip(_record_tags(unit_id, values.shape[1]), range(0, len(cols), n))
-    ]
+    return SeriesBlock.from_series(METRIC, _record_tags(unit_id, values.shape[1]), ts, cols)
 
 
 def flagged_cells(report: AnomalyReport) -> List[Tuple[int, int, float]]:
@@ -110,8 +106,8 @@ def flagged_cells(report: AnomalyReport) -> List[Tuple[int, int, float]]:
 
 def write_back(
     evaluation: UnitEvaluation, cells: List[Tuple[int, int, float]]
-) -> Tuple[List[SeriesBlock], List[DataPoint]]:
-    """A scored record's data blocks, and its ``anomaly`` then
+) -> Tuple[SeriesBlock, List[DataPoint]]:
+    """A scored record's data block, and its ``anomaly`` then
     ``anomaly.unit`` points in one list (they share a channel).
 
     ``cells`` is the record's :func:`flagged_cells`.  An ``anomaly``

@@ -12,7 +12,7 @@ pool per call.  Scoring is
 :meth:`~repro.core.engine.FleetEvaluationEngine.evaluate_fleet`, the
 engine the streaming detector scores through too, and each unit's
 scored window is turned into its payloads by
-:func:`~repro.core.engine.write_back`: data as column blocks, flagged
+:func:`~repro.core.engine.write_back`: data as one record block, flagged
 cells as ``anomaly`` points and T² alarms as ``anomaly.unit`` points.
 They are published once per unit through the cluster's real ingress
 (:meth:`~repro.tsdb.ingest.TsdbCluster.submit` → the buffering reverse
@@ -39,7 +39,6 @@ from ..obs.selfreport import SelfReporter
 from ..simdata.generator import FleetGenerator
 from ..sparklet.context import SparkletContext
 from ..sparklet.storage import BlockStore
-from ..tsdb.blocks import BlockBatch
 from ..tsdb.ingest import TsdbCluster
 from ..tsdb.publish import BatchPublisher, PublishReport
 from .engine import (
@@ -293,7 +292,7 @@ class AnomalyPipeline:
                             data, anomalies = write_back(
                                 evaluation, flagged_cells(evaluation.report)
                             )
-                            data_pub.publish_blocks(BlockBatch(data))
+                            data_pub.publish_blocks(data)
                             anomaly_pub.publish(anomalies)
                     publish_seconds += time.perf_counter() - t0
 

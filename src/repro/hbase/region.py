@@ -219,7 +219,9 @@ class CellBatch:
     def run_starts(self) -> List[int]:
         """Where each run of equal row starts, then ``len()`` as the end
         sentinel — so ``pairwise`` of it walks the runs.  Found in C and
-        kept until the batch grows (read-only to callers)."""
+        kept until the batch grows (read-only to callers).  A writer
+        that built the batch run by run sets ``_starts`` itself, as
+        ``TSDaemon.encode_block`` and :meth:`partition` do."""
         starts = self._starts
         if starts is None:
             rows = self.rows
@@ -239,7 +241,8 @@ class CellBatch:
         of every run (row change), and answers one owner each — a
         :meth:`RouteTable.owners`, typically.  Each owner's cells are
         gathered once, owners come out in first-appearance order, and a
-        batch with a single owner is returned as it stands.
+        batch with a single owner is returned as it stands.  A share
+        gathered from long runs keeps them as its :meth:`run_starts`.
         """
         rows = self.rows
         starts = self.run_starts()
@@ -257,13 +260,28 @@ class CellBatch:
         for owner, i, j in zip(owners, starts, islice(starts, 1, None)):
             cuts.setdefault(owner, []).append(slice(i, j))
         columns = (self.rows, self.qualifiers, self.values)
-        return {
-            owner: CellBatch(
+        shares = {}
+        for owner, runs in cuts.items():
+            share = shares[owner] = CellBatch(
                 *[list(chain.from_iterable(map(col.__getitem__, runs))) for col in columns],
                 array("d", chain.from_iterable(map(self.ts.__getitem__, runs))),
             )
-            for owner, runs in cuts.items()
-        }
+            share._starts = _gathered_starts(rows, runs)
+        return shares
+
+
+def _gathered_starts(rows: Sequence[bytes], runs: Sequence[slice]) -> List[int]:
+    """The :meth:`CellBatch.run_starts` of ``runs`` of ``rows`` chained:
+    two gathered runs that meet on one row are one run."""
+    starts: List[int] = []
+    row, end = None, 0
+    for run in runs:
+        if rows[run.start] != row:
+            row = rows[run.start]
+            starts.append(end)
+        end += run.stop - run.start
+    starts.append(end)
+    return starts
 
 
 #: What a scan that found nothing returns: one shared batch, immutable

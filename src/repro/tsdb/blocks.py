@@ -3,21 +3,28 @@
 The per-point ingest path moved one Python ``DataPoint`` object at a
 time through parse → rowkey → region, which caps simulated goodput far
 below the paper's near-linear Figure 2 regime.  This module introduces
-:class:`SeriesBlock` — one series' worth of contiguous, parallel
-``timestamp``/``value`` columns backed by stdlib ``array`` buffers (no
-numpy dependency) — and :class:`BlockBatch`, an ordered collection of
-blocks that still quacks like the flat point sequence the
-proxy/publisher retry machinery slices, so every delivery-accounting
-invariant carries over unchanged.  A block is a write payload: ingest,
-rollup materialization and detector write-back build blocks to write.
-The read path returns :class:`~repro.tsdb.aggregation.Series`, which
-own their NumPy columns and hold no block.
+:class:`SeriesBlock` — one or more series of one metric on one shared
+``timestamp`` column, their values in one contiguous ``value`` column,
+both backed by stdlib ``array`` buffers (no numpy dependency) — and
+:class:`BlockBatch`, an ordered collection of blocks that still quacks
+like the flat point sequence the proxy/publisher retry machinery
+slices, so every delivery-accounting invariant carries over unchanged.
+A block is a write payload: ingest, rollup materialization and detector
+write-back build blocks to write.  The read path returns
+:class:`~repro.tsdb.aggregation.Series`, which own their NumPy columns
+and hold no block.
 
 Design rules:
 
-* a ``SeriesBlock`` identifies exactly one series (``metric`` +
-  sorted ``tags``) — per-series invariants (UID interning, row-key
-  prefixes) are paid once per block instead of once per point;
+* a ``SeriesBlock`` identifies its series by ``metric`` + each series'
+  sorted tag set (:attr:`SeriesBlock.series_tags`, in value-column
+  order) — per-series invariants (UID interning, row-key prefixes) are
+  paid once per series instead of once per point, and the timestamp
+  column's row-hour runs once per block.  Parsing, rollups and
+  compaction build one-series blocks; a detector record's write-back
+  is one block of all its sensors (:func:`repro.core.engine.data_blocks`);
+* a block's points run series-major: every point of its first series,
+  then of its second, each series in timestamp order;
 * timestamps are kept sorted (non-decreasing; duplicates allowed, as
   ingest may legitimately re-write a second) so slices and row-span
   grouping are ``O(log n)`` + memcpy;
@@ -85,17 +92,22 @@ def _is_sorted(ts: array) -> bool:
 
 
 class SeriesBlock:
-    """One series' contiguous ``(timestamps, values)`` columns.
+    """Contiguous ``(timestamps, values)`` columns of one or more series.
 
     The canonical in-flight representation on the write path: parsing
     fills blocks, row-key encoding consumes a block's timestamp column
     in one call, and region writes land a block's cells as one append.
 
-    Construct via :meth:`from_points` / :meth:`from_columns`; the raw
-    constructor adopts pre-validated arrays without copying.
+    Every series of a block shares its ``metric`` and its one timestamp
+    column; the value column holds the series back to back, series
+    ``k``'s values at ``[k * n, (k + 1) * n)`` for ``n`` timestamps.
+    ``len()`` counts points, ``n`` per series.  A one-series block
+    (:meth:`from_points`, :meth:`from_columns` or the raw constructor)
+    also answers :attr:`tags`; :meth:`from_series` builds a wider one.
+    The raw constructor adopts pre-validated arrays without copying.
     """
 
-    __slots__ = ("metric", "tags", "_ts", "_vals")
+    __slots__ = ("metric", "series_tags", "_ts", "_vals")
 
     def __init__(
         self,
@@ -117,13 +129,40 @@ class SeriesBlock:
                 values = array(VAL_TYPECODE, (values[i] for i in order))
             tags = tuple(sorted(tags))
         self.metric = metric
-        self.tags = tags
+        self.series_tags: Tuple[Tags, ...] = (tags,)
         self._ts = timestamps
         self._vals = values
 
     # ------------------------------------------------------------------
     # constructors
     # ------------------------------------------------------------------
+    @classmethod
+    def from_series(
+        cls,
+        metric: str,
+        series_tags: Sequence[Tags],
+        timestamps: Iterable[int],
+        values: Iterable[float],
+    ) -> "SeriesBlock":
+        """Several series of one metric on one sorted timestamp column.
+
+        ``values`` holds the series' values series-major, as the block
+        keeps them; each tag set must already be sorted by key (as
+        :attr:`DataPoint.tags` are), and is adopted as given.  Typed
+        columns are adopted without copying.
+        """
+        timestamps = _as_ts_array(timestamps)
+        values = _as_val_array(values)
+        series_tags = tuple(series_tags)
+        if len(values) != len(timestamps) * len(series_tags):
+            raise ValueError("values must hold one timestamp column's worth per series")
+        if not _is_sorted(timestamps):
+            raise ValueError("a shared timestamp column must be sorted")
+        block = cls.__new__(cls)
+        block.metric, block.series_tags = metric, series_tags
+        block._ts, block._vals = timestamps, values
+        return block
+
     @classmethod
     def from_columns(
         cls,
@@ -167,13 +206,20 @@ class SeriesBlock:
     # columnar accessors
     # ------------------------------------------------------------------
     @property
+    def tags(self) -> Tags:
+        """A one-series block's tag set; a wider block has no one."""
+        if len(self.series_tags) != 1:
+            raise ValueError(f"a {len(self.series_tags)}-series block has no one tag set")
+        return self.series_tags[0]
+
+    @property
     def timestamps(self) -> array:
-        """The int64 timestamp column (buffer-protocol contiguous)."""
+        """The int64 timestamp column every series shares (buffer-protocol contiguous)."""
         return self._ts
 
     @property
     def values(self) -> array:
-        """The float64 value column (buffer-protocol contiguous)."""
+        """The float64 value column, series-major (buffer-protocol contiguous)."""
         return self._vals
 
     @property
@@ -187,34 +233,64 @@ class SeriesBlock:
         return self._ts[-1]
 
     def __len__(self) -> int:
-        return len(self._ts)
+        return len(self._vals)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         ident = self.metric or "<series>"
-        return f"<SeriesBlock {ident}{dict(self.tags)} n={len(self)}>"
+        return f"<SeriesBlock {ident} series={len(self.series_tags)} n={len(self)}>"
 
     # ------------------------------------------------------------------
     # point-wise compatibility shims (NOT for hot paths)
     # ------------------------------------------------------------------
     def iter_points(self) -> Iterator["DataPoint"]:
-        """Box the columns back into :class:`DataPoint` objects.
+        """Box the columns back into :class:`DataPoint` objects, series-major.
 
         The inverse of :meth:`from_points`; exists so legacy point-wise
         consumers keep working.  Hot paths consume the columns.
         """
         from .tsd import DataPoint
 
-        metric, tags = self.metric, self.tags
-        for t, v in zip(self._ts, self._vals):
-            yield DataPoint(metric, t, v, tags)
+        metric, ts, vals, n = self.metric, self._ts, self._vals, len(self._ts)
+        for k, tags in enumerate(self.series_tags):
+            for t, v in zip(ts, vals[k * n : (k + 1) * n]):
+                yield DataPoint(metric, t, v, tags)
 
     # ------------------------------------------------------------------
     # columnar operations
     # ------------------------------------------------------------------
-    def slice_positional(self, start: int, stop: int) -> "SeriesBlock":
-        """Positional slice ``[start:stop)`` as a new block."""
+    def pieces(self, start: int, stop: int) -> List["SeriesBlock"]:
+        """Points ``[start:stop)``, series-major, as blocks (memcpy, no boxing).
+
+        The series the range holds whole stay one block on the shared
+        timestamp column; a series it cuts comes out as a one-series
+        piece before or after them, so a range splits off at most one
+        piece at each end.
+        """
+        n = len(self._ts)
+        first, lo = divmod(start, n)
+        last, hi = divmod(stop, n)
+        if first == last:
+            return [self._piece(first, lo, hi)]
+        out = []
+        if lo:
+            out.append(self._piece(first, lo, n))
+            first += 1
+        if first < last:
+            tags, vals = self.series_tags[first:last], self._vals[first * n : last * n]
+            out.append(SeriesBlock.from_series(self.metric, tags, self._ts, vals))
+        if hi:
+            out.append(self._piece(last, 0, hi))
+        return out
+
+    def _piece(self, k: int, lo: int, hi: int) -> "SeriesBlock":
+        """Series ``k``'s points ``[lo:hi)`` as a one-series block."""
+        base = k * len(self._ts)
         return SeriesBlock(
-            self.metric, self.tags, self._ts[start:stop], self._vals[start:stop], _trusted=True
+            self.metric,
+            self.series_tags[k],
+            self._ts[lo:hi],
+            self._vals[base + lo : base + hi],
+            _trusted=True,
         )
 
 
@@ -245,12 +321,15 @@ class BlockBatch:
     The proxy, publisher, and TSD retry/accounting machinery reason in
     *points*: they take ``len(batch)``, slice off durably written
     prefixes (``batch[ack.written:]``), and re-chunk.  ``BlockBatch``
-    preserves that exact contract over columnar payloads — slicing
-    drops whole blocks and splits at most the two edge blocks (memcpy,
-    no boxing) — so blocks flow through every delivery path without
-    forked logic.  Both slice bounds are found by bisecting the
-    cumulative block ends: a slice costs O(log blocks + blocks kept),
-    not a walk from block 0.
+    preserves that exact contract over columnar payloads — points are
+    counted block by block, and within a block series-major, so a
+    batch of record blocks slices as the same series in one-series
+    blocks would.  Slicing drops whole blocks and cuts at most the two
+    edge blocks (:meth:`SeriesBlock.pieces`: memcpy, no boxing, at most
+    a one-series piece split off at each end), so blocks flow through
+    every delivery path without forked logic.  Both slice bounds are
+    found by bisecting the cumulative block ends: a slice costs
+    O(log blocks + blocks kept), not a walk from block 0.
     """
 
     __slots__ = ("blocks", "_ends", "_len")
@@ -267,8 +346,9 @@ class BlockBatch:
         return cls(blocks_from_points(points))
 
     @property
-    def n_blocks(self) -> int:
-        return len(self.blocks)
+    def n_series(self) -> int:
+        """The series the batch carries, each block's counted (what the TSD prices)."""
+        return sum(len(block.series_tags) for block in self.blocks)
 
     def __len__(self) -> int:
         return self._len
@@ -293,15 +373,13 @@ class BlockBatch:
         first, last = bisect_right(ends, start), bisect_left(ends, stop)
         lo = start - (ends[first] - len(blocks[first]))
         hi = stop - (ends[last] - len(blocks[last]))
-        out = list(blocks[first : last + 1])
         if first == last:
-            if (lo, hi) != (0, len(out[0])):
-                out[0] = out[0].slice_positional(lo, hi)
-        else:
-            if lo:
-                out[0] = out[0].slice_positional(lo, len(out[0]))
-            if hi != len(out[-1]):
-                out[-1] = out[-1].slice_positional(0, hi)
+            block = blocks[first]
+            return BlockBatch([block] if (lo, hi) == (0, len(block)) else block.pieces(lo, hi))
+        head, tail = blocks[first], blocks[last]
+        out = head.pieces(lo, len(head)) if lo else [head]
+        out.extend(blocks[first + 1 : last])
+        out.extend(tail.pieces(0, hi) if hi != len(tail) else (tail,))
         return BlockBatch(out)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -319,14 +397,17 @@ def series_spans(
 
     ``{(metric, tags): [t_min, t_max, n_points]}`` with ``by_tags``,
     else keyed by metric alone — what write listeners act on instead of
-    the points.  A :class:`BlockBatch` contributes one run per block (a
-    block already knows its extent), a point iterable one per point —
+    the points.  A :class:`BlockBatch` contributes one run per series
+    of each block (a block already knows its extent, which its series
+    share), a point iterable one per point —
     except that a point list of one metric, keyed by metric, is the
     min and max of its one timestamp column, taken in C.
     """
     if isinstance(payload, BlockBatch):
         runs: Iterable[Tuple[str, Tags, int, int, int]] = (
-            (b.metric, b.tags, b.start, b.end, len(b)) for b in payload.blocks
+            (b.metric, tags, b.start, b.end, len(b.timestamps))
+            for b in payload.blocks
+            for tags in b.series_tags
         )
     else:
         points = payload if isinstance(payload, list) else list(payload)

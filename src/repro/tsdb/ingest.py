@@ -275,7 +275,7 @@ class TsdbCluster:
 
         Accepts a :class:`BlockBatch`, a single :class:`SeriesBlock`,
         or an iterable of blocks; each server prices the batch by what it
-        carries, which for blocks is one series lookup per block and
+        carries, which for blocks is one series lookup per series and
         long row runs.
         """
         if isinstance(blocks, SeriesBlock):

@@ -17,7 +17,7 @@ deployment; it interns a series the first time it is asked for it)
 holds the interned UIDs and the row the series last wrote to, so a row
 key is materialised once per row hour a series writes, whichever
 encoder wrote it.  A sample on a known series in a known hour costs a
-memo hit (per block, for a block), a qualifier-table index and its
+memo hit (per series, for a block), a qualifier-table index and its
 share of an ``extend`` of each of four columns: the bulk encoders
 (:meth:`TSDaemon.encode_block`, which takes a whole
 :class:`~repro.tsdb.blocks.BlockBatch` in one pass, and
@@ -103,9 +103,10 @@ class TSDServiceModel:
 
     ``overhead + per_series × series + per_point × points``, a series
     being one series-memo hit: one per point of a point list, one per
-    block of a block batch.  A point list costs 20 µs a point, ≈41k
-    points/s per TSD — above a single RegionServer's ≈13.3k cells/s, so
-    the storage tier stays the bottleneck (as in the paper), while a
+    series a block batch carries (:attr:`BlockBatch.n_series`).  A
+    point list costs 20 µs a point, ≈41k points/s per TSD — above a
+    single RegionServer's ≈13.3k cells/s, so the storage tier stays
+    the bottleneck (as in the paper), while a
     *single* TSD still caps well below full-cluster capacity, which is
     why the proxy's round-robin fan-out matters (E7 ablation).
     """
@@ -260,7 +261,7 @@ class TSDaemon:
         span = self.tracer.begin(
             "tsd.ingest", batch_id=batch_id, tsd=self.name, points=len(points)
         )
-        n_series = points.n_blocks if isinstance(points, BlockBatch) else len(points)
+        n_series = points.n_series if isinstance(points, BlockBatch) else len(points)
         cost = self.service_model.cost(n_series, len(points))
         accepted = self.http_server.submit(
             points,
@@ -397,19 +398,23 @@ class TSDaemon:
         """UID-intern and row-key-encode a block, or a whole batch of them.
 
         One pass over the payload makes one cell batch, blocks in batch
-        order.  Every block's ends are range-checked before anything is
-        drawn or memoised (a block's column is sorted, so its ends bound
-        every timestamp in it): a payload that raises leaves the clock
-        and the series memo as they were.  A block then costs one memo
-        hit, and its row-hour runs one qualifier-table lookup per cell
-        — found once for a stretch of blocks whose timestamp columns are
-        equal (a record's sensors share one), and reused by each block
-        after the first.  Each run reuses the row its series last wrote
-        to, as :meth:`encode_points` does, and a row key is materialised
-        (one salt hash) only when a run's hour differs from the memo's.
-        The value column is packed in one call, and write timestamps are
-        drawn one per cell, in cell order, from the same logical clock
-        as :meth:`encode_points`, so newest-wins semantics are unchanged.
+        order and each block's series in its order (series-major, as its
+        value column).  Every block's ends are range-checked before
+        anything is drawn or memoised (a block's column is sorted, so
+        its ends bound every timestamp in it): a payload that raises
+        leaves the clock and the series memo as they were.  A block's
+        row-hour runs cost one qualifier-table lookup per timestamp,
+        found once for the block — and for a stretch of blocks whose
+        timestamp columns are equal — and emitted for each of its
+        series, which costs one memo hit.  Each run reuses the row its
+        series last wrote to, as :meth:`encode_points` does, and a row
+        key is materialised (one salt hash) only when a run's hour
+        differs from the memo's.  The value column is packed in one
+        call, and write timestamps are drawn one per cell, in cell
+        order, from the same logical clock as :meth:`encode_points`, so
+        newest-wins semantics are unchanged.  The batch leaves with its
+        :meth:`~repro.hbase.region.CellBatch.run_starts` already set
+        from the runs emitted, so no reader finds them again.
         """
         blocks = payload.blocks if isinstance(payload, BlockBatch) else (payload,)
         for block in blocks:
@@ -422,20 +427,33 @@ class TSDaemon:
         add_rows, add_qualifiers = rows.extend, qualifiers.extend
         memo, encode = self._series, self.codec.encode
         column, runs = None, ()
+        # Where each run of equal row starts; adjacent runs share a row
+        # only when one series' blocks follow each other in one hour.
+        starts: List[int] = []
+        row, end = None, 0
         for block in blocks:
-            series = memo[block.metric, block.tags]
             ts = block.timestamps
             values.extend(block.values)
             if ts != column:
                 column, runs = ts, _row_runs(ts)
-            for base, first, n, run_qualifiers in runs:
-                if base != series.base:
-                    series.row, _ = encode(series.metric_uid, first, series.tag_pairs)
-                    series.base = base
-                add_rows(repeat(series.row, n))
-                add_qualifiers(run_qualifiers)
-        write_ts = array("d", starmap(self._next_write_ts, repeat((), len(rows))))
-        return CellBatch(rows, qualifiers, list(encode_f64_column(values)), write_ts)
+            metric = block.metric
+            for tags in block.series_tags:
+                series = memo[metric, tags]
+                for base, first, n, run_qualifiers in runs:
+                    if base != series.base:
+                        series.row, _ = encode(series.metric_uid, first, series.tag_pairs)
+                        series.base = base
+                    if series.row != row:
+                        row = series.row
+                        starts.append(end)
+                    end += n
+                    add_rows(repeat(row, n))
+                    add_qualifiers(run_qualifiers)
+        starts.append(end)
+        write_ts = array("d", starmap(self._next_write_ts, repeat((), end)))
+        cells = CellBatch(rows, qualifiers, list(encode_f64_column(values)), write_ts)
+        cells._starts = starts
+        return cells
 
     def encode_point(self, point: DataPoint) -> Cell:
         """UID-intern and row-key-encode one data point into an HBase cell.

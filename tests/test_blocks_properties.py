@@ -18,6 +18,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.engine import data_blocks
+from repro.simdata.workload import METRIC, sensor_tag, unit_tag
 from repro.tsdb.aggregation import Series
 from repro.tsdb.blocks import BlockBatch, SeriesBlock, WriteSpans, blocks_from_points, series_spans
 from repro.hbase.bytescodec import decode_f64
@@ -508,6 +510,35 @@ class TestSeriesSpans:
         assert (writes.by_series(), writes.by_metric()) == (
             walked_spans(points, True), walked_spans(points, False)
         )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 2), st.integers(1, 20), st.integers(1, 15), st.integers(0, 7200)
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    def test_record_blocks_show_listeners_what_their_per_sensor_blocks_did(self, recs):
+        """A record's one block announces, by series and by metric, the
+        extents its per-sensor blocks announced: the serving cache and
+        the lifecycle tier act on the same spans."""
+        wide, narrow = [], []
+        for unit, n_sensors, n_rows, start in recs:
+            values = np.arange(n_rows * n_sensors, dtype=np.float64).reshape(n_rows, n_sensors)
+            wide.append(data_blocks(unit, start, values))
+            narrow += [
+                SeriesBlock.from_columns(
+                    METRIC, {"unit": unit_tag(unit), "sensor": sensor_tag(s)},
+                    range(start, start + n_rows), values[:, s],
+                )
+                for s in range(n_sensors)
+            ]
+        got, want = WriteSpans(BlockBatch(wide)), WriteSpans(BlockBatch(narrow))
+        assert got.by_series() == want.by_series() == walked_spans(BlockBatch(narrow), True)
+        assert got.by_metric() == want.by_metric() == walked_spans(BlockBatch(narrow), False)
 
     def test_edge_payloads(self):
         late = [DataPoint("m", t, 1.0, ()) for t in (50, 10, 90, 10)]

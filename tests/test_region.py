@@ -202,6 +202,18 @@ class TestCellBatchPartition:
         if len(owners) == 1:
             assert shares[owners.pop()] is batch  # returned as it stands
 
+    @settings(max_examples=200, deadline=None)
+    @given(run_lists, owner_maps)
+    def test_a_shares_kept_run_starts_are_the_ones_it_would_find(self, runs, owner_of_row):
+        """A share comes out of the partition knowing its runs (the
+        put's price and the region write read them); two gathered runs
+        of one row that meet are one run, as a fresh look finds."""
+        rows = [row for row, n in runs for _ in range(n)]
+        batch = CellBatch.from_cells(Cell(row, b"q", b"v", 0.0) for row in rows)
+        for share in batch.partition(lambda run_rows: [owner_of_row[r] for r in run_rows]).values():
+            fresh = CellBatch(list(share.rows), share.qualifiers, share.values, share.ts)
+            assert share.run_starts() == fresh.run_starts()
+
     @settings(max_examples=100, deadline=None)
     @given(run_lists, run_lists)
     def test_runs_read_before_a_batch_grows_are_found_again(self, head, tail):

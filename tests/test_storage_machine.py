@@ -2,7 +2,7 @@
 cluster and a dict oracle (DESIGN.md §26: rules, invariants, replay)."""
 
 import random
-from itertools import repeat
+from itertools import accumulate, repeat
 
 import pytest
 from hypothesis import note, settings, strategies as st
@@ -10,7 +10,7 @@ from hypothesis.control import currently_in_test_context
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from repro.chaos import FaultEvent, FaultPlan, Injector
-from repro.tsdb.blocks import BlockBatch
+from repro.tsdb.blocks import BlockBatch, SeriesBlock
 from repro.tsdb.ingest import build_cluster
 from repro.tsdb.query import TsdbQuery
 from repro.tsdb.tsd import DATA_TABLE, DataPoint, PutAck
@@ -50,22 +50,27 @@ class StorageMachine(RuleBasedStateMachine):
     def regions(self):
         return [region for rs in self.live() for region in rs.hosted_regions()]
 
-    @rule(size=st.integers(0, 60), shape=st.sampled_from(["points", "blocks", "bulk"]),
+    @rule(size=st.integers(0, 60), shape=st.sampled_from(["points", "blocks", "bulk", "record"]),
           kind=st.sampled_from(["in_order", "late", "duplicate"]), seed=st.integers(0, 2**16))
     def ingest(self, size, shape="points", kind="in_order", seed=0):
         if shape == "bulk" and None in dict(self.layout()).values():
             return  # direct_put raises on an unassigned region, before writing anything
         rng, b, keys = random.Random(seed), len(self.batches), {}
-        for _ in range(size):
-            unit = rng.choice(UNITS)
-            if kind == "duplicate" and self.writes:
-                key = rng.choice(sorted(self.writes))
-            elif kind == "late":
-                key = (unit, rng.randrange(T0 - 3 * HOUR, self.cursor[unit] // HOUR * HOUR))
-            else:
-                self.cursor[unit] += rng.randint(1, 900)
-                key = (unit, self.cursor[unit])
-            keys[key] = float(b * 1_000 + len(keys))  # unique per write
+        if shape == "record":  # series-major, as the record block holds them
+            stamps = self.record_stamps(rng, kind, size // len(UNITS))
+            for key in ((unit, t) for unit in UNITS for t in stamps):
+                keys[key] = float(b * 1_000 + len(keys))
+        else:
+            for _ in range(size):
+                unit = rng.choice(UNITS)
+                if kind == "duplicate" and self.writes:
+                    key = rng.choice(sorted(self.writes))
+                elif kind == "late":
+                    key = (unit, rng.randrange(T0 - 3 * HOUR, self.cursor[unit] // HOUR * HOUR))
+                else:
+                    self.cursor[unit] += rng.randint(1, 900)
+                    key = (unit, self.cursor[unit])
+                keys[key] = float(b * 1_000 + len(keys))  # unique per write
         for key, value in keys.items():
             old = self.writes.setdefault(key, [])
             self.ordered[key] = not old or (self.ordered[key] and self.ok(old[-1][0]))
@@ -78,8 +83,27 @@ class StorageMachine(RuleBasedStateMachine):
             self.batches[b][1].append(PutAck(True, self.cluster.direct_put(points), 0, "bulk"))
         elif shape == "points":
             self.cluster.submit(points, self.batches[b][1].append)
+        elif shape == "record":  # every unit in one block, as a detector writes a record back
+            record = SeriesBlock.from_series(
+                "energy", [(("unit", unit),) for unit in UNITS], stamps, list(keys.values())
+            )
+            self.cluster.submit_blocks(record, self.batches[b][1].append)
         else:
             self.cluster.submit_blocks(BlockBatch.from_points(points), self.batches[b][1].append)
+
+    def record_stamps(self, rng, kind, n):
+        """``n`` sorted timestamps for every unit to write at: new, late,
+        or ones already written."""
+        if kind == "late":
+            floor = min(self.cursor.values()) // HOUR * HOUR
+            return sorted(rng.sample(range(T0 - 3 * HOUR, floor), n))
+        if kind == "duplicate" and self.writes:
+            written = sorted({t for _, t in self.writes})
+            return sorted(rng.sample(written, min(n, len(written))))
+        start = max(self.cursor.values())
+        stamps = list(accumulate((rng.randint(1, 900) for _ in range(n)), initial=start))
+        self.cursor = dict.fromkeys(UNITS, stamps[-1])
+        return stamps[1:]
 
     @rule(pick=picks)
     def flush(self, pick):

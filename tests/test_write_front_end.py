@@ -13,14 +13,17 @@ timestamps past it.
 
 from array import array
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from repro.core.engine import data_blocks
 from repro.hbase.bytescodec import encode_f64
 from repro.hbase.region import Cell, CellBatch
 from repro.tsdb import BlockBatch, DataPoint, SeriesBlock, TsdbQuery, build_cluster
 from repro.tsdb.blocks import blocks_from_points
 from repro.tsdb.rowkey import RowKeyCodec
+from repro.simdata.workload import METRIC, sensor_tag, unit_tag
 from repro.tsdb.uid import UniqueIdRegistry
 
 LAST = 2**32 - 1  # the largest timestamp a row key holds
@@ -314,3 +317,94 @@ def test_point_list_and_block_batch_read_back_the_same_across_a_tsd_restart(poin
         tags: (sorted(cells), [cells[t] for t in sorted(cells)])
         for tags, cells in oracle.items()
     }
+
+
+# ----------------------------------------------------------------------
+# a detector record's write-back: one block of all its sensors
+# ----------------------------------------------------------------------
+records = st.lists(
+    st.tuples(
+        st.integers(0, 1),  # unit
+        st.integers(1, 64),  # sensors
+        st.integers(1, 30),  # rows
+        # up to 29 s before an hour boundary: most records cross it
+        st.builds(lambda hour, back: hour * 3600 - back, st.integers(1, 3), st.integers(0, 29)),
+        st.integers(0, 2**32 - 1),  # the values' seed
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+def record_values(n_sensors, n_rows, seed):
+    return np.random.default_rng(seed).normal(size=(n_rows, n_sensors))
+
+
+def record_batches(recs):
+    """The records as one block each, and as one block per sensor (the
+    write-back's shape before a record travelled as one block)."""
+    wide, narrow = [], []
+    for unit, n_sensors, n_rows, start, seed in recs:
+        values = record_values(n_sensors, n_rows, seed)
+        wide.append(data_blocks(unit, start, values))
+        stamps = range(start, start + n_rows)
+        narrow += [
+            SeriesBlock.from_columns(
+                METRIC, {"unit": unit_tag(unit), "sensor": sensor_tag(s)}, stamps, values[:, s]
+            )
+            for s in range(n_sensors)
+        ]
+    return BlockBatch(wide), BlockBatch(narrow)
+
+
+def cell_columns(cells):
+    return cells.rows, cells.qualifiers, cells.values, list(cells.ts), cells.run_starts()
+
+
+@settings(max_examples=60, deadline=None)
+@given(records, st.sampled_from([0, 4]))
+def test_a_record_block_encodes_as_its_per_sensor_blocks(recs, salt_buckets):
+    """Rows, qualifiers, values, write timestamps and runs come out as
+    the per-sensor blocks' did, and the series memo and the clock are
+    left where those left them."""
+    outcomes = []
+    for batch in record_batches(recs):
+        cluster = build_cluster(n_nodes=1, salt_buckets=salt_buckets)
+        cells = cluster.tsds[0].encode_block(batch)
+        outcomes.append((cell_columns(cells), memo_state(cluster), cluster.next_write_ts()))
+    assert outcomes[0] == outcomes[1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(records, st.data())
+def test_a_record_batch_slices_as_its_per_sensor_blocks(recs, data):
+    """Chunked at the stream's 400 points, the pipeline's 500, at 37 or
+    at any size, and cut anywhere at all, record blocks hold the same
+    points in the same order as per-sensor blocks, and count the same
+    series (what the TSD prices)."""
+    wide, narrow = record_batches(recs)
+    total = len(narrow)
+    assert len(wide) == total
+    assert wide.n_series == len(narrow.blocks)
+    cuts = (400, 500, 37, data.draw(st.integers(1, total), label="cut"))
+    bounds = [(lo, lo + cut) for cut in cuts for lo in range(0, total, cut)]
+    bounds.append(tuple(sorted(data.draw(st.lists(st.integers(0, total), min_size=2, max_size=2)))))
+    for lo, hi in bounds:
+        got, want = wide[lo:hi], narrow[lo:hi]
+        assert list(got) == list(want)
+        assert got.n_series == want.n_series == len(want.blocks)
+
+
+@settings(max_examples=150, deadline=None)
+@given(block_lists, records, st.sampled_from([0, 4]))
+@example(STEPS_BACK, [(0, 1, 1, 3600, 0)], 4)
+def test_an_encoded_batch_keeps_the_run_starts_it_would_find(blocks, recs, salt_buckets):
+    """``encode_block`` hands its batch over with the runs it emitted as
+    its run starts: they equal a fresh look, including where one series'
+    blocks follow each other within an hour and so share a run."""
+    record_blocks, _ = record_batches(recs)
+    tsd = build_cluster(n_nodes=1, salt_buckets=salt_buckets).tsds[0]
+    for payload in (BlockBatch(blocks), BlockBatch(blocks + list(record_blocks.blocks))):
+        cells = tsd.encode_block(payload)
+        fresh = CellBatch(list(cells.rows), cells.qualifiers, cells.values, cells.ts)
+        assert cells.run_starts() == fresh.run_starts()

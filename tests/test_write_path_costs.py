@@ -16,8 +16,12 @@ too, but only after ten pairs of runs; this says it in tier-1
 import gc
 from array import array
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+
+from repro.core.engine import UnitEvaluation, data_blocks, flagged_cells, write_back
+from repro.core.fdr import AnomalyReport, FDRDetectorConfig
 
 from repro.hbase.master import HMaster
 from repro.hbase.region import CellBatch, Region, RouteTable
@@ -26,7 +30,8 @@ from repro.hbase.wal import WriteAheadLog
 from repro.lifecycle import LifecyclePolicy, TierSpec
 from repro.serve import gateway as serve_gateway
 from repro.lifecycle import manager as lifecycle_manager
-from repro.tsdb import BatchPublisher, BlockBatch, DataPoint, blocks, build_cluster, parse_block
+from repro.simdata.workload import sensor_tag, unit_tag
+from repro.tsdb import BatchPublisher, BlockBatch, DataPoint, SeriesBlock, blocks, build_cluster, parse_block
 from repro.tsdb import lineprotocol, rowkey
 from repro.tsdb.tsd import DATA_TABLE, RPC_BATCH_SIZE, TSDaemon
 
@@ -67,7 +72,7 @@ def test_parser_validates_names_once_per_series(monkeypatch, n_ticks):
     pattern = CountingPattern(lineprotocol._NAME_RE)
     monkeypatch.setattr(lineprotocol, "_NAME_RE", pattern)
     batch = parse_block(put_lines(n_ticks))
-    assert (batch.n_blocks, len(batch)) == (S, S * n_ticks)
+    assert (len(batch.blocks), len(batch)) == (S, S * n_ticks)
     assert pattern.calls == S * NAMES_PER_SERIES  # the parent: 5 per *line*
 
 
@@ -78,7 +83,7 @@ def test_a_respelled_header_is_validated_again_but_joins_its_series(monkeypatch)
     monkeypatch.setattr(lineprotocol, "_NAME_RE", pattern)
     lines = ["put energy 1 1.0 unit=u0 sensor=s0"] * 50 + ["put energy 2 2.0 sensor=s0  unit=u0"] * 50
     batch = parse_block(lines)
-    assert (batch.n_blocks, len(batch)) == (1, 100)
+    assert (len(batch.blocks), len(batch)) == (1, 100)
     assert pattern.calls == 2 * NAMES_PER_SERIES
 
 
@@ -236,6 +241,35 @@ def test_a_point_list_and_a_block_batch_cost_the_same_put_when_their_runs_match(
         assert list_runs == block_runs
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 64), st.integers(1, 30), st.integers(3570, 3600))
+def test_a_record_block_costs_what_its_per_sensor_blocks_did(n_sensors, n_rows, start):
+    """A k-sensor record submitted as one block is priced as its k
+    one-series blocks were, exactly: by the TSD (one series lookup per
+    sensor) and by every RegionServer put it becomes."""
+    values = np.arange(n_rows * n_sensors, dtype=np.float64).reshape(n_rows, n_sensors)
+    per_sensor = [
+        SeriesBlock.from_columns(
+            "energy", {"unit": unit_tag(3), "sensor": sensor_tag(s)},
+            range(start, start + n_rows), values[:, s],
+        )
+        for s in range(n_sensors)
+    ]
+    prices = []
+    for payload in (BlockBatch([data_blocks(3, start, values)]), BlockBatch(per_sensor)):
+        cluster = build_cluster(n_nodes=2, salt_buckets=4)
+        batches = recorded_prices(cluster.tsds)
+        puts = recorded_prices(cluster.servers)
+        submitted(cluster, payload)
+        prices.append(
+            (
+                [price for _, price in batches],
+                [(runs(request), request.n_cells, price) for request, price in puts],
+            )
+        )
+    assert prices[0] == prices[1]
+
+
 # ----------------------------------------------------------------------
 # the store holds columns, not cells (DESIGN §20)
 # ----------------------------------------------------------------------
@@ -304,6 +338,39 @@ def test_a_block_ingest_rarely_wakes_the_collector():
     (measured: 4 automatic collections; the parent: 46)."""
     _, collections = ingest_counting_the_collector(publish_blocks_through_the_proxy, step=1)
     assert collections <= 12
+
+
+def tracked_by_a_write_back(n_sensors):
+    """Tracked objects ``write_back`` of an unflagged 10-row record adds,
+    the collector paused (its unit's tags are built beforehand)."""
+    n_rows = 10
+    report = AnomalyReport(
+        0,
+        np.zeros((n_rows, n_sensors), dtype=bool),
+        np.zeros((n_rows, n_sensors)),
+        np.zeros(n_rows, dtype=bool),
+        np.zeros(n_rows),
+        FDRDetectorConfig(),
+        300,
+    )
+    evaluation = UnitEvaluation(0, 3595, np.ones((n_rows, n_sensors)), report)
+    write_back(evaluation, flagged_cells(report))
+    gc.disable()
+    try:
+        before = gc.get_count()[0]
+        kept = write_back(evaluation, flagged_cells(report))
+        added = gc.get_count()[0] - before
+    finally:
+        gc.enable()
+    assert len(kept[0]) == n_rows * n_sensors and not kept[1]
+    return added
+
+
+def test_a_record_write_back_allocates_nothing_per_sensor():
+    """A record's data leaves as one block, whatever its width: 48 and
+    480 sensors add the same tracked objects (the parent: one block per
+    sensor, 432 more at 480)."""
+    assert tracked_by_a_write_back(480) == tracked_by_a_write_back(48)
 
 
 def test_the_recorded_boundaries_still_count_cells(monkeypatch):
