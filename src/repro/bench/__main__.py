@@ -11,11 +11,35 @@ status is 1 when any claim is false.
 from __future__ import annotations
 
 import argparse
+import ctypes
+import os
 import sys
 import time
+from pathlib import Path
+
+import numpy
 
 from . import harness
 from .experiments import REGISTRY
+
+
+def _one_blas_thread() -> None:
+    """Give numpy's bundled OpenBLAS one thread, unless the caller chose.
+
+    Experiments run their own executor threads; BLAS threads on top of
+    them oversubscribe a small host (E9's full form ran three times
+    slower on two CPUs).  ``repro`` has loaded numpy before this runs,
+    too late for ``OPENBLAS_NUM_THREADS``, so the library's own setter
+    is called.  A numpy without a bundled OpenBLAS is left as it is.
+    """
+    if "OPENBLAS_NUM_THREADS" not in os.environ:
+        for path in (Path(numpy.__file__).resolve().parents[1] / "numpy.libs").glob("*openblas*"):
+            lib = ctypes.CDLL(str(path))  # numpy's own copy: same file, same handle
+            for name in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_"):
+                setter = getattr(lib, name, None)
+                if setter is not None:
+                    setter.argtypes, setter.restype = [ctypes.c_int], None
+                    setter(1)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -73,4 +97,5 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
+    _one_blas_thread()
     raise SystemExit(main())

@@ -756,10 +756,10 @@ def _models_digest(models: Dict[int, UnitModel]) -> str:
 def e9_training_scaling(quick: bool = False) -> ExperimentResult:
     """Wall-clock of one fleet training job at several executor counts.
 
-    The seconds are recorded, not claimed: on a host with fewer cores
-    than executors the BLAS threads each fit starts oversubscribe the
-    CPUs (EXPERIMENTS.md E9).  What is claimed is that the width of the
-    pool changes nothing about the models it trains.
+    The seconds are recorded, not claimed: they scale only while BLAS
+    runs one thread per fit, as ``python -m repro.bench`` sets it
+    (EXPERIMENTS.md E9).  What is claimed is that the width of the pool
+    changes nothing about the models it trains.
     """
     executor_counts: Sequence[int]
     if quick:
@@ -796,8 +796,8 @@ def e9_training_scaling(quick: bool = False) -> ExperimentResult:
         "per-unit model fits parallelise across the executor pool",
         [table],
         notes=[
-            "seconds are recorded, not claimed: each fit's BLAS call starts its own "
-            "threads, so more executors than cores oversubscribe the CPUs",
+            "seconds are recorded, not claimed: they scale only with one BLAS thread "
+            "per fit, which python -m repro.bench sets",
         ],
         numbers=numbers,
         wall=wall,

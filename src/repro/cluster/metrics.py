@@ -9,6 +9,8 @@ captures; per-server skew measurements for the salting ablation use
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Sequence, Tuple
@@ -153,16 +155,15 @@ class LatencyHistogram:
         self.max_seen = 0.0
 
     def observe(self, latency: float) -> None:
-        if latency < 0:
-            raise ValueError("latency must be non-negative")
+        # Chained so that NaN fails too: a NaN or inf total never recovers.
+        if not 0.0 <= latency < math.inf:
+            raise ValueError("latency must be finite and non-negative")
         self.count += 1
         self.total += latency
-        self.max_seen = max(self.max_seen, latency)
-        for i, b in enumerate(self.bounds):
-            if latency <= b:
-                self.buckets[i] += 1
-                return
-        self.buckets[-1] += 1
+        if latency > self.max_seen:
+            self.max_seen = latency
+        # The first bound >= latency; past the last one, the overflow bucket.
+        self.buckets[bisect_left(self.bounds, latency)] += 1
 
     @property
     def mean(self) -> float:

@@ -41,8 +41,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple
 
 from ..tsdb.aggregation import Series
 from ..tsdb.query import TsdbQuery
@@ -62,14 +61,14 @@ WILDCARD = "*"
 CAPACITY = 512
 
 
-@dataclass(frozen=True)
-class CanonicalQuery:
+class CanonicalQuery(NamedTuple):
     """Hashable canonical form of a :class:`~repro.tsdb.query.TsdbQuery`.
 
     ``window`` is ``(start_bucket, start_offset, end_bucket,
     end_offset)`` on the downsample grid (grid size 1 — i.e. the raw
     window — when the query does not downsample), so grid-aligned
-    windows read as pure bucket indices with zero offsets.
+    windows read as pure bucket indices with zero offsets.  A tuple, so
+    that hashing and comparing a key on every cache probe run in C.
     """
 
     metric: str
@@ -83,7 +82,7 @@ class CanonicalQuery:
     #: Keyed so an answer computed from one source can never be served
     #: for a query the planner would now route elsewhere — tier
     #: coverage moves with watermarks and retention floors.
-    tier: str = "raw"
+    tier: str
 
 
 def canonical_key(query: TsdbQuery, tier: str = "raw") -> CanonicalQuery:
@@ -97,35 +96,18 @@ def canonical_key(query: TsdbQuery, tier: str = "raw") -> CanonicalQuery:
     and raw-served results live under distinct keys.
     """
     filters = tuple(sorted(query.tag_filters.items()))
-    exact = {k for k, v in filters if v != WILDCARD}
-    seen: Set[str] = set()
-    group_by: List[str] = []
-    for key in query.group_by:
-        if key in exact or key in seen:
-            continue
-        seen.add(key)
-        group_by.append(key)
-    if query.downsample_window is not None:
-        grid = query.downsample_window
-        downsample: Optional[Tuple[int, str]] = (grid, query.downsample_aggregator)
-    else:
-        grid = 1
-        downsample = None
-    window = (
-        query.start // grid,
-        query.start % grid,
-        query.end // grid,
-        query.end % grid,
-    )
+    group_by: Tuple[str, ...] = ()
+    if query.group_by:
+        exact = {k for k, v in filters if v != WILDCARD}
+        # dict.fromkeys deduplicates and keeps first-seen order.
+        group_by = tuple(dict.fromkeys(k for k in query.group_by if k not in exact))
+    step = query.downsample_window
+    downsample = None if step is None else (step, query.downsample_aggregator)
+    grid = step or 1
+    start, end = query.start, query.end
+    window = (start // grid, start % grid, end // grid, end % grid)
     return CanonicalQuery(
-        metric=query.metric,
-        window=window,
-        filters=filters,
-        group_by=tuple(group_by),
-        aggregator=query.aggregator,
-        downsample=downsample,
-        rate=query.rate,
-        tier=tier,
+        query.metric, window, filters, group_by, query.aggregator, downsample, query.rate, tier
     )
 
 
@@ -157,8 +139,7 @@ class _Entry:
         self.expires_at = expires_at
 
 
-@dataclass(frozen=True)
-class CacheLookup:
+class CacheLookup(NamedTuple):
     """Outcome of one cache probe.
 
     ``state`` is ``"fresh"``, ``"stale"`` (expired but retained for
@@ -267,15 +248,11 @@ class ResultCache:
         entries are provably unaffected and survive).  Returns the
         number of entries evicted.
         """
-        doomed = [
+        return self._evict([
             key
-            for key, entry in self._cache.items()
+            for key in self._cache
             if key.metric == metric and self._overlaps(key, tags, t_min, t_max)
-        ]
-        for key in doomed:
-            del self._cache[key]
-        self.invalidations += len(doomed)
-        return len(doomed)
+        ])
 
     def invalidate_range(self, metric: str, t_min: int, t_max: int) -> int:
         """Evict every entry of ``metric`` overlapping ``[t_min, t_max]``,
@@ -286,12 +263,13 @@ class ResultCache:
         provably unaffected entries survive a write touch) does not
         apply.  Returns the number of entries evicted.
         """
-        doomed = [
+        return self._evict([
             key
-            for key, entry in self._cache.items()
-            if key.metric == metric
-            and self._window_overlaps(key, t_min, t_max)
-        ]
+            for key in self._cache
+            if key.metric == metric and self._window_overlaps(key, t_min, t_max)
+        ])
+
+    def _evict(self, doomed: List[CanonicalQuery]) -> int:
         for key in doomed:
             del self._cache[key]
         self.invalidations += len(doomed)
@@ -308,10 +286,7 @@ class ResultCache:
     def _overlaps(
         key: CanonicalQuery, tags: Mapping[str, str], t_min: int, t_max: int
     ) -> bool:
-        grid = key.downsample[0] if key.downsample is not None else 1
-        start = key.window[0] * grid + key.window[1]
-        end = key.window[2] * grid + key.window[3]
-        if t_max < start or t_min >= end:
+        if not ResultCache._window_overlaps(key, t_min, t_max):
             return False
         for fk, fv in key.filters:
             actual = tags.get(fk)

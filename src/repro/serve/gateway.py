@@ -143,8 +143,13 @@ class QueryGateway:
         # Bumped on every write notification; executions that straddle a
         # bump are served but never cached (coherence under async races).
         self._write_epoch = 0
+        # Bound once: a cache hit pays no registry lookup.
         self._latency = self.metrics.histogram("serve.latency", _LATENCY_BOUNDS)
         self._staleness = self.metrics.histogram("serve.staleness")
+        self._hits = self.metrics.counter("serve.hits")
+        self._misses = self.metrics.counter("serve.misses")
+        self._stale_serves = self.metrics.counter("serve.stale_serves")
+        self._not_modified = self.metrics.counter("serve.not_modified")
         cluster.add_write_listener(self.notify_writes)
         if cluster.lifecycle is not None:
             cluster.lifecycle.add_expiry_listener(self.notify_expiry)
@@ -266,31 +271,24 @@ class QueryGateway:
         """
         key: Optional[CanonicalQuery] = None
         if self.config.cache_enabled:
-            key = self._cache_key(query)
+            # The planner's serving source is part of the key: a raw-served
+            # answer is never replayed for a query now routed to a tier.
+            key = canonical_key(query, self.engine.route_tier(query))
             lookup = self.cache.get(key, now)
-            status: Optional[str] = "hit" if lookup.state == "fresh" else None
+            if lookup.state == "fresh":
+                return key, self._respond("hit", lookup.value, lookup.etag, if_none_match, latency)
             if lookup.state == "stale":
                 backend_up = self.backend_available()
                 if not backend_up or stale_ok:
                     if backend_up:
                         self._queue_revalidation(query, key, client_id, now)
-                    status = "stale"
-            if status is not None:
-                assert lookup.value is not None and lookup.etag is not None
-                age = lookup.age if status == "stale" else 0.0
-                return key, self._respond(
-                    status, lookup.value, lookup.etag, if_none_match, latency, age
-                )
+                    return key, self._respond(
+                        "stale", lookup.value, lookup.etag, if_none_match, latency, lookup.age
+                    )
         if not self.backend_available():
             self._count_shed("unavailable")
             raise QueryRejected("unavailable", 1.0, "storage tier down and nothing cached")
         return key, None
-
-    def _cache_key(self, query: TsdbQuery) -> CanonicalQuery:
-        """Tier-aware canonical key: the planner's serving source is part
-        of the key, so a raw-served answer is never replayed for a query
-        the planner now routes to a rollup tier (or vice versa)."""
-        return canonical_key(query, self.engine.route_tier(query))
 
     # ------------------------------------------------------------------
     # write-through invalidation
@@ -482,16 +480,16 @@ class QueryGateway:
     ) -> ServeResult:
         """Count one response by kind and honour the caller's etag."""
         if status == "hit":
-            self.metrics.counter("serve.hits").inc()
+            self._hits.inc()
         elif status == "miss":
-            self.metrics.counter("serve.misses").inc()
+            self._misses.inc()
         else:
-            self.metrics.counter("serve.stale_serves").inc()
+            self._stale_serves.inc()
             self._staleness.observe(age)
         self._latency.observe(latency)
         nm = if_none_match is not None and if_none_match == etag
         if nm:
-            self.metrics.counter("serve.not_modified").inc()
+            self._not_modified.inc()
         return ServeResult(
             status, None if nm else series, etag, age, latency,
             not_modified=nm, degraded=degraded, max_staleness=staleness,

@@ -12,6 +12,7 @@ from repro.cluster.metrics import (
     TimeSeriesRecorder,
     skew_ratio,
 )
+from repro.serve.gateway import _LATENCY_BOUNDS
 
 
 class TestCounter:
@@ -129,6 +130,35 @@ class TestLatencyHistogram:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             LatencyHistogram("h").observe(-0.1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected_and_leaves_no_trace(self, bad):
+        h = LatencyHistogram("h")
+        h.observe(0.002)
+        with pytest.raises(ValueError):
+            h.observe(bad)
+        assert h.count == 1 and sum(h.buckets) == 1
+        assert h.total == 0.002 and h.mean == 0.002 and h.max_seen == 0.002
+
+    @pytest.mark.parametrize(
+        "bounds", [LatencyHistogram.DEFAULT_BOUNDS, _LATENCY_BOUNDS, (0.1, 0.1, 0.2)]
+    )
+    def test_bucket_search_matches_the_linear_scan(self, bounds):
+        def scanned(latency):
+            for i, b in enumerate(bounds):
+                if latency <= b:
+                    return i
+            return len(bounds)
+
+        probes = [0.0, 1e-9, 10.0]
+        for b in bounds:
+            probes += [b, math.nextafter(b, 0.0), math.nextafter(b, math.inf)]
+        for latency in probes:
+            h = LatencyHistogram("h", bounds)
+            h.observe(latency)
+            expected = [0] * (len(bounds) + 1)
+            expected[scanned(latency)] = 1
+            assert h.buckets == expected, latency
 
     def test_quantile_bounds(self):
         h = LatencyHistogram("h")

@@ -155,6 +155,18 @@ class TestResultCache:
         assert stale.state == "stale" and stale.age == pytest.approx(1.5)
         assert cache.stats()["stale_probes"] == 1
 
+    def test_every_lookup_carries_its_state_and_fields(self):
+        cache = ResultCache(ttl=1.0)
+        key = canonical_key(overview_query())
+        lookups = [cache.get(key, 0.0)]
+        etag = cache.put(key, [], 0.0)
+        lookups += [cache.get(key, 0.5), cache.get(key, 1.5)]
+        assert [lookup.state for lookup in lookups] == ["miss", "fresh", "stale"]
+        assert all(isinstance(lookup, CacheLookup) for lookup in lookups)
+        assert CacheLookup._fields == ("state", "value", "etag", "age")
+        assert lookups[0] == ("miss", None, None, 0.0)
+        assert [(lookup.value, lookup.etag) for lookup in lookups[1:]] == [([], etag)] * 2
+
     def test_lru_eviction_at_capacity(self, monkeypatch):
         monkeypatch.setattr(cache_module, "CAPACITY", 2)
         cache = ResultCache(ttl=10.0)
@@ -306,6 +318,28 @@ class TestGatewaySync:
         assert_series_equal(miss.series, direct)
         assert_series_equal(hit.series, direct)
         assert hit.etag == miss.etag == result_etag(direct)
+
+    def test_hits_count_into_the_cluster_registry(self):
+        cluster = seeded_cluster()
+        gateway = cluster.gateway()
+        gateway.serve(overview_query())
+        n = 25
+        for _ in range(n):
+            assert gateway.serve(overview_query()).status == "hit"
+        assert cluster.metrics.counter("serve.hits").get() == n
+        assert cluster.metrics.counter("serve.misses").get() == 1
+        assert cluster.metrics.histogram("serve.latency").count == n + 1
+
+    def test_a_reader_cannot_grow_the_next_hit(self):
+        cluster = seeded_cluster()
+        gateway = cluster.gateway()
+        miss = gateway.serve(overview_query())
+        hit = gateway.serve(overview_query())
+        hit.series.append(hit.series[0])
+        miss.series.clear()
+        again = gateway.serve(overview_query())
+        assert again.status == "hit"
+        assert_series_equal(again.series, cluster.query_engine().run(overview_query()))
 
     def test_a_reader_cannot_edit_the_cached_answer(self):
         cluster = seeded_cluster()
